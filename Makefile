@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check build test race test-race bench bench-query bench-frozen bench-serve bench-planner bench-load bench-load-rep bench-scale vet fmt-check fuzz fuzz-wire fuzz-mih fuzz-qcache fuzz-arena smoke debug-smoke lsm-smoke experiments examples clean
+.PHONY: all check build test race test-race bench bench-query bench-frozen bench-serve bench-planner bench-load bench-load-rep bench-scale vet fmt-check fuzz fuzz-wire fuzz-mih fuzz-qcache fuzz-arena bench-smoke smoke debug-smoke lsm-smoke experiments examples clean
 
 all: build vet test
 
-check: build vet fmt-check test test-race fuzz-wire fuzz-mih fuzz-qcache fuzz-arena
+check: build vet fmt-check test test-race fuzz-wire fuzz-mih fuzz-qcache fuzz-arena bench-smoke
 
 build:
 	$(GO) build ./...
@@ -109,6 +109,12 @@ fuzz-qcache:
 # index that answers searches), never crash — in both alias and copy modes.
 fuzz-arena:
 	$(GO) test -run=NONE -fuzz=FuzzSectionTable -fuzztime=5s ./internal/core/
+
+# The benchmark harness is a nested module the root's go vet/test ./... do
+# not descend into; vet it and run its short tests so an API change in
+# mih/planner/server/core/wire that breaks benchmark/ fails here.
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # End-to-end smoke of the serving stack: build the CLIs, generate a tiny
 # dataset, shard it, start two haserve processes (one fault-injected), query

@@ -24,16 +24,20 @@
 // instead of counting as a replica failure.
 //
 // -engine picks the search access path for immutable serving: the default
-// "auto" builds the full engine set (HA walk, multi-index hashing, brute
+// "auto" serves the full engine set (HA walk, multi-index hashing, brute
 // scan) and routes each request through the measured cost-based planner;
-// "ha", "mih", or "scan" pin one engine. Clients can override per request
-// with their own -engine hint (protocol v4).
+// "ha", "mih", or "scan" pin one engine. Multi-index hashing and the scan
+// read the loaded index's own leaf arena, so they add only MIH's key tables
+// to the heap. Clients can override per request with their own -engine hint
+// (protocol v4).
 //
 // -mmap (default on) serves a version-4 snapshot zero-copy: the arena is
-// aliased out of an mmap of the file, so startup cost and heap footprint
-// are independent of shard size (watch index.mapped_bytes vs
-// index.heap_bytes on /debug/obs). Older snapshot versions, -frozen=false,
-// and -mutable fall back to the eager reader automatically.
+// aliased out of an mmap of the file, so the heap holds none of it (watch
+// index.mapped_bytes vs index.heap_bytes on /debug/obs, where
+// index.aux_heap_bytes is the auxiliary engines' share; the load.*_ns
+// gauges and the start-up log line break the load time down). Older
+// snapshot versions, -frozen=false, and -mutable fall back to the eager
+// reader automatically.
 //
 // With -mutable the snapshot seeds an LSM shard (internal/lsm) instead of
 // an immutable index: the server then also accepts protocol-v3 insert,
@@ -50,6 +54,7 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	"haindex/internal/lsm"
 	"haindex/internal/server"
@@ -157,6 +162,12 @@ func main() {
 	meta := s.Meta()
 	fmt.Printf("haserve: shard %d/%d (%d-bit codes) on %s from %s\n",
 		meta.Part, meta.Parts, meta.Length, bound, *snapshot)
+	if !*mutable {
+		// The same four load.*_ns gauges /debug/obs serves.
+		ns := func(name string) time.Duration { return time.Duration(s.Obs().Gauge(name).Value()) }
+		fmt.Printf("haserve: loaded in %s (map %s, mih build %s, calibrate %s)\n",
+			ns("load.total_ns"), ns("load.map_ns"), ns("load.mih_build_ns"), ns("load.calibrate_ns"))
+	}
 	if *portFile != "" {
 		if err := os.WriteFile(*portFile, []byte(bound+"\n"), 0o644); err != nil {
 			fatalf("writing port file: %v", err)

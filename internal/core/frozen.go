@@ -247,14 +247,7 @@ func (f *FrozenIndex) Codes() []bitvec.Code {
 }
 
 // Tuples invokes fn for every (id, code) pair in the index.
-func (f *FrozenIndex) Tuples(fn func(id int, code bitvec.Code)) {
-	for gi := 0; gi < f.GroupCount(); gi++ {
-		code := f.groupCode(int32(gi))
-		for _, id := range f.groupIDs(int32(gi)) {
-			fn(id, code)
-		}
-	}
-}
+func (f *FrozenIndex) Tuples(fn func(id int, code bitvec.Code)) { f.Groups().Tuples(fn) }
 
 // searchWith implements Index: the H-Search walk over the flat arrays on the
 // searcher's scratch. A frozen index has no insert buffer, so emitOne is

@@ -44,20 +44,20 @@ func (m *Index) Encode(w io.Writer, withIDs bool) error {
 	putUvarint(bw, flags)
 	for _, v := range []uint64{
 		uint64(m.blocks), uint64(m.matched),
-		uint64(len(m.groups)), uint64(len(m.keys)), uint64(len(m.cands)),
+		uint64(m.GroupCount()), uint64(len(m.keys)), uint64(len(m.cands)),
 	} {
 		putUvarint(bw, v)
 	}
 	var buf [8]byte
-	for _, word := range m.codeSlab {
+	for _, word := range m.grp.Codes {
 		binary.BigEndian.PutUint64(buf[:], word)
 		if _, err := bw.Write(buf[:]); err != nil {
 			return err
 		}
 	}
 	if withIDs {
-		for i := range m.groups {
-			ids := m.groups[i].ids
+		for gi, ng := 0, m.GroupCount(); gi < ng; gi++ {
+			ids := m.grp.GroupIDs(gi)
 			putUvarint(bw, uint64(len(ids)))
 			prev := int64(0)
 			for _, id := range ids {
@@ -99,7 +99,8 @@ func (m *Index) EncodedSize(withIDs bool) (int, error) {
 	return int(c), nil
 }
 
-// Decode reads an MIH index previously written by Encode. Corrupt or hostile
+// Decode reads an MIH index previously written by Encode. The decoded index
+// owns its group slabs, whatever the encoded one aliased. Corrupt or hostile
 // input returns an error, never panics, and never allocates faster than real
 // bytes arrive.
 func Decode(r io.Reader) (*Index, error) {
@@ -156,13 +157,13 @@ func decodeBody(br *bufio.Reader) (*Index, error) {
 			return nil, err
 		}
 	}
-	if blocks > uint64(length) || matched > blocks {
+	if blocks == 0 || matched == 0 || blocks > uint64(length) || matched > blocks {
 		return nil, fmt.Errorf("mih: implausible parameters blocks=%d matched=%d", blocks, matched)
 	}
 	if nGroups > 1<<31-2 || nKeys > 1<<31-2 || nCands > 1<<31-2 {
 		return nil, fmt.Errorf("mih: index counts overflow")
 	}
-	m, err := newIndex(length, int(blocks), int(matched))
+	m, err := newIndex(length, 0, Options{Blocks: int(blocks), Matched: int(matched)})
 	if err != nil {
 		return nil, err
 	}
@@ -188,14 +189,14 @@ func decodeBody(br *bufio.Reader) (*Index, error) {
 			return nil, fmt.Errorf("mih: reading code slab: %w", err)
 		}
 		for i := uint64(0); i < c; i++ {
-			m.codeSlab = append(m.codeSlab, binary.BigEndian.Uint64(chunk[i*8:]))
+			m.grp.Codes = append(m.grp.Codes, binary.BigEndian.Uint64(chunk[i*8:]))
 		}
 		words -= c
 	}
-	m.idStart = make([]int32, 0, 1024)
+	m.grp.IDStart = make([]int32, 0, 1024)
 	if withIDs {
 		for g := uint64(0); g < nGroups; g++ {
-			m.idStart = append(m.idStart, int32(len(m.idSlab)))
+			m.grp.IDStart = append(m.grp.IDStart, int32(len(m.grp.IDs)))
 			cnt, err := binary.ReadUvarint(br)
 			if err != nil {
 				return nil, err
@@ -207,20 +208,18 @@ func decodeBody(br *bufio.Reader) (*Index, error) {
 					return nil, err
 				}
 				prev += d
-				if len(m.idSlab) >= 1<<31-2 {
+				if len(m.grp.IDs) >= 1<<31-2 {
 					return nil, fmt.Errorf("mih: id table overflows")
 				}
-				m.idSlab = append(m.idSlab, int(prev))
+				m.grp.IDs = append(m.grp.IDs, int(prev))
 			}
 		}
 	} else {
 		for g := uint64(0); g < nGroups; g++ {
-			m.idStart = append(m.idStart, 0)
+			m.grp.IDStart = append(m.grp.IDStart, 0)
 		}
 	}
-	m.idStart = append(m.idStart, int32(len(m.idSlab)))
-	m.n = len(m.idSlab)
-	m.buildGroups()
+	m.grp.IDStart = append(m.grp.IDStart, int32(len(m.grp.IDs)))
 
 	// Per-table key counts, prefix-summed into tabStart.
 	m.tabStart = make([]int32, 0, tables+1)
@@ -315,6 +314,7 @@ func decodeBody(br *bufio.Reader) (*Index, error) {
 		}
 		m.cands = append(m.cands, int32(v))
 	}
+	m.setCrossovers()
 	return m, nil
 }
 

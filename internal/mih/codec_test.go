@@ -67,6 +67,39 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeOwnsSlabs: an engine that aliases a frozen index's arena encodes
+// like any other, and what decodes from it owns its group slabs — nothing
+// ties it to the arena the encoder read.
+func TestDecodeOwnsSlabs(t *testing.T) {
+	rng := rand.New(rand.NewSource(202))
+	codes := clusteredCodes(rng, 150, 64, 5, 2)
+	frozen := core.Freeze(core.BuildDynamic(codes, nil, core.Options{}))
+	aliasing, err := FromGroups(frozen.Groups(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := aliasing.Encode(&buf, true); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aliasing.HeapBytes() >= aliasing.SizeBytes() || got.HeapBytes() != got.SizeBytes() || got.SizeBytes() != aliasing.SizeBytes() {
+		t.Fatalf("heap/size: aliasing %d/%d, decoded %d/%d",
+			aliasing.HeapBytes(), aliasing.SizeBytes(), got.HeapBytes(), got.SizeBytes())
+	}
+	if &got.grp.Codes[0] == &aliasing.grp.Codes[0] {
+		t.Fatal("decoded index shares the encoder's code slab")
+	}
+	for _, q := range codes[:20] {
+		if want := oracle(codes, q, 6); !equalIDs(got.Search(q, 6), want) {
+			t.Fatalf("decoded index answers differ from the oracle")
+		}
+	}
+}
+
 // TestDecodeIndexRoundTrip: the registered v3 decoder lets core.DecodeIndex
 // hand back the MIH engine behind the generic Index surface.
 func TestDecodeIndexRoundTrip(t *testing.T) {

@@ -18,16 +18,20 @@
 // Unlike the hash-map baseline in internal/baseline, the frozen form keeps
 // each table as a sorted run of distinct keys over a shared candidate arena:
 // a probe is a binary search, a bucket a contiguous []int32 of group indexes
-// into one shared distinct-code slab. Search runs on a per-searcher Scratch
+// into one distinct-code slab — the engine's own, or (FromGroups) the frozen
+// HA-Index's leaf arena, aliased. Probing is bounded: past the radius where a
+// table has fewer distinct keys than the query key has variants, Search walks
+// the key run instead of enumerating. Search runs on a per-searcher Scratch
 // (combination enumeration state plus an epoch-marked visited table) and is
 // allocation-free on the steady path; the engine plugs into core.Searcher,
 // SearchBatch, and TopK through core.AsIndex.
 package mih
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"haindex/internal/bitvec"
 	"haindex/internal/core"
@@ -49,7 +53,6 @@ type Options struct {
 type Index struct {
 	length  int // code length L in bits
 	nw      int // words per code
-	n       int // number of tuples
 	blocks  int
 	matched int
 
@@ -66,113 +69,77 @@ type Index struct {
 	keys      []uint64
 	candStart []int32
 	cands     []int32
+	// enumMax[t] is table t's crossover radius, derived from its key count:
+	// up to it, enumerating key variants costs no more probes than the table
+	// has distinct keys; past it Search walks the key run instead.
+	enumMax []int
 
-	// Shared distinct-code groups: codes word-packed in codeSlab, tuple ids
-	// in idSlab with idStart offsets, groups[] aliasing both slabs.
-	codeSlab []uint64
-	idStart  []int32
-	idSlab   []int
-	groups   []group
-}
-
-// group is one distinct code with its tuple ids; both alias the arenas.
-type group struct {
-	code bitvec.Code
-	ids  []int
+	// The distinct-code groups every table indexes into. shared marks slabs
+	// that alias another index's arena (FromGroups) — the engine then owns
+	// only its tables and must not outlive that arena.
+	grp    core.GroupView
+	shared bool
 }
 
 // Build constructs the engine over the codes; ids default to positions.
+// Equal codes collapse into one group carrying every tuple id.
 func Build(codes []bitvec.Code, ids []int, opts Options) (*Index, error) {
 	if len(codes) == 0 {
 		return nil, fmt.Errorf("mih: empty dataset")
 	}
-	if ids == nil {
-		ids = make([]int, len(codes))
-		for i := range ids {
-			ids[i] = i
-		}
-	}
-	if len(ids) != len(codes) {
+	if ids != nil && len(ids) != len(codes) {
 		return nil, fmt.Errorf("mih: %d ids for %d codes", len(ids), len(codes))
 	}
-	return build(codes[0].Len(), codes, ids, opts)
-}
-
-// TupleSource is any index that can enumerate its tuples — both HA-Index
-// forms satisfy it, so a serving shard can grow an MIH engine from whatever
-// snapshot it loaded.
-type TupleSource interface {
-	Length() int
-	Tuples(fn func(id int, code bitvec.Code))
-}
-
-// FromTuples builds the engine from an existing index's tuples. An empty
-// source yields an empty (but valid) engine whose searches match nothing.
-func FromTuples(src TupleSource, opts Options) (*Index, error) {
-	var codes []bitvec.Code
-	var ids []int
-	src.Tuples(func(id int, c bitvec.Code) {
-		ids = append(ids, id)
-		codes = append(codes, c)
-	})
-	return build(src.Length(), codes, ids, opts)
-}
-
-func build(length int, codes []bitvec.Code, ids []int, opts Options) (*Index, error) {
-	if length <= 0 {
-		return nil, fmt.Errorf("mih: invalid code length %d", length)
-	}
-	blocks, matched := opts.Blocks, opts.Matched
-	if matched == 0 {
-		matched = 1
-	}
-	if blocks == 0 {
-		blocks = autoBlocks(length, len(codes), matched)
-	}
-	m, err := newIndex(length, blocks, matched)
-	if err != nil {
-		return nil, err
-	}
-
-	// Distinct-code groups shared by every table.
-	type bucket struct {
-		gi  int32
-		ids []int
-	}
-	byCode := make(map[string]int32, len(codes))
-	var order []bucket
+	length := codes[0].Len()
 	for i, c := range codes {
 		if c.Len() != length {
 			return nil, fmt.Errorf("mih: code %d is %d-bit, index is %d-bit", i, c.Len(), length)
 		}
-		if gi, ok := byCode[c.Key()]; ok {
-			order[gi].ids = append(order[gi].ids, ids[i])
-			continue
-		}
-		gi := int32(len(order))
-		byCode[c.Key()] = gi
-		order = append(order, bucket{gi: gi, ids: []int{ids[i]}})
 	}
-	ng := len(order)
-	m.n = len(codes)
-	m.codeSlab = make([]uint64, ng*m.nw)
-	m.idStart = make([]int32, ng+1)
-	m.idSlab = make([]int, 0, len(codes))
-	gi := 0
-	seen := make(map[string]bool, ng)
-	for _, c := range codes {
-		k := c.Key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		copy(m.codeSlab[gi*m.nw:(gi+1)*m.nw], c.Words())
-		m.idStart[gi] = int32(len(m.idSlab))
-		m.idSlab = append(m.idSlab, order[byCode[k]].ids...)
-		gi++
+	m, err := newIndex(length, len(codes), opts)
+	if err != nil {
+		return nil, err
 	}
-	m.idStart[ng] = int32(len(m.idSlab))
-	m.buildGroups()
+	// Group equal codes without hashing them: order the positions by (code,
+	// position) and cut the order into runs. Groups land in code order, each
+	// group's ids in input order.
+	order := make([]int32, len(codes))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := codes[a].Compare(codes[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	m.grp.IDs = make([]int, len(codes))
+	for i, p := range order {
+		if i == 0 || !codes[p].Equal(codes[order[i-1]]) {
+			m.grp.Codes = append(m.grp.Codes, codes[p].Words()...)
+			m.grp.IDStart = append(m.grp.IDStart, int32(i))
+		}
+		m.grp.IDs[i] = int(p)
+		if ids != nil {
+			m.grp.IDs[i] = ids[p]
+		}
+	}
+	m.grp.IDStart = append(m.grp.IDStart, int32(len(codes)))
+	m.buildTables()
+	return m, nil
+}
+
+// FromGroups builds the engine over a frozen HA-Index's leaf arena without
+// copying it: the view's slabs already are MIH's group layout, so only the
+// key tables are built and the codes and ids stay where they are (in the
+// mapping, for an mmap'd index). The engine must not be searched once the
+// view's owner is closed. An empty view yields an engine that matches nothing.
+func FromGroups(v core.GroupView, opts Options) (*Index, error) {
+	m, err := newIndex(v.Length, v.Count(), opts)
+	if err != nil {
+		return nil, err
+	}
+	m.grp, m.shared = v, true
 	m.buildTables()
 	return m, nil
 }
@@ -180,17 +147,15 @@ func build(length int, codes []bitvec.Code, ids []int, opts Options) (*Index, er
 // autoBlocks picks the block count for n codes of length bits: key width
 // near log2(n) (Norouzi's substring-length heuristic — buckets then hold O(1)
 // codes), clamped so every block fits a uint64 key and the table count stays
-// modest. With matched > 1 the per-block target shrinks proportionally so
-// the concatenated key keeps the same selectivity.
+// modest. lg is ceil(log2 n)+1, the per-block key width aimed at; with
+// matched > 1 a table's key concatenates `matched` blocks, so the target
+// grows to lg·matched and the block count is scaled back by the same factor.
 func autoBlocks(length, n, matched int) int {
 	lg := 1
 	for v := 1; v < n; v *= 2 {
 		lg++
 	}
-	target := lg * matched // concatenated key width target, ≈ log2(n)·matched... per block combination
-	if target < 1 {
-		target = 1
-	}
+	target := lg * matched
 	b := (length + target/2) / target * matched
 	if b < matched {
 		b = matched
@@ -207,8 +172,19 @@ func autoBlocks(length, n, matched int) int {
 	return b
 }
 
-// newIndex validates the parameters and derives bounds, combos, and widths.
-func newIndex(length, blocks, matched int) (*Index, error) {
+// newIndex resolves the options against n codes, validates the parameters,
+// and derives bounds, combos, and widths.
+func newIndex(length, n int, opts Options) (*Index, error) {
+	if length <= 0 {
+		return nil, fmt.Errorf("mih: invalid code length %d", length)
+	}
+	blocks, matched := opts.Blocks, opts.Matched
+	if matched == 0 {
+		matched = 1
+	}
+	if blocks == 0 {
+		blocks = autoBlocks(length, n, matched)
+	}
 	if blocks <= 0 || blocks > length {
 		return nil, fmt.Errorf("mih: invalid block count %d for %d-bit codes", blocks, length)
 	}
@@ -220,6 +196,7 @@ func newIndex(length, blocks, matched int) (*Index, error) {
 		nw:      (length + 63) / 64,
 		blocks:  blocks,
 		matched: matched,
+		grp:     core.GroupView{Length: length},
 	}
 	// Nearly equal blocks, the first length%blocks one bit wider.
 	base, extra := length/blocks, length%blocks
@@ -282,26 +259,13 @@ func tableCount(blocks, matched int) (int, error) {
 	return c, nil
 }
 
-// buildGroups wraps the code and id slabs as group values aliasing the
-// arenas (capacity-clamped so appends can never bleed).
-func (m *Index) buildGroups() {
-	ng := len(m.idStart) - 1
-	m.groups = make([]group, ng)
-	for i := 0; i < ng; i++ {
-		lo, hi := m.idStart[i], m.idStart[i+1]
-		m.groups[i] = group{
-			code: bitvec.FromWords(m.codeSlab[i*m.nw:(i+1)*m.nw], m.length),
-			ids:  m.idSlab[lo:hi:hi],
-		}
-	}
-}
-
 // buildTables sorts every table's (key, group) pairs and compacts them into
 // the shared key/candidate arenas.
 func (m *Index) buildTables() {
-	ng := len(m.groups)
+	ng := m.GroupCount()
 	nt := len(m.combos)
 	m.tabStart = make([]int32, nt+1)
+	m.cands = make([]int32, 0, nt*ng)
 	type pair struct {
 		key uint64
 		gi  int32
@@ -310,13 +274,13 @@ func (m *Index) buildTables() {
 	for t, combo := range m.combos {
 		m.tabStart[t] = int32(len(m.keys))
 		for g := 0; g < ng; g++ {
-			pairs[g] = pair{key: m.comboKey(m.groups[g].code, combo), gi: int32(g)}
+			pairs[g] = pair{key: m.comboKey(m.grp.Codes[g*m.nw:(g+1)*m.nw], combo), gi: int32(g)}
 		}
-		sort.Slice(pairs, func(a, b int) bool {
-			if pairs[a].key != pairs[b].key {
-				return pairs[a].key < pairs[b].key
+		slices.SortFunc(pairs, func(a, b pair) int {
+			if a.key != b.key {
+				return cmp.Compare(a.key, b.key)
 			}
-			return pairs[a].gi < pairs[b].gi
+			return cmp.Compare(a.gi, b.gi)
 		})
 		for i := 0; i < ng; i++ {
 			if i == 0 || pairs[i].key != pairs[i-1].key {
@@ -328,6 +292,28 @@ func (m *Index) buildTables() {
 	}
 	m.tabStart[nt] = int32(len(m.keys))
 	m.candStart = append(m.candStart, int32(len(m.cands)))
+	m.setCrossovers()
+}
+
+// setCrossovers derives each table's crossover radius from its key count K:
+// the largest r whose variant count V(w, r) = Σ_{k≤r} C(w, k) is at most K —
+// past it, more binary searches than the run has keys to find. K < 2^31
+// bounds every intermediate, so nothing overflows.
+func (m *Index) setCrossovers() {
+	m.enumMax = make([]int, len(m.combos))
+	for t, w := range m.widths {
+		k := uint64(m.tabStart[t+1] - m.tabStart[t])
+		v, c, r := uint64(1), uint64(1), 0
+		for r < w {
+			c = c * uint64(w-r) / uint64(r+1) // C(w, r+1)
+			if v+c > k {
+				break
+			}
+			v += c
+			r++
+		}
+		m.enumMax[t] = r
+	}
 }
 
 // segKey extracts the width-bit segment starting at bit `from` as a uint64,
@@ -342,8 +328,7 @@ func segKey(words []uint64, from, width int) uint64 {
 }
 
 // comboKey concatenates the blocks selected by combo into one key.
-func (m *Index) comboKey(c bitvec.Code, combo []int) uint64 {
-	words := c.Words()
+func (m *Index) comboKey(words []uint64, combo []int) uint64 {
 	var key uint64
 	for _, b := range combo {
 		from, width := m.bounds[b][0], m.bounds[b][1]
@@ -356,7 +341,7 @@ func (m *Index) comboKey(c bitvec.Code, combo []int) uint64 {
 func (m *Index) Length() int { return m.length }
 
 // Len returns the number of indexed tuples.
-func (m *Index) Len() int { return m.n }
+func (m *Index) Len() int { return len(m.grp.IDs) }
 
 // Blocks returns the block count.
 func (m *Index) Blocks() int { return m.blocks }
@@ -367,39 +352,38 @@ func (m *Index) Matched() int { return m.matched }
 // Tables returns the table count C(Blocks, Matched).
 func (m *Index) Tables() int { return len(m.combos) }
 
-// GroupCount returns the number of distinct indexed codes.
-func (m *Index) GroupCount() int { return len(m.groups) }
+// GroupCount returns the number of indexed code groups.
+func (m *Index) GroupCount() int { return m.grp.Count() }
 
 // Radius returns the per-table probe radius at threshold h: the pigeonhole
 // bound floor(matched·h/blocks).
 func (m *Index) Radius(h int) int { return m.matched * h / m.blocks }
 
-// SizeBytes returns the resident footprint of the arenas. The distinct codes
-// are stored once; each table adds only its sorted key run and candidate
-// references — the flat-arena answer to the per-table code replicas the
-// paper criticizes in Manku's layout.
+// SizeBytes returns the footprint of everything the engine reads, shared
+// group slabs included. The distinct codes are stored once; each table adds
+// only its sorted key run and candidate references — the flat-arena answer
+// to the per-table code replicas the paper criticizes in Manku's layout.
 func (m *Index) SizeBytes() int {
-	sz := 8 * (len(m.codeSlab) + len(m.keys) + len(m.idSlab))
-	sz += 4 * (len(m.idStart) + len(m.tabStart) + len(m.candStart) + len(m.cands))
-	sz += 40 * len(m.groups)
-	return sz
+	return m.grp.SizeBytes() + 8*len(m.keys) + 4*(len(m.tabStart)+len(m.candStart)+len(m.cands))
+}
+
+// HeapBytes returns what the engine itself holds on the Go heap: SizeBytes
+// less any group slabs that alias another index's arena.
+func (m *Index) HeapBytes() int {
+	if m.shared {
+		return m.SizeBytes() - m.grp.SizeBytes()
+	}
+	return m.SizeBytes()
 }
 
 // Tuples invokes fn for every (id, code) pair in the index.
-func (m *Index) Tuples(fn func(id int, code bitvec.Code)) {
-	for i := range m.groups {
-		g := &m.groups[i]
-		for _, id := range g.ids {
-			fn(id, g.code)
-		}
-	}
-}
+func (m *Index) Tuples(fn func(id int, code bitvec.Code)) { m.grp.Tuples(fn) }
 
 // NewScratch implements core.Engine.
 func (m *Index) NewScratch() core.EngineScratch {
 	return &Scratch{
 		m:       m,
-		visited: make([]uint32, len(m.groups)),
+		visited: make([]uint32, m.GroupCount()),
 		comb:    make([]int, 65),
 	}
 }
@@ -426,10 +410,13 @@ type Scratch struct {
 	comb    []int
 }
 
-// Search implements core.EngineScratch: probe every table with every key
-// variant within the pigeonhole radius, verify candidates once each, and
-// emit the qualifying groups. Probes count into stats.NodesVisited,
-// candidate verifications into LeavesChecked and DistanceComputations.
+// Search implements core.EngineScratch: reach every table's keys within the
+// pigeonhole radius of the query's key, verify their candidates once each,
+// and emit the qualifying groups. Up to the table's crossover radius the
+// keys are reached by enumerating variants and binary-searching each, past
+// it by one XOR+popcount pass over the sorted run — the same keys either
+// way. Probes and run keys examined count into stats.NodesVisited, candidate
+// verifications into LeavesChecked and DistanceComputations.
 func (s *Scratch) Search(q bitvec.Code, h int, stats *core.SearchStats, emit func(ids []int, code bitvec.Code)) {
 	m := s.m
 	if q.Len() != m.length {
@@ -445,14 +432,23 @@ func (s *Scratch) Search(q bitvec.Code, h int, stats *core.SearchStats, emit fun
 	radius := m.matched * h / m.blocks
 	qw := q.Words()
 	for t, combo := range m.combos {
-		key := m.comboKey(q, combo)
+		key := m.comboKey(qw, combo)
 		width := m.widths[t]
 		lo, hi := m.tabStart[t], m.tabStart[t+1]
-		s.probe(lo, hi, key, qw, h, stats, emit)
 		r := radius
 		if r > width {
 			r = width
 		}
+		if r > m.enumMax[t] {
+			stats.NodesVisited += int(hi - lo)
+			for p := lo; p < hi; p++ {
+				if bits.OnesCount64(m.keys[p]^key) <= r {
+					s.verify(p, qw, h, stats, emit)
+				}
+			}
+			continue
+		}
+		s.probe(lo, hi, key, qw, h, stats, emit)
 		// Key variants at exact flip-count k, for k = 1..r: the classic
 		// iterative combination enumeration over the key's bit positions,
 		// on preallocated scratch — no recursion, no closures.
@@ -483,8 +479,8 @@ func (s *Scratch) Search(q bitvec.Code, h int, stats *core.SearchStats, emit fun
 	}
 }
 
-// probe binary-searches one table's sorted key run and verifies that
-// bucket's candidates, emitting first-seen qualifying groups.
+// probe binary-searches one table's sorted key run and, on a hit, verifies
+// that bucket's candidates.
 func (s *Scratch) probe(lo, hi int32, key uint64, qw []uint64, h int, stats *core.SearchStats, emit func(ids []int, code bitvec.Code)) {
 	m := s.m
 	stats.NodesVisited++
@@ -497,20 +493,25 @@ func (s *Scratch) probe(lo, hi int32, key uint64, qw []uint64, h int, stats *cor
 			j = mid
 		}
 	}
-	if i >= int(hi) || m.keys[i] != key {
-		return
+	if i < int(hi) && m.keys[i] == key {
+		s.verify(int32(i), qw, h, stats, emit)
 	}
+}
+
+// verify checks the candidates of the key at global position p against the
+// full query, emitting first-seen qualifying groups.
+func (s *Scratch) verify(p int32, qw []uint64, h int, stats *core.SearchStats, emit func(ids []int, code bitvec.Code)) {
+	m := s.m
 	nw := m.nw
-	for _, gi := range m.cands[m.candStart[i]:m.candStart[i+1]] {
+	for _, gi := range m.cands[m.candStart[p]:m.candStart[p+1]] {
 		if s.visited[gi] == s.epoch {
 			continue
 		}
 		s.visited[gi] = s.epoch
 		stats.LeavesChecked++
 		stats.DistanceComputations++
-		if distWithin(qw, m.codeSlab[int(gi)*nw:(int(gi)+1)*nw], h) {
-			g := &m.groups[gi]
-			emit(g.ids, g.code)
+		if distWithin(qw, m.grp.Codes[int(gi)*nw:(int(gi)+1)*nw], h) {
+			emit(m.grp.GroupIDs(int(gi)), m.grp.Code(int(gi)))
 		}
 	}
 }

@@ -105,8 +105,9 @@ func TestSearchMatchesOracle(t *testing.T) {
 }
 
 // TestSearchZeroAlloc pins the steady-state allocation-free property: after
-// the first search warms the scratch, neither tight nor loose thresholds
-// may allocate (the hoisted combination enumerator and epoch table at work).
+// the first search warms the scratch, no threshold may allocate — on the
+// variant-enumerating branch (the hoisted combination enumerator and epoch
+// table at work) or on the key-run branch past a table's crossover radius.
 func TestSearchZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	codes := clusteredCodes(rng, 800, 64, 10, 3)
@@ -116,11 +117,140 @@ func TestSearchZeroAlloc(t *testing.T) {
 	}
 	sr := core.NewSearcher(core.AsIndex(m))
 	q := codes[17]
-	for _, h := range []int{2, 10, 24} {
+	var enumerated, walked bool
+	for _, h := range []int{2, 10, 24, 40, 64} {
+		if m.Radius(h) > m.enumMax[0] {
+			walked = true
+		} else {
+			enumerated = true
+		}
 		sr.Search(q, h) // warm the scratch and result buffers
 		if allocs := testing.AllocsPerRun(200, func() { sr.Search(q, h) }); allocs != 0 {
 			t.Fatalf("h=%d: %.1f allocs per search, want 0", h, allocs)
 		}
+	}
+	if !enumerated || !walked {
+		t.Fatalf("thresholds did not cover both branches (crossover radius %d)", m.enumMax[0])
+	}
+}
+
+// variants is V(w, r) = Σ_{k≤r} C(w, k), saturating at limit.
+func variants(w, r, limit int) int {
+	v, c := 1, 1
+	for k := 1; k <= r && k <= w && v < limit; k++ {
+		c = c * (w - k + 1) / k
+		v += c
+	}
+	if v > limit {
+		return limit
+	}
+	return v
+}
+
+// TestEveryThresholdMatchesOracle is the differential test of the bounded
+// probe: over several (n, blocks, matched, distribution) shapes, built both
+// ways (owning Build, aliasing FromGroups), the answer at EVERY threshold
+// 0..L equals the brute oracle — which walks each table across its switch
+// from enumerating variants to walking the key run. Alongside, the work
+// bound that the unbounded enumeration broke by orders of magnitude: a
+// query examines at most min(V(w_t, r), K_t) keys per table (plus the exact
+// probe), however large the radius.
+func TestEveryThresholdMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	dupHeavy := func(n, bitsLen, distinct int) []bitvec.Code {
+		pool := uniformCodes(rng, distinct, bitsLen)
+		out := make([]bitvec.Code, n)
+		for i := range out {
+			out[i] = pool[rng.Intn(distinct)].Clone()
+		}
+		return out
+	}
+	for _, shape := range []struct {
+		name  string
+		codes []bitvec.Code
+		opts  Options
+	}{
+		{"clustered-32-auto", clusteredCodes(rng, 300, 32, 6, 3), Options{}},
+		{"uniform-64-b4", uniformCodes(rng, 400, 64), Options{Blocks: 4}},
+		{"clustered-64-b5m2", clusteredCodes(rng, 300, 64, 5, 4), Options{Blocks: 5, Matched: 2}},
+		{"duplicates-64-auto", dupHeavy(500, 64, 25), Options{}},
+		{"uniform-128-auto", uniformCodes(rng, 250, 128), Options{}},
+		{"clustered-24-b2", clusteredCodes(rng, 2000, 24, 3, 5), Options{Blocks: 2}},
+	} {
+		codes, bitsLen := shape.codes, shape.codes[0].Len()
+		owning, err := Build(codes, nil, shape.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frozen := core.Freeze(core.BuildDynamic(codes, nil, core.Options{}))
+		aliasing, err := FromGroups(frozen.Groups(), shape.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []*Index{owning, aliasing} {
+			sr := core.NewSearcher(core.AsIndex(m))
+			enumerated := make([]bool, m.Tables())
+			walked := make([]bool, m.Tables())
+			for qi := 0; qi < 3; qi++ {
+				q := codes[rng.Intn(len(codes))].Clone()
+				for f := 0; f < 2*qi; f++ {
+					q.FlipBit(rng.Intn(bitsLen))
+				}
+				for h := 0; h <= bitsLen; h++ {
+					if got, want := sr.Search(q, h), oracle(codes, q, h); !equalIDs(got, want) {
+						t.Fatalf("%s shared=%v h=%d: got %d ids, want %d", shape.name, m.shared, h, len(got), len(want))
+					}
+					bound := m.Tables()
+					for tb, w := range m.widths {
+						r := min(m.Radius(h), w)
+						bound += variants(w, r, int(m.tabStart[tb+1]-m.tabStart[tb]))
+						if r > m.enumMax[tb] {
+							walked[tb] = true
+						} else {
+							enumerated[tb] = true
+						}
+					}
+					if sr.Stats.NodesVisited > bound {
+						t.Fatalf("%s h=%d: %d keys examined, bound %d", shape.name, h, sr.Stats.NodesVisited, bound)
+					}
+				}
+			}
+			for tb := range walked {
+				if !enumerated[tb] || !walked[tb] {
+					t.Fatalf("%s: table %d never crossed its switch (crossover radius %d of %d bits)",
+						shape.name, tb, m.enumMax[tb], m.widths[tb])
+				}
+			}
+		}
+	}
+}
+
+// TestWideThresholdCostsAboutAScan pins MIH's worst case at serving scale by
+// count, not wall-clock: at h=48 over 150k clustered 64-bit codes — three
+// tables of 21-22 bits at radius 16 — the unbounded enumeration issued ~4M
+// binary searches per table to find ~30k keys. Bounded, the keys examined
+// plus candidates verified stay within 3x the scan's one distance per code.
+func TestWideThresholdCostsAboutAScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(150))
+	codes := clusteredCodes(rng, 150000, 64, 150, 3)
+	m, err := Build(codes, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Blocks() != 3 {
+		t.Fatalf("fixture is meant to sit in the 3-block regime, got %d blocks", m.Blocks())
+	}
+	sr := core.NewSearcher(core.AsIndex(m))
+	q := codes[rng.Intn(len(codes))].Clone()
+	q.FlipBit(5)
+	q.FlipBit(40)
+	got := sr.Search(q, 48)
+	if want := oracle(codes, q, 48); !equalIDs(got, want) {
+		t.Fatalf("h=48: got %d ids, want %d", len(got), len(want))
+	}
+	work := sr.Stats.NodesVisited + sr.Stats.DistanceComputations
+	if scan := m.GroupCount(); work > 3*scan {
+		t.Fatalf("h=48 cost %d keys+verifications, over 3x the %d-code scan", work, scan)
 	}
 }
 
@@ -194,9 +324,10 @@ func TestDuplicateCodesShareGroup(t *testing.T) {
 	}
 }
 
-// TestFromTuples builds from a frozen HA-Index's tuple stream and must agree
-// with building from the raw codes.
-func TestFromTuples(t *testing.T) {
+// TestFromGroups builds on a frozen HA-Index's leaf arena — aliasing it, so
+// the engine's heap share is its key tables alone — and must agree with the
+// brute oracle over the raw codes.
+func TestFromGroups(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	codes := clusteredCodes(rng, 400, 64, 6, 3)
 	ids := make([]int, len(codes))
@@ -204,12 +335,16 @@ func TestFromTuples(t *testing.T) {
 		ids[i] = i * 3
 	}
 	frozen := core.Freeze(core.BuildDynamic(codes, ids, core.Options{}))
-	m, err := FromTuples(frozen, Options{})
+	m, err := FromGroups(frozen.Groups(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != len(codes) || m.Length() != 64 {
-		t.Fatalf("FromTuples: n=%d length=%d", m.Len(), m.Length())
+	if m.Len() != len(codes) || m.Length() != 64 || m.GroupCount() != frozen.GroupCount() {
+		t.Fatalf("FromGroups: n=%d length=%d groups=%d", m.Len(), m.Length(), m.GroupCount())
+	}
+	if own, _ := Build(codes, ids, Options{}); m.HeapBytes() >= own.HeapBytes() || m.SizeBytes() != own.SizeBytes() {
+		t.Fatalf("aliasing engine holds %d heap bytes of %d, owning one %d of %d",
+			m.HeapBytes(), m.SizeBytes(), own.HeapBytes(), own.SizeBytes())
 	}
 	q := codes[7]
 	want := make([]int, 0)
@@ -219,7 +354,7 @@ func TestFromTuples(t *testing.T) {
 		}
 	}
 	if got := sortedCopy(m.Search(q, 5)); !equalIDs(got, want) {
-		t.Fatalf("FromTuples search: got %v want %v", got, want)
+		t.Fatalf("FromGroups search: got %v want %v", got, want)
 	}
 }
 
@@ -247,13 +382,18 @@ func TestBuildValidation(t *testing.T) {
 }
 
 // TestAutoBlocks: the default configuration keeps key widths near log2(n)
-// and always within a uint64.
+// and always within a uint64; the block counts are pinned because serving
+// shards and their measured baselines depend on them.
 func TestAutoBlocks(t *testing.T) {
-	for _, tc := range []struct{ length, n int }{
-		{32, 100}, {64, 1000}, {64, 100000}, {128, 20000}, {256, 500}, {16, 10},
+	for _, tc := range []struct{ length, n, want int }{
+		{32, 100, 4}, {64, 1000, 6}, {64, 100000, 4}, {64, 131072, 4}, {64, 131073, 3},
+		{128, 20000, 8}, {256, 500, 16}, {16, 10, 3},
 	} {
 		b := autoBlocks(tc.length, tc.n, 1)
-		m, err := newIndex(tc.length, b, 1)
+		if b != tc.want {
+			t.Fatalf("L=%d n=%d: auto blocks %d, pinned at %d", tc.length, tc.n, b, tc.want)
+		}
+		m, err := newIndex(tc.length, tc.n, Options{Blocks: b})
 		if err != nil {
 			t.Fatalf("L=%d n=%d: auto blocks %d rejected: %v", tc.length, tc.n, b, err)
 		}

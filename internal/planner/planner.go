@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -69,16 +70,22 @@ func ParseStrategy(name string) (Strategy, error) {
 }
 
 // Engines is the set of access paths the planner chooses among. HA is
-// required; MIH and the scan arrays are optional — a missing engine is
+// required; MIH and the scan's codes are optional — a missing engine is
 // simply never chosen.
 type Engines struct {
 	// HA is the HA-Index (pointer or frozen).
 	HA core.Index
 	// MIH is the adapted multi-index-hashing engine, or nil.
 	MIH *core.EngineIndex
-	// Codes and IDs drive the brute scan and supply calibration probes.
-	// IDs defaults to positions when nil; an empty Codes disables both the
-	// scan path and calibration.
+	// Groups is the slab the brute scan walks and calibration probes are
+	// drawn from — normally the frozen HA-Index's own leaf arena
+	// (FrozenIndex.Groups), so the scan costs no memory. Empty disables both
+	// the scan path and calibration.
+	Groups core.GroupView
+	// Codes and IDs are the same thing as plain slices, for callers without
+	// a frozen index: New packs them into Groups once (one group per tuple)
+	// and drops them. IDs defaults to positions when nil. Ignored when
+	// Groups is set.
 	Codes []bitvec.Code
 	IDs   []int
 }
@@ -145,15 +152,13 @@ func New(eng Engines, opts Options) (*Planner, error) {
 	if eng.MIH != nil && eng.MIH.Length() != bits {
 		return nil, fmt.Errorf("planner: MIH engine is %d-bit, HA is %d-bit", eng.MIH.Length(), bits)
 	}
-	if eng.IDs == nil && eng.Codes != nil {
-		eng.IDs = make([]int, len(eng.Codes))
-		for i := range eng.IDs {
-			eng.IDs[i] = i
+	if eng.Groups.Count() == 0 && len(eng.Codes) > 0 {
+		var err error
+		if eng.Groups, err = packGroups(bits, eng.Codes, eng.IDs); err != nil {
+			return nil, err
 		}
 	}
-	if eng.Codes != nil && len(eng.IDs) != len(eng.Codes) {
-		return nil, fmt.Errorf("planner: %d ids for %d codes", len(eng.IDs), len(eng.Codes))
-	}
+	eng.Codes, eng.IDs = nil, nil
 	alpha := opts.Alpha
 	if alpha == 0 {
 		alpha = 0.2
@@ -178,56 +183,81 @@ func New(eng Engines, opts Options) (*Planner, error) {
 	}
 	p.avail[UseHA] = true
 	p.avail[UseMIH] = eng.MIH != nil
-	p.avail[UseScan] = len(eng.Codes) > 0
+	p.avail[UseScan] = eng.Groups.Count() > 0
 	rng := rand.New(rand.NewSource(opts.Seed))
-	if len(eng.Codes) > 0 {
-		p.distHist = sampleDistanceHistogram(eng.Codes, rng)
-	} else {
-		p.distHist = make([]float64, bits+1)
+	p.distHist = make([]float64, bits+1)
+	if p.avail[UseScan] {
+		p.sampleDistanceHistogram(rng)
 	}
 	probes := opts.CalibProbes
 	if probes == 0 {
 		probes = 2
 	}
-	if probes > 0 && len(eng.Codes) > 0 {
+	if probes > 0 && p.avail[UseScan] {
 		p.calibrate(probes, rng)
 	}
 	return p, nil
 }
 
-// Auto builds the full engine set — frozen HA-Index, MIH, scan — over the
-// codes and returns a calibrated planner. ids default to positions.
+// packGroups lays plain code and id slices out as a group view, one group
+// per tuple in input order; ids default to positions.
+func packGroups(bits int, codes []bitvec.Code, ids []int) (core.GroupView, error) {
+	if ids != nil && len(ids) != len(codes) {
+		return core.GroupView{}, fmt.Errorf("planner: %d ids for %d codes", len(ids), len(codes))
+	}
+	if ids == nil {
+		ids = make([]int, len(codes))
+		for i := range ids {
+			ids[i] = i
+		}
+	}
+	v := core.GroupView{Length: bits, IDStart: make([]int32, len(codes)+1), IDs: ids}
+	v.Codes = make([]uint64, 0, len(codes)*v.Words())
+	for i, c := range codes {
+		if c.Len() != bits {
+			return core.GroupView{}, fmt.Errorf("planner: code %d is %d-bit, HA is %d-bit", i, c.Len(), bits)
+		}
+		v.Codes = append(v.Codes, c.Words()...)
+		v.IDStart[i+1] = int32(i + 1)
+	}
+	return v, nil
+}
+
+// sampleCode draws the code of a uniformly random tuple (not group: a code
+// held by many tuples is drawn as often as the data holds it).
+func (p *Planner) sampleCode(rng *rand.Rand) bitvec.Code {
+	v := p.eng.Groups
+	t := int32(rng.Intn(len(v.IDs)))
+	// The first group that ends past tuple t holds it; the last group needs
+	// no test, it holds whatever no earlier one does.
+	return v.Code(sort.Search(v.Count()-1, func(gi int) bool { return v.IDStart[gi+1] > t }))
+}
+
+// Auto builds the full engine set over the codes — the frozen HA-Index, and
+// MIH and the scan on its leaf arena — and returns a calibrated planner. ids
+// default to positions.
 func Auto(codes []bitvec.Code, ids []int, opts Options) (*Planner, error) {
 	if len(codes) == 0 {
 		return nil, fmt.Errorf("planner: empty dataset")
 	}
-	m, err := mih.Build(codes, ids, mih.Options{})
+	ha := core.Freeze(core.BuildDynamic(codes, ids, core.Options{}))
+	m, err := mih.FromGroups(ha.Groups(), mih.Options{})
 	if err != nil {
 		return nil, err
 	}
-	eng := Engines{
-		HA:    core.Freeze(core.BuildDynamic(codes, ids, core.Options{})),
-		MIH:   core.AsIndex(m),
-		Codes: codes,
-		IDs:   ids,
-	}
-	return New(eng, opts)
+	return New(Engines{HA: ha, MIH: core.AsIndex(m), Groups: ha.Groups()}, opts)
 }
 
-// sampleDistanceHistogram estimates P(dist = d) from random pairs.
-func sampleDistanceHistogram(codes []bitvec.Code, rng *rand.Rand) []float64 {
-	bits := codes[0].Len()
-	hist := make([]float64, bits+1)
+// sampleDistanceHistogram estimates P(dist = d) from random tuple pairs.
+func (p *Planner) sampleDistanceHistogram(rng *rand.Rand) {
 	const pairs = 2000
 	for i := 0; i < pairs; i++ {
-		a := codes[rng.Intn(len(codes))]
-		b := codes[rng.Intn(len(codes))]
-		hist[a.Distance(b)]++
+		a := p.sampleCode(rng)
+		p.distHist[a.Distance(p.sampleCode(rng))]++
 	}
-	for d := range hist {
-		hist[d] /= pairs
+	for d := range p.distHist {
+		p.distHist[d] /= pairs
 	}
-	return hist
 }
 
 // calibGrid returns the thresholds measured at build time: dense where the
@@ -253,7 +283,7 @@ func (p *Planner) calibGrid() []int {
 func (p *Planner) calibrate(probes int, rng *rand.Rand) {
 	queries := make([]bitvec.Code, probes)
 	for i := range queries {
-		q := p.eng.Codes[rng.Intn(len(p.eng.Codes))].Clone()
+		q := p.sampleCode(rng).Clone()
 		// Perturb so exact-duplicate groups do not make h=0 look free.
 		for f := 0; f < 2; f++ {
 			q.FlipBit(rng.Intn(p.bits))
@@ -265,6 +295,7 @@ func (p *Planner) calibrate(probes int, rng *rand.Rand) {
 	if p.avail[UseMIH] {
 		srMIH = core.NewSearcher(p.eng.MIH)
 	}
+	var buf []int // the scan's result buffer, reused so it is timed as served
 	grid := p.calibGrid()
 	measured := make([][numStrategies]float64, len(grid))
 	for gi, h := range grid {
@@ -280,7 +311,7 @@ func (p *Planner) calibrate(probes int, rng *rand.Rand) {
 				case UseMIH:
 					srMIH.Search(q, h)
 				case UseScan:
-					p.scan(q, h, nil, nil)
+					buf = p.eng.Groups.Scan(q.Words(), h, buf[:0])
 				}
 			}
 			measured[gi][s] = float64(time.Since(start).Nanoseconds()) / float64(len(queries))
@@ -308,20 +339,14 @@ func (p *Planner) calibrate(probes int, rng *rand.Rand) {
 	}
 }
 
-// scan is the brute-force path; out may be nil for a timing-only run.
-func (p *Planner) scan(q bitvec.Code, h int, out []int, stats *core.SearchStats) []int {
-	for i, c := range p.eng.Codes {
-		if _, ok := q.DistanceWithin(c, h); ok {
-			if out != nil || stats != nil {
-				out = append(out, p.eng.IDs[i])
-			}
-		}
-	}
-	if stats != nil {
-		stats.DistanceComputations += len(p.eng.Codes)
-		stats.LeavesChecked += len(p.eng.Codes)
-	}
-	return out
+// Scan is the brute-force path over the shared group slab: the ids of every
+// tuple within distance h of q are appended to out, the work done added to
+// stats. It is stateless and safe to run from many goroutines at once.
+func (p *Planner) Scan(q bitvec.Code, h int, out []int, stats *core.SearchStats) []int {
+	ng := p.eng.Groups.Count()
+	stats.DistanceComputations += ng
+	stats.LeavesChecked += ng
+	return p.eng.Groups.Scan(q.Words(), h, out)
 }
 
 // CostNs returns the modeled per-query cost of strategy s at threshold h in
@@ -460,7 +485,7 @@ func (p *Planner) SelectWith(s Strategy, q bitvec.Code, h int) ([]int, core.Sear
 		out = append(out, p.srMIH.Search(q, h)...)
 		stats = p.srMIH.Stats
 	case UseScan:
-		out = p.scan(q, h, []int{}, &stats)
+		out = p.Scan(q, h, nil, &stats)
 	default:
 		if p.srHA == nil {
 			p.srHA = core.NewSearcher(p.eng.HA)

@@ -178,7 +178,9 @@ func TestExploreCostCap(t *testing.T) {
 // multi-engine design exists to exploit.
 func TestRegimeSwitch(t *testing.T) {
 	rng := rand.New(rand.NewSource(205))
-	codes := clustered(rng, 3000, 32, 12, 3)
+	// Large enough that the flat scan (~1 ns/code) costs several times an
+	// index probe at h=2; over a few thousand codes it honestly competes.
+	codes := clustered(rng, 40000, 32, 160, 3)
 	p := autoPlanner(t, codes, Options{Seed: 5, CalibProbes: 4})
 	// Refine with real executions at both extremes.
 	for i := 0; i < 12; i++ {
@@ -232,6 +234,49 @@ func TestHAOnlyPlanner(t *testing.T) {
 		if pl := p.Plan(h); pl.Strategy != UseHA {
 			t.Fatalf("h=%d routed to %s without the engine", h, pl.Strategy)
 		}
+	}
+}
+
+// TestCodesPackedIntoGroups: plain code/id slices are accepted by being
+// packed into a group view once — after New there is one scan, over a slab,
+// whichever way the codes arrived — and both ways answer like the oracle.
+func TestCodesPackedIntoGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(212))
+	codes := clustered(rng, 400, 96, 5, 3)
+	ids := make([]int, len(codes))
+	for i := range ids {
+		ids[i] = 2*i + 7
+	}
+	idx := core.Freeze(core.BuildDynamic(codes, ids, core.Options{}))
+	bySlices, err := New(Engines{HA: idx, Codes: codes, IDs: ids}, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byArena, err := New(Engines{HA: idx, Groups: idx.Groups()}, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng := bySlices.Engines(); eng.Codes != nil || eng.IDs != nil || eng.Groups.Count() != len(codes) {
+		t.Fatalf("slices not packed into the view: %d groups, %d codes kept", eng.Groups.Count(), len(eng.Codes))
+	}
+	for _, h := range []int{0, 3, 20, 96} {
+		q := codes[rng.Intn(len(codes))].Clone()
+		q.FlipBit(rng.Intn(96))
+		var want []int
+		for i, c := range codes {
+			if q.Distance(c) <= h {
+				want = append(want, ids[i])
+			}
+		}
+		for _, p := range []*Planner{bySlices, byArena} {
+			if got, _ := p.SelectWith(UseScan, q, h); !equalIDs(got, want) {
+				t.Fatalf("h=%d: scan returned %d ids, want %d", h, len(got), len(want))
+			}
+		}
+	}
+	mixed := append([]bitvec.Code{bitvec.Rand(rng, 32)}, codes...)
+	if _, err := New(Engines{HA: idx, Codes: mixed}, Options{}); err == nil {
+		t.Error("codes of another length accepted")
 	}
 }
 

@@ -1,0 +1,254 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"math/rand"
+	"net"
+	"os"
+	"path/filepath"
+	"sort"
+	"sync"
+	"testing"
+
+	"haindex/internal/bitvec"
+	"haindex/internal/core"
+	"haindex/internal/mih"
+	"haindex/internal/planner"
+	"haindex/internal/wire"
+)
+
+// clusteredArena writes a one-partition v4 (mmap-native) snapshot of n
+// clustered codes — hashed-data-like sharing, ids distinct from positions —
+// and returns its path with the codes and ids behind it.
+func clusteredArena(t *testing.T, rng *rand.Rand, n, bits, perCluster int) (string, wire.SnapshotMeta, []bitvec.Code, []int) {
+	t.Helper()
+	codes := make([]bitvec.Code, 0, n)
+	for len(codes) < n {
+		center := bitvec.Rand(rng, bits)
+		for i := 0; i < perCluster && len(codes) < n; i++ {
+			c := center.Clone()
+			for f := 0; f < 3; f++ {
+				c.FlipBit(rng.Intn(bits))
+			}
+			codes = append(codes, c)
+		}
+	}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = 3*i + 1
+	}
+	meta := wire.SnapshotMeta{Part: 0, Parts: 1, Length: bits}
+	path := filepath.Join(t.TempDir(), "arena.hasn")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen := core.Freeze(core.BuildDynamic(codes, ids, core.Options{}))
+	if err := wire.WriteSnapshotArena(f, meta, frozen); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path, meta, codes, ids
+}
+
+// TestEnginesByteIdenticalEveryThreshold: every engine mode, eager and
+// mmap'd, answers every threshold 0..L over a 20k-code clustered shard with
+// the same bytes — and those bytes are the brute oracle's answer. MIH and
+// the scan read the served arena itself, so this also proves the aliasing
+// engines see exactly what the HA walk sees.
+func TestEnginesByteIdenticalEveryThreshold(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const n, bits = 20000, 64
+	path, _, codes, ids := clusteredArena(t, rng, n, bits, 500)
+	queries := []bitvec.Code{codes[rng.Intn(n)].Clone(), bitvec.Rand(rng, bits)}
+	queries[0].FlipBit(7)
+	queries[0].FlipBit(50)
+
+	want := make([][]byte, bits+1) // per threshold: the oracle's answer, encoded
+	for h := range want {
+		resp := wire.SearchResp{IDs: make([][]int, len(queries))}
+		for qi, q := range queries {
+			for i, c := range codes {
+				if _, ok := q.DistanceWithin(c, h); ok {
+					resp.IDs[qi] = append(resp.IDs[qi], ids[i])
+				}
+			}
+			sort.Ints(resp.IDs[qi])
+		}
+		want[h] = resp.Append(nil)
+	}
+	for _, engine := range []string{"ha", "mih", "scan", "auto"} {
+		for _, mmap := range []bool{false, true} {
+			s, err := LoadSnapshotFile(path, Options{Engine: engine, Mmap: mmap, Searchers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			c := dialTest(t, s)
+			c.hello()
+			for h := 0; h <= bits; h++ {
+				rt, resp := c.roundTrip(wire.MsgSearch, wire.SearchReq{H: h, Queries: queries}.Append(nil))
+				if rt != wire.MsgSearchOK {
+					t.Fatalf("engine %s mmap=%v h=%d answered %s", engine, mmap, h, rt)
+				}
+				if !bytes.Equal(resp, want[h]) {
+					t.Fatalf("engine %s mmap=%v h=%d: answer differs from the oracle's", engine, mmap, h)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestCloseMappedServerWithRequestsInFlight: MIH and the scan alias the
+// mapping the server owns, so Close must have every searcher stopped before
+// it unmaps. Clients hammer all three engines while the server closes; each
+// sees answers and then a clean connection error — never a fault — and the
+// mapping is gone when Close returns. Run under -race by make test-race.
+func TestCloseMappedServerWithRequestsInFlight(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	path, _, codes, _ := clusteredArena(t, rng, 6000, 64, 300)
+	s, err := LoadSnapshotFile(path, Options{Engine: "auto", Mmap: true, Searchers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fz := s.idx.(*core.FrozenIndex)
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	const clients = 6
+	var wg sync.WaitGroup
+	served := make(chan struct{}, clients) // one token per client once it has an answer
+	for ci := 0; ci < clients; ci++ {
+		conn, err := net.Dial("tcp", s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		wg.Add(1)
+		go func(ci int) {
+			defer wg.Done()
+			br := bufio.NewReader(conn)
+			send := func(typ wire.MsgType, payload []byte) (wire.MsgType, error) {
+				if err := wire.WriteFrame(conn, typ, payload); err != nil {
+					return 0, err
+				}
+				rt, _, err := wire.ReadFrame(br)
+				return rt, err
+			}
+			if rt, err := send(wire.MsgHello, wire.Hello{Version: wire.Version}.Append(nil)); err != nil || rt != wire.MsgHelloOK {
+				t.Errorf("client %d: handshake: %s, %v", ci, rt, err)
+				return
+			}
+			engines := []int{wire.EngineAuto, wire.EngineHA, wire.EngineMIH, wire.EngineScan}
+			for i := 0; ; i++ {
+				// Wide thresholds keep the MIH key-run walk and the scan on the
+				// mapped slabs for most of each request.
+				req := wire.SearchReq{H: 20 + 11*(i%4), Engine: engines[(ci+i)%4], Queries: codes[i%50 : i%50+4]}
+				rt, err := send(wire.MsgSearch, req.Append(nil))
+				if err != nil {
+					return // the server closed the connection: the clean outcome
+				}
+				if rt != wire.MsgSearchOK {
+					t.Errorf("client %d: search answered %s", ci, rt)
+					return
+				}
+				if i == 0 {
+					served <- struct{}{}
+				}
+			}
+		}(ci)
+	}
+	for ci := 0; ci < clients; ci++ {
+		<-served
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fz.MappedBytes() != 0 {
+		t.Fatal("Close returned with the arena still mapped")
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestAuxEnginesShareTheArena covers what the multi-engine modes build at
+// load: over an mmap'd shard the only heap they add is MIH's key tables
+// (index.heap_bytes == index.aux_heap_bytes, well under an owning MIH); the
+// pinned modes skip calibration; the load phases are on the registry; a
+// pointer index gets its arena from core.Freeze; and an index with no arena
+// to share is refused rather than copied.
+func TestAuxEnginesShareTheArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	path, meta, codes, ids := clusteredArena(t, rng, 3000, 64, 200)
+	owning, err := mih.Build(codes, ids, mih.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []string{"auto", "mih", "scan"} {
+		s, err := LoadSnapshotFile(path, Options{Engine: engine, Mmap: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := s.Obs().Snapshot().Gauges
+		if s.idx.(*core.FrozenIndex).MappedBytes() > 0 { // zero-copy path available on this platform
+			aux := g["index.aux_heap_bytes"]
+			if aux <= 0 || aux != g["index.heap_bytes"] || aux >= int64(owning.HeapBytes()) {
+				t.Fatalf("engine %s: heap=%d aux=%d over a mapped shard (an owning MIH is %d)",
+					engine, g["index.heap_bytes"], aux, owning.HeapBytes())
+			}
+		}
+		for _, name := range []string{"load.map_ns", "load.mih_build_ns", "load.calibrate_ns", "load.total_ns"} {
+			if g[name] <= 0 {
+				t.Fatalf("engine %s: gauge %s = %d", engine, name, g[name])
+			}
+		}
+		if g["load.map_ns"]+g["load.mih_build_ns"]+g["load.calibrate_ns"] > g["load.total_ns"] {
+			t.Fatalf("engine %s: load phases exceed the total: %v", engine, g)
+		}
+		calibrated := s.pl.CostNs(planner.UseHA, 3) > 0
+		if calibrated != (engine == "auto") {
+			t.Fatalf("engine %s: cost grid calibrated = %v", engine, calibrated)
+		}
+		s.Close()
+	}
+
+	// A pointer index served as-is (the -frozen=false escape hatch) has no
+	// arena; the engines get one from core.Freeze and answer all the same.
+	dyn := core.BuildDynamic(codes, ids, core.Options{})
+	s, err := New(meta, dyn, Options{Engine: "mih"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := s.Obs().Snapshot().Gauges; g["index.aux_heap_bytes"] <= int64(owning.HeapBytes())-1024 {
+		t.Fatalf("pointer index: aux heap %d does not count the frozen view (owning MIH %d)",
+			g["index.aux_heap_bytes"], owning.HeapBytes())
+	}
+	want := append([]int(nil), core.NewSearcher(dyn).Search(codes[5], 6)...)
+	got := append([]int(nil), core.NewSearcher(s.pl.Engines().MIH).Search(codes[5], 6)...)
+	sort.Ints(want)
+	sort.Ints(got)
+	if len(got) != len(want) || (len(got) > 0 && got[len(got)-1] != want[len(want)-1]) {
+		t.Fatalf("MIH over a pointer index's frozen view: %d ids, want %d", len(got), len(want))
+	}
+	s.Close()
+
+	// An adapted engine as the primary index has no leaf arena to share.
+	if _, err := New(meta, core.AsIndex(owning), Options{Engine: "auto"}); err == nil {
+		t.Fatal("-engine auto over an index without a leaf arena was accepted")
+	}
+	if s, err := New(meta, core.AsIndex(owning), Options{}); err != nil {
+		t.Fatalf("-engine ha over an adapted engine: %v", err)
+	} else {
+		s.Close()
+	}
+}

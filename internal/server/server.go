@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"haindex/internal/bitvec"
 	"haindex/internal/core"
 	"haindex/internal/lsm"
 	"haindex/internal/mih"
@@ -59,11 +58,12 @@ type Options struct {
 
 	// Engine selects the access path for search requests on an immutable
 	// server. "ha" (or empty) serves the loaded index directly and is the
-	// only mode a mutable server accepts. Anything else builds the full
-	// engine set (MIH, scan arrays, measured-cost planner) from the loaded
-	// index at construction: "auto" routes each request through the planner,
-	// "mih" and "scan" pin one engine. A per-request wire hint (protocol v4)
-	// overrides the mode, but may only name engines this option enabled.
+	// only mode a mutable server accepts. Anything else adds MIH and the
+	// brute scan on the loaded index's own leaf arena (see auxEngines):
+	// "auto" routes each request through the measured-cost planner, "mih"
+	// and "scan" pin one engine and skip calibration. A per-request wire hint
+	// (protocol v4) overrides the mode, but may only name engines this option
+	// enabled.
 	Engine string
 
 	// CacheEntries, when positive, puts a result cache (internal/qcache) in
@@ -123,14 +123,12 @@ type Server struct {
 	pool chan *searcherSet
 
 	// Multi-engine serving state (immutable servers with Options.Engine other
-	// than "ha"): the planner owns the cost model and the shared MIH engine;
-	// fixedStrategy pins the decision for the "mih"/"scan" modes; scanCodes
-	// and scanIDs drive the server's own concurrent brute-scan path.
+	// than "ha"): the planner owns the cost model, the MIH engine and the
+	// scan view — both of which alias idx's arena, so they share its
+	// lifetime; fixedStrategy pins the decision for the "mih"/"scan" modes.
 	pl            *planner.Planner
 	planned       bool // Engine == "auto": ask the planner per request
 	fixedStrategy planner.Strategy
-	scanCodes     []bitvec.Code
-	scanIDs       []int
 
 	// cache, when non-nil, answers repeated searches ahead of admission.
 	cache *qcache.Cache
@@ -207,49 +205,30 @@ func New(meta wire.SnapshotMeta, idx core.Index, opts Options) (*Server, error) 
 	s := newServer(meta, opts)
 	s.idx = idx
 	// index.mapped_bytes vs index.heap_bytes is the mmap dividend at a
-	// glance: a zero-copy shard carries its whole arena in the first gauge.
+	// glance: a zero-copy shard carries its whole arena in the first gauge,
+	// and index.aux_heap_bytes is the share of the second that the auxiliary
+	// engines (MIH's key tables, a scan view the arena does not back) add.
 	mapped, heap := 0, 0
 	if fz, ok := idx.(*core.FrozenIndex); ok {
 		mapped, heap = fz.MappedBytes(), fz.HeapBytes()
 	} else if sized, ok := idx.(interface{ SizeBytes() int }); ok {
 		heap = sized.SizeBytes()
 	}
-	s.reg.Gauge("index.mapped_bytes").Set(int64(mapped))
-	s.reg.Gauge("index.heap_bytes").Set(int64(heap))
+	aux := 0
 	switch s.opts.Engine {
 	case "ha":
 		// Single-engine serving; no planner, no auxiliary structures.
 	case "auto", "mih", "scan":
-		codes, ids, err := indexTuples(idx)
-		if err != nil {
+		var err error
+		if aux, err = s.auxEngines(); err != nil {
 			return nil, fmt.Errorf("server: -engine %s: %w", s.opts.Engine, err)
-		}
-		m, err := mih.Build(codes, ids, mih.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("server: building MIH engine: %w", err)
-		}
-		pl, err := planner.New(planner.Engines{
-			HA:    idx,
-			MIH:   core.AsIndex(m),
-			Codes: codes,
-			IDs:   ids,
-		}, planner.Options{Seed: 1})
-		if err != nil {
-			return nil, fmt.Errorf("server: building planner: %w", err)
-		}
-		s.pl = pl
-		s.scanCodes, s.scanIDs = codes, ids
-		switch s.opts.Engine {
-		case "auto":
-			s.planned = true
-		case "mih":
-			s.fixedStrategy = planner.UseMIH
-		case "scan":
-			s.fixedStrategy = planner.UseScan
 		}
 	default:
 		return nil, fmt.Errorf("server: unknown engine %q (want ha, auto, mih, or scan)", s.opts.Engine)
 	}
+	s.reg.Gauge("index.mapped_bytes").Set(int64(mapped))
+	s.reg.Gauge("index.heap_bytes").Set(int64(heap + aux))
+	s.reg.Gauge("index.aux_heap_bytes").Set(int64(aux))
 	for i := 0; i < cap(s.pool); i++ {
 		set := &searcherSet{ha: core.NewSearcher(idx)}
 		if s.pl != nil {
@@ -260,29 +239,41 @@ func New(meta wire.SnapshotMeta, idx core.Index, opts Options) (*Server, error) 
 	return s, nil
 }
 
-// indexTuples extracts the (id, code) pairs backing an index so the server
-// can build the auxiliary engines. Every servable index — dynamic, frozen,
-// or an adapted engine like MIH — enumerates its tuples.
-func indexTuples(idx core.Index) ([]bitvec.Code, []int, error) {
-	type tupler interface {
-		Tuples(func(id int, code bitvec.Code))
+// auxEngines builds MIH and the planner for the multi-engine modes and
+// reports the heap bytes they add. Both MIH's groups and the scan read the
+// served index's own leaf arena — nothing is copied out of a frozen (or
+// mapped) index, only MIH's key tables are built. A pointer index has no
+// arena, so its view comes from core.Freeze: a heap arena only these engines
+// read. The phases land on the load.mih_build_ns / load.calibrate_ns gauges.
+func (s *Server) auxEngines() (heap int, err error) {
+	var view core.GroupView
+	switch idx := s.idx.(type) {
+	case *core.FrozenIndex:
+		view = idx.Groups()
+	case *core.DynamicIndex:
+		view = core.Freeze(idx).Groups()
+		heap = view.SizeBytes()
+	default:
+		return 0, fmt.Errorf("index type %T has no leaf arena to build the engines on", s.idx)
 	}
-	src, ok := idx.(tupler)
-	if !ok {
-		if ei, isEng := idx.(*core.EngineIndex); isEng {
-			src, ok = ei.Engine().(tupler)
-		}
+	t0 := time.Now()
+	m, err := mih.FromGroups(view, mih.Options{})
+	if err != nil {
+		return 0, fmt.Errorf("building MIH engine: %w", err)
 	}
-	if !ok {
-		return nil, nil, fmt.Errorf("index type %T cannot enumerate tuples", idx)
+	s.reg.Gauge("load.mih_build_ns").Set(time.Since(t0).Nanoseconds())
+	popts := planner.Options{Seed: 1}
+	if s.planned = s.opts.Engine == "auto"; !s.planned {
+		s.fixedStrategy, _ = planner.ParseStrategy(s.opts.Engine) // "mih" or "scan": New checked
+		popts.CalibProbes = -1                                    // a pinned engine never consults the cost grid
 	}
-	codes := make([]bitvec.Code, 0, idx.Len())
-	ids := make([]int, 0, idx.Len())
-	src.Tuples(func(id int, code bitvec.Code) {
-		ids = append(ids, id)
-		codes = append(codes, code)
-	})
-	return codes, ids, nil
+	t0 = time.Now()
+	s.pl, err = planner.New(planner.Engines{HA: s.idx, MIH: core.AsIndex(m), Groups: view}, popts)
+	if err != nil {
+		return 0, fmt.Errorf("building planner: %w", err)
+	}
+	s.reg.Gauge("load.calibrate_ns").Set(time.Since(t0).Nanoseconds())
+	return heap + m.HeapBytes(), nil
 }
 
 // NewMutable builds a server over a mutable LSM shard. The caller keeps
@@ -387,27 +378,40 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 // Options.PointerWalk is set; a frozen (v2) snapshot is served as decoded; a
 // version-4 snapshot is mmap'd zero-copy when Options.Mmap is set.
 func LoadSnapshotFile(path string, opts Options) (*Server, error) {
+	t0 := time.Now()
+	var meta wire.SnapshotMeta
+	var idx core.Index
+	var mapped *core.FrozenIndex
 	if opts.Mmap {
-		if meta, idx, err := wire.MapSnapshotFile(path); err == nil {
-			srv, err := New(meta, idx, opts)
-			if err != nil {
-				idx.Close()
-				return nil, err
-			}
-			srv.ownsIdx = true
-			return srv, nil
+		var err error
+		if meta, mapped, err = wire.MapSnapshotFile(path); err == nil {
+			idx = mapped
 		}
-		// Not a v4 snapshot (or no mmap on this platform): fall through to
-		// the eager reader — downward negotiation, same answers.
+		// Otherwise not a v4 snapshot (or no mmap on this platform): the
+		// eager reader takes over — downward negotiation, same answers.
 	}
-	meta, idx, err := wire.ReadSnapshotFile(path)
+	if idx == nil {
+		var err error
+		if meta, idx, err = wire.ReadSnapshotFile(path); err != nil {
+			return nil, fmt.Errorf("server: loading snapshot %s: %w", path, err)
+		}
+		if dyn, ok := idx.(*core.DynamicIndex); ok && !opts.PointerWalk {
+			idx = core.Freeze(dyn)
+		}
+	}
+	mapNs := time.Since(t0).Nanoseconds()
+	srv, err := New(meta, idx, opts)
 	if err != nil {
-		return nil, fmt.Errorf("server: loading snapshot %s: %w", path, err)
+		if idx == mapped {
+			mapped.Close()
+		}
+		return nil, err
 	}
-	if dyn, ok := idx.(*core.DynamicIndex); ok && !opts.PointerWalk {
-		idx = core.Freeze(dyn)
-	}
-	return New(meta, idx, opts)
+	srv.ownsIdx = idx == mapped
+	// With New's load.mih_build_ns and load.calibrate_ns, the start-up budget.
+	srv.reg.Gauge("load.map_ns").Set(mapNs)
+	srv.reg.Gauge("load.total_ns").Set(time.Since(t0).Nanoseconds())
+	return srv, nil
 }
 
 // Meta returns the shard's snapshot header.
@@ -468,9 +472,10 @@ func (s *Server) acceptLoop(ln net.Listener) {
 }
 
 // Close stops the listeners (serving and debug), closes all connections,
-// and waits for handlers.
+// waits for handlers, and only then releases an owned mapping.
 func (s *Server) Close() error {
 	s.mu.Lock()
+	first := !s.closed
 	s.closed = true
 	ln, dln := s.ln, s.debugLn
 	for c := range s.conns {
@@ -487,10 +492,18 @@ func (s *Server) Close() error {
 	if s.shard != nil {
 		s.shard.Close() // wait out background seals and compactions
 	}
-	if s.ownsIdx {
-		if fz, ok := s.idx.(*core.FrozenIndex); ok {
-			return fz.Close() // release the mmap'd arena
-		}
+	if !first {
+		return nil
+	}
+	// Every searcher — HA walk, MIH, and the scan alike — reads the arena
+	// about to be unmapped. Handlers have exited, so all admission tickets
+	// are back; taking them makes "no search in flight" a fact, not an
+	// inference, and parks any late caller on an empty pool.
+	for i := 0; i < cap(s.pool); i++ {
+		<-s.pool
+	}
+	if fz, ok := s.idx.(*core.FrozenIndex); ok && s.ownsIdx {
+		return fz.Close() // release the mmap'd arena
 	}
 	return nil
 }
@@ -758,20 +771,6 @@ func (s *Server) pickStrategy(req wire.SearchReq) (planner.Strategy, error) {
 	return s.fixedStrategy, nil
 }
 
-// scan is the server's brute-force path; unlike the planner's convenience
-// scan it is stateless and safe to run from many batch workers at once.
-func (s *Server) scan(q bitvec.Code, h int, stats *core.SearchStats) []int {
-	var out []int
-	for i, c := range s.scanCodes {
-		if _, ok := q.DistanceWithin(c, h); ok {
-			out = append(out, s.scanIDs[i])
-		}
-	}
-	stats.DistanceComputations += len(s.scanCodes)
-	stats.LeavesChecked += len(s.scanCodes)
-	return out
-}
-
 // shedResp counts and encodes one shed answer.
 func (s *Server) shedResp(priority int, waited time.Duration) (wire.MsgType, []byte) {
 	s.cntShed.Inc()
@@ -854,7 +853,7 @@ func (s *Server) answerSearch(payload []byte, nego int, tr *obs.Trace) (wire.Msg
 					ids = set.mih.Search(req.Queries[i], req.H)
 					stats = set.mih.Stats
 				case planner.UseScan:
-					ids = s.scan(req.Queries[i], req.H, &stats)
+					ids = s.pl.Scan(req.Queries[i], req.H, nil, &stats)
 				default:
 					ids = set.ha.Search(req.Queries[i], req.H)
 					stats = set.ha.Stats

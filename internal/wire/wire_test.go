@@ -413,7 +413,7 @@ func TestShedRespRoundTrip(t *testing.T) {
 func TestMIHSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	meta, idx, _ := buildSnapshot(t, rng, 32, 4)
-	m, err := mih.FromTuples(core.Freeze(idx), mih.Options{})
+	m, err := mih.FromGroups(core.Freeze(idx).Groups(), mih.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

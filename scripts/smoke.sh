@@ -14,8 +14,9 @@
 # endpoint; after the queries run, /debug/obs is fetched and must report a
 # non-empty request-latency histogram, nonzero request/fault counters, and —
 # since haserve defaults to -engine auto — nonzero planner strategy counters
-# plus per-engine latency samples, and nonzero qcache hit/miss and shed
-# counters from the repeat pass.
+# plus per-engine latency samples, nonzero qcache hit/miss and shed
+# counters from the repeat pass, an mmap-backed index whose only heap is the
+# auxiliary engines', and the load-phase gauges.
 #
 # With SMOKE_LSM=1 (make lsm-smoke), the snapshots are additionally served
 # by mutable (LSM) shards, and insert -> seal -> compact -> upsert -> delete
@@ -116,17 +117,34 @@ if [ "$SMOKE_DEBUG" = "1" ]; then
         echo "smoke: debug snapshot reports no shed requests" >&2; exit 1; }
     # haidx shard writes v4 (mmap-native) snapshots and haserve defaults to
     # -mmap, so the served index must be page-cache-backed: the whole arena
-    # in index.mapped_bytes, nothing on the heap. (On a platform without the
-    # mmap fast path the eager fallback would flip these two gauges.)
-    MAPPED=$(sed -n 's/^ *"index.mapped_bytes": \([0-9]*\).*/\1/p' "$WORK/obs.json" | head -n 1)
-    HEAP=$(sed -n 's/^ *"index.heap_bytes": \([0-9]*\).*/\1/p' "$WORK/obs.json" | head -n 1)
-    [ -n "$MAPPED" ] && [ -n "$HEAP" ] || {
+    # in index.mapped_bytes. The default -engine auto adds MIH's key tables
+    # and nothing else, so every heap byte the index holds must be accounted
+    # to the auxiliary engines — the arena itself contributes none. (On a
+    # platform without the mmap fast path the eager fallback would put the
+    # arena in index.heap_bytes and fail the equality.)
+    gauge() { sed -n "s/^ *\"$1\": \([0-9]*\).*/\1/p" "$WORK/obs.json" | head -n 1; }
+    MAPPED=$(gauge index.mapped_bytes)
+    HEAP=$(gauge index.heap_bytes)
+    AUX=$(gauge index.aux_heap_bytes)
+    [ -n "$MAPPED" ] && [ -n "$HEAP" ] && [ -n "$AUX" ] || {
         echo "smoke: debug snapshot is missing the index byte gauges" >&2; exit 1; }
     [ "$MAPPED" -gt 0 ] || {
         echo "smoke: served shard is not mmap-backed (index.mapped_bytes=$MAPPED)" >&2; exit 1; }
-    [ "$HEAP" -eq 0 ] || {
-        echo "smoke: mmap-backed shard still holds $HEAP heap bytes" >&2; exit 1; }
-    echo "smoke: debug endpoint OK ($REQS requests, $FAULTS faults, $PLANNED planned, $ENGINE engine samples, $QHITS/$QMISS cache hits/misses, $SHEDS sheds, $MAPPED mapped bytes)"
+    [ "$AUX" -gt 0 ] || {
+        echo "smoke: -engine auto shard reports no auxiliary-engine heap" >&2; exit 1; }
+    [ "$HEAP" -eq "$AUX" ] || {
+        echo "smoke: mmap-backed shard holds $HEAP heap bytes, only $AUX of them the auxiliary engines'" >&2; exit 1; }
+    # The load phases must be on the registry, and calibration — once nearly
+    # all of start-up — must be a proper part of the total.
+    LOAD_MAP=$(gauge load.map_ns)
+    LOAD_MIH=$(gauge load.mih_build_ns)
+    LOAD_CAL=$(gauge load.calibrate_ns)
+    LOAD_TOTAL=$(gauge load.total_ns)
+    [ -n "$LOAD_MAP" ] && [ -n "$LOAD_MIH" ] && [ -n "$LOAD_CAL" ] && [ -n "$LOAD_TOTAL" ] || {
+        echo "smoke: debug snapshot is missing the load.*_ns gauges" >&2; exit 1; }
+    [ "$LOAD_CAL" -gt 0 ] && [ "$LOAD_CAL" -lt "$LOAD_TOTAL" ] || {
+        echo "smoke: load.calibrate_ns=$LOAD_CAL is not inside load.total_ns=$LOAD_TOTAL" >&2; exit 1; }
+    echo "smoke: debug endpoint OK ($REQS requests, $FAULTS faults, $PLANNED planned, $ENGINE engine samples, $QHITS/$QMISS cache hits/misses, $SHEDS sheds, $MAPPED mapped + $AUX aux heap bytes, loaded in $LOAD_TOTAL ns)"
 fi
 
 SMOKE_LSM=${SMOKE_LSM:-0}
