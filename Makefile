@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test race test-race bench bench-query bench-frozen bench-serve bench-planner bench-load bench-load-rep bench-scale vet fmt-check fuzz fuzz-wire fuzz-mih fuzz-qcache fuzz-arena bench-smoke smoke debug-smoke lsm-smoke experiments examples clean
+.PHONY: all check build test race test-race bench bench-query bench-frozen bench-serve bench-planner bench-load bench-load-rep bench-scale vet fmt-check fuzz fuzz-wire fuzz-mih fuzz-qcache fuzz-arena bench-smoke bench-clock bench-offline smoke debug-smoke lsm-smoke experiments examples clean
 
 all: build vet test
 
@@ -115,6 +115,21 @@ fuzz-arena:
 # mih/planner/server/core/wire that breaks benchmark/ fails here.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+
+# The benchmark's clock is the harness's own scan, whose speed depends on
+# where the linker places it (see scripts/bench-clock.sh): fails when
+# main.(*oracle).search is not at the residue the metrics were recorded at.
+# Run it on both commits before comparing them; RESIDUE=0 checks for the
+# other placement.
+RESIDUE ?= 32
+bench-clock:
+	./scripts/bench-clock.sh $(RESIDUE)
+
+# Offline-pipeline microbenchmarks: the spectral-hash kernel and one map
+# task's per-record work (decode, hash, route, emit), with allocation counts.
+bench-offline:
+	$(GO) test -run=NONE -bench='SpectralHash' -benchmem ./internal/hash/
+	$(GO) test -run=NONE -bench='RouteMapper' -benchmem ./internal/mrjoin/
 
 # End-to-end smoke of the serving stack: build the CLIs, generate a tiny
 # dataset, shard it, start two haserve processes (one fault-injected), query

@@ -96,8 +96,9 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	fmt.Printf("phase 1 (preprocess): sample=%d, learn=%v, pivots=%v\n",
-		pre.SampleSize, pre.LearnTime.Round(time.Millisecond), pre.PivotTime.Round(time.Millisecond))
+	fmt.Printf("phase 1 (preprocess): sample=%d in %v, learn=%v, hash=%v, pivots=%v\n",
+		pre.SampleSize, pre.SampleTime.Round(time.Microsecond), pre.LearnTime.Round(time.Millisecond),
+		pre.HashTime.Round(time.Microsecond), pre.PivotTime.Round(time.Microsecond))
 
 	if *method == "pmh" {
 		res, err := mrjoin.PMHJoin(r, s, pre, 10, opt)

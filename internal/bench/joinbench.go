@@ -185,7 +185,7 @@ func Fig10(sc Scale) ([]Table, error) {
 		phases.Rows = append(phases.Rows, []string{
 			fmt.Sprintf("%.2f", rate),
 			secs(pre.LearnTime),
-			secs(pre.SampleTime + pre.PivotTime),
+			secs(pre.SampleTime + pre.HashTime + pre.PivotTime),
 			secs(buildTime),
 			secs(joinTime),
 			fmt.Sprintf("%.2f", g.Metrics.Skew()),

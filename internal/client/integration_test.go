@@ -323,12 +323,22 @@ func TestObservabilityAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A server records req.search_ns after it has written the reply, so the
+	// last sample may land after the client already holds its answer: read
+	// the endpoints again, for at most two seconds, until every answered
+	// search is in the histograms.
 	var serverRequests, serverFaults, serverSearchNs int64
-	for _, a := range debugAddrs {
-		snap := fetchObs(t, a)
-		serverRequests += snap.Counters["requests"]
-		serverFaults += snap.Counters["faults_injected"]
-		serverSearchNs += snap.Histograms["req.search_ns"].Count
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		serverRequests, serverFaults, serverSearchNs = 0, 0, 0
+		for _, a := range debugAddrs {
+			snap := fetchObs(t, a)
+			serverRequests += snap.Counters["requests"]
+			serverFaults += snap.Counters["faults_injected"]
+			serverSearchNs += snap.Histograms["req.search_ns"].Count
+		}
+		if serverSearchNs >= serverRequests-serverFaults || time.Now().After(deadline) {
+			break
+		}
 	}
 	st := r.Stats()
 	if st.Retries == 0 {

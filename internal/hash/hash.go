@@ -44,17 +44,35 @@ func HashAll(f Func, vs []vector.Vec) []bitvec.Code {
 // sample, then selects the bits analytical eigenfunctions with the smallest
 // eigenvalues across the principal directions; each output bit thresholds a
 // sinusoidal eigenfunction of one principal projection.
+//
+// mean, proj and bits are the function as learned; rows, off and kern are
+// the same function compiled for Hash (see compile).
 type Spectral struct {
 	mean vector.Vec
 	proj *vector.Mat // nPC×d principal directions (rows)
 	bits []spectralBit
 	dim  int
+
+	rows []float64 // len(off)×dim, row-major: the principal rows some bit references
+	off  []float64 // per compiled row: row·mean + mn, so that p − mn = row·v − off
+	kern []kernelBit
 }
 
+// spectralBit is the eigenfunction sin(π/2 + kπ(p−mn)/width) of the
+// projection p on principal direction pc, whose sampled range is
+// [mn, mn+width].
 type spectralBit struct {
-	pc    int     // principal component index
-	omega float64 // angular frequency kπ/(mx-mn)
-	mn    float64 // lower end of the projected range
+	pc    int
+	k     int
+	mn    float64
+	width float64
+}
+
+// kernelBit is a spectralBit against the compiled rows: with
+// t = (row·v − off[row])·scale, scale = k/width, the eigenfunction is cos(πt).
+type kernelBit struct {
+	row   int
+	scale float64
 }
 
 // LearnSpectral learns a bits-bit spectral hash function from a sample of the
@@ -129,36 +147,99 @@ func LearnSpectral(sample []vector.Vec, bits int) (*Spectral, error) {
 	sb := make([]spectralBit, bits)
 	for j := 0; j < bits; j++ {
 		c := cands[j]
-		sb[j] = spectralBit{
-			pc:    c.pc,
-			omega: float64(c.k) * math.Pi / (mx[c.pc] - mn[c.pc]),
-			mn:    mn[c.pc],
-		}
+		sb[j] = spectralBit{pc: c.pc, k: c.k, mn: mn[c.pc], width: mx[c.pc] - mn[c.pc]}
 	}
-	return &Spectral{mean: mean, proj: proj, bits: sb, dim: d}, nil
+	s := &Spectral{mean: mean, proj: proj, bits: sb, dim: d}
+	s.compile()
+	return s, nil
 }
 
+// compile lays the learned function out for Hash: the principal rows some
+// bit references, copied back to back in first-use order, each with the
+// constant its projection is measured from. Folding row·mean into that
+// constant replaces centring every input (a d-vector per call) by one
+// subtraction per row.
+func (s *Spectral) compile() {
+	rowOf := make(map[int]int)
+	s.kern = make([]kernelBit, len(s.bits))
+	for j, b := range s.bits {
+		row, ok := rowOf[b.pc]
+		if !ok {
+			row = len(s.off)
+			rowOf[b.pc] = row
+			pr := vector.Vec(s.proj.Row(b.pc))
+			s.rows = append(s.rows, pr...)
+			s.off = append(s.off, pr.Dot(s.mean)+b.mn)
+		}
+		s.kern[j] = kernelBit{row: row, scale: float64(b.k) / b.width}
+	}
+}
+
+// maxStackRows bounds the projections Hash keeps on its stack; a function
+// with more compiled rows (bits > 128 on wide data) allocates them.
+const maxStackRows = 128
+
 // Hash maps v to its spectral binary code. Bit j is the sign of the
-// eigenfunction sin(π/2 + ω(p - mn)) evaluated at v's projection p on bit
-// j's principal direction.
+// eigenfunction sin(π/2 + kπ(p−mn)/width) = cos(πt) at v's projection on bit
+// j's principal direction, which is positive exactly when ⌊t + ½⌋ is even:
+// the bit is read off that parity, with no call into math.Sin. The only
+// allocation is the returned code.
+//
+// The arithmetic is plain Go with every product rounded before it is added
+// (the float64 conversions in project forbid fusing into an FMA), so a
+// vector hashes to the same code on every machine and GOAMD64 level.
 func (s *Spectral) Hash(v vector.Vec) bitvec.Code {
 	if len(v) != s.dim {
 		panic(fmt.Sprintf("hash: spectral hash of %d-d vector, learned on %d-d", len(v), s.dim))
 	}
-	c := v.Sub(s.mean)
-	nproj := s.proj.Rows
-	ps := make([]float64, nproj)
-	for i := 0; i < nproj; i++ {
-		ps[i] = vector.Vec(s.proj.Row(i)).Dot(c)
+	var stack [maxStackRows]float64
+	ps := stack[:]
+	if len(s.off) > len(ps) {
+		ps = make([]float64, len(s.off))
 	}
-	code := bitvec.New(len(s.bits))
-	for j, b := range s.bits {
-		y := math.Sin(math.Pi/2 + b.omega*(ps[b.pc]-b.mn))
-		if y > 0 {
+	ps = ps[:len(s.off)]
+	s.project(ps, v)
+	code := bitvec.New(len(s.kern))
+	for j, b := range s.kern {
+		f := math.Floor(ps[b.row]*b.scale + 0.5)
+		if f == 2*math.Floor(f/2) {
 			code.SetBit(j, true)
 		}
 	}
 	return code
+}
+
+// project writes row·v − off into ps for every compiled row. Rows go four
+// at a time, each with its own accumulator: the four dependency chains
+// overlap where a single row's chain would wait out every add's latency,
+// and each component of v is loaded once per four rows. Every row still sums
+// its products in index order, so a projection does not depend on which
+// block its row fell in.
+func (s *Spectral) project(ps []float64, v []float64) {
+	d := len(v)
+	i := 0
+	for ; i+4 <= len(ps); i += 4 {
+		// Slicing each row to len(v) is what lets the compiler drop the
+		// bounds checks inside the loop.
+		r := s.rows[i*d : (i+4)*d]
+		r0, r1, r2, r3 := r[:len(v)], r[d:][:len(v)], r[2*d:][:len(v)], r[3*d:][:len(v)]
+		var a0, a1, a2, a3 float64
+		for j, x := range v {
+			a0 += float64(r0[j] * x)
+			a1 += float64(r1[j] * x)
+			a2 += float64(r2[j] * x)
+			a3 += float64(r3[j] * x)
+		}
+		ps[i], ps[i+1], ps[i+2], ps[i+3] = a0-s.off[i], a1-s.off[i+1], a2-s.off[i+2], a3-s.off[i+3]
+	}
+	for ; i < len(ps); i++ {
+		r := s.rows[i*d : (i+1)*d][:len(v)]
+		var a float64
+		for j, x := range v {
+			a += float64(r[j] * x)
+		}
+		ps[i] = a - s.off[i]
+	}
 }
 
 // Bits returns the code length.

@@ -1,9 +1,11 @@
 package hash
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"haindex/internal/bitvec"
 	"haindex/internal/vector"
 )
 
@@ -160,5 +162,195 @@ func TestHashAll(t *testing.T) {
 	}
 	if !codes[0].Equal(s.Hash(vs[0])) {
 		t.Error("HashAll mismatch")
+	}
+}
+
+// referenceHash is the spectral hash as the paper states it — centre, project
+// on each bit's principal direction, threshold the sinusoidal eigenfunction —
+// with none of the compiled kernel's rearrangements. margins[j] is how far
+// bit j's argument sits from the nearest sign change of its eigenfunction, in
+// units of the eigenfunction's half-period.
+func referenceHash(s *Spectral, v vector.Vec) (code bitvec.Code, margins []float64) {
+	c := v.Sub(s.mean)
+	code = bitvec.New(len(s.bits))
+	margins = make([]float64, len(s.bits))
+	for j, b := range s.bits {
+		p := vector.Vec(s.proj.Row(b.pc)).Dot(c)
+		omega := float64(b.k) * math.Pi / b.width
+		if math.Sin(math.Pi/2+omega*(p-b.mn)) > 0 {
+			code.SetBit(j, true)
+		}
+		u := float64(b.k)*(p-b.mn)/b.width + 0.5
+		margins[j] = math.Abs(u - math.Round(u))
+	}
+	return code, margins
+}
+
+// boundaryTol is how close to a sign change of its eigenfunction a bit must
+// sit before the kernel's re-associated arithmetic may read it differently
+// from the reference.
+const boundaryTol = 1e-9
+
+// checkAgainstReference hashes every vector both ways and fails on any
+// differing bit that is not within boundaryTol of a sign change; it returns
+// how many such boundary bits differed.
+func checkAgainstReference(t *testing.T, s *Spectral, vs []vector.Vec) (boundary int) {
+	t.Helper()
+	for i, v := range vs {
+		got := s.Hash(v)
+		want, margins := referenceHash(s, v)
+		if got.Len() != want.Len() {
+			t.Fatalf("vector %d: %d-bit code, reference %d-bit", i, got.Len(), want.Len())
+		}
+		for j := range margins {
+			if got.Bit(j) == want.Bit(j) {
+				continue
+			}
+			if margins[j] > boundaryTol {
+				t.Fatalf("vector %d bit %d: kernel %v, reference %v, %.3g from a boundary",
+					i, j, got.Bit(j), want.Bit(j), margins[j])
+			}
+			boundary++
+		}
+	}
+	return boundary
+}
+
+func uniformVecs(rng *rand.Rand, d, n int) []vector.Vec {
+	out := make([]vector.Vec, n)
+	for i := range out {
+		v := make(vector.Vec, d)
+		for j := range v {
+			v[j] = rng.Float64()*6 - 1
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// TestKernelMatchesReference: the compiled kernel against the reference over
+// clustered (in-sample and fresh) and uniform (mostly out-of-range, negative
+// arguments included) inputs, at shapes that exercise every tail of the
+// blocked loop: d odd and not a multiple of 4, compiled rows not a multiple
+// of 4, bits > d, more compiled rows than Hash keeps on its stack, and a
+// sample with a constant coordinate, whose principal direction is degenerate
+// and must not be compiled in.
+func TestKernelMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		d, bits    int
+		constCoord bool
+	}{
+		{"d16-b32", 16, 32, false},
+		{"d7-b5", 7, 5, false},
+		{"d37-b22", 37, 22, false},
+		{"d5-b16-bits>d", 5, 16, false},
+		{"d225-b64", 225, 64, false},
+		{"d9-b12-degenerate", 9, 12, true},
+		{"d140-b300-heap-scratch", 140, 300, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(tc.d*1000 + tc.bits)))
+			var sample []vector.Vec
+			for _, c := range randomCenters(rng, tc.d, 5) {
+				sample = append(sample, gaussianCluster(rng, c, 0.3, 60)...)
+			}
+			fresh := gaussianCluster(rng, sample[0], 0.5, 200)
+			if tc.constCoord {
+				for _, v := range sample {
+					v[tc.d-1] = 2.5
+				}
+				for _, v := range fresh {
+					v[tc.d-1] = 2.5
+				}
+			}
+			s, err := LearnSpectral(sample, tc.bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(s.off) > tc.d || len(s.off) > tc.bits || len(s.rows) != len(s.off)*tc.d {
+				t.Fatalf("compiled %d rows (%d floats) for d=%d bits=%d", len(s.off), len(s.rows), tc.d, tc.bits)
+			}
+			for _, b := range s.kern {
+				if math.IsInf(b.scale, 0) || math.IsNaN(b.scale) {
+					t.Fatalf("degenerate direction compiled in: scale %v", b.scale)
+				}
+			}
+			if tc.bits > maxStackRows && len(s.off) <= maxStackRows {
+				t.Fatalf("%d compiled rows do not reach past the stack scratch (%d)", len(s.off), maxStackRows)
+			}
+			boundary := checkAgainstReference(t, s, sample)
+			boundary += checkAgainstReference(t, s, fresh)
+			boundary += checkAgainstReference(t, s, uniformVecs(rng, tc.d, 200))
+			t.Logf("%d compiled rows; %d boundary bits differed", len(s.off), boundary)
+		})
+	}
+}
+
+// TestKernelAtBitBoundaries walks vectors onto the sign changes of chosen
+// bits' eigenfunctions: a step of 1e-6 half-periods to either side must read
+// exactly as the reference does, and steps inside boundaryTol may differ only
+// on bits the reference itself places inside boundaryTol (counted).
+func TestKernelAtBitBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	var sample []vector.Vec
+	for _, c := range randomCenters(rng, 21, 4) {
+		sample = append(sample, gaussianCluster(rng, c, 0.3, 80)...)
+	}
+	s, err := LearnSpectral(sample, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var near []vector.Vec
+	for i := 0; i < 60; i++ {
+		v0 := sample[rng.Intn(len(sample))]
+		b := s.bits[rng.Intn(len(s.bits))]
+		dir := vector.Vec(s.proj.Row(b.pc))
+		// Solve for the step along dir (unit norm) that lands u = t + ½ on
+		// the nearest integer, then offset by eps half-periods.
+		p := dir.Dot(v0.Sub(s.mean))
+		u := float64(b.k)*(p-b.mn)/b.width + 0.5
+		for _, eps := range []float64{-1e-6, -1e-10, -1e-12, 0, 1e-12, 1e-10, 1e-6} {
+			alpha := (math.Round(u) + eps - u) * b.width / float64(b.k)
+			v := v0.Clone()
+			for j := range v {
+				v[j] += alpha * dir[j]
+			}
+			near = append(near, v)
+		}
+	}
+	boundary := checkAgainstReference(t, s, near)
+	t.Logf("%d vectors within 1e-6 of a boundary; %d boundary bits differed", len(near), boundary)
+}
+
+// TestHashAllocatesOnlyTheCode: the kernel's scratch lives on the stack.
+func TestHashAllocatesOnlyTheCode(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	sample := uniformVecs(rng, 225, 300)
+	s, err := LearnSpectral(sample, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := sample[7]
+	if allocs := testing.AllocsPerRun(200, func() { s.Hash(v) }); allocs != 1 {
+		t.Fatalf("Hash allocates %v times per call, want 1 (the code)", allocs)
+	}
+}
+
+var benchCode bitvec.Code
+
+// BenchmarkSpectralHash is the per-record cost of every map task of the
+// offline pipeline: one 225-d vector through a 64-bit spectral hash.
+func BenchmarkSpectralHash(b *testing.B) {
+	rng := rand.New(rand.NewSource(79))
+	sample := uniformVecs(rng, 225, 600)
+	s, err := LearnSpectral(sample, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchCode = s.Hash(sample[i%len(sample)])
 	}
 }

@@ -65,6 +65,12 @@ func TestRetryAfterInjectedFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	runsEqual(t, clean, out)
+	// The volumes the runtime reported when the shuffle still walked every
+	// record; they now come from the sums the map attempts return.
+	if m.ShuffleBytes != 8890 || m.ShuffleRecords != 600 || m.WastedBytes != 2399 {
+		t.Fatalf("accounting moved: shuffle %d bytes / %d records, wasted %d; want 8890 / 600, 2399",
+			m.ShuffleBytes, m.ShuffleRecords, m.WastedBytes)
+	}
 	if m.ShuffleBytes != cleanM.ShuffleBytes || m.ShuffleRecords != cleanM.ShuffleRecords {
 		t.Fatalf("shuffle changed under failures: %d/%d vs %d/%d",
 			m.ShuffleBytes, m.ShuffleRecords, cleanM.ShuffleBytes, cleanM.ShuffleRecords)
@@ -107,6 +113,9 @@ func TestRetriesExhausted(t *testing.T) {
 // jobs, injected failures plus retries must produce byte-identical output
 // and identical shuffle accounting to the failure-free run.
 func TestFaultExactnessProperty(t *testing.T) {
+	// Per trial, the bytes the failed attempts emitted, as the runtime
+	// charged them before the shuffle took its counts from the map attempts.
+	wasted := []int64{3124, 3815, 3978, 3211, 3469, 3563}
 	for trial := 0; trial < 6; trial++ {
 		mappers := 3 + trial*2
 		reducers := 2 + trial
@@ -127,6 +136,10 @@ func TestFaultExactnessProperty(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		runsEqual(t, clean, out)
+		if m.ShuffleBytes != 8890 || m.ShuffleRecords != 600 || m.WastedBytes != wasted[trial] {
+			t.Fatalf("trial %d: accounting moved: shuffle %d bytes / %d records, wasted %d; want 8890 / 600, %d",
+				trial, m.ShuffleBytes, m.ShuffleRecords, m.WastedBytes, wasted[trial])
+		}
 		if m.ShuffleBytes != cleanM.ShuffleBytes ||
 			m.ShuffleRecords != cleanM.ShuffleRecords ||
 			m.OutputRecords != cleanM.OutputRecords {

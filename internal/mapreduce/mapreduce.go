@@ -23,7 +23,7 @@ package mapreduce
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -219,10 +219,18 @@ func kvBytes(kv KV) int64 {
 	return int64(len(kv.Key) + len(kv.Value) + recordOverhead)
 }
 
+// mapOutput is one map attempt's payload: its records by reduce partition
+// and their serialized volume, summed once inside the task.
+type mapOutput struct {
+	parts [][]KV
+	bytes int64
+}
+
 // Run executes the job over the input and returns the reduce output and the
-// job metrics. Output records are sorted by (key, value) for determinism;
-// injected failures, retries, and speculative execution never change the
-// output or the shuffle volume.
+// job metrics. Output records are sorted by (key, value) for determinism:
+// every reduce attempt sorts what it emitted inside its own task, and the
+// winners' sorted runs are merged here. Injected failures, retries, and
+// speculative execution never change the output or the shuffle volume.
 func Run(cfg Config, input []KV) ([]KV, Metrics, error) {
 	if cfg.Map == nil {
 		return nil, Metrics{}, fmt.Errorf("mapreduce: job %q has no map function", cfg.Name)
@@ -252,6 +260,11 @@ func Run(cfg Config, input []KV) ([]KV, Metrics, error) {
 	mapPayloads, mapTooks, err := runPhase(MapTask, &cfg, sem, len(splits), &metrics,
 		func(mi int) (any, int64, error) {
 			parts := make([][]KV, cfg.Reducers)
+			for p := range parts {
+				// Room for one record per input, spread evenly; a mapper
+				// that emits more, or skewed, grows from there.
+				parts[p] = make([]KV, 0, len(splits[mi])/cfg.Reducers+1)
+			}
 			emit := func(kv KV) {
 				p := cfg.Partition(kv.Key, cfg.Reducers)
 				parts[p] = append(parts[p], kv)
@@ -270,7 +283,8 @@ func Run(cfg Config, input []KV) ([]KV, Metrics, error) {
 					parts[p] = combined
 				}
 			}
-			return parts, emittedBytes(parts), nil
+			b := emittedBytes(parts)
+			return mapOutput{parts: parts, bytes: b}, b, nil
 		})
 	if err != nil {
 		metrics.Wall = time.Since(start)
@@ -283,19 +297,22 @@ func Run(cfg Config, input []KV) ([]KV, Metrics, error) {
 	shuffleStart := time.Now()
 	// Only winning attempts reach this point, so the shuffle volume is
 	// identical to a failure-free run.
-	partData := make([][]KV, cfg.Reducers)
-	for _, payload := range mapPayloads {
-		for p, kvs := range payload.([][]KV) {
-			for _, kv := range kvs {
-				metrics.ShuffleBytes += kvBytes(kv)
-				metrics.ShuffleRecords++
-			}
-			partData[p] = append(partData[p], kvs...)
+	metrics.ReducerRecords = make([]int64, cfg.Reducers)
+	mapOuts := make([]mapOutput, len(mapPayloads))
+	for mi, payload := range mapPayloads {
+		mapOuts[mi] = payload.(mapOutput)
+		metrics.ShuffleBytes += mapOuts[mi].bytes
+		for p, kvs := range mapOuts[mi].parts {
+			metrics.ReducerRecords[p] += int64(len(kvs))
 		}
 	}
-	metrics.ReducerRecords = make([]int64, cfg.Reducers)
-	for p, kvs := range partData {
-		metrics.ReducerRecords[p] = int64(len(kvs))
+	partData := make([][]KV, cfg.Reducers)
+	for p, n := range metrics.ReducerRecords {
+		metrics.ShuffleRecords += n
+		partData[p] = make([]KV, 0, n)
+		for _, mo := range mapOuts {
+			partData[p] = append(partData[p], mo.parts[p]...)
+		}
 	}
 	// Sort each partition here, as the shuffle's merge step: reduce task
 	// attempts may be re-executed or raced concurrently, so their input
@@ -316,12 +333,9 @@ func Run(cfg Config, input []KV) ([]KV, Metrics, error) {
 	// ---- Reduce phase ----
 	reduceStart := time.Now()
 	if cfg.Reduce == nil {
-		// Identity job: the shuffled records are the output.
-		var out []KV
-		for _, kvs := range partData {
-			out = append(out, kvs...)
-		}
-		sortKVs(out)
+		// Identity job: the shuffled records, sorted per partition above,
+		// are the output.
+		out := mergeRuns(partData)
 		metrics.OutputRecords = int64(len(out))
 		metrics.ReduceWall = time.Since(reduceStart)
 		metrics.Wall = time.Since(start)
@@ -350,6 +364,9 @@ func Run(cfg Config, input []KV) ([]KV, Metrics, error) {
 				}
 				i = j
 			}
+			// Sorted here, on the task's node slot beside the other
+			// reducers, and only ever over this attempt's own records.
+			sortKVs(out)
 			return out, emitted, nil
 		})
 	if err != nil {
@@ -357,11 +374,11 @@ func Run(cfg Config, input []KV) ([]KV, Metrics, error) {
 		return nil, metrics, err
 	}
 	metrics.ReduceTaskTimes = redTooks
-	var out []KV
-	for _, payload := range redPayloads {
-		out = append(out, payload.([]KV)...)
+	runs := make([][]KV, len(redPayloads))
+	for p, payload := range redPayloads {
+		runs[p] = payload.([]KV)
 	}
-	sortKVs(out)
+	out := mergeRuns(runs)
 	metrics.OutputRecords = int64(len(out))
 	metrics.ReduceWall = time.Since(reduceStart)
 	metrics.Wall = time.Since(start)
@@ -425,11 +442,43 @@ func splitInput(input []KV, mappers int) [][]KV {
 	return splits
 }
 
-func sortKVs(kvs []KV) {
-	sort.Slice(kvs, func(i, j int) bool {
-		if c := bytes.Compare(kvs[i].Key, kvs[j].Key); c != 0 {
-			return c < 0
+// compareKV orders records by key, then value.
+func compareKV(a, b KV) int {
+	if c := bytes.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return bytes.Compare(a.Value, b.Value)
+}
+
+func sortKVs(kvs []KV) { slices.SortFunc(kvs, compareKV) }
+
+// mergeRuns merges runs that are each sorted by compareKV into one sorted
+// slice, pairwise: every record is copied once per level of a balanced tree
+// over the runs (once in all for two reducers), against a comparison sort's
+// log₂(records) passes over all of them. Ties take the earlier run's record
+// first, and records that tie are byte-equal, so the result is the slice a
+// sort of the concatenation yields.
+func mergeRuns(runs [][]KV) []KV {
+	switch len(runs) {
+	case 0:
+		return nil
+	case 1:
+		return runs[0]
+	}
+	a, b := mergeRuns(runs[:len(runs)/2]), mergeRuns(runs[len(runs)/2:])
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]KV, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if compareKV(b[0], a[0]) < 0 {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
 		}
-		return bytes.Compare(kvs[i].Value, kvs[j].Value) < 0
-	})
+	}
+	return append(append(out, a...), b...)
 }

@@ -6,9 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"haindex/internal/bitvec"
 	"haindex/internal/core"
-	"haindex/internal/histo"
 	"haindex/internal/mapreduce"
 	"haindex/internal/vector"
 )
@@ -16,9 +14,14 @@ import (
 // GlobalIndex is the phase-2 output: the merged HA-Index over R together
 // with the cost of producing it.
 type GlobalIndex struct {
+	// Index is the merged pointer index: what broadcast sizes are measured
+	// on and Option B's id recovery enumerates. Frozen is the same index
+	// compiled flat, which the join and select reducers search; a
+	// GlobalIndex assembled without it is searched through Index.
 	Index   *core.DynamicIndex
+	Frozen  *core.FrozenIndex
 	Metrics mapreduce.Metrics
-	Merge   time.Duration
+	Merge   time.Duration // core.Merge plus core.Freeze
 	// DFSWritten and DFSRead are the bytes the local-index persistence
 	// moved through the distributed filesystem (zero without Options.FS).
 	DFSWritten int64
@@ -29,31 +32,18 @@ type GlobalIndex struct {
 // filesystem.
 var buildSeq atomic.Int64
 
-type codeWithID struct {
-	id   int
-	code bitvec.Code
-}
-
-// partitionID routes a code to the partition owning its Gray range.
-func partitionID(pre *Preprocessed, c bitvec.Code) int {
-	return histo.PartitionID(pre.Pivots, c)
+// searchIndex is the index the join and select reducers search.
+func (g *GlobalIndex) searchIndex() core.Index {
+	if g.Frozen != nil {
+		return g.Frozen
+	}
+	return g.Index
 }
 
 // hashFuncSize estimates the broadcast size of the learned hash function:
 // the PCA projection matrix plus per-bit parameters.
 func hashFuncSize(pre *Preprocessed) int64 {
 	return int64(8*pre.Hash.Dim()*pre.Hash.Bits() + 24*pre.Hash.Bits())
-}
-
-// buildLocal bulkloads one partition's HA-Index (the reducer-side H-Build).
-func buildLocal(cs []codeWithID, opt Options) *core.DynamicIndex {
-	codes := make([]bitvec.Code, len(cs))
-	ids := make([]int, len(cs))
-	for i, c := range cs {
-		codes[i] = c.code
-		ids[i] = c.id
-	}
-	return core.BuildDynamic(codes, ids, opt.IndexOpts)
 }
 
 // BuildGlobalIndex runs the first MapReduce job of Figure 5: every mapper
@@ -75,36 +65,23 @@ func BuildGlobalIndex(r []vector.Vec, pre *Preprocessed, opt Options) (*GlobalIn
 		wBefore, rBefore = opt.FS.BytesWritten(), opt.FS.BytesRead()
 	}
 
-	pivotBytes := int64(0)
-	for _, p := range pre.Pivots {
-		pivotBytes += int64(p.SizeBytes())
-	}
 	cfg := mapreduce.Config{
 		Name:      "mrha-build-index",
 		Nodes:     opt.Nodes,
 		Reducers:  opt.Partitions,
 		Partition: partitionByKeyUint32,
 		Broadcast: []mapreduce.Broadcast{
-			{Name: "pivots", Size: pivotBytes},
+			{Name: "pivots", Size: pivotsSize(pre)},
 			{Name: "hash", Size: hashFuncSize(pre)},
 		},
-		Map: func(in mapreduce.KV, emit func(mapreduce.KV)) error {
-			id := decodeID(in.Key)
-			code := pre.Hash.Hash(decodeVecValue(in.Value))
-			pid := partitionID(pre, code)
-			emit(mapreduce.KV{Key: encodeUint32(uint32(pid)), Value: encodeIDCode(id, code)})
-			return nil
-		},
+		Map: routeMapper(pre, 0),
 		Reduce: func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
-			cs := make([]codeWithID, 0, len(values))
-			for _, v := range values {
-				id, c, err := decodeIDCode(v, opt.Bits)
-				if err != nil {
-					return err
-				}
-				cs = append(cs, codeWithID{id: id, code: c})
+			ids, codes, err := decodeIDCodeBatch(values, opt.Bits)
+			if err != nil {
+				return err
 			}
-			local := buildLocal(cs, opt)
+			// The reducer-side H-Build over one partition.
+			local := core.BuildDynamic(codes, ids, opt.IndexOpts)
 			if opt.FS != nil {
 				// Persist the serialized local index to the DFS, as the
 				// paper's reducers do; the merge phase reads it back. The
@@ -156,7 +133,8 @@ func BuildGlobalIndex(r []vector.Vec, pre *Preprocessed, opt Options) (*GlobalIn
 	}
 	t0 := time.Now()
 	global := core.Merge(parts...)
-	out := &GlobalIndex{Index: global, Metrics: metrics, Merge: time.Since(t0)}
+	frozen := core.Freeze(global)
+	out := &GlobalIndex{Index: global, Frozen: frozen, Metrics: metrics, Merge: time.Since(t0)}
 	if opt.FS != nil {
 		out.DFSWritten = opt.FS.BytesWritten() - wBefore
 		out.DFSRead = opt.FS.BytesRead() - rBefore

@@ -94,7 +94,6 @@ func TestJoinsExactUnderFaults(t *testing.T) {
 // cleanly (its reducers' shared-state writes are idempotent).
 func TestPGBJExactUnderFaults(t *testing.T) {
 	r, s := testData(t, 120, 80)
-	r, s = roundTrip(r), roundTrip(s)
 	clean, err := PGBJ(r, s, 5, testOptions())
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,9 @@
 package mrjoin
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"haindex/internal/baseline"
@@ -28,6 +30,41 @@ func decodePairs(out []mapreduce.KV) []Pair {
 	return pairs
 }
 
+// matchReducer is the reduce side of Option A and of the select job: batch
+// the key group's queries through the shared read-only index (one Searcher
+// per worker) and emit one (match id, query id) record per result — or
+// (query id, match id) when queryFirst — in record order, out of one slab.
+func matchReducer(idx core.Index, opt Options, queryFirst bool) mapreduce.ReduceFunc {
+	return func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
+		qids, queries, err := decodeIDCodeBatch(values, opt.Bits)
+		if err != nil {
+			return err
+		}
+		results, _ := core.SearchBatch(idx, queries, opt.Threshold, opt.SearchWorkers)
+		// Ids travel big-endian, so byte order is numeric order: sorting the
+		// pairs as integers here hands the runtime's output sort a run it
+		// recognises as sorted in one pass.
+		pairs := make([]uint64, 0, len(results))
+		for i, matches := range results {
+			for _, m := range matches {
+				k, v := m, qids[i]
+				if queryFirst {
+					k, v = v, k
+				}
+				pairs = append(pairs, uint64(k)<<32|uint64(uint32(v)))
+			}
+		}
+		slices.Sort(pairs)
+		recs := make(slab, 8*len(pairs))
+		for _, p := range pairs {
+			rec := recs.take(8)
+			binary.BigEndian.PutUint64(rec, p)
+			emit(mapreduce.KV{Key: rec[:4:4], Value: rec[4:]})
+		}
+		return nil
+	}
+}
+
 // HammingJoinA is Option A of Section 5.3: the global HA-Index of R — leaves
 // included — is broadcast to every node; S is partitioned by the Gray-order
 // pivots and every reducer joins its partition against the replicated index.
@@ -36,40 +73,18 @@ func HammingJoinA(s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt Options
 	if err := checkBits(pre, opt); err != nil {
 		return nil, err
 	}
-	idx := g.Index
 	cfg := mapreduce.Config{
 		Name:      "mrha-join-a",
 		Nodes:     opt.Nodes,
 		Reducers:  opt.Partitions,
 		Partition: partitionByKeyUint32,
 		Broadcast: []mapreduce.Broadcast{
-			{Name: "global-ha-index", Size: int64(idx.BroadcastSizeBytes(true))},
+			{Name: "global-ha-index", Size: int64(g.Index.BroadcastSizeBytes(true))},
 			{Name: "hash", Size: hashFuncSize(pre)},
 			{Name: "pivots", Size: pivotsSize(pre)},
 		},
-		Map: func(in mapreduce.KV, emit func(mapreduce.KV)) error {
-			sid := decodeID(in.Key)
-			code := pre.Hash.Hash(decodeVecValue(in.Value))
-			pid := partitionID(pre, code)
-			emit(mapreduce.KV{Key: encodeUint32(uint32(pid)), Value: encodeIDCode(sid, code)})
-			return nil
-		},
-		Reduce: func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
-			// Batch the partition's queries through the shared read-only
-			// index: one Searcher per worker, emissions in input order so
-			// the output is byte-identical to the serial reducer's.
-			sids, queries, err := decodeIDCodeBatch(values, opt.Bits)
-			if err != nil {
-				return err
-			}
-			results, _ := core.SearchBatch(idx, queries, opt.Threshold, opt.SearchWorkers)
-			for i, rids := range results {
-				for _, rid := range rids {
-					emit(mapreduce.KV{Key: encodeUint32(uint32(rid)), Value: encodeUint32(uint32(sids[i]))})
-				}
-			}
-			return nil
-		},
+		Map:    routeMapper(pre, 0),
+		Reduce: matchReducer(g.searchIndex(), opt, false),
 	}
 	opt.applyRuntime(&cfg)
 	out, metrics, err := mapreduce.Run(cfg, VecInput(s))
@@ -77,6 +92,41 @@ func HammingJoinA(s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt Options
 		return nil, fmt.Errorf("mrjoin: join job (option A): %w", err)
 	}
 	return &JoinResult{Pairs: decodePairs(out), Metrics: metrics}, nil
+}
+
+// leaflessJoin runs Option B's join job under the given name: a leafless
+// index is broadcast, and reducers emit (qualifying binary code, sid) records
+// for a later join against R's code→id table to turn into pairs.
+func leaflessJoin(name string, s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt Options) ([]mapreduce.KV, mapreduce.Metrics, error) {
+	idx, codeLen := g.searchIndex(), bitvec.EncodedLen(opt.Bits)
+	cfg := mapreduce.Config{
+		Name:      name,
+		Nodes:     opt.Nodes,
+		Reducers:  opt.Partitions,
+		Partition: partitionByKeyUint32,
+		Broadcast: []mapreduce.Broadcast{
+			{Name: "global-ha-index-leafless", Size: int64(g.Index.BroadcastSizeBytes(false))},
+			{Name: "hash", Size: hashFuncSize(pre)},
+			{Name: "pivots", Size: pivotsSize(pre)},
+		},
+		Map: routeMapper(pre, 0),
+		Reduce: func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
+			sids, queries, err := decodeIDCodeBatch(values, opt.Bits)
+			if err != nil {
+				return err
+			}
+			results, _ := core.SearchCodesBatch(idx, queries, opt.Threshold, opt.SearchWorkers)
+			var recs slab
+			for i, qcs := range results {
+				for _, qc := range qcs {
+					emit(mapreduce.KV{Key: qc.AppendBytes(recs.take(codeLen)[:0]), Value: recs.put32(sids[i])})
+				}
+			}
+			return nil
+		},
+	}
+	opt.applyRuntime(&cfg)
+	return mapreduce.Run(cfg, VecInput(s))
 }
 
 // HammingJoinB is Option B of Section 5.3: for large R the leaf id tables
@@ -88,40 +138,7 @@ func HammingJoinB(s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt Options
 	if err := checkBits(pre, opt); err != nil {
 		return nil, err
 	}
-	idx := g.Index
-	cfg := mapreduce.Config{
-		Name:      "mrha-join-b",
-		Nodes:     opt.Nodes,
-		Reducers:  opt.Partitions,
-		Partition: partitionByKeyUint32,
-		Broadcast: []mapreduce.Broadcast{
-			{Name: "global-ha-index-leafless", Size: int64(idx.BroadcastSizeBytes(false))},
-			{Name: "hash", Size: hashFuncSize(pre)},
-			{Name: "pivots", Size: pivotsSize(pre)},
-		},
-		Map: func(in mapreduce.KV, emit func(mapreduce.KV)) error {
-			sid := decodeID(in.Key)
-			code := pre.Hash.Hash(decodeVecValue(in.Value))
-			pid := partitionID(pre, code)
-			emit(mapreduce.KV{Key: encodeUint32(uint32(pid)), Value: encodeIDCode(sid, code)})
-			return nil
-		},
-		Reduce: func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
-			sids, queries, err := decodeIDCodeBatch(values, opt.Bits)
-			if err != nil {
-				return err
-			}
-			results, _ := core.SearchCodesBatch(idx, queries, opt.Threshold, opt.SearchWorkers)
-			for i, qcs := range results {
-				for _, qc := range qcs {
-					emit(mapreduce.KV{Key: qc.AppendBytes(nil), Value: encodeUint32(uint32(sids[i]))})
-				}
-			}
-			return nil
-		},
-	}
-	opt.applyRuntime(&cfg)
-	out, metrics, err := mapreduce.Run(cfg, VecInput(s))
+	out, metrics, err := leaflessJoin("mrha-join-b", s, g, pre, opt)
 	if err != nil {
 		return nil, fmt.Errorf("mrjoin: join job (option B): %w", err)
 	}
@@ -130,7 +147,7 @@ func HammingJoinB(s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt Options
 	// path; the large-R path would be one more MapReduce hash-join).
 	t0 := time.Now()
 	byCode := make(map[string][]int)
-	idx.Tuples(func(id int, c bitvec.Code) {
+	g.Index.Tuples(func(id int, c bitvec.Code) {
 		k := c.Key()
 		byCode[k] = append(byCode[k], id)
 	})
@@ -176,13 +193,7 @@ func PMHJoin(r, s []vector.Vec, pre *Preprocessed, tables int, opt Options) (*Jo
 			{Name: "table-r", Size: rBytes},
 			{Name: "hash", Size: hashFuncSize(pre)},
 		},
-		Map: func(in mapreduce.KV, emit func(mapreduce.KV)) error {
-			sid := decodeID(in.Key)
-			code := pre.Hash.Hash(decodeVecValue(in.Value))
-			pid := sid % opt.Partitions
-			emit(mapreduce.KV{Key: encodeUint32(uint32(pid)), Value: encodeIDCode(sid, code)})
-			return nil
-		},
+		Map: routeMapper(pre, opt.Partitions),
 		Reduce: func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
 			var mh *baseline.MultiHash
 			var err error
@@ -194,13 +205,13 @@ func PMHJoin(r, s []vector.Vec, pre *Preprocessed, tables int, opt Options) (*Jo
 			if err != nil {
 				return err
 			}
-			for _, v := range values {
-				sid, code, err := decodeIDCode(v, opt.Bits)
-				if err != nil {
-					return err
-				}
+			sids, codes, err := decodeIDCodeBatch(values, opt.Bits)
+			if err != nil {
+				return err
+			}
+			for i, code := range codes {
 				for _, rid := range mh.Search(code, opt.Threshold) {
-					emit(mapreduce.KV{Key: encodeUint32(uint32(rid)), Value: encodeUint32(uint32(sid))})
+					emit(mapreduce.KV{Key: encodeUint32(uint32(rid)), Value: encodeUint32(uint32(sids[i]))})
 				}
 			}
 			return nil
@@ -224,10 +235,17 @@ func pivotsSize(pre *Preprocessed) int64 {
 
 // ReferenceJoin computes the Hamming-join centrally (nested loop over the
 // hashed codes); tests and precision/recall measurements use it as ground
-// truth for the distributed plans.
+// truth for the distributed plans. Like them it hashes each vector as
+// shipped, so callers pass the same r and s they pass the plans.
 func ReferenceJoin(r, s []vector.Vec, pre *Preprocessed, h int) []Pair {
-	rc := hash.HashAll(pre.Hash, r)
-	sc := hash.HashAll(pre.Hash, s)
+	hashShipped := func(vs []vector.Vec) []bitvec.Code {
+		out := make([]bitvec.Code, len(vs))
+		for i, kv := range VecInput(vs) {
+			out[i] = pre.Hash.Hash(shipped(nil, kv.Value))
+		}
+		return out
+	}
+	rc, sc := hashShipped(r), hashShipped(s)
 	var out []Pair
 	for i, a := range rc {
 		for j, b := range sc {

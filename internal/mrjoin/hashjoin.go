@@ -3,7 +3,6 @@ package mrjoin
 import (
 	"fmt"
 
-	"haindex/internal/core"
 	"haindex/internal/hash"
 	"haindex/internal/mapreduce"
 	"haindex/internal/vector"
@@ -21,41 +20,8 @@ func HammingJoinBLarge(r, s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt
 	if err := checkBits(pre, opt); err != nil {
 		return nil, err
 	}
-	idx := g.Index
-	// Stage 1: identical to HammingJoinB's join job — emit (code, sid).
-	cfg := mapreduce.Config{
-		Name:      "mrha-join-b-stage1",
-		Nodes:     opt.Nodes,
-		Reducers:  opt.Partitions,
-		Partition: partitionByKeyUint32,
-		Broadcast: []mapreduce.Broadcast{
-			{Name: "global-ha-index-leafless", Size: int64(idx.BroadcastSizeBytes(false))},
-			{Name: "hash", Size: hashFuncSize(pre)},
-			{Name: "pivots", Size: pivotsSize(pre)},
-		},
-		Map: func(in mapreduce.KV, emit func(mapreduce.KV)) error {
-			sid := decodeID(in.Key)
-			code := pre.Hash.Hash(decodeVecValue(in.Value))
-			pid := partitionID(pre, code)
-			emit(mapreduce.KV{Key: encodeUint32(uint32(pid)), Value: encodeIDCode(sid, code)})
-			return nil
-		},
-		Reduce: func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
-			var stats core.SearchStats
-			for _, v := range values {
-				sid, code, err := decodeIDCode(v, opt.Bits)
-				if err != nil {
-					return err
-				}
-				for _, qc := range idx.SearchCodesInto(code, opt.Threshold, &stats) {
-					emit(mapreduce.KV{Key: qc.AppendBytes(nil), Value: encodeUint32(uint32(sid))})
-				}
-			}
-			return nil
-		},
-	}
-	opt.applyRuntime(&cfg)
-	stage1, metrics, err := mapreduce.Run(cfg, VecInput(s))
+	// Stage 1: HammingJoinB's join job — emit (code, sid).
+	stage1, metrics, err := leaflessJoin("mrha-join-b-stage1", s, g, pre, opt)
 	if err != nil {
 		return nil, fmt.Errorf("mrjoin: join job (option B large): %w", err)
 	}

@@ -17,6 +17,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
+	"sync"
 	"time"
 
 	"haindex/internal/bitvec"
@@ -111,7 +114,8 @@ type Preprocessed struct {
 
 	SampleTime time.Duration
 	LearnTime  time.Duration
-	PivotTime  time.Duration
+	HashTime   time.Duration // hashing the sample for the histogram
+	PivotTime  time.Duration // histo.Pivots over the sampled codes
 }
 
 // Preprocess runs the phase-1 of the pipeline: reservoir-sample R and S,
@@ -136,6 +140,9 @@ func Preprocess(r, s []vector.Vec, opt Options) (*Preprocessed, error) {
 
 	t0 = time.Now()
 	codes := hash.HashAll(h, sample)
+	hashTime := time.Since(t0)
+
+	t0 = time.Now()
 	pivots := histo.Pivots(codes, opt.Partitions)
 	pivotTime := time.Since(t0)
 
@@ -145,76 +152,143 @@ func Preprocess(r, s []vector.Vec, opt Options) (*Preprocessed, error) {
 		SampleSize: len(sample),
 		SampleTime: sampleTime,
 		LearnTime:  learnTime,
+		HashTime:   hashTime,
 		PivotTime:  pivotTime,
 	}, nil
 }
 
 // ---- record encodings (the bytes that cross the simulated wire) ----
 
-// encodeVecKV packs a tuple id and its feature vector (float32 components,
-// matching typical feature storage) as one KV.
-func encodeVecKV(id int, v vector.Vec) mapreduce.KV {
-	key := make([]byte, 4)
-	binary.BigEndian.PutUint32(key, uint32(id))
-	val := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.BigEndian.PutUint32(val[4*i:], math.Float32bits(float32(x)))
+// appendVec appends a feature vector's wire form: big-endian float32
+// components, matching typical feature storage. This is the one place a
+// vector is rounded; shipped reads the rounded values back.
+func appendVec(dst []byte, v vector.Vec) []byte {
+	for _, x := range v {
+		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(x)))
 	}
-	return mapreduce.KV{Key: key, Value: val}
+	return dst
 }
 
-func decodeVecValue(b []byte) vector.Vec {
-	v := make(vector.Vec, len(b)/4)
-	for i := range v {
-		v[i] = float64(math.Float32frombits(binary.BigEndian.Uint32(b[4*i:])))
+// shipped decodes a vector's wire form into dst's storage (grown when too
+// small): the values a task on the far side of the wire computes with. Every
+// plan and the reference join hash these, never the caller's float64s.
+func shipped(dst vector.Vec, b []byte) vector.Vec {
+	dst = slices.Grow(dst[:0], len(b)/4)[:len(b)/4]
+	for i := range dst {
+		dst[i] = float64(math.Float32frombits(binary.BigEndian.Uint32(b[4*i:])))
 	}
-	return v
+	return dst
 }
 
-// VecInput encodes a dataset as MapReduce input records.
+// VecInput encodes a dataset as MapReduce input records (key: tuple id,
+// value: appendVec's bytes). Each worker encodes one contiguous run of tuples
+// into a single slab: one allocation per worker, not two per tuple.
 func VecInput(data []vector.Vec) []mapreduce.KV {
 	out := make([]mapreduce.KV, len(data))
-	for i, v := range data {
-		out[i] = encodeVecKV(i, v)
+	workers := runtime.GOMAXPROCS(0)
+	per := (len(data) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(data); lo += per {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			size := 0
+			for _, v := range data[lo:hi] {
+				size += 4 + 4*len(v)
+			}
+			recs := make(slab, size)
+			for i := lo; i < hi; i++ {
+				out[i] = mapreduce.KV{Key: recs.put32(i), Value: appendVec(recs.take(4 * len(data[i]))[:0], data[i])}
+			}
+		}(lo, min(lo+per, len(data)))
 	}
+	wg.Wait()
 	return out
 }
 
 func decodeID(b []byte) int { return int(binary.BigEndian.Uint32(b)) }
 
 func encodeUint32(v uint32) []byte {
-	b := make([]byte, 4)
-	binary.BigEndian.PutUint32(b, v)
+	return binary.BigEndian.AppendUint32(make([]byte, 0, 4), v)
+}
+
+// slab hands out the few-byte records of an emitter from shared allocations.
+type slab []byte
+
+// take returns the next n bytes, capped so an append cannot reach its
+// neighbour. An exhausted slab is replaced; records handed out keep the old
+// one alive. Emitters that know their volume size the slab up front.
+func (s *slab) take(n int) []byte {
+	if len(*s) < n {
+		*s = make([]byte, max(n, 16<<10))
+	}
+	b := (*s)[:n:n]
+	*s = (*s)[n:]
 	return b
 }
 
-// encodeIDCode packs (tuple id, binary code) as a value.
-func encodeIDCode(id int, c bitvec.Code) []byte {
-	b := make([]byte, 4, 4+bitvec.EncodedLen(c.Len()))
-	binary.BigEndian.PutUint32(b, uint32(id))
-	return c.AppendBytes(b)
+// put32 takes 4 bytes holding v big-endian.
+func (s *slab) put32(v int) []byte {
+	b := s.take(4)
+	binary.BigEndian.PutUint32(b, uint32(v))
+	return b
 }
 
-func decodeIDCode(b []byte, bits int) (int, bitvec.Code, error) {
-	if len(b) < 4 {
-		return 0, bitvec.Code{}, fmt.Errorf("mrjoin: short id+code record (%d bytes)", len(b))
+// appendIDCode appends (tuple id, binary code) as a value.
+func appendIDCode(dst []byte, id int, c bitvec.Code) []byte {
+	return c.AppendBytes(binary.BigEndian.AppendUint32(dst, uint32(id)))
+}
+
+// mapScratch is what one routeMapper call borrows from the job's pool.
+type mapScratch struct {
+	vec  vector.Vec
+	recs slab
+}
+
+// routeMapper is the map side of every job that hashes vectors: decode the
+// shipped vector, hash it, pick the partition, and emit (partition, id+code).
+// The partition is the one owning the code's Gray range or, when roundRobin
+// is positive (every reducer holds the same replicated index), id mod
+// roundRobin. A call allocates the code and nothing else: vector storage and
+// the emitted bytes come from the job's pool.
+func routeMapper(pre *Preprocessed, roundRobin int) mapreduce.MapFunc {
+	recLen := 8 + bitvec.EncodedLen(pre.Hash.Bits())
+	pool := &sync.Pool{New: func() any { return new(mapScratch) }}
+	return func(in mapreduce.KV, emit func(mapreduce.KV)) error {
+		sc := pool.Get().(*mapScratch)
+		id := decodeID(in.Key)
+		sc.vec = shipped(sc.vec, in.Value)
+		code := pre.Hash.Hash(sc.vec)
+		var pid int
+		if roundRobin > 0 {
+			pid = id % roundRobin
+		} else {
+			pid = histo.PartitionID(pre.Pivots, code)
+		}
+		rec := sc.recs.take(recLen)
+		binary.BigEndian.PutUint32(rec, uint32(pid))
+		appendIDCode(rec[:4], id, code) // fills rec[4:] in place
+		pool.Put(sc)
+		emit(mapreduce.KV{Key: rec[:4:4], Value: rec[4:]})
+		return nil
 	}
-	id := int(binary.BigEndian.Uint32(b))
-	c, _, err := bitvec.CodeFromBytes(b[4:], bits)
-	return id, c, err
 }
 
-// decodeIDCodeBatch decodes a reducer's value list into parallel id and code
-// slices — the query batch a reducer hands to core.SearchBatch.
+// decodeIDCodeBatch decodes a reducer's value list (appendIDCode records)
+// into parallel id and code slices — the batch a reducer builds an index
+// over or hands to core.SearchBatch.
 func decodeIDCodeBatch(values [][]byte, bits int) ([]int, []bitvec.Code, error) {
 	ids := make([]int, len(values))
 	codes := make([]bitvec.Code, len(values))
 	for i, v := range values {
-		id, c, err := decodeIDCode(v, bits)
+		if len(v) < 4 {
+			return nil, nil, fmt.Errorf("mrjoin: short id+code record (%d bytes)", len(v))
+		}
+		c, _, err := bitvec.CodeFromBytes(v[4:], bits)
 		if err != nil {
 			return nil, nil, err
 		}
-		ids[i], codes[i] = id, c
+		ids[i], codes[i] = decodeID(v), c
 	}
 	return ids, codes, nil
 }

@@ -1,6 +1,7 @@
 package mrjoin
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,7 +9,6 @@ import (
 	"haindex/internal/bitvec"
 	"haindex/internal/dataset"
 	"haindex/internal/dfs"
-	"haindex/internal/hash"
 	"haindex/internal/knn"
 	"haindex/internal/vector"
 )
@@ -26,14 +26,17 @@ func testData(t *testing.T, nr, ns int) (r, s []vector.Vec) {
 	return data[:nr], data[nr:]
 }
 
-// roundTrip pushes vectors through the wire encoding (float32), giving the
-// values the distributed plans actually compute with.
-func roundTrip(vs []vector.Vec) []vector.Vec {
-	out := make([]vector.Vec, len(vs))
-	for i, v := range vs {
-		out[i] = decodeVecValue(encodeVecKV(i, v).Value)
+// testData32 is testData with float32-valued components, as a feature store
+// holds them: for tests whose own oracle (an exact kNN, a monolithic index)
+// reads the vectors directly and must see the values the jobs see.
+func testData32(t *testing.T, nr, ns int) (r, s []vector.Vec) {
+	r, s = testData(t, nr, ns)
+	for _, v := range append(append([]vector.Vec{}, r...), s...) {
+		for i, x := range v {
+			v[i] = float64(float32(x))
+		}
 	}
-	return out
+	return r, s
 }
 
 func sortPairs(ps []Pair) {
@@ -85,10 +88,7 @@ func TestJoinEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The distributed plans hash float32-transported vectors; use the same
-	// values for the reference.
-	rr, ss := roundTrip(r), roundTrip(s)
-	want := ReferenceJoin(rr, ss, pre, opt.Threshold)
+	want := ReferenceJoin(r, s, pre, opt.Threshold)
 	if len(want) == 0 {
 		t.Fatal("reference join empty; test data too sparse")
 	}
@@ -182,7 +182,7 @@ func shuffleIn(j *JoinResult) int64 {
 // TestPGBJExact: the pivot-partitioned join must equal the brute-force
 // kNN-join.
 func TestPGBJExact(t *testing.T) {
-	r, s := testData(t, 300, 60)
+	r, s := testData32(t, 300, 60)
 	opt := testOptions()
 	k := 5
 	res, err := PGBJ(r, s, k, opt)
@@ -192,9 +192,8 @@ func TestPGBJExact(t *testing.T) {
 	if len(res.Neighbors) != len(s) {
 		t.Fatalf("neighbors for %d tuples want %d", len(res.Neighbors), len(s))
 	}
-	rr, ss := roundTrip(r), roundTrip(s)
 	for sid, got := range res.Neighbors {
-		want := knn.Exact(rr, ss[sid], k)
+		want := knn.Exact(r, s[sid], k)
 		if len(got) != len(want) {
 			t.Fatalf("sid %d: %d neighbors want %d", sid, len(got), len(want))
 		}
@@ -239,14 +238,26 @@ func TestVecRoundTrip(t *testing.T) {
 	for i := range v {
 		v[i] = rng.NormFloat64()
 	}
-	kv := encodeVecKV(42, v)
-	if decodeID(kv.Key) != 42 {
-		t.Fatal("id mismatch")
-	}
-	back := decodeVecValue(kv.Value)
+	back := shipped(nil, appendVec(nil, v))
 	for i := range v {
-		if diff := v[i] - back[i]; diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("component %d: %v vs %v", i, v[i], back[i])
+		if back[i] != float64(float32(v[i])) {
+			t.Fatalf("component %d: %v shipped as %v", i, v[i], back[i])
+		}
+	}
+	// VecInput's slab-carved records are the per-tuple encoding, at sizes
+	// that leave its workers uneven runs (or none).
+	for _, n := range []int{0, 1, 2, 3, 17} {
+		data := make([]vector.Vec, n)
+		for i := range data {
+			data[i] = v[:1+i%len(v)]
+		}
+		for i, kv := range VecInput(data) {
+			if decodeID(kv.Key) != i || !bytes.Equal(kv.Value, appendVec(nil, data[i])) {
+				t.Fatalf("n=%d record %d: key %x value %x", n, i, kv.Key, kv.Value)
+			}
+			if cap(kv.Key) != 4 || cap(kv.Value) != len(kv.Value) {
+				t.Fatalf("n=%d record %d: an append could reach the next record", n, i)
+			}
 		}
 	}
 }
@@ -255,13 +266,12 @@ func TestIDCodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(122))
 	for i := 0; i < 50; i++ {
 		c := randCode(rng, 32)
-		b := encodeIDCode(7, c)
-		id, back, err := decodeIDCode(b, 32)
-		if err != nil || id != 7 || !back.Equal(c) {
+		ids, back, err := decodeIDCodeBatch([][]byte{appendIDCode(nil, 7, c)}, 32)
+		if err != nil || ids[0] != 7 || !back[0].Equal(c) {
 			t.Fatalf("roundtrip failed: %v", err)
 		}
 	}
-	if _, _, err := decodeIDCode([]byte{1, 2}, 32); err == nil {
+	if _, _, err := decodeIDCodeBatch([][]byte{{1, 2}}, 32); err == nil {
 		t.Fatal("expected short-record error")
 	}
 }
@@ -279,8 +289,7 @@ func TestHammingJoinBLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, ss := roundTrip(r), roundTrip(s)
-	want := ReferenceJoin(rr, ss, pre, opt.Threshold)
+	want := ReferenceJoin(r, s, pre, opt.Threshold)
 	g, err := BuildGlobalIndex(r, pre, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -338,8 +347,7 @@ func TestBuildGlobalIndexViaDFS(t *testing.T) {
 		t.Fatalf("expected 3x replication: w=%d r=%d", viaDFS.DFSWritten, viaDFS.DFSRead)
 	}
 	// The merged indexes answer identically.
-	rr := roundTrip(r)
-	codes := hashCodes(pre, rr)
+	codes := hashCodes(pre, r)
 	for q := 0; q < 25; q++ {
 		query := codes[(q*37)%len(codes)]
 		a := plain.Index.Search(query, 3)
@@ -434,7 +442,7 @@ func TestJoinSearchWorkersEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ReferenceJoin(roundTrip(r), roundTrip(s), pre, opt.Threshold)
+	want := ReferenceJoin(r, s, pre, opt.Threshold)
 	for _, workers := range []int{1, 2, 4, 0} {
 		opt.SearchWorkers = workers
 		a, err := HammingJoinA(s, g, pre, opt)
@@ -467,16 +475,9 @@ func TestHammingSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, qq := roundTrip(r), roundTrip(q)
-	rc := hash.HashAll(pre.Hash, rr)
-	qc := hash.HashAll(pre.Hash, qq)
-	want := make([][]int, len(qq))
-	for i, quc := range qc {
-		for j, c := range rc {
-			if _, ok := quc.DistanceWithin(c, opt.Threshold); ok {
-				want[i] = append(want[i], j)
-			}
-		}
+	want := make([][]int, len(q))
+	for _, p := range ReferenceJoin(r, q, pre, opt.Threshold) {
+		want[p.SID] = append(want[p.SID], p.RID)
 	}
 	for _, workers := range []int{1, 4} {
 		opt.SearchWorkers = workers

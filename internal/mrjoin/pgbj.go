@@ -66,8 +66,7 @@ func PGBJ(r, s []vector.Vec, k int, opt Options) (*PGBJResult, error) {
 		Reducers:  opt.Partitions,
 		Partition: partitionByKeyUint32,
 		Map: func(in mapreduce.KV, emit func(mapreduce.KV)) error {
-			v := decodeVecValue(in.Value)
-			cell, _ := nearest(v)
+			cell, _ := nearest(shipped(nil, in.Value))
 			emit(mapreduce.KV{Key: encodeUint32(uint32(cell)), Value: in.Value})
 			return nil
 		},
@@ -76,7 +75,7 @@ func PGBJ(r, s []vector.Vec, k int, opt Options) (*PGBJResult, error) {
 			cs := cellStats{count: len(values)}
 			p := pivots[cell]
 			for _, v := range values {
-				if d := decodeVecValue(v).Dist(p); d > cs.radius {
+				if d := shipped(nil, v).Dist(p); d > cs.radius {
 					cs.radius = d
 				}
 			}
@@ -100,14 +99,10 @@ func PGBJ(r, s []vector.Vec, k int, opt Options) (*PGBJResult, error) {
 	)
 	input := make([]mapreduce.KV, 0, len(r)+len(s))
 	for i, v := range r {
-		kv := encodeVecKV(i, v)
-		kv.Value = append([]byte{sideR}, kv.Value...)
-		input = append(input, kv)
+		input = append(input, mapreduce.KV{Key: encodeUint32(uint32(i)), Value: appendVec([]byte{sideR}, v)})
 	}
 	for i, v := range s {
-		kv := encodeVecKV(i, v)
-		kv.Value = append([]byte{sideS}, kv.Value...)
-		input = append(input, kv)
+		input = append(input, mapreduce.KV{Key: encodeUint32(uint32(i)), Value: appendVec([]byte{sideS}, v)})
 	}
 	cfgB := mapreduce.Config{
 		Name:      "pgbj-join",
@@ -119,12 +114,12 @@ func PGBJ(r, s []vector.Vec, k int, opt Options) (*PGBJResult, error) {
 		},
 		Map: func(in mapreduce.KV, emit func(mapreduce.KV)) error {
 			side := in.Value[0]
-			id := decodeID(in.Key)
-			v := decodeVecValue(in.Value[1:])
+			v := shipped(nil, in.Value[1:])
+			// The shuffled record is the input record behind its tuple id:
+			// (id, side, float32 components).
+			val := append(append([]byte(nil), in.Key...), in.Value...)
 			if side == sideR {
 				cell, _ := nearest(v)
-				val := append([]byte{sideR}, encodeVecKV(id, v).Value...)
-				val = append(encodeUint32(uint32(id)), val...)
 				emit(mapreduce.KV{Key: encodeUint32(uint32(cell)), Value: val})
 				return nil
 			}
@@ -155,8 +150,6 @@ func PGBJ(r, s []vector.Vec, k int, opt Options) (*PGBJResult, error) {
 			}
 			for _, c := range cands {
 				if c.lower <= ub {
-					val := append([]byte{sideS}, encodeVecKV(id, v).Value...)
-					val = append(encodeUint32(uint32(id)), val...)
 					emit(mapreduce.KV{Key: encodeUint32(uint32(c.cell)), Value: val})
 				}
 			}
@@ -173,7 +166,7 @@ func PGBJ(r, s []vector.Vec, k int, opt Options) (*PGBJResult, error) {
 			for _, v := range values {
 				id := decodeID(v)
 				side := v[4]
-				vec := decodeVecValue(v[5:])
+				vec := shipped(nil, v[5:])
 				if side == sideR {
 					rids = append(rids, id)
 					rvecs = append(rvecs, vec)

@@ -3,7 +3,6 @@ package mrjoin
 import (
 	"fmt"
 
-	"haindex/internal/core"
 	"haindex/internal/mapreduce"
 	"haindex/internal/vector"
 )
@@ -26,36 +25,17 @@ func HammingSelect(queries []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt 
 	if err := checkBits(pre, opt); err != nil {
 		return nil, err
 	}
-	idx := g.Index
 	cfg := mapreduce.Config{
 		Name:      "mrha-select",
 		Nodes:     opt.Nodes,
 		Reducers:  opt.Partitions,
 		Partition: partitionByKeyUint32,
 		Broadcast: []mapreduce.Broadcast{
-			{Name: "global-ha-index", Size: int64(idx.BroadcastSizeBytes(true))},
+			{Name: "global-ha-index", Size: int64(g.Index.BroadcastSizeBytes(true))},
 			{Name: "hash", Size: hashFuncSize(pre)},
 		},
-		Map: func(in mapreduce.KV, emit func(mapreduce.KV)) error {
-			qid := decodeID(in.Key)
-			code := pre.Hash.Hash(decodeVecValue(in.Value))
-			pid := qid % opt.Partitions
-			emit(mapreduce.KV{Key: encodeUint32(uint32(pid)), Value: encodeIDCode(qid, code)})
-			return nil
-		},
-		Reduce: func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
-			qids, qcodes, err := decodeIDCodeBatch(values, opt.Bits)
-			if err != nil {
-				return err
-			}
-			results, _ := core.SearchBatch(idx, qcodes, opt.Threshold, opt.SearchWorkers)
-			for i, rids := range results {
-				for _, rid := range rids {
-					emit(mapreduce.KV{Key: encodeUint32(uint32(qids[i])), Value: encodeUint32(uint32(rid))})
-				}
-			}
-			return nil
-		},
+		Map:    routeMapper(pre, opt.Partitions),
+		Reduce: matchReducer(g.searchIndex(), opt, true),
 	}
 	opt.applyRuntime(&cfg)
 	out, metrics, err := mapreduce.Run(cfg, VecInput(queries))

@@ -58,26 +58,16 @@ func BuildShardSnapshots(r []vector.Vec, pre *Preprocessed, opt Options, dir str
 	var mu sync.Mutex
 	tuples := make([]int, opt.Partitions)
 
-	pivotBytes := int64(0)
-	for _, p := range pre.Pivots {
-		pivotBytes += int64(p.SizeBytes())
-	}
 	cfg := mapreduce.Config{
 		Name:      "mrha-build-snapshots",
 		Nodes:     opt.Nodes,
 		Reducers:  opt.Partitions,
 		Partition: partitionByKeyUint32,
 		Broadcast: []mapreduce.Broadcast{
-			{Name: "pivots", Size: pivotBytes},
+			{Name: "pivots", Size: pivotsSize(pre)},
 			{Name: "hash", Size: hashFuncSize(pre)},
 		},
-		Map: func(in mapreduce.KV, emit func(mapreduce.KV)) error {
-			id := decodeID(in.Key)
-			code := pre.Hash.Hash(decodeVecValue(in.Value))
-			pid := partitionID(pre, code)
-			emit(mapreduce.KV{Key: encodeUint32(uint32(pid)), Value: encodeIDCode(id, code)})
-			return nil
-		},
+		Map: routeMapper(pre, 0),
 		Reduce: func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
 			pid := decodeID(key)
 			ids, codes, err := decodeIDCodeBatch(values, opt.Bits)

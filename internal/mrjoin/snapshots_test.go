@@ -13,8 +13,7 @@ import (
 // both the eager and the mmap readers, and the union of shard answers equals
 // a monolithic single-index build's answers.
 func TestBuildShardSnapshots(t *testing.T) {
-	r, _ := testData(t, 600, 0)
-	r = roundTrip(r)
+	r, _ := testData32(t, 600, 0)
 	opt := testOptions()
 	pre, err := Preprocess(r, nil, opt)
 	if err != nil {
@@ -85,8 +84,7 @@ func TestBuildShardSnapshots(t *testing.T) {
 // TestBuildShardSnapshotsEmptyPartition: partitions that receive no tuples
 // still produce a loadable snapshot.
 func TestBuildShardSnapshotsEmptyPartition(t *testing.T) {
-	r, _ := testData(t, 40, 0)
-	r = roundTrip(r)
+	r, _ := testData32(t, 40, 0)
 	opt := testOptions()
 	opt.Partitions = 16 // far more partitions than clusters: some go empty
 	opt.Nodes = 4
@@ -116,8 +114,7 @@ func TestBuildShardSnapshotsEmptyPartition(t *testing.T) {
 // TestBuildShardSnapshotsUnderFaults: reducer re-execution rewrites shard
 // files idempotently — the job still yields correct, loadable snapshots.
 func TestBuildShardSnapshotsUnderFaults(t *testing.T) {
-	r, _ := testData(t, 300, 0)
-	r = roundTrip(r)
+	r, _ := testData32(t, 300, 0)
 	opt := testOptions()
 	opt.Faults = mapreduce.NewFaultPlan().
 		FailEvery(mapreduce.MapTask, 3).
