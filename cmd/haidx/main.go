@@ -1,6 +1,6 @@
-// Command haidx builds, inspects and queries persisted HA-Index files (the
-// binary wire format of internal/core's codec — the same bytes a cluster
-// deployment would write to its DFS and broadcast).
+// Command haidx builds, inspects and queries persisted HA-Index files: the
+// v1 pointer encoding a cluster deployment writes to its DFS and broadcasts
+// (the default), or with -arena the v4 serving arena.
 //
 // Usage:
 //
@@ -61,8 +61,7 @@ func cmdBuild(args []string) {
 	out := fs.String("o", "index.hadx", "output index file")
 	seed := fs.Int64("seed", 1, "hash-learning sample seed")
 	leafless := fs.Bool("leafless", false, "write the Option-B form without tuple-id tables")
-	frozen := fs.Bool("frozen", false, "write the compiled (frozen, v2) form instead of the pointer encoding")
-	arena := fs.Bool("arena", false, "write the mmap-native (frozen, v4) form; implies -frozen")
+	arena := fs.Bool("arena", false, "write the mmap-native serving arena (HADX v4) instead of the pointer encoding")
 	fs.Parse(args)
 	if *data == "" {
 		fatalf("build: -data is required")
@@ -90,12 +89,6 @@ func cmdBuild(args []string) {
 			fatalf("encoding: %v", err)
 		}
 		sz = fz.EncodedSizeArena(!*leafless)
-	} else if *frozen {
-		fz := core.Freeze(idx)
-		if err := fz.Encode(f, !*leafless); err != nil {
-			fatalf("encoding: %v", err)
-		}
-		sz, _ = fz.EncodedSize(!*leafless)
 	} else {
 		if err := idx.Encode(f, !*leafless); err != nil {
 			fatalf("encoding: %v", err)
@@ -136,11 +129,8 @@ func cmdInfo(args []string) {
 		SizeBytes() int
 	})
 	form := "pointer (v1)"
-	if fz, ok := idx.(*core.FrozenIndex); ok {
-		form = "frozen (v2)"
-		if fz.ArenaForm() {
-			form = "arena (v4, mmap-native)"
-		}
+	if _, ok := idx.(*core.FrozenIndex); ok {
+		form = "arena (v4, mmap-native)"
 	}
 	fmt.Printf("HA-Index file: %s\n", *index)
 	fmt.Printf("  form:           %s\n", form)
@@ -204,8 +194,6 @@ func cmdShard(args []string) {
 	parts := fs.Int("parts", 2, "number of partitions (one snapshot each)")
 	out := fs.String("o", "shards", "output directory")
 	seed := fs.Int64("seed", 1, "hash-learning sample seed")
-	frozen := fs.Bool("frozen", true, "write frozen snapshots; -frozen=false writes the pointer encoding")
-	arena := fs.Bool("arena", true, "write mmap-native (v4) snapshots via the streaming builder; -arena=false writes v2")
 	chunk := fs.Int("chunk", 1<<18, "streaming-build chunk size in tuples (peak memory is O(chunk), not O(partition))")
 	fs.Parse(args)
 	if *data == "" {
@@ -249,31 +237,21 @@ func cmdShard(args []string) {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		if *frozen && *arena {
-			// Streaming build: Gray-sort the partition so chunks cover tight
-			// Gray ranges, then freeze-and-spool chunk by chunk straight into
-			// a v4 snapshot — the partition index is never resident at once.
-			gray.Sort(partCodes, rows)
-			sw, err := core.NewFrozenStreamWriter(*bits, *chunk, core.Options{})
-			if err != nil {
-				fatalf("%v", err)
+		// Streaming build: Gray-sort the partition so chunks cover tight Gray
+		// ranges, then freeze-and-spool chunk by chunk straight into the
+		// snapshot — the partition index is never resident at once.
+		gray.Sort(partCodes, rows)
+		sw, err := core.NewFrozenStreamWriter(*bits, *chunk, core.Options{})
+		if err != nil {
+			fatalf("%v", err)
+		}
+		for j, c := range partCodes {
+			if err := sw.Add(rows[j], c); err != nil {
+				fatalf("streaming %s: %v", path, err)
 			}
-			for j, c := range partCodes {
-				if err := sw.Add(rows[j], c); err != nil {
-					fatalf("streaming %s: %v", path, err)
-				}
-			}
-			if err := wire.WriteSnapshotStream(f, meta, sw); err != nil {
-				fatalf("writing %s: %v", path, err)
-			}
-		} else {
-			var idx core.Index = core.BuildDynamic(partCodes, rows, core.Options{})
-			if *frozen {
-				idx = core.Freeze(idx.(*core.DynamicIndex))
-			}
-			if err := wire.WriteSnapshot(f, meta, idx); err != nil {
-				fatalf("writing %s: %v", path, err)
-			}
+		}
+		if err := wire.WriteSnapshotStream(f, meta, sw); err != nil {
+			fatalf("writing %s: %v", path, err)
 		}
 		if err := f.Close(); err != nil {
 			fatalf("%v", err)

@@ -57,8 +57,8 @@ func main() {
 		oracle    = flag.String("oracle", "", "snapshot directory to rebuild an in-process oracle from; diff and exit nonzero on mismatch")
 		verbose   = flag.Bool("v", false, "print every id list")
 		trace     = flag.Bool("trace", false, "print the span tree of the slowest batch and per-attempt latency percentiles")
-		engine    = flag.String("engine", "auto", "access path forced on every shard: auto|ha|mih|scan (non-auto needs protocol v4 shards with the engine enabled)")
-		priority  = flag.String("priority", "", "admission class under server load shedding: normal|interactive|batch (rides protocol v5; older shards ignore it)")
+		engine    = flag.String("engine", "auto", "access path forced on every shard: auto|ha|mih|scan (non-auto needs shards with the engine enabled)")
+		priority  = flag.String("priority", "", "admission class under server load shedding: normal|interactive|batch")
 
 		insert      = flag.String("insert", "", "comma-separated id:bit-string upserts applied before querying (mutable shards)")
 		deleteIDs   = flag.String("delete", "", "comma-separated tuple ids deleted before querying (mutable shards)")

@@ -1,6 +1,8 @@
 package haindex_test
 
 import (
+	"bytes"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -168,6 +170,45 @@ func TestMergeIndexesFacade(t *testing.T) {
 	}
 	if got := g.Search(haindex.MustCode("1110"), 1); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("got %v", got)
+	}
+}
+
+// TestDecodeFrozenIndexFacade: the frozen form's one serialisation, the v4
+// arena, round-trips through the facade and answers like the index encoded;
+// the v1 pointer encoding is refused.
+func TestDecodeFrozenIndexFacade(t *testing.T) {
+	data := haindex.Generate(haindex.NUSWide, 300, 4)
+	hf, err := haindex.LearnSpectralHash(data, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := haindex.HashAll(hf, data)
+	dyn := haindex.BuildDynamicIndex(codes, nil, haindex.IndexOptions{})
+	x := haindex.FreezeIndex(dyn)
+	var buf bytes.Buffer
+	if err := x.EncodeArena(&buf, true); err != nil {
+		t.Fatal(err)
+	}
+	got, err := haindex.DecodeFrozenIndex(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, xs := haindex.NewSearcher(got), haindex.NewSearcher(x)
+	for _, q := range codes[:40] {
+		g := append([]int(nil), gs.Search(q, 4)...)
+		w := append([]int(nil), xs.Search(q, 4)...)
+		sort.Ints(g)
+		sort.Ints(w)
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("decoded arena answers %v, want %v", g, w)
+		}
+	}
+	var v1 bytes.Buffer
+	if err := dyn.Encode(&v1, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := haindex.DecodeFrozenIndex(&v1); err == nil {
+		t.Fatal("DecodeFrozenIndex accepted the v1 pointer encoding")
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 )
 
 // The mutation side of the router, for deployments whose shards serve a
-// mutable LSM tier (haserve -mutable). Requires sessions negotiated at
-// protocol version 3; against older or immutable shards the server's error
-// frame surfaces through the normal retry path.
+// mutable LSM tier (haserve -mutable). Against immutable shards the
+// server's error frame surfaces through the normal retry path.
 
 // invalidateCaches bumps the deployment-wide mutation generation after a
 // mutation was issued, making every merged result-cache entry filled before
@@ -108,7 +107,7 @@ func (r *Router) Insert(ids []int, codes []bitvec.Code) (int, error) {
 			// shard's partials are stale either way.
 			defer r.bumpShard(m)
 			req := wire.InsertReq{Length: r.length, IDs: ownIDs[m], Codes: ownCodes[m]}
-			respType, body, err := r.do(sh, routePrimary, 0, wire.MsgInsert, fixedPayload(req.Append(nil)), nil, obs.NoSpan)
+			respType, body, err := r.do(sh, routePrimary, 0, wire.MsgInsert, req.Append(nil), nil, obs.NoSpan)
 			if err == nil && respType != wire.MsgInsertOK {
 				err = fmt.Errorf("client: shard %d answered %s", m, respType)
 			}
@@ -173,7 +172,7 @@ func (r *Router) Delete(ids []int) (int, error) {
 }
 
 func (r *Router) deleteOn(sh *shard, ids []int) (wire.DeleteResp, error) {
-	respType, body, err := r.do(sh, routePrimary, 0, wire.MsgDelete, fixedPayload(wire.DeleteReq{IDs: ids}.Append(nil)), nil, obs.NoSpan)
+	respType, body, err := r.do(sh, routePrimary, 0, wire.MsgDelete, wire.DeleteReq{IDs: ids}.Append(nil), nil, obs.NoSpan)
 	if err == nil && respType != wire.MsgDeleteOK {
 		err = fmt.Errorf("client: shard %d answered %s", sh.part, respType)
 	}
@@ -193,7 +192,7 @@ func (r *Router) Seal(compact bool) ([]wire.SealOK, error) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
-	payload := fixedPayload(wire.SealReq{Compact: compact}.Append(nil))
+	payload := wire.SealReq{Compact: compact}.Append(nil)
 	for m := range r.shards {
 		wg.Add(1)
 		go func(m int) {

@@ -12,8 +12,7 @@
 // optional hedging policy races the best-ranked healthy standby when the
 // primary is slow (the serving-layer analogue of the MapReduce runtime's
 // speculative execution), and shed-backoff retries steer to the least-loaded
-// other replica using the warmth/load signal replicas report in their stats
-// (wire protocol v6).
+// other replica using the warmth/load signal replicas report in their stats.
 package client
 
 import (
@@ -68,15 +67,12 @@ type Options struct {
 	// Engine is the access-path hint attached to every search request: ""
 	// or "auto" lets each shard route (its planner or configured mode);
 	// "ha", "mih", or "scan" forces that engine on every shard. Forcing
-	// requires every shard to speak protocol version 4, and the named
-	// engine to be enabled server-side — Dial and the shards enforce the
-	// two halves respectively.
+	// requires the named engine to be enabled server-side; the shards
+	// enforce it.
 	Engine string
 	// Priority is the admission class attached to every search request:
 	// "" or "normal", "interactive" (2x the server's shed budget), or
-	// "batch" (half). It rides protocol version 5; sessions negotiated
-	// lower simply omit it from the wire (the server treats them as
-	// normal).
+	// "batch" (half).
 	Priority string
 
 	// Affinity selects the replica-routing policy. "" or "rendezvous" (the
@@ -259,8 +255,8 @@ type replica struct {
 	// nanos: until then the replica is demoted (transport failure) or
 	// known saturated (it answered MsgShed). ewmaNs tracks attempt
 	// round-trip latency; the warm* fields mirror the replica's last
-	// StatsResp warmth block (wire protocol v6), recorded opportunistically
-	// whenever a stats response passes through the router.
+	// StatsResp warmth block, recorded opportunistically whenever a stats
+	// response passes through the router.
 	failUntil   atomic.Int64
 	shedUntil   atomic.Int64
 	ewmaNs      atomic.Int64
@@ -395,10 +391,6 @@ func Dial(shardAddrs [][]string, opts Options) (*Router, error) {
 		}
 		if err != nil {
 			return nil, fmt.Errorf("client: shard %d unreachable: %w", i, err)
-		}
-		if engine != wire.EngineAuto && hello.Version < 4 {
-			return nil, fmt.Errorf("client: engine %s needs protocol version 4, shard %d negotiated %d",
-				wire.EngineName(engine), i, hello.Version)
 		}
 		if hello.Parts != len(shardAddrs) {
 			return nil, fmt.Errorf("client: shard %d says the deployment has %d partitions, but %d shards were given",
@@ -599,13 +591,8 @@ func (r *Router) SearchBatch(queries []bitvec.Code, h int) ([][]int, error) {
 			}
 			shardSpan := tr.Start(fmt.Sprintf("shard%02d (%d queries)", sh.part, len(sub)), 0)
 			defer tr.End(shardSpan)
-			// The request is encoded per attempt for the replica's
-			// negotiated version: engine and priority are trailing varints
-			// that older sessions must not see.
-			pf := func(version int) []byte {
-				return wire.SearchReq{H: h, Engine: r.engine, Priority: r.priority, Queries: sub}.AppendVersion(nil, version)
-			}
-			respType, payload, err := r.do(sh, routeAffinity, r.affinityOf(sub, h), wire.MsgSearch, pf, tr, shardSpan)
+			req := wire.SearchReq{H: h, Engine: r.engine, Priority: r.priority, Queries: sub}.Append(nil)
+			respType, payload, err := r.do(sh, routeAffinity, r.affinityOf(sub, h), wire.MsgSearch, req, tr, shardSpan)
 			if err == nil && respType != wire.MsgSearchOK {
 				err = fmt.Errorf("client: shard %d answered %s", sh.part, respType)
 			}
@@ -675,7 +662,7 @@ func (r *Router) TopK(queries []bitvec.Code, k int) ([][]int, [][]int, error) {
 		err  error
 	}
 	resps := make([]shardResp, len(r.shards))
-	payload := fixedPayload(wire.TopKReq{K: k, Queries: queries}.Append(nil))
+	payload := wire.TopKReq{K: k, Queries: queries}.Append(nil)
 	aff := r.affinityOf(queries, k)
 	var wg sync.WaitGroup
 	for m := range r.shards {
@@ -759,14 +746,6 @@ func (r *Router) checkQueries(queries []bitvec.Code) error {
 	}
 	return nil
 }
-
-// payloadFn encodes one request for the protocol version a replica
-// negotiated — resolved per attempt, because the version is only known
-// after the replica's lazy dial. fixedPayload adapts version-independent
-// messages.
-type payloadFn func(version int) []byte
-
-func fixedPayload(p []byte) payloadFn { return func(int) []byte { return p } }
 
 // routeMode says how do picks among a shard's replicas.
 type routeMode int
@@ -894,7 +873,7 @@ func (r *Router) leastLoadedOther(sh *shard, cur *replica) *replica {
 // also disables hedging for the rest of the request, for the same reason: a
 // speculative duplicate is extra load aimed at a shard that just asked for
 // less.
-func (r *Router) do(sh *shard, mode routeMode, affinity uint64, t wire.MsgType, pf payloadFn, tr *obs.Trace, parent obs.SpanID) (wire.MsgType, []byte, error) {
+func (r *Router) do(sh *shard, mode routeMode, affinity uint64, t wire.MsgType, payload []byte, tr *obs.Trace, parent obs.SpanID) (wire.MsgType, []byte, error) {
 	r.shardRequests.Add(1)
 	r.cntRequests.Inc()
 	deadline := r.now().Add(r.opts.Timeout)
@@ -936,14 +915,14 @@ func (r *Router) do(sh *shard, mode routeMode, affinity uint64, t wire.MsgType, 
 			sp := tr.Start(fmt.Sprintf("attempt %d → %s", attempt, rp.addr), parent)
 			if attempt == 0 && !shedSeen && r.opts.HedgeAfter > 0 && len(sh.replicas) > 1 {
 				var winner *replica
-				winner, respType, resp, err = r.hedged(sh, rank, t, pf)
+				winner, respType, resp, err = r.hedged(sh, rank, t, payload)
 				if winner != nil {
 					// A shed (or any answer) is attributed to the replica
 					// that actually sent it, which may be the hedge leg.
 					rp = winner
 				}
 			} else {
-				respType, resp, err = r.attempt(sh, rp, t, pf, nil)
+				respType, resp, err = r.attempt(sh, rp, t, payload, nil)
 			}
 			tr.End(sp)
 			if err != nil || respType != wire.MsgShed {
@@ -999,9 +978,9 @@ func (r *Router) do(sh *shard, mode routeMode, affinity uint64, t wire.MsgType, 
 // aborted by a decided hedge race, which says nothing about the replica), a
 // success clears it and feeds the latency EWMA, and a stats answer passing
 // through refreshes the warmth signal steering reads.
-func (r *Router) attempt(sh *shard, rp *replica, t wire.MsgType, pf payloadFn, cancel *connCancel) (wire.MsgType, []byte, error) {
+func (r *Router) attempt(sh *shard, rp *replica, t wire.MsgType, payload []byte, cancel *connCancel) (wire.MsgType, []byte, error) {
 	t0 := time.Now()
-	respType, resp, err := rp.roundTrip(t, pf, cancel)
+	respType, resp, err := rp.roundTrip(t, payload, cancel)
 	r.histAttempt.RecordSince(t0)
 	r.histShard[sh.part].RecordSince(t0)
 	switch {
@@ -1027,7 +1006,7 @@ func (r *Router) attempt(sh *shard, rp *replica, t wire.MsgType, pf payloadFn, c
 }
 
 // RefreshWarmth polls every replica of every shard for its serving stats and
-// folds the warmth block (wire protocol v6) into the steering state. The
+// folds the warmth block into the steering state. The
 // router also refreshes opportunistically from any stats response that
 // passes through it (ShardStats); this is the explicit sweep for callers who
 // want fresher load signals than their stats traffic provides, e.g. a load
@@ -1110,7 +1089,7 @@ func (c *connCancel) wasAborted() bool {
 // wins; losing legs are aborted promptly (their connections closed, their
 // results drained in the background) so they do not hold pooled connections
 // for the rest of the request timeout.
-func (r *Router) hedged(sh *shard, rank []int, t wire.MsgType, pf payloadFn) (*replica, wire.MsgType, []byte, error) {
+func (r *Router) hedged(sh *shard, rank []int, t wire.MsgType, payload []byte) (*replica, wire.MsgType, []byte, error) {
 	type result struct {
 		rp       *replica
 		respType wire.MsgType
@@ -1133,7 +1112,7 @@ func (r *Router) hedged(sh *shard, rank []int, t wire.MsgType, pf payloadFn) (*r
 	standbys = append(standbys, cold...)
 	ch := make(chan result, 1+len(standbys))
 	launch := func(rp *replica, cancel *connCancel, hedge bool) {
-		respType, resp, err := r.attempt(sh, rp, t, pf, cancel)
+		respType, resp, err := r.attempt(sh, rp, t, payload, cancel)
 		ch <- result{rp: rp, respType: respType, resp: resp, err: err, cancel: cancel, hedge: hedge}
 	}
 	cancels := []*connCancel{new(connCancel)}
@@ -1213,9 +1192,8 @@ func (rp *replica) handshake() (wire.HelloOK, error) {
 // if the connection was lost. Any error poisons the connection so the next
 // attempt starts fresh. A non-nil cancel makes the round trip abortable: the
 // connection is registered with it before use, so a hedge winner can close
-// it out from under the blocked read. The payload is resolved here, after
-// the dial, because it may depend on the session's negotiated version.
-func (rp *replica) roundTrip(t wire.MsgType, pf payloadFn, cancel *connCancel) (wire.MsgType, []byte, error) {
+// it out from under the blocked read.
+func (rp *replica) roundTrip(t wire.MsgType, payload []byte, cancel *connCancel) (wire.MsgType, []byte, error) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
 	if rp.conn == nil {
@@ -1227,10 +1205,6 @@ func (rp *replica) roundTrip(t wire.MsgType, pf payloadFn, cancel *connCancel) (
 		// The race was decided before this leg reached the connection;
 		// nothing was written, so the pooled conn stays healthy.
 		return 0, nil, errHedgeAborted
-	}
-	var payload []byte
-	if pf != nil {
-		payload = pf(rp.hello.Version)
 	}
 	rp.conn.SetDeadline(time.Now().Add(rp.opts.Timeout))
 	if err := wire.WriteFrame(rp.conn, t, payload); err != nil {
@@ -1278,13 +1252,9 @@ func (rp *replica) dialLocked() error {
 		conn.Close()
 		return err
 	}
-	// Downward negotiation: the server answers with min(client, server), so
-	// anything in [1, our version] is a session we can speak; the negotiated
-	// level is kept per replica to gate newer frames. A higher version than
-	// we offered is a protocol violation.
-	if hello.Version < 1 || hello.Version > wire.Version {
+	if hello.Version != wire.Version {
 		conn.Close()
-		return fmt.Errorf("client: %s negotiated protocol version %d, this client speaks 1..%d", rp.addr, hello.Version, wire.Version)
+		return fmt.Errorf("client: %s speaks protocol version %d, this client speaks %d", rp.addr, hello.Version, wire.Version)
 	}
 	rp.conn, rp.br, rp.hello = conn, br, hello
 	return nil

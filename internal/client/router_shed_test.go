@@ -3,7 +3,9 @@ package client
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,8 +14,8 @@ import (
 	"haindex/internal/wire"
 )
 
-// startSheddingServer runs a minimal in-test shard server that handshakes at
-// protocol v5 and answers every subsequent request with MsgShed after delay —
+// startSheddingServer runs a minimal in-test shard server that handshakes
+// and answers every subsequent request with MsgShed after delay —
 // a shard that is permanently saturated. It returns its address and a counter
 // of accepted connections.
 func startSheddingServer(t *testing.T, delay time.Duration) (string, *atomic.Int32) {
@@ -38,7 +40,7 @@ func startSheddingServer(t *testing.T, delay time.Duration) (string, *atomic.Int
 				if err != nil || typ != wire.MsgHello {
 					return
 				}
-				ok := wire.HelloOK{Version: 5, Length: 32, Part: 0, Parts: 1}
+				ok := wire.HelloOK{Version: wire.Version, Length: 32, Part: 0, Parts: 1}
 				if err := wire.WriteFrame(conn, wire.MsgHelloOK, ok.Append(nil)); err != nil {
 					return
 				}
@@ -61,10 +63,10 @@ func startSheddingServer(t *testing.T, delay time.Duration) (string, *atomic.Int
 }
 
 // startStatsServer runs a minimal in-test shard server that handshakes at
-// protocol v5 and answers every subsequent request with MsgStatsOK — a
-// healthy, unloaded sibling. It returns its address and a counter of
-// requests served.
-func startStatsServer(t *testing.T) (string, *atomic.Int32) {
+// the given protocol version and answers every subsequent request with
+// MsgStatsOK — a healthy, unloaded sibling. It returns its address and a
+// counter of requests served.
+func startStatsServer(t *testing.T, version int) (string, *atomic.Int32) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -85,7 +87,7 @@ func startStatsServer(t *testing.T) (string, *atomic.Int32) {
 				if err != nil || typ != wire.MsgHello {
 					return
 				}
-				ok := wire.HelloOK{Version: 5, Length: 32, Part: 0, Parts: 1}
+				ok := wire.HelloOK{Version: version, Length: 32, Part: 0, Parts: 1}
 				if err := wire.WriteFrame(conn, wire.MsgHelloOK, ok.Append(nil)); err != nil {
 					return
 				}
@@ -95,7 +97,7 @@ func startStatsServer(t *testing.T) (string, *atomic.Int32) {
 					}
 					served.Add(1)
 					st := wire.StatsResp{Requests: int64(served.Load())}
-					if err := wire.WriteFrame(conn, wire.MsgStatsOK, st.AppendVersion(nil, 5)); err != nil {
+					if err := wire.WriteFrame(conn, wire.MsgStatsOK, st.Append(nil)); err != nil {
 						return
 					}
 				}
@@ -103,6 +105,17 @@ func startStatsServer(t *testing.T) (string, *atomic.Int32) {
 		}
 	}()
 	return ln.Addr().String(), &served
+}
+
+// TestDialNamesVersionMismatch: a shard answering the handshake at another
+// protocol version is refused with both numbers in the error.
+func TestDialNamesVersionMismatch(t *testing.T) {
+	addr, _ := startStatsServer(t, wire.Version-1)
+	_, err := Dial([][]string{{addr}}, Options{})
+	want := fmt.Sprintf("speaks protocol version %d, this client speaks %d", wire.Version-1, wire.Version)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Dial error %v, want it to say %q", err, want)
+	}
 }
 
 // TestShedSteersToLeastLoadedReplica: after a shed backoff the retry must
@@ -113,8 +126,8 @@ func startStatsServer(t *testing.T) (string, *atomic.Int32) {
 // ErrShed.
 func TestShedSteersToLeastLoadedReplica(t *testing.T) {
 	shedAddr, _ := startSheddingServer(t, 0)
-	busyAddr, busyServed := startStatsServer(t)
-	idleAddr, idleServed := startStatsServer(t)
+	busyAddr, busyServed := startStatsServer(t, wire.Version)
+	idleAddr, idleServed := startStatsServer(t, wire.Version)
 
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	maxJitter := func(n int64) int64 { return n - 1 }

@@ -12,16 +12,15 @@ import (
 
 // HADX v4 — the mmap-native frozen arena layout.
 //
-// Unlike v2 (varints, big-endian words, incremental parse) every integer in
-// v4 is fixed-width little-endian and every array sits at an 8-byte-aligned
-// offset, so a mapped file can be aliased in place: the word slabs become
-// []uint64 and the CSR arrays []int32 views straight into the page cache,
-// with no decode pass and no heap copy. A section table up front carries the
-// (offset, byte-size) of each array; hostile-input validation runs on that
-// table and on the small structural int32 arrays (bounds, monotonicity,
-// level order), never on the big word slabs — any bit pattern in a code or
-// residual word is a valid code, so the walks cannot be driven out of bounds
-// by slab contents.
+// Every integer in v4 is fixed-width little-endian and every array sits at an
+// 8-byte-aligned offset, so a mapped file can be aliased in place: the word
+// slabs become []uint64 and the CSR arrays []int32 views straight into the
+// page cache, with no decode pass and no heap copy. A section table up front
+// carries the (offset, byte-size) of each array; hostile-input validation
+// runs on that table and on the small structural int32 arrays (bounds,
+// monotonicity, level order), never on the big word slabs — any bit pattern
+// in a code or residual word is a valid code, so the walks cannot be driven
+// out of bounds by slab contents.
 //
 // Layout (byte offsets):
 //
@@ -46,7 +45,7 @@ import (
 //	      maskSlab   nNodes*nw × uint64
 //
 // The version byte doubles as the uvarint DecodeIndex reads after the magic,
-// so v4 files flow through the same header as v1/v2/v3.
+// so v4 files flow through the same header as the v1 pointer encoding.
 const codecVersionArena = 4
 
 const (
@@ -119,7 +118,6 @@ func (c arenaCounts) sectionTable() ([arenaSectionCount][2]uint64, uint64) {
 
 // EncodeArena writes the index in the HADX v4 mmap-native layout. With
 // withIDs=false the id tables are zeroed (the leafless broadcast form).
-// Unlike the v2 codec it represents scattered (streamed-forest) roots.
 func (f *FrozenIndex) EncodeArena(w io.Writer, withIDs bool) error {
 	nn := len(f.childStart) - 1
 	c := arenaCounts{
@@ -164,8 +162,8 @@ func (f *FrozenIndex) EncodeArena(w io.Writer, withIDs bool) error {
 		}
 	}
 
-	// Section bodies, with up-to-7 zero pad bytes between them. The chunked
-	// bulk copies mirror writeWordsBulk: one Write per 512 words.
+	// Section bodies, with up-to-7 zero pad bytes between them, copied in
+	// chunks: one Write per 512 words.
 	var chunk [512 * 8]byte
 	cur := uint64(arenaHeaderSize)
 	pad := func(to uint64) error {
@@ -345,10 +343,9 @@ func DecodeArenaBytes(data []byte, alias bool) (*FrozenIndex, error) {
 
 	nw := int(c.length+63) / 64
 	f := &FrozenIndex{
-		length:    int(c.length),
-		n:         int(c.n),
-		nw:        nw,
-		arenaForm: true,
+		length: int(c.length),
+		n:      int(c.n),
+		nw:     nw,
 	}
 	if alias && canAliasArena {
 		f.rootIDs = aliasI32(secs[secRoots])

@@ -176,32 +176,10 @@ func DecodeDynamic(r io.Reader) (*DynamicIndex, error) {
 	return decodeDynamicBody(br)
 }
 
-// indexDecoders maps additional HADX codec versions (registered by engine
-// packages via RegisterIndexDecoder) to their body decoders. Registration
-// happens in package init functions only, so the map needs no locking.
-var indexDecoders = map[uint64]func(*bufio.Reader) (Index, error){}
-
-// RegisterIndexDecoder makes DecodeIndex understand an additional HADX codec
-// version; fn receives the reader positioned just past the magic and version
-// varint. Engine packages (e.g. internal/mih) call this from init so any
-// program importing them can decode their sections. Registering a version
-// this package decodes natively, or registering one version twice, panics —
-// codec versions are a global namespace and a collision is a build bug.
-func RegisterIndexDecoder(version uint64, fn func(*bufio.Reader) (Index, error)) {
-	if version == codecVersion || version == codecVersionFrozen || version == codecVersionArena {
-		panic(fmt.Sprintf("core: codec version %d is built in", version))
-	}
-	if _, dup := indexDecoders[version]; dup {
-		panic(fmt.Sprintf("core: codec version %d registered twice", version))
-	}
-	indexDecoders[version] = fn
-}
-
-// DecodeIndex reads any supported codec version from r: a v1 encoding yields
-// the pointer-walk *DynamicIndex, a v2 or v4 (mmap-native arena, decoded
-// eagerly here) encoding the flat *FrozenIndex, and registered versions
-// (e.g. the MIH engine's v3) whatever their decoder returns. Serving paths that only need the read-only Index surface should
-// decode through this so flat snapshots load without reconstruction.
+// DecodeIndex reads either HADX form from r: the v1 build/exchange encoding
+// yields the pointer-walk *DynamicIndex, the v4 serving arena (decoded
+// eagerly here; MapFrozen is the zero-copy load) the flat *FrozenIndex. Any
+// other version is refused by name.
 func DecodeIndex(r io.Reader) (Index, error) {
 	br := bufio.NewReader(r)
 	version, err := readCodecHeader(br)
@@ -215,20 +193,10 @@ func DecodeIndex(r io.Reader) (Index, error) {
 			return nil, err
 		}
 		return idx, nil
-	case codecVersionFrozen:
-		idx, err := decodeFrozenBody(br)
-		if err != nil {
-			return nil, err
-		}
-		return idx, nil
 	case codecVersionArena:
 		return decodeArenaBody(br)
-	default:
-		if fn, ok := indexDecoders[version]; ok {
-			return fn(br)
-		}
-		return nil, fmt.Errorf("core: unsupported index version %d", version)
 	}
+	return nil, fmt.Errorf("core: unsupported index version %d", version)
 }
 
 // decodeDynamicBody parses the v1 layout after the magic and version.

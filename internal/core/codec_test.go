@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -98,6 +100,14 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	if _, err := DecodeDynamic(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Fatal("expected truncation error")
+	}
+	// DecodeIndex reads v1 and v4 only, and says which version it refused
+	// from the version byte alone — nothing follows it here.
+	for _, v := range []byte{2, 3} {
+		want := fmt.Sprintf("unsupported index version %d", v)
+		if _, err := DecodeIndex(bytes.NewReader(append([]byte("HADX"), v))); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("DecodeIndex on version %d: %v", v, err)
+		}
 	}
 }
 

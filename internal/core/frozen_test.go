@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -129,157 +128,6 @@ func (e *searchMismatchError) Error() string {
 	return "concurrent frozen search mismatch"
 }
 
-// validFrozenEncoding freezes a small index and returns its v2 encoding.
-func validFrozenEncoding(tb testing.TB, withIDs bool) ([]byte, *FrozenIndex) {
-	tb.Helper()
-	rng := rand.New(rand.NewSource(157))
-	codes := clusteredCodes(rng, 60, 32, 3, 2)
-	ids := make([]int, len(codes))
-	for i := range ids {
-		ids[i] = i
-	}
-	frozen := Freeze(BuildDynamic(codes, ids, Options{}))
-	var buf bytes.Buffer
-	if err := frozen.Encode(&buf, withIDs); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes(), frozen
-}
-
-// TestFrozenCodecRoundTrip: Encode∘DecodeFrozen is the identity on the search
-// surface, with and without id tables, and DecodeIndex dispatches v2 bytes to
-// the frozen decoder.
-func TestFrozenCodecRoundTrip(t *testing.T) {
-	for _, withIDs := range []bool{true, false} {
-		data, orig := validFrozenEncoding(t, withIDs)
-		got, err := DecodeFrozen(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("withIDs=%v: %v", withIDs, err)
-		}
-		if got.Length() != orig.Length() || got.GroupCount() != orig.GroupCount() ||
-			got.NodeCount() != orig.NodeCount() || got.EdgeCount() != orig.EdgeCount() {
-			t.Fatalf("withIDs=%v: structure mismatch after round trip", withIDs)
-		}
-		wantLen := orig.Len()
-		if !withIDs {
-			wantLen = 0
-		}
-		if got.Len() != wantLen {
-			t.Fatalf("withIDs=%v: %d tuples after round trip, want %d", withIDs, got.Len(), wantLen)
-		}
-		gsr, osr := NewSearcher(got), NewSearcher(orig)
-		for _, c := range orig.Codes()[:20] {
-			gotCodes := gsr.SearchCodes(c, 2)
-			wantCodes := osr.SearchCodes(c, 2)
-			if len(gotCodes) != len(wantCodes) {
-				t.Fatalf("withIDs=%v: decoded index answers %d codes, want %d", withIDs, len(gotCodes), len(wantCodes))
-			}
-			if withIDs {
-				if got, want := gsr.Search(c, 2), osr.Search(c, 2); !equalIDs(got, want) {
-					t.Fatalf("decoded index answers %d ids, want %d", len(got), len(want))
-				}
-			}
-		}
-		idx, err := DecodeIndex(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := idx.(*FrozenIndex); !ok {
-			t.Fatalf("DecodeIndex returned %T for a v2 encoding", idx)
-		}
-	}
-	// DecodeIndex must still hand v1 bytes to the pointer decoder.
-	idx, err := DecodeIndex(bytes.NewReader(validEncoding(t)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := idx.(*DynamicIndex); !ok {
-		t.Fatalf("DecodeIndex returned %T for a v1 encoding", idx)
-	}
-	// DecodeFrozen must reject a v1 encoding outright.
-	if _, err := DecodeFrozen(bytes.NewReader(validEncoding(t))); err == nil {
-		t.Fatal("DecodeFrozen accepted a v1 pointer encoding")
-	}
-}
-
-// TestDecodeFrozenCorruptInput mirrors TestDecodeCorruptInput for the v2
-// layout: every guarded error path with hand-built inputs, plus truncations
-// of a real encoding.
-func TestDecodeFrozenCorruptInput(t *testing.T) {
-	valid, _ := validFrozenEncoding(t, true)
-	cases := []struct {
-		name string
-		data []byte
-	}{
-		{"empty", nil},
-		{"short magic", []byte("HA")},
-		{"bad magic", []byte("XDAH\x02\x20\x00")},
-		{"missing version", []byte("HADX")},
-		{"v1 under frozen decoder", []byte("HADX\x01\x20\x00")},
-		{"missing length", []byte("HADX\x02")},
-		{"zero length", []byte("HADX\x02\x00\x00")},
-		// 1<<21 bits, over the plausibility cap.
-		{"huge length", []byte("HADX\x02\x80\x80\x80\x01\x00")},
-		{"missing counts", []byte("HADX\x02\x08\x00\x01")},
-		// 8-bit codes: 0 groups, 0 nodes but 1 root.
-		{"roots exceed nodes", []byte("HADX\x02\x08\x00\x00\x00\x01\x00\x00\x00")},
-		// Hostile node count (2^32) with no bytes behind it.
-		{"hostile node count", []byte("HADX\x02\x08\x00\x00\x90\x80\x80\x80\x10\x00")},
-		// 1 top leaf referencing a group that does not exist.
-		{"top leaf out of range", []byte("HADX\x02\x08\x00\x00\x00\x00\x00\x00\x01\x05")},
-		// 2 nodes, 1 root, 1 child edge: node 0 lists node 0 — a self-loop
-		// the level-order invariant must reject.
-		{"child out of level order", []byte("HADX\x02\x08\x00\x00\x02\x01\x01\x00\x00\x01\x00\x00")},
-		// Same header but the child degrees sum to 0, not the declared 1.
-		{"degree sum mismatch", []byte("HADX\x02\x08\x00\x00\x02\x01\x01\x00\x00\x00\x00")},
-	}
-	for _, cut := range []int{5, 8, len(valid) / 4, len(valid) / 2, len(valid) - 1} {
-		cases = append(cases, struct {
-			name string
-			data []byte
-		}{"truncated", valid[:cut]})
-	}
-	for _, tc := range cases {
-		if _, err := DecodeFrozen(bytes.NewReader(tc.data)); err == nil {
-			t.Errorf("%s (%d bytes): decode accepted corrupt input", tc.name, len(tc.data))
-		}
-	}
-	if _, err := DecodeFrozen(bytes.NewReader(valid)); err != nil {
-		t.Fatalf("valid encoding rejected: %v", err)
-	}
-}
-
-// FuzzDecodeFrozen mutates a known-valid v2 encoding — truncating and
-// flipping one byte, the FuzzDecodeIndex recipe — so the fuzzer reaches the
-// deep decoder states (CSR tables, slabs) that random prefixes rarely
-// survive to. Decoding must either error or yield a usable index.
-func FuzzDecodeFrozen(f *testing.F) {
-	valid, _ := validFrozenEncoding(f, true)
-	f.Add(uint16(len(valid)), uint16(0), byte(0))
-	f.Add(uint16(len(valid)/2), uint16(5), byte(0xff))
-	f.Add(uint16(10), uint16(4), byte(1))
-	f.Fuzz(func(t *testing.T, cut uint16, flipAt uint16, flipMask byte) {
-		data := append([]byte(nil), valid...)
-		if int(cut) < len(data) {
-			data = data[:cut]
-		}
-		if len(data) > 0 {
-			data[int(flipAt)%len(data)] ^= flipMask
-		}
-		got, err := DecodeFrozen(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Whatever survived must behave like an index: searching every
-		// decoded code must terminate and not panic.
-		sr := NewSearcher(got)
-		for _, c := range got.Codes() {
-			sr.Search(c, 0)
-		}
-		sr.TopK(bitvec.New(got.Length()), 3)
-	})
-}
-
 // TestFrozenSizeBytes: the arena footprint is positive and grows with the
 // dataset; sanity for the habench resident-bytes row.
 func TestFrozenSizeBytes(t *testing.T) {
@@ -322,24 +170,5 @@ func BenchmarkFrozenTopK(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sr.TopK(codes[i%len(codes)], 10)
-	}
-}
-
-func BenchmarkDecodeFrozen(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	codes := clusteredCodes(rng, 20000, 32, 16, 3)
-	idx := Freeze(BuildDynamic(codes, nil, Options{}))
-	var buf bytes.Buffer
-	if err := idx.Encode(&buf, true); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.ReportAllocs()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeFrozen(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -247,7 +247,7 @@ func newIndex(length, n int, opts Options) (*Index, error) {
 }
 
 // tableCount computes C(blocks, matched), refusing configurations whose
-// table count would be implausible (the codec feeds decoded parameters here).
+// table count would be implausible.
 func tableCount(blocks, matched int) (int, error) {
 	c := 1
 	for i := 0; i < matched; i++ {

@@ -52,10 +52,10 @@ func TestBuildShardSnapshots(t *testing.T) {
 		if mapped.Len() != snaps.Tuples[i] {
 			t.Fatalf("%s: %d tuples, job reported %d", path, mapped.Len(), snaps.Tuples[i])
 		}
-		// The eager reader must accept the same file (downward path).
+		// The eager reader must accept the same file.
 		if _, eager, err := wire.ReadSnapshotFile(path); err != nil {
 			t.Fatalf("eager read %s: %v", path, err)
-		} else if fi, ok := eager.(*core.FrozenIndex); !ok || !fi.ArenaForm() {
+		} else if _, ok := eager.(*core.FrozenIndex); !ok {
 			t.Fatalf("%s decoded as %T", path, eager)
 		}
 		searchers = append(searchers, core.NewSearcher(mapped))

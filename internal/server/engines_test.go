@@ -45,7 +45,7 @@ func clusteredArena(t *testing.T, rng *rand.Rand, n, bits, perCluster int) (stri
 		t.Fatal(err)
 	}
 	frozen := core.Freeze(core.BuildDynamic(codes, ids, core.Options{}))
-	if err := wire.WriteSnapshotArena(f, meta, frozen); err != nil {
+	if err := wire.WriteSnapshot(f, meta, frozen); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -185,8 +185,8 @@ func TestCloseMappedServerWithRequestsInFlight(t *testing.T) {
 // load: over an mmap'd shard the only heap they add is MIH's key tables
 // (index.heap_bytes == index.aux_heap_bytes, well under an owning MIH); the
 // pinned modes skip calibration; the load phases are on the registry; a
-// pointer index gets its arena from core.Freeze; and an index with no arena
-// to share is refused rather than copied.
+// pointer index is compiled by New, so it shares the same way; and an index
+// with no arena to share is refused rather than copied.
 func TestAuxEnginesShareTheArena(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	path, meta, codes, ids := clusteredArena(t, rng, 3000, 64, 200)
@@ -222,23 +222,25 @@ func TestAuxEnginesShareTheArena(t *testing.T) {
 		s.Close()
 	}
 
-	// A pointer index served as-is (the -frozen=false escape hatch) has no
-	// arena; the engines get one from core.Freeze and answer all the same.
+	// New compiles a pointer index on entry: the served index is the frozen
+	// arena and the engines alias it like a loaded one.
 	dyn := core.BuildDynamic(codes, ids, core.Options{})
 	s, err := New(meta, dyn, Options{Engine: "mih"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := s.Obs().Snapshot().Gauges; g["index.aux_heap_bytes"] <= int64(owning.HeapBytes())-1024 {
-		t.Fatalf("pointer index: aux heap %d does not count the frozen view (owning MIH %d)",
-			g["index.aux_heap_bytes"], owning.HeapBytes())
+	fz, ok := s.idx.(*core.FrozenIndex)
+	if g := s.Obs().Snapshot().Gauges; !ok || g["index.heap_bytes"] != int64(fz.HeapBytes())+g["index.aux_heap_bytes"] ||
+		g["index.aux_heap_bytes"] >= int64(owning.HeapBytes()) {
+		t.Fatalf("pointer index served as %T: heap=%d aux=%d (an owning MIH is %d)",
+			s.idx, g["index.heap_bytes"], g["index.aux_heap_bytes"], owning.HeapBytes())
 	}
 	want := append([]int(nil), core.NewSearcher(dyn).Search(codes[5], 6)...)
 	got := append([]int(nil), core.NewSearcher(s.pl.Engines().MIH).Search(codes[5], 6)...)
 	sort.Ints(want)
 	sort.Ints(got)
 	if len(got) != len(want) || (len(got) > 0 && got[len(got)-1] != want[len(want)-1]) {
-		t.Fatalf("MIH over a pointer index's frozen view: %d ids, want %d", len(got), len(want))
+		t.Fatalf("MIH over a compiled pointer index: %d ids, want %d", len(got), len(want))
 	}
 	s.Close()
 

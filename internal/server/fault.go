@@ -48,8 +48,7 @@ func (p *FaultPlan) DropRequest(req int64) *FaultPlan {
 
 // ShedRequest schedules request req to be answered with a MsgShed frame as
 // if its admission-wait budget had expired — the deterministic overload
-// signal smoke tests assert on. Ignored on sessions older than protocol
-// version 5, which cannot parse the frame.
+// signal smoke tests assert on.
 func (p *FaultPlan) ShedRequest(req int64) *FaultPlan {
 	return p.upsert(req, func(f *Fault) { f.Shed = true })
 }

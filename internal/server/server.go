@@ -6,9 +6,9 @@
 // and a client router (internal/client) fans queries across them.
 //
 // A server built with NewMutable serves an lsm.Shard instead of a fixed
-// index and additionally answers the protocol-v3 mutation frames
-// (insert/delete/seal); mutations are applied synchronously, so an
-// acknowledged write is visible to every subsequent search.
+// index and additionally answers the mutation frames (insert/delete/seal);
+// mutations are applied synchronously, so an acknowledged write is visible
+// to every subsequent search.
 package server
 
 import (
@@ -40,21 +40,14 @@ type Options struct {
 	// smoke runs). Nil injects nothing.
 	Faults *FaultPlan
 
-	// Mmap makes LoadSnapshotFile serve a version-4 snapshot zero-copy: the
-	// embedded arena is aliased straight out of an mmap of the file, so the
-	// shard is query-ready in milliseconds regardless of size and its slabs
-	// stay in the page cache instead of the Go heap. Snapshots in any other
-	// version (or on platforms without the mmap fast path) silently fall
-	// back to the eager reader — same answers, eager cost. The server owns
-	// the mapping and releases it on Close.
+	// Mmap makes LoadSnapshotFile serve the snapshot zero-copy: the embedded
+	// arena is aliased straight out of an mmap of the file, so the shard is
+	// query-ready in milliseconds regardless of size and its slabs stay in
+	// the page cache instead of the Go heap. False (or a platform without
+	// the mmap fast path) decodes the same file eagerly onto the heap — same
+	// answers, eager cost. The server owns the mapping and releases it on
+	// Close.
 	Mmap bool
-
-	// PointerWalk disables the default freeze-on-load: LoadSnapshotFile
-	// normally compiles a pointer (v1) snapshot into a core.FrozenIndex
-	// before serving, which is faster and smaller at query time. Set this to
-	// serve the decoded pointer hierarchy as-is (the haserve -frozen=false
-	// escape hatch). Frozen (v2) snapshots are already flat and ignore it.
-	PointerWalk bool
 
 	// Engine selects the access path for search requests on an immutable
 	// server. "ha" (or empty) serves the loaded index directly and is the
@@ -62,8 +55,7 @@ type Options struct {
 	// brute scan on the loaded index's own leaf arena (see auxEngines):
 	// "auto" routes each request through the measured-cost planner, "mih"
 	// and "scan" pin one engine and skip calibration. A per-request wire hint
-	// (protocol v4) overrides the mode, but may only name engines this option
-	// enabled.
+	// overrides the mode, but may only name engines this option enabled.
 	Engine string
 
 	// CacheEntries, when positive, puts a result cache (internal/qcache) in
@@ -76,8 +68,7 @@ type Options struct {
 	// top-k request still waiting for an admission ticket past it is
 	// answered with a polite MsgShed instead of queueing further. The
 	// budget scales with the request's wire priority class (interactive
-	// 2x, normal 1x, batch 1/2x). Sessions negotiated below protocol
-	// version 5 cannot parse MsgShed and block as before. 0 disables.
+	// 2x, normal 1x, batch 1/2x). 0 disables.
 	ShedAfter time.Duration
 
 	// IdleTimeout bounds how long a connection may sit between frames (and
@@ -108,12 +99,12 @@ type Server struct {
 	idx  core.Index // nil in mutable mode
 	opts Options
 
-	// ownsIdx marks an index the server loaded itself (an mmap'd arena from
-	// LoadSnapshotFile); Close releases its mapping.
+	// ownsIdx marks an index the server loaded itself (LoadSnapshotFile);
+	// Close releases its mapping, if it has one.
 	ownsIdx bool
 
 	// shard, when non-nil, makes this a mutable server: searches go through
-	// the LSM layering and the v3 mutation frames are accepted.
+	// the LSM layering and the mutation frames are accepted.
 	shard *lsm.Shard
 
 	// pool holds the idle per-engine searcher bundles; its capacity is the
@@ -191,23 +182,24 @@ type searcherSet struct {
 	mih *core.Searcher
 }
 
-// New builds a server over a decoded snapshot — the pointer
-// *core.DynamicIndex, the compiled *core.FrozenIndex, or an adapted engine
-// such as MIH. The index must not be mutated once serving starts — the
-// searcher pool shares it read-only.
+// New builds a server over an index: the compiled *core.FrozenIndex a
+// snapshot decodes to, a pointer *core.DynamicIndex (compiled with
+// core.Freeze here, so every shard serves the flat walk), or an adapted
+// engine such as MIH. The index must not be mutated once serving starts —
+// the searcher pool shares it read-only.
 func New(meta wire.SnapshotMeta, idx core.Index, opts Options) (*Server, error) {
 	if idx.Length() != meta.Length {
 		return nil, fmt.Errorf("server: index is %d-bit, snapshot header says %d", idx.Length(), meta.Length)
 	}
 	if dyn, ok := idx.(*core.DynamicIndex); ok {
-		dyn.Flush() // settle any unflushed inserts before the read-only phase
+		idx = core.Freeze(dyn) // flushes any buffered inserts first
 	}
 	s := newServer(meta, opts)
 	s.idx = idx
 	// index.mapped_bytes vs index.heap_bytes is the mmap dividend at a
 	// glance: a zero-copy shard carries its whole arena in the first gauge,
 	// and index.aux_heap_bytes is the share of the second that the auxiliary
-	// engines (MIH's key tables, a scan view the arena does not back) add.
+	// engines (MIH's key tables) add.
 	mapped, heap := 0, 0
 	if fz, ok := idx.(*core.FrozenIndex); ok {
 		mapped, heap = fz.MappedBytes(), fz.HeapBytes()
@@ -242,20 +234,14 @@ func New(meta wire.SnapshotMeta, idx core.Index, opts Options) (*Server, error) 
 // auxEngines builds MIH and the planner for the multi-engine modes and
 // reports the heap bytes they add. Both MIH's groups and the scan read the
 // served index's own leaf arena — nothing is copied out of a frozen (or
-// mapped) index, only MIH's key tables are built. A pointer index has no
-// arena, so its view comes from core.Freeze: a heap arena only these engines
-// read. The phases land on the load.mih_build_ns / load.calibrate_ns gauges.
+// mapped) index, only MIH's key tables are built. The phases land on the
+// load.mih_build_ns / load.calibrate_ns gauges.
 func (s *Server) auxEngines() (heap int, err error) {
-	var view core.GroupView
-	switch idx := s.idx.(type) {
-	case *core.FrozenIndex:
-		view = idx.Groups()
-	case *core.DynamicIndex:
-		view = core.Freeze(idx).Groups()
-		heap = view.SizeBytes()
-	default:
+	fz, ok := s.idx.(*core.FrozenIndex)
+	if !ok {
 		return 0, fmt.Errorf("index type %T has no leaf arena to build the engines on", s.idx)
 	}
+	view := fz.Groups()
 	t0 := time.Now()
 	m, err := mih.FromGroups(view, mih.Options{})
 	if err != nil {
@@ -273,13 +259,12 @@ func (s *Server) auxEngines() (heap int, err error) {
 		return 0, fmt.Errorf("building planner: %w", err)
 	}
 	s.reg.Gauge("load.calibrate_ns").Set(time.Since(t0).Nanoseconds())
-	return heap + m.HeapBytes(), nil
+	return m.HeapBytes(), nil
 }
 
 // NewMutable builds a server over a mutable LSM shard. The caller keeps
 // ownership of the shard's lifecycle up to Close, which waits out the
-// shard's background seals and compactions. Insert/delete/seal frames are
-// only reachable on sessions that negotiated protocol version 3 or later.
+// shard's background seals and compactions.
 func NewMutable(meta wire.SnapshotMeta, sh *lsm.Shard, opts Options) (*Server, error) {
 	if sh.Length() != meta.Length {
 		return nil, fmt.Errorf("server: shard is %d-bit, snapshot header says %d", sh.Length(), meta.Length)
@@ -373,41 +358,31 @@ func (s *Server) Obs() *obs.Registry { return s.reg }
 // Tracer returns the ring of recent request traces.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
-// LoadSnapshotFile is New over a snapshot file on disk. A pointer (v1)
-// snapshot is compiled with core.Freeze before serving unless
-// Options.PointerWalk is set; a frozen (v2) snapshot is served as decoded; a
-// version-4 snapshot is mmap'd zero-copy when Options.Mmap is set.
+// LoadSnapshotFile is New over a snapshot file on disk: mmap'd zero-copy
+// when Options.Mmap is set, decoded onto the heap otherwise. A file either
+// reader refuses is an error — there is no second format to retry with.
 func LoadSnapshotFile(path string, opts Options) (*Server, error) {
 	t0 := time.Now()
 	var meta wire.SnapshotMeta
-	var idx core.Index
-	var mapped *core.FrozenIndex
+	var fz *core.FrozenIndex
+	var err error
 	if opts.Mmap {
-		var err error
-		if meta, mapped, err = wire.MapSnapshotFile(path); err == nil {
-			idx = mapped
-		}
-		// Otherwise not a v4 snapshot (or no mmap on this platform): the
-		// eager reader takes over — downward negotiation, same answers.
+		meta, fz, err = wire.MapSnapshotFile(path)
+	} else {
+		var idx core.Index
+		meta, idx, err = wire.ReadSnapshotFile(path)
+		fz, _ = idx.(*core.FrozenIndex)
 	}
-	if idx == nil {
-		var err error
-		if meta, idx, err = wire.ReadSnapshotFile(path); err != nil {
-			return nil, fmt.Errorf("server: loading snapshot %s: %w", path, err)
-		}
-		if dyn, ok := idx.(*core.DynamicIndex); ok && !opts.PointerWalk {
-			idx = core.Freeze(dyn)
-		}
+	if err != nil {
+		return nil, fmt.Errorf("server: loading snapshot %s: %w", path, err)
 	}
 	mapNs := time.Since(t0).Nanoseconds()
-	srv, err := New(meta, idx, opts)
+	srv, err := New(meta, fz, opts)
 	if err != nil {
-		if idx == mapped {
-			mapped.Close()
-		}
+		fz.Close()
 		return nil, err
 	}
-	srv.ownsIdx = idx == mapped
+	srv.ownsIdx = true
 	// With New's load.mih_build_ns and load.calibrate_ns, the start-up budget.
 	srv.reg.Gauge("load.map_ns").Set(mapNs)
 	srv.reg.Gauge("load.total_ns").Set(time.Since(t0).Nanoseconds())
@@ -510,7 +485,7 @@ func (s *Server) Close() error {
 
 // Stats returns a snapshot of the serving counters. The latency percentile
 // fields summarize the per-request search and top-k histograms; the warmth
-// fields (protocol v6) expose the result cache's occupancy and hit counters
+// fields expose the result cache's occupancy and hit counters
 // plus the admission queue's state, so a router can see which replica is
 // hot and which is drowning.
 func (s *Server) Stats() Stats {
@@ -591,14 +566,12 @@ func (s *Server) handleConn(conn net.Conn) {
 		writeErr("bad hello: %v", err)
 		return
 	}
-	// Negotiate downward: any client up to this build's version is served at
-	// the lower of the two feature levels; a client from the future is
-	// refused loudly.
-	if hello.Version < 1 || hello.Version > wire.Version {
+	// One protocol version: a client offering any other is refused by name
+	// and the connection closed.
+	if hello.Version != wire.Version {
 		writeErr("protocol version %d not supported (server speaks %d)", hello.Version, wire.Version)
 		return
 	}
-	nego := hello.Version
 	tuples := 0
 	if s.shard != nil {
 		tuples = s.shard.Len()
@@ -606,7 +579,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		tuples = s.idx.Len()
 	}
 	ok := wire.HelloOK{
-		Version: nego,
+		Version: wire.Version,
 		Length:  s.meta.Length,
 		Part:    s.meta.Part,
 		Parts:   s.meta.Parts,
@@ -650,9 +623,8 @@ func (s *Server) handleConn(conn net.Conn) {
 				}
 				continue
 			}
-			if f.Shed && nego >= 5 {
-				// A deterministic shed for smoke tests; sessions too old to
-				// parse MsgShed are served normally instead.
+			if f.Shed {
+				// A deterministic shed for smoke tests.
 				s.faultsInjected.Add(1)
 				s.faultCount.Inc()
 				respType, resp := s.shedResp(wire.PriorityNormal, 0)
@@ -664,9 +636,9 @@ func (s *Server) handleConn(conn net.Conn) {
 			var respType wire.MsgType
 			var resp []byte
 			if t == wire.MsgSearch {
-				respType, resp = s.answerSearch(payload, nego, tr)
+				respType, resp = s.answerSearch(payload, tr)
 			} else {
-				respType, resp = s.answerTopK(payload, nego, tr)
+				respType, resp = s.answerTopK(payload, tr)
 			}
 			if respType == wire.MsgError {
 				s.errors.Add(1)
@@ -686,22 +658,12 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 		case wire.MsgStats:
 			t0 := time.Now()
-			st := s.Stats()
-			// Older peers reject trailing bytes: encode exactly the field
-			// groups the negotiated version includes (warmth needs v6,
-			// latency percentiles v2).
-			ok := writeMsg(wire.MsgStatsOK, st.AppendVersion(nil, nego))
+			ok := writeMsg(wire.MsgStatsOK, s.Stats().Append(nil))
 			s.histStats.RecordSince(t0)
 			if !ok {
 				return
 			}
 		case wire.MsgInsert, wire.MsgDelete, wire.MsgSeal:
-			if nego < 3 {
-				if !writeErr("%s requires protocol version 3 (session negotiated %d)", t, nego) {
-					return
-				}
-				continue
-			}
 			if s.shard == nil {
 				if !writeErr("shard is immutable: %s refused", t) {
 					return
@@ -780,7 +742,7 @@ func (s *Server) shedResp(priority int, waited time.Duration) (wire.MsgType, []b
 	return wire.MsgShed, wire.ShedResp{WaitNs: waited.Nanoseconds()}.Append(nil)
 }
 
-func (s *Server) answerSearch(payload []byte, nego int, tr *obs.Trace) (wire.MsgType, []byte) {
+func (s *Server) answerSearch(payload []byte, tr *obs.Trace) (wire.MsgType, []byte) {
 	req, err := wire.ParseSearchReq(payload, s.meta.Length)
 	if err != nil {
 		return wire.MsgError, wire.ErrorMsg{Msg: err.Error()}.Append(nil)
@@ -836,7 +798,7 @@ func (s *Server) answerSearch(payload []byte, nego int, tr *obs.Trace) (wire.Msg
 		}
 	}
 	if len(miss) > 0 {
-		set, shed, waited := s.admit(s.shedBudget(nego, req.Priority), tr)
+		set, shed, waited := s.admit(s.shedBudget(req.Priority), tr)
 		if shed {
 			return s.shedResp(req.Priority, waited)
 		}
@@ -883,7 +845,7 @@ func (s *Server) answerSearch(payload []byte, nego int, tr *obs.Trace) (wire.Msg
 	return wire.MsgSearchOK, resp.Append(nil)
 }
 
-func (s *Server) answerTopK(payload []byte, nego int, tr *obs.Trace) (wire.MsgType, []byte) {
+func (s *Server) answerTopK(payload []byte, tr *obs.Trace) (wire.MsgType, []byte) {
 	req, err := wire.ParseTopKReq(payload, s.meta.Length)
 	if err != nil {
 		return wire.MsgError, wire.ErrorMsg{Msg: err.Error()}.Append(nil)
@@ -898,7 +860,7 @@ func (s *Server) answerTopK(payload []byte, nego int, tr *obs.Trace) (wire.MsgTy
 		// Top-k answers are not cached (the k-way merge keys on k, not H,
 		// and the traffic is a sliver of select volume) but they respect
 		// the same admission budget: an overloaded shard sheds them too.
-		set, shed, waited := s.admit(s.shedBudget(nego, wire.PriorityNormal), tr)
+		set, shed, waited := s.admit(s.shedBudget(wire.PriorityNormal), tr)
 		if shed {
 			return s.shedResp(wire.PriorityNormal, waited)
 		}
@@ -981,9 +943,9 @@ func (s *Server) answerSeal(payload []byte) (wire.MsgType, []byte) {
 
 // shedBudget resolves the admission-wait budget for one request: the
 // configured ShedAfter scaled by the wire priority class. Zero means block
-// indefinitely (shedding off, or a session too old to parse MsgShed).
-func (s *Server) shedBudget(nego, priority int) time.Duration {
-	if s.opts.ShedAfter <= 0 || nego < 5 {
+// indefinitely (shedding off).
+func (s *Server) shedBudget(priority int) time.Duration {
+	if s.opts.ShedAfter <= 0 {
 		return 0
 	}
 	switch priority {

@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -173,18 +175,27 @@ func TestServerSearchMatchesLocalIndex(t *testing.T) {
 	}
 }
 
+// TestServerRejectsVersionMismatch: a Hello below or above the one protocol
+// version gets a single error frame naming the offered and the spoken
+// version, and then the connection is closed.
 func TestServerRejectsVersionMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	meta, idx, _ := testShard(t, rng, 100, 16, 2, 0)
 	s := startTestServer(t, meta, idx, Options{})
-	c := dialTest(t, s)
-	rt, resp := c.roundTrip(wire.MsgHello, wire.Hello{Version: wire.Version + 9}.Append(nil))
-	if rt != wire.MsgError {
-		t.Fatalf("mismatched version answered %s", rt)
-	}
-	em, err := wire.ParseErrorMsg(resp)
-	if err != nil || em.Msg == "" {
-		t.Fatalf("error frame: %+v %v", em, err)
+	for _, offered := range []int{wire.Version - 1, 1, wire.Version + 9} {
+		c := dialTest(t, s)
+		rt, resp := c.roundTrip(wire.MsgHello, wire.Hello{Version: offered}.Append(nil))
+		if rt != wire.MsgError {
+			t.Fatalf("version %d answered %s", offered, rt)
+		}
+		em, err := wire.ParseErrorMsg(resp)
+		want := fmt.Sprintf("protocol version %d not supported (server speaks %d)", offered, wire.Version)
+		if err != nil || em.Msg != want {
+			t.Fatalf("version %d: error frame %q, %v; want %q", offered, em.Msg, err, want)
+		}
+		if _, _, err := wire.ReadFrame(c.br); err == nil {
+			t.Fatalf("version %d: connection left open after the refusal", offered)
+		}
 	}
 }
 
@@ -299,10 +310,11 @@ func TestLoadSnapshotFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	meta, idx, _ := testShard(t, rng, 300, 32, 2, 1)
 	var buf bytes.Buffer
-	if err := wire.WriteSnapshot(&buf, meta, idx); err != nil {
+	if err := wire.WriteSnapshot(&buf, meta, core.Freeze(idx)); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "shard.hasn")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "shard.hasn")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +325,26 @@ func TestLoadSnapshotFile(t *testing.T) {
 	if s.Meta().Part != 1 || s.idx.Len() != idx.Len() {
 		t.Fatalf("loaded meta %+v len %d", s.Meta(), s.idx.Len())
 	}
-	if _, err := LoadSnapshotFile(filepath.Join(t.TempDir(), "missing"), Options{}); err == nil {
+	if _, err := LoadSnapshotFile(filepath.Join(dir, "missing"), Options{}); err == nil {
 		t.Fatal("missing snapshot accepted")
+	}
+
+	// A splatted section table is the arena decoder's error under either load
+	// mode — the mapping failure is reported, not retried with the other
+	// reader.
+	bad := append([]byte(nil), buf.Bytes()...)
+	arena := bytes.Index(bad, []byte("HADX"))
+	for i := arena + 88; i < arena+120; i++ {
+		bad[i] = 0xA5
+	}
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{true, false} {
+		_, err := LoadSnapshotFile(path, Options{Mmap: mmap})
+		if err == nil || !strings.Contains(err.Error(), "core: arena section 0") {
+			t.Fatalf("Mmap=%v on a corrupt section table: %v", mmap, err)
+		}
 	}
 }
 
@@ -592,10 +622,10 @@ func TestServerEngineValidation(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotFileMmap: a v4 snapshot served with Options.Mmap aliases
-// its arena out of the file (mapped_bytes > 0, heap_bytes == 0), answers
-// exactly like an eager load, and releases the mapping on Close; a v2
-// snapshot under the same option falls back to the eager reader.
+// TestLoadSnapshotFileMmap: a snapshot served with Options.Mmap aliases its
+// arena out of the file (mapped_bytes > 0, heap_bytes == 0), answers exactly
+// like an eager load, and releases the mapping on Close; without the option
+// the same file is decoded onto the heap.
 func TestLoadSnapshotFileMmap(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	meta, idx, codes := testShard(t, rng, 400, 32, 2, 1)
@@ -607,7 +637,7 @@ func TestLoadSnapshotFileMmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteSnapshotArena(f, meta, frozen); err != nil {
+	if err := wire.WriteSnapshot(f, meta, frozen); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -620,7 +650,7 @@ func TestLoadSnapshotFileMmap(t *testing.T) {
 	}
 	g := s.Obs().Snapshot().Gauges
 	fz, isFrozen := s.idx.(*core.FrozenIndex)
-	if !isFrozen || !fz.ArenaForm() {
+	if !isFrozen {
 		t.Fatalf("mmap load produced %T", s.idx)
 	}
 	if fz.MappedBytes() > 0 { // zero-copy path available on this platform
@@ -645,25 +675,13 @@ func TestLoadSnapshotFileMmap(t *testing.T) {
 		t.Fatal("Close did not release the mapping")
 	}
 
-	// v2 snapshot + Mmap option: downward negotiation to the eager reader.
-	v2 := filepath.Join(dir, "v2.hasn")
-	f, err = os.Create(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteSnapshot(f, meta, frozen); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := LoadSnapshotFile(v2, Options{Mmap: true})
+	s2, err := LoadSnapshotFile(v4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
 	g2 := s2.Obs().Snapshot().Gauges
 	if g2["index.mapped_bytes"] != 0 || g2["index.heap_bytes"] == 0 {
-		t.Fatalf("v2 fallback gauges mapped=%d heap=%d", g2["index.mapped_bytes"], g2["index.heap_bytes"])
+		t.Fatalf("eager load gauges mapped=%d heap=%d", g2["index.mapped_bytes"], g2["index.heap_bytes"])
 	}
 }

@@ -166,14 +166,12 @@ func TestServerShedsPastBudget(t *testing.T) {
 	}
 }
 
-// TestServerShedFaultAndGating: a planned ShedRequest fault answers v5
-// sessions with MsgShed deterministically, and is ignored on a session
-// negotiated below protocol v5 — old clients are never sent frames they
-// cannot parse.
+// TestServerShedFaultAndGating: a planned ShedRequest fault answers with
+// MsgShed deterministically.
 func TestServerShedFaultAndGating(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	meta, idx, codes := testShard(t, rng, 200, 16, 1, 0)
-	plan := NewFaultPlan().ShedRequest(0).ShedRequest(1)
+	plan := NewFaultPlan().ShedRequest(0)
 	s := startTestServer(t, meta, idx, Options{Searchers: 2, Faults: plan})
 
 	c := dialTest(t, s)
@@ -190,29 +188,10 @@ func TestServerShedFaultAndGating(t *testing.T) {
 		t.Fatal("fault counter did not move")
 	}
 
-	// A v4 session: request seq 1 is also planned to shed, but the fault is
-	// gated on the negotiated version and the request is served normally.
-	c4 := dialTest(t, s)
-	rt, resp = c4.roundTrip(wire.MsgHello, wire.Hello{Version: 4}.Append(nil))
-	if rt != wire.MsgHelloOK {
-		t.Fatalf("v4 handshake answered %s", rt)
-	}
-	ok, err := wire.ParseHelloOK(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok.Version != 4 {
-		t.Fatalf("negotiated %d, want 4", ok.Version)
-	}
-	if rt, _ := c4.roundTrip(wire.MsgSearch, req); rt != wire.MsgSearchOK {
-		t.Fatalf("planned shed on v4 session answered %s, want normal service", rt)
-	}
 }
 
-// TestServerStatsWarmthVersioned: a v6 session's stats snapshot carries the
-// cache-warmth and admission-load fields, while a v5 session gets the
-// shorter payload those peers expect — with the warmth left zero after
-// parsing, never trailing bytes.
+// TestServerStatsWarmthVersioned: the stats snapshot carries the cache-warmth
+// and admission-load fields.
 func TestServerStatsWarmthVersioned(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	meta, idx, codes := testShard(t, rng, 200, 16, 1, 0)
@@ -235,29 +214,9 @@ func TestServerStatsWarmthVersioned(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.CacheEntries == 0 || st.CacheHits == 0 || st.CacheMisses == 0 {
-		t.Fatalf("v6 stats carry no cache warmth: %+v", st)
+		t.Fatalf("stats carry no cache warmth: %+v", st)
 	}
 	if st.PoolIdle != 2 {
 		t.Fatalf("PoolIdle = %d, want the 2 idle searchers", st.PoolIdle)
-	}
-
-	// A v5 peer must get the pre-warmth layout.
-	c5 := dialTest(t, s)
-	if rt, _ := c5.roundTrip(wire.MsgHello, wire.Hello{Version: 5}.Append(nil)); rt != wire.MsgHelloOK {
-		t.Fatal("v5 handshake refused")
-	}
-	rt, resp = c5.roundTrip(wire.MsgStats, nil)
-	if rt != wire.MsgStatsOK {
-		t.Fatalf("v5 stats answered %s", rt)
-	}
-	st5, err := wire.ParseStatsResp(resp)
-	if err != nil {
-		t.Fatalf("v5 stats payload: %v", err)
-	}
-	if st5.CacheEntries != 0 || st5.CacheHits != 0 || st5.PoolIdle != 0 {
-		t.Fatalf("v5 session leaked warmth fields: %+v", st5)
-	}
-	if st5.Requests == 0 || st5.LatencyP50Ns == 0 {
-		t.Fatalf("v5 stats lost pre-v6 fields: %+v", st5)
 	}
 }

@@ -81,7 +81,7 @@ func TestMutateParseErrorPaths(t *testing.T) {
 	}
 }
 
-// FuzzParseMutationFrames hammers the v3 mutation decoders with arbitrary
+// FuzzParseMutationFrames hammers the mutation decoders with arbitrary
 // bytes: they must never panic or over-allocate, and anything they accept
 // must re-encode to a payload they accept again (decode/encode round-trip
 // stability). make fuzz-wire runs this for a short smoke burst.

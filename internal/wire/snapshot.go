@@ -9,7 +9,6 @@ import (
 
 	"haindex/internal/bitvec"
 	"haindex/internal/core"
-	"haindex/internal/mih"
 )
 
 // Shard snapshot format: the unit haidx emits per Gray partition and haserve
@@ -18,22 +17,18 @@ import (
 // routing table in its handshake and a router can verify that the shards it
 // dialed belong to one consistent partitioning.
 //
-// Layout:
+// Layout (HASN version 4, the only one):
 //
 //	magic "HASN" | version | part | parts | code length L | pivot count |
-//	pivots (fixed-width codes) | embedded HADX index (core codec, to EOF)
+//	pivots (fixed-width codes) | pad-length byte + 0–7 zero bytes |
+//	embedded HADX v4 arena (to EOF)
 //
-// A version-4 snapshot inserts one pad-length byte plus 0–7 zero bytes
-// between the pivots and the embedded index, so the HADX v4 arena starts at
-// an 8-aligned file offset and MapSnapshotFile can alias its slabs straight
-// out of an mmap of the snapshot file.
+// The pad brings the arena to an 8-aligned file offset, so MapSnapshotFile
+// can alias its slabs straight out of an mmap of the snapshot file.
 
 const (
-	snapshotMagic         = "HASN"
-	snapshotVersion       = 1 // embedded index is the v1 pointer encoding
-	snapshotVersionFrozen = 2 // embedded index is the v2 frozen arena encoding
-	snapshotVersionMIH    = 3 // embedded index is the v3 MIH arena encoding
-	snapshotVersionArena  = 4 // embedded index is the 8-aligned v4 mmap arena
+	snapshotMagic   = "HASN"
+	snapshotVersion = 4
 )
 
 // SnapshotMeta is the shard header of a snapshot file.
@@ -62,243 +57,131 @@ func (m SnapshotMeta) validate() error {
 	return nil
 }
 
-// WriteSnapshot writes the shard header followed by the encoded index
-// (always with id tables — a serving shard must return ids). A pointer
-// index produces a version-1 snapshot, a frozen one version 2 — unless it is
-// in arena form (decoded from or streamed into the v4 layout, whose
-// scattered roots v2 cannot represent), which produces version 4 — so
-// readers and tooling know the embedded layout from the header alone.
-func WriteSnapshot(w io.Writer, meta SnapshotMeta, idx core.Index) error {
-	if fi, ok := idx.(*core.FrozenIndex); ok && fi.ArenaForm() {
-		return WriteSnapshotArena(w, meta, fi)
-	}
-	if err := meta.validate(); err != nil {
-		return err
-	}
-	if idx.Length() != meta.Length {
-		return fmt.Errorf("wire: snapshot index is %d-bit, header says %d", idx.Length(), meta.Length)
-	}
-	version := uint64(snapshotVersion)
-	var encode func(io.Writer) error
-	if ei, ok := idx.(*core.EngineIndex); ok {
-		// Unwrap the adapter so the engine's own codec section is embedded.
-		switch t := ei.Engine().(type) {
-		case *mih.Index:
-			version = snapshotVersionMIH
-			encode = func(w io.Writer) error { return t.Encode(w, true) }
-		default:
-			return fmt.Errorf("wire: cannot snapshot engine type %T", ei.Engine())
-		}
-	} else {
-		switch t := idx.(type) {
-		case *core.DynamicIndex:
-			encode = func(w io.Writer) error { return t.Encode(w, true) }
-		case *core.FrozenIndex:
-			version = snapshotVersionFrozen
-			encode = func(w io.Writer) error { return t.Encode(w, true) }
-		default:
-			return fmt.Errorf("wire: cannot snapshot index type %T", idx)
-		}
-	}
-	if _, err := writeSnapshotHeader(w, version, meta); err != nil {
-		return err
-	}
-	return encode(w)
-}
-
-// WriteSnapshotArena writes a version-4 snapshot: the frozen index embedded
-// in the HADX v4 mmap-native layout at an 8-aligned file offset, so the file
-// can later be served zero-copy via MapSnapshotFile. Any frozen index can be
-// written this way, not just one already in arena form.
-func WriteSnapshotArena(w io.Writer, meta SnapshotMeta, f *core.FrozenIndex) error {
-	if err := meta.validate(); err != nil {
-		return err
-	}
-	if f.Length() != meta.Length {
-		return fmt.Errorf("wire: snapshot index is %d-bit, header says %d", f.Length(), meta.Length)
-	}
-	n, err := writeSnapshotHeader(w, snapshotVersionArena, meta)
-	if err != nil {
-		return err
-	}
-	if err := writeArenaPad(w, n); err != nil {
+// WriteSnapshot writes the shard header, the alignment pad, and the frozen
+// index in the HADX v4 mmap-native layout (always with id tables — a serving
+// shard must return ids), so the file can be served zero-copy via
+// MapSnapshotFile.
+func WriteSnapshot(w io.Writer, meta SnapshotMeta, f *core.FrozenIndex) error {
+	if err := writeSnapshotHeader(w, meta, f.Length()); err != nil {
 		return err
 	}
 	return f.EncodeArena(w, true)
 }
 
-// WriteSnapshotStream writes a version-4 snapshot whose arena comes from a
+// WriteSnapshotStream writes a snapshot whose arena comes from a
 // core.FrozenStreamWriter: the shard header and alignment pad are emitted,
 // then the stream is finished directly onto w. The snapshot is assembled
 // without the index ever being resident — peak memory is the stream's chunk
 // size — which is how a reducer emits a serving-ready shard for a partition
 // far larger than RAM. The writer is consumed; it must not be used after.
 func WriteSnapshotStream(w io.Writer, meta SnapshotMeta, sw *core.FrozenStreamWriter) error {
-	if err := meta.validate(); err != nil {
-		return err
-	}
-	if sw.Length() != meta.Length {
-		return fmt.Errorf("wire: snapshot stream is %d-bit, header says %d", sw.Length(), meta.Length)
-	}
-	n, err := writeSnapshotHeader(w, snapshotVersionArena, meta)
-	if err != nil {
-		return err
-	}
-	if err := writeArenaPad(w, n); err != nil {
+	if err := writeSnapshotHeader(w, meta, sw.Length()); err != nil {
 		return err
 	}
 	return sw.Finish(w)
 }
 
-// writeSnapshotHeader emits the HASN magic, version, and shard metadata,
-// returning the number of bytes written.
-func writeSnapshotHeader(w io.Writer, version uint64, meta SnapshotMeta) (int64, error) {
-	var cw countingWriter
-	bw := bufio.NewWriter(io.MultiWriter(w, &cw))
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return 0, err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putU := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
+// writeSnapshotHeader emits the HASN magic, version, shard metadata, and the
+// pad-length byte plus padding that bring the file up to the next 8-aligned
+// offset (counting the pad byte itself), where the arena starts.
+func writeSnapshotHeader(w io.Writer, meta SnapshotMeta, indexLength int) error {
+	if err := meta.validate(); err != nil {
 		return err
 	}
-	for _, v := range []uint64{version, uint64(meta.Part), uint64(meta.Parts), uint64(meta.Length), uint64(len(meta.Pivots))} {
-		if err := putU(v); err != nil {
-			return 0, err
-		}
+	if indexLength != meta.Length {
+		return fmt.Errorf("wire: snapshot index is %d-bit, header says %d", indexLength, meta.Length)
 	}
-	scratch := make([]byte, 0, bitvec.EncodedLen(meta.Length))
+	hdr := []byte(snapshotMagic)
+	for _, v := range []uint64{snapshotVersion, uint64(meta.Part), uint64(meta.Parts), uint64(meta.Length), uint64(len(meta.Pivots))} {
+		hdr = binary.AppendUvarint(hdr, v)
+	}
 	for _, p := range meta.Pivots {
-		if _, err := bw.Write(p.AppendBytes(scratch[:0])); err != nil {
-			return 0, err
-		}
+		hdr = p.AppendBytes(hdr)
 	}
-	if err := bw.Flush(); err != nil {
-		return 0, err
-	}
-	return int64(cw), nil
-}
-
-// writeArenaPad writes the pad-length byte and padding that bring a file at
-// offset n up to the next 8-aligned offset (counting the pad byte itself).
-func writeArenaPad(w io.Writer, n int64) error {
-	padLen := byte((8 - (n+1)%8) % 8)
-	pad := make([]byte, 1+padLen)
-	pad[0] = padLen
-	_, err := w.Write(pad)
+	padLen := (8 - (len(hdr)+1)%8) % 8
+	hdr = append(hdr, byte(padLen))
+	hdr = append(hdr, make([]byte, padLen)...)
+	_, err := w.Write(hdr)
 	return err
 }
 
-type countingWriter int64
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	*c += countingWriter(len(p))
-	return len(p), nil
-}
-
-// readSnapshotHeader parses the HASN magic, version, and shard metadata.
-func readSnapshotHeader(br *bufio.Reader) (SnapshotMeta, uint64, error) {
+// readSnapshotHeader parses the HASN magic, version, and shard metadata, and
+// consumes the alignment pad, leaving br at the embedded arena. A version
+// other than the one this build writes is refused before anything past the
+// version varint is read.
+func readSnapshotHeader(br *bufio.Reader) (SnapshotMeta, error) {
 	var meta SnapshotMeta
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return meta, 0, fmt.Errorf("wire: reading snapshot magic: %w", err)
+		return meta, fmt.Errorf("wire: reading snapshot magic: %w", err)
 	}
 	if string(magic) != snapshotMagic {
-		return meta, 0, fmt.Errorf("wire: bad snapshot magic %q", magic)
+		return meta, fmt.Errorf("wire: bad snapshot magic %q", magic)
 	}
 	readU := func() (uint64, error) { return binary.ReadUvarint(br) }
 	version, err := readU()
 	if err != nil {
-		return meta, 0, err
+		return meta, err
 	}
-	if version < snapshotVersion || version > snapshotVersionArena {
-		return meta, 0, fmt.Errorf("wire: unsupported snapshot version %d", version)
+	if version != snapshotVersion {
+		return meta, fmt.Errorf("wire: unsupported snapshot version %d (this build reads version %d)", version, snapshotVersion)
 	}
 	var part, parts, length, npiv uint64
 	for _, dst := range []*uint64{&part, &parts, &length, &npiv} {
 		if *dst, err = readU(); err != nil {
-			return meta, 0, err
+			return meta, err
 		}
 	}
 	meta.Part, meta.Parts, meta.Length = int(part), int(parts), int(length)
 	if meta.Length <= 0 || meta.Length > 1<<20 {
-		return meta, 0, fmt.Errorf("wire: implausible snapshot code length %d", meta.Length)
+		return meta, fmt.Errorf("wire: implausible snapshot code length %d", meta.Length)
 	}
 	if npiv > uint64(meta.Parts) {
-		return meta, 0, fmt.Errorf("wire: snapshot pivot count %d exceeds partitions %d", npiv, meta.Parts)
+		return meta, fmt.Errorf("wire: snapshot pivot count %d exceeds partitions %d", npiv, meta.Parts)
 	}
 	codeBytes := make([]byte, bitvec.EncodedLen(meta.Length))
 	for i := uint64(0); i < npiv; i++ {
 		if _, err := io.ReadFull(br, codeBytes); err != nil {
-			return meta, 0, fmt.Errorf("wire: reading snapshot pivot %d: %w", i, err)
+			return meta, fmt.Errorf("wire: reading snapshot pivot %d: %w", i, err)
 		}
 		c, _, err := bitvec.CodeFromBytes(codeBytes, meta.Length)
 		if err != nil {
-			return meta, 0, err
+			return meta, err
 		}
 		meta.Pivots = append(meta.Pivots, c)
 	}
 	if err := meta.validate(); err != nil {
-		return meta, 0, err
+		return meta, err
 	}
-	return meta, version, nil
-}
-
-// skipArenaPad consumes the version-4 pad-length byte and its padding.
-func skipArenaPad(br *bufio.Reader) error {
 	padLen, err := br.ReadByte()
 	if err != nil {
-		return fmt.Errorf("wire: reading snapshot pad: %w", err)
+		return meta, fmt.Errorf("wire: reading snapshot pad: %w", err)
 	}
 	if padLen > 7 {
-		return fmt.Errorf("wire: snapshot pad length %d out of range", padLen)
+		return meta, fmt.Errorf("wire: snapshot pad length %d out of range", padLen)
 	}
 	if _, err := io.CopyN(io.Discard, br, int64(padLen)); err != nil {
-		return fmt.Errorf("wire: skipping snapshot pad: %w", err)
+		return meta, fmt.Errorf("wire: skipping snapshot pad: %w", err)
 	}
-	return nil
+	return meta, nil
 }
 
-// ReadSnapshot parses a snapshot: header then embedded index. A version-1
-// snapshot yields a *core.DynamicIndex, a version-2 one a *core.FrozenIndex
-// decoded near-single-copy into its arena, a version-4 one a *core.FrozenIndex
-// decoded eagerly from the mmap-native layout (use MapSnapshotFile for the
-// zero-copy load). Corrupt input returns an error, never panics.
+// ReadSnapshot parses a snapshot: header, then the embedded arena decoded
+// eagerly onto the heap (use MapSnapshotFile for the zero-copy load).
+// Corrupt input returns an error, never panics.
 func ReadSnapshot(r io.Reader) (SnapshotMeta, core.Index, error) {
 	br := bufio.NewReader(r)
-	meta, version, err := readSnapshotHeader(br)
+	meta, err := readSnapshotHeader(br)
 	if err != nil {
 		return meta, nil, err
 	}
-	if version == snapshotVersionArena {
-		if err := skipArenaPad(br); err != nil {
-			return meta, nil, err
-		}
+	arena, err := io.ReadAll(br)
+	if err != nil {
+		return meta, nil, fmt.Errorf("wire: reading snapshot index: %w", err)
 	}
-	idx, err := core.DecodeIndex(br)
+	idx, err := core.DecodeArenaBytes(arena, false)
 	if err != nil {
 		return meta, nil, fmt.Errorf("wire: snapshot index: %w", err)
-	}
-	// The header version must agree with the embedded index's actual type
-	// and layout, so a spliced snapshot cannot masquerade as a different one.
-	ok := false
-	switch t := idx.(type) {
-	case *core.DynamicIndex:
-		ok = version == snapshotVersion
-	case *core.FrozenIndex:
-		if t.ArenaForm() {
-			ok = version == snapshotVersionArena
-		} else {
-			ok = version == snapshotVersionFrozen
-		}
-	case *core.EngineIndex:
-		_, isMIH := t.Engine().(*mih.Index)
-		ok = isMIH && version == snapshotVersionMIH
-	}
-	if !ok {
-		return meta, nil, fmt.Errorf("wire: snapshot version %d embeds index type %T", version, idx)
 	}
 	if idx.Length() != meta.Length {
 		return meta, nil, fmt.Errorf("wire: snapshot index is %d-bit, header says %d", idx.Length(), meta.Length)
@@ -329,13 +212,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// MapSnapshotFile loads a version-4 snapshot zero-copy: the header is parsed
-// eagerly (it is tiny) and the embedded arena is aliased straight out of an
-// mmap of the file, so load time and heap footprint are independent of the
-// shard's size. The returned index must be Closed to release the mapping.
-// Snapshots in any other version return an error — callers fall back to
-// ReadSnapshotFile (downward negotiation), so serving works against old
-// snapshot files unchanged.
+// MapSnapshotFile loads a snapshot zero-copy: the header is parsed eagerly
+// (it is tiny) and the embedded arena is aliased straight out of an mmap of
+// the file, so load time and heap footprint are independent of the shard's
+// size. The returned index must be Closed to release the mapping.
 func MapSnapshotFile(path string) (SnapshotMeta, *core.FrozenIndex, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -344,14 +224,8 @@ func MapSnapshotFile(path string) (SnapshotMeta, *core.FrozenIndex, error) {
 	defer f.Close()
 	cr := &countingReader{r: f}
 	br := bufio.NewReader(cr)
-	meta, version, err := readSnapshotHeader(br)
+	meta, err := readSnapshotHeader(br)
 	if err != nil {
-		return meta, nil, err
-	}
-	if version != snapshotVersionArena {
-		return meta, nil, fmt.Errorf("wire: snapshot version %d has no mmap form", version)
-	}
-	if err := skipArenaPad(br); err != nil {
 		return meta, nil, err
 	}
 	off := cr.n - int64(br.Buffered())

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"haindex/internal/core"
@@ -22,7 +24,7 @@ func writeArenaSnapshot(t *testing.T, dir string) (string, SnapshotMeta, *core.F
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSnapshotArena(f, meta, frozen); err != nil {
+	if err := WriteSnapshot(f, meta, frozen); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -50,8 +52,8 @@ func TestArenaSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	eager, ok := eagerIdx.(*core.FrozenIndex)
-	if !ok || !eager.ArenaForm() {
-		t.Fatalf("v4 snapshot decoded as %T", eagerIdx)
+	if !ok {
+		t.Fatalf("snapshot decoded as %T", eagerIdx)
 	}
 
 	mapMeta, mapped, err := MapSnapshotFile(path)
@@ -75,49 +77,25 @@ func TestArenaSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteSnapshotPicksArena: WriteSnapshot on an arena-form index emits a
-// v4 snapshot (v2 cannot carry scattered roots), while a plain frozen index
-// still writes v2 — and MapSnapshotFile refuses non-v4 files so callers fall
-// back to the eager reader.
-func TestWriteSnapshotPicksArena(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	meta, idx, _ := buildSnapshot(t, rng, 32, 4)
-	frozen := core.Freeze(idx)
-
-	// Round-trip through the arena codec to obtain an arena-form index.
-	var arena bytes.Buffer
-	if err := frozen.EncodeArena(&arena, true); err != nil {
-		t.Fatal(err)
-	}
-	arenaIdx, err := core.DecodeArenaBytes(arena.Bytes(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var v4, v2 bytes.Buffer
-	if err := WriteSnapshot(&v4, meta, arenaIdx); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapshot(&v2, meta, frozen); err != nil {
-		t.Fatal(err)
-	}
-	if _, gotIdx, err := ReadSnapshot(bytes.NewReader(v4.Bytes())); err != nil {
-		t.Fatalf("v4 via WriteSnapshot: %v", err)
-	} else if fi, ok := gotIdx.(*core.FrozenIndex); !ok || !fi.ArenaForm() {
-		t.Fatalf("arena-form index snapshot decoded as %T", gotIdx)
-	}
-	if _, gotIdx, err := ReadSnapshot(bytes.NewReader(v2.Bytes())); err != nil {
-		t.Fatal(err)
-	} else if fi, ok := gotIdx.(*core.FrozenIndex); !ok || fi.ArenaForm() {
-		t.Fatalf("plain frozen snapshot decoded as %T arenaForm", gotIdx)
-	}
-
-	path := filepath.Join(t.TempDir(), "v2.hasn")
-	if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := MapSnapshotFile(path); err == nil {
-		t.Fatal("MapSnapshotFile accepted a v2 snapshot")
+// TestSnapshotVersionRejected: a header carrying any version but the one
+// this build writes is refused by name, by both readers, on the version
+// varint alone — nothing follows it in these files, so a reader that looked
+// further would report a truncation instead.
+func TestSnapshotVersionRejected(t *testing.T) {
+	dir := t.TempDir()
+	for _, v := range []byte{1, 2, 3, 5} {
+		data := append([]byte("HASN"), v)
+		want := fmt.Sprintf("unsupported snapshot version %d", v)
+		if _, _, err := ReadSnapshot(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ReadSnapshot on version %d: %v", v, err)
+		}
+		path := filepath.Join(dir, "old.hasn")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := MapSnapshotFile(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("MapSnapshotFile on version %d: %v", v, err)
+		}
 	}
 }
 
@@ -144,17 +122,17 @@ func TestArenaSnapshotCorrupt(t *testing.T) {
 		t.Fatal("embedded arena not found")
 	}
 
-	// Splice: v4 header claiming an arena but embedding a v2 body.
+	// Splice: the snapshot header over the v1 build/exchange encoding.
 	spliced := append([]byte(nil), data[:arenaOff]...)
 	rng := rand.New(rand.NewSource(46))
 	_, idx, _ := buildSnapshot(t, rng, 64, 3)
-	var v2body bytes.Buffer
-	if err := core.Freeze(idx).Encode(&v2body, true); err != nil {
+	var v1body bytes.Buffer
+	if err := idx.Encode(&v1body, true); err != nil {
 		t.Fatal(err)
 	}
-	spliced = append(spliced, v2body.Bytes()...)
+	spliced = append(spliced, v1body.Bytes()...)
 	if _, _, err := ReadSnapshot(bytes.NewReader(spliced)); err == nil {
-		t.Error("v4 header over v2 body accepted")
+		t.Error("snapshot header over a v1 pointer body accepted")
 	}
 
 	// Deleting one byte just before the arena either breaks the pad chain or

@@ -29,52 +29,6 @@ func fullStats() StatsResp {
 	}
 }
 
-// clampStats zeroes the field groups a session at the given version never
-// sees — the expected parse of an AppendVersion(v) payload.
-func clampStats(m StatsResp, version int) StatsResp {
-	if version < 6 {
-		m.CacheEntries, m.CacheHits, m.CacheMisses, m.AdmissionP50Ns, m.PoolIdle = 0, 0, 0, 0, 0
-	}
-	if version < 2 {
-		m.LatencyP50Ns, m.LatencyP95Ns, m.LatencyP99Ns, m.LatencyMaxNs = 0, 0, 0, 0
-	}
-	return m
-}
-
-// TestStatsRespDowngrade pins the version-negotiated StatsResp layouts: a
-// payload encoded for any negotiated version v in [1, Version] must parse
-// without error, round-trip every field group v includes, and leave the
-// newer groups zero. This is the downgrade contract the server's MsgStats
-// handler relies on — older peers reject trailing bytes, so the groups must
-// nest exactly.
-func TestStatsRespDowngrade(t *testing.T) {
-	st := fullStats()
-	for v := 1; v <= Version; v++ {
-		got, err := ParseStatsResp(st.AppendVersion(nil, v))
-		if err != nil {
-			t.Fatalf("version %d: %v", v, err)
-		}
-		if want := clampStats(st, v); got != want {
-			t.Fatalf("version %d: parsed %+v, want %+v", v, got, want)
-		}
-	}
-	// The nesting property itself: each version's payload is a prefix of the
-	// next one's, so a newer parser never misreads an older server.
-	for v := 1; v < Version; v++ {
-		a, b := st.AppendVersion(nil, v), st.AppendVersion(nil, v+1)
-		if len(a) > len(b) || string(b[:len(a)]) != string(a) {
-			t.Fatalf("version %d payload is not a prefix of version %d", v, v+1)
-		}
-	}
-	// AppendV1 and Append are the endpoints of the same family.
-	if string(st.AppendV1(nil)) != string(st.AppendVersion(nil, 1)) {
-		t.Fatal("AppendV1 disagrees with AppendVersion(1)")
-	}
-	if string(st.Append(nil)) != string(st.AppendVersion(nil, Version)) {
-		t.Fatal("Append disagrees with AppendVersion(Version)")
-	}
-}
-
 // TestStatsRespCorruptInputs: damaged payloads must fail softly with an
 // error, never panic and never parse as a plausible snapshot.
 func TestStatsRespCorruptInputs(t *testing.T) {
@@ -88,7 +42,11 @@ func TestStatsRespCorruptInputs(t *testing.T) {
 		{"truncated varint", append(append([]byte(nil), full[:9]...), 0x80)},
 		{"trailing garbage varint", append(append([]byte(nil), full...), 0x80)},
 		{"one extra field", append(append([]byte(nil), full...), 7)},
-		{"mid-latency cut", fullStats().AppendVersion(nil, 2)[:10]},
+		{"mid-latency cut", full[:10]},
+		// Whole trailing field groups missing is not a shorter valid form:
+		// 101..109 take one byte each, 201..204 two.
+		{"nine counters only", full[:9]},
+		{"counters and latency, no warmth", full[:17]},
 		{"continuation-only", []byte{0x80, 0x80, 0x80}},
 	}
 	for _, tc := range cases {
@@ -98,35 +56,27 @@ func TestStatsRespCorruptInputs(t *testing.T) {
 	}
 }
 
-// FuzzStatsRespDowngrade throws arbitrary bytes and all version-sliced
-// encodings of them at the parser: it must never panic, and every payload
-// the encoder can produce must re-encode to the identical bytes at the
-// version that produced it.
-func FuzzStatsRespDowngrade(f *testing.F) {
-	f.Add(fullStats().Append(nil), 6)
-	f.Add(fullStats().AppendVersion(nil, 1), 1)
-	f.Add(fullStats().AppendVersion(nil, 2), 2)
-	f.Add([]byte{0x80}, 3)
-	f.Fuzz(func(t *testing.T, data []byte, version int) {
+// FuzzStatsResp throws arbitrary bytes at the parser: it must never panic,
+// whatever it accepts must survive Append and parse back to the same value,
+// and no proper prefix of an encoding may parse.
+func FuzzStatsResp(f *testing.F) {
+	f.Add(fullStats().Append(nil))
+	f.Add(StatsResp{}.Append(nil))
+	f.Add(fullStats().Append(nil)[:17])
+	f.Add([]byte{0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ParseStatsResp(data)
 		if err != nil {
 			return
 		}
-		v := version
-		if v < 1 {
-			v = 1
+		enc := m.Append(nil)
+		if got, err := ParseStatsResp(enc); err != nil || got != m {
+			t.Fatalf("re-parse: %+v, %v; want %+v", got, err, m)
 		}
-		if v > Version {
-			v = Version
-		}
-		// Round trip at every negotiated level: parse must accept what
-		// AppendVersion emits and recover exactly the clamped fields.
-		got, err := ParseStatsResp(m.AppendVersion(nil, v))
-		if err != nil {
-			t.Fatalf("version %d re-parse: %v", v, err)
-		}
-		if want := clampStats(m, v); got != want {
-			t.Fatalf("version %d: %+v, want %+v", v, got, want)
+		for cut := range enc {
+			if _, err := ParseStatsResp(enc[:cut]); err == nil {
+				t.Fatalf("%d-byte prefix of a %d-byte encoding parsed", cut, len(enc))
+			}
 		}
 	})
 }

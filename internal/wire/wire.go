@@ -7,15 +7,12 @@
 //	           Search -> SearchOK | TopK -> TopKOK | Stats -> StatsOK,
 //	           any of which may instead answer Error.
 //
-// The protocol is versioned in the Hello exchange. Since version 3 the
-// handshake negotiates downward: the server accepts any client version in
-// [1, Version] and replies with min(client, server), and both sides gate
-// newer frames on the negotiated version — so a rolling fleet upgrade keeps
-// serving at the older feature level instead of partitioning the fleet. A
-// client from the future (version above the server's) is still refused
-// loudly at connect time. Payload integers are unsigned varints; binary
-// codes travel fixed-width (bitvec.AppendBytes) since the code length is
-// fixed per session by the handshake.
+// The Hello exchange carries the protocol version, and there is exactly one:
+// a server refuses any Hello whose version is not Version, and a client any
+// HelloOK likewise, each naming both numbers. A frame layout change bumps
+// Version and deletes the old layout in the same change. Payload integers are
+// unsigned varints; binary codes travel fixed-width (bitvec.AppendBytes)
+// since the code length is fixed per session by the handshake.
 package wire
 
 import (
@@ -27,29 +24,12 @@ import (
 	"haindex/internal/bitvec"
 )
 
-// Version is the protocol version spoken by this build. Bump on any frame
-// layout change. Version 2 extended StatsResp with search-latency
-// percentiles; ParseStatsResp still accepts the shorter v1 payload, so the
-// field is version-gated at the handshake, not the parser. Version 3 added
-// the mutation frames (Insert/Delete/Seal) for the LSM serving tier and the
-// downward-negotiating handshake. Version 4 added the optional engine hint
-// trailing SearchReq — a client's escape hatch to pin one query batch to a
-// specific search engine instead of the server's planner choice. Version 5
-// added the optional priority class trailing SearchReq and the Shed
-// response: an overloaded server may answer a search with MsgShed instead
-// of queueing past its admission budget, and the client backs off and
-// retries the same replica. Version 6 extended StatsResp with the warmth
-// and load fields (result-cache occupancy and hit counters, admission-wait
-// p50, idle admission tickets) the client router steers replica selection
-// with; like the v2 latency fields they are optional trailing varints, but
-// they are only emitted on sessions negotiated at 6 or above because older
-// parsers reject trailing bytes.
+// Version is the one protocol version this build speaks; both ends of a
+// session must match it exactly. Bump on any frame layout change.
 const Version = 6
 
-// Engine hints a SearchReq can carry since protocol version 4. EngineAuto
-// (the zero value) is never put on the wire — Append omits the field — so
-// default traffic stays byte-identical to version 3 and parses on old
-// servers, whose strict trailing-bytes check would otherwise reject it.
+// Engine hints a SearchReq can carry. EngineAuto (the zero value) is never
+// put on the wire — Append omits the field.
 const (
 	EngineAuto = iota // let the server's planner choose per request
 	EngineHA          // force the HA-Index walk
@@ -87,11 +67,10 @@ func EngineName(e int) string {
 	return fmt.Sprintf("engine(%d)", e)
 }
 
-// Priority classes a SearchReq can carry since protocol version 5. They
-// scale the server's admission-wait budget before it sheds: interactive
-// traffic waits longest, batch traffic is shed first. PriorityNormal (the
-// zero value) is never put on the wire, so default traffic stays
-// byte-identical to version 4 and parses on old servers.
+// Priority classes a SearchReq can carry. They scale the server's
+// admission-wait budget before it sheds: interactive traffic waits longest,
+// batch traffic is shed first. PriorityNormal (the zero value) is never put
+// on the wire.
 const (
 	PriorityNormal      = iota // default admission budget
 	PriorityInteractive        // user-facing: shed last
@@ -142,7 +121,7 @@ const (
 	MsgStatsOK
 	MsgError
 
-	// Version 3: mutation frames for the LSM serving tier.
+	// Mutation frames for the LSM serving tier.
 	MsgInsert
 	MsgInsertOK
 	MsgDelete
@@ -150,7 +129,7 @@ const (
 	MsgSeal
 	MsgSealOK
 
-	// Version 5: the overload answer to a search or top-k request. Unlike
+	// The overload answer to a search or top-k request. Unlike
 	// MsgError it is polite — the server is healthy but its admission queue
 	// exceeded the request's wait budget, and the client should back off and
 	// retry the same replica rather than fail over.
@@ -361,10 +340,8 @@ func ParseHelloOK(payload []byte) (HelloOK, error) {
 }
 
 // SearchReq is a batch of Hamming-select queries at threshold H. Engine is
-// the version-4 per-batch engine hint; EngineAuto leaves the choice to the
-// server's planner and is what every client before version 4 implies.
-// Priority is the version-5 admission class; PriorityNormal is what every
-// client before version 5 implies.
+// the per-batch engine hint; EngineAuto leaves the choice to the server's
+// planner. Priority is the admission class.
 type SearchReq struct {
 	H        int
 	Length   int
@@ -373,34 +350,20 @@ type SearchReq struct {
 	Queries  []bitvec.Code
 }
 
+// Append encodes the request. Engine and priority are optional trailing
+// varints, in that order, and a default value is omitted unless a later field
+// needs it as a placeholder.
 func (m SearchReq) Append(dst []byte) []byte {
-	return m.AppendVersion(dst, Version)
-}
-
-// AppendVersion encodes the request for a session negotiated at the given
-// protocol version, silently dropping fields the peer cannot parse: the
-// engine hint below version 4, the priority class below version 5. Both are
-// optional trailing varints — engine then priority — and a default value is
-// omitted unless a later field needs it as a placeholder, so a default
-// request stays byte-identical across versions.
-func (m SearchReq) AppendVersion(dst []byte, version int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(m.H))
 	dst = binary.AppendUvarint(dst, uint64(len(m.Queries)))
 	for _, q := range m.Queries {
 		dst = q.AppendBytes(dst)
 	}
-	engine, priority := m.Engine, m.Priority
-	if version < 5 {
-		priority = PriorityNormal
-	}
-	if version < 4 {
-		engine = EngineAuto
-	}
-	if priority != PriorityNormal {
-		dst = binary.AppendUvarint(dst, uint64(engine))
-		dst = binary.AppendUvarint(dst, uint64(priority))
-	} else if engine != EngineAuto {
-		dst = binary.AppendUvarint(dst, uint64(engine))
+	if m.Priority != PriorityNormal {
+		dst = binary.AppendUvarint(dst, uint64(m.Engine))
+		dst = binary.AppendUvarint(dst, uint64(m.Priority))
+	} else if m.Engine != EngineAuto {
+		dst = binary.AppendUvarint(dst, uint64(m.Engine))
 	}
 	return dst
 }
@@ -413,15 +376,14 @@ func ParseSearchReq(payload []byte, length int) (SearchReq, error) {
 	for i := 0; i < n && p.err == nil; i++ {
 		m.Queries = append(m.Queries, p.code(length))
 	}
-	// Version-4 extension: trailing engine hint, optional so a v3 peer's
-	// shorter payload still parses.
+	// Trailing engine hint, omitted when auto and no priority follows.
 	if p.err == nil && len(p.b) != 0 {
 		m.Engine = p.intv()
 		if p.err == nil && (m.Engine < EngineAuto || m.Engine > EngineScan) {
 			return m, fmt.Errorf("wire: unknown engine hint %d", m.Engine)
 		}
 	}
-	// Version-5 extension: trailing priority class, optional likewise.
+	// Trailing priority class, omitted when normal.
 	if p.err == nil && len(p.b) != 0 {
 		m.Priority = p.intv()
 		if p.err == nil && (m.Priority < PriorityNormal || m.Priority > PriorityBatch) {
@@ -528,16 +490,12 @@ func ParseTopKResp(payload []byte) (TopKResp, error) {
 	return m, p.done()
 }
 
-// StatsResp is the server's counter snapshot. The four latency fields are
-// per-request search/top-k latency percentiles in nanoseconds, served from
-// the shard's observability registry; they were added in protocol version 2
-// and are absent from v1 payloads (ParseStatsResp leaves them zero). The
-// five warmth fields were added in protocol version 6: result-cache
-// occupancy and lifetime hit/miss counts, the admission-wait median, and
-// the number of idle admission tickets — the cheap load signal a router
-// steers replica selection with. Both extensions are optional trailing
-// varints, so a shorter payload from an older peer parses with the missing
-// fields left zero.
+// StatsResp is the server's counter snapshot: nine counters, four
+// per-request search/top-k latency percentiles in nanoseconds served from the
+// shard's observability registry, and five warmth fields — result-cache
+// occupancy and lifetime hit/miss counts, the admission-wait median, and the
+// number of idle admission tickets — the cheap load signal a router steers
+// replica selection with. All eighteen varints are always present.
 type StatsResp struct {
 	Requests             int64
 	Queries              int64
@@ -561,73 +519,27 @@ type StatsResp struct {
 	PoolIdle       int64
 }
 
-func (m StatsResp) Append(dst []byte) []byte {
-	return m.AppendVersion(dst, Version)
+// fields lists every field in wire order, for Append and ParseStatsResp.
+func (m *StatsResp) fields() [18]*int64 {
+	return [18]*int64{
+		&m.Requests, &m.Queries, &m.TopKQueries, &m.IDsReturned, &m.Errors,
+		&m.FaultsInjected, &m.DistanceComputations, &m.NodesVisited, &m.LeavesChecked,
+		&m.LatencyP50Ns, &m.LatencyP95Ns, &m.LatencyP99Ns, &m.LatencyMaxNs,
+		&m.CacheEntries, &m.CacheHits, &m.CacheMisses, &m.AdmissionP50Ns, &m.PoolIdle,
+	}
 }
 
-// AppendVersion encodes the snapshot for a session negotiated at the given
-// protocol version, emitting only the field groups the peer can parse: the
-// nine counters always, the latency percentiles at version 2 and above, the
-// warmth fields at version 6 and above. Older parsers reject trailing
-// bytes, so a server must encode for the negotiated version, not its own.
-func (m StatsResp) AppendVersion(dst []byte, version int) []byte {
-	for _, v := range []int64{
-		m.Requests, m.Queries, m.TopKQueries, m.IDsReturned, m.Errors,
-		m.FaultsInjected, m.DistanceComputations, m.NodesVisited, m.LeavesChecked,
-	} {
-		dst = binary.AppendUvarint(dst, uint64(v))
-	}
-	if version >= 2 {
-		for _, v := range []int64{
-			m.LatencyP50Ns, m.LatencyP95Ns, m.LatencyP99Ns, m.LatencyMaxNs,
-		} {
-			dst = binary.AppendUvarint(dst, uint64(v))
-		}
-	}
-	if version >= 6 {
-		for _, v := range []int64{
-			m.CacheEntries, m.CacheHits, m.CacheMisses, m.AdmissionP50Ns, m.PoolIdle,
-		} {
-			dst = binary.AppendUvarint(dst, uint64(v))
-		}
+func (m StatsResp) Append(dst []byte) []byte {
+	for _, f := range m.fields() {
+		dst = binary.AppendUvarint(dst, uint64(*f))
 	}
 	return dst
-}
-
-// AppendV1 emits the version-1 payload, without the latency percentile
-// fields — what a server sends on a session negotiated down to protocol
-// version 1, whose peer rejects trailing bytes.
-func (m StatsResp) AppendV1(dst []byte) []byte {
-	return m.AppendVersion(dst, 1)
 }
 
 func ParseStatsResp(payload []byte) (StatsResp, error) {
 	p := &buf{b: payload}
 	var m StatsResp
-	for _, f := range []*int64{
-		&m.Requests, &m.Queries, &m.TopKQueries, &m.IDsReturned, &m.Errors,
-		&m.FaultsInjected, &m.DistanceComputations, &m.NodesVisited, &m.LeavesChecked,
-	} {
-		*f = int64(p.uvarint())
-	}
-	// Version-2 extension: latency percentiles, optional so a v1 peer's
-	// shorter payload still parses.
-	for _, f := range []*int64{
-		&m.LatencyP50Ns, &m.LatencyP95Ns, &m.LatencyP99Ns, &m.LatencyMaxNs,
-	} {
-		if p.err == nil && len(p.b) == 0 {
-			break
-		}
-		*f = int64(p.uvarint())
-	}
-	// Version-6 extension: warmth and load, optional likewise. A payload
-	// with latency but no warmth (v2..v5) stops at the earlier break.
-	for _, f := range []*int64{
-		&m.CacheEntries, &m.CacheHits, &m.CacheMisses, &m.AdmissionP50Ns, &m.PoolIdle,
-	} {
-		if p.err == nil && len(p.b) == 0 {
-			break
-		}
+	for _, f := range m.fields() {
 		*f = int64(p.uvarint())
 	}
 	return m, p.done()

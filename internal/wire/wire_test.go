@@ -2,15 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 
 	"haindex/internal/bitvec"
 	"haindex/internal/core"
 	"haindex/internal/histo"
-	"haindex/internal/mih"
 )
 
 func randCodes(rng *rand.Rand, n, bits int) []bitvec.Code {
@@ -167,7 +165,7 @@ func buildSnapshot(t testing.TB, rng *rand.Rand, bits, parts int) (SnapshotMeta,
 	}
 	idx := core.BuildDynamic(own, ids, core.Options{})
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, meta, idx); err != nil {
+	if err := WriteSnapshot(&buf, meta, core.Freeze(idx)); err != nil {
 		t.Fatal(err)
 	}
 	return meta, idx, buf.Bytes()
@@ -197,41 +195,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFrozenSnapshotRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	meta, idx, _ := buildSnapshot(t, rng, 32, 4)
-	frozen := core.Freeze(idx)
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, meta, frozen); err != nil {
-		t.Fatal(err)
-	}
-	gotMeta, gotIdx, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotFrozen, ok := gotIdx.(*core.FrozenIndex)
-	if !ok {
-		t.Fatalf("frozen snapshot decoded as %T", gotIdx)
-	}
-	if gotMeta.Part != meta.Part || gotMeta.Parts != meta.Parts || gotMeta.Length != meta.Length {
-		t.Fatalf("meta: %+v vs %+v", gotMeta, meta)
-	}
-	if gotFrozen.Len() != idx.Len() {
-		t.Fatalf("tuples %d vs %d", gotFrozen.Len(), idx.Len())
-	}
-	sr := core.NewSearcher(gotFrozen)
-	oracle := core.NewSearcher(idx)
-	for _, q := range idx.Codes()[:10] {
-		got := append([]int(nil), sr.Search(q, 3)...)
-		want := append([]int(nil), oracle.Search(q, 3)...)
-		sort.Ints(got)
-		sort.Ints(want)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("frozen snapshot answers differently: %v vs %v", got, want)
-		}
-	}
-}
-
 func TestSnapshotErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	_, _, data := buildSnapshot(t, rng, 32, 3)
@@ -252,7 +215,7 @@ func TestSnapshotErrors(t *testing.T) {
 		}
 	}
 	// Inconsistent meta must fail validation on write.
-	idx := core.BuildDynamic(randCodes(rng, 10, 16), nil, core.Options{})
+	idx := core.Freeze(core.BuildDynamic(randCodes(rng, 10, 16), nil, core.Options{}))
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, SnapshotMeta{Part: 5, Parts: 2, Length: 16, Pivots: randCodes(rng, 1, 16)}, idx); err == nil {
 		t.Error("out-of-range partition accepted")
@@ -272,9 +235,8 @@ func idxLen(t *testing.T, data []byte) int {
 	return len(data) - i
 }
 
-// TestSearchReqEngineHint: the v4 trailing engine field round-trips, the
-// auto default stays off the wire (byte-identical to v3), and unknown hints
-// are rejected.
+// TestSearchReqEngineHint: the trailing engine field round-trips, the auto
+// default stays off the wire, and unknown hints are rejected.
 func TestSearchReqEngineHint(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	queries := randCodes(rng, 3, 64)
@@ -296,15 +258,15 @@ func TestSearchReqEngineHint(t *testing.T) {
 	if _, err := ParseSearchReq(append(append([]byte(nil), base...), 9), 64); err == nil {
 		t.Error("unknown engine hint accepted")
 	}
-	// One extra varint after the engine hint is a v5 priority class; two
-	// extra are garbage.
+	// One extra varint after the engine hint is a priority class; two extra
+	// are garbage.
 	withHint := SearchReq{H: 4, Engine: EngineMIH, Queries: queries}.Append(nil)
 	if _, err := ParseSearchReq(append(append([]byte(nil), withHint...), 1, 1), 64); err == nil {
 		t.Error("trailing bytes after engine hint and priority accepted")
 	}
 }
 
-// TestSearchReqPriority: the v5 trailing priority class round-trips (with
+// TestSearchReqPriority: the trailing priority class round-trips (with
 // and without an engine hint), the normal default stays off the wire, and
 // out-of-range classes are rejected.
 func TestSearchReqPriority(t *testing.T) {
@@ -342,55 +304,7 @@ func TestSearchReqPriority(t *testing.T) {
 	}
 }
 
-// TestSearchReqDowngrade: a v5 client encoding for an older negotiated
-// session omits exactly the fields the peer cannot parse — the priority
-// class below version 5, the engine hint below version 4 — leaving the
-// request byte-identical to what a native client of that version sends.
-func TestSearchReqDowngrade(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	queries := randCodes(rng, 2, 32)
-	req := SearchReq{H: 5, Engine: EngineMIH, Priority: PriorityInteractive, Queries: queries}
-
-	v3 := req.AppendVersion(nil, 3)
-	v3native := SearchReq{H: 5, Queries: queries}.AppendVersion(nil, 3)
-	if !bytes.Equal(v3, v3native) {
-		t.Fatal("v3 downgrade not byte-identical to a native v3 request")
-	}
-	got, err := ParseSearchReq(v3, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Engine != EngineAuto || got.Priority != PriorityNormal {
-		t.Fatalf("v3 downgrade kept dropped fields: %+v", got)
-	}
-
-	v4 := req.AppendVersion(nil, 4)
-	v4native := SearchReq{H: 5, Engine: EngineMIH, Queries: queries}.AppendVersion(nil, 4)
-	if !bytes.Equal(v4, v4native) {
-		t.Fatal("v4 downgrade not byte-identical to a native v4 request")
-	}
-	got, err = ParseSearchReq(v4, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Engine != EngineMIH || got.Priority != PriorityNormal {
-		t.Fatalf("v4 downgrade: engine kept, priority dropped, got %+v", got)
-	}
-
-	v5 := req.AppendVersion(nil, 5)
-	if !bytes.Equal(v5, req.Append(nil)) {
-		t.Fatal("current-version AppendVersion differs from Append")
-	}
-	got, err = ParseSearchReq(v5, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Engine != EngineMIH || got.Priority != PriorityInteractive {
-		t.Fatalf("v5 round trip: %+v", got)
-	}
-}
-
-// TestShedRespRoundTrip: the v5 shed payload round-trips and rejects junk.
+// TestShedRespRoundTrip: the shed payload round-trips and rejects junk.
 func TestShedRespRoundTrip(t *testing.T) {
 	payload := ShedResp{WaitNs: 123456789}.Append(nil)
 	got, err := ParseShedResp(payload)
@@ -408,54 +322,37 @@ func TestShedRespRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMIHSnapshotRoundTrip: a v3 snapshot embeds the MIH arena encoding and
-// decodes back to the engine behind the core.Index adapter.
-func TestMIHSnapshotRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	meta, idx, _ := buildSnapshot(t, rng, 32, 4)
-	m, err := mih.FromGroups(core.Freeze(idx).Groups(), mih.Options{})
-	if err != nil {
+// TestGoldenBytes pins the frames the benchmark and the router exchange, and
+// the snapshot header, to bytes captured at commit e5ed28f, before protocol
+// v6 and HASN v4 became the only versions: a change to any of them is a
+// version bump, never a silent edit.
+func TestGoldenBytes(t *testing.T) {
+	q := []bitvec.Code{bitvec.MustFromString("1010110011110000"), bitvec.MustFromString("0000111100110101")}
+	frozen := core.Freeze(core.BuildDynamic(q, []int{7, 9}, core.Options{}))
+	var snap bytes.Buffer
+	if err := WriteSnapshot(&snap, SnapshotMeta{Part: 1, Parts: 3, Length: 16, Pivots: q}, frozen); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, meta, core.AsIndex(m)); err != nil {
-		t.Fatal(err)
-	}
-	gotMeta, gotIdx, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ei, ok := gotIdx.(*core.EngineIndex)
-	if !ok {
-		t.Fatalf("MIH snapshot decoded as %T", gotIdx)
-	}
-	if _, ok := ei.Engine().(*mih.Index); !ok {
-		t.Fatalf("decoded adapter wraps %T", ei.Engine())
-	}
-	if gotMeta.Parts != meta.Parts || gotIdx.Len() != idx.Len() {
-		t.Fatalf("meta/tuples mismatch: %+v len=%d want %d", gotMeta, gotIdx.Len(), idx.Len())
-	}
-	sr := core.NewSearcher(gotIdx)
-	oracle := core.NewSearcher(idx)
-	for _, q := range idx.Codes()[:10] {
-		got := append([]int(nil), sr.Search(q, 3)...)
-		want := append([]int(nil), oracle.Search(q, 3)...)
-		sort.Ints(got)
-		sort.Ints(want)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("MIH snapshot answers differently: %v vs %v", got, want)
+	const hasnHeader = "4841534e0401031002acf00000000000000f3500000000000006000000000000"
+	for _, tc := range []struct {
+		name, want string
+		got        []byte
+	}{
+		{"search default", "0302acf00000000000000f35000000000000", SearchReq{H: 3, Queries: q}.Append(nil)},
+		{"search engine hint", "0302acf00000000000000f3500000000000002", SearchReq{H: 3, Engine: EngineMIH, Queries: q}.Append(nil)},
+		{"search priority", "0302acf00000000000000f350000000000000002", SearchReq{H: 3, Priority: PriorityBatch, Queries: q}.Append(nil)},
+		{"stats", "010203040506070809e807d00fb817a01f0b0c0d0e0f",
+			StatsResp{1, 2, 3, 4, 5, 6, 7, 8, 9, 1000, 2000, 3000, 4000, 11, 12, 13, 14, 15}.Append(nil)},
+		{"hello-ok", "06100103ac0202acf00000000000000f35000000000000",
+			HelloOK{Version: Version, Length: 16, Part: 1, Parts: 3, Tuples: 300, Pivots: q}.Append(nil)},
+		{"shed", "e0c65b", ShedResp{WaitNs: 1500000}.Append(nil)},
+		{"HASN header + pad, then the arena", hasnHeader + "4841445804000000", snap.Bytes()[:len(hasnHeader)/2+8]},
+	} {
+		if got := hex.EncodeToString(tc.got); got != tc.want {
+			t.Errorf("%s: %s, want %s", tc.name, got, tc.want)
 		}
 	}
-	// A version-3 header spliced onto a frozen index body must be rejected.
-	frozen := core.Freeze(idx)
-	var fbuf bytes.Buffer
-	if err := WriteSnapshot(&fbuf, meta, frozen); err != nil {
-		t.Fatal(err)
-	}
-	spliced := append([]byte(nil), buf.Bytes()[:bytes.Index(buf.Bytes(), []byte("HADX"))]...)
-	fb := fbuf.Bytes()
-	spliced = append(spliced, fb[bytes.Index(fb, []byte("HADX")):]...)
-	if _, _, err := ReadSnapshot(bytes.NewReader(spliced)); err == nil {
-		t.Error("snapshot with mismatched header/index versions accepted")
+	if snap.Len() != 400 {
+		t.Errorf("snapshot is %d bytes, was 400", snap.Len())
 	}
 }
