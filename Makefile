@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check build test race test-race bench bench-query bench-frozen bench-serve bench-planner bench-load bench-load-rep bench-scale vet fmt-check fuzz fuzz-wire fuzz-qcache fuzz-arena bench-smoke bench-clock bench-offline smoke debug-smoke lsm-smoke experiments examples clean
+.PHONY: all check build test race test-race bench bench-query bench-frozen bench-serve bench-planner bench-load bench-load-rep bench-scale vet fmt-check fuzz fuzz-wire fuzz-qcache fuzz-arena bench-smoke bench-clock bench-offline reqpath smoke debug-smoke lsm-smoke experiments examples clean
 
 all: build vet test
 
-check: build vet fmt-check test test-race fuzz-wire fuzz-qcache fuzz-arena bench-smoke
+check: build vet fmt-check test test-race reqpath fuzz-wire fuzz-qcache fuzz-arena bench-smoke
 
 build:
 	$(GO) build ./...
@@ -78,6 +78,15 @@ bench-load-rep:
 # latency); writes BENCH_scale.json.
 bench-scale:
 	$(GO) run ./cmd/habench -exp scale
+
+# The request path's invariants by name, three times over under the race
+# detector: one Write per frame from the router and from the server (a
+# counting net.Conn), a batch of one searched on the connection's goroutine,
+# the pipelined first attempt under every injected failure, and eight
+# goroutines on one Router against a slow shard (lock order = shard order).
+# A second write per frame should fail here, not in a benchmark.
+reqpath:
+	$(GO) test -race -count=3 -run 'OneWrite|ReadFrame|RunBatchStays|PipelinedFirstAttempt|SharedRouterSlowShard' ./internal/wire/ ./internal/server/ ./internal/client/
 
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeDynamic -fuzztime=30s ./internal/core/

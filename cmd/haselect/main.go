@@ -186,7 +186,6 @@ func buildIndex(method, engine string, codes []bitvec.Code, h int, seed int64) (
 		search := func(q bitvec.Code, h int) []int {
 			if haveForced {
 				out, _ := pl.SelectWith(forced, q, h)
-				last = planner.Plan{Strategy: forced, Reason: "forced by -engine"}
 				return out
 			}
 			var out []int
@@ -207,7 +206,10 @@ func buildIndex(method, engine string, codes []bitvec.Code, h int, seed int64) (
 			return sz
 		}
 		return search, func() string {
-			return fmt.Sprintf(" [path=%s: %s]", last.Strategy, last.Reason)
+			if haveForced {
+				return fmt.Sprintf(" [path=%s: forced by -engine]", forced)
+			}
+			return fmt.Sprintf(" [path=%s: %s]", last.Strategy, last.Reason())
 		}, size, nil
 	}
 	fatalf("unknown method %q", method)

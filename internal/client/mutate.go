@@ -2,11 +2,9 @@ package client
 
 import (
 	"fmt"
-	"sync"
 
 	"haindex/internal/bitvec"
 	"haindex/internal/histo"
-	"haindex/internal/obs"
 	"haindex/internal/wire"
 )
 
@@ -54,80 +52,54 @@ func (r *Router) Insert(ids []int, codes []bitvec.Code) (int, error) {
 	if len(ids) == 0 {
 		return 0, nil
 	}
+	// Two pipelined rounds: retire every id on the shards that do not own its
+	// new code, then land the upserts — except on a shard whose delete failed.
 	ownIDs := make([][]int, len(r.shards))
 	ownCodes := make([][]bitvec.Code, len(r.shards))
+	foreign := make([][]int, len(r.shards))
 	for i, c := range codes {
-		m := histo.PartitionID(r.pivots, c)
-		ownIDs[m] = append(ownIDs[m], ids[i])
-		ownCodes[m] = append(ownCodes[m], c)
+		own := histo.PartitionID(r.pivots, c)
+		ownIDs[own] = append(ownIDs[own], ids[i])
+		ownCodes[own] = append(ownCodes[own], c)
+		for m := range r.shards {
+			if m != own {
+				foreign[m] = append(foreign[m], ids[i])
+			}
+		}
 	}
-	replaced := 0
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	var dels, ins []leg
+	for m, sh := range r.shards {
+		if len(foreign[m]) > 0 {
+			dels = append(dels, deleteLeg(sh, foreign[m]))
 		}
-		mu.Unlock()
 	}
-	for m := range r.shards {
-		var foreign []int
-		for i := range ids {
-			if histo.PartitionID(r.pivots, codes[i]) != m {
-				foreign = append(foreign, ids[i])
-			}
+	replaced := r.runDeletes(dels)
+	for _, lg := range dels {
+		if lg.err != nil {
+			ownIDs[lg.sh.part] = nil
 		}
-		if len(ownIDs[m]) == 0 && len(foreign) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(m int, foreign []int) {
-			defer wg.Done()
-			sh := r.shards[m]
-			if len(foreign) > 0 {
-				resp, err := r.deleteOn(sh, foreign)
-				if err != nil {
-					r.bumpShard(m) // state unknown; over-invalidate
-					fail(err)
-					return
-				}
-				if resp.Deleted > 0 {
-					r.bumpShard(m)
-				}
-				mu.Lock()
-				replaced += resp.Deleted
-				mu.Unlock()
-			}
-			if len(ownIDs[m]) == 0 {
-				return
-			}
-			// The insert lands here whatever the outcome reports; the
-			// shard's partials are stale either way.
-			defer r.bumpShard(m)
+	}
+	for m, sh := range r.shards {
+		if len(ownIDs[m]) > 0 {
 			req := wire.InsertReq{Length: r.length, IDs: ownIDs[m], Codes: ownCodes[m]}
-			respType, body, err := r.do(sh, routePrimary, 0, wire.MsgInsert, req.Append(nil), nil, obs.NoSpan)
-			if err == nil && respType != wire.MsgInsertOK {
-				err = fmt.Errorf("client: shard %d answered %s", m, respType)
-			}
-			var resp wire.InsertResp
-			if err == nil {
-				resp, err = wire.ParseInsertResp(body)
-			}
-			if err != nil {
-				fail(err)
-				return
-			}
-			mu.Lock()
-			replaced += resp.Replaced
-			mu.Unlock()
-		}(m, foreign)
+			ins = append(ins, leg{sh: sh, t: wire.MsgInsert, want: wire.MsgInsertOK, payload: req.Append(nil)})
+		}
 	}
-	wg.Wait()
+	r.fanOut(ins, routePrimary, nil)
+	for i := range ins {
+		lg := &ins[i]
+		// The insert lands here whatever the outcome reports; the shard's
+		// partials are stale either way.
+		r.bumpShard(lg.sh.part)
+		var resp wire.InsertResp
+		if lg.err == nil {
+			resp, lg.err = wire.ParseInsertResp(lg.resp)
+		}
+		replaced += resp.Replaced
+	}
 	r.invalidateCaches()
-	if firstErr != nil {
-		return 0, firstErr
+	if err := firstErr(dels, ins); err != nil {
+		return 0, err
 	}
 	return replaced, nil
 }
@@ -140,46 +112,51 @@ func (r *Router) Delete(ids []int) (int, error) {
 	if len(ids) == 0 {
 		return 0, nil
 	}
-	deleted := 0
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	for m := range r.shards {
-		wg.Add(1)
-		go func(m int) {
-			defer wg.Done()
-			resp, err := r.deleteOn(r.shards[m], ids)
-			if err != nil || resp.Deleted > 0 {
-				r.bumpShard(m)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			deleted += resp.Deleted
-		}(m)
+	legs := make([]leg, len(r.shards))
+	for m, sh := range r.shards {
+		legs[m] = deleteLeg(sh, ids)
 	}
-	wg.Wait()
+	deleted := r.runDeletes(legs)
 	r.invalidateCaches()
-	if firstErr != nil {
-		return 0, firstErr
+	if err := firstErr(legs); err != nil {
+		return 0, err
 	}
 	return deleted, nil
 }
 
-func (r *Router) deleteOn(sh *shard, ids []int) (wire.DeleteResp, error) {
-	respType, body, err := r.do(sh, routePrimary, 0, wire.MsgDelete, wire.DeleteReq{IDs: ids}.Append(nil), nil, obs.NoSpan)
-	if err == nil && respType != wire.MsgDeleteOK {
-		err = fmt.Errorf("client: shard %d answered %s", sh.part, respType)
+func deleteLeg(sh *shard, ids []int) leg {
+	return leg{sh: sh, t: wire.MsgDelete, want: wire.MsgDeleteOK, payload: wire.DeleteReq{IDs: ids}.Append(nil)}
+}
+
+// runDeletes fans delete legs out and returns how many ids they found live. A
+// shard whose result set changed — or whose state is unknown, because its leg
+// failed (the error stays in the leg) — has its partials invalidated.
+func (r *Router) runDeletes(legs []leg) (deleted int) {
+	r.fanOut(legs, routePrimary, nil)
+	for i := range legs {
+		lg := &legs[i]
+		var resp wire.DeleteResp
+		if lg.err == nil {
+			resp, lg.err = wire.ParseDeleteResp(lg.resp)
+		}
+		if lg.err != nil || resp.Deleted > 0 {
+			r.bumpShard(lg.sh.part)
+		}
+		deleted += resp.Deleted
 	}
-	if err != nil {
-		return wire.DeleteResp{}, err
+	return deleted
+}
+
+// firstErr returns the first failed leg's error, in the order given.
+func firstErr(rounds ...[]leg) error {
+	for _, legs := range rounds {
+		for i := range legs {
+			if legs[i].err != nil {
+				return legs[i].err
+			}
+		}
 	}
-	return wire.ParseDeleteResp(body)
+	return nil
 }
 
 // Seal asks every shard to freeze its memtable into a segment now, and with
@@ -189,36 +166,20 @@ func (r *Router) deleteOn(sh *shard, ids []int) (wire.DeleteResp, error) {
 // acknowledged mutation is in an immutable segment.
 func (r *Router) Seal(compact bool) ([]wire.SealOK, error) {
 	out := make([]wire.SealOK, len(r.shards))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
 	payload := wire.SealReq{Compact: compact}.Append(nil)
-	for m := range r.shards {
-		wg.Add(1)
-		go func(m int) {
-			defer wg.Done()
-			respType, body, err := r.do(r.shards[m], routePrimary, 0, wire.MsgSeal, payload, nil, obs.NoSpan)
-			if err == nil && respType != wire.MsgSealOK {
-				err = fmt.Errorf("client: shard %d answered %s", m, respType)
-			}
-			var resp wire.SealOK
-			if err == nil {
-				resp, err = wire.ParseSealOK(body)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			out[m] = resp
-		}(m)
+	legs := make([]leg, len(r.shards))
+	for m, sh := range r.shards {
+		legs[m] = leg{sh: sh, t: wire.MsgSeal, want: wire.MsgSealOK, payload: payload}
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	r.fanOut(legs, routePrimary, nil)
+	for m := range legs {
+		lg := &legs[m]
+		if lg.err == nil {
+			out[m], lg.err = wire.ParseSealOK(lg.resp)
+		}
+	}
+	if err := firstErr(legs); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

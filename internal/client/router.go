@@ -21,7 +21,9 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -234,6 +236,7 @@ type Router struct {
 // shard is one partition's replica set.
 type shard struct {
 	part     int
+	label    string // "shardNN", the stem of its span names
 	replicas []*replica
 	// rrSeq rotates zero-affinity and Affinity-"none" requests across the
 	// replica set so they spread instead of pinning replica 0.
@@ -400,7 +403,7 @@ func Dial(shardAddrs [][]string, opts Options) (*Router, error) {
 			return nil, fmt.Errorf("client: partition %d served by both %s and %s", hello.Part, prev, addrs[0])
 		}
 		seen[hello.Part] = addrs[0]
-		sh.part = hello.Part
+		sh.part, sh.label = hello.Part, fmt.Sprintf("shard%02d", hello.Part)
 		if r.pivots == nil {
 			r.length = hello.Length
 			r.pivots = hello.Pivots
@@ -575,57 +578,49 @@ func (r *Router) SearchBatch(queries []bitvec.Code, h int) ([][]int, error) {
 	}
 	tr.End(routeSpan)
 
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
+	legs := make([]leg, 0, len(perShard))
 	for m, qidx := range perShard {
 		if len(qidx) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(sh *shard, qidx []int, pkeys [][]byte) {
-			defer wg.Done()
-			sub := make([]bitvec.Code, len(qidx))
-			for j, i := range qidx {
-				sub[j] = queries[i]
-			}
-			shardSpan := tr.Start(fmt.Sprintf("shard%02d (%d queries)", sh.part, len(sub)), 0)
-			defer tr.End(shardSpan)
-			req := wire.SearchReq{H: h, Engine: r.engine, Priority: r.priority, Queries: sub}.Append(nil)
-			respType, payload, err := r.do(sh, routeAffinity, r.affinityOf(sub, h), wire.MsgSearch, req, tr, shardSpan)
-			if err == nil && respType != wire.MsgSearchOK {
-				err = fmt.Errorf("client: shard %d answered %s", sh.part, respType)
-			}
-			var resp wire.SearchResp
-			if err == nil {
-				resp, err = wire.ParseSearchResp(payload)
-			}
-			if err == nil && len(resp.IDs) != len(sub) {
-				err = fmt.Errorf("client: shard %d answered %d of %d queries", sh.part, len(resp.IDs), len(sub))
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			for j, i := range qidx {
-				// Partitions are disjoint, so ids from different shards
-				// never collide; merging is concatenation.
-				results[i] = append(results[i], resp.IDs[j]...)
-				if pkeys != nil {
-					// The parsed slice is response-owned and read-only from
-					// here on; the cache can keep it without a copy.
-					r.cache.Put(pkeys[j], resp.IDs[j])
-				}
-			}
-		}(r.shards[m], qidx, partKeys[m])
+		sub := make([]bitvec.Code, len(qidx))
+		for j, i := range qidx {
+			sub[j] = queries[i]
+		}
+		sh := r.shards[m]
+		legs = append(legs, leg{
+			sh: sh, t: wire.MsgSearch, want: wire.MsgSearchOK,
+			payload:  wire.SearchReq{H: h, Engine: r.engine, Priority: r.priority, Queries: sub}.Append(nil),
+			affinity: r.affinityOf(sh, sub, h),
+			// Static parts: the request path formats nothing.
+			label: sh.label + " (" + strconv.Itoa(len(sub)) + " queries)",
+		})
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	r.fanOut(legs, routeAffinity, tr)
+	for l := range legs {
+		lg := &legs[l]
+		m := lg.sh.part
+		qidx, pkeys := perShard[m], partKeys[m]
+		var resp wire.SearchResp
+		if lg.err == nil {
+			resp, lg.err = wire.ParseSearchResp(lg.resp)
+		}
+		if lg.err == nil && len(resp.IDs) != len(qidx) {
+			lg.err = fmt.Errorf("client: shard %d answered %d of %d queries", m, len(resp.IDs), len(qidx))
+		}
+		if lg.err != nil {
+			return nil, lg.err
+		}
+		for j, i := range qidx {
+			// Partitions are disjoint, so ids from different shards
+			// never collide; merging is concatenation.
+			results[i] = append(results[i], resp.IDs[j]...)
+			if pkeys != nil {
+				// The parsed slice is response-owned and read-only from
+				// here on; the cache can keep it without a copy.
+				r.cache.Put(pkeys[j], resp.IDs[j])
+			}
+		}
 	}
 	for i := range results {
 		sort.Ints(results[i])
@@ -657,37 +652,24 @@ func (r *Router) TopK(queries []bitvec.Code, k int) ([][]int, [][]int, error) {
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("client: k must be positive")
 	}
-	type shardResp struct {
-		resp wire.TopKResp
-		err  error
-	}
-	resps := make([]shardResp, len(r.shards))
 	payload := wire.TopKReq{K: k, Queries: queries}.Append(nil)
-	aff := r.affinityOf(queries, k)
-	var wg sync.WaitGroup
-	for m := range r.shards {
+	legs := make([]leg, len(r.shards))
+	for m, sh := range r.shards {
 		r.queriesRouted.Add(int64(len(queries)))
-		wg.Add(1)
-		go func(m int) {
-			defer wg.Done()
-			respType, body, err := r.do(r.shards[m], routeAffinity, aff, wire.MsgTopK, payload, nil, obs.NoSpan)
-			if err == nil && respType != wire.MsgTopKOK {
-				err = fmt.Errorf("client: shard %d answered %s", m, respType)
-			}
-			var resp wire.TopKResp
-			if err == nil {
-				resp, err = wire.ParseTopKResp(body)
-			}
-			if err == nil && len(resp.IDs) != len(queries) {
-				err = fmt.Errorf("client: shard %d answered %d of %d queries", m, len(resp.IDs), len(queries))
-			}
-			resps[m] = shardResp{resp: resp, err: err}
-		}(m)
+		legs[m] = leg{sh: sh, t: wire.MsgTopK, want: wire.MsgTopKOK, payload: payload, affinity: r.affinityOf(sh, queries, k)}
 	}
-	wg.Wait()
-	for _, sr := range resps {
-		if sr.err != nil {
-			return nil, nil, sr.err
+	r.fanOut(legs, routeAffinity, nil)
+	resps := make([]wire.TopKResp, len(legs))
+	for m := range legs {
+		lg := &legs[m]
+		if lg.err == nil {
+			resps[m], lg.err = wire.ParseTopKResp(lg.resp)
+		}
+		if lg.err == nil && len(resps[m].IDs) != len(queries) {
+			lg.err = fmt.Errorf("client: shard %d answered %d of %d queries", m, len(resps[m].IDs), len(queries))
+		}
+		if lg.err != nil {
+			return nil, nil, lg.err
 		}
 	}
 	// k-way merge per query: shard lists are (distance, id)-ordered, and
@@ -698,9 +680,9 @@ func (r *Router) TopK(queries []bitvec.Code, k int) ([][]int, [][]int, error) {
 	for i := range queries {
 		type pair struct{ d, id int }
 		var all []pair
-		for _, sr := range resps {
-			for j := range sr.resp.IDs[i] {
-				all = append(all, pair{d: sr.resp.Dists[i][j], id: sr.resp.IDs[i][j]})
+		for _, resp := range resps {
+			for j := range resp.IDs[i] {
+				all = append(all, pair{d: resp.Dists[i][j], id: resp.IDs[i][j]})
 			}
 		}
 		sort.Slice(all, func(a, b int) bool {
@@ -768,9 +750,10 @@ const (
 // of qcache.Hash over each query's packed result-cache key (shard -1, epoch
 // 0 — the deployment-position-independent core), so the affinity is
 // order-insensitive across the batch and agrees with the key the answering
-// server caches under. Zero means "no affinity" and falls back to rotation.
-func (r *Router) affinityOf(queries []bitvec.Code, h int) uint64 {
-	if r.opts.Affinity == "none" {
+// server caches under. Zero means "no affinity" and falls back to rotation;
+// a single-replica shard has nothing to choose between, so nothing is hashed.
+func (r *Router) affinityOf(sh *shard, queries []bitvec.Code, h int) uint64 {
+	if r.opts.Affinity == "none" || len(sh.replicas) == 1 {
 		return 0
 	}
 	var a uint64
@@ -782,6 +765,9 @@ func (r *Router) affinityOf(queries []bitvec.Code, h int) uint64 {
 	return a
 }
 
+// soleReplica is the only order a single-replica shard has; read-only.
+var soleReplica = []int{0}
+
 // ranking orders a shard's replica indexes for one request: rendezvous
 // scores (mode routeAffinity), round-robin rotation (routeRotate, or a zero
 // affinity), or plain list order (routePrimary). Replicas inside their
@@ -790,6 +776,9 @@ func (r *Router) affinityOf(queries []bitvec.Code, h int) uint64 {
 // a shard whose replicas all failed still tries them all.
 func (r *Router) ranking(sh *shard, mode routeMode, affinity uint64) []int {
 	n := len(sh.replicas)
+	if n == 1 {
+		return soleReplica
+	}
 	order := make([]int, n)
 	switch {
 	case mode == routeAffinity && affinity != 0:
@@ -854,14 +843,122 @@ func (r *Router) leastLoadedOther(sh *shard, cur *replica) *replica {
 	return best
 }
 
-// do performs one shard request with retry, backoff, and hedging. The
-// replica order for the request comes from ranking: attempt n goes to the
-// n'th ranked replica (mod the set), so failover walks the rendezvous
-// preference list instead of raw list position. A server-reported error
-// frame counts as a failed attempt just like a transport error. The whole
-// retry loop — attempts plus backoff sleeps — is bounded by Opts.Timeout of
-// wall time, so a run of failures cannot sleep far past the per-request
-// budget.
+// leg is one shard's share of a fan-out: the request frame to send and, once
+// fanOut returns, the answer (resp, or err).
+type leg struct {
+	sh       *shard
+	t, want  wire.MsgType // request type and the OK frame that answers it
+	payload  []byte
+	affinity uint64
+	label    string // span name under the trace root, when the fan-out is traced
+
+	resp []byte
+	err  error
+
+	// The request in progress: its span, its replica order and, while tried
+	// is set, a first attempt on rp (begun at t0) that retry has yet to judge.
+	span, attempt obs.SpanID
+	rank          []int
+	tried         bool
+	rp            *replica
+	t0            time.Time
+	respType      wire.MsgType
+}
+
+// begin counts one shard request and fixes its replica order.
+func (r *Router) begin(lg *leg, mode routeMode) {
+	r.shardRequests.Add(1)
+	r.cntRequests.Inc()
+	lg.rank = r.ranking(lg.sh, mode, lg.affinity)
+}
+
+// fanOut runs one request's legs, which must be in ascending shard order.
+// Every leg's first attempt is pipelined on the calling goroutine: the frames
+// are written shard by shard, then the answers are read in the same order, so
+// a request costs one write and one wake-up per leg each way and no goroutine
+// hand-off. A leg holds its replica's conversation lock from write to read;
+// taking the locks in shard order is what keeps concurrent requests on one
+// Router from deadlocking. Only a leg whose first attempt did not come back
+// as its OK frame (transport error, MsgError, MsgShed), or whose shard
+// hedges, enters the retry loop — side by side when there are several.
+func (r *Router) fanOut(legs []leg, mode routeMode, tr *obs.Trace) {
+	start := r.now()
+	for i := range legs {
+		lg := &legs[i]
+		r.begin(lg, mode)
+		lg.span = tr.Start(lg.label, 0)
+		if r.opts.HedgeAfter > 0 && len(lg.sh.replicas) > 1 {
+			continue // a hedged leg races its replicas in retry from the start
+		}
+		lg.tried, lg.rp = true, lg.sh.replicas[lg.rank[0]]
+		lg.attempt = tr.Start("attempt 0 → "+lg.rp.addr, lg.span)
+		lg.t0 = time.Now()
+		lg.rp.mu.Lock()
+		lg.err = lg.rp.sendLocked(lg.t, lg.payload, nil)
+	}
+	var slow []*leg
+	late := false
+	for i := range legs {
+		lg := &legs[i]
+		if lg.tried {
+			if lg.err == nil {
+				if late {
+					// The sibling that timed out ran this leg's deadline down
+					// too; an answer that is already here still counts.
+					lg.rp.conn.SetReadDeadline(time.Now().Add(10 * time.Millisecond))
+				}
+				lg.respType, lg.resp, lg.err = lg.rp.recvLocked()
+				late = late || errors.Is(lg.err, os.ErrDeadlineExceeded)
+			}
+			lg.rp.mu.Unlock()
+			r.observe(lg.sh, lg.rp, lg.t0, lg.respType, lg.resp, lg.err, nil)
+			tr.End(lg.attempt)
+			if lg.err == nil && lg.respType == lg.want {
+				tr.End(lg.span)
+				continue
+			}
+		}
+		slow = append(slow, lg)
+	}
+	if len(slow) == 0 {
+		return
+	}
+	var wg sync.WaitGroup
+	for _, lg := range slow[1:] {
+		wg.Add(1)
+		go func(lg *leg) {
+			defer wg.Done()
+			r.retry(lg, start, tr)
+		}(lg)
+	}
+	r.retry(slow[0], start, tr)
+	wg.Wait()
+	for _, lg := range slow {
+		tr.End(lg.span)
+		if lg.err == nil && lg.respType != lg.want {
+			lg.err = fmt.Errorf("client: shard %d answered %s", lg.sh.part, lg.respType)
+		}
+	}
+}
+
+// do performs one shard request on its own (the stats poll has no siblings to
+// pipeline with) through the retry loop and returns the frame that answered.
+func (r *Router) do(sh *shard, mode routeMode, affinity uint64, t wire.MsgType, payload []byte, tr *obs.Trace, parent obs.SpanID) (wire.MsgType, []byte, error) {
+	lg := leg{sh: sh, t: t, payload: payload, affinity: affinity, span: parent}
+	r.begin(&lg, mode)
+	r.retry(&lg, r.now(), tr)
+	return lg.respType, lg.resp, lg.err
+}
+
+// retry carries one leg to an answer (lg.respType and resp, or err) with
+// retry, backoff, and hedging. The replica order is the leg's ranking:
+// attempt n goes to the n'th ranked replica (mod the set), so failover walks
+// the rendezvous preference list instead of raw list position. A first
+// attempt fanOut already made (lg.tried) is judged as attempt 0, not sent
+// again. A server-reported error frame counts as a failed attempt just like a
+// transport error. The whole loop — attempts plus backoff sleeps, from the
+// request's start — is bounded by Opts.Timeout of wall time, so a run of
+// failures cannot sleep far past the per-request budget.
 //
 // A MsgShed answer is not a failure: the shard is healthy but saturated, and
 // blind failover would stampede the next replica with the same load. The
@@ -873,12 +970,10 @@ func (r *Router) leastLoadedOther(sh *shard, cur *replica) *replica {
 // also disables hedging for the rest of the request, for the same reason: a
 // speculative duplicate is extra load aimed at a shard that just asked for
 // less.
-func (r *Router) do(sh *shard, mode routeMode, affinity uint64, t wire.MsgType, payload []byte, tr *obs.Trace, parent obs.SpanID) (wire.MsgType, []byte, error) {
-	r.shardRequests.Add(1)
-	r.cntRequests.Inc()
-	deadline := r.now().Add(r.opts.Timeout)
+func (r *Router) retry(lg *leg, start time.Time, tr *obs.Trace) {
+	sh, rank, parent := lg.sh, lg.rank, lg.span
+	deadline := start.Add(r.opts.Timeout)
 	backoff := r.opts.Backoff
-	rank := r.ranking(sh, mode, affinity)
 	var lastErr error
 	// Once a shard sheds, hedging is off for the rest of this request: a
 	// speculative duplicate adds load exactly when the server asked the
@@ -895,12 +990,13 @@ func (r *Router) do(sh *shard, mode routeMode, affinity uint64, t wire.MsgType, 
 			}
 			d := b/2 + time.Duration(r.randInt63n(int64(b/2)+1))
 			if remain := deadline.Sub(r.now()); d > remain {
-				return 0, nil, fmt.Errorf("client: shard %d: retry budget exhausted after %d attempts (timeout %v): %w",
+				lg.err = fmt.Errorf("client: shard %d: retry budget exhausted after %d attempts (timeout %v): %w",
 					sh.part, attempt, r.opts.Timeout, lastErr)
+				return
 			}
 			r.retries.Add(1)
 			r.cntRetries.Inc()
-			sp := tr.Start(fmt.Sprintf("backoff attempt %d", attempt), parent)
+			sp := tr.Start("backoff attempt "+strconv.Itoa(attempt), parent)
 			r.sleep(d)
 			tr.End(sp)
 			r.backoffWait.Add(int64(d))
@@ -912,19 +1008,24 @@ func (r *Router) do(sh *shard, mode routeMode, affinity uint64, t wire.MsgType, 
 		var err error
 		shedBackoff := r.opts.Backoff
 		for {
-			sp := tr.Start(fmt.Sprintf("attempt %d → %s", attempt, rp.addr), parent)
-			if attempt == 0 && !shedSeen && r.opts.HedgeAfter > 0 && len(sh.replicas) > 1 {
-				var winner *replica
-				winner, respType, resp, err = r.hedged(sh, rank, t, payload)
-				if winner != nil {
-					// A shed (or any answer) is attributed to the replica
-					// that actually sent it, which may be the hedge leg.
-					rp = winner
-				}
+			if lg.tried {
+				lg.tried = false
+				respType, resp, err = lg.respType, lg.resp, lg.err
 			} else {
-				respType, resp, err = r.attempt(sh, rp, t, payload, nil)
+				sp := tr.Start("attempt "+strconv.Itoa(attempt)+" → "+rp.addr, parent)
+				if attempt == 0 && !shedSeen && r.opts.HedgeAfter > 0 && len(sh.replicas) > 1 {
+					var winner *replica
+					winner, respType, resp, err = r.hedged(sh, rank, lg.t, lg.payload)
+					if winner != nil {
+						// A shed (or any answer) is attributed to the replica
+						// that actually sent it, which may be the hedge leg.
+						rp = winner
+					}
+				} else {
+					respType, resp, err = r.attempt(sh, rp, lg.t, lg.payload, nil)
+				}
+				tr.End(sp)
 			}
-			tr.End(sp)
 			if err != nil || respType != wire.MsgShed {
 				break
 			}
@@ -940,10 +1041,11 @@ func (r *Router) do(sh *shard, mode routeMode, affinity uint64, t wire.MsgType, 
 			// rankings and hedges built meanwhile prefer the siblings.
 			rp.shedUntil.Store(r.now().Add(2 * d).UnixNano())
 			if remain := deadline.Sub(r.now()); d > remain {
-				return 0, nil, fmt.Errorf("client: shard %d: %w (deadline %v exhausted)",
+				lg.err = fmt.Errorf("client: shard %d: %w (deadline %v exhausted)",
 					sh.part, ErrShed, r.opts.Timeout)
+				return
 			}
-			bsp := tr.Start(fmt.Sprintf("shed backoff → %s", rp.addr), parent)
+			bsp := tr.Start("shed backoff → "+rp.addr, parent)
 			r.sleep(d)
 			tr.End(bsp)
 			r.backoffWait.Add(int64(d))
@@ -963,26 +1065,39 @@ func (r *Router) do(sh *shard, mode routeMode, affinity uint64, t wire.MsgType, 
 			}
 		}
 		if err == nil {
-			return respType, resp, nil
+			lg.respType, lg.resp, lg.err = respType, resp, nil
+			return
 		}
 		lastErr = err
 	}
-	return 0, nil, fmt.Errorf("client: shard %d failed after %d attempts: %w", sh.part, r.opts.MaxAttempts, lastErr)
+	lg.err = fmt.Errorf("client: shard %d failed after %d attempts: %w", sh.part, r.opts.MaxAttempts, lastErr)
 }
 
-// attempt performs one round trip on rp and records its latency in the
-// per-attempt histograms (overall and per shard), win or lose — failed and
-// hedged attempts cost real time too, and the distribution should show it.
-// It is also where the replica's health and warmth state is maintained: a
+// attempt performs one round trip on rp, under its conversation lock, and
+// observes the outcome.
+func (r *Router) attempt(sh *shard, rp *replica, t wire.MsgType, payload []byte, cancel *connCancel) (respType wire.MsgType, resp []byte, err error) {
+	t0 := time.Now()
+	rp.mu.Lock()
+	if err = rp.sendLocked(t, payload, cancel); err == nil {
+		respType, resp, err = rp.recvLocked()
+	}
+	rp.mu.Unlock()
+	r.observe(sh, rp, t0, respType, resp, err, cancel)
+	return respType, resp, err
+}
+
+// observe records one finished attempt's latency in the per-attempt
+// histograms (overall and per shard), win or lose — failed and hedged
+// attempts cost real time too, and the distribution should show it. It is
+// also where the replica's health and warmth state is maintained: a
 // transport failure starts the failure cooldown (unless the round trip was
 // aborted by a decided hedge race, which says nothing about the replica), a
 // success clears it and feeds the latency EWMA, and a stats answer passing
 // through refreshes the warmth signal steering reads.
-func (r *Router) attempt(sh *shard, rp *replica, t wire.MsgType, payload []byte, cancel *connCancel) (wire.MsgType, []byte, error) {
-	t0 := time.Now()
-	respType, resp, err := rp.roundTrip(t, payload, cancel)
-	r.histAttempt.RecordSince(t0)
-	r.histShard[sh.part].RecordSince(t0)
+func (r *Router) observe(sh *shard, rp *replica, t0 time.Time, respType wire.MsgType, resp []byte, err error, cancel *connCancel) {
+	ns := int64(time.Since(t0))
+	r.histAttempt.Record(ns)
+	r.histShard[sh.part].Record(ns)
 	switch {
 	case err == errHedgeAborted || cancel.wasAborted():
 		// The race was decided out from under this leg; its connection may
@@ -991,7 +1106,6 @@ func (r *Router) attempt(sh *shard, rp *replica, t wire.MsgType, payload []byte,
 		rp.failUntil.Store(r.now().Add(r.opts.FailureCooldown).UnixNano())
 	default:
 		rp.failUntil.Store(0)
-		ns := int64(time.Since(t0))
 		if prev := rp.ewmaNs.Load(); prev > 0 {
 			ns = (7*prev + ns) / 8
 		}
@@ -1002,7 +1116,6 @@ func (r *Router) attempt(sh *shard, rp *replica, t wire.MsgType, payload []byte,
 			}
 		}
 	}
-	return respType, resp, err
 }
 
 // RefreshWarmth polls every replica of every shard for its serving stats and
@@ -1188,35 +1301,37 @@ func (rp *replica) handshake() (wire.HelloOK, error) {
 	return rp.hello, nil
 }
 
-// roundTrip performs one request on the pooled connection, redialing once
-// if the connection was lost. Any error poisons the connection so the next
-// attempt starts fresh. A non-nil cancel makes the round trip abortable: the
-// connection is registered with it before use, so a hedge winner can close
-// it out from under the blocked read.
-func (rp *replica) roundTrip(t wire.MsgType, payload []byte, cancel *connCancel) (wire.MsgType, []byte, error) {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
+// sendLocked writes one request frame on the pooled connection, redialing a
+// lost one; rp.mu must be held until recvLocked has read the answer. Any error
+// poisons the connection so the next attempt starts fresh. A non-nil cancel
+// makes the conversation abortable: the connection is registered with it
+// before use, so a hedge winner can close it out from under the blocked read.
+func (rp *replica) sendLocked(t wire.MsgType, payload []byte, cancel *connCancel) error {
 	if rp.conn == nil {
 		if err := rp.dialLocked(); err != nil {
-			return 0, nil, err
+			return err
 		}
 	}
 	if !cancel.register(rp.conn) {
 		// The race was decided before this leg reached the connection;
 		// nothing was written, so the pooled conn stays healthy.
-		return 0, nil, errHedgeAborted
+		return errHedgeAborted
 	}
 	rp.conn.SetDeadline(time.Now().Add(rp.opts.Timeout))
-	if err := wire.WriteFrame(rp.conn, t, payload); err != nil {
+	err := wire.WriteFrame(rp.conn, t, payload)
+	if err != nil {
 		rp.closeLocked()
-		return 0, nil, err
 	}
+	return err
+}
+
+// recvLocked reads the answer to the frame sendLocked wrote.
+func (rp *replica) recvLocked() (wire.MsgType, []byte, error) {
 	respType, resp, err := wire.ReadFrame(rp.br)
 	if err != nil {
 		rp.closeLocked()
-		return 0, nil, err
 	}
-	return respType, resp, nil
+	return respType, resp, err
 }
 
 // dialLocked connects and handshakes; rp.mu must be held.

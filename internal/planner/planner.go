@@ -115,8 +115,27 @@ type Plan struct {
 	// CostNs is the modeled per-query cost of each strategy in nanoseconds
 	// (0 = unmeasured or engine unavailable).
 	CostNs [numStrategies]float64
-	// Reason is a human-readable justification (EXPLAIN).
-	Reason string
+	// H is the (clamped) threshold the decision was made at.
+	H int
+	// Versus is the engine the choice was weighed against: the runner-up
+	// when Strategy won on cost, the cheapest engine when exploring, -1 when
+	// nothing was compared (an unmeasured probe, a single engine).
+	Versus Strategy
+}
+
+// Reason renders the human-readable justification (EXPLAIN) from the facts
+// the plan carries; nothing is formatted on the request path.
+func (pl Plan) Reason() string {
+	s, v := pl.Strategy, pl.Versus
+	switch {
+	case pl.CostNs[s] == 0:
+		return fmt.Sprintf("%s unmeasured at h=%d; probing it", s, pl.H)
+	case v < 0:
+		return fmt.Sprintf("%s is the only available engine", s)
+	case pl.Explore:
+		return fmt.Sprintf("exploring runner-up %s (%.0fns vs best %s %.0fns)", s, pl.CostNs[s], v, pl.CostNs[v])
+	}
+	return fmt.Sprintf("%s %.0fns beats %s %.0fns at h=%d", s, pl.CostNs[s], v, pl.CostNs[v], pl.H)
 }
 
 // Planner owns the engine set and the measured cost model.
@@ -401,7 +420,7 @@ const exploreCostCap = 8.0
 // would cost far more than the staleness it guards against.
 func (p *Planner) Plan(h int) Plan {
 	h = p.clamp(h)
-	pl := Plan{EstimatedResults: p.Selectivity(h) * float64(p.n)}
+	pl := Plan{EstimatedResults: p.Selectivity(h) * float64(p.n), H: h, Versus: -1}
 	best, second := Strategy(-1), Strategy(-1)
 	for s := Strategy(0); s < numStrategies; s++ {
 		if !p.avail[s] {
@@ -412,7 +431,6 @@ func (p *Planner) Plan(h int) Plan {
 		if c == 0 {
 			// Unmeasured cells win outright: one real query prices them.
 			pl.Strategy = s
-			pl.Reason = fmt.Sprintf("%s unmeasured at h=%d; probing it", s, h)
 			return pl
 		}
 		if best < 0 || c < pl.CostNs[best] {
@@ -421,28 +439,14 @@ func (p *Planner) Plan(h int) Plan {
 			second = s
 		}
 	}
-	if best < 0 {
-		// Only the HA walk exists and nothing is measured.
-		pl.Strategy = UseHA
-		pl.Reason = "no cost model; defaulting to the HA-Index walk"
-		return pl
-	}
+	// The HA walk is always available, so best is set.
 	d := p.decisions[h].Add(1)
 	if second >= 0 && d%p.exploreEvery == 0 &&
 		pl.CostNs[second] <= exploreCostCap*pl.CostNs[best] {
-		pl.Strategy = second
-		pl.Explore = true
-		pl.Reason = fmt.Sprintf("exploring runner-up %s (%.0fns vs best %s %.0fns)",
-			second, pl.CostNs[second], best, pl.CostNs[best])
+		pl.Strategy, pl.Versus, pl.Explore = second, best, true
 		return pl
 	}
-	pl.Strategy = best
-	if second >= 0 {
-		pl.Reason = fmt.Sprintf("%s %.0fns beats %s %.0fns at h=%d",
-			best, pl.CostNs[best], second, pl.CostNs[second], h)
-	} else {
-		pl.Reason = fmt.Sprintf("%s is the only available engine", best)
-	}
+	pl.Strategy, pl.Versus = best, second
 	return pl
 }
 
@@ -512,7 +516,7 @@ func (p *Planner) Explain(h int) string {
 			fmt.Fprintf(&b, "  %-4s: %.0f ns/query (measured EWMA)\n", s, pl.CostNs[s])
 		}
 	}
-	fmt.Fprintf(&b, "  -> %s: %s\n", pl.Strategy, pl.Reason)
+	fmt.Fprintf(&b, "  -> %s: %s\n", pl.Strategy, pl.Reason())
 	return b.String()
 }
 

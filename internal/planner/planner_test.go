@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -205,16 +206,27 @@ func TestUncalibratedProbesFirst(t *testing.T) {
 	if pl.CostNs[pl.Strategy] != 0 {
 		t.Fatalf("uncalibrated planner claims a measured cost: %+v", pl)
 	}
-	if !strings.Contains(pl.Reason, "unmeasured") {
-		t.Fatalf("reason should mention the unmeasured probe: %q", pl.Reason)
+	if !strings.Contains(pl.Reason(), "unmeasured") {
+		t.Fatalf("reason should mention the unmeasured probe: %q", pl.Reason())
 	}
 	// Pricing every engine once ends the probing phase.
 	q := codes[0]
 	for s := Strategy(0); s < numStrategies; s++ {
 		p.SelectWith(s, q, 4)
 	}
-	if pl := p.Plan(4); pl.CostNs[pl.Strategy] == 0 {
+	pl = p.Plan(4)
+	if pl.CostNs[pl.Strategy] == 0 {
 		t.Fatal("cells still unmeasured after forced probes")
+	}
+	// The plan carries the facts; the sentence is rendered from them on demand.
+	if pl.H != 4 || pl.Versus < 0 || pl.Versus == pl.Strategy || pl.CostNs[pl.Versus] < pl.CostNs[pl.Strategy] {
+		t.Fatalf("plan does not name the runner-up it beat: %+v", pl)
+	}
+	if want := fmt.Sprintf("%s %.0fns beats %s", pl.Strategy, pl.CostNs[pl.Strategy], pl.Versus); !strings.Contains(pl.Reason(), want) {
+		t.Fatalf("reason %q does not say %q", pl.Reason(), want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.Plan(4) }); allocs != 0 {
+		t.Fatalf("Plan allocates %.0f times a decision; it runs on every request", allocs)
 	}
 }
 

@@ -525,7 +525,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
 	// Deadlines are the reap mechanism for dead and stalled clients: the
 	// read deadline is re-armed before every frame (bounding both idle
 	// sessions and half-written requests), the write deadline before every
@@ -541,10 +540,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		if s.opts.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 		}
-		if err := wire.WriteFrame(bw, t, payload); err != nil {
-			return false
-		}
-		return bw.Flush() == nil
+		// Straight onto the connection: one Write, one wake-up of the client.
+		return wire.WriteFrame(conn, t, payload) == nil
 	}
 	writeErr := func(format string, args ...interface{}) bool {
 		s.errors.Add(1)
@@ -991,54 +988,57 @@ func (s *Server) admit(budget time.Duration, tr *obs.Trace) (set *searcherSet, s
 // ticket — at most Options.Searchers requests make progress at once), and
 // runBatch opportunistically grabs idle extras to parallelize the batch, so
 // a lone large batch uses the whole pool while concurrent small requests
-// are not starved. Queries are claimed off an atomic cursor, mirroring
-// core.SearchBatch. run returns the index work one query did; in mutable
-// mode the pooled set is a nil admission ticket and the shard supplies its
-// own per-segment searchers.
+// are not starved. The calling goroutine is always one of the workers and
+// goroutines start only for the extras, so a batch of one never leaves the
+// connection's goroutine. Queries are claimed off an atomic cursor, mirroring
+// core.SearchBatch. run returns the index work one query did; in mutable mode
+// the pooled set is a nil admission ticket and the shard supplies its own
+// per-segment searchers.
 func (s *Server) runBatch(first *searcherSet, n int, tr *obs.Trace, run func(set *searcherSet, i int) core.SearchStats) {
 	if n == 0 {
 		s.pool <- first
 		return
 	}
-	searchers := []*searcherSet{first}
-	for len(searchers) < n {
-		select {
-		case sr := <-s.pool:
-			searchers = append(searchers, sr)
-		default:
-			goto acquired
-		}
-	}
-acquired:
-	s.poolIdle.Add(-int64(len(searchers)))
 	runSpan := tr.Start("run", 0)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	for _, sr := range searchers {
-		wg.Add(1)
-		go func(sr *searcherSet) {
-			defer wg.Done()
-			var agg core.SearchStats
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					break
-				}
-				stats := run(sr, i)
-				agg.Add(stats)
-				// Per-search cost distributions: how much index work one
-				// query did, the core.SearchStats flow into the registry.
-				s.histDist.Record(int64(stats.DistanceComputations))
-				s.histNodes.Record(int64(stats.NodesVisited))
-				s.histLeaves.Record(int64(stats.LeavesChecked))
+	work := func(sr *searcherSet) {
+		var agg core.SearchStats
+		for {
+			i := int(cursor.Add(1)) - 1
+			if i >= n {
+				break
 			}
-			s.distComps.Add(int64(agg.DistanceComputations))
-			s.nodesVisited.Add(int64(agg.NodesVisited))
-			s.leavesChecked.Add(int64(agg.LeavesChecked))
-			s.pool <- sr
-			s.poolIdle.Add(1)
-		}(sr)
+			stats := run(sr, i)
+			agg.Add(stats)
+			// Per-search cost distributions: how much index work one
+			// query did, the core.SearchStats flow into the registry.
+			s.histDist.Record(int64(stats.DistanceComputations))
+			s.histNodes.Record(int64(stats.NodesVisited))
+			s.histLeaves.Record(int64(stats.LeavesChecked))
+		}
+		s.distComps.Add(int64(agg.DistanceComputations))
+		s.nodesVisited.Add(int64(agg.NodesVisited))
+		s.leavesChecked.Add(int64(agg.LeavesChecked))
+		s.pool <- sr
+		s.poolIdle.Add(1)
 	}
+	s.poolIdle.Add(-1)
+extras:
+	for grabbed := 1; grabbed < n; grabbed++ {
+		select {
+		case sr := <-s.pool:
+			s.poolIdle.Add(-1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(sr)
+			}()
+		default:
+			break extras
+		}
+	}
+	work(first)
 	wg.Wait()
 	tr.End(runSpan)
 }

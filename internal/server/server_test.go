@@ -422,6 +422,11 @@ func TestServerDebugEndpoint(t *testing.T) {
 		}
 	}
 
+	// The server records a request's latency after writing its reply; frames
+	// on one connection are handled in order, so a stats round trip is the
+	// barrier that puts the fourth sample in the histogram before it is read.
+	c.roundTrip(wire.MsgStats, nil)
+
 	resp, err := http.Get("http://" + dbgAddr.String() + "/debug/obs")
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -94,8 +95,14 @@ func FuzzParseMutationFrames(f *testing.F) {
 	f.Add(uint8(3), DeleteResp{Deleted: 1, Epoch: 4}.Append(nil))
 	f.Add(uint8(4), SealReq{Compact: true}.Append(nil))
 	f.Add(uint8(5), SealOK{Segments: 1, Tombstones: 2, Epoch: 5}.Append(nil))
+	// Framing itself: a well-formed frame, and a header that claims MaxFrame
+	// bytes and delivers none (see TestReadFrameAllocatesAsBytesArrive).
+	var framed bytes.Buffer
+	WriteFrame(&framed, MsgInsert, ins.Append(nil))
+	f.Add(uint8(6), framed.Bytes())
+	f.Add(uint8(6), hostileHeader)
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
-		switch kind % 6 {
+		switch kind % 7 {
 		case 0:
 			if m, err := ParseInsertReq(data, 32); err == nil {
 				if _, err := ParseInsertReq(m.Append(nil), 32); err != nil {
@@ -124,6 +131,15 @@ func FuzzParseMutationFrames(f *testing.F) {
 			if m, err := ParseSealReq(data); err == nil {
 				if got, err := ParseSealReq(m.Append(nil)); err != nil || got != m {
 					t.Fatalf("SealReq not round-trip stable: %+v vs %+v (%v)", got, m, err)
+				}
+			}
+		case 6:
+			// Whatever the length prefix claims, a frame is accepted only when
+			// that many bytes follow, and re-frames to the bytes it came from.
+			if typ, payload, err := ReadFrame(bytes.NewReader(data)); err == nil {
+				var again bytes.Buffer
+				if err := WriteFrame(&again, typ, payload); err != nil || !bytes.Equal(again.Bytes(), data[:again.Len()]) {
+					t.Fatalf("frame not round-trip stable (%v)", err)
 				}
 			}
 		case 5:

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"haindex/internal/bitvec"
 )
@@ -174,38 +175,55 @@ func (t MsgType) String() string {
 	return fmt.Sprintf("msg(%d)", uint8(t))
 }
 
-// WriteFrame writes one frame. The payload must be under MaxFrame bytes.
+// framePool recycles the buffers WriteFrame assembles frames in.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteFrame writes one frame with exactly one Write — header and payload
+// assembled in one buffer — so on a raw connection a frame is one syscall, one
+// segment and one wake-up of the peer. The payload must be under MaxFrame bytes.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	if len(payload) >= MaxFrame {
 		return fmt.Errorf("wire: %s frame payload %d exceeds limit", t, len(payload))
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	bp := framePool.Get().(*[]byte)
+	frame := binary.BigEndian.AppendUint32((*bp)[:0], uint32(len(payload)+1))
+	frame = append(append(frame, byte(t)), payload...)
+	_, err := w.Write(frame)
+	if cap(frame) <= 64<<10 { // a rare huge frame is not worth pinning
+		*bp = frame
+		framePool.Put(bp)
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
+// readStep is the most ReadFrame allocates ahead of the bytes that have
+// actually arrived: a length prefix is a claim, not data, and a peer that
+// sends only a header must not pin MaxFrame bytes per connection.
+const readStep = 256 << 10
+
 // ReadFrame reads one frame, rejecting empty or oversized length prefixes.
+// Frames up to readStep are one allocation; a longer one grows its buffer as
+// its bytes arrive, doubling from readStep.
 func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > MaxFrame {
-		return 0, nil, fmt.Errorf("wire: implausible frame length %d", n)
+	claimed := binary.BigEndian.Uint32(hdr[:])
+	if claimed == 0 || claimed > MaxFrame {
+		return 0, nil, fmt.Errorf("wire: implausible frame length %d", claimed)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, fmt.Errorf("wire: short frame body: %w", err)
+	n := int(claimed)
+	buf := make([]byte, 0, min(n, readStep))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(n, 2*cap(buf))), buf...)
+		}
+		got, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return 0, nil, fmt.Errorf("wire: short frame body: %w", err)
+		}
 	}
 	return MsgType(buf[0]), buf[1:], nil
 }
