@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test race test-race bench bench-query bench-frozen bench-serve bench-planner bench-load bench-load-rep bench-scale vet fmt-check fuzz fuzz-wire fuzz-qcache fuzz-arena bench-smoke bench-clock bench-offline reqpath smoke debug-smoke lsm-smoke experiments examples clean
+.PHONY: all check build test test-race bench bench-query bench-frozen vet fmt-check fuzz fuzz-wire fuzz-qcache fuzz-arena bench-smoke bench-clock bench-offline reqpath smoke debug-smoke lsm-smoke experiments examples clean
 
 all: build vet test
 
@@ -20,9 +20,6 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-race:
-	$(GO) test -race ./...
-
 # Race-detector pass over everything; the concurrency-heavy packages (the
 # MapReduce runtime, the serving layer's server/client, the parallel
 # builders) are all covered by running the whole module.
@@ -40,44 +37,11 @@ bench-query:
 	$(GO) run ./cmd/habench -exp query
 
 # Frozen-index microbenchmarks: freeze (compile) time, flat-walk search and
-# top-k, and the v4 arena decode (eager copy and aliasing), then the
-# pointer-vs-frozen experiment rows (BENCH_query.json gains a "frozen" field
-# per run).
-bench-frozen:
+# top-k, and the v4 arena decode (eager copy and aliasing), after bench-query's
+# pointer-vs-frozen experiment rows (the "frozen" field of each
+# BENCH_query.json run).
+bench-frozen: bench-query
 	$(GO) test -run=NONE -bench='Freeze|Frozen|DecodeArena' -benchmem ./internal/core/
-	$(GO) run ./cmd/habench -exp query
-
-# Serving-layer throughput experiment: QPS and latency against in-process
-# shard servers across shard counts and batch sizes; writes BENCH_serve.json.
-bench-serve:
-	$(GO) run ./cmd/habench -exp serve
-
-# Planner experiment: threshold sweep across the HA walk, MIH, and the brute
-# scan at 64-bit codes, the engine crossovers, the planner's hit rate, and
-# the auto-vs-forced-ha comparison; writes BENCH_planner.json.
-bench-planner:
-	$(GO) run ./cmd/habench -exp planner
-
-# Traffic-shaped serving experiment: open-loop zipfian load against a real
-# loopback deployment — result-cache hit rate and tail latency at 0.75x
-# capacity, and the goodput collapse/survival sweep past saturation with
-# admission shedding off and on; writes BENCH_load.json.
-bench-load:
-	$(GO) run ./cmd/habench -exp load
-
-# Replica-routing experiment: the same zipfian workload against a replicated
-# deployment under three routing policies (single replica, rendezvous
-# affinity, naive split) plus a cold-failover window that kills one replica
-# under load; writes the "replicated" section of BENCH_load.json.
-bench-load-rep:
-	$(GO) run ./cmd/habench -exp load-rep
-
-# Zero-copy arena experiment at multi-million-code scale: streaming-build
-# wall/peak-heap at two sizes, then mmap-vs-eager serving over the same v4
-# snapshot (load-to-first-query, heap/mapped bytes, RSS growth, query
-# latency); writes BENCH_scale.json.
-bench-scale:
-	$(GO) run ./cmd/habench -exp scale
 
 # The request path's invariants by name, three times over under the race
 # detector: one Write per frame from the router and from the server (a
@@ -153,6 +117,8 @@ debug-smoke:
 lsm-smoke:
 	SMOKE_LSM=1 ./scripts/smoke.sh
 
+# Every paper-reproduction experiment at default scale, in-process: no
+# server is started, and only BENCH_query.json is written.
 experiments:
 	$(GO) run ./cmd/habench -exp all
 

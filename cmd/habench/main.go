@@ -5,9 +5,13 @@
 //
 // Usage:
 //
-//	habench -exp all            # everything, default scale
+//	habench -exp all            # every experiment below, default scale
 //	habench -exp table4 -n 50000
 //	habench -exp fig7 -quick
+//
+// The experiments are the rows of the runners table below (habench -h
+// prints them); only query writes a file, BENCH_query.json. Serving numbers
+// are not measured here: see benchmark/ and BENCHMARK.json.
 package main
 
 import (
@@ -20,9 +24,32 @@ import (
 	"haindex/internal/bench"
 )
 
+// runners is every experiment -exp accepts, in the order "all" runs them.
+var runners = []struct {
+	name string
+	run  func(bench.Scale) ([]bench.Table, error)
+}{
+	{"table4", bench.Table4},
+	{"fig6", bench.Fig6},
+	{"fig8", bench.Fig8},
+	{"table5", bench.Table5},
+	{"fig7", bench.Fig7},
+	{"fig9", bench.Fig9},
+	{"fig10", bench.Fig10},
+	{"ablation", bench.Ablations},
+	{"scaling", bench.Scaling},
+	{"faults", bench.FaultSweep},
+	{"query", bench.QueryBench},
+}
+
 func main() {
+	valid := ""
+	for _, r := range runners {
+		valid += r.name + "|"
+	}
+	valid += "all"
 	var (
-		exp    = flag.String("exp", "all", "experiment: table4|fig6|fig7|fig8|fig9|fig10|table5|ablation|scaling|faults|query|serve|planner|load|load-rep|scale|all")
+		exp    = flag.String("exp", "all", "experiment: "+valid)
 		quick  = flag.Bool("quick", false, "use the small smoke-test scale")
 		n      = flag.Int("n", 0, "override Hamming-select dataset size")
 		knnN   = flag.Int("knn-n", 0, "override kNN dataset size (Table 5)")
@@ -65,28 +92,6 @@ func main() {
 		sc.JoinScales = ss
 	}
 
-	type runner struct {
-		name string
-		run  func(bench.Scale) ([]bench.Table, error)
-	}
-	runners := []runner{
-		{"table4", bench.Table4},
-		{"fig6", bench.Fig6},
-		{"fig8", bench.Fig8},
-		{"table5", bench.Table5},
-		{"fig7", bench.Fig7},
-		{"fig9", bench.Fig9},
-		{"fig10", bench.Fig10},
-		{"ablation", bench.Ablations},
-		{"scaling", bench.Scaling},
-		{"faults", bench.FaultSweep},
-		{"query", bench.QueryBench},
-		{"serve", bench.ServeBench},
-		{"planner", bench.PlannerBench},
-		{"load", bench.LoadBench},
-		{"load-rep", bench.LoadRepBench},
-		{"scale", bench.ScaleBench},
-	}
 	ran := false
 	for _, r := range runners {
 		if *exp != "all" && *exp != r.name {
@@ -102,7 +107,7 @@ func main() {
 		}
 	}
 	if !ran {
-		fatalf("unknown experiment %q; want table4|fig6|fig7|fig8|fig9|fig10|table5|ablation|scaling|faults|query|serve|planner|load|load-rep|scale|all", *exp)
+		fatalf("unknown experiment %q; want %s", *exp, valid)
 	}
 }
 

@@ -1,42 +1,101 @@
 package haindex_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestServingImportFence: the paper-reproduction baselines stay out of the
-// serving stack (no serving package or binary imports one, tests included),
-// and the snapshot format stays ignorant of the MIH engine built over it.
+// TestServingImportFence holds the fence from both sides. The
+// paper-reproduction baselines stay out of the serving stack (no serving
+// package or binary imports one, tests included) and the snapshot format
+// stays ignorant of the MIH engine built over it; the reproduction benches
+// (internal/bench, cmd/habench) import nothing of the serving stack, whose
+// numbers come from benchmark/ alone. The BENCH_*.json records at the repo
+// root are exactly the file names internal/bench's non-test source spells out
+// (today QueryBenchFile), so a record whose experiment was deleted cannot
+// linger as if it were still measured.
 func TestServingImportFence(t *testing.T) {
-	banned := map[string]bool{}
-	for _, b := range []string{"baseline", "radix", "knn", "btree", "zorder", "relop", "tanimoto"} {
-		banned["haindex/internal/"+b] = true
-	}
-	for _, dir := range []string{
-		"internal/core", "internal/wire", "internal/server", "internal/client", "internal/lsm",
-		"internal/mih", "internal/planner", "internal/qcache", "internal/obs",
-		"cmd/haserve", "cmd/haquery",
-	} {
-		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("%s: no Go files (%v)", dir, err)
+	internal := func(names ...string) map[string]bool {
+		m := map[string]bool{}
+		for _, n := range names {
+			m["haindex/internal/"+n] = true
 		}
-		for _, file := range files {
-			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
-			if err != nil {
-				t.Fatal(err)
+		return m
+	}
+	baselines := internal("baseline", "radix", "knn", "btree", "zorder", "relop", "tanimoto")
+	serving := internal("server", "client", "wire", "qcache", "lsm", "planner", "mih", "obs")
+	fences := []struct {
+		banned map[string]bool
+		dirs   []string
+	}{
+		{baselines, []string{
+			"internal/core", "internal/wire", "internal/server", "internal/client", "internal/lsm",
+			"internal/mih", "internal/planner", "internal/qcache", "internal/obs",
+			"cmd/haserve", "cmd/haquery",
+		}},
+		{serving, []string{"internal/bench", "cmd/habench"}},
+	}
+	for _, fence := range fences {
+		for _, dir := range fence.dirs {
+			files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+			if err != nil || len(files) == 0 {
+				t.Fatalf("%s: no Go files (%v)", dir, err)
 			}
-			for _, imp := range f.Imports {
-				path, _ := strconv.Unquote(imp.Path.Value)
-				if banned[path] || (dir == "internal/wire" && strings.HasSuffix(path, "internal/mih")) {
-					t.Errorf("%s imports %s", file, path)
+			for _, file := range files {
+				f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, imp := range f.Imports {
+					path, _ := strconv.Unquote(imp.Path.Value)
+					if fence.banned[path] || (dir == "internal/wire" && strings.HasSuffix(path, "internal/mih")) {
+						t.Errorf("%s imports %s", file, path)
+					}
 				}
 			}
 		}
+	}
+
+	record := regexp.MustCompile(`^BENCH_\w+\.json$`)
+	declared := map[string]bool{}
+	files, err := filepath.Glob("internal/bench/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if s, err := strconv.Unquote(lit.Value); err == nil && record.MatchString(s) {
+					declared[s] = true
+				}
+			}
+			return true
+		})
+	}
+	onDisk, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range onDisk {
+		if !declared[name] {
+			t.Errorf("%s has no writer in internal/bench", name)
+		}
+		delete(declared, name)
+	}
+	for name := range declared {
+		t.Errorf("internal/bench writes %s, but no such record is at the repo root", name)
 	}
 }

@@ -244,42 +244,3 @@ func TestFaultSweepQuick(t *testing.T) {
 		}
 	}
 }
-
-func TestPlannerBenchQuick(t *testing.T) {
-	sc := QuickScale()
-	sc.SelectN = 800
-	sc.Queries = 5
-	tables, err := plannerBench(sc, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 2 {
-		t.Fatalf("tables=%d want 2", len(tables))
-	}
-	if len(tables[0].Rows) != 12 {
-		t.Fatalf("sweep rows=%d want 12 thresholds", len(tables[0].Rows))
-	}
-	if len(tables[0].Header) != 8 {
-		t.Fatalf("sweep header=%d", len(tables[0].Header))
-	}
-	if len(tables[1].Rows) != 4 {
-		t.Fatalf("summary rows=%d", len(tables[1].Rows))
-	}
-}
-
-func TestScaleBenchQuick(t *testing.T) {
-	sc := QuickScale()
-	tables, err := scaleBench(sc, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 2 {
-		t.Fatalf("tables=%d want 2", len(tables))
-	}
-	if len(tables[0].Rows) != 2 {
-		t.Fatalf("build rows=%d want 2 sizes", len(tables[0].Rows))
-	}
-	if len(tables[1].Rows) != 2 {
-		t.Fatalf("serve rows=%d want mmap+eager", len(tables[1].Rows))
-	}
-}

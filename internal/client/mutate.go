@@ -12,28 +12,6 @@ import (
 // mutable LSM tier (haserve -mutable). Against immutable shards the
 // server's error frame surfaces through the normal retry path.
 
-// invalidateCaches bumps the deployment-wide mutation generation after a
-// mutation was issued, making every merged result-cache entry filled before
-// it unreachable. It is called whether or not the mutation fully succeeded —
-// some shards may have applied their part, and over-invalidation only costs
-// misses. Bumping after (not before) issuing keeps racing lookups
-// linearizable: a fill at the old generation can only be read by a lookup
-// that also started before the mutation completed.
-func (r *Router) invalidateCaches() {
-	r.depGen.Add(1)
-}
-
-// bumpShard invalidates one shard's partial-result entries. Mutations call
-// it only for shards whose result set actually changed — a broadcast delete
-// that found nothing to delete leaves the shard's partials valid, which is
-// what makes CachePartials worth having: an insert landing on shard 1
-// does not evict the partials of shard 0.
-func (r *Router) bumpShard(m int) {
-	if m < len(r.shardGens) {
-		r.shardGens[m].Add(1)
-	}
-}
-
 // Insert applies a batch of upserts across the deployment. Each (id, code)
 // pair is routed to the shard owning the code's Gray partition — the same
 // pivot routing the build used, so mutations land where a future search
@@ -88,16 +66,12 @@ func (r *Router) Insert(ids []int, codes []bitvec.Code) (int, error) {
 	r.fanOut(ins, routePrimary, nil)
 	for i := range ins {
 		lg := &ins[i]
-		// The insert lands here whatever the outcome reports; the shard's
-		// partials are stale either way.
-		r.bumpShard(lg.sh.part)
 		var resp wire.InsertResp
 		if lg.err == nil {
 			resp, lg.err = wire.ParseInsertResp(lg.resp)
 		}
 		replaced += resp.Replaced
 	}
-	r.invalidateCaches()
 	if err := firstErr(dels, ins); err != nil {
 		return 0, err
 	}
@@ -117,7 +91,6 @@ func (r *Router) Delete(ids []int) (int, error) {
 		legs[m] = deleteLeg(sh, ids)
 	}
 	deleted := r.runDeletes(legs)
-	r.invalidateCaches()
 	if err := firstErr(legs); err != nil {
 		return 0, err
 	}
@@ -128,9 +101,8 @@ func deleteLeg(sh *shard, ids []int) leg {
 	return leg{sh: sh, t: wire.MsgDelete, want: wire.MsgDeleteOK, payload: wire.DeleteReq{IDs: ids}.Append(nil)}
 }
 
-// runDeletes fans delete legs out and returns how many ids they found live. A
-// shard whose result set changed — or whose state is unknown, because its leg
-// failed (the error stays in the leg) — has its partials invalidated.
+// runDeletes fans delete legs out and returns how many ids they found live;
+// a failed leg keeps its error.
 func (r *Router) runDeletes(legs []leg) (deleted int) {
 	r.fanOut(legs, routePrimary, nil)
 	for i := range legs {
@@ -138,9 +110,6 @@ func (r *Router) runDeletes(legs []leg) (deleted int) {
 		var resp wire.DeleteResp
 		if lg.err == nil {
 			resp, lg.err = wire.ParseDeleteResp(lg.resp)
-		}
-		if lg.err != nil || resp.Deleted > 0 {
-			r.bumpShard(lg.sh.part)
 		}
 		deleted += resp.Deleted
 	}

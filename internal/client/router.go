@@ -82,27 +82,14 @@ type Options struct {
 	// of its packed result-cache key prefers, so the same query keeps
 	// landing on the same warm cache while distinct queries spread across
 	// the replica set. "none" rotates round-robin per shard with no
-	// affinity — the naive split, kept for comparison benchmarks and for
-	// tests that need a deterministic replica order.
+	// affinity — the naive split, kept for tests that need a deterministic
+	// replica order.
 	Affinity string
 	// FailureCooldown is how long a replica that failed an attempt at the
 	// transport level (dial refused, connection dropped) is demoted to the
 	// tail of the rendezvous ranking, so fresh requests, failovers, and
 	// hedges prefer standbys believed healthy (0 = 500ms).
 	FailureCooldown time.Duration
-
-	// CacheEntries, when positive, gives the router a client-side result
-	// cache (internal/qcache) of merged whole-deployment answers, bounded
-	// to that many entries. Entries are keyed on a router-local mutation
-	// generation bumped by Insert/Delete, so the cache is only coherent
-	// when every mutation to the deployment flows through this router —
-	// the single-writer setup the load harness uses. 0 disables.
-	CacheEntries int
-	// CachePartials additionally caches per-shard partial results (keyed
-	// per shard on its own generation), so a query that misses the merged
-	// cache can still skip the shards it has fresh partials for. Only
-	// meaningful with CacheEntries > 0.
-	CachePartials bool
 
 	// Obs, when set, is the registry the router hangs its counters and
 	// per-attempt latency histograms on; nil gives the router a private one
@@ -191,15 +178,6 @@ type Router struct {
 	ranges   *histo.Ranges
 	shards   []*shard // indexed by partition id
 
-	// cache, when non-nil, holds merged (and optionally per-shard partial)
-	// search results. depGen is the deployment-wide mutation generation the
-	// merged entries are keyed on; shardGens (indexed by partition) key the
-	// partials. Insert and Delete bump them after the mutation is
-	// acknowledged, making every pre-mutation entry unreachable.
-	cache     *qcache.Cache
-	depGen    atomic.Uint64
-	shardGens []atomic.Uint64
-
 	shardRequests atomic.Int64
 	queriesRouted atomic.Int64
 	queriesPruned atomic.Int64
@@ -249,7 +227,7 @@ type replica struct {
 	addr string
 	opts Options
 
-	// rank caches the replica's rendezvous identity (a hash of its
+	// rank memoizes the replica's rendezvous identity (a hash of its
 	// address, never 0); lazily computed so hand-built test replicas work.
 	rank atomic.Uint64
 
@@ -351,7 +329,6 @@ func Dial(shardAddrs [][]string, opts Options) (*Router, error) {
 		engine:     engine,
 		priority:   priority,
 		shards:     make([]*shard, len(shardAddrs)),
-		shardGens:  make([]atomic.Uint64, len(shardAddrs)),
 		reg:        opts.Obs,
 		tracer:     obs.NewTracer(opts.TraceCapacity),
 		now:        time.Now,
@@ -360,9 +337,6 @@ func Dial(shardAddrs [][]string, opts Options) (*Router, error) {
 	}
 	if r.reg == nil {
 		r.reg = obs.NewRegistry()
-	}
-	if opts.CacheEntries > 0 {
-		r.cache = qcache.New(qcache.Options{MaxEntries: opts.CacheEntries, Obs: r.reg})
 	}
 	r.histAttempt = r.reg.Histogram("attempt_ns")
 	r.histShard = make([]*obs.Histogram, len(shardAddrs))
@@ -509,71 +483,16 @@ func (r *Router) SearchBatch(queries []bitvec.Code, h int) ([][]int, error) {
 
 	results := make([][]int, len(queries))
 
-	// Cache phase: the merged-answer cache finishes whole queries before
-	// routing sees them. Generations are read once, before any shard is
-	// contacted — a racing mutation then either bumps them (this fill
-	// becomes unreachable) or was already acknowledged (the answer is
-	// current); see the qcache package docs for the ordering argument.
-	var (
-		gen      uint64
-		sgens    []uint64 // per-shard generations, when partials are on
-		fullKeys [][]byte // packed merged-cache key per missed query
-		cached   []bool
-	)
-	if r.cache != nil {
-		span := tr.Start("cache", 0)
-		gen = r.depGen.Load()
-		fullKeys = make([][]byte, len(queries))
-		cached = make([]bool, len(queries))
-		var kb []byte
-		for i, q := range queries {
-			kb = qcache.Key{Code: q, H: h, Engine: r.engine, Shard: -1, Epoch: gen}.Append(kb[:0])
-			if ids, ok := r.cache.Get(kb); ok {
-				if len(ids) > 0 {
-					// Copy: callers own the result slices they get back.
-					results[i] = append([]int(nil), ids...)
-				}
-				cached[i] = true
-				continue
-			}
-			fullKeys[i] = append([]byte(nil), kb...)
-		}
-		if r.opts.CachePartials {
-			sgens = make([]uint64, len(r.shards))
-			for m := range sgens {
-				sgens[m] = r.shardGens[m].Load()
-			}
-		}
-		tr.End(span)
-	}
-
-	// Route each remaining query to the shards whose Gray range can hold a
-	// match; with partials on, a fresh per-shard entry answers its
-	// (query, shard) pair on the spot and that shard is skipped.
+	// Route each query to the shards whose Gray range can hold a match.
 	routeSpan := tr.Start("route", 0)
-	perShard := make([][]int, len(r.shards))    // query indexes per shard
-	partKeys := make([][][]byte, len(r.shards)) // packed partial keys, aligned
+	perShard := make([][]int, len(r.shards)) // query indexes per shard
 	var parts []int
-	var kb []byte
 	for i, q := range queries {
-		if cached != nil && cached[i] {
-			continue
-		}
 		parts = r.ranges.Route(parts[:0], q, h)
-		routed := 0
 		for _, m := range parts {
-			if sgens != nil {
-				kb = qcache.Key{Code: q, H: h, Engine: r.engine, Shard: m, Epoch: sgens[m]}.Append(kb[:0])
-				if ids, ok := r.cache.Get(kb); ok {
-					results[i] = append(results[i], ids...)
-					continue
-				}
-				partKeys[m] = append(partKeys[m], append([]byte(nil), kb...))
-			}
 			perShard[m] = append(perShard[m], i)
-			routed++
 		}
-		r.queriesRouted.Add(int64(routed))
+		r.queriesRouted.Add(int64(len(parts)))
 		r.queriesPruned.Add(int64(len(r.shards) - len(parts)))
 	}
 	tr.End(routeSpan)
@@ -599,14 +518,13 @@ func (r *Router) SearchBatch(queries []bitvec.Code, h int) ([][]int, error) {
 	r.fanOut(legs, routeAffinity, tr)
 	for l := range legs {
 		lg := &legs[l]
-		m := lg.sh.part
-		qidx, pkeys := perShard[m], partKeys[m]
+		qidx := perShard[lg.sh.part]
 		var resp wire.SearchResp
 		if lg.err == nil {
 			resp, lg.err = wire.ParseSearchResp(lg.resp)
 		}
 		if lg.err == nil && len(resp.IDs) != len(qidx) {
-			lg.err = fmt.Errorf("client: shard %d answered %d of %d queries", m, len(resp.IDs), len(qidx))
+			lg.err = fmt.Errorf("client: shard %d answered %d of %d queries", lg.sh.part, len(resp.IDs), len(qidx))
 		}
 		if lg.err != nil {
 			return nil, lg.err
@@ -615,29 +533,10 @@ func (r *Router) SearchBatch(queries []bitvec.Code, h int) ([][]int, error) {
 			// Partitions are disjoint, so ids from different shards
 			// never collide; merging is concatenation.
 			results[i] = append(results[i], resp.IDs[j]...)
-			if pkeys != nil {
-				// The parsed slice is response-owned and read-only from
-				// here on; the cache can keep it without a copy.
-				r.cache.Put(pkeys[j], resp.IDs[j])
-			}
 		}
 	}
 	for i := range results {
 		sort.Ints(results[i])
-	}
-	// Fill the merged cache for the queries that missed it, at the
-	// generation read before fan-out. Copies: the caller owns results.
-	if r.cache != nil {
-		for i, fk := range fullKeys {
-			if fk == nil {
-				continue
-			}
-			var cp []int
-			if len(results[i]) > 0 {
-				cp = append([]int(nil), results[i]...)
-			}
-			r.cache.Put(fk, cp)
-		}
 	}
 	return results, nil
 }

@@ -172,9 +172,7 @@ func gamma(rng *rand.Rand, shape float64) float64 {
 
 // ZipfWeights returns k weights proportional to rank^(-s), normalized to
 // sum to 1. It shapes the cluster-size skew of every synthetic profile
-// here, and the query-popularity skew of the load harness
-// (internal/loadgen) — the same distribution governs what the data looks
-// like and what traffic asks for.
+// here.
 func ZipfWeights(k int, s float64) []float64 {
 	w := make([]float64, k)
 	sum := 0.0

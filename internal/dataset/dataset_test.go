@@ -220,7 +220,7 @@ func TestProfileByName(t *testing.T) {
 // TestZipfWeightsShape pins the exported popularity distribution: weights
 // are normalized, strictly decreasing for positive skew, uniform at skew 0,
 // and steeper skew concentrates more mass on the head — the properties the
-// load harness's hit-rate math rests on.
+// benchmark's fixtures rest on.
 func TestZipfWeightsShape(t *testing.T) {
 	w := ZipfWeights(100, 1.1)
 	sum := 0.0

@@ -5,11 +5,10 @@
 //
 // Correctness under mutation comes entirely from the key: the epoch field
 // is a monotone version of the backing index (lsm.Shard.Version on a
-// mutable server, a router-local mutation generation on the client, the
-// constant 0 on an immutable index). A mutation bumps the version, every
-// later lookup uses the new key, and stale entries are never read again —
-// they age out of the bound like any other cold entry. No invalidation
-// traffic exists.
+// mutable server, the constant 0 on an immutable index). A mutation bumps
+// the version, every later lookup uses the new key, and stale entries are
+// never read again — they age out of the bound like any other cold entry.
+// No invalidation traffic exists.
 //
 // Admission is TinyLFU-style so one-hit wonders cannot evict the hot set: a
 // small count-min sketch of 4-bit counters estimates each key's access
@@ -28,9 +27,9 @@ import (
 
 // Key identifies one cached result. Epoch is the invalidation token: any
 // result-changing mutation of the backing index must be visible as a new
-// Epoch value, which keys the entry space afresh. Shard distinguishes
-// partial (per-partition) results held by a router from whole-deployment
-// ones; single-index callers leave it -1.
+// Epoch value, which keys the entry space afresh. Shard names the partition
+// a partial result belongs to; the server and the router's affinity hash
+// both leave it -1.
 type Key struct {
 	Code   bitvec.Code
 	H      int
