@@ -4,7 +4,7 @@ GO ?= go
 
 all: build vet test
 
-check: build vet fmt-check test test-race reqpath fuzz-wire fuzz-qcache fuzz-arena bench-smoke
+check: build vet fmt-check test test-race reqpath fuzz-wire fuzz-qcache fuzz-arena bench-smoke lsm-smoke
 
 build:
 	$(GO) build ./...
@@ -113,7 +113,7 @@ debug-smoke:
 
 # Smoke of the mutable (LSM) serving tier: restart the shards with -mutable,
 # insert, delete, seal, and compact through haquery, and verify searches see
-# every mutation.
+# every mutation. About 2 s, so it is part of `make check`.
 lsm-smoke:
 	SMOKE_LSM=1 ./scripts/smoke.sh
 

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -19,7 +20,10 @@ import (
 // numbers come from benchmark/ alone. The BENCH_*.json records at the repo
 // root are exactly the file names internal/bench's non-test source spells out
 // (today QueryBenchFile), so a record whose experiment was deleted cannot
-// linger as if it were still measured.
+// linger as if it were still measured. The paper's merge phase (core.Merge)
+// belongs to mrjoin and haindex.MergeIndexes: the LSM tier compacts by
+// rebuilding from leaf slabs, so no non-test source under internal/lsm may
+// mention it.
 func TestServingImportFence(t *testing.T) {
 	internal := func(names ...string) map[string]bool {
 		m := map[string]bool{}
@@ -59,6 +63,23 @@ func TestServingImportFence(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+
+	lsmFiles, err := filepath.Glob("internal/lsm/*.go")
+	if err != nil || len(lsmFiles) == 0 {
+		t.Fatalf("internal/lsm: no Go files (%v)", err)
+	}
+	for _, file := range lsmFiles {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(src), "core.Merge") {
+			t.Errorf("%s mentions core.Merge", file)
 		}
 	}
 

@@ -40,7 +40,6 @@ func buildMutableDeploymentOpts(t *testing.T, rng *rand.Rand, bits, parts int, s
 	var addrs [][]string
 	for m := 0; m < parts; m++ {
 		sh := lsm.New(bits, lsm.Options{
-			Index:       core.Options{Window: 8, BufferMax: 16},
 			MemtableMax: memtableMax,
 			CompactAt:   2,
 		})

@@ -13,9 +13,8 @@ import "haindex/internal/bitvec"
 // The grafted structure is deep-copied: the output shares no dnodes or
 // leafGroups with the inputs, so mutating the merged index (Insert, Delete,
 // Flush) never corrupts the parts and the parts stay independently usable —
-// the contract the LSM compactor relies on when it merges live segments.
-// Leaf codes and node patterns are shared by value; neither is ever mutated
-// in place by index operations.
+// callers of haindex.MergeIndexes keep both. Leaf codes and node patterns are
+// shared by value; neither is ever mutated in place by index operations.
 //
 // The returned index adopts the options of the first input. Every input is
 // flushed, including in the single-input case, so a buffered-insert index

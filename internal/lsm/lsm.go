@@ -7,12 +7,12 @@
 // the id is live in a frozen segment, a tombstone masks the old version. A
 // Delete of a memtable id edits the memtable in place (H-Delete); a delete
 // of a frozen id becomes a tombstone. When the memtable passes a size
-// threshold a background goroutine seals it: the memtable is published as an
-// immutable just-sealed segment (still the pointer index, already flushed),
-// then compiled with core.Freeze off the write path and swapped in under an
-// epoch-bumped atomic state update. A compactor merges the segment stack
-// with core.Merge — safe only because Merge deep-copies, the bug fixed
-// alongside this package — drops tombstoned tuples, refreezes, and swaps,
+// threshold a background goroutine seals it: under the write lock the
+// memtable is compiled with core.Freeze and appended to the stack in one
+// epoch-bumped state update, and the pointer index is dropped — a sealed
+// segment is its Gray-sorted leaf slab plus the compiled hierarchy, nothing
+// else. A compactor rebuilds the whole stack into one segment from the
+// tuples in the leaf slabs that no tombstone masks, and swaps it in,
 // garbage-collecting tombstones no remaining segment needs.
 //
 // Versioning uses a single mutation sequence: every segment records the
@@ -23,9 +23,11 @@
 // across the memtable and all segments, so searches fan out and concatenate
 // without a dedup pass.
 //
-// Searches take a read lock (memtable and tombstones are mutable); seal
-// freeze and compaction — the expensive work — run off-lock on immutable
-// structure, so readers only ever wait out the cheap pointer swaps.
+// Searches take a read lock (memtable and tombstones are mutable). The
+// compaction rebuild — the expensive work — runs off-lock on immutable
+// structure; a seal freezes a memtable-sized index (about a millisecond at
+// the default 4096 entries, a fraction of the buffer flush before it) inside
+// the write lock, so readers wait out that and the pointer swaps.
 package lsm
 
 import (
@@ -42,9 +44,6 @@ import (
 
 // Options configures a mutable shard.
 type Options struct {
-	// Index is the H-Build configuration used for the memtable and for
-	// compaction rebuilds.
-	Index core.Options
 	// MemtableMax is the number of live memtable entries that triggers a
 	// background seal. 0 selects 4096; negative disables automatic sealing
 	// (Seal must be called explicitly).
@@ -70,19 +69,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// segment is one immutable layer of the shard: the serving index (frozen,
-// or the just-sealed pointer index until the background freeze lands), the
-// pointer form kept for compaction merges, and the seal-time sequence that
-// orders it against tombstones.
+// segment is one immutable layer of the shard: the frozen serving index and
+// the seal-time sequence that orders it against tombstones.
 type segment struct {
-	idx    core.Index
-	dyn    *core.DynamicIndex // nil when bootstrapped from a frozen snapshot
+	idx    *core.FrozenIndex
 	maxSeq uint64
 	pool   sync.Pool // *core.Searcher bound to idx
 }
 
-func newSegment(idx core.Index, dyn *core.DynamicIndex, maxSeq uint64) *segment {
-	g := &segment{idx: idx, dyn: dyn, maxSeq: maxSeq}
+func newSegment(idx *core.FrozenIndex, maxSeq uint64) *segment {
+	g := &segment{idx: idx, maxSeq: maxSeq}
 	g.pool.New = func() interface{} { return core.NewSearcher(g.idx) }
 	return g
 }
@@ -127,8 +123,8 @@ type Shard struct {
 	// change to what a search can return is visible as a new version.
 	ver atomic.Uint64
 
-	// structMu serializes structural background work (seal, compact) so at
-	// most one freeze/merge is in flight.
+	// structMu serializes structural work (seal, compact) so at most one
+	// freeze/rebuild is in flight.
 	structMu    sync.Mutex
 	sealArmed   atomic.Bool
 	wg          sync.WaitGroup
@@ -173,7 +169,9 @@ func New(length int, opts Options) *Shard {
 
 // Bootstrap seeds the shard with an existing immutable index as its first
 // segment — how a server turns a loaded snapshot into a mutable shard. Ids
-// in the index must be unique. It must be called before any mutation.
+// in the index must be unique (a duplicate is an error: Len would
+// under-report and one Delete would mask two tuples). It must be called
+// before any mutation.
 func (s *Shard) Bootstrap(idx core.Index) error {
 	if idx.Length() != s.length {
 		return fmt.Errorf("lsm: bootstrap index is %d-bit, shard serves %d-bit codes", idx.Length(), s.length)
@@ -187,32 +185,28 @@ func (s *Shard) Bootstrap(idx core.Index) error {
 	if idx.Len() == 0 {
 		return nil
 	}
-	var seg *segment
-	s.seq++
+	var frozen *core.FrozenIndex
 	switch t := idx.(type) {
 	case *core.DynamicIndex:
-		t.Flush()
-		seg = newSegment(core.Freeze(t), t, s.seq)
+		frozen = core.Freeze(t)
 	case *core.FrozenIndex:
-		seg = newSegment(t, nil, s.seq)
+		frozen = t
 	default:
 		return fmt.Errorf("lsm: cannot bootstrap from index type %T", idx)
 	}
-	enumerate(idx, func(id int, _ bitvec.Code) {
+	frozen.Tuples(func(id int, _ bitvec.Code) {
 		s.frozenLive[id] = struct{}{}
 	})
+	if distinct := len(s.frozenLive); distinct != frozen.Len() {
+		s.frozenLive = make(map[int]struct{})
+		return fmt.Errorf("lsm: bootstrap index holds %d tuples under %d distinct ids", frozen.Len(), distinct)
+	}
+	s.seq++
 	st := s.state.Load()
-	s.state.Store(&state{segments: []*segment{seg}, epoch: st.epoch + 1})
+	s.state.Store(&state{segments: []*segment{newSegment(frozen, s.seq)}, epoch: st.epoch + 1})
 	s.ver.Add(1)
 	s.publishGauges()
 	return nil
-}
-
-// enumerate walks (id, code) pairs of either index form.
-func enumerate(idx core.Index, fn func(int, bitvec.Code)) {
-	idx.(interface {
-		Tuples(func(id int, code bitvec.Code))
-	}).Tuples(fn)
 }
 
 // Length returns the code length L in bits.
@@ -287,7 +281,7 @@ func (s *Shard) Insert(id int, c bitvec.Code) bool {
 	s.seq++
 	s.memIDs[id] = c
 	if s.mem == nil {
-		mem := core.BuildDynamic([]bitvec.Code{c}, []int{id}, s.opts.Index)
+		mem := core.BuildDynamic([]bitvec.Code{c}, []int{id}, core.Options{})
 		s.mem = mem
 		s.memPool = &sync.Pool{New: func() interface{} { return core.NewSearcher(mem) }}
 	} else {
@@ -429,8 +423,14 @@ func (s *Shard) Tuples(fn func(id int, code bitvec.Code)) {
 	for id, c := range s.memIDs {
 		fn(id, c)
 	}
-	for _, seg := range s.state.Load().segments {
-		enumerate(seg.idx, func(id int, c bitvec.Code) {
+	s.segmentTuples(s.state.Load().segments, fn)
+}
+
+// segmentTuples invokes fn for every (id, code) occurrence in the segments'
+// leaf slabs that no tombstone masks; callers hold mu.
+func (s *Shard) segmentTuples(segs []*segment, fn func(id int, code bitvec.Code)) {
+	for _, seg := range segs {
+		seg.idx.Tuples(func(id int, c bitvec.Code) {
 			if t, masked := s.tomb[id]; masked && t > seg.maxSeq {
 				return
 			}
@@ -439,68 +439,43 @@ func (s *Shard) Tuples(fn func(id int, code bitvec.Code)) {
 	}
 }
 
-// Seal freezes the current memtable into a new immutable segment. The
-// memtable is first published as a just-sealed (pointer-index) segment so
-// its tuples stay searchable, then compiled with core.Freeze off the write
-// path and swapped in. With compact set, a compaction follows. Seal is
-// synchronous: when it returns, the new segment is frozen and live.
+// Seal freezes the current memtable into a new immutable segment in one
+// step under the write lock: core.Freeze settles the insert buffer and
+// compiles the pointer index, the segment joins the stack and the epoch
+// advances by one. When Seal returns the memtable is empty and every tuple
+// it held is searchable in the frozen segment; there is no intermediate
+// state for a reader to see. With compact set, a compaction follows.
 func (s *Shard) Seal(compact bool) {
 	s.structMu.Lock()
 	t0 := time.Now()
 	s.mu.Lock()
-	mem := s.mem
-	if mem == nil || len(s.memIDs) == 0 {
-		s.mu.Unlock()
-		s.structMu.Unlock()
-		if compact {
-			s.Compact()
+	if len(s.memIDs) > 0 {
+		sealed := newSegment(core.Freeze(s.mem), s.seq)
+		for id := range s.memIDs {
+			s.frozenLive[id] = struct{}{}
 		}
-		return
+		s.mem, s.memPool = nil, nil
+		s.memIDs = make(map[int]bitvec.Code)
+		st := s.state.Load()
+		segs := append(append([]*segment(nil), st.segments...), sealed)
+		s.state.Store(&state{segments: segs, epoch: st.epoch + 1})
+		s.publishGauges()
+		s.seals.Add(1)
+		s.cSeals.Inc()
+		s.hSeal.RecordSince(t0)
 	}
-	// Settle the insert buffer while exclusive; afterwards the pointer index
-	// is read-only and safe to publish and to Freeze concurrently.
-	mem.Flush()
-	for id := range s.memIDs {
-		s.frozenLive[id] = struct{}{}
-	}
-	s.mem, s.memPool = nil, nil
-	s.memIDs = make(map[int]bitvec.Code)
-	sealed := newSegment(mem, mem, s.seq)
-	st := s.state.Load()
-	segs := append(append([]*segment(nil), st.segments...), sealed)
-	s.state.Store(&state{segments: segs, epoch: st.epoch + 1})
-	s.publishGauges()
 	s.mu.Unlock()
-
-	// Compile off-lock; searches meanwhile walk the pointer segment.
-	frozen := newSegment(core.Freeze(mem), mem, sealed.maxSeq)
-
-	s.mu.Lock()
-	st = s.state.Load()
-	segs = make([]*segment, 0, len(st.segments))
-	for _, seg := range st.segments {
-		if seg == sealed {
-			seg = frozen
-		}
-		segs = append(segs, seg)
-	}
-	s.state.Store(&state{segments: segs, epoch: st.epoch + 1})
-	s.publishGauges()
-	s.mu.Unlock()
-	s.seals.Add(1)
-	s.cSeals.Inc()
-	s.hSeal.RecordSince(t0)
 	s.structMu.Unlock()
 	if compact {
 		s.Compact()
 	}
 }
 
-// Compact merges the whole segment stack into one segment: the pointer forms
-// are combined with core.Merge (deep-copying, so the live inputs stay
-// valid), tombstoned tuples are H-Deleted out of the merged index, and the
-// result is refrozen and swapped in. Tombstones no remaining segment was
-// sealed after are garbage-collected. Synchronous, like Seal.
+// Compact rebuilds the whole segment stack into one segment: the (id, code)
+// occurrences in the inputs' leaf slabs that no tombstone masks are
+// bulk-loaded (H-Build) and frozen off-lock while the inputs keep serving,
+// and the result is swapped in. Tombstones no remaining segment was sealed
+// after are garbage-collected. Synchronous, like Seal.
 func (s *Shard) Compact() {
 	s.structMu.Lock()
 	defer s.structMu.Unlock()
@@ -509,84 +484,26 @@ func (s *Shard) Compact() {
 	if len(inputs) == 0 {
 		return
 	}
-	// Snapshot the masking decisions: which (segment, id) occurrences are
-	// dead, and the sequence horizon the output represents. A tombstone
+	// Snapshot the masking decisions: which (segment, id) occurrences
+	// survive, and the sequence horizon the output represents. A tombstone
 	// created mid-compaction has a sequence above this snapshot — and so
 	// above the output's maxSeq — so the tuple it masks simply stays masked
 	// by the live check after the swap.
+	var codes []bitvec.Code
+	var ids []int
 	s.mu.RLock()
 	snapSeq := s.seq
-	type drop struct {
-		id   int
-		code bitvec.Code
-	}
-	var drops []drop
-	droppedIDs := make(map[int]struct{})
-	for _, seg := range inputs {
-		enumerate(seg.idx, func(id int, c bitvec.Code) {
-			if t, masked := s.tomb[id]; masked && t > seg.maxSeq {
-				drops = append(drops, drop{id: id, code: c})
-				droppedIDs[id] = struct{}{}
-			}
-		})
-	}
+	s.segmentTuples(inputs, func(id int, c bitvec.Code) {
+		ids = append(ids, id)
+		codes = append(codes, c)
+	})
 	s.mu.RUnlock()
-	if len(inputs) == 1 && len(drops) == 0 {
+	if len(inputs) == 1 && len(ids) == inputs[0].idx.Len() {
 		return // nothing to merge, nothing to fold away
 	}
-
-	var merged *core.DynamicIndex
-	if len(inputs) == 1 {
-		// Merge of one part returns the part itself, which must keep serving
-		// reads untouched — rebuild the survivors instead. An id occurs once
-		// per segment, so the dropped-id set decides membership.
-		var codes []bitvec.Code
-		var ids []int
-		enumerate(inputs[0].idx, func(id int, c bitvec.Code) {
-			if _, dead := droppedIDs[id]; !dead {
-				ids = append(ids, id)
-				codes = append(codes, c)
-			}
-		})
-		if len(ids) > 0 {
-			merged = core.BuildDynamic(codes, ids, s.opts.Index)
-		}
-	} else {
-		// Pointer forms for the merge; a frozen-bootstrapped segment rebuilds
-		// one from its tuples.
-		dyns := make([]*core.DynamicIndex, len(inputs))
-		for i, seg := range inputs {
-			if seg.dyn != nil {
-				dyns[i] = seg.dyn
-				continue
-			}
-			var codes []bitvec.Code
-			var ids []int
-			enumerate(seg.idx, func(id int, c bitvec.Code) {
-				ids = append(ids, id)
-				codes = append(codes, c)
-			})
-			dyns[i] = core.BuildDynamic(codes, ids, s.opts.Index)
-		}
-		// Merge deep-copies, so deleting the masked tuples out of the merged
-		// index cannot corrupt the inputs still serving reads.
-		merged = core.Merge(dyns...)
-		if merged == dyns[0] {
-			// Multi-part Merge always builds a fresh index; guard the
-			// invariant anyway so a future Merge change cannot alias us.
-			panic("lsm: Merge returned an input")
-		}
-		for _, d := range drops {
-			merged.Delete(d.id, d.code)
-		}
-		merged.Flush()
-		if merged.Len() == 0 {
-			merged = nil
-		}
-	}
 	var out *segment
-	if merged != nil {
-		out = newSegment(core.Freeze(merged), merged, snapSeq)
+	if len(ids) > 0 {
+		out = newSegment(core.Freeze(core.BuildDynamic(codes, ids, core.Options{})), snapSeq)
 	}
 
 	s.mu.Lock()

@@ -96,7 +96,6 @@ func TestShardVsOracleSequential(t *testing.T) {
 		t.Run(fmt.Sprintf("bits=%d", bitsLen), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(7000 + bitsLen)))
 			s := New(bitsLen, Options{
-				Index:       core.Options{Window: 8, BufferMax: 16},
 				MemtableMax: -1,
 				CompactAt:   -1,
 			})
@@ -173,7 +172,6 @@ func TestShardAutoSealCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	reg := obs.NewRegistry()
 	s := New(32, Options{
-		Index:       core.Options{Window: 8, BufferMax: 16},
 		MemtableMax: 48,
 		CompactAt:   2,
 		Obs:         reg,
@@ -210,11 +208,10 @@ func TestShardAutoSealCompact(t *testing.T) {
 // TestShardBootstrap starts shards from both index forms, then mutates
 // through the frozen layer: deletes of bootstrapped ids must tombstone, an
 // upsert must supersede the frozen copy, and compaction must fold the
-// tombstones away.
+// tombstones away. A snapshot that repeats an id is refused.
 func TestShardBootstrap(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	codes := clustered(rng, 200, 32, 5, 3)
-	base := core.BuildDynamic(codes, nil, core.Options{Window: 8})
 	for _, form := range []string{"dynamic", "frozen"} {
 		form := form
 		t.Run(form, func(t *testing.T) {
@@ -224,7 +221,7 @@ func TestShardBootstrap(t *testing.T) {
 			} else {
 				idx = core.Freeze(core.BuildDynamic(codes, nil, core.Options{Window: 8}))
 			}
-			s := New(32, Options{Index: core.Options{Window: 8}, MemtableMax: -1, CompactAt: -1})
+			s := New(32, Options{MemtableMax: -1, CompactAt: -1})
 			defer s.Close()
 			if err := s.Bootstrap(idx); err != nil {
 				t.Fatal(err)
@@ -255,8 +252,61 @@ func TestShardBootstrap(t *testing.T) {
 				t.Fatalf("compaction left %d tombstones", st.Tombstones)
 			}
 			checkAgainstOracle(t, s, o, rng, 32, 15)
-			_ = base
 		})
+	}
+	t.Run("duplicate-id", func(t *testing.T) {
+		dup := core.Freeze(core.BuildDynamic(codes[:3], []int{4, 5, 4}, core.Options{}))
+		s := New(32, Options{MemtableMax: -1, CompactAt: -1})
+		defer s.Close()
+		if err := s.Bootstrap(dup); err == nil {
+			t.Fatal("Bootstrap accepted an index that holds id 4 twice")
+		}
+		if st := s.Stats(); st.Len != 0 || st.Segments != 0 {
+			t.Fatalf("refused Bootstrap left state: %+v", st)
+		}
+	})
+}
+
+// TestShardCompactSameCodeTwoSegments pins the one decision compaction makes:
+// a tuple is dropped per (segment, id) occurrence, not per id and not per
+// (id, code). Id 1 sits in segment A with code c, masked by a later upsert,
+// and in segment B with the same code c, live; after Compact exactly one
+// occurrence must remain. A drop set keyed by id alone, or by (id, code),
+// loses the live one.
+func TestShardCompactSameCodeTwoSegments(t *testing.T) {
+	s := New(32, Options{MemtableMax: -1, CompactAt: -1})
+	defer s.Close()
+	c := bitvec.FromUint64(0xCAFE0001, 32)
+	other := bitvec.FromUint64(0x0000FFFF, 32)
+	s.Insert(1, c)
+	s.Insert(2, other)
+	s.Seal(false) // segment A: {1:c, 2:other}
+	s.Insert(1, other)
+	s.Insert(1, c) // memtable upsert back to c; A's copy stays tombstoned
+	s.Seal(false)  // segment B: {1:c}
+	if st := s.Stats(); st.Segments != 2 || st.Tombstones != 1 || st.Len != 2 {
+		t.Fatalf("before compaction: %+v", st)
+	}
+	for _, phase := range []string{"before", "after"} {
+		if got := s.Search(c, 0); len(got) != 1 || got[0] != 1 {
+			t.Fatalf("%s compaction: Search(c, 0) = %v, want [1]", phase, got)
+		}
+		n := 0
+		s.Tuples(func(id int, code bitvec.Code) {
+			if id == 1 {
+				n++
+				if !code.Equal(c) {
+					t.Fatalf("%s compaction: id 1 carries %v, want %v", phase, code, c)
+				}
+			}
+		})
+		if n != 1 {
+			t.Fatalf("%s compaction: Tuples yields id 1 %d times, want once", phase, n)
+		}
+		s.Compact()
+	}
+	if st := s.Stats(); st.Segments != 1 || st.Tombstones != 0 || st.Len != 2 {
+		t.Fatalf("after compaction: %+v", st)
 	}
 }
 
@@ -264,7 +314,7 @@ func TestShardBootstrap(t *testing.T) {
 // a brute-force (distance, id) sort.
 func TestShardTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	s := New(32, Options{Index: core.Options{Window: 8}, MemtableMax: -1, CompactAt: -1})
+	s := New(32, Options{MemtableMax: -1, CompactAt: -1})
 	defer s.Close()
 	o := oracle{}
 	for i, c := range clustered(rng, 150, 32, 6, 3) {
@@ -318,7 +368,6 @@ func TestShardTopK(t *testing.T) {
 func TestShardConcurrentSearchUnderMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	s := New(64, Options{
-		Index:       core.Options{Window: 8, BufferMax: 32},
 		MemtableMax: 64,
 		CompactAt:   2,
 	})
@@ -446,23 +495,25 @@ func TestShardSealEmptyAndCompactSingle(t *testing.T) {
 	}
 }
 
-// TestShardSealPublishesBeforeFreeze would be flaky as a timing assertion;
-// instead, verify the observable contract: a Seal returning means the data
-// is in a segment and still searchable, repeatedly, under small memtables.
+// TestShardSealKeepsServing pins the single-phase seal's contract: when Seal
+// returns the memtable is empty, the tuple is searchable in its frozen
+// segment, and the structural epoch has advanced by exactly one — there is
+// no second swap.
 func TestShardSealKeepsServing(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	s := New(32, Options{Index: core.Options{Window: 4}, MemtableMax: -1, CompactAt: -1})
+	s := New(32, Options{MemtableMax: -1, CompactAt: -1})
 	defer s.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; i < 40 && time.Now().Before(deadline); i++ {
 		c := bitvec.Rand(rng, 32)
 		s.Insert(i, c)
+		before := s.Stats().Epoch
 		s.Seal(false)
 		if got := s.Search(c, 0); len(got) == 0 {
 			t.Fatalf("tuple %d unsearchable immediately after Seal", i)
 		}
-	}
-	if st := s.Stats(); st.MemtableSize != 0 {
-		t.Fatalf("memtable not empty after Seal: %+v", st)
+		if st := s.Stats(); st.MemtableSize != 0 || st.Epoch != before+1 {
+			t.Fatalf("after Seal %d: epoch %d -> %d, stats %+v", i, before, st.Epoch, st)
+		}
 	}
 }

@@ -115,7 +115,6 @@ func TestIdentityReduceNil(t *testing.T) {
 
 func TestCustomPartitioner(t *testing.T) {
 	input := []KV{kv("0", "a"), kv("1", "b"), kv("2", "c"), kv("3", "d")}
-	seen := make(map[int][]string)
 	cfg := Config{
 		Name:     "parts",
 		Reducers: 2,
@@ -125,8 +124,6 @@ func TestCustomPartitioner(t *testing.T) {
 			return v % n
 		},
 		Reduce: func(key []byte, values [][]byte, emit func(KV)) error {
-			v, _ := strconv.Atoi(string(key))
-			seen[v%2] = append(seen[v%2], string(key))
 			emit(KV{Key: key})
 			return nil
 		},
