@@ -47,10 +47,14 @@ bench-frozen: bench-query
 # detector: one Write per frame from the router and from the server (a
 # counting net.Conn), a batch of one searched on the connection's goroutine,
 # the pipelined first attempt under every injected failure, and eight
-# goroutines on one Router against a slow shard (lock order = shard order).
-# A second write per frame should fail here, not in a benchmark.
+# goroutines on one Router against a slow shard (lock order = shard order),
+# and the reply path's allocation ceilings — one 16-query × 500-id request
+# through the server's answerSearch and through the router's decode+merge —
+# with the results-belong-to-the-caller check that the slabs make necessary.
+# A second write per frame, or an id copy per query, should fail here, not in
+# a benchmark.
 reqpath:
-	$(GO) test -race -count=3 -run 'OneWrite|ReadFrame|RunBatchStays|PipelinedFirstAttempt|SharedRouterSlowShard' ./internal/wire/ ./internal/server/ ./internal/client/
+	$(GO) test -race -count=3 -run 'OneWrite|ReadFrame|RunBatchStays|PipelinedFirstAttempt|SharedRouterSlowShard|ReplyAllocs|BelongToTheCaller' ./internal/wire/ ./internal/server/ ./internal/client/
 
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeDynamic -fuzztime=30s ./internal/core/

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -389,8 +390,15 @@ func TestObservabilityAcceptance(t *testing.T) {
 	if slowest == nil {
 		t.Fatal("tracer kept no SearchBatch trace")
 	}
-	if spans := slowest.Spans(); len(spans) < 3 { // root + route + ≥1 shard span
+	spans := slowest.Spans()
+	if len(spans) < 4 { // root + route + ≥1 shard span + decode+merge
 		t.Fatalf("slowest trace has only %d spans: %v", len(spans), spans)
+	}
+	// What precedes the legs and what follows them are both on the record.
+	for _, name := range []string{"route", "decode+merge"} {
+		if !slices.ContainsFunc(spans, func(sp obs.Span) bool { return sp.Name == name }) {
+			t.Fatalf("slowest trace has no %q span: %v", name, spans)
+		}
 	}
 }
 

@@ -17,11 +17,14 @@ package client
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -481,8 +484,6 @@ func (r *Router) SearchBatch(queries []bitvec.Code, h int) ([][]int, error) {
 	tr := obs.NewTrace("search-batch")
 	defer r.tracer.Add(tr)
 
-	results := make([][]int, len(queries))
-
 	// Route each query to the shards whose Gray range can hold a match.
 	routeSpan := tr.Start("route", 0)
 	perShard := make([][]int, len(r.shards)) // query indexes per shard
@@ -516,29 +517,100 @@ func (r *Router) SearchBatch(queries []bitvec.Code, h int) ([][]int, error) {
 		})
 	}
 	r.fanOut(legs, routeAffinity, tr)
+	span := tr.Start("decode+merge", 0)
+	results, err := mergeSearch(legs, perShard, len(queries))
+	tr.End(span)
+	return results, err
+}
+
+// mergeSearch decodes the legs' answers and merges them per query. Each leg
+// holds one run per query it was sent, ascending because the wire carries
+// unsigned deltas, and partitions are disjoint, so no id is in two runs. A
+// query that one shard answered keeps that shard's decoded run as it is; the
+// others are merged into one slab for the request, so the reply costs a
+// constant number of allocations and time linear in the ids.
+func mergeSearch(legs []leg, perShard [][]int, queries int) ([][]int, error) {
+	table := make([][]int, queries*len(legs)) // query-major: a row is one query's run from every leg
+	runsOf := func(i int) [][]int { return nonEmpty(table[i*len(legs) : (i+1)*len(legs)]) }
 	for l := range legs {
 		lg := &legs[l]
-		qidx := perShard[lg.sh.part]
-		var resp wire.SearchResp
-		if lg.err == nil {
-			resp, lg.err = wire.ParseSearchResp(lg.resp)
-		}
-		if lg.err == nil && len(resp.IDs) != len(qidx) {
-			lg.err = fmt.Errorf("client: shard %d answered %d of %d queries", lg.sh.part, len(resp.IDs), len(qidx))
-		}
 		if lg.err != nil {
 			return nil, lg.err
 		}
+		qidx := perShard[lg.sh.part]
+		resp, err := wire.ParseSearchResp(lg.resp)
+		if err != nil {
+			return nil, err
+		}
+		if len(resp.IDs) != len(qidx) {
+			return nil, fmt.Errorf("client: shard %d answered %d of %d queries", lg.sh.part, len(resp.IDs), len(qidx))
+		}
 		for j, i := range qidx {
-			// Partitions are disjoint, so ids from different shards
-			// never collide; merging is concatenation.
-			results[i] = append(results[i], resp.IDs[j]...)
+			table[i*len(legs)+l] = resp.IDs[j]
 		}
 	}
+	slab := 0
+	for i := 0; i < queries; i++ {
+		if runs := runsOf(i); len(runs) > 1 {
+			for _, run := range runs {
+				slab += len(run)
+			}
+		}
+	}
+	out := make([]int, 0, slab)
+	results := make([][]int, queries)
 	for i := range results {
-		sort.Ints(results[i])
+		switch runs := runsOf(i); len(runs) {
+		case 0:
+		case 1:
+			results[i] = runs[0]
+		default:
+			start := len(out)
+			out = mergeRuns(out, runs)
+			results[i] = out[start:len(out):len(out)]
+		}
 	}
 	return results, nil
+}
+
+// nonEmpty moves the non-empty runs to the front, in order, and returns them;
+// the rest is cleared, so a second call finds the same runs.
+func nonEmpty(runs [][]int) [][]int {
+	n := 0
+	for _, run := range runs {
+		if len(run) > 0 {
+			runs[n] = run
+			n++
+		}
+	}
+	clear(runs[n:])
+	return runs[:n]
+}
+
+// mergeRuns appends to dst the ascending merge of runs, each ascending. Every
+// run is merged from the back into what the ones before it left, in place: dst
+// grows by the run's length, and the write index stays ahead of the read index
+// until one side is used up. Two runs, a deployment's usual fan-out, cost one
+// comparison an element.
+func mergeRuns[T cmp.Ordered](dst []T, runs [][]T) []T {
+	base := len(dst)
+	for _, run := range runs {
+		i, j := len(dst)-1, len(run)-1
+		dst = append(dst, run...) // for the room; the loop overwrites it
+		for w := len(dst) - 1; i >= base && j >= 0; w-- {
+			// Which side is next is a coin toss for ids hashed across shards:
+			// select the value and step the index without a branch on it.
+			a, b, fromDst := dst[i], run[j], 0
+			if a > b {
+				b, fromDst = a, 1
+			}
+			dst[w] = b
+			i -= fromDst
+			j -= 1 - fromDst
+		}
+		copy(dst[base:], run[:j+1]) // what is left of run is under everything merged
+	}
+	return dst
 }
 
 // TopK returns the k nearest ids (with Hamming distances) per query,
@@ -571,31 +643,37 @@ func (r *Router) TopK(queries []bitvec.Code, k int) ([][]int, [][]int, error) {
 			return nil, nil, lg.err
 		}
 	}
-	// k-way merge per query: shard lists are (distance, id)-ordered, and
-	// the global order is the same relation, so a full sort of the
-	// concatenation is correct; lists are short (≤ k each).
+	// Merge per query. A shard's list is (distance, id)-ordered and both fit
+	// in 31 bits (wire.ParseTopKResp), so packed as distance<<32|id each list
+	// is an ascending run of keys and the k nearest are the first k of the
+	// merge.
 	ids := make([][]int, len(queries))
 	dists := make([][]int, len(queries))
+	var keys, merged []int64
+	runs := make([][]int64, len(resps))
 	for i := range queries {
-		type pair struct{ d, id int }
-		var all []pair
+		total := 0
 		for _, resp := range resps {
-			for j := range resp.IDs[i] {
-				all = append(all, pair{d: resp.Dists[i][j], id: resp.IDs[i][j]})
-			}
+			total += len(resp.IDs[i])
 		}
-		sort.Slice(all, func(a, b int) bool {
-			if all[a].d != all[b].d {
-				return all[a].d < all[b].d
+		keys = slices.Grow(keys[:0], total) // the runs below must not move
+		for m, resp := range resps {
+			start := len(keys)
+			for j, id := range resp.IDs[i] {
+				keys = append(keys, int64(resp.Dists[i][j])<<32|int64(id))
 			}
-			return all[a].id < all[b].id
-		})
-		if len(all) > k {
-			all = all[:k]
+			runs[m] = keys[start:]
 		}
-		for _, p := range all {
-			ids[i] = append(ids[i], p.id)
-			dists[i] = append(dists[i], p.d)
+		merged = mergeRuns(merged[:0], runs)
+		if len(merged) > k {
+			merged = merged[:k]
+		}
+		if len(merged) == 0 {
+			continue
+		}
+		ids[i], dists[i] = make([]int, len(merged)), make([]int, len(merged))
+		for j, key := range merged {
+			ids[i][j], dists[i][j] = int(key&math.MaxUint32), int(key>>32)
 		}
 	}
 	return ids, dists, nil

@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"haindex/internal/bitvec"
 	"haindex/internal/core"
 	"haindex/internal/wire"
 )
@@ -126,7 +128,7 @@ func TestRunBatchStaysOnTheCallingGoroutine(t *testing.T) {
 		var gate sync.WaitGroup
 		gate.Add(min(n, 4))
 		set, _, _ := s.admit(0, nil)
-		s.runBatch(set, n, nil, func(_ *searcherSet, i int) core.SearchStats {
+		s.release(s.runBatch(set, n, nil, func(_ *searcherSet, i int) core.SearchStats {
 			if i < 4 {
 				// Hold the first queries until every worker has claimed one,
 				// so a fast worker cannot drain the cursor alone.
@@ -137,7 +139,7 @@ func TestRunBatchStaysOnTheCallingGoroutine(t *testing.T) {
 			by[goid()]++
 			mu.Unlock()
 			return core.SearchStats{}
-		})
+		}))
 		return by
 	}
 	before := runtime.NumGoroutine()
@@ -155,5 +157,59 @@ func TestRunBatchStaysOnTheCallingGoroutine(t *testing.T) {
 	}
 	if idle := s.poolIdle.Value(); idle != 4 || len(s.pool) != 4 {
 		t.Fatalf("pool not restored: gauge %d, %d tickets", idle, len(s.pool))
+	}
+}
+
+// clusteredShard is a one-partition index of 16 clusters of 500 codes, each
+// within 3 flips of its centre, and the centres: a batch of them at h=8 is 16
+// answers of about 500 ids — one shard's share of a wide request.
+func clusteredShard(rng *rand.Rand) (wire.SnapshotMeta, core.Index, []bitvec.Code) {
+	const bits = 64
+	centres := make([]bitvec.Code, 16)
+	var codes []bitvec.Code
+	for i := range centres {
+		centres[i] = bitvec.Rand(rng, bits)
+		for j := 0; j < 500; j++ {
+			c := centres[i].Clone()
+			for f := 0; f < 3; f++ {
+				c.FlipBit(rng.Intn(bits))
+			}
+			codes = append(codes, c)
+		}
+	}
+	// Ids in no order the walk would find them in.
+	ids := rng.Perm(len(codes))
+	meta := wire.SnapshotMeta{Part: 0, Parts: 1, Length: bits}
+	return meta, core.BuildDynamic(codes, ids, core.Options{}), centres
+}
+
+// TestAnswerSearchReplyAllocs pins what one 16-query × 500-id request costs
+// the server in allocations, cache off: 30 today, 21 of them ParseSearchReq's
+// (16 codes and the slice they grow in), the rest the miss list, the
+// response's headers, the worker's closures, the held-set list and the
+// payload, sized up front — not an id copy a query and a payload grown by
+// doubling, the parent commit's 59.
+func TestAnswerSearchReplyAllocs(t *testing.T) {
+	meta, idx, centres := clusteredShard(rand.New(rand.NewSource(16)))
+	s, err := New(meta, idx, Options{Searchers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	payload := wire.SearchReq{H: 8, Queries: centres}.Append(nil)
+	var reply []byte
+	run := func() { _, reply = s.answerSearch(payload, nil) }
+	run() // sizes the searcher's scratch and the reply slab
+	resp, err := wire.ParseSearchResp(reply)
+	if err != nil || len(resp.IDs) != len(centres) {
+		t.Fatalf("%d answers, err %v", len(resp.IDs), err)
+	}
+	for i, ids := range resp.IDs {
+		if len(ids) < 500 || !slices.IsSorted(ids) {
+			t.Fatalf("query %d: %d ids, sorted %v", i, len(ids), slices.IsSorted(ids))
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, run); allocs > 32 {
+		t.Fatalf("a 16×500-id request allocates %.0f times, want at most 32", allocs)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,8 +108,8 @@ type Server struct {
 
 	// pool holds the idle per-engine searcher bundles; its capacity is the
 	// admission limit. A mutable server has no fixed index to bind searchers
-	// to (the shard pools its own per-segment searchers), so the channel
-	// holds nil admission tickets instead.
+	// to (the shard pools its own per-segment searchers), so its sets carry
+	// the reply buffers only.
 	pool chan *searcherSet
 
 	// Multi-engine serving state (immutable servers with Options.Engine other
@@ -175,12 +174,23 @@ type Server struct {
 
 // searcherSet is one admission ticket's bundle of per-engine searchers. ha
 // is always present on an immutable server; mih only when Options.Engine
-// enabled the multi-engine set. Mutable servers pool nil sets (the shard
-// brings its own per-segment searchers).
+// enabled the multi-engine set; a mutable server's sets have neither (the
+// shard brings its own per-segment searchers).
+//
+// ids is the reply slab of the request holding the ticket: the sorted ids of
+// every query this set's worker answered, which the response points into
+// until it is encoded — the reason release, not the worker, returns the set.
+// scratch is sortIDs' second buffer.
 type searcherSet struct {
 	ha  *core.Searcher
 	mih *core.Searcher
+
+	ids, scratch []int
 }
+
+// maxKeptIDs bounds the reply buffers a pooled set keeps from one request to
+// the next (2 MiB each); one answer the size of the shard is not worth pinning.
+const maxKeptIDs = 1 << 18
 
 // New builds a server over an index: the compiled *core.FrozenIndex a
 // snapshot decodes to, a pointer *core.DynamicIndex (compiled with
@@ -275,9 +285,9 @@ func NewMutable(meta wire.SnapshotMeta, sh *lsm.Shard, opts Options) (*Server, e
 	s := newServer(meta, opts)
 	s.shard = sh
 	// The shard brings its own per-segment searcher pools; the channel still
-	// bounds admission, with nil tickets.
+	// bounds admission.
 	for i := 0; i < cap(s.pool); i++ {
-		s.pool <- nil
+		s.pool <- new(searcherSet)
 	}
 	return s, nil
 }
@@ -794,29 +804,33 @@ func (s *Server) answerSearch(payload []byte, tr *obs.Trace) (wire.MsgType, []by
 			miss = append(miss, i)
 		}
 	}
+	var held []*searcherSet
 	if len(miss) > 0 {
 		set, shed, waited := s.admit(s.shedBudget(req.Priority), tr)
 		if shed {
 			return s.shedResp(req.Priority, waited)
 		}
-		s.runBatch(set, len(miss), tr, func(set *searcherSet, j int) core.SearchStats {
+		held = s.runBatch(set, len(miss), tr, func(set *searcherSet, j int) core.SearchStats {
 			i := miss[j]
 			var ids []int
 			var stats core.SearchStats
 			t0 := time.Now()
 			if s.shard != nil {
-				ids = s.shard.SearchInto(req.Queries[i], req.H, &stats)
+				ids = s.shard.SearchInto(req.Queries[i], req.H, &stats) // freshly allocated
 			} else {
+				// Onto the end of the worker's slab, where they stay.
+				start := len(set.ids)
 				switch st {
 				case planner.UseMIH:
-					ids = set.mih.Search(req.Queries[i], req.H)
+					set.ids = set.mih.SearchAppend(set.ids, req.Queries[i], req.H)
 					stats = set.mih.Stats
 				case planner.UseScan:
-					ids = s.pl.Scan(req.Queries[i], req.H, nil, &stats)
+					set.ids = s.pl.Scan(req.Queries[i], req.H, set.ids, &stats)
 				default:
-					ids = set.ha.Search(req.Queries[i], req.H)
+					set.ids = set.ha.SearchAppend(set.ids, req.Queries[i], req.H)
 					stats = set.ha.Stats
 				}
+				ids = set.ids[start:]
 			}
 			ns := time.Since(t0).Nanoseconds()
 			s.histEngine[st].Record(ns)
@@ -825,21 +839,24 @@ func (s *Server) answerSearch(payload []byte, tr *obs.Trace) (wire.MsgType, []by
 				// cost cells, so the model tracks the live workload.
 				s.pl.Observe(st, req.H, float64(ns))
 			}
-			var out []int
-			if len(ids) > 0 {
-				out = append([]int(nil), ids...)
-				sort.Ints(out)
-				resp.IDs[i] = out
-				atomic.AddInt64(&returned, int64(len(out)))
-			}
+			set.scratch = sortIDs(ids, set.scratch)
+			resp.IDs[i] = ids
+			atomic.AddInt64(&returned, int64(len(ids)))
 			if s.cache != nil {
-				s.cache.Put(missKeys[j], out)
+				// The cache outlives the slab: the one copy on this path.
+				var keep []int
+				if len(ids) > 0 {
+					keep = append(keep, ids...)
+				}
+				s.cache.Put(missKeys[j], keep)
 			}
 			return stats
 		})
 	}
 	s.idsReturned.Add(atomic.LoadInt64(&returned))
-	return wire.MsgSearchOK, resp.Append(nil)
+	out := resp.Append(nil) // while the slabs it reads are still this request's
+	s.release(held)
+	return wire.MsgSearchOK, out
 }
 
 func (s *Server) answerTopK(payload []byte, tr *obs.Trace) (wire.MsgType, []byte) {
@@ -861,7 +878,8 @@ func (s *Server) answerTopK(payload []byte, tr *obs.Trace) (wire.MsgType, []byte
 		if shed {
 			return s.shedResp(wire.PriorityNormal, waited)
 		}
-		s.runBatch(set, len(req.Queries), tr, func(set *searcherSet, i int) core.SearchStats {
+		// TopK's slices are freshly allocated, so the sets can go straight back.
+		s.release(s.runBatch(set, len(req.Queries), tr, func(set *searcherSet, i int) core.SearchStats {
 			var ids, dists []int
 			var stats core.SearchStats
 			if s.shard != nil {
@@ -875,7 +893,7 @@ func (s *Server) answerTopK(payload []byte, tr *obs.Trace) (wire.MsgType, []byte
 			resp.IDs[i], resp.Dists[i] = ids, dists
 			atomic.AddInt64(&returned, int64(len(ids)))
 			return stats
-		})
+		}))
 	}
 	s.idsReturned.Add(atomic.LoadInt64(&returned))
 	return wire.MsgTopKOK, resp.Append(nil)
@@ -955,10 +973,10 @@ func (s *Server) shedBudget(priority int) time.Duration {
 }
 
 // admit blocks for one admission ticket, up to budget (0 = forever). It
-// reports the acquired set (nil is a valid ticket on a mutable server), a
-// shed flag, and how long the request waited. The blocking wait is the
-// queueing delay a saturated pool imposes; its span and histogram are where
-// overload shows up first — and, past the budget, where it is shed.
+// reports the acquired set (nil only when shed), a shed flag, and how long the
+// request waited. The blocking wait is the queueing delay a saturated pool
+// imposes; its span and histogram are where overload shows up first — and,
+// past the budget, where it is shed.
 func (s *Server) admit(budget time.Duration, tr *obs.Trace) (set *searcherSet, shed bool, waited time.Duration) {
 	t0 := time.Now()
 	adm := tr.Start("admission", 0)
@@ -992,17 +1010,17 @@ func (s *Server) admit(budget time.Duration, tr *obs.Trace) (set *searcherSet, s
 // goroutines start only for the extras, so a batch of one never leaves the
 // connection's goroutine. Queries are claimed off an atomic cursor, mirroring
 // core.SearchBatch. run returns the index work one query did; in mutable mode
-// the pooled set is a nil admission ticket and the shard supplies its own
-// per-segment searchers.
-func (s *Server) runBatch(first *searcherSet, n int, tr *obs.Trace, run func(set *searcherSet, i int) core.SearchStats) {
-	if n == 0 {
-		s.pool <- first
-		return
-	}
+// the shard supplies its own per-segment searchers. The sets that worked come
+// back still held, their reply slabs intact, and are the caller's to release
+// once nothing points into them.
+func (s *Server) runBatch(first *searcherSet, n int, tr *obs.Trace, run func(set *searcherSet, i int) core.SearchStats) []*searcherSet {
+	held := []*searcherSet{first}
+	s.poolIdle.Add(-1)
 	runSpan := tr.Start("run", 0)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	work := func(sr *searcherSet) {
+		sr.ids = sr.ids[:0]
 		var agg core.SearchStats
 		for {
 			i := int(cursor.Add(1)) - 1
@@ -1020,15 +1038,13 @@ func (s *Server) runBatch(first *searcherSet, n int, tr *obs.Trace, run func(set
 		s.distComps.Add(int64(agg.DistanceComputations))
 		s.nodesVisited.Add(int64(agg.NodesVisited))
 		s.leavesChecked.Add(int64(agg.LeavesChecked))
-		s.pool <- sr
-		s.poolIdle.Add(1)
 	}
-	s.poolIdle.Add(-1)
 extras:
-	for grabbed := 1; grabbed < n; grabbed++ {
+	for len(held) < n {
 		select {
 		case sr := <-s.pool:
 			s.poolIdle.Add(-1)
+			held = append(held, sr)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -1041,4 +1057,20 @@ extras:
 	work(first)
 	wg.Wait()
 	tr.End(runSpan)
+	return held
+}
+
+// release returns a finished request's sets to the pool, dropping a reply
+// buffer that one outsized answer grew past maxKeptIDs.
+func (s *Server) release(held []*searcherSet) {
+	for _, sr := range held {
+		if cap(sr.ids) > maxKeptIDs {
+			sr.ids = nil
+		}
+		if cap(sr.scratch) > maxKeptIDs {
+			sr.scratch = nil
+		}
+		s.pool <- sr
+		s.poolIdle.Add(1)
+	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -101,8 +102,27 @@ func FuzzParseMutationFrames(f *testing.F) {
 	WriteFrame(&framed, MsgInsert, ins.Append(nil))
 	f.Add(uint8(6), framed.Bytes())
 	f.Add(uint8(6), hostileHeader)
+	// The reply the router decodes into one slab: a well-formed one, and counts
+	// that claim more ids than the payload has bytes for.
+	f.Add(uint8(7), SearchResp{IDs: [][]int{{1, 5, 900000}, nil, {0}}}.Append(nil))
+	f.Add(uint8(7), []byte{1, 3, 5, 1})
+	f.Add(uint8(7), []byte{2, 1, 5, 0xff, 0xff, 0x03, 0x80, 0x80})
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
-		switch kind % 7 {
+		switch kind % 8 {
+		case 7:
+			if m, err := ParseSearchResp(data); err == nil {
+				total := 0
+				for _, ids := range m.IDs {
+					total += len(ids)
+				}
+				if total > len(data) {
+					t.Fatalf("%d ids out of %d bytes", total, len(data))
+				}
+				again, err := ParseSearchResp(m.Append(nil))
+				if err != nil || !reflect.DeepEqual(again, m) {
+					t.Fatalf("SearchResp not round-trip stable (%v)", err)
+				}
+			}
 		case 0:
 			if m, err := ParseInsertReq(data, 32); err == nil {
 				if _, err := ParseInsertReq(m.Append(nil), 32); err != nil {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"haindex/internal/bitvec"
@@ -417,6 +418,13 @@ type SearchResp struct {
 }
 
 func (m SearchResp) Append(dst []byte) []byte {
+	total := 0
+	for _, ids := range m.IDs {
+		total += len(ids)
+	}
+	// Two bytes a delta is what a few hundred ids out of a shard's 2^17 take;
+	// a sparser answer grows dst once more, a denser one wastes half.
+	dst = slices.Grow(dst, 1+len(m.IDs)+2*total)
 	dst = binary.AppendUvarint(dst, uint64(len(m.IDs)))
 	for _, ids := range m.IDs {
 		dst = binary.AppendUvarint(dst, uint64(len(ids)))
@@ -429,17 +437,51 @@ func (m SearchResp) Append(dst []byte) []byte {
 	return dst
 }
 
+// ParseSearchResp decodes every query's ids into one slab, sub-sliced per
+// query (nil for a query without matches). The slab is sized by the varints
+// that actually arrived — each ends in its one byte under 0x80 — less the
+// count fields, so a count claiming more ids than the payload has bytes for
+// fails before anything is allocated for it.
 func ParseSearchResp(payload []byte) (SearchResp, error) {
 	p := &buf{b: payload}
 	nq := p.count(1)
+	varints := 0
+	for _, c := range payload {
+		if c < 0x80 {
+			varints++
+		}
+	}
+	slab := make([]int, max(0, varints-1-nq))
 	m := SearchResp{IDs: make([][]int, 0, nq)}
 	for i := 0; i < nq && p.err == nil; i++ {
 		n := p.count(1)
-		var ids []int
+		if n > len(slab) {
+			p.err = fmt.Errorf("wire: count %d exceeds remaining payload", n)
+			break
+		}
+		if n == 0 {
+			m.IDs = append(m.IDs, nil)
+			continue
+		}
+		ids := slab[:n:n]
+		slab = slab[n:]
 		prev := 0
-		for j := 0; j < n && p.err == nil; j++ {
-			prev += p.intv()
-			ids = append(ids, prev)
+		for j := range ids {
+			// One- and two-byte deltas are nearly all of them.
+			switch b := p.b; {
+			case len(b) > 0 && b[0] < 0x80:
+				prev += int(b[0])
+				p.b = b[1:]
+			case len(b) > 1 && b[1] < 0x80:
+				prev += int(b[0]&0x7f) | int(b[1])<<7
+				p.b = b[2:]
+			default:
+				prev += p.intv()
+				if p.err != nil {
+					return m, p.err
+				}
+			}
+			ids[j] = prev
 		}
 		m.IDs = append(m.IDs, ids)
 	}

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"haindex/internal/bitvec"
@@ -136,6 +138,16 @@ func TestParseErrorPaths(t *testing.T) {
 			[]byte{1, 16, 0, 2, 0, 0xff, 0xff, 0xff, 0xff, 0x7f}},
 		{"search-resp hostile count", func(b []byte) error { _, err := ParseSearchResp(b); return err },
 			[]byte{0xff, 0xff, 0xff, 0xff, 0x7f}},
+		{"search-resp ids past the payload", func(b []byte) error { _, err := ParseSearchResp(b); return err },
+			[]byte{1, 3, 5, 1}},
+		{"search-resp second query's ids past the payload", func(b []byte) error { _, err := ParseSearchResp(b); return err },
+			[]byte{2, 1, 5, 2, 1}},
+		{"search-resp truncated delta", func(b []byte) error { _, err := ParseSearchResp(b); return err },
+			[]byte{1, 2, 5, 0x80}},
+		{"search-resp delta out of range", func(b []byte) error { _, err := ParseSearchResp(b); return err },
+			[]byte{1, 1, 0xff, 0xff, 0xff, 0xff, 0x7f}},
+		{"search-resp trailing ids", func(b []byte) error { _, err := ParseSearchResp(b); return err },
+			[]byte{1, 1, 5, 6}},
 		{"topk-resp truncated pair", func(b []byte) error { _, err := ParseTopKResp(b); return err },
 			[]byte{1, 2, 5}},
 		{"stats truncated", func(b []byte) error { _, err := ParseStatsResp(b); return err }, []byte{1, 2}},
@@ -148,6 +160,57 @@ func TestParseErrorPaths(t *testing.T) {
 	}
 	if _, err := ParseSearchReq([]byte{3, 2, 0xAA}, 64); err == nil {
 		t.Error("search req with short code accepted")
+	}
+}
+
+// TestParseSearchRespExactSize: the ids of one response share one allocation
+// of exactly their number — no growth by doubling — each query's slice capped
+// at its own length, deltas of one, two and more bytes decoded alike; and a
+// count is a claim, not data: a frame claiming a million ids over a megabyte
+// that holds none fails without allocating what it claims.
+func TestParseSearchRespExactSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	want := make([][]int, 16)
+	total := 0
+	for i := range want {
+		if i%5 == 4 {
+			continue // a query without matches stays nil
+		}
+		id := 0
+		for j, n := 0, 100+rng.Intn(800); j < n; j++ {
+			id += []int{rng.Intn(128), rng.Intn(1 << 14), rng.Intn(1 << 24)}[rng.Intn(3)]
+			want[i] = append(want[i], id)
+		}
+		total += len(want[i])
+	}
+	payload := SearchResp{IDs: want}.Append(nil)
+	var got SearchResp
+	var err error
+	spent := allocatedBy(func() { got, err = ParseSearchResp(payload) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.IDs) != len(want) {
+		t.Fatalf("%d queries back, want %d", len(got.IDs), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got.IDs[i], want[i]) || (want[i] == nil) != (got.IDs[i] == nil) {
+			t.Fatalf("query %d: ids differ from what was encoded", i)
+		}
+		if cap(got.IDs[i]) != len(got.IDs[i]) {
+			t.Fatalf("query %d: cap %d over len %d lets an append overwrite the next query's ids", i, cap(got.IDs[i]), len(got.IDs[i]))
+		}
+	}
+	// A quarter over, for the allocator's size classes; growth by doubling
+	// per query spends two to three times the ids.
+	if limit := uint64(10*total + 24*len(want) + 256); spent > limit {
+		t.Fatalf("decoding %d ids allocated %d bytes, want at most %d: one exact slab and the headers", total, spent, limit)
+	}
+
+	hostile := binary.AppendUvarint([]byte{1}, 1<<20)
+	hostile = append(hostile, bytes.Repeat([]byte{0x80}, 1<<20)...)
+	if spent := allocatedBy(func() { _, err = ParseSearchResp(hostile) }); err == nil || spent > 4096 {
+		t.Fatalf("a frame claiming 2^20 ids and holding none: err %v after allocating %d bytes", err, spent)
 	}
 }
 
