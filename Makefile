@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test test-race bench bench-query bench-frozen vet fmt-check fuzz fuzz-wire fuzz-qcache fuzz-arena bench-smoke bench-clock bench-offline reqpath smoke debug-smoke lsm-smoke experiments examples clean
+.PHONY: all check build test test-race bench bench-query bench-frozen vet fmt-check fuzz fuzz-wire fuzz-qcache fuzz-arena bench-smoke bench-clock bench-offline bench-lsm reqpath smoke debug-smoke lsm-smoke experiments examples clean
 
 all: build vet test
 
@@ -102,6 +102,13 @@ bench-clock:
 bench-offline:
 	$(GO) test -run=NONE -bench='SpectralHash' -benchmem ./internal/hash/
 	$(GO) test -run=NONE -bench='RouteMapper' -benchmem ./internal/mrjoin/
+
+# LSM microbenchmarks: one insert into a memtable filling to 4096 rows, one
+# compaction of `churn`'s shape (100k base + 8 sealed memtables, ~123k
+# survivors) and one h=3 select over the segment it leaves (dist/op is what
+# the chunked build costs the reads), with allocation counts.
+bench-lsm:
+	$(GO) test -run=NONE -bench 'ShardInsert|ShardCompact|ShardSearchCompacted' -benchmem ./internal/lsm/
 
 # End-to-end smoke of the serving stack: build the CLIs, generate a tiny
 # dataset, shard it, start two haserve processes (one fault-injected), query

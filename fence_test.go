@@ -21,9 +21,12 @@ import (
 // root are exactly the file names internal/bench's non-test source spells out
 // (today QueryBenchFile), so a record whose experiment was deleted cannot
 // linger as if it were still measured. The paper's merge phase (core.Merge)
-// belongs to mrjoin and haindex.MergeIndexes: the LSM tier compacts by
-// rebuilding from leaf slabs, so no non-test source under internal/lsm may
-// mention it.
+// belongs to mrjoin and haindex.MergeIndexes, and the pointer index with its
+// H-Insert/H-Delete and insert buffer to the library API: the LSM tier keeps
+// a scanned slab and frozen arenas, compacts by rebuilding from leaf slabs,
+// and sees a pointer index only as what core.BuildDynamic hands core.Freeze,
+// so no non-test source under internal/lsm may mention core.Merge,
+// DynamicIndex or a .Flush( call.
 func TestServingImportFence(t *testing.T) {
 	internal := func(names ...string) map[string]bool {
 		m := map[string]bool{}
@@ -78,8 +81,10 @@ func TestServingImportFence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strings.Contains(string(src), "core.Merge") {
-			t.Errorf("%s mentions core.Merge", file)
+		for _, banned := range []string{"core.Merge", "DynamicIndex", ".Flush("} {
+			if strings.Contains(string(src), banned) {
+				t.Errorf("%s mentions %s", file, banned)
+			}
 		}
 	}
 

@@ -1,19 +1,27 @@
 // Package lsm is the mutable serving tier: a log-structured shard that
-// layers a small Dynamic HA-Index memtable (Section 4.5, H-Insert/H-Delete)
-// over a stack of immutable compiled segments (core.FrozenIndex), the way an
-// LSM storage engine layers a memtable over sorted runs.
+// layers a small memtable over a stack of immutable compiled segments
+// (core.FrozenIndex), the way an LSM storage engine layers a memtable over
+// sorted runs.
 //
-// Writes are upserts keyed by tuple id. An Insert lands in the memtable; if
-// the id is live in a frozen segment, a tombstone masks the old version. A
-// Delete of a memtable id edits the memtable in place (H-Delete); a delete
-// of a frozen id becomes a tombstone. When the memtable passes a size
-// threshold a background goroutine seals it: under the write lock the
-// memtable is compiled with core.Freeze and appended to the stack in one
-// epoch-bumped state update, and the pointer index is dropped — a sealed
-// segment is its Gray-sorted leaf slab plus the compiled hierarchy, nothing
-// else. A compactor rebuilds the whole stack into one segment from the
-// tuples in the leaf slabs that no tombstone masks, and swaps it in,
-// garbage-collecting tombstones no remaining segment needs.
+// The memtable is a flat slab, one row per live entry — the code's words
+// packed back to back, the tuple id beside them, a map from id to row — that
+// every search scans linearly: at a few thousand rows the scan is the right
+// engine, and no write ever runs an H-Build. Writes are upserts keyed by
+// tuple id. An Insert appends a row, or overwrites the words of the row the
+// id already has; if the id is live in a frozen segment, a tombstone masks
+// the old version. A Delete of a memtable id moves the last row into the
+// hole; a delete of a frozen id becomes a tombstone. When the memtable passes
+// a size threshold a background goroutine seals it: under the write lock the
+// rows are bulk-loaded (the paper's H-Build, Algorithm 1) and compiled with
+// core.Freeze into a segment of its own arenas, appended to the stack in one
+// epoch-bumped state update, and the slab starts over empty — a sealed
+// segment is its leaf slab plus the compiled hierarchy, nothing else. A
+// compactor rebuilds the whole stack into one segment from the tuples in the
+// leaf slabs that no tombstone masks, in Gray order and a bounded chunk at a
+// time, and swaps it in, garbage-collecting tombstones no remaining segment
+// needs. The paper's
+// H-Insert and H-Delete (Algorithms 2-3) stay with the pointer index in
+// core, for the library API; this tier does not use them.
 //
 // Versioning uses a single mutation sequence: every segment records the
 // sequence at seal time (maxSeq), every tombstone the sequence of the
@@ -25,13 +33,13 @@
 //
 // Searches take a read lock (memtable and tombstones are mutable). The
 // compaction rebuild — the expensive work — runs off-lock on immutable
-// structure; a seal freezes a memtable-sized index inside the write lock —
-// 4 to 6 ms at the default 4096 entries on the benchmark's traced churn runs
-// (lsm.seal_s), not the millisecond this comment used to claim — so readers
-// wait out that and the pointer swaps. They also wait out the memtable's
-// buffer flushes: every 256th insert of a new code re-runs the H-Build over
-// all the memtable's leaf groups under the same lock, which is most of
-// lsm.insert_ns (7 to 8 µs an insert).
+// structure. What readers still wait out is the seal, which builds and
+// freezes a memtable-sized index inside the write lock — 5 to 7 ms at the
+// default 4096 rows on the benchmark's traced churn runs (lsm.seal_s) — and
+// the pointer swaps; an insert holds the lock for a row append (0.2 to 0.3
+// µs, lsm.insert_ns). Seals and compactions share structMu, so while a compaction
+// runs the armed seal waits and the memtable grows past MemtableMax; nothing
+// breaks, reads pay a linear ~1 ns a row for it until the seal gets through.
 package lsm
 
 import (
@@ -43,6 +51,7 @@ import (
 
 	"haindex/internal/bitvec"
 	"haindex/internal/core"
+	"haindex/internal/gray"
 	"haindex/internal/obs"
 )
 
@@ -112,9 +121,8 @@ type Shard struct {
 	length int
 
 	mu         sync.RWMutex
-	mem        *core.DynamicIndex    // nil when empty
-	memPool    *sync.Pool            // searchers bound to mem's current incarnation
-	memIDs     map[int]bitvec.Code   // live memtable entries by id
+	mem        core.GroupView        // one row per live memtable entry; IDStart is the identity
+	memIDs     map[int]int32         // live memtable id -> its row
 	frozenLive map[int]struct{}      // ids live in some segment (not masked)
 	tomb       map[int]uint64        // id -> sequence of the masking mutation
 	seq        uint64                // mutation sequence, monotone under mu
@@ -150,7 +158,8 @@ func New(length int, opts Options) *Shard {
 	s := &Shard{
 		opts:       opts,
 		length:     length,
-		memIDs:     make(map[int]bitvec.Code),
+		mem:        core.GroupView{Length: length, IDStart: []int32{0}},
+		memIDs:     make(map[int]int32),
 		frozenLive: make(map[int]struct{}),
 		tomb:       make(map[int]uint64),
 	}
@@ -189,13 +198,8 @@ func (s *Shard) Bootstrap(idx core.Index) error {
 	if idx.Len() == 0 {
 		return nil
 	}
-	var frozen *core.FrozenIndex
-	switch t := idx.(type) {
-	case *core.DynamicIndex:
-		frozen = core.Freeze(t)
-	case *core.FrozenIndex:
-		frozen = t
-	default:
+	frozen, ok := core.Compiled(idx)
+	if !ok {
 		return fmt.Errorf("lsm: cannot bootstrap from index type %T", idx)
 	}
 	frozen.Tuples(func(id int, _ bitvec.Code) {
@@ -220,7 +224,7 @@ func (s *Shard) Length() int { return s.length }
 func (s *Shard) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.memIDs) + len(s.frozenLive)
+	return len(s.mem.IDs) + len(s.frozenLive)
 }
 
 // Epoch returns the current structural epoch; it bumps on every seal and
@@ -241,8 +245,8 @@ func (s *Shard) Stats() Stats {
 	defer s.mu.RUnlock()
 	st := s.state.Load()
 	return Stats{
-		Len:          len(s.memIDs) + len(s.frozenLive),
-		MemtableSize: len(s.memIDs),
+		Len:          len(s.mem.IDs) + len(s.frozenLive),
+		MemtableSize: len(s.mem.IDs),
 		Segments:     len(st.segments),
 		Tombstones:   len(s.tomb),
 		Epoch:        st.epoch,
@@ -253,7 +257,7 @@ func (s *Shard) Stats() Stats {
 
 // publishGauges mirrors the layering into the registry; callers hold mu.
 func (s *Shard) publishGauges() {
-	s.gMem.Set(int64(len(s.memIDs)))
+	s.gMem.Set(int64(len(s.mem.IDs)))
 	s.gSegs.Set(int64(len(s.state.Load().segments)))
 	s.gTomb.Set(int64(len(s.tomb)))
 }
@@ -268,32 +272,33 @@ func (s *Shard) Insert(id int, c bitvec.Code) bool {
 	s.mu.Lock()
 	s.booted = true
 	replaced := false
-	if old, ok := s.memIDs[id]; ok {
-		if old.Equal(c) {
+	if row, ok := s.memIDs[id]; ok {
+		if s.mem.Code(int(row)).Equal(c) {
 			s.mu.Unlock()
 			return true
 		}
-		s.mem.Delete(id, old)
+		// In place: the row is the id's only version.
+		nw := s.mem.Words()
+		copy(s.mem.Codes[int(row)*nw:(int(row)+1)*nw], c.Words())
 		replaced = true
-	} else if _, ok := s.frozenLive[id]; ok {
-		// The frozen copy is now stale: mask it in every current segment.
-		delete(s.frozenLive, id)
-		s.seq++
-		s.tomb[id] = s.seq
-		replaced = true
+	} else {
+		if _, ok := s.frozenLive[id]; ok {
+			// The frozen copy is now stale: mask it in every current segment.
+			delete(s.frozenLive, id)
+			s.seq++
+			s.tomb[id] = s.seq
+			replaced = true
+		}
+		rows := len(s.mem.IDs)
+		s.memIDs[id] = int32(rows)
+		s.mem.Codes = append(s.mem.Codes, c.Words()...)
+		s.mem.IDs = append(s.mem.IDs, id)
+		s.mem.IDStart = append(s.mem.IDStart, int32(rows+1))
 	}
 	s.seq++
-	s.memIDs[id] = c
-	if s.mem == nil {
-		mem := core.BuildDynamic([]bitvec.Code{c}, []int{id}, core.Options{})
-		s.mem = mem
-		s.memPool = &sync.Pool{New: func() interface{} { return core.NewSearcher(mem) }}
-	} else {
-		s.mem.Insert(id, c)
-	}
 	s.cInserts.Inc()
 	s.ver.Add(1)
-	sealNow := s.opts.MemtableMax > 0 && len(s.memIDs) >= s.opts.MemtableMax
+	sealNow := s.opts.MemtableMax > 0 && len(s.mem.IDs) >= s.opts.MemtableMax
 	s.publishGauges()
 	s.mu.Unlock()
 	if sealNow && !s.closed.Load() && s.sealArmed.CompareAndSwap(false, true) {
@@ -311,15 +316,14 @@ func (s *Shard) Insert(id int, c bitvec.Code) bool {
 }
 
 // Delete removes the tuple with the given id, wherever its live version
-// sits: a memtable id is H-Deleted in place, a frozen id becomes a
-// tombstone. It reports whether the id was live.
+// sits: a memtable id gives up its row, a frozen id becomes a tombstone. It
+// reports whether the id was live.
 func (s *Shard) Delete(id int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.booted = true
-	if c, ok := s.memIDs[id]; ok {
-		s.mem.Delete(id, c)
-		delete(s.memIDs, id)
+	if row, ok := s.memIDs[id]; ok {
+		s.dropRow(id, int(row))
 		s.cDeletes.Inc()
 		s.ver.Add(1)
 		s.publishGauges()
@@ -337,23 +341,35 @@ func (s *Shard) Delete(id int) bool {
 	return false
 }
 
-// SearchInto returns the ids of all live tuples within Hamming distance h of
-// q, fanning out over the memtable and every segment with tombstone masking;
-// stats aggregates the index work of the whole fan-out.
-func (s *Shard) SearchInto(q bitvec.Code, h int, stats *core.SearchStats) []int {
+// dropRow removes a memtable row by moving the last row into the hole, so the
+// slab stays dense and no other row's index changes; callers hold mu.
+func (s *Shard) dropRow(id, row int) {
+	nw, last := s.mem.Words(), len(s.mem.IDs)-1
+	if row != last {
+		copy(s.mem.Codes[row*nw:(row+1)*nw], s.mem.Codes[last*nw:])
+		moved := s.mem.IDs[last]
+		s.mem.IDs[row] = moved
+		s.memIDs[moved] = int32(row)
+	}
+	s.mem.Codes = s.mem.Codes[:last*nw]
+	s.mem.IDs = s.mem.IDs[:last]
+	s.mem.IDStart = s.mem.IDStart[:last+1]
+	delete(s.memIDs, id)
+}
+
+// SearchInto appends to out the ids of all live tuples within Hamming
+// distance h of q — one linear scan of the memtable's rows, then every
+// segment's index with tombstone masking — and returns the extended slice;
+// stats aggregates the work of the whole fan-out.
+func (s *Shard) SearchInto(q bitvec.Code, h int, out []int, stats *core.SearchStats) []int {
 	if q.Len() != s.length {
 		panic(fmt.Sprintf("lsm: %d-bit query against %d-bit shard", q.Len(), s.length))
 	}
-	var out []int
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.mem != nil {
-		pool := s.memPool
-		sr := pool.Get().(*core.Searcher)
-		out = append(out, sr.Search(q, h)...)
-		stats.Add(sr.Stats)
-		pool.Put(sr)
-	}
+	out = s.mem.Scan(q.Words(), h, out)
+	stats.DistanceComputations += len(s.mem.IDs)
+	stats.LeavesChecked += len(s.mem.IDs)
 	for _, seg := range s.state.Load().segments {
 		sr := seg.pool.Get().(*core.Searcher)
 		for _, id := range sr.Search(q, h) {
@@ -368,10 +384,10 @@ func (s *Shard) SearchInto(q bitvec.Code, h int, stats *core.SearchStats) []int 
 	return out
 }
 
-// Search is SearchInto with throwaway statistics.
+// Search is SearchInto with a fresh result slice and throwaway statistics.
 func (s *Shard) Search(q bitvec.Code, h int) []int {
 	var stats core.SearchStats
-	return s.SearchInto(q, h, &stats)
+	return s.SearchInto(q, h, nil, &stats)
 }
 
 // TopKInto returns the k nearest live ids with their distances, ordered by
@@ -382,8 +398,10 @@ func (s *Shard) TopKInto(q bitvec.Code, k int, stats *core.SearchStats) ([]int, 
 		return nil, nil
 	}
 	dist := make(map[int]int)
+	var found []int
 	for h := 0; h <= s.length; h++ {
-		for _, id := range s.SearchInto(q, h, stats) {
+		found = s.SearchInto(q, h, found[:0], stats)
+		for _, id := range found {
 			if _, seen := dist[id]; !seen {
 				dist[id] = h
 			}
@@ -419,14 +437,13 @@ func (s *Shard) TopK(q bitvec.Code, k int) ([]int, []int) {
 	return s.TopKInto(q, k, &stats)
 }
 
-// Tuples invokes fn for every live (id, code) pair: memtable entries plus
-// unmasked segment tuples.
+// Tuples invokes fn for every live (id, code) pair: memtable rows plus
+// unmasked segment tuples. The codes alias the shard's slabs — a memtable
+// row's is overwritten by later mutations — so fn must Clone what it keeps.
 func (s *Shard) Tuples(fn func(id int, code bitvec.Code)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for id, c := range s.memIDs {
-		fn(id, c)
-	}
+	s.mem.Tuples(fn)
 	s.segmentTuples(s.state.Load().segments, fn)
 }
 
@@ -444,22 +461,28 @@ func (s *Shard) segmentTuples(segs []*segment, fn func(id int, code bitvec.Code)
 }
 
 // Seal freezes the current memtable into a new immutable segment in one
-// step under the write lock: core.Freeze settles the insert buffer and
-// compiles the pointer index, the segment joins the stack and the epoch
+// step under the write lock: the rows are bulk-loaded (H-Build, the only one
+// they ever see) and compiled, the segment joins the stack and the epoch
 // advances by one. When Seal returns the memtable is empty and every tuple
 // it held is searchable in the frozen segment; there is no intermediate
-// state for a reader to see. With compact set, a compaction follows.
+// state for a reader to see. core.Freeze copies the code words into the
+// segment's own arena, so the slab is free to take the next rows. With
+// compact set, a compaction follows.
 func (s *Shard) Seal(compact bool) {
 	s.structMu.Lock()
 	t0 := time.Now()
 	s.mu.Lock()
-	if len(s.memIDs) > 0 {
-		sealed := newSegment(core.Freeze(s.mem), s.seq)
-		for id := range s.memIDs {
+	if rows := len(s.mem.IDs); rows > 0 {
+		codes := make([]bitvec.Code, rows)
+		for row := range codes {
+			codes[row] = s.mem.Code(row)
+		}
+		sealed := newSegment(core.Freeze(core.BuildDynamic(codes, s.mem.IDs, core.Options{})), s.seq)
+		for _, id := range s.mem.IDs {
 			s.frozenLive[id] = struct{}{}
 		}
-		s.mem, s.memPool = nil, nil
-		s.memIDs = make(map[int]bitvec.Code)
+		s.mem.Codes, s.mem.IDs, s.mem.IDStart = s.mem.Codes[:0], s.mem.IDs[:0], s.mem.IDStart[:1]
+		clear(s.memIDs)
 		st := s.state.Load()
 		segs := append(append([]*segment(nil), st.segments...), sealed)
 		s.state.Store(&state{segments: segs, epoch: st.epoch + 1})
@@ -475,11 +498,23 @@ func (s *Shard) Seal(compact bool) {
 	}
 }
 
+// compactChunk is how many survivors one H-Build of a compaction covers. The
+// pointer form costs ~470 heap bytes a tuple (61 MB for the 130k tuples of a
+// `churn` compaction, against a 3.9 MB arena), and building it whole is what
+// `churn` mem_mb was made of; at 16k tuples a build holds ~8 MB live, and
+// mem_mb read 143 -> 112 with the compaction itself a fifth to a third
+// faster (BenchmarkShardCompact 343 -> 270 ms, 315 -> 215 ms).
+const compactChunk = 1 << 14
+
 // Compact rebuilds the whole segment stack into one segment: the (id, code)
-// occurrences in the inputs' leaf slabs that no tombstone masks are
-// bulk-loaded (H-Build) and frozen off-lock while the inputs keep serving,
-// and the result is swapped in. Tombstones no remaining segment was sealed
-// after are garbage-collected. Synchronous, like Seal.
+// occurrences in the inputs' leaf slabs that no tombstone masks are sorted by
+// Gray rank, bulk-loaded (H-Build) and frozen compactChunk at a time,
+// off-lock while the inputs keep serving, and the concatenated forest is
+// swapped in. The sort is what keeps the forest as selective as one
+// hierarchy: a chunk then covers one Gray range, and a query is pruned at the
+// roots of the others (in slab order a select over the output computed 59%
+// more distances, BenchmarkShardSearchCompacted). Tombstones no remaining
+// segment was sealed after are garbage-collected. Synchronous, like Seal.
 func (s *Shard) Compact() {
 	s.structMu.Lock()
 	defer s.structMu.Unlock()
@@ -493,8 +528,12 @@ func (s *Shard) Compact() {
 	// created mid-compaction has a sequence above this snapshot — and so
 	// above the output's maxSeq — so the tuple it masks simply stays masked
 	// by the live check after the swap.
-	var codes []bitvec.Code
-	var ids []int
+	total := 0
+	for _, seg := range inputs {
+		total += seg.idx.Len()
+	}
+	codes := make([]bitvec.Code, 0, total)
+	ids := make([]int, 0, total)
 	s.mu.RLock()
 	snapSeq := s.seq
 	s.segmentTuples(inputs, func(id int, c bitvec.Code) {
@@ -507,35 +546,22 @@ func (s *Shard) Compact() {
 	}
 	var out *segment
 	if len(ids) > 0 {
-		out = newSegment(core.Freeze(core.BuildDynamic(codes, ids, core.Options{})), snapSeq)
+		gray.Sort(codes, ids)
+		out = newSegment(core.FreezeChunked(codes, ids, compactChunk, core.Options{}), snapSeq)
 	}
 
 	s.mu.Lock()
-	st := s.state.Load()
-	replaced := make(map[*segment]bool, len(inputs))
-	for _, seg := range inputs {
-		replaced[seg] = true
-	}
+	// structMu, held since before inputs was read, keeps every Seal out, so
+	// the stack is still exactly inputs and the output replaces all of it.
 	var segs []*segment
 	if out != nil {
-		segs = append(segs, out)
+		segs = []*segment{out}
 	}
-	for _, seg := range st.segments {
-		if !replaced[seg] {
-			segs = append(segs, seg)
-		}
-	}
-	s.state.Store(&state{segments: segs, epoch: st.epoch + 1})
-	// GC tombstones that mask nothing anymore: a tombstone is needed only
-	// while some segment was sealed before it.
-	minMax := uint64(0)
-	for i, seg := range segs {
-		if i == 0 || seg.maxSeq < minMax {
-			minMax = seg.maxSeq
-		}
-	}
+	s.state.Store(&state{segments: segs, epoch: s.state.Load().epoch + 1})
+	// GC tombstones that mask nothing anymore: one is needed only while a
+	// segment sealed before it remains, and only out (at snapSeq) can.
 	for id, t := range s.tomb {
-		if len(segs) == 0 || t <= minMax {
+		if out == nil || t <= snapSeq {
 			delete(s.tomb, id)
 		}
 	}

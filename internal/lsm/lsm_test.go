@@ -77,7 +77,7 @@ func checkAgainstOracle(t *testing.T, s *Shard, o oracle, rng *rand.Rand, bitsLe
 		}
 		for h := 0; h <= 8; h++ {
 			var stats core.SearchStats
-			got := s.SearchInto(query, h, &stats)
+			got := s.SearchInto(query, h, nil, &stats)
 			want := o.search(query, h)
 			if !equalIDs(got, want) {
 				t.Fatalf("search h=%d mismatch: got %v want %v (stats=%+v)", h, got, want, stats)
@@ -329,24 +329,7 @@ func TestShardTopK(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q := bitvec.Rand(rng, 32)
 		k := 1 + rng.Intn(12)
-		type cand struct{ id, d int }
-		var cands []cand
-		for id, c := range o {
-			d, _ := q.DistanceWithin(c, 32)
-			cands = append(cands, cand{id, d})
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].d != cands[j].d {
-				return cands[i].d < cands[j].d
-			}
-			return cands[i].id < cands[j].id
-		})
-		wantIDs := make([]int, 0, k)
-		wantDs := make([]int, 0, k)
-		for i := 0; i < k && i < len(cands); i++ {
-			wantIDs = append(wantIDs, cands[i].id)
-			wantDs = append(wantDs, cands[i].d)
-		}
+		wantIDs, wantDs := o.topK(q, k)
 		gotIDs, gotDs := s.TopK(q, k)
 		if len(gotIDs) != len(wantIDs) {
 			t.Fatalf("TopK k=%d: got %v want %v", k, gotIDs, wantIDs)

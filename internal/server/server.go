@@ -201,8 +201,8 @@ func New(meta wire.SnapshotMeta, idx core.Index, opts Options) (*Server, error) 
 	if idx.Length() != meta.Length {
 		return nil, fmt.Errorf("server: index is %d-bit, snapshot header says %d", idx.Length(), meta.Length)
 	}
-	if dyn, ok := idx.(*core.DynamicIndex); ok {
-		idx = core.Freeze(dyn) // flushes any buffered inserts first
+	if fz, ok := core.Compiled(idx); ok {
+		idx = fz // a pointer index is frozen here, buffered inserts included
 	}
 	s := newServer(meta, opts)
 	s.idx = idx
@@ -812,26 +812,23 @@ func (s *Server) answerSearch(payload []byte, tr *obs.Trace) (wire.MsgType, []by
 		}
 		held = s.runBatch(set, len(miss), tr, func(set *searcherSet, j int) core.SearchStats {
 			i := miss[j]
-			var ids []int
 			var stats core.SearchStats
 			t0 := time.Now()
-			if s.shard != nil {
-				ids = s.shard.SearchInto(req.Queries[i], req.H, &stats) // freshly allocated
-			} else {
-				// Onto the end of the worker's slab, where they stay.
-				start := len(set.ids)
-				switch st {
-				case planner.UseMIH:
-					set.ids = set.mih.SearchAppend(set.ids, req.Queries[i], req.H)
-					stats = set.mih.Stats
-				case planner.UseScan:
-					set.ids = s.pl.Scan(req.Queries[i], req.H, set.ids, &stats)
-				default:
-					set.ids = set.ha.SearchAppend(set.ids, req.Queries[i], req.H)
-					stats = set.ha.Stats
-				}
-				ids = set.ids[start:]
+			// Onto the end of the worker's slab, where they stay.
+			start := len(set.ids)
+			switch {
+			case s.shard != nil:
+				set.ids = s.shard.SearchInto(req.Queries[i], req.H, set.ids, &stats)
+			case st == planner.UseMIH:
+				set.ids = set.mih.SearchAppend(set.ids, req.Queries[i], req.H)
+				stats = set.mih.Stats
+			case st == planner.UseScan:
+				set.ids = s.pl.Scan(req.Queries[i], req.H, set.ids, &stats)
+			default:
+				set.ids = set.ha.SearchAppend(set.ids, req.Queries[i], req.H)
+				stats = set.ha.Stats
 			}
+			ids := set.ids[start:]
 			ns := time.Since(t0).Nanoseconds()
 			s.histEngine[st].Record(ns)
 			if s.pl != nil {
