@@ -36,12 +36,15 @@ bench-query:
 	$(GO) test -run=NONE -bench='Searcher|SearchBatch' -benchmem ./internal/core/
 	$(GO) run ./cmd/habench -exp query
 
-# Frozen-index microbenchmarks: freeze (compile) time, flat-walk search and
-# top-k, and the v4 arena decode (eager copy and aliasing), after bench-query's
-# pointer-vs-frozen experiment rows (the "frozen" field of each
-# BENCH_query.json run).
+# Frozen-index microbenchmarks: freeze (compile) time, the direct build
+# (BuildFrozen, beside the pointer build + freeze it replaces on the serving
+# paths, at a streamed chunk's size and at three words a code) with the Gray
+# sort under it, flat-walk search and top-k, and the v4 arena decode (eager
+# copy and aliasing), after bench-query's pointer-vs-frozen experiment rows
+# (the "frozen" field of each BENCH_query.json run).
 bench-frozen: bench-query
-	$(GO) test -run=NONE -bench='Freeze|Frozen|DecodeArena' -benchmem ./internal/core/
+	$(GO) test -run=NONE -bench='Freeze|BuildFrozen|Frozen|DecodeArena' -benchmem ./internal/core/
+	$(GO) test -run=NONE -bench='GraySort' -benchmem ./internal/gray/
 
 # The request path's invariants by name, three times over under the race
 # detector: one Write per frame from the router and from the server (a
@@ -104,11 +107,12 @@ bench-offline:
 	$(GO) test -run=NONE -bench='RouteMapper' -benchmem ./internal/mrjoin/
 
 # LSM microbenchmarks: one insert into a memtable filling to 4096 rows, one
+# seal of those 4096 rows (the build readers and writers wait out), one
 # compaction of `churn`'s shape (100k base + 8 sealed memtables, ~123k
-# survivors) and one h=3 select over the segment it leaves (dist/op is what
-# the chunked build costs the reads), with allocation counts.
+# survivors) and one h=3 select over the segment it leaves (dist/op is how
+# selective the rebuilt hierarchy is), with allocation counts.
 bench-lsm:
-	$(GO) test -run=NONE -bench 'ShardInsert|ShardCompact|ShardSearchCompacted' -benchmem ./internal/lsm/
+	$(GO) test -run=NONE -bench 'ShardInsert|ShardSeal|ShardCompact|ShardSearchCompacted' -benchmem ./internal/lsm/
 
 # End-to-end smoke of the serving stack: build the CLIs, generate a tiny
 # dataset, shard it, start two haserve processes (one fault-injected), query

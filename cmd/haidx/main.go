@@ -74,29 +74,39 @@ func cmdBuild(args []string) {
 	if err != nil {
 		fatalf("learning hash: %v", err)
 	}
-	t0 := time.Now()
-	idx := core.BuildDynamic(hash.HashAll(hf, vecs), nil, core.Options{})
-	buildTime := time.Since(t0)
+	codes := hash.HashAll(hf, vecs)
 	f, err := os.Create(*out)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	defer f.Close()
 	var sz int
+	var buildTime time.Duration
 	if *arena {
-		fz := core.Freeze(idx)
+		// The arena is built as one: H-Build over the packed rows, no
+		// pointer index in between.
+		var rows []uint64
+		for _, c := range codes {
+			rows = append(rows, c.Words()...)
+		}
+		t0 := time.Now()
+		fz := core.BuildFrozen(*bits, rows, nil, core.Options{})
+		buildTime = time.Since(t0)
 		if err := fz.EncodeArena(f, !*leafless); err != nil {
 			fatalf("encoding: %v", err)
 		}
 		sz = fz.EncodedSizeArena(!*leafless)
 	} else {
+		t0 := time.Now()
+		idx := core.BuildDynamic(codes, nil, core.Options{})
+		buildTime = time.Since(t0)
 		if err := idx.Encode(f, !*leafless); err != nil {
 			fatalf("encoding: %v", err)
 		}
 		sz, _ = idx.EncodedSize(!*leafless)
 	}
 	fmt.Printf("haidx: indexed %d tuples (%d-bit codes) in %v; wrote %s (%.1f KB)\n",
-		idx.Len(), *bits, buildTime.Round(time.Millisecond), *out, float64(sz)/1e3)
+		len(codes), *bits, buildTime.Round(time.Millisecond), *out, float64(sz)/1e3)
 	fmt.Println("note: queries must be hashed with the same learned function; keep the dataset and seed")
 }
 
@@ -238,8 +248,9 @@ func cmdShard(args []string) {
 			fatalf("%v", err)
 		}
 		// Streaming build: Gray-sort the partition so chunks cover tight Gray
-		// ranges, then freeze-and-spool chunk by chunk straight into the
-		// snapshot — the partition index is never resident at once.
+		// ranges (the writer's builder sorts within a chunk only, and finds
+		// these in order), then build-and-spool chunk by chunk straight into
+		// the snapshot — the partition index is never resident at once.
 		gray.Sort(partCodes, rows)
 		sw, err := core.NewFrozenStreamWriter(*bits, *chunk, core.Options{})
 		if err != nil {

@@ -24,9 +24,12 @@ import (
 // belongs to mrjoin and haindex.MergeIndexes, and the pointer index with its
 // H-Insert/H-Delete and insert buffer to the library API: the LSM tier keeps
 // a scanned slab and frozen arenas, compacts by rebuilding from leaf slabs,
-// and sees a pointer index only as what core.BuildDynamic hands core.Freeze,
-// so no non-test source under internal/lsm may mention core.Merge,
-// DynamicIndex or a .Flush( call.
+// and never sees a pointer index, so no non-test source under internal/lsm
+// may mention core.Merge, DynamicIndex or a .Flush( call. Nor does any serving
+// build go through the pointer form: the stream writer, the LSM tier and the
+// planner build arenas with core.BuildFrozen, so internal/lsm,
+// internal/planner and internal/core/arena_stream.go may not mention
+// BuildDynamic( or FreezeChunked either.
 func TestServingImportFence(t *testing.T) {
 	internal := func(names ...string) map[string]bool {
 		m := map[string]bool{}
@@ -69,21 +72,32 @@ func TestServingImportFence(t *testing.T) {
 		}
 	}
 
-	lsmFiles, err := filepath.Glob("internal/lsm/*.go")
-	if err != nil || len(lsmFiles) == 0 {
-		t.Fatalf("internal/lsm: no Go files (%v)", err)
+	noPointerBuild := []string{"BuildDynamic(", "FreezeChunked"}
+	wordFences := []struct {
+		glob   string
+		banned []string
+	}{
+		{"internal/lsm/*.go", append([]string{"core.Merge", "DynamicIndex", ".Flush("}, noPointerBuild...)},
+		{"internal/planner/*.go", noPointerBuild},
+		{"internal/core/arena_stream.go", noPointerBuild},
 	}
-	for _, file := range lsmFiles {
-		if strings.HasSuffix(file, "_test.go") {
-			continue
+	for _, fence := range wordFences {
+		files, err := filepath.Glob(fence.glob)
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no Go files (%v)", fence.glob, err)
 		}
-		src, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, banned := range []string{"core.Merge", "DynamicIndex", ".Flush("} {
-			if strings.Contains(string(src), banned) {
-				t.Errorf("%s mentions %s", file, banned)
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, banned := range fence.banned {
+				if strings.Contains(string(src), banned) {
+					t.Errorf("%s mentions %s", file, banned)
+				}
 			}
 		}
 	}

@@ -12,13 +12,13 @@ import (
 )
 
 // FrozenStreamWriter builds a HADX v4 arena incrementally, in bounded
-// memory: tuples are accumulated into chunks, each chunk is built and frozen
-// on its own (a pointer DAG over only chunkSize codes), and the chunk's
-// arenas are appended — with all node/group/offset references shifted by the
-// running totals — onto per-section temp spool files that Finish concatenates
-// into the final image. Peak RSS is O(chunkSize), not O(total), which is what
-// lets a MapReduce reducer emit a multi-million-code frozen shard without
-// ever materializing the partition's pointer index.
+// memory: tuples are accumulated into a row slab, each chunk of it is built on
+// its own by BuildFrozen (H-Build straight into arenas, no pointer form), and
+// the chunk's arenas are appended — with all node/group/offset references
+// shifted by the running totals — onto per-section temp spool files that
+// Finish concatenates into the final image. Peak RSS is O(chunkSize), not
+// O(total), which is what lets a MapReduce reducer emit a multi-million-code
+// frozen shard without ever holding the partition's index in memory.
 //
 // The result is a forest of per-chunk hierarchies over disjoint tuple
 // subsets: its roots are scattered (recorded in the v4 root list), but the
@@ -27,7 +27,9 @@ import (
 // the union over chunks — identical to a monolithic build's answers, since
 // both emit exactly the tuples within distance h. Feed tuples in Gray-rank
 // order (gray.Sort) so each chunk covers a tight Gray range and the per-chunk
-// hierarchies stay as selective as a monolithic build's.
+// hierarchies stay as selective as a monolithic build's: BuildFrozen sorts a
+// chunk it is handed out of order (an ordered one costs it one pass), but
+// only a sorted stream makes the chunks ranges.
 //
 // The writer is single-goroutine; after Finish or Abort it must not be used.
 type FrozenStreamWriter struct {
@@ -35,8 +37,8 @@ type FrozenStreamWriter struct {
 	chunkSize int
 	opts      Options
 
-	codes []bitvec.Code
-	ids   []int
+	rows []uint64 // the pending chunk: the codes' words, copied, back to back
+	ids  []int
 
 	dir    string
 	spools [arenaSectionCount]*spool
@@ -80,8 +82,9 @@ func NewFrozenStreamWriter(length, chunkSize int, opts Options) (*FrozenStreamWr
 	return sw, nil
 }
 
-// Add appends one tuple. When the current chunk fills, it is built, frozen,
-// and spooled before Add returns.
+// Add appends one tuple, copying the code's words: the caller may reuse them
+// at once. When the current chunk fills, it is built and spooled before Add
+// returns.
 func (sw *FrozenStreamWriter) Add(id int, code bitvec.Code) error {
 	if sw.err != nil {
 		return sw.err
@@ -89,16 +92,16 @@ func (sw *FrozenStreamWriter) Add(id int, code bitvec.Code) error {
 	if code.Len() != sw.length {
 		return sw.fail(fmt.Errorf("core: %d-bit code in a %d-bit stream", code.Len(), sw.length))
 	}
-	sw.codes = append(sw.codes, code)
+	sw.rows = append(sw.rows, code.Words()...)
 	sw.ids = append(sw.ids, id)
-	if len(sw.codes) >= sw.chunkSize {
+	if len(sw.ids) >= sw.chunkSize {
 		return sw.flushChunk()
 	}
 	return nil
 }
 
 // Len returns the number of tuples added so far.
-func (sw *FrozenStreamWriter) Len() int { return int(sw.n) + len(sw.codes) }
+func (sw *FrozenStreamWriter) Len() int { return int(sw.n) + len(sw.ids) }
 
 // Length returns the code length in bits the stream was created for.
 func (sw *FrozenStreamWriter) Length() int { return sw.length }
@@ -111,14 +114,14 @@ func (sw *FrozenStreamWriter) fail(err error) error {
 	return sw.err
 }
 
-// flushChunk freezes the buffered tuples and appends their arenas to the
+// flushChunk builds the buffered tuples and appends their arenas to the
 // spools, shifting every cross-array reference by the running totals.
 func (sw *FrozenStreamWriter) flushChunk() error {
-	if len(sw.codes) == 0 {
+	if len(sw.ids) == 0 {
 		return nil
 	}
-	f := Freeze(BuildDynamic(sw.codes, sw.ids, sw.opts))
-	sw.codes = sw.codes[:0]
+	f := BuildFrozen(sw.length, sw.rows, sw.ids, sw.opts)
+	sw.rows = sw.rows[:0]
 	sw.ids = sw.ids[:0]
 
 	nodeOff, groupOff := int32(sw.nNodes), int32(sw.nGroups)
@@ -181,7 +184,7 @@ func (sw *FrozenStreamWriter) flushChunk() error {
 	return nil
 }
 
-// Finish freezes the last partial chunk, closes the prefix arrays, and
+// Finish builds the last partial chunk, closes the prefix arrays, and
 // assembles the v4 arena image onto out (header, section table, then each
 // spool streamed through in section order). The spool directory is removed
 // on return. The image always carries id tables (flags bit0 set).

@@ -21,12 +21,24 @@ func buildStreamedArena(tb testing.TB, n, bitsLen, chunkSize int) *FrozenIndex {
 		ids[i] = i
 	}
 	gray.Sort(codes, ids)
-	sw, err := NewFrozenStreamWriter(bitsLen, chunkSize, Options{})
+	f, err := DecodeArenaBytes(streamArena(tb, codes, ids, chunkSize, Options{}), false)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for i := range codes {
-		if err := sw.Add(ids[i], codes[i]); err != nil {
+	return f
+}
+
+// streamArena feeds the tuples, in the order given, through a
+// FrozenStreamWriter that builds every chunk tuples on their own, and returns
+// the v4 image.
+func streamArena(tb testing.TB, codes []bitvec.Code, ids []int, chunk int, opts Options) []byte {
+	tb.Helper()
+	sw, err := NewFrozenStreamWriter(codes[0].Len(), chunk, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, c := range codes {
+		if err := sw.Add(ids[i], c); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -34,11 +46,120 @@ func buildStreamedArena(tb testing.TB, n, bitsLen, chunkSize int) *FrozenIndex {
 	if err := sw.Finish(&buf); err != nil {
 		tb.Fatal(err)
 	}
-	f, err := DecodeArenaBytes(buf.Bytes(), false)
-	if err != nil {
-		tb.Fatal(err)
+	return buf.Bytes()
+}
+
+// chunkedArena streams a small clustered dataset (duplicate codes included),
+// unsorted, in 7-tuple chunks: a forest with scattered roots, shifted
+// references and a code in two groups.
+func chunkedArena(tb testing.TB) []byte {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(163))
+	codes := clusteredCodes(rng, 60, 32, 3, 2)
+	ids := make([]int, len(codes))
+	for i := range ids {
+		ids[i] = i
 	}
-	return f
+	return streamArena(tb, codes, ids, 7, Options{})
+}
+
+// TestStreamedChunkEdges (TestFreezeChunkedEquivalence while an in-memory
+// chunked freeze existed beside the writer): a streamed arena answers every
+// query at every threshold with the id set the monolithic build answers, at
+// chunk sizes on both sides of the edges (one tuple a chunk, n-1, n, n+1) and
+// fed out of Gray order, holds the child-after-parent order the walks and the
+// decoder rely on, and counts its tuples and groups as the sum over the
+// chunks.
+func TestStreamedChunkEdges(t *testing.T) {
+	for _, bitsLen := range []int{32, 130} {
+		rng := rand.New(rand.NewSource(int64(bitsLen)))
+		codes := clusteredCodes(rng, 150, bitsLen, 6, 2)
+		codes = append(codes, codes[:20]...) // codes that recur, across chunks too
+		n := len(codes)
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = 1000 + i
+		}
+		queries := make([]bitvec.Code, 12)
+		for i := range queries {
+			if queries[i] = codes[rng.Intn(n)]; i%4 == 0 {
+				queries[i] = bitvec.Rand(rng, bitsLen)
+			}
+		}
+		msr := NewSearcher(Freeze(BuildDynamic(codes, ids, Options{})))
+		for _, chunk := range []int{1, 7, n - 1, n, n + 1} {
+			f, err := DecodeArenaBytes(streamArena(t, codes, ids, chunk, Options{}), false)
+			if err != nil {
+				t.Fatalf("L=%d chunk=%d: streamed arena does not decode: %v", bitsLen, chunk, err)
+			}
+			wantGroups := 0
+			for lo := 0; lo < n; lo += chunk {
+				distinct := map[string]bool{}
+				for _, c := range codes[lo:min(lo+chunk, n)] {
+					distinct[c.Key()] = true
+				}
+				wantGroups += len(distinct)
+			}
+			if f.Len() != n || len(f.idSlab) != n || f.GroupCount() != wantGroups {
+				t.Fatalf("L=%d chunk=%d: %d tuples, %d ids, %d groups; want %d, %d, %d", bitsLen, chunk, f.Len(), len(f.idSlab), f.GroupCount(), n, n, wantGroups)
+			}
+			for nid := 0; nid < f.NodeCount(); nid++ {
+				for _, c := range f.childList[f.childStart[nid]:f.childStart[nid+1]] {
+					if int(c) <= nid {
+						t.Fatalf("L=%d chunk=%d: node %d lists child %d", bitsLen, chunk, nid, c)
+					}
+				}
+			}
+			fsr := NewSearcher(f)
+			for h := 0; h <= bitsLen; h++ {
+				for qi, q := range queries {
+					if got, want := fsr.Search(q, h), msr.Search(q, h); !equalIDs(got, want) {
+						t.Fatalf("L=%d chunk=%d h=%d q#%d: streamed %d ids, monolithic %d", bitsLen, chunk, h, qi, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStreamWriterAddCopiesTheWords: a producer may decode every tuple into
+// one reused buffer. The writer used to keep the caller's word slice until the
+// chunk flushed, so overwriting it corrupted every pending tuple.
+func TestStreamWriterAddCopiesTheWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	codes := clusteredCodes(rng, 40, 70, 4, 2)
+	sw, err := NewFrozenStreamWriter(70, 16, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := bitvec.New(70) // the one buffer every tuple passes through
+	for id, c := range codes {
+		copy(buf.Words(), c.Words())
+		if err := sw.Add(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf.Words() {
+			buf.Words()[i] = ^uint64(0)
+		}
+	}
+	var img bytes.Buffer
+	if err := sw.Finish(&img); err != nil {
+		t.Fatal(err)
+	}
+	f, err := DecodeArenaBytes(img.Bytes(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := NewSearcher(f)
+	for id, c := range codes {
+		found := false
+		for _, got := range sr.Search(c, 0) {
+			found = found || got == id
+		}
+		if !found {
+			t.Fatalf("tuple %d is not under the code it was added with", id)
+		}
+	}
 }
 
 // TestStreamedEquivalence: the chunked streaming build answers Search and
@@ -59,20 +180,7 @@ func TestStreamedEquivalence(t *testing.T) {
 			sortedCodes := append([]bitvec.Code(nil), codes...)
 			sortedIDs := append([]int(nil), ids...)
 			gray.Sort(sortedCodes, sortedIDs)
-			sw, err := NewFrozenStreamWriter(bitsLen, chunkSize, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range sortedCodes {
-				if err := sw.Add(sortedIDs[i], sortedCodes[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var buf bytes.Buffer
-			if err := sw.Finish(&buf); err != nil {
-				t.Fatal(err)
-			}
-			streamed, err := DecodeArenaBytes(buf.Bytes(), false)
+			streamed, err := DecodeArenaBytes(streamArena(t, sortedCodes, sortedIDs, chunkSize, Options{}), false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -280,22 +280,19 @@ func TestDecodeArenaCorruptInput(t *testing.T) {
 // index whose walks terminate without panicking, on both parse paths.
 func FuzzSectionTable(f *testing.F) {
 	valid, _ := validArenaEncoding(f, true)
-	// The second base image is a chunked arena: scattered roots, shifted
-	// references, a code in two groups.
-	var chunked bytes.Buffer
-	if err := chunkedArena(f).EncodeArena(&chunked, true); err != nil {
-		f.Fatal(err)
-	}
+	// The second base image is a streamed arena of 7-tuple chunks: scattered
+	// roots, shifted references, a code in two groups.
+	chunked := chunkedArena(f)
 	f.Add(false, uint16(len(valid)), uint16(0), uint64(0))
 	f.Add(false, uint16(len(valid)), uint16(88), uint64(1)<<33)
 	f.Add(false, uint16(len(valid)), uint16(96), uint64(0xffffffffffffffff))
 	f.Add(false, uint16(200), uint16(8), uint64(3))
-	f.Add(true, uint16(chunked.Len()), uint16(0), uint64(0))
-	f.Add(true, uint16(chunked.Len()), uint16(88+16*secRoots), uint64(5)<<32)
+	f.Add(true, uint16(len(chunked)), uint16(0), uint64(0))
+	f.Add(true, uint16(len(chunked)), uint16(88+16*secRoots), uint64(5)<<32)
 	f.Fuzz(func(t *testing.T, forest bool, cut uint16, at uint16, splat uint64) {
 		base := valid
 		if forest {
-			base = chunked.Bytes()
+			base = chunked
 		}
 		data := append([]byte(nil), base...)
 		if int(cut) < len(data) {

@@ -34,11 +34,11 @@ type FrozenIndex struct {
 	n      int // number of tuples
 	nw     int // words per code
 
-	// rootIDs lists the hierarchy roots. An index compiled by Freeze has the
-	// contiguous roots [0, len(rootIDs)); a streamed or chunked arena
-	// (FrozenStreamWriter, FreezeChunked) concatenates chunk forests, so its
-	// roots are scattered. Either way every child id strictly exceeds
-	// its parent's, which is the invariant the walks and decoders rely on.
+	// rootIDs lists the hierarchy roots. An index compiled by Freeze or built
+	// by BuildFrozen has the contiguous roots [0, len(rootIDs)); a streamed
+	// arena (FrozenStreamWriter) concatenates chunk forests, so its roots are
+	// scattered. Either way every child id strictly exceeds its parent's,
+	// which is the invariant the walks and decoders rely on.
 	rootIDs []int32
 
 	childStart []int32
@@ -142,7 +142,8 @@ func Freeze(x *DynamicIndex) *FrozenIndex {
 }
 
 // Compiled returns idx in its compiled form: a *FrozenIndex as it is, the
-// pointer index through Freeze. An adapted engine has no hierarchy to compile
+// pointer index through Freeze (BuildFrozen builds the same arenas from a
+// tuple slab, for callers that have no pointer index yet). An adapted engine has no hierarchy to compile
 // and reports false.
 func Compiled(idx Index) (*FrozenIndex, bool) {
 	switch t := idx.(type) {
@@ -152,56 +153,6 @@ func Compiled(idx Index) (*FrozenIndex, bool) {
 		return Freeze(t), true
 	}
 	return nil, false
-}
-
-// FreezeChunked is Freeze(BuildDynamic(codes, ids, opts)) built in bounded
-// pieces: every run of at most chunk tuples, in input order, is built and
-// frozen on its own and its arenas appended to the output, so the pointer
-// form alive at any moment covers one chunk, not the dataset. The result is
-// the forest FrozenStreamWriter spools to disk — scattered roots, child id >
-// parent id, a code that sits in two chunks in two groups — and answers
-// exactly what the monolithic build answers; like the stream writer it is
-// as selective as that build only when fed in Gray-rank order (gray.Sort),
-// each chunk then covering one Gray range. ids[i] is codes[i]'s tuple id;
-// like BuildDynamic it panics over an empty dataset.
-func FreezeChunked(codes []bitvec.Code, ids []int, chunk int, opts Options) *FrozenIndex {
-	if chunk <= 0 || len(codes) == 0 || len(ids) != len(codes) {
-		panic(fmt.Sprintf("core: FreezeChunked over %d codes, %d ids, chunk %d", len(codes), len(ids), chunk))
-	}
-	hi := min(chunk, len(codes))
-	out := Freeze(BuildDynamic(codes[:hi], ids[:hi], opts))
-	for lo := hi; lo < len(codes); lo = hi {
-		hi = min(lo+chunk, len(codes))
-		out.appendArena(Freeze(BuildDynamic(codes[lo:hi], ids[lo:hi], opts)))
-	}
-	return out
-}
-
-// appendArena concatenates c's arenas onto f's, shifting every node, group,
-// edge and id reference of c by f's totals (the table flushChunk applies on
-// its way to the spools). A prefix array drops its closing sentinel first:
-// c's shifted entries continue it and c's own sentinel closes it again.
-func (f *FrozenIndex) appendArena(c *FrozenIndex) {
-	nodeOff, groupOff := int32(f.NodeCount()), int32(f.GroupCount())
-	childOff, leafOff, idOff := int32(len(f.childList)), int32(len(f.leafList)), int32(len(f.idSlab))
-	shift := func(dst, src []int32, off int32) []int32 {
-		for _, v := range src {
-			dst = append(dst, v+off)
-		}
-		return dst
-	}
-	f.rootIDs = shift(f.rootIDs, c.rootIDs, nodeOff)
-	f.topLeaves = shift(f.topLeaves, c.topLeaves, groupOff)
-	f.childStart = shift(f.childStart[:nodeOff], c.childStart, childOff)
-	f.childList = shift(f.childList, c.childList, nodeOff)
-	f.leafStart = shift(f.leafStart[:nodeOff], c.leafStart, leafOff)
-	f.leafList = shift(f.leafList, c.leafList, groupOff)
-	f.idStart = shift(f.idStart[:groupOff], c.idStart, idOff)
-	f.codeSlab = append(f.codeSlab, c.codeSlab...)
-	f.idSlab = append(f.idSlab, c.idSlab...)
-	f.resSlab = append(f.resSlab, c.resSlab...)
-	f.maskSlab = append(f.maskSlab, c.maskSlab...)
-	f.n += c.n
 }
 
 // fillGroup materializes leaf group gi into the caller's scratch: the code

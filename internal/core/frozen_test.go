@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -136,87 +135,6 @@ func TestFrozenSizeBytes(t *testing.T) {
 	_, _, _, large := frozenEnv(t, 81, 2000, 32)
 	if small.SizeBytes() <= 0 || large.SizeBytes() <= small.SizeBytes() {
 		t.Fatalf("SizeBytes: small=%d large=%d", small.SizeBytes(), large.SizeBytes())
-	}
-}
-
-// chunkedArena freezes a small clustered dataset (duplicate codes included)
-// in 7-tuple chunks: the in-memory forest a compaction produces.
-func chunkedArena(tb testing.TB) *FrozenIndex {
-	tb.Helper()
-	rng := rand.New(rand.NewSource(163))
-	codes := clusteredCodes(rng, 60, 32, 3, 2)
-	ids := make([]int, len(codes))
-	for i := range ids {
-		ids[i] = i
-	}
-	return FreezeChunked(codes, ids, 7, Options{})
-}
-
-// TestFreezeChunkedEquivalence: a chunked freeze answers every query at every
-// threshold with the id set the monolithic build answers, at chunk sizes on
-// both sides of the edges (one tuple a chunk, n-1, n, n+1), holds the
-// child-after-parent order the walks and the decoder rely on, counts its
-// tuples and groups as the sum over the chunks, and survives the arena round
-// trip — so it passes the decoder's structural validation.
-func TestFreezeChunkedEquivalence(t *testing.T) {
-	for _, bitsLen := range []int{32, 130} {
-		rng := rand.New(rand.NewSource(int64(bitsLen)))
-		codes := clusteredCodes(rng, 150, bitsLen, 6, 2)
-		codes = append(codes, codes[:20]...) // codes that recur, across chunks too
-		n := len(codes)
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = 1000 + i
-		}
-		queries := make([]bitvec.Code, 12)
-		for i := range queries {
-			if queries[i] = codes[rng.Intn(n)]; i%4 == 0 {
-				queries[i] = bitvec.Rand(rng, bitsLen)
-			}
-		}
-		mono := Freeze(BuildDynamic(codes, ids, Options{}))
-		msr := NewSearcher(mono)
-		for _, chunk := range []int{1, 7, n - 1, n, n + 1} {
-			f := FreezeChunked(codes, ids, chunk, Options{})
-			wantGroups := 0
-			for lo := 0; lo < n; lo += chunk {
-				distinct := map[string]bool{}
-				for _, c := range codes[lo:min(lo+chunk, n)] {
-					distinct[c.Key()] = true
-				}
-				wantGroups += len(distinct)
-			}
-			if f.Len() != n || len(f.idSlab) != n || f.GroupCount() != wantGroups {
-				t.Fatalf("L=%d chunk=%d: %d tuples, %d ids, %d groups; want %d, %d, %d", bitsLen, chunk, f.Len(), len(f.idSlab), f.GroupCount(), n, n, wantGroups)
-			}
-			for nid := 0; nid < f.NodeCount(); nid++ {
-				for _, c := range f.childList[f.childStart[nid]:f.childStart[nid+1]] {
-					if int(c) <= nid {
-						t.Fatalf("L=%d chunk=%d: node %d lists child %d", bitsLen, chunk, nid, c)
-					}
-				}
-			}
-			var buf bytes.Buffer
-			if err := f.EncodeArena(&buf, true); err != nil {
-				t.Fatal(err)
-			}
-			decoded, err := DecodeArenaBytes(buf.Bytes(), false)
-			if err != nil {
-				t.Fatalf("L=%d chunk=%d: chunked arena does not decode: %v", bitsLen, chunk, err)
-			}
-			fsr, dsr := NewSearcher(f), NewSearcher(decoded)
-			for h := 0; h <= bitsLen; h++ {
-				for qi, q := range queries {
-					want := msr.Search(q, h)
-					if got := fsr.Search(q, h); !equalIDs(got, want) {
-						t.Fatalf("L=%d chunk=%d h=%d q#%d: chunked %d ids, monolithic %d", bitsLen, chunk, h, qi, len(got), len(want))
-					}
-					if got := dsr.Search(q, h); !equalIDs(got, want) {
-						t.Fatalf("L=%d chunk=%d h=%d q#%d: decoded %d ids, monolithic %d", bitsLen, chunk, h, qi, len(got), len(want))
-					}
-				}
-			}
-		}
 	}
 }
 

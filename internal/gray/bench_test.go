@@ -1,6 +1,7 @@
 package gray
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -42,5 +43,43 @@ func BenchmarkSort10k(b *testing.B) {
 		cs := make([]bitvec.Code, len(base))
 		copy(cs, base)
 		Sort(cs, nil)
+	}
+}
+
+// clustered draws n length-bit codes around n/200 random centres, each a few
+// bit flips away from its centre: the shape hashed data has.
+func clustered(rng *rand.Rand, n, length int) []bitvec.Code {
+	centres := make([]bitvec.Code, n/200+1)
+	for i := range centres {
+		centres[i] = bitvec.Rand(rng, length)
+	}
+	out := make([]bitvec.Code, n)
+	for i := range out {
+		c := centres[rng.Intn(len(centres))].Clone()
+		for f := rng.Intn(6); f > 0; f-- {
+			c.FlipBit(rng.Intn(length))
+		}
+		out[i] = c
+	}
+	return out
+}
+
+// BenchmarkGraySort: one Sort of 150k clustered codes with their ids, at one
+// word a code (the serving width) and at three.
+func BenchmarkGraySort(b *testing.B) {
+	for _, length := range []int{64, 130} {
+		b.Run(fmt.Sprintf("L%d", length), func(b *testing.B) {
+			base := clustered(rand.New(rand.NewSource(4)), 150000, length)
+			cs, ids := make([]bitvec.Code, len(base)), make([]int, len(base))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(cs, base)
+				for j := range ids {
+					ids[j] = j
+				}
+				Sort(cs, ids)
+			}
+		})
 	}
 }

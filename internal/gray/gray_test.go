@@ -2,6 +2,7 @@ package gray
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -191,5 +192,92 @@ func TestPaperSortExample(t *testing.T) {
 	}
 	if d := pos[2] - pos[7]; d != 1 && d != -1 {
 		t.Errorf("t2 and t7 should be adjacent in Gray order, positions %d and %d", pos[2], pos[7])
+	}
+}
+
+// TestSortProperty: Sort and SortRows leave the codes in Gray order, carry
+// the ids (stably: equal codes keep their input order), accept ids == nil,
+// and agree with each other, at one, two and three words a code — lengths off
+// the word boundary included, where a rank's unused tail bits must stay zero
+// for flat word comparison to be rank comparison — with duplicates, and on
+// input already in order. SortRows' lex order is plain word order.
+func TestSortProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, length := range []int{1, 8, 33, 64, 65, 100, 128, 130, 192} {
+		nw := (length + 63) / 64
+		for _, n := range []int{0, 1, 2, 3, 17, 500} {
+			codes := make([]bitvec.Code, n)
+			for i := range codes {
+				if i > 0 && rng.Intn(4) == 0 {
+					codes[i] = codes[rng.Intn(i)] // a duplicate
+					continue
+				}
+				codes[i] = bitvec.Rand(rng, length)
+				if rng.Intn(2) == 0 && i > 0 {
+					// A near neighbour: shares its leading words with another code.
+					codes[i] = codes[rng.Intn(i)].Clone()
+					codes[i].FlipBit(length - 1 - rng.Intn(min(length, 9)))
+				}
+			}
+			pack := func() (rows []uint64, ids []int) {
+				for i, c := range codes {
+					rows = append(rows, c.Words()...)
+					ids = append(ids, i)
+				}
+				return rows, ids
+			}
+			check := func(what string, rows []uint64, ids []int, less func(a, b bitvec.Code) bool) {
+				t.Helper()
+				var prev bitvec.Code
+				for i := 0; i < n; i++ {
+					c := bitvec.FromWordsShared(rows[i*nw:(i+1)*nw], length)
+					if ids != nil && !c.Equal(codes[ids[i]]) {
+						t.Fatalf("L=%d n=%d %s: position %d holds id %d without its code", length, n, what, i, ids[i])
+					}
+					if i > 0 && (less(c, prev) || (ids != nil && c.Equal(prev) && ids[i] < ids[i-1])) {
+						t.Fatalf("L=%d n=%d %s: position %d out of order", length, n, what, i)
+					}
+					prev = c
+				}
+			}
+			grayLess := func(a, b bitvec.Code) bool { return Compare(a, b) < 0 }
+			lexLess := func(a, b bitvec.Code) bool { return a.Compare(b) < 0 }
+
+			rows, ids := pack()
+			SortRows(length, rows, ids, false)
+			check("SortRows", rows, ids, grayLess)
+			again := append([]uint64(nil), rows...)
+			SortRows(length, again, nil, false) // in order already, and no ids
+			if !slices.Equal(again, rows) {
+				t.Fatalf("L=%d n=%d: SortRows moved rows already in order", length, n)
+			}
+			bare, _ := pack()
+			SortRows(length, bare, nil, false)
+			if !slices.Equal(bare, rows) {
+				t.Fatalf("L=%d n=%d: SortRows orders the rows differently without ids", length, n)
+			}
+			lexRows, lexIDs := pack()
+			SortRows(length, lexRows, lexIDs, true)
+			check("SortRows lex", lexRows, lexIDs, lexLess)
+
+			sorted, sortedIDs := append([]bitvec.Code(nil), codes...), make([]int, n)
+			for i := range sortedIDs {
+				sortedIDs[i] = i
+			}
+			Sort(sorted, sortedIDs)
+			if !IsSorted(sorted) || !slices.Equal(sortedIDs, ids) {
+				t.Fatalf("L=%d n=%d: Sort is out of order or disagrees with SortRows", length, n)
+			}
+			for i, c := range sorted {
+				if !c.Equal(codes[sortedIDs[i]]) {
+					t.Fatalf("L=%d n=%d: Sort moved id %d without its code", length, n, sortedIDs[i])
+				}
+			}
+			noIDs := append([]bitvec.Code(nil), codes...)
+			Sort(noIDs, nil)
+			if !IsSorted(noIDs) {
+				t.Fatalf("L=%d n=%d: Sort without ids is out of order", length, n)
+			}
+		}
 	}
 }

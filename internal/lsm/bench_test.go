@@ -52,7 +52,7 @@ func newChurnShape() churnShape {
 	return sh
 }
 
-func (sh churnShape) shard(b *testing.B) *Shard {
+func (sh churnShape) shard(b testing.TB) *Shard {
 	s := New(64, Options{MemtableMax: -1, CompactAt: -1})
 	if err := s.Bootstrap(sh.boot); err != nil {
 		b.Fatal(err)
@@ -88,8 +88,47 @@ func BenchmarkShardCompact(b *testing.B) {
 	}
 }
 
+// TestShardCompactAllocs pins what building straight into the arena bought:
+// one compaction of `churn`'s shape allocates arrays, not objects — a few
+// dozen slabs whatever the survivor count. Through the pointer form it was
+// 2.42 million allocations.
+func TestShardCompactAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds churn's 132k-tuple stack")
+	}
+	s := newChurnShape().shard(t)
+	defer s.Close()
+	if allocs := testing.AllocsPerRun(1, s.Compact); allocs > 2000 {
+		t.Fatalf("a compaction of ~123k survivors made %.0f allocations, want at most 2000", allocs)
+	}
+	if st := s.Stats(); st.Segments != 1 {
+		t.Fatalf("after compaction: %+v", st)
+	}
+}
+
+// BenchmarkShardSeal times one seal of a full default memtable: the build
+// every reader and writer of the shard waits out.
+func BenchmarkShardSeal(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	codes := clustered(rng, 4096, 64, 64, 6)
+	s := New(64, Options{MemtableMax: -1, CompactAt: -1})
+	defer s.Close()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j, c := range codes {
+			s.Insert(i*len(codes)+j, c)
+		}
+		if i%64 == 63 {
+			s.Compact() // keep the stack, and Seal's copy of it, short
+		}
+		b.StartTimer()
+		s.Seal(false)
+	}
+}
+
 // BenchmarkShardSearchCompacted times one h=3 select over the segment that
-// compaction leaves — what a chunked build costs the reads that follow it.
+// compaction leaves — its dist/op is how selective the rebuilt hierarchy is.
 func BenchmarkShardSearchCompacted(b *testing.B) {
 	sh := newChurnShape()
 	s := sh.shard(b)

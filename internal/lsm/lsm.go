@@ -11,17 +11,16 @@
 // id already has; if the id is live in a frozen segment, a tombstone masks
 // the old version. A Delete of a memtable id moves the last row into the
 // hole; a delete of a frozen id becomes a tombstone. When the memtable passes
-// a size threshold a background goroutine seals it: under the write lock the
-// rows are bulk-loaded (the paper's H-Build, Algorithm 1) and compiled with
-// core.Freeze into a segment of its own arenas, appended to the stack in one
+// a size threshold a background goroutine seals it: under the write lock
+// core.BuildFrozen bulk-loads the slab (the paper's H-Build, Algorithm 1)
+// straight into a segment of its own arenas, appended to the stack in one
 // epoch-bumped state update, and the slab starts over empty — a sealed
 // segment is its leaf slab plus the compiled hierarchy, nothing else. A
-// compactor rebuilds the whole stack into one segment from the tuples in the
-// leaf slabs that no tombstone masks, in Gray order and a bounded chunk at a
-// time, and swaps it in, garbage-collecting tombstones no remaining segment
-// needs. The paper's
-// H-Insert and H-Delete (Algorithms 2-3) stay with the pointer index in
-// core, for the library API; this tier does not use them.
+// compactor rebuilds the whole stack into one segment, one BuildFrozen over
+// the tuples in the leaf slabs that no tombstone masks, and swaps it in,
+// garbage-collecting tombstones no remaining segment needs. No pointer index
+// is ever built here: the paper's H-Insert and H-Delete (Algorithms 2-3) stay
+// with it in core, for the library API; this tier does not use them.
 //
 // Versioning uses a single mutation sequence: every segment records the
 // sequence at seal time (maxSeq), every tombstone the sequence of the
@@ -33,10 +32,10 @@
 //
 // Searches take a read lock (memtable and tombstones are mutable). The
 // compaction rebuild — the expensive work — runs off-lock on immutable
-// structure. What readers still wait out is the seal, which builds and
-// freezes a memtable-sized index inside the write lock — 5 to 7 ms at the
-// default 4096 rows on the benchmark's traced churn runs (lsm.seal_s) — and
-// the pointer swaps; an insert holds the lock for a row append (0.2 to 0.3
+// structure. What readers still wait out is the seal, which builds a
+// memtable-sized index inside the write lock — 1 to 1.6 ms at the default 4096
+// rows on the benchmark's traced churn runs (lsm.seal_s) — and the pointer
+// swaps; an insert holds the lock for a row append (0.2 to 0.3
 // µs, lsm.insert_ns). Seals and compactions share structMu, so while a compaction
 // runs the armed seal waits and the memtable grows past MemtableMax; nothing
 // breaks, reads pay a linear ~1 ns a row for it until the seal gets through.
@@ -51,7 +50,6 @@ import (
 
 	"haindex/internal/bitvec"
 	"haindex/internal/core"
-	"haindex/internal/gray"
 	"haindex/internal/obs"
 )
 
@@ -461,23 +459,20 @@ func (s *Shard) segmentTuples(segs []*segment, fn func(id int, code bitvec.Code)
 }
 
 // Seal freezes the current memtable into a new immutable segment in one
-// step under the write lock: the rows are bulk-loaded (H-Build, the only one
-// they ever see) and compiled, the segment joins the stack and the epoch
+// step under the write lock: core.BuildFrozen bulk-loads the slab (H-Build,
+// the only one its rows ever see), the segment joins the stack and the epoch
 // advances by one. When Seal returns the memtable is empty and every tuple
 // it held is searchable in the frozen segment; there is no intermediate
-// state for a reader to see. core.Freeze copies the code words into the
-// segment's own arena, so the slab is free to take the next rows. With
+// state for a reader to see. The build sorts the slab where it lies — no
+// reader is in, and the rows are dropped next — and copies the words into
+// the segment's own arena, so the slab is free to take the next rows. With
 // compact set, a compaction follows.
 func (s *Shard) Seal(compact bool) {
 	s.structMu.Lock()
 	t0 := time.Now()
 	s.mu.Lock()
-	if rows := len(s.mem.IDs); rows > 0 {
-		codes := make([]bitvec.Code, rows)
-		for row := range codes {
-			codes[row] = s.mem.Code(row)
-		}
-		sealed := newSegment(core.Freeze(core.BuildDynamic(codes, s.mem.IDs, core.Options{})), s.seq)
+	if len(s.mem.IDs) > 0 {
+		sealed := newSegment(core.BuildFrozen(s.length, s.mem.Codes, s.mem.IDs, core.Options{}), s.seq)
 		for _, id := range s.mem.IDs {
 			s.frozenLive[id] = struct{}{}
 		}
@@ -498,23 +493,14 @@ func (s *Shard) Seal(compact bool) {
 	}
 }
 
-// compactChunk is how many survivors one H-Build of a compaction covers. The
-// pointer form costs ~470 heap bytes a tuple (61 MB for the 130k tuples of a
-// `churn` compaction, against a 3.9 MB arena), and building it whole is what
-// `churn` mem_mb was made of; at 16k tuples a build holds ~8 MB live, and
-// mem_mb read 143 -> 112 with the compaction itself a fifth to a third
-// faster (BenchmarkShardCompact 343 -> 270 ms, 315 -> 215 ms).
-const compactChunk = 1 << 14
-
 // Compact rebuilds the whole segment stack into one segment: the (id, code)
-// occurrences in the inputs' leaf slabs that no tombstone masks are sorted by
-// Gray rank, bulk-loaded (H-Build) and frozen compactChunk at a time,
-// off-lock while the inputs keep serving, and the concatenated forest is
-// swapped in. The sort is what keeps the forest as selective as one
-// hierarchy: a chunk then covers one Gray range, and a query is pruned at the
-// roots of the others (in slab order a select over the output computed 59%
-// more distances, BenchmarkShardSearchCompacted). Tombstones no remaining
-// segment was sealed after are garbage-collected. Synchronous, like Seal.
+// occurrences in the inputs' leaf slabs that no tombstone masks are collected
+// into one row slab and bulk-loaded by a single core.BuildFrozen, which sorts
+// them by Gray rank, off-lock while the inputs keep serving, and the output is
+// swapped in. One hierarchy over all of them: the build allocates a few dozen
+// arrays whatever the survivor count (TestShardCompactAllocs), so there is no
+// pointer form to bound by building in chunks. Tombstones no remaining segment
+// was sealed after are garbage-collected. Synchronous, like Seal.
 func (s *Shard) Compact() {
 	s.structMu.Lock()
 	defer s.structMu.Unlock()
@@ -532,13 +518,13 @@ func (s *Shard) Compact() {
 	for _, seg := range inputs {
 		total += seg.idx.Len()
 	}
-	codes := make([]bitvec.Code, 0, total)
+	rows := make([]uint64, 0, total*((s.length+63)/64))
 	ids := make([]int, 0, total)
 	s.mu.RLock()
 	snapSeq := s.seq
 	s.segmentTuples(inputs, func(id int, c bitvec.Code) {
 		ids = append(ids, id)
-		codes = append(codes, c)
+		rows = append(rows, c.Words()...)
 	})
 	s.mu.RUnlock()
 	if len(inputs) == 1 && len(ids) == inputs[0].idx.Len() {
@@ -546,8 +532,7 @@ func (s *Shard) Compact() {
 	}
 	var out *segment
 	if len(ids) > 0 {
-		gray.Sort(codes, ids)
-		out = newSegment(core.FreezeChunked(codes, ids, compactChunk, core.Options{}), snapSeq)
+		out = newSegment(core.BuildFrozen(s.length, rows, ids, core.Options{}), snapSeq)
 	}
 
 	s.mu.Lock()

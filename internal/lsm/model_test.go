@@ -295,11 +295,18 @@ func TestShardMemtablePastMax(t *testing.T) {
 	checkAgainstOracle(t, s, o, rng, 64, 10)
 }
 
-// TestShardCompactAcrossChunks compacts more than two chunks' worth of
-// survivors, with tombstoned occurrences on both sides of each chunk boundary
-// (in Gray order, as Compact cuts them) and one code whose two ids the first
-// boundary separates, and compares every answer with the oracle.
-func TestShardCompactAcrossChunks(t *testing.T) {
+// bandAt is where a compaction's build used to be cut: PR 23 froze the
+// Gray-sorted survivors 1<<14 at a time. Compact is one core.BuildFrozen now
+// and no boundary is left to straddle; the data below still puts its
+// tombstone bands and its split code where the cuts fell.
+const bandAt = 1 << 14
+
+// TestShardCompactTombstoneBands (TestShardCompactAcrossChunks while the build
+// was chunked) compacts some 37.8k occurrences from two segments, with bands
+// of tombstoned occurrences a third dense around survivors 16,384 and 32,768
+// in Gray order and one code whose two ids sit on either side of the first,
+// and compares every answer at every third threshold with the oracle.
+func TestShardCompactTombstoneBands(t *testing.T) {
 	const bitsLen = 64
 	rng := rand.New(rand.NewSource(23))
 	s := New(bitsLen, Options{MemtableMax: -1, CompactAt: -1})
@@ -307,7 +314,7 @@ func TestShardCompactAcrossChunks(t *testing.T) {
 	o := oracle{}
 	// Every code twice, under ids 2i and 2i+1: its two occurrences sort side
 	// by side, so a boundary at an odd survivor splits one.
-	distinct := clustered(rng, compactChunk+2500, bitsLen, 400, 6)
+	distinct := clustered(rng, bandAt+2500, bitsLen, 400, 6)
 	for i, c := range distinct {
 		for _, id := range []int{2 * i, 2*i + 1} {
 			s.Insert(id, c)
@@ -319,7 +326,7 @@ func TestShardCompactAcrossChunks(t *testing.T) {
 	}
 	s.Seal(false)
 
-	// The occurrences in the order Compact chunks them: by Gray rank, the
+	// The occurrences in the order Compact builds them: by Gray rank, the
 	// two ids of a code side by side.
 	type occ struct {
 		id   int
@@ -338,7 +345,7 @@ func TestShardCompactAcrossChunks(t *testing.T) {
 	for i := range order {
 		order[i] = occ{ids[i], codes[i]}
 	}
-	if len(order) <= 2*compactChunk+1000 {
+	if len(order) <= 2*bandAt+1000 {
 		t.Fatalf("only %d occurrences", len(order))
 	}
 	drop := func(pos int) {
@@ -351,10 +358,10 @@ func TestShardCompactAcrossChunks(t *testing.T) {
 	// (which leaves one group in three whole). Every drop ahead of a boundary
 	// pushes it one occurrence to the right, so the bands reach further right
 	// than left.
-	for pos := compactChunk - 60; pos < compactChunk+200; pos += 3 {
+	for pos := bandAt - 60; pos < bandAt+200; pos += 3 {
 		drop(pos)
 	}
-	for pos := 2*compactChunk - 60; pos < 2*compactChunk+600; pos += 3 {
+	for pos := 2*bandAt - 60; pos < 2*bandAt+600; pos += 3 {
 		drop(pos)
 	}
 	survivors := func() (pos []int) {
@@ -367,22 +374,22 @@ func TestShardCompactAcrossChunks(t *testing.T) {
 	}
 	// Move the first boundary until it falls between the two ids of one code.
 	sv := survivors()
-	for p := 0; !order[sv[compactChunk-1]].code.Equal(order[sv[compactChunk]].code); p++ {
+	for p := 0; !order[sv[bandAt-1]].code.Equal(order[sv[bandAt]].code); p++ {
 		if p > 12 {
 			t.Fatal("no code straddles the first chunk boundary")
 		}
 		drop(p)
 		sv = survivors()
 	}
-	if len(sv) <= 2*compactChunk {
+	if len(sv) <= 2*bandAt {
 		t.Fatalf("%d survivors do not fill three chunks", len(sv))
 	}
-	for _, b := range []int{compactChunk, 2 * compactChunk} {
+	for _, b := range []int{bandAt, 2 * bandAt} {
 		if sv[b-1]-sv[b-6] == 5 || sv[b+5]-sv[b] == 5 {
 			t.Fatalf("no tombstone on one side of the boundary at survivor %d: occurrences %v | %v", b, sv[b-6:b], sv[b:b+6])
 		}
 	}
-	split := order[sv[compactChunk]]
+	split := order[sv[bandAt]]
 
 	s.Compact()
 	if st := s.Stats(); st.Len != len(o) || st.Segments != 1 || st.Tombstones != 0 || st.MemtableSize != 0 {
@@ -394,7 +401,7 @@ func TestShardCompactAcrossChunks(t *testing.T) {
 	if got, want := s.Search(split.code, 0), o.search(split.code, 0); len(want) != 2 || !equalIDs(got, want) {
 		t.Fatalf("the code split across the boundary: got %v, want %v", got, want)
 	}
-	queries := []bitvec.Code{split.code, order[sv[2*compactChunk]].code, bitvec.Rand(rng, bitsLen)}
+	queries := []bitvec.Code{split.code, order[sv[2*bandAt]].code, bitvec.Rand(rng, bitsLen)}
 	for i := 0; i < 5; i++ {
 		q := order[sv[rng.Intn(len(sv))]].code.Clone()
 		q.FlipBit(rng.Intn(bitsLen))

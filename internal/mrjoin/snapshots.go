@@ -74,9 +74,12 @@ func BuildShardSnapshots(r []vector.Vec, pre *Preprocessed, opt Options, dir str
 			if err != nil {
 				return err
 			}
-			// Gray-sort so each streamed chunk covers a tight Gray range and
-			// the per-chunk hierarchies stay as selective as a monolithic
-			// build over the same range.
+			// Gray-sort the whole partition so each streamed chunk covers a
+			// tight Gray range and the per-chunk hierarchies stay as selective
+			// as a monolithic build over the same range. The writer's builder
+			// sorts too, but only within a chunk: this sort is what makes a
+			// chunk a range, and the builder's pass over an ordered chunk
+			// finds nothing to do.
 			gray.Sort(codes, ids)
 			if err := emitSnapshot(shardPath(pid), meta(pid), opt, chunkSize, ids, codes); err != nil {
 				return err

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -259,7 +260,13 @@ func Auto(codes []bitvec.Code, ids []int, opts Options) (*Planner, error) {
 	if len(codes) == 0 {
 		return nil, fmt.Errorf("planner: empty dataset")
 	}
-	ha := core.Freeze(core.BuildDynamic(codes, ids, core.Options{}))
+	// The build sorts its slab in place: it gets the packed words and a copy
+	// of the ids (or fresh positions), not the caller's slices.
+	v, err := packGroups(codes[0].Len(), codes, slices.Clone(ids))
+	if err != nil {
+		return nil, err
+	}
+	ha := core.BuildFrozen(v.Length, v.Codes, v.IDs, core.Options{})
 	m, err := mih.FromGroups(ha.Groups(), mih.Options{})
 	if err != nil {
 		return nil, err
