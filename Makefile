@@ -53,11 +53,13 @@ bench-frozen: bench-query
 # goroutines on one Router against a slow shard (lock order = shard order),
 # and the reply path's allocation ceilings — one 16-query × 500-id request
 # through the server's answerSearch and through the router's decode+merge —
-# with the results-belong-to-the-caller check that the slabs make necessary.
+# with the results-belong-to-the-caller check that the slabs make necessary,
+# and the planner's decision as a load-time table read (no write, no
+# allocation, the same plan from every goroutine).
 # A second write per frame, or an id copy per query, should fail here, not in
 # a benchmark.
 reqpath:
-	$(GO) test -race -count=3 -run 'OneWrite|ReadFrame|RunBatchStays|PipelinedFirstAttempt|SharedRouterSlowShard|ReplyAllocs|BelongToTheCaller' ./internal/wire/ ./internal/server/ ./internal/client/
+	$(GO) test -race -count=3 -run 'OneWrite|ReadFrame|RunBatchStays|PipelinedFirstAttempt|SharedRouterSlowShard|ReplyAllocs|BelongToTheCaller|PlanIsATable' ./internal/wire/ ./internal/server/ ./internal/client/ ./internal/planner/
 
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeDynamic -fuzztime=30s ./internal/core/

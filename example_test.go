@@ -113,16 +113,23 @@ func ExampleNewPlanner() {
 			codes[i].SetBit(b, v>>uint(7-b)&1 == 1)
 		}
 	}
-	p, err := haindex.NewPlanner(codes, nil, haindex.PlannerOptions{CalibProbes: -1})
+	p, err := haindex.NewPlanner(codes, nil, haindex.PlannerOptions{Seed: 1})
 	if err != nil {
 		panic(err)
 	}
-	// Price the engines by hand (calibration was disabled above): at h = L
-	// everything matches and pruning is impossible, so the walk has
-	// collapsed and the scan is cheapest — the planner routes accordingly.
-	p.Observe(haindex.UseHA, 8, 90000)
-	p.Observe(haindex.UseMIH, 8, 40000)
-	p.Observe(haindex.UseScan, 8, 5000)
-	fmt.Println(p.Plan(8).Strategy)
-	// Output: scan
+	// At h = L every tuple matches, so the plan expects all 256 answers and
+	// routes to the engine calibration timed cheapest there. Which engine
+	// that is depends on the machine; that it beat the runner-up does not.
+	pl := p.Plan(8)
+	fmt.Println(pl.EstimatedResults, pl.CostNs[pl.Strategy] <= pl.CostNs[pl.Versus])
+	// Without calibration there is no cost to compare: every threshold
+	// plans the HA-Index walk.
+	uncalibrated, err := haindex.NewPlanner(codes, nil, haindex.PlannerOptions{CalibProbes: -1})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(uncalibrated.Plan(8).Strategy)
+	// Output:
+	// 256 true
+	// ha
 }

@@ -446,13 +446,13 @@ func KNNJoinRecall(approx, exact KNNJoinResult) float64 { return knn.JoinRecall(
 
 // Planner routes each query to the cheapest of the HA-Index walk,
 // multi-index hashing, and the linear scan, using a measured per-threshold
-// cost model calibrated at build time and refined online.
+// cost model calibrated once, at build time.
 type Planner = planner.Planner
 
 // PlannerPlan is one routing decision with its EXPLAIN fields.
 type PlannerPlan = planner.Plan
 
-// PlannerOptions tunes planner calibration and adaptation.
+// PlannerOptions tunes planner calibration.
 type PlannerOptions = planner.Options
 
 // PlannerStrategy names a planner access path.

@@ -7,13 +7,11 @@
 // ranks real engines reliably across (bits, threshold, n, distribution), so
 // the planner's cost model is *measured*: at build time it calibrates
 // per-engine nanosecond costs by timing sampled probes over a threshold
-// grid (interpolating between grid points), and at serve time it refines
-// every cell with an EWMA of observed latencies, exploring a runner-up
-// engine periodically so a stale cell cannot pin a threshold to a slow
-// engine forever.
+// grid (interpolating between grid points) and decides every threshold
+// once. Serving never changes the model: a decision is a table lookup.
 //
-// The planner is safe for concurrent use: cost cells and decision counters
-// are atomics, and a lost racing EWMA store merely drops one observation.
+// The planner is immutable after New, so everything but Select and
+// SelectWith is safe for concurrent use.
 package planner
 
 import (
@@ -23,7 +21,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"haindex/internal/bitvec"
@@ -97,30 +94,22 @@ type Options struct {
 	Seed int64
 	// CalibProbes is the number of timed queries per (engine, grid
 	// threshold) during build-time calibration; 0 selects 2, negative
-	// disables calibration (cells start unmeasured and fill online).
+	// disables calibration (every threshold then plans HA).
 	CalibProbes int
-	// Alpha is the EWMA weight of a new observation; 0 selects 0.2.
-	Alpha float64
-	// ExploreEvery routes every k-th decision at a threshold to the
-	// runner-up engine so stale cells heal; 0 selects 64, negative disables.
-	ExploreEvery int64
 }
 
 // Plan describes one routing decision.
 type Plan struct {
 	Strategy Strategy
-	// Explore marks a periodic runner-up probe rather than a cost win.
-	Explore bool
 	// EstimatedResults is the selectivity-based expected answer count.
 	EstimatedResults float64
-	// CostNs is the modeled per-query cost of each strategy in nanoseconds
-	// (0 = unmeasured or engine unavailable).
+	// CostNs is the calibrated per-query cost of each strategy in
+	// nanoseconds (0 = uncalibrated or engine unavailable).
 	CostNs [numStrategies]float64
 	// H is the (clamped) threshold the decision was made at.
 	H int
-	// Versus is the engine the choice was weighed against: the runner-up
-	// when Strategy won on cost, the cheapest engine when exploring, -1 when
-	// nothing was compared (an unmeasured probe, a single engine).
+	// Versus is the runner-up the choice was weighed against, -1 when the
+	// planner is uncalibrated.
 	Versus Strategy
 }
 
@@ -128,13 +117,8 @@ type Plan struct {
 // the plan carries; nothing is formatted on the request path.
 func (pl Plan) Reason() string {
 	s, v := pl.Strategy, pl.Versus
-	switch {
-	case pl.CostNs[s] == 0:
-		return fmt.Sprintf("%s unmeasured at h=%d; probing it", s, pl.H)
-	case v < 0:
-		return fmt.Sprintf("%s is the only available engine", s)
-	case pl.Explore:
-		return fmt.Sprintf("exploring runner-up %s (%.0fns vs best %s %.0fns)", s, pl.CostNs[s], v, pl.CostNs[v])
+	if v < 0 {
+		return fmt.Sprintf("planner uncalibrated; %s by default", s)
 	}
 	return fmt.Sprintf("%s %.0fns beats %s %.0fns at h=%d", s, pl.CostNs[s], v, pl.CostNs[v], pl.H)
 }
@@ -145,25 +129,20 @@ type Planner struct {
 	n    int
 	bits int
 
-	alpha        float64
-	exploreEvery uint64
-
 	distHist []float64 // P(pairwise distance = d), sampled
 
 	avail [numStrategies]bool
-	// cost[s][h] is the EWMA per-query cost of strategy s at threshold h,
-	// stored as float64 bits; 0 means unmeasured.
-	cost [numStrategies][]atomic.Uint64
-	// decisions[h] counts Plan calls at threshold h, pacing exploration.
-	decisions []atomic.Uint64
+	// plans[h] is the decision at threshold h, cost cells included, written
+	// only by New.
+	plans []Plan
 
 	// srHA and srMIH back the single-goroutine Select/SelectWith
 	// convenience paths, created lazily.
 	srHA, srMIH *core.Searcher
 }
 
-// New builds a planner over an existing engine set and calibrates its cost
-// model (unless opts.CalibProbes is negative).
+// New builds a planner over an existing engine set, calibrates its cost
+// model (unless opts.CalibProbes is negative) and decides every threshold.
 func New(eng Engines, opts Options) (*Planner, error) {
 	if eng.HA == nil {
 		return nil, fmt.Errorf("planner: HA engine is required")
@@ -179,28 +158,7 @@ func New(eng Engines, opts Options) (*Planner, error) {
 		}
 	}
 	eng.Codes, eng.IDs = nil, nil
-	alpha := opts.Alpha
-	if alpha == 0 {
-		alpha = 0.2
-	}
-	explore := opts.ExploreEvery
-	if explore == 0 {
-		explore = 64
-	}
-	if explore < 0 {
-		explore = math.MaxInt64 // never
-	}
-	p := &Planner{
-		eng:          eng,
-		n:            eng.HA.Len(),
-		bits:         bits,
-		alpha:        alpha,
-		exploreEvery: uint64(explore),
-		decisions:    make([]atomic.Uint64, bits+1),
-	}
-	for s := range p.cost {
-		p.cost[s] = make([]atomic.Uint64, bits+1)
-	}
+	p := &Planner{eng: eng, n: eng.HA.Len(), bits: bits, plans: make([]Plan, bits+1)}
 	p.avail[UseHA] = true
 	p.avail[UseMIH] = eng.MIH != nil
 	p.avail[UseScan] = eng.Groups.Count() > 0
@@ -216,7 +174,32 @@ func New(eng Engines, opts Options) (*Planner, error) {
 	if probes > 0 && p.avail[UseScan] {
 		p.calibrate(probes, rng)
 	}
+	p.decide()
 	return p, nil
+}
+
+// decide fills the rest of every threshold's plan from its cost cells: the
+// cheapest calibrated engine, weighed against the runner-up. Without
+// calibration every cell is 0 and the plan stays on HA.
+func (p *Planner) decide() {
+	for h := range p.plans {
+		pl := &p.plans[h]
+		pl.H, pl.EstimatedResults = h, p.Selectivity(h)*float64(p.n)
+		best, second := Strategy(-1), Strategy(-1)
+		for s := Strategy(0); s < numStrategies; s++ {
+			switch c := pl.CostNs[s]; {
+			case c == 0:
+			case best < 0 || c < pl.CostNs[best]:
+				best, second = s, best
+			case second < 0 || c < pl.CostNs[second]:
+				second = s
+			}
+		}
+		pl.Strategy, pl.Versus = best, second
+		if best < 0 {
+			pl.Strategy = UseHA
+		}
+	}
 }
 
 // packGroups lays plain code and id slices out as a group view, one group
@@ -302,10 +285,13 @@ func (p *Planner) calibGrid() []int {
 	return out
 }
 
-// calibrate seeds every cost cell: each available engine is timed on
+// calibrate fills every cost cell: each available engine is timed on
 // `probes` data-distributed queries at each grid threshold, and the cells
-// between grid points are filled by linear interpolation — so the very
-// first real query at any threshold already has a comparable cost model.
+// between grid points are filled by linear interpolation. The cells are
+// the whole cost model, so nothing cold may be timed into them: the probe
+// set runs once, untimed, through every engine first — MIH's searcher
+// allocates its scratch (a visited stamp per group) on first use, and a
+// mapped arena faults its pages in on first touch.
 func (p *Planner) calibrate(probes int, rng *rand.Rand) {
 	queries := make([]bitvec.Code, probes)
 	for i := range queries {
@@ -322,7 +308,24 @@ func (p *Planner) calibrate(probes int, rng *rand.Rand) {
 		srMIH = core.NewSearcher(p.eng.MIH)
 	}
 	var buf []int // the scan's result buffer, reused so it is timed as served
+	run := func(s Strategy, h int) {
+		for _, q := range queries {
+			switch s {
+			case UseHA:
+				srHA.Search(q, h)
+			case UseMIH:
+				srMIH.Search(q, h)
+			case UseScan:
+				buf = p.eng.Groups.Scan(q.Words(), h, buf[:0])
+			}
+		}
+	}
 	grid := p.calibGrid()
+	for s := Strategy(0); s < numStrategies; s++ {
+		if p.avail[s] {
+			run(s, grid[0])
+		}
+	}
 	measured := make([][numStrategies]float64, len(grid))
 	for gi, h := range grid {
 		for s := Strategy(0); s < numStrategies; s++ {
@@ -330,16 +333,7 @@ func (p *Planner) calibrate(probes int, rng *rand.Rand) {
 				continue
 			}
 			start := time.Now()
-			for _, q := range queries {
-				switch s {
-				case UseHA:
-					srHA.Search(q, h)
-				case UseMIH:
-					srMIH.Search(q, h)
-				case UseScan:
-					buf = p.eng.Groups.Scan(q.Words(), h, buf[:0])
-				}
-			}
+			run(s, h)
 			measured[gi][s] = float64(time.Since(start).Nanoseconds()) / float64(len(queries))
 		}
 	}
@@ -359,7 +353,7 @@ func (p *Planner) calibrate(probes int, rng *rand.Rand) {
 					t := float64(h-lo) / float64(hi-lo)
 					v = (1-t)*measured[gi][s] + t*next
 				}
-				p.cost[s][h].Store(math.Float64bits(math.Max(v, 1)))
+				p.plans[h].CostNs[s] = math.Max(v, 1)
 			}
 		}
 	}
@@ -375,14 +369,13 @@ func (p *Planner) Scan(q bitvec.Code, h int, out []int, stats *core.SearchStats)
 	return p.eng.Groups.Scan(q.Words(), h, out)
 }
 
-// CostNs returns the modeled per-query cost of strategy s at threshold h in
-// nanoseconds (0 = unmeasured or unavailable).
+// CostNs returns the calibrated per-query cost of strategy s at threshold h
+// in nanoseconds (0 = uncalibrated or unavailable).
 func (p *Planner) CostNs(s Strategy, h int) float64 {
-	h = p.clamp(h)
-	if s < 0 || s >= numStrategies || !p.avail[s] {
+	if s < 0 || s >= numStrategies {
 		return 0
 	}
-	return math.Float64frombits(p.cost[s][h].Load())
+	return p.plans[p.clamp(h)].CostNs[s]
 }
 
 // Available reports whether strategy s can serve queries.
@@ -413,81 +406,26 @@ func (p *Planner) Selectivity(h int) float64 {
 	return s
 }
 
-// exploreCostCap bounds how bad a runner-up may look before periodic
-// exploration stops probing it. Exploration heals stale cells near the
-// decision boundary; a runner-up this far behind cannot plausibly become
-// the winner before drift re-prices the whole grid, and probing it charges
-// its full cost to a live query.
-const exploreCostCap = 8.0
-
-// Plan decides the access path for threshold h without executing. Every
-// exploreEvery-th decision at a threshold deliberately picks the runner-up
-// so its EWMA cell keeps tracking reality — unless the runner-up is modeled
-// at more than exploreCostCap times the winner, in which case the probe
-// would cost far more than the staleness it guards against.
+// Plan returns the access path decided for threshold h at load: a table
+// lookup, with no write and no atomic, on every request.
 func (p *Planner) Plan(h int) Plan {
-	h = p.clamp(h)
-	pl := Plan{EstimatedResults: p.Selectivity(h) * float64(p.n), H: h, Versus: -1}
-	best, second := Strategy(-1), Strategy(-1)
-	for s := Strategy(0); s < numStrategies; s++ {
-		if !p.avail[s] {
-			continue
-		}
-		c := math.Float64frombits(p.cost[s][h].Load())
-		pl.CostNs[s] = c
-		if c == 0 {
-			// Unmeasured cells win outright: one real query prices them.
-			pl.Strategy = s
-			return pl
-		}
-		if best < 0 || c < pl.CostNs[best] {
-			best, second = s, best
-		} else if second < 0 || c < pl.CostNs[second] {
-			second = s
-		}
-	}
-	// The HA walk is always available, so best is set.
-	d := p.decisions[h].Add(1)
-	if second >= 0 && d%p.exploreEvery == 0 &&
-		pl.CostNs[second] <= exploreCostCap*pl.CostNs[best] {
-		pl.Strategy, pl.Versus, pl.Explore = second, best, true
-		return pl
-	}
-	pl.Strategy, pl.Versus = best, second
-	return pl
+	return p.plans[p.clamp(h)]
 }
 
-// Observe folds a measured per-query cost (nanoseconds) into the EWMA cell
-// for (s, h). Safe for concurrent use; a racing store loses one sample.
-func (p *Planner) Observe(s Strategy, h int, ns float64) {
-	if s < 0 || s >= numStrategies || ns <= 0 {
-		return
-	}
-	h = p.clamp(h)
-	cell := &p.cost[s][h]
-	old := math.Float64frombits(cell.Load())
-	v := ns
-	if old != 0 {
-		v = (1-p.alpha)*old + p.alpha*ns
-	}
-	cell.Store(math.Float64bits(v))
-}
-
-// Select answers the Hamming-select through the planned path, observes the
-// measured cost, and returns the plan that was used. Select and SelectWith
-// reuse planner-owned searchers and so must not be called concurrently;
-// concurrent servers run their own Searchers and use Plan/Observe directly.
+// Select answers the Hamming-select through the planned path and returns
+// the plan that was used. Select and SelectWith reuse planner-owned
+// searchers and so must not be called concurrently; concurrent servers run
+// their own Searchers and consult Plan directly.
 func (p *Planner) Select(q bitvec.Code, h int) ([]int, core.SearchStats, Plan) {
 	pl := p.Plan(h)
 	out, stats := p.SelectWith(pl.Strategy, q, h)
 	return out, stats, pl
 }
 
-// SelectWith forces one strategy, still feeding the observation loop.
+// SelectWith answers the Hamming-select through one forced strategy.
 func (p *Planner) SelectWith(s Strategy, q bitvec.Code, h int) ([]int, core.SearchStats) {
 	var out []int
 	var stats core.SearchStats
-	start := time.Now()
 	switch s {
 	case UseMIH:
 		if p.srMIH == nil {
@@ -504,7 +442,6 @@ func (p *Planner) SelectWith(s Strategy, q bitvec.Code, h int) ([]int, core.Sear
 		out = append(out, p.srHA.Search(q, h)...)
 		stats = p.srHA.Stats
 	}
-	p.Observe(s, h, float64(time.Since(start).Nanoseconds()))
 	return out, stats
 }
 
@@ -518,9 +455,9 @@ func (p *Planner) Explain(h int) string {
 		if !p.avail[s] {
 			fmt.Fprintf(&b, "  %-4s: unavailable\n", s)
 		} else if pl.CostNs[s] == 0 {
-			fmt.Fprintf(&b, "  %-4s: unmeasured\n", s)
+			fmt.Fprintf(&b, "  %-4s: uncalibrated\n", s)
 		} else {
-			fmt.Fprintf(&b, "  %-4s: %.0f ns/query (measured EWMA)\n", s, pl.CostNs[s])
+			fmt.Fprintf(&b, "  %-4s: %.0f ns/query (calibrated at load)\n", s, pl.CostNs[s])
 		}
 	}
 	fmt.Fprintf(&b, "  -> %s: %s\n", pl.Strategy, pl.Reason())

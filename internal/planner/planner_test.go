@@ -2,7 +2,6 @@ package planner
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -100,133 +99,89 @@ func TestCalibrationFillsModel(t *testing.T) {
 	}
 }
 
-// TestObserveRefinesCell: the EWMA pulls a cell toward new observations.
-func TestObserveRefinesCell(t *testing.T) {
-	rng := rand.New(rand.NewSource(203))
-	codes := clustered(rng, 300, 32, 4, 2)
-	p := autoPlanner(t, codes, Options{Seed: 3})
-	before := p.CostNs(UseHA, 5)
-	target := before * 100
-	for i := 0; i < 50; i++ {
-		p.Observe(UseHA, 5, target)
-	}
-	after := p.CostNs(UseHA, 5)
-	if math.Abs(after-target) > target/10 {
-		t.Fatalf("EWMA did not converge: before=%.0f after=%.0f target=%.0f", before, after, target)
-	}
-	// Unrelated cells stay put.
-	if p.CostNs(UseHA, 20) <= 0 {
-		t.Fatal("neighboring cell lost its measurement")
-	}
-}
-
-// TestPlanFollowsCosts: with the model pinned by hand, Plan picks the
-// cheapest engine and explores the runner-up on schedule.
-func TestPlanFollowsCosts(t *testing.T) {
+// TestPlanIsATable: every threshold's decision is made once, in New — the
+// cheapest calibrated engine, weighed against the runner-up — and Plan
+// returns it unchanged on every call, from any goroutine, allocation-free.
+func TestPlanIsATable(t *testing.T) {
 	rng := rand.New(rand.NewSource(204))
-	codes := clustered(rng, 300, 32, 4, 2)
-	p := autoPlanner(t, codes, Options{Seed: 4, ExploreEvery: 8, Alpha: 0.9})
-	// Hammer the cells until mih is clearly cheapest at h=6, with the
-	// runner-up (ha) close enough to stay worth exploring.
-	for i := 0; i < 40; i++ {
-		p.Observe(UseHA, 6, 500)
-		p.Observe(UseMIH, 6, 100)
-		p.Observe(UseScan, 6, 9000)
-	}
-	counts := map[Strategy]int{}
-	explores := 0
-	for i := 0; i < 64; i++ {
-		pl := p.Plan(6)
-		counts[pl.Strategy]++
-		if pl.Explore {
-			explores++
-			if pl.Strategy == UseMIH {
-				t.Fatal("exploration picked the best engine, not the runner-up")
+	codes := clustered(rng, 2000, 32, 8, 3)
+	p := autoPlanner(t, codes, Options{Seed: 4})
+	want := make([]Plan, 33)
+	for h := range want {
+		best, second := Strategy(-1), Strategy(-1)
+		for s := Strategy(0); s < numStrategies; s++ {
+			switch c := p.CostNs(s, h); {
+			case !p.Available(s):
+			case best < 0 || c < p.CostNs(best, h):
+				best, second = s, best
+			case second < 0 || c < p.CostNs(second, h):
+				second = s
 			}
 		}
-	}
-	if counts[UseMIH] < 48 {
-		t.Fatalf("cheapest engine chosen only %d/64 times", counts[UseMIH])
-	}
-	if explores == 0 {
-		t.Fatal("planner never explored the runner-up")
-	}
-}
-
-// TestExploreCostCap: a runner-up modeled far beyond the winner is never
-// probed — exploration must not charge a pathological engine's full cost
-// to a live query.
-func TestExploreCostCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(208))
-	codes := clustered(rng, 300, 32, 4, 2)
-	p := autoPlanner(t, codes, Options{Seed: 7, ExploreEvery: 4, Alpha: 0.9})
-	for i := 0; i < 40; i++ {
-		p.Observe(UseHA, 8, 100)
-		p.Observe(UseMIH, 8, 100*exploreCostCap*10) // hopeless runner-up
-		p.Observe(UseScan, 8, 100*exploreCostCap*20)
-	}
-	for i := 0; i < 64; i++ {
-		if pl := p.Plan(8); pl.Strategy != UseHA {
-			t.Fatalf("decision %d routed to %s (explore=%v) despite a %.0fx cost gap",
-				i, pl.Strategy, pl.Explore, exploreCostCap*10)
+		pl := p.Plan(h)
+		if pl.Strategy != best || pl.Versus != second || pl.H != h {
+			t.Fatalf("h=%d: planned %s vs %s, costs %v; want %s vs %s", h, pl.Strategy, pl.Versus, pl.CostNs, best, second)
 		}
+		// The plan carries the facts; the sentence is rendered from them on demand.
+		if s := fmt.Sprintf("%s %.0fns beats %s", best, pl.CostNs[best], second); !strings.Contains(pl.Reason(), s) {
+			t.Fatalf("h=%d: reason %q does not say %q", h, pl.Reason(), s)
+		}
+		want[h] = pl
+	}
+	check := func() error {
+		for i := 0; i < 1000; i++ {
+			h := i % len(want)
+			if pl := p.Plan(h); pl != want[h] {
+				return fmt.Errorf("call %d: Plan(%d) = %+v, first call %+v", i, h, pl, want[h])
+			}
+		}
+		return nil
+	}
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func() { errs <- check() }()
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := check(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.Plan(4) }); allocs != 0 {
+		t.Fatalf("Plan allocates %.0f times a decision; it runs on every request", allocs)
 	}
 }
 
 // TestRegimeSwitch: on clustered data the measured model keeps tight
-// thresholds off the scan, and at the full code width the walk has
-// collapsed, so the planner should have moved off it — the crossover the
-// multi-engine design exists to exploit.
+// thresholds off the scan — the crossover the multi-engine design exists
+// to exploit.
 func TestRegimeSwitch(t *testing.T) {
 	rng := rand.New(rand.NewSource(205))
 	// Large enough that the flat scan (~1 ns/code) costs several times an
 	// index probe at h=2; over a few thousand codes it honestly competes.
 	codes := clustered(rng, 40000, 32, 160, 3)
 	p := autoPlanner(t, codes, Options{Seed: 5, CalibProbes: 4})
-	// Refine with real executions at both extremes.
-	for i := 0; i < 12; i++ {
-		q := codes[rng.Intn(len(codes))]
-		for _, h := range []int{2, 30} {
-			pl := p.Plan(h)
-			p.SelectWith(pl.Strategy, q, h)
-		}
-	}
-	if pl := p.Plan(2); pl.Strategy == UseScan && !pl.Explore {
+	if pl := p.Plan(2); pl.Strategy == UseScan {
 		t.Errorf("tight threshold routed to the scan: %+v", pl)
 	}
 }
 
-// TestUncalibratedProbesFirst: with calibration disabled, unmeasured cells
-// are probed before any cost comparison.
+// TestUncalibratedProbesFirst: with calibration disabled there is no cost
+// to compare, so every threshold plans HA and says why.
 func TestUncalibratedProbesFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(206))
 	codes := clustered(rng, 200, 32, 4, 2)
 	p := autoPlanner(t, codes, Options{Seed: 6, CalibProbes: -1})
-	pl := p.Plan(4)
-	if pl.CostNs[pl.Strategy] != 0 {
-		t.Fatalf("uncalibrated planner claims a measured cost: %+v", pl)
-	}
-	if !strings.Contains(pl.Reason(), "unmeasured") {
-		t.Fatalf("reason should mention the unmeasured probe: %q", pl.Reason())
-	}
-	// Pricing every engine once ends the probing phase.
-	q := codes[0]
-	for s := Strategy(0); s < numStrategies; s++ {
-		p.SelectWith(s, q, 4)
-	}
-	pl = p.Plan(4)
-	if pl.CostNs[pl.Strategy] == 0 {
-		t.Fatal("cells still unmeasured after forced probes")
-	}
-	// The plan carries the facts; the sentence is rendered from them on demand.
-	if pl.H != 4 || pl.Versus < 0 || pl.Versus == pl.Strategy || pl.CostNs[pl.Versus] < pl.CostNs[pl.Strategy] {
-		t.Fatalf("plan does not name the runner-up it beat: %+v", pl)
-	}
-	if want := fmt.Sprintf("%s %.0fns beats %s", pl.Strategy, pl.CostNs[pl.Strategy], pl.Versus); !strings.Contains(pl.Reason(), want) {
-		t.Fatalf("reason %q does not say %q", pl.Reason(), want)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { p.Plan(4) }); allocs != 0 {
-		t.Fatalf("Plan allocates %.0f times a decision; it runs on every request", allocs)
+	for h := 0; h <= 32; h++ {
+		pl := p.Plan(h)
+		if pl.Strategy != UseHA || pl.Versus >= 0 || pl.CostNs != [numStrategies]float64{} {
+			t.Fatalf("h=%d: uncalibrated planner chose %s vs %s at costs %v", h, pl.Strategy, pl.Versus, pl.CostNs)
+		}
+		if !strings.Contains(pl.Reason(), "uncalibrated") {
+			t.Fatalf("h=%d: reason should say the planner is uncalibrated: %q", h, pl.Reason())
+		}
 	}
 }
 
@@ -318,7 +273,7 @@ func TestExplain(t *testing.T) {
 	codes := clustered(rng, 300, 32, 4, 2)
 	p := autoPlanner(t, codes, Options{Seed: 8})
 	out := p.Explain(3)
-	for _, want := range []string{"h=3", "ha", "mih", "scan", "measured EWMA", "->"} {
+	for _, want := range []string{"h=3", "ha", "mih", "scan", "calibrated at load", "->"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain missing %q:\n%s", want, out)
 		}

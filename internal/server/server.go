@@ -774,10 +774,7 @@ func (s *Server) answerSearch(payload []byte, tr *obs.Trace) (wire.MsgType, []by
 	//
 	// The key carries the request's engine HINT, not the strategy the
 	// planner resolved it to: every engine computes the same answer set,
-	// and the measured planner is free to route borderline thresholds
-	// differently from one request to the next — keying on its choice
-	// would fragment identical answers across strategies and halve the
-	// effective hit rate for auto traffic.
+	// so the resolved engine is no part of what is cached.
 	miss := make([]int, 0, len(req.Queries))
 	var missKeys [][]byte
 	if s.cache != nil {
@@ -829,13 +826,7 @@ func (s *Server) answerSearch(payload []byte, tr *obs.Trace) (wire.MsgType, []by
 				stats = set.ha.Stats
 			}
 			ids := set.ids[start:]
-			ns := time.Since(t0).Nanoseconds()
-			s.histEngine[st].Record(ns)
-			if s.pl != nil {
-				// Close the loop: serving latencies refine the planner's EWMA
-				// cost cells, so the model tracks the live workload.
-				s.pl.Observe(st, req.H, float64(ns))
-			}
+			s.histEngine[st].Record(time.Since(t0).Nanoseconds())
 			set.scratch = sortIDs(ids, set.scratch)
 			resp.IDs[i] = ids
 			atomic.AddInt64(&returned, int64(len(ids)))

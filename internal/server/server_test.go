@@ -543,6 +543,54 @@ func TestServerEngineRouting(t *testing.T) {
 	}
 }
 
+// TestServerAutoRoutingHoldsStill: an -engine auto shard decides each
+// threshold once, at load, so 200 requests at one h from two connections
+// all take the same path — exactly one planner.{ha,mih,scan} counter moves.
+func TestServerAutoRoutingHoldsStill(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	meta, idx, codes := testShard(t, rng, 600, 32, 2, 0)
+	s := startTestServer(t, meta, idx, Options{Searchers: 2, Engine: "auto"})
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		c := dialTest(t, s)
+		c.hello()
+		go func(g int) {
+			for i := 0; i < 100; i++ {
+				q := codes[(g*100+i)%len(codes)]
+				err := wire.WriteFrame(c.conn, wire.MsgSearch, wire.SearchReq{H: 3, Queries: []bitvec.Code{q}}.Append(nil))
+				if err != nil {
+					errs <- err
+					return
+				}
+				if rt, _, err := wire.ReadFrame(c.br); err != nil || rt != wire.MsgSearchOK {
+					errs <- fmt.Errorf("request %d answered %s, %v", i, rt, err)
+					return
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < 2; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	counters := s.Obs().Snapshot().Counters
+	moved := 0
+	for _, name := range []string{"planner.ha", "planner.mih", "planner.scan"} {
+		switch counters[name] {
+		case 0:
+		case 200:
+			moved++
+		default:
+			t.Fatalf("%s = %d: the 200 requests were split across engines", name, counters[name])
+		}
+	}
+	if moved != 1 {
+		t.Fatalf("%d strategy counters reached 200, want exactly 1: %v", moved, counters)
+	}
+}
+
 // TestServerFixedEngineModes pins -engine mih and -engine scan servers to
 // their engines and checks results still match the HA oracle.
 func TestServerFixedEngineModes(t *testing.T) {
