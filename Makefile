@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check build test test-race bench bench-query bench-frozen vet fmt-check fuzz fuzz-wire fuzz-qcache fuzz-arena bench-smoke bench-clock bench-offline bench-lsm reqpath smoke debug-smoke lsm-smoke experiments examples clean
+.PHONY: all check build test test-race bench bench-query bench-frozen vet fmt-check fuzz fuzz-wire fuzz-arena bench-smoke bench-clock bench-offline bench-lsm reqpath smoke debug-smoke lsm-smoke experiments examples clean
 
 all: build vet test
 
-check: build vet fmt-check test test-race reqpath fuzz-wire fuzz-qcache fuzz-arena bench-smoke lsm-smoke
+check: build vet fmt-check test test-race reqpath fuzz-wire fuzz-arena bench-smoke lsm-smoke
 
 build:
 	$(GO) build ./...
@@ -49,7 +49,8 @@ bench-frozen: bench-query
 # The request path's invariants by name, three times over under the race
 # detector: one Write per frame from the router and from the server (a
 # counting net.Conn), a batch of one searched on the connection's goroutine,
-# the pipelined first attempt under every injected failure, and eight
+# the pipelined first attempt under every injected failure, the one-shed rule
+# on a fake clock (one backoff, the next replica once, then ErrShed), and eight
 # goroutines on one Router against a slow shard (lock order = shard order),
 # and the reply path's allocation ceilings — one 16-query × 500-id request
 # through the server's answerSearch and through the router's decode+merge —
@@ -59,7 +60,7 @@ bench-frozen: bench-query
 # A second write per frame, or an id copy per query, should fail here, not in
 # a benchmark.
 reqpath:
-	$(GO) test -race -count=3 -run 'OneWrite|ReadFrame|RunBatchStays|PipelinedFirstAttempt|SharedRouterSlowShard|ReplyAllocs|BelongToTheCaller|PlanIsATable' ./internal/wire/ ./internal/server/ ./internal/client/ ./internal/planner/
+	$(GO) test -race -count=3 -run 'OneWrite|ReadFrame|RunBatchStays|PipelinedFirstAttempt|ShedBackoffBoundedByDeadline|ShedSteersToLeastLoadedReplica|SharedRouterSlowShard|ReplyAllocs|BelongToTheCaller|PlanIsATable' ./internal/wire/ ./internal/server/ ./internal/client/ ./internal/planner/
 
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeDynamic -fuzztime=30s ./internal/core/
@@ -75,11 +76,6 @@ fuzz:
 fuzz-wire:
 	$(GO) test -run=NONE -fuzz=FuzzParseMutationFrames -fuzztime=5s ./internal/wire/
 	$(GO) test -run=NONE -fuzz=FuzzStatsResp -fuzztime=5s ./internal/wire/
-
-# Short fuzz smoke of the result-cache key packing: distinct (code,
-# threshold, engine, shard, epoch) tuples must never collide to one key.
-fuzz-qcache:
-	$(GO) test -run=NONE -fuzz=FuzzKeyPacking -fuzztime=5s ./internal/qcache/
 
 # Short fuzz smoke of the HADX v4 arena section table: byte-level splats and
 # truncations over the mmap-native layout must be rejected (or decode to an

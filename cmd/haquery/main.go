@@ -10,10 +10,14 @@
 //	haquery -shards ... -codes-file shards/codes.txt -rows 0-99 -h 3 -oracle shards/
 //
 // Shards are comma-separated; replicas of one shard are joined with "/".
-// With -oracle DIR the same queries are also answered by an in-process
-// index rebuilt from every snapshot in DIR, the two result sets are diffed,
-// and a mismatch exits nonzero — the end-to-end correctness check the smoke
-// test runs.
+// Searches and top-k rotate round-robin over a shard's replicas and fail over
+// to the next one on error; a shed request is asked again once, of the next
+// replica, after one backoff.
+//
+// With -oracle DIR the same queries are also answered by an in-process index
+// rebuilt from every snapshot in DIR, the two result sets are diffed, and a
+// mismatch exits nonzero — the end-to-end correctness check the smoke test
+// runs.
 //
 // Against a mutable deployment (haserve -mutable) the router also mutates:
 //
@@ -53,12 +57,10 @@ func main() {
 		rows      = flag.String("rows", "0", "rows of -codes-file to query: comma-separated, \"-\" for ranges")
 		h         = flag.Int("h", 3, "Hamming threshold")
 		topk      = flag.Int("topk", 0, "also run top-k queries with this k (0 = off)")
-		hedge     = flag.Duration("hedge", 0, "hedge delay before racing the next replica (0 = off)")
 		oracle    = flag.String("oracle", "", "snapshot directory to rebuild an in-process oracle from; diff and exit nonzero on mismatch")
 		verbose   = flag.Bool("v", false, "print every id list")
 		trace     = flag.Bool("trace", false, "print the span tree of the slowest batch and per-attempt latency percentiles")
 		engine    = flag.String("engine", "auto", "access path forced on every shard: auto|ha|mih|scan (non-auto needs shards with the engine enabled)")
-		priority  = flag.String("priority", "", "admission class under server load shedding: normal|interactive|batch")
 
 		insert      = flag.String("insert", "", "comma-separated id:bit-string upserts applied before querying (mutable shards)")
 		deleteIDs   = flag.String("delete", "", "comma-separated tuple ids deleted before querying (mutable shards)")
@@ -82,7 +84,7 @@ func main() {
 		}
 	}
 
-	r, err := client.Dial(addrs, client.Options{HedgeAfter: *hedge, Engine: *engine, Priority: *priority})
+	r, err := client.Dial(addrs, client.Options{Engine: *engine})
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -128,9 +130,8 @@ func main() {
 	}
 
 	st := r.Stats()
-	fmt.Printf("haquery: routed %d shard-queries, pruned %d, %d retries (%v backing off), %d hedges (%d won, %d losers drained)\n",
-		st.QueriesRouted, st.QueriesPruned, st.Retries, st.BackoffWait.Round(time.Microsecond),
-		st.Hedges, st.HedgeWins, st.HedgeLosses)
+	fmt.Printf("haquery: routed %d shard-queries, pruned %d, %d retries and %d sheds (%v backing off)\n",
+		st.QueriesRouted, st.QueriesPruned, st.Retries, st.Sheds, st.BackoffWait.Round(time.Microsecond))
 
 	if *trace {
 		snap := r.Snapshot()

@@ -16,12 +16,9 @@
 // shard's latency histograms (/debug/obs), recent request traces
 // (/debug/traces), and pprof.
 //
-// -cache N gives the shard a bounded result cache keyed on (query,
-// threshold, engine, index epoch) — repeat queries under zipfian traffic
-// are answered without consuming an admission ticket. -shed-after DUR
-// bounds how long a request may wait for admission before the shard sheds
-// it with a polite overload frame that clients retry with backoff instead
-// of counting as a replica failure.
+// -shed-after DUR bounds how long a search or top-k may wait for admission
+// before the shard sheds it with a polite overload frame: the client backs
+// off once and asks the next replica instead of counting a replica failure.
 //
 // -engine picks the search access path for immutable serving: the default
 // "auto" serves the full engine set (HA walk, multi-index hashing, brute
@@ -69,8 +66,7 @@ func main() {
 		dropReqs  = flag.String("drop-requests", "", "comma-separated request numbers whose connection is dropped")
 		debugAddr = flag.String("debug-addr", "", "also serve /debug/obs, /debug/traces, /debug/pprof on this HTTP address (e.g. 127.0.0.1:7071; bind loopback only)")
 		debugFile = flag.String("debug-port-file", "", "write the bound debug address to this file")
-		cacheN    = flag.Int("cache", 0, "result-cache entries keyed on (query, threshold, engine, epoch); 0 disables")
-		shedAfter = flag.Duration("shed-after", 0, "admission-wait budget before a request is shed with a polite overload frame (0 disables; clients retry with backoff)")
+		shedAfter = flag.Duration("shed-after", 0, "admission-wait budget before a request is shed with a polite overload frame (0 disables; clients back off once and ask the next replica)")
 		shedReqs  = flag.String("shed-requests", "", "comma-separated request numbers answered with a shed frame")
 		idleTO    = flag.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = 30s, negative disables)")
 		writeTO   = flag.Duration("write-timeout", 0, "per-response write deadline (0 = 30s, negative disables)")
@@ -109,7 +105,6 @@ func main() {
 	opts := server.Options{
 		Searchers:    *searchers,
 		Faults:       faults,
-		CacheEntries: *cacheN,
 		ShedAfter:    *shedAfter,
 		IdleTimeout:  *idleTO,
 		WriteTimeout: *writeTO,

@@ -39,14 +39,14 @@ func TestServingImportFence(t *testing.T) {
 		return m
 	}
 	baselines := internal("baseline", "radix", "knn", "btree", "zorder", "relop", "tanimoto")
-	serving := internal("server", "client", "wire", "qcache", "lsm", "planner", "mih", "obs")
+	serving := internal("server", "client", "wire", "lsm", "planner", "mih", "obs")
 	fences := []struct {
 		banned map[string]bool
 		dirs   []string
 	}{
 		{baselines, []string{
 			"internal/core", "internal/wire", "internal/server", "internal/client", "internal/lsm",
-			"internal/mih", "internal/planner", "internal/qcache", "internal/obs",
+			"internal/mih", "internal/planner", "internal/obs",
 			"cmd/haserve", "cmd/haquery",
 		}},
 		{serving, []string{"internal/bench", "cmd/habench"}},

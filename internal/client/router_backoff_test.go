@@ -61,36 +61,32 @@ func newBackoffRouter(t *testing.T, opts Options, clk *fakeClock, jitter func(in
 	r.cntRequests = reg.Counter("shard_requests")
 	r.cntRetries = reg.Counter("retries")
 	r.cntSheds = reg.Counter("sheds")
-	r.cntSteers = reg.Counter("steers")
-	r.cntHedges = reg.Counter("hedges")
-	r.cntHedgeWins = reg.Counter("hedge_wins")
-	r.cntHedgeLosses = reg.Counter("hedge_losses")
 	return r
 }
 
 // TestBackoffCapAndDoubling: with jitter pinned to its maximum, the sleep
-// schedule must double from Backoff and flatten at MaxBackoff exactly.
+// schedule must double from Backoff once per failed attempt and stop at the
+// MaxAttempts cap exactly.
 func TestBackoffCapAndDoubling(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	maxJitter := func(n int64) int64 { return n - 1 } // top of [0, n)
 	r := newBackoffRouter(t, Options{
 		MaxAttempts: 6,
 		Backoff:     4 * time.Millisecond,
-		MaxBackoff:  10 * time.Millisecond,
 		DialTimeout: 100 * time.Millisecond,
 		Timeout:     10 * time.Second,
 	}, clk, maxJitter)
 
-	_, _, err := r.do(r.shards[0], routeRotate, 0, wire.MsgStats, nil, nil, obs.NoSpan)
+	_, _, err := r.do(r.shards[0], routeRotate, wire.MsgStats, nil, nil, obs.NoSpan)
 	if err == nil {
 		t.Fatal("expected failure against a refusing address")
 	}
 	want := []time.Duration{
 		4 * time.Millisecond,  // b=4ms, max jitter → full b
 		8 * time.Millisecond,  // doubled
-		10 * time.Millisecond, // 16ms capped
-		10 * time.Millisecond, // 32ms capped
-		10 * time.Millisecond, // 64ms capped
+		16 * time.Millisecond, // and again
+		32 * time.Millisecond,
+		64 * time.Millisecond, // five sleeps between six attempts
 	}
 	if len(clk.sleeps) != len(want) {
 		t.Fatalf("sleeps %v, want %v", clk.sleeps, want)
@@ -99,9 +95,6 @@ func TestBackoffCapAndDoubling(t *testing.T) {
 	for i, d := range clk.sleeps {
 		if d != want[i] {
 			t.Fatalf("sleep %d = %v, want %v (all: %v)", i, d, want[i], clk.sleeps)
-		}
-		if d > r.opts.MaxBackoff {
-			t.Fatalf("sleep %d = %v exceeds MaxBackoff %v", i, d, r.opts.MaxBackoff)
 		}
 		total += d
 	}
@@ -126,16 +119,15 @@ func TestBackoffJitterRange(t *testing.T) {
 	r := newBackoffRouter(t, Options{
 		MaxAttempts: 4,
 		Backoff:     4 * time.Millisecond,
-		MaxBackoff:  10 * time.Millisecond,
 		DialTimeout: 100 * time.Millisecond,
 		Timeout:     10 * time.Second,
 	}, clk, minJitter)
 
-	r.do(r.shards[0], routeRotate, 0, wire.MsgStats, nil, nil, obs.NoSpan)
+	r.do(r.shards[0], routeRotate, wire.MsgStats, nil, nil, obs.NoSpan)
 	want := []time.Duration{
 		2 * time.Millisecond, // b=4ms, zero jitter → b/2
 		4 * time.Millisecond, // b=8ms → 4ms
-		5 * time.Millisecond, // b capped at 10ms → 5ms
+		8 * time.Millisecond, // b=16ms → 8ms
 	}
 	if len(clk.sleeps) != len(want) {
 		t.Fatalf("sleeps %v, want %v", clk.sleeps, want)
@@ -156,13 +148,12 @@ func TestBackoffBoundedByTimeout(t *testing.T) {
 	r := newBackoffRouter(t, Options{
 		MaxAttempts: 50,
 		Backoff:     4 * time.Millisecond,
-		MaxBackoff:  100 * time.Millisecond,
 		DialTimeout: 100 * time.Millisecond,
 		Timeout:     20 * time.Millisecond,
 	}, clk, maxJitter)
 
 	start := clk.now()
-	_, _, err := r.do(r.shards[0], routeRotate, 0, wire.MsgStats, nil, nil, obs.NoSpan)
+	_, _, err := r.do(r.shards[0], routeRotate, wire.MsgStats, nil, nil, obs.NoSpan)
 	if err == nil || !strings.Contains(err.Error(), "retry budget exhausted") {
 		t.Fatalf("err = %v, want retry-budget error", err)
 	}

@@ -127,12 +127,6 @@ type Shard struct {
 	state      atomic.Pointer[state] // immutable segment stack
 	booted     bool
 
-	// ver counts result-changing mutations (bootstrap, insert, delete) —
-	// unlike the structural epoch, which only moves on seal/compact swaps.
-	// It is the invalidation token result caches key on: any acknowledged
-	// change to what a search can return is visible as a new version.
-	ver atomic.Uint64
-
 	// structMu serializes structural work (seal, compact) so at most one
 	// freeze/rebuild is in flight.
 	structMu    sync.Mutex
@@ -210,7 +204,6 @@ func (s *Shard) Bootstrap(idx core.Index) error {
 	s.seq++
 	st := s.state.Load()
 	s.state.Store(&state{segments: []*segment{newSegment(frozen, s.seq)}, epoch: st.epoch + 1})
-	s.ver.Add(1)
 	s.publishGauges()
 	return nil
 }
@@ -225,17 +218,10 @@ func (s *Shard) Len() int {
 	return len(s.mem.IDs) + len(s.frozenLive)
 }
 
-// Epoch returns the current structural epoch; it bumps on every seal and
-// compaction swap, so cached results keyed on it invalidate correctly.
+// Epoch returns the current structural epoch: it bumps on every segment-stack
+// swap (bootstrap, seal, compaction) and never on an insert or delete, so it
+// names the layering a search walks, not the answers it returns.
 func (s *Shard) Epoch() uint64 { return s.state.Load().epoch }
-
-// Version returns the mutation version: a monotone counter bumped by every
-// result-changing mutation (bootstrap, insert, delete) and left alone by
-// result-neutral structural work (seal, compact). A result cache keys its
-// entries on the version read before the search; the bump happens before
-// the mutation's lock is released, so once a mutation is acknowledged no
-// later read can use the old version's key space.
-func (s *Shard) Version() uint64 { return s.ver.Load() }
 
 // Stats returns a point-in-time layering summary.
 func (s *Shard) Stats() Stats {
@@ -295,7 +281,6 @@ func (s *Shard) Insert(id int, c bitvec.Code) bool {
 	}
 	s.seq++
 	s.cInserts.Inc()
-	s.ver.Add(1)
 	sealNow := s.opts.MemtableMax > 0 && len(s.mem.IDs) >= s.opts.MemtableMax
 	s.publishGauges()
 	s.mu.Unlock()
@@ -323,7 +308,6 @@ func (s *Shard) Delete(id int) bool {
 	if row, ok := s.memIDs[id]; ok {
 		s.dropRow(id, int(row))
 		s.cDeletes.Inc()
-		s.ver.Add(1)
 		s.publishGauges()
 		return true
 	}
@@ -332,7 +316,6 @@ func (s *Shard) Delete(id int) bool {
 		s.seq++
 		s.tomb[id] = s.seq
 		s.cDeletes.Inc()
-		s.ver.Add(1)
 		s.publishGauges()
 		return true
 	}

@@ -3,9 +3,8 @@ package server
 import "time"
 
 // Fault is what happens to one search/top-k request: an added latency (a
-// straggling shard), an error response, or a dropped connection. The delay,
-// if any, is served first — a delayed request is what a hedging client
-// races.
+// straggling shard), an error response, a dropped connection, or a shed. The
+// delay, if any, is served first.
 type Fault struct {
 	Fail  bool
 	Drop  bool
@@ -54,7 +53,7 @@ func (p *FaultPlan) ShedRequest(req int64) *FaultPlan {
 }
 
 // DelayRequest schedules request req to stall for d before being served —
-// the straggler injection hedged requests exist to absorb.
+// a straggler, or past the client's timeout a read the client abandons.
 func (p *FaultPlan) DelayRequest(req int64, d time.Duration) *FaultPlan {
 	return p.upsert(req, func(f *Fault) { f.Delay = d })
 }

@@ -25,7 +25,6 @@ import (
 	"haindex/internal/mih"
 	"haindex/internal/obs"
 	"haindex/internal/planner"
-	"haindex/internal/qcache"
 	"haindex/internal/wire"
 )
 
@@ -57,17 +56,9 @@ type Options struct {
 	// overrides the mode, but may only name engines this option enabled.
 	Engine string
 
-	// CacheEntries, when positive, puts a result cache (internal/qcache) in
-	// front of batched admission: a search whose every query hits is
-	// answered without consuming an admission ticket. Entries are keyed on
-	// (code, threshold, access path, mutation version), so LSM mutations
-	// invalidate by construction — see lsm.Shard.Version. 0 disables.
-	CacheEntries int
 	// ShedAfter, when positive, is the admission-wait budget: a search or
 	// top-k request still waiting for an admission ticket past it is
-	// answered with a polite MsgShed instead of queueing further. The
-	// budget scales with the request's wire priority class (interactive
-	// 2x, normal 1x, batch 1/2x). 0 disables.
+	// answered with a polite MsgShed instead of queueing further. 0 disables.
 	ShedAfter time.Duration
 
 	// IdleTimeout bounds how long a connection may sit between frames (and
@@ -120,9 +111,6 @@ type Server struct {
 	planned       bool // Engine == "auto": ask the planner per request
 	fixedStrategy planner.Strategy
 
-	// cache, when non-nil, answers repeated searches ahead of admission.
-	cache *qcache.Cache
-
 	// reqSeq numbers search/top-k requests across all connections — the
 	// coordinate system of the fault plan.
 	reqSeq atomic.Int64
@@ -159,10 +147,7 @@ type Server struct {
 	// histEngine records per-query latency by engine (engine.<name>_ns).
 	ctrStrategy [3]*obs.Counter
 	histEngine  [3]*obs.Histogram
-	// Load-shedding observability: total sheds plus a per-priority-class
-	// split (shed.normal / shed.interactive / shed.batch).
-	cntShed     *obs.Counter
-	cntShedPrio [3]*obs.Counter
+	cntShed     *obs.Counter // sheds: requests refused past ShedAfter
 
 	mu      sync.Mutex
 	ln      net.Listener
@@ -337,28 +322,7 @@ func newServer(meta wire.SnapshotMeta, opts Options) *Server {
 		s.histEngine[st] = s.reg.Histogram("engine." + name + "_ns")
 	}
 	s.cntShed = s.reg.Counter("sheds")
-	for p, name := range [3]string{"normal", "interactive", "batch"} {
-		s.cntShedPrio[p] = s.reg.Counter("shed." + name)
-	}
-	if opts.CacheEntries > 0 {
-		s.cache = qcache.New(qcache.Options{MaxEntries: opts.CacheEntries, Obs: s.reg})
-	}
 	return s
-}
-
-// cacheVersion is the epoch field of this server's cache keys: the shard's
-// mutation version in mutable mode, the constant 0 over an immutable index
-// (which never changes, so one key space lives forever). It must be read
-// BEFORE the search runs: a mutation racing the search may then be included
-// in an entry keyed at the older version, but that entry is only readable
-// by lookups that also raced the mutation — exactly the reads an uncached
-// server could have answered either way. Once the mutation is acknowledged
-// every later lookup reads the bumped version and misses.
-func (s *Server) cacheVersion() uint64 {
-	if s.shard != nil {
-		return s.shard.Version()
-	}
-	return 0
 }
 
 // Obs returns the server's metric registry (counters, gauges, latency and
@@ -494,17 +458,11 @@ func (s *Server) Close() error {
 }
 
 // Stats returns a snapshot of the serving counters. The latency percentile
-// fields summarize the per-request search and top-k histograms; the warmth
-// fields expose the result cache's occupancy and hit counters
-// plus the admission queue's state, so a router can see which replica is
-// hot and which is drowning.
+// fields summarize the per-request search and top-k histograms, and
+// AdmissionP50Ns the wait for an admission ticket.
 func (s *Server) Stats() Stats {
 	lat := s.histSearch.Snapshot()
 	lat.Merge(s.histTopK.Snapshot())
-	var cacheEntries, cacheHits, cacheMisses int64
-	if s.cache != nil {
-		cacheEntries, cacheHits, cacheMisses = s.cache.Warmth()
-	}
 	return Stats{
 		Requests:             s.requests.Load(),
 		Queries:              s.queries.Load(),
@@ -519,11 +477,7 @@ func (s *Server) Stats() Stats {
 		LatencyP95Ns:         lat.P95(),
 		LatencyP99Ns:         lat.P99(),
 		LatencyMaxNs:         lat.Max,
-		CacheEntries:         cacheEntries,
-		CacheHits:            cacheHits,
-		CacheMisses:          cacheMisses,
 		AdmissionP50Ns:       s.histAdmission.Snapshot().P50(),
-		PoolIdle:             s.poolIdle.Value(),
 	}
 }
 
@@ -634,7 +588,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				// A deterministic shed for smoke tests.
 				s.faultsInjected.Add(1)
 				s.faultCount.Inc()
-				respType, resp := s.shedResp(wire.PriorityNormal, 0)
+				respType, resp := s.shedResp(0)
 				if !writeMsg(respType, resp) {
 					return
 				}
@@ -741,11 +695,8 @@ func (s *Server) pickStrategy(req wire.SearchReq) (planner.Strategy, error) {
 }
 
 // shedResp counts and encodes one shed answer.
-func (s *Server) shedResp(priority int, waited time.Duration) (wire.MsgType, []byte) {
+func (s *Server) shedResp(waited time.Duration) (wire.MsgType, []byte) {
 	s.cntShed.Inc()
-	if priority >= 0 && priority < len(s.cntShedPrio) {
-		s.cntShedPrio[priority].Inc()
-	}
 	return wire.MsgShed, wire.ShedResp{WaitNs: waited.Nanoseconds()}.Append(nil)
 }
 
@@ -765,50 +716,13 @@ func (s *Server) answerSearch(payload []byte, tr *obs.Trace) (wire.MsgType, []by
 	s.queries.Add(int64(len(req.Queries)))
 	resp := wire.SearchResp{IDs: make([][]int, len(req.Queries))}
 	returned := int64(0)
-
-	// Cache phase, ahead of batched admission: answer every query the cache
-	// can and only admit the misses. A fully cached request never consumes
-	// an admission ticket — the overload-survival property the load
-	// experiment measures. The mutation version is read before any search
-	// runs; see cacheVersion for why that ordering is the safe one.
-	//
-	// The key carries the request's engine HINT, not the strategy the
-	// planner resolved it to: every engine computes the same answer set,
-	// so the resolved engine is no part of what is cached.
-	miss := make([]int, 0, len(req.Queries))
-	var missKeys [][]byte
-	if s.cache != nil {
-		span := tr.Start("cache", 0)
-		ver := s.cacheVersion()
-		var kb []byte
-		for i, q := range req.Queries {
-			kb = qcache.Key{Code: q, H: req.H, Engine: int(req.Engine), Shard: -1, Epoch: ver}.Append(kb[:0])
-			if ids, ok := s.cache.Get(kb); ok {
-				if len(ids) > 0 {
-					// Zero-copy: the shared slice is only read while encoding
-					// the response below.
-					resp.IDs[i] = ids
-					returned += int64(len(ids))
-				}
-				continue
-			}
-			miss = append(miss, i)
-			missKeys = append(missKeys, append([]byte(nil), kb...))
-		}
-		tr.End(span)
-	} else {
-		for i := range req.Queries {
-			miss = append(miss, i)
-		}
-	}
 	var held []*searcherSet
-	if len(miss) > 0 {
-		set, shed, waited := s.admit(s.shedBudget(req.Priority), tr)
+	if len(req.Queries) > 0 {
+		set, shed, waited := s.admit(s.opts.ShedAfter, tr)
 		if shed {
-			return s.shedResp(req.Priority, waited)
+			return s.shedResp(waited)
 		}
-		held = s.runBatch(set, len(miss), tr, func(set *searcherSet, j int) core.SearchStats {
-			i := miss[j]
+		held = s.runBatch(set, len(req.Queries), tr, func(set *searcherSet, i int) core.SearchStats {
 			var stats core.SearchStats
 			t0 := time.Now()
 			// Onto the end of the worker's slab, where they stay.
@@ -830,14 +744,6 @@ func (s *Server) answerSearch(payload []byte, tr *obs.Trace) (wire.MsgType, []by
 			set.scratch = sortIDs(ids, set.scratch)
 			resp.IDs[i] = ids
 			atomic.AddInt64(&returned, int64(len(ids)))
-			if s.cache != nil {
-				// The cache outlives the slab: the one copy on this path.
-				var keep []int
-				if len(ids) > 0 {
-					keep = append(keep, ids...)
-				}
-				s.cache.Put(missKeys[j], keep)
-			}
 			return stats
 		})
 	}
@@ -859,12 +765,11 @@ func (s *Server) answerTopK(payload []byte, tr *obs.Trace) (wire.MsgType, []byte
 	resp := wire.TopKResp{IDs: make([][]int, len(req.Queries)), Dists: make([][]int, len(req.Queries))}
 	returned := int64(0)
 	if len(req.Queries) > 0 {
-		// Top-k answers are not cached (the k-way merge keys on k, not H,
-		// and the traffic is a sliver of select volume) but they respect
-		// the same admission budget: an overloaded shard sheds them too.
-		set, shed, waited := s.admit(s.shedBudget(wire.PriorityNormal), tr)
+		// The same admission budget as a search: an overloaded shard sheds
+		// top-k too.
+		set, shed, waited := s.admit(s.opts.ShedAfter, tr)
 		if shed {
-			return s.shedResp(wire.PriorityNormal, waited)
+			return s.shedResp(waited)
 		}
 		// TopK's slices are freshly allocated, so the sets can go straight back.
 		s.release(s.runBatch(set, len(req.Queries), tr, func(set *searcherSet, i int) core.SearchStats {
@@ -942,22 +847,6 @@ func (s *Server) answerSeal(payload []byte) (wire.MsgType, []byte) {
 		Epoch:        st.Epoch,
 	}
 	return wire.MsgSealOK, resp.Append(nil)
-}
-
-// shedBudget resolves the admission-wait budget for one request: the
-// configured ShedAfter scaled by the wire priority class. Zero means block
-// indefinitely (shedding off).
-func (s *Server) shedBudget(priority int) time.Duration {
-	if s.opts.ShedAfter <= 0 {
-		return 0
-	}
-	switch priority {
-	case wire.PriorityInteractive:
-		return 2 * s.opts.ShedAfter
-	case wire.PriorityBatch:
-		return s.opts.ShedAfter / 2
-	}
-	return s.opts.ShedAfter
 }
 
 // admit blocks for one admission ticket, up to budget (0 = forever). It

@@ -21,11 +21,7 @@ func fullStats() StatsResp {
 		LatencyP95Ns:         202,
 		LatencyP99Ns:         203,
 		LatencyMaxNs:         204,
-		CacheEntries:         301,
-		CacheHits:            302,
-		CacheMisses:          303,
-		AdmissionP50Ns:       304,
-		PoolIdle:             305,
+		AdmissionP50Ns:       301,
 	}
 }
 
@@ -46,7 +42,7 @@ func TestStatsRespCorruptInputs(t *testing.T) {
 		// Whole trailing field groups missing is not a shorter valid form:
 		// 101..109 take one byte each, 201..204 two.
 		{"nine counters only", full[:9]},
-		{"counters and latency, no warmth", full[:17]},
+		{"counters and latency, no admission median", full[:17]},
 		{"continuation-only", []byte{0x80, 0x80, 0x80}},
 	}
 	for _, tc := range cases {

@@ -4,8 +4,15 @@
 //
 //	frame   := length uint32 BE (type + payload) | type byte | payload
 //	session := Hello -> HelloOK, then any number of
-//	           Search -> SearchOK | TopK -> TopKOK | Stats -> StatsOK,
+//	           Search -> SearchOK | Shed | TopK -> TopKOK | Shed |
+//	           Stats -> StatsOK | Insert -> InsertOK | Delete -> DeleteOK |
+//	           Seal -> SealOK,
 //	           any of which may instead answer Error.
+//
+// Shed is the polite overload answer to a search or top-k: the shard is
+// healthy but its admission queue outlasted the wait budget. The mutation
+// frames are answered by a mutable (LSM) shard; an immutable one answers
+// them Error.
 //
 // The Hello exchange carries the protocol version, and there is exactly one:
 // a server refuses any Hello whose version is not Version, and a client any
@@ -28,7 +35,7 @@ import (
 
 // Version is the one protocol version this build speaks; both ends of a
 // session must match it exactly. Bump on any frame layout change.
-const Version = 6
+const Version = 7
 
 // Engine hints a SearchReq can carry. EngineAuto (the zero value) is never
 // put on the wire — Append omits the field.
@@ -69,42 +76,6 @@ func EngineName(e int) string {
 	return fmt.Sprintf("engine(%d)", e)
 }
 
-// Priority classes a SearchReq can carry. They scale the server's
-// admission-wait budget before it sheds: interactive traffic waits longest,
-// batch traffic is shed first. PriorityNormal (the zero value) is never put
-// on the wire.
-const (
-	PriorityNormal      = iota // default admission budget
-	PriorityInteractive        // user-facing: shed last
-	PriorityBatch              // backfill: shed first
-)
-
-// ParsePriority maps a -priority flag spelling to its wire class.
-func ParsePriority(name string) (int, error) {
-	switch name {
-	case "", "normal":
-		return PriorityNormal, nil
-	case "interactive", "high":
-		return PriorityInteractive, nil
-	case "batch", "low":
-		return PriorityBatch, nil
-	}
-	return 0, fmt.Errorf("wire: unknown priority %q (want normal, interactive, or batch)", name)
-}
-
-// PriorityName renders a priority class for errors and logs.
-func PriorityName(p int) string {
-	switch p {
-	case PriorityNormal:
-		return "normal"
-	case PriorityInteractive:
-		return "interactive"
-	case PriorityBatch:
-		return "batch"
-	}
-	return fmt.Sprintf("priority(%d)", p)
-}
-
 // MaxFrame bounds a frame's payload so a corrupt or hostile length prefix
 // cannot make a reader allocate unboundedly.
 const MaxFrame = 1 << 26
@@ -133,8 +104,8 @@ const (
 
 	// The overload answer to a search or top-k request. Unlike
 	// MsgError it is polite — the server is healthy but its admission queue
-	// exceeded the request's wait budget, and the client should back off and
-	// retry the same replica rather than fail over.
+	// exceeded the request's wait budget, and the client should back off
+	// before it asks again rather than count a failure.
 	MsgShed
 )
 
@@ -355,33 +326,33 @@ func ParseHelloOK(payload []byte) (HelloOK, error) {
 	for i := 0; i < n && p.err == nil; i++ {
 		m.Pivots = append(m.Pivots, p.code(m.Length))
 	}
-	return m, p.done()
+	if err := p.done(); err != nil {
+		return m, err
+	}
+	// The layout a router indexes its shard table and routes by: the same
+	// rules a snapshot header is held to.
+	return m, SnapshotMeta{Part: m.Part, Parts: m.Parts, Length: m.Length, Pivots: m.Pivots}.validate()
 }
 
 // SearchReq is a batch of Hamming-select queries at threshold H. Engine is
 // the per-batch engine hint; EngineAuto leaves the choice to the server's
-// planner. Priority is the admission class.
+// planner.
 type SearchReq struct {
-	H        int
-	Length   int
-	Engine   int
-	Priority int
-	Queries  []bitvec.Code
+	H       int
+	Length  int
+	Engine  int
+	Queries []bitvec.Code
 }
 
-// Append encodes the request. Engine and priority are optional trailing
-// varints, in that order, and a default value is omitted unless a later field
-// needs it as a placeholder.
+// Append encodes the request. Engine is an optional trailing varint, omitted
+// when auto.
 func (m SearchReq) Append(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(m.H))
 	dst = binary.AppendUvarint(dst, uint64(len(m.Queries)))
 	for _, q := range m.Queries {
 		dst = q.AppendBytes(dst)
 	}
-	if m.Priority != PriorityNormal {
-		dst = binary.AppendUvarint(dst, uint64(m.Engine))
-		dst = binary.AppendUvarint(dst, uint64(m.Priority))
-	} else if m.Engine != EngineAuto {
+	if m.Engine != EngineAuto {
 		dst = binary.AppendUvarint(dst, uint64(m.Engine))
 	}
 	return dst
@@ -395,18 +366,11 @@ func ParseSearchReq(payload []byte, length int) (SearchReq, error) {
 	for i := 0; i < n && p.err == nil; i++ {
 		m.Queries = append(m.Queries, p.code(length))
 	}
-	// Trailing engine hint, omitted when auto and no priority follows.
+	// Trailing engine hint, omitted when auto.
 	if p.err == nil && len(p.b) != 0 {
 		m.Engine = p.intv()
 		if p.err == nil && (m.Engine < EngineAuto || m.Engine > EngineScan) {
 			return m, fmt.Errorf("wire: unknown engine hint %d", m.Engine)
-		}
-	}
-	// Trailing priority class, omitted when normal.
-	if p.err == nil && len(p.b) != 0 {
-		m.Priority = p.intv()
-		if p.err == nil && (m.Priority < PriorityNormal || m.Priority > PriorityBatch) {
-			return m, fmt.Errorf("wire: unknown priority class %d", m.Priority)
 		}
 	}
 	return m, p.done()
@@ -552,10 +516,8 @@ func ParseTopKResp(payload []byte) (TopKResp, error) {
 
 // StatsResp is the server's counter snapshot: nine counters, four
 // per-request search/top-k latency percentiles in nanoseconds served from the
-// shard's observability registry, and five warmth fields — result-cache
-// occupancy and lifetime hit/miss counts, the admission-wait median, and the
-// number of idle admission tickets — the cheap load signal a router steers
-// replica selection with. All eighteen varints are always present.
+// shard's observability registry, and the admission-wait median. All fourteen
+// varints are always present.
 type StatsResp struct {
 	Requests             int64
 	Queries              int64
@@ -572,20 +534,16 @@ type StatsResp struct {
 	LatencyP99Ns int64
 	LatencyMaxNs int64
 
-	CacheEntries   int64
-	CacheHits      int64
-	CacheMisses    int64
 	AdmissionP50Ns int64
-	PoolIdle       int64
 }
 
 // fields lists every field in wire order, for Append and ParseStatsResp.
-func (m *StatsResp) fields() [18]*int64 {
-	return [18]*int64{
+func (m *StatsResp) fields() [14]*int64 {
+	return [14]*int64{
 		&m.Requests, &m.Queries, &m.TopKQueries, &m.IDsReturned, &m.Errors,
 		&m.FaultsInjected, &m.DistanceComputations, &m.NodesVisited, &m.LeavesChecked,
 		&m.LatencyP50Ns, &m.LatencyP95Ns, &m.LatencyP99Ns, &m.LatencyMaxNs,
-		&m.CacheEntries, &m.CacheHits, &m.CacheMisses, &m.AdmissionP50Ns, &m.PoolIdle,
+		&m.AdmissionP50Ns,
 	}
 }
 

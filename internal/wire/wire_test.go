@@ -136,6 +136,13 @@ func TestParseErrorPaths(t *testing.T) {
 		{"hello-ok zero length", func(b []byte) error { _, err := ParseHelloOK(b); return err }, []byte{1, 0, 0, 2, 0, 0}},
 		{"hello-ok hostile pivot count", func(b []byte) error { _, err := ParseHelloOK(b); return err },
 			[]byte{1, 16, 0, 2, 0, 0xff, 0xff, 0xff, 0xff, 0x7f}},
+		// A router indexes its shard table by Part and routes by the pivots.
+		{"hello-ok part past parts", func(b []byte) error { _, err := ParseHelloOK(b); return err },
+			HelloOK{Version: Version, Length: 16, Part: 1, Parts: 1}.Append(nil)},
+		{"hello-ok no partitions", func(b []byte) error { _, err := ParseHelloOK(b); return err },
+			HelloOK{Version: Version, Length: 16, Part: 0, Parts: 0}.Append(nil)},
+		{"hello-ok too many pivots", func(b []byte) error { _, err := ParseHelloOK(b); return err },
+			HelloOK{Version: Version, Length: 16, Part: 0, Parts: 2, Pivots: randCodes(rand.New(rand.NewSource(4)), 2, 16)}.Append(nil)},
 		{"search-resp hostile count", func(b []byte) error { _, err := ParseSearchResp(b); return err },
 			[]byte{0xff, 0xff, 0xff, 0xff, 0x7f}},
 		{"search-resp ids past the payload", func(b []byte) error { _, err := ParseSearchResp(b); return err },
@@ -321,49 +328,9 @@ func TestSearchReqEngineHint(t *testing.T) {
 	if _, err := ParseSearchReq(append(append([]byte(nil), base...), 9), 64); err == nil {
 		t.Error("unknown engine hint accepted")
 	}
-	// One extra varint after the engine hint is a priority class; two extra
-	// are garbage.
 	withHint := SearchReq{H: 4, Engine: EngineMIH, Queries: queries}.Append(nil)
-	if _, err := ParseSearchReq(append(append([]byte(nil), withHint...), 1, 1), 64); err == nil {
-		t.Error("trailing bytes after engine hint and priority accepted")
-	}
-}
-
-// TestSearchReqPriority: the trailing priority class round-trips (with
-// and without an engine hint), the normal default stays off the wire, and
-// out-of-range classes are rejected.
-func TestSearchReqPriority(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	queries := randCodes(rng, 2, 32)
-	base := SearchReq{H: 3, Queries: queries}.Append(nil)
-	for _, engine := range []int{EngineAuto, EngineMIH} {
-		for _, prio := range []int{PriorityNormal, PriorityInteractive, PriorityBatch} {
-			payload := SearchReq{H: 3, Engine: engine, Priority: prio, Queries: queries}.Append(nil)
-			if engine == EngineAuto && prio == PriorityNormal && !bytes.Equal(payload, base) {
-				t.Fatal("default engine+priority changed the encoding")
-			}
-			got, err := ParseSearchReq(payload, 32)
-			if err != nil {
-				t.Fatalf("engine %s priority %s: %v", EngineName(engine), PriorityName(prio), err)
-			}
-			if got.Engine != engine || got.Priority != prio || got.H != 3 || len(got.Queries) != 2 {
-				t.Fatalf("engine %s priority %s round trip: %+v", EngineName(engine), PriorityName(prio), got)
-			}
-		}
-	}
-	// A nonzero priority forces the engine placeholder onto the wire, so the
-	// two trailing varints stay positional.
-	withPrio := SearchReq{H: 3, Priority: PriorityBatch, Queries: queries}.Append(nil)
-	if len(withPrio) != len(base)+2 {
-		t.Fatalf("priority-only encoding is %d bytes, want %d", len(withPrio), len(base)+2)
-	}
-	// An out-of-range class and garbage after it must both fail.
-	bad := SearchReq{H: 3, Engine: EngineHA, Queries: queries}.Append(nil)
-	if _, err := ParseSearchReq(append(bad, 7), 32); err == nil {
-		t.Error("unknown priority class accepted")
-	}
-	if _, err := ParseSearchReq(append(withPrio, 1), 32); err == nil {
-		t.Error("trailing bytes after priority accepted")
+	if _, err := ParseSearchReq(append(append([]byte(nil), withHint...), 1), 64); err == nil {
+		t.Error("trailing bytes after engine hint accepted")
 	}
 }
 
@@ -386,9 +353,12 @@ func TestShedRespRoundTrip(t *testing.T) {
 }
 
 // TestGoldenBytes pins the frames the benchmark and the router exchange, and
-// the snapshot header, to bytes captured at commit e5ed28f, before protocol
-// v6 and HASN v4 became the only versions: a change to any of them is a
-// version bump, never a silent edit.
+// the snapshot header, to bytes: a change to any of them is a version bump,
+// never a silent edit. The search requests and the snapshot header are the
+// bytes captured at commit e5ed28f, before protocol v6 and HASN v4 became the
+// only versions; protocol v7 dropped the priority varint after the engine
+// hint and the stats frame's cache and pool fields, and the hello carries
+// the version number.
 func TestGoldenBytes(t *testing.T) {
 	q := []bitvec.Code{bitvec.MustFromString("1010110011110000"), bitvec.MustFromString("0000111100110101")}
 	frozen := core.Freeze(core.BuildDynamic(q, []int{7, 9}, core.Options{}))
@@ -403,10 +373,9 @@ func TestGoldenBytes(t *testing.T) {
 	}{
 		{"search default", "0302acf00000000000000f35000000000000", SearchReq{H: 3, Queries: q}.Append(nil)},
 		{"search engine hint", "0302acf00000000000000f3500000000000002", SearchReq{H: 3, Engine: EngineMIH, Queries: q}.Append(nil)},
-		{"search priority", "0302acf00000000000000f350000000000000002", SearchReq{H: 3, Priority: PriorityBatch, Queries: q}.Append(nil)},
-		{"stats", "010203040506070809e807d00fb817a01f0b0c0d0e0f",
-			StatsResp{1, 2, 3, 4, 5, 6, 7, 8, 9, 1000, 2000, 3000, 4000, 11, 12, 13, 14, 15}.Append(nil)},
-		{"hello-ok", "06100103ac0202acf00000000000000f35000000000000",
+		{"stats", "010203040506070809e807d00fb817a01f0e",
+			StatsResp{1, 2, 3, 4, 5, 6, 7, 8, 9, 1000, 2000, 3000, 4000, 14}.Append(nil)},
+		{"hello-ok", "07100103ac0202acf00000000000000f35000000000000",
 			HelloOK{Version: Version, Length: 16, Part: 1, Parts: 3, Tuples: 300, Pivots: q}.Append(nil)},
 		{"shed", "e0c65b", ShedResp{WaitNs: 1500000}.Append(nil)},
 		{"HASN header + pad, then the arena", hasnHeader + "4841445804000000", snap.Bytes()[:len(hasnHeader)/2+8]},

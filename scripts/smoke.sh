@@ -5,18 +5,18 @@
 # Exits nonzero if any step fails or the distributed answers differ from a
 # single-index oracle.
 #
-# Shard 0 serves with a result cache and sheds one deterministic request;
-# the query rows run twice, so the second pass is answered from the cache
-# (the oracle diff proves cached answers stay byte-identical) after riding
-# out the shed with the router's polite backoff.
+# Shard 0 fails its first request and sheds one deterministic request; the
+# query rows run twice, and the second pass rides out the shed with the
+# router's one polite backoff (the oracle diff proves the answers stay
+# byte-identical).
 #
 # With SMOKE_DEBUG=1 (make debug-smoke), shard 0 also binds its HTTP debug
 # endpoint; after the queries run, /debug/obs is fetched and must report a
 # non-empty request-latency histogram, nonzero request/fault counters, and —
 # since haserve defaults to -engine auto — nonzero planner strategy counters
-# plus per-engine latency samples, nonzero qcache hit/miss and shed
-# counters from the repeat pass, an mmap-backed index whose only heap is the
-# auxiliary engines', and the load-phase gauges.
+# plus per-engine latency samples, a nonzero shed counter from the repeat
+# pass, an mmap-backed index whose only heap is the auxiliary engines', and
+# the load-phase gauges.
 #
 # With SMOKE_LSM=1 (make lsm-smoke), the snapshots are additionally served
 # by mutable (LSM) shards, and insert -> seal -> compact -> upsert -> delete
@@ -46,10 +46,10 @@ if [ "$SMOKE_DEBUG" = "1" ]; then
     DEBUG_FLAGS="-debug-addr 127.0.0.1:0 -debug-port-file $WORK/s0.debug"
 fi
 
-echo "smoke: starting two shard servers (shard 0 fails request 0, sheds request 3, caches results)"
+echo "smoke: starting two shard servers (shard 0 fails request 0, sheds request 3)"
 # shellcheck disable=SC2086 # DEBUG_FLAGS is intentionally word-split
 "$WORK/bin/haserve" -snapshot "$WORK/shards/shard-00000.hasn" -addr 127.0.0.1:0 \
-    -port-file "$WORK/s0.addr" -fail-requests 0 -shed-requests 3 -cache 1024 $DEBUG_FLAGS &
+    -port-file "$WORK/s0.addr" -fail-requests 0 -shed-requests 3 $DEBUG_FLAGS &
 PIDS="$PIDS $!"
 "$WORK/bin/haserve" -snapshot "$WORK/shards/shard-00001.hasn" -addr 127.0.0.1:0 \
     -port-file "$WORK/s1.addr" &
@@ -71,10 +71,10 @@ echo "smoke: querying rows 0-49 through the router (h=3, top-5), diffing vs orac
     -codes-file "$WORK/shards/codes.txt" -rows 0-49 -h 3 -topk 5 \
     -oracle "$WORK/shards" -trace
 
-echo "smoke: same rows again: shard 0 sheds the search, then serves it from cache"
+echo "smoke: same rows again: shard 0 sheds the search, then answers it after one backoff"
 "$WORK/bin/haquery" -shards "$ADDR0,$ADDR1" \
     -codes-file "$WORK/shards/codes.txt" -rows 0-49 -h 3 -topk 5 \
-    -oracle "$WORK/shards" -priority interactive
+    -oracle "$WORK/shards"
 
 if [ "$SMOKE_DEBUG" = "1" ]; then
     DEBUG_ADDR=$(cat "$WORK/s0.debug")
@@ -104,14 +104,7 @@ if [ "$SMOKE_DEBUG" = "1" ]; then
         "$WORK/obs.json")
     [ "$ENGINE" -gt 0 ] || {
         echo "smoke: debug snapshot has no per-engine latency samples" >&2; exit 1; }
-    # The repeat pass must have left cache traffic (misses from the first
-    # pass, hits from the second) and one shed behind.
-    QHITS=$(sed -n 's/^ *"qcache.hits": \([0-9]*\).*/\1/p' "$WORK/obs.json" | head -n 1)
-    [ -n "$QHITS" ] && [ "$QHITS" -gt 0 ] || {
-        echo "smoke: debug snapshot reports no result-cache hits" >&2; exit 1; }
-    QMISS=$(sed -n 's/^ *"qcache.misses": \([0-9]*\).*/\1/p' "$WORK/obs.json" | head -n 1)
-    [ -n "$QMISS" ] && [ "$QMISS" -gt 0 ] || {
-        echo "smoke: debug snapshot reports no result-cache misses" >&2; exit 1; }
+    # The repeat pass must have left its one shed behind.
     SHEDS=$(sed -n 's/^ *"sheds": \([0-9]*\).*/\1/p' "$WORK/obs.json" | head -n 1)
     [ -n "$SHEDS" ] && [ "$SHEDS" -gt 0 ] || {
         echo "smoke: debug snapshot reports no shed requests" >&2; exit 1; }
@@ -144,7 +137,7 @@ if [ "$SMOKE_DEBUG" = "1" ]; then
         echo "smoke: debug snapshot is missing the load.*_ns gauges" >&2; exit 1; }
     [ "$LOAD_CAL" -gt 0 ] && [ "$LOAD_CAL" -lt "$LOAD_TOTAL" ] || {
         echo "smoke: load.calibrate_ns=$LOAD_CAL is not inside load.total_ns=$LOAD_TOTAL" >&2; exit 1; }
-    echo "smoke: debug endpoint OK ($REQS requests, $FAULTS faults, $PLANNED planned, $ENGINE engine samples, $QHITS/$QMISS cache hits/misses, $SHEDS sheds, $MAPPED mapped + $AUX aux heap bytes, loaded in $LOAD_TOTAL ns)"
+    echo "smoke: debug endpoint OK ($REQS requests, $FAULTS faults, $PLANNED planned, $ENGINE engine samples, $SHEDS sheds, $MAPPED mapped + $AUX aux heap bytes, loaded in $LOAD_TOTAL ns)"
 fi
 
 SMOKE_LSM=${SMOKE_LSM:-0}
