@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test test-race bench bench-query bench-frozen vet fmt-check fuzz fuzz-wire fuzz-arena bench-smoke bench-clock bench-offline bench-lsm reqpath smoke debug-smoke lsm-smoke experiments examples clean
+.PHONY: all check build test test-race bench bench-query bench-frozen vet fmt-check fuzz fuzz-wire fuzz-arena bench-smoke bench-clock bench-startup bench-offline bench-lsm reqpath smoke debug-smoke lsm-smoke experiments examples clean
 
 all: build vet test
 
@@ -90,13 +90,21 @@ bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # The benchmark's clock is the harness's own scan, whose speed depends on
-# where the linker places it (see scripts/bench-clock.sh): fails when
-# main.(*oracle).search is not at the residue the metrics were recorded at.
-# Run it on both commits before comparing them; RESIDUE=0 checks for the
-# other placement.
-RESIDUE ?= 32
+# where the linker places it, and four more harness loops move their
+# workloads the same way (see scripts/bench-clock.sh): fails when any of the
+# five is not at the residue the metrics were recorded at. Run it on both
+# commits before comparing them; RESIDUE=0 checks the clock for the other
+# placement, RESIDUE='symbol=residue ...' overrides any entry.
+RESIDUE ?=
 bench-clock:
 	./scripts/bench-clock.sh $(RESIDUE)
+
+# What a default haserve pays at start-up, at the benchmark's shard shape
+# (150k clustered 64-bit codes, one frozen HA-Index): MIH's key tables over
+# the leaf arena, then the planner's calibration grid, with allocation counts.
+bench-startup:
+	$(GO) test -run=NONE -bench='FromGroups' -benchmem ./internal/mih/
+	$(GO) test -run=NONE -bench='BenchmarkNew$$' -benchmem ./internal/planner/
 
 # Offline-pipeline microbenchmarks: the spectral-hash kernel and one map
 # task's per-record work (decode, hash, route, emit), with allocation counts.

@@ -120,8 +120,10 @@ func ExampleNewPlanner() {
 	// At h = L every tuple matches, so the plan expects all 256 answers and
 	// routes to the engine calibration timed cheapest there. Which engine
 	// that is depends on the machine; that it beat the runner-up does not.
+	// There may be no runner-up: an engine that cost over twice the scan at
+	// a lower threshold was not timed this far (pl.Retired says where).
 	pl := p.Plan(8)
-	fmt.Println(pl.EstimatedResults, pl.CostNs[pl.Strategy] <= pl.CostNs[pl.Versus])
+	fmt.Println(pl.EstimatedResults, pl.Versus < 0 || pl.CostNs[pl.Strategy] <= pl.CostNs[pl.Versus])
 	// Without calibration there is no cost to compare: every threshold
 	// plans the HA-Index walk.
 	uncalibrated, err := haindex.NewPlanner(codes, nil, haindex.PlannerOptions{CalibProbes: -1})

@@ -259,40 +259,88 @@ func tableCount(blocks, matched int) (int, error) {
 	return c, nil
 }
 
-// buildTables sorts every table's (key, group) pairs and compacts them into
-// the shared key/candidate arenas.
+// buildTables fills the shared key/candidate arenas. Table t's candidates
+// are every group ordered by its key in t — ties in group order — which is
+// cands[t·ng:(t+1)·ng] as it stands; the distinct keys are counted before
+// the key directory is allocated, so every slab is exactly as long as what
+// it holds.
 func (m *Index) buildTables() {
 	ng := m.GroupCount()
 	nt := len(m.combos)
 	m.tabStart = make([]int32, nt+1)
-	m.cands = make([]int32, 0, nt*ng)
-	type pair struct {
-		key uint64
-		gi  int32
-	}
-	pairs := make([]pair, ng)
+	m.cands = make([]int32, nt*ng)
+	sorted := make([]uint64, nt*ng) // each table's keys, beside its candidates
+	tmpKeys, tmpGroups := make([]uint64, ng), make([]int32, ng)
+	distinct := 0
 	for t, combo := range m.combos {
-		m.tabStart[t] = int32(len(m.keys))
-		for g := 0; g < ng; g++ {
-			pairs[g] = pair{key: m.comboKey(m.grp.Codes[g*m.nw:(g+1)*m.nw], combo), gi: int32(g)}
+		keys, groups := sorted[t*ng:(t+1)*ng], m.cands[t*ng:(t+1)*ng]
+		for g := range keys {
+			keys[g] = m.comboKey(m.grp.Codes[g*m.nw:(g+1)*m.nw], combo)
+			groups[g] = int32(g)
 		}
-		slices.SortFunc(pairs, func(a, b pair) int {
-			if a.key != b.key {
-				return cmp.Compare(a.key, b.key)
+		sortKeys(keys, groups, tmpKeys, tmpGroups)
+		m.tabStart[t] = int32(distinct)
+		for i := range keys {
+			if i == 0 || keys[i] != keys[i-1] {
+				distinct++
 			}
-			return cmp.Compare(a.gi, b.gi)
-		})
-		for i := 0; i < ng; i++ {
-			if i == 0 || pairs[i].key != pairs[i-1].key {
-				m.keys = append(m.keys, pairs[i].key)
-				m.candStart = append(m.candStart, int32(len(m.cands)))
-			}
-			m.cands = append(m.cands, pairs[i].gi)
 		}
 	}
-	m.tabStart[nt] = int32(len(m.keys))
+	m.tabStart[nt] = int32(distinct)
+	m.keys = make([]uint64, 0, distinct)
+	m.candStart = make([]int32, 0, distinct+1)
+	for t := 0; t < nt; t++ {
+		keys := sorted[t*ng : (t+1)*ng]
+		for i, k := range keys {
+			if i == 0 || k != keys[i-1] {
+				m.keys = append(m.keys, k)
+				m.candStart = append(m.candStart, int32(t*ng+i))
+			}
+		}
+	}
 	m.candStart = append(m.candStart, int32(len(m.cands)))
 	m.setCrossovers()
+}
+
+// sortKeys sorts keys ascending in place, carrying groups along: a byte-wise
+// least-significant-digit radix sort over the bits in which the keys differ,
+// so a byte every key agrees on costs no pass (a 21-bit key sorts in three).
+// It is stable: equal keys keep their order in groups. tmpKeys and tmpGroups
+// are the passes' second buffers, at least as long as keys.
+func sortKeys(keys []uint64, groups []int32, tmpKeys []uint64, tmpGroups []int32) {
+	if len(keys) == 0 {
+		return
+	}
+	var differ uint64
+	for _, k := range keys {
+		differ |= k ^ keys[0]
+	}
+	src, dst := keys, tmpKeys[:len(keys)]
+	srcG, dstG := groups, tmpGroups[:len(keys)]
+	for shift := 0; differ>>shift != 0; shift += 8 {
+		if differ>>shift&0xff == 0 {
+			continue
+		}
+		var next [256]int32
+		for _, k := range src {
+			next[byte(k>>shift)]++
+		}
+		at := int32(0)
+		for d, n := range next {
+			next[d] = at
+			at += n
+		}
+		for i, k := range src {
+			d := byte(k >> shift)
+			dst[next[d]], dstG[next[d]] = k, srcG[i]
+			next[d]++
+		}
+		src, dst, srcG, dstG = dst, src, dstG, srcG
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+		copy(groups, srcG)
+	}
 }
 
 // setCrossovers derives each table's crossover radius from its key count K:
@@ -367,13 +415,16 @@ func (m *Index) SizeBytes() int {
 	return m.grp.SizeBytes() + 8*len(m.keys) + 4*(len(m.tabStart)+len(m.candStart)+len(m.cands))
 }
 
-// HeapBytes returns what the engine itself holds on the Go heap: SizeBytes
-// less any group slabs that alias another index's arena.
+// HeapBytes returns what the engine itself holds on the Go heap — its slabs
+// by capacity, less any group slabs that alias another index's arena. The
+// key tables are allocated exactly, so over an aliased arena this is
+// SizeBytes less the view's.
 func (m *Index) HeapBytes() int {
-	if m.shared {
-		return m.SizeBytes() - m.grp.SizeBytes()
+	n := 8*cap(m.keys) + 4*(cap(m.tabStart)+cap(m.candStart)+cap(m.cands))
+	if !m.shared {
+		n += 8*(cap(m.grp.Codes)+cap(m.grp.IDs)) + 4*cap(m.grp.IDStart)
 	}
-	return m.SizeBytes()
+	return n
 }
 
 // Tuples invokes fn for every (id, code) pair in the index.

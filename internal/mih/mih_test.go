@@ -1,7 +1,10 @@
 package mih
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -415,6 +418,138 @@ func TestRadius(t *testing.T) {
 	for h, want := range map[int]int{0: 0, 3: 0, 4: 1, 7: 1, 8: 2, 16: 4} {
 		if got := m.Radius(h); got != want {
 			t.Fatalf("Radius(%d)=%d, want %d", h, got, want)
+		}
+	}
+}
+
+// referenceTables is the comparison-sort table build the radix sort
+// replaced: every table's (key, group) pairs sorted by key, then group, and
+// compacted by append. It fills a copy of m's tables from m's groups.
+func referenceTables(m *Index) *Index {
+	ref := *m
+	ref.keys, ref.candStart = nil, nil
+	ng, nt := ref.GroupCount(), len(ref.combos)
+	ref.tabStart = make([]int32, nt+1)
+	ref.cands = make([]int32, 0, nt*ng)
+	type pair struct {
+		key uint64
+		gi  int32
+	}
+	byKey := make([]pair, ng)
+	for t, combo := range ref.combos {
+		ref.tabStart[t] = int32(len(ref.keys))
+		for g := 0; g < ng; g++ {
+			byKey[g] = pair{key: ref.comboKey(ref.grp.Codes[g*ref.nw:(g+1)*ref.nw], combo), gi: int32(g)}
+		}
+		slices.SortFunc(byKey, func(a, b pair) int {
+			if a.key != b.key {
+				return cmp.Compare(a.key, b.key)
+			}
+			return cmp.Compare(a.gi, b.gi)
+		})
+		for i := 0; i < ng; i++ {
+			if i == 0 || byKey[i].key != byKey[i-1].key {
+				ref.keys = append(ref.keys, byKey[i].key)
+				ref.candStart = append(ref.candStart, int32(len(ref.cands)))
+			}
+			ref.cands = append(ref.cands, byKey[i].gi)
+		}
+	}
+	ref.tabStart[nt] = int32(len(ref.keys))
+	ref.candStart = append(ref.candStart, int32(len(ref.cands)))
+	ref.setCrossovers()
+	return &ref
+}
+
+// TestRadixTablesMatchComparisonSort: the radix-sorted tables are the
+// comparison sort's, array for array — across code widths from one to three
+// words, n from 1 to 5000, all-equal codes and a tenth duplicated, single-
+// and multi-block keys ({Blocks: 2, Matched: 2} at 64 bits keys on all 64
+// bits, so every radix byte is live), built owning and over a frozen arena —
+// and the slabs the engine holds have no spare capacity.
+func TestRadixTablesMatchComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	shapes := map[string]func(n, bitsLen int) []bitvec.Code{
+		"uniform": func(n, bitsLen int) []bitvec.Code { return uniformCodes(rng, n, bitsLen) },
+		"all-equal": func(n, bitsLen int) []bitvec.Code {
+			c := bitvec.Rand(rng, bitsLen)
+			out := make([]bitvec.Code, n)
+			for i := range out {
+				out[i] = c.Clone()
+			}
+			return out
+		},
+		"tenth-duplicated": func(n, bitsLen int) []bitvec.Code {
+			out := uniformCodes(rng, n, bitsLen)
+			for i := 0; i < n/10; i++ {
+				out[rng.Intn(n)] = out[rng.Intn(n)].Clone()
+			}
+			return out
+		},
+	}
+	built := 0
+	for _, bitsLen := range []int{8, 33, 64, 100, 130} {
+		for _, n := range []int{1, 2, 3, 257, 5000} {
+			for name, shape := range shapes {
+				codes := shape(n, bitsLen)
+				nw := (bitsLen + 63) / 64
+				rows := make([]uint64, 0, n*nw)
+				for _, c := range codes {
+					rows = append(rows, c.Words()...)
+				}
+				frozen := core.BuildFrozen(bitsLen, rows, nil, core.Options{})
+				for _, opts := range []Options{{}, {Blocks: 16}, {Blocks: 4, Matched: 2}, {Blocks: 2, Matched: 2}} {
+					owning, err := Build(codes, nil, opts)
+					if err != nil {
+						continue // a configuration these codes cannot key (too few bits, or keys over 64)
+					}
+					aliasing, err := FromGroups(frozen.Groups(), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, m := range []*Index{owning, aliasing} {
+						what := fmt.Sprintf("%d-bit n=%d %s %+v shared=%v", bitsLen, n, name, opts, m.shared)
+						ref := referenceTables(m)
+						if !slices.Equal(m.tabStart, ref.tabStart) || !slices.Equal(m.keys, ref.keys) ||
+							!slices.Equal(m.candStart, ref.candStart) || !slices.Equal(m.cands, ref.cands) ||
+							!slices.Equal(m.enumMax, ref.enumMax) {
+							t.Fatalf("%s: radix tables differ from the comparison sort's", what)
+						}
+						if cap(m.keys) != len(m.keys) || cap(m.candStart) != len(m.candStart) || cap(m.cands) != len(m.cands) {
+							t.Fatalf("%s: keys %d/%d, candStart %d/%d, cands %d/%d (len/cap)", what,
+								len(m.keys), cap(m.keys), len(m.candStart), cap(m.candStart), len(m.cands), cap(m.cands))
+						}
+						built++
+					}
+				}
+			}
+		}
+	}
+	if built < 150 {
+		t.Fatalf("only %d configurations built", built)
+	}
+}
+
+// startupShard is the benchmark's shard shape: 150k clustered 64-bit codes
+// (clusters of 1000, 3 flips), Gray-sorted into one frozen HA-Index.
+func startupShard() *core.FrozenIndex {
+	codes := clusteredCodes(rand.New(rand.NewSource(1)), 150000, 64, 150, 3)
+	rows := make([]uint64, 0, len(codes))
+	for _, c := range codes {
+		rows = append(rows, c.Words()...)
+	}
+	return core.BuildFrozen(64, rows, nil, core.Options{})
+}
+
+// BenchmarkFromGroups is what a default haserve pays for MIH at start-up:
+// the key tables over a shard's mapped leaf arena.
+func BenchmarkFromGroups(b *testing.B) {
+	view := startupShard().Groups()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FromGroups(view, Options{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -3,6 +3,9 @@ package planner
 import (
 	"math/rand"
 	"testing"
+
+	"haindex/internal/core"
+	"haindex/internal/mih"
 )
 
 func BenchmarkPlannedSelect(b *testing.B) {
@@ -18,5 +21,30 @@ func BenchmarkPlannedSelect(b *testing.B) {
 				p.Select(codes[i%len(codes)], h)
 			}
 		})
+	}
+}
+
+// BenchmarkNew is what a default haserve pays for the planner at start-up:
+// the calibration grid over the benchmark's shard shape — 150k clustered
+// 64-bit codes (clusters of 1000, 3 flips), Gray-sorted into one frozen
+// HA-Index, with MIH on its leaf arena.
+func BenchmarkNew(b *testing.B) {
+	codes := clustered(rand.New(rand.NewSource(1)), 150000, 64, 150, 3)
+	rows := make([]uint64, 0, len(codes))
+	for _, c := range codes {
+		rows = append(rows, c.Words()...)
+	}
+	ha := core.BuildFrozen(64, rows, nil, core.Options{})
+	m, err := mih.FromGroups(ha.Groups(), mih.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := Engines{HA: ha, MIH: core.AsIndex(m), Groups: ha.Groups()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(eng, Options{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -8,7 +8,10 @@
 // the planner's cost model is *measured*: at build time it calibrates
 // per-engine nanosecond costs by timing sampled probes over a threshold
 // grid (interpolating between grid points) and decides every threshold
-// once. Serving never changes the model: a decision is a table lookup.
+// once. An engine that costs over twice the scan at a grid threshold is not
+// timed past it — its work only grows with h, the scan's does not — so the
+// grid stops early once the scan is all that is left. Serving never changes
+// the model: a decision is a table lookup.
 //
 // The planner is immutable after New, so everything but Select and
 // SelectWith is safe for concurrent use.
@@ -108,19 +111,41 @@ type Plan struct {
 	CostNs [numStrategies]float64
 	// H is the (clamped) threshold the decision was made at.
 	H int
-	// Versus is the runner-up the choice was weighed against, -1 when the
-	// planner is uncalibrated.
+	// Versus is the runner-up the choice was weighed against, -1 when no
+	// other engine has a cost cell at H.
 	Versus Strategy
+	// Retired[s] is the grid threshold below H past which calibration
+	// stopped timing engine s, because it cost over retireFactor times the
+	// scan there; -1 when s was timed up to H or never retired.
+	Retired [numStrategies]int
 }
 
 // Reason renders the human-readable justification (EXPLAIN) from the facts
 // the plan carries; nothing is formatted on the request path.
 func (pl Plan) Reason() string {
 	s, v := pl.Strategy, pl.Versus
-	if v < 0 {
+	if v >= 0 {
+		return fmt.Sprintf("%s %.0fns beats %s %.0fns at h=%d", s, pl.CostNs[s], v, pl.CostNs[v], pl.H)
+	}
+	var b strings.Builder
+	for r := Strategy(0); r < numStrategies; r++ {
+		at := pl.Retired[r]
+		if at < 0 {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(r.String())
+		if r+1 < numStrategies && pl.Retired[r+1] == at {
+			continue // named with the next engine, which retired at the same h
+		}
+		fmt.Fprintf(&b, " not timed past h=%d", at)
+	}
+	if b.Len() == 0 {
 		return fmt.Sprintf("planner uncalibrated; %s by default", s)
 	}
-	return fmt.Sprintf("%s %.0fns beats %s %.0fns at h=%d", s, pl.CostNs[s], v, pl.CostNs[v], pl.H)
+	return fmt.Sprintf("%s: %s (over %d× the scan)", s, b.String(), retireFactor)
 }
 
 // Planner owns the engine set and the measured cost model.
@@ -135,6 +160,9 @@ type Planner struct {
 	// plans[h] is the decision at threshold h, cost cells included, written
 	// only by New.
 	plans []Plan
+	// retired[s] is the grid threshold at which calibration retired engine
+	// s, -1 if it did not.
+	retired [numStrategies]int
 
 	// srHA and srMIH back the single-goroutine Select/SelectWith
 	// convenience paths, created lazily.
@@ -158,7 +186,7 @@ func New(eng Engines, opts Options) (*Planner, error) {
 		}
 	}
 	eng.Codes, eng.IDs = nil, nil
-	p := &Planner{eng: eng, n: eng.HA.Len(), bits: bits, plans: make([]Plan, bits+1)}
+	p := &Planner{eng: eng, n: eng.HA.Len(), bits: bits, plans: make([]Plan, bits+1), retired: [numStrategies]int{-1, -1, -1}}
 	p.avail[UseHA] = true
 	p.avail[UseMIH] = eng.MIH != nil
 	p.avail[UseScan] = eng.Groups.Count() > 0
@@ -179,12 +207,19 @@ func New(eng Engines, opts Options) (*Planner, error) {
 }
 
 // decide fills the rest of every threshold's plan from its cost cells: the
-// cheapest calibrated engine, weighed against the runner-up. Without
+// cheapest calibrated engine, weighed against the runner-up. A retired
+// engine has no cell past its retirement and is never picked there. Without
 // calibration every cell is 0 and the plan stays on HA.
 func (p *Planner) decide() {
 	for h := range p.plans {
 		pl := &p.plans[h]
 		pl.H, pl.EstimatedResults = h, p.Selectivity(h)*float64(p.n)
+		for s, at := range p.retired {
+			pl.Retired[s] = -1
+			if at >= 0 && at < h {
+				pl.Retired[s] = at
+			}
+		}
 		best, second := Strategy(-1), Strategy(-1)
 		for s := Strategy(0); s < numStrategies; s++ {
 			switch c := pl.CostNs[s]; {
@@ -285,11 +320,19 @@ func (p *Planner) calibGrid() []int {
 	return out
 }
 
-// calibrate fills every cost cell: each available engine is timed on
-// `probes` data-distributed queries at each grid threshold, and the cells
-// between grid points are filled by linear interpolation. The cells are
-// the whole cost model, so nothing cold may be timed into them: the probe
-// set runs once, untimed, through every engine first — MIH's searcher
+// retireFactor is how far over the scan's cell an HA or MIH cell may cost
+// before calibration stops timing that engine. Stopping is sound because
+// neither engine gets cheaper as h grows — MIH at h+1 probes a superset of
+// the keys and candidates it probes at h, and the HA walk prunes a subset of
+// the nodes — while the scan's work is flat in h. The factor is 2, not 1, to
+// absorb the noise of a two-probe cell: on the benchmark's 150k-code shards
+// the HA and MIH cells at h=6–9 read 0.6–1.1× the scan's.
+const retireFactor = 2
+
+// calibrate fills every cost cell by timing each engine on `probes`
+// data-distributed queries at the grid thresholds fill asks for. The cells
+// are the whole cost model, so nothing cold may be timed into them: the
+// probe set runs once, untimed, through every engine first — MIH's searcher
 // allocates its scratch (a visited stamp per group) on first use, and a
 // mapped arena faults its pages in on first touch.
 func (p *Planner) calibrate(probes int, rng *rand.Rand) {
@@ -326,26 +369,55 @@ func (p *Planner) calibrate(probes int, rng *rand.Rand) {
 			run(s, grid[0])
 		}
 	}
-	measured := make([][numStrategies]float64, len(grid))
-	for gi, h := range grid {
+	p.fill(grid, func(s Strategy, h int) float64 {
+		start := time.Now()
+		run(s, h)
+		return float64(time.Since(start).Nanoseconds()) / float64(len(queries))
+	})
+}
+
+// fill walks the calibration grid in ascending h and fills every cost cell
+// from the cells measured at the grid thresholds: cell(s, h) is engine s's
+// per-query cost at grid threshold h, asked once for every engine still timed
+// there. After each threshold, an HA or MIH cell over retireFactor times the
+// scan's retires that engine: it is never asked again, and its cells past
+// that threshold stay 0, so no plan there picks it. The scan, which must be
+// available, never retires; once it is the only engine left the walk stops,
+// and its last cell stands for every higher threshold. Cells between grid
+// thresholds are interpolated linearly. All timing is in cell: over the same
+// cells, fill is deterministic.
+func (p *Planner) fill(grid []int, cell func(s Strategy, h int) float64) {
+	live := p.avail
+	var timed [numStrategies]int // grid thresholds each engine was timed at
+	measured := make([][numStrategies]float64, 0, len(grid))
+	for _, h := range grid {
+		var row [numStrategies]float64
 		for s := Strategy(0); s < numStrategies; s++ {
-			if !p.avail[s] {
-				continue
+			if live[s] {
+				row[s] = cell(s, h)
+				timed[s]++
 			}
-			start := time.Now()
-			run(s, h)
-			measured[gi][s] = float64(time.Since(start).Nanoseconds()) / float64(len(queries))
+		}
+		measured = append(measured, row)
+		others := false
+		for s := Strategy(0); s < UseScan; s++ {
+			if live[s] && row[s] > retireFactor*row[UseScan] {
+				live[s], p.retired[s] = false, h
+			}
+			others = others || live[s]
+		}
+		if !others {
+			break
 		}
 	}
 	for s := Strategy(0); s < numStrategies; s++ {
-		if !p.avail[s] {
-			continue
-		}
-		for gi := 0; gi < len(grid); gi++ {
-			lo := grid[gi]
-			hi, next := p.bits, measured[gi][s]
-			if gi+1 < len(grid) {
+		last := timed[s] - 1
+		for gi := 0; gi <= last; gi++ {
+			lo, hi, next := grid[gi], grid[gi], measured[gi][s]
+			if gi < last {
 				hi, next = grid[gi+1], measured[gi+1][s]
+			} else if s == UseScan {
+				hi = p.bits
 			}
 			for h := lo; h <= hi; h++ {
 				v := measured[gi][s]
@@ -454,6 +526,8 @@ func (p *Planner) Explain(h int) string {
 	for s := Strategy(0); s < numStrategies; s++ {
 		if !p.avail[s] {
 			fmt.Fprintf(&b, "  %-4s: unavailable\n", s)
+		} else if at := pl.Retired[s]; at >= 0 {
+			fmt.Fprintf(&b, "  %-4s: not timed past h=%d (over %d× the scan there)\n", s, at, retireFactor)
 		} else if pl.CostNs[s] == 0 {
 			fmt.Fprintf(&b, "  %-4s: uncalibrated\n", s)
 		} else {

@@ -82,25 +82,190 @@ func TestCorrectEveryPath(t *testing.T) {
 }
 
 // TestCalibrationFillsModel: after New every cell of every available engine
-// is measured, so the first real query at any threshold has a full model.
+// is measured up to the engine's retirement and none after it, and the scan,
+// which never retires, has a cell at every threshold — so the first real
+// query at any threshold has a model to pick from.
 func TestCalibrationFillsModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	codes := clustered(rng, 600, 32, 8, 3)
 	p := autoPlanner(t, codes, Options{Seed: 2})
+	if p.retired[UseScan] >= 0 {
+		t.Fatalf("the scan retired at h=%d", p.retired[UseScan])
+	}
 	for s := Strategy(0); s < numStrategies; s++ {
 		if !p.Available(s) {
 			t.Fatalf("%s unavailable in Auto planner", s)
 		}
+		at := p.retired[s]
 		for h := 0; h <= 32; h++ {
-			if p.CostNs(s, h) <= 0 {
-				t.Fatalf("%s cost unmeasured at h=%d after calibration", s, h)
+			timed := at < 0 || h <= at
+			if measured := p.CostNs(s, h) > 0; measured != timed {
+				t.Fatalf("%s (retired at h=%d): cell measured = %v at h=%d", s, at, measured, h)
+			}
+			if pl := p.Plan(h); (pl.Retired[s] >= 0) == timed || pl.Strategy == s && !timed {
+				t.Fatalf("%s (retired at h=%d): plan at h=%d says retired at %d, picks %s", s, at, h, pl.Retired[s], pl.Strategy)
 			}
 		}
 	}
 }
 
+// fillGrid runs the calibration fill of a 32-bit planner with every engine
+// available over a synthetic cost grid, and returns the planner, decided,
+// with the cells the fill asked for in the order it asked.
+func fillGrid(cost func(s Strategy, h int) float64) (*Planner, []string) {
+	p := &Planner{bits: 32, plans: make([]Plan, 33), retired: [numStrategies]int{-1, -1, -1}}
+	p.avail = [numStrategies]bool{true, true, true}
+	var asked []string
+	p.fill(p.calibGrid(), func(s Strategy, h int) float64 {
+		asked = append(asked, fmt.Sprintf("%s@%d", s, h))
+		return cost(s, h)
+	})
+	p.decide()
+	return p, asked
+}
+
+// askedAt lists the grid thresholds at which engine s was timed.
+func askedAt(asked []string, s Strategy) string {
+	var at []string
+	for _, a := range asked {
+		if name, h, _ := strings.Cut(a, "@"); name == s.String() {
+			at = append(at, h)
+		}
+	}
+	return strings.Join(at, ",")
+}
+
+// TestRetirementIsDeterministic holds the calibration fill to its rule over
+// synthetic grids: an HA or MIH cell over twice the scan's retires the
+// engine — it is never timed again and no plan past that threshold picks it —
+// the scan never retires, and the grid stops once the scan is alone.
+func TestRetirementIsDeterministic(t *testing.T) {
+	const scan = 1000.0
+	// The grid is 0,1,2,3,4,6,8,12,16,24,32.
+	t.Run("HA retires at the 4th point", func(t *testing.T) {
+		p, asked := fillGrid(func(s Strategy, h int) float64 {
+			switch {
+			case s == UseHA && h >= 3:
+				return 2.5 * scan
+			case s == UseHA:
+				return 0.5 * scan
+			case s == UseMIH:
+				return 0.8 * scan
+			}
+			return scan
+		})
+		if got := askedAt(asked, UseHA); got != "0,1,2,3" {
+			t.Fatalf("HA timed at %s", got)
+		}
+		if got := askedAt(asked, UseScan); got != "0,1,2,3,4,6,8,12,16,24,32" {
+			t.Fatalf("scan timed at %s", got)
+		}
+		if p.retired != [numStrategies]int{3, -1, -1} {
+			t.Fatalf("retired %v", p.retired)
+		}
+		for h := 0; h <= 32; h++ {
+			pl := p.Plan(h)
+			if ha := pl.CostNs[UseHA] > 0; ha != (h <= 3) || (pl.Retired[UseHA] == 3) != (h > 3) {
+				t.Fatalf("h=%d: HA cell %v, retired %d", h, pl.CostNs[UseHA], pl.Retired[UseHA])
+			}
+			if want := map[bool]Strategy{true: UseHA, false: UseMIH}[h < 3]; pl.Strategy != want {
+				t.Fatalf("h=%d: planned %s, want %s", h, pl.Strategy, want)
+			}
+		}
+		// HA lost to the scan at h=3 by its own cell, and MIH is the runner-up after.
+		if r := p.Plan(3).Reason(); r != "mih 800ns beats scan 1000ns at h=3" {
+			t.Fatalf("reason at h=3: %q", r)
+		}
+	})
+	t.Run("both retire and the scan alone extends", func(t *testing.T) {
+		p, asked := fillGrid(func(s Strategy, h int) float64 {
+			switch {
+			case s == UseScan:
+				return scan + float64(h) // the last cell timed must be the one extended
+			case h >= 24:
+				return 3 * scan
+			}
+			return float64(h+1) * 50
+		})
+		for s, want := range map[Strategy]string{UseHA: "0,1,2,3,4,6,8,12,16,24", UseMIH: "0,1,2,3,4,6,8,12,16,24", UseScan: "0,1,2,3,4,6,8,12,16,24"} {
+			if got := askedAt(asked, s); got != want {
+				t.Fatalf("%s timed at %s, want %s", s, got, want)
+			}
+		}
+		for h := 25; h <= 32; h++ {
+			pl := p.Plan(h)
+			if pl.Strategy != UseScan || pl.Versus >= 0 || pl.CostNs != [numStrategies]float64{UseScan: scan + 24} {
+				t.Fatalf("h=%d: planned %s vs %s at %v", h, pl.Strategy, pl.Versus, pl.CostNs)
+			}
+			if r := pl.Reason(); r != "scan: ha, mih not timed past h=24 (over 2× the scan)" {
+				t.Fatalf("h=%d: reason %q", h, r)
+			}
+			if strings.Contains(p.Explain(h), "uncalibrated") {
+				t.Fatalf("h=%d: a retirement explained as uncalibrated:\n%s", h, p.Explain(h))
+			}
+		}
+		if pl := p.Plan(24); pl.Strategy != UseScan || pl.Versus != UseHA {
+			t.Fatalf("h=24: planned %s vs %s, the retiring cells still count there", pl.Strategy, pl.Versus)
+		}
+		// Retiring at different thresholds names each.
+		p, _ = fillGrid(func(s Strategy, h int) float64 {
+			if s == UseMIH && h >= 4 || s == UseHA && h >= 12 {
+				return 3 * scan
+			}
+			return scan
+		})
+		if r := p.Plan(20).Reason(); r != "scan: ha not timed past h=12, mih not timed past h=4 (over 2× the scan)" {
+			t.Fatalf("reason %q", r)
+		}
+	})
+	t.Run("nothing retires", func(t *testing.T) {
+		p, asked := fillGrid(func(s Strategy, h int) float64 {
+			if s == UseScan {
+				return scan
+			}
+			return 0.9 * scan
+		})
+		if len(asked) != 3*11 {
+			t.Fatalf("asked %d cells, want every engine at all 11 grid thresholds", len(asked))
+		}
+		for h := 0; h <= 32; h++ {
+			pl := p.Plan(h)
+			if pl.Retired != [numStrategies]int{-1, -1, -1} || pl.CostNs[UseHA] == 0 || pl.CostNs[UseMIH] == 0 || pl.CostNs[UseScan] == 0 {
+				t.Fatalf("h=%d: retired %v, cells %v", h, pl.Retired, pl.CostNs)
+			}
+		}
+	})
+	t.Run("costs that are not monotone", func(t *testing.T) {
+		p, asked := fillGrid(func(s Strategy, h int) float64 {
+			switch s {
+			case UseHA: // one noisy cell retires it; the cheap ones after are never seen
+				return map[bool]float64{true: 2.01 * scan, false: 0.1 * scan}[h == 2]
+			case UseMIH: // exactly twice the scan is not over it
+				return map[bool]float64{true: 2 * scan, false: 1.5 * scan}[h%2 == 0]
+			}
+			return scan
+		})
+		if got := askedAt(asked, UseHA); got != "0,1,2" {
+			t.Fatalf("HA timed at %s", got)
+		}
+		if p.retired != [numStrategies]int{2, -1, -1} {
+			t.Fatalf("retired %v", p.retired)
+		}
+		// MIH dips to 1.5× at h=3 and is back at 2× past it, still timed.
+		if c := p.CostNs(UseMIH, 3); c != 1.5*scan || p.CostNs(UseMIH, 32) != 2*scan {
+			t.Fatalf("MIH at h=3: %v", c)
+		}
+		if c := p.CostNs(UseHA, 1); c != 0.1*scan {
+			t.Fatalf("HA at h=1: %v", c)
+		}
+		if c := p.CostNs(UseHA, 3); c != 0 {
+			t.Fatalf("HA priced at h=3 after retiring at h=2: %v", c)
+		}
+	})
+}
+
 // TestPlanIsATable: every threshold's decision is made once, in New — the
-// cheapest calibrated engine, weighed against the runner-up — and Plan
+// cheapest engine with a cost cell, weighed against the runner-up — and Plan
 // returns it unchanged on every call, from any goroutine, allocation-free.
 func TestPlanIsATable(t *testing.T) {
 	rng := rand.New(rand.NewSource(204))
@@ -111,7 +276,7 @@ func TestPlanIsATable(t *testing.T) {
 		best, second := Strategy(-1), Strategy(-1)
 		for s := Strategy(0); s < numStrategies; s++ {
 			switch c := p.CostNs(s, h); {
-			case !p.Available(s):
+			case !p.Available(s) || c == 0: // unmeasured: retired below h
 			case best < 0 || c < p.CostNs(best, h):
 				best, second = s, best
 			case second < 0 || c < p.CostNs(second, h):
@@ -122,8 +287,16 @@ func TestPlanIsATable(t *testing.T) {
 		if pl.Strategy != best || pl.Versus != second || pl.H != h {
 			t.Fatalf("h=%d: planned %s vs %s, costs %v; want %s vs %s", h, pl.Strategy, pl.Versus, pl.CostNs, best, second)
 		}
-		// The plan carries the facts; the sentence is rendered from them on demand.
-		if s := fmt.Sprintf("%s %.0fns beats %s", best, pl.CostNs[best], second); !strings.Contains(pl.Reason(), s) {
+		// The plan carries the facts; the sentence is rendered from them on
+		// demand — a lone engine names the ones that retired below h.
+		s := fmt.Sprintf("%s %.0fns beats %s", best, pl.CostNs[best], second)
+		if second < 0 {
+			s = fmt.Sprintf("%s: ", best)
+			if !strings.Contains(pl.Reason(), "not timed past h=") {
+				t.Fatalf("h=%d: reason %q does not name a retirement", h, pl.Reason())
+			}
+		}
+		if !strings.Contains(pl.Reason(), s) {
 			t.Fatalf("h=%d: reason %q does not say %q", h, pl.Reason(), s)
 		}
 		want[h] = pl
