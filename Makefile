@@ -63,8 +63,7 @@ reqpath:
 	$(GO) test -race -count=3 -run 'OneWrite|ReadFrame|RunBatchStays|PipelinedFirstAttempt|ShedBackoffBoundedByDeadline|ShedSteersToLeastLoadedReplica|SharedRouterSlowShard|ReplyAllocs|BelongToTheCaller|PlanIsATable' ./internal/wire/ ./internal/server/ ./internal/client/ ./internal/planner/
 
 fuzz:
-	$(GO) test -fuzz=FuzzDecodeDynamic -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzDecodeIndex -fuzztime=30s ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzSectionTable -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzFromString -fuzztime=15s ./internal/bitvec/
 	$(GO) test -fuzz=FuzzParseMutationFrames -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzStatsResp -fuzztime=30s ./internal/wire/

@@ -1,6 +1,6 @@
-// Command haidx builds, inspects and queries persisted HA-Index files: the
-// v1 pointer encoding a cluster deployment writes to its DFS and broadcasts
-// (the default), or with -arena the v4 serving arena.
+// Command haidx builds, inspects and queries persisted HA-Index files, all in
+// the one index format, the HADX v4 serving arena: the file a MapReduce
+// build's reducers write, a broadcast ships, and haserve maps.
 //
 // Usage:
 //
@@ -61,7 +61,6 @@ func cmdBuild(args []string) {
 	out := fs.String("o", "index.hadx", "output index file")
 	seed := fs.Int64("seed", 1, "hash-learning sample seed")
 	leafless := fs.Bool("leafless", false, "write the Option-B form without tuple-id tables")
-	arena := fs.Bool("arena", false, "write the mmap-native serving arena (HADX v4) instead of the pointer encoding")
 	fs.Parse(args)
 	if *data == "" {
 		fatalf("build: -data is required")
@@ -80,45 +79,27 @@ func cmdBuild(args []string) {
 		fatalf("%v", err)
 	}
 	defer f.Close()
-	var sz int
-	var buildTime time.Duration
-	if *arena {
-		// The arena is built as one: H-Build over the packed rows, no
-		// pointer index in between.
-		var rows []uint64
-		for _, c := range codes {
-			rows = append(rows, c.Words()...)
-		}
-		t0 := time.Now()
-		fz := core.BuildFrozen(*bits, rows, nil, core.Options{})
-		buildTime = time.Since(t0)
-		if err := fz.EncodeArena(f, !*leafless); err != nil {
-			fatalf("encoding: %v", err)
-		}
-		sz = fz.EncodedSizeArena(!*leafless)
-	} else {
-		t0 := time.Now()
-		idx := core.BuildDynamic(codes, nil, core.Options{})
-		buildTime = time.Since(t0)
-		if err := idx.Encode(f, !*leafless); err != nil {
-			fatalf("encoding: %v", err)
-		}
-		sz, _ = idx.EncodedSize(!*leafless)
+	// H-Build over the packed rows, straight into the arena.
+	var rows []uint64
+	for _, c := range codes {
+		rows = append(rows, c.Words()...)
 	}
+	t0 := time.Now()
+	idx := core.BuildFrozen(*bits, rows, nil, core.Options{})
+	buildTime := time.Since(t0)
+	if err := idx.EncodeArena(f, !*leafless); err != nil {
+		fatalf("encoding: %v", err)
+	}
+	sz := idx.EncodedSizeArena(!*leafless)
 	fmt.Printf("haidx: indexed %d tuples (%d-bit codes) in %v; wrote %s (%.1f KB)\n",
 		len(codes), *bits, buildTime.Round(time.Millisecond), *out, float64(sz)/1e3)
 	fmt.Println("note: queries must be hashed with the same learned function; keep the dataset and seed")
 }
 
-func loadIndex(path string) core.Index {
-	f, err := os.Open(path)
+func loadIndex(path string) *core.FrozenIndex {
+	idx, err := core.MapFrozen(path)
 	if err != nil {
-		fatalf("%v", err)
-	}
-	defer f.Close()
-	idx, err := core.DecodeIndex(f)
-	if err != nil {
-		fatalf("decoding %s: %v", path, err)
+		fatalf("loading %s: %v", path, err)
 	}
 	return idx
 }
@@ -131,30 +112,14 @@ func cmdInfo(args []string) {
 		fatalf("info: -index is required")
 	}
 	idx := loadIndex(*index)
-	// Both index forms expose the same structural counters.
-	stats := idx.(interface {
-		Codes() []bitvec.Code
-		NodeCount() int
-		EdgeCount() int
-		SizeBytes() int
-	})
-	form := "pointer (v1)"
-	if _, ok := idx.(*core.FrozenIndex); ok {
-		form = "arena (v4, mmap-native)"
-	}
 	fmt.Printf("HA-Index file: %s\n", *index)
-	fmt.Printf("  form:           %s\n", form)
+	fmt.Printf("  form:           arena (v4, mmap-native)\n")
 	fmt.Printf("  code length:    %d bits\n", idx.Length())
 	fmt.Printf("  tuples:         %d\n", idx.Len())
-	fmt.Printf("  distinct codes: %d\n", len(stats.Codes()))
-	fmt.Printf("  internal nodes: %d\n", stats.NodeCount())
-	fmt.Printf("  edges:          %d\n", stats.EdgeCount())
-	if dyn, ok := idx.(*core.DynamicIndex); ok {
-		fmt.Printf("  memory:         %.1f KB (internal %.1f KB)\n",
-			float64(dyn.SizeBytes())/1e3, float64(dyn.InternalSizeBytes())/1e3)
-	} else {
-		fmt.Printf("  memory:         %.1f KB (flat arena)\n", float64(stats.SizeBytes())/1e3)
-	}
+	fmt.Printf("  distinct codes: %d\n", idx.GroupCount())
+	fmt.Printf("  internal nodes: %d\n", idx.NodeCount())
+	fmt.Printf("  edges:          %d\n", idx.EdgeCount())
+	fmt.Printf("  memory:         %.1f KB (flat arena)\n", float64(idx.SizeBytes())/1e3)
 }
 
 func cmdSearch(args []string) {

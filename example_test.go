@@ -62,19 +62,20 @@ func ExampleSemiJoin() {
 	// [1]
 }
 
-// ExampleDynamicIndex_Encode round-trips an index through its wire format.
-func ExampleDynamicIndex_Encode() {
+// ExampleFrozenIndex_EncodeArena round-trips an index through its file
+// format: freeze it, write the arena, read it back.
+func ExampleFrozenIndex_EncodeArena() {
 	codes := []haindex.Code{haindex.MustCode("0101"), haindex.MustCode("0111")}
-	idx := haindex.BuildDynamicIndex(codes, nil, haindex.IndexOptions{})
+	idx := haindex.FreezeIndex(haindex.BuildDynamicIndex(codes, nil, haindex.IndexOptions{}))
 	var buf bytes.Buffer
-	if err := idx.Encode(&buf, true); err != nil {
+	if err := idx.EncodeArena(&buf, true); err != nil {
 		panic(err)
 	}
-	back, err := haindex.DecodeIndex(&buf)
+	back, err := haindex.DecodeFrozenIndex(&buf)
 	if err != nil {
 		panic(err)
 	}
-	ids := back.Search(haindex.MustCode("0101"), 1)
+	ids := haindex.NewSearcher(back).Search(haindex.MustCode("0101"), 1)
 	sort.Ints(ids)
 	fmt.Println(back.Len(), ids)
 	// Output: 2 [0 1]

@@ -20,16 +20,19 @@ import (
 // numbers come from benchmark/ alone. The BENCH_*.json records at the repo
 // root are exactly the file names internal/bench's non-test source spells out
 // (today QueryBenchFile), so a record whose experiment was deleted cannot
-// linger as if it were still measured. The paper's merge phase (core.Merge)
-// belongs to mrjoin and haindex.MergeIndexes, and the pointer index with its
-// H-Insert/H-Delete and insert buffer to the library API: the LSM tier keeps
-// a scanned slab and frozen arenas, compacts by rebuilding from leaf slabs,
-// and never sees a pointer index, so no non-test source under internal/lsm
-// may mention core.Merge, DynamicIndex or a .Flush( call. Nor does any serving
-// build go through the pointer form: the stream writer, the LSM tier and the
-// planner build arenas with core.BuildFrozen, so internal/lsm,
-// internal/planner and internal/core/arena_stream.go may not mention
-// BuildDynamic( or FreezeChunked either.
+// linger as if it were still measured. The pointer index with its
+// H-Insert/H-Delete, insert buffer and pointer merge (core.Merge) belongs to
+// the library API (haindex.MergeIndexes) and the reproduction benches: the
+// LSM tier keeps a scanned slab and frozen arenas, compacts by rebuilding from
+// leaf slabs, and never sees a pointer index, so no non-test source under
+// internal/lsm may mention core.Merge, DynamicIndex or a .Flush( call. Nor does
+// any serving or offline build go through the pointer form: the stream
+// writer, the LSM tier, the planner and the MapReduce pipeline build arenas
+// with core.BuildFrozen, so internal/lsm, internal/planner and
+// internal/core/arena_stream.go may not mention BuildDynamic( or
+// FreezeChunked either, and internal/mrjoin — whose global index is the forest
+// of its reducers' arenas — none of BuildDynamic(, core.Merge, core.Freeze(
+// or DynamicIndex.
 func TestServingImportFence(t *testing.T) {
 	internal := func(names ...string) map[string]bool {
 		m := map[string]bool{}
@@ -80,6 +83,7 @@ func TestServingImportFence(t *testing.T) {
 		{"internal/lsm/*.go", append([]string{"core.Merge", "DynamicIndex", ".Flush("}, noPointerBuild...)},
 		{"internal/planner/*.go", noPointerBuild},
 		{"internal/core/arena_stream.go", noPointerBuild},
+		{"internal/mrjoin/*.go", []string{"BuildDynamic(", "core.Merge", "core.Freeze(", "DynamicIndex"}},
 	}
 	for _, fence := range wordFences {
 		files, err := filepath.Glob(fence.glob)

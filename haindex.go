@@ -363,26 +363,10 @@ func PGBJ(r, s []Vec, k int, opt JoinOptions) (*PGBJResult, error) {
 
 // ---- Serialization ----
 
-// DecodeIndex reads a Dynamic HA-Index previously written with
-// (*DynamicIndex).Encode — the wire format local indexes are persisted and
-// broadcast in.
-func DecodeIndex(r io.Reader) (*DynamicIndex, error) { return core.DecodeDynamic(r) }
-
-// DecodeAnyIndex reads either index wire format — the v1 pointer encoding
-// (DynamicIndex) or the v4 serving arena (FrozenIndex) — dispatching on the
-// header version.
-func DecodeAnyIndex(r io.Reader) (SearchIndex, error) { return core.DecodeIndex(r) }
-
 // DecodeFrozenIndex reads a frozen index previously written with
-// (*FrozenIndex).EncodeArena (wire format v4) onto the heap, rejecting v1
-// pointer payloads.
-func DecodeFrozenIndex(r io.Reader) (*FrozenIndex, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return core.DecodeArenaBytes(data, false)
-}
+// (*FrozenIndex).EncodeArena — the one index file format, HADX v4 — onto the
+// heap. An image of any other version is refused, naming it.
+func DecodeFrozenIndex(r io.Reader) (*FrozenIndex, error) { return core.DecodeIndex(r) }
 
 // ---- Similarity-aware relational operators (Section 7 direction) ----
 

@@ -203,11 +203,9 @@ func TestDecodeFrozenIndexFacade(t *testing.T) {
 			t.Fatalf("decoded arena answers %v, want %v", g, w)
 		}
 	}
-	var v1 bytes.Buffer
-	if err := dyn.Encode(&v1, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := haindex.DecodeFrozenIndex(&v1); err == nil {
+	// The v1 pointer encoding's header: 32-bit codes, ids present, one group.
+	v1 := append([]byte("HADX\x01\x20\x01\x01"), make([]byte, 8)...)
+	if _, err := haindex.DecodeFrozenIndex(bytes.NewReader(v1)); err == nil {
 		t.Fatal("DecodeFrozenIndex accepted the v1 pointer encoding")
 	}
 }

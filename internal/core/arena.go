@@ -10,7 +10,8 @@ import (
 	"unsafe"
 )
 
-// HADX v4 — the mmap-native frozen arena layout.
+// HADX v4 — the index file format: the mmap-native frozen arena layout. It is
+// the only one; an image carrying any other version is refused by name.
 //
 // Every integer in v4 is fixed-width little-endian and every array sits at an
 // 8-byte-aligned offset, so a mapped file can be aliased in place: the word
@@ -43,12 +44,10 @@ import (
 //	      idSlab     n × int64
 //	      resSlab    nNodes*2*nw × uint64
 //	      maskSlab   nNodes*nw × uint64
-//
-// The version byte doubles as the uvarint DecodeIndex reads after the magic,
-// so v4 files flow through the same header as the v1 pointer encoding.
-const codecVersionArena = 4
-
 const (
+	codecMagic        = "HADX"
+	codecVersionArena = 4
+
 	arenaSectionCount = 11
 	arenaHeaderSize   = 8 + 9*8 + 8 + arenaSectionCount*16 // = 264, 8-aligned
 )
@@ -116,167 +115,140 @@ func (c arenaCounts) sectionTable() ([arenaSectionCount][2]uint64, uint64) {
 	return table, cur
 }
 
-// EncodeArena writes the index in the HADX v4 mmap-native layout. With
-// withIDs=false the id tables are zeroed (the leafless broadcast form).
-func (f *FrozenIndex) EncodeArena(w io.Writer, withIDs bool) error {
-	nn := len(f.childStart) - 1
+// counts returns the header counts of f's v4 image, with or without the id
+// tables.
+func (f *FrozenIndex) counts(withIDs bool) arenaCounts {
 	c := arenaCounts{
 		length:  uint64(f.length),
 		nGroups: uint64(f.GroupCount()),
-		nNodes:  uint64(nn),
+		nNodes:  uint64(f.NodeCount()),
 		nRoots:  uint64(len(f.rootIDs)),
 		nChild:  uint64(len(f.childList)),
 		nLeaf:   uint64(len(f.leafList)),
 		nTop:    uint64(len(f.topLeaves)),
 	}
 	if withIDs {
-		c.flags = 1
-		c.n = uint64(len(f.idSlab))
+		c.flags, c.n = 1, uint64(len(f.idSlab))
 	}
-	table, _ := c.sectionTable()
+	return c
+}
 
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var u8 [8]byte
-	putU64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(u8[:], v)
-		_, err := bw.Write(u8[:])
-		return err
-	}
-	if _, err := bw.WriteString(codecMagic); err != nil {
-		return err
-	}
-	if _, err := bw.Write([]byte{codecVersionArena, 0, 0, 0}); err != nil {
-		return err
-	}
+// write writes the v4 image these counts lay out onto w: the header and the
+// section table, then every section at its offset, the pad before it written
+// here and its bytes by body(sec, w) — exactly the table's size for it. It is
+// the one header writer: EncodeArena and the forest writer both go through it.
+func (c arenaCounts) write(w io.Writer, body func(sec int, w io.Writer) error) error {
+	table, _ := c.sectionTable()
+	hdr := make([]byte, 0, arenaHeaderSize)
+	hdr = append(hdr, codecMagic...)
+	hdr = append(hdr, codecVersionArena, 0, 0, 0)
 	for _, v := range []uint64{c.length, c.flags, c.n, c.nGroups, c.nNodes, c.nRoots, c.nChild, c.nLeaf, c.nTop, arenaSectionCount} {
-		if err := putU64(v); err != nil {
-			return err
-		}
+		hdr = binary.LittleEndian.AppendUint64(hdr, v)
 	}
 	for _, s := range table {
-		if err := putU64(s[0]); err != nil {
+		hdr = binary.LittleEndian.AppendUint64(hdr, s[0])
+		hdr = binary.LittleEndian.AppendUint64(hdr, s[1])
+	}
+	bw := bufio.NewWriterSize(w, 1<<16)
+	bw.Write(hdr) // a bufio.Writer's error sticks: the body's writes and Flush report it
+	end := uint64(arenaHeaderSize)
+	var pad [8]byte
+	for sec, s := range table {
+		bw.Write(pad[:s[0]-end])
+		if err := body(sec, bw); err != nil {
 			return err
 		}
-		if err := putU64(s[1]); err != nil {
-			return err
-		}
-	}
-
-	// Section bodies, with up-to-7 zero pad bytes between them, copied in
-	// chunks: one Write per 512 words.
-	var chunk [512 * 8]byte
-	cur := uint64(arenaHeaderSize)
-	pad := func(to uint64) error {
-		var zeros [8]byte
-		for cur < to {
-			n := to - cur
-			if n > 8 {
-				n = 8
-			}
-			if _, err := bw.Write(zeros[:n]); err != nil {
-				return err
-			}
-			cur += n
-		}
-		return nil
-	}
-	writeI32s := func(vals []int32) error {
-		for len(vals) > 0 {
-			n := len(chunk) / 4
-			if n > len(vals) {
-				n = len(vals)
-			}
-			for i := 0; i < n; i++ {
-				binary.LittleEndian.PutUint32(chunk[i*4:], uint32(vals[i]))
-			}
-			if _, err := bw.Write(chunk[:n*4]); err != nil {
-				return err
-			}
-			cur += uint64(n * 4)
-			vals = vals[n:]
-		}
-		return nil
-	}
-	writeU64s := func(vals []uint64) error {
-		for len(vals) > 0 {
-			n := len(chunk) / 8
-			if n > len(vals) {
-				n = len(vals)
-			}
-			for i := 0; i < n; i++ {
-				binary.LittleEndian.PutUint64(chunk[i*8:], vals[i])
-			}
-			if _, err := bw.Write(chunk[:n*8]); err != nil {
-				return err
-			}
-			cur += uint64(n * 8)
-			vals = vals[n:]
-		}
-		return nil
-	}
-	writeInts := func(vals []int) error {
-		for len(vals) > 0 {
-			n := len(chunk) / 8
-			if n > len(vals) {
-				n = len(vals)
-			}
-			for i := 0; i < n; i++ {
-				binary.LittleEndian.PutUint64(chunk[i*8:], uint64(int64(vals[i])))
-			}
-			if _, err := bw.Write(chunk[:n*8]); err != nil {
-				return err
-			}
-			cur += uint64(n * 8)
-			vals = vals[n:]
-		}
-		return nil
-	}
-
-	idStart := f.idStart
-	idSlab := f.idSlab
-	if !withIDs {
-		idStart = make([]int32, c.nGroups+1)
-		idSlab = nil
-	}
-	for i, body := range []func() error{
-		secRoots:      func() error { return writeI32s(f.rootIDs) },
-		secTop:        func() error { return writeI32s(f.topLeaves) },
-		secChildStart: func() error { return writeI32s(f.childStart) },
-		secChildList:  func() error { return writeI32s(f.childList) },
-		secLeafStart:  func() error { return writeI32s(f.leafStart) },
-		secLeafList:   func() error { return writeI32s(f.leafList) },
-		secIDStart:    func() error { return writeI32s(idStart) },
-		secCodeSlab:   func() error { return writeU64s(f.codeSlab) },
-		secIDSlab:     func() error { return writeInts(idSlab) },
-		secResSlab:    func() error { return writeU64s(f.resSlab) },
-		secMaskSlab:   func() error { return writeU64s(f.maskSlab) },
-	} {
-		if err := pad(table[i][0]); err != nil {
-			return err
-		}
-		if err := body(); err != nil {
-			return err
-		}
+		end = s[0] + s[1]
 	}
 	return bw.Flush()
 }
 
-// EncodedSizeArena returns the exact v4 file size without encoding.
+// putSection writes section sec of f's arenas onto w with every reference
+// shifted by base's totals: node ids by its nodes, group ids by its groups,
+// and the child, leaf and id prefixes by its children, leaves and ids. With a
+// zero base that is f's own image; with the totals of the arenas laid before
+// it, f's part of their forest, whose prefix arrays the next part continues —
+// so a part leaves off their closing sentinels (sentinel false). This is the
+// one copy of the offset arithmetic.
+func (f *FrozenIndex) putSection(w io.Writer, sec int, base arenaCounts, sentinel bool) error {
+	nn, ng := f.NodeCount(), f.GroupCount()
+	if sentinel {
+		nn, ng = nn+1, ng+1
+	}
+	switch sec {
+	case secRoots:
+		return putInt32s(w, f.rootIDs, int32(base.nNodes))
+	case secTop:
+		return putInt32s(w, f.topLeaves, int32(base.nGroups))
+	case secChildStart:
+		return putInt32s(w, f.childStart[:nn], int32(base.nChild))
+	case secChildList:
+		return putInt32s(w, f.childList, int32(base.nNodes))
+	case secLeafStart:
+		return putInt32s(w, f.leafStart[:nn], int32(base.nLeaf))
+	case secLeafList:
+		return putInt32s(w, f.leafList, int32(base.nGroups))
+	case secIDStart:
+		return putInt32s(w, f.idStart[:ng], int32(base.n))
+	case secCodeSlab:
+		return putWords(w, f.codeSlab)
+	case secIDSlab:
+		return putWords(w, f.idSlab)
+	case secResSlab:
+		return putWords(w, f.resSlab)
+	}
+	return putWords(w, f.maskSlab)
+}
+
+// putInt32s writes vals, each plus off, as little-endian int32s, and putWords
+// writes code words or ids as little-endian 64-bit words: the slab writers of
+// every image, a buffer of them at a time.
+func putInt32s(w io.Writer, vals []int32, off int32) error {
+	var buf [4096]byte
+	for len(vals) > 0 {
+		n := min(len(vals), len(buf)/4)
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint32(buf[4*i:], uint32(v+off))
+		}
+		if _, err := w.Write(buf[:4*n]); err != nil {
+			return err
+		}
+		vals = vals[n:]
+	}
+	return nil
+}
+
+func putWords[T uint64 | int](w io.Writer, vals []T) error {
+	var buf [4096]byte
+	for len(vals) > 0 {
+		n := min(len(vals), len(buf)/8)
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
+		}
+		if _, err := w.Write(buf[:8*n]); err != nil {
+			return err
+		}
+		vals = vals[n:]
+	}
+	return nil
+}
+
+// EncodeArena writes the index in the HADX v4 mmap-native layout. With
+// withIDs=false the id tables are zeroed (the leafless broadcast form).
+func (f *FrozenIndex) EncodeArena(w io.Writer, withIDs bool) error {
+	c := f.counts(withIDs)
+	if !withIDs {
+		leafless := *f
+		leafless.idStart, leafless.idSlab = make([]int32, c.nGroups+1), nil
+		f = &leafless
+	}
+	return c.write(w, func(sec int, w io.Writer) error { return f.putSection(w, sec, arenaCounts{}, true) })
+}
+
+// EncodedSizeArena returns the exact v4 file size without encoding: the bytes
+// EncodeArena writes, and what a broadcast of the index ships.
 func (f *FrozenIndex) EncodedSizeArena(withIDs bool) int {
-	nn := len(f.childStart) - 1
-	c := arenaCounts{
-		length:  uint64(f.length),
-		nGroups: uint64(f.GroupCount()),
-		nNodes:  uint64(nn),
-		nRoots:  uint64(len(f.rootIDs)),
-		nChild:  uint64(len(f.childList)),
-		nLeaf:   uint64(len(f.leafList)),
-		nTop:    uint64(len(f.topLeaves)),
-	}
-	if withIDs {
-		c.n = uint64(len(f.idSlab))
-	}
-	_, total := c.sectionTable()
+	_, total := f.counts(withIDs).sectionTable()
 	return int(total)
 }
 
@@ -291,6 +263,9 @@ func (f *FrozenIndex) EncodedSizeArena(withIDs bool) int {
 // panics. The word slabs themselves are not validated: every bit pattern is a
 // legal code/residual, so they cannot make a walk misbehave.
 func DecodeArenaBytes(data []byte, alias bool) (*FrozenIndex, error) {
+	if len(data) > 4 && string(data[:4]) == codecMagic && data[4] != codecVersionArena {
+		return nil, fmt.Errorf("core: unsupported index version %d (this build reads version %d)", data[4], codecVersionArena)
+	}
 	if len(data) < arenaHeaderSize {
 		return nil, fmt.Errorf("core: arena truncated: %d bytes < %d header", len(data), arenaHeaderSize)
 	}
@@ -432,20 +407,13 @@ func (f *FrozenIndex) validateStructure(c arenaCounts) error {
 	return nil
 }
 
-// decodeArenaBody is the DecodeIndex dispatch target: the bufio reader sits
-// just past the magic and the version byte (read as a uvarint), so the three
-// pad bytes and everything after are still in the stream. It reassembles the
-// full image and parses it copying — io.Reader input has no stable backing to
-// alias.
-func decodeArenaBody(br *bufio.Reader) (Index, error) {
-	rest, err := io.ReadAll(br)
+// DecodeIndex reads a v4 image from r and decodes it onto the heap: the
+// reader form of DecodeArenaBytes, for input with no file to map.
+func DecodeIndex(r io.Reader) (*FrozenIndex, error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("core: reading arena: %w", err)
+		return nil, fmt.Errorf("core: reading index: %w", err)
 	}
-	data := make([]byte, 0, 5+len(rest))
-	data = append(data, codecMagic...)
-	data = append(data, codecVersionArena)
-	data = append(data, rest...)
 	return DecodeArenaBytes(data, false)
 }
 

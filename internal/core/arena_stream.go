@@ -2,7 +2,7 @@ package core
 
 import (
 	"bufio"
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -42,16 +42,27 @@ type FrozenStreamWriter struct {
 
 	dir    string
 	spools [arenaSectionCount]*spool
-
-	nGroups, nNodes, nRoots, nChild, nLeaf, nTop, n uint64
-	chunks                                          int
-	err                                             error
+	forest forestWriter // onto the spools
+	err    error
 }
 
 // spool is one section's temp file behind a buffered writer.
 type spool struct {
 	f  *os.File
 	bw *bufio.Writer
+}
+
+func (sp *spool) Write(p []byte) (int, error) { return sp.bw.Write(p) }
+
+// WriteTo copies everything written to the spool onto w.
+func (sp *spool) WriteTo(w io.Writer) (int64, error) {
+	if err := sp.bw.Flush(); err != nil {
+		return 0, err
+	}
+	if _, err := sp.f.Seek(0, io.SeekStart); err != nil {
+		return 0, err
+	}
+	return io.Copy(w, sp.f)
 }
 
 // NewFrozenStreamWriter returns a streaming builder for length-bit codes
@@ -71,6 +82,7 @@ func NewFrozenStreamWriter(length, chunkSize int, opts Options) (*FrozenStreamWr
 		return nil, err
 	}
 	sw := &FrozenStreamWriter{length: length, chunkSize: chunkSize, opts: opts, dir: dir}
+	sw.forest.length = uint64(length)
 	for i := range sw.spools {
 		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("sec%02d", i)))
 		if err != nil {
@@ -78,6 +90,7 @@ func NewFrozenStreamWriter(length, chunkSize int, opts Options) (*FrozenStreamWr
 			return nil, err
 		}
 		sw.spools[i] = &spool{f: f, bw: bufio.NewWriterSize(f, 1<<16)}
+		sw.forest.secs[i] = sw.spools[i]
 	}
 	return sw, nil
 }
@@ -101,7 +114,7 @@ func (sw *FrozenStreamWriter) Add(id int, code bitvec.Code) error {
 }
 
 // Len returns the number of tuples added so far.
-func (sw *FrozenStreamWriter) Len() int { return int(sw.n) + len(sw.ids) }
+func (sw *FrozenStreamWriter) Len() int { return int(sw.forest.n) + len(sw.ids) }
 
 // Length returns the code length in bits the stream was created for.
 func (sw *FrozenStreamWriter) Length() int { return sw.length }
@@ -114,8 +127,8 @@ func (sw *FrozenStreamWriter) fail(err error) error {
 	return sw.err
 }
 
-// flushChunk builds the buffered tuples and appends their arenas to the
-// spools, shifting every cross-array reference by the running totals.
+// flushChunk builds the buffered tuples and lays their arenas onto the
+// spools after the chunks before them.
 func (sw *FrozenStreamWriter) flushChunk() error {
 	if len(sw.ids) == 0 {
 		return nil
@@ -123,71 +136,16 @@ func (sw *FrozenStreamWriter) flushChunk() error {
 	f := BuildFrozen(sw.length, sw.rows, sw.ids, sw.opts)
 	sw.rows = sw.rows[:0]
 	sw.ids = sw.ids[:0]
-
-	nodeOff, groupOff := int32(sw.nNodes), int32(sw.nGroups)
-	childOff, leafOff, idOff := int32(sw.nChild), int32(sw.nLeaf), int32(sw.n)
-	nn := len(f.childStart) - 1
-
-	const maxCount = 1<<31 - 2
-	sw.nGroups += uint64(f.GroupCount())
-	sw.nNodes += uint64(nn)
-	sw.nRoots += uint64(len(f.rootIDs))
-	sw.nChild += uint64(len(f.childList))
-	sw.nLeaf += uint64(len(f.leafList))
-	sw.nTop += uint64(len(f.topLeaves))
-	sw.n += uint64(len(f.idSlab))
-	for _, v := range []uint64{sw.nGroups, sw.nNodes, sw.nChild, sw.nLeaf, sw.n} {
-		if v > maxCount {
-			return sw.fail(fmt.Errorf("core: streamed arena exceeds 2^31 elements"))
-		}
-	}
-	sw.chunks++
-
-	shift := func(sec int, vals []int32, off int32) error {
-		return spoolI32s(sw.spools[sec], vals, off)
-	}
-	// The prefix arrays spool without their final sentinel — the next chunk's
-	// shifted entries continue them, and Finish appends the closing totals.
-	if err := shift(secRoots, f.rootIDs, nodeOff); err != nil {
-		return sw.fail(err)
-	}
-	if err := shift(secTop, f.topLeaves, groupOff); err != nil {
-		return sw.fail(err)
-	}
-	if err := shift(secChildStart, f.childStart[:nn], childOff); err != nil {
-		return sw.fail(err)
-	}
-	if err := shift(secChildList, f.childList, nodeOff); err != nil {
-		return sw.fail(err)
-	}
-	if err := shift(secLeafStart, f.leafStart[:nn], leafOff); err != nil {
-		return sw.fail(err)
-	}
-	if err := shift(secLeafList, f.leafList, groupOff); err != nil {
-		return sw.fail(err)
-	}
-	if err := shift(secIDStart, f.idStart[:f.GroupCount()], idOff); err != nil {
-		return sw.fail(err)
-	}
-	if err := spoolU64s(sw.spools[secCodeSlab], f.codeSlab); err != nil {
-		return sw.fail(err)
-	}
-	if err := spoolInts(sw.spools[secIDSlab], f.idSlab); err != nil {
-		return sw.fail(err)
-	}
-	if err := spoolU64s(sw.spools[secResSlab], f.resSlab); err != nil {
-		return sw.fail(err)
-	}
-	if err := spoolU64s(sw.spools[secMaskSlab], f.maskSlab); err != nil {
+	if err := sw.forest.add(f); err != nil {
 		return sw.fail(err)
 	}
 	return nil
 }
 
-// Finish builds the last partial chunk, closes the prefix arrays, and
-// assembles the v4 arena image onto out (header, section table, then each
-// spool streamed through in section order). The spool directory is removed
-// on return. The image always carries id tables (flags bit0 set).
+// Finish builds the last partial chunk and assembles the v4 arena image onto
+// out (header, section table, then each spool streamed through in section
+// order). The spool directory is removed on return. The image always carries
+// id tables (flags bit0 set).
 func (sw *FrozenStreamWriter) Finish(out io.Writer) error {
 	if sw.err != nil {
 		return sw.err
@@ -195,78 +153,7 @@ func (sw *FrozenStreamWriter) Finish(out io.Writer) error {
 	if err := sw.flushChunk(); err != nil {
 		return err
 	}
-	if err := spoolI32s(sw.spools[secChildStart], []int32{int32(sw.nChild)}, 0); err != nil {
-		return sw.fail(err)
-	}
-	if err := spoolI32s(sw.spools[secLeafStart], []int32{int32(sw.nLeaf)}, 0); err != nil {
-		return sw.fail(err)
-	}
-	if err := spoolI32s(sw.spools[secIDStart], []int32{int32(sw.n)}, 0); err != nil {
-		return sw.fail(err)
-	}
-
-	c := arenaCounts{
-		length: uint64(sw.length), flags: 1, n: sw.n,
-		nGroups: sw.nGroups, nNodes: sw.nNodes, nRoots: sw.nRoots,
-		nChild: sw.nChild, nLeaf: sw.nLeaf, nTop: sw.nTop,
-	}
-	table, _ := c.sectionTable()
-
-	bw := bufio.NewWriterSize(out, 1<<16)
-	var u8 [8]byte
-	putU64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(u8[:], v)
-		_, err := bw.Write(u8[:])
-		return err
-	}
-	if _, err := bw.WriteString(codecMagic); err != nil {
-		return sw.fail(err)
-	}
-	if _, err := bw.Write([]byte{codecVersionArena, 0, 0, 0}); err != nil {
-		return sw.fail(err)
-	}
-	for _, v := range []uint64{c.length, c.flags, c.n, c.nGroups, c.nNodes, c.nRoots, c.nChild, c.nLeaf, c.nTop, arenaSectionCount} {
-		if err := putU64(v); err != nil {
-			return sw.fail(err)
-		}
-	}
-	for _, s := range table {
-		if err := putU64(s[0]); err != nil {
-			return sw.fail(err)
-		}
-		if err := putU64(s[1]); err != nil {
-			return sw.fail(err)
-		}
-	}
-	cur := uint64(arenaHeaderSize)
-	for i, sp := range sw.spools {
-		var zeros [8]byte
-		for cur < table[i][0] {
-			n := table[i][0] - cur
-			if n > 8 {
-				n = 8
-			}
-			if _, err := bw.Write(zeros[:n]); err != nil {
-				return sw.fail(err)
-			}
-			cur += n
-		}
-		if err := sp.bw.Flush(); err != nil {
-			return sw.fail(err)
-		}
-		if _, err := sp.f.Seek(0, io.SeekStart); err != nil {
-			return sw.fail(err)
-		}
-		copied, err := io.Copy(bw, sp.f)
-		if err != nil {
-			return sw.fail(err)
-		}
-		if uint64(copied) != table[i][1] {
-			return sw.fail(fmt.Errorf("core: spool %d holds %d bytes, layout wants %d", i, copied, table[i][1]))
-		}
-		cur += uint64(copied)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := sw.forest.finish(out); err != nil {
 		return sw.fail(err)
 	}
 	sw.cleanup()
@@ -295,56 +182,89 @@ func (sw *FrozenStreamWriter) cleanup() {
 	}
 }
 
-func spoolI32s(sp *spool, vals []int32, off int32) error {
-	var chunk [512 * 4]byte
-	for len(vals) > 0 {
-		n := len(chunk) / 4
-		if n > len(vals) {
-			n = len(vals)
+// forestWriter lays whole arenas one after another into one v4 image — the
+// chunks of a FrozenStreamWriter, the partitions of a MapReduce build (Forest).
+// Each part's sections go onto the matching section buffer shifted by the
+// totals of the parts before it (putSection), so the result is a forest whose
+// hierarchies are the parts': roots scattered, every child still after its
+// parent, every group and id reference still in range.
+type forestWriter struct {
+	arenaCounts // the totals so far
+	secs        [arenaSectionCount]interface {
+		io.Writer
+		io.WriterTo // everything written, once
+	}
+}
+
+// add lays part after the arenas added so far.
+func (fw *forestWriter) add(part *FrozenIndex) error {
+	if uint64(part.length) != fw.length {
+		return fmt.Errorf("core: %d-bit arena in a %d-bit forest", part.length, fw.length)
+	}
+	base, pc := fw.arenaCounts, part.counts(true)
+	fw.nGroups += pc.nGroups
+	fw.nNodes += pc.nNodes
+	fw.nRoots += pc.nRoots
+	fw.nChild += pc.nChild
+	fw.nLeaf += pc.nLeaf
+	fw.nTop += pc.nTop
+	fw.n += pc.n
+	const maxCount = 1<<31 - 2
+	for _, v := range []uint64{fw.nGroups, fw.nNodes, fw.nChild, fw.nLeaf, fw.n} {
+		if v > maxCount {
+			return fmt.Errorf("core: forest arena exceeds 2^31 elements")
 		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(chunk[i*4:], uint32(vals[i]+off))
-		}
-		if _, err := sp.bw.Write(chunk[:n*4]); err != nil {
+	}
+	for sec, w := range fw.secs {
+		if err := part.putSection(w, sec, base, false); err != nil {
 			return err
 		}
-		vals = vals[n:]
 	}
 	return nil
 }
 
-func spoolU64s(sp *spool, vals []uint64) error {
-	var chunk [512 * 8]byte
-	for len(vals) > 0 {
-		n := len(chunk) / 8
-		if n > len(vals) {
-			n = len(vals)
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(chunk[i*8:], vals[i])
-		}
-		if _, err := sp.bw.Write(chunk[:n*8]); err != nil {
+// finish closes the prefix arrays with the totals and writes the image onto
+// out. The image always carries id tables (flags bit0 set).
+func (fw *forestWriter) finish(out io.Writer) error {
+	for _, s := range [][2]uint64{{secChildStart, fw.nChild}, {secLeafStart, fw.nLeaf}, {secIDStart, fw.n}} {
+		if err := putInt32s(fw.secs[s[0]], []int32{int32(s[1])}, 0); err != nil {
 			return err
 		}
-		vals = vals[n:]
 	}
-	return nil
+	c := fw.arenaCounts
+	c.flags = 1
+	table, _ := c.sectionTable()
+	return c.write(out, func(sec int, w io.Writer) error {
+		n, err := fw.secs[sec].WriteTo(w)
+		if err == nil && uint64(n) != table[sec][1] {
+			err = fmt.Errorf("core: forest section %d holds %d bytes, layout wants %d", sec, n, table[sec][1])
+		}
+		return err
+	})
 }
 
-func spoolInts(sp *spool, vals []int) error {
-	var chunk [512 * 8]byte
-	for len(vals) > 0 {
-		n := len(chunk) / 8
-		if n > len(vals) {
-			n = len(vals)
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(chunk[i*8:], uint64(int64(vals[i])))
-		}
-		if _, err := sp.bw.Write(chunk[:n*8]); err != nil {
-			return err
-		}
-		vals = vals[n:]
+// Forest lays the arenas one after another into one: a forest whose
+// hierarchies are the parts', over the union of their tuples, which answers
+// every search with the union of the parts' answers. It is the arena a
+// FrozenStreamWriter writes when its chunks build to these parts, byte for
+// byte. The parts must share a code length and carry their id tables.
+func Forest(parts ...*FrozenIndex) (*FrozenIndex, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("core: a forest of no arenas")
 	}
-	return nil
+	var bufs [arenaSectionCount]bytes.Buffer
+	fw := forestWriter{arenaCounts: arenaCounts{length: uint64(parts[0].length)}}
+	for i := range bufs {
+		fw.secs[i] = &bufs[i]
+	}
+	for _, p := range parts {
+		if err := fw.add(p); err != nil {
+			return nil, err
+		}
+	}
+	var img bytes.Buffer
+	if err := fw.finish(&img); err != nil {
+		return nil, err
+	}
+	return DecodeArenaBytes(img.Bytes(), true)
 }

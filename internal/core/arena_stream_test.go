@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"haindex/internal/bitvec"
@@ -165,7 +167,8 @@ func TestStreamWriterAddCopiesTheWords(t *testing.T) {
 // TestStreamedEquivalence: the chunked streaming build answers Search and
 // TopK exactly like a monolithic build over the same tuples — the forest of
 // per-chunk hierarchies covers disjoint subsets whose union is the whole
-// partition. Exercised across chunk sizes that divide the input unevenly.
+// partition. Exercised across chunk sizes that divide the input unevenly. The
+// same forest laid by Forest from the chunks' arenas is the writer's image.
 func TestStreamedEquivalence(t *testing.T) {
 	for _, bitsLen := range []int{32, 128} {
 		for _, chunkSize := range []int{64, 257, 1 << 20} {
@@ -215,6 +218,77 @@ func TestStreamedEquivalence(t *testing.T) {
 					for i := range gd {
 						if gd[i] != wd[i] {
 							t.Fatalf("L=%d chunk=%d k=%d q#%d: dist[%d]=%d, want %d", bitsLen, chunkSize, k, qi, i, gd[i], wd[i])
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// The forest arm: Forest over the chunks' own BuildFrozen arenas is the
+	// stream writer's image for those chunks byte for byte, decodes, and
+	// answers Search and TopK as a brute scan does.
+	for _, bitsLen := range []int{8, 64, 100} {
+		rng := rand.New(rand.NewSource(int64(bitsLen)))
+		codes := clusteredCodes(rng, 120, bitsLen, 5, 2)
+		codes = append(codes, codes[:15]...) // codes that recur, across chunks too
+		n := len(codes)
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = 7 * i
+		}
+		queries := make([]bitvec.Code, 10)
+		for i := range queries {
+			if queries[i] = codes[rng.Intn(n)]; i%3 == 0 {
+				queries[i] = bitvec.Rand(rng, bitsLen)
+			}
+		}
+		for _, chunk := range []int{1, 7, n - 1, n, n + 1} {
+			var parts []*FrozenIndex
+			for lo := 0; lo < n; lo += chunk {
+				hi := min(lo+chunk, n)
+				parts = append(parts, BuildFrozen(bitsLen, packRows(codes[lo:hi]), append([]int(nil), ids[lo:hi]...), Options{}))
+			}
+			forest, err := Forest(parts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var img bytes.Buffer
+			if err := forest.EncodeArena(&img, true); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(img.Bytes(), streamArena(t, codes, ids, chunk, Options{})) {
+				t.Fatalf("L=%d chunk=%d: the forest's image is not the stream writer's", bitsLen, chunk)
+			}
+			if _, err := DecodeArenaBytes(img.Bytes(), false); err != nil {
+				t.Fatalf("L=%d chunk=%d: forest image refused: %v", bitsLen, chunk, err)
+			}
+			sr := NewSearcher(forest)
+			for qi, q := range queries {
+				byDist := make([][2]int, n) // (distance, id): the brute top-k order
+				for i, c := range codes {
+					byDist[i] = [2]int{q.Distance(c), ids[i]}
+				}
+				for h := 0; h <= bitsLen; h += 1 + bitsLen/10 {
+					var want []int
+					for _, p := range byDist {
+						if p[0] <= h {
+							want = append(want, p[1])
+						}
+					}
+					if got := sr.Search(q, h); !equalIDs(got, want) {
+						t.Fatalf("L=%d chunk=%d h=%d q#%d: forest %d ids, brute %d", bitsLen, chunk, h, qi, len(got), len(want))
+					}
+				}
+				slices.SortFunc(byDist, func(a, b [2]int) int { return cmp.Or(a[0]-b[0], a[1]-b[1]) })
+				for _, k := range []int{1, 9, n} {
+					gi, gd := sr.TopK(q, k)
+					if len(gi) != k {
+						t.Fatalf("L=%d chunk=%d k=%d q#%d: %d results", bitsLen, chunk, k, qi, len(gi))
+					}
+					for i := range gi {
+						if gd[i] != byDist[i][0] || gi[i] != byDist[i][1] {
+							t.Fatalf("L=%d chunk=%d k=%d q#%d: result %d is (%d, id %d), brute (%d, id %d)", bitsLen, chunk, k, qi, i, gd[i], gi[i], byDist[i][0], byDist[i][1])
 						}
 					}
 				}

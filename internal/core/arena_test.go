@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"haindex/internal/bitvec"
@@ -31,7 +33,7 @@ func validArenaEncoding(tb testing.TB, withIDs bool) ([]byte, *FrozenIndex) {
 
 // TestArenaRoundTrip: EncodeArena∘DecodeArenaBytes is the identity on the
 // search surface for both the copying and (when the host allows) aliasing
-// parse, with and without id tables, and DecodeIndex dispatches v4 bytes.
+// parse, with and without id tables.
 func TestArenaRoundTrip(t *testing.T) {
 	for _, withIDs := range []bool{true, false} {
 		data, orig := validArenaEncoding(t, withIDs)
@@ -66,12 +68,104 @@ func TestArenaRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		idx, err := DecodeIndex(bytes.NewReader(data))
+	}
+}
+
+// TestEncodeDecodeRoundTrip: an index written with EncodeArena and read back
+// through DecodeIndex answers every query as it did before, at code lengths
+// of one and two words.
+func TestEncodeDecodeRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(151))
+	for trial := 0; trial < 5; trial++ {
+		bitsLen := []int{16, 32, 64, 100}[trial%4]
+		codes := clusteredCodes(rng, 100+rng.Intn(400), bitsLen, 6, 3)
+		orig := Freeze(BuildDynamic(codes, nil, Options{}))
+		var buf bytes.Buffer
+		if err := orig.EncodeArena(&buf, true); err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeIndex(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := idx.(*FrozenIndex); !ok {
-			t.Fatalf("DecodeIndex returned %T for a v4 encoding", idx)
+		if back.Len() != orig.Len() || back.Length() != orig.Length() {
+			t.Fatalf("len=%d/%d length=%d/%d", back.Len(), orig.Len(), back.Length(), orig.Length())
+		}
+		bsr, osr := NewSearcher(back), NewSearcher(orig)
+		for q := 0; q < 20; q++ {
+			query := codes[rng.Intn(len(codes))].Clone()
+			query.FlipBit(rng.Intn(bitsLen))
+			h := rng.Intn(6)
+			if !equalIDs(bsr.Search(query, h), osr.Search(query, h)) {
+				t.Fatal("decoded index answers differently")
+			}
+		}
+	}
+}
+
+// TestEncodeLeafless: the leafless image (Option B's broadcast) keeps the
+// hierarchy and the distinct codes but no ids.
+func TestEncodeLeafless(t *testing.T) {
+	rng := rand.New(rand.NewSource(152))
+	codes := clusteredCodes(rng, 300, 32, 5, 3)
+	orig := Freeze(BuildDynamic(codes, nil, Options{}))
+	var buf bytes.Buffer
+	if err := orig.EncodeArena(&buf, false); err != nil {
+		t.Fatal(err)
+	}
+	leafless, err := DecodeIndex(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leafless.Len() != 0 || leafless.GroupCount() != orig.GroupCount() {
+		t.Fatalf("leafless image holds %d tuples in %d groups, want 0 in %d", leafless.Len(), leafless.GroupCount(), orig.GroupCount())
+	}
+	lsr, osr := NewSearcher(leafless), NewSearcher(orig)
+	q := codes[0]
+	if got, want := lsr.SearchCodes(q, 3), osr.SearchCodes(q, 3); len(got) != len(want) {
+		t.Fatalf("codes %d vs %d", len(got), len(want))
+	}
+	if ids := lsr.Search(q, 3); len(ids) != 0 {
+		t.Fatalf("leafless index returned ids: %v", ids)
+	}
+}
+
+// TestEncodedSizeOrdering: EncodedSizeArena is the byte count EncodeArena
+// writes in both forms, and the leafless form is smaller by exactly the id
+// slab.
+func TestEncodedSizeOrdering(t *testing.T) {
+	rng := rand.New(rand.NewSource(153))
+	idx := Freeze(BuildDynamic(clusteredCodes(rng, 2000, 32, 10, 3), nil, Options{}))
+	for _, withIDs := range []bool{true, false} {
+		var buf bytes.Buffer
+		if err := idx.EncodeArena(&buf, withIDs); err != nil {
+			t.Fatal(err)
+		}
+		if got := idx.EncodedSizeArena(withIDs); got != buf.Len() {
+			t.Fatalf("withIDs=%v: EncodedSizeArena %d, EncodeArena wrote %d", withIDs, got, buf.Len())
+		}
+	}
+	if full, leafless := idx.EncodedSizeArena(true), idx.EncodedSizeArena(false); full-leafless != 8*idx.Len() {
+		t.Fatalf("leafless %d, full %d: the difference is not the %d ids", leafless, full, idx.Len())
+	}
+}
+
+// TestDecodeErrors: what is not an image is refused, and so is an image of
+// any other HADX version — v1, the pointer encoding this build no longer
+// reads, among them — by its version byte alone, which the error names.
+func TestDecodeErrors(t *testing.T) {
+	valid, _ := validArenaEncoding(t, true)
+	for _, data := range [][]byte{[]byte("nope"), nil, valid[:len(valid)/2]} {
+		if _, err := DecodeIndex(bytes.NewReader(data)); err == nil {
+			t.Fatalf("DecodeIndex accepted %d bytes that are no image", len(data))
+		}
+	}
+	for _, v := range []byte{1, 2, 3, 5} {
+		want := fmt.Sprintf("unsupported index version %d", v)
+		for _, data := range [][]byte{append([]byte("HADX"), v), corrupt(valid, func(b []byte) { b[4] = v })} {
+			if _, err := DecodeIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("DecodeIndex on version %d: %v", v, err)
+			}
 		}
 	}
 }
@@ -191,18 +285,19 @@ func corrupt(data []byte, edit func([]byte)) []byte {
 	return out
 }
 
-// TestDecodeArenaCorruptInput: truncated, misaligned, overlapping, mis-sized
-// and structurally invalid images must all be rejected with an error — never
-// a panic — by both the copying and aliasing parse.
-func TestDecodeArenaCorruptInput(t *testing.T) {
-	valid, _ := validArenaEncoding(t, true)
+type corruptCase struct {
+	name string
+	data []byte
+}
+
+// corruptArenaCases edits a valid image every way the decoder must catch:
+// header fields, section-table entries, the structural arrays, and
+// truncations at several depths.
+func corruptArenaCases(valid []byte) []corruptCase {
 	putU64 := func(b []byte, off int, v uint64) { binary.LittleEndian.PutUint64(b[off:], v) }
 	secOff := func(i int) int { return 88 + i*16 }
 
-	cases := []struct {
-		name string
-		data []byte
-	}{
+	cases := []corruptCase{
 		{"empty", nil},
 		{"header only half", valid[:100]},
 		{"bad magic", corrupt(valid, func(b []byte) { b[0] = 'X' })},
@@ -248,12 +343,19 @@ func TestDecodeArenaCorruptInput(t *testing.T) {
 		{"trailing garbage", append(append([]byte(nil), valid...), make([]byte, 64)...)},
 	}
 	for _, cut := range []int{8, arenaHeaderSize - 1, arenaHeaderSize + 3, len(valid) / 2, len(valid) - 1} {
-		cases = append(cases, struct {
-			name string
-			data []byte
-		}{"truncated", valid[:cut]})
+		cases = append(cases, corruptCase{"truncated", valid[:cut]})
 	}
-	for _, tc := range cases {
+	return cases
+}
+
+// TestDecodeArenaCorruptInput: truncated, misaligned, overlapping, mis-sized
+// and structurally invalid images must all be rejected with an error — never
+// a panic — by both the copying and aliasing parse.
+func TestDecodeArenaCorruptInput(t *testing.T) {
+	valid, _ := validArenaEncoding(t, true)
+	putU64 := func(b []byte, off int, v uint64) { binary.LittleEndian.PutUint64(b[off:], v) }
+	secOff := func(i int) int { return 88 + i*16 }
+	for _, tc := range corruptArenaCases(valid) {
 		for _, alias := range []bool{false, true} {
 			if _, err := DecodeArenaBytes(tc.data, alias); err == nil {
 				t.Errorf("%s (%d bytes, alias=%v): decode accepted corrupt input", tc.name, len(tc.data), alias)
@@ -272,6 +374,49 @@ func TestDecodeArenaCorruptInput(t *testing.T) {
 	if _, err := MapFrozen(path); err == nil {
 		t.Fatal("MapFrozen accepted a corrupt arena")
 	}
+}
+
+// TestDecodeCorruptInput: the same corruptions of a forest image — scattered
+// roots, shifted references, a code in two groups — are refused through the
+// reader, DecodeIndex.
+func TestDecodeCorruptInput(t *testing.T) {
+	valid := chunkedArena(t)
+	for _, tc := range corruptArenaCases(valid) {
+		if _, err := DecodeIndex(bytes.NewReader(tc.data)); err == nil {
+			t.Errorf("%s (%d bytes): decode accepted corrupt input", tc.name, len(tc.data))
+		}
+	}
+	if _, err := DecodeIndex(bytes.NewReader(valid)); err != nil {
+		t.Fatalf("valid encoding rejected: %v", err)
+	}
+}
+
+// FuzzDecodeIndex truncates a valid image and flips bits of one byte, where
+// FuzzSectionTable splats eight: a few bits wrong in one structural entry is
+// the damage a bad disk does. Reading it must either error or yield an index
+// whose walks terminate.
+func FuzzDecodeIndex(f *testing.F) {
+	valid, _ := validArenaEncoding(f, true)
+	f.Add(uint16(len(valid)), uint16(0), byte(0))
+	f.Add(uint16(len(valid)/2), uint16(5), byte(0xff))
+	f.Add(uint16(10), uint16(4), byte(1))
+	f.Fuzz(func(t *testing.T, cut uint16, flipAt uint16, flipMask byte) {
+		data := append([]byte(nil), valid...)
+		if int(cut) < len(data) {
+			data = data[:cut]
+		}
+		if len(data) > 0 {
+			data[int(flipAt)%len(data)] ^= flipMask
+		}
+		got, err := DecodeIndex(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		sr := NewSearcher(got)
+		for _, c := range got.Codes() {
+			sr.Search(c, 0)
+		}
+	})
 }
 
 // FuzzSectionTable mutates a valid v4 image — truncation plus an 8-byte

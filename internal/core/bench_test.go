@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -31,38 +30,6 @@ func BenchmarkHSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx.Search(codes[i%len(codes)], 3)
-	}
-}
-
-func BenchmarkEncode(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	codes := clusteredCodes(rng, 20000, 32, 16, 3)
-	idx := BuildDynamic(codes, nil, Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := idx.Encode(&buf, true); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(buf.Len()))
-	}
-}
-
-func BenchmarkDecode(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	codes := clusteredCodes(rng, 20000, 32, 16, 3)
-	idx := BuildDynamic(codes, nil, Options{})
-	var buf bytes.Buffer
-	if err := idx.Encode(&buf, true); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeDynamic(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

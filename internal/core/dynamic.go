@@ -652,9 +652,7 @@ func (x *DynamicIndex) SizeBytes() int {
 	return x.InternalSizeBytes() + x.LeafSizeBytes()
 }
 
-// InternalSizeBytes returns the footprint of the internal nodes only — the
-// part broadcast by MapReduce Hamming-join Option B, which drops the leaf
-// id tables (Section 5.3).
+// InternalSizeBytes returns the footprint of the internal nodes only.
 func (x *DynamicIndex) InternalSizeBytes() int {
 	sz := 0
 	x.walk(func(n *dnode) {
@@ -681,22 +679,11 @@ func (x *DynamicIndex) LeafCodeSizeBytes() int {
 	return sz
 }
 
-// LeafIDSizeBytes returns the footprint of the per-leaf tuple-id tables —
-// the part MapReduce Hamming-join Option B omits from the broadcast.
+// LeafIDSizeBytes returns the footprint of the per-leaf tuple-id tables.
 func (x *DynamicIndex) LeafIDSizeBytes() int {
 	sz := 0
 	for _, g := range x.byCode {
 		sz += 8 * len(g.ids)
-	}
-	return sz
-}
-
-// BroadcastSizeBytes returns the serialized size shipped to each node by the
-// distributed join: with ids (Option A) or leafless (Option B).
-func (x *DynamicIndex) BroadcastSizeBytes(withIDs bool) int {
-	sz := x.InternalSizeBytes() + x.LeafCodeSizeBytes()
-	if withIDs {
-		sz += x.LeafIDSizeBytes()
 	}
 	return sz
 }

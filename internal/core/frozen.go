@@ -36,8 +36,8 @@ type FrozenIndex struct {
 
 	// rootIDs lists the hierarchy roots. An index compiled by Freeze or built
 	// by BuildFrozen has the contiguous roots [0, len(rootIDs)); a streamed
-	// arena (FrozenStreamWriter) concatenates chunk forests, so its roots are
-	// scattered. Either way every child id strictly exceeds its parent's,
+	// arena (FrozenStreamWriter) or a Forest concatenates hierarchies, so its
+	// roots are scattered. Either way every child id strictly exceeds its parent's,
 	// which is the invariant the walks and decoders rely on.
 	rootIDs []int32
 
@@ -69,8 +69,7 @@ func Freeze(x *DynamicIndex) *FrozenIndex {
 	nw := (x.length + 63) / 64
 
 	// Leaf groups in hierarchy order: depth-first under the Gray-built
-	// roots, then the top-level leaves — the same contiguous Gray layout the
-	// codec serializes.
+	// roots, then the top-level leaves — one contiguous Gray layout.
 	srcGroups := make([]*leafGroup, 0, len(x.byCode))
 	x.walkGroups(func(g *leafGroup) { srcGroups = append(srcGroups, g) })
 	gidx := make(map[*leafGroup]int32, len(srcGroups))
@@ -139,6 +138,26 @@ func Freeze(x *DynamicIndex) *FrozenIndex {
 	f.childStart[nn] = int32(len(f.childList))
 	f.leafStart[nn] = int32(len(f.leafList))
 	return f
+}
+
+// walkGroups visits every leaf group exactly once in hierarchy order
+// (roots depth-first, then top-level leaves): the order Freeze numbers them.
+func (x *DynamicIndex) walkGroups(fn func(*leafGroup)) {
+	var rec func(n *dnode)
+	rec = func(n *dnode) {
+		for _, c := range n.children {
+			rec(c)
+		}
+		for _, g := range n.leaves {
+			fn(g)
+		}
+	}
+	for _, r := range x.roots {
+		rec(r)
+	}
+	for _, g := range x.topLeaves {
+		fn(g)
+	}
 }
 
 // Compiled returns idx in its compiled form: a *FrozenIndex as it is, the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -65,33 +64,6 @@ func FuzzStaticSegKey(f *testing.F) {
 		from := int(fromRaw) % (n - width + 1)
 		if got, want := staticSegKey(c, from, width), staticSegKeyRef(c, from, width); got != want {
 			t.Fatalf("n=%d from=%d width=%d: got %#x want %#x", n, from, width, got, want)
-		}
-	})
-}
-
-// FuzzDecodeDynamic: arbitrary bytes must produce an error, never a panic
-// or a structurally broken index.
-func FuzzDecodeDynamic(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("HADX"))
-	f.Add([]byte("HADX\x01\x20\x01\x00"))
-	// A valid encoding as seed.
-	codes := paperCodes()
-	idx := BuildDynamic(codes, nil, Options{Window: 2})
-	var buf bytes.Buffer
-	if err := idx.Encode(&buf, true); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeDynamic(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Whatever decoded must behave like an index.
-		q := got.Codes()
-		if len(q) > 0 {
-			got.Search(q[0], 1)
 		}
 	})
 }

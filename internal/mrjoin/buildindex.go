@@ -11,17 +11,15 @@ import (
 	"haindex/internal/vector"
 )
 
-// GlobalIndex is the phase-2 output: the merged HA-Index over R together
+// GlobalIndex is the phase-2 output: the global HA-Index over R together
 // with the cost of producing it.
 type GlobalIndex struct {
-	// Index is the merged pointer index: what broadcast sizes are measured
-	// on and Option B's id recovery enumerates. Frozen is the same index
-	// compiled flat, which the join and select reducers search; a
-	// GlobalIndex assembled without it is searched through Index.
-	Index   *core.DynamicIndex
-	Frozen  *core.FrozenIndex
+	// Index is the forest of the partitions' arenas, laid in partition order:
+	// what the join and select reducers search, and its encoded size is what
+	// their broadcasts ship.
+	Index   *core.FrozenIndex
 	Metrics mapreduce.Metrics
-	Merge   time.Duration // core.Merge plus core.Freeze
+	Merge   time.Duration // laying the partition arenas into one forest
 	// DFSWritten and DFSRead are the bytes the local-index persistence
 	// moved through the distributed filesystem (zero without Options.FS).
 	DFSWritten int64
@@ -32,14 +30,6 @@ type GlobalIndex struct {
 // filesystem.
 var buildSeq atomic.Int64
 
-// searchIndex is the index the join and select reducers search.
-func (g *GlobalIndex) searchIndex() core.Index {
-	if g.Frozen != nil {
-		return g.Frozen
-	}
-	return g.Index
-}
-
 // hashFuncSize estimates the broadcast size of the learned hash function:
 // the PCA projection matrix plus per-bit parameters.
 func hashFuncSize(pre *Preprocessed) int64 {
@@ -49,15 +39,18 @@ func hashFuncSize(pre *Preprocessed) int64 {
 // BuildGlobalIndex runs the first MapReduce job of Figure 5: every mapper
 // hashes its R tuples into binary codes and routes them to the partition
 // owning their Gray range (binary search over the broadcast pivots); every
-// reducer bulkloads a local HA-Index via H-Build; the local indexes are then
-// merged into the global index for R.
+// reducer bulkloads its partition's HA-Index by H-Build straight into the
+// serving arena (core.BuildFrozen); the partition arenas are then laid one
+// after another into the global index for R (core.Forest). A partition is
+// one Gray range, so the forest's hierarchies are the ranges' own and its
+// roots have nothing to consolidate across partitions.
 func BuildGlobalIndex(r []vector.Vec, pre *Preprocessed, opt Options) (*GlobalIndex, error) {
 	opt = opt.withDefaults()
 	if err := checkBits(pre, opt); err != nil {
 		return nil, err
 	}
 	var mu sync.Mutex
-	locals := make([]*core.DynamicIndex, opt.Partitions)
+	locals := make([]*core.FrozenIndex, opt.Partitions)
 	var dfsPrefix string
 	var wBefore, rBefore int64
 	if opt.FS != nil {
@@ -80,21 +73,22 @@ func BuildGlobalIndex(r []vector.Vec, pre *Preprocessed, opt Options) (*GlobalIn
 			if err != nil {
 				return err
 			}
+			rows := make([]uint64, 0, len(codes)*((opt.Bits+63)/64))
+			for _, c := range codes {
+				rows = append(rows, c.Words()...)
+			}
 			// The reducer-side H-Build over one partition.
-			local := core.BuildDynamic(codes, ids, opt.IndexOpts)
+			local := core.BuildFrozen(opt.Bits, rows, ids, opt.IndexOpts)
 			if opt.FS != nil {
-				// Persist the serialized local index to the DFS, as the
-				// paper's reducers do; the merge phase reads it back. The
-				// write is idempotent so a re-executed or speculative
-				// attempt can rewrite the same part file.
+				// Persist the local arena to the DFS, as the paper's reducers
+				// do; the merge phase reads it back. The write is idempotent so
+				// a re-executed or speculative attempt can rewrite the same
+				// part file.
 				w := opt.FS.CreateIdempotent(fmt.Sprintf("%spart-%05d", dfsPrefix, decodeID(key)))
-				if err := local.Encode(w, true); err != nil {
+				if err := local.EncodeArena(w, true); err != nil {
 					return fmt.Errorf("encoding local index: %w", err)
 				}
-				if err := w.Close(); err != nil {
-					return err
-				}
-				return nil
+				return w.Close()
 			}
 			// Keyed by partition so a re-executed or speculative attempt
 			// overwrites (with identical content) instead of duplicating.
@@ -110,19 +104,20 @@ func BuildGlobalIndex(r []vector.Vec, pre *Preprocessed, opt Options) (*GlobalIn
 		return nil, fmt.Errorf("mrjoin: build-index job: %w", err)
 	}
 	if opt.FS != nil {
+		// The part files list in partition order.
 		for _, path := range opt.FS.List(dfsPrefix) {
-			rd, err := opt.FS.Open(path)
+			data, err := opt.FS.ReadFile(path)
 			if err != nil {
 				return nil, fmt.Errorf("mrjoin: reading local index %s: %w", path, err)
 			}
-			local, err := core.DecodeDynamic(rd)
+			local, err := core.DecodeArenaBytes(data, false)
 			if err != nil {
 				return nil, fmt.Errorf("mrjoin: decoding local index %s: %w", path, err)
 			}
 			locals = append(locals, local)
 		}
 	}
-	parts := make([]*core.DynamicIndex, 0, len(locals))
+	parts := make([]*core.FrozenIndex, 0, len(locals))
 	for _, l := range locals {
 		if l != nil {
 			parts = append(parts, l)
@@ -132,9 +127,11 @@ func BuildGlobalIndex(r []vector.Vec, pre *Preprocessed, opt Options) (*GlobalIn
 		return nil, fmt.Errorf("mrjoin: no local indexes built (empty R?)")
 	}
 	t0 := time.Now()
-	global := core.Merge(parts...)
-	frozen := core.Freeze(global)
-	out := &GlobalIndex{Index: global, Frozen: frozen, Metrics: metrics, Merge: time.Since(t0)}
+	global, err := core.Forest(parts...)
+	if err != nil {
+		return nil, fmt.Errorf("mrjoin: merging local indexes: %w", err)
+	}
+	out := &GlobalIndex{Index: global, Metrics: metrics, Merge: time.Since(t0)}
 	if opt.FS != nil {
 		out.DFSWritten = opt.FS.BytesWritten() - wBefore
 		out.DFSRead = opt.FS.BytesRead() - rBefore

@@ -79,12 +79,12 @@ func HammingJoinA(s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt Options
 		Reducers:  opt.Partitions,
 		Partition: partitionByKeyUint32,
 		Broadcast: []mapreduce.Broadcast{
-			{Name: "global-ha-index", Size: int64(g.Index.BroadcastSizeBytes(true))},
+			{Name: "global-ha-index", Size: int64(g.Index.EncodedSizeArena(true))},
 			{Name: "hash", Size: hashFuncSize(pre)},
 			{Name: "pivots", Size: pivotsSize(pre)},
 		},
 		Map:    routeMapper(pre, 0),
-		Reduce: matchReducer(g.searchIndex(), opt, false),
+		Reduce: matchReducer(g.Index, opt, false),
 	}
 	opt.applyRuntime(&cfg)
 	out, metrics, err := mapreduce.Run(cfg, VecInput(s))
@@ -98,14 +98,14 @@ func HammingJoinA(s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt Options
 // index is broadcast, and reducers emit (qualifying binary code, sid) records
 // for a later join against R's code→id table to turn into pairs.
 func leaflessJoin(name string, s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt Options) ([]mapreduce.KV, mapreduce.Metrics, error) {
-	idx, codeLen := g.searchIndex(), bitvec.EncodedLen(opt.Bits)
+	codeLen := bitvec.EncodedLen(opt.Bits)
 	cfg := mapreduce.Config{
 		Name:      name,
 		Nodes:     opt.Nodes,
 		Reducers:  opt.Partitions,
 		Partition: partitionByKeyUint32,
 		Broadcast: []mapreduce.Broadcast{
-			{Name: "global-ha-index-leafless", Size: int64(g.Index.BroadcastSizeBytes(false))},
+			{Name: "global-ha-index-leafless", Size: int64(g.Index.EncodedSizeArena(false))},
 			{Name: "hash", Size: hashFuncSize(pre)},
 			{Name: "pivots", Size: pivotsSize(pre)},
 		},
@@ -115,7 +115,7 @@ func leaflessJoin(name string, s []vector.Vec, g *GlobalIndex, pre *Preprocessed
 			if err != nil {
 				return err
 			}
-			results, _ := core.SearchCodesBatch(idx, queries, opt.Threshold, opt.SearchWorkers)
+			results, _ := core.SearchCodesBatch(g.Index, queries, opt.Threshold, opt.SearchWorkers)
 			var recs slab
 			for i, qcs := range results {
 				for _, qc := range qcs {

@@ -315,12 +315,11 @@ func TestHammingJoinBLarge(t *testing.T) {
 	}
 }
 
-// TestBuildGlobalIndexViaDFS routes the local indexes through the simulated
-// distributed filesystem and verifies the merged index is identical to the
-// in-memory handoff.
+// TestBuildGlobalIndexViaDFS routes the local arenas through the simulated
+// distributed filesystem and verifies the global index is byte for byte the
+// one the in-memory handoff lays.
 func TestBuildGlobalIndexViaDFS(t *testing.T) {
-	r, s := testData(t, 400, 100)
-	_ = s
+	r, _ := testData(t, 400, 100)
 	opt := testOptions()
 	pre, err := Preprocess(r, r, opt)
 	if err != nil {
@@ -336,9 +335,6 @@ func TestBuildGlobalIndexViaDFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaDFS.Index.Len() != plain.Index.Len() {
-		t.Fatalf("len %d vs %d", viaDFS.Index.Len(), plain.Index.Len())
-	}
 	if viaDFS.DFSWritten == 0 || viaDFS.DFSRead == 0 {
 		t.Fatalf("DFS accounting empty: w=%d r=%d", viaDFS.DFSWritten, viaDFS.DFSRead)
 	}
@@ -346,22 +342,15 @@ func TestBuildGlobalIndexViaDFS(t *testing.T) {
 	if viaDFS.DFSWritten != 3*viaDFS.DFSRead {
 		t.Fatalf("expected 3x replication: w=%d r=%d", viaDFS.DFSWritten, viaDFS.DFSRead)
 	}
-	// The merged indexes answer identically.
-	codes := hashCodes(pre, r)
-	for q := 0; q < 25; q++ {
-		query := codes[(q*37)%len(codes)]
-		a := plain.Index.Search(query, 3)
-		b := viaDFS.Index.Search(query, 3)
-		sort.Ints(a)
-		sort.Ints(b)
-		if len(a) != len(b) {
-			t.Fatalf("DFS-built index differs: %d vs %d results", len(b), len(a))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatal("DFS-built index differs in ids")
-			}
-		}
+	var a, b bytes.Buffer
+	if err := plain.Index.EncodeArena(&a, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := viaDFS.Index.EncodeArena(&b, true); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("DFS-built index differs from the in-memory one")
 	}
 }
 
@@ -389,8 +378,11 @@ func TestMismatchedBitsFails(t *testing.T) {
 	}
 }
 
-// TestOptionBLeaflessBroadcastSmaller: Option B's broadcast is strictly
-// smaller than Option A's (the Section 5.3 point).
+// TestOptionBLeaflessBroadcastSmaller: every node is charged the bytes it
+// receives — the global index's encoded arena, with its ids for Option A and
+// the select job and leafless for Option B, beside the hash function and,
+// for the joins, the pivots — so Option B's broadcast is strictly smaller
+// than Option A's (the Section 5.3 point).
 func TestOptionBLeaflessBroadcastSmaller(t *testing.T) {
 	r, s := testData(t, 500, 200)
 	opt := testOptions()
@@ -409,6 +401,23 @@ func TestOptionBLeaflessBroadcastSmaller(t *testing.T) {
 	b, err := HammingJoinB(s, g, pre, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	sel, err := HammingSelect(s, g, pre, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, hash, pivots := int64(opt.Nodes), hashFuncSize(pre), pivotsSize(pre)
+	for _, c := range []struct {
+		plan      string
+		got, want int64
+	}{
+		{"option A", a.Metrics.BroadcastBytes, (int64(g.Index.EncodedSizeArena(true)) + hash + pivots) * nodes},
+		{"option B", b.Metrics.BroadcastBytes, (int64(g.Index.EncodedSizeArena(false)) + hash + pivots) * nodes},
+		{"select", sel.Metrics.BroadcastBytes, (int64(g.Index.EncodedSizeArena(true)) + hash) * nodes},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s charged %d broadcast bytes, want %d", c.plan, c.got, c.want)
+		}
 	}
 	if b.Metrics.BroadcastBytes >= a.Metrics.BroadcastBytes {
 		t.Fatalf("leafless broadcast %d should be below leafy %d",

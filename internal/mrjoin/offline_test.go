@@ -1,7 +1,9 @@
 package mrjoin
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"haindex/internal/dataset"
@@ -9,75 +11,93 @@ import (
 	"haindex/internal/mapreduce"
 )
 
-// TestFrozenPointerReferenceAgree: Options A and B and the select job return
-// the same answers over the frozen index as over the pointer index (a
-// GlobalIndex with Frozen cleared), and both equal ReferenceJoin over the very
-// r and s the plans were given — float64 components float32 cannot hold, so a
-// plan or a reference that skipped the wire rounding would flip bits — with
-// the local indexes handed over in memory and through the DFS, failure-free
-// and under the injected-fault plans.
-func TestFrozenPointerReferenceAgree(t *testing.T) {
+// TestJoinExactAtEveryPartitionCount: at 1, 2, 3 and 16 partitions — 16
+// leaves some of them empty — Options A and B and the select job over the
+// forest of partition arenas equal ReferenceJoin over the very r and s the
+// plans were given (float64 components float32 cannot hold, so a plan or a
+// reference that skipped the wire rounding would flip bits), with the local
+// arenas handed over in memory and through the DFS, failure-free and under
+// the injected-fault plans. The forest read back from the DFS encodes byte
+// for byte as the one handed over in memory, and the DFS read every byte once
+// of what it wrote at its replication.
+func TestJoinExactAtEveryPartitionCount(t *testing.T) {
 	r, s := testData(t, 320, 240)
-	pre, err := Preprocess(r, s, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ReferenceJoin(r, s, pre, testOptions().Threshold)
-	if len(want) == 0 {
-		t.Fatal("reference join empty; test data too sparse")
-	}
-	wantSelect := make([][]int, len(s))
-	for _, p := range want {
-		wantSelect[p.SID] = append(wantSelect[p.SID], p.RID)
-	}
-	for _, faults := range []bool{false, true} {
-		for _, viaDFS := range []bool{false, true} {
-			opt := testOptions()
-			if faults {
-				opt = faultedOptions()
-			}
-			if viaDFS {
-				opt.FS = dfs.New(2)
-			}
-			g, err := BuildGlobalIndex(r, pre, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g.Frozen == nil || g.Frozen.Len() != g.Index.Len() {
-				t.Fatalf("faults=%v dfs=%v: global index carries no frozen form of its %d tuples", faults, viaDFS, g.Index.Len())
-			}
-			pointer := *g
-			pointer.Frozen = nil
-			for name, gi := range map[string]*GlobalIndex{"frozen": g, "pointer": &pointer} {
-				label := fmt.Sprintf("faults=%v dfs=%v %s", faults, viaDFS, name)
-				a, err := HammingJoinA(s, gi, pre, opt)
+	for _, parts := range []int{1, 2, 3, 16} {
+		popt := testOptions()
+		popt.Partitions = parts
+		pre, err := Preprocess(r, s, popt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ReferenceJoin(r, s, pre, popt.Threshold)
+		if len(want) == 0 {
+			t.Fatal("reference join empty; test data too sparse")
+		}
+		wantSelect := make([][]int, len(s))
+		for _, p := range want {
+			wantSelect[p.SID] = append(wantSelect[p.SID], p.RID)
+		}
+		for _, faults := range []bool{false, true} {
+			var inMemory []byte
+			for _, viaDFS := range []bool{false, true} {
+				label := fmt.Sprintf("parts=%d faults=%v dfs=%v", parts, faults, viaDFS)
+				opt := testOptions()
+				if faults {
+					opt = faultedOptions()
+				}
+				opt.Partitions = parts
+				const replication = 2
+				if viaDFS {
+					opt.FS = dfs.New(replication)
+				}
+				g, err := BuildGlobalIndex(r, pre, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.Index.Len() != len(r) {
+					t.Fatalf("%s: global index holds %d tuples, want %d", label, g.Index.Len(), len(r))
+				}
+				if parts == 16 && !slices.Contains(g.Metrics.ReducerRecords, 0) {
+					t.Fatalf("%s: no partition is empty", label)
+				}
+				var img bytes.Buffer
+				if err := g.Index.EncodeArena(&img, true); err != nil {
+					t.Fatal(err)
+				}
+				if !viaDFS {
+					inMemory = img.Bytes()
+				} else {
+					if !bytes.Equal(img.Bytes(), inMemory) {
+						t.Fatalf("%s: the forest read back from the DFS is not the one handed over in memory", label)
+					}
+					if g.DFSRead == 0 || g.DFSWritten != replication*g.DFSRead {
+						t.Fatalf("%s: DFS wrote %d bytes and read %d, want %dx", label, g.DFSWritten, g.DFSRead, replication)
+					}
+				}
+				a, err := HammingJoinA(s, g, pre, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !equalPairs(a.Pairs, want) {
 					t.Errorf("%s: option A %d pairs want %d", label, len(a.Pairs), len(want))
 				}
-				b, err := HammingJoinB(s, gi, pre, opt)
+				b, err := HammingJoinB(s, g, pre, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !equalPairs(b.Pairs, want) {
 					t.Errorf("%s: option B %d pairs want %d", label, len(b.Pairs), len(want))
 				}
-				sel, err := HammingSelect(s, gi, pre, opt)
+				sel, err := HammingSelect(s, g, pre, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for q := range wantSelect {
-					got := make([]Pair, len(sel.IDs[q]))
-					for i, rid := range sel.IDs[q] {
-						got[i] = Pair{RID: rid, SID: q}
-					}
-					exp := make([]Pair, len(wantSelect[q]))
-					for i, rid := range wantSelect[q] {
-						exp[i] = Pair{RID: rid, SID: q}
-					}
-					if !equalPairs(got, exp) {
+					got := append([]int(nil), sel.IDs[q]...)
+					exp := append([]int(nil), wantSelect[q]...)
+					slices.Sort(got)
+					slices.Sort(exp)
+					if !slices.Equal(got, exp) {
 						t.Fatalf("%s: select query %d: %d ids want %d", label, q, len(got), len(exp))
 					}
 				}

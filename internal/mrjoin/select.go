@@ -31,11 +31,11 @@ func HammingSelect(queries []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt 
 		Reducers:  opt.Partitions,
 		Partition: partitionByKeyUint32,
 		Broadcast: []mapreduce.Broadcast{
-			{Name: "global-ha-index", Size: int64(g.Index.BroadcastSizeBytes(true))},
+			{Name: "global-ha-index", Size: int64(g.Index.EncodedSizeArena(true))},
 			{Name: "hash", Size: hashFuncSize(pre)},
 		},
 		Map:    routeMapper(pre, opt.Partitions),
-		Reduce: matchReducer(g.searchIndex(), opt, true),
+		Reduce: matchReducer(g.Index, opt, true),
 	}
 	opt.applyRuntime(&cfg)
 	out, metrics, err := mapreduce.Run(cfg, VecInput(queries))

@@ -122,15 +122,11 @@ func TestArenaSnapshotCorrupt(t *testing.T) {
 		t.Fatal("embedded arena not found")
 	}
 
-	// Splice: the snapshot header over the v1 build/exchange encoding.
+	// Splice: the snapshot header over a body of the retired v1 pointer
+	// encoding (64-bit codes, ids present, one group).
 	spliced := append([]byte(nil), data[:arenaOff]...)
-	rng := rand.New(rand.NewSource(46))
-	_, idx, _ := buildSnapshot(t, rng, 64, 3)
-	var v1body bytes.Buffer
-	if err := idx.Encode(&v1body, true); err != nil {
-		t.Fatal(err)
-	}
-	spliced = append(spliced, v1body.Bytes()...)
+	spliced = append(spliced, "HADX\x01\x40\x01\x01"...)
+	spliced = append(spliced, make([]byte, 64)...)
 	if _, _, err := ReadSnapshot(bytes.NewReader(spliced)); err == nil {
 		t.Error("snapshot header over a v1 pointer body accepted")
 	}
