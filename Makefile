@@ -105,11 +105,14 @@ bench-startup:
 	$(GO) test -run=NONE -bench='FromGroups' -benchmem ./internal/mih/
 	$(GO) test -run=NONE -bench='BenchmarkNew$$' -benchmem ./internal/planner/
 
-# Offline-pipeline microbenchmarks: the spectral-hash kernel and one map
-# task's per-record work (decode, hash, route, emit), with allocation counts.
+# Offline-pipeline microbenchmarks: the spectral-hash kernel, one map task's
+# per-record work (decode, hash, route, emit), and a join reducer's search (30k
+# probes in Gray blocks through a 30k-code forest of two parts, h=3), with
+# allocation counts.
 bench-offline:
 	$(GO) test -run=NONE -bench='SpectralHash' -benchmem ./internal/hash/
 	$(GO) test -run=NONE -bench='RouteMapper' -benchmem ./internal/mrjoin/
+	$(GO) test -run=NONE -bench='SearchBatchFrozen' -benchmem ./internal/core/
 
 # LSM microbenchmarks: one insert into a memtable filling to 4096 rows, one
 # seal of those 4096 rows (the build readers and writers wait out), one

@@ -421,7 +421,7 @@ func BenchmarkAblationResidual(b *testing.B) {
 	})
 	b.Run("recompute-all", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			idx.SearchRecomputeAll(e.query(i), benchH)
+			idx.SearchRecomputeAll(e.query(i), benchH, new(haindex.SearchStats))
 		}
 	})
 }

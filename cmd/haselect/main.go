@@ -75,6 +75,9 @@ func main() {
 		if batchIdx == nil {
 			fatalf("-workers requires -method dha, sha, or mih")
 		}
+		if f, ok := core.Compiled(batchIdx); ok {
+			batchIdx = f // a frozen index answers the batch a Gray block at a time
+		}
 		queries := make([]bitvec.Code, len(rowIDs))
 		for i, row := range rowIDs {
 			queries[i] = codes[row]

@@ -35,12 +35,14 @@ func main() {
 		idx.Len(), idx.NodeCount(), idx.EdgeCount())
 
 	// Example 1: Hamming-select with tq = "101100010", h = 3.
+	// A Searcher reports the work of its last search in its Stats.
 	tq := haindex.MustCode("101100010")
-	matches := idx.Search(tq, 3)
+	sr := haindex.NewSearcher(idx)
+	matches := sr.SearchAppend(nil, tq, 3)
 	sort.Ints(matches)
 	fmt.Printf("h-select(%s, S) at h=3: t%v\n", tq, matches)
 	fmt.Printf("  (paper's Example 1 expects {t0, t3, t4, t6})\n")
-	fmt.Printf("  work: %d distance computations for 8 tuples\n\n", idx.Stats.DistanceComputations)
+	fmt.Printf("  work: %d distance computations for 8 tuples\n\n", sr.Stats.DistanceComputations)
 
 	// Table 3's trace query.
 	trace := haindex.MustCode("010001011")

@@ -45,16 +45,16 @@ func Ablations(sc Scale) ([]Table, error) {
 	for _, v := range variants {
 		idx := core.BuildDynamic(env.Codes, nil, v.opts)
 		var dur time.Duration
-		comps := 0
+		var st core.SearchStats
 		t0 := time.Now()
 		for _, q := range env.Queries {
 			if v.recompute {
-				idx.SearchRecomputeAll(q, h)
+				idx.SearchRecomputeAll(q, h, &st)
 			} else {
-				idx.Search(q, h)
+				idx.SearchInto(q, h, &st)
 			}
-			comps += idx.Stats.DistanceComputations
 		}
+		comps := st.DistanceComputations
 		dur = time.Since(t0) / time.Duration(len(env.Queries))
 		t.Rows = append(t.Rows, []string{
 			v.name,

@@ -31,11 +31,8 @@ func Scaling(sc Scale) ([]Table, error) {
 		}
 		dha := core.BuildDynamic(env.Codes, nil, core.Options{})
 		nl := baseline.NewNestedLoop(env.Codes, nil)
-		var comps int
-		dhaT := timeQueries(env.Queries, func(q bitvec.Code) {
-			dha.Search(q, sc.Threshold)
-			comps += dha.Stats.DistanceComputations
-		})
+		var st core.SearchStats
+		dhaT := timeQueries(env.Queries, func(q bitvec.Code) { dha.SearchInto(q, sc.Threshold, &st) })
 		nlT := timeQueries(env.Queries, func(q bitvec.Code) { nl.Search(q, sc.Threshold) })
 		ratio := float64(nlT) / float64(max64(dhaT, time.Nanosecond))
 		t.Rows = append(t.Rows, []string{
@@ -43,7 +40,7 @@ func Scaling(sc Scale) ([]Table, error) {
 			ms(dhaT),
 			ms(nlT),
 			fmt.Sprintf("%.1f", ratio),
-			fmt.Sprintf("%d", comps/len(env.Queries)),
+			fmt.Sprintf("%d", st.DistanceComputations/len(env.Queries)),
 		})
 	}
 	return []Table{t}, nil

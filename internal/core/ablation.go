@@ -8,23 +8,22 @@ import "haindex/internal/bitvec"
 // its parent's, the bound is identical and the result set is exactly
 // Search's — only the redundant work returns. This is the ablation for the
 // residual-distance accounting DESIGN.md calls out; it exists to be
-// benchmarked, not used.
-func (x *DynamicIndex) SearchRecomputeAll(q bitvec.Code, h int) []int {
-	x.Stats = SearchStats{}
+// benchmarked, not used. Like SearchInto it adds its work to stats.
+func (x *DynamicIndex) SearchRecomputeAll(q bitvec.Code, h int, stats *SearchStats) []int {
 	var out []int
 	type qitem struct {
 		n *dnode
 	}
 	var queue []qitem
 	for _, r := range x.roots {
-		x.Stats.DistanceComputations++
+		stats.DistanceComputations++
 		if r.pat.Distance(q) <= h {
 			queue = append(queue, qitem{n: r})
 		}
 	}
 	for _, g := range x.topLeaves {
-		x.Stats.DistanceComputations++
-		x.Stats.LeavesChecked++
+		stats.DistanceComputations++
+		stats.LeavesChecked++
 		if _, ok := q.DistanceWithin(g.code, h); ok {
 			out = append(out, g.ids...)
 		}
@@ -32,23 +31,23 @@ func (x *DynamicIndex) SearchRecomputeAll(q bitvec.Code, h int) []int {
 	for len(queue) > 0 {
 		it := queue[0]
 		queue = queue[1:]
-		x.Stats.NodesVisited++
+		stats.NodesVisited++
 		for _, c := range it.n.children {
-			x.Stats.DistanceComputations++
+			stats.DistanceComputations++
 			if c.pat.Distance(q) <= h {
 				queue = append(queue, qitem{n: c})
 			}
 		}
 		for _, g := range it.n.leaves {
-			x.Stats.DistanceComputations++
-			x.Stats.LeavesChecked++
+			stats.DistanceComputations++
+			stats.LeavesChecked++
 			if _, ok := q.DistanceWithin(g.code, h); ok {
 				out = append(out, g.ids...)
 			}
 		}
 	}
 	for _, p := range x.buffer {
-		x.Stats.DistanceComputations++
+		stats.DistanceComputations++
 		if _, ok := q.DistanceWithin(p.code, h); ok {
 			out = append(out, p.id)
 		}

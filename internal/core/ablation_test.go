@@ -20,7 +20,7 @@ func TestSearchRecomputeAllEquivalence(t *testing.T) {
 				query.FlipBit(rng.Intn(32))
 			}
 			h := rng.Intn(7)
-			if !equalIDs(dyn.Search(query, h), dyn.SearchRecomputeAll(query, h)) {
+			if !equalIDs(dyn.Search(query, h), dyn.SearchRecomputeAll(query, h, new(SearchStats))) {
 				t.Fatal("ablation search diverges from H-Search")
 			}
 		}
@@ -80,10 +80,11 @@ func TestGrayOrderBeatsLexOnSuffixClusters(t *testing.T) {
 	for q := 0; q < 30; q++ {
 		query := codes[rng.Intn(len(codes))].Clone()
 		query.FlipBit(rng.Intn(32))
-		grayIdx.Search(query, 3)
-		grayWork += grayIdx.Stats.DistanceComputations
-		lexIdx.Search(query, 3)
-		lexWork += lexIdx.Stats.DistanceComputations
+		var grayStats, lexStats SearchStats
+		grayIdx.SearchInto(query, 3, &grayStats)
+		grayWork += grayStats.DistanceComputations
+		lexIdx.SearchInto(query, 3, &lexStats)
+		lexWork += lexStats.DistanceComputations
 	}
 	if grayWork > lexWork*2 {
 		t.Errorf("gray order did %d computations vs lex %d; expected competitive or better", grayWork, lexWork)

@@ -147,12 +147,13 @@ func TestDynamicHugeThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(143))
 	codes := clusteredCodes(rng, 1500, 32, 8, 3)
 	dyn := BuildDynamic(codes, nil, Options{})
-	got := dyn.Search(bitvec.Rand(rng, 32), 32)
+	var st SearchStats
+	got := dyn.SearchInto(bitvec.Rand(rng, 32), 32, &st)
 	if len(got) != len(codes) {
 		t.Fatalf("h=L should return everything: %d of %d", len(got), len(codes))
 	}
-	if dyn.Stats.DistanceComputations > 4*len(codes) {
-		t.Fatalf("search work %d not linear-bounded", dyn.Stats.DistanceComputations)
+	if st.DistanceComputations > 4*len(codes) {
+		t.Fatalf("search work %d not linear-bounded", st.DistanceComputations)
 	}
 }
 

@@ -308,10 +308,11 @@ func TestRedundancyElimination(t *testing.T) {
 	dyn := BuildDynamic(codes, nil, Options{})
 	q := codes[0].Clone()
 	q.FlipBit(3)
-	dyn.Search(q, 3)
-	if dyn.Stats.DistanceComputations >= len(codes) {
+	var st SearchStats
+	dyn.SearchInto(q, 3, &st)
+	if st.DistanceComputations >= len(codes) {
 		t.Errorf("HA-Index did %d distance computations for n=%d; expected sublinear",
-			dyn.Stats.DistanceComputations, len(codes))
+			st.DistanceComputations, len(codes))
 	}
 }
 
@@ -332,11 +333,12 @@ func TestDownwardClosurePruning(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		q.FlipBit(i)
 	}
-	if got := dyn.Search(q, 3); len(got) != 0 {
+	var st SearchStats
+	if got := dyn.SearchInto(q, 3, &st); len(got) != 0 {
 		t.Fatalf("got %d results", len(got))
 	}
-	if dyn.Stats.DistanceComputations > 200 {
-		t.Errorf("pruning ineffective: %d computations", dyn.Stats.DistanceComputations)
+	if st.DistanceComputations > 200 {
+		t.Errorf("pruning ineffective: %d computations", st.DistanceComputations)
 	}
 }
 

@@ -118,13 +118,6 @@ type DynamicIndex struct {
 
 	// buffer holds inserts not yet merged into the hierarchy (Section 4.5).
 	buffer []pendingInsert
-
-	// Stats describes the most recent Search/SearchCodes call.
-	//
-	// Deprecated: the field is a single-threaded convenience — Search copies
-	// the statistics back here, so concurrent callers sharing one index must
-	// use a Searcher (or SearchInto) and read per-searcher stats instead.
-	Stats SearchStats
 }
 
 type pendingInsert struct {
@@ -364,15 +357,14 @@ func (x *DynamicIndex) Len() int { return x.n + len(x.buffer) }
 func (x *DynamicIndex) Length() int { return x.length }
 
 // Search returns the ids of all tuples whose codes are within Hamming
-// distance h of q (Algorithm 3, H-Search). It records per-query work in
-// x.Stats; concurrent callers sharing one index (e.g. reducers searching a
-// broadcast index) should use SearchInto with their own stats.
+// distance h of q (Algorithm 3, H-Search). It does not mutate the index;
+// SearchInto, or a Searcher's Stats, reports the work it did.
 func (x *DynamicIndex) Search(q bitvec.Code, h int) []int {
-	x.Stats = SearchStats{}
-	return x.SearchInto(q, h, &x.Stats)
+	var stats SearchStats
+	return x.SearchInto(q, h, &stats)
 }
 
-// SearchInto is Search with caller-owned statistics; it does not mutate the
+// SearchInto is Search adding its work to stats; it does not mutate the
 // index and is safe for concurrent use.
 func (x *DynamicIndex) SearchInto(q bitvec.Code, h int, stats *SearchStats) []int {
 	var out []int
@@ -388,19 +380,13 @@ func (x *DynamicIndex) SearchInto(q bitvec.Code, h int, stats *SearchStats) []in
 
 // SearchCodes returns the distinct qualifying binary codes instead of tuple
 // ids — the leafless mode used by MapReduce Hamming-join Option B, where a
-// post-processing join recovers the ids.
+// post-processing join recovers the ids. A Searcher's SearchCodes reports
+// the work.
 func (x *DynamicIndex) SearchCodes(q bitvec.Code, h int) []bitvec.Code {
-	x.Stats = SearchStats{}
-	return x.SearchCodesInto(q, h, &x.Stats)
-}
-
-// SearchCodesInto is SearchCodes with caller-owned statistics, safe for
-// concurrent use.
-func (x *DynamicIndex) SearchCodesInto(q bitvec.Code, h int, stats *SearchStats) []bitvec.Code {
 	var out []bitvec.Code
-	x.search(q, h, stats, func(g *leafGroup) { out = append(out, g.code) })
+	var stats SearchStats
+	x.search(q, h, &stats, func(g *leafGroup) { out = append(out, g.code) })
 	for _, p := range x.buffer {
-		stats.DistanceComputations++
 		if _, ok := q.DistanceWithin(p.code, h); ok {
 			out = append(out, p.code)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"haindex/internal/bitvec"
@@ -387,6 +388,160 @@ func (f *FrozenIndex) walkEmit(sr *Searcher, qw []uint64, h int, emit func(*leaf
 		}
 	}
 	sr.fqueue = queue[:0] // keep the high-water capacity
+}
+
+// blockSize is the most queries one shared walk carries, so that a node's
+// alive set is one uint64. BenchmarkSearchBatchFrozen chose it over 16 and 32.
+const blockSize = 64
+
+// bitem is one block-walk queue entry: a node id, the block's queries still
+// alive there (bit j for query j), and where their accumulated distances
+// start in the searcher's bdists, one per alive query in bit order.
+type bitem struct {
+	nid  int32
+	off  int32
+	mask uint64
+}
+
+// walkBlock is walkEmit for up to blockSize queries at once: one
+// breadth-first walk over the union of their walks, in which each child's
+// residual and each leaf group's code is loaded once per node visit and
+// tested against every query alive at the node. Query j's qualifying groups
+// land in sr.bout[j] in the order walkEmit emits them for that query alone,
+// since the shared queue restricted to the nodes where j is alive is j's own
+// queue. The stats count what the block's walkEmit calls would, summed.
+func (f *FrozenIndex) walkBlock(sr *Searcher, qs []bitvec.Code, h int) {
+	nq, nw := len(qs), f.nw
+	hh := int32(h)
+	if sr.bout == nil {
+		sr.bout = make([][]int32, blockSize)
+	}
+	out := sr.bout[:nq]
+	for j := range out {
+		out[j] = out[j][:0]
+	}
+	// Query j's words sit at qw[j*nw:], padded to a full block so the
+	// one-word tests can index it as an array.
+	qw := slices.Grow(sr.bwords[:0], blockSize*nw)[:blockSize*nw]
+	for j, q := range qs {
+		copy(qw[j*nw:], q.Words())
+	}
+	queue, dists := sr.bqueue[:0], sr.bdists[:0]
+	sr.Stats = SearchStats{
+		DistanceComputations: nq * (len(f.rootIDs) + len(f.topLeaves)),
+		LeavesChecked:        nq * len(f.topLeaves),
+	}
+	// The roots and the top-level leaves are the children and leaves of a
+	// node every query reaches at distance 0 with no bits fixed.
+	var zero [blockSize]int32
+	all := uint64(1)<<nq - 1
+	queue, dists = f.pushChildren(queue, dists, qw, all, zero[:nq], f.rootIDs, hh)
+	f.emitLeaves(out, qw, all, zero[:nq], f.topLeaves, -1, hh)
+	for head := 0; head < len(queue); head++ {
+		it := queue[head]
+		pd := dists[it.off : int(it.off)+f.chargeVisit(&sr.Stats, it)]
+		queue, dists = f.pushChildren(queue, dists, qw, it.mask, pd, f.childList[f.childStart[it.nid]:f.childStart[it.nid+1]], hh)
+		f.emitLeaves(out, qw, it.mask, pd, f.leafList[f.leafStart[it.nid]:f.leafStart[it.nid+1]], it.nid, hh)
+	}
+	// Keep the high-water capacities.
+	sr.bwords, sr.bqueue, sr.bdists = qw[:0], queue[:0], dists[:0]
+}
+
+// pushChildren tests each child's residual against the queries alive in
+// mask, whose distances so far are pd in bit order, and queues every child
+// some query survives with the survivors' distances.
+func (f *FrozenIndex) pushChildren(queue []bitem, dists []int32, qw []uint64, mask uint64, pd []int32, children []int32, hh int32) ([]bitem, []int32) {
+	dists = slices.Grow(dists, len(children)*len(pd))
+	for _, c := range children {
+		off := len(dists)
+		if m, n := f.childAlive(qw, mask, pd, dists[off:off+len(pd)], c, hh); m != 0 {
+			dists = dists[:off+n]
+			queue = append(queue, bitem{nid: c, off: int32(off), mask: m})
+		}
+	}
+	return queue, dists
+}
+
+// childAlive tests node c's residual against the queries alive in mask,
+// whose distances so far are pd in bit order. It writes the survivors'
+// distances to the front of buf and returns their mask and count. It is its
+// own function so that the loop's state stays in registers: inside walkBlock
+// it spills to the stack.
+func (f *FrozenIndex) childAlive(qw []uint64, mask uint64, pd, buf []int32, c, hh int32) (uint64, int) {
+	n, m := 0, uint64(0)
+	if nw := f.nw; nw == 1 {
+		qa := (*[blockSize]uint64)(qw)
+		rm, rb := f.resSlab[2*int(c)], f.resSlab[2*int(c)+1]
+		for k, rest := 0, mask; rest != 0; k, rest = k+1, rest&(rest-1) {
+			j := bits.TrailingZeros64(rest) & (blockSize - 1)
+			if d := pd[k] + int32(bits.OnesCount64((qa[j]^rb)&rm)); d <= hh {
+				buf[n] = d
+				n++
+				m |= 1 << j
+			}
+		}
+	} else {
+		res := f.resSlab[int(c)*2*nw : int(c+1)*2*nw]
+		for k, rest := 0, mask; rest != 0; k, rest = k+1, rest&(rest-1) {
+			j := bits.TrailingZeros64(rest)
+			if d := pd[k] + int32(residualDistance(res, qw[j*nw:], nw)); d <= hh {
+				buf[n] = d
+				n++
+				m |= 1 << j
+			}
+		}
+	}
+	return m, n
+}
+
+// emitLeaves tests each leaf group's code, outside node nid's pattern (all
+// of it when nid is -1), against the queries alive in mask, whose distances
+// so far are pd in bit order, and appends the group to out[j] for every
+// query j within hh.
+func (f *FrozenIndex) emitLeaves(out [][]int32, qw []uint64, mask uint64, pd []int32, leaves []int32, nid, hh int32) {
+	if nw := f.nw; nw == 1 {
+		qa := (*[blockSize]uint64)(qw)
+		var pm uint64
+		if nid >= 0 {
+			pm = f.maskSlab[nid]
+		}
+		for _, gi := range leaves {
+			c := f.codeSlab[gi]
+			for k, rest := 0, mask; rest != 0; k, rest = k+1, rest&(rest-1) {
+				j := bits.TrailingZeros64(rest) & (blockSize - 1)
+				if pd[k]+int32(bits.OnesCount64((qa[j]^c)&^pm)) <= hh {
+					out[j] = append(out[j], gi)
+				}
+			}
+		}
+	} else {
+		var pm []uint64
+		if nid >= 0 {
+			pm = f.maskSlab[int(nid)*nw : int(nid+1)*nw]
+		} else {
+			pm = make([]uint64, nw)
+		}
+		for _, gi := range leaves {
+			c := f.codeSlab[int(gi)*nw : int(gi+1)*nw]
+			for k, rest := 0, mask; rest != 0; k, rest = k+1, rest&(rest-1) {
+				j := bits.TrailingZeros64(rest)
+				if pd[k]+int32(distExcludingWords(qw[j*nw:(j+1)*nw], c, pm)) <= hh {
+					out[j] = append(out[j], gi)
+				}
+			}
+		}
+	}
+}
+
+// chargeVisit counts one block-walk node visit in st as its alive queries'
+// walkEmit visits would, and returns how many queries are alive there.
+func (f *FrozenIndex) chargeVisit(st *SearchStats, it bitem) int {
+	alive := bits.OnesCount64(it.mask)
+	nl := int(f.leafStart[it.nid+1] - f.leafStart[it.nid])
+	st.NodesVisited += alive
+	st.DistanceComputations += alive * (int(f.childStart[it.nid+1]-f.childStart[it.nid]) + nl)
+	st.LeavesChecked += alive * nl
+	return alive
 }
 
 // walkMemo is the TopK variant of the walk: it appends every qualifying leaf

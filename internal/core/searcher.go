@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"haindex/internal/bitvec"
+	"haindex/internal/gray"
 )
 
 // Index is the read-only query interface shared by the Static and Dynamic
@@ -60,6 +61,14 @@ type Searcher struct {
 	// group (fillGroup); the emit closures copy out of it synchronously, so
 	// the arena never materializes a resident groups array.
 	fgroup leafGroup
+
+	// Block walk scratch (SearchBatch over a frozen index): the shared queue,
+	// the accumulated distances its entries index, the block's query words,
+	// and each query's qualifying groups (see FrozenIndex.walkBlock).
+	bqueue []bitem
+	bdists []int32
+	bwords []uint64
+	bout   [][]int32
 
 	// Static walk scratch. memo[l][nid] packs (epoch<<7 | dist+1) so the
 	// per-level distance tables reset between queries by bumping epoch
@@ -155,72 +164,125 @@ func (s *SearchStats) Add(o SearchStats) {
 }
 
 // SearchBatch answers a batch of Hamming-select queries against one shared
-// read-only index with a pool of workers, each draining queries through its
-// own Searcher. results[i] holds the ids matching queries[i] (nil when none).
+// read-only index with a pool of workers. results[i] holds the ids matching
+// queries[i], in the order Searcher.Search returns them (nil when none).
 // workers <= 0 selects GOMAXPROCS; workers == 1 runs serially on the calling
 // goroutine. The returned stats aggregate the work of the whole batch.
+//
+// Over a *FrozenIndex the queries are walked a Gray-ordered block at a time
+// (FrozenIndex.walkBlock), so neighbouring queries share the nodes at the top
+// of the hierarchy; any other index answers them one by one on a Searcher.
+// The results of one worker share a backing array, each capacity-clamped.
 func SearchBatch(idx Index, queries []bitvec.Code, h, workers int) ([][]int, SearchStats) {
-	results := make([][]int, len(queries))
-	stats := runBatch(idx, queries, h, workers, func(sr *Searcher, i int, q bitvec.Code) {
-		if out := sr.Search(q, h); len(out) > 0 {
-			results[i] = append([]int(nil), out...)
-		}
-	})
-	return results, stats
+	return searchBatch(idx, queries, h, workers, (*Searcher).Search,
+		func(dst []int, f *FrozenIndex, gi int32) []int { return append(dst, f.groupIDs(gi)...) })
 }
 
 // SearchCodesBatch is SearchBatch returning the distinct qualifying codes
-// per query — the leafless mode of MapReduce Hamming-join Option B.
+// per query — the leafless mode of MapReduce Hamming-join Option B — in the
+// order Searcher.SearchCodes returns them.
 func SearchCodesBatch(idx Index, queries []bitvec.Code, h, workers int) ([][]bitvec.Code, SearchStats) {
-	results := make([][]bitvec.Code, len(queries))
-	stats := runBatch(idx, queries, h, workers, func(sr *Searcher, i int, q bitvec.Code) {
-		if out := sr.SearchCodes(q, h); len(out) > 0 {
-			results[i] = append([]bitvec.Code(nil), out...)
-		}
-	})
-	return results, stats
+	return searchBatch(idx, queries, h, workers, (*Searcher).SearchCodes,
+		func(dst []bitvec.Code, f *FrozenIndex, gi int32) []bitvec.Code { return append(dst, f.groupCode(gi)) })
 }
 
-// runBatch partitions the query batch across workers; each worker owns one
-// Searcher and claims queries off a shared atomic cursor, so skewed queries
-// do not unbalance fixed chunks.
-func runBatch(idx Index, queries []bitvec.Code, h, workers int, run func(sr *Searcher, i int, q bitvec.Code)) SearchStats {
+// searchBatch is SearchBatch for either result kind: search answers one
+// query on a Searcher, and put appends what search emits for frozen leaf
+// group gi.
+func searchBatch[T any](idx Index, queries []bitvec.Code, h, workers int,
+	search func(*Searcher, bitvec.Code, int) []T, put func([]T, *FrozenIndex, int32) []T) ([][]T, SearchStats) {
+	results := make([][]T, len(queries))
+	f, ok := idx.(*FrozenIndex)
+	if !ok {
+		return results, runBatch(idx, len(queries), workers, func(sr *Searcher) func(int) {
+			var keep slab[T]
+			return func(i int) {
+				if out := search(sr, queries[i], h); len(out) > 0 {
+					results[i] = keep.add(out)
+				}
+			}
+		})
+	}
+	for _, q := range queries {
+		if q.Len() != f.length {
+			panic(fmt.Sprintf("core: %d-bit query against %d-bit frozen index", q.Len(), f.length))
+		}
+	}
+	// Gray order puts queries that agree on their leading bits side by side,
+	// and so in one block; perm maps a sorted position back to the caller's.
+	sorted := append([]bitvec.Code(nil), queries...)
+	perm := make([]int, len(sorted))
+	for i := range perm {
+		perm[i] = i
+	}
+	gray.Sort(sorted, perm)
+	blocks := (len(sorted) + blockSize - 1) / blockSize
+	return results, runBatch(idx, blocks, workers, func(sr *Searcher) func(int) {
+		var keep slab[T]
+		var out []T
+		return func(b int) {
+			lo := b * blockSize
+			hi := min(lo+blockSize, len(sorted))
+			f.walkBlock(sr, sorted[lo:hi], h)
+			for j, groups := range sr.bout[:hi-lo] {
+				out = out[:0]
+				for _, gi := range groups {
+					out = put(out, f, gi)
+				}
+				if len(out) > 0 {
+					results[perm[lo+j]] = keep.add(out)
+				}
+			}
+		}
+	})
+}
+
+// slab is one batch worker's result storage: add copies a result into the
+// current backing array, or into a fresh one at least twice the size when it
+// does not fit, so a batch allocates a few arrays rather than one per query.
+type slab[T any] []T
+
+func (s *slab[T]) add(out []T) []T {
+	if cap(*s)-len(*s) < len(out) {
+		*s = make([]T, 0, max(len(out), 2*cap(*s), 256))
+	}
+	at := len(*s)
+	*s = append(*s, out...)
+	return (*s)[at:len(*s):len(*s)]
+}
+
+// runBatch runs units [0, n) on a pool of workers, each with its own Searcher
+// and the run function worker builds over it. Workers claim units off a shared
+// atomic cursor, so skewed units do not unbalance fixed chunks. A unit leaves
+// its work in sr.Stats, and the returned stats sum every unit's.
+func runBatch(idx Index, n, workers int, worker func(sr *Searcher) func(unit int)) SearchStats {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers <= 1 {
-		sr := NewSearcher(idx)
-		var agg SearchStats
-		for i, q := range queries {
-			run(sr, i, q)
-			agg.Add(sr.Stats)
-		}
-		return agg
-	}
+	workers = max(min(workers, n), 1)
 	var cursor atomic.Int64
 	perWorker := make([]SearchStats, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sr := NewSearcher(idx)
-			var agg SearchStats
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(queries) {
-					break
-				}
-				run(sr, i, queries[i])
-				agg.Add(sr.Stats)
-			}
-			perWorker[w] = agg
-		}(w)
+	drain := func(w int) {
+		sr := NewSearcher(idx)
+		run := worker(sr)
+		for u := int(cursor.Add(1)) - 1; u < n; u = int(cursor.Add(1)) - 1 {
+			run(u)
+			perWorker[w].Add(sr.Stats)
+		}
 	}
-	wg.Wait()
+	if workers == 1 {
+		drain(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				drain(w)
+			}()
+		}
+		wg.Wait()
+	}
 	var agg SearchStats
 	for _, st := range perWorker {
 		agg.Add(st)

@@ -104,12 +104,13 @@ func TestTable3Trace(t *testing.T) {
 	codes := paperCodes()
 	idx := BuildDynamic(codes, nil, Options{Window: 2, Depth: 3})
 	q := bitvec.MustFromString("010001011")
-	got := idx.Search(q, 3)
+	var st SearchStats
+	got := idx.SearchInto(q, 3, &st)
 	if !equalIDs(got, []int{0}) {
 		t.Fatalf("trace answer %v want [0]", got)
 	}
-	if idx.Stats.LeavesChecked >= len(codes) {
-		t.Errorf("trace checked %d leaves of %d; expected pruning", idx.Stats.LeavesChecked, len(codes))
+	if st.LeavesChecked >= len(codes) {
+		t.Errorf("trace checked %d leaves of %d; expected pruning", st.LeavesChecked, len(codes))
 	}
 }
 

@@ -31,9 +31,10 @@ func decodePairs(out []mapreduce.KV) []Pair {
 }
 
 // matchReducer is the reduce side of Option A and of the select job: batch
-// the key group's queries through the shared read-only index (one Searcher
-// per worker) and emit one (match id, query id) record per result — or
-// (query id, match id) when queryFirst — in record order, out of one slab.
+// the key group's queries through the shared read-only forest, which
+// core.SearchBatch walks a Gray-ordered block of queries at a time, and emit
+// one (match id, query id) record per result — or (query id, match id) when
+// queryFirst — in record order, out of one slab.
 func matchReducer(idx core.Index, opt Options, queryFirst bool) mapreduce.ReduceFunc {
 	return func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
 		qids, queries, err := decodeIDCodeBatch(values, opt.Bits)
