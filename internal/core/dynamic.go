@@ -410,7 +410,7 @@ func (x *DynamicIndex) search(q bitvec.Code, h int, stats *SearchStats, emit fun
 // searchWith implements Index: the same H-Search on the searcher's own work
 // queue (reused across queries), followed by a linear pass over the
 // unflushed insert buffer through emitOne.
-func (x *DynamicIndex) searchWith(sr *Searcher, q bitvec.Code, h int, emitGroup func(*leafGroup), emitOne func(int, bitvec.Code)) {
+func (x *DynamicIndex) searchWith(sr *Searcher, q bitvec.Code, h int, emitGroup func(*leafGroup), emitOne func(int, bitvec.Code)) (GroupView, []int32) {
 	x.searchHier(&sr.queue, q, h, &sr.Stats, emitGroup)
 	for i := range x.buffer {
 		sr.Stats.DistanceComputations++
@@ -418,6 +418,7 @@ func (x *DynamicIndex) searchWith(sr *Searcher, q bitvec.Code, h int, emitGroup 
 			emitOne(x.buffer[i].id, x.buffer[i].code)
 		}
 	}
+	return GroupView{}, nil
 }
 
 // searchHier is the H-Search core over a caller-supplied queue; *queue is

@@ -12,10 +12,11 @@ import (
 // AsIndex. The adapted index runs under Searcher, SearchBatch,
 // SearchCodesBatch, and the generic radius-escalating TopK unchanged.
 type Engine interface {
-	// Length returns the code length L in bits.
-	Length() int
-	// Len returns the number of indexed tuples.
-	Len() int
+	// Groups returns the leaf arena the engine indexes: its code length,
+	// its distinct codes and their tuple ids. The engine's searches report
+	// qualifying groups as indexes into it, and the adapter resolves ids or
+	// codes from it.
+	Groups() GroupView
 	// NewScratch returns a fresh per-searcher scratch. Each Searcher bound
 	// to the adapted index creates exactly one scratch lazily and reuses it,
 	// mirroring the Searcher-as-unit-of-concurrency contract: scratches are
@@ -25,42 +26,41 @@ type Engine interface {
 
 // EngineScratch is one searcher's mutable state over an Engine.
 type EngineScratch interface {
-	// Search runs one Hamming-select: emit receives every qualifying
-	// distinct code once, with its tuple ids. The slices passed to emit may
-	// alias the engine's arenas and must not be retained or mutated. Work
-	// done is accumulated into stats.
-	Search(q bitvec.Code, h int, stats *SearchStats, emit func(ids []int, code bitvec.Code))
+	// Search runs one Hamming-select: it appends to out the index in the
+	// engine's Groups of every qualifying distinct code, once each, and
+	// returns the extended slice. Work done is accumulated into stats.
+	Search(q bitvec.Code, h int, stats *SearchStats, out []int32) []int32
 }
 
 // EngineIndex adapts an Engine to the sealed Index interface. Create with
-// AsIndex. The wrapper routes the engine's emit callback through per-Searcher
-// persistent state, so steady-state search over an adapted engine stays
+// AsIndex. The engine's group indexes land in the searcher's reusable group
+// buffer, so steady-state search over an adapted engine stays
 // allocation-free when the engine's own scratch is.
 type EngineIndex struct {
 	eng Engine
+	grp GroupView
 }
 
 // AsIndex wraps an external engine as a core.Index.
-func AsIndex(e Engine) *EngineIndex { return &EngineIndex{eng: e} }
+func AsIndex(e Engine) *EngineIndex { return &EngineIndex{eng: e, grp: e.Groups()} }
 
 // Engine returns the wrapped engine (e.g. for codec type switches).
 func (x *EngineIndex) Engine() Engine { return x.eng }
 
 // Length returns the code length L in bits.
-func (x *EngineIndex) Length() int { return x.eng.Length() }
+func (x *EngineIndex) Length() int { return x.grp.Length }
 
 // Len returns the number of indexed tuples.
-func (x *EngineIndex) Len() int { return x.eng.Len() }
+func (x *EngineIndex) Len() int { return len(x.grp.IDs) }
 
-// searchWith implements Index: the engine's qualifying groups are forwarded
-// through the searcher's reusable leafGroup shim, so the existing emit
-// closures (ids and codes alike) work unchanged. emitOne is never invoked —
-// an engine has no unflushed insert buffer.
-func (x *EngineIndex) searchWith(sr *Searcher, q bitvec.Code, h int, emitGroup func(*leafGroup), emitOne func(int, bitvec.Code)) {
+// searchWith implements Index: the engine's qualifying groups, as indexes
+// into its arena. An engine has no unflushed insert buffer, so neither emit
+// function is invoked.
+func (x *EngineIndex) searchWith(sr *Searcher, q bitvec.Code, h int, _ func(*leafGroup), _ func(int, bitvec.Code)) (GroupView, []int32) {
 	if sr.xscratch == nil {
 		sr.xscratch = x.eng.NewScratch()
 	}
-	sr.xtarget = emitGroup
-	sr.xscratch.Search(q, h, &sr.Stats, sr.xemit)
-	sr.xtarget = nil
+	groups := sr.xscratch.Search(q, h, &sr.Stats, sr.groups[:0])
+	sr.groups = groups
+	return x.grp, groups
 }

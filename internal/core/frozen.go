@@ -21,10 +21,9 @@ import (
 // uses) are packed back to back in resSlab at offset i*2*nw, and the node's
 // full pattern mask (for the leaf-level DistanceExcluding) in maskSlab at
 // i*nw. Leaf codes sit word-packed in Gray (hierarchy) order in codeSlab,
-// tuple ids in idSlab with idStart offsets; fillGroup materializes any group
-// on demand into a per-Searcher scratch leafGroup whose code and ids alias
-// the arena, so the Searcher's existing emit closures work unchanged without
-// a resident groups array.
+// tuple ids in idSlab with idStart offsets. The walks report qualifying
+// groups as indexes into that leaf arena, and the Searcher resolves ids or
+// codes from it, so no resident groups array is ever materialized.
 //
 // A FrozenIndex is immutable: it has no insert buffer and no Insert/Delete.
 // It implements Index, so Searcher, SearchBatch, SearchCodesBatch, and TopK
@@ -175,19 +174,6 @@ func Compiled(idx Index) (*FrozenIndex, bool) {
 	return nil, false
 }
 
-// fillGroup materializes leaf group gi into the caller's scratch: the code
-// and id slices alias the arena (capacity-clamped so appends can never
-// bleed). Groups are no longer kept as a resident []leafGroup array — at
-// millions of distinct codes the headers alone cost more than the slabs —
-// so the walks pass each qualifying group through a per-Searcher scratch
-// value instead.
-func (f *FrozenIndex) fillGroup(gi int32, g *leafGroup) {
-	lo, hi := f.idStart[gi], f.idStart[gi+1]
-	g.code = bitvec.FromWordsShared(f.codeSlab[int(gi)*f.nw:int(gi+1)*f.nw], f.length)
-	g.ids = f.idSlab[lo:hi:hi]
-	g.parent = nil
-}
-
 // groupCode returns leaf group gi's code, aliasing the arena.
 func (f *FrozenIndex) groupCode(gi int32) bitvec.Code {
 	return bitvec.FromWordsShared(f.codeSlab[int(gi)*f.nw:int(gi+1)*f.nw], f.length)
@@ -270,13 +256,15 @@ func (f *FrozenIndex) Codes() []bitvec.Code {
 func (f *FrozenIndex) Tuples(fn func(id int, code bitvec.Code)) { f.Groups().Tuples(fn) }
 
 // searchWith implements Index: the H-Search walk over the flat arrays on the
-// searcher's scratch. A frozen index has no insert buffer, so emitOne is
-// never invoked.
-func (f *FrozenIndex) searchWith(sr *Searcher, q bitvec.Code, h int, emitGroup func(*leafGroup), emitOne func(int, bitvec.Code)) {
+// searcher's scratch, answering with the qualifying groups of the leaf
+// arena. A frozen index has no insert buffer, so neither emit function is
+// invoked.
+func (f *FrozenIndex) searchWith(sr *Searcher, q bitvec.Code, h int, _ func(*leafGroup), _ func(int, bitvec.Code)) (GroupView, []int32) {
 	if q.Len() != f.length {
 		panic(fmt.Sprintf("core: %d-bit query against %d-bit frozen index", q.Len(), f.length))
 	}
-	f.walkEmit(sr, q.Words(), h, emitGroup)
+	f.walk(sr, q.Words(), h)
+	return f.Groups(), sr.groups
 }
 
 // fitem is one frozen-walk queue entry: a node id and the Hamming distance
@@ -286,27 +274,20 @@ type fitem struct {
 	dist int32
 }
 
-// walkEmit is the hot-path breadth-first H-Search over the arena, invoking
-// emit for every qualifying leaf group. Residual distances are computed
-// inline from the slabs (no memo, since a single walk touches each node at
-// most once), with the one-word case — the common short-code configuration —
-// specialized so the per-node work is a bare XOR/AND/popcount.
-func (f *FrozenIndex) walkEmit(sr *Searcher, qw []uint64, h int, emit func(*leafGroup)) {
+// walk is the hot-path breadth-first H-Search over the arena, leaving every
+// qualifying leaf group's index in sr.groups in the order it is reached.
+// Residual distances are computed inline from the slabs (no memo, since a
+// single walk touches each node at most once), with the one-word case — the
+// common short-code configuration — specialized so the per-node work is a
+// bare XOR/AND/popcount.
+func (f *FrozenIndex) walk(sr *Searcher, qw []uint64, h int) {
 	st := &sr.Stats
 	nw := f.nw
 	hh := int32(h)
 	resSlab, maskSlab, codeSlab := f.resSlab, f.maskSlab, f.codeSlab
 	childStart, childList := f.childStart, f.childList
 	leafStart, leafList := f.leafStart, f.leafList
-	queue := sr.fqueue[:0]
-	// Qualifying groups pass through the searcher's scratch leafGroup: the
-	// emit closures consume (copy out of) the group synchronously, so one
-	// reused value replaces the resident groups array an arena would
-	// otherwise have to materialize on load.
-	emitGi := func(gi int32) {
-		f.fillGroup(gi, &sr.fgroup)
-		emit(&sr.fgroup)
-	}
+	queue, out := sr.fqueue[:0], sr.groups[:0]
 	if nw == 1 {
 		qw0 := qw[0]
 		for _, nid := range f.rootIDs {
@@ -320,7 +301,7 @@ func (f *FrozenIndex) walkEmit(sr *Searcher, qw []uint64, h int, emit func(*leaf
 			st.DistanceComputations++
 			st.LeavesChecked++
 			if bits.OnesCount64(qw0^codeSlab[gi]) <= h {
-				emitGi(gi)
+				out = append(out, gi)
 			}
 		}
 		for head := 0; head < len(queue); head++ {
@@ -342,7 +323,7 @@ func (f *FrozenIndex) walkEmit(sr *Searcher, qw []uint64, h int, emit func(*leaf
 					st.DistanceComputations++
 					st.LeavesChecked++
 					if it.dist+int32(bits.OnesCount64((qw0^codeSlab[gi])&^mask)) <= hh {
-						emitGi(gi)
+						out = append(out, gi)
 					}
 				}
 			}
@@ -359,7 +340,7 @@ func (f *FrozenIndex) walkEmit(sr *Searcher, qw []uint64, h int, emit func(*leaf
 			st.DistanceComputations++
 			st.LeavesChecked++
 			if _, ok := distWithinWords(qw, codeSlab[int(gi)*nw:int(gi+1)*nw], h); ok {
-				emitGi(gi)
+				out = append(out, gi)
 			}
 		}
 		for head := 0; head < len(queue); head++ {
@@ -381,13 +362,13 @@ func (f *FrozenIndex) walkEmit(sr *Searcher, qw []uint64, h int, emit func(*leaf
 					st.DistanceComputations++
 					st.LeavesChecked++
 					if it.dist+int32(distExcludingWords(qw, codeSlab[int(gi)*nw:int(gi+1)*nw], mask)) <= hh {
-						emitGi(gi)
+						out = append(out, gi)
 					}
 				}
 			}
 		}
 	}
-	sr.fqueue = queue[:0] // keep the high-water capacity
+	sr.fqueue, sr.groups = queue[:0], out // keep the high-water capacity
 }
 
 // blockSize is the most queries one shared walk carries, so that a node's
@@ -403,13 +384,13 @@ type bitem struct {
 	mask uint64
 }
 
-// walkBlock is walkEmit for up to blockSize queries at once: one
+// walkBlock is walk for up to blockSize queries at once: one
 // breadth-first walk over the union of their walks, in which each child's
 // residual and each leaf group's code is loaded once per node visit and
 // tested against every query alive at the node. Query j's qualifying groups
-// land in sr.bout[j] in the order walkEmit emits them for that query alone,
+// land in sr.bout[j] in the order walk reaches them for that query alone,
 // since the shared queue restricted to the nodes where j is alive is j's own
-// queue. The stats count what the block's walkEmit calls would, summed.
+// queue. The stats count what the block's walk calls would, summed.
 func (f *FrozenIndex) walkBlock(sr *Searcher, qs []bitvec.Code, h int) {
 	nq, nw := len(qs), f.nw
 	hh := int32(h)
@@ -534,7 +515,7 @@ func (f *FrozenIndex) emitLeaves(out [][]int32, qw []uint64, mask uint64, pd []i
 }
 
 // chargeVisit counts one block-walk node visit in st as its alive queries'
-// walkEmit visits would, and returns how many queries are alive there.
+// walk visits would, and returns how many queries are alive there.
 func (f *FrozenIndex) chargeVisit(st *SearchStats, it bitem) int {
 	alive := bits.OnesCount64(it.mask)
 	nl := int(f.leafStart[it.nid+1] - f.leafStart[it.nid])
@@ -545,7 +526,7 @@ func (f *FrozenIndex) chargeVisit(st *SearchStats, it bitem) int {
 }
 
 // walkMemo is the TopK variant of the walk: it appends every qualifying leaf
-// group and its exact distance to sr.fgroups/sr.fdists, and serves per-node
+// group and its exact distance to sr.groups/sr.fdists, and serves per-node
 // residual distances from the searcher's epoch-packed memo so the radius
 // escalation computes each node's contribution at most once; callers must
 // have bumped sr.fepoch via prepareFrozen.
@@ -553,7 +534,7 @@ func (f *FrozenIndex) walkMemo(sr *Searcher, qw []uint64, h int) {
 	st := &sr.Stats
 	nw := f.nw
 	hh := int32(h)
-	sr.fgroups = sr.fgroups[:0]
+	sr.groups = sr.groups[:0]
 	sr.fdists = sr.fdists[:0]
 	queue := sr.fqueue[:0]
 	for _, nid := range f.rootIDs {
@@ -565,7 +546,7 @@ func (f *FrozenIndex) walkMemo(sr *Searcher, qw []uint64, h int) {
 		st.DistanceComputations++
 		st.LeavesChecked++
 		if d, ok := distWithinWords(qw, f.codeSlab[int(gi)*nw:int(gi+1)*nw], h); ok {
-			sr.fgroups = append(sr.fgroups, gi)
+			sr.groups = append(sr.groups, gi)
 			sr.fdists = append(sr.fdists, int32(d))
 		}
 	}
@@ -587,7 +568,7 @@ func (f *FrozenIndex) walkMemo(sr *Searcher, qw []uint64, h int) {
 				st.LeavesChecked++
 				d := it.dist + int32(distExcludingWords(qw, f.codeSlab[int(gi)*nw:int(gi+1)*nw], mask))
 				if d <= hh {
-					sr.fgroups = append(sr.fgroups, gi)
+					sr.groups = append(sr.groups, gi)
 					sr.fdists = append(sr.fdists, d)
 				}
 			}
@@ -652,7 +633,7 @@ func (f *FrozenIndex) topK(sr *Searcher, q bitvec.Code, k int) ([]int, []int) {
 	found := 0
 	for h := 0; h <= f.length && found < k; h++ {
 		f.walkMemo(sr, qw, h)
-		for i, gi := range sr.fgroups {
+		for i, gi := range sr.groups {
 			if sr.fseen[gi] == sr.fepoch {
 				continue
 			}

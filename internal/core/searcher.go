@@ -23,10 +23,14 @@ type Index interface {
 	// Len returns the number of indexed tuples.
 	Len() int
 	// searchWith runs one Hamming-select against the index using the
-	// searcher's scratch state: emitGroup receives each qualifying distinct
-	// code with its tuple ids, emitOne receives qualifying tuples that live
-	// outside the hierarchy (the Dynamic index's unflushed insert buffer).
-	searchWith(sr *Searcher, q bitvec.Code, h int, emitGroup func(*leafGroup), emitOne func(id int, c bitvec.Code))
+	// searcher's scratch state. An index over one leaf arena — frozen, or an
+	// adapted engine — returns the arena and the indexes of the qualifying
+	// groups in it, on the searcher's scratch, and calls neither emit
+	// function. The pointer indexes return an empty view and nil instead:
+	// emitGroup receives each qualifying distinct code with its tuple ids,
+	// emitOne each qualifying tuple that lives outside the hierarchy (the
+	// Dynamic index's unflushed insert buffer).
+	searchWith(sr *Searcher, q bitvec.Code, h int, emitGroup func(*leafGroup), emitOne func(id int, c bitvec.Code)) (GroupView, []int32)
 }
 
 // Searcher owns the per-worker scratch state of the query engine: memoized
@@ -47,20 +51,19 @@ type Searcher struct {
 	// Dynamic H-Search scratch: the BFS work queue.
 	queue []qitem
 
+	// groups holds the qualifying groups of the last arena search — the
+	// frozen walks' and an adapted engine's — as indexes into the arena.
+	groups []int32
+
 	// Frozen walk scratch: the BFS queue over flat node ids, the qualifying
-	// (group, distance) collection buffers, and the epoch-packed per-node
-	// residual-distance memo with per-group seen marks that TopK's radius
-	// escalation reuses (see FrozenIndex.walk).
-	fqueue  []fitem
-	fgroups []int32
-	fdists  []int32
-	fmemo   []uint64
-	fseen   []uint64
-	fepoch  uint64
-	// fgroup is the scratch leafGroup the frozen walk fills per qualifying
-	// group (fillGroup); the emit closures copy out of it synchronously, so
-	// the arena never materializes a resident groups array.
-	fgroup leafGroup
+	// groups' distances beside groups (TopK's walk), and the epoch-packed
+	// per-node residual-distance memo with per-group seen marks that TopK's
+	// radius escalation reuses (see FrozenIndex.walkMemo).
+	fqueue []fitem
+	fdists []int32
+	fmemo  []uint64
+	fseen  []uint64
+	fepoch uint64
 
 	// Block walk scratch (SearchBatch over a frozen index): the shared queue,
 	// the accumulated distances its entries index, the block's query words,
@@ -84,8 +87,9 @@ type Searcher struct {
 	asmWords []uint64
 	keyBuf   []byte
 
-	// Emission buffers reused across searches. The closures are created once
-	// here so a Search call does not allocate them.
+	// Emission buffers reused across searches, and the pointer indexes'
+	// emit closures into them, created once here so a Search call does not
+	// allocate them.
 	ids        []int
 	codes      []bitvec.Code
 	emitGIDs   func(*leafGroup)
@@ -93,14 +97,8 @@ type Searcher struct {
 	emitGCode  func(*leafGroup)
 	emitOneCod func(int, bitvec.Code)
 
-	// External-engine scratch (EngineIndex): the engine's per-searcher state,
-	// a reusable leafGroup shim, and the persistent emit bridge that forwards
-	// the engine's (ids, code) pairs to whichever group sink the current call
-	// installed in xtarget.
+	// xscratch is an adapted engine's per-searcher state (EngineIndex).
 	xscratch EngineScratch
-	xgroup   leafGroup
-	xtarget  func(*leafGroup)
-	xemit    func(ids []int, code bitvec.Code)
 }
 
 // sframe is one frame of the Static index's iterative depth-first walk: the
@@ -119,11 +117,6 @@ func NewSearcher(idx Index) *Searcher {
 	sr.emitOneID = func(id int, c bitvec.Code) { sr.ids = append(sr.ids, id) }
 	sr.emitGCode = func(g *leafGroup) { sr.codes = append(sr.codes, g.code) }
 	sr.emitOneCod = func(id int, c bitvec.Code) { sr.codes = append(sr.codes, c) }
-	sr.xemit = func(ids []int, c bitvec.Code) {
-		sr.xgroup.code = c
-		sr.xgroup.ids = ids
-		sr.xtarget(&sr.xgroup)
-	}
 	return sr
 }
 
@@ -134,9 +127,7 @@ func (sr *Searcher) Index() Index { return sr.idx }
 // returned slice aliases the searcher's scratch and is valid only until the
 // next call on this searcher; copy it if it must outlive that.
 func (sr *Searcher) Search(q bitvec.Code, h int) []int {
-	sr.Stats = SearchStats{}
-	sr.ids = sr.ids[:0]
-	sr.idx.searchWith(sr, q, h, sr.emitGIDs, sr.emitOneID)
+	sr.ids = sr.SearchAppend(sr.ids[:0], q, h)
 	return sr.ids
 }
 
@@ -145,14 +136,26 @@ func (sr *Searcher) Search(q bitvec.Code, h int) []int {
 func (sr *Searcher) SearchCodes(q bitvec.Code, h int) []bitvec.Code {
 	sr.Stats = SearchStats{}
 	sr.codes = sr.codes[:0]
-	sr.idx.searchWith(sr, q, h, sr.emitGCode, sr.emitOneCod)
+	v, groups := sr.idx.searchWith(sr, q, h, sr.emitGCode, sr.emitOneCod)
+	for _, gi := range groups {
+		sr.codes = append(sr.codes, v.Code(int(gi)))
+	}
 	return sr.codes
 }
 
 // SearchAppend appends the qualifying ids to dst and returns it; unlike
-// Search the result does not alias the searcher's scratch.
+// Search the result does not alias the searcher's scratch. The ids go
+// straight into dst: an arena index's groups are resolved there, and a
+// pointer index's emit closures append to dst in the scratch's place.
 func (sr *Searcher) SearchAppend(dst []int, q bitvec.Code, h int) []int {
-	return append(dst, sr.Search(q, h)...)
+	sr.Stats = SearchStats{}
+	sr.ids, dst = dst, sr.ids
+	v, groups := sr.idx.searchWith(sr, q, h, sr.emitGIDs, sr.emitOneID)
+	sr.ids, dst = dst, sr.ids
+	for _, gi := range groups {
+		dst = append(dst, v.GroupIDs(int(gi))...)
+	}
+	return dst
 }
 
 // Add accumulates o into s; SearchBatch uses it to aggregate per-worker
@@ -295,7 +298,7 @@ func runBatch(idx Index, n, workers int, worker func(sr *Searcher) func(unit int
 // searchWith implements Index for the Static HA-Index: the budgeted layered-
 // graph walk of Search, driven by an explicit stack and epoch-reset memo
 // tables instead of a per-query recursive closure.
-func (s *StaticIndex) searchWith(sr *Searcher, q bitvec.Code, h int, emitGroup func(*leafGroup), emitOne func(int, bitvec.Code)) {
+func (s *StaticIndex) searchWith(sr *Searcher, q bitvec.Code, h int, emitGroup func(*leafGroup), emitOne func(int, bitvec.Code)) (GroupView, []int32) {
 	if q.Len() != s.length {
 		panic(fmt.Sprintf("core: %d-bit query against %d-bit static index", q.Len(), s.length))
 	}
@@ -317,11 +320,12 @@ func (s *StaticIndex) searchWith(sr *Searcher, q bitvec.Code, h int, emitGroup f
 				emitGroup(g)
 			}
 		}
-		return
+		return GroupView{}, nil
 	}
 	for _, g := range sr.found {
 		emitGroup(g)
 	}
+	return GroupView{}, nil
 }
 
 // prepareStatic (re)sizes the searcher's static scratch for the index's

@@ -16,15 +16,18 @@
 // the regime internal/planner routes here.
 //
 // Unlike the hash-map baseline in internal/baseline, the frozen form keeps
-// each table as a sorted run of distinct keys over a shared candidate arena:
-// a probe is a binary search, a bucket a contiguous []int32 of group indexes
-// into one distinct-code slab — the engine's own, or (FromGroups) the frozen
-// HA-Index's leaf arena, aliased. Probing is bounded: past the radius where a
-// table has fewer distinct keys than the query key has variants, Search walks
-// the key run instead of enumerating. Search runs on a per-searcher Scratch
-// (combination enumeration state plus an epoch-marked visited table) and is
-// allocation-free on the steady path; the engine plugs into core.Searcher,
-// SearchBatch, and TopK through core.AsIndex.
+// each table as a sorted run of distinct keys over a shared candidate arena,
+// fronted by a radix directory on the keys' top bits: a probe reads its
+// bucket's bounds and binary-searches the few keys inside, and a hit is a
+// contiguous []int32 of group indexes into one distinct-code slab — the
+// engine's own, or (FromGroups) the frozen HA-Index's leaf arena, aliased.
+// Probing is bounded: past the radius where a table has fewer distinct keys
+// than the query key has variants, Search walks the key run instead of
+// enumerating. Search runs on a per-searcher Scratch (combination enumeration
+// state plus an epoch-marked visited table), reports the qualifying groups as
+// indexes into that slab, and is allocation-free on the steady path; the
+// engine plugs into core.Searcher, SearchBatch, and TopK through
+// core.AsIndex.
 package mih
 
 import (
@@ -69,6 +72,12 @@ type Index struct {
 	keys      []uint64
 	candStart []int32
 	cands     []int32
+	// Per-table radix directory over the key run: table t's directory is
+	// dir[dirStart[t]:dirStart[t+1]], 2^b+1 global key positions for
+	// b = ⌊log₂ K⌋ (K distinct keys, b capped at the key width), and the keys
+	// whose top b bits read d are keys[dir[d]:dir[d+1]] of it.
+	dir      []int32
+	dirStart []int32
 	// enumMax[t] is table t's crossover radius, derived from its key count:
 	// up to it, enumerating key variants costs no more probes than the table
 	// has distinct keys; past it Search walks the key run instead.
@@ -300,6 +309,42 @@ func (m *Index) buildTables() {
 	}
 	m.candStart = append(m.candStart, int32(len(m.cands)))
 	m.setCrossovers()
+	m.buildDirectory()
+}
+
+// buildDirectory sizes every table's radix directory from its distinct-key
+// count K — 2^b+1 entries for b = ⌊log₂ K⌋, capped at the key width, so at
+// most four bytes a key plus one entry — and fills it in one pass over the
+// sorted run: entry d is the first key whose top b bits are at least d, the
+// last entry the run's end.
+func (m *Index) buildDirectory() {
+	nt := len(m.combos)
+	m.dirStart = make([]int32, nt+1)
+	for t, w := range m.widths {
+		b := min(max(bits.Len32(uint32(m.tabStart[t+1]-m.tabStart[t]))-1, 0), w)
+		m.dirStart[t+1] = m.dirStart[t] + 1<<b + 1
+	}
+	m.dir = make([]int32, m.dirStart[nt])
+	for t := range nt {
+		d, shift := m.directory(t)
+		at, end := 0, m.tabStart[t+1]
+		for p := m.tabStart[t]; p < end; p++ {
+			for top := int(m.keys[p] >> shift); at <= top; at++ {
+				d[at] = p
+			}
+		}
+		for ; at < len(d); at++ {
+			d[at] = end
+		}
+	}
+}
+
+// directory returns table t's radix directory and the shift that takes a
+// key to its bucket (the key width less the directory's b bits; a shift of
+// 64 maps every key to bucket 0).
+func (m *Index) directory(t int) ([]int32, uint) {
+	d := m.dir[m.dirStart[t]:m.dirStart[t+1]]
+	return d, uint(m.widths[t] - bits.TrailingZeros(uint(len(d)-1)))
 }
 
 // sortKeys sorts keys ascending in place, carrying groups along: a byte-wise
@@ -409,18 +454,22 @@ func (m *Index) Radius(h int) int { return m.matched * h / m.blocks }
 
 // SizeBytes returns the footprint of everything the engine reads, shared
 // group slabs included. The distinct codes are stored once; each table adds
-// only its sorted key run and candidate references — the flat-arena answer
-// to the per-table code replicas the paper criticizes in Manku's layout.
+// only its sorted key run, its radix directory and candidate references —
+// the flat-arena answer to the per-table code replicas the paper criticizes
+// in Manku's layout.
 func (m *Index) SizeBytes() int {
-	return m.grp.SizeBytes() + 8*len(m.keys) + 4*(len(m.tabStart)+len(m.candStart)+len(m.cands))
+	return m.grp.SizeBytes() + 8*len(m.keys) + 4*(len(m.tabStart)+len(m.candStart)+len(m.cands)) + m.dirBytes()
 }
+
+// dirBytes returns the footprint of the tables' radix directories.
+func (m *Index) dirBytes() int { return 4 * (len(m.dir) + len(m.dirStart)) }
 
 // HeapBytes returns what the engine itself holds on the Go heap — its slabs
 // by capacity, less any group slabs that alias another index's arena. The
-// key tables are allocated exactly, so over an aliased arena this is
-// SizeBytes less the view's.
+// key tables and directories are allocated exactly, so over an aliased arena
+// this is SizeBytes less the view's.
 func (m *Index) HeapBytes() int {
-	n := 8*cap(m.keys) + 4*(cap(m.tabStart)+cap(m.candStart)+cap(m.cands))
+	n := 8*cap(m.keys) + 4*(cap(m.tabStart)+cap(m.candStart)+cap(m.cands)+cap(m.dir)+cap(m.dirStart))
 	if !m.shared {
 		n += 8*(cap(m.grp.Codes)+cap(m.grp.IDs)) + 4*cap(m.grp.IDStart)
 	}
@@ -429,6 +478,10 @@ func (m *Index) HeapBytes() int {
 
 // Tuples invokes fn for every (id, code) pair in the index.
 func (m *Index) Tuples(fn func(id int, code bitvec.Code)) { m.grp.Tuples(fn) }
+
+// Groups implements core.Engine: the distinct-code slab Search's group
+// indexes point into.
+func (m *Index) Groups() core.GroupView { return m.grp }
 
 // NewScratch implements core.Engine.
 func (m *Index) NewScratch() core.EngineScratch {
@@ -439,36 +492,34 @@ func (m *Index) NewScratch() core.EngineScratch {
 	}
 }
 
-// Search is a convenience for tools and tests: a fresh-scratch, allocating
-// select. Serving paths use core.NewSearcher(core.AsIndex(m)) instead, whose
-// per-searcher scratch makes the steady state allocation-free.
+// Search is a convenience for tools and tests: a fresh-searcher, allocating
+// select. Serving paths keep one core.NewSearcher(core.AsIndex(m)) per
+// goroutine instead, whose scratch makes the steady state allocation-free.
 func (m *Index) Search(q bitvec.Code, h int) []int {
-	var out []int
-	var stats core.SearchStats
-	m.NewScratch().Search(q, h, &stats, func(ids []int, _ bitvec.Code) {
-		out = append(out, ids...)
-	})
-	return out
+	return core.NewSearcher(core.AsIndex(m)).SearchAppend(nil, q, h)
 }
 
 // Scratch is one searcher's mutable state: the iterative combination
-// enumerator and the epoch-marked visited table that deduplicates candidate
-// groups across tables. Not safe for concurrent use; the Index is.
+// enumerator, the epoch-marked visited table that deduplicates candidate
+// groups across tables, and the result slice of the search in progress.
+// Not safe for concurrent use; the Index is.
 type Scratch struct {
 	m       *Index
 	visited []uint32
 	epoch   uint32
 	comb    []int
+	out     []int32
 }
 
 // Search implements core.EngineScratch: reach every table's keys within the
 // pigeonhole radius of the query's key, verify their candidates once each,
-// and emit the qualifying groups. Up to the table's crossover radius the
-// keys are reached by enumerating variants and binary-searching each, past
-// it by one XOR+popcount pass over the sorted run — the same keys either
-// way. Probes and run keys examined count into stats.NodesVisited, candidate
-// verifications into LeavesChecked and DistanceComputations.
-func (s *Scratch) Search(q bitvec.Code, h int, stats *core.SearchStats, emit func(ids []int, code bitvec.Code)) {
+// and append the qualifying groups to out. Up to the table's crossover
+// radius the keys are reached by enumerating variants and probing each
+// through the table's directory, past it by one XOR+popcount pass over the
+// sorted run — the same keys either way. Probes and run keys examined count
+// into stats.NodesVisited, candidate verifications into LeavesChecked and
+// DistanceComputations.
+func (s *Scratch) Search(q bitvec.Code, h int, stats *core.SearchStats, out []int32) []int32 {
 	m := s.m
 	if q.Len() != m.length {
 		panic(fmt.Sprintf("mih: %d-bit query against %d-bit index", q.Len(), m.length))
@@ -480,26 +531,28 @@ func (s *Scratch) Search(q bitvec.Code, h int, stats *core.SearchStats, emit fun
 		}
 		s.epoch = 1
 	}
+	s.out = out
 	radius := m.matched * h / m.blocks
 	qw := q.Words()
 	for t, combo := range m.combos {
 		key := m.comboKey(qw, combo)
 		width := m.widths[t]
-		lo, hi := m.tabStart[t], m.tabStart[t+1]
 		r := radius
 		if r > width {
 			r = width
 		}
 		if r > m.enumMax[t] {
+			lo, hi := m.tabStart[t], m.tabStart[t+1]
 			stats.NodesVisited += int(hi - lo)
 			for p := lo; p < hi; p++ {
 				if bits.OnesCount64(m.keys[p]^key) <= r {
-					s.verify(p, qw, h, stats, emit)
+					s.verify(p, qw, h, stats)
 				}
 			}
 			continue
 		}
-		s.probe(lo, hi, key, qw, h, stats, emit)
+		dir, shift := m.directory(t)
+		s.probe(dir, shift, key, qw, h, stats)
 		// Key variants at exact flip-count k, for k = 1..r: the classic
 		// iterative combination enumeration over the key's bit positions,
 		// on preallocated scratch — no recursion, no closures.
@@ -513,7 +566,7 @@ func (s *Scratch) Search(q bitvec.Code, h int, stats *core.SearchStats, emit fun
 				for _, b := range comb {
 					mask |= 1 << uint(b)
 				}
-				s.probe(lo, hi, key^mask, qw, h, stats, emit)
+				s.probe(dir, shift, key^mask, qw, h, stats)
 				i := k - 1
 				for i >= 0 && comb[i] == width-k+i {
 					i--
@@ -528,30 +581,40 @@ func (s *Scratch) Search(q bitvec.Code, h int, stats *core.SearchStats, emit fun
 			}
 		}
 	}
+	out, s.out = s.out, nil
+	return out
 }
 
-// probe binary-searches one table's sorted key run and, on a hit, verifies
-// that bucket's candidates.
-func (s *Scratch) probe(lo, hi int32, key uint64, qw []uint64, h int, stats *core.SearchStats, emit func(ids []int, code bitvec.Code)) {
-	m := s.m
+// probe looks one key up in a table through its directory and, on a hit,
+// verifies that key's candidates.
+func (s *Scratch) probe(dir []int32, shift uint, key uint64, qw []uint64, h int, stats *core.SearchStats) {
 	stats.NodesVisited++
-	i, j := int(lo), int(hi)
+	if p, ok := s.m.lookup(dir, shift, key); ok {
+		s.verify(p, qw, h, stats)
+	}
+}
+
+// lookup finds key's global position in the table whose directory is dir:
+// the bucket of its top bits bounds a binary search over the few keys that
+// share them.
+func (m *Index) lookup(dir []int32, shift uint, key uint64) (int32, bool) {
+	top := key >> shift
+	i, j := dir[top], dir[top+1]
+	end := j
 	for i < j {
-		mid := int(uint(i+j) >> 1)
+		mid := int32(uint32(i+j) >> 1)
 		if m.keys[mid] < key {
 			i = mid + 1
 		} else {
 			j = mid
 		}
 	}
-	if i < int(hi) && m.keys[i] == key {
-		s.verify(int32(i), qw, h, stats, emit)
-	}
+	return i, i < end && m.keys[i] == key
 }
 
 // verify checks the candidates of the key at global position p against the
-// full query, emitting first-seen qualifying groups.
-func (s *Scratch) verify(p int32, qw []uint64, h int, stats *core.SearchStats, emit func(ids []int, code bitvec.Code)) {
+// full query, appending first-seen qualifying groups to s.out.
+func (s *Scratch) verify(p int32, qw []uint64, h int, stats *core.SearchStats) {
 	m := s.m
 	nw := m.nw
 	for _, gi := range m.cands[m.candStart[p]:m.candStart[p+1]] {
@@ -562,7 +625,7 @@ func (s *Scratch) verify(p int32, qw []uint64, h int, stats *core.SearchStats, e
 		stats.LeavesChecked++
 		stats.DistanceComputations++
 		if distWithin(qw, m.grp.Codes[int(gi)*nw:(int(gi)+1)*nw], h) {
-			emit(m.grp.GroupIDs(int(gi)), m.grp.Code(int(gi)))
+			s.out = append(s.out, gi)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package mih
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -10,6 +11,7 @@ import (
 
 	"haindex/internal/bitvec"
 	"haindex/internal/core"
+	"haindex/internal/gray"
 )
 
 // clusteredCodes produces codes with heavy sharing, like hashed real data.
@@ -458,6 +460,23 @@ func referenceTables(m *Index) *Index {
 	ref.tabStart[nt] = int32(len(ref.keys))
 	ref.candStart = append(ref.candStart, int32(len(ref.cands)))
 	ref.setCrossovers()
+	// Each directory by its definition: 2^⌊log₂ K⌋ buckets (one when the
+	// table is empty), bucket d starting at the first key whose top bits
+	// are at least d, found by a search over the whole run.
+	ref.dir, ref.dirStart = nil, []int32{0}
+	for t, w := range ref.widths {
+		lo, hi := int(ref.tabStart[t]), int(ref.tabStart[t+1])
+		b := 0
+		for 2<<b <= hi-lo {
+			b++
+		}
+		shift := uint(w - b)
+		for d := 0; d <= 1<<b; d++ {
+			at := lo + sort.Search(hi-lo, func(i int) bool { return ref.keys[lo+i]>>shift >= uint64(d) })
+			ref.dir = append(ref.dir, int32(at))
+		}
+		ref.dirStart = append(ref.dirStart, int32(len(ref.dir)))
+	}
 	return &ref
 }
 
@@ -515,9 +534,17 @@ func TestRadixTablesMatchComparisonSort(t *testing.T) {
 							!slices.Equal(m.enumMax, ref.enumMax) {
 							t.Fatalf("%s: radix tables differ from the comparison sort's", what)
 						}
-						if cap(m.keys) != len(m.keys) || cap(m.candStart) != len(m.candStart) || cap(m.cands) != len(m.cands) {
-							t.Fatalf("%s: keys %d/%d, candStart %d/%d, cands %d/%d (len/cap)", what,
-								len(m.keys), cap(m.keys), len(m.candStart), cap(m.candStart), len(m.cands), cap(m.cands))
+						if !slices.Equal(m.dir, ref.dir) || !slices.Equal(m.dirStart, ref.dirStart) {
+							t.Fatalf("%s: directories differ from their definition", what)
+						}
+						if len(m.dir) > len(m.keys)+2*m.Tables() {
+							t.Fatalf("%s: %d directory entries for %d keys in %d tables", what, len(m.dir), len(m.keys), m.Tables())
+						}
+						if cap(m.keys) != len(m.keys) || cap(m.candStart) != len(m.candStart) || cap(m.cands) != len(m.cands) ||
+							cap(m.dir) != len(m.dir) || cap(m.dirStart) != len(m.dirStart) {
+							t.Fatalf("%s: keys %d/%d, candStart %d/%d, cands %d/%d, dir %d/%d (len/cap)", what,
+								len(m.keys), cap(m.keys), len(m.candStart), cap(m.candStart), len(m.cands), cap(m.cands),
+								len(m.dir), cap(m.dir))
 						}
 						built++
 					}
@@ -527,6 +554,192 @@ func TestRadixTablesMatchComparisonSort(t *testing.T) {
 	}
 	if built < 150 {
 		t.Fatalf("only %d configurations built", built)
+	}
+}
+
+// TestDirectoryProbesMatchTheRun: a probe through a table's directory finds
+// exactly what a binary search over the table's whole key run finds, for
+// every key present and for absent ones — its neighbours, 0 and 2^w−1, and
+// every key of a table narrow enough to enumerate. The shapes cover a single
+// key (K = 1), all keys equal, keys 0 and 2^w−1 stored, and 8-bit codes in 3
+// blocks, whose tables hold every key of their width (b = w, shift 0).
+func TestDirectoryProbesMatchTheRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	fill := func(bitsLen int, bit bool) bitvec.Code {
+		c := bitvec.New(bitsLen)
+		for i := 0; i < bitsLen; i++ {
+			c.SetBit(i, bit)
+		}
+		return c
+	}
+	every8 := make([]bitvec.Code, 256)
+	for v := range every8 {
+		every8[v] = bitvec.New(8)
+		for i := 0; i < 8; i++ {
+			every8[v].SetBit(i, v>>i&1 == 1)
+		}
+	}
+	for _, shape := range []struct {
+		name  string
+		codes []bitvec.Code
+		opts  Options
+	}{
+		{"one-code", uniformCodes(rng, 1, 64), Options{}},
+		{"all-equal", clusteredCodes(rng, 50, 64, 1, 0), Options{Blocks: 4}},
+		{"extremes", append(uniformCodes(rng, 300, 32), fill(32, false), fill(32, true)), Options{Blocks: 2}},
+		{"every-8-bit-3-blocks", every8, Options{Blocks: 3}},
+		{"narrow-8-bit-3-blocks", uniformCodes(rng, 40, 8), Options{Blocks: 3}},
+		{"clustered-64", clusteredCodes(rng, 5000, 64, 5, 3), Options{}},
+		{"two-block-keys", uniformCodes(rng, 2000, 64), Options{Blocks: 4, Matched: 2}},
+		{"130-bit", uniformCodes(rng, 700, 130), Options{}},
+	} {
+		m, err := Build(shape.codes, nil, shape.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", shape.name, err)
+		}
+		probes := 0
+		for tb, w := range m.widths {
+			lo, hi := int(m.tabStart[tb]), int(m.tabStart[tb+1])
+			run := m.keys[lo:hi]
+			dir, shift := m.directory(tb)
+			mask := ^uint64(0) >> (64 - w)
+			check := func(key uint64) {
+				key &= mask
+				i, found := sort.Find(len(run), func(i int) int { return cmp.Compare(key, run[i]) })
+				p, ok := m.lookup(dir, shift, key)
+				if ok != found || (ok && int(p) != lo+i) {
+					t.Fatalf("%s table %d (%d bits, %d keys): key %#x probes to (%d, %v), the run has (%d, %v)",
+						shape.name, tb, w, len(run), key, p, ok, lo+i, found)
+				}
+				probes++
+			}
+			for _, k := range run {
+				check(k)
+				check(k + 1)
+				check(k - 1)
+			}
+			check(0)
+			check(mask)
+			if w <= 12 {
+				for k := uint64(0); k <= mask; k++ {
+					check(k)
+				}
+			}
+		}
+		if probes == 0 {
+			t.Fatalf("%s: nothing probed", shape.name)
+		}
+	}
+}
+
+// bruteWork is what a MIH select must cost by definition: one probe per key
+// variant within each table's radius (the table's whole run past its
+// crossover), and one verification per group whose key in some table lies
+// within that table's radius of the query's.
+func bruteWork(m *Index, q bitvec.Code, h int) (probes, verified int) {
+	qw, r := q.Words(), m.Radius(h)
+	for tb, w := range m.widths {
+		rt := min(r, w)
+		if k := int(m.tabStart[tb+1] - m.tabStart[tb]); rt > m.enumMax[tb] {
+			probes += k
+		} else {
+			probes += variants(w, rt, 1<<62)
+		}
+	}
+	for g := 0; g < m.GroupCount(); g++ {
+		cw := m.grp.Codes[g*m.nw : (g+1)*m.nw]
+		for tb, combo := range m.combos {
+			if bits.OnesCount64(m.comboKey(cw, combo)^m.comboKey(qw, combo)) <= min(r, m.widths[tb]) {
+				verified++
+				break
+			}
+		}
+	}
+	return probes, verified
+}
+
+// TestEnginePathMatchesOracle drives the adapted engine through every result
+// path core offers — Search, SearchAppend onto a non-empty dst, SearchCodes,
+// SearchBatch and TopK — at 8 to 130 bits and every third threshold, against
+// the brute oracle; the work each select reports is what bruteWork says it
+// must be, so a probe that misses or double-counts a key fails here too.
+func TestEnginePathMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, bitsLen := range []int{8, 33, 64, 100, 130} {
+		codes := clusteredCodes(rng, 600, bitsLen, 6, 2)
+		codes = append(codes, codes[:40]...) // duplicates share a group
+		ids := rng.Perm(len(codes))
+		m, err := Build(codes, ids, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := core.AsIndex(m)
+		sr := core.NewSearcher(idx)
+		queries := make([]bitvec.Code, 12)
+		for i := range queries {
+			queries[i] = codes[rng.Intn(len(codes))].Clone()
+			for f := 0; f < i%4; f++ {
+				queries[i].FlipBit(rng.Intn(bitsLen))
+			}
+		}
+		for h := 0; h <= bitsLen; h += 3 {
+			batch, batchStats := core.SearchBatch(idx, queries, h, 3)
+			var sum core.SearchStats
+			for qi, q := range queries {
+				what := fmt.Sprintf("%d-bit h=%d query %d", bitsLen, h, qi)
+				var want []int
+				wantCodes := map[string]bool{}
+				for i, c := range codes {
+					if _, ok := q.DistanceWithin(c, h); ok {
+						want = append(want, ids[i])
+						wantCodes[c.Key()] = true
+					}
+				}
+				got := slices.Clone(sr.Search(q, h))
+				if !equalIDs(got, want) {
+					t.Fatalf("%s: Search %d ids, want %d", what, len(got), len(want))
+				}
+				stats := sr.Stats
+				if p, v := bruteWork(m, q, h); stats.NodesVisited != p || stats.DistanceComputations != v || stats.LeavesChecked != v {
+					t.Fatalf("%s: %+v, want %d probes and %d verifications", what, stats, p, v)
+				}
+				sum.Add(stats)
+				dst := sr.SearchAppend([]int{-1, -2}, q, h)
+				if !slices.Equal(dst[:2], []int{-1, -2}) || !slices.Equal(dst[2:], got) || sr.Stats != stats {
+					t.Fatalf("%s: SearchAppend onto a non-empty dst gave %d ids, %+v", what, len(dst), sr.Stats)
+				}
+				if !slices.Equal(batch[qi], got) {
+					t.Fatalf("%s: SearchBatch %d ids, Search %d", what, len(batch[qi]), len(got))
+				}
+				seen := map[string]bool{}
+				for _, c := range sr.SearchCodes(q, h) {
+					if !wantCodes[c.Key()] || seen[c.Key()] {
+						t.Fatalf("%s: SearchCodes returned %s, stray or repeated", what, c)
+					}
+					seen[c.Key()] = true
+				}
+				if len(seen) != len(wantCodes) || sr.Stats != stats {
+					t.Fatalf("%s: SearchCodes %d codes, want %d; %+v", what, len(seen), len(wantCodes), sr.Stats)
+				}
+			}
+			if batchStats != sum {
+				t.Fatalf("%d-bit h=%d: SearchBatch stats %+v, per-query sum %+v", bitsLen, h, batchStats, sum)
+			}
+		}
+		for _, q := range queries[:3] {
+			type pair struct{ d, id int }
+			all := make([]pair, len(codes))
+			for i, c := range codes {
+				all[i] = pair{q.Distance(c), ids[i]}
+			}
+			slices.SortFunc(all, func(a, b pair) int { return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.id, b.id)) })
+			gotIDs, gotDists := sr.TopK(q, 25)
+			for i := range all[:25] {
+				if gotIDs[i] != all[i].id || gotDists[i] != all[i].d {
+					t.Fatalf("%d-bit TopK[%d] = (%d at %d), want (%d at %d)", bitsLen, i, gotIDs[i], gotDists[i], all[i].id, all[i].d)
+				}
+			}
+		}
 	}
 }
 
@@ -554,6 +767,54 @@ func BenchmarkFromGroups(b *testing.B) {
 	}
 }
 
+// wideShard is the serving shape the wide workload searches: 300k clustered
+// 64-bit codes (clusters of 1000, 3 flips), the first Gray half of them as
+// one frozen HA-Index with MIH on its leaf arena, and 2,048 queries that are
+// stored codes of either half with 2 bits flipped.
+func wideShard() (*Index, []bitvec.Code) {
+	rng := rand.New(rand.NewSource(1))
+	codes := clusteredCodes(rng, 300000, 64, 300, 3)
+	queries := make([]bitvec.Code, 2048)
+	for i := range queries {
+		queries[i] = codes[rng.Intn(len(codes))].Clone()
+		queries[i].FlipBit(rng.Intn(64))
+		queries[i].FlipBit(rng.Intn(64))
+	}
+	gray.Sort(codes, nil)
+	rows := make([]uint64, 0, len(codes)/2)
+	for _, c := range codes[:len(codes)/2] {
+		rows = append(rows, c.Words()...)
+	}
+	m, err := FromGroups(core.BuildFrozen(64, rows, nil, core.Options{}).Groups(), Options{})
+	if err != nil {
+		panic(err)
+	}
+	return m, queries
+}
+
+// BenchmarkMIHSearch is the select a planner-routed wide request runs on one
+// shard, at the wide workload's h=8 and the point workload's h=2: one
+// Searcher, the ids appended to a reused slab as the server does, with the
+// probes and verifications a query costs.
+func BenchmarkMIHSearch(b *testing.B) {
+	m, queries := wideShard()
+	for _, h := range []int{2, 8} {
+		b.Run(fmt.Sprintf("h=%d", h), func(b *testing.B) {
+			sr := core.NewSearcher(core.AsIndex(m))
+			var ids []int
+			var work core.SearchStats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ids = sr.SearchAppend(ids[:0], queries[i%len(queries)], h)
+				work.Add(sr.Stats)
+			}
+			b.ReportMetric(float64(work.NodesVisited)/float64(b.N), "probes/op")
+			b.ReportMetric(float64(work.DistanceComputations)/float64(b.N), "verifications/op")
+		})
+	}
+}
+
 // TestSizeBytes grows with the dataset; sanity for the bench size row.
 func TestSizeBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
@@ -567,5 +828,18 @@ func TestSizeBytes(t *testing.T) {
 	}
 	if small.SizeBytes() <= 0 || large.SizeBytes() <= small.SizeBytes() {
 		t.Fatalf("SizeBytes: small=%d large=%d", small.SizeBytes(), large.SizeBytes())
+	}
+	// The directories are counted on both sides, and nothing else is new:
+	// an aliasing engine's heap is exactly its tables and directories.
+	frozen := core.Freeze(core.BuildDynamic(uniformCodes(rng, 2000, 64), nil, core.Options{}))
+	m, err := FromGroups(frozen.Groups(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := 8*len(m.keys) + 4*(len(m.tabStart)+len(m.candStart)+len(m.cands))
+	if dir := 4 * (len(m.dir) + len(m.dirStart)); m.dirBytes() != dir || dir == 0 ||
+		m.SizeBytes() != frozen.Groups().SizeBytes()+tables+dir || m.HeapBytes() != tables+dir {
+		t.Fatalf("SizeBytes %d, HeapBytes %d: view %d, tables %d, directories %d",
+			m.SizeBytes(), m.HeapBytes(), frozen.Groups().SizeBytes(), tables, dir)
 	}
 }

@@ -259,6 +259,24 @@ func (p *buf) code(length int) bitvec.Code {
 	return c
 }
 
+// codeInto decodes a length-bit code into words, which must hold exactly its
+// words, and returns the code over them. Like bitvec.CodeFromBytes it keeps
+// whatever tail bits the sender set.
+func (p *buf) codeInto(words []uint64, length int) bitvec.Code {
+	if p.err != nil {
+		return bitvec.Code{}
+	}
+	if len(p.b) < 8*len(words) {
+		p.err = fmt.Errorf("wire: truncated code")
+		return bitvec.Code{}
+	}
+	for i := range words {
+		words[i] = binary.BigEndian.Uint64(p.b[8*i:])
+	}
+	p.b = p.b[8*len(words):]
+	return bitvec.FromWordsShared(words, length)
+}
+
 func (p *buf) done() error {
 	if p.err != nil {
 		return p.err
@@ -359,12 +377,17 @@ func (m SearchReq) Append(dst []byte) []byte {
 }
 
 // ParseSearchReq decodes a request whose codes have the session's length.
+// The batch's codes share one word slab, sized by the count, which count
+// bounds by the payload.
 func ParseSearchReq(payload []byte, length int) (SearchReq, error) {
 	p := &buf{b: payload}
 	m := SearchReq{Length: length, H: p.intv()}
-	n := p.count(bitvec.EncodedLen(length))
+	nw := bitvec.EncodedLen(length) / 8
+	n := p.count(8 * nw)
+	words := make([]uint64, n*nw)
+	m.Queries = make([]bitvec.Code, 0, n)
 	for i := 0; i < n && p.err == nil; i++ {
-		m.Queries = append(m.Queries, p.code(length))
+		m.Queries = append(m.Queries, p.codeInto(words[i*nw:(i+1)*nw], length))
 	}
 	// Trailing engine hint, omitted when auto.
 	if p.err == nil && len(p.b) != 0 {
