@@ -40,8 +40,9 @@ bench-query:
 # (BuildFrozen, beside the pointer build + freeze it replaces on the serving
 # paths, at a streamed chunk's size and at three words a code) with the Gray
 # sort under it, flat-walk search and top-k, and the v4 arena decode (eager
-# copy and aliasing), after bench-query's pointer-vs-frozen experiment rows
-# (the "frozen" field of each BENCH_query.json run).
+# copy and aliasing), after bench-query's serial pointer-vs-frozen rows
+# (serial_* and frozen_serial_* in BENCH_query.json; every SearchBatch run
+# there is over the frozen index, the only batch path).
 bench-frozen: bench-query
 	$(GO) test -run=NONE -bench='Freeze|BuildFrozen|Frozen|DecodeArena' -benchmem ./internal/core/
 	$(GO) test -run=NONE -bench='GraySort' -benchmem ./internal/gray/

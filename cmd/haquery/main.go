@@ -282,24 +282,26 @@ func diffOracle(dir string, queries []bitvec.Code, h, topk int, got [][]int, tkI
 	}
 	sort.Strings(paths)
 	var ids []int
-	var codes []bitvec.Code
+	var rows []uint64
+	length := 0
 	for _, p := range paths {
 		_, idx, err := wire.ReadSnapshotFile(p)
 		if err != nil {
 			fatalf("oracle: %v", err)
 		}
-		// Both snapshot forms (pointer and frozen) enumerate their tuples.
-		idx.(interface {
-			Tuples(func(id int, code bitvec.Code))
-		}).Tuples(func(id int, code bitvec.Code) {
+		if length != 0 && idx.Length() != length {
+			fatalf("oracle: %s is %d-bit, the other snapshots %d-bit", p, idx.Length(), length)
+		}
+		length = idx.Length()
+		idx.Tuples(func(id int, code bitvec.Code) {
 			ids = append(ids, id)
-			codes = append(codes, code)
+			rows = append(rows, code.Words()...)
 		})
 	}
-	if len(codes) == 0 {
+	if len(ids) == 0 {
 		fatalf("oracle: snapshots in %s hold no tuples", dir)
 	}
-	all := core.BuildDynamic(codes, ids, core.Options{})
+	all := core.BuildFrozen(length, rows, ids, core.Options{})
 	sr := core.NewSearcher(all)
 	mismatches := 0
 	for i, q := range queries {

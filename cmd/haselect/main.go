@@ -38,7 +38,7 @@ func main() {
 		rows    = flag.String("query-rows", "0", "comma-separated dataset row ids used as queries")
 		seed    = flag.Int64("seed", 1, "RNG seed for hash learning sample")
 		verbose = flag.Bool("v", false, "print matched ids (not just counts)")
-		workers = flag.Int("workers", 1, "batch the query rows through a SearchBatch worker pool (0 = GOMAXPROCS, 1 = serial per-query loop); dha/sha only")
+		workers = flag.Int("workers", 1, "batch the query rows through a SearchBatch worker pool (0 = GOMAXPROCS, 1 = serial per-query loop); dha (frozen first) and mih only")
 	)
 	flag.Parse()
 	if *data == "" {
@@ -56,7 +56,7 @@ func main() {
 	codes := hash.HashAll(hf, vecs)
 
 	t0 := time.Now()
-	search, stats, size, batchIdx := buildIndex(*method, *engine, codes, *h, *seed)
+	search, stats, size, batchIndex := buildIndex(*method, *engine, codes, *h, *seed)
 	fmt.Printf("built %s over %d tuples in %v (%.1f MB)\n",
 		*method, len(codes), time.Since(t0).Round(time.Millisecond), float64(size())/1e6)
 
@@ -72,12 +72,10 @@ func main() {
 	if *workers != 1 {
 		// Batch path: drain every query row through a worker pool of
 		// Searchers over the shared index.
-		if batchIdx == nil {
-			fatalf("-workers requires -method dha, sha, or mih")
+		if batchIndex == nil {
+			fatalf("-workers %d: -method %s has no batch path; batch -method dha or mih, or run with -workers 1", *workers, *method)
 		}
-		if f, ok := core.Compiled(batchIdx); ok {
-			batchIdx = f // a frozen index answers the batch a Gray block at a time
-		}
+		batchIdx := batchIndex()
 		queries := make([]bitvec.Code, len(rowIDs))
 		for i, row := range rowIDs {
 			queries[i] = codes[row]
@@ -114,24 +112,25 @@ func main() {
 }
 
 // buildIndex wires up the requested method behind a common search closure.
-// batchIdx is non-nil for the methods that support the batched Searcher
-// engine (dha, sha, mih).
-func buildIndex(method, engine string, codes []bitvec.Code, h int, seed int64) (search func(bitvec.Code, int) []int, stats func() string, size func() int, batchIdx core.Index) {
+// batchIndex is non-nil for the methods that support the batched Searcher
+// engine: dha, whose index it freezes so the batch walks a Gray block at a
+// time, and mih.
+func buildIndex(method, engine string, codes []bitvec.Code, h int, seed int64) (search func(bitvec.Code, int) []int, stats func() string, size func() int, batchIndex func() core.Index) {
 	noStats := func() string { return "" }
 	switch method {
 	case "dha":
 		idx := core.BuildDynamic(codes, nil, core.Options{})
-		sr := core.NewSearcher(idx)
+		sr := core.NewPointerSearcher(idx)
 		return func(q bitvec.Code, h int) []int { return sr.SearchAppend(nil, q, h) }, func() string {
 			return fmt.Sprintf(" [%d distance computations, %d nodes visited]",
 				sr.Stats.DistanceComputations, sr.Stats.NodesVisited)
-		}, idx.SizeBytes, idx
+		}, idx.SizeBytes, func() core.Index { return core.Freeze(idx) }
 	case "sha":
 		idx := core.BuildStatic(codes, nil, 8)
-		sr := core.NewSearcher(idx)
+		sr := core.NewPointerSearcher(idx)
 		return func(q bitvec.Code, h int) []int { return sr.SearchAppend(nil, q, h) }, func() string {
 			return fmt.Sprintf(" [%d distance computations]", sr.Stats.DistanceComputations)
-		}, idx.SizeBytes, idx
+		}, idx.SizeBytes, nil
 	case "radix":
 		idx := radix.Build(codes, nil)
 		return idx.Search, func() string {
@@ -172,7 +171,7 @@ func buildIndex(method, engine string, codes []bitvec.Code, h int, seed int64) (
 		return func(q bitvec.Code, h int) []int { return sr.SearchAppend(nil, q, h) }, func() string {
 			return fmt.Sprintf(" [%d probes, %d candidates verified]",
 				sr.Stats.NodesVisited, sr.Stats.DistanceComputations)
-		}, m.SizeBytes, idx
+		}, m.SizeBytes, func() core.Index { return idx }
 	case "planner":
 		pl, err := planner.Auto(codes, nil, planner.Options{Seed: seed})
 		if err != nil {
@@ -198,9 +197,7 @@ func buildIndex(method, engine string, codes []bitvec.Code, h int, seed int64) (
 		size := func() int {
 			sz := 0
 			eng := pl.Engines()
-			if f, ok := eng.HA.(*core.FrozenIndex); ok {
-				sz += f.SizeBytes()
-			}
+			sz += eng.HA.SizeBytes()
 			if eng.MIH != nil {
 				if m, ok := eng.MIH.Engine().(*mih.Index); ok {
 					sz += m.SizeBytes()

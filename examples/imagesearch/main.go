@@ -40,12 +40,12 @@ func main() {
 	// Hamming-select: near-duplicate image lookup.
 	query := images[123]
 	qcode := hashFn.Hash(query)
-	sr := haindex.NewSearcher(idx)
+	var work haindex.SearchStats
 	t0 = time.Now()
-	dup := sr.Search(qcode, 3)
+	dup := idx.SearchInto(qcode, 3, &work)
 	fmt.Printf("Hamming-select h=3 for image #123: %d near-duplicates in %v "+
 		"(%d distance computations vs %d for a scan)\n\n",
-		len(dup), time.Since(t0).Round(time.Microsecond), sr.Stats.DistanceComputations, n)
+		len(dup), time.Since(t0).Round(time.Microsecond), work.DistanceComputations, n)
 
 	// Approximate kNN-select via Hamming threshold escalation.
 	searcher := haindex.NewHammingKNN(idx, hashFn, images)

@@ -35,14 +35,14 @@ func main() {
 		idx.Len(), idx.NodeCount(), idx.EdgeCount())
 
 	// Example 1: Hamming-select with tq = "101100010", h = 3.
-	// A Searcher reports the work of its last search in its Stats.
+	// SearchInto adds the work of the search to the stats it is given.
 	tq := haindex.MustCode("101100010")
-	sr := haindex.NewSearcher(idx)
-	matches := sr.SearchAppend(nil, tq, 3)
+	var work haindex.SearchStats
+	matches := idx.SearchInto(tq, 3, &work)
 	sort.Ints(matches)
 	fmt.Printf("h-select(%s, S) at h=3: t%v\n", tq, matches)
 	fmt.Printf("  (paper's Example 1 expects {t0, t3, t4, t6})\n")
-	fmt.Printf("  work: %d distance computations for 8 tuples\n\n", sr.Stats.DistanceComputations)
+	fmt.Printf("  work: %d distance computations for 8 tuples\n\n", work.DistanceComputations)
 
 	// Table 3's trace query.
 	trace := haindex.MustCode("010001011")

@@ -32,7 +32,10 @@ import (
 // internal/core/arena_stream.go may not mention BuildDynamic( or
 // FreezeChunked either, and internal/mrjoin — whose global index is the forest
 // of its reducers' arenas — none of BuildDynamic(, core.Merge, core.Freeze(
-// or DynamicIndex.
+// or DynamicIndex. Every serving index is a frozen arena: the serving and
+// offline packages and haserve name neither pointer form (DynamicIndex,
+// StaticIndex, BuildDynamic(, BuildStatic() nor a freeze on entry
+// (core.Compiled).
 func TestServingImportFence(t *testing.T) {
 	internal := func(names ...string) map[string]bool {
 		m := map[string]bool{}
@@ -76,10 +79,18 @@ func TestServingImportFence(t *testing.T) {
 	}
 
 	noPointerBuild := []string{"BuildDynamic(", "FreezeChunked"}
+	noPointerForm := []string{"DynamicIndex", "StaticIndex", "BuildDynamic(", "BuildStatic(", "core.Compiled"}
 	wordFences := []struct {
 		glob   string
 		banned []string
 	}{
+		{"internal/server/*.go", noPointerForm},
+		{"internal/lsm/*.go", noPointerForm},
+		{"internal/planner/*.go", noPointerForm},
+		{"internal/client/*.go", noPointerForm},
+		{"internal/wire/*.go", noPointerForm},
+		{"internal/mrjoin/*.go", noPointerForm},
+		{"cmd/haserve/*.go", noPointerForm},
 		{"internal/lsm/*.go", append([]string{"core.Merge", "DynamicIndex", ".Flush("}, noPointerBuild...)},
 		{"internal/planner/*.go", noPointerBuild},
 		{"internal/core/arena_stream.go", noPointerBuild},

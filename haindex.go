@@ -80,11 +80,12 @@ type (
 	// SearchStats reports per-query work (distance computations, nodes
 	// visited).
 	SearchStats = core.SearchStats
-	// SearchIndex is any HA-Index the reusable Searcher engine can drive
-	// (DynamicIndex or StaticIndex).
+	// SearchIndex is an index over one leaf arena that the reusable Searcher
+	// engine drives: a FrozenIndex (FreezeIndex compiles a DynamicIndex
+	// into one), or an MIH engine adapted by MIHSearchIndex.
 	SearchIndex = core.Index
 	// Searcher is a reusable, allocation-free query engine over one
-	// HA-Index. One Searcher per goroutine; the index may be shared.
+	// SearchIndex. One Searcher per goroutine; the index may be shared.
 	Searcher = core.Searcher
 	// RadixTree is the PATRICIA-trie approach of Section 4.2.
 	RadixTree = radix.Tree

@@ -26,7 +26,7 @@ type queryBenchJSON struct {
 	BuildNs    int64 `json:"build_ns"`
 	FreezeNs   int64 `json:"freeze_ns"`
 
-	// Serial one-Searcher baselines, pointer walk vs frozen arena, with the
+	// Serial one-searcher baselines, pointer walk vs frozen arena, with the
 	// resident footprint of each index form.
 	SerialNsOp       int64   `json:"serial_ns_per_query"`
 	SerialQPS        float64 `json:"serial_qps"`
@@ -39,8 +39,8 @@ type queryBenchJSON struct {
 	BestSpeedup float64         `json:"best_speedup"`
 }
 
+// queryBenchRun is one SearchBatch cell, over the frozen index.
 type queryBenchRun struct {
-	Frozen    bool    `json:"frozen"`
 	Workers   int     `json:"workers"`
 	BatchSize int     `json:"batch_size"`
 	NsPerOp   int64   `json:"ns_per_query"`
@@ -49,9 +49,10 @@ type queryBenchRun struct {
 }
 
 // QueryBench measures the batched query engine (beyond the paper): steady-
-// state SearchBatch throughput over one shared HA-Index as a function of
-// worker count and batch size, against the serial one-Searcher baseline —
-// for both index forms, the pointer hierarchy and its frozen compilation.
+// state SearchBatch throughput over one shared frozen HA-Index as a
+// function of worker count and batch size, against the serial one-Searcher
+// baseline, after a serial comparison of the two index forms — the pointer
+// hierarchy on a PointerSearcher and its frozen compilation on a Searcher.
 // Results are printed as tables and written to BENCH_query.json.
 func QueryBench(sc Scale) ([]Table, error) {
 	env, err := NewEnv(dataset.NUSWide, sc.SelectN, sc.Bits, sc.Queries, sc.Seed)
@@ -81,22 +82,21 @@ func QueryBench(sc Scale) ([]Table, error) {
 		queries[i] = c
 	}
 
-	// Serial baseline per index form: one reused Searcher, one query at a
+	// Serial baseline per index form: one reused searcher, one query at a
 	// time. A warmup pass sizes the scratch so the measurement sees the
 	// steady state.
-	serialNs := func(over core.Index) time.Duration {
-		sr := core.NewSearcher(over)
+	serialNs := func(search func(bitvec.Code, int) []int) time.Duration {
 		for _, q := range queries[:nq/4] {
-			sr.Search(q, sc.Threshold)
+			search(q, sc.Threshold)
 		}
 		t0 := time.Now()
 		for _, q := range queries {
-			sr.Search(q, sc.Threshold)
+			search(q, sc.Threshold)
 		}
 		return time.Since(t0)
 	}
-	serial := serialNs(idx)
-	frozenSerial := serialNs(frozen)
+	serial := serialNs(core.NewPointerSearcher(idx).Search)
+	frozenSerial := serialNs(core.NewSearcher(frozen).Search)
 
 	rec := queryBenchJSON{
 		N:                len(env.Codes),
@@ -115,7 +115,7 @@ func QueryBench(sc Scale) ([]Table, error) {
 	}
 
 	forms := Table{
-		Title: "Query engine: pointer walk vs frozen (compiled) index, serial Searcher",
+		Title: "Query engine: pointer walk vs frozen (compiled) index, serial searcher",
 		Note: fmt.Sprintf("%s, n=%d, L=%d bits, h=%d, %d queries; build %v, freeze %v",
 			env.Profile.Name, len(env.Codes), sc.Bits, sc.Threshold, nq,
 			time.Duration(buildNs).Round(time.Millisecond), time.Duration(freezeNs).Round(time.Millisecond)),
@@ -131,56 +131,45 @@ func QueryBench(sc Scale) ([]Table, error) {
 	workerCounts := []int{1, 2, 4, 8}
 	batchSizes := []int{64, 256, 1024}
 	tables := []Table{forms}
-	for _, form := range []struct {
-		name     string
-		frozen   bool
-		over     core.Index
-		baseline time.Duration
-	}{
-		{"pointer", false, idx, serial},
-		{"frozen", true, frozen, frozenSerial},
-	} {
-		t := Table{
-			Title: fmt.Sprintf("Query engine: SearchBatch throughput vs workers and batch size (%s index)", form.name),
-			Note: fmt.Sprintf("%s, n=%d, L=%d bits, h=%d, %d queries; cells are q/s (speedup vs %.0f q/s serial %s baseline); GOMAXPROCS=%d",
-				env.Profile.Name, len(env.Codes), sc.Bits, sc.Threshold, nq,
-				float64(nq)/form.baseline.Seconds(), form.name, rec.GOMAXPROCS),
-			Header: []string{"batch size"},
-		}
-		for _, w := range workerCounts {
-			t.Header = append(t.Header, fmt.Sprintf("workers=%d", w))
-		}
-		for _, b := range batchSizes {
-			row := []string{fmt.Sprintf("%d", b)}
-			for _, w := range workerCounts {
-				t0 := time.Now()
-				for off := 0; off < nq; off += b {
-					end := off + b
-					if end > nq {
-						end = nq
-					}
-					core.SearchBatch(form.over, queries[off:end], sc.Threshold, w)
-				}
-				dur := time.Since(t0)
-				qps := float64(nq) / dur.Seconds()
-				speedup := form.baseline.Seconds() / dur.Seconds()
-				rec.Runs = append(rec.Runs, queryBenchRun{
-					Frozen:    form.frozen,
-					Workers:   w,
-					BatchSize: b,
-					NsPerOp:   dur.Nanoseconds() / int64(nq),
-					QPS:       qps,
-					Speedup:   speedup,
-				})
-				if speedup > rec.BestSpeedup {
-					rec.BestSpeedup = speedup
-				}
-				row = append(row, fmt.Sprintf("%.0f (%.2fx)", qps, speedup))
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		tables = append(tables, t)
+	t := Table{
+		Title: "Query engine: SearchBatch throughput vs workers and batch size (frozen index)",
+		Note: fmt.Sprintf("%s, n=%d, L=%d bits, h=%d, %d queries; cells are q/s (speedup vs %.0f q/s serial frozen baseline); GOMAXPROCS=%d",
+			env.Profile.Name, len(env.Codes), sc.Bits, sc.Threshold, nq,
+			float64(nq)/frozenSerial.Seconds(), rec.GOMAXPROCS),
+		Header: []string{"batch size"},
 	}
+	for _, w := range workerCounts {
+		t.Header = append(t.Header, fmt.Sprintf("workers=%d", w))
+	}
+	for _, b := range batchSizes {
+		row := []string{fmt.Sprintf("%d", b)}
+		for _, w := range workerCounts {
+			t0 := time.Now()
+			for off := 0; off < nq; off += b {
+				end := off + b
+				if end > nq {
+					end = nq
+				}
+				core.SearchBatch(frozen, queries[off:end], sc.Threshold, w)
+			}
+			dur := time.Since(t0)
+			qps := float64(nq) / dur.Seconds()
+			speedup := frozenSerial.Seconds() / dur.Seconds()
+			rec.Runs = append(rec.Runs, queryBenchRun{
+				Workers:   w,
+				BatchSize: b,
+				NsPerOp:   dur.Nanoseconds() / int64(nq),
+				QPS:       qps,
+				Speedup:   speedup,
+			})
+			if speedup > rec.BestSpeedup {
+				rec.BestSpeedup = speedup
+			}
+			row = append(row, fmt.Sprintf("%.0f (%.2fx)", qps, speedup))
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	tables = append(tables, t)
 
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {

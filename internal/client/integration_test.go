@@ -70,7 +70,7 @@ func buildDeploymentEngine(t *testing.T, rng *rand.Rand, n, bits, parts int, rep
 	for i := range ids {
 		ids[i] = i
 	}
-	d.oracle = core.NewSearcher(core.BuildDynamic(codes, ids, core.Options{}))
+	d.oracle = core.NewSearcher(buildFrozen(codes, ids, core.Options{}))
 
 	byPart := make([][]bitvec.Code, parts)
 	idsByPart := make([][]int, parts)
@@ -81,7 +81,7 @@ func buildDeploymentEngine(t *testing.T, rng *rand.Rand, n, bits, parts int, rep
 	}
 	for m := 0; m < parts; m++ {
 		meta := wire.SnapshotMeta{Part: m, Parts: parts, Length: bits, Pivots: pivots}
-		idx := core.Freeze(core.BuildDynamic(byPart[m], idsByPart[m], core.Options{}))
+		idx := buildFrozen(byPart[m], idsByPart[m], core.Options{})
 		var buf bytes.Buffer
 		if err := wire.WriteSnapshot(&buf, meta, idx); err != nil {
 			t.Fatal(err)
@@ -426,4 +426,14 @@ func TestRouterEnginesMatchOracle(t *testing.T) {
 			t.Fatalf("engine.%s_ns histograms empty across the deployment", name)
 		}
 	}
+}
+
+// buildFrozen is core.BuildFrozen over codes and their ids, which it leaves
+// as they are.
+func buildFrozen(codes []bitvec.Code, ids []int, opts core.Options) *core.FrozenIndex {
+	var rows []uint64
+	for _, c := range codes {
+		rows = append(rows, c.Words()...)
+	}
+	return core.BuildFrozen(codes[0].Len(), rows, slices.Clone(ids), opts)
 }

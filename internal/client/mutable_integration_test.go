@@ -47,7 +47,7 @@ func buildMutableDeployment(t *testing.T, rng *rand.Rand, bits, parts int, seed 
 			}
 		}
 		if len(codes) > 0 {
-			if err := sh.Bootstrap(core.BuildDynamic(codes, ids, core.Options{Window: 8})); err != nil {
+			if err := sh.Bootstrap(buildFrozen(codes, ids, core.Options{Window: 8})); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -382,7 +382,7 @@ func TestMutableServerRefusesMutationsWhenImmutable(t *testing.T) {
 	}
 	pivots := histo.Pivots(codes, 1)
 	meta := wire.SnapshotMeta{Part: 0, Parts: 1, Length: 32, Pivots: pivots}
-	s, err := server.New(meta, core.BuildDynamic(codes, nil, core.Options{}), server.Options{})
+	s, err := server.New(meta, buildFrozen(codes, nil, core.Options{}), server.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

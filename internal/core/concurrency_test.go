@@ -47,8 +47,8 @@ func TestConcurrentSearchInto(t *testing.T) {
 }
 
 // TestConcurrentSearchers exercises the broadcast-index contract for both
-// variants: one shared read-only index, one Searcher per goroutine, exact
-// results under -race.
+// pointer forms: one shared read-only index, one PointerSearcher per
+// goroutine, exact results under -race.
 func TestConcurrentSearchers(t *testing.T) {
 	rng := rand.New(rand.NewSource(146))
 	codes := clusteredCodes(rng, 2000, 32, 10, 3)
@@ -60,7 +60,7 @@ func TestConcurrentSearchers(t *testing.T) {
 	for i, q := range queries {
 		expected[i] = oracle(codes, q, 3)
 	}
-	for _, idx := range []Index{
+	for _, idx := range []pointerIndex{
 		BuildDynamic(codes, nil, Options{}),
 		BuildStatic(codes, nil, 8),
 	} {
@@ -70,7 +70,7 @@ func TestConcurrentSearchers(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				sr := NewSearcher(idx)
+				sr := NewPointerSearcher(idx)
 				for r := 0; r < 50; r++ {
 					i := (w*50 + r) % len(queries)
 					if got := sr.Search(queries[i], 3); !equalIDs(got, expected[i]) {
@@ -93,7 +93,7 @@ func TestConcurrentSearchers(t *testing.T) {
 func TestConcurrentSearchBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(147))
 	codes := clusteredCodes(rng, 1500, 32, 8, 3)
-	idx := BuildDynamic(codes, nil, Options{})
+	idx := Freeze(BuildDynamic(codes, nil, Options{}))
 	queries := make([]bitvec.Code, 40)
 	for i := range queries {
 		queries[i] = codes[rng.Intn(len(codes))]

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"haindex/internal/bitvec"
 	"haindex/internal/gray"
@@ -358,98 +357,56 @@ func (x *DynamicIndex) Length() int { return x.length }
 
 // Search returns the ids of all tuples whose codes are within Hamming
 // distance h of q (Algorithm 3, H-Search). It does not mutate the index;
-// SearchInto, or a Searcher's Stats, reports the work it did.
+// SearchInto, or a PointerSearcher's Stats, reports the work it did.
 func (x *DynamicIndex) Search(q bitvec.Code, h int) []int {
-	var stats SearchStats
-	return x.SearchInto(q, h, &stats)
+	return searchInto(x, q, h, new(SearchStats))
 }
 
 // SearchInto is Search adding its work to stats; it does not mutate the
 // index and is safe for concurrent use.
 func (x *DynamicIndex) SearchInto(q bitvec.Code, h int, stats *SearchStats) []int {
-	var out []int
-	x.search(q, h, stats, func(g *leafGroup) { out = append(out, g.ids...) })
-	for _, p := range x.buffer {
-		stats.DistanceComputations++
-		if _, ok := q.DistanceWithin(p.code, h); ok {
-			out = append(out, p.id)
-		}
-	}
-	return out
+	return searchInto(x, q, h, stats)
 }
 
 // SearchCodes returns the distinct qualifying binary codes instead of tuple
 // ids — the leafless mode used by MapReduce Hamming-join Option B, where a
-// post-processing join recovers the ids. A Searcher's SearchCodes reports
-// the work.
-func (x *DynamicIndex) SearchCodes(q bitvec.Code, h int) []bitvec.Code {
-	var out []bitvec.Code
-	var stats SearchStats
-	x.search(q, h, &stats, func(g *leafGroup) { out = append(out, g.code) })
-	for _, p := range x.buffer {
-		if _, ok := q.DistanceWithin(p.code, h); ok {
-			out = append(out, p.code)
-		}
-	}
-	return out
-}
+// post-processing join recovers the ids. A PointerSearcher's SearchCodes
+// reports the work.
+func (x *DynamicIndex) SearchCodes(q bitvec.Code, h int) []bitvec.Code { return searchCodes(x, q, h) }
 
-// search runs the breadth-first H-Search over the hierarchy, invoking emit
-// for every qualifying leaf group. At each node only the bits fixed beyond
-// the parent are charged, so along any root-to-leaf path each bit position
-// is XORed exactly once.
-func (x *DynamicIndex) search(q bitvec.Code, h int, stats *SearchStats, emit func(*leafGroup)) {
-	queue := queuePool.Get().(*[]qitem)
-	defer func() {
-		*queue = (*queue)[:0]
-		queuePool.Put(queue)
-	}()
-	x.searchHier(queue, q, h, stats, emit)
-}
-
-// searchWith implements Index: the same H-Search on the searcher's own work
-// queue (reused across queries), followed by a linear pass over the
-// unflushed insert buffer through emitOne.
-func (x *DynamicIndex) searchWith(sr *Searcher, q bitvec.Code, h int, emitGroup func(*leafGroup), emitOne func(int, bitvec.Code)) (GroupView, []int32) {
-	x.searchHier(&sr.queue, q, h, &sr.Stats, emitGroup)
-	for i := range x.buffer {
-		sr.Stats.DistanceComputations++
-		if _, ok := q.DistanceWithin(x.buffer[i].code, h); ok {
-			emitOne(x.buffer[i].id, x.buffer[i].code)
-		}
-	}
-	return GroupView{}, nil
-}
-
-// searchHier is the H-Search core over a caller-supplied queue; *queue is
-// left grown so pooling callers keep the high-water capacity.
-func (x *DynamicIndex) searchHier(queue *[]qitem, q bitvec.Code, h int, stats *SearchStats, emit func(*leafGroup)) {
+// searchPointer implements pointerIndex: the breadth-first H-Search over the
+// hierarchy on the searcher's work queue, followed by a linear pass over the
+// unflushed insert buffer. At each node only the bits fixed beyond the
+// parent are charged, so along any root-to-leaf path each bit position is
+// XORed exactly once.
+func (x *DynamicIndex) searchPointer(ps *PointerSearcher, q bitvec.Code, h int) {
 	if q.Len() != x.length {
 		panic(fmt.Sprintf("core: %d-bit query against %d-bit index", q.Len(), x.length))
 	}
-	*queue = (*queue)[:0]
+	stats := &ps.Stats
+	queue := ps.queue[:0]
 	qw := q.Words()
 	nw := len(qw)
 	for _, r := range x.roots {
 		stats.DistanceComputations++
 		if d := residualDistance(r.res, qw, nw); d <= h {
-			*queue = append(*queue, qitem{n: r, dist: d})
+			queue = append(queue, qitem{n: r, dist: d})
 		}
 	}
 	for _, g := range x.topLeaves {
 		stats.DistanceComputations++
 		stats.LeavesChecked++
 		if _, ok := q.DistanceWithin(g.code, h); ok {
-			emit(g)
+			ps.found = append(ps.found, g)
 		}
 	}
-	for head := 0; head < len(*queue); head++ {
-		it := (*queue)[head]
+	for head := 0; head < len(queue); head++ {
+		it := queue[head]
 		stats.NodesVisited++
 		for _, c := range it.n.children {
 			stats.DistanceComputations++
 			if d := it.dist + residualDistance(c.res, qw, nw); d <= h {
-				*queue = append(*queue, qitem{n: c, dist: d})
+				queue = append(queue, qitem{n: c, dist: d})
 			}
 		}
 		if len(it.n.leaves) > 0 {
@@ -458,9 +415,16 @@ func (x *DynamicIndex) searchHier(queue *[]qitem, q bitvec.Code, h int, stats *S
 				stats.DistanceComputations++
 				stats.LeavesChecked++
 				if it.dist+q.DistanceExcluding(g.code, mask) <= h {
-					emit(g)
+					ps.found = append(ps.found, g)
 				}
 			}
+		}
+	}
+	ps.queue = queue
+	for _, p := range x.buffer {
+		stats.DistanceComputations++
+		if _, ok := q.DistanceWithin(p.code, h); ok {
+			ps.loose = append(ps.loose, p)
 		}
 	}
 }
@@ -470,12 +434,6 @@ type qitem struct {
 	n    *dnode
 	dist int
 }
-
-// queuePool recycles H-Search work queues across queries.
-var queuePool = sync.Pool{New: func() interface{} {
-	s := make([]qitem, 0, 128)
-	return &s
-}}
 
 // residualDistance counts differing bits between the query words and a
 // node's residual pattern (mask words then bits words).

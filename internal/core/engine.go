@@ -54,13 +54,11 @@ func (x *EngineIndex) Length() int { return x.grp.Length }
 func (x *EngineIndex) Len() int { return len(x.grp.IDs) }
 
 // searchWith implements Index: the engine's qualifying groups, as indexes
-// into its arena. An engine has no unflushed insert buffer, so neither emit
-// function is invoked.
-func (x *EngineIndex) searchWith(sr *Searcher, q bitvec.Code, h int, _ func(*leafGroup), _ func(int, bitvec.Code)) (GroupView, []int32) {
+// into its arena.
+func (x *EngineIndex) searchWith(sr *Searcher, q bitvec.Code, h int) (GroupView, []int32) {
 	if sr.xscratch == nil {
 		sr.xscratch = x.eng.NewScratch()
 	}
-	groups := sr.xscratch.Search(q, h, &sr.Stats, sr.groups[:0])
-	sr.groups = groups
-	return x.grp, groups
+	sr.groups = sr.xscratch.Search(q, h, &sr.Stats, sr.groups[:0])
+	return x.grp, sr.groups
 }

@@ -160,31 +160,6 @@ func (x *DynamicIndex) walkGroups(fn func(*leafGroup)) {
 	}
 }
 
-// Compiled returns idx in its compiled form: a *FrozenIndex as it is, the
-// pointer index through Freeze (BuildFrozen builds the same arenas from a
-// tuple slab, for callers that have no pointer index yet). An adapted engine has no hierarchy to compile
-// and reports false.
-func Compiled(idx Index) (*FrozenIndex, bool) {
-	switch t := idx.(type) {
-	case *FrozenIndex:
-		return t, true
-	case *DynamicIndex:
-		return Freeze(t), true
-	}
-	return nil, false
-}
-
-// groupCode returns leaf group gi's code, aliasing the arena.
-func (f *FrozenIndex) groupCode(gi int32) bitvec.Code {
-	return bitvec.FromWordsShared(f.codeSlab[int(gi)*f.nw:int(gi+1)*f.nw], f.length)
-}
-
-// groupIDs returns leaf group gi's tuple ids, aliasing the arena.
-func (f *FrozenIndex) groupIDs(gi int32) []int {
-	lo, hi := f.idStart[gi], f.idStart[gi+1]
-	return f.idSlab[lo:hi:hi]
-}
-
 // Len returns the number of indexed tuples.
 func (f *FrozenIndex) Len() int { return f.n }
 
@@ -245,9 +220,10 @@ func (f *FrozenIndex) Close() error {
 
 // Codes returns the distinct indexed codes in arena order.
 func (f *FrozenIndex) Codes() []bitvec.Code {
-	out := make([]bitvec.Code, f.GroupCount())
+	v := f.Groups()
+	out := make([]bitvec.Code, v.Count())
 	for i := range out {
-		out[i] = f.groupCode(int32(i))
+		out[i] = v.Code(i)
 	}
 	return out
 }
@@ -257,9 +233,8 @@ func (f *FrozenIndex) Tuples(fn func(id int, code bitvec.Code)) { f.Groups().Tup
 
 // searchWith implements Index: the H-Search walk over the flat arrays on the
 // searcher's scratch, answering with the qualifying groups of the leaf
-// arena. A frozen index has no insert buffer, so neither emit function is
-// invoked.
-func (f *FrozenIndex) searchWith(sr *Searcher, q bitvec.Code, h int, _ func(*leafGroup), _ func(int, bitvec.Code)) (GroupView, []int32) {
+// arena.
+func (f *FrozenIndex) searchWith(sr *Searcher, q bitvec.Code, h int) (GroupView, []int32) {
 	if q.Len() != f.length {
 		panic(fmt.Sprintf("core: %d-bit query against %d-bit frozen index", q.Len(), f.length))
 	}
@@ -629,6 +604,7 @@ func (f *FrozenIndex) topK(sr *Searcher, q bitvec.Code, k int) ([]int, []int) {
 	}
 	sr.prepareFrozen(f)
 	qw := q.Words()
+	v := f.Groups()
 	var his, hds []int32
 	found := 0
 	for h := 0; h <= f.length && found < k; h++ {
@@ -640,13 +616,13 @@ func (f *FrozenIndex) topK(sr *Searcher, q bitvec.Code, k int) ([]int, []int) {
 			sr.fseen[gi] = sr.fepoch
 			his = append(his, gi)
 			hds = append(hds, sr.fdists[i])
-			found += len(f.groupIDs(gi))
+			found += len(v.GroupIDs(int(gi)))
 		}
 	}
 	ids := make([]int, 0, found)
 	dists := make([]int, 0, found)
 	for i, gi := range his {
-		for _, id := range f.groupIDs(gi) {
+		for _, id := range v.GroupIDs(int(gi)) {
 			ids = append(ids, id)
 			dists = append(dists, int(hds[i]))
 		}

@@ -37,7 +37,7 @@ func TestFreezeSearchEquivalence(t *testing.T) {
 				bitsLen, frozen.Len(), frozen.Length(), dyn.Len(), dyn.Length())
 		}
 		fsr := NewSearcher(frozen)
-		dsr := NewSearcher(dyn)
+		dsr := NewPointerSearcher(dyn)
 		for h := 0; h <= 8; h++ {
 			for qi, q := range queries {
 				got := append([]int(nil), fsr.Search(q, h)...)
@@ -53,12 +53,13 @@ func TestFreezeSearchEquivalence(t *testing.T) {
 }
 
 // TestFrozenTopKEquivalence: frozen TopK (native radius escalation with the
-// epoch memo) returns exactly the generic escalation's (distance, id) pairs.
+// epoch memo) returns exactly the generic escalation's (distance, id) pairs,
+// run here over a brute-scan engine on the same arena.
 func TestFrozenTopKEquivalence(t *testing.T) {
 	for _, bitsLen := range []int{32, 128} {
 		_, queries, dyn, frozen := frozenEnv(t, int64(1100+bitsLen), 700, bitsLen)
 		fsr := NewSearcher(frozen)
-		dsr := NewSearcher(dyn)
+		dsr := NewSearcher(AsIndex(scanEngine{frozen.Groups()}))
 		for _, k := range []int{0, 1, 3, 17, 64, dyn.Len() + 5} {
 			for qi, q := range queries {
 				gotIDs, gotDists := fsr.TopK(q, k)

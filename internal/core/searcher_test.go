@@ -9,9 +9,10 @@ import (
 	"haindex/internal/bitvec"
 )
 
-// searcherEnv builds both index variants over one clustered dataset plus a
-// mixed query set (dataset members and random outsiders).
-func searcherEnv(t testing.TB, seed int64, n, bitsLen, h int) ([]bitvec.Code, []bitvec.Code, []Index) {
+// searcherEnv builds the three index forms over one clustered dataset plus a
+// mixed query set (dataset members and random outsiders): the paper's
+// Dynamic and Static HA-Index and the frozen arena.
+func searcherEnv(t testing.TB, seed int64, n, bitsLen, h int) ([]bitvec.Code, []bitvec.Code, []any) {
 	rng := rand.New(rand.NewSource(seed))
 	codes := clusteredCodes(rng, n, bitsLen, 12, 3)
 	queries := make([]bitvec.Code, 48)
@@ -22,20 +23,61 @@ func searcherEnv(t testing.TB, seed int64, n, bitsLen, h int) ([]bitvec.Code, []
 			queries[i] = codes[rng.Intn(len(codes))]
 		}
 	}
-	return codes, queries, []Index{
+	return codes, queries, []any{
 		BuildDynamic(codes, nil, Options{}),
 		BuildStatic(codes, nil, 8),
 		Freeze(BuildDynamic(codes, nil, Options{})),
 	}
 }
 
-// TestSearcherMatchesOracle: a reused Searcher answers every query exactly,
-// on both index variants, across code widths spanning one word and several.
+// querier is the surface the arena Searcher and the PointerSearcher share,
+// so one test body covers every index form.
+type querier interface {
+	Search(q bitvec.Code, h int) []int
+	SearchAppend(dst []int, q bitvec.Code, h int) []int
+	SearchCodes(q bitvec.Code, h int) []bitvec.Code
+}
+
+// newQuerier returns the searcher each form runs on: the arena Searcher for
+// an Index, the PointerSearcher for the Static and Dynamic forms.
+func newQuerier(idx any) querier {
+	if x, ok := idx.(Index); ok {
+		return NewSearcher(x)
+	}
+	return NewPointerSearcher(idx.(pointerIndex))
+}
+
+// scanEngine is a brute-scan Engine over a leaf arena: the smallest adapted
+// index, so SearchBatch's per-query path has a core test of its own.
+type scanEngine struct{ v GroupView }
+
+func (e scanEngine) Groups() GroupView         { return e.v }
+func (e scanEngine) NewScratch() EngineScratch { return e }
+
+func (e scanEngine) Search(q bitvec.Code, h int, stats *SearchStats, out []int32) []int32 {
+	for gi := 0; gi < e.v.Count(); gi++ {
+		stats.DistanceComputations++
+		if _, ok := q.DistanceWithin(e.v.Code(gi), h); ok {
+			out = append(out, int32(gi))
+		}
+	}
+	return out
+}
+
+// arenaIndexes returns the arena forms SearchBatch serves: the frozen walk
+// (a Gray block at a time) and an adapted engine (one query at a time).
+func arenaIndexes(codes []bitvec.Code) []Index {
+	f := Freeze(BuildDynamic(codes, nil, Options{}))
+	return []Index{f, AsIndex(scanEngine{f.Groups()})}
+}
+
+// TestSearcherMatchesOracle: a reused searcher answers every query exactly,
+// on every index form, across code widths spanning one word and several.
 func TestSearcherMatchesOracle(t *testing.T) {
 	for _, bitsLen := range []int{32, 64, 100, 150} {
 		codes, queries, indexes := searcherEnv(t, int64(200+bitsLen), 1200, bitsLen, 0)
 		for _, idx := range indexes {
-			sr := NewSearcher(idx)
+			sr := newQuerier(idx)
 			for h := 0; h <= 5; h++ {
 				for qi, q := range queries {
 					want := oracle(codes, q, h)
@@ -52,7 +94,7 @@ func TestSearcherMatchesOracle(t *testing.T) {
 func TestSearcherCodes(t *testing.T) {
 	codes, queries, indexes := searcherEnv(t, 77, 800, 48, 0)
 	for _, idx := range indexes {
-		sr := NewSearcher(idx)
+		sr := newQuerier(idx)
 		for _, q := range queries {
 			distinct := map[string]bool{}
 			for _, i := range oracle(codes, q, 3) {
@@ -71,13 +113,13 @@ func TestSearcherCodes(t *testing.T) {
 	}
 }
 
-// TestSearcherZeroAlloc: steady-state Searcher.Search performs zero heap
-// allocations, for single-word and multi-word codes on both index variants.
+// TestSearcherZeroAlloc: steady-state Search performs zero heap
+// allocations, for single-word and multi-word codes on every index form.
 func TestSearcherZeroAlloc(t *testing.T) {
 	for _, bitsLen := range []int{32, 128} {
 		_, queries, indexes := searcherEnv(t, int64(300+bitsLen), 1500, bitsLen, 0)
 		for _, idx := range indexes {
-			sr := NewSearcher(idx)
+			sr := newQuerier(idx)
 			// Warm the scratch to its high-water mark.
 			for r := 0; r < 3; r++ {
 				for _, q := range queries {
@@ -105,7 +147,7 @@ func TestStaticLookupAssembledZeroAlloc(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(400 + bitsLen)))
 		codes := clusteredCodes(rng, 400, bitsLen, 6, 3)
 		idx := BuildStatic(codes, nil, 8)
-		sr := NewSearcher(idx)
+		sr := NewPointerSearcher(idx)
 		for qi, q := range codes[:50] {
 			if got, want := sr.Search(q, 0), oracle(codes, q, 0); !equalIDs(got, want) {
 				t.Fatalf("L=%d q#%d: exact lookup got %d ids, want %d", bitsLen, qi, len(got), len(want))
@@ -137,7 +179,7 @@ func TestSearcherZeroAllocLooseThreshold(t *testing.T) {
 	}
 	idx := BuildStatic(codes, nil, 8)
 	q := bitvec.Rand(rng, 64)
-	sr := NewSearcher(idx)
+	sr := NewPointerSearcher(idx)
 	for r := 0; r < 3; r++ {
 		sr.Search(q, 40)
 	}
@@ -148,10 +190,10 @@ func TestSearcherZeroAllocLooseThreshold(t *testing.T) {
 
 // TestSearchBatchMatchesSerial: SearchBatch returns per-query results
 // identical to serial searches, for several worker counts, and aggregates
-// the same total work.
+// the same total work, over the frozen walk and an adapted engine.
 func TestSearchBatchMatchesSerial(t *testing.T) {
-	codes, queries, indexes := searcherEnv(t, 41, 2000, 32, 0)
-	for _, idx := range indexes {
+	codes, queries, _ := searcherEnv(t, 41, 2000, 32, 0)
+	for _, idx := range arenaIndexes(codes) {
 		for _, workers := range []int{0, 1, 2, 4, 7} {
 			results, stats := SearchBatch(idx, queries, 3, workers)
 			if len(results) != len(queries) {
@@ -172,9 +214,8 @@ func TestSearchBatchMatchesSerial(t *testing.T) {
 // TestSearchCodesBatch: the leafless batch variant agrees with per-query
 // SearchCodes.
 func TestSearchCodesBatch(t *testing.T) {
-	codes, queries, indexes := searcherEnv(t, 43, 1000, 32, 0)
-	_ = codes
-	for _, idx := range indexes {
+	codes, queries, _ := searcherEnv(t, 43, 1000, 32, 0)
+	for _, idx := range arenaIndexes(codes) {
 		serial := NewSearcher(idx)
 		results, _ := SearchCodesBatch(idx, queries, 3, 4)
 		for i, q := range queries {
@@ -195,7 +236,38 @@ func TestSearchCodesBatch(t *testing.T) {
 	}
 }
 
-// TestSearcherOnBufferedDynamic: Searcher results include unflushed inserts.
+// TestSearchIntoAccumulates: SearchInto adds its work to the caller's stats
+// on both pointer forms, so the stats of two calls into one total equal the
+// sum of the two calls' separate stats, which are a PointerSearcher's.
+func TestSearchIntoAccumulates(t *testing.T) {
+	codes, queries, _ := searcherEnv(t, 61, 800, 32, 0)
+	type searchInto interface {
+		pointerIndex
+		SearchInto(q bitvec.Code, h int, stats *SearchStats) []int
+	}
+	for _, idx := range []searchInto{BuildDynamic(codes, nil, Options{}), BuildStatic(codes, nil, 8)} {
+		sr := NewPointerSearcher(idx)
+		for i := 0; i+1 < len(queries); i += 2 {
+			q0, q1 := queries[i], queries[i+1]
+			var a, b, total SearchStats
+			idx.SearchInto(q0, 3, &a)
+			idx.SearchInto(q1, 3, &b)
+			idx.SearchInto(q0, 3, &total)
+			idx.SearchInto(q1, 3, &total)
+			want := a
+			want.Add(b)
+			if total != want || a.DistanceComputations == 0 || b.DistanceComputations == 0 {
+				t.Fatalf("%T q#%d,%d: two calls into one total %+v, separate %+v + %+v", idx, i, i+1, total, a, b)
+			}
+			if sr.Search(q0, 3); sr.Stats != a {
+				t.Fatalf("%T q#%d: SearchInto stats %+v, PointerSearcher %+v", idx, i, a, sr.Stats)
+			}
+		}
+	}
+}
+
+// TestSearcherOnBufferedDynamic: PointerSearcher results include unflushed
+// inserts.
 func TestSearcherOnBufferedDynamic(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	codes := clusteredCodes(rng, 400, 32, 8, 3)
@@ -203,7 +275,7 @@ func TestSearcherOnBufferedDynamic(t *testing.T) {
 	for i := 300; i < len(codes); i++ {
 		idx.Insert(i, codes[i])
 	}
-	sr := NewSearcher(idx)
+	sr := NewPointerSearcher(idx)
 	for _, q := range codes[:20] {
 		if got, want := sr.Search(q, 3), oracle(codes, q, 3); !equalIDs(got, want) {
 			t.Fatalf("buffered dynamic: got %d ids, want %d", len(got), len(want))
@@ -217,7 +289,7 @@ func TestSearcherAfterStaticInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	codes := clusteredCodes(rng, 300, 32, 6, 3)
 	idx := BuildStatic(codes[:100], nil, 8)
-	sr := NewSearcher(idx)
+	sr := NewPointerSearcher(idx)
 	sr.Search(codes[0], 3) // size scratch to the small index
 	for i := 100; i < len(codes); i++ {
 		idx.Insert(i, codes[i])
@@ -232,7 +304,7 @@ func TestSearcherAfterStaticInsert(t *testing.T) {
 // TestSearchAppend: results copied out of scratch survive subsequent calls.
 func TestSearchAppend(t *testing.T) {
 	codes, queries, indexes := searcherEnv(t, 57, 600, 32, 0)
-	sr := NewSearcher(indexes[0])
+	sr := newQuerier(indexes[0])
 	var acc []int
 	var want []int
 	for _, q := range queries[:10] {
@@ -248,7 +320,7 @@ func BenchmarkSearcherSearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	codes := clusteredCodes(rng, 20000, 32, 16, 3)
 	idx := BuildDynamic(codes, nil, Options{})
-	sr := NewSearcher(idx)
+	sr := NewPointerSearcher(idx)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -260,7 +332,7 @@ func BenchmarkSearcherSearchStatic(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	codes := clusteredCodes(rng, 20000, 32, 16, 3)
 	idx := BuildStatic(codes, nil, 8)
-	sr := NewSearcher(idx)
+	sr := NewPointerSearcher(idx)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -271,7 +343,7 @@ func BenchmarkSearcherSearchStatic(b *testing.B) {
 func BenchmarkSearchBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	codes := clusteredCodes(rng, 20000, 32, 16, 3)
-	idx := BuildDynamic(codes, nil, Options{})
+	idx := Freeze(BuildDynamic(codes, nil, Options{}))
 	queries := codes[:1024]
 	for _, workers := range []int{1, 2, 4, 8} {
 		if workers > runtime.GOMAXPROCS(0) {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"haindex/internal/bitvec"
@@ -180,25 +182,18 @@ func staticSegKey(c bitvec.Code, from, width int) uint64 {
 // assembled full code of a surviving path is verified against the code map,
 // which filters the spurious paths a merged-layer graph can contain.
 //
-// Hot paths and concurrent callers should reuse a Searcher, whose Stats
-// report the work.
+// Hot paths should reuse a PointerSearcher, whose Stats report the work.
 func (s *StaticIndex) Search(q bitvec.Code, h int) []int {
-	return NewSearcher(s).Search(q, h)
+	return searchInto(s, q, h, new(SearchStats))
 }
 
 // SearchCodes returns the distinct qualifying codes instead of ids.
-func (s *StaticIndex) SearchCodes(q bitvec.Code, h int) []bitvec.Code {
-	return NewSearcher(s).SearchCodes(q, h)
-}
+func (s *StaticIndex) SearchCodes(q bitvec.Code, h int) []bitvec.Code { return searchCodes(s, q, h) }
 
-// SearchInto is Search with caller-owned statistics; it does not mutate the
-// index and is safe for concurrent use on a read-only index. Callers issuing
-// many queries should hold a Searcher instead, which reuses its scratch.
+// SearchInto is Search adding its work to stats; it does not mutate the
+// index and is safe for concurrent use on a read-only index.
 func (s *StaticIndex) SearchInto(q bitvec.Code, h int, stats *SearchStats) []int {
-	sr := NewSearcher(s)
-	out := sr.Search(q, h)
-	*stats = sr.Stats
-	return out
+	return searchInto(s, q, h, stats)
 }
 
 // assemble64 packs per-level segment values into the single word of a
@@ -256,4 +251,183 @@ func (s *StaticIndex) SizeBytes() int {
 		sz += 48 + g.code.SizeBytes() + 8*len(g.ids)
 	}
 	return sz
+}
+
+// searchPointer implements pointerIndex for the Static HA-Index: the
+// budgeted layered-graph walk of Search, driven by an explicit stack and
+// epoch-reset memo tables instead of a per-query recursive closure.
+func (s *StaticIndex) searchPointer(ps *PointerSearcher, q bitvec.Code, h int) {
+	if q.Len() != s.length {
+		panic(fmt.Sprintf("core: %d-bit query against %d-bit static index", q.Len(), s.length))
+	}
+	// The merged-layer graph can contain far more qualifying paths than real
+	// codes once h stops pruning (spurious paths are only filtered at
+	// assembly). Bound the walk by a budget proportional to the data; when
+	// the threshold is too loose for pruning to pay, fall back to an exact
+	// scan over the distinct codes.
+	budget := 2 * (len(s.groups) + s.NodeCount() + 16)
+	if s.walkIterative(ps, q, h, budget) {
+		return
+	}
+	ps.Stats.NodesVisited = 0
+	ps.found = ps.found[:0]
+	for _, g := range s.groups {
+		if len(g.ids) == 0 {
+			continue // deleted code
+		}
+		ps.Stats.DistanceComputations++
+		ps.Stats.LeavesChecked++
+		if _, ok := q.DistanceWithin(g.code, h); ok {
+			ps.found = append(ps.found, g)
+		}
+	}
+}
+
+// prepareStatic (re)sizes the searcher's static scratch for the index's
+// current node counts and advances the memo epoch.
+func (sr *PointerSearcher) prepareStatic(s *StaticIndex) {
+	if len(sr.memo) < s.levels {
+		sr.memo = append(sr.memo, make([][]uint32, s.levels-len(sr.memo))...)
+	}
+	for l := 0; l < s.levels; l++ {
+		if len(sr.memo[l]) < len(s.segs[l]) {
+			sr.memo[l] = append(sr.memo[l], make([]uint32, len(s.segs[l])-len(sr.memo[l]))...)
+		}
+	}
+	if len(sr.qsegs) < s.levels {
+		sr.qsegs = make([]uint64, s.levels)
+	}
+	if len(sr.path) < s.levels {
+		sr.path = make([]uint64, s.levels)
+	}
+	sr.epoch++
+	if sr.epoch >= 1<<25 {
+		// The packed memo entries hold epoch<<7|dist in 32 bits; on epoch
+		// wrap, clear the tables once and restart.
+		for l := range sr.memo {
+			for i := range sr.memo[l] {
+				sr.memo[l][i] = 0
+			}
+		}
+		sr.epoch = 1
+	}
+}
+
+// walkIterative runs the pruned layered-graph DFS on the searcher's scratch.
+// It reports false when the work budget is exhausted, leaving a partial
+// sr.found for the caller's fallback to discard; on success sr.found holds
+// the verified leaf groups.
+func (s *StaticIndex) walkIterative(sr *PointerSearcher, q bitvec.Code, h int, budget int) bool {
+	sr.prepareStatic(s)
+	for l := 0; l < s.levels; l++ {
+		sr.qsegs[l] = staticSegKey(q, s.bounds[l][0], s.bounds[l][1])
+	}
+	sr.found = sr.found[:0]
+	stack := sr.stack[:0]
+	for nid := len(s.segs[0]) - 1; nid >= 0; nid-- {
+		stack = append(stack, sframe{level: 0, nid: int32(nid)})
+	}
+	lastLevel := int32(s.levels - 1)
+	markBase := sr.epoch << 7
+	visited := 0
+	ok := true
+	for len(stack) > 0 {
+		fr := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		visited++
+		if visited > budget {
+			ok = false
+			break
+		}
+		l, nid := fr.level, fr.nid
+		// Memoized node distance: one XOR+popcount per distinct segment
+		// value per query, shared by every code traversing the node.
+		var nd int32
+		if m := sr.memo[l][nid]; m>>7 == sr.epoch {
+			nd = int32(m&127) - 1
+		} else {
+			sr.Stats.DistanceComputations++
+			nd = int32(bits.OnesCount64(s.segs[l][nid] ^ sr.qsegs[l]))
+			sr.memo[l][nid] = markBase | uint32(nd+1)
+		}
+		d := fr.dist + nd
+		if d > int32(h) {
+			continue
+		}
+		sr.path[l] = s.segs[l][nid]
+		if l == lastLevel {
+			// Assemble the candidate code and verify it exists, which
+			// filters the spurious paths a merged-layer graph can contain.
+			sr.Stats.LeavesChecked++
+			if s.byCode64 != nil {
+				if g, okk := s.byCode64[s.assemble64(sr.path[:s.levels])]; okk {
+					sr.found = append(sr.found, g)
+				}
+			} else if g := s.lookupAssembled(sr); g != nil {
+				sr.found = append(sr.found, g)
+			}
+			continue
+		}
+		for _, next := range s.adj[l][nid] {
+			stack = append(stack, sframe{level: l + 1, nid: next, dist: d})
+		}
+	}
+	sr.stack = stack[:0]
+	sr.Stats.NodesVisited += visited
+	return ok
+}
+
+// lookupAssembled assembles the multi-word code on sr.path into scratch
+// words, builds its map key in a reused byte buffer, and resolves the leaf
+// group — the allocation-free equivalent of byCode[assemble(path).Key()].
+func (s *StaticIndex) lookupAssembled(sr *PointerSearcher) *leafGroup {
+	nw := (s.length + 63) / 64
+	if len(sr.asmWords) < nw {
+		sr.asmWords = make([]uint64, nw)
+	}
+	words := sr.asmWords[:nw]
+	for i := range words {
+		words[i] = 0
+	}
+	used := 0
+	for l := 0; l < s.levels; l++ {
+		w := s.bounds[l][1]
+		lv := sr.path[l] << uint(64-w)
+		hi, off := used/64, uint(used%64)
+		words[hi] |= lv >> off
+		if int(off)+w > 64 {
+			words[hi+1] |= lv << (64 - off)
+		}
+		used += w
+	}
+	// Key layout must match bitvec.Code.Key: big-endian words then length.
+	// Codes up to 256 bits key through a stack buffer; longer ones reuse the
+	// searcher's scratch. Either way the map probe's string conversion stays
+	// off the heap (the compiler's map[string(bytes)] optimization), so no
+	// per-query allocation happens on this path.
+	if nw <= 4 {
+		var stack [4*8 + 1]byte
+		for i, w := range words {
+			binary.BigEndian.PutUint64(stack[i*8:], w)
+		}
+		stack[nw*8] = byte(s.length)
+		return s.byCode[string(stack[:nw*8+1])]
+	}
+	if cap(sr.keyBuf) < nw*8+1 {
+		sr.keyBuf = make([]byte, nw*8+1)
+	}
+	buf := sr.keyBuf[:nw*8+1]
+	for i, w := range words {
+		binary.BigEndian.PutUint64(buf[i*8:], w)
+	}
+	buf[nw*8] = byte(s.length)
+	return s.byCode[string(buf)]
+}
+
+// sframe is one frame of the Static index's iterative depth-first walk: the
+// node to expand and the Hamming distance accumulated over its ancestors.
+type sframe struct {
+	level int32
+	nid   int32
+	dist  int32
 }

@@ -45,7 +45,7 @@ func newChurnShape() churnShape {
 	for i := range ids {
 		ids[i] = i
 	}
-	sh := churnShape{codes: codes, boot: core.Freeze(core.BuildDynamic(codes[:churnBase], ids, core.Options{}))}
+	sh := churnShape{codes: codes, boot: buildFrozen(codes[:churnBase], ids, core.Options{})}
 	for id := 0; id < churnBase; id += 10 {
 		sh.victims = append(sh.victims, id)
 	}

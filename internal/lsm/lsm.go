@@ -172,12 +172,12 @@ func New(length int, opts Options) *Shard {
 	return s
 }
 
-// Bootstrap seeds the shard with an existing immutable index as its first
+// Bootstrap seeds the shard with an existing frozen index as its first
 // segment — how a server turns a loaded snapshot into a mutable shard. Ids
 // in the index must be unique (a duplicate is an error: Len would
 // under-report and one Delete would mask two tuples). It must be called
 // before any mutation.
-func (s *Shard) Bootstrap(idx core.Index) error {
+func (s *Shard) Bootstrap(idx *core.FrozenIndex) error {
 	if idx.Length() != s.length {
 		return fmt.Errorf("lsm: bootstrap index is %d-bit, shard serves %d-bit codes", idx.Length(), s.length)
 	}
@@ -190,20 +190,16 @@ func (s *Shard) Bootstrap(idx core.Index) error {
 	if idx.Len() == 0 {
 		return nil
 	}
-	frozen, ok := core.Compiled(idx)
-	if !ok {
-		return fmt.Errorf("lsm: cannot bootstrap from index type %T", idx)
-	}
-	frozen.Tuples(func(id int, _ bitvec.Code) {
+	idx.Tuples(func(id int, _ bitvec.Code) {
 		s.frozenLive[id] = struct{}{}
 	})
-	if distinct := len(s.frozenLive); distinct != frozen.Len() {
+	if distinct := len(s.frozenLive); distinct != idx.Len() {
 		s.frozenLive = make(map[int]struct{})
-		return fmt.Errorf("lsm: bootstrap index holds %d tuples under %d distinct ids", frozen.Len(), distinct)
+		return fmt.Errorf("lsm: bootstrap index holds %d tuples under %d distinct ids", idx.Len(), distinct)
 	}
 	s.seq++
 	st := s.state.Load()
-	s.state.Store(&state{segments: []*segment{newSegment(frozen, s.seq)}, epoch: st.epoch + 1})
+	s.state.Store(&state{segments: []*segment{newSegment(idx, s.seq)}, epoch: st.epoch + 1})
 	s.publishGauges()
 	return nil
 }

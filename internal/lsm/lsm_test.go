@@ -3,6 +3,7 @@ package lsm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -205,7 +206,8 @@ func TestShardAutoSealCompact(t *testing.T) {
 	}
 }
 
-// TestShardBootstrap starts shards from both index forms, then mutates
+// TestShardBootstrap starts shards from both builds of the frozen index —
+// the pointer build compiled by Freeze, and BuildFrozen — then mutates
 // through the frozen layer: deletes of bootstrapped ids must tombstone, an
 // upsert must supersede the frozen copy, and compaction must fold the
 // tombstones away. A snapshot that repeats an id is refused.
@@ -215,10 +217,8 @@ func TestShardBootstrap(t *testing.T) {
 	for _, form := range []string{"dynamic", "frozen"} {
 		form := form
 		t.Run(form, func(t *testing.T) {
-			var idx core.Index
+			idx := buildFrozen(codes, nil, core.Options{Window: 8})
 			if form == "dynamic" {
-				idx = core.BuildDynamic(codes, nil, core.Options{Window: 8})
-			} else {
 				idx = core.Freeze(core.BuildDynamic(codes, nil, core.Options{Window: 8}))
 			}
 			s := New(32, Options{MemtableMax: -1, CompactAt: -1})
@@ -255,7 +255,7 @@ func TestShardBootstrap(t *testing.T) {
 		})
 	}
 	t.Run("duplicate-id", func(t *testing.T) {
-		dup := core.Freeze(core.BuildDynamic(codes[:3], []int{4, 5, 4}, core.Options{}))
+		dup := buildFrozen(codes[:3], []int{4, 5, 4}, core.Options{})
 		s := New(32, Options{MemtableMax: -1, CompactAt: -1})
 		defer s.Close()
 		if err := s.Bootstrap(dup); err == nil {
@@ -499,4 +499,14 @@ func TestShardSealKeepsServing(t *testing.T) {
 			t.Fatalf("after Seal %d: epoch %d -> %d, stats %+v", i, before, st.Epoch, st)
 		}
 	}
+}
+
+// buildFrozen is core.BuildFrozen over codes and their ids, which it leaves
+// as they are.
+func buildFrozen(codes []bitvec.Code, ids []int, opts core.Options) *core.FrozenIndex {
+	rows := make([]uint64, 0, len(codes)*len(codes[0].Words()))
+	for _, c := range codes {
+		rows = append(rows, c.Words()...)
+	}
+	return core.BuildFrozen(codes[0].Len(), rows, slices.Clone(ids), opts)
 }

@@ -187,7 +187,7 @@ func TestEveryThresholdMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frozen := core.Freeze(core.BuildDynamic(codes, nil, core.Options{}))
+		frozen := buildFrozen(codes, nil)
 		aliasing, err := FromGroups(frozen.Groups(), shape.opts)
 		if err != nil {
 			t.Fatal(err)
@@ -339,7 +339,7 @@ func TestFromGroups(t *testing.T) {
 	for i := range ids {
 		ids[i] = i * 3
 	}
-	frozen := core.Freeze(core.BuildDynamic(codes, ids, core.Options{}))
+	frozen := buildFrozen(codes, ids)
 	m, err := FromGroups(frozen.Groups(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -743,15 +743,20 @@ func TestEnginePathMatchesOracle(t *testing.T) {
 	}
 }
 
-// startupShard is the benchmark's shard shape: 150k clustered 64-bit codes
-// (clusters of 1000, 3 flips), Gray-sorted into one frozen HA-Index.
-func startupShard() *core.FrozenIndex {
-	codes := clusteredCodes(rand.New(rand.NewSource(1)), 150000, 64, 150, 3)
-	rows := make([]uint64, 0, len(codes))
+// buildFrozen is core.BuildFrozen over codes and their ids, which it leaves
+// as they are.
+func buildFrozen(codes []bitvec.Code, ids []int) *core.FrozenIndex {
+	rows := make([]uint64, 0, len(codes)*len(codes[0].Words()))
 	for _, c := range codes {
 		rows = append(rows, c.Words()...)
 	}
-	return core.BuildFrozen(64, rows, nil, core.Options{})
+	return core.BuildFrozen(codes[0].Len(), rows, slices.Clone(ids), core.Options{})
+}
+
+// startupShard is the benchmark's shard shape: 150k clustered 64-bit codes
+// (clusters of 1000, 3 flips), Gray-sorted into one frozen HA-Index.
+func startupShard() *core.FrozenIndex {
+	return buildFrozen(clusteredCodes(rand.New(rand.NewSource(1)), 150000, 64, 150, 3), nil)
 }
 
 // BenchmarkFromGroups is what a default haserve pays for MIH at start-up:
@@ -831,7 +836,7 @@ func TestSizeBytes(t *testing.T) {
 	}
 	// The directories are counted on both sides, and nothing else is new:
 	// an aliasing engine's heap is exactly its tables and directories.
-	frozen := core.Freeze(core.BuildDynamic(uniformCodes(rng, 2000, 64), nil, core.Options{}))
+	frozen := buildFrozen(uniformCodes(rng, 2000, 64), nil)
 	m, err := FromGroups(frozen.Groups(), Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,11 @@ func TestBuildShardSnapshots(t *testing.T) {
 	}
 
 	codes := hashCodes(pre, r)
-	mono := core.NewSearcher(core.BuildDynamic(codes, nil, opt.IndexOpts))
+	var rows []uint64
+	for _, c := range codes {
+		rows = append(rows, c.Words()...)
+	}
+	mono := core.NewSearcher(core.BuildFrozen(opt.Bits, rows, nil, opt.IndexOpts))
 
 	searchers := make([]*core.Searcher, 0, len(snaps.Paths))
 	for i, path := range snaps.Paths {
@@ -55,8 +59,8 @@ func TestBuildShardSnapshots(t *testing.T) {
 		// The eager reader must accept the same file.
 		if _, eager, err := wire.ReadSnapshotFile(path); err != nil {
 			t.Fatalf("eager read %s: %v", path, err)
-		} else if _, ok := eager.(*core.FrozenIndex); !ok {
-			t.Fatalf("%s decoded as %T", path, eager)
+		} else if eager.Len() != mapped.Len() {
+			t.Fatalf("%s: eager read holds %d tuples, mapped %d", path, eager.Len(), mapped.Len())
 		}
 		searchers = append(searchers, core.NewSearcher(mapped))
 	}

@@ -74,8 +74,8 @@ func ParseStrategy(name string) (Strategy, error) {
 // required; MIH and the scan's codes are optional — a missing engine is
 // simply never chosen.
 type Engines struct {
-	// HA is the HA-Index (pointer or frozen).
-	HA core.Index
+	// HA is the frozen HA-Index.
+	HA *core.FrozenIndex
 	// MIH is the adapted multi-index-hashing engine, or nil.
 	MIH *core.EngineIndex
 	// Groups is the slab the brute scan walks and calibration probes are

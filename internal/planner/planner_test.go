@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -362,7 +363,7 @@ func TestUncalibratedProbesFirst(t *testing.T) {
 func TestHAOnlyPlanner(t *testing.T) {
 	rng := rand.New(rand.NewSource(207))
 	codes := clustered(rng, 200, 32, 4, 2)
-	idx := core.Freeze(core.BuildDynamic(codes, nil, core.Options{}))
+	idx := buildFrozen(codes, nil)
 	p, err := New(Engines{HA: idx}, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +388,7 @@ func TestCodesPackedIntoGroups(t *testing.T) {
 	for i := range ids {
 		ids[i] = 2*i + 7
 	}
-	idx := core.Freeze(core.BuildDynamic(codes, ids, core.Options{}))
+	idx := buildFrozen(codes, ids)
 	bySlices, err := New(Engines{HA: idx, Codes: codes, IDs: ids}, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -486,8 +487,18 @@ func TestNewValidation(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(211))
 	codes := clustered(rng, 50, 32, 2, 1)
-	idx := core.Freeze(core.BuildDynamic(codes, nil, core.Options{}))
+	idx := buildFrozen(codes, nil)
 	if _, err := New(Engines{HA: idx, Codes: codes, IDs: []int{1}}, Options{}); err == nil {
 		t.Error("mismatched id count accepted")
 	}
+}
+
+// buildFrozen is core.BuildFrozen over codes and their ids, which it leaves
+// as they are.
+func buildFrozen(codes []bitvec.Code, ids []int) *core.FrozenIndex {
+	var rows []uint64
+	for _, c := range codes {
+		rows = append(rows, c.Words()...)
+	}
+	return core.BuildFrozen(codes[0].Len(), rows, slices.Clone(ids), core.Options{})
 }

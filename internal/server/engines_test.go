@@ -44,7 +44,7 @@ func clusteredArena(t *testing.T, rng *rand.Rand, n, bits, perCluster int) (stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen := core.Freeze(core.BuildDynamic(codes, ids, core.Options{}))
+	frozen := buildFrozen(codes, ids)
 	if err := wire.WriteSnapshot(f, meta, frozen); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestCloseMappedServerWithRequestsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fz := s.idx.(*core.FrozenIndex)
+	fz := s.idx
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -184,9 +184,8 @@ func TestCloseMappedServerWithRequestsInFlight(t *testing.T) {
 // TestAuxEnginesShareTheArena covers what the multi-engine modes build at
 // load: over an mmap'd shard the only heap they add is MIH's key tables
 // (index.heap_bytes == index.aux_heap_bytes, well under an owning MIH); the
-// pinned modes skip calibration; the load phases are on the registry; a
-// pointer index is compiled by New, so it shares the same way; and an index
-// with no arena to share is refused rather than copied.
+// pinned modes skip calibration; the load phases are on the registry; and an
+// index New is handed in memory shares the same way.
 func TestAuxEnginesShareTheArena(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	path, meta, codes, ids := clusteredArena(t, rng, 3000, 64, 200)
@@ -200,7 +199,7 @@ func TestAuxEnginesShareTheArena(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := s.Obs().Snapshot().Gauges
-		if s.idx.(*core.FrozenIndex).MappedBytes() > 0 { // zero-copy path available on this platform
+		if s.idx.MappedBytes() > 0 { // zero-copy path available on this platform
 			aux := g["index.aux_heap_bytes"]
 			if aux <= 0 || aux != g["index.heap_bytes"] || aux >= int64(owning.HeapBytes()) {
 				t.Fatalf("engine %s: heap=%d aux=%d over a mapped shard (an owning MIH is %d)",
@@ -210,7 +209,7 @@ func TestAuxEnginesShareTheArena(t *testing.T) {
 		// The gauge is what MIH's tables hold, by capacity; it equals what
 		// they use, by length, only if no slab carries spare capacity.
 		m := s.pl.Engines().MIH.Engine().(*mih.Index)
-		if used := m.SizeBytes() - s.idx.(*core.FrozenIndex).Groups().SizeBytes(); g["index.aux_heap_bytes"] != int64(used) {
+		if used := m.SizeBytes() - s.idx.Groups().SizeBytes(); g["index.aux_heap_bytes"] != int64(used) {
 			t.Fatalf("engine %s: aux heap gauge %d, the tables use %d bytes", engine, g["index.aux_heap_bytes"], used)
 		}
 		for _, name := range []string{"load.map_ns", "load.mih_build_ns", "load.calibrate_ns", "load.total_ns"} {
@@ -228,35 +227,24 @@ func TestAuxEnginesShareTheArena(t *testing.T) {
 		s.Close()
 	}
 
-	// New compiles a pointer index on entry: the served index is the frozen
-	// arena and the engines alias it like a loaded one.
-	dyn := core.BuildDynamic(codes, ids, core.Options{})
-	s, err := New(meta, dyn, Options{Engine: "mih"})
+	// An index built in memory and handed to New: the engines alias its
+	// arena like a loaded one's.
+	fz := buildFrozen(codes, ids)
+	s, err := New(meta, fz, Options{Engine: "mih"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fz, ok := s.idx.(*core.FrozenIndex)
-	if g := s.Obs().Snapshot().Gauges; !ok || g["index.heap_bytes"] != int64(fz.HeapBytes())+g["index.aux_heap_bytes"] ||
+	if g := s.Obs().Snapshot().Gauges; g["index.heap_bytes"] != int64(fz.HeapBytes())+g["index.aux_heap_bytes"] ||
 		g["index.aux_heap_bytes"] >= int64(owning.HeapBytes()) {
-		t.Fatalf("pointer index served as %T: heap=%d aux=%d (an owning MIH is %d)",
-			s.idx, g["index.heap_bytes"], g["index.aux_heap_bytes"], owning.HeapBytes())
+		t.Fatalf("in-memory index: heap=%d aux=%d (an owning MIH is %d)",
+			g["index.heap_bytes"], g["index.aux_heap_bytes"], owning.HeapBytes())
 	}
-	want := append([]int(nil), core.NewSearcher(dyn).Search(codes[5], 6)...)
+	want := append([]int(nil), core.NewSearcher(fz).Search(codes[5], 6)...)
 	got := append([]int(nil), core.NewSearcher(s.pl.Engines().MIH).Search(codes[5], 6)...)
 	sort.Ints(want)
 	sort.Ints(got)
 	if len(got) != len(want) || (len(got) > 0 && got[len(got)-1] != want[len(want)-1]) {
-		t.Fatalf("MIH over a compiled pointer index: %d ids, want %d", len(got), len(want))
+		t.Fatalf("MIH over an in-memory index: %d ids, want %d", len(got), len(want))
 	}
 	s.Close()
-
-	// An adapted engine as the primary index has no leaf arena to share.
-	if _, err := New(meta, core.AsIndex(owning), Options{Engine: "auto"}); err == nil {
-		t.Fatal("-engine auto over an index without a leaf arena was accepted")
-	}
-	if s, err := New(meta, core.AsIndex(owning), Options{}); err != nil {
-		t.Fatalf("-engine ha over an adapted engine: %v", err)
-	} else {
-		s.Close()
-	}
 }

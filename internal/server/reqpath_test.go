@@ -163,7 +163,7 @@ func TestRunBatchStaysOnTheCallingGoroutine(t *testing.T) {
 // clusteredShard is a one-partition index of 16 clusters of 500 codes, each
 // within 3 flips of its centre, and the centres: a batch of them at h=8 is 16
 // answers of about 500 ids — one shard's share of a wide request.
-func clusteredShard(rng *rand.Rand) (wire.SnapshotMeta, core.Index, []bitvec.Code) {
+func clusteredShard(rng *rand.Rand) (wire.SnapshotMeta, *core.FrozenIndex, []bitvec.Code) {
 	const bits = 64
 	centres := make([]bitvec.Code, 16)
 	var codes []bitvec.Code
@@ -180,7 +180,7 @@ func clusteredShard(rng *rand.Rand) (wire.SnapshotMeta, core.Index, []bitvec.Cod
 	// Ids in no order the walk would find them in.
 	ids := rng.Perm(len(codes))
 	meta := wire.SnapshotMeta{Part: 0, Parts: 1, Length: bits}
-	return meta, core.BuildDynamic(codes, ids, core.Options{}), centres
+	return meta, buildFrozen(codes, ids), centres
 }
 
 // TestAnswerSearchReplyAllocs pins what one 16-query × 500-id request costs

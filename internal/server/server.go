@@ -86,7 +86,7 @@ type Stats = wire.StatsResp
 // an existing listener), stop with Close.
 type Server struct {
 	meta wire.SnapshotMeta
-	idx  core.Index // nil in mutable mode
+	idx  *core.FrozenIndex // nil in mutable mode
 	opts Options
 
 	// ownsIdx marks an index the server loaded itself (LoadSnapshotFile);
@@ -177,17 +177,12 @@ type searcherSet struct {
 // the next (2 MiB each); one answer the size of the shard is not worth pinning.
 const maxKeptIDs = 1 << 18
 
-// New builds a server over an index: the compiled *core.FrozenIndex a
-// snapshot decodes to, a pointer *core.DynamicIndex (compiled with
-// core.Freeze here, so every shard serves the flat walk), or an adapted
-// engine such as MIH. The index must not be mutated once serving starts —
-// the searcher pool shares it read-only.
-func New(meta wire.SnapshotMeta, idx core.Index, opts Options) (*Server, error) {
+// New builds a server over a frozen index: the arena a snapshot decodes or
+// maps to. The index must not be closed while the server runs — the searcher
+// pool shares it read-only.
+func New(meta wire.SnapshotMeta, idx *core.FrozenIndex, opts Options) (*Server, error) {
 	if idx.Length() != meta.Length {
 		return nil, fmt.Errorf("server: index is %d-bit, snapshot header says %d", idx.Length(), meta.Length)
-	}
-	if fz, ok := core.Compiled(idx); ok {
-		idx = fz // a pointer index is frozen here, buffered inserts included
 	}
 	s := newServer(meta, opts)
 	s.idx = idx
@@ -195,13 +190,7 @@ func New(meta wire.SnapshotMeta, idx core.Index, opts Options) (*Server, error) 
 	// glance: a zero-copy shard carries its whole arena in the first gauge,
 	// and index.aux_heap_bytes is the share of the second that the auxiliary
 	// engines (MIH's key tables) add.
-	mapped, heap := 0, 0
-	if fz, ok := idx.(*core.FrozenIndex); ok {
-		mapped, heap = fz.MappedBytes(), fz.HeapBytes()
-	} else if sized, ok := idx.(interface{ SizeBytes() int }); ok {
-		heap = sized.SizeBytes()
-	}
-	aux := 0
+	mapped, heap, aux := idx.MappedBytes(), idx.HeapBytes(), 0
 	switch s.opts.Engine {
 	case "ha":
 		// Single-engine serving; no planner, no auxiliary structures.
@@ -228,15 +217,11 @@ func New(meta wire.SnapshotMeta, idx core.Index, opts Options) (*Server, error) 
 
 // auxEngines builds MIH and the planner for the multi-engine modes and
 // reports the heap bytes they add. Both MIH's groups and the scan read the
-// served index's own leaf arena — nothing is copied out of a frozen (or
+// served index's own leaf arena — nothing is copied out of the frozen (or
 // mapped) index, only MIH's key tables are built. The phases land on the
 // load.mih_build_ns / load.calibrate_ns gauges.
 func (s *Server) auxEngines() (heap int, err error) {
-	fz, ok := s.idx.(*core.FrozenIndex)
-	if !ok {
-		return 0, fmt.Errorf("index type %T has no leaf arena to build the engines on", s.idx)
-	}
-	view := fz.Groups()
+	view := s.idx.Groups()
 	t0 := time.Now()
 	m, err := mih.FromGroups(view, mih.Options{})
 	if err != nil {
@@ -337,16 +322,11 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 // reader refuses is an error — there is no second format to retry with.
 func LoadSnapshotFile(path string, opts Options) (*Server, error) {
 	t0 := time.Now()
-	var meta wire.SnapshotMeta
-	var fz *core.FrozenIndex
-	var err error
+	load := wire.ReadSnapshotFile
 	if opts.Mmap {
-		meta, fz, err = wire.MapSnapshotFile(path)
-	} else {
-		var idx core.Index
-		meta, idx, err = wire.ReadSnapshotFile(path)
-		fz, _ = idx.(*core.FrozenIndex)
+		load = wire.MapSnapshotFile
 	}
+	meta, fz, err := load(path)
 	if err != nil {
 		return nil, fmt.Errorf("server: loading snapshot %s: %w", path, err)
 	}
@@ -451,8 +431,8 @@ func (s *Server) Close() error {
 	for i := 0; i < cap(s.pool); i++ {
 		<-s.pool
 	}
-	if fz, ok := s.idx.(*core.FrozenIndex); ok && s.ownsIdx {
-		return fz.Close() // release the mmap'd arena
+	if s.ownsIdx {
+		return s.idx.Close() // release the mmap'd arena
 	}
 	return nil
 }

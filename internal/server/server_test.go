@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -24,7 +25,7 @@ import (
 	"haindex/internal/wire"
 )
 
-func testShard(t *testing.T, rng *rand.Rand, n, bits, parts, part int) (wire.SnapshotMeta, *core.DynamicIndex, []bitvec.Code) {
+func testShard(t *testing.T, rng *rand.Rand, n, bits, parts, part int) (wire.SnapshotMeta, *core.FrozenIndex, []bitvec.Code) {
 	t.Helper()
 	codes := make([]bitvec.Code, n)
 	for i := range codes {
@@ -40,7 +41,17 @@ func testShard(t *testing.T, rng *rand.Rand, n, bits, parts, part int) (wire.Sna
 		}
 	}
 	meta := wire.SnapshotMeta{Part: part, Parts: parts, Length: bits, Pivots: pivots}
-	return meta, core.BuildDynamic(own, ids, core.Options{}), codes
+	return meta, buildFrozen(own, ids), codes
+}
+
+// buildFrozen is core.BuildFrozen over codes and their ids, which it leaves
+// as they are.
+func buildFrozen(codes []bitvec.Code, ids []int) *core.FrozenIndex {
+	var rows []uint64
+	for _, c := range codes {
+		rows = append(rows, c.Words()...)
+	}
+	return core.BuildFrozen(codes[0].Len(), rows, slices.Clone(ids), core.Options{})
 }
 
 // client is a minimal raw-protocol client for server tests.
@@ -85,7 +96,7 @@ func (c *client) hello() wire.HelloOK {
 	return ok
 }
 
-func startTestServer(t *testing.T, meta wire.SnapshotMeta, idx *core.DynamicIndex, opts Options) *Server {
+func startTestServer(t *testing.T, meta wire.SnapshotMeta, idx *core.FrozenIndex, opts Options) *Server {
 	t.Helper()
 	s, err := New(meta, idx, opts)
 	if err != nil {
@@ -310,7 +321,7 @@ func TestLoadSnapshotFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	meta, idx, _ := testShard(t, rng, 300, 32, 2, 1)
 	var buf bytes.Buffer
-	if err := wire.WriteSnapshot(&buf, meta, core.Freeze(idx)); err != nil {
+	if err := wire.WriteSnapshot(&buf, meta, idx); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
@@ -681,8 +692,7 @@ func TestServerEngineValidation(t *testing.T) {
 // the same file is decoded onto the heap.
 func TestLoadSnapshotFileMmap(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
-	meta, idx, codes := testShard(t, rng, 400, 32, 2, 1)
-	frozen := core.Freeze(idx)
+	meta, frozen, codes := testShard(t, rng, 400, 32, 2, 1)
 	dir := t.TempDir()
 
 	v4 := filepath.Join(dir, "v4.hasn")
@@ -702,10 +712,7 @@ func TestLoadSnapshotFileMmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := s.Obs().Snapshot().Gauges
-	fz, isFrozen := s.idx.(*core.FrozenIndex)
-	if !isFrozen {
-		t.Fatalf("mmap load produced %T", s.idx)
-	}
+	fz := s.idx
 	if fz.MappedBytes() > 0 { // zero-copy path available on this platform
 		if g["index.mapped_bytes"] == 0 || g["index.heap_bytes"] != 0 {
 			t.Fatalf("gauges mapped=%d heap=%d on an mmap'd shard", g["index.mapped_bytes"], g["index.heap_bytes"])

@@ -169,7 +169,7 @@ func readSnapshotHeader(br *bufio.Reader) (SnapshotMeta, error) {
 // ReadSnapshot parses a snapshot: header, then the embedded arena decoded
 // eagerly onto the heap (use MapSnapshotFile for the zero-copy load).
 // Corrupt input returns an error, never panics.
-func ReadSnapshot(r io.Reader) (SnapshotMeta, core.Index, error) {
+func ReadSnapshot(r io.Reader) (SnapshotMeta, *core.FrozenIndex, error) {
 	br := bufio.NewReader(r)
 	meta, err := readSnapshotHeader(br)
 	if err != nil {
@@ -190,7 +190,7 @@ func ReadSnapshot(r io.Reader) (SnapshotMeta, core.Index, error) {
 }
 
 // ReadSnapshotFile loads a snapshot from disk.
-func ReadSnapshotFile(path string) (SnapshotMeta, core.Index, error) {
+func ReadSnapshotFile(path string) (SnapshotMeta, *core.FrozenIndex, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return SnapshotMeta{}, nil, err

@@ -221,7 +221,7 @@ func TestParseSearchRespExactSize(t *testing.T) {
 	}
 }
 
-func buildSnapshot(t testing.TB, rng *rand.Rand, bits, parts int) (SnapshotMeta, *core.DynamicIndex, []byte) {
+func buildSnapshot(t testing.TB, rng *rand.Rand, bits, parts int) (SnapshotMeta, *core.FrozenIndex, []byte) {
 	codes := randCodes(rng, 300, bits)
 	pivots := histo.Pivots(codes[:100], parts)
 	meta := SnapshotMeta{Part: 1, Parts: parts, Length: bits, Pivots: pivots}
@@ -233,12 +233,22 @@ func buildSnapshot(t testing.TB, rng *rand.Rand, bits, parts int) (SnapshotMeta,
 			ids = append(ids, i)
 		}
 	}
-	idx := core.BuildDynamic(own, ids, core.Options{})
+	idx := buildFrozen(own, ids)
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, meta, core.Freeze(idx)); err != nil {
+	if err := WriteSnapshot(&buf, meta, idx); err != nil {
 		t.Fatal(err)
 	}
 	return meta, idx, buf.Bytes()
+}
+
+// buildFrozen is core.BuildFrozen over codes and their ids, which it leaves
+// as they are.
+func buildFrozen(codes []bitvec.Code, ids []int) *core.FrozenIndex {
+	var rows []uint64
+	for _, c := range codes {
+		rows = append(rows, c.Words()...)
+	}
+	return core.BuildFrozen(codes[0].Len(), rows, slices.Clone(ids), core.Options{})
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -260,7 +270,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("tuples %d vs %d", gotIdx.Len(), idx.Len())
 	}
 	q := idx.Codes()[0]
-	if got, want := core.NewSearcher(gotIdx).Search(q, 2), idx.Search(q, 2); len(got) != len(want) {
+	if got, want := core.NewSearcher(gotIdx).Search(q, 2), core.NewSearcher(idx).Search(q, 2); len(got) != len(want) {
 		t.Fatalf("decoded snapshot answers differently: %v vs %v", got, want)
 	}
 }
@@ -285,7 +295,7 @@ func TestSnapshotErrors(t *testing.T) {
 		}
 	}
 	// Inconsistent meta must fail validation on write.
-	idx := core.Freeze(core.BuildDynamic(randCodes(rng, 10, 16), nil, core.Options{}))
+	idx := buildFrozen(randCodes(rng, 10, 16), nil)
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, SnapshotMeta{Part: 5, Parts: 2, Length: 16, Pivots: randCodes(rng, 1, 16)}, idx); err == nil {
 		t.Error("out-of-range partition accepted")
@@ -361,7 +371,7 @@ func TestShedRespRoundTrip(t *testing.T) {
 // the version number.
 func TestGoldenBytes(t *testing.T) {
 	q := []bitvec.Code{bitvec.MustFromString("1010110011110000"), bitvec.MustFromString("0000111100110101")}
-	frozen := core.Freeze(core.BuildDynamic(q, []int{7, 9}, core.Options{}))
+	frozen := buildFrozen(q, []int{7, 9})
 	var snap bytes.Buffer
 	if err := WriteSnapshot(&snap, SnapshotMeta{Part: 1, Parts: 3, Length: 16, Pivots: q}, frozen); err != nil {
 		t.Fatal(err)
