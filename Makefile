@@ -101,7 +101,7 @@ bench-clock:
 
 # What a default haserve pays at start-up, at the benchmark's shard shape
 # (150k clustered 64-bit codes, one frozen HA-Index): MIH's key tables over
-# the leaf arena, then the planner's calibration grid, with allocation counts;
+# the leaf arena, then the planner's counted grid, with allocation counts;
 # and the MIH select the planner then serves wide with (the Gray half of 300k
 # clustered codes, h=2 and 8, probes and verifications a query).
 bench-startup:

@@ -32,7 +32,7 @@ func main() {
 	var (
 		data    = flag.String("data", "", "CSV dataset (from hagen); required")
 		method  = flag.String("method", "dha", "index: dha|sha|radix|nl|mh4|mh10|hengine|hmsearch|mih|planner")
-		engine  = flag.String("engine", "auto", "with -method planner: auto|ha|mih|scan — force one access path or let the measured cost model choose")
+		engine  = flag.String("engine", "auto", "with -method planner: auto|ha|mih|scan — force one access path or let the counted cost model choose")
 		h       = flag.Int("h", 3, "Hamming distance threshold")
 		bits    = flag.Int("bits", 32, "binary code length")
 		rows    = flag.String("query-rows", "0", "comma-separated dataset row ids used as queries")
@@ -209,7 +209,7 @@ func buildIndex(method, engine string, codes []bitvec.Code, h int, seed int64) (
 			if haveForced {
 				return fmt.Sprintf(" [path=%s: forced by -engine]", forced)
 			}
-			return fmt.Sprintf(" [path=%s: %s]", last.Strategy, last.Reason())
+			return fmt.Sprintf(" [path=%s]", last.Reason()) // the reason names the strategy first
 		}, size, nil
 	}
 	fatalf("unknown method %q", method)

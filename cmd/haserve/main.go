@@ -22,13 +22,15 @@
 //
 // -engine picks the search access path for immutable serving: the default
 // "auto" serves the full engine set (HA walk, multi-index hashing, brute
-// scan) and routes each request through the measured cost-based planner;
+// scan) and routes each request through the cost-based planner;
 // "ha", "mih", or "scan" pin one engine. Multi-index hashing and the scan
 // read the loaded index's own leaf arena, so they add only MIH's key tables
 // to the heap. At 150k codes a shard the default set loads in about 25 ms on
-// a 2-core host: MIH's tables are one radix sort each, and calibration stops
-// timing an engine once it costs over twice the scan. Clients can override
-// per request with their own -engine hint.
+// a 2-core host: MIH's tables are one radix sort each, and the planner
+// prices each engine by the work a few sample probes count — no clock — and
+// stops running an engine once its work costs more than the scan. The same
+// snapshot gives the same plan on every load. Clients can override per
+// request with their own -engine hint.
 //
 // -mmap (default on) serves the snapshot zero-copy: the arena is aliased
 // out of an mmap of the file, so the heap holds none of it (watch
@@ -74,7 +76,7 @@ func main() {
 		idleTO    = flag.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = 30s, negative disables)")
 		writeTO   = flag.Duration("write-timeout", 0, "per-response write deadline (0 = 30s, negative disables)")
 		mmapIdx   = flag.Bool("mmap", true, "serve the snapshot zero-copy out of an mmap of the file; -mmap=false decodes it onto the heap")
-		engine    = flag.String("engine", "auto", "access path for immutable serving: auto (measured cost-based planner), ha, mih, or scan; -mutable always serves the LSM engine")
+		engine    = flag.String("engine", "auto", "access path for immutable serving: auto (counted cost-based planner), ha, mih, or scan; -mutable always serves the LSM engine")
 
 		mutable     = flag.Bool("mutable", false, "serve a mutable LSM shard seeded from the snapshot; accepts insert/delete/seal")
 		memtableMax = flag.Int("memtable-max", 0, "memtable entries before a background seal (0 = 4096, negative disables)")

@@ -118,21 +118,17 @@ func ExampleNewPlanner() {
 	if err != nil {
 		panic(err)
 	}
-	// At h = L every tuple matches, so the plan expects all 256 answers and
-	// routes to the engine calibration timed cheapest there. Which engine
-	// that is depends on the machine; that it beat the runner-up does not.
-	// There may be no runner-up: an engine that cost over twice the scan at
-	// a lower threshold was not timed this far (pl.Retired says where).
-	pl := p.Plan(8)
-	fmt.Println(pl.EstimatedResults, pl.Versus < 0 || pl.CostNs[pl.Strategy] <= pl.CostNs[pl.Versus])
-	// Without calibration there is no cost to compare: every threshold
-	// plans the HA-Index walk.
-	uncalibrated, err := haindex.NewPlanner(codes, nil, haindex.PlannerOptions{CalibProbes: -1})
-	if err != nil {
-		panic(err)
+	// At h = L every tuple matches, so the plan expects all 256 answers.
+	// Each threshold routes to the engine whose counted work, priced in
+	// scanned groups, is cheapest there; counts read no clock, so the same
+	// codes and seed give this table on any machine.
+	fmt.Println(p.Plan(8).EstimatedResults)
+	for _, h := range []int{0, 1, 8} {
+		fmt.Println(p.Plan(h).Reason())
 	}
-	fmt.Println(uncalibrated.Plan(8).Strategy)
 	// Output:
-	// 256 true
-	// ha
+	// 256
+	// mih 48 beats ha 162 scanned groups at h=0
+	// scan 256 beats mih 432 scanned groups at h=1
+	// scan: ha, mih over the scan from h=1
 }

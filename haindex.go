@@ -430,14 +430,16 @@ func KNNJoinRecall(approx, exact KNNJoinResult) float64 { return knn.JoinRecall(
 // ---- Cost-based access-path planning ----
 
 // Planner routes each query to the cheapest of the HA-Index walk,
-// multi-index hashing, and the linear scan, using a measured per-threshold
-// cost model calibrated once, at build time.
+// multi-index hashing, and the linear scan, using a per-threshold cost model
+// counted once, at build time: the work sample probes report, priced in
+// scanned groups, with no clock read.
 type Planner = planner.Planner
 
 // PlannerPlan is one routing decision with its EXPLAIN fields.
 type PlannerPlan = planner.Plan
 
-// PlannerOptions tunes planner calibration.
+// PlannerOptions seeds the planner's sample probes; the same codes and seed
+// give the same plan table.
 type PlannerOptions = planner.Options
 
 // PlannerStrategy names a planner access path.
@@ -451,7 +453,7 @@ const (
 )
 
 // NewPlanner builds the full engine set (frozen HA-Index, MIH, scan) over
-// the codes and returns a calibrated planner.
+// the codes and returns its planner.
 func NewPlanner(codes []Code, ids []int, opts PlannerOptions) (*Planner, error) {
 	return planner.Auto(codes, ids, opts)
 }

@@ -409,6 +409,28 @@ func (m *Index) setCrossovers() {
 	}
 }
 
+// Probes returns the keys a select at threshold h examines, whatever the
+// query: per table, the V(w, r) key variants it probes up to its crossover
+// radius, its K distinct keys past it — what Search counts into
+// NodesVisited. Candidate verifications come on top and depend on the data.
+func (m *Index) Probes(h int) int {
+	n := 0
+	for t, w := range m.widths {
+		r := min(m.Radius(h), w)
+		if r > m.enumMax[t] {
+			n += int(m.tabStart[t+1] - m.tabStart[t])
+			continue
+		}
+		v, c := 1, 1 // V(w, r) ≤ K < 2^31 below the crossover
+		for k := 0; k < r; k++ {
+			c = c * (w - k) / (k + 1)
+			v += c
+		}
+		n += v
+	}
+	return n
+}
+
 // segKey extracts the width-bit segment starting at bit `from` as a uint64,
 // reading at most two words (codes store bit i at word i/64, shift 63-i%64).
 func segKey(words []uint64, from, width int) uint64 {

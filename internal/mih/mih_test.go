@@ -662,7 +662,8 @@ func bruteWork(m *Index, q bitvec.Code, h int) (probes, verified int) {
 // path core offers — Search, SearchAppend onto a non-empty dst, SearchCodes,
 // SearchBatch and TopK — at 8 to 130 bits and every third threshold, against
 // the brute oracle; the work each select reports is what bruteWork says it
-// must be, so a probe that misses or double-counts a key fails here too.
+// must be, so a probe that misses or double-counts a key fails here too, and
+// its keys examined are the closed form Probes gives the planner.
 func TestEnginePathMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, bitsLen := range []int{8, 33, 64, 100, 130} {
@@ -702,6 +703,9 @@ func TestEnginePathMatchesOracle(t *testing.T) {
 				stats := sr.Stats
 				if p, v := bruteWork(m, q, h); stats.NodesVisited != p || stats.DistanceComputations != v || stats.LeavesChecked != v {
 					t.Fatalf("%s: %+v, want %d probes and %d verifications", what, stats, p, v)
+				}
+				if p := m.Probes(h); stats.NodesVisited != p {
+					t.Fatalf("%s: %d keys examined, Probes says %d", what, stats.NodesVisited, p)
 				}
 				sum.Add(stats)
 				dst := sr.SearchAppend([]int{-1, -2}, q, h)

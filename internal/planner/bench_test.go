@@ -24,11 +24,10 @@ func BenchmarkPlannedSelect(b *testing.B) {
 	}
 }
 
-// BenchmarkNew is what a default haserve pays for the planner at start-up:
-// the calibration grid over the benchmark's shard shape — 150k clustered
-// 64-bit codes (clusters of 1000, 3 flips), Gray-sorted into one frozen
-// HA-Index, with MIH on its leaf arena.
-func BenchmarkNew(b *testing.B) {
+// benchmarkShape builds the engines of the benchmark's shard shape — 150k
+// clustered 64-bit codes (clusters of 1000, 3 flips), Gray-sorted into one
+// frozen HA-Index, with MIH on its leaf arena.
+func benchmarkShape(tb testing.TB) Engines {
 	codes := clustered(rand.New(rand.NewSource(1)), 150000, 64, 150, 3)
 	rows := make([]uint64, 0, len(codes))
 	for _, c := range codes {
@@ -37,9 +36,15 @@ func BenchmarkNew(b *testing.B) {
 	ha := core.BuildFrozen(64, rows, nil, core.Options{})
 	m, err := mih.FromGroups(ha.Groups(), mih.Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	eng := Engines{HA: ha, MIH: core.AsIndex(m), Groups: ha.Groups()}
+	return Engines{HA: ha, MIH: core.AsIndex(m), Groups: ha.Groups()}
+}
+
+// BenchmarkNew is what a default haserve pays for the planner at start-up:
+// the counted grid over the benchmark's shard shape.
+func BenchmarkNew(b *testing.B) {
+	eng := benchmarkShape(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

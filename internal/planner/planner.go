@@ -1,17 +1,19 @@
 // Package planner routes each Hamming-select to the cheapest of three
-// engines — the HA-Index walk, multi-index hashing, and the brute scan — in
-// the spirit of the paper's Section 4.7 cost analysis: the walk's search
-// cost is bounded by its nodes and edges and collapses toward a scan when
-// the threshold stops pruning, while MIH's probe count explodes with its
-// pigeonhole radius but ignores the walk's cliff. Neither analytical bound
-// ranks real engines reliably across (bits, threshold, n, distribution), so
-// the planner's cost model is *measured*: at build time it calibrates
-// per-engine nanosecond costs by timing sampled probes over a threshold
-// grid (interpolating between grid points) and decides every threshold
-// once. An engine that costs over twice the scan at a grid threshold is not
-// timed past it — its work only grows with h, the scan's does not — so the
-// grid stops early once the scan is all that is left. Serving never changes
-// the model: a decision is a table lookup.
+// engines — the HA-Index walk, multi-index hashing, and the brute scan — by
+// the paper's Section 4.7 cost analysis: an HA search costs the nodes and
+// edges it visits, not a stopwatch reading. The walk's work collapses toward
+// a scan's once the threshold stops pruning, while MIH's probe count
+// explodes with its pigeonhole radius; neither bound ranks the engines in
+// closed form, because how many patterns the walk checks and how many
+// candidates MIH verifies depend on the data. So New *counts*: it runs a
+// fixed, seeded set of sample probes through HA and MIH on a threshold grid,
+// reads the work each search reports in core.SearchStats, and prices it in
+// scanned groups — the scan costs one per distinct code at every threshold.
+// An engine whose count cost exceeds the scan's at a grid threshold is not
+// run past it — its work only grows with h — and MIH is not run at all where
+// its closed-form probe count alone is over the scan. New reads no clock:
+// the same engines and seed give the same plan table on any machine, under
+// any load. Serving never changes the model: a decision is a table lookup.
 //
 // The planner is immutable after New, so everything but Select and
 // SelectWith is safe for concurrent use.
@@ -19,12 +21,10 @@ package planner
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"haindex/internal/bitvec"
 	"haindex/internal/core"
@@ -71,34 +71,29 @@ func ParseStrategy(name string) (Strategy, error) {
 }
 
 // Engines is the set of access paths the planner chooses among. HA is
-// required; MIH and the scan's codes are optional — a missing engine is
-// simply never chosen.
+// required, and the scan is always available; MIH is optional — a planner
+// without it never chooses it.
 type Engines struct {
 	// HA is the frozen HA-Index.
 	HA *core.FrozenIndex
 	// MIH is the adapted multi-index-hashing engine, or nil.
 	MIH *core.EngineIndex
-	// Groups is the slab the brute scan walks and calibration probes are
-	// drawn from — normally the frozen HA-Index's own leaf arena
-	// (FrozenIndex.Groups), so the scan costs no memory. Empty disables both
-	// the scan path and calibration.
+	// Groups is the slab the brute scan walks and sample probes are drawn
+	// from. Empty selects the frozen HA-Index's own leaf arena
+	// (FrozenIndex.Groups), so the scan costs no memory.
 	Groups core.GroupView
-	// Codes and IDs are the same thing as plain slices, for callers without
-	// a frozen index: New packs them into Groups once (one group per tuple)
-	// and drops them. IDs defaults to positions when nil. Ignored when
-	// Groups is set.
+	// Codes and IDs are the same thing as plain slices: New packs them into
+	// Groups once (one group per tuple) and drops them. IDs defaults to
+	// positions when nil. Ignored when Groups is set.
 	Codes []bitvec.Code
 	IDs   []int
 }
 
 // Options tunes the planner. The zero value selects sane defaults.
 type Options struct {
-	// Seed drives probe sampling and the distance histogram.
+	// Seed drives probe sampling and the distance histogram: the same
+	// engines and seed give the same plan table.
 	Seed int64
-	// CalibProbes is the number of timed queries per (engine, grid
-	// threshold) during build-time calibration; 0 selects 2, negative
-	// disables calibration (every threshold then plans HA).
-	CalibProbes int
 }
 
 // Plan describes one routing decision.
@@ -106,17 +101,17 @@ type Plan struct {
 	Strategy Strategy
 	// EstimatedResults is the selectivity-based expected answer count.
 	EstimatedResults float64
-	// CostNs is the calibrated per-query cost of each strategy in
-	// nanoseconds (0 = uncalibrated or engine unavailable).
-	CostNs [numStrategies]float64
+	// Cost is the counted per-query cost of each strategy in scanned groups
+	// (0 = engine unavailable, or retired below H).
+	Cost [numStrategies]float64
 	// H is the (clamped) threshold the decision was made at.
 	H int
 	// Versus is the runner-up the choice was weighed against, -1 when no
 	// other engine has a cost cell at H.
 	Versus Strategy
-	// Retired[s] is the grid threshold below H past which calibration
-	// stopped timing engine s, because it cost over retireFactor times the
-	// scan there; -1 when s was timed up to H or never retired.
+	// Retired[s] is the grid threshold below H at which engine s first cost
+	// more than the scan, past which it was not run; -1 when s was run up to
+	// H or never retired.
 	Retired [numStrategies]int
 }
 
@@ -125,7 +120,7 @@ type Plan struct {
 func (pl Plan) Reason() string {
 	s, v := pl.Strategy, pl.Versus
 	if v >= 0 {
-		return fmt.Sprintf("%s %.0fns beats %s %.0fns at h=%d", s, pl.CostNs[s], v, pl.CostNs[v], pl.H)
+		return fmt.Sprintf("%s %.0f beats %s %.0f scanned groups at h=%d", s, pl.Cost[s], v, pl.Cost[v], pl.H)
 	}
 	var b strings.Builder
 	for r := Strategy(0); r < numStrategies; r++ {
@@ -140,15 +135,13 @@ func (pl Plan) Reason() string {
 		if r+1 < numStrategies && pl.Retired[r+1] == at {
 			continue // named with the next engine, which retired at the same h
 		}
-		fmt.Fprintf(&b, " not timed past h=%d", at)
+		fmt.Fprintf(&b, " over the scan from h=%d", at)
 	}
-	if b.Len() == 0 {
-		return fmt.Sprintf("planner uncalibrated; %s by default", s)
-	}
-	return fmt.Sprintf("%s: %s (over %d× the scan)", s, b.String(), retireFactor)
+	// The scan always has a cell, so a lone engine means HA retired below H.
+	return fmt.Sprintf("%s: %s", s, b.String())
 }
 
-// Planner owns the engine set and the measured cost model.
+// Planner owns the engine set and the counted cost model.
 type Planner struct {
 	eng  Engines
 	n    int
@@ -160,8 +153,8 @@ type Planner struct {
 	// plans[h] is the decision at threshold h, cost cells included, written
 	// only by New.
 	plans []Plan
-	// retired[s] is the grid threshold at which calibration retired engine
-	// s, -1 if it did not.
+	// retired[s] is the grid threshold at which engine s first cost more
+	// than the scan, -1 if it never did.
 	retired [numStrategies]int
 
 	// srHA and srMIH back the single-goroutine Select/SelectWith
@@ -169,8 +162,8 @@ type Planner struct {
 	srHA, srMIH *core.Searcher
 }
 
-// New builds a planner over an existing engine set, calibrates its cost
-// model (unless opts.CalibProbes is negative) and decides every threshold.
+// New builds a planner over an existing engine set, counts its cost model
+// and decides every threshold.
 func New(eng Engines, opts Options) (*Planner, error) {
 	if eng.HA == nil {
 		return nil, fmt.Errorf("planner: HA engine is required")
@@ -179,37 +172,32 @@ func New(eng Engines, opts Options) (*Planner, error) {
 	if eng.MIH != nil && eng.MIH.Length() != bits {
 		return nil, fmt.Errorf("planner: MIH engine is %d-bit, HA is %d-bit", eng.MIH.Length(), bits)
 	}
-	if eng.Groups.Count() == 0 && len(eng.Codes) > 0 {
-		var err error
-		if eng.Groups, err = packGroups(bits, eng.Codes, eng.IDs); err != nil {
-			return nil, err
+	if eng.Groups.Count() == 0 {
+		if len(eng.Codes) == 0 {
+			eng.Groups = eng.HA.Groups()
+		} else {
+			var err error
+			if eng.Groups, err = packGroups(bits, eng.Codes, eng.IDs); err != nil {
+				return nil, err
+			}
 		}
 	}
 	eng.Codes, eng.IDs = nil, nil
 	p := &Planner{eng: eng, n: eng.HA.Len(), bits: bits, plans: make([]Plan, bits+1), retired: [numStrategies]int{-1, -1, -1}}
-	p.avail[UseHA] = true
-	p.avail[UseMIH] = eng.MIH != nil
-	p.avail[UseScan] = eng.Groups.Count() > 0
+	p.avail = [numStrategies]bool{UseHA: true, UseMIH: eng.MIH != nil, UseScan: true}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	p.distHist = make([]float64, bits+1)
-	if p.avail[UseScan] {
+	if eng.Groups.Count() > 0 {
 		p.sampleDistanceHistogram(rng)
 	}
-	probes := opts.CalibProbes
-	if probes == 0 {
-		probes = 2
-	}
-	if probes > 0 && p.avail[UseScan] {
-		p.calibrate(probes, rng)
-	}
+	p.count(rng)
 	p.decide()
 	return p, nil
 }
 
 // decide fills the rest of every threshold's plan from its cost cells: the
-// cheapest calibrated engine, weighed against the runner-up. A retired
-// engine has no cell past its retirement and is never picked there. Without
-// calibration every cell is 0 and the plan stays on HA.
+// cheapest engine, weighed against the runner-up. A retired engine has no
+// cell past its retirement and is never picked there.
 func (p *Planner) decide() {
 	for h := range p.plans {
 		pl := &p.plans[h]
@@ -222,18 +210,15 @@ func (p *Planner) decide() {
 		}
 		best, second := Strategy(-1), Strategy(-1)
 		for s := Strategy(0); s < numStrategies; s++ {
-			switch c := pl.CostNs[s]; {
+			switch c := pl.Cost[s]; {
 			case c == 0:
-			case best < 0 || c < pl.CostNs[best]:
+			case best < 0 || c < pl.Cost[best]:
 				best, second = s, best
-			case second < 0 || c < pl.CostNs[second]:
+			case second < 0 || c < pl.Cost[second]:
 				second = s
 			}
 		}
 		pl.Strategy, pl.Versus = best, second
-		if best < 0 {
-			pl.Strategy = UseHA
-		}
 	}
 }
 
@@ -272,7 +257,7 @@ func (p *Planner) sampleCode(rng *rand.Rand) bitvec.Code {
 }
 
 // Auto builds the full engine set over the codes — the frozen HA-Index, and
-// MIH and the scan on its leaf arena — and returns a calibrated planner. ids
+// MIH and the scan on its leaf arena — and returns its planner. ids
 // default to positions.
 func Auto(codes []bitvec.Code, ids []int, opts Options) (*Planner, error) {
 	if len(codes) == 0 {
@@ -304,9 +289,9 @@ func (p *Planner) sampleDistanceHistogram(rng *rand.Rand) {
 	}
 }
 
-// calibGrid returns the thresholds measured at build time: dense where the
+// grid returns the thresholds counted at build time: dense where the
 // engines cross over at small h, sparse toward the full code width.
-func (p *Planner) calibGrid() []int {
+func (p *Planner) grid() []int {
 	grid := []int{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96}
 	out := grid[:0]
 	for _, h := range grid {
@@ -320,112 +305,120 @@ func (p *Planner) calibGrid() []int {
 	return out
 }
 
-// retireFactor is how far over the scan's cell an HA or MIH cell may cost
-// before calibration stops timing that engine. Stopping is sound because
-// neither engine gets cheaper as h grows — MIH at h+1 probes a superset of
-// the keys and candidates it probes at h, and the HA walk prunes a subset of
-// the nodes — while the scan's work is flat in h. The factor is 2, not 1, to
-// absorb the noise of a two-probe cell: on the benchmark's 150k-code shards
-// the HA and MIH cells at h=6–9 read 0.6–1.1× the scan's.
-const retireFactor = 2
+// sampleProbes is the number of queries each (engine, grid threshold) cell
+// averages its count over.
+const sampleProbes = 8
 
-// calibrate fills every cost cell by timing each engine on `probes`
-// data-distributed queries at the grid thresholds fill asks for. The cells
-// are the whole cost model, so nothing cold may be timed into them: the
-// probe set runs once, untimed, through every engine first — MIH's searcher
-// allocates its scratch (a visited stamp per group) on first use, and a
-// mapped arena faults its pages in on first touch.
-func (p *Planner) calibrate(probes int, rng *rand.Rand) {
-	queries := make([]bitvec.Code, probes)
-	for i := range queries {
-		q := p.sampleCode(rng).Clone()
-		// Perturb so exact-duplicate groups do not make h=0 look free.
-		for f := 0; f < 2; f++ {
-			q.FlipBit(rng.Intn(p.bits))
+// The weights that turn counted work into scanned groups, the scan's unit:
+// one HA distance computation (a pattern or a leaf checked) costs about as
+// much as scanning 9 groups, one MIH operation (a key probed or walked, or
+// a candidate verified) about 24. Fitted on 150k clustered 64-bit codes
+// against ns per query at h = 0–24; DESIGN.md ("Counted cost model") has
+// the fit.
+const (
+	haOpCost  = 9
+	mihOpCost = 24
+)
+
+// count fills every cost cell by running sampleProbes data-distributed
+// queries through HA and MIH at the grid thresholds fill asks for and
+// pricing the work they report; the scan's cell is its group count. An MIH
+// cell whose closed-form probe count alone is over the scan is priced from
+// that count, without running a query.
+func (p *Planner) count(rng *rand.Rand) {
+	var queries []bitvec.Code
+	if p.eng.Groups.Count() > 0 {
+		queries = make([]bitvec.Code, sampleProbes)
+		for i := range queries {
+			q := p.sampleCode(rng).Clone()
+			// Perturb so exact-duplicate groups do not make h=0 look free.
+			for f := 0; f < 2; f++ {
+				q.FlipBit(rng.Intn(p.bits))
+			}
+			queries[i] = q
 		}
-		queries[i] = q
 	}
+	// ops is the mean work per query of one engine at h, as work reads it.
+	ops := func(sr *core.Searcher, h int, work func(core.SearchStats) int) float64 {
+		n := 0
+		for _, q := range queries {
+			sr.Search(q, h)
+			n += work(sr.Stats)
+		}
+		return float64(n) / float64(max(len(queries), 1))
+	}
+	scan := float64(p.eng.Groups.Count())
 	srHA := core.NewSearcher(p.eng.HA)
 	var srMIH *core.Searcher
+	var m *mih.Index
 	if p.avail[UseMIH] {
 		srMIH = core.NewSearcher(p.eng.MIH)
+		m, _ = p.eng.MIH.Engine().(*mih.Index)
 	}
-	var buf []int // the scan's result buffer, reused so it is timed as served
-	run := func(s Strategy, h int) {
-		for _, q := range queries {
-			switch s {
-			case UseHA:
-				srHA.Search(q, h)
-			case UseMIH:
-				srMIH.Search(q, h)
-			case UseScan:
-				buf = p.eng.Groups.Scan(q.Words(), h, buf[:0])
+	p.fill(p.grid(), scan, func(s Strategy, h int) float64 {
+		if s == UseHA {
+			return haOpCost * ops(srHA, h, func(st core.SearchStats) int { return st.DistanceComputations })
+		}
+		if m != nil {
+			if c := mihOpCost * float64(m.Probes(h)); c > scan {
+				return c
 			}
 		}
-	}
-	grid := p.calibGrid()
-	for s := Strategy(0); s < numStrategies; s++ {
-		if p.avail[s] {
-			run(s, grid[0])
-		}
-	}
-	p.fill(grid, func(s Strategy, h int) float64 {
-		start := time.Now()
-		run(s, h)
-		return float64(time.Since(start).Nanoseconds()) / float64(len(queries))
+		return mihOpCost * ops(srMIH, h, func(st core.SearchStats) int { return st.NodesVisited + st.DistanceComputations })
 	})
 }
 
-// fill walks the calibration grid in ascending h and fills every cost cell
-// from the cells measured at the grid thresholds: cell(s, h) is engine s's
-// per-query cost at grid threshold h, asked once for every engine still timed
-// there. After each threshold, an HA or MIH cell over retireFactor times the
-// scan's retires that engine: it is never asked again, and its cells past
-// that threshold stay 0, so no plan there picks it. The scan, which must be
-// available, never retires; once it is the only engine left the walk stops,
-// and its last cell stands for every higher threshold. Cells between grid
-// thresholds are interpolated linearly. All timing is in cell: over the same
-// cells, fill is deterministic.
-func (p *Planner) fill(grid []int, cell func(s Strategy, h int) float64) {
+// fill walks the grid in ascending h and fills every cost cell: the scan's
+// is scan at every threshold, and cell(s, h) is HA's or MIH's per-query cost
+// at grid threshold h, asked once for every such engine still live there.
+// After each threshold, a cell over the scan's retires its engine: it is
+// never asked again, and its cells past that threshold stay 0, so no plan
+// there picks it. Retiring is sound because neither index gets cheaper as h
+// grows — MIH at h+1 probes a superset of the keys and candidates it probes
+// at h, and the HA walk prunes a subset of the nodes — while the scan's work
+// is flat. Once the scan is the only engine left the walk stops. Cells
+// between grid thresholds are interpolated linearly, and no cell is below 1.
+func (p *Planner) fill(grid []int, scan float64, cell func(s Strategy, h int) float64) {
 	live := p.avail
-	var timed [numStrategies]int // grid thresholds each engine was timed at
-	measured := make([][numStrategies]float64, 0, len(grid))
+	live[UseScan] = false
+	var counted [numStrategies]int // grid thresholds each engine was counted at
+	cells := make([][numStrategies]float64, 0, len(grid))
 	for _, h := range grid {
 		var row [numStrategies]float64
-		for s := Strategy(0); s < numStrategies; s++ {
-			if live[s] {
-				row[s] = cell(s, h)
-				timed[s]++
-			}
-		}
-		measured = append(measured, row)
 		others := false
 		for s := Strategy(0); s < UseScan; s++ {
-			if live[s] && row[s] > retireFactor*row[UseScan] {
+			if !live[s] {
+				continue
+			}
+			row[s] = cell(s, h)
+			counted[s]++
+			if row[s] > scan {
 				live[s], p.retired[s] = false, h
 			}
 			others = others || live[s]
 		}
+		cells = append(cells, row)
 		if !others {
 			break
 		}
 	}
-	for s := Strategy(0); s < numStrategies; s++ {
-		last := timed[s] - 1
+	for h := range p.plans {
+		p.plans[h].Cost[UseScan] = max(scan, 1)
+	}
+	for s := Strategy(0); s < UseScan; s++ {
+		last := counted[s] - 1
 		for gi := 0; gi <= last; gi++ {
-			lo, hi, next := grid[gi], grid[gi], measured[gi][s]
+			lo, hi, next := grid[gi], grid[gi], cells[gi][s]
 			if gi < last {
-				hi, next = grid[gi+1], measured[gi+1][s]
-			} else if s == UseScan {
-				hi = p.bits
+				hi, next = grid[gi+1], cells[gi+1][s]
 			}
 			for h := lo; h <= hi; h++ {
-				v := measured[gi][s]
+				v := cells[gi][s]
 				if hi > lo {
 					t := float64(h-lo) / float64(hi-lo)
-					v = (1-t)*measured[gi][s] + t*next
+					v = (1-t)*cells[gi][s] + t*next
 				}
-				p.plans[h].CostNs[s] = math.Max(v, 1)
+				p.plans[h].Cost[s] = max(v, 1)
 			}
 		}
 	}
@@ -441,13 +434,13 @@ func (p *Planner) Scan(q bitvec.Code, h int, out []int, stats *core.SearchStats)
 	return p.eng.Groups.Scan(q.Words(), h, out)
 }
 
-// CostNs returns the calibrated per-query cost of strategy s at threshold h
-// in nanoseconds (0 = uncalibrated or unavailable).
-func (p *Planner) CostNs(s Strategy, h int) float64 {
+// Cost returns the counted per-query cost of strategy s at threshold h in
+// scanned groups (0 = unavailable, or retired below h).
+func (p *Planner) Cost(s Strategy, h int) float64 {
 	if s < 0 || s >= numStrategies {
 		return 0
 	}
-	return p.plans[p.clamp(h)].CostNs[s]
+	return p.plans[p.clamp(h)].Cost[s]
 }
 
 // Available reports whether strategy s can serve queries.
@@ -494,12 +487,17 @@ func (p *Planner) Select(q bitvec.Code, h int) ([]int, core.SearchStats, Plan) {
 	return out, stats, pl
 }
 
-// SelectWith answers the Hamming-select through one forced strategy.
+// SelectWith answers the Hamming-select through one forced strategy. The
+// scan is always available; forcing MIH on a planner built without it
+// panics.
 func (p *Planner) SelectWith(s Strategy, q bitvec.Code, h int) ([]int, core.SearchStats) {
 	var out []int
 	var stats core.SearchStats
 	switch s {
 	case UseMIH:
+		if p.eng.MIH == nil {
+			panic("planner: SelectWith(mih) on a planner built without an MIH engine")
+		}
 		if p.srMIH == nil {
 			p.srMIH = core.NewSearcher(p.eng.MIH)
 		}
@@ -527,14 +525,12 @@ func (p *Planner) Explain(h int) string {
 		if !p.avail[s] {
 			fmt.Fprintf(&b, "  %-4s: unavailable\n", s)
 		} else if at := pl.Retired[s]; at >= 0 {
-			fmt.Fprintf(&b, "  %-4s: not timed past h=%d (over %d× the scan there)\n", s, at, retireFactor)
-		} else if pl.CostNs[s] == 0 {
-			fmt.Fprintf(&b, "  %-4s: uncalibrated\n", s)
+			fmt.Fprintf(&b, "  %-4s: over the scan from h=%d, not run past it\n", s, at)
 		} else {
-			fmt.Fprintf(&b, "  %-4s: %.0f ns/query (calibrated at load)\n", s, pl.CostNs[s])
+			fmt.Fprintf(&b, "  %-4s: %.0f scanned groups/query (counted at load)\n", s, pl.Cost[s])
 		}
 	}
-	fmt.Fprintf(&b, "  -> %s: %s\n", pl.Strategy, pl.Reason())
+	fmt.Fprintf(&b, "  -> %s\n", pl.Reason()) // the reason names the strategy first
 	return b.String()
 }
 

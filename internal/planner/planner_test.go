@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"haindex/internal/bitvec"
 	"haindex/internal/core"
+	"haindex/internal/mih"
 )
 
 func clustered(rng *rand.Rand, n, bits, clusters, flips int) []bitvec.Code {
@@ -83,7 +85,7 @@ func TestCorrectEveryPath(t *testing.T) {
 }
 
 // TestCalibrationFillsModel: after New every cell of every available engine
-// is measured up to the engine's retirement and none after it, and the scan,
+// is counted up to the engine's retirement and none after it, and the scan,
 // which never retires, has a cell at every threshold — so the first real
 // query at any threshold has a model to pick from.
 func TestCalibrationFillsModel(t *testing.T) {
@@ -99,25 +101,25 @@ func TestCalibrationFillsModel(t *testing.T) {
 		}
 		at := p.retired[s]
 		for h := 0; h <= 32; h++ {
-			timed := at < 0 || h <= at
-			if measured := p.CostNs(s, h) > 0; measured != timed {
-				t.Fatalf("%s (retired at h=%d): cell measured = %v at h=%d", s, at, measured, h)
+			counted := at < 0 || h <= at
+			if priced := p.Cost(s, h) > 0; priced != counted {
+				t.Fatalf("%s (retired at h=%d): cell priced = %v at h=%d", s, at, priced, h)
 			}
-			if pl := p.Plan(h); (pl.Retired[s] >= 0) == timed || pl.Strategy == s && !timed {
+			if pl := p.Plan(h); (pl.Retired[s] >= 0) == counted || pl.Strategy == s && !counted {
 				t.Fatalf("%s (retired at h=%d): plan at h=%d says retired at %d, picks %s", s, at, h, pl.Retired[s], pl.Strategy)
 			}
 		}
 	}
 }
 
-// fillGrid runs the calibration fill of a 32-bit planner with every engine
-// available over a synthetic cost grid, and returns the planner, decided,
-// with the cells the fill asked for in the order it asked.
+// fillGrid runs the fill of a 32-bit planner with every engine available
+// over synthetic count cells and a scan of 1000 groups, and returns the
+// planner, decided, with the cells the fill asked for in the order it asked.
 func fillGrid(cost func(s Strategy, h int) float64) (*Planner, []string) {
 	p := &Planner{bits: 32, plans: make([]Plan, 33), retired: [numStrategies]int{-1, -1, -1}}
 	p.avail = [numStrategies]bool{true, true, true}
 	var asked []string
-	p.fill(p.calibGrid(), func(s Strategy, h int) float64 {
+	p.fill(p.grid(), scan, func(s Strategy, h int) float64 {
 		asked = append(asked, fmt.Sprintf("%s@%d", s, h))
 		return cost(s, h)
 	})
@@ -125,7 +127,7 @@ func fillGrid(cost func(s Strategy, h int) float64) (*Planner, []string) {
 	return p, asked
 }
 
-// askedAt lists the grid thresholds at which engine s was timed.
+// askedAt lists the grid thresholds at which engine s was counted.
 func askedAt(asked []string, s Strategy) string {
 	var at []string
 	for _, a := range asked {
@@ -136,12 +138,14 @@ func askedAt(asked []string, s Strategy) string {
 	return strings.Join(at, ",")
 }
 
-// TestRetirementIsDeterministic holds the calibration fill to its rule over
-// synthetic grids: an HA or MIH cell over twice the scan's retires the
-// engine — it is never timed again and no plan past that threshold picks it —
-// the scan never retires, and the grid stops once the scan is alone.
+// scan is the synthetic scan cost fillGrid prices every threshold at.
+const scan = 1000.0
+
+// TestRetirementIsDeterministic holds the fill to its rule over synthetic
+// count cells: an HA or MIH cell over the scan's retires the engine — it is
+// never counted again and no plan past that threshold picks it — the scan
+// never retires, and the grid stops once the scan is alone.
 func TestRetirementIsDeterministic(t *testing.T) {
-	const scan = 1000.0
 	// The grid is 0,1,2,3,4,6,8,12,16,24,32.
 	t.Run("HA retires at the 4th point", func(t *testing.T) {
 		p, asked := fillGrid(func(s Strategy, h int) float64 {
@@ -156,53 +160,53 @@ func TestRetirementIsDeterministic(t *testing.T) {
 			return scan
 		})
 		if got := askedAt(asked, UseHA); got != "0,1,2,3" {
-			t.Fatalf("HA timed at %s", got)
+			t.Fatalf("HA counted at %s", got)
 		}
-		if got := askedAt(asked, UseScan); got != "0,1,2,3,4,6,8,12,16,24,32" {
-			t.Fatalf("scan timed at %s", got)
+		if got := askedAt(asked, UseMIH); got != "0,1,2,3,4,6,8,12,16,24,32" {
+			t.Fatalf("MIH counted at %s", got)
+		}
+		if got := askedAt(asked, UseScan); got != "" {
+			t.Fatalf("the scan, priced by its group count, was asked at %s", got)
 		}
 		if p.retired != [numStrategies]int{3, -1, -1} {
 			t.Fatalf("retired %v", p.retired)
 		}
 		for h := 0; h <= 32; h++ {
 			pl := p.Plan(h)
-			if ha := pl.CostNs[UseHA] > 0; ha != (h <= 3) || (pl.Retired[UseHA] == 3) != (h > 3) {
-				t.Fatalf("h=%d: HA cell %v, retired %d", h, pl.CostNs[UseHA], pl.Retired[UseHA])
+			if ha := pl.Cost[UseHA] > 0; ha != (h <= 3) || (pl.Retired[UseHA] == 3) != (h > 3) {
+				t.Fatalf("h=%d: HA cell %v, retired %d", h, pl.Cost[UseHA], pl.Retired[UseHA])
 			}
 			if want := map[bool]Strategy{true: UseHA, false: UseMIH}[h < 3]; pl.Strategy != want {
 				t.Fatalf("h=%d: planned %s, want %s", h, pl.Strategy, want)
 			}
 		}
 		// HA lost to the scan at h=3 by its own cell, and MIH is the runner-up after.
-		if r := p.Plan(3).Reason(); r != "mih 800ns beats scan 1000ns at h=3" {
+		if r := p.Plan(3).Reason(); r != "mih 800 beats scan 1000 scanned groups at h=3" {
 			t.Fatalf("reason at h=3: %q", r)
 		}
 	})
 	t.Run("both retire and the scan alone extends", func(t *testing.T) {
 		p, asked := fillGrid(func(s Strategy, h int) float64 {
-			switch {
-			case s == UseScan:
-				return scan + float64(h) // the last cell timed must be the one extended
-			case h >= 24:
+			if h >= 24 {
 				return 3 * scan
 			}
-			return float64(h+1) * 50
+			return float64(h+1) * 50 // 850 at h=16: under the scan, still counted
 		})
-		for s, want := range map[Strategy]string{UseHA: "0,1,2,3,4,6,8,12,16,24", UseMIH: "0,1,2,3,4,6,8,12,16,24", UseScan: "0,1,2,3,4,6,8,12,16,24"} {
+		for s, want := range map[Strategy]string{UseHA: "0,1,2,3,4,6,8,12,16,24", UseMIH: "0,1,2,3,4,6,8,12,16,24", UseScan: ""} {
 			if got := askedAt(asked, s); got != want {
-				t.Fatalf("%s timed at %s, want %s", s, got, want)
+				t.Fatalf("%s counted at %s, want %s", s, got, want)
 			}
 		}
 		for h := 25; h <= 32; h++ {
 			pl := p.Plan(h)
-			if pl.Strategy != UseScan || pl.Versus >= 0 || pl.CostNs != [numStrategies]float64{UseScan: scan + 24} {
-				t.Fatalf("h=%d: planned %s vs %s at %v", h, pl.Strategy, pl.Versus, pl.CostNs)
+			if pl.Strategy != UseScan || pl.Versus >= 0 || pl.Cost != [numStrategies]float64{UseScan: scan} {
+				t.Fatalf("h=%d: planned %s vs %s at %v", h, pl.Strategy, pl.Versus, pl.Cost)
 			}
-			if r := pl.Reason(); r != "scan: ha, mih not timed past h=24 (over 2× the scan)" {
+			if r := pl.Reason(); r != "scan: ha, mih over the scan from h=24" {
 				t.Fatalf("h=%d: reason %q", h, r)
 			}
-			if strings.Contains(p.Explain(h), "uncalibrated") {
-				t.Fatalf("h=%d: a retirement explained as uncalibrated:\n%s", h, p.Explain(h))
+			if want := "mih : over the scan from h=24"; !strings.Contains(p.Explain(h), want) {
+				t.Fatalf("h=%d: the retirement is not explained as %q:\n%s", h, want, p.Explain(h))
 			}
 		}
 		if pl := p.Plan(24); pl.Strategy != UseScan || pl.Versus != UseHA {
@@ -215,7 +219,7 @@ func TestRetirementIsDeterministic(t *testing.T) {
 			}
 			return scan
 		})
-		if r := p.Plan(20).Reason(); r != "scan: ha not timed past h=12, mih not timed past h=4 (over 2× the scan)" {
+		if r := p.Plan(20).Reason(); r != "scan: ha over the scan from h=12, mih over the scan from h=4" {
 			t.Fatalf("reason %q", r)
 		}
 	})
@@ -226,40 +230,39 @@ func TestRetirementIsDeterministic(t *testing.T) {
 			}
 			return 0.9 * scan
 		})
-		if len(asked) != 3*11 {
-			t.Fatalf("asked %d cells, want every engine at all 11 grid thresholds", len(asked))
+		if len(asked) != 2*11 {
+			t.Fatalf("asked %d cells, want HA and MIH at all 11 grid thresholds", len(asked))
 		}
 		for h := 0; h <= 32; h++ {
 			pl := p.Plan(h)
-			if pl.Retired != [numStrategies]int{-1, -1, -1} || pl.CostNs[UseHA] == 0 || pl.CostNs[UseMIH] == 0 || pl.CostNs[UseScan] == 0 {
-				t.Fatalf("h=%d: retired %v, cells %v", h, pl.Retired, pl.CostNs)
+			if pl.Retired != [numStrategies]int{-1, -1, -1} || pl.Cost[UseHA] == 0 || pl.Cost[UseMIH] == 0 || pl.Cost[UseScan] != scan {
+				t.Fatalf("h=%d: retired %v, cells %v", h, pl.Retired, pl.Cost)
 			}
 		}
 	})
 	t.Run("costs that are not monotone", func(t *testing.T) {
 		p, asked := fillGrid(func(s Strategy, h int) float64 {
 			switch s {
-			case UseHA: // one noisy cell retires it; the cheap ones after are never seen
-				return map[bool]float64{true: 2.01 * scan, false: 0.1 * scan}[h == 2]
-			case UseMIH: // exactly twice the scan is not over it
-				return map[bool]float64{true: 2 * scan, false: 1.5 * scan}[h%2 == 0]
+			case UseHA: // one cell over the scan retires it; the cheap ones after are never seen
+				return map[bool]float64{true: 1.01 * scan, false: 0.1 * scan}[h == 2]
 			}
-			return scan
+			// MIH: exactly the scan is not over it
+			return map[bool]float64{true: scan, false: 0.75 * scan}[h%2 == 0]
 		})
 		if got := askedAt(asked, UseHA); got != "0,1,2" {
-			t.Fatalf("HA timed at %s", got)
+			t.Fatalf("HA counted at %s", got)
 		}
 		if p.retired != [numStrategies]int{2, -1, -1} {
 			t.Fatalf("retired %v", p.retired)
 		}
-		// MIH dips to 1.5× at h=3 and is back at 2× past it, still timed.
-		if c := p.CostNs(UseMIH, 3); c != 1.5*scan || p.CostNs(UseMIH, 32) != 2*scan {
+		// MIH dips to 0.75× at h=3 and is back at 1× past it, still counted.
+		if c := p.Cost(UseMIH, 3); c != 0.75*scan || p.Cost(UseMIH, 32) != scan {
 			t.Fatalf("MIH at h=3: %v", c)
 		}
-		if c := p.CostNs(UseHA, 1); c != 0.1*scan {
+		if c := p.Cost(UseHA, 1); c != 0.1*scan {
 			t.Fatalf("HA at h=1: %v", c)
 		}
-		if c := p.CostNs(UseHA, 3); c != 0 {
+		if c := p.Cost(UseHA, 3); c != 0 {
 			t.Fatalf("HA priced at h=3 after retiring at h=2: %v", c)
 		}
 	})
@@ -276,24 +279,24 @@ func TestPlanIsATable(t *testing.T) {
 	for h := range want {
 		best, second := Strategy(-1), Strategy(-1)
 		for s := Strategy(0); s < numStrategies; s++ {
-			switch c := p.CostNs(s, h); {
-			case !p.Available(s) || c == 0: // unmeasured: retired below h
-			case best < 0 || c < p.CostNs(best, h):
+			switch c := p.Cost(s, h); {
+			case !p.Available(s) || c == 0: // uncounted: retired below h
+			case best < 0 || c < p.Cost(best, h):
 				best, second = s, best
-			case second < 0 || c < p.CostNs(second, h):
+			case second < 0 || c < p.Cost(second, h):
 				second = s
 			}
 		}
 		pl := p.Plan(h)
 		if pl.Strategy != best || pl.Versus != second || pl.H != h {
-			t.Fatalf("h=%d: planned %s vs %s, costs %v; want %s vs %s", h, pl.Strategy, pl.Versus, pl.CostNs, best, second)
+			t.Fatalf("h=%d: planned %s vs %s, costs %v; want %s vs %s", h, pl.Strategy, pl.Versus, pl.Cost, best, second)
 		}
 		// The plan carries the facts; the sentence is rendered from them on
 		// demand — a lone engine names the ones that retired below h.
-		s := fmt.Sprintf("%s %.0fns beats %s", best, pl.CostNs[best], second)
+		s := fmt.Sprintf("%s %.0f beats %s", best, pl.Cost[best], second)
 		if second < 0 {
 			s = fmt.Sprintf("%s: ", best)
-			if !strings.Contains(pl.Reason(), "not timed past h=") {
+			if !strings.Contains(pl.Reason(), "over the scan from h=") {
 				t.Fatalf("h=%d: reason %q does not name a retirement", h, pl.Reason())
 			}
 		}
@@ -328,38 +331,23 @@ func TestPlanIsATable(t *testing.T) {
 	}
 }
 
-// TestRegimeSwitch: on clustered data the measured model keeps tight
+// TestRegimeSwitch: on clustered data the counted model keeps tight
 // thresholds off the scan — the crossover the multi-engine design exists
 // to exploit.
 func TestRegimeSwitch(t *testing.T) {
 	rng := rand.New(rand.NewSource(205))
-	// Large enough that the flat scan (~1 ns/code) costs several times an
-	// index probe at h=2; over a few thousand codes it honestly competes.
+	// Large enough that the flat scan costs several times an index probe at
+	// h=2; over a few thousand codes it honestly competes.
 	codes := clustered(rng, 40000, 32, 160, 3)
-	p := autoPlanner(t, codes, Options{Seed: 5, CalibProbes: 4})
+	p := autoPlanner(t, codes, Options{Seed: 5})
 	if pl := p.Plan(2); pl.Strategy == UseScan {
 		t.Errorf("tight threshold routed to the scan: %+v", pl)
 	}
 }
 
-// TestUncalibratedProbesFirst: with calibration disabled there is no cost
-// to compare, so every threshold plans HA and says why.
-func TestUncalibratedProbesFirst(t *testing.T) {
-	rng := rand.New(rand.NewSource(206))
-	codes := clustered(rng, 200, 32, 4, 2)
-	p := autoPlanner(t, codes, Options{Seed: 6, CalibProbes: -1})
-	for h := 0; h <= 32; h++ {
-		pl := p.Plan(h)
-		if pl.Strategy != UseHA || pl.Versus >= 0 || pl.CostNs != [numStrategies]float64{} {
-			t.Fatalf("h=%d: uncalibrated planner chose %s vs %s at costs %v", h, pl.Strategy, pl.Versus, pl.CostNs)
-		}
-		if !strings.Contains(pl.Reason(), "uncalibrated") {
-			t.Fatalf("h=%d: reason should say the planner is uncalibrated: %q", h, pl.Reason())
-		}
-	}
-}
-
-// TestHAOnlyPlanner: with no MIH and no codes, every plan stays on HA.
+// TestHAOnlyPlanner: with no MIH and no codes, the scan runs over the HA
+// index's own leaf arena, so every plan is HA or the scan, counted, and
+// never MIH.
 func TestHAOnlyPlanner(t *testing.T) {
 	rng := rand.New(rand.NewSource(207))
 	codes := clustered(rng, 200, 32, 4, 2)
@@ -368,12 +356,87 @@ func TestHAOnlyPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Available(UseMIH) || p.Available(UseScan) {
-		t.Fatal("engines available without backing state")
+	if p.Available(UseMIH) || !p.Available(UseScan) || p.Engines().Groups.Count() != idx.Groups().Count() {
+		t.Fatalf("MIH available %v, scan available %v over %d groups",
+			p.Available(UseMIH), p.Available(UseScan), p.Engines().Groups.Count())
 	}
-	for _, h := range []int{0, 4, 31} {
-		if pl := p.Plan(h); pl.Strategy != UseHA {
-			t.Fatalf("h=%d routed to %s without the engine", h, pl.Strategy)
+	for h := 0; h <= 32; h++ {
+		if pl := p.Plan(h); pl.Strategy == UseMIH || pl.Cost[UseMIH] != 0 || pl.Cost[UseScan] != float64(idx.Groups().Count()) {
+			t.Fatalf("h=%d routed to %s at costs %v", h, pl.Strategy, pl.Cost)
+		}
+	}
+}
+
+// TestForcedEnginesWithoutTheirData: a planner built on HA alone still
+// scans — over HA's leaf arena, returning what HA returns, not an empty
+// answer — and forcing MIH on it panics with a message that names MIH.
+func TestForcedEnginesWithoutTheirData(t *testing.T) {
+	rng := rand.New(rand.NewSource(213))
+	codes := clustered(rng, 2000, 32, 8, 3)
+	p, err := New(Engines{HA: buildFrozen(codes, nil)}, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := codes[17].Clone()
+	q.FlipBit(3)
+	ha, _ := p.SelectWith(UseHA, q, 3)
+	scanned, stats := p.SelectWith(UseScan, q, 3)
+	if len(ha) == 0 || !equalIDs(scanned, ha) || stats.DistanceComputations == 0 {
+		t.Fatalf("scan returned %d ids after %d distances, HA %d", len(scanned), stats.DistanceComputations, len(ha))
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "MIH") {
+			t.Fatalf("forced MIH without the engine: recovered %v", r)
+		}
+	}()
+	p.SelectWith(UseMIH, q, 3)
+}
+
+// TestSameSeedSamePlan: the plan table is a function of the engines and the
+// seed — two builds agree cell for cell, at GOMAXPROCS 1 and 2.
+func TestSameSeedSamePlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(214))
+	codes := clustered(rng, 20000, 64, 40, 3)
+	first := autoPlanner(t, codes, Options{Seed: 3})
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		p, err := New(first.Engines(), Options{Seed: 3})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(p.plans, first.plans) {
+			for h := range p.plans {
+				if p.plans[h] != first.plans[h] {
+					t.Fatalf("GOMAXPROCS %d, h=%d: %+v, first build %+v", procs, h, p.plans[h], first.plans[h])
+				}
+			}
+		}
+	}
+}
+
+// TestBenchmarkShapePlansMIH guards the weights on BenchmarkNew's shard
+// shape, where the benchmark's point and wide selects run: MIH at h=2 and
+// h=8 for every seed 1–10. Past h=8 MIH's closed-form probe count alone is
+// over the scan, so its h=12 cell is that count, priced without a query.
+func TestBenchmarkShapePlansMIH(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 150k-code engines")
+	}
+	eng := benchmarkShape(t)
+	m := eng.MIH.Engine().(*mih.Index)
+	for seed := int64(1); seed <= 10; seed++ {
+		p, err := New(eng, Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range []int{2, 8} {
+			if pl := p.Plan(h); pl.Strategy != UseMIH {
+				t.Errorf("seed %d, h=%d: planned %s at costs %v", seed, h, pl.Strategy, pl.Cost)
+			}
+		}
+		if c := p.Cost(UseMIH, 12); p.retired[UseMIH] != 12 || c != mihOpCost*float64(m.Probes(12)) {
+			t.Errorf("seed %d: MIH retired at h=%d, its h=12 cell %v, closed form %d probes", seed, p.retired[UseMIH], c, m.Probes(12))
 		}
 	}
 }
@@ -447,7 +510,7 @@ func TestExplain(t *testing.T) {
 	codes := clustered(rng, 300, 32, 4, 2)
 	p := autoPlanner(t, codes, Options{Seed: 8})
 	out := p.Explain(3)
-	for _, want := range []string{"h=3", "ha", "mih", "scan", "calibrated at load", "->"} {
+	for _, want := range []string{"h=3", "ha", "mih", "scan", "counted at load", "->"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain missing %q:\n%s", want, out)
 		}

@@ -183,9 +183,9 @@ func TestCloseMappedServerWithRequestsInFlight(t *testing.T) {
 
 // TestAuxEnginesShareTheArena covers what the multi-engine modes build at
 // load: over an mmap'd shard the only heap they add is MIH's key tables
-// (index.heap_bytes == index.aux_heap_bytes, well under an owning MIH); the
-// pinned modes skip calibration; the load phases are on the registry; and an
-// index New is handed in memory shares the same way.
+// (index.heap_bytes == index.aux_heap_bytes, well under an owning MIH); every
+// mode, pinned or not, counts the same plan table; the load phases are on the
+// registry; and an index New is handed in memory shares the same way.
 func TestAuxEnginesShareTheArena(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	path, meta, codes, ids := clusteredArena(t, rng, 3000, 64, 200)
@@ -193,6 +193,7 @@ func TestAuxEnginesShareTheArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var plans []planner.Plan
 	for _, engine := range []string{"auto", "mih", "scan"} {
 		s, err := LoadSnapshotFile(path, Options{Engine: engine, Mmap: true})
 		if err != nil {
@@ -220,9 +221,12 @@ func TestAuxEnginesShareTheArena(t *testing.T) {
 		if g["load.map_ns"]+g["load.mih_build_ns"]+g["load.calibrate_ns"] > g["load.total_ns"] {
 			t.Fatalf("engine %s: load phases exceed the total: %v", engine, g)
 		}
-		calibrated := s.pl.CostNs(planner.UseScan, 3) > 0 // the scan is timed wherever anything is
-		if calibrated != (engine == "auto") {
-			t.Fatalf("engine %s: cost grid calibrated = %v", engine, calibrated)
+		for h := 0; h <= 64; h++ {
+			if pl := s.pl.Plan(h); len(plans) <= h {
+				plans = append(plans, pl)
+			} else if pl != plans[h] {
+				t.Fatalf("engine %s, h=%d: plan %+v, the auto shard's %+v", engine, h, pl, plans[h])
+			}
 		}
 		s.Close()
 	}

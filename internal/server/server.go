@@ -51,9 +51,9 @@ type Options struct {
 	// server. "ha" (or empty) serves the loaded index directly and is the
 	// only mode a mutable server accepts. Anything else adds MIH and the
 	// brute scan on the loaded index's own leaf arena (see auxEngines):
-	// "auto" routes each request through the measured-cost planner, "mih"
-	// and "scan" pin one engine and skip calibration. A per-request wire hint
-	// overrides the mode, but may only name engines this option enabled.
+	// "auto" routes each request through the counted-cost planner, "mih"
+	// and "scan" pin one engine. A per-request wire hint overrides the mode,
+	// but may only name engines this option enabled.
 	Engine string
 
 	// ShedAfter, when positive, is the admission-wait budget: a search or
@@ -228,13 +228,11 @@ func (s *Server) auxEngines() (heap int, err error) {
 		return 0, fmt.Errorf("building MIH engine: %w", err)
 	}
 	s.reg.Gauge("load.mih_build_ns").Set(time.Since(t0).Nanoseconds())
-	popts := planner.Options{Seed: 1}
 	if s.planned = s.opts.Engine == "auto"; !s.planned {
 		s.fixedStrategy, _ = planner.ParseStrategy(s.opts.Engine) // "mih" or "scan": New checked
-		popts.CalibProbes = -1                                    // a pinned engine never consults the cost grid
 	}
 	t0 = time.Now()
-	s.pl, err = planner.New(planner.Engines{HA: s.idx, MIH: core.AsIndex(m), Groups: view}, popts)
+	s.pl, err = planner.New(planner.Engines{HA: s.idx, MIH: core.AsIndex(m), Groups: view}, planner.Options{Seed: 1})
 	if err != nil {
 		return 0, fmt.Errorf("building planner: %w", err)
 	}

@@ -127,8 +127,9 @@ if [ "$SMOKE_DEBUG" = "1" ]; then
         echo "smoke: -engine auto shard reports no auxiliary-engine heap" >&2; exit 1; }
     [ "$HEAP" -eq "$AUX" ] || {
         echo "smoke: mmap-backed shard holds $HEAP heap bytes, only $AUX of them the auxiliary engines'" >&2; exit 1; }
-    # The load phases must be on the registry, and calibration — once nearly
-    # all of start-up — must be a proper part of the total.
+    # The load phases must be on the registry, and the planner's counted
+    # grid (load.calibrate_ns), once nearly all of start-up, must be a proper
+    # part of the total.
     LOAD_MAP=$(gauge load.map_ns)
     LOAD_MIH=$(gauge load.mih_build_ns)
     LOAD_CAL=$(gauge load.calibrate_ns)
