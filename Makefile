@@ -100,10 +100,12 @@ bench-clock:
 	./scripts/bench-clock.sh $(RESIDUE)
 
 # What a default haserve pays at start-up, at the benchmark's shard shape
-# (150k clustered 64-bit codes, one frozen HA-Index): MIH's key tables over
-# the leaf arena, then the planner's counted grid, with allocation counts;
-# and the MIH select the planner then serves wide with (the Gray half of 300k
-# clustered codes, h=2 and 8, probes and verifications a query).
+# (150k clustered 64-bit codes, one frozen HA-Index): MIH's four 16-bit key
+# tables counted into place over the leaf arena, then the planner's counted
+# grid, with allocation counts; and the MIH select the planner then serves
+# with (the Gray half of 300k clustered codes; h=2 for point, 3 for churn
+# and mrjoin, 8 for wide, and 10, inside the range MIH now wins; probes and
+# verifications a query).
 bench-startup:
 	$(GO) test -run=NONE -bench='FromGroups|MIHSearch' -benchmem ./internal/mih/
 	$(GO) test -run=NONE -bench='BenchmarkNew$$' -benchmem ./internal/planner/

@@ -26,9 +26,10 @@
 // "ha", "mih", or "scan" pin one engine. Multi-index hashing and the scan
 // read the loaded index's own leaf arena, so they add only MIH's key tables
 // to the heap. At 150k codes a shard the default set loads in about 25 ms on
-// a 2-core host: MIH's tables are one radix sort each, and the planner
-// prices each engine by the work a few sample probes count — no clock — and
-// stops running an engine once its work costs more than the scan. The same
+// a 2-core host: MIH's tables are counted into place in two passes, and the
+// planner prices each engine by the work a few sample probes count — no
+// clock — and stops running an engine once its work costs more than the
+// scan. The same
 // snapshot gives the same plan on every load. Clients can override per
 // request with their own -engine hint.
 //

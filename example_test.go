@@ -128,7 +128,7 @@ func ExampleNewPlanner() {
 	}
 	// Output:
 	// 256
-	// mih 48 beats ha 162 scanned groups at h=0
-	// scan 256 beats mih 432 scanned groups at h=1
+	// mih 36 beats ha 162 scanned groups at h=0
+	// scan 256 beats mih 324 scanned groups at h=1
 	// scan: ha, mih over the scan from h=1
 }

@@ -3,17 +3,18 @@
 // form the rest of the serving stack expects (flat slabs mirroring
 // core.Freeze's layout, so the arenas can later be mmap'd).
 //
-// The code's L bits are cut into `blocks` contiguous blocks and one table is
-// built per combination of `matched` blocks, keyed on their concatenation.
-// If q and c are within Hamming distance h, the pigeonhole principle puts at
-// most floor(matched·h/blocks) of the differing bits into some combination
-// (each differing bit lands in C(blocks-1, matched-1) of the C(blocks,
-// matched) combinations, so the average combination carries h·matched/blocks
-// of them and the minimum is at or below the floor of that). Probing every
-// table with every key variant within that radius therefore finds every
-// answer; candidates are verified by a short-circuiting distance check. At
-// large thresholds this beats the HA-Index walk, whose pruning collapses —
-// the regime internal/planner routes here.
+// The code's L bits are cut into m contiguous blocks, one table per block
+// keyed on that block's bits. Norouzi's tight pigeonhole split: write
+// h+1 = m·r + a; if q and c are within Hamming distance h, then for any a
+// tables searched at radius r and the other m−a at r−1, some table holds c's
+// block within its radius of q's — otherwise the blocks would differ in at
+// least Σ(r_t+1) = h+1 bits. The radii sum to h−m+1, none exceeds ⌊h/m⌋,
+// and a table at radius −1 is not searched. Which a tables get the extra
+// bit is chosen per query: those whose bucket under the query's own key is
+// smallest, read off the exact-key lookups every table makes first.
+// Candidates are verified by a short-circuiting distance check. At large
+// thresholds this beats the HA-Index walk, whose pruning collapses — the
+// regime internal/planner routes here.
 //
 // Unlike the hash-map baseline in internal/baseline, the frozen form keeps
 // each table as a sorted run of distinct keys over a shared candidate arena,
@@ -21,13 +22,14 @@
 // bucket's bounds and binary-searches the few keys inside, and a hit is a
 // contiguous []int32 of group indexes into one distinct-code slab — the
 // engine's own, or (FromGroups) the frozen HA-Index's leaf arena, aliased.
-// Probing is bounded: past the radius where a table has fewer distinct keys
-// than the query key has variants, Search walks the key run instead of
-// enumerating. Search runs on a per-searcher Scratch (combination enumeration
-// state plus an epoch-marked visited table), reports the qualifying groups as
-// indexes into that slab, and is allocation-free on the steady path; the
-// engine plugs into core.Searcher, SearchBatch, and TopK through
-// core.AsIndex.
+// Tables of up to 16-bit keys are built by counting, wider ones by a radix
+// sort. Probing is bounded: past the radius where a table has fewer distinct
+// keys than the query key has variants, Search walks the key run instead of
+// enumerating. Search runs on a per-searcher Scratch (the per-table lookups
+// and radii, the variant enumeration state, and an epoch-marked visited
+// table), reports the qualifying groups as indexes into that slab, and is
+// allocation-free on the steady path; the engine plugs into core.Searcher,
+// SearchBatch, and TopK through core.AsIndex.
 package mih
 
 import (
@@ -42,27 +44,21 @@ import (
 
 // Options configures Build. The zero value selects sane defaults.
 type Options struct {
-	// Blocks is the number of contiguous bit blocks the code is cut into.
-	// 0 picks Norouzi's substring-length heuristic: key width near
-	// log2(n) bits, i.e. blocks ≈ L/log2(n), clamped to [ceil(L/64), 16].
+	// Blocks is the number of contiguous bit blocks the code is cut into,
+	// one table each. 0 picks Norouzi's substring length: ⌈log₂ n⌉-bit
+	// keys, i.e. blocks ≈ L/⌈log₂ n⌉, clamped to [⌈L/64⌉, 16].
 	Blocks int
-	// Matched is how many blocks each table keys on (C(Blocks, Matched)
-	// tables). 0 selects 1 — single-block tables, the classic MIH layout.
-	Matched int
 }
 
 // Index is the frozen multi-index-hashing engine. It is immutable and safe
 // for any number of concurrent readers; per-query state lives in Scratch.
 type Index struct {
-	length  int // code length L in bits
-	nw      int // words per code
-	blocks  int
-	matched int
+	length int // code length L in bits
+	nw     int // words per code
 
-	// Derived from (length, blocks, matched), never serialized.
-	bounds [][2]int // per block: start bit, width
-	combos [][]int  // per table: the matched block indexes
-	widths []int    // per table: total key width in bits
+	// Derived from (length, blocks), never serialized: per block, and so
+	// per table, its start bit and width.
+	bounds [][2]int
 
 	// Per-table sorted key directory over one shared candidate arena:
 	// table t's distinct keys are keys[tabStart[t]:tabStart[t+1]], sorted
@@ -153,59 +149,35 @@ func FromGroups(v core.GroupView, opts Options) (*Index, error) {
 	return m, nil
 }
 
-// autoBlocks picks the block count for n codes of length bits: key width
-// near log2(n) (Norouzi's substring-length heuristic — buckets then hold O(1)
-// codes), clamped so every block fits a uint64 key and the table count stays
-// modest. lg is ceil(log2 n)+1, the per-block key width aimed at; with
-// matched > 1 a table's key concatenates `matched` blocks, so the target
-// grows to lg·matched and the block count is scaled back by the same factor.
-func autoBlocks(length, n, matched int) int {
-	lg := 1
-	for v := 1; v < n; v *= 2 {
-		lg++
-	}
-	target := lg * matched
-	b := (length + target/2) / target * matched
-	if b < matched {
-		b = matched
-	}
-	if min := (length + 63) / 64 * matched; b < min {
-		b = min // widest matched blocks must concatenate into ≤ 64 key bits
-	}
-	if b > 16 {
-		b = 16
-	}
-	if b > length {
-		b = length
-	}
-	return b
+// autoBlocks picks the block count for n codes of length bits: Norouzi's
+// substring length of ⌈log₂ n⌉ key bits a block, so a table has about as
+// many possible keys as there are codes and a bucket holds O(1) of them —
+// rounded to the nearest count, and clamped so every block fits a uint64 key
+// and there are at most 16 tables. 64-bit codes get 4 tables of 16 bits from
+// 16,385 to 262,144 codes.
+func autoBlocks(length, n int) int {
+	lg := bits.Len(uint(max(n, 2) - 1)) // ⌈log₂ n⌉, at least 1
+	b := max((length+lg/2)/lg, (length+63)/64)
+	return min(b, 16, length)
 }
 
 // newIndex resolves the options against n codes, validates the parameters,
-// and derives bounds, combos, and widths.
+// and derives the block bounds.
 func newIndex(length, n int, opts Options) (*Index, error) {
 	if length <= 0 {
 		return nil, fmt.Errorf("mih: invalid code length %d", length)
 	}
-	blocks, matched := opts.Blocks, opts.Matched
-	if matched == 0 {
-		matched = 1
-	}
+	blocks := opts.Blocks
 	if blocks == 0 {
-		blocks = autoBlocks(length, n, matched)
+		blocks = autoBlocks(length, n)
 	}
 	if blocks <= 0 || blocks > length {
 		return nil, fmt.Errorf("mih: invalid block count %d for %d-bit codes", blocks, length)
 	}
-	if matched <= 0 || matched > blocks {
-		return nil, fmt.Errorf("mih: invalid matched count %d of %d blocks", matched, blocks)
-	}
 	m := &Index{
-		length:  length,
-		nw:      (length + 63) / 64,
-		blocks:  blocks,
-		matched: matched,
-		grp:     core.GroupView{Length: length},
+		length: length,
+		nw:     (length + 63) / 64,
+		grp:    core.GroupView{Length: length},
 	}
 	// Nearly equal blocks, the first length%blocks one bit wider.
 	base, extra := length/blocks, length%blocks
@@ -218,87 +190,98 @@ func newIndex(length, n int, opts Options) (*Index, error) {
 		m.bounds = append(m.bounds, [2]int{at, w})
 		at += w
 	}
-	keyBits := 0
-	for i := 0; i < matched; i++ {
-		keyBits += m.bounds[i][1] // widest blocks come first
-	}
-	if keyBits > 64 {
-		return nil, fmt.Errorf("mih: %d-bit combination keys exceed 64 bits", keyBits)
-	}
-	// All matched-element subsets of the blocks, one table per subset; the
-	// count is bounded before enumerating so hostile codec parameters cannot
-	// allocate unboundedly.
-	nt, err := tableCount(blocks, matched)
-	if err != nil {
-		return nil, err
-	}
-	m.combos = make([][]int, 0, nt)
-	combo := make([]int, matched)
-	var rec func(start, at int)
-	rec = func(start, at int) {
-		if at == matched {
-			m.combos = append(m.combos, append([]int(nil), combo...))
-			return
-		}
-		for i := start; i < blocks; i++ {
-			combo[at] = i
-			rec(i+1, at+1)
-		}
-	}
-	rec(0, 0)
-	m.widths = make([]int, len(m.combos))
-	for t, c := range m.combos {
-		for _, b := range c {
-			m.widths[t] += m.bounds[b][1]
-		}
+	if w := m.bounds[0][1]; w > 64 { // the widest block comes first
+		return nil, fmt.Errorf("mih: %d-bit block keys exceed 64 bits", w)
 	}
 	return m, nil
 }
 
-// tableCount computes C(blocks, matched), refusing configurations whose
-// table count would be implausible.
-func tableCount(blocks, matched int) (int, error) {
-	c := 1
-	for i := 0; i < matched; i++ {
-		c = c * (blocks - i) / (i + 1)
-		if c > 1<<16 {
-			return 0, fmt.Errorf("mih: C(%d,%d) tables is implausible", blocks, matched)
-		}
-	}
-	return c, nil
-}
-
 // buildTables fills the shared key/candidate arenas. Table t's candidates
-// are every group ordered by its key in t — ties in group order — which is
-// cands[t·ng:(t+1)·ng] as it stands; the distinct keys are counted before
-// the key directory is allocated, so every slab is exactly as long as what
-// it holds.
+// are every group ordered by its key in t — ties in group order — at
+// cands[t·ng:(t+1)·ng]; the distinct keys are counted before the key
+// directory is allocated, so every slab is exactly as long as what it holds.
+// Keys of at most 16 bits are counted into place while their key space is no
+// more than four times the group count; wider ones are radix-sorted.
 func (m *Index) buildTables() {
-	ng := m.GroupCount()
-	nt := len(m.combos)
+	ng, nt := m.GroupCount(), len(m.bounds)
 	m.tabStart = make([]int32, nt+1)
 	m.cands = make([]int32, nt*ng)
-	sorted := make([]uint64, nt*ng) // each table's keys, beside its candidates
+	if w := m.bounds[0][1]; w <= 16 && 1<<w <= 4*ng {
+		m.countTables()
+	} else {
+		m.sortTables()
+	}
+	m.tabStart[nt] = int32(len(m.keys))
+	m.candStart = append(m.candStart, int32(len(m.cands)))
+	m.setCrossovers()
+	m.buildDirectory()
+}
+
+// countTables builds tables of at most 16-bit keys in two steps: one pass
+// over the code slab counts every table's keys; then, per table, a prefix
+// sum over its counts lays out the distinct keys and each one's first
+// candidate slot, and a counting scatter of the groups in order places the
+// candidates.
+func (m *Index) countTables() {
+	ng, span := m.GroupCount(), 1<<m.bounds[0][1]
+	counts := make([]int32, len(m.bounds)*span)
+	for g := range ng {
+		words := m.grp.Codes[g*m.nw : (g+1)*m.nw]
+		for t, b := range m.bounds {
+			counts[t*span+int(segKey(words, b[0], b[1]))]++
+		}
+	}
+	distinct := 0
+	for _, c := range counts {
+		if c != 0 {
+			distinct++
+		}
+	}
+	m.keys = make([]uint64, 0, distinct)
+	m.candStart = make([]int32, 0, distinct+1)
+	for t, b := range m.bounds {
+		m.tabStart[t] = int32(len(m.keys))
+		next, at := counts[t*span:(t+1)*span], int32(t*ng)
+		for k, c := range next {
+			if c != 0 {
+				m.keys = append(m.keys, uint64(k))
+				m.candStart = append(m.candStart, at)
+			}
+			next[k], at = at, at+c
+		}
+		for g := range ng {
+			k := segKey(m.grp.Codes[g*m.nw:(g+1)*m.nw], b[0], b[1])
+			m.cands[next[k]] = int32(g)
+			next[k]++
+		}
+	}
+}
+
+// sortTables builds tables of wider keys: each table's groups are
+// radix-sorted by key straight into its cands range, beside a slab of their
+// keys, and the sorted runs are compacted into the distinct keys.
+func (m *Index) sortTables() {
+	ng := m.GroupCount()
+	sorted := make([]uint64, len(m.bounds)*ng) // each table's keys, beside its candidates
 	tmpKeys, tmpGroups := make([]uint64, ng), make([]int32, ng)
 	distinct := 0
-	for t, combo := range m.combos {
+	for t, b := range m.bounds {
 		keys, groups := sorted[t*ng:(t+1)*ng], m.cands[t*ng:(t+1)*ng]
 		for g := range keys {
-			keys[g] = m.comboKey(m.grp.Codes[g*m.nw:(g+1)*m.nw], combo)
+			keys[g] = segKey(m.grp.Codes[g*m.nw:(g+1)*m.nw], b[0], b[1])
 			groups[g] = int32(g)
 		}
 		sortKeys(keys, groups, tmpKeys, tmpGroups)
-		m.tabStart[t] = int32(distinct)
 		for i := range keys {
 			if i == 0 || keys[i] != keys[i-1] {
 				distinct++
 			}
 		}
 	}
-	m.tabStart[nt] = int32(distinct)
 	m.keys = make([]uint64, 0, distinct)
 	m.candStart = make([]int32, 0, distinct+1)
-	for t := 0; t < nt; t++ {
+	for t := range m.bounds {
+		m.tabStart[t] = int32(len(m.keys))
 		keys := sorted[t*ng : (t+1)*ng]
 		for i, k := range keys {
 			if i == 0 || k != keys[i-1] {
@@ -307,9 +290,6 @@ func (m *Index) buildTables() {
 			}
 		}
 	}
-	m.candStart = append(m.candStart, int32(len(m.cands)))
-	m.setCrossovers()
-	m.buildDirectory()
 }
 
 // buildDirectory sizes every table's radix directory from its distinct-key
@@ -318,10 +298,10 @@ func (m *Index) buildTables() {
 // sorted run: entry d is the first key whose top b bits are at least d, the
 // last entry the run's end.
 func (m *Index) buildDirectory() {
-	nt := len(m.combos)
+	nt := len(m.bounds)
 	m.dirStart = make([]int32, nt+1)
-	for t, w := range m.widths {
-		b := min(max(bits.Len32(uint32(m.tabStart[t+1]-m.tabStart[t]))-1, 0), w)
+	for t, bd := range m.bounds {
+		b := min(max(bits.Len32(uint32(m.tabStart[t+1]-m.tabStart[t]))-1, 0), bd[1])
 		m.dirStart[t+1] = m.dirStart[t] + 1<<b + 1
 	}
 	m.dir = make([]int32, m.dirStart[nt])
@@ -344,7 +324,7 @@ func (m *Index) buildDirectory() {
 // 64 maps every key to bucket 0).
 func (m *Index) directory(t int) ([]int32, uint) {
 	d := m.dir[m.dirStart[t]:m.dirStart[t+1]]
-	return d, uint(m.widths[t] - bits.TrailingZeros(uint(len(d)-1)))
+	return d, uint(m.bounds[t][1] - bits.TrailingZeros(uint(len(d)-1)))
 }
 
 // sortKeys sorts keys ascending in place, carrying groups along: a byte-wise
@@ -393,9 +373,9 @@ func sortKeys(keys []uint64, groups []int32, tmpKeys []uint64, tmpGroups []int32
 // past it, more binary searches than the run has keys to find. K < 2^31
 // bounds every intermediate, so nothing overflows.
 func (m *Index) setCrossovers() {
-	m.enumMax = make([]int, len(m.combos))
-	for t, w := range m.widths {
-		k := uint64(m.tabStart[t+1] - m.tabStart[t])
+	m.enumMax = make([]int, len(m.bounds))
+	for t, b := range m.bounds {
+		w, k := b[1], uint64(m.tabStart[t+1]-m.tabStart[t])
 		v, c, r := uint64(1), uint64(1), 0
 		for r < w {
 			c = c * uint64(w-r) / uint64(r+1) // C(w, r+1)
@@ -409,26 +389,67 @@ func (m *Index) setCrossovers() {
 	}
 }
 
-// Probes returns the keys a select at threshold h examines, whatever the
-// query: per table, the V(w, r) key variants it probes up to its crossover
-// radius, its K distinct keys past it — what Search counts into
-// NodesVisited. Candidate verifications come on top and depend on the data.
+// Probes returns the keys a select at threshold h examines: per table, the
+// exact-key lookup every select makes, then the other V(w, r) − 1 key
+// variants within the table's radius up to its crossover, or its K distinct
+// keys past it — what Search counts into NodesVisited. Which tables get the
+// split's larger radius depends on the query, so Probes gives them to the
+// tables where it costs the most: it is exact when the larger radius costs
+// every table the same (equal block widths, each table on one side of its
+// crossover at both radii) and an upper bound otherwise. Candidate
+// verifications come on top and depend on the data.
 func (m *Index) Probes(h int) int {
-	n := 0
-	for t, w := range m.widths {
-		r := min(m.Radius(h), w)
-		if r > m.enumMax[t] {
-			n += int(m.tabStart[t+1] - m.tabStart[t])
-			continue
-		}
-		v, c := 1, 1 // V(w, r) ≤ K < 2^31 below the crossover
-		for k := 0; k < r; k++ {
-			c = c * (w - k) / (k + 1)
-			v += c
-		}
-		n += v
+	r, a := split(h, len(m.bounds))
+	n, gain := 0, make([]int, len(m.bounds))
+	for t := range m.bounds {
+		lo := m.tableProbes(t, r-1)
+		n, gain[t] = n+lo, m.tableProbes(t, r)-lo
+	}
+	slices.Sort(gain)
+	for _, g := range gain[len(gain)-a:] {
+		n += g
 	}
 	return n
+}
+
+// tableProbes is what a select examines in table t at radius r: the one
+// exact-key lookup below radius 1, V(w, r) key variants up to the table's
+// crossover, and the lookup plus its K distinct keys past it.
+func (m *Index) tableProbes(t, r int) int {
+	w := m.bounds[t][1]
+	if r = min(r, w); r > m.enumMax[t] {
+		return 1 + int(m.tabStart[t+1]-m.tabStart[t])
+	}
+	v, c := 1, 1 // V(w, r) ≤ K < 2^31 below the crossover
+	for k := 0; k < r; k++ {
+		c = c * (w - k) / (k + 1)
+		v += c
+	}
+	return v
+}
+
+// split is Norouzi's tight pigeonhole split of threshold h over m tables:
+// with h+1 = m·r + a, a tables are searched at radius r and the other m−a
+// at r−1. The radii sum to h−m+1 and none exceeds ⌊h/m⌋.
+func split(h, m int) (r, a int) { return (h + 1) / m, (h + 1) % m }
+
+// assignRadii fills rad with each table's radius at threshold h, given the
+// size of each table's bucket under the query's own key: split's a larger
+// radii go to the a smallest buckets, ties to the lower table.
+func assignRadii(rad []int, size []int32, h int) {
+	r, a := split(h, len(rad))
+	for t := range rad {
+		rad[t] = r - 1
+	}
+	for ; a > 0; a-- {
+		best := -1
+		for t, rt := range rad {
+			if rt < r && (best < 0 || size[t] < size[best]) {
+				best = t
+			}
+		}
+		rad[best] = r
+	}
 }
 
 // segKey extracts the width-bit segment starting at bit `from` as a uint64,
@@ -442,37 +463,17 @@ func segKey(words []uint64, from, width int) uint64 {
 	return v >> uint(64-width)
 }
 
-// comboKey concatenates the blocks selected by combo into one key.
-func (m *Index) comboKey(words []uint64, combo []int) uint64 {
-	var key uint64
-	for _, b := range combo {
-		from, width := m.bounds[b][0], m.bounds[b][1]
-		key = key<<uint(width) | segKey(words, from, width)
-	}
-	return key
-}
-
 // Length returns the code length L in bits.
 func (m *Index) Length() int { return m.length }
 
 // Len returns the number of indexed tuples.
 func (m *Index) Len() int { return len(m.grp.IDs) }
 
-// Blocks returns the block count.
-func (m *Index) Blocks() int { return m.blocks }
-
-// Matched returns how many blocks each table keys on.
-func (m *Index) Matched() int { return m.matched }
-
-// Tables returns the table count C(Blocks, Matched).
-func (m *Index) Tables() int { return len(m.combos) }
+// Blocks returns the block count, which is also the table count.
+func (m *Index) Blocks() int { return len(m.bounds) }
 
 // GroupCount returns the number of indexed code groups.
 func (m *Index) GroupCount() int { return m.grp.Count() }
-
-// Radius returns the per-table probe radius at threshold h: the pigeonhole
-// bound floor(matched·h/blocks).
-func (m *Index) Radius(h int) int { return m.matched * h / m.blocks }
 
 // SizeBytes returns the footprint of everything the engine reads, shared
 // group slabs included. The distinct codes are stored once; each table adds
@@ -507,10 +508,15 @@ func (m *Index) Groups() core.GroupView { return m.grp }
 
 // NewScratch implements core.Engine.
 func (m *Index) NewScratch() core.EngineScratch {
+	nt := len(m.bounds)
 	return &Scratch{
 		m:       m,
 		visited: make([]uint32, m.GroupCount()),
 		comb:    make([]int, 65),
+		key:     make([]uint64, nt),
+		at:      make([]int32, nt),
+		size:    make([]int32, nt),
+		rad:     make([]int, nt),
 	}
 }
 
@@ -521,26 +527,32 @@ func (m *Index) Search(q bitvec.Code, h int) []int {
 	return core.NewSearcher(core.AsIndex(m)).SearchAppend(nil, q, h)
 }
 
-// Scratch is one searcher's mutable state: the iterative combination
-// enumerator, the epoch-marked visited table that deduplicates candidate
-// groups across tables, and the result slice of the search in progress.
-// Not safe for concurrent use; the Index is.
+// Scratch is one searcher's mutable state: per table, the query's key, its
+// exact-key lookup and bucket size, and its radius; the iterative
+// combination enumerator; the epoch-marked visited table that deduplicates
+// candidate groups across tables; and the result slice of the search in
+// progress. Not safe for concurrent use; the Index is.
 type Scratch struct {
 	m       *Index
 	visited []uint32
 	epoch   uint32
 	comb    []int
+	key     []uint64
+	at      []int32 // the key's global position, −1 when the table lacks it
+	size    []int32
+	rad     []int
 	out     []int32
 }
 
-// Search implements core.EngineScratch: reach every table's keys within the
-// pigeonhole radius of the query's key, verify their candidates once each,
-// and append the qualifying groups to out. Up to the table's crossover
-// radius the keys are reached by enumerating variants and probing each
-// through the table's directory, past it by one XOR+popcount pass over the
-// sorted run — the same keys either way. Probes and run keys examined count
-// into stats.NodesVisited, candidate verifications into LeavesChecked and
-// DistanceComputations.
+// Search implements core.EngineScratch: look every table up under the
+// query's own key, split the radii by the sizes of those buckets, reach each
+// table's keys within its radius of the query's, verify their candidates
+// once each, and append the qualifying groups to out. Up to the table's
+// crossover radius the keys are reached by enumerating variants and probing
+// each through the table's directory, past it by one XOR+popcount pass over
+// the sorted run — the same keys either way. Lookups, probes and run keys
+// examined count into stats.NodesVisited, candidate verifications into
+// LeavesChecked and DistanceComputations.
 func (s *Scratch) Search(q bitvec.Code, h int, stats *core.SearchStats, out []int32) []int32 {
 	m := s.m
 	if q.Len() != m.length {
@@ -554,15 +566,24 @@ func (s *Scratch) Search(q bitvec.Code, h int, stats *core.SearchStats, out []in
 		s.epoch = 1
 	}
 	s.out = out
-	radius := m.matched * h / m.blocks
 	qw := q.Words()
-	for t, combo := range m.combos {
-		key := m.comboKey(qw, combo)
-		width := m.widths[t]
-		r := radius
-		if r > width {
-			r = width
+	for t, b := range m.bounds {
+		dir, shift := m.directory(t)
+		key := segKey(qw, b[0], b[1])
+		p, ok := m.lookup(dir, shift, key)
+		s.key[t], s.at[t], s.size[t] = key, -1, 0
+		if ok {
+			s.at[t], s.size[t] = p, m.candStart[p+1]-m.candStart[p]
 		}
+	}
+	stats.NodesVisited += len(m.bounds)
+	assignRadii(s.rad, s.size, h)
+	for t, r := range s.rad {
+		if r < 0 {
+			continue
+		}
+		key, width := s.key[t], m.bounds[t][1]
+		r = min(r, width)
 		if r > m.enumMax[t] {
 			lo, hi := m.tabStart[t], m.tabStart[t+1]
 			stats.NodesVisited += int(hi - lo)
@@ -573,8 +594,10 @@ func (s *Scratch) Search(q bitvec.Code, h int, stats *core.SearchStats, out []in
 			}
 			continue
 		}
+		if p := s.at[t]; p >= 0 {
+			s.verify(p, qw, h, stats)
+		}
 		dir, shift := m.directory(t)
-		s.probe(dir, shift, key, qw, h, stats)
 		// Key variants at exact flip-count k, for k = 1..r: the classic
 		// iterative combination enumeration over the key's bit positions,
 		// on preallocated scratch — no recursion, no closures.

@@ -311,13 +311,13 @@ const sampleProbes = 8
 
 // The weights that turn counted work into scanned groups, the scan's unit:
 // one HA distance computation (a pattern or a leaf checked) costs about as
-// much as scanning 9 groups, one MIH operation (a key probed or walked, or
-// a candidate verified) about 24. Fitted on 150k clustered 64-bit codes
-// against ns per query at h = 0–24; DESIGN.md ("Counted cost model") has
-// the fit.
+// much as scanning 9 groups, one MIH operation (a key looked up, probed or
+// walked, or a candidate verified) about 18. Fitted on 150k clustered 64-bit
+// codes against ns per query at h = 0–24; DESIGN.md ("Counted cost model")
+// has the fit.
 const (
 	haOpCost  = 9
-	mihOpCost = 24
+	mihOpCost = 18
 )
 
 // count fills every cost cell by running sampleProbes data-distributed

@@ -112,6 +112,24 @@ func TestCalibrationFillsModel(t *testing.T) {
 	}
 }
 
+// TestClosedFormRetiresMIH: over uniform 128-bit codes MIH verifies almost
+// nothing, so its counted cells stay under the scan until its closed-form
+// probe count alone is over it; MIH retires there, and that cell is the
+// count, priced.
+func TestClosedFormRetiresMIH(t *testing.T) {
+	rng := rand.New(rand.NewSource(215))
+	codes := make([]bitvec.Code, 4000)
+	for i := range codes {
+		codes[i] = bitvec.Rand(rng, 128)
+	}
+	p := autoPlanner(t, codes, Options{Seed: 4})
+	m, at := p.Engines().MIH.Engine().(*mih.Index), p.retired[UseMIH]
+	scan := float64(p.Engines().Groups.Count())
+	if c := mihOpCost * float64(m.Probes(at)); at < 0 || c <= scan || p.Cost(UseMIH, at) != c {
+		t.Fatalf("MIH retired at h=%d with cell %v, closed form %d probes over %v groups", at, p.Cost(UseMIH, at), m.Probes(at), scan)
+	}
+}
+
 // fillGrid runs the fill of a 32-bit planner with every engine available
 // over synthetic count cells and a scan of 1000 groups, and returns the
 // planner, decided, with the cells the fill asked for in the order it asked.
@@ -416,27 +434,29 @@ func TestSameSeedSamePlan(t *testing.T) {
 }
 
 // TestBenchmarkShapePlansMIH guards the weights on BenchmarkNew's shard
-// shape, where the benchmark's point and wide selects run: MIH at h=2 and
-// h=8 for every seed 1–10. Past h=8 MIH's closed-form probe count alone is
-// over the scan, so its h=12 cell is that count, priced without a query.
+// shape, where the benchmark's point and wide selects run: MIH at h=2, h=8
+// and h=12 for every seed 1–10. Its h=12 cell is counted — more than its
+// lookups and probes alone cost, since it verifies too, and less than the
+// scan — and MIH retires at h=16.
 func TestBenchmarkShapePlansMIH(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 150k-code engines")
 	}
 	eng := benchmarkShape(t)
 	m := eng.MIH.Engine().(*mih.Index)
+	scan := float64(eng.Groups.Count())
 	for seed := int64(1); seed <= 10; seed++ {
 		p, err := New(eng, Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, h := range []int{2, 8} {
+		for _, h := range []int{2, 8, 12} {
 			if pl := p.Plan(h); pl.Strategy != UseMIH {
 				t.Errorf("seed %d, h=%d: planned %s at costs %v", seed, h, pl.Strategy, pl.Cost)
 			}
 		}
-		if c := p.Cost(UseMIH, 12); p.retired[UseMIH] != 12 || c != mihOpCost*float64(m.Probes(12)) {
-			t.Errorf("seed %d: MIH retired at h=%d, its h=12 cell %v, closed form %d probes", seed, p.retired[UseMIH], c, m.Probes(12))
+		if c := p.Cost(UseMIH, 12); p.retired[UseMIH] != 16 || c <= mihOpCost*float64(m.Probes(12)) || c >= scan {
+			t.Errorf("seed %d: MIH retired at h=%d, its h=12 cell %v, closed form %d probes, scan %v", seed, p.retired[UseMIH], c, m.Probes(12), scan)
 		}
 	}
 }
