@@ -4,7 +4,7 @@ GO ?= go
 
 all: build vet test
 
-check: build vet fmt-check test test-race reqpath fuzz-wire fuzz-arena bench-smoke lsm-smoke
+check: build vet fmt-check test test-race reqpath fuzz-wire fuzz-arena bench-smoke debug-smoke lsm-smoke
 
 build:
 	$(GO) build ./...
@@ -135,7 +135,8 @@ smoke:
 
 # Smoke plus the observability surface: shard 0 serves its HTTP debug
 # endpoint, and the script asserts /debug/obs reports non-empty latency
-# histograms and nonzero request/fault counters.
+# histograms, nonzero request/fault/planner counters, the mmap'd arena and
+# the load.*_ns gauges. About 5 s over loopback, so it is part of `make check`.
 debug-smoke:
 	SMOKE_DEBUG=1 ./scripts/smoke.sh
 

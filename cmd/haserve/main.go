@@ -20,18 +20,17 @@
 // before the shard sheds it with a polite overload frame: the client backs
 // off once and asks the next replica instead of counting a replica failure.
 //
-// -engine picks the search access path for immutable serving: the default
-// "auto" serves the full engine set (HA walk, multi-index hashing, brute
-// scan) and routes each request through the cost-based planner;
-// "ha", "mih", or "scan" pin one engine. Multi-index hashing and the scan
-// read the loaded index's own leaf arena, so they add only MIH's key tables
-// to the heap. At 150k codes a shard the default set loads in about 25 ms on
-// a 2-core host: MIH's tables are counted into place in two passes, and the
-// planner prices each engine by the work a few sample probes count — no
-// clock — and stops running an engine once its work costs more than the
-// scan. The same
-// snapshot gives the same plan on every load. Clients can override per
-// request with their own -engine hint.
+// -engine picks the engine set for immutable serving: the default "auto"
+// serves all three (HA walk, multi-index hashing, brute scan) and routes each
+// request through the cost-based planner; "ha" serves the HA walk alone.
+// Multi-index hashing and the scan read the loaded index's own leaf arena,
+// so they add only MIH's key tables to the heap. At 150k codes a shard the
+// default set loads in about 25 ms on a 2-core host: MIH's tables are
+// counted into place in two passes, and the planner prices each engine by
+// the work a few sample probes count — no clock — and stops running an
+// engine once its work costs more than the scan. The same snapshot gives the
+// same plan on every load. An engine is pinned per request, by the client's
+// -engine hint, which may name any engine the shard serves.
 //
 // -mmap (default on) serves the snapshot zero-copy: the arena is aliased
 // out of an mmap of the file, so the heap holds none of it (watch
@@ -77,7 +76,7 @@ func main() {
 		idleTO    = flag.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = 30s, negative disables)")
 		writeTO   = flag.Duration("write-timeout", 0, "per-response write deadline (0 = 30s, negative disables)")
 		mmapIdx   = flag.Bool("mmap", true, "serve the snapshot zero-copy out of an mmap of the file; -mmap=false decodes it onto the heap")
-		engine    = flag.String("engine", "auto", "access path for immutable serving: auto (counted cost-based planner), ha, mih, or scan; -mutable always serves the LSM engine")
+		engine    = flag.String("engine", "auto", "engine set for immutable serving: auto (HA, MIH and the scan behind the counted cost-based planner) or ha (the HA walk alone); a client's -engine hint pins one per request; -mutable always serves the LSM engine")
 
 		mutable     = flag.Bool("mutable", false, "serve a mutable LSM shard seeded from the snapshot; accepts insert/delete/seal")
 		memtableMax = flag.Int("memtable-max", 0, "memtable entries before a background seal (0 = 4096, negative disables)")
@@ -117,13 +116,11 @@ func main() {
 		Mmap:         *mmapIdx && !*mutable,
 		Engine:       *engine,
 	}
+	if *engine != "auto" && *engine != "ha" {
+		fatalf("-engine %s: want auto or ha (a client's -engine hint pins mih or scan per request)", *engine)
+	}
 	if *mutable {
-		// The LSM shard is its own engine; only the default auto (or an
-		// explicit ha) makes sense here.
-		if *engine != "auto" && *engine != "ha" {
-			fatalf("-engine %s is incompatible with -mutable", *engine)
-		}
-		opts.Engine = ""
+		opts.Engine = "" // the LSM shard is its own engine
 	}
 	var s *server.Server
 	var shard *lsm.Shard
@@ -162,8 +159,8 @@ func main() {
 	if !*mutable {
 		// The same four load.*_ns gauges /debug/obs serves.
 		ns := func(name string) time.Duration { return time.Duration(s.Obs().Gauge(name).Value()) }
-		fmt.Printf("haserve: loaded in %s (map %s, mih build %s, calibrate %s)\n",
-			ns("load.total_ns"), ns("load.map_ns"), ns("load.mih_build_ns"), ns("load.calibrate_ns"))
+		fmt.Printf("haserve: loaded in %s (map %s, mih build %s, plan %s)\n",
+			ns("load.total_ns"), ns("load.map_ns"), ns("load.mih_build_ns"), ns("load.plan_ns"))
 	}
 	if *portFile != "" {
 		if err := os.WriteFile(*portFile, []byte(bound+"\n"), 0o644); err != nil {

@@ -56,10 +56,10 @@ type Options struct {
 	Timeout time.Duration
 
 	// Engine is the access-path hint attached to every search request: ""
-	// or "auto" lets each shard route (its planner or configured mode);
-	// "ha", "mih", or "scan" forces that engine on every shard. Forcing
-	// requires the named engine to be enabled server-side; the shards
-	// enforce it.
+	// or "auto" lets each shard route (its planner, or the HA walk on an
+	// -engine ha shard); "ha", "mih", or "scan" forces that engine on every
+	// shard — the one way to pin an engine. Forcing requires the named
+	// engine to be enabled server-side; the shards enforce it.
 	Engine string
 
 	// Obs, when set, is the registry the router hangs its counters and

@@ -4,13 +4,13 @@ import (
 	"haindex/internal/bitvec"
 )
 
-// Engine is the surface an external search engine implements to plug into
-// the core query machinery. The Index interface itself is sealed (its
-// searchWith method is unexported so the walk internals stay private), so
-// engines living outside this package — multi-index hashing, future
-// LSH-style backends — implement Engine instead and are adapted with
-// AsIndex. The adapted index runs under Searcher, SearchBatch,
-// SearchCodesBatch, and the generic radius-escalating TopK unchanged.
+// Engine is the surface a search engine over a leaf arena implements to
+// plug into the core query machinery. The Index interface itself is sealed
+// (its searchWith method is unexported so the walk internals stay private),
+// so an engine implements Engine instead and is adapted with AsIndex. The one
+// engine in this package is the brute scan, GroupView; multi-index hashing
+// (internal/mih) is the other. The adapted index runs under Searcher,
+// SearchBatch, SearchCodesBatch, and TopK's radius escalation unchanged.
 type Engine interface {
 	// Groups returns the leaf arena the engine indexes: its code length,
 	// its distinct codes and their tuple ids. The engine's searches report

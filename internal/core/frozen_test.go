@@ -52,31 +52,6 @@ func TestFreezeSearchEquivalence(t *testing.T) {
 	}
 }
 
-// TestFrozenTopKEquivalence: frozen TopK (native radius escalation with the
-// epoch memo) returns exactly the generic escalation's (distance, id) pairs,
-// run here over a brute-scan engine on the same arena.
-func TestFrozenTopKEquivalence(t *testing.T) {
-	for _, bitsLen := range []int{32, 128} {
-		_, queries, dyn, frozen := frozenEnv(t, int64(1100+bitsLen), 700, bitsLen)
-		fsr := NewSearcher(frozen)
-		dsr := NewSearcher(AsIndex(scanEngine{frozen.Groups()}))
-		for _, k := range []int{0, 1, 3, 17, 64, dyn.Len() + 5} {
-			for qi, q := range queries {
-				gotIDs, gotDists := fsr.TopK(q, k)
-				wantIDs, wantDists := dsr.TopK(q, k)
-				if !equalIDs(gotIDs, wantIDs) {
-					t.Fatalf("L=%d k=%d q#%d: frozen ids %v, want %v", bitsLen, k, qi, gotIDs, wantIDs)
-				}
-				for i := range gotDists {
-					if gotDists[i] != wantDists[i] {
-						t.Fatalf("L=%d k=%d q#%d: dist[%d]=%d, want %d", bitsLen, k, qi, i, gotDists[i], wantDists[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestFreezeFlushesBuffer: freezing an index with unflushed inserts must
 // flush them first — buffered tuples appear in frozen results.
 func TestFreezeFlushesBuffer(t *testing.T) {

@@ -8,11 +8,12 @@ import (
 
 // GroupView is a read-only view of a leaf arena: distinct codes packed
 // back to back with their tuple ids. It is the one layout the frozen
-// HA-Index, multi-index hashing, and the brute scan all read, so a serving
-// shard keeps a single copy of its codes — for an mmap'd FrozenIndex, the
-// mapping itself. A view never owns its slabs: whoever produced them (the
-// FrozenIndex, and through it the mapping's owner) must outlive every reader
-// of the view, and nothing may write through it.
+// HA-Index, multi-index hashing, and the brute scan all read — the scan is
+// the view itself, as an Engine — so a serving shard keeps a single copy of
+// its codes: for an mmap'd FrozenIndex, the mapping itself. A view never
+// owns its slabs: whoever produced them (the FrozenIndex, and through it the
+// mapping's owner) must outlive every reader of the view, and nothing may
+// write through it.
 type GroupView struct {
 	Length  int      // code length L in bits
 	Codes   []uint64 // (Length+63)/64 words per group
@@ -64,14 +65,26 @@ func (v GroupView) Tuples(fn func(id int, code bitvec.Code)) {
 	}
 }
 
-// Scan is the brute-force Hamming-select: one flat pass over the code slab,
-// appending the ids of every group within distance h of the query words to
-// out. It is stateless, so any number of goroutines may scan one view.
-func (v GroupView) Scan(qw []uint64, h int, out []int) []int {
+// Groups implements Engine: the brute scan reads the view it is.
+func (v GroupView) Groups() GroupView { return v }
+
+// NewScratch implements Engine: the scan keeps no state, so the view is its
+// own scratch, and any number of searchers may scan one view at once.
+func (v GroupView) NewScratch() EngineScratch { return v }
+
+// Search implements EngineScratch as the brute-force Hamming-select: one flat
+// pass over the code slab, appending to out the index of every group within
+// distance h of q. Every group costs one distance computation and one leaf
+// checked.
+func (v GroupView) Search(q bitvec.Code, h int, stats *SearchStats, out []int32) []int32 {
+	ng := v.Count()
+	stats.DistanceComputations += ng
+	stats.LeavesChecked += ng
+	qw := q.Words()
 	if nw := v.Words(); nw > 1 {
-		for gi, ng := 0, v.Count(); gi < ng; gi++ {
+		for gi := 0; gi < ng; gi++ {
 			if _, ok := distWithinWords(qw, v.Codes[gi*nw:(gi+1)*nw], h); ok {
-				out = append(out, v.GroupIDs(gi)...)
+				out = append(out, int32(gi))
 			}
 		}
 		return out
@@ -79,7 +92,7 @@ func (v GroupView) Scan(qw []uint64, h int, out []int) []int {
 	q0 := qw[0]
 	for gi, w := range v.Codes {
 		if bits.OnesCount64(q0^w) <= h {
-			out = append(out, v.GroupIDs(gi)...)
+			out = append(out, int32(gi))
 		}
 	}
 	return out

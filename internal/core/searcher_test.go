@@ -47,28 +47,12 @@ func newQuerier(idx any) querier {
 	return NewPointerSearcher(idx.(pointerIndex))
 }
 
-// scanEngine is a brute-scan Engine over a leaf arena: the smallest adapted
-// index, so SearchBatch's per-query path has a core test of its own.
-type scanEngine struct{ v GroupView }
-
-func (e scanEngine) Groups() GroupView         { return e.v }
-func (e scanEngine) NewScratch() EngineScratch { return e }
-
-func (e scanEngine) Search(q bitvec.Code, h int, stats *SearchStats, out []int32) []int32 {
-	for gi := 0; gi < e.v.Count(); gi++ {
-		stats.DistanceComputations++
-		if _, ok := q.DistanceWithin(e.v.Code(gi), h); ok {
-			out = append(out, int32(gi))
-		}
-	}
-	return out
-}
-
 // arenaIndexes returns the arena forms SearchBatch serves: the frozen walk
-// (a Gray block at a time) and an adapted engine (one query at a time).
+// (a Gray block at a time) and an adapted engine, the brute scan over the
+// same arena (one query at a time).
 func arenaIndexes(codes []bitvec.Code) []Index {
 	f := Freeze(BuildDynamic(codes, nil, Options{}))
-	return []Index{f, AsIndex(scanEngine{f.Groups()})}
+	return []Index{f, AsIndex(f.Groups())}
 }
 
 // TestSearcherMatchesOracle: a reused searcher answers every query exactly,
@@ -206,6 +190,36 @@ func TestSearchBatchMatchesSerial(t *testing.T) {
 				if want := oracle(codes, q, 3); !equalIDs(results[i], want) {
 					t.Fatalf("%T workers=%d q#%d: got %v want %v", idx, workers, i, results[i], want)
 				}
+			}
+		}
+	}
+}
+
+// TestScanEngineStats: the brute scan checks every group once, so a search
+// through a Searcher reports DistanceComputations = LeavesChecked = the
+// arena's group count, and SearchBatch that per query. The clustered codes
+// repeat, so the count is of groups, not tuples.
+func TestScanEngineStats(t *testing.T) {
+	codes := clusteredCodes(rand.New(rand.NewSource(43)), 1500, 12, 10, 2)
+	v := Freeze(BuildDynamic(codes, nil, Options{})).Groups()
+	ng := v.Count()
+	if ng == len(codes) {
+		t.Fatalf("%d groups for %d codes: the arena must hold duplicates", ng, len(codes))
+	}
+	scan := AsIndex(v)
+	sr := NewSearcher(scan)
+	queries := codes[:9]
+	for h := 0; h <= 3; h++ {
+		for _, q := range queries {
+			sr.Search(q, h)
+			if st := sr.Stats; st.DistanceComputations != ng || st.LeavesChecked != ng || st.NodesVisited != 0 {
+				t.Fatalf("h=%d: search stats %+v, want %d groups checked", h, st, ng)
+			}
+		}
+		for _, workers := range []int{1, 2} {
+			_, st := SearchBatch(scan, queries, h, workers)
+			if want := ng * len(queries); st.DistanceComputations != want || st.LeavesChecked != want || st.NodesVisited != 0 {
+				t.Fatalf("h=%d workers=%d: batch stats %+v, want %d groups checked", h, workers, st, want)
 			}
 		}
 	}

@@ -22,25 +22,37 @@ func (sr *Searcher) TopK(q bitvec.Code, k int) ([]int, []int) {
 		// each node's residual distance once for the whole expansion.
 		return f.topK(sr, q, k)
 	}
-	if k <= 0 || sr.idx.Len() == 0 {
-		sr.Stats = SearchStats{}
+	var agg SearchStats
+	ids, dists := TopKByRadius(sr.idx.Length(), k, func(h int) []int {
+		ids := sr.Search(q, h)
+		agg.Add(sr.Stats)
+		return ids
+	})
+	sr.Stats = agg
+	return ids, dists
+}
+
+// TopKByRadius is the radius escalation behind every top-k but the frozen
+// walk's: search(h) returns the ids within distance h of the query (it may
+// reuse one buffer from call to call), and a tuple's distance is the first
+// radius at which it appears. The search stops at the first radius whose
+// cumulative result reaches k, or at length; the k nearest come back ordered
+// by (distance, id) in fresh slices, nil when k <= 0.
+func TopKByRadius(length, k int, search func(h int) []int) ([]int, []int) {
+	if k <= 0 {
 		return nil, nil
 	}
-	var agg SearchStats
 	dist := make(map[int]int)
-	maxH := sr.idx.Length()
-	for h := 0; h <= maxH; h++ {
-		for _, id := range sr.Search(q, h) {
+	for h := 0; h <= length; h++ {
+		for _, id := range search(h) {
 			if _, seen := dist[id]; !seen {
 				dist[id] = h
 			}
 		}
-		agg.Add(sr.Stats)
 		if len(dist) >= k {
 			break
 		}
 	}
-	sr.Stats = agg
 	ids := make([]int, 0, len(dist))
 	for id := range dist {
 		ids = append(ids, id)

@@ -43,7 +43,6 @@ package lsm
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -344,9 +343,12 @@ func (s *Shard) SearchInto(q bitvec.Code, h int, out []int, stats *core.SearchSt
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out = s.mem.Scan(q.Words(), h, out)
-	stats.DistanceComputations += len(s.mem.IDs)
-	stats.LeavesChecked += len(s.mem.IDs)
+	// The memtable is a scan engine whose groups are its rows; a small
+	// answer stays in the stack buffer.
+	var rows [64]int32
+	for _, row := range s.mem.Search(q, h, stats, rows[:0]) {
+		out = append(out, s.mem.IDs[row])
+	}
 	for _, seg := range s.state.Load().segments {
 		sr := seg.pool.Get().(*core.Searcher)
 		for _, id := range sr.Search(q, h) {
@@ -368,44 +370,13 @@ func (s *Shard) Search(q bitvec.Code, h int) []int {
 }
 
 // TopKInto returns the k nearest live ids with their distances, ordered by
-// (distance, id), by radius escalation over the layered search — a tuple's
-// distance is the first radius at which it appears.
+// (distance, id), by core.TopKByRadius over the layered search.
 func (s *Shard) TopKInto(q bitvec.Code, k int, stats *core.SearchStats) ([]int, []int) {
-	if k <= 0 {
-		return nil, nil
-	}
-	dist := make(map[int]int)
 	var found []int
-	for h := 0; h <= s.length; h++ {
+	return core.TopKByRadius(s.length, k, func(h int) []int {
 		found = s.SearchInto(q, h, found[:0], stats)
-		for _, id := range found {
-			if _, seen := dist[id]; !seen {
-				dist[id] = h
-			}
-		}
-		if len(dist) >= k {
-			break
-		}
-	}
-	ids := make([]int, 0, len(dist))
-	for id := range dist {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		di, dj := dist[ids[i]], dist[ids[j]]
-		if di != dj {
-			return di < dj
-		}
-		return ids[i] < ids[j]
+		return found
 	})
-	if len(ids) > k {
-		ids = ids[:k]
-	}
-	dists := make([]int, len(ids))
-	for i, id := range ids {
-		dists[i] = dist[id]
-	}
-	return ids, dists
 }
 
 // TopK is TopKInto with throwaway statistics.

@@ -149,7 +149,9 @@ type Planner struct {
 
 	distHist []float64 // P(pairwise distance = d), sampled
 
-	avail [numStrategies]bool
+	// idx[s] serves strategy s — the frozen walk, the adapted MIH engine, the
+	// scan over Groups — and is nil when s is unavailable.
+	idx [numStrategies]core.Index
 	// plans[h] is the decision at threshold h, cost cells included, written
 	// only by New.
 	plans []Plan
@@ -157,9 +159,9 @@ type Planner struct {
 	// than the scan, -1 if it never did.
 	retired [numStrategies]int
 
-	// srHA and srMIH back the single-goroutine Select/SelectWith
-	// convenience paths, created lazily.
-	srHA, srMIH *core.Searcher
+	// sr[s] backs the single-goroutine Select/SelectWith convenience paths
+	// for strategy s, created lazily.
+	sr [numStrategies]*core.Searcher
 }
 
 // New builds a planner over an existing engine set, counts its cost model
@@ -184,7 +186,10 @@ func New(eng Engines, opts Options) (*Planner, error) {
 	}
 	eng.Codes, eng.IDs = nil, nil
 	p := &Planner{eng: eng, n: eng.HA.Len(), bits: bits, plans: make([]Plan, bits+1), retired: [numStrategies]int{-1, -1, -1}}
-	p.avail = [numStrategies]bool{UseHA: true, UseMIH: eng.MIH != nil, UseScan: true}
+	p.idx[UseHA], p.idx[UseScan] = eng.HA, core.AsIndex(eng.Groups)
+	if eng.MIH != nil {
+		p.idx[UseMIH] = eng.MIH
+	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	p.distHist = make([]float64, bits+1)
 	if eng.Groups.Count() > 0 {
@@ -348,10 +353,10 @@ func (p *Planner) count(rng *rand.Rand) {
 		return float64(n) / float64(max(len(queries), 1))
 	}
 	scan := float64(p.eng.Groups.Count())
-	srHA := core.NewSearcher(p.eng.HA)
+	srHA := core.NewSearcher(p.idx[UseHA])
 	var srMIH *core.Searcher
 	var m *mih.Index
-	if p.avail[UseMIH] {
+	if p.eng.MIH != nil {
 		srMIH = core.NewSearcher(p.eng.MIH)
 		m, _ = p.eng.MIH.Engine().(*mih.Index)
 	}
@@ -379,8 +384,10 @@ func (p *Planner) count(rng *rand.Rand) {
 // is flat. Once the scan is the only engine left the walk stops. Cells
 // between grid thresholds are interpolated linearly, and no cell is below 1.
 func (p *Planner) fill(grid []int, scan float64, cell func(s Strategy, h int) float64) {
-	live := p.avail
-	live[UseScan] = false
+	var live [numStrategies]bool
+	for s := Strategy(0); s < UseScan; s++ {
+		live[s] = p.idx[s] != nil
+	}
 	var counted [numStrategies]int // grid thresholds each engine was counted at
 	cells := make([][numStrategies]float64, 0, len(grid))
 	for _, h := range grid {
@@ -424,16 +431,6 @@ func (p *Planner) fill(grid []int, scan float64, cell func(s Strategy, h int) fl
 	}
 }
 
-// Scan is the brute-force path over the shared group slab: the ids of every
-// tuple within distance h of q are appended to out, the work done added to
-// stats. It is stateless and safe to run from many goroutines at once.
-func (p *Planner) Scan(q bitvec.Code, h int, out []int, stats *core.SearchStats) []int {
-	ng := p.eng.Groups.Count()
-	stats.DistanceComputations += ng
-	stats.LeavesChecked += ng
-	return p.eng.Groups.Scan(q.Words(), h, out)
-}
-
 // Cost returns the counted per-query cost of strategy s at threshold h in
 // scanned groups (0 = unavailable, or retired below h).
 func (p *Planner) Cost(s Strategy, h int) float64 {
@@ -444,8 +441,16 @@ func (p *Planner) Cost(s Strategy, h int) float64 {
 }
 
 // Available reports whether strategy s can serve queries.
-func (p *Planner) Available(s Strategy) bool {
-	return s >= 0 && s < numStrategies && p.avail[s]
+func (p *Planner) Available(s Strategy) bool { return p.Index(s) != nil }
+
+// Index returns the index that serves strategy s — the frozen HA-Index, the
+// adapted MIH engine, or the scan adapted over the shared group slab — or nil
+// when s is unavailable. A server binds one core.Searcher to each.
+func (p *Planner) Index(s Strategy) core.Index {
+	if s < 0 || s >= numStrategies {
+		return nil
+	}
+	return p.idx[s]
 }
 
 func (p *Planner) clamp(h int) int {
@@ -487,32 +492,18 @@ func (p *Planner) Select(q bitvec.Code, h int) ([]int, core.SearchStats, Plan) {
 	return out, stats, pl
 }
 
-// SelectWith answers the Hamming-select through one forced strategy. The
-// scan is always available; forcing MIH on a planner built without it
+// SelectWith answers the Hamming-select through one forced strategy.
+// Forcing an unavailable strategy (MIH on a planner built without it)
 // panics.
 func (p *Planner) SelectWith(s Strategy, q bitvec.Code, h int) ([]int, core.SearchStats) {
-	var out []int
-	var stats core.SearchStats
-	switch s {
-	case UseMIH:
-		if p.eng.MIH == nil {
-			panic("planner: SelectWith(mih) on a planner built without an MIH engine")
-		}
-		if p.srMIH == nil {
-			p.srMIH = core.NewSearcher(p.eng.MIH)
-		}
-		out = append(out, p.srMIH.Search(q, h)...)
-		stats = p.srMIH.Stats
-	case UseScan:
-		out = p.Scan(q, h, nil, &stats)
-	default:
-		if p.srHA == nil {
-			p.srHA = core.NewSearcher(p.eng.HA)
-		}
-		out = append(out, p.srHA.Search(q, h)...)
-		stats = p.srHA.Stats
+	if !p.Available(s) {
+		panic(fmt.Sprintf("planner: SelectWith(%s) on a planner built without an %s engine", s, strings.ToUpper(s.String())))
 	}
-	return out, stats
+	if p.sr[s] == nil {
+		p.sr[s] = core.NewSearcher(p.idx[s])
+	}
+	out := p.sr[s].SearchAppend(nil, q, h)
+	return out, p.sr[s].Stats
 }
 
 // Explain renders the decision for threshold h, EXPLAIN-style.
@@ -522,7 +513,7 @@ func (p *Planner) Explain(h int) string {
 	fmt.Fprintf(&b, "Hamming-select h=%d over %d tuples (%d-bit codes)\n", h, p.n, p.bits)
 	fmt.Fprintf(&b, "  estimated selectivity: %.4f (~%.0f results)\n", p.Selectivity(h), pl.EstimatedResults)
 	for s := Strategy(0); s < numStrategies; s++ {
-		if !p.avail[s] {
+		if !p.Available(s) {
 			fmt.Fprintf(&b, "  %-4s: unavailable\n", s)
 		} else if at := pl.Retired[s]; at >= 0 {
 			fmt.Fprintf(&b, "  %-4s: over the scan from h=%d, not run past it\n", s, at)
@@ -534,6 +525,5 @@ func (p *Planner) Explain(h int) string {
 	return b.String()
 }
 
-// Engines exposes the planner's engine set (e.g. so a server can share the
-// same indexes for forced-engine requests).
+// Engines exposes the engine set the planner was built over.
 func (p *Planner) Engines() Engines { return p.eng }

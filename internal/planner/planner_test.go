@@ -135,7 +135,8 @@ func TestClosedFormRetiresMIH(t *testing.T) {
 // planner, decided, with the cells the fill asked for in the order it asked.
 func fillGrid(cost func(s Strategy, h int) float64) (*Planner, []string) {
 	p := &Planner{bits: 32, plans: make([]Plan, 33), retired: [numStrategies]int{-1, -1, -1}}
-	p.avail = [numStrategies]bool{true, true, true}
+	any := core.AsIndex(core.GroupView{Length: 32})
+	p.idx = [numStrategies]core.Index{any, any, any}
 	var asked []string
 	p.fill(p.grid(), scan, func(s Strategy, h int) float64 {
 		asked = append(asked, fmt.Sprintf("%s@%d", s, h))

@@ -54,11 +54,13 @@ func clusteredArena(t *testing.T, rng *rand.Rand, n, bits, perCluster int) (stri
 	return path, meta, codes, ids
 }
 
-// TestEnginesByteIdenticalEveryThreshold: every engine mode, eager and
-// mmap'd, answers every threshold 0..L over a 20k-code clustered shard with
-// the same bytes — and those bytes are the brute oracle's answer. MIH and
-// the scan read the served arena itself, so this also proves the aliasing
-// engines see exactly what the HA walk sees.
+// TestEnginesByteIdenticalEveryThreshold: every (engine mode, request hint)
+// pair a shard serves — the planner's pick and the HA walk under -engine
+// ha; the planner's pick and each of HA, MIH and the scan forced under
+// -engine auto — eager and mmap'd, answers every threshold 0..L over a
+// 20k-code clustered shard with the same bytes, and those bytes are the
+// brute oracle's answer. MIH and the scan read the served arena itself, so
+// this also proves the aliasing engines see exactly what the HA walk sees.
 func TestEnginesByteIdenticalEveryThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const n, bits = 20000, 64
@@ -80,7 +82,11 @@ func TestEnginesByteIdenticalEveryThreshold(t *testing.T) {
 		}
 		want[h] = resp.Append(nil)
 	}
-	for _, engine := range []string{"ha", "mih", "scan", "auto"} {
+	hints := map[string][]int{
+		"ha":   {wire.EngineAuto, wire.EngineHA},
+		"auto": {wire.EngineAuto, wire.EngineHA, wire.EngineMIH, wire.EngineScan},
+	}
+	for _, engine := range []string{"ha", "auto"} {
 		for _, mmap := range []bool{false, true} {
 			s, err := LoadSnapshotFile(path, Options{Engine: engine, Mmap: mmap, Searchers: 2})
 			if err != nil {
@@ -91,13 +97,15 @@ func TestEnginesByteIdenticalEveryThreshold(t *testing.T) {
 			}
 			c := dialTest(t, s)
 			c.hello()
-			for h := 0; h <= bits; h++ {
-				rt, resp := c.roundTrip(wire.MsgSearch, wire.SearchReq{H: h, Queries: queries}.Append(nil))
-				if rt != wire.MsgSearchOK {
-					t.Fatalf("engine %s mmap=%v h=%d answered %s", engine, mmap, h, rt)
-				}
-				if !bytes.Equal(resp, want[h]) {
-					t.Fatalf("engine %s mmap=%v h=%d: answer differs from the oracle's", engine, mmap, h)
+			for _, hint := range hints[engine] {
+				for h := 0; h <= bits; h++ {
+					rt, resp := c.roundTrip(wire.MsgSearch, wire.SearchReq{H: h, Engine: hint, Queries: queries}.Append(nil))
+					if rt != wire.MsgSearchOK {
+						t.Fatalf("engine %s hint %s mmap=%v h=%d answered %s", engine, wire.EngineName(hint), mmap, h, rt)
+					}
+					if !bytes.Equal(resp, want[h]) {
+						t.Fatalf("engine %s hint %s mmap=%v h=%d: answer differs from the oracle's", engine, wire.EngineName(hint), mmap, h)
+					}
 				}
 			}
 			if err := s.Close(); err != nil {
@@ -181,11 +189,11 @@ func TestCloseMappedServerWithRequestsInFlight(t *testing.T) {
 	}
 }
 
-// TestAuxEnginesShareTheArena covers what the multi-engine modes build at
-// load: over an mmap'd shard the only heap they add is MIH's key tables
-// (index.heap_bytes == index.aux_heap_bytes, well under an owning MIH); every
-// mode, pinned or not, counts the same plan table; the load phases are on the
-// registry; and an index New is handed in memory shares the same way.
+// TestAuxEnginesShareTheArena covers what -engine auto builds at load: over
+// an mmap'd shard the only heap it adds is MIH's key tables
+// (index.heap_bytes == index.aux_heap_bytes, well under an owning MIH); the
+// mapped and the eager load count the same plan table; the load phases are
+// on the registry; and an index New is handed in memory shares the same way.
 func TestAuxEnginesShareTheArena(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	path, meta, codes, ids := clusteredArena(t, rng, 3000, 64, 200)
@@ -194,8 +202,8 @@ func TestAuxEnginesShareTheArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	var plans []planner.Plan
-	for _, engine := range []string{"auto", "mih", "scan"} {
-		s, err := LoadSnapshotFile(path, Options{Engine: engine, Mmap: true})
+	for _, mmap := range []bool{true, false} {
+		s, err := LoadSnapshotFile(path, Options{Engine: "auto", Mmap: mmap})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,29 +211,29 @@ func TestAuxEnginesShareTheArena(t *testing.T) {
 		if s.idx.MappedBytes() > 0 { // zero-copy path available on this platform
 			aux := g["index.aux_heap_bytes"]
 			if aux <= 0 || aux != g["index.heap_bytes"] || aux >= int64(owning.HeapBytes()) {
-				t.Fatalf("engine %s: heap=%d aux=%d over a mapped shard (an owning MIH is %d)",
-					engine, g["index.heap_bytes"], aux, owning.HeapBytes())
+				t.Fatalf("mmap=%v: heap=%d aux=%d over a mapped shard (an owning MIH is %d)",
+					mmap, g["index.heap_bytes"], aux, owning.HeapBytes())
 			}
 		}
 		// The gauge is what MIH's tables hold, by capacity; it equals what
 		// they use, by length, only if no slab carries spare capacity.
 		m := s.pl.Engines().MIH.Engine().(*mih.Index)
 		if used := m.SizeBytes() - s.idx.Groups().SizeBytes(); g["index.aux_heap_bytes"] != int64(used) {
-			t.Fatalf("engine %s: aux heap gauge %d, the tables use %d bytes", engine, g["index.aux_heap_bytes"], used)
+			t.Fatalf("mmap=%v: aux heap gauge %d, the tables use %d bytes", mmap, g["index.aux_heap_bytes"], used)
 		}
-		for _, name := range []string{"load.map_ns", "load.mih_build_ns", "load.calibrate_ns", "load.total_ns"} {
+		for _, name := range []string{"load.map_ns", "load.mih_build_ns", "load.plan_ns", "load.total_ns"} {
 			if g[name] <= 0 {
-				t.Fatalf("engine %s: gauge %s = %d", engine, name, g[name])
+				t.Fatalf("mmap=%v: gauge %s = %d", mmap, name, g[name])
 			}
 		}
-		if g["load.map_ns"]+g["load.mih_build_ns"]+g["load.calibrate_ns"] > g["load.total_ns"] {
-			t.Fatalf("engine %s: load phases exceed the total: %v", engine, g)
+		if g["load.map_ns"]+g["load.mih_build_ns"]+g["load.plan_ns"] > g["load.total_ns"] {
+			t.Fatalf("mmap=%v: load phases exceed the total: %v", mmap, g)
 		}
 		for h := 0; h <= 64; h++ {
 			if pl := s.pl.Plan(h); len(plans) <= h {
 				plans = append(plans, pl)
 			} else if pl != plans[h] {
-				t.Fatalf("engine %s, h=%d: plan %+v, the auto shard's %+v", engine, h, pl, plans[h])
+				t.Fatalf("mmap=%v, h=%d: plan %+v, the mapped shard's %+v", mmap, h, pl, plans[h])
 			}
 		}
 		s.Close()
@@ -234,7 +242,7 @@ func TestAuxEnginesShareTheArena(t *testing.T) {
 	// An index built in memory and handed to New: the engines alias its
 	// arena like a loaded one's.
 	fz := buildFrozen(codes, ids)
-	s, err := New(meta, fz, Options{Engine: "mih"})
+	s, err := New(meta, fz, Options{Engine: "auto"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +252,7 @@ func TestAuxEnginesShareTheArena(t *testing.T) {
 			g["index.heap_bytes"], g["index.aux_heap_bytes"], owning.HeapBytes())
 	}
 	want := append([]int(nil), core.NewSearcher(fz).Search(codes[5], 6)...)
-	got := append([]int(nil), core.NewSearcher(s.pl.Engines().MIH).Search(codes[5], 6)...)
+	got := append([]int(nil), core.NewSearcher(s.pl.Index(planner.UseMIH)).Search(codes[5], 6)...)
 	sort.Ints(want)
 	sort.Ints(got)
 	if len(got) != len(want) || (len(got) > 0 && got[len(got)-1] != want[len(want)-1]) {

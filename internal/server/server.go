@@ -47,13 +47,12 @@ type Options struct {
 	// Close.
 	Mmap bool
 
-	// Engine selects the access path for search requests on an immutable
-	// server. "ha" (or empty) serves the loaded index directly and is the
-	// only mode a mutable server accepts. Anything else adds MIH and the
-	// brute scan on the loaded index's own leaf arena (see auxEngines):
-	// "auto" routes each request through the counted-cost planner, "mih"
-	// and "scan" pin one engine. A per-request wire hint overrides the mode,
-	// but may only name engines this option enabled.
+	// Engine selects the engine set of an immutable server. "ha" (or empty)
+	// serves the loaded index's HA walk alone and is the only value a
+	// mutable server accepts; "auto" adds MIH and the brute scan on the
+	// loaded index's own leaf arena (see auxEngines) and routes each request
+	// through the counted-cost planner. One engine is pinned per request,
+	// by the wire hint, which may name any engine this option enabled.
 	Engine string
 
 	// ShedAfter, when positive, is the admission-wait budget: a search or
@@ -103,13 +102,10 @@ type Server struct {
 	// the reply buffers only.
 	pool chan *searcherSet
 
-	// Multi-engine serving state (immutable servers with Options.Engine other
-	// than "ha"): the planner owns the cost model, the MIH engine and the
-	// scan view — both of which alias idx's arena, so they share its
-	// lifetime; fixedStrategy pins the decision for the "mih"/"scan" modes.
-	pl            *planner.Planner
-	planned       bool // Engine == "auto": ask the planner per request
-	fixedStrategy planner.Strategy
+	// pl, set under Options.Engine "auto", owns the cost model and one index
+	// per strategy: the HA walk, MIH and the scan, the last two aliasing
+	// idx's arena, so they share its lifetime.
+	pl *planner.Planner
 
 	// reqSeq numbers search/top-k requests across all connections — the
 	// coordinate system of the fault plan.
@@ -157,18 +153,17 @@ type Server struct {
 	wg      sync.WaitGroup
 }
 
-// searcherSet is one admission ticket's bundle of per-engine searchers. ha
-// is always present on an immutable server; mih only when Options.Engine
-// enabled the multi-engine set; a mutable server's sets have neither (the
-// shard brings its own per-segment searchers).
+// searcherSet is one admission ticket's bundle of searchers, one per
+// strategy the shard serves: sr[planner.UseHA] on every immutable server, the
+// MIH and scan searchers only when Options.Engine enabled them; a mutable
+// server's sets have none (the shard brings its own per-segment searchers).
 //
 // ids is the reply slab of the request holding the ticket: the sorted ids of
 // every query this set's worker answered, which the response points into
 // until it is encoded — the reason release, not the worker, returns the set.
 // scratch is sortIDs' second buffer.
 type searcherSet struct {
-	ha  *core.Searcher
-	mih *core.Searcher
+	sr [3]*core.Searcher
 
 	ids, scratch []int
 }
@@ -194,32 +189,34 @@ func New(meta wire.SnapshotMeta, idx *core.FrozenIndex, opts Options) (*Server, 
 	switch s.opts.Engine {
 	case "ha":
 		// Single-engine serving; no planner, no auxiliary structures.
-	case "auto", "mih", "scan":
+	case "auto":
 		var err error
 		if aux, err = s.auxEngines(); err != nil {
-			return nil, fmt.Errorf("server: -engine %s: %w", s.opts.Engine, err)
+			return nil, fmt.Errorf("server: -engine auto: %w", err)
 		}
 	default:
-		return nil, fmt.Errorf("server: unknown engine %q (want ha, auto, mih, or scan)", s.opts.Engine)
+		return nil, fmt.Errorf("server: unknown engine %q (want ha or auto; a request's engine hint pins mih or scan)", s.opts.Engine)
 	}
 	s.reg.Gauge("index.mapped_bytes").Set(int64(mapped))
 	s.reg.Gauge("index.heap_bytes").Set(int64(heap + aux))
 	s.reg.Gauge("index.aux_heap_bytes").Set(int64(aux))
 	for i := 0; i < cap(s.pool); i++ {
-		set := &searcherSet{ha: core.NewSearcher(idx)}
+		set := new(searcherSet)
+		set.sr[planner.UseHA] = core.NewSearcher(idx)
 		if s.pl != nil {
-			set.mih = core.NewSearcher(s.pl.Engines().MIH)
+			set.sr[planner.UseMIH] = core.NewSearcher(s.pl.Index(planner.UseMIH))
+			set.sr[planner.UseScan] = core.NewSearcher(s.pl.Index(planner.UseScan))
 		}
 		s.pool <- set
 	}
 	return s, nil
 }
 
-// auxEngines builds MIH and the planner for the multi-engine modes and
-// reports the heap bytes they add. Both MIH's groups and the scan read the
-// served index's own leaf arena — nothing is copied out of the frozen (or
-// mapped) index, only MIH's key tables are built. The phases land on the
-// load.mih_build_ns / load.calibrate_ns gauges.
+// auxEngines builds MIH and the planner for -engine auto and reports the
+// heap bytes they add. Both MIH's groups and the scan read the served
+// index's own leaf arena — nothing is copied out of the frozen (or mapped)
+// index, only MIH's key tables are built. The phases land on the
+// load.mih_build_ns / load.plan_ns gauges.
 func (s *Server) auxEngines() (heap int, err error) {
 	view := s.idx.Groups()
 	t0 := time.Now()
@@ -228,15 +225,12 @@ func (s *Server) auxEngines() (heap int, err error) {
 		return 0, fmt.Errorf("building MIH engine: %w", err)
 	}
 	s.reg.Gauge("load.mih_build_ns").Set(time.Since(t0).Nanoseconds())
-	if s.planned = s.opts.Engine == "auto"; !s.planned {
-		s.fixedStrategy, _ = planner.ParseStrategy(s.opts.Engine) // "mih" or "scan": New checked
-	}
 	t0 = time.Now()
 	s.pl, err = planner.New(planner.Engines{HA: s.idx, MIH: core.AsIndex(m), Groups: view}, planner.Options{Seed: 1})
 	if err != nil {
 		return 0, fmt.Errorf("building planner: %w", err)
 	}
-	s.reg.Gauge("load.calibrate_ns").Set(time.Since(t0).Nanoseconds())
+	s.reg.Gauge("load.plan_ns").Set(time.Since(t0).Nanoseconds())
 	return m.HeapBytes(), nil
 }
 
@@ -335,7 +329,7 @@ func LoadSnapshotFile(path string, opts Options) (*Server, error) {
 		return nil, err
 	}
 	srv.ownsIdx = true
-	// With New's load.mih_build_ns and load.calibrate_ns, the start-up budget.
+	// With New's load.mih_build_ns and load.plan_ns, the start-up budget.
 	srv.reg.Gauge("load.map_ns").Set(mapNs)
 	srv.reg.Gauge("load.total_ns").Set(time.Since(t0).Nanoseconds())
 	return srv, nil
@@ -639,37 +633,35 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// pickStrategy resolves the access path for one search request: a forced
-// wire hint wins (if the engine is enabled on this shard), else the planner
-// decides in "auto" mode, else the configured fixed mode applies.
+// pickStrategy resolves the access path of one search request on an
+// immutable shard: a wire hint forces an engine this shard enabled, and
+// without one the planner decides under -engine auto and the HA walk serves
+// under -engine ha. A mutable shard refuses every hint.
 func (s *Server) pickStrategy(req wire.SearchReq) (planner.Strategy, error) {
-	if req.Engine != wire.EngineAuto {
-		if s.shard != nil {
-			return 0, fmt.Errorf("mutable shard serves the LSM engine: hint %s refused", wire.EngineName(req.Engine))
-		}
-		var st planner.Strategy
-		switch req.Engine {
-		case wire.EngineHA:
+	if req.Engine == wire.EngineAuto {
+		if s.pl == nil {
 			return planner.UseHA, nil
-		case wire.EngineMIH:
-			st = planner.UseMIH
-		case wire.EngineScan:
-			st = planner.UseScan
-		default:
-			return 0, fmt.Errorf("unknown engine hint %d", req.Engine)
 		}
-		if s.pl == nil || !s.pl.Available(st) {
-			return 0, fmt.Errorf("engine %s not enabled on this shard (serving -engine %s)", st, s.opts.Engine)
-		}
-		return st, nil
-	}
-	if s.shard != nil || s.pl == nil {
-		return planner.UseHA, nil
-	}
-	if s.planned {
 		return s.pl.Plan(req.H).Strategy, nil
 	}
-	return s.fixedStrategy, nil
+	if s.shard != nil {
+		return 0, fmt.Errorf("mutable shard serves the LSM engine: hint %s refused", wire.EngineName(req.Engine))
+	}
+	var st planner.Strategy
+	switch req.Engine {
+	case wire.EngineHA:
+		return planner.UseHA, nil
+	case wire.EngineMIH:
+		st = planner.UseMIH
+	case wire.EngineScan:
+		st = planner.UseScan
+	default:
+		return 0, fmt.Errorf("unknown engine hint %d", req.Engine)
+	}
+	if s.pl == nil {
+		return 0, fmt.Errorf("engine %s not enabled on this shard (serving -engine %s)", st, s.opts.Engine)
+	}
+	return st, nil
 }
 
 // shedResp counts and encodes one shed answer.
@@ -690,7 +682,11 @@ func (s *Server) answerSearch(payload []byte, tr *obs.Trace) (wire.MsgType, []by
 	if err != nil {
 		return wire.MsgError, wire.ErrorMsg{Msg: err.Error()}.Append(nil)
 	}
-	s.ctrStrategy[st].Inc()
+	if s.shard == nil {
+		// A mutable shard runs no planner: its LSM layering answers, timed
+		// by req.search_ns alone.
+		s.ctrStrategy[st].Inc()
+	}
 	s.queries.Add(int64(len(req.Queries)))
 	resp := wire.SearchResp{IDs: make([][]int, len(req.Queries))}
 	returned := int64(0)
@@ -702,23 +698,18 @@ func (s *Server) answerSearch(payload []byte, tr *obs.Trace) (wire.MsgType, []by
 		}
 		held = s.runBatch(set, len(req.Queries), tr, func(set *searcherSet, i int) core.SearchStats {
 			var stats core.SearchStats
-			t0 := time.Now()
 			// Onto the end of the worker's slab, where they stay.
 			start := len(set.ids)
-			switch {
-			case s.shard != nil:
+			if s.shard != nil {
 				set.ids = s.shard.SearchInto(req.Queries[i], req.H, set.ids, &stats)
-			case st == planner.UseMIH:
-				set.ids = set.mih.SearchAppend(set.ids, req.Queries[i], req.H)
-				stats = set.mih.Stats
-			case st == planner.UseScan:
-				set.ids = s.pl.Scan(req.Queries[i], req.H, set.ids, &stats)
-			default:
-				set.ids = set.ha.SearchAppend(set.ids, req.Queries[i], req.H)
-				stats = set.ha.Stats
+			} else {
+				t0 := time.Now()
+				sr := set.sr[st]
+				set.ids = sr.SearchAppend(set.ids, req.Queries[i], req.H)
+				stats = sr.Stats
+				s.histEngine[st].Record(time.Since(t0).Nanoseconds())
 			}
 			ids := set.ids[start:]
-			s.histEngine[st].Record(time.Since(t0).Nanoseconds())
 			set.scratch = sortIDs(ids, set.scratch)
 			resp.IDs[i] = ids
 			atomic.AddInt64(&returned, int64(len(ids)))
@@ -758,8 +749,8 @@ func (s *Server) answerTopK(payload []byte, tr *obs.Trace) (wire.MsgType, []byte
 			} else {
 				// Top-k always runs on the primary index: the radius-escalating
 				// search has no MIH/scan analogue worth routing to.
-				ids, dists = set.ha.TopK(req.Queries[i], req.K)
-				stats = set.ha.Stats
+				ids, dists = set.sr[planner.UseHA].TopK(req.Queries[i], req.K)
+				stats = set.sr[planner.UseHA].Stats
 			}
 			resp.IDs[i], resp.Dists[i] = ids, dists
 			atomic.AddInt64(&returned, int64(len(ids)))

@@ -602,49 +602,19 @@ func TestServerAutoRoutingHoldsStill(t *testing.T) {
 	}
 }
 
-// TestServerFixedEngineModes pins -engine mih and -engine scan servers to
-// their engines and checks results still match the HA oracle.
-func TestServerFixedEngineModes(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	meta, idx, codes := testShard(t, rng, 400, 32, 2, 1)
-	oracle := core.NewSearcher(idx)
-	q := codes[rng.Intn(len(codes))].Clone()
-	q.FlipBit(3)
-	want := append([]int(nil), oracle.Search(q, 5)...)
-	sort.Ints(want)
-	for _, mode := range []string{"mih", "scan"} {
-		s := startTestServer(t, meta, idx, Options{Engine: mode})
-		c := dialTest(t, s)
-		c.hello()
-		rt, resp := c.roundTrip(wire.MsgSearch, wire.SearchReq{H: 5, Queries: []bitvec.Code{q}}.Append(nil))
-		if rt != wire.MsgSearchOK {
-			t.Fatalf("mode %s answered %s", mode, rt)
-		}
-		parsed, err := wire.ParseSearchResp(resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := parsed.IDs[0]
-		if len(got) != len(want) {
-			t.Fatalf("mode %s: %d ids, want %d", mode, len(got), len(want))
-		}
-		snap := s.Obs().Snapshot()
-		if snap.Counters["planner."+mode] != 1 {
-			t.Fatalf("mode %s: counter planner.%s = %d, want 1", mode, mode, snap.Counters["planner."+mode])
-		}
-	}
-}
-
 // TestServerEngineValidation covers the refusal paths: hints for engines
 // the server did not enable, hints on mutable shards, and bad Engine
-// options at construction.
+// options at construction — "mih" and "scan" among them, since an engine is
+// pinned per request, by the hint, not per server.
 func TestServerEngineValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	meta, idx, codes := testShard(t, rng, 200, 16, 2, 0)
 
-	// Unknown Options.Engine is a construction error.
-	if _, err := New(meta, idx, Options{Engine: "warp"}); err == nil {
-		t.Fatal("bad engine option accepted")
+	// Any Options.Engine but ha and auto is a construction error.
+	for _, engine := range []string{"warp", "mih", "scan"} {
+		if _, err := New(meta, idx, Options{Engine: engine}); err == nil {
+			t.Fatalf("engine option %q accepted", engine)
+		}
 	}
 
 	// A plain "ha" server refuses mih/scan hints (engines not built).
@@ -683,6 +653,49 @@ func TestServerEngineValidation(t *testing.T) {
 	req = wire.SearchReq{H: 2, Queries: codes[:1]}.Append(nil)
 	if rt, _ := mc.roundTrip(wire.MsgSearch, req); rt != wire.MsgSearchOK {
 		t.Fatalf("hintless search on mutable shard answered %s", rt)
+	}
+}
+
+// TestMutableSearchRunsNoPlanner: a mutable shard's searches are answered by
+// its LSM layering, not a planned engine, so k of them leave every
+// planner.* counter at 0 and every engine.*_ns histogram empty, while
+// req.search_ns times all k.
+func TestMutableSearchRunsNoPlanner(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	meta, idx, codes := testShard(t, rng, 300, 16, 1, 0)
+	sh := lsm.New(16, lsm.Options{MemtableMax: -1})
+	if err := sh.Bootstrap(idx); err != nil {
+		t.Fatal(err)
+	}
+	sh.Insert(1000, codes[3]) // one row in the memtable, the rest in a segment
+	ms, err := NewMutable(meta, sh, Options{Searchers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ms.Close() })
+	c := dialTest(t, ms)
+	c.hello()
+	const k = 5
+	for i := 0; i < k; i++ {
+		req := wire.SearchReq{H: 2, Queries: codes[i : i+2]}.Append(nil)
+		if rt, _ := c.roundTrip(wire.MsgSearch, req); rt != wire.MsgSearchOK {
+			t.Fatalf("search %d answered %s", i, rt)
+		}
+	}
+	snap := ms.Obs().Snapshot()
+	for _, name := range []string{"ha", "mih", "scan"} {
+		if n := snap.Counters["planner."+name]; n != 0 {
+			t.Fatalf("planner.%s = %d after %d searches of a mutable shard", name, n, k)
+		}
+		if n := snap.Histograms["engine."+name+"_ns"].Count; n != 0 {
+			t.Fatalf("engine.%s_ns holds %d samples after %d searches of a mutable shard", name, n, k)
+		}
+	}
+	if n := snap.Histograms["req.search_ns"].Count; n != k {
+		t.Fatalf("req.search_ns holds %d samples, want %d", n, k)
 	}
 }
 

@@ -128,16 +128,16 @@ if [ "$SMOKE_DEBUG" = "1" ]; then
     [ "$HEAP" -eq "$AUX" ] || {
         echo "smoke: mmap-backed shard holds $HEAP heap bytes, only $AUX of them the auxiliary engines'" >&2; exit 1; }
     # The load phases must be on the registry, and the planner's counted
-    # grid (load.calibrate_ns), once nearly all of start-up, must be a proper
+    # grid (load.plan_ns), once nearly all of start-up, must be a proper
     # part of the total.
     LOAD_MAP=$(gauge load.map_ns)
     LOAD_MIH=$(gauge load.mih_build_ns)
-    LOAD_CAL=$(gauge load.calibrate_ns)
+    LOAD_PLAN=$(gauge load.plan_ns)
     LOAD_TOTAL=$(gauge load.total_ns)
-    [ -n "$LOAD_MAP" ] && [ -n "$LOAD_MIH" ] && [ -n "$LOAD_CAL" ] && [ -n "$LOAD_TOTAL" ] || {
+    [ -n "$LOAD_MAP" ] && [ -n "$LOAD_MIH" ] && [ -n "$LOAD_PLAN" ] && [ -n "$LOAD_TOTAL" ] || {
         echo "smoke: debug snapshot is missing the load.*_ns gauges" >&2; exit 1; }
-    [ "$LOAD_CAL" -gt 0 ] && [ "$LOAD_CAL" -lt "$LOAD_TOTAL" ] || {
-        echo "smoke: load.calibrate_ns=$LOAD_CAL is not inside load.total_ns=$LOAD_TOTAL" >&2; exit 1; }
+    [ "$LOAD_PLAN" -gt 0 ] && [ "$LOAD_PLAN" -lt "$LOAD_TOTAL" ] || {
+        echo "smoke: load.plan_ns=$LOAD_PLAN is not inside load.total_ns=$LOAD_TOTAL" >&2; exit 1; }
     echo "smoke: debug endpoint OK ($REQS requests, $FAULTS faults, $PLANNED planned, $ENGINE engine samples, $SHEDS sheds, $MAPPED mapped + $AUX aux heap bytes, loaded in $LOAD_TOTAL ns)"
 fi
 
