@@ -120,12 +120,16 @@ bench-offline:
 	$(GO) test -run=NONE -bench='SearchBatchFrozen' -benchmem ./internal/core/
 
 # LSM microbenchmarks: one insert into a memtable filling to 4096 rows, one
-# seal of those 4096 rows (the build readers and writers wait out), one
-# compaction of `churn`'s shape (100k base + 8 sealed memtables, ~123k
-# survivors) and one h=3 select over the segment it leaves (dist/op is how
-# selective the rebuilt hierarchy is), with allocation counts.
+# seal of those 4096 rows (the build readers and writers wait out, then the
+# new segment's MIH and plan, off the lock), one full compaction of `churn`'s
+# shape (100k base + 8 sealed memtables, ~123k survivors, its output planned
+# too) and one h=3 select over the segment it leaves,
+# and over `churn`'s stack between compactions (the base under two seals and
+# half a memtable); each select reports its work a query by the engine the
+# segments' plans picked (HA distances, MIH probes and verifications, scan
+# groups), with allocation counts.
 bench-lsm:
-	$(GO) test -run=NONE -bench 'ShardInsert|ShardSeal|ShardCompact|ShardSearchCompacted' -benchmem ./internal/lsm/
+	$(GO) test -run=NONE -bench 'ShardInsert|ShardSeal|ShardCompact|ShardSearchCompacted|ShardSearchChurn' -benchmem ./internal/lsm/
 
 # End-to-end smoke of the serving stack: build the CLIs, generate a tiny
 # dataset, shard it, start two haserve processes (one fault-injected), query

@@ -43,7 +43,13 @@
 // an immutable index: the server then also accepts insert, delete, and
 // seal frames (haquery -insert/-delete/-seal), sealing the
 // memtable into frozen segments in the background past -memtable-max
-// entries and compacting the stack past -compact-at segments.
+// entries and compacting past -compact-at segments — the segments above the
+// snapshot's, until a quarter of its rows are masked or they hold half as
+// many rows as it does. -engine does not apply: every segment gets MIH and
+// its own counted plan when a seal or compaction writes it, and the
+// snapshot's segment when the first one runs, so a shard that is never
+// written serves its snapshot through HA. The lsm.* gauges and counters,
+// lsm.search_ha/mih/scan among them, are on /debug/obs.
 package main
 
 import (
@@ -57,6 +63,7 @@ import (
 	"time"
 
 	"haindex/internal/lsm"
+	"haindex/internal/obs"
 	"haindex/internal/server"
 	"haindex/internal/wire"
 )
@@ -76,9 +83,9 @@ func main() {
 		idleTO    = flag.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = 30s, negative disables)")
 		writeTO   = flag.Duration("write-timeout", 0, "per-response write deadline (0 = 30s, negative disables)")
 		mmapIdx   = flag.Bool("mmap", true, "serve the snapshot zero-copy out of an mmap of the file; -mmap=false decodes it onto the heap")
-		engine    = flag.String("engine", "auto", "engine set for immutable serving: auto (HA, MIH and the scan behind the counted cost-based planner) or ha (the HA walk alone); a client's -engine hint pins one per request; -mutable always serves the LSM engine")
+		engine    = flag.String("engine", "auto", "engine set for immutable serving: auto (HA, MIH and the scan behind the counted cost-based planner) or ha (the HA walk alone); a client's -engine hint pins one per request; ignored with -mutable, where each LSM segment runs the engine its own counted plan picks")
 
-		mutable     = flag.Bool("mutable", false, "serve a mutable LSM shard seeded from the snapshot; accepts insert/delete/seal")
+		mutable     = flag.Bool("mutable", false, "serve a mutable LSM shard seeded from the snapshot; accepts insert/delete/seal; each seal and compaction plans the segment it writes, and the first also plans the snapshot's, which HA serves until then")
 		memtableMax = flag.Int("memtable-max", 0, "memtable entries before a background seal (0 = 4096, negative disables)")
 		compactAt   = flag.Int("compact-at", 0, "segment count that triggers compaction after a seal (0 = 4, negative disables)")
 	)
@@ -126,8 +133,11 @@ func main() {
 	var shard *lsm.Shard
 	var err error
 	if *mutable {
+		// One registry for the server and the shard, so /debug/obs shows the
+		// lsm.* instruments beside the request path's.
+		opts.Obs = obs.NewRegistry()
 		var meta wire.SnapshotMeta
-		meta, shard, err = loadMutable(*snapshot, *memtableMax, *compactAt)
+		meta, shard, err = loadMutable(*snapshot, *memtableMax, *compactAt, opts.Obs)
 		if err == nil {
 			s, err = server.NewMutable(meta, shard, opts)
 		}
@@ -184,7 +194,7 @@ func main() {
 
 // loadMutable seeds an LSM shard from a snapshot: the decoded index becomes
 // the shard's first immutable segment.
-func loadMutable(path string, memtableMax, compactAt int) (wire.SnapshotMeta, *lsm.Shard, error) {
+func loadMutable(path string, memtableMax, compactAt int, reg *obs.Registry) (wire.SnapshotMeta, *lsm.Shard, error) {
 	meta, idx, err := wire.ReadSnapshotFile(path)
 	if err != nil {
 		return meta, nil, fmt.Errorf("loading snapshot %s: %w", path, err)
@@ -192,6 +202,7 @@ func loadMutable(path string, memtableMax, compactAt int) (wire.SnapshotMeta, *l
 	shard := lsm.New(meta.Length, lsm.Options{
 		MemtableMax: memtableMax,
 		CompactAt:   compactAt,
+		Obs:         reg,
 	})
 	if err := shard.Bootstrap(idx); err != nil {
 		return meta, nil, err

@@ -6,6 +6,7 @@ import (
 
 	"haindex/internal/bitvec"
 	"haindex/internal/core"
+	"haindex/internal/planner"
 )
 
 // BenchmarkShardInsert times one insert of a fresh id into a memtable that
@@ -90,8 +91,8 @@ func BenchmarkShardCompact(b *testing.B) {
 
 // TestShardCompactAllocs pins what building straight into the arena bought:
 // one compaction of `churn`'s shape allocates arrays, not objects — a few
-// dozen slabs whatever the survivor count. Through the pointer form it was
-// 2.42 million allocations.
+// dozen slabs whatever the survivor count, and a few hundred more to plan
+// the output. Through the pointer form it was 2.42 million allocations.
 func TestShardCompactAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds churn's 132k-tuple stack")
@@ -128,16 +129,49 @@ func BenchmarkShardSeal(b *testing.B) {
 }
 
 // BenchmarkShardSearchCompacted times one h=3 select over the segment that
-// compaction leaves — its dist/op is how selective the rebuilt hierarchy is.
+// compaction leaves, through the engine its plan picks; the counts are the
+// planned engine's work a query (see reportEngineWork).
 func BenchmarkShardSearchCompacted(b *testing.B) {
 	sh := newChurnShape()
 	s := sh.shard(b)
 	defer s.Close()
 	s.Compact()
+	benchSearch(b, s, sh.codes)
+}
+
+// BenchmarkShardSearchChurn times one h=3 select over the stack a `churn`
+// shard serves between compactions: the 100k base under two sealed 4096-row
+// memtables, each planned by its seal, and half a memtable.
+func BenchmarkShardSearchChurn(b *testing.B) {
+	sh := newChurnShape()
+	s := New(64, Options{MemtableMax: -1, CompactAt: -1})
+	defer s.Close()
+	if err := s.Bootstrap(sh.boot); err != nil {
+		b.Fatal(err)
+	}
+	for j, c := range sh.codes[churnBase : churnBase+2*4096+2048] {
+		s.Insert(churnBase+j, c)
+		if (j+1)%4096 == 0 {
+			s.Seal(false)
+		}
+	}
+	if st := s.Stats(); st.Segments != 3 || st.MemtableSize != 2048 {
+		b.Fatalf("stack: %+v", st)
+	}
+	benchSearch(b, s, sh.codes)
+}
+
+// benchSearch times h=3 selects over s with queries one bit off codes, then
+// reports the work a query does by engine, counted on a second pass over
+// the same queries: HA's distance computations, MIH's probes and
+// verifications, and the groups the scan reads — the memtable's rows
+// included.
+func benchSearch(b *testing.B, s *Shard, codes []bitvec.Code) {
+	const h = 3
 	rng := rand.New(rand.NewSource(3))
 	queries := make([]bitvec.Code, 512)
 	for i := range queries {
-		queries[i] = sh.codes[rng.Intn(len(sh.codes))].Clone()
+		queries[i] = codes[rng.Intn(len(codes))].Clone()
 		queries[i].FlipBit(rng.Intn(64))
 	}
 	var stats core.SearchStats
@@ -145,7 +179,23 @@ func BenchmarkShardSearchCompacted(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out = s.SearchInto(queries[i%len(queries)], 3, out[:0], &stats)
+		out = s.SearchInto(queries[i%len(queries)], h, out[:0], &stats)
 	}
-	b.ReportMetric(float64(stats.DistanceComputations)/float64(b.N), "dist/op")
+	b.StopTimer()
+
+	var work [planner.UseScan + 1]core.SearchStats
+	s.mu.RLock()
+	for _, q := range queries {
+		work[planner.UseScan].DistanceComputations += len(s.mem.IDs)
+		for _, seg := range s.state.Load().segments {
+			st := seg.strategy(h)
+			out = s.searchSegment(seg, st, q, h, out[:0], &work[st])
+		}
+	}
+	s.mu.RUnlock()
+	per := func(n int) float64 { return float64(n) / float64(len(queries)) }
+	b.ReportMetric(per(work[planner.UseHA].DistanceComputations), "ha-dist/op")
+	b.ReportMetric(per(work[planner.UseMIH].NodesVisited), "mih-probes/op")
+	b.ReportMetric(per(work[planner.UseMIH].DistanceComputations), "mih-verify/op")
+	b.ReportMetric(per(work[planner.UseScan].DistanceComputations), "scan-groups/op")
 }

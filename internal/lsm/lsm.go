@@ -14,13 +14,30 @@
 // a size threshold a background goroutine seals it: under the write lock
 // core.BuildFrozen bulk-loads the slab (the paper's H-Build, Algorithm 1)
 // straight into a segment of its own arenas, appended to the stack in one
-// epoch-bumped state update, and the slab starts over empty — a sealed
-// segment is its leaf slab plus the compiled hierarchy, nothing else. A
-// compactor rebuilds the whole stack into one segment, one BuildFrozen over
-// the tuples in the leaf slabs that no tombstone masks, and swaps it in,
-// garbage-collecting tombstones no remaining segment needs. No pointer index
+// epoch-bumped state update, and the slab starts over empty. No pointer index
 // is ever built here: the paper's H-Insert and H-Delete (Algorithms 2-3) stay
 // with it in core, for the library API; this tier does not use them.
+//
+// Every segment is planned the way server.New plans an immutable shard: off
+// the write lock, mih.FromGroups builds multi-index hashing over the
+// segment's own leaf arena and planner.New counts which of HA, MIH and the
+// scan each threshold should run. The plan is attached atomically — HA
+// answers until it is — and a search runs each segment through the engine
+// its own plan picks at h: MIH on a large segment, often the scan on a small
+// one. Seal and Compact plan what they produce, and the bootstrapped base is
+// planned by the first of them, never by Bootstrap, so a mutable shard that
+// is never written serves its base through HA. Each segment hands out its
+// searchers from a bounded free list that dies with it.
+//
+// A compaction folds segments into one: one core.BuildFrozen over the
+// tuples in their leaf slabs that no tombstone masks, swapped in. The
+// compaction a background seal starts past CompactAt segments folds only the
+// segments above the base — the bottom segment, the bootstrapped snapshot
+// or the last full fold — and rewrites the base as well only once a quarter
+// of its rows are masked (baseMaskedDiv) or the segments above it hold half
+// as many rows as it does (baseUpperDiv). An explicit Compact, or Seal(true),
+// folds the whole stack into one segment. Either fold drops exactly the
+// tombstones no remaining segment needs.
 //
 // Versioning uses a single mutation sequence: every segment records the
 // sequence at seal time (maxSeq), every tombstone the sequence of the
@@ -31,25 +48,28 @@
 // without a dedup pass.
 //
 // Searches take a read lock (memtable and tombstones are mutable). The
-// compaction rebuild — the expensive work — runs off-lock on immutable
+// folds and the planning — the expensive work — run off-lock on immutable
 // structure. What readers still wait out is the seal, which builds a
-// memtable-sized index inside the write lock — 1 to 1.6 ms at the default 4096
-// rows on the benchmark's traced churn runs (lsm.seal_s) — and the pointer
-// swaps; an insert holds the lock for a row append (0.2 to 0.3
-// µs, lsm.insert_ns). Seals and compactions share structMu, so while a compaction
-// runs the armed seal waits and the memtable grows past MemtableMax; nothing
-// breaks, reads pay a linear ~1 ns a row for it until the seal gets through.
+// memtable-sized index inside the write lock (lsm.seal_ns,
+// BenchmarkShardSeal), and the pointer swaps; an insert holds the lock for a
+// row append (lsm.insert_ns). Seals and compactions share structMu, so while
+// a compaction runs the armed seal waits and the memtable grows past
+// MemtableMax; nothing breaks, reads pay a linear ~1 ns a row for it until
+// the seal gets through.
 package lsm
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"haindex/internal/bitvec"
 	"haindex/internal/core"
+	"haindex/internal/mih"
 	"haindex/internal/obs"
+	"haindex/internal/planner"
 )
 
 // Options configures a mutable shard.
@@ -58,14 +78,18 @@ type Options struct {
 	// background seal. 0 selects 4096; negative disables automatic sealing
 	// (Seal must be called explicitly).
 	MemtableMax int
-	// CompactAt is the segment count that triggers compaction after a seal.
-	// 0 selects 4; negative disables automatic compaction.
+	// CompactAt is the segment count that triggers compaction after a seal:
+	// a fold of the segments above the base, or of the whole stack when the
+	// base is due (see the package comment). 0 selects 4; negative disables
+	// automatic compaction.
 	CompactAt int
 
 	// Obs, when set, is the registry the shard hangs its instruments on:
-	// lsm.memtable_size / lsm.segments / lsm.tombstones gauges,
-	// lsm.seal_ns / lsm.compact_ns wall histograms, and
-	// lsm.inserts / lsm.deletes / lsm.seals / lsm.compactions counters.
+	// lsm.memtable_size / lsm.segments / lsm.tombstones /
+	// lsm.unplanned_segments gauges, lsm.seal_ns / lsm.compact_ns wall
+	// histograms, and lsm.inserts / lsm.deletes / lsm.seals /
+	// lsm.compactions counters, with lsm.search_ha / lsm.search_mih /
+	// lsm.search_scan counting segment searches by the engine that ran them.
 	Obs *obs.Registry
 }
 
@@ -79,25 +103,98 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// segment is one immutable layer of the shard: the frozen serving index and
-// the seal-time sequence that orders it against tombstones.
+// The background compaction rewrites the base only when it is worth it:
+// once at least 1/baseMaskedDiv of its rows are masked, or the segments
+// above it hold at least 1/baseUpperDiv as many rows as it does. Otherwise
+// it folds the segments above the base alone.
+const (
+	baseMaskedDiv = 4
+	baseUpperDiv  = 2
+)
+
+// searchers is one search's engines over a segment, indexed by strategy;
+// each is created on first use.
+type searchers [planner.UseScan + 1]*core.Searcher
+
+// segment is one immutable layer of the shard: the frozen serving index,
+// the seal-time sequence that orders it against tombstones, its counted
+// plan once attached, and the free list its searchers come from.
 type segment struct {
 	idx    *core.FrozenIndex
 	maxSeq uint64
-	pool   sync.Pool // *core.Searcher bound to idx
+	plan   atomic.Pointer[planner.Planner] // nil until planned: HA answers
+	// free is a bounded free list rather than a sync.Pool: a pool stays
+	// registered with the runtime until a GC clears it, and so would keep a
+	// retired segment's arena and MIH tables alive for two GC cycles.
+	free chan *searchers
 }
 
 func newSegment(idx *core.FrozenIndex, maxSeq uint64) *segment {
-	g := &segment{idx: idx, maxSeq: maxSeq}
-	g.pool.New = func() interface{} { return core.NewSearcher(g.idx) }
-	return g
+	return &segment{idx: idx, maxSeq: maxSeq, free: make(chan *searchers, runtime.GOMAXPROCS(0))}
+}
+
+// strategy returns the engine seg's plan picks at h, HA while unplanned.
+func (g *segment) strategy(h int) planner.Strategy {
+	if pl := g.plan.Load(); pl != nil {
+		return pl.Plan(h).Strategy
+	}
+	return planner.UseHA
+}
+
+// searcher takes a searchers set off the free list (or makes one) and
+// returns it with its searcher for st, created on first use.
+func (g *segment) searcher(st planner.Strategy) (*searchers, *core.Searcher) {
+	var set *searchers
+	select {
+	case set = <-g.free:
+	default:
+		set = new(searchers)
+	}
+	if set[st] == nil {
+		var idx core.Index = g.idx
+		if st != planner.UseHA {
+			idx = g.plan.Load().Index(st)
+		}
+		set[st] = core.NewSearcher(idx)
+	}
+	return set, set[st]
+}
+
+// release returns a set to the free list, or drops it when the list is full.
+func (g *segment) release(set *searchers) {
+	select {
+	case g.free <- set:
+	default:
+	}
+}
+
+// planSegment counts seg's plan over MIH built on its leaf arena; on an
+// error the segment stays with HA.
+func planSegment(seg *segment) {
+	view := seg.idx.Groups()
+	m, err := mih.FromGroups(view, mih.Options{})
+	if err != nil {
+		return
+	}
+	pl, err := planner.New(planner.Engines{HA: seg.idx, MIH: core.AsIndex(m), Groups: view}, planner.Options{Seed: 1})
+	if err != nil {
+		return
+	}
+	seg.plan.Store(pl)
 }
 
 // state is the immutable segment stack, swapped atomically under the write
-// lock and readable without it.
+// lock and readable without it. segments[0] is the base.
 type state struct {
 	segments []*segment
 	epoch    uint64
+}
+
+// tombstone masks its id in every segment sealed before seq. base records
+// that the id has a row in the base segment, which a partial fold keeps.
+type tombstone struct {
+	seq  uint64
+	base bool
 }
 
 // Stats is a point-in-time summary of the shard's layering.
@@ -117,17 +214,19 @@ type Shard struct {
 	opts   Options
 	length int
 
-	mu         sync.RWMutex
-	mem        core.GroupView        // one row per live memtable entry; IDStart is the identity
-	memIDs     map[int]int32         // live memtable id -> its row
-	frozenLive map[int]struct{}      // ids live in some segment (not masked)
-	tomb       map[int]uint64        // id -> sequence of the masking mutation
-	seq        uint64                // mutation sequence, monotone under mu
-	state      atomic.Pointer[state] // immutable segment stack
-	booted     bool
+	mu     sync.RWMutex
+	mem    core.GroupView // one row per live memtable entry; IDStart is the identity
+	memIDs map[int]int32  // live memtable id -> its row
+	// baseLive and upperLive hold the ids live (not masked) in the base
+	// segment and in the segments above it.
+	baseLive, upperLive map[int]struct{}
+	tomb                map[int]tombstone     // id -> the mutation masking it
+	seq                 uint64                // mutation sequence, monotone under mu
+	state               atomic.Pointer[state] // immutable segment stack
+	booted              bool
 
-	// structMu serializes structural work (seal, compact) so at most one
-	// freeze/rebuild is in flight.
+	// structMu serializes structural work (seal, compact, planning) so at
+	// most one freeze/rebuild is in flight.
 	structMu    sync.Mutex
 	sealArmed   atomic.Bool
 	wg          sync.WaitGroup
@@ -135,8 +234,9 @@ type Shard struct {
 	seals       atomic.Int64
 	compactions atomic.Int64
 
-	gMem, gSegs, gTomb                 *obs.Gauge
+	gMem, gSegs, gTomb, gUnplanned     *obs.Gauge
 	cInserts, cDeletes, cSeals, cComps *obs.Counter
+	cSearch                            [planner.UseScan + 1]*obs.Counter
 	hSeal, hCompact                    *obs.Histogram
 }
 
@@ -147,12 +247,13 @@ func New(length int, opts Options) *Shard {
 	}
 	opts = opts.withDefaults()
 	s := &Shard{
-		opts:       opts,
-		length:     length,
-		mem:        core.GroupView{Length: length, IDStart: []int32{0}},
-		memIDs:     make(map[int]int32),
-		frozenLive: make(map[int]struct{}),
-		tomb:       make(map[int]uint64),
+		opts:      opts,
+		length:    length,
+		mem:       core.GroupView{Length: length, IDStart: []int32{0}},
+		memIDs:    make(map[int]int32),
+		baseLive:  make(map[int]struct{}),
+		upperLive: make(map[int]struct{}),
+		tomb:      make(map[int]tombstone),
 	}
 	s.state.Store(&state{})
 	reg := opts.Obs
@@ -162,10 +263,14 @@ func New(length int, opts Options) *Shard {
 	s.gMem = reg.Gauge("lsm.memtable_size")
 	s.gSegs = reg.Gauge("lsm.segments")
 	s.gTomb = reg.Gauge("lsm.tombstones")
+	s.gUnplanned = reg.Gauge("lsm.unplanned_segments")
 	s.cInserts = reg.Counter("lsm.inserts")
 	s.cDeletes = reg.Counter("lsm.deletes")
 	s.cSeals = reg.Counter("lsm.seals")
 	s.cComps = reg.Counter("lsm.compactions")
+	for st := range s.cSearch {
+		s.cSearch[st] = reg.Counter("lsm.search_" + planner.Strategy(st).String())
+	}
 	s.hSeal = reg.Histogram("lsm.seal_ns")
 	s.hCompact = reg.Histogram("lsm.compact_ns")
 	return s
@@ -175,7 +280,8 @@ func New(length int, opts Options) *Shard {
 // segment — how a server turns a loaded snapshot into a mutable shard. Ids
 // in the index must be unique (a duplicate is an error: Len would
 // under-report and one Delete would mask two tuples). It must be called
-// before any mutation.
+// before any mutation. The segment is left unplanned — HA serves it — until
+// the first seal or compaction plans it.
 func (s *Shard) Bootstrap(idx *core.FrozenIndex) error {
 	if idx.Length() != s.length {
 		return fmt.Errorf("lsm: bootstrap index is %d-bit, shard serves %d-bit codes", idx.Length(), s.length)
@@ -190,16 +296,17 @@ func (s *Shard) Bootstrap(idx *core.FrozenIndex) error {
 		return nil
 	}
 	idx.Tuples(func(id int, _ bitvec.Code) {
-		s.frozenLive[id] = struct{}{}
+		s.baseLive[id] = struct{}{}
 	})
-	if distinct := len(s.frozenLive); distinct != idx.Len() {
-		s.frozenLive = make(map[int]struct{})
+	if distinct := len(s.baseLive); distinct != idx.Len() {
+		s.baseLive = make(map[int]struct{})
 		return fmt.Errorf("lsm: bootstrap index holds %d tuples under %d distinct ids", idx.Len(), distinct)
 	}
 	s.seq++
 	st := s.state.Load()
 	s.state.Store(&state{segments: []*segment{newSegment(idx, s.seq)}, epoch: st.epoch + 1})
 	s.publishGauges()
+	s.gUnplanned.Set(1)
 	return nil
 }
 
@@ -210,8 +317,11 @@ func (s *Shard) Length() int { return s.length }
 func (s *Shard) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.mem.IDs) + len(s.frozenLive)
+	return s.liveLen()
 }
+
+// liveLen counts the live tuples; callers hold mu.
+func (s *Shard) liveLen() int { return len(s.mem.IDs) + len(s.baseLive) + len(s.upperLive) }
 
 // Epoch returns the current structural epoch: it bumps on every segment-stack
 // swap (bootstrap, seal, compaction) and never on an insert or delete, so it
@@ -224,7 +334,7 @@ func (s *Shard) Stats() Stats {
 	defer s.mu.RUnlock()
 	st := s.state.Load()
 	return Stats{
-		Len:          len(s.mem.IDs) + len(s.frozenLive),
+		Len:          s.liveLen(),
 		MemtableSize: len(s.mem.IDs),
 		Segments:     len(st.segments),
 		Tombstones:   len(s.tomb),
@@ -239,6 +349,23 @@ func (s *Shard) publishGauges() {
 	s.gMem.Set(int64(len(s.mem.IDs)))
 	s.gSegs.Set(int64(len(s.state.Load().segments)))
 	s.gTomb.Set(int64(len(s.tomb)))
+}
+
+// mask tombstones a frozen id if one is live, and reports whether it was;
+// callers hold mu.
+func (s *Shard) mask(id int) bool {
+	_, inBase := s.baseLive[id]
+	if inBase {
+		delete(s.baseLive, id)
+	} else if _, ok := s.upperLive[id]; ok {
+		delete(s.upperLive, id)
+	} else {
+		return false
+	}
+	s.seq++
+	// An older tombstone of the id may be the one masking its base row.
+	s.tomb[id] = tombstone{seq: s.seq, base: inBase || s.tomb[id].base}
+	return true
 }
 
 // Insert upserts the tuple: any older version of the id — in the memtable or
@@ -261,13 +388,8 @@ func (s *Shard) Insert(id int, c bitvec.Code) bool {
 		copy(s.mem.Codes[int(row)*nw:(int(row)+1)*nw], c.Words())
 		replaced = true
 	} else {
-		if _, ok := s.frozenLive[id]; ok {
-			// The frozen copy is now stale: mask it in every current segment.
-			delete(s.frozenLive, id)
-			s.seq++
-			s.tomb[id] = s.seq
-			replaced = true
-		}
+		// A frozen copy is now stale: mask it in every current segment.
+		replaced = s.mask(id)
 		rows := len(s.mem.IDs)
 		s.memIDs[id] = int32(rows)
 		s.mem.Codes = append(s.mem.Codes, c.Words()...)
@@ -284,13 +406,19 @@ func (s *Shard) Insert(id int, c bitvec.Code) bool {
 		go func() {
 			defer s.wg.Done()
 			defer s.sealArmed.Store(false)
-			s.Seal(false)
-			if s.opts.CompactAt > 0 && len(s.state.Load().segments) > s.opts.CompactAt {
-				s.Compact()
-			}
+			s.sealAndFold()
 		}()
 	}
 	return replaced
+}
+
+// sealAndFold is the background step past MemtableMax: a seal, then, past
+// CompactAt segments, the background policy's compaction.
+func (s *Shard) sealAndFold() {
+	s.Seal(false)
+	if s.opts.CompactAt > 0 && len(s.state.Load().segments) > s.opts.CompactAt {
+		s.compact(false)
+	}
 }
 
 // Delete removes the tuple with the given id, wherever its live version
@@ -302,19 +430,12 @@ func (s *Shard) Delete(id int) bool {
 	s.booted = true
 	if row, ok := s.memIDs[id]; ok {
 		s.dropRow(id, int(row))
-		s.cDeletes.Inc()
-		s.publishGauges()
-		return true
+	} else if !s.mask(id) {
+		return false
 	}
-	if _, ok := s.frozenLive[id]; ok {
-		delete(s.frozenLive, id)
-		s.seq++
-		s.tomb[id] = s.seq
-		s.cDeletes.Inc()
-		s.publishGauges()
-		return true
-	}
-	return false
+	s.cDeletes.Inc()
+	s.publishGauges()
+	return true
 }
 
 // dropRow removes a memtable row by moving the last row into the hole, so the
@@ -335,8 +456,9 @@ func (s *Shard) dropRow(id, row int) {
 
 // SearchInto appends to out the ids of all live tuples within Hamming
 // distance h of q — one linear scan of the memtable's rows, then every
-// segment's index with tombstone masking — and returns the extended slice;
-// stats aggregates the work of the whole fan-out.
+// segment through the engine its plan picks at h, with tombstone masking —
+// and returns the extended slice; stats aggregates the work of the whole
+// fan-out.
 func (s *Shard) SearchInto(q bitvec.Code, h int, out []int, stats *core.SearchStats) []int {
 	if q.Len() != s.length {
 		panic(fmt.Sprintf("lsm: %d-bit query against %d-bit shard", q.Len(), s.length))
@@ -349,17 +471,32 @@ func (s *Shard) SearchInto(q bitvec.Code, h int, out []int, stats *core.SearchSt
 	for _, row := range s.mem.Search(q, h, stats, rows[:0]) {
 		out = append(out, s.mem.IDs[row])
 	}
+	var ran [planner.UseScan + 1]int64
 	for _, seg := range s.state.Load().segments {
-		sr := seg.pool.Get().(*core.Searcher)
-		for _, id := range sr.Search(q, h) {
-			if t, masked := s.tomb[id]; masked && t > seg.maxSeq {
-				continue
-			}
-			out = append(out, id)
-		}
-		stats.Add(sr.Stats)
-		seg.pool.Put(sr)
+		st := seg.strategy(h)
+		out = s.searchSegment(seg, st, q, h, out, stats)
+		ran[st]++
 	}
+	for st, n := range ran {
+		if n > 0 {
+			s.cSearch[st].Add(n)
+		}
+	}
+	return out
+}
+
+// searchSegment appends the ids in seg within distance h of q that no
+// tombstone masks, found by strategy st; callers hold mu for reading.
+func (s *Shard) searchSegment(seg *segment, st planner.Strategy, q bitvec.Code, h int, out []int, stats *core.SearchStats) []int {
+	set, sr := seg.searcher(st)
+	for _, id := range sr.Search(q, h) {
+		if t, masked := s.tomb[id]; masked && t.seq > seg.maxSeq {
+			continue
+		}
+		out = append(out, id)
+	}
+	stats.Add(sr.Stats)
+	seg.release(set)
 	return out
 }
 
@@ -400,7 +537,7 @@ func (s *Shard) Tuples(fn func(id int, code bitvec.Code)) {
 func (s *Shard) segmentTuples(segs []*segment, fn func(id int, code bitvec.Code)) {
 	for _, seg := range segs {
 		seg.idx.Tuples(func(id int, c bitvec.Code) {
-			if t, masked := s.tomb[id]; masked && t > seg.maxSeq {
+			if t, masked := s.tomb[id]; masked && t.seq > seg.maxSeq {
 				return
 			}
 			fn(id, c)
@@ -415,20 +552,26 @@ func (s *Shard) segmentTuples(segs []*segment, fn func(id int, code bitvec.Code)
 // it held is searchable in the frozen segment; there is no intermediate
 // state for a reader to see. The build sorts the slab where it lies — no
 // reader is in, and the rows are dropped next — and copies the words into
-// the segment's own arena, so the slab is free to take the next rows. With
-// compact set, a compaction follows.
+// the segment's own arena, so the slab is free to take the next rows. Off
+// the lock the new segment, and the base if it is still unplanned, are then
+// planned before Seal returns. With compact set, a full compaction follows.
 func (s *Shard) Seal(compact bool) {
 	s.structMu.Lock()
 	t0 := time.Now()
 	s.mu.Lock()
 	if len(s.mem.IDs) > 0 {
 		sealed := newSegment(core.BuildFrozen(s.length, s.mem.Codes, s.mem.IDs, core.Options{}), s.seq)
+		st := s.state.Load()
+		// The first segment of an empty stack is the base.
+		live := s.upperLive
+		if len(st.segments) == 0 {
+			live = s.baseLive
+		}
 		for _, id := range s.mem.IDs {
-			s.frozenLive[id] = struct{}{}
+			live[id] = struct{}{}
 		}
 		s.mem.Codes, s.mem.IDs, s.mem.IDStart = s.mem.Codes[:0], s.mem.IDs[:0], s.mem.IDStart[:1]
 		clear(s.memIDs)
-		st := s.state.Load()
 		segs := append(append([]*segment(nil), st.segments...), sealed)
 		s.state.Store(&state{segments: segs, epoch: st.epoch + 1})
 		s.publishGauges()
@@ -437,26 +580,49 @@ func (s *Shard) Seal(compact bool) {
 		s.hSeal.RecordSince(t0)
 	}
 	s.mu.Unlock()
+	s.planStack()
 	s.structMu.Unlock()
 	if compact {
 		s.Compact()
 	}
 }
 
-// Compact rebuilds the whole segment stack into one segment: the (id, code)
-// occurrences in the inputs' leaf slabs that no tombstone masks are collected
-// into one row slab and bulk-loaded by a single core.BuildFrozen, which sorts
-// them by Gray rank, off-lock while the inputs keep serving, and the output is
-// swapped in. One hierarchy over all of them: the build allocates a few dozen
-// arrays whatever the survivor count (TestShardCompactAllocs), so there is no
-// pointer form to bound by building in chunks. Tombstones no remaining segment
-// was sealed after are garbage-collected. Synchronous, like Seal.
-func (s *Shard) Compact() {
+// planStack plans every segment of the stack that has no plan yet and keeps
+// lsm.unplanned_segments current; callers hold structMu.
+func (s *Shard) planStack() {
+	unplanned := 0
+	for _, seg := range s.state.Load().segments {
+		if seg.plan.Load() == nil {
+			planSegment(seg)
+		}
+		if seg.plan.Load() == nil {
+			unplanned++ // planning failed: HA serves it
+		}
+	}
+	s.gUnplanned.Set(int64(unplanned))
+}
+
+// Compact folds the whole segment stack into one segment (see compact).
+// Synchronous, like Seal.
+func (s *Shard) Compact() { s.compact(true) }
+
+// compact folds segments into one. With full set, or when the base is due
+// for a rewrite (baseMaskedDiv, baseUpperDiv), the fold takes the whole
+// stack; otherwise it takes the segments above the base and leaves the base
+// as it is. The (id, code) occurrences in the inputs' leaf slabs that no
+// tombstone masks are collected into one row slab and bulk-loaded by a
+// single core.BuildFrozen, which sorts them by Gray rank, off-lock while the
+// inputs keep serving; the output is swapped in and planned. One hierarchy
+// over all of them: the build allocates a few dozen arrays whatever the
+// survivor count (TestShardCompactAllocs), so there is no pointer form to
+// bound by building in chunks. Tombstones that no longer mask a row in a
+// remaining segment are garbage-collected.
+func (s *Shard) compact(full bool) {
 	s.structMu.Lock()
 	defer s.structMu.Unlock()
 	t0 := time.Now()
-	inputs := s.state.Load().segments
-	if len(inputs) == 0 {
+	stack := s.state.Load().segments
+	if len(stack) == 0 {
 		return
 	}
 	// Snapshot the masking decisions: which (segment, id) occurrences
@@ -464,13 +630,18 @@ func (s *Shard) Compact() {
 	// created mid-compaction has a sequence above this snapshot — and so
 	// above the output's maxSeq — so the tuple it masks simply stays masked
 	// by the live check after the swap.
+	s.mu.RLock()
+	full = full || len(stack) == 1 || s.baseDue(stack)
+	inputs := stack
+	if !full {
+		inputs = stack[1:]
+	}
 	total := 0
 	for _, seg := range inputs {
 		total += seg.idx.Len()
 	}
 	rows := make([]uint64, 0, total*((s.length+63)/64))
 	ids := make([]int, 0, total)
-	s.mu.RLock()
 	snapSeq := s.seq
 	s.segmentTuples(inputs, func(id int, c bitvec.Code) {
 		ids = append(ids, id)
@@ -478,7 +649,8 @@ func (s *Shard) Compact() {
 	})
 	s.mu.RUnlock()
 	if len(inputs) == 1 && len(ids) == inputs[0].idx.Len() {
-		return // nothing to merge, nothing to fold away
+		s.planStack() // nothing to merge, nothing to fold away
+		return
 	}
 	var out *segment
 	if len(ids) > 0 {
@@ -486,25 +658,57 @@ func (s *Shard) Compact() {
 	}
 
 	s.mu.Lock()
-	// structMu, held since before inputs was read, keeps every Seal out, so
-	// the stack is still exactly inputs and the output replaces all of it.
-	var segs []*segment
+	// structMu, held since before stack was read, keeps every Seal out, so
+	// the stack is still exactly stack and the output replaces inputs.
+	kept := len(stack) - len(inputs)
+	segs := stack[:kept:kept]
 	if out != nil {
-		segs = []*segment{out}
+		segs = append(segs, out)
 	}
 	s.state.Store(&state{segments: segs, epoch: s.state.Load().epoch + 1})
-	// GC tombstones that mask nothing anymore: one is needed only while a
-	// segment sealed before it remains, and only out (at snapSeq) can.
+	if full {
+		// The output is the new base. Every tombstone that survives below
+		// masks a row of it: its id was live in an input when it was made.
+		if len(s.upperLive) > len(s.baseLive) {
+			s.baseLive, s.upperLive = s.upperLive, s.baseLive
+		}
+		for id := range s.upperLive {
+			s.baseLive[id] = struct{}{}
+		}
+		clear(s.upperLive)
+	}
+	// GC tombstones that mask nothing anymore. A tombstone at or below
+	// snapSeq was applied by the fold, so it is needed only while the base
+	// it may mask remains; one above snapSeq masks a row of the output.
 	for id, t := range s.tomb {
-		if out == nil || t <= snapSeq {
+		switch {
+		case t.seq > snapSeq:
+			if full && !t.base {
+				s.tomb[id] = tombstone{seq: t.seq, base: true}
+			}
+		case full || !t.base:
 			delete(s.tomb, id)
 		}
 	}
 	s.publishGauges()
 	s.mu.Unlock()
+	s.planStack()
 	s.compactions.Add(1)
 	s.cComps.Inc()
 	s.hCompact.RecordSince(t0)
+}
+
+// baseDue reports whether the background policy should rewrite the base
+// segment: enough of its rows are masked, or the segments above it are
+// large enough against it. Callers hold mu.
+func (s *Shard) baseDue(stack []*segment) bool {
+	base := stack[0].idx.Len()
+	upper := 0
+	for _, seg := range stack[1:] {
+		upper += seg.idx.Len()
+	}
+	masked := base - len(s.baseLive)
+	return masked*baseMaskedDiv >= base || upper*baseUpperDiv >= base
 }
 
 // Close waits for in-flight background seals and compactions. The shard

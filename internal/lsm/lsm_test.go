@@ -347,12 +347,16 @@ func TestShardTopK(t *testing.T) {
 // the shard. A stable core of tuples is never mutated, so every concurrent
 // search must contain exactly the stable ids its radius demands; after the
 // writers quiesce, answers must be byte-identical to the brute-force oracle.
-// Run under -race (make test-race) for the data-race half of the guarantee.
+// Every seal and compaction plans its output while the searchers run, so
+// plans attach mid-search, and searches must have run through them. Run under
+// -race (make test-race) for the data-race half of the guarantee.
 func TestShardConcurrentSearchUnderMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
+	reg := obs.NewRegistry()
 	s := New(64, Options{
 		MemtableMax: 64,
 		CompactAt:   2,
+		Obs:         reg,
 	})
 	o := oracle{}
 	var oMu sync.Mutex
@@ -442,6 +446,9 @@ func TestShardConcurrentSearchUnderMutation(t *testing.T) {
 	}
 
 	wg.Wait()
+	if planned := reg.Counter("lsm.search_mih").Value() + reg.Counter("lsm.search_scan").Value(); planned == 0 {
+		t.Fatal("no concurrent search ran through a segment's plan")
+	}
 	s.Close()
 	s.Seal(true)
 	checkAgainstOracle(t, s, o, rng, 64, 25)

@@ -6,7 +6,8 @@
 // and a client router (internal/client) fans queries across them.
 //
 // A server built with NewMutable serves an lsm.Shard instead of a fixed
-// index and additionally answers the mutation frames (insert/delete/seal);
+// index — each of its segments searched by the engine its own counted plan
+// picks — and additionally answers the mutation frames (insert/delete/seal);
 // mutations are applied synchronously, so an acknowledged write is visible
 // to every subsequent search.
 package server
@@ -49,7 +50,8 @@ type Options struct {
 
 	// Engine selects the engine set of an immutable server. "ha" (or empty)
 	// serves the loaded index's HA walk alone and is the only value a
-	// mutable server accepts; "auto" adds MIH and the brute scan on the
+	// mutable server accepts (its lsm.Shard plans each segment itself);
+	// "auto" adds MIH and the brute scan on the
 	// loaded index's own leaf arena (see auxEngines) and routes each request
 	// through the counted-cost planner. One engine is pinned per request,
 	// by the wire hint, which may name any engine this option enabled.

@@ -20,7 +20,8 @@
 #
 # With SMOKE_LSM=1 (make lsm-smoke), the snapshots are additionally served
 # by mutable (LSM) shards, and insert -> seal -> compact -> upsert -> delete
-# are driven through haquery with searches verifying every step.
+# are driven through haquery with searches verifying every step; mutable
+# shards' /debug/obs must then show segment searches run through MIH.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -39,6 +40,18 @@ go build -o "$WORK/bin/" ./cmd/hagen ./cmd/haidx ./cmd/haserve ./cmd/haquery
 echo "smoke: generating and sharding a tiny dataset"
 "$WORK/bin/hagen" -profile NUS-WIDE -n 2000 -seed 7 -o "$WORK/data.csv"
 "$WORK/bin/haidx" shard -data "$WORK/data.csv" -bits 32 -parts 2 -o "$WORK/shards"
+
+# fetch_obs ADDR FILE saves the /debug/obs snapshot served on ADDR to FILE.
+fetch_obs() {
+    echo "smoke: fetching http://$1/debug/obs"
+    if command -v curl >/dev/null 2>&1; then
+        curl -fsS "http://$1/debug/obs" > "$2"
+    elif command -v wget >/dev/null 2>&1; then
+        wget -qO "$2" "http://$1/debug/obs"
+    else
+        go run ./scripts/fetch "http://$1/debug/obs" > "$2"
+    fi
+}
 
 SMOKE_DEBUG=${SMOKE_DEBUG:-0}
 DEBUG_FLAGS=""
@@ -77,15 +90,7 @@ echo "smoke: same rows again: shard 0 sheds the search, then answers it after on
     -oracle "$WORK/shards"
 
 if [ "$SMOKE_DEBUG" = "1" ]; then
-    DEBUG_ADDR=$(cat "$WORK/s0.debug")
-    echo "smoke: fetching http://$DEBUG_ADDR/debug/obs"
-    if command -v curl >/dev/null 2>&1; then
-        curl -fsS "http://$DEBUG_ADDR/debug/obs" > "$WORK/obs.json"
-    elif command -v wget >/dev/null 2>&1; then
-        wget -qO "$WORK/obs.json" "http://$DEBUG_ADDR/debug/obs"
-    else
-        go run ./scripts/fetch "http://$DEBUG_ADDR/debug/obs" > "$WORK/obs.json"
-    fi
+    fetch_obs "$(cat "$WORK/s0.debug")" "$WORK/obs.json"
     grep -q '"req.search_ns"' "$WORK/obs.json" || {
         echo "smoke: debug snapshot has no search-latency histogram" >&2; exit 1; }
     REQS=$(sed -n 's/^ *"requests": \([0-9]*\).*/\1/p' "$WORK/obs.json" | head -n 1)
@@ -145,12 +150,14 @@ SMOKE_LSM=${SMOKE_LSM:-0}
 if [ "$SMOKE_LSM" = "1" ]; then
     echo "smoke: starting two mutable (LSM) shard servers from the same snapshots"
     "$WORK/bin/haserve" -snapshot "$WORK/shards/shard-00000.hasn" -addr 127.0.0.1:0 \
-        -port-file "$WORK/m0.addr" -mutable -memtable-max 64 &
+        -port-file "$WORK/m0.addr" -mutable -memtable-max 64 \
+        -debug-addr 127.0.0.1:0 -debug-port-file "$WORK/m0.debug" &
     PIDS="$PIDS $!"
     "$WORK/bin/haserve" -snapshot "$WORK/shards/shard-00001.hasn" -addr 127.0.0.1:0 \
-        -port-file "$WORK/m1.addr" -mutable -memtable-max 64 &
+        -port-file "$WORK/m1.addr" -mutable -memtable-max 64 \
+        -debug-addr 127.0.0.1:0 -debug-port-file "$WORK/m1.debug" &
     PIDS="$PIDS $!"
-    for f in m0.addr m1.addr; do
+    for f in m0.addr m1.addr m0.debug m1.debug; do
         tries=0
         while [ ! -s "$WORK/$f" ]; do
             tries=$((tries + 1))
@@ -180,6 +187,20 @@ if [ "$SMOKE_LSM" = "1" ]; then
     "$WORK/bin/haquery" -shards "$MADDR" -seal-compact
     "$WORK/bin/haquery" -shards "$MADDR" -codes "$C0" -h 0 -v | grep -q 90001 || {
         echo "smoke: tuple 90001 lost across seal+compact" >&2; exit 1; }
+
+    # The seal planned each shard's segment, and the h=0 search since must
+    # have run through MIH, which the counted plan picks at that size, on
+    # the shard the router sent it to.
+    MIH=0
+    for m in m0 m1; do
+        fetch_obs "$(cat "$WORK/$m.debug")" "$WORK/$m.obs.json"
+        n=$(sed -n 's/^ *"lsm.search_mih": \([0-9]*\).*/\1/p' "$WORK/$m.obs.json" | head -n 1)
+        [ -n "$n" ] || { echo "smoke: $m's debug snapshot has no lsm.search_mih counter" >&2; exit 1; }
+        MIH=$((MIH + n))
+    done
+    [ "$MIH" -gt 0 ] || {
+        echo "smoke: no segment search ran through MIH after the seal" >&2; exit 1; }
+    echo "smoke: lsm.search_mih=$MIH after the seal"
 
     echo "smoke: upsert moves the tuple to a new code"
     "$WORK/bin/haquery" -shards "$MADDR" -insert "90001:$C1"
