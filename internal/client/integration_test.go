@@ -414,8 +414,8 @@ func TestRouterEnginesMatchOracle(t *testing.T) {
 		}
 		snap := fetchObs(t, a)
 		for _, name := range []string{"ha", "mih", "scan"} {
-			routed += snap.Counters["planner."+name]
-			engineSamples[name] += snap.Histograms["engine."+name+"_ns"].Count
+			routed += snap.Counters["lsm.search_"+name]
+			engineSamples[name] += snap.Histograms["lsm.search_"+name+"_ns"].Count
 		}
 	}
 	if routed == 0 {
@@ -423,7 +423,7 @@ func TestRouterEnginesMatchOracle(t *testing.T) {
 	}
 	for _, name := range []string{"ha", "mih", "scan"} {
 		if engineSamples[name] == 0 {
-			t.Fatalf("engine.%s_ns histograms empty across the deployment", name)
+			t.Fatalf("lsm.search_%s_ns histograms empty across the deployment", name)
 		}
 	}
 }

@@ -13,15 +13,16 @@
 # With SMOKE_DEBUG=1 (make debug-smoke), shard 0 also binds its HTTP debug
 # endpoint; after the queries run, /debug/obs is fetched and must report a
 # non-empty request-latency histogram, nonzero request/fault counters, and —
-# since haserve defaults to -engine auto — nonzero planner strategy counters
-# plus per-engine latency samples, a nonzero shed counter from the repeat
-# pass, an mmap-backed index whose only heap is the auxiliary engines', and
-# the load-phase gauges.
+# since haserve defaults to -engine auto — nonzero engine-routed segment
+# search counters (lsm.search_*) plus per-engine latency samples, a nonzero
+# shed counter from the repeat pass, an mmap-backed index whose only heap is
+# the auxiliary engines', and the load-phase gauges.
 #
 # With SMOKE_LSM=1 (make lsm-smoke), the snapshots are additionally served
 # by mutable (LSM) shards, and insert -> seal -> compact -> upsert -> delete
 # are driven through haquery with searches verifying every step; mutable
-# shards' /debug/obs must then show segment searches run through MIH.
+# shards' /debug/obs must then show segment searches run through MIH, and
+# searches pinned to MIH and to the scan must match the oracle.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -99,13 +100,14 @@ if [ "$SMOKE_DEBUG" = "1" ]; then
     FAULTS=$(sed -n 's/^ *"faults_injected": \([0-9]*\).*/\1/p' "$WORK/obs.json" | head -n 1)
     [ -n "$FAULTS" ] && [ "$FAULTS" -gt 0 ] || {
         echo "smoke: debug snapshot reports no injected faults" >&2; exit 1; }
-    # haserve defaults to -engine auto, so every search must leave a planner
-    # decision counter and a per-engine latency histogram behind.
-    PLANNED=$(grep -o '"planner\.[a-z]*": [0-9]*' "$WORK/obs.json" \
+    # haserve defaults to -engine auto, so every search must leave an
+    # engine-routed segment search count and a per-engine latency histogram
+    # behind.
+    ROUTED=$(grep -o '"lsm\.search_[a-z]*": [0-9]*' "$WORK/obs.json" \
         | awk -F': ' '{s+=$2} END{print s+0}')
-    [ "$PLANNED" -gt 0 ] || {
-        echo "smoke: debug snapshot has no planner strategy counters" >&2; exit 1; }
-    ENGINE=$(awk '/"engine\./{f=1} f && /"count":/{gsub(/[^0-9]/,""); s+=$0; f=0} END{print s+0}' \
+    [ "$ROUTED" -gt 0 ] || {
+        echo "smoke: debug snapshot has no engine-routed search counters" >&2; exit 1; }
+    ENGINE=$(awk '/"lsm\.search_[a-z]*_ns"/{f=1} f && /"count":/{gsub(/[^0-9]/,""); s+=$0; f=0} END{print s+0}' \
         "$WORK/obs.json")
     [ "$ENGINE" -gt 0 ] || {
         echo "smoke: debug snapshot has no per-engine latency samples" >&2; exit 1; }
@@ -143,7 +145,7 @@ if [ "$SMOKE_DEBUG" = "1" ]; then
         echo "smoke: debug snapshot is missing the load.*_ns gauges" >&2; exit 1; }
     [ "$LOAD_PLAN" -gt 0 ] && [ "$LOAD_PLAN" -lt "$LOAD_TOTAL" ] || {
         echo "smoke: load.plan_ns=$LOAD_PLAN is not inside load.total_ns=$LOAD_TOTAL" >&2; exit 1; }
-    echo "smoke: debug endpoint OK ($REQS requests, $FAULTS faults, $PLANNED planned, $ENGINE engine samples, $SHEDS sheds, $MAPPED mapped + $AUX aux heap bytes, loaded in $LOAD_TOTAL ns)"
+    echo "smoke: debug endpoint OK ($REQS requests, $FAULTS faults, $ROUTED engine-routed segment searches, $ENGINE engine samples, $SHEDS sheds, $MAPPED mapped + $AUX aux heap bytes, loaded in $LOAD_TOTAL ns)"
 fi
 
 SMOKE_LSM=${SMOKE_LSM:-0}
@@ -215,6 +217,15 @@ if [ "$SMOKE_LSM" = "1" ]; then
     if "$WORK/bin/haquery" -shards "$MADDR" -codes "$C1" -h 0 -v | grep -q 90001; then
         echo "smoke: deleted tuple 90001 still searchable" >&2; exit 1
     fi
+
+    # The shards hold the snapshots' rows again, in planned segments with a
+    # tombstone: a pinned engine runs on every one of them.
+    for engine in mih scan; do
+        echo "smoke: searches pinned to $engine on the mutable shards, diffing vs oracle"
+        "$WORK/bin/haquery" -shards "$MADDR" -engine "$engine" \
+            -codes-file "$WORK/shards/codes.txt" -rows 0-49 -h 3 -topk 5 \
+            -oracle "$WORK/shards"
+    done
     echo "smoke: LSM mutable tier OK"
 fi
 
