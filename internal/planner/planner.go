@@ -35,8 +35,11 @@ import (
 type Strategy int
 
 const (
+	// UsePlan is no access path: it pins none, leaving each plan to pick
+	// its own at the threshold.
+	UsePlan Strategy = iota - 1
 	// UseHA routes the query through the HA-Index walk.
-	UseHA Strategy = iota
+	UseHA
 	// UseMIH routes the query through multi-index hashing.
 	UseMIH
 	// UseScan routes the query through the linear scan.
@@ -47,6 +50,8 @@ const (
 
 func (s Strategy) String() string {
 	switch s {
+	case UsePlan:
+		return "auto"
 	case UseHA:
 		return "ha"
 	case UseMIH:
