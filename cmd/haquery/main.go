@@ -14,10 +14,10 @@
 // to the next one on error; a shed request is asked again once, of the next
 // replica, after one backoff.
 //
-// With -oracle DIR the same queries are also answered by an in-process index
-// rebuilt from every snapshot in DIR, the two result sets are diffed, and a
-// mismatch exits nonzero — the end-to-end correctness check the smoke test
-// runs.
+// With -oracle DIR the same queries are also answered by a brute-force scan
+// over every tuple of the snapshots in DIR, the two result sets are diffed,
+// and a mismatch exits nonzero — the end-to-end correctness check the smoke
+// test runs.
 //
 // Against a mutable deployment (haserve -mutable) the router also mutates:
 //
@@ -44,7 +44,6 @@ import (
 
 	"haindex/internal/bitvec"
 	"haindex/internal/client"
-	"haindex/internal/core"
 	"haindex/internal/obs"
 	"haindex/internal/wire"
 )
@@ -57,7 +56,7 @@ func main() {
 		rows      = flag.String("rows", "0", "rows of -codes-file to query: comma-separated, \"-\" for ranges")
 		h         = flag.Int("h", 3, "Hamming threshold")
 		topk      = flag.Int("topk", 0, "also run top-k queries with this k (0 = off)")
-		oracle    = flag.String("oracle", "", "snapshot directory to rebuild an in-process oracle from; diff and exit nonzero on mismatch")
+		oracle    = flag.String("oracle", "", "snapshot directory to brute-force scan as the oracle; diff and exit nonzero on mismatch")
 		verbose   = flag.Bool("v", false, "print every id list")
 		trace     = flag.Bool("trace", false, "print the span tree of the slowest batch and per-attempt latency percentiles")
 		engine    = flag.String("engine", "auto", "engine pinned on every shard: auto|ha|mih|scan (mih and scan need a planned segment: an -engine auto shard, or a mutable one after its first seal)")
@@ -273,8 +272,10 @@ func parseRange(s string) (lo, hi int, err error) {
 	return lo, lo, err
 }
 
-// diffOracle rebuilds one in-process index from every snapshot in dir and
-// checks the distributed answers against it, id for id.
+// diffOracle checks the distributed answers, id for id, against a linear
+// scan over every (id, code) tuple of the snapshots in dir: the ids within h
+// for a select, the first k of a (distance, id) sort for a top-k. The scan
+// shares no engine and no radius escalation with the shards it checks.
 func diffOracle(dir string, queries []bitvec.Code, h, topk int, got [][]int, tkIDs, tkDists [][]int) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.hasn"))
 	if err != nil || len(paths) == 0 {
@@ -282,7 +283,7 @@ func diffOracle(dir string, queries []bitvec.Code, h, topk int, got [][]int, tkI
 	}
 	sort.Strings(paths)
 	var ids []int
-	var rows []uint64
+	var codes []bitvec.Code
 	length := 0
 	for _, p := range paths {
 		_, idx, err := wire.ReadSnapshotFile(p)
@@ -295,24 +296,41 @@ func diffOracle(dir string, queries []bitvec.Code, h, topk int, got [][]int, tkI
 		length = idx.Length()
 		idx.Tuples(func(id int, code bitvec.Code) {
 			ids = append(ids, id)
-			rows = append(rows, code.Words()...)
+			codes = append(codes, code.Clone())
 		})
 	}
 	if len(ids) == 0 {
 		fatalf("oracle: snapshots in %s hold no tuples", dir)
 	}
-	all := core.BuildFrozen(length, rows, ids, core.Options{})
-	sr := core.NewSearcher(all)
+	order := make([]int, len(ids)) // tuple indexes, sorted by (distance, id)
+	dist := make([]int, len(ids))
 	mismatches := 0
 	for i, q := range queries {
-		want := append([]int(nil), sr.Search(q, h)...)
+		var want []int
+		for t, c := range codes {
+			order[t], dist[t] = t, q.Distance(c)
+			if dist[t] <= h {
+				want = append(want, ids[t])
+			}
+		}
 		sort.Ints(want)
 		if !equalInts(got[i], want) {
 			mismatches++
 			fmt.Fprintf(os.Stderr, "haquery: MISMATCH query %d: shards %v, oracle %v\n", i, got[i], want)
 		}
 		if topk > 0 {
-			wIDs, wDists := sr.TopK(q, topk)
+			sort.Slice(order, func(a, b int) bool {
+				ta, tb := order[a], order[b]
+				if dist[ta] != dist[tb] {
+					return dist[ta] < dist[tb]
+				}
+				return ids[ta] < ids[tb]
+			})
+			var wIDs, wDists []int
+			for _, t := range order[:min(topk, len(order))] {
+				wIDs = append(wIDs, ids[t])
+				wDists = append(wDists, dist[t])
+			}
 			if !equalInts(tkIDs[i], wIDs) || !equalInts(tkDists[i], wDists) {
 				mismatches++
 				fmt.Fprintf(os.Stderr, "haquery: MISMATCH top-%d query %d: shards (%v,%v), oracle (%v,%v)\n",
@@ -323,8 +341,8 @@ func diffOracle(dir string, queries []bitvec.Code, h, topk int, got [][]int, tkI
 	if mismatches > 0 {
 		fatalf("oracle: %d mismatching queries", mismatches)
 	}
-	fmt.Printf("haquery: oracle check passed — %d queries identical to the in-process index (%d tuples)\n",
-		len(queries), all.Len())
+	fmt.Printf("haquery: oracle check passed — %d queries identical to a brute-force scan (%d tuples)\n",
+		len(queries), len(ids))
 }
 
 // latSummary renders a nanosecond-valued histogram summary as durations.

@@ -64,7 +64,9 @@ type Options struct {
 
 	// Obs, when set, is the registry the router hangs its counters and
 	// per-attempt latency histograms on; nil gives the router a private one
-	// (reachable via Router.Obs).
+	// (reachable via Router.Obs). One registry serves one router: Stats
+	// reads its counters, so two routers on one registry would count each
+	// other's requests.
 	Obs *obs.Registry
 	// TraceCapacity sizes the ring of recent SearchBatch traces kept for
 	// haquery -trace (0 = 16).
@@ -132,16 +134,13 @@ type Router struct {
 	ranges *histo.Ranges
 	shards []*shard // indexed by partition id
 
-	shardRequests atomic.Int64
 	queriesRouted atomic.Int64
 	queriesPruned atomic.Int64
-	retries       atomic.Int64
-	sheds         atomic.Int64
 	backoffWait   atomic.Int64 // nanoseconds
 
 	// Observability: per-attempt latency histograms (overall and per
-	// shard), retry/shed counters mirrored into the registry, and a ring of
-	// recent SearchBatch traces.
+	// shard), the shard-request, retry and shed counters Stats reads, and a
+	// ring of recent SearchBatch traces.
 	reg         *obs.Registry
 	tracer      *obs.Tracer
 	histAttempt *obs.Histogram
@@ -279,11 +278,11 @@ func (r *Router) Parts() int { return len(r.shards) }
 // Stats returns a snapshot of the router counters.
 func (r *Router) Stats() Stats {
 	return Stats{
-		ShardRequests: r.shardRequests.Load(),
+		ShardRequests: r.cntRequests.Value(),
 		QueriesRouted: r.queriesRouted.Load(),
 		QueriesPruned: r.queriesPruned.Load(),
-		Retries:       r.retries.Load(),
-		Sheds:         r.sheds.Load(),
+		Retries:       r.cntRetries.Value(),
+		Sheds:         r.cntSheds.Value(),
 		BackoffWait:   time.Duration(r.backoffWait.Load()),
 	}
 }
@@ -600,7 +599,6 @@ type leg struct {
 
 // begin counts one shard request and picks the replica it starts on.
 func (r *Router) begin(lg *leg, mode routeMode) {
-	r.shardRequests.Add(1)
 	r.cntRequests.Inc()
 	if n := len(lg.sh.replicas); mode == routeRotate && n > 1 {
 		lg.first = int((lg.sh.rrSeq.Add(1) - 1) % uint64(n))
@@ -708,7 +706,6 @@ func (r *Router) retry(lg *leg, start time.Time, tr *obs.Trace) {
 					sh.part, attempt, r.opts.Timeout, lastErr)
 				return
 			}
-			r.retries.Add(1)
 			r.cntRetries.Inc()
 			r.pause(d, "backoff attempt "+strconv.Itoa(attempt), parent, tr)
 			backoff *= 2
@@ -730,7 +727,6 @@ func (r *Router) retry(lg *leg, start time.Time, tr *obs.Trace) {
 			if err != nil || respType != wire.MsgShed {
 				break
 			}
-			r.sheds.Add(1)
 			r.cntSheds.Inc()
 			d := r.jitter(r.opts.Backoff)
 			if shed || d > deadline.Sub(r.now()) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"haindex/internal/bitvec"
 )
@@ -27,8 +26,7 @@ import (
 //
 // A FrozenIndex is immutable: it has no insert buffer and no Insert/Delete.
 // It implements Index, so Searcher, SearchBatch, SearchCodesBatch, and TopK
-// all run over it; TopK additionally reuses an epoch-packed per-node memo so
-// radius escalation computes each node's residual distance at most once.
+// all run over it.
 type FrozenIndex struct {
 	length int // code length L in bits
 	n      int // number of tuples
@@ -498,156 +496,6 @@ func (f *FrozenIndex) chargeVisit(st *SearchStats, it bitem) int {
 	st.DistanceComputations += alive * (int(f.childStart[it.nid+1]-f.childStart[it.nid]) + nl)
 	st.LeavesChecked += alive * nl
 	return alive
-}
-
-// walkMemo is the TopK variant of the walk: it appends every qualifying leaf
-// group and its exact distance to sr.groups/sr.fdists, and serves per-node
-// residual distances from the searcher's epoch-packed memo so the radius
-// escalation computes each node's contribution at most once; callers must
-// have bumped sr.fepoch via prepareFrozen.
-func (f *FrozenIndex) walkMemo(sr *Searcher, qw []uint64, h int) {
-	st := &sr.Stats
-	nw := f.nw
-	hh := int32(h)
-	sr.groups = sr.groups[:0]
-	sr.fdists = sr.fdists[:0]
-	queue := sr.fqueue[:0]
-	for _, nid := range f.rootIDs {
-		if d := f.nodeDistMemo(sr, qw, nid); d <= hh {
-			queue = append(queue, fitem{nid: nid, dist: d})
-		}
-	}
-	for _, gi := range f.topLeaves {
-		st.DistanceComputations++
-		st.LeavesChecked++
-		if d, ok := distWithinWords(qw, f.codeSlab[int(gi)*nw:int(gi+1)*nw], h); ok {
-			sr.groups = append(sr.groups, gi)
-			sr.fdists = append(sr.fdists, int32(d))
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		it := queue[head]
-		st.NodesVisited++
-		for ci := f.childStart[it.nid]; ci < f.childStart[it.nid+1]; ci++ {
-			c := f.childList[ci]
-			if d := it.dist + f.nodeDistMemo(sr, qw, c); d <= hh {
-				queue = append(queue, fitem{nid: c, dist: d})
-			}
-		}
-		ls, le := f.leafStart[it.nid], f.leafStart[it.nid+1]
-		if ls < le {
-			mask := f.maskSlab[int(it.nid)*nw : int(it.nid)*nw+nw]
-			for li := ls; li < le; li++ {
-				gi := f.leafList[li]
-				st.DistanceComputations++
-				st.LeavesChecked++
-				d := it.dist + int32(distExcludingWords(qw, f.codeSlab[int(gi)*nw:int(gi+1)*nw], mask))
-				if d <= hh {
-					sr.groups = append(sr.groups, gi)
-					sr.fdists = append(sr.fdists, d)
-				}
-			}
-		}
-	}
-	sr.fqueue = queue[:0] // keep the high-water capacity
-}
-
-// nodeDistMemo returns the memoized residual distance of one node against
-// the query. Memo entries pack (epoch<<21 | dist+1) in a uint64; 21 bits
-// cover any distance over codes up to the 1<<20-bit codec cap, and a zero
-// entry never matches a live epoch.
-func (f *FrozenIndex) nodeDistMemo(sr *Searcher, qw []uint64, nid int32) int32 {
-	if m := sr.fmemo[nid]; m>>21 == sr.fepoch {
-		return int32(m&(1<<21-1)) - 1
-	}
-	sr.Stats.DistanceComputations++
-	nw := f.nw
-	d := int32(residualDistance(f.resSlab[int(nid)*2*nw:int(nid)*2*nw+2*nw], qw, nw))
-	sr.fmemo[nid] = sr.fepoch<<21 | uint64(d+1)
-	return d
-}
-
-// prepareFrozen (re)sizes the searcher's frozen memo scratch for this index
-// and advances the epoch that invalidates previous entries.
-func (sr *Searcher) prepareFrozen(f *FrozenIndex) {
-	if nn := len(f.childStart) - 1; len(sr.fmemo) < nn {
-		sr.fmemo = append(sr.fmemo, make([]uint64, nn-len(sr.fmemo))...)
-	}
-	if ng := f.GroupCount(); len(sr.fseen) < ng {
-		sr.fseen = append(sr.fseen, make([]uint64, ng-len(sr.fseen))...)
-	}
-	sr.fepoch++
-	if sr.fepoch >= 1<<43 {
-		for i := range sr.fmemo {
-			sr.fmemo[i] = 0
-		}
-		for i := range sr.fseen {
-			sr.fseen[i] = 0
-		}
-		sr.fepoch = 1
-	}
-}
-
-// topK is the frozen-index top-k: the same radius escalation as the generic
-// Searcher.TopK, but every walk after the first reuses the epoch-packed
-// per-node memo (one residual distance computation per node for the whole
-// expansion) and first-seen groups are deduplicated with epoch marks instead
-// of a map. The walk computes each emitted group's exact distance, so the
-// result is assembled without re-measuring codes.
-func (f *FrozenIndex) topK(sr *Searcher, q bitvec.Code, k int) ([]int, []int) {
-	sr.Stats = SearchStats{}
-	if k <= 0 || f.n == 0 {
-		return nil, nil
-	}
-	if q.Len() != f.length {
-		panic(fmt.Sprintf("core: %d-bit query against %d-bit frozen index", q.Len(), f.length))
-	}
-	sr.prepareFrozen(f)
-	qw := q.Words()
-	v := f.Groups()
-	var his, hds []int32
-	found := 0
-	for h := 0; h <= f.length && found < k; h++ {
-		f.walkMemo(sr, qw, h)
-		for i, gi := range sr.groups {
-			if sr.fseen[gi] == sr.fepoch {
-				continue
-			}
-			sr.fseen[gi] = sr.fepoch
-			his = append(his, gi)
-			hds = append(hds, sr.fdists[i])
-			found += len(v.GroupIDs(int(gi)))
-		}
-	}
-	ids := make([]int, 0, found)
-	dists := make([]int, 0, found)
-	for i, gi := range his {
-		for _, id := range v.GroupIDs(int(gi)) {
-			ids = append(ids, id)
-			dists = append(dists, int(hds[i]))
-		}
-	}
-	order := make([]int, len(ids))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if dists[ia] != dists[ib] {
-			return dists[ia] < dists[ib]
-		}
-		return ids[ia] < ids[ib]
-	})
-	if len(order) > k {
-		order = order[:k]
-	}
-	outIDs := make([]int, len(order))
-	outDists := make([]int, len(order))
-	for i, j := range order {
-		outIDs[i] = ids[j]
-		outDists[i] = dists[j]
-	}
-	return outIDs, outDists
 }
 
 // distWithinWords is Code.DistanceWithin over raw word slices: it returns

@@ -28,7 +28,7 @@ type Index interface {
 }
 
 // Searcher owns the per-worker scratch state of the query engine: the frozen
-// walk's queue and memo, the block walk's, the qualifying groups, the result
+// walk's queue, the block walk's, the qualifying groups, the result
 // buffers, an adapted engine's scratch, and per-search statistics.
 // Steady-state Search and SearchCodes perform no heap allocations; the
 // scratch grows to the high-water mark of the queries seen and is reused
@@ -47,15 +47,11 @@ type Searcher struct {
 	// walks' and an adapted engine's — as indexes into the arena.
 	groups []int32
 
-	// Frozen walk scratch: the BFS queue over flat node ids, the qualifying
-	// groups' distances beside groups (TopK's walk), and the epoch-packed
-	// per-node residual-distance memo with per-group seen marks that TopK's
-	// radius escalation reuses (see FrozenIndex.walkMemo).
+	// Frozen walk scratch: the BFS queue over flat node ids.
 	fqueue []fitem
-	fdists []int32
-	fmemo  []uint64
-	fseen  []uint64
-	fepoch uint64
+
+	// xscratch is an adapted engine's per-searcher state (EngineIndex).
+	xscratch EngineScratch
 
 	// Block walk scratch (SearchBatch over a frozen index): the shared queue,
 	// the accumulated distances its entries index, the block's query words,
@@ -68,9 +64,6 @@ type Searcher struct {
 	// Result buffers Search and SearchCodes reuse across calls.
 	ids   []int
 	codes []bitvec.Code
-
-	// xscratch is an adapted engine's per-searcher state (EngineIndex).
-	xscratch EngineScratch
 }
 
 // NewSearcher returns a Searcher bound to idx. The first few searches size

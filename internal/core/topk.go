@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"haindex/internal/bitvec"
 )
@@ -17,11 +17,6 @@ import (
 // scan. Unlike Search, the returned slices are freshly allocated and do not
 // alias the searcher's scratch; Stats aggregates the whole expansion.
 func (sr *Searcher) TopK(q bitvec.Code, k int) ([]int, []int) {
-	if f, ok := sr.idx.(*FrozenIndex); ok {
-		// The frozen index escalates natively: its epoch-packed memo computes
-		// each node's residual distance once for the whole expansion.
-		return f.topK(sr, q, k)
-	}
 	var agg SearchStats
 	ids, dists := TopKByRadius(sr.idx.Length(), k, func(h int) []int {
 		ids := sr.Search(q, h)
@@ -32,44 +27,38 @@ func (sr *Searcher) TopK(q bitvec.Code, k int) ([]int, []int) {
 	return ids, dists
 }
 
-// TopKByRadius is the radius escalation behind every top-k but the frozen
-// walk's: search(h) returns the ids within distance h of the query (it may
-// reuse one buffer from call to call), and a tuple's distance is the first
-// radius at which it appears. The search stops at the first radius whose
-// cumulative result reaches k, or at length; the k nearest come back ordered
-// by (distance, id) in fresh slices, nil when k <= 0.
+// TopKByRadius is the radius escalation behind every top-k: search(h)
+// returns the ids within distance h of the query (it may reuse one buffer
+// from call to call), and a tuple's distance is the first radius at which it
+// appears. Each radius's first-seen ids form one band, sorted by id and
+// appended after the closer bands, so the result is ordered by (distance, id)
+// as it grows. The search stops at the first radius whose cumulative result
+// reaches k, or at length; the k nearest come back in fresh slices, nil when
+// k <= 0.
 func TopKByRadius(length, k int, search func(h int) []int) ([]int, []int) {
 	if k <= 0 {
 		return nil, nil
 	}
-	dist := make(map[int]int)
-	for h := 0; h <= length; h++ {
+	// Presized by a small constant at most: k comes from the client and
+	// can be as large as 1<<20.
+	n := min(k, 16)
+	seen := make(map[int]struct{}, n)
+	ids, dists := make([]int, 0, n), make([]int, 0, n)
+	for h := 0; h <= length && len(ids) < k; h++ {
+		band := len(ids)
 		for _, id := range search(h) {
-			if _, seen := dist[id]; !seen {
-				dist[id] = h
+			if _, ok := seen[id]; !ok {
+				seen[id] = struct{}{}
+				ids = append(ids, id)
 			}
 		}
-		if len(dist) >= k {
-			break
+		slices.Sort(ids[band:])
+		for range ids[band:] {
+			dists = append(dists, h)
 		}
 	}
-	ids := make([]int, 0, len(dist))
-	for id := range dist {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		di, dj := dist[ids[i]], dist[ids[j]]
-		if di != dj {
-			return di < dj
-		}
-		return ids[i] < ids[j]
-	})
 	if len(ids) > k {
-		ids = ids[:k]
-	}
-	dists := make([]int, len(ids))
-	for i, id := range ids {
-		dists[i] = dist[id]
+		ids, dists = ids[:k], dists[:k]
 	}
 	return ids, dists
 }

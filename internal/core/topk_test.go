@@ -2,53 +2,69 @@ package core
 
 import (
 	"math/rand"
-	"sort"
+	"runtime"
+	"slices"
 	"testing"
 )
 
-// bruteTopK is the oracle: sort all (distance, id) pairs, take k.
-func bruteTopK(all [][2]int, k int) [][2]int {
-	sorted := append([][2]int(nil), all...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i][0] != sorted[j][0] {
-			return sorted[i][0] < sorted[j][0]
-		}
-		return sorted[i][1] < sorted[j][1]
-	})
-	if len(sorted) > k {
-		sorted = sorted[:k]
+// TestTopKByRadius drives the escalation with a scripted search: ids come
+// back unsorted within a radius and again at every later one, and the
+// result must still be ordered by (distance, id), stop at the first radius
+// that holds k, give the kth place's ties to the smaller ids, end at length,
+// and never size anything by k.
+func TestTopKByRadius(t *testing.T) {
+	// script[h] is what search(h) returns: cumulative, unsorted, repeating.
+	script := [][]int{
+		{7},
+		{9, 7, 3, 1},
+		{5, 9, 1, 7, 2, 3},
+		{2, 3, 1, 7, 9, 5},
 	}
-	return sorted
-}
-
-func TestTopKAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(171))
-	for trial := 0; trial < 8; trial++ {
-		bitsLen := []int{16, 32, 64, 100}[trial%4]
-		codes := clusteredCodes(rng, 200+rng.Intn(300), bitsLen, 6, 3)
-		for _, idx := range arenaIndexes(codes) {
-			sr := NewSearcher(idx)
-			for qi := 0; qi < 10; qi++ {
-				q := codes[rng.Intn(len(codes))].Clone()
-				q.FlipBit(rng.Intn(bitsLen))
-				k := 1 + rng.Intn(20)
-				all := make([][2]int, len(codes))
-				for id, c := range codes {
-					all[id] = [2]int{q.Distance(c), id}
-				}
-				want := bruteTopK(all, k)
-				ids, dists := sr.TopK(q, k)
-				if len(ids) != len(want) {
-					t.Fatalf("%T k=%d: got %d results, want %d", idx, k, len(ids), len(want))
-				}
-				for i := range ids {
-					if ids[i] != want[i][1] || dists[i] != want[i][0] {
-						t.Fatalf("%T k=%d pos %d: got (id=%d,d=%d) want (id=%d,d=%d)",
-							idx, k, i, ids[i], dists[i], want[i][1], want[i][0])
-					}
-				}
-			}
+	cases := []struct {
+		length, k  int
+		ids, dists []int
+		lastRadius int // the last h searched; -1 for none
+	}{
+		{3, 1, []int{7}, []int{0}, 0},
+		// The band at h=1 is {1, 3, 9}: 9 loses the tie for the 3rd place.
+		{3, 3, []int{7, 1, 3}, []int{0, 1, 1}, 1},
+		{3, 4, []int{7, 1, 3, 9}, []int{0, 1, 1, 1}, 1},
+		{3, 5, []int{7, 1, 3, 9, 2}, []int{0, 1, 1, 1, 2}, 2},
+		// Fewer than k within length: every id, radii 0..length searched.
+		{3, 10, []int{7, 1, 3, 9, 2, 5}, []int{0, 1, 1, 1, 2, 2}, 3},
+		{1, 10, []int{7, 1, 3, 9}, []int{0, 1, 1, 1}, 1},
+		{3, 0, nil, nil, -1},
+		{3, -4, nil, nil, -1},
+	}
+	for _, c := range cases {
+		last := -1
+		ids, dists := TopKByRadius(c.length, c.k, func(h int) []int {
+			last = h
+			return append([]int(nil), script[h]...)
+		})
+		if !slices.Equal(ids, c.ids) || !slices.Equal(dists, c.dists) || last != c.lastRadius {
+			t.Errorf("length=%d k=%d: got %v at %v after radius %d, want %v at %v after radius %d",
+				c.length, c.k, ids, dists, last, c.ids, c.dists, c.lastRadius)
 		}
+	}
+
+	// A client's k can be as large as 1<<20: ten tuples cost ten tuples.
+	buf := make([]int, 10)
+	search := func(h int) []int {
+		for i := range buf {
+			buf[i] = len(buf) - 1 - i
+		}
+		return buf
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ids, dists := TopKByRadius(64, 1<<20, search)
+	runtime.ReadMemStats(&after)
+	if len(ids) != 10 || len(dists) != 10 || ids[0] != 0 || ids[9] != 9 || dists[9] != 0 {
+		t.Fatalf("k=1<<20 over 10 tuples: got %v at %v", ids, dists)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("k=1<<20 over 10 tuples allocated %d bytes", grew)
 	}
 }
 

@@ -98,7 +98,9 @@ type Options struct {
 	// and lsm.search_ha_ns / _mih_ns / _scan_ns timing them. The
 	// index.mapped_bytes / index.heap_bytes gauges hold the segments' bytes,
 	// index.aux_heap_bytes the heap share of their MIH key tables, and
-	// Frozen times its planning on load.mih_build_ns / load.plan_ns.
+	// Frozen times its planning on load.mih_build_ns / load.plan_ns. One
+	// registry serves one shard — Stats reads lsm.seals and lsm.compactions
+	// from it — though a server may share it, its names being its own.
 	Obs *obs.Registry
 }
 
@@ -257,12 +259,10 @@ type Shard struct {
 
 	// structMu serializes structural work (seal, compact, planning) so at
 	// most one freeze/rebuild is in flight.
-	structMu    sync.Mutex
-	sealArmed   atomic.Bool
-	wg          sync.WaitGroup
-	closed      atomic.Bool
-	seals       atomic.Int64
-	compactions atomic.Int64
+	structMu  sync.Mutex
+	sealArmed atomic.Bool
+	wg        sync.WaitGroup
+	closed    atomic.Bool
 
 	gMem, gSegs, gTomb, gUnplanned     *obs.Gauge
 	gMapped, gHeap, gAux               *obs.Gauge
@@ -409,8 +409,8 @@ func (s *Shard) Stats() Stats {
 		Segments:     len(st.segments),
 		Tombstones:   len(s.tomb),
 		Epoch:        st.epoch,
-		Seals:        s.seals.Load(),
-		Compactions:  s.compactions.Load(),
+		Seals:        s.cSeals.Value(),
+		Compactions:  s.cComps.Value(),
 	}
 }
 
@@ -537,6 +537,11 @@ func (s *Shard) SearchInto(q bitvec.Code, h int, pin planner.Strategy, out []int
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.search(q, h, pin, out, stats)
+}
+
+// search is SearchInto's fan-out; callers hold mu for reading.
+func (s *Shard) search(q bitvec.Code, h int, pin planner.Strategy, out []int, stats *core.SearchStats) []int {
 	// The memtable is a scan engine whose groups are its rows; a small
 	// answer stays in the stack buffer.
 	var rows [64]int32
@@ -594,11 +599,18 @@ func (s *Shard) Search(q bitvec.Code, h int) []int {
 
 // TopKInto returns the k nearest live ids with their distances, ordered by
 // (distance, id), by core.TopKByRadius over the layered search under
-// planner.UsePlan.
+// planner.UsePlan. The read lock is held across every radius, so the whole
+// escalation sees one state of the shard and each distance is that of a
+// version of the tuple no mutation replaced midway.
 func (s *Shard) TopKInto(q bitvec.Code, k int, stats *core.SearchStats) ([]int, []int) {
+	if q.Len() != s.length {
+		panic(fmt.Sprintf("lsm: %d-bit query against %d-bit shard", q.Len(), s.length))
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var found []int
 	return core.TopKByRadius(s.length, k, func(h int) []int {
-		found = s.SearchInto(q, h, planner.UsePlan, found[:0], stats)
+		found = s.search(q, h, planner.UsePlan, found[:0], stats)
 		return found
 	})
 }
@@ -663,7 +675,6 @@ func (s *Shard) Seal(compact bool) {
 		segs := append(append([]*segment(nil), st.segments...), sealed)
 		s.state.Store(&state{segments: segs, epoch: st.epoch + 1})
 		s.publishGauges()
-		s.seals.Add(1)
 		s.cSeals.Inc()
 		s.hSeal.RecordSince(t0)
 	}
@@ -797,7 +808,6 @@ func (s *Shard) compact(full bool) {
 	s.publishGauges()
 	s.mu.Unlock()
 	s.planStack()
-	s.compactions.Add(1)
 	s.cComps.Inc()
 	s.hCompact.RecordSince(t0)
 }

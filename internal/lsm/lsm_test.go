@@ -343,6 +343,48 @@ func TestShardTopK(t *testing.T) {
 	}
 }
 
+// TestShardTopKOneState: a top-k escalates over many radii, and an upsert
+// between two of them must not show. One goroutine moves id 1 back and forth
+// between q and a code 20 bits away; every TopK(q, 1) must report id 1 at
+// distance 0 or 20 — a distance that matches a version of the tuple — never
+// the radius at which a version moved in under the escalation.
+func TestShardTopKOneState(t *testing.T) {
+	s := New(64, Options{MemtableMax: -1})
+	defer s.Close()
+	q := bitvec.New(64)
+	far := q.Clone()
+	for b := 0; b < 20; b++ {
+		far.FlipBit(b)
+	}
+	s.Insert(1, far)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				s.Insert(1, q)
+			} else {
+				s.Insert(1, far)
+			}
+		}
+	}()
+	defer wg.Wait()
+	defer close(stop)
+	for i := 0; i < 20000; i++ {
+		ids, dists := s.TopK(q, 1)
+		if len(ids) != 1 || ids[0] != 1 || (dists[0] != 0 && dists[0] != 20) {
+			t.Fatalf("call %d: TopK(q, 1) = %v at %v; id 1 is only ever at distance 0 or 20", i, ids, dists)
+		}
+	}
+}
+
 // TestShardConcurrentSearchUnderMutation is the acceptance test: continuous
 // Insert/Delete with background seal+compact while searcher goroutines hammer
 // the shard. A stable core of tuples is never mutated, so every concurrent

@@ -74,7 +74,9 @@ type Options struct {
 
 	// Obs, when set, is the registry the server hangs its counters and
 	// latency histograms on; nil gives the server a private one (reachable
-	// via Server.Obs).
+	// via Server.Obs). One registry serves one server: Stats reads its
+	// counters, so two servers on one registry would count each other's
+	// requests.
 	Obs *obs.Registry
 	// TraceCapacity is the size of the per-server ring of request traces
 	// kept for the debug endpoint. 0 selects 64.
@@ -107,19 +109,17 @@ type Server struct {
 	// coordinate system of the fault plan.
 	reqSeq atomic.Int64
 
-	requests       atomic.Int64
-	queries        atomic.Int64
-	topkQueries    atomic.Int64
-	idsReturned    atomic.Int64
-	errors         atomic.Int64
-	faultsInjected atomic.Int64
-	distComps      atomic.Int64
-	nodesVisited   atomic.Int64
-	leavesChecked  atomic.Int64
+	queries       atomic.Int64
+	topkQueries   atomic.Int64
+	idsReturned   atomic.Int64
+	distComps     atomic.Int64
+	nodesVisited  atomic.Int64
+	leavesChecked atomic.Int64
 
-	// Observability: the registry mirrors the counters above and adds the
-	// per-message-type latency histograms; the tracer rings recent request
-	// span trees. Hot-path instruments are resolved once here.
+	// Observability: the registry holds the request, error and fault
+	// counters Stats reads and the per-message-type latency histograms; the
+	// tracer rings recent request span trees. Hot-path instruments are
+	// resolved once here.
 	reg           *obs.Registry
 	tracer        *obs.Tracer
 	reqCount      *obs.Counter
@@ -368,12 +368,12 @@ func (s *Server) Stats() Stats {
 	lat := s.histSearch.Snapshot()
 	lat.Merge(s.histTopK.Snapshot())
 	return Stats{
-		Requests:             s.requests.Load(),
+		Requests:             s.reqCount.Value(),
 		Queries:              s.queries.Load(),
 		TopKQueries:          s.topkQueries.Load(),
 		IDsReturned:          s.idsReturned.Load(),
-		Errors:               s.errors.Load(),
-		FaultsInjected:       s.faultsInjected.Load(),
+		Errors:               s.errCount.Value(),
+		FaultsInjected:       s.faultCount.Value(),
 		DistanceComputations: s.distComps.Load(),
 		NodesVisited:         s.nodesVisited.Load(),
 		LeavesChecked:        s.leavesChecked.Load(),
@@ -412,7 +412,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		return wire.WriteFrame(conn, t, payload) == nil
 	}
 	writeErr := func(format string, args ...interface{}) bool {
-		s.errors.Add(1)
 		s.errCount.Inc()
 		return writeMsg(wire.MsgError, wire.ErrorMsg{Msg: fmt.Sprintf(format, args...)}.Append(nil))
 	}
@@ -456,26 +455,22 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		switch t {
 		case wire.MsgSearch, wire.MsgTopK:
-			s.requests.Add(1)
 			s.reqCount.Inc()
 			t0 := time.Now()
 			tr := obs.NewTrace(t.String())
 			seq := s.reqSeq.Add(1) - 1
 			f := s.opts.Faults.fault(seq)
 			if f.Delay > 0 {
-				s.faultsInjected.Add(1)
 				s.faultCount.Inc()
 				sp := tr.Start("fault.delay", 0)
 				time.Sleep(f.Delay)
 				tr.End(sp)
 			}
 			if f.Drop {
-				s.faultsInjected.Add(1)
 				s.faultCount.Inc()
 				return
 			}
 			if f.Fail {
-				s.faultsInjected.Add(1)
 				s.faultCount.Inc()
 				if !writeErr("injected failure of request %d", seq) {
 					return
@@ -484,7 +479,6 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			if f.Shed {
 				// A deterministic shed for smoke tests.
-				s.faultsInjected.Add(1)
 				s.faultCount.Inc()
 				respType, resp := s.shedResp(0)
 				if !writeMsg(respType, resp) {
@@ -500,7 +494,6 @@ func (s *Server) handleConn(conn net.Conn) {
 				respType, resp = s.answerTopK(payload, tr)
 			}
 			if respType == wire.MsgError {
-				s.errors.Add(1)
 				s.errCount.Inc()
 			}
 			sp := tr.Start("write", 0)
@@ -529,7 +522,6 @@ func (s *Server) handleConn(conn net.Conn) {
 				}
 				continue
 			}
-			s.requests.Add(1)
 			s.reqCount.Inc()
 			t0 := time.Now()
 			var respType wire.MsgType
@@ -543,7 +535,6 @@ func (s *Server) handleConn(conn net.Conn) {
 				respType, resp = s.answerSeal(payload)
 			}
 			if respType == wire.MsgError {
-				s.errors.Add(1)
 				s.errCount.Inc()
 			}
 			ok := writeMsg(respType, resp)

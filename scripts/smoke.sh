@@ -1,9 +1,9 @@
 #!/bin/sh
 # End-to-end smoke test of the sharded serving stack:
 #   hagen -> haidx shard -> 2x haserve (one replica fault-injected) ->
-#   haquery with the in-process oracle diff.
+#   haquery with the brute-force oracle diff.
 # Exits nonzero if any step fails or the distributed answers differ from a
-# single-index oracle.
+# linear scan over the snapshots' tuples.
 #
 # Shard 0 fails its first request and sheds one deterministic request; the
 # query rows run twice, and the second pass rides out the shed with the
