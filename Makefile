@@ -39,10 +39,11 @@ bench-query:
 # Frozen-index microbenchmarks: freeze (compile) time, the direct build
 # (BuildFrozen, beside the pointer build + freeze it replaces on the serving
 # paths, at a streamed chunk's size and at three words a code) with the Gray
-# sort under it, flat-walk search and top-k, and the v4 arena decode (eager
-# copy and aliasing), after bench-query's serial pointer-vs-frozen rows
-# (serial_* and frozen_serial_* in BENCH_query.json; every SearchBatch run
-# there is over the frozen index, the only batch path).
+# sort under it, flat-walk search and top-k, and the v4 arena decode (the
+# copy a host that cannot alias makes, and the aliasing every load runs),
+# after bench-query's serial pointer-vs-frozen rows (serial_* and
+# frozen_serial_* in BENCH_query.json; every SearchBatch run there is over
+# the frozen index, the only batch path).
 bench-frozen: bench-query
 	$(GO) test -run=NONE -bench='Freeze|BuildFrozen|Frozen|DecodeArena' -benchmem ./internal/core/
 	$(GO) test -run=NONE -bench='GraySort' -benchmem ./internal/gray/
@@ -107,8 +108,8 @@ bench-clock:
 # and mrjoin, 8 for wide, and 10, inside the range MIH now wins; probes and
 # verifications a query); then the whole load, LoadSnapshotFile over an mmap'd
 # snapshot of that shape wrapped as a read-only shard and planned, and one
-# k=10 top-k request under -engine auto and ha, over that shard and over
-# 150k uniform codes whose 10th neighbour is about 15 bits out.
+# k=10 top-k request over that planned shard and over 150k uniform codes
+# whose 10th neighbour is about 15 bits out.
 bench-startup:
 	$(GO) test -run=NONE -bench='FromGroups|MIHSearch' -benchmem ./internal/mih/
 	$(GO) test -run=NONE -bench='BenchmarkNew$$' -benchmem ./internal/planner/

@@ -59,7 +59,7 @@ func main() {
 		oracle    = flag.String("oracle", "", "snapshot directory to brute-force scan as the oracle; diff and exit nonzero on mismatch")
 		verbose   = flag.Bool("v", false, "print every id list")
 		trace     = flag.Bool("trace", false, "print the span tree of the slowest batch and per-attempt latency percentiles")
-		engine    = flag.String("engine", "auto", "engine pinned on every shard: auto|ha|mih|scan (mih and scan need a planned segment: an -engine auto shard, or a mutable one after its first seal)")
+		engine    = flag.String("engine", "auto", "engine hint: auto lets each segment's plan pick; ha|mih|scan pins that engine on every planned segment of every shard")
 
 		insert      = flag.String("insert", "", "comma-separated id:bit-string upserts applied before querying (mutable shards)")
 		deleteIDs   = flag.String("delete", "", "comma-separated tuple ids deleted before querying (mutable shards)")

@@ -21,20 +21,18 @@
 // off once and asks the next replica instead of counting a replica failure.
 //
 // Every shard is served as an LSM shard (internal/lsm); an immutable one is
-// read-only, of one segment. -engine decides whether that segment is planned
-// at load: the default "auto" serves all three engines (HA walk,
-// multi-index hashing, brute scan) and routes each request through the
-// cost-based planner; "ha" serves the HA walk alone. Multi-index hashing and
-// the scan read the loaded index's own leaf arena, so they add only MIH's key
-// tables to the heap. At 150k codes a shard the default set loads in about
-// 25 ms on a 2-core host: MIH's tables are counted into place in two passes,
-// and the planner prices each engine by the work a few sample probes count —
-// no clock — and stops running an engine once its work costs more than the
+// read-only, of one segment. Every segment is planned as it joins the shard:
+// all three engines (HA walk, multi-index hashing, brute scan) serve it, and
+// a counted cost-based plan routes each request among them. Multi-index
+// hashing and the scan read the segment's own leaf arena, so they add only
+// MIH's key tables to the heap. At 150k codes a shard loads in about 25 ms on
+// a 2-core host: MIH's tables are counted into place in two passes, and the
+// planner prices each engine by the work a few sample probes count — no
+// clock — and stops running an engine once its work costs more than the
 // scan. The same snapshot gives the same plan on every load. An engine is
-// pinned per request, by the client's -engine hint, and runs on every planned
-// segment; a shard with none refuses a mih or scan pin. The
-// lsm.search_ha/mih/scan counters and _ns histograms on /debug/obs count and
-// time segment searches by engine.
+// pinned per request, by the client's -engine hint, and runs on every
+// planned segment. The lsm.search_ha/mih/scan counters and _ns histograms on
+// /debug/obs count and time segment searches by engine.
 //
 // -mmap (default on) serves the snapshot zero-copy: the arena is aliased
 // out of an mmap of the file, so the heap holds none of it (watch
@@ -48,12 +46,11 @@
 // -insert/-delete/-seal), sealing the memtable into frozen segments in the
 // background past -memtable-max entries and compacting past -compact-at
 // segments — the segments above the snapshot's, until a quarter of its rows
-// are masked or they hold half as many rows as it does. -engine does not
-// apply: every segment gets MIH and its own counted plan when a seal or
-// compaction writes it, and the snapshot's segment when the first one runs,
-// so a shard that is never written serves its snapshot through HA and
-// refuses a mih or scan pin until then. The lsm.* gauges and counters are on
-// /debug/obs.
+// are masked or they hold half as many rows as it does. The snapshot's
+// segment is planned in the background as the shard starts, and every seal
+// and compaction plans the segment it writes; HA answers for a segment only
+// while its plan is being counted (lsm.unplanned_segments). The lsm.* gauges
+// and counters are on /debug/obs.
 package main
 
 import (
@@ -87,9 +84,8 @@ func main() {
 		idleTO    = flag.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = 30s, negative disables)")
 		writeTO   = flag.Duration("write-timeout", 0, "per-response write deadline (0 = 30s, negative disables)")
 		mmapIdx   = flag.Bool("mmap", true, "serve the snapshot zero-copy out of an mmap of the file; -mmap=false decodes it onto the heap")
-		engine    = flag.String("engine", "auto", "plan the snapshot's segment at load: auto (HA, MIH and the scan behind the counted cost-based planner) or ha (the HA walk alone); a client's -engine hint pins one per request on every planned segment; ignored with -mutable, whose segments are planned as seals and compactions write them")
 
-		mutable     = flag.Bool("mutable", false, "serve a writable LSM shard seeded from the snapshot (decoded onto the heap); accepts insert/delete/seal; each seal and compaction plans the segment it writes, and the first also plans the snapshot's, which HA serves, refusing mih and scan pins, until then")
+		mutable     = flag.Bool("mutable", false, "serve a writable LSM shard seeded from the snapshot (decoded onto the heap); accepts insert/delete/seal; the snapshot's segment is planned in the background at start, and each seal and compaction plans the segment it writes")
 		memtableMax = flag.Int("memtable-max", 0, "memtable entries before a background seal (0 = 4096, negative disables)")
 		compactAt   = flag.Int("compact-at", 0, "segment count that triggers compaction after a seal (0 = 4, negative disables)")
 	)
@@ -125,13 +121,6 @@ func main() {
 		IdleTimeout:  *idleTO,
 		WriteTimeout: *writeTO,
 		Mmap:         *mmapIdx && !*mutable,
-		Engine:       *engine,
-	}
-	if *engine != "auto" && *engine != "ha" {
-		fatalf("-engine %s: want auto or ha (a client's -engine hint pins mih or scan per request)", *engine)
-	}
-	if *mutable {
-		opts.Engine = "" // the LSM shard is its own engine
 	}
 	var s *server.Server
 	var shard *lsm.Shard

@@ -31,6 +31,7 @@
 package haindex
 
 import (
+	"fmt"
 	"io"
 
 	"haindex/internal/baseline"
@@ -366,8 +367,15 @@ func PGBJ(r, s []Vec, k int, opt JoinOptions) (*PGBJResult, error) {
 
 // DecodeFrozenIndex reads a frozen index previously written with
 // (*FrozenIndex).EncodeArena — the one index file format, HADX v4 — onto the
-// heap. An image of any other version is refused, naming it.
-func DecodeFrozenIndex(r io.Reader) (*FrozenIndex, error) { return core.DecodeIndex(r) }
+// heap, where the index aliases the bytes read. An image of any other version
+// is refused, naming it.
+func DecodeFrozenIndex(r io.Reader) (*FrozenIndex, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("haindex: reading index: %w", err)
+	}
+	return core.DecodeArenaBytes(data)
+}
 
 // ---- Similarity-aware relational operators (Section 7 direction) ----
 

@@ -39,13 +39,6 @@ type deployment struct {
 // replica 0 of shard 0 gets faults[0] etc.
 func buildDeployment(t *testing.T, rng *rand.Rand, n, bits, parts int, replicas map[int][]*server.FaultPlan) *deployment {
 	t.Helper()
-	return buildDeploymentEngine(t, rng, n, bits, parts, replicas, "")
-}
-
-// buildDeploymentEngine is buildDeployment with the servers' Options.Engine
-// set, for the multi-engine serving tests.
-func buildDeploymentEngine(t *testing.T, rng *rand.Rand, n, bits, parts int, replicas map[int][]*server.FaultPlan, engine string) *deployment {
-	t.Helper()
 	// All codes share the base's first 8 bits, so the dataset occupies one
 	// narrow Gray region: interior partitions then share long rank
 	// prefixes and far-off queries are provably prunable.
@@ -97,7 +90,7 @@ func buildDeploymentEngine(t *testing.T, rng *rand.Rand, n, bits, parts int, rep
 			if rep < len(plans) {
 				plan = plans[rep]
 			}
-			s, err := server.LoadSnapshotFile(path, server.Options{Searchers: 2, Faults: plan, Engine: engine})
+			s, err := server.LoadSnapshotFile(path, server.Options{Searchers: 2, Faults: plan})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -364,14 +357,14 @@ func equalInts(a, b []int) bool {
 }
 
 // TestRouterEnginesMatchOracle is the multi-engine acceptance test: one
-// deployment with every shard serving -engine auto, queried through the
+// deployment with every shard planned at load, queried through the
 // planner's choice and through each forced engine in turn — every routing
 // must return exactly the single-index oracle's ids. The per-engine
 // decision counters and latency histograms must surface at /debug/obs.
 func TestRouterEnginesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	const bits, parts, h = 32, 3, 4
-	d := buildDeploymentEngine(t, rng, 1500, bits, parts, nil, "auto")
+	d := buildDeployment(t, rng, 1500, bits, parts, nil)
 	queries := d.queries(rng, 40, bits, h)
 	want := make([][]int, len(queries))
 	for i, q := range queries {

@@ -56,10 +56,9 @@ type Options struct {
 	Timeout time.Duration
 
 	// Engine is the access-path hint attached to every search request: ""
-	// or "auto" lets each shard route (its planner, or the HA walk on an
-	// -engine ha shard); "ha", "mih", or "scan" forces that engine on every
-	// shard — the one way to pin an engine. Forcing requires the named
-	// engine to be enabled server-side; the shards enforce it.
+	// or "auto" lets each segment of each shard run the engine its plan
+	// picks; "ha", "mih", or "scan" forces that engine on every planned
+	// segment of every shard — the one way to pin an engine.
 	Engine string
 
 	// Obs, when set, is the registry the router hangs its counters and
@@ -68,10 +67,11 @@ type Options struct {
 	// reads its counters, so two routers on one registry would count each
 	// other's requests.
 	Obs *obs.Registry
-	// TraceCapacity sizes the ring of recent SearchBatch traces kept for
-	// haquery -trace (0 = 16).
-	TraceCapacity int
 }
+
+// traceCapacity sizes the ring of recent SearchBatch traces kept for haquery
+// -trace.
+const traceCapacity = 16
 
 func (o Options) withDefaults() Options {
 	if o.MaxAttempts <= 0 {
@@ -85,9 +85,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 30 * time.Second
-	}
-	if o.TraceCapacity <= 0 {
-		o.TraceCapacity = 16
 	}
 	return o
 }
@@ -198,7 +195,7 @@ func Dial(shardAddrs [][]string, opts Options) (*Router, error) {
 		engine:     engine,
 		shards:     make([]*shard, len(shardAddrs)),
 		reg:        opts.Obs,
-		tracer:     obs.NewTracer(opts.TraceCapacity),
+		tracer:     obs.NewTracer(traceCapacity),
 		now:        time.Now,
 		sleep:      time.Sleep,
 		randInt63n: rand.Int63n,
@@ -829,40 +826,39 @@ func (rp *replica) recvLocked() (wire.MsgType, []byte, error) {
 }
 
 // dialLocked connects and handshakes; rp.mu must be held.
-func (rp *replica) dialLocked() error {
+func (rp *replica) dialLocked() (err error) {
 	conn, err := net.DialTimeout("tcp", rp.addr, rp.opts.DialTimeout)
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if err != nil {
+			conn.Close()
+		}
+	}()
 	br := bufio.NewReader(conn)
 	conn.SetDeadline(time.Now().Add(rp.opts.Timeout))
 	if err := wire.WriteFrame(conn, wire.MsgHello, wire.Hello{Version: wire.Version}.Append(nil)); err != nil {
-		conn.Close()
 		return err
 	}
 	respType, payload, err := wire.ReadFrame(br)
 	if err != nil {
-		conn.Close()
 		return err
 	}
 	if respType == wire.MsgError {
-		conn.Close()
 		if em, perr := wire.ParseErrorMsg(payload); perr == nil {
 			return fmt.Errorf("client: %s rejected handshake: %s", rp.addr, em.Msg)
 		}
 		return fmt.Errorf("client: %s rejected handshake", rp.addr)
 	}
 	if respType != wire.MsgHelloOK {
-		conn.Close()
 		return fmt.Errorf("client: %s answered handshake with %s", rp.addr, respType)
 	}
 	hello, err := wire.ParseHelloOK(payload)
 	if err != nil {
-		conn.Close()
 		return err
 	}
 	if hello.Version != wire.Version {
-		conn.Close()
 		return fmt.Errorf("client: %s speaks protocol version %d, this client speaks %d", rp.addr, hello.Version, wire.Version)
 	}
 	rp.conn, rp.br, rp.hello = conn, br, hello

@@ -252,17 +252,19 @@ func (f *FrozenIndex) EncodedSizeArena(withIDs bool) int {
 	return int(total)
 }
 
-// DecodeArenaBytes parses a complete v4 arena image. When alias is true (and
-// the host allows it) the returned index's slabs alias data — the caller must
-// keep data immutable and alive for the index's lifetime; MapFrozen uses this
-// over an mmap'd region. When alias is false every array is copied onto the
-// heap and data may be discarded.
+// DecodeArenaBytes parses a complete v4 arena image. The returned index's
+// slabs alias data, so the caller must keep data immutable and alive for the
+// index's lifetime: MapFrozen hands it an mmap'd region, the eager loads a
+// buffer they read the file into and keep no other reference to. Only a host
+// that cannot view the little-endian layout in place (canAliasArena), or an
+// image that does not start 8-aligned, so that its slabs would not sit at
+// their natural alignment, has every array copied onto the heap.
 //
 // Corrupt input — truncated, misaligned, overlapping or mis-sized sections,
 // out-of-range or out-of-level-order references — returns an error, never
 // panics. The word slabs themselves are not validated: every bit pattern is a
 // legal code/residual, so they cannot make a walk misbehave.
-func DecodeArenaBytes(data []byte, alias bool) (*FrozenIndex, error) {
+func DecodeArenaBytes(data []byte) (*FrozenIndex, error) {
 	if len(data) > 4 && string(data[:4]) == codecMagic && data[4] != codecVersionArena {
 		return nil, fmt.Errorf("core: unsupported index version %d (this build reads version %d)", data[4], codecVersionArena)
 	}
@@ -322,7 +324,7 @@ func DecodeArenaBytes(data []byte, alias bool) (*FrozenIndex, error) {
 		n:      int(c.n),
 		nw:     nw,
 	}
-	if alias && canAliasArena {
+	if canAliasArena && uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 == 0 {
 		f.rootIDs = aliasI32(secs[secRoots])
 		f.topLeaves = aliasI32(secs[secTop])
 		f.childStart = aliasI32(secs[secChildStart])
@@ -407,18 +409,8 @@ func (f *FrozenIndex) validateStructure(c arenaCounts) error {
 	return nil
 }
 
-// DecodeIndex reads a v4 image from r and decodes it onto the heap: the
-// reader form of DecodeArenaBytes, for input with no file to map.
-func DecodeIndex(r io.Reader) (*FrozenIndex, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading index: %w", err)
-	}
-	return DecodeArenaBytes(data, false)
-}
-
 // mapFrozenEager is the portable MapFrozen fallback: read the whole file and
-// decode copying.
+// decode it, aliasing the buffer read where the host can.
 func mapFrozenEager(path string, off int64) (*FrozenIndex, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -427,7 +419,7 @@ func mapFrozenEager(path string, off int64) (*FrozenIndex, error) {
 	if off < 0 || off%8 != 0 || off >= int64(len(data)) {
 		return nil, fmt.Errorf("core: arena offset %d in a %d-byte file", off, len(data))
 	}
-	return DecodeArenaBytes(data[off:], false)
+	return DecodeArenaBytes(data[off:])
 }
 
 // ---- byte-slice views ----

@@ -266,5 +266,5 @@ func Forest(parts ...*FrozenIndex) (*FrozenIndex, error) {
 	if err := fw.finish(&img); err != nil {
 		return nil, err
 	}
-	return DecodeArenaBytes(img.Bytes(), true)
+	return DecodeArenaBytes(img.Bytes())
 }

@@ -23,7 +23,7 @@ func buildStreamedArena(tb testing.TB, n, bitsLen, chunkSize int) *FrozenIndex {
 		ids[i] = i
 	}
 	gray.Sort(codes, ids)
-	f, err := DecodeArenaBytes(streamArena(tb, codes, ids, chunkSize, Options{}), false)
+	f, err := DecodeArenaBytes(streamArena(tb, codes, ids, chunkSize, Options{}))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestStreamedChunkEdges(t *testing.T) {
 		}
 		msr := NewSearcher(Freeze(BuildDynamic(codes, ids, Options{})))
 		for _, chunk := range []int{1, 7, n - 1, n, n + 1} {
-			f, err := DecodeArenaBytes(streamArena(t, codes, ids, chunk, Options{}), false)
+			f, err := DecodeArenaBytes(streamArena(t, codes, ids, chunk, Options{}))
 			if err != nil {
 				t.Fatalf("L=%d chunk=%d: streamed arena does not decode: %v", bitsLen, chunk, err)
 			}
@@ -148,7 +148,7 @@ func TestStreamWriterAddCopiesTheWords(t *testing.T) {
 	if err := sw.Finish(&img); err != nil {
 		t.Fatal(err)
 	}
-	f, err := DecodeArenaBytes(img.Bytes(), false)
+	f, err := DecodeArenaBytes(img.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestStreamedEquivalence(t *testing.T) {
 			sortedCodes := append([]bitvec.Code(nil), codes...)
 			sortedIDs := append([]int(nil), ids...)
 			gray.Sort(sortedCodes, sortedIDs)
-			streamed, err := DecodeArenaBytes(streamArena(t, sortedCodes, sortedIDs, chunkSize, Options{}), false)
+			streamed, err := DecodeArenaBytes(streamArena(t, sortedCodes, sortedIDs, chunkSize, Options{}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,7 +260,7 @@ func TestStreamedEquivalence(t *testing.T) {
 			if !bytes.Equal(img.Bytes(), streamArena(t, codes, ids, chunk, Options{})) {
 				t.Fatalf("L=%d chunk=%d: the forest's image is not the stream writer's", bitsLen, chunk)
 			}
-			if _, err := DecodeArenaBytes(img.Bytes(), false); err != nil {
+			if _, err := DecodeArenaBytes(img.Bytes()); err != nil {
 				t.Fatalf("L=%d chunk=%d: forest image refused: %v", bitsLen, chunk, err)
 			}
 			sr := NewSearcher(forest)
@@ -307,7 +307,7 @@ func TestStreamedEmpty(t *testing.T) {
 	if err := sw.Finish(&buf); err != nil {
 		t.Fatal(err)
 	}
-	f, err := DecodeArenaBytes(buf.Bytes(), false)
+	f, err := DecodeArenaBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

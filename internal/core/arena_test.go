@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"haindex/internal/bitvec"
 )
@@ -31,39 +32,58 @@ func validArenaEncoding(tb testing.TB, withIDs bool) ([]byte, *FrozenIndex) {
 	return buf.Bytes(), frozen
 }
 
+// hostAlias is canAliasArena as the host sets it, before any test changes it.
+var hostAlias = canAliasArena
+
+// setArenaAlias makes DecodeArenaBytes alias its input (where the host can)
+// or copy every slab, as on a host that cannot, until tb ends. Callers must
+// not run in parallel with another test of the package.
+func setArenaAlias(tb testing.TB, alias bool) {
+	tb.Cleanup(func() { canAliasArena = hostAlias })
+	canAliasArena = alias && hostAlias
+}
+
 // TestArenaRoundTrip: EncodeArena∘DecodeArenaBytes is the identity on the
 // search surface for both the copying and (when the host allows) aliasing
-// parse, with and without id tables.
+// parse, with and without id tables, and for an image that does not start
+// 8-aligned, whose slabs the parse copies to their natural alignment.
 func TestArenaRoundTrip(t *testing.T) {
 	for _, withIDs := range []bool{true, false} {
 		data, orig := validArenaEncoding(t, withIDs)
 		if got := orig.EncodedSizeArena(withIDs); got != len(data) {
 			t.Fatalf("withIDs=%v: EncodedSizeArena %d, encoded %d bytes", withIDs, got, len(data))
 		}
+		misaligned := append(make([]byte, 1, len(data)+1), data...)[1:]
 		for _, alias := range []bool{false, true} {
-			got, err := DecodeArenaBytes(data, alias)
-			if err != nil {
-				t.Fatalf("withIDs=%v alias=%v: %v", withIDs, alias, err)
-			}
-			if got.Length() != orig.Length() || got.GroupCount() != orig.GroupCount() ||
-				got.NodeCount() != orig.NodeCount() || got.EdgeCount() != orig.EdgeCount() {
-				t.Fatalf("withIDs=%v alias=%v: structure mismatch after round trip", withIDs, alias)
-			}
-			wantLen := orig.Len()
-			if !withIDs {
-				wantLen = 0
-			}
-			if got.Len() != wantLen {
-				t.Fatalf("withIDs=%v: %d tuples, want %d", withIDs, got.Len(), wantLen)
-			}
-			gsr, osr := NewSearcher(got), NewSearcher(orig)
-			for _, c := range orig.Codes()[:20] {
-				if g, w := gsr.SearchCodes(c, 2), osr.SearchCodes(c, 2); len(g) != len(w) {
-					t.Fatalf("withIDs=%v alias=%v: %d codes, want %d", withIDs, alias, len(g), len(w))
+			setArenaAlias(t, alias)
+			for _, img := range [][]byte{data, misaligned} {
+				got, err := DecodeArenaBytes(img)
+				if err != nil {
+					t.Fatalf("withIDs=%v alias=%v: %v", withIDs, alias, err)
 				}
-				if withIDs {
-					if g, w := gsr.Search(c, 2), osr.Search(c, 2); !equalIDs(g, w) {
-						t.Fatalf("alias=%v: %d ids, want %d", alias, len(g), len(w))
+				if uintptr(unsafe.Pointer(unsafe.SliceData(got.codeSlab)))%8 != 0 {
+					t.Fatalf("withIDs=%v alias=%v: the code slab is not 8-aligned", withIDs, alias)
+				}
+				if got.Length() != orig.Length() || got.GroupCount() != orig.GroupCount() ||
+					got.NodeCount() != orig.NodeCount() || got.EdgeCount() != orig.EdgeCount() {
+					t.Fatalf("withIDs=%v alias=%v: structure mismatch after round trip", withIDs, alias)
+				}
+				wantLen := orig.Len()
+				if !withIDs {
+					wantLen = 0
+				}
+				if got.Len() != wantLen {
+					t.Fatalf("withIDs=%v: %d tuples, want %d", withIDs, got.Len(), wantLen)
+				}
+				gsr, osr := NewSearcher(got), NewSearcher(orig)
+				for _, c := range orig.Codes()[:20] {
+					if g, w := gsr.SearchCodes(c, 2), osr.SearchCodes(c, 2); len(g) != len(w) {
+						t.Fatalf("withIDs=%v alias=%v: %d codes, want %d", withIDs, alias, len(g), len(w))
+					}
+					if withIDs {
+						if g, w := gsr.Search(c, 2), osr.Search(c, 2); !equalIDs(g, w) {
+							t.Fatalf("alias=%v: %d ids, want %d", alias, len(g), len(w))
+						}
 					}
 				}
 			}
@@ -72,7 +92,7 @@ func TestArenaRoundTrip(t *testing.T) {
 }
 
 // TestEncodeDecodeRoundTrip: an index written with EncodeArena and read back
-// through DecodeIndex answers every query as it did before, at code lengths
+// through DecodeArenaBytes answers every query as it did before, at code lengths
 // of one and two words.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
@@ -84,7 +104,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if err := orig.EncodeArena(&buf, true); err != nil {
 			t.Fatal(err)
 		}
-		back, err := DecodeIndex(&buf)
+		back, err := DecodeArenaBytes(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +133,7 @@ func TestEncodeLeafless(t *testing.T) {
 	if err := orig.EncodeArena(&buf, false); err != nil {
 		t.Fatal(err)
 	}
-	leafless, err := DecodeIndex(&buf)
+	leafless, err := DecodeArenaBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,15 +176,15 @@ func TestEncodedSizeOrdering(t *testing.T) {
 func TestDecodeErrors(t *testing.T) {
 	valid, _ := validArenaEncoding(t, true)
 	for _, data := range [][]byte{[]byte("nope"), nil, valid[:len(valid)/2]} {
-		if _, err := DecodeIndex(bytes.NewReader(data)); err == nil {
-			t.Fatalf("DecodeIndex accepted %d bytes that are no image", len(data))
+		if _, err := DecodeArenaBytes(data); err == nil {
+			t.Fatalf("DecodeArenaBytes accepted %d bytes that are no image", len(data))
 		}
 	}
 	for _, v := range []byte{1, 2, 3, 5} {
 		want := fmt.Sprintf("unsupported index version %d", v)
 		for _, data := range [][]byte{append([]byte("HADX"), v), corrupt(valid, func(b []byte) { b[4] = v })} {
-			if _, err := DecodeIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("DecodeIndex on version %d: %v", v, err)
+			if _, err := DecodeArenaBytes(data); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("DecodeArenaBytes on version %d: %v", v, err)
 			}
 		}
 	}
@@ -266,7 +286,7 @@ func TestArenaStreamedRoundTrip(t *testing.T) {
 	if err := f.EncodeArena(&buf, true); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeArenaBytes(buf.Bytes(), false)
+	got, err := DecodeArenaBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,12 +377,13 @@ func TestDecodeArenaCorruptInput(t *testing.T) {
 	secOff := func(i int) int { return 88 + i*16 }
 	for _, tc := range corruptArenaCases(valid) {
 		for _, alias := range []bool{false, true} {
-			if _, err := DecodeArenaBytes(tc.data, alias); err == nil {
+			setArenaAlias(t, alias)
+			if _, err := DecodeArenaBytes(tc.data); err == nil {
 				t.Errorf("%s (%d bytes, alias=%v): decode accepted corrupt input", tc.name, len(tc.data), alias)
 			}
 		}
 	}
-	if _, err := DecodeArenaBytes(valid, false); err != nil {
+	if _, err := DecodeArenaBytes(valid); err != nil {
 		t.Fatalf("valid encoding rejected: %v", err)
 	}
 	// MapFrozen on a corrupt file must reject (and release the mapping).
@@ -378,25 +399,26 @@ func TestDecodeArenaCorruptInput(t *testing.T) {
 
 // TestDecodeCorruptInput: the same corruptions of a forest image — scattered
 // roots, shifted references, a code in two groups — are refused through the
-// reader, DecodeIndex.
+// aliasing parse every loader runs.
 func TestDecodeCorruptInput(t *testing.T) {
 	valid := chunkedArena(t)
 	for _, tc := range corruptArenaCases(valid) {
-		if _, err := DecodeIndex(bytes.NewReader(tc.data)); err == nil {
+		if _, err := DecodeArenaBytes(tc.data); err == nil {
 			t.Errorf("%s (%d bytes): decode accepted corrupt input", tc.name, len(tc.data))
 		}
 	}
-	if _, err := DecodeIndex(bytes.NewReader(valid)); err != nil {
+	if _, err := DecodeArenaBytes(valid); err != nil {
 		t.Fatalf("valid encoding rejected: %v", err)
 	}
 }
 
 // FuzzDecodeIndex truncates a valid image and flips bits of one byte, where
 // FuzzSectionTable splats eight: a few bits wrong in one structural entry is
-// the damage a bad disk does. Reading it must either error or yield an index
-// whose walks terminate.
+// the damage a bad disk does. The copying parse reading it must either error
+// or yield an index whose walks terminate.
 func FuzzDecodeIndex(f *testing.F) {
 	valid, _ := validArenaEncoding(f, true)
+	setArenaAlias(f, false)
 	f.Add(uint16(len(valid)), uint16(0), byte(0))
 	f.Add(uint16(len(valid)/2), uint16(5), byte(0xff))
 	f.Add(uint16(10), uint16(4), byte(1))
@@ -408,7 +430,7 @@ func FuzzDecodeIndex(f *testing.F) {
 		if len(data) > 0 {
 			data[int(flipAt)%len(data)] ^= flipMask
 		}
-		got, err := DecodeIndex(bytes.NewReader(data))
+		got, err := DecodeArenaBytes(data)
 		if err != nil {
 			return
 		}
@@ -448,7 +470,8 @@ func FuzzSectionTable(f *testing.F) {
 			binary.LittleEndian.PutUint64(data[off:], splat)
 		}
 		for _, alias := range []bool{false, true} {
-			got, err := DecodeArenaBytes(data, alias)
+			setArenaAlias(t, alias)
+			got, err := DecodeArenaBytes(data)
 			if err != nil {
 				continue
 			}
@@ -480,11 +503,12 @@ func BenchmarkEncodeArena(b *testing.B) {
 
 func BenchmarkDecodeArenaEager(b *testing.B) {
 	data, _ := benchArenaImage(b)
+	setArenaAlias(b, false)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeArenaBytes(data, false); err != nil {
+		if _, err := DecodeArenaBytes(data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -496,7 +520,7 @@ func BenchmarkDecodeArenaAlias(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeArenaBytes(data, true); err != nil {
+		if _, err := DecodeArenaBytes(data); err != nil {
 			b.Fatal(err)
 		}
 	}

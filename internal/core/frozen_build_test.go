@@ -42,7 +42,7 @@ func checkBuildFrozen(t testing.TB, what string, codes []bitvec.Code, ids []int,
 		t.Fatalf("%s: BuildFrozen arena (%d bytes, %d nodes, %d groups) differs from the pointer build's (%d bytes)",
 			what, got.Len(), f.NodeCount(), f.GroupCount(), want.Len())
 	}
-	decoded, err := DecodeArenaBytes(got.Bytes(), false)
+	decoded, err := DecodeArenaBytes(got.Bytes())
 	if err != nil {
 		t.Fatalf("%s: arena does not decode: %v", what, err)
 	}

@@ -48,7 +48,7 @@ func MapFrozenAt(path string, off int64) (*FrozenIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: mmap %q: %w", path, err)
 	}
-	f, err := DecodeArenaBytes(data[off:], true)
+	f, err := DecodeArenaBytes(data[off:])
 	if err != nil {
 		syscall.Munmap(data)
 		return nil, err

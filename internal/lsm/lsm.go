@@ -18,20 +18,20 @@
 // is ever built here: the paper's H-Insert and H-Delete (Algorithms 2-3) stay
 // with it in core, for the library API; this tier does not use them.
 //
-// Every segment is planned one way: off the write lock, mih.FromGroups
-// builds multi-index hashing over the segment's own leaf arena and
-// planner.New counts which of HA, MIH and the scan each threshold should run.
-// The plan is attached atomically — HA answers until it is — and a search
-// runs each segment through the engine its own plan picks at h: MIH on a
-// large segment, often the scan on a small one. A search may pin one engine
-// instead, which then runs on every planned segment. Seal and Compact plan
-// what they produce, and the bootstrapped base is planned by the first of
-// them, never by Bootstrap, so a mutable shard that is never written serves
-// its base through HA. Each segment hands out its searchers from a free list
-// that keeps every set released to it and dies with it.
+// Every segment is planned as it joins the stack, one way: off the write
+// lock, mih.FromGroups builds multi-index hashing over the segment's own leaf
+// arena and planner.New counts which of HA, MIH and the scan each threshold
+// should run. The plan is attached atomically — HA answers only while it is
+// being counted — and a search runs each segment through the engine its own
+// plan picks at h: MIH on a large segment, often the scan on a small one. A
+// search may pin one engine instead, which then runs on every planned
+// segment. Seal and Compact plan what they produce before they return, and
+// Bootstrap plans its base in the background, the way a background seal
+// runs. Each segment hands out its searchers from a free list that keeps
+// every set released to it and dies with it.
 //
 // Frozen wraps an immutable index as a read-only shard of one segment,
-// planned at once or left to HA: the server answers every search through a
+// planned before it returns: the server answers every search through a
 // Shard, and an immutable shard is this one-segment case. It keeps no id
 // sets and accepts no mutation.
 //
@@ -311,20 +311,17 @@ func New(length int, opts Options) *Shard {
 }
 
 // Frozen returns a read-only shard that serves idx as its one segment,
-// planned now (timed on load.mih_build_ns and load.plan_ns) when plan is set
-// and left to HA otherwise. It walks no ids — a snapshot's are unique — and
-// so takes no mutation: Insert, Delete, Seal and Compact panic, and
-// Bootstrap refuses.
-func Frozen(idx *core.FrozenIndex, plan bool, opts Options) *Shard {
+// planned before it returns (timed on load.mih_build_ns and load.plan_ns). It
+// walks no ids — a snapshot's are unique — and so takes no mutation: Insert,
+// Delete, Seal and Compact panic, and Bootstrap refuses.
+func Frozen(idx *core.FrozenIndex, opts Options) *Shard {
 	s := New(idx.Length(), opts)
 	s.booted, s.readOnly = true, true
 	seg := newSegment(idx, 0)
 	s.state.Store(&state{segments: []*segment{seg}, epoch: 1})
-	if plan {
-		mihNs, planNs := planSegment(seg)
-		s.opts.Obs.Gauge("load.mih_build_ns").Set(mihNs)
-		s.opts.Obs.Gauge("load.plan_ns").Set(planNs)
-	}
+	mihNs, planNs := planSegment(seg)
+	s.opts.Obs.Gauge("load.mih_build_ns").Set(mihNs)
+	s.opts.Obs.Gauge("load.plan_ns").Set(planNs)
 	s.publishGauges()
 	s.publishSegments()
 	return s
@@ -344,8 +341,9 @@ func (s *Shard) writable() {
 // segment — how a server turns a loaded snapshot into a mutable shard. Ids
 // in the index must be unique (a duplicate is an error: Len would
 // under-report and one Delete would mask two tuples). It must be called
-// before any mutation. The segment is left unplanned — HA serves it — until
-// the first seal or compaction plans it.
+// before any mutation. A background goroutine plans the segment under
+// structMu, as a background seal would, and Close waits for it; HA serves
+// the segment until its plan is attached.
 func (s *Shard) Bootstrap(idx *core.FrozenIndex) error {
 	if idx.Length() != s.length {
 		return fmt.Errorf("lsm: bootstrap index is %d-bit, shard serves %d-bit codes", idx.Length(), s.length)
@@ -371,6 +369,13 @@ func (s *Shard) Bootstrap(idx *core.FrozenIndex) error {
 	s.state.Store(&state{segments: []*segment{newSegment(idx, s.seq)}, epoch: st.epoch + 1})
 	s.publishGauges()
 	s.publishSegments()
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.structMu.Lock()
+		s.planStack() // a seal or fold that got here first has planned it
+		s.structMu.Unlock()
+	}()
 	return nil
 }
 
@@ -528,7 +533,8 @@ func (s *Shard) dropRow(id, row int) {
 
 // SearchInto appends to out the ids of all live tuples within Hamming
 // distance h of q — one linear scan of the memtable's rows, then every
-// segment through the engine pin names (HA on an unplanned segment), or under
+// segment through the engine pin names (HA on a segment whose plan is still
+// being counted), or under
 // planner.UsePlan the one its plan picks at h, with tombstone masking — and
 // returns the extended slice; stats aggregates the work of the whole fan-out.
 func (s *Shard) SearchInto(q bitvec.Code, h int, pin planner.Strategy, out []int, stats *core.SearchStats) []int {
@@ -577,17 +583,6 @@ func (s *Shard) searchSegment(seg *segment, st planner.Strategy, q bitvec.Code, 
 	s.cSearch[st].Inc()
 	s.hSearch[st].RecordSince(t0)
 	return out
-}
-
-// Planned reports whether some segment is planned, and so whether a mih or
-// scan pin has a segment to run on.
-func (s *Shard) Planned() bool {
-	for _, seg := range s.state.Load().segments {
-		if seg.plan.Load() != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // Search is SearchInto under planner.UsePlan with a fresh result slice and
@@ -652,8 +647,9 @@ func (s *Shard) segmentTuples(segs []*segment, fn func(id int, code bitvec.Code)
 // state for a reader to see. The build sorts the slab where it lies — no
 // reader is in, and the rows are dropped next — and copies the words into
 // the segment's own arena, so the slab is free to take the next rows. Off
-// the lock the new segment, and the base if it is still unplanned, are then
-// planned before Seal returns. With compact set, a full compaction follows.
+// the lock the new segment, and the base if Bootstrap's plan has not run yet,
+// are then planned before Seal returns. With compact set, a full compaction
+// follows.
 func (s *Shard) Seal(compact bool) {
 	s.writable()
 	s.structMu.Lock()
@@ -764,8 +760,7 @@ func (s *Shard) compact(full bool) {
 	})
 	s.mu.RUnlock()
 	if len(inputs) == 1 && len(ids) == inputs[0].idx.Len() {
-		s.planStack() // nothing to merge, nothing to fold away
-		return
+		return // nothing to merge, nothing to fold away
 	}
 	var out *segment
 	if len(ids) > 0 {
@@ -825,8 +820,8 @@ func (s *Shard) baseDue(stack []*segment) bool {
 	return masked*baseMaskedDiv >= base || upper*baseUpperDiv >= base
 }
 
-// Close waits for in-flight background seals and compactions. The shard
-// must not be mutated concurrently with or after Close.
+// Close waits for in-flight background seals, compactions and Bootstrap's
+// plan. The shard must not be mutated concurrently with or after Close.
 func (s *Shard) Close() {
 	s.closed.Store(true)
 	s.wg.Wait()

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 	"weak"
 
 	"haindex/internal/bitvec"
@@ -70,8 +71,80 @@ func checkSegmentEngines(t *testing.T, s *Shard, o oracle, rng *rand.Rand, stage
 	checkAgainstOracle(t, s, o, rng, bitsLen, 4)
 }
 
+// waitPlanned polls lsm.unplanned_segments until every segment of s is
+// planned — Bootstrap plans its base in the background — and fails past a
+// deadline.
+func waitPlanned(t *testing.T, s *Shard) {
+	t.Helper()
+	g := s.opts.Obs.Gauge("lsm.unplanned_segments")
+	for deadline := time.Now().Add(30 * time.Second); g.Value() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("lsm.unplanned_segments = %d after 30s", g.Value())
+		}
+	}
+}
+
+// TestBootstrapPlansBase: a bootstrapped shard that is never sealed plans
+// its base by itself, and then every pin runs on it: at every threshold each
+// of UsePlan, UseHA, UseMIH and UseScan answers the brute oracle, and a
+// pinned search moves its own engine's lsm.search_* counter and no other.
+func TestBootstrapPlansBase(t *testing.T) {
+	const n, bitsLen = 4000, 64
+	rng := rand.New(rand.NewSource(4000))
+	codes := clustered(rng, n, bitsLen, 40, 5)
+	ids := make([]int, n)
+	o := oracle{}
+	for i := range ids {
+		ids[i] = 5*i + 2
+		o[ids[i]] = codes[i]
+	}
+	reg := obs.NewRegistry()
+	s := New(bitsLen, Options{MemtableMax: -1, CompactAt: -1, Obs: reg})
+	defer s.Close()
+	if err := s.Bootstrap(buildFrozen(codes, ids, core.Options{})); err != nil {
+		t.Fatal(err)
+	}
+	waitPlanned(t, s)
+	if st := s.Stats(); st.Segments != 1 || st.Seals != 0 || s.state.Load().segments[0].plan.Load() == nil {
+		t.Fatalf("after Bootstrap: %+v", st)
+	}
+	counts := func() (c [planner.UseScan + 1]int64) {
+		for st := range c {
+			c[st] = reg.Counter("lsm.search_" + planner.Strategy(st).String()).Value()
+		}
+		return c
+	}
+	q := codes[rng.Intn(n)].Clone()
+	q.FlipBit(rng.Intn(bitsLen))
+	for h := 0; h <= bitsLen; h++ {
+		want := o.search(q, h)
+		for _, pin := range []planner.Strategy{planner.UsePlan, planner.UseHA, planner.UseMIH, planner.UseScan} {
+			before := counts()
+			var stats core.SearchStats
+			if got := s.SearchInto(q, h, pin, nil, &stats); !equalIDs(got, want) {
+				t.Fatalf("pin %s at h=%d: %d ids, the oracle %d", pin, h, len(got), len(want))
+			}
+			after := counts()
+			moved := 0
+			for st := range after {
+				if d := after[st] - before[st]; d == 1 {
+					moved++
+					if pin != planner.UsePlan && planner.Strategy(st) != pin {
+						t.Fatalf("pin %s at h=%d moved lsm.search_%s", pin, h, planner.Strategy(st))
+					}
+				} else if d != 0 {
+					t.Fatalf("pin %s at h=%d moved lsm.search_%s by %d", pin, h, planner.Strategy(st), d)
+				}
+			}
+			if moved != 1 {
+				t.Fatalf("pin %s at h=%d moved %d engine counters, want 1", pin, h, moved)
+			}
+		}
+	}
+}
+
 // TestSegmentEnginesAgree: every segment of a churned shard — the
-// bootstrapped base once the first seal plans it, the seals, a partial
+// bootstrapped base once Bootstrap's background plan lands, the seals, a partial
 // fold's output beside the untouched base, and a full fold — answers
 // byte-identically under HA, MIH and the scan at every threshold, at one
 // word and at three words a code.
@@ -92,8 +165,9 @@ func TestSegmentEnginesAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			base := s.state.Load().segments[0]
-			if base.plan.Load() != nil {
-				t.Fatal("Bootstrap planned the base")
+			waitPlanned(t, s)
+			if base.plan.Load() == nil {
+				t.Fatal("Bootstrap did not plan the base")
 			}
 			next := 1000
 			churn := func(inserts int) {
@@ -303,8 +377,9 @@ func TestShardSearchAllocs(t *testing.T) {
 	if err := s.Bootstrap(buildFrozen(codes[:4000], ids, core.Options{})); err != nil {
 		t.Fatal(err)
 	}
-	if g := reg.Gauge("lsm.unplanned_segments").Value(); g != 1 {
-		t.Fatalf("lsm.unplanned_segments = %d after Bootstrap, want 1", g)
+	waitPlanned(t, s)
+	if s.state.Load().segments[0].plan.Load() == nil {
+		t.Fatal("lsm.unplanned_segments is 0 with the bootstrapped base unplanned")
 	}
 	for id := 4000; id < len(codes); id++ {
 		s.Insert(id, codes[id])
@@ -353,7 +428,7 @@ func TestSegmentFreeListKeepsEverySearcher(t *testing.T) {
 	for i := range ids {
 		ids[i] = i
 	}
-	s := Frozen(buildFrozen(codes, ids, core.Options{}), true, Options{})
+	s := Frozen(buildFrozen(codes, ids, core.Options{}), Options{})
 	defer s.Close()
 	seg := s.state.Load().segments[0]
 	held := make([]*searchers, 2*runtime.GOMAXPROCS(0)+1)
@@ -437,8 +512,8 @@ func retiring(t *testing.T, s *Shard) (weak.Pointer[segment], weak.Pointer[core.
 // Planned over a mapped and an eager load of one snapshot, it counts the
 // same plan at every threshold, every pin answers the oracle, and the aux
 // gauge is MIH's key tables to the byte (no slab carries spare capacity) —
-// over the mapped arena all the heap the shard adds. Unplanned, it reports
-// no plan and HA answers. It takes no mutation and no Bootstrap.
+// over the mapped arena all the heap the shard adds. It takes no mutation
+// and no Bootstrap.
 func TestFrozenShard(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	codes := clustered(rng, 3000, 64, 30, 5)
@@ -463,6 +538,7 @@ func TestFrozenShard(t *testing.T) {
 	q := codes[17].Clone()
 	q.FlipBit(9)
 	var plans []planner.Plan
+	var ro *Shard
 	for _, load := range []struct {
 		name string
 		read func(string) (wire.SnapshotMeta, *core.FrozenIndex, error)
@@ -473,10 +549,11 @@ func TestFrozenShard(t *testing.T) {
 		}
 		defer fz.Close()
 		reg := obs.NewRegistry()
-		s := Frozen(fz, true, Options{Obs: reg})
+		s := Frozen(fz, Options{Obs: reg})
 		defer s.Close()
-		if !s.Planned() || s.Len() != len(codes) {
-			t.Fatalf("%s: planned %v, Len %d", load.name, s.Planned(), s.Len())
+		ro = s
+		if reg.Gauge("lsm.unplanned_segments").Value() != 0 || s.Len() != len(codes) {
+			t.Fatalf("%s: %d segments unplanned, Len %d", load.name, reg.Gauge("lsm.unplanned_segments").Value(), s.Len())
 		}
 		// The aux gauge is what MIH's tables hold, by capacity; it equals
 		// what they use, by length, only if no slab carries spare capacity.
@@ -508,17 +585,14 @@ func TestFrozenShard(t *testing.T) {
 		}
 	}
 
-	ha := Frozen(idx, false, Options{Obs: obs.NewRegistry()})
-	if ha.Planned() || ha.opts.Obs.Gauge("lsm.unplanned_segments").Value() != 1 {
-		t.Fatal("an unplanned read-only shard reports a plan")
-	}
-	if err := ha.Bootstrap(idx); err == nil {
+	if err := ro.Bootstrap(idx); err == nil {
 		t.Fatal("a read-only shard took a Bootstrap")
 	}
+	epoch := ro.Epoch()
 	for name, mutate := range map[string]func(){
-		"Insert": func() { ha.Insert(1, codes[0]) },
-		"Delete": func() { ha.Delete(ids[0]) },
-		"Seal":   func() { ha.Seal(false) },
+		"Insert": func() { ro.Insert(1, codes[0]) },
+		"Delete": func() { ro.Delete(ids[0]) },
+		"Seal":   func() { ro.Seal(false) },
 	} {
 		func() {
 			defer func() {
@@ -529,7 +603,7 @@ func TestFrozenShard(t *testing.T) {
 			mutate()
 		}()
 	}
-	if ha.Planned() || ha.Len() != len(codes) {
+	if ro.Epoch() != epoch || ro.Len() != len(codes) {
 		t.Fatal("a refused mutation changed the read-only shard")
 	}
 }

@@ -110,7 +110,7 @@ func BuildGlobalIndex(r []vector.Vec, pre *Preprocessed, opt Options) (*GlobalIn
 			if err != nil {
 				return nil, fmt.Errorf("mrjoin: reading local index %s: %w", path, err)
 			}
-			local, err := core.DecodeArenaBytes(data, false)
+			local, err := core.DecodeArenaBytes(data)
 			if err != nil {
 				return nil, fmt.Errorf("mrjoin: decoding local index %s: %w", path, err)
 			}

@@ -23,7 +23,7 @@ func BenchmarkLoadSnapshotFile(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := LoadSnapshotFile(path, Options{Engine: "auto", Mmap: true})
+		s, err := LoadSnapshotFile(path, Options{Mmap: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -33,9 +33,9 @@ func BenchmarkLoadSnapshotFile(b *testing.B) {
 
 // BenchmarkTopK is one k=10 top-k request of one query through answerTopK,
 // over shards of 150k 64-bit codes loaded as LoadSnapshotFile loads them
-// (mmap) under each -engine: "clustered" is the startup shape with queries
-// a stored code 2 bits away, "uniform" holds random codes and random
-// queries, whose 10th neighbour lies about 15 bits out.
+// (mmap, planned): "clustered" is the startup shape with queries a stored
+// code 2 bits away, "uniform" holds random codes and random queries, whose
+// 10th neighbour lies about 15 bits out.
 func BenchmarkTopK(b *testing.B) {
 	for _, shape := range []struct {
 		name       string
@@ -54,21 +54,19 @@ func BenchmarkTopK(b *testing.B) {
 			}
 			payloads[i] = wire.TopKReq{K: 10, Queries: []bitvec.Code{q}}.Append(nil)
 		}
-		for _, engine := range []string{"auto", "ha"} {
-			b.Run(engine+"/"+shape.name, func(b *testing.B) {
-				s, err := LoadSnapshotFile(path, Options{Engine: engine, Mmap: true, Searchers: 1})
-				if err != nil {
-					b.Fatal(err)
+		b.Run(shape.name, func(b *testing.B) {
+			s, err := LoadSnapshotFile(path, Options{Mmap: true, Searchers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rt, _ := s.answerTopK(payloads[i%len(payloads)], nil); rt != wire.MsgTopKOK {
+					b.Fatalf("top-k answered %s", rt)
 				}
-				defer s.Close()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if rt, _ := s.answerTopK(payloads[i%len(payloads)], nil); rt != wire.MsgTopKOK {
-						b.Fatalf("top-k answered %s", rt)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

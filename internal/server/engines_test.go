@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
@@ -56,16 +57,15 @@ func clusteredArena(t testing.TB, rng *rand.Rand, n, bits, perCluster int) (stri
 	return path, meta, codes, ids
 }
 
-// TestEnginesByteIdenticalEveryThreshold: every (engine mode, request hint)
-// pair a shard serves — the planner's pick and the HA walk under -engine
-// ha; the planner's pick and each of HA, MIH and the scan pinned under
-// -engine auto, eager and mmap'd; and all four on a mutable shard whose
-// inserts, deletes and upserts a seal has planned, beside a memtable and a
-// tombstone written since — answers every threshold 0..L over a 20k-code
-// clustered shard with the same bytes, and those bytes are the brute
-// oracle's answer over the shard's live rows. MIH and the scan read the
-// served arena itself, so this also proves the aliasing engines see exactly
-// what the HA walk sees.
+// TestEnginesByteIdenticalEveryThreshold: every (shard, request hint) pair
+// a server answers — the planner's pick and each of HA, MIH and the scan
+// pinned on an immutable shard, eager and mmap'd, and all four on a mutable
+// shard whose inserts, deletes and upserts a seal has planned, beside a
+// memtable and a tombstone written since — answers every threshold 0..L
+// over a 20k-code clustered shard with the same bytes, and those bytes are
+// the brute oracle's answer over the shard's live rows. MIH and the scan
+// read the served arena itself, so this also proves the aliasing engines
+// see exactly what the HA walk sees.
 func TestEnginesByteIdenticalEveryThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const n, bits = 20000, 64
@@ -145,7 +145,6 @@ func TestEnginesByteIdenticalEveryThreshold(t *testing.T) {
 		hints []int
 		load  func() *Server
 	}{
-		{"ha", []int{wire.EngineAuto, wire.EngineHA}, nil},
 		{"auto", allHints, nil},
 		{"mutable", allHints, mutable},
 	}
@@ -262,7 +261,7 @@ func TestCloseMappedServerWithRequestsInFlight(t *testing.T) {
 	}
 }
 
-// TestAuxEnginesShareTheArena covers what -engine auto builds at load: over
+// TestAuxEnginesShareTheArena covers what every load builds: over
 // an mmap'd shard the only heap it adds is MIH's key tables
 // (index.heap_bytes == index.aux_heap_bytes, well under an owning MIH); the
 // mapped and the eager load route every threshold to the same engine; the
@@ -349,20 +348,36 @@ func routesByThreshold(s *Server, q bitvec.Code) []string {
 }
 
 // TestReadOnlyLoadWalksNoIDs: wrapping a frozen index as a read-only shard
-// under -engine ha costs the same allocations at 5k and at 20k codes — the
-// load builds no per-id set, as Bootstrap does for a mutable shard.
+// costs the same allocations at 20k and at 40k 64-bit codes, beyond those of
+// its plan — MIH, which splits both sizes into the same 4 tables of 16 bits,
+// and the planner's sample probes, whose walk scratch grows with the data —
+// so the load builds no per-id set, as Bootstrap does for a mutable shard.
+// The collector is off while it counts: a GC cycle adds allocations of its
+// own to whichever run it lands in.
 func TestReadOnlyLoadWalksNoIDs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(n int) float64 {
-		meta, idx, _ := testShard(t, rand.New(rand.NewSource(int64(n))), n, 32, 1, 0)
-		return testing.AllocsPerRun(20, func() {
-			s, err := New(meta, idx, Options{Engine: "ha", Searchers: 2})
+		meta, idx, _ := testShard(t, rand.New(rand.NewSource(int64(n))), n, 64, 1, 0)
+		load := testing.AllocsPerRun(5, func() {
+			s, err := New(meta, idx, Options{Searchers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
 			s.Close()
 		})
+		view := idx.Groups()
+		plan := testing.AllocsPerRun(5, func() {
+			m, err := mih.FromGroups(view, mih.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := planner.New(planner.Engines{HA: idx, MIH: core.AsIndex(m), Groups: view}, planner.Options{Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return load - plan
 	}
-	if small, large := allocs(5000), allocs(20000); small != large {
-		t.Fatalf("a read-only load allocates %.0f times at 5k codes, %.0f at 20k", small, large)
+	if small, large := allocs(20000), allocs(40000); small != large {
+		t.Fatalf("a read-only load allocates %.0f times beyond its plan at 20k codes, %.0f at 40k", small, large)
 	}
 }

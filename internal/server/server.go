@@ -6,9 +6,11 @@
 // (internal/client) fans queries across them.
 //
 // Every server answers through an lsm.Shard, each of whose segments is
-// searched by the engine its own counted plan picks or the request's hint
-// pins. New wraps a frozen index as a read-only shard of one segment;
-// NewMutable serves a shard the caller built and differs in one way only:
+// planned as it joins the shard's stack and searched by the engine its own
+// counted plan picks or the request's hint pins; HA answers only for a
+// segment whose plan is still being counted. New wraps a frozen index as a
+// read-only shard of one segment, planned at load; NewMutable serves a shard
+// the caller built and differs in one way only:
 // that shard is not read-only, so the server also answers the mutation
 // frames (insert/delete/seal). Mutations are applied synchronously, so an
 // acknowledged write is visible to every subsequent search.
@@ -49,13 +51,11 @@ type Options struct {
 	// Close.
 	Mmap bool
 
-	// Engine decides whether New plans its one segment. "auto" plans it at
-	// load (lsm.Frozen): MIH over the index's own leaf arena and the
+	// Engine accepts "" and "auto" only, which mean the same: every segment
+	// is planned — MIH over the segment's own leaf arena and the
 	// counted-cost planner, which then routes each request among HA, MIH and
-	// the brute scan. "ha" (or empty) leaves it to the HA walk, and is the
-	// only value NewMutable accepts: its shard plans each segment as a seal
-	// or compaction writes it. The wire hint pins one engine per request on
-	// every planned segment; a shard with none refuses a mih or scan pin.
+	// the brute scan. The wire hint pins one engine per request on every
+	// planned segment.
 	Engine string
 
 	// ShedAfter, when positive, is the admission-wait budget: a search or
@@ -75,13 +75,14 @@ type Options struct {
 	// Obs, when set, is the registry the server hangs its counters and
 	// latency histograms on; nil gives the server a private one (reachable
 	// via Server.Obs). One registry serves one server: Stats reads its
-	// counters, so two servers on one registry would count each other's
-	// requests.
+	// counters and histograms, so two servers on one registry would count
+	// each other's requests.
 	Obs *obs.Registry
-	// TraceCapacity is the size of the per-server ring of request traces
-	// kept for the debug endpoint. 0 selects 64.
-	TraceCapacity int
 }
+
+// traceCapacity is the size of the per-server ring of request traces kept
+// for the debug endpoint.
+const traceCapacity = 64
 
 // Stats is a snapshot of the per-shard serving counters.
 type Stats = wire.StatsResp
@@ -109,15 +110,13 @@ type Server struct {
 	// coordinate system of the fault plan.
 	reqSeq atomic.Int64
 
-	queries       atomic.Int64
-	topkQueries   atomic.Int64
-	idsReturned   atomic.Int64
-	distComps     atomic.Int64
-	nodesVisited  atomic.Int64
-	leavesChecked atomic.Int64
+	queries     atomic.Int64
+	topkQueries atomic.Int64
+	idsReturned atomic.Int64
 
 	// Observability: the registry holds the request, error and fault
-	// counters Stats reads and the per-message-type latency histograms; the
+	// counters and the per-query work histograms Stats reads, and the
+	// per-message-type latency histograms; the
 	// tracer rings recent request span trees. Hot-path instruments are
 	// resolved once here.
 	reg           *obs.Registry
@@ -158,22 +157,23 @@ const maxKeptIDs = 1 << 18
 
 // New builds a server over a frozen index — the arena a snapshot decodes or
 // maps to — wrapped as a read-only lsm.Shard of one segment, planned at load
-// under Options.Engine "auto". MIH and the scan read the index's own leaf
-// arena, so the index must not be closed while the server runs.
+// (lsm.Frozen). MIH and the scan read the index's own leaf arena, so the
+// index must not be closed while the server runs.
 func New(meta wire.SnapshotMeta, idx *core.FrozenIndex, opts Options) (*Server, error) {
 	if idx.Length() != meta.Length {
 		return nil, fmt.Errorf("server: index is %d-bit, snapshot header says %d", idx.Length(), meta.Length)
 	}
-	if opts.Engine != "" && opts.Engine != "ha" && opts.Engine != "auto" {
-		return nil, fmt.Errorf("server: unknown engine %q (want ha or auto; a request's engine hint pins mih or scan)", opts.Engine)
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
 	}
-	opts = opts.withDefaults()
-	return newServer(meta, lsm.Frozen(idx, opts.Engine == "auto", lsm.Options{Obs: opts.Obs}), opts), nil
+	return newServer(meta, lsm.Frozen(idx, lsm.Options{Obs: opts.Obs}), opts), nil
 }
 
-// NewMutable builds a server over a mutable LSM shard. The caller keeps
-// ownership of the shard's lifecycle up to Close, which waits out the
-// shard's background seals and compactions.
+// NewMutable builds a server over a mutable LSM shard, which plans each
+// segment as it joins its stack (lsm.Shard.Bootstrap, Seal, Compact). The
+// caller keeps ownership of the shard's lifecycle up to Close, which waits
+// out the shard's background seals, compactions and planning.
 func NewMutable(meta wire.SnapshotMeta, sh *lsm.Shard, opts Options) (*Server, error) {
 	if sh.Length() != meta.Length {
 		return nil, fmt.Errorf("server: shard is %d-bit, snapshot header says %d", sh.Length(), meta.Length)
@@ -181,13 +181,19 @@ func NewMutable(meta wire.SnapshotMeta, sh *lsm.Shard, opts Options) (*Server, e
 	if sh.ReadOnly() {
 		return nil, fmt.Errorf("server: NewMutable over a read-only shard (serve its index with New)")
 	}
-	if opts.Engine != "" && opts.Engine != "ha" {
-		return nil, fmt.Errorf("server: a mutable shard plans each segment as it writes it (engine %q unsupported)", opts.Engine)
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
 	}
-	return newServer(meta, sh, opts.withDefaults()), nil
+	return newServer(meta, sh, opts), nil
 }
 
-func (opts Options) withDefaults() Options {
+// withDefaults fills in the zero fields, and refuses any Engine but "" and
+// "auto": an engine is pinned per request, by the hint, not per server.
+func (opts Options) withDefaults() (Options, error) {
+	if opts.Engine != "" && opts.Engine != "auto" {
+		return opts, fmt.Errorf("server: unknown engine %q (want auto; a request's engine hint pins ha, mih or scan)", opts.Engine)
+	}
 	if opts.Searchers <= 0 {
 		opts.Searchers = runtime.GOMAXPROCS(0)
 	}
@@ -200,10 +206,7 @@ func (opts Options) withDefaults() Options {
 	if opts.Obs == nil {
 		opts.Obs = obs.NewRegistry()
 	}
-	if opts.TraceCapacity <= 0 {
-		opts.TraceCapacity = 64
-	}
-	return opts
+	return opts, nil
 }
 
 func newServer(meta wire.SnapshotMeta, sh *lsm.Shard, opts Options) *Server {
@@ -214,7 +217,7 @@ func newServer(meta wire.SnapshotMeta, sh *lsm.Shard, opts Options) *Server {
 		pool:   make(chan *searcherSet, opts.Searchers),
 		conns:  make(map[net.Conn]struct{}),
 		reg:    opts.Obs,
-		tracer: obs.NewTracer(opts.TraceCapacity),
+		tracer: obs.NewTracer(traceCapacity),
 	}
 	s.reqCount = s.reg.Counter("requests")
 	s.errCount = s.reg.Counter("errors")
@@ -248,6 +251,10 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 // reader refuses is an error — there is no second format to retry with.
 func LoadSnapshotFile(path string, opts Options) (*Server, error) {
 	t0 := time.Now()
+	opts, err := opts.withDefaults() // a bad option is refused before the load
+	if err != nil {
+		return nil, err
+	}
 	load := wire.ReadSnapshotFile
 	if opts.Mmap {
 		load = wire.MapSnapshotFile
@@ -361,9 +368,10 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// Stats returns a snapshot of the serving counters. The latency percentile
-// fields summarize the per-request search and top-k histograms, and
-// AdmissionP50Ns the wait for an admission ticket.
+// Stats returns a snapshot of the serving counters. The work totals are the
+// sums of the per-query search.* histograms, the latency percentile fields
+// summarize the per-request search and top-k histograms, and AdmissionP50Ns
+// the wait for an admission ticket.
 func (s *Server) Stats() Stats {
 	lat := s.histSearch.Snapshot()
 	lat.Merge(s.histTopK.Snapshot())
@@ -374,9 +382,9 @@ func (s *Server) Stats() Stats {
 		IDsReturned:          s.idsReturned.Load(),
 		Errors:               s.errCount.Value(),
 		FaultsInjected:       s.faultCount.Value(),
-		DistanceComputations: s.distComps.Load(),
-		NodesVisited:         s.nodesVisited.Load(),
-		LeavesChecked:        s.leavesChecked.Load(),
+		DistanceComputations: s.histDist.Snapshot().Sum,
+		NodesVisited:         s.histNodes.Snapshot().Sum,
+		LeavesChecked:        s.histLeaves.Snapshot().Sum,
 		LatencyP50Ns:         lat.P50(),
 		LatencyP95Ns:         lat.P95(),
 		LatencyP99Ns:         lat.P99(),
@@ -550,21 +558,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// pin resolves a request's engine hint to the strategy the shard's search
-// runs: none lets each segment's plan decide (planner.UsePlan), and ha, mih
-// or scan runs on every planned segment. The wire's hints are the planner's
-// strategies shifted by one. A shard with no planned segment — an -engine ha
-// one, or a mutable one before its first seal — refuses a mih or scan pin.
-func (s *Server) pin(hint int) (planner.Strategy, error) {
-	if hint < wire.EngineAuto || hint > wire.EngineScan {
-		return 0, fmt.Errorf("unknown engine hint %d", hint)
-	}
-	if pin := planner.Strategy(hint - wire.EngineHA); pin <= planner.UseHA || s.shard.Planned() {
-		return pin, nil
-	}
-	return 0, fmt.Errorf("engine %s not enabled on this shard (no segment is planned: HA serves it)", wire.EngineName(hint))
-}
-
 // shedResp counts and encodes one shed answer.
 func (s *Server) shedResp(waited time.Duration) (wire.MsgType, []byte) {
 	s.cntShed.Inc()
@@ -579,10 +572,10 @@ func (s *Server) answerSearch(payload []byte, tr *obs.Trace) (wire.MsgType, []by
 	if req.H < 0 || req.H > s.meta.Length {
 		return wire.MsgError, wire.ErrorMsg{Msg: fmt.Sprintf("threshold %d out of range", req.H)}.Append(nil)
 	}
-	pin, err := s.pin(req.Engine)
-	if err != nil {
-		return wire.MsgError, wire.ErrorMsg{Msg: err.Error()}.Append(nil)
-	}
+	// The wire's hints, which the parse has range-checked, are the planner's
+	// strategies shifted by one: none lets each segment's plan decide
+	// (planner.UsePlan), and ha, mih or scan runs on every planned segment.
+	pin := planner.Strategy(req.Engine - wire.EngineHA)
 	s.queries.Add(int64(len(req.Queries)))
 	resp := wire.SearchResp{IDs: make([][]int, len(req.Queries))}
 	returned := int64(0)
@@ -746,23 +739,19 @@ func (s *Server) runBatch(first *searcherSet, n int, tr *obs.Trace, run func(set
 	var wg sync.WaitGroup
 	work := func(sr *searcherSet) {
 		sr.ids = sr.ids[:0]
-		var agg core.SearchStats
 		for {
 			i := int(cursor.Add(1)) - 1
 			if i >= n {
 				break
 			}
 			stats := run(sr, i)
-			agg.Add(stats)
 			// Per-search cost distributions: how much index work one
-			// query did, the core.SearchStats flow into the registry.
+			// query did, the core.SearchStats flow into the registry, whose
+			// sums are the totals Stats reports.
 			s.histDist.Record(int64(stats.DistanceComputations))
 			s.histNodes.Record(int64(stats.NodesVisited))
 			s.histLeaves.Record(int64(stats.LeavesChecked))
 		}
-		s.distComps.Add(int64(agg.DistanceComputations))
-		s.nodesVisited.Add(int64(agg.NodesVisited))
-		s.leavesChecked.Add(int64(agg.LeavesChecked))
 	}
 extras:
 	for len(held) < n {

@@ -488,7 +488,7 @@ func TestServerDebugEndpoint(t *testing.T) {
 	}
 }
 
-// TestServerEngineRouting starts an -engine auto server and checks that
+// TestServerEngineRouting starts a server and checks that
 // every access path — the planner's choice and all three forced hints —
 // returns exactly the local oracle's answer, and that the routing shows up
 // in the shard's per-engine counters and latency histograms, one count per
@@ -555,7 +555,7 @@ func TestServerEngineRouting(t *testing.T) {
 	}
 }
 
-// TestServerAutoRoutingHoldsStill: an -engine auto shard decides each
+// TestServerAutoRoutingHoldsStill: a planned shard decides each
 // threshold once, at load, so 200 requests at one h from two connections
 // all take the same path — exactly one lsm.search_{ha,mih,scan} counter moves.
 func TestServerAutoRoutingHoldsStill(t *testing.T) {
@@ -603,88 +603,91 @@ func TestServerAutoRoutingHoldsStill(t *testing.T) {
 	}
 }
 
-// TestServerEngineValidation covers the refusal paths: mih and scan hints
-// on a shard with no planned segment — an -engine ha one, or a mutable one
-// before its first seal — and bad Engine options at construction — "mih"
-// and "scan" among them, since an engine is pinned per request, by the
-// hint, not per server.
+// TestServerEngineValidation covers the construction rules — Options.Engine
+// is "" or "auto" and nothing else, "ha", "mih" and "scan" included, since
+// an engine is pinned per request, by the hint, not per server; NewMutable
+// takes "auto" and refuses a read-only shard — and that a server answers
+// every hint from its first request: a zero-Options one, and a mutable one
+// that has never been written, with the oracle's ids.
 func TestServerEngineValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	meta, idx, codes := testShard(t, rng, 200, 16, 2, 0)
 
-	// Any Options.Engine but ha and auto is a construction error.
-	for _, engine := range []string{"warp", "mih", "scan"} {
+	for _, engine := range []string{"warp", "ha", "mih", "scan"} {
 		if _, err := New(meta, idx, Options{Engine: engine}); err == nil {
 			t.Fatalf("engine option %q accepted", engine)
 		}
-	}
-
-	// A plain "ha" server refuses mih/scan hints (engines not built).
-	s := startTestServer(t, meta, idx, Options{})
-	c := dialTest(t, s)
-	c.hello()
-	req := wire.SearchReq{H: 2, Engine: wire.EngineMIH, Queries: codes[:1]}.Append(nil)
-	if rt, _ := c.roundTrip(wire.MsgSearch, req); rt != wire.MsgError {
-		t.Fatalf("mih hint on ha-only server answered %s", rt)
-	}
-	// An explicit ha hint is always honored.
-	req = wire.SearchReq{H: 2, Engine: wire.EngineHA, Queries: codes[:1]}.Append(nil)
-	if rt, _ := c.roundTrip(wire.MsgSearch, req); rt != wire.MsgSearchOK {
-		t.Fatalf("ha hint answered %s", rt)
+		// Refused before the load: the file does not exist.
+		if _, err := LoadSnapshotFile(filepath.Join(t.TempDir(), "missing"), Options{Engine: engine}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+			t.Fatalf("LoadSnapshotFile with engine option %q: %v", engine, err)
+		}
+		if _, err := NewMutable(meta, lsm.New(16, lsm.Options{}), Options{Engine: engine}); err == nil {
+			t.Fatalf("engine option %q accepted by NewMutable", engine)
+		}
 	}
 
 	// NewMutable refuses a read-only shard: the shard decides whether the
 	// mutation frames are served.
-	if _, err := NewMutable(meta, lsm.Frozen(idx, false, lsm.Options{}), Options{}); err == nil {
+	if _, err := NewMutable(meta, lsm.Frozen(idx, lsm.Options{}), Options{}); err == nil {
 		t.Fatal("mutable server accepted a read-only shard")
 	}
 
-	// A mutable server accepts Engine "ha" only: its shard plans each
-	// segment as it writes it.
 	sh := lsm.New(16, lsm.Options{})
 	if err := sh.Bootstrap(idx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMutable(meta, sh, Options{Engine: "auto"}); err == nil {
-		t.Fatal("mutable server accepted -engine auto")
-	}
-	ms, err := NewMutable(meta, sh, Options{})
+	ms, err := NewMutable(meta, sh, Options{Engine: "auto"})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("mutable server refused engine auto: %v", err)
 	}
 	if err := ms.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ms.Close() })
-	mc := dialTest(t, ms)
-	mc.hello()
-	// Before its first seal no segment is planned: a mih or scan pin is
-	// refused, as on an -engine ha shard, and an ha pin or none is served.
-	for _, hint := range []int{wire.EngineMIH, wire.EngineScan} {
-		req = wire.SearchReq{H: 2, Engine: hint, Queries: codes[:1]}.Append(nil)
-		if rt, _ := mc.roundTrip(wire.MsgSearch, req); rt != wire.MsgError {
-			t.Fatalf("%s pin on a mutable shard with no planned segment answered %s", wire.EngineName(hint), rt)
-		}
-	}
-	for _, hint := range []int{wire.EngineHA, wire.EngineAuto} {
-		req = wire.SearchReq{H: 2, Engine: hint, Queries: codes[:1]}.Append(nil)
-		if rt, _ := mc.roundTrip(wire.MsgSearch, req); rt != wire.MsgSearchOK {
-			t.Fatalf("%s pin on a mutable shard answered %s", wire.EngineName(hint), rt)
+
+	oracle := core.NewSearcher(idx)
+	for name, s := range map[string]*Server{"zero-Options": startTestServer(t, meta, idx, Options{}), "fresh mutable": ms} {
+		c := dialTest(t, s)
+		c.hello()
+		for _, hint := range []int{wire.EngineAuto, wire.EngineHA, wire.EngineMIH, wire.EngineScan} {
+			req := wire.SearchReq{H: 2, Engine: hint, Queries: codes[:8]}.Append(nil)
+			rt, resp := c.roundTrip(wire.MsgSearch, req)
+			if rt != wire.MsgSearchOK {
+				t.Fatalf("%s server: %s hint answered %s", name, wire.EngineName(hint), rt)
+			}
+			parsed, err := wire.ParseSearchResp(resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range codes[:8] {
+				want := append([]int(nil), oracle.Search(q, 2)...)
+				sort.Ints(want)
+				if !slices.Equal(parsed.IDs[i], want) {
+					t.Fatalf("%s server: %s hint, query %d: %v, the oracle %v", name, wire.EngineName(hint), i, parsed.IDs[i], want)
+				}
+			}
 		}
 	}
 }
 
-// TestMutableSearchRunsNoPlanner: a mutable shard runs no planner before its
-// first seal, so k searches of two queries run its bootstrapped segment
-// through HA alone — lsm.search_ha counts and times 2k segment searches, the
-// MIH and scan instruments stay at 0 — while req.search_ns times all k.
-func TestMutableSearchRunsNoPlanner(t *testing.T) {
+// TestMutableSearchCountsSegmentSearches: a mutable shard plans its
+// bootstrapped segment before it is ever sealed, so k searches of two
+// queries at one h run that segment through the one engine its plan picks
+// there — that engine's lsm.search_* counter and _ns histogram hold 2k
+// segment searches, the other two engines' stay at 0 — while req.search_ns
+// times all k requests.
+func TestMutableSearchCountsSegmentSearches(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	meta, idx, codes := testShard(t, rng, 300, 16, 1, 0)
 	reg := obs.NewRegistry()
 	sh := lsm.New(16, lsm.Options{MemtableMax: -1, Obs: reg})
 	if err := sh.Bootstrap(idx); err != nil {
 		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); reg.Gauge("lsm.unplanned_segments").Value() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the bootstrapped segment is unplanned after 30s")
+		}
 	}
 	sh.Insert(1000, codes[3]) // one row in the memtable, the rest in a segment
 	ms, err := NewMutable(meta, sh, Options{Searchers: 2, Obs: reg})
@@ -708,13 +711,18 @@ func TestMutableSearchRunsNoPlanner(t *testing.T) {
 	// stats round trip on the same connection puts the last sample in.
 	c.roundTrip(wire.MsgStats, nil)
 	snap := ms.Obs().Snapshot()
-	for name, want := range map[string]int64{"ha": 2 * k, "mih": 0, "scan": 0} {
-		if n := snap.Counters["lsm.search_"+name]; n != want {
-			t.Fatalf("lsm.search_%s = %d after %d searches of an unplanned shard, want %d", name, n, k, want)
+	ran := 0
+	for _, name := range []string{"ha", "mih", "scan"} {
+		n, samples := snap.Counters["lsm.search_"+name], snap.Histograms["lsm.search_"+name+"_ns"].Count
+		if n != samples || (n != 0 && n != 2*k) {
+			t.Fatalf("lsm.search_%s = %d with %d _ns samples after %d searches of two queries, want 0 or %d of each", name, n, samples, k, 2*k)
 		}
-		if n := snap.Histograms["lsm.search_"+name+"_ns"].Count; n != want {
-			t.Fatalf("lsm.search_%s_ns holds %d samples after %d searches of an unplanned shard, want %d", name, n, k, want)
+		if n != 0 {
+			ran++
 		}
+	}
+	if ran != 1 {
+		t.Fatalf("%d engines ran the planned segment at one h, want 1: %v", ran, snap.Counters)
 	}
 	if n := snap.Histograms["req.search_ns"].Count; n != k {
 		t.Fatalf("req.search_ns holds %d samples, want %d", n, k)
@@ -722,7 +730,8 @@ func TestMutableSearchRunsNoPlanner(t *testing.T) {
 }
 
 // TestLoadSnapshotFileMmap: a snapshot served with Options.Mmap aliases its
-// arena out of the file (mapped_bytes > 0, heap_bytes == 0), answers exactly
+// arena out of the file (mapped_bytes > 0, and its only heap bytes are the
+// planned MIH's key tables: heap_bytes == aux_heap_bytes), answers exactly
 // like an eager load, and releases the mapping on Close; without the option
 // the same file is decoded onto the heap.
 func TestLoadSnapshotFileMmap(t *testing.T) {
@@ -749,8 +758,8 @@ func TestLoadSnapshotFileMmap(t *testing.T) {
 	g := s.Obs().Snapshot().Gauges
 	fz := s.owned
 	if fz.MappedBytes() > 0 { // zero-copy path available on this platform
-		if g["index.mapped_bytes"] == 0 || g["index.heap_bytes"] != 0 {
-			t.Fatalf("gauges mapped=%d heap=%d on an mmap'd shard", g["index.mapped_bytes"], g["index.heap_bytes"])
+		if g["index.mapped_bytes"] == 0 || g["index.heap_bytes"] != g["index.aux_heap_bytes"] {
+			t.Fatalf("gauges mapped=%d heap=%d aux=%d on an mmap'd shard", g["index.mapped_bytes"], g["index.heap_bytes"], g["index.aux_heap_bytes"])
 		}
 	} else if g["index.heap_bytes"] == 0 {
 		t.Fatalf("eager fallback shard reports zero heap bytes")

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -105,81 +106,102 @@ func writeSnapshotHeader(w io.Writer, meta SnapshotMeta, indexLength int) error 
 	return err
 }
 
-// readSnapshotHeader parses the HASN magic, version, and shard metadata, and
-// consumes the alignment pad, leaving br at the embedded arena. A version
-// other than the one this build writes is refused before anything past the
-// version varint is read.
-func readSnapshotHeader(br *bufio.Reader) (SnapshotMeta, error) {
+// readSnapshotHeader parses the HASN magic, version, and shard metadata at
+// the start of r, and returns them with the offset of the embedded arena,
+// past the alignment pad, which must be 8-aligned. A version other than the
+// one this build writes is refused before anything past the version varint
+// is read.
+func readSnapshotHeader(r io.Reader) (SnapshotMeta, int64, error) {
+	cr := &countingReader{r: r}
+	br := bufio.NewReader(cr)
 	var meta SnapshotMeta
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return meta, fmt.Errorf("wire: reading snapshot magic: %w", err)
+		return meta, 0, fmt.Errorf("wire: reading snapshot magic: %w", err)
 	}
 	if string(magic) != snapshotMagic {
-		return meta, fmt.Errorf("wire: bad snapshot magic %q", magic)
+		return meta, 0, fmt.Errorf("wire: bad snapshot magic %q", magic)
 	}
 	readU := func() (uint64, error) { return binary.ReadUvarint(br) }
 	version, err := readU()
 	if err != nil {
-		return meta, err
+		return meta, 0, err
 	}
 	if version != snapshotVersion {
-		return meta, fmt.Errorf("wire: unsupported snapshot version %d (this build reads version %d)", version, snapshotVersion)
+		return meta, 0, fmt.Errorf("wire: unsupported snapshot version %d (this build reads version %d)", version, snapshotVersion)
 	}
 	var part, parts, length, npiv uint64
 	for _, dst := range []*uint64{&part, &parts, &length, &npiv} {
 		if *dst, err = readU(); err != nil {
-			return meta, err
+			return meta, 0, err
 		}
 	}
 	meta.Part, meta.Parts, meta.Length = int(part), int(parts), int(length)
 	if meta.Length <= 0 || meta.Length > 1<<20 {
-		return meta, fmt.Errorf("wire: implausible snapshot code length %d", meta.Length)
+		return meta, 0, fmt.Errorf("wire: implausible snapshot code length %d", meta.Length)
 	}
 	if npiv > uint64(meta.Parts) {
-		return meta, fmt.Errorf("wire: snapshot pivot count %d exceeds partitions %d", npiv, meta.Parts)
+		return meta, 0, fmt.Errorf("wire: snapshot pivot count %d exceeds partitions %d", npiv, meta.Parts)
 	}
 	codeBytes := make([]byte, bitvec.EncodedLen(meta.Length))
 	for i := uint64(0); i < npiv; i++ {
 		if _, err := io.ReadFull(br, codeBytes); err != nil {
-			return meta, fmt.Errorf("wire: reading snapshot pivot %d: %w", i, err)
+			return meta, 0, fmt.Errorf("wire: reading snapshot pivot %d: %w", i, err)
 		}
 		c, _, err := bitvec.CodeFromBytes(codeBytes, meta.Length)
 		if err != nil {
-			return meta, err
+			return meta, 0, err
 		}
 		meta.Pivots = append(meta.Pivots, c)
 	}
 	if err := meta.validate(); err != nil {
-		return meta, err
+		return meta, 0, err
 	}
 	padLen, err := br.ReadByte()
 	if err != nil {
-		return meta, fmt.Errorf("wire: reading snapshot pad: %w", err)
+		return meta, 0, fmt.Errorf("wire: reading snapshot pad: %w", err)
 	}
 	if padLen > 7 {
-		return meta, fmt.Errorf("wire: snapshot pad length %d out of range", padLen)
+		return meta, 0, fmt.Errorf("wire: snapshot pad length %d out of range", padLen)
 	}
 	if _, err := io.CopyN(io.Discard, br, int64(padLen)); err != nil {
-		return meta, fmt.Errorf("wire: skipping snapshot pad: %w", err)
+		return meta, 0, fmt.Errorf("wire: skipping snapshot pad: %w", err)
 	}
-	return meta, nil
+	off := cr.n - int64(br.Buffered())
+	if off%8 != 0 {
+		return meta, 0, fmt.Errorf("wire: snapshot arena at unaligned offset %d", off)
+	}
+	return meta, off, nil
 }
 
-// ReadSnapshot parses a snapshot: header, then the embedded arena decoded
-// eagerly onto the heap (use MapSnapshotFile for the zero-copy load).
-// Corrupt input returns an error, never panics.
+// ReadSnapshot parses a snapshot onto the heap (use MapSnapshotFile for the
+// zero-copy load): the input is read to its end and the index aliases the
+// arena inside that buffer. Corrupt input returns an error, never panics.
 func ReadSnapshot(r io.Reader) (SnapshotMeta, *core.FrozenIndex, error) {
-	br := bufio.NewReader(r)
-	meta, err := readSnapshotHeader(br)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return SnapshotMeta{}, nil, fmt.Errorf("wire: reading snapshot: %w", err)
+	}
+	return decodeSnapshot(data)
+}
+
+// ReadSnapshotFile loads a snapshot from disk onto the heap: the file is read
+// once, into a buffer of its size, which the index then aliases.
+func ReadSnapshotFile(path string) (SnapshotMeta, *core.FrozenIndex, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return SnapshotMeta{}, nil, err
+	}
+	return decodeSnapshot(data)
+}
+
+// decodeSnapshot parses a whole snapshot image; the index aliases data.
+func decodeSnapshot(data []byte) (SnapshotMeta, *core.FrozenIndex, error) {
+	meta, off, err := readSnapshotHeader(bytes.NewReader(data))
 	if err != nil {
 		return meta, nil, err
 	}
-	arena, err := io.ReadAll(br)
-	if err != nil {
-		return meta, nil, fmt.Errorf("wire: reading snapshot index: %w", err)
-	}
-	idx, err := core.DecodeArenaBytes(arena, false)
+	idx, err := core.DecodeArenaBytes(data[off:])
 	if err != nil {
 		return meta, nil, fmt.Errorf("wire: snapshot index: %w", err)
 	}
@@ -187,16 +209,6 @@ func ReadSnapshot(r io.Reader) (SnapshotMeta, *core.FrozenIndex, error) {
 		return meta, nil, fmt.Errorf("wire: snapshot index is %d-bit, header says %d", idx.Length(), meta.Length)
 	}
 	return meta, idx, nil
-}
-
-// ReadSnapshotFile loads a snapshot from disk.
-func ReadSnapshotFile(path string) (SnapshotMeta, *core.FrozenIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return SnapshotMeta{}, nil, err
-	}
-	defer f.Close()
-	return ReadSnapshot(f)
 }
 
 // countingReader tracks how many bytes have been pulled from the underlying
@@ -221,16 +233,10 @@ func MapSnapshotFile(path string) (SnapshotMeta, *core.FrozenIndex, error) {
 	if err != nil {
 		return SnapshotMeta{}, nil, err
 	}
-	defer f.Close()
-	cr := &countingReader{r: f}
-	br := bufio.NewReader(cr)
-	meta, err := readSnapshotHeader(br)
+	meta, off, err := readSnapshotHeader(f)
+	f.Close() // the header is all it reads; MapFrozenAt maps the path
 	if err != nil {
 		return meta, nil, err
-	}
-	off := cr.n - int64(br.Buffered())
-	if off%8 != 0 {
-		return meta, nil, fmt.Errorf("wire: snapshot arena at unaligned offset %d", off)
 	}
 	idx, err := core.MapFrozenAt(path, off)
 	if err != nil {

@@ -13,16 +13,17 @@
 # With SMOKE_DEBUG=1 (make debug-smoke), shard 0 also binds its HTTP debug
 # endpoint; after the queries run, /debug/obs is fetched and must report a
 # non-empty request-latency histogram, nonzero request/fault counters, and —
-# since haserve defaults to -engine auto — nonzero engine-routed segment
+# since haserve plans every segment — nonzero engine-routed segment
 # search counters (lsm.search_*) plus per-engine latency samples, a nonzero
 # shed counter from the repeat pass, an mmap-backed index whose only heap is
 # the auxiliary engines', and the load-phase gauges.
 #
 # With SMOKE_LSM=1 (make lsm-smoke), the snapshots are additionally served
-# by mutable (LSM) shards, and insert -> seal -> compact -> upsert -> delete
-# are driven through haquery with searches verifying every step; mutable
-# shards' /debug/obs must then show segment searches run through MIH, and
-# searches pinned to MIH and to the scan must match the oracle.
+# by mutable (LSM) shards: searches pinned to MIH and to the scan must match
+# the oracle before any write, then insert -> seal -> compact -> upsert ->
+# delete are driven through haquery with searches verifying every step;
+# mutable shards' /debug/obs must then show the search after the seal run
+# through MIH, and pinned searches must match the oracle again.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -100,7 +101,7 @@ if [ "$SMOKE_DEBUG" = "1" ]; then
     FAULTS=$(sed -n 's/^ *"faults_injected": \([0-9]*\).*/\1/p' "$WORK/obs.json" | head -n 1)
     [ -n "$FAULTS" ] && [ "$FAULTS" -gt 0 ] || {
         echo "smoke: debug snapshot reports no injected faults" >&2; exit 1; }
-    # haserve defaults to -engine auto, so every search must leave an
+    # haserve plans every segment, so every search must leave an
     # engine-routed segment search count and a per-engine latency histogram
     # behind.
     ROUTED=$(grep -o '"lsm\.search_[a-z]*": [0-9]*' "$WORK/obs.json" \
@@ -117,8 +118,8 @@ if [ "$SMOKE_DEBUG" = "1" ]; then
         echo "smoke: debug snapshot reports no shed requests" >&2; exit 1; }
     # haidx shard writes v4 (mmap-native) snapshots and haserve defaults to
     # -mmap, so the served index must be page-cache-backed: the whole arena
-    # in index.mapped_bytes. The default -engine auto adds MIH's key tables
-    # and nothing else, so every heap byte the index holds must be accounted
+    # in index.mapped_bytes. The segment's plan adds MIH's key tables and
+    # nothing else, so every heap byte the index holds must be accounted
     # to the auxiliary engines — the arena itself contributes none. (On a
     # platform without the mmap fast path the eager fallback would put the
     # arena in index.heap_bytes and fail the equality.)
@@ -131,7 +132,7 @@ if [ "$SMOKE_DEBUG" = "1" ]; then
     [ "$MAPPED" -gt 0 ] || {
         echo "smoke: served shard is not mmap-backed (index.mapped_bytes=$MAPPED)" >&2; exit 1; }
     [ "$AUX" -gt 0 ] || {
-        echo "smoke: -engine auto shard reports no auxiliary-engine heap" >&2; exit 1; }
+        echo "smoke: planned shard reports no auxiliary-engine heap" >&2; exit 1; }
     [ "$HEAP" -eq "$AUX" ] || {
         echo "smoke: mmap-backed shard holds $HEAP heap bytes, only $AUX of them the auxiliary engines'" >&2; exit 1; }
     # The load phases must be on the registry, and the planner's counted
@@ -169,10 +170,26 @@ if [ "$SMOKE_LSM" = "1" ]; then
     done
     MADDR="$(cat "$WORK/m0.addr"),$(cat "$WORK/m1.addr")"
 
-    echo "smoke: mutable tier must still match the oracle before any mutation"
-    "$WORK/bin/haquery" -shards "$MADDR" \
-        -codes-file "$WORK/shards/codes.txt" -rows 0-49 -h 3 -topk 5 \
-        -oracle "$WORK/shards"
+    # A never-written shard serves every hint: its snapshot's segment is
+    # planned as the shard starts, and HA answers for it only until then.
+    for engine in auto mih scan; do
+        echo "smoke: mutable tier under -engine $engine must match the oracle before any mutation"
+        "$WORK/bin/haquery" -shards "$MADDR" -engine "$engine" \
+            -codes-file "$WORK/shards/codes.txt" -rows 0-49 -h 3 -topk 5 \
+            -oracle "$WORK/shards"
+    done
+
+    # mih_searches sums lsm.search_mih over both mutable shards.
+    mih_searches() {
+        total=0
+        for m in m0 m1; do
+            fetch_obs "$(cat "$WORK/$m.debug")" "$WORK/$m.obs.json" >&2
+            n=$(sed -n 's/^ *"lsm.search_mih": \([0-9]*\).*/\1/p' "$WORK/$m.obs.json" | head -n 1)
+            [ -n "$n" ] || { echo "smoke: $m's debug snapshot has no lsm.search_mih counter" >&2; exit 1; }
+            total=$((total + n))
+        done
+        echo "$total"
+    }
 
     # Two distinct codes from the dataset: the insert target and the upsert
     # destination (which may live in a different Gray partition).
@@ -187,22 +204,17 @@ if [ "$SMOKE_LSM" = "1" ]; then
 
     echo "smoke: seal + compact, tuple must survive the frozen segments"
     "$WORK/bin/haquery" -shards "$MADDR" -seal-compact
+    BEFORE=$(mih_searches)
     "$WORK/bin/haquery" -shards "$MADDR" -codes "$C0" -h 0 -v | grep -q 90001 || {
         echo "smoke: tuple 90001 lost across seal+compact" >&2; exit 1; }
 
-    # The seal planned each shard's segment, and the h=0 search since must
-    # have run through MIH, which the counted plan picks at that size, on
-    # the shard the router sent it to.
-    MIH=0
-    for m in m0 m1; do
-        fetch_obs "$(cat "$WORK/$m.debug")" "$WORK/$m.obs.json"
-        n=$(sed -n 's/^ *"lsm.search_mih": \([0-9]*\).*/\1/p' "$WORK/$m.obs.json" | head -n 1)
-        [ -n "$n" ] || { echo "smoke: $m's debug snapshot has no lsm.search_mih counter" >&2; exit 1; }
-        MIH=$((MIH + n))
-    done
-    [ "$MIH" -gt 0 ] || {
+    # The compaction planned each shard's segment, and the h=0 search since
+    # must have run through MIH, which the counted plan picks at that size,
+    # on the shard the router sent it to.
+    MIH=$(mih_searches)
+    [ "$MIH" -gt "$BEFORE" ] || {
         echo "smoke: no segment search ran through MIH after the seal" >&2; exit 1; }
-    echo "smoke: lsm.search_mih=$MIH after the seal"
+    echo "smoke: lsm.search_mih $BEFORE -> $MIH across the search after the seal"
 
     echo "smoke: upsert moves the tuple to a new code"
     "$WORK/bin/haquery" -shards "$MADDR" -insert "90001:$C1"
