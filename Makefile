@@ -117,11 +117,14 @@ bench-startup:
 
 # Offline-pipeline microbenchmarks: the spectral-hash kernel, one map task's
 # per-record work (decode, hash, route, emit), and a join reducer's search (30k
-# probes in Gray blocks through a 30k-code forest of two parts, h=3), with
+# probes through a 30k-code forest of two parts, h=3): on spectral-hashed
+# NUS-WIDE-like codes, the HA block walk beside the planned search a job runs
+# (MIH built over the forest's leaf arena and the plan counted, then the
+# planned engine), and on clustered codes the block walk alone; with
 # allocation counts.
 bench-offline:
 	$(GO) test -run=NONE -bench='SpectralHash' -benchmem ./internal/hash/
-	$(GO) test -run=NONE -bench='RouteMapper' -benchmem ./internal/mrjoin/
+	$(GO) test -run=NONE -bench='RouteMapper|JoinReduce' -benchmem ./internal/mrjoin/
 	$(GO) test -run=NONE -bench='SearchBatchFrozen' -benchmem ./internal/core/
 
 # LSM microbenchmarks: one insert into a memtable filling to 4096 rows, one

@@ -2,7 +2,10 @@
 // two CSV datasets: preprocessing (sampling, hash learning, pivot
 // selection), global HA-Index construction, and the join itself (Option A
 // or B), or one of the distributed baselines (PMH, PGBJ). It reports result
-// size, shuffle and broadcast volumes, reducer skew, and per-phase times.
+// size, shuffle and broadcast volumes, reducer skew, and per-phase times;
+// for Options A and B, also the engine the reducers searched the global
+// index with, the counted plan that chose it, and what building MIH and the
+// plan took.
 //
 // Usage:
 //
@@ -15,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"haindex/internal/dataset"
@@ -134,6 +138,16 @@ func main() {
 	printMetrics("join", res.Metrics)
 	if res.PostJoin > 0 {
 		fmt.Printf("  post-join (id recovery): %v\n", res.PostJoin.Round(time.Microsecond))
+	}
+	// The reducers ran the forest's counted plan; the job built it.
+	rp, err := g.Plan()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	fmt.Printf("  reducers searched with %s: MIH build %v, plan %v\n",
+		res.Engine, rp.MIHBuild.Round(time.Microsecond), rp.Count.Round(time.Microsecond))
+	for _, line := range strings.Split(strings.TrimRight(rp.Explain(*h), "\n"), "\n") {
+		fmt.Printf("    %s\n", line)
 	}
 }
 

@@ -82,6 +82,7 @@ func FaultSweep(sc Scale) ([]Table, error) {
 			SampleRate: 0.1,
 			Threshold:  sc.Threshold,
 			Seed:       sc.Seed,
+			Engine:     reproEngine,
 			// Tight backoff keeps the sweep's injected retries from
 			// dominating a laptop-scale run.
 			Retry: mapreduce.RetryPolicy{Backoff: 100 * time.Microsecond},

@@ -11,6 +11,11 @@ import (
 	"haindex/internal/vector"
 )
 
+// reproEngine pins every join and select reducer of the reproduction to the
+// paper's method, the HA-Index walk, where a job would otherwise run the
+// forest's counted plan.
+const reproEngine = "ha"
+
 // joinCosts is the measured cost of one distributed join plan at one scale.
 type joinCosts struct {
 	shuffle int64 // shuffle + broadcast bytes, the Figure 7 metric
@@ -31,6 +36,7 @@ func runJoinSuite(base []vector.Vec, scale int, sc Scale) (map[string]joinCosts,
 		SampleRate: 0.1,
 		Threshold:  sc.Threshold,
 		Seed:       sc.Seed,
+		Engine:     reproEngine,
 	}
 	out := make(map[string]joinCosts)
 
@@ -165,6 +171,7 @@ func Fig10(sc Scale) ([]Table, error) {
 			SampleRate: rate,
 			Threshold:  sc.Threshold,
 			Seed:       sc.Seed,
+			Engine:     reproEngine,
 		}
 		pre, err := mrjoin.Preprocess(r, s, opt)
 		if err != nil {

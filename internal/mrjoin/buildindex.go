@@ -8,6 +8,8 @@ import (
 
 	"haindex/internal/core"
 	"haindex/internal/mapreduce"
+	"haindex/internal/mih"
+	"haindex/internal/planner"
 	"haindex/internal/vector"
 )
 
@@ -15,8 +17,8 @@ import (
 // with the cost of producing it.
 type GlobalIndex struct {
 	// Index is the forest of the partitions' arenas, laid in partition order:
-	// what the join and select reducers search, and its encoded size is what
-	// their broadcasts ship.
+	// what the join and select reducers search, by HA's walk or by the engine
+	// Plan picks over it, and its encoded size is what their broadcasts ship.
 	Index   *core.FrozenIndex
 	Metrics mapreduce.Metrics
 	Merge   time.Duration // laying the partition arenas into one forest
@@ -24,6 +26,61 @@ type GlobalIndex struct {
 	// moved through the distributed filesystem (zero without Options.FS).
 	DFSWritten int64
 	DFSRead    int64
+
+	planOnce sync.Once
+	plan     *ReducerPlan
+	planErr  error
+}
+
+// ReducerPlan is the engine choice every join and select reducer over one
+// global index shares: a counted plan over HA, MIH built on the forest's own
+// leaf arena, and the scan, with what building it took.
+type ReducerPlan struct {
+	*planner.Planner
+	MIHBuild time.Duration // MIH's tables over the forest's leaf arena
+	Count    time.Duration // planner.New's counted plan
+}
+
+// Plan returns the forest's reducer plan, built on first use and shared by
+// every later job over g. In-process, the one build stands for each node
+// building MIH from the broadcast arena: the broadcast stays the arena, so no
+// job ships MIH's tables. The seed is fixed, as every LSM segment's is, so the
+// same forest always gets the same plan.
+func (g *GlobalIndex) Plan() (*ReducerPlan, error) {
+	g.planOnce.Do(func() {
+		view := g.Index.Groups()
+		t0 := time.Now()
+		m, err := mih.FromGroups(view, mih.Options{})
+		if err != nil {
+			g.planErr = fmt.Errorf("mrjoin: MIH over the global index: %w", err)
+			return
+		}
+		t1 := time.Now()
+		pl, err := planner.New(planner.Engines{HA: g.Index, MIH: core.AsIndex(m), Groups: view}, planner.Options{Seed: 1})
+		if err != nil {
+			g.planErr = fmt.Errorf("mrjoin: planning the global index: %w", err)
+			return
+		}
+		g.plan = &ReducerPlan{Planner: pl, MIHBuild: t1.Sub(t0), Count: time.Since(t1)}
+	})
+	return g.plan, g.planErr
+}
+
+// searchIndex returns the index a reducer searches at threshold h under the
+// engine pin, and the strategy it serves. A pin to HA is the forest itself
+// and builds no plan; any other engine is the plan's.
+func (g *GlobalIndex) searchIndex(pin planner.Strategy, h int) (core.Index, planner.Strategy, error) {
+	if pin == planner.UseHA {
+		return g.Index, pin, nil
+	}
+	rp, err := g.Plan()
+	if err != nil {
+		return nil, pin, err
+	}
+	if pin == planner.UsePlan {
+		pin = rp.Plan(h).Strategy
+	}
+	return rp.Index(pin), pin, nil
 }
 
 // buildSeq disambiguates DFS paths across pipeline invocations sharing one

@@ -11,6 +11,7 @@ import (
 	"haindex/internal/core"
 	"haindex/internal/hash"
 	"haindex/internal/mapreduce"
+	"haindex/internal/planner"
 	"haindex/internal/vector"
 )
 
@@ -19,6 +20,10 @@ type JoinResult struct {
 	Pairs    []Pair
 	Metrics  mapreduce.Metrics
 	PostJoin time.Duration // Option B's id-recovery join
+	// Engine is the engine the reducers searched R's forest with — "ha",
+	// "mih" or "scan" — pinned by Options.Engine or planned. PMHJoin, whose
+	// reducers probe a MultiHashTable, leaves it empty.
+	Engine string
 }
 
 // decodePairs converts the reduce output into result pairs.
@@ -30,13 +35,34 @@ func decodePairs(out []mapreduce.KV) []Pair {
 	return pairs
 }
 
+// jobEngine checks a join or select job's options and returns its engine
+// pin (planner.UsePlan for none).
+func jobEngine(pre *Preprocessed, opt Options) (planner.Strategy, error) {
+	if err := checkBits(pre, opt); err != nil {
+		return 0, err
+	}
+	return opt.strategy()
+}
+
+// engineRan names the engine the job's reducers searched g with under pin.
+func engineRan(g *GlobalIndex, pin planner.Strategy, h int) string {
+	if _, s, err := g.searchIndex(pin, h); err == nil {
+		return s.String()
+	}
+	return ""
+}
+
 // matchReducer is the reduce side of Option A and of the select job: batch
-// the key group's queries through the shared read-only forest, which
-// core.SearchBatch walks a Gray-ordered block of queries at a time, and emit
-// one (match id, query id) record per result — or (query id, match id) when
-// queryFirst — in record order, out of one slab.
-func matchReducer(idx core.Index, opt Options, queryFirst bool) mapreduce.ReduceFunc {
+// the key group's queries through the engine pin names over the shared
+// read-only forest — or through the forest's plan at the threshold — with
+// core.SearchBatch, and emit one (match id, query id) record per result — or
+// (query id, match id) when queryFirst — in record order, out of one slab.
+func matchReducer(g *GlobalIndex, pin planner.Strategy, opt Options, queryFirst bool) mapreduce.ReduceFunc {
 	return func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
+		idx, _, err := g.searchIndex(pin, opt.Threshold)
+		if err != nil {
+			return err
+		}
 		qids, queries, err := decodeIDCodeBatch(values, opt.Bits)
 		if err != nil {
 			return err
@@ -71,7 +97,8 @@ func matchReducer(idx core.Index, opt Options, queryFirst bool) mapreduce.Reduce
 // pivots and every reducer joins its partition against the replicated index.
 func HammingJoinA(s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt Options) (*JoinResult, error) {
 	opt = opt.withDefaults()
-	if err := checkBits(pre, opt); err != nil {
+	pin, err := jobEngine(pre, opt)
+	if err != nil {
 		return nil, err
 	}
 	cfg := mapreduce.Config{
@@ -85,20 +112,21 @@ func HammingJoinA(s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt Options
 			{Name: "pivots", Size: pivotsSize(pre)},
 		},
 		Map:    routeMapper(pre, 0),
-		Reduce: matchReducer(g.Index, opt, false),
+		Reduce: matchReducer(g, pin, opt, false),
 	}
 	opt.applyRuntime(&cfg)
 	out, metrics, err := mapreduce.Run(cfg, VecInput(s))
 	if err != nil {
 		return nil, fmt.Errorf("mrjoin: join job (option A): %w", err)
 	}
-	return &JoinResult{Pairs: decodePairs(out), Metrics: metrics}, nil
+	return &JoinResult{Pairs: decodePairs(out), Metrics: metrics, Engine: engineRan(g, pin, opt.Threshold)}, nil
 }
 
 // leaflessJoin runs Option B's join job under the given name: a leafless
-// index is broadcast, and reducers emit (qualifying binary code, sid) records
-// for a later join against R's code→id table to turn into pairs.
-func leaflessJoin(name string, s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt Options) ([]mapreduce.KV, mapreduce.Metrics, error) {
+// index is broadcast, and reducers search it as matchReducer does and emit
+// (qualifying binary code, sid) records for a later join against R's code→id
+// table to turn into pairs.
+func leaflessJoin(name string, s []vector.Vec, g *GlobalIndex, pre *Preprocessed, pin planner.Strategy, opt Options) ([]mapreduce.KV, mapreduce.Metrics, error) {
 	codeLen := bitvec.EncodedLen(opt.Bits)
 	cfg := mapreduce.Config{
 		Name:      name,
@@ -112,11 +140,15 @@ func leaflessJoin(name string, s []vector.Vec, g *GlobalIndex, pre *Preprocessed
 		},
 		Map: routeMapper(pre, 0),
 		Reduce: func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
+			idx, _, err := g.searchIndex(pin, opt.Threshold)
+			if err != nil {
+				return err
+			}
 			sids, queries, err := decodeIDCodeBatch(values, opt.Bits)
 			if err != nil {
 				return err
 			}
-			results, _ := core.SearchCodesBatch(g.Index, queries, opt.Threshold, opt.SearchWorkers)
+			results, _ := core.SearchCodesBatch(idx, queries, opt.Threshold, opt.SearchWorkers)
 			var recs slab
 			for i, qcs := range results {
 				for _, qc := range qcs {
@@ -136,10 +168,11 @@ func leaflessJoin(name string, s []vector.Vec, g *GlobalIndex, pre *Preprocessed
 // code→id table recovers the tuple ids.
 func HammingJoinB(s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt Options) (*JoinResult, error) {
 	opt = opt.withDefaults()
-	if err := checkBits(pre, opt); err != nil {
+	pin, err := jobEngine(pre, opt)
+	if err != nil {
 		return nil, err
 	}
-	out, metrics, err := leaflessJoin("mrha-join-b", s, g, pre, opt)
+	out, metrics, err := leaflessJoin("mrha-join-b", s, g, pre, pin, opt)
 	if err != nil {
 		return nil, fmt.Errorf("mrjoin: join job (option B): %w", err)
 	}
@@ -163,7 +196,7 @@ func HammingJoinB(s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt Options
 			pairs = append(pairs, Pair{RID: rid, SID: sid})
 		}
 	}
-	return &JoinResult{Pairs: pairs, Metrics: metrics, PostJoin: time.Since(t0)}, nil
+	return &JoinResult{Pairs: pairs, Metrics: metrics, PostJoin: time.Since(t0), Engine: engineRan(g, pin, opt.Threshold)}, nil
 }
 
 // PMHJoin is the parallel MultiHashTable baseline (Manku et al. extended to

@@ -17,11 +17,12 @@ import (
 // key group.
 func HammingJoinBLarge(r, s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt Options) (*JoinResult, error) {
 	opt = opt.withDefaults()
-	if err := checkBits(pre, opt); err != nil {
+	pin, err := jobEngine(pre, opt)
+	if err != nil {
 		return nil, err
 	}
 	// Stage 1: HammingJoinB's join job — emit (code, sid).
-	stage1, metrics, err := leaflessJoin("mrha-join-b-stage1", s, g, pre, opt)
+	stage1, metrics, err := leaflessJoin("mrha-join-b-stage1", s, g, pre, pin, opt)
 	if err != nil {
 		return nil, fmt.Errorf("mrjoin: join job (option B large): %w", err)
 	}
@@ -82,5 +83,5 @@ func HammingJoinBLarge(r, s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt
 		return nil, fmt.Errorf("mrjoin: option B hash-join job: %w", err)
 	}
 	metrics.Add(m2)
-	return &JoinResult{Pairs: decodePairs(out), Metrics: metrics}, nil
+	return &JoinResult{Pairs: decodePairs(out), Metrics: metrics, Engine: engineRan(g, pin, opt.Threshold)}, nil
 }

@@ -30,6 +30,7 @@ import (
 	"haindex/internal/histo"
 	"haindex/internal/mapreduce"
 	"haindex/internal/obs"
+	"haindex/internal/planner"
 	"haindex/internal/vector"
 )
 
@@ -45,8 +46,8 @@ type Options struct {
 
 	// SearchWorkers is the per-reducer query-engine parallelism: each join
 	// or select reducer drains its query partition through a
-	// core.SearchBatch worker pool over the shared broadcast index instead
-	// of searching serially. 0 selects GOMAXPROCS; 1 forces serial search.
+	// core.SearchBatch worker pool over the engine Engine names instead of
+	// searching serially. 0 selects GOMAXPROCS; 1 forces serial search.
 	SearchWorkers int
 
 	// FS, when set, routes the per-partition local indexes through the
@@ -69,6 +70,13 @@ type Options struct {
 	// per-phase wall times and per-task latency distributions accumulate
 	// across the pipeline's jobs; see mapreduce.Config.Obs.
 	Obs *obs.Registry
+
+	// Engine is the engine every join and select reducer searches the
+	// broadcast forest with: "" or "auto" runs the forest's counted plan at
+	// Threshold (GlobalIndex.Plan: HA, MIH over the forest's leaf arena, or
+	// the scan); "ha", "mih" or "scan" pins that engine, spelled as
+	// planner.ParseStrategy reads it. The paper's reproduction pins "ha".
+	Engine string
 }
 
 // applyRuntime threads the failure-model and observability knobs into one
@@ -291,6 +299,18 @@ func decodeIDCodeBatch(values [][]byte, bits int) ([]int, []bitvec.Code, error) 
 		ids[i], codes[i] = decodeID(v), c
 	}
 	return ids, codes, nil
+}
+
+// strategy is the engine pin Engine names, planner.UsePlan for none.
+func (o Options) strategy() (planner.Strategy, error) {
+	if o.Engine == "" || o.Engine == "auto" {
+		return planner.UsePlan, nil
+	}
+	s, err := planner.ParseStrategy(o.Engine)
+	if err != nil {
+		return 0, fmt.Errorf("mrjoin: %w", err)
+	}
+	return s, nil
 }
 
 // checkBits guards against a silent reinterpretation hazard: codes are

@@ -95,6 +95,10 @@ func (h *Histogram) RecordSince(t0 time.Time) {
 // Count returns the number of recorded values.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
+// Sum returns the sum of the recorded values, without the bucket list a
+// Snapshot allocates.
+func (h *Histogram) Sum() int64 { return h.sum.Load() }
+
 // Snapshot captures the histogram's current state. Snapshots are plain
 // values: mergeable, JSON-encodable, and independent of the live histogram.
 func (h *Histogram) Snapshot() HistSnapshot {

@@ -108,6 +108,22 @@ func TestHistogramRecordAndQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramSumIsSnapshotSum: Sum and Count read the totals a Snapshot
+// reports, and neither allocates — a stats read takes them per frame.
+func TestHistogramSumIsSnapshotSum(t *testing.T) {
+	h := NewHistogram()
+	for v := int64(0); v < 3000; v += 7 {
+		h.Record(v * v)
+		if s := h.Snapshot(); h.Sum() != s.Sum || h.Count() != s.Count {
+			t.Fatalf("Sum %d Count %d, snapshot %+v", h.Sum(), h.Count(), s)
+		}
+	}
+	var sum int64
+	if allocs := testing.AllocsPerRun(100, func() { sum += h.Sum() + h.Count() }); allocs != 0 {
+		t.Fatalf("Sum and Count allocate %.1f times a read", allocs)
+	}
+}
+
 func TestHistSnapshotMerge(t *testing.T) {
 	a, b := NewHistogram(), NewHistogram()
 	for v := int64(0); v < 100; v++ {

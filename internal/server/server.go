@@ -382,9 +382,9 @@ func (s *Server) Stats() Stats {
 		IDsReturned:          s.idsReturned.Load(),
 		Errors:               s.errCount.Value(),
 		FaultsInjected:       s.faultCount.Value(),
-		DistanceComputations: s.histDist.Snapshot().Sum,
-		NodesVisited:         s.histNodes.Snapshot().Sum,
-		LeavesChecked:        s.histLeaves.Snapshot().Sum,
+		DistanceComputations: s.histDist.Sum(),
+		NodesVisited:         s.histNodes.Sum(),
+		LeavesChecked:        s.histLeaves.Sum(),
 		LatencyP50Ns:         lat.P50(),
 		LatencyP95Ns:         lat.P95(),
 		LatencyP99Ns:         lat.P99(),
