@@ -25,8 +25,10 @@
 // all three engines (HA walk, multi-index hashing, brute scan) serve it, and
 // a counted cost-based plan routes each request among them. Multi-index
 // hashing and the scan read the segment's own leaf arena, so they add only
-// MIH's key tables to the heap. At 150k codes a shard loads in about 25 ms on
-// a 2-core host: MIH's tables are counted into place in two passes, and the
+// MIH's key tables to the heap. A shard serves once its snapshot is mapped
+// and plans it in the background, HA answering exactly until then: at 150k
+// codes it binds about 1 ms after the map and plans in about 25 ms on a
+// 2-core host. MIH's tables are counted into place in two passes, and the
 // planner prices each engine by the work a few sample probes count — no
 // clock — and stops running an engine once its work costs more than the
 // scan. The same snapshot gives the same plan on every load. An engine is
@@ -38,17 +40,16 @@
 // out of an mmap of the file, so the heap holds none of it (watch
 // index.mapped_bytes vs index.heap_bytes on /debug/obs, where
 // index.aux_heap_bytes is the auxiliary engines' share; the load.*_ns
-// gauges and the start-up log line break the load time down). -mmap=false
-// and -mutable decode the same file onto the heap.
+// gauges, the start-up line and the exit summary break the load time down).
+// -mmap=false and -mutable decode the same file onto the heap.
 //
 // With -mutable the snapshot seeds a writable LSM shard: the server then
 // also accepts insert, delete, and seal frames (haquery
 // -insert/-delete/-seal), sealing the memtable into frozen segments in the
 // background past -memtable-max entries and compacting past -compact-at
 // segments — the segments above the snapshot's, until a quarter of its rows
-// are masked or they hold half as many rows as it does. The snapshot's
-// segment is planned in the background as the shard starts, and every seal
-// and compaction plans the segment it writes; HA answers for a segment only
+// are masked or they hold half as many rows as it does. Every seal and
+// compaction plans the segment it writes; HA answers for a segment only
 // while its plan is being counted (lsm.unplanned_segments). The lsm.* gauges
 // and counters are on /debug/obs.
 package main
@@ -126,12 +127,16 @@ func main() {
 	var shard *lsm.Shard
 	var err error
 	if *mutable {
-		// One registry for the server and the shard, so /debug/obs shows the
-		// lsm.* instruments beside the request path's.
+		// The decoded snapshot seeds the shard. One registry for the server
+		// and the shard, so /debug/obs shows the lsm.* instruments beside the
+		// request path's.
+		meta, idx, rerr := wire.ReadSnapshotFile(*snapshot)
+		if rerr != nil {
+			fatalf("loading snapshot %s: %v", *snapshot, rerr)
+		}
 		opts.Obs = obs.NewRegistry()
-		var meta wire.SnapshotMeta
-		meta, shard, err = loadMutable(*snapshot, *memtableMax, *compactAt, opts.Obs)
-		if err == nil {
+		shard = lsm.New(meta.Length, lsm.Options{MemtableMax: *memtableMax, CompactAt: *compactAt, Obs: opts.Obs})
+		if err = shard.Bootstrap(idx); err == nil {
 			s, err = server.NewMutable(meta, shard, opts)
 		}
 	} else {
@@ -159,11 +164,10 @@ func main() {
 	meta := s.Meta()
 	fmt.Printf("haserve: shard %d/%d (%d-bit codes) on %s from %s\n",
 		meta.Part, meta.Parts, meta.Length, bound, *snapshot)
+	ns := func(name string) time.Duration { return time.Duration(s.Obs().Gauge(name).Value()) }
 	if !*mutable {
-		// The same four load.*_ns gauges /debug/obs serves.
-		ns := func(name string) time.Duration { return time.Duration(s.Obs().Gauge(name).Value()) }
-		fmt.Printf("haserve: loaded in %s (map %s, mih build %s, plan %s)\n",
-			ns("load.total_ns"), ns("load.map_ns"), ns("load.mih_build_ns"), ns("load.plan_ns"))
+		fmt.Printf("haserve: serving after %s (map %s); planning in the background\n",
+			ns("load.total_ns"), ns("load.map_ns"))
 	}
 	if *portFile != "" {
 		if err := os.WriteFile(*portFile, []byte(bound+"\n"), 0o644); err != nil {
@@ -178,29 +182,13 @@ func main() {
 	s.Close()
 	fmt.Printf("haserve: served %d requests (%d select + %d top-k queries, %d ids, %d errors, %d faults injected)\n",
 		st.Requests, st.Queries, st.TopKQueries, st.IDsReturned, st.Errors, st.FaultsInjected)
+	fmt.Printf("haserve: snapshot's segment planned in the background (mih build %s, plan %s)\n",
+		ns("load.mih_build_ns"), ns("load.plan_ns"))
 	if shard != nil {
 		lst := shard.Stats()
 		fmt.Printf("haserve: shard ended at %d tuples in %d segments + %d memtable entries (%d seals, %d compactions, epoch %d)\n",
 			lst.Len, lst.Segments, lst.MemtableSize, lst.Seals, lst.Compactions, lst.Epoch)
 	}
-}
-
-// loadMutable seeds an LSM shard from a snapshot: the decoded index becomes
-// the shard's first immutable segment.
-func loadMutable(path string, memtableMax, compactAt int, reg *obs.Registry) (wire.SnapshotMeta, *lsm.Shard, error) {
-	meta, idx, err := wire.ReadSnapshotFile(path)
-	if err != nil {
-		return meta, nil, fmt.Errorf("loading snapshot %s: %w", path, err)
-	}
-	shard := lsm.New(meta.Length, lsm.Options{
-		MemtableMax: memtableMax,
-		CompactAt:   compactAt,
-		Obs:         reg,
-	})
-	if err := shard.Bootstrap(idx); err != nil {
-		return meta, nil, err
-	}
-	return meta, shard, nil
 }
 
 func fatalf(format string, args ...interface{}) {

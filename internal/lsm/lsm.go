@@ -25,15 +25,14 @@
 // being counted — and a search runs each segment through the engine its own
 // plan picks at h: MIH on a large segment, often the scan on a small one. A
 // search may pin one engine instead, which then runs on every planned
-// segment. Seal and Compact plan what they produce before they return, and
-// Bootstrap plans its base in the background, the way a background seal
-// runs. Each segment hands out its searchers from a free list that keeps
-// every set released to it and dies with it.
+// segment. Seal and Compact plan what they produce before they return;
+// Bootstrap and Frozen plan the segment they seed in the background, as a
+// background seal runs, and return at once. Each segment hands out its
+// searchers from a free list that keeps every set released and dies with it.
 //
-// Frozen wraps an immutable index as a read-only shard of one segment,
-// planned before it returns: the server answers every search through a
-// Shard, and an immutable shard is this one-segment case. It keeps no id
-// sets and accepts no mutation.
+// Frozen wraps an immutable index as a read-only shard of one segment: the
+// server answers every search through a Shard, and an immutable shard is
+// this one-segment case. It keeps no id sets and accepts no mutation.
 //
 // A compaction folds segments into one: one core.BuildFrozen over the
 // tuples in their leaf slabs that no tombstone masks, swapped in. The
@@ -66,6 +65,7 @@ package lsm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,7 +98,7 @@ type Options struct {
 	// and lsm.search_ha_ns / _mih_ns / _scan_ns timing them. The
 	// index.mapped_bytes / index.heap_bytes gauges hold the segments' bytes,
 	// index.aux_heap_bytes the heap share of their MIH key tables, and
-	// Frozen times its planning on load.mih_build_ns / load.plan_ns. One
+	// load.mih_build_ns / load.plan_ns time the seeded segment's plan. One
 	// registry serves one shard — Stats reads lsm.seals and lsm.compactions
 	// from it — though a server may share it, its names being its own.
 	Obs *obs.Registry
@@ -311,20 +311,38 @@ func New(length int, opts Options) *Shard {
 }
 
 // Frozen returns a read-only shard that serves idx as its one segment,
-// planned before it returns (timed on load.mih_build_ns and load.plan_ns). It
-// walks no ids — a snapshot's are unique — and so takes no mutation: Insert,
-// Delete, Seal and Compact panic, and Bootstrap refuses.
+// planned in the background (see seed). It walks no ids — a snapshot's are
+// unique — and so takes no mutation: Insert, Delete, Seal and Compact panic,
+// and Bootstrap refuses.
 func Frozen(idx *core.FrozenIndex, opts Options) *Shard {
 	s := New(idx.Length(), opts)
 	s.booted, s.readOnly = true, true
-	seg := newSegment(idx, 0)
-	s.state.Store(&state{segments: []*segment{seg}, epoch: 1})
-	mihNs, planNs := planSegment(seg)
-	s.opts.Obs.Gauge("load.mih_build_ns").Set(mihNs)
-	s.opts.Obs.Gauge("load.plan_ns").Set(planNs)
+	s.seed(idx)
+	return s
+}
+
+// seed makes idx the stack's one segment and plans it in the background
+// under structMu, timed on load.mih_build_ns and load.plan_ns; HA serves it,
+// exactly, until then, and Close waits for it. Callers own the empty stack.
+func (s *Shard) seed(idx *core.FrozenIndex) {
+	seg := newSegment(idx, s.seq)
+	s.state.Store(&state{segments: []*segment{seg}, epoch: s.state.Load().epoch + 1})
 	s.publishGauges()
 	s.publishSegments()
-	return s
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.structMu.Lock()
+		defer s.structMu.Unlock()
+		// A seal that got here first has planned it; a fold may have retired it.
+		if seg.plan.Load() != nil || !slices.Contains(s.state.Load().segments, seg) {
+			return
+		}
+		mihNs, planNs := planSegment(seg)
+		s.opts.Obs.Gauge("load.mih_build_ns").Set(mihNs)
+		s.opts.Obs.Gauge("load.plan_ns").Set(planNs)
+		s.publishSegments()
+	}()
 }
 
 // ReadOnly reports whether the shard refuses mutation: a Frozen one does.
@@ -341,9 +359,7 @@ func (s *Shard) writable() {
 // segment — how a server turns a loaded snapshot into a mutable shard. Ids
 // in the index must be unique (a duplicate is an error: Len would
 // under-report and one Delete would mask two tuples). It must be called
-// before any mutation. A background goroutine plans the segment under
-// structMu, as a background seal would, and Close waits for it; HA serves
-// the segment until its plan is attached.
+// before any mutation. The segment is planned in the background (see seed).
 func (s *Shard) Bootstrap(idx *core.FrozenIndex) error {
 	if idx.Length() != s.length {
 		return fmt.Errorf("lsm: bootstrap index is %d-bit, shard serves %d-bit codes", idx.Length(), s.length)
@@ -365,17 +381,7 @@ func (s *Shard) Bootstrap(idx *core.FrozenIndex) error {
 		return fmt.Errorf("lsm: bootstrap index holds %d tuples under %d distinct ids", idx.Len(), distinct)
 	}
 	s.seq++
-	st := s.state.Load()
-	s.state.Store(&state{segments: []*segment{newSegment(idx, s.seq)}, epoch: st.epoch + 1})
-	s.publishGauges()
-	s.publishSegments()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.structMu.Lock()
-		s.planStack() // a seal or fold that got here first has planned it
-		s.structMu.Unlock()
-	}()
+	s.seed(idx)
 	return nil
 }
 
@@ -647,9 +653,9 @@ func (s *Shard) segmentTuples(segs []*segment, fn func(id int, code bitvec.Code)
 // state for a reader to see. The build sorts the slab where it lies — no
 // reader is in, and the rows are dropped next — and copies the words into
 // the segment's own arena, so the slab is free to take the next rows. Off
-// the lock the new segment, and the base if Bootstrap's plan has not run yet,
-// are then planned before Seal returns. With compact set, a full compaction
-// follows.
+// the lock the new segment, and the base if its background plan has not run
+// yet, are then planned before Seal returns. With compact set, a full
+// compaction follows.
 func (s *Shard) Seal(compact bool) {
 	s.writable()
 	s.structMu.Lock()
@@ -820,8 +826,8 @@ func (s *Shard) baseDue(stack []*segment) bool {
 	return masked*baseMaskedDiv >= base || upper*baseUpperDiv >= base
 }
 
-// Close waits for in-flight background seals, compactions and Bootstrap's
-// plan. The shard must not be mutated concurrently with or after Close.
+// Close waits for in-flight background plans, seals and compactions. The
+// shard must not be mutated concurrently with or after Close.
 func (s *Shard) Close() {
 	s.closed.Store(true)
 	s.wg.Wait()

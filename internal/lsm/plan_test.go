@@ -72,8 +72,8 @@ func checkSegmentEngines(t *testing.T, s *Shard, o oracle, rng *rand.Rand, stage
 }
 
 // waitPlanned polls lsm.unplanned_segments until every segment of s is
-// planned — Bootstrap plans its base in the background — and fails past a
-// deadline.
+// planned — Bootstrap and Frozen plan their segment in the background — and
+// fails past a deadline.
 func waitPlanned(t *testing.T, s *Shard) {
 	t.Helper()
 	g := s.opts.Obs.Gauge("lsm.unplanned_segments")
@@ -87,7 +87,8 @@ func waitPlanned(t *testing.T, s *Shard) {
 // TestBootstrapPlansBase: a bootstrapped shard that is never sealed plans
 // its base by itself, and then every pin runs on it: at every threshold each
 // of UsePlan, UseHA, UseMIH and UseScan answers the brute oracle, and a
-// pinned search moves its own engine's lsm.search_* counter and no other.
+// pinned search moves its own engine's lsm.search_* counter and no other. The
+// plan's two phases are timed on load.mih_build_ns and load.plan_ns.
 func TestBootstrapPlansBase(t *testing.T) {
 	const n, bitsLen = 4000, 64
 	rng := rand.New(rand.NewSource(4000))
@@ -108,36 +109,51 @@ func TestBootstrapPlansBase(t *testing.T) {
 	if st := s.Stats(); st.Segments != 1 || st.Seals != 0 || s.state.Load().segments[0].plan.Load() == nil {
 		t.Fatalf("after Bootstrap: %+v", st)
 	}
-	counts := func() (c [planner.UseScan + 1]int64) {
-		for st := range c {
-			c[st] = reg.Counter("lsm.search_" + planner.Strategy(st).String()).Value()
-		}
-		return c
+	if reg.Gauge("load.mih_build_ns").Value() <= 0 || reg.Gauge("load.plan_ns").Value() <= 0 {
+		t.Fatal("the bootstrapped base's plan is untimed")
 	}
 	q := codes[rng.Intn(n)].Clone()
 	q.FlipBit(rng.Intn(bitsLen))
-	for h := 0; h <= bitsLen; h++ {
+	checkPins(t, s, o, q, "bootstrapped")
+}
+
+// checkPins holds a search of q at every threshold from 0 to the code length
+// under each of UsePlan, UseHA, UseMIH and UseScan to the oracle, and
+// requires it to move exactly one lsm.search_* counter, by one: lsm.search_ha
+// while the shard's one segment is unplanned, the pinned engine's once it is
+// planned.
+func checkPins(t *testing.T, s *Shard, o oracle, q bitvec.Code, stage string) {
+	t.Helper()
+	counts := func() (c [planner.UseScan + 1]int64) {
+		for st := range c {
+			c[st] = s.opts.Obs.Counter("lsm.search_" + planner.Strategy(st).String()).Value()
+		}
+		return c
+	}
+	unplanned := s.state.Load().segments[0].plan.Load() == nil
+	for h := 0; h <= s.Length(); h++ {
 		want := o.search(q, h)
 		for _, pin := range []planner.Strategy{planner.UsePlan, planner.UseHA, planner.UseMIH, planner.UseScan} {
 			before := counts()
 			var stats core.SearchStats
 			if got := s.SearchInto(q, h, pin, nil, &stats); !equalIDs(got, want) {
-				t.Fatalf("pin %s at h=%d: %d ids, the oracle %d", pin, h, len(got), len(want))
+				t.Fatalf("%s: pin %s at h=%d: %d ids, the oracle %d", stage, pin, h, len(got), len(want))
 			}
 			after := counts()
 			moved := 0
 			for st := range after {
 				if d := after[st] - before[st]; d == 1 {
 					moved++
-					if pin != planner.UsePlan && planner.Strategy(st) != pin {
-						t.Fatalf("pin %s at h=%d moved lsm.search_%s", pin, h, planner.Strategy(st))
+					ran := planner.Strategy(st)
+					if (unplanned && ran != planner.UseHA) || (!unplanned && pin != planner.UsePlan && ran != pin) {
+						t.Fatalf("%s: pin %s at h=%d moved lsm.search_%s", stage, pin, h, ran)
 					}
 				} else if d != 0 {
-					t.Fatalf("pin %s at h=%d moved lsm.search_%s by %d", pin, h, planner.Strategy(st), d)
+					t.Fatalf("%s: pin %s at h=%d moved lsm.search_%s by %d", stage, pin, h, planner.Strategy(st), d)
 				}
 			}
 			if moved != 1 {
-				t.Fatalf("pin %s at h=%d moved %d engine counters, want 1", pin, h, moved)
+				t.Fatalf("%s: pin %s at h=%d moved %d engine counters, want 1", stage, pin, h, moved)
 			}
 		}
 	}
@@ -430,6 +446,7 @@ func TestSegmentFreeListKeepsEverySearcher(t *testing.T) {
 	}
 	s := Frozen(buildFrozen(codes, ids, core.Options{}), Options{})
 	defer s.Close()
+	waitPlanned(t, s)
 	seg := s.state.Load().segments[0]
 	held := make([]*searchers, 2*runtime.GOMAXPROCS(0)+1)
 	out := make([]int, 0, len(codes))
@@ -508,23 +525,20 @@ func retiring(t *testing.T, s *Shard) (weak.Pointer[segment], weak.Pointer[core.
 	return weak.Make(seg), weak.Make(seg.idx), weak.Make(pl)
 }
 
-// TestFrozenShard: a read-only shard serves its index as one segment.
-// Planned over a mapped and an eager load of one snapshot, it counts the
-// same plan at every threshold, every pin answers the oracle, and the aux
-// gauge is MIH's key tables to the byte (no slab carries spare capacity) —
-// over the mapped arena all the heap the shard adds. It takes no mutation
-// and no Bootstrap.
-func TestFrozenShard(t *testing.T) {
+// frozenFixture is a snapshot of 3000 clustered 64-bit codes on disk, with
+// its index and the oracle over it.
+func frozenFixture(t *testing.T) (codes []bitvec.Code, ids []int, o oracle, idx *core.FrozenIndex, path string) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(38))
-	codes := clustered(rng, 3000, 64, 30, 5)
-	ids := make([]int, len(codes))
-	o := oracle{}
+	codes = clustered(rng, 3000, 64, 30, 5)
+	ids = make([]int, len(codes))
+	o = oracle{}
 	for i := range ids {
 		ids[i] = 7*i + 3
 		o[ids[i]] = codes[i]
 	}
-	idx := buildFrozen(codes, ids, core.Options{})
-	path := filepath.Join(t.TempDir(), "shard.hasn")
+	idx = buildFrozen(codes, ids, core.Options{})
+	path = filepath.Join(t.TempDir(), "shard.hasn")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -535,14 +549,81 @@ func TestFrozenShard(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return codes, ids, o, idx, path
+}
+
+// snapshotLoads are the two ways a server loads a snapshot.
+var snapshotLoads = []struct {
+	name string
+	read func(string) (wire.SnapshotMeta, *core.FrozenIndex, error)
+}{{"mapped", wire.MapSnapshotFile}, {"eager", wire.ReadSnapshotFile}}
+
+// TestFrozenServesBeforeThePlan: Frozen returns before its segment is
+// planned, and the shard answers exactly from the first search. With the
+// plan held off — the test takes structMu before the background planner
+// does — every pin answers the oracle at every threshold through HA, over a
+// mapped and an eager load of one snapshot; once released the plan lands,
+// lsm.unplanned_segments reads 0, its phases are timed, and each pin runs
+// its own engine.
+func TestFrozenServesBeforeThePlan(t *testing.T) {
+	codes, _, o, _, path := frozenFixture(t)
+	q := codes[17].Clone()
+	q.FlipBit(9)
+	for _, load := range snapshotLoads {
+		_, fz, err := load.read(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fz.Close()
+		reg := obs.NewRegistry()
+		s := heldFrozen(t, fz, Options{Obs: reg})
+		if g := reg.Gauge("lsm.unplanned_segments").Value(); g != 1 {
+			t.Fatalf("%s: lsm.unplanned_segments = %d with the plan held off", load.name, g)
+		}
+		checkPins(t, s, o, q, load.name+", held")
+		s.structMu.Unlock()
+		waitPlanned(t, s)
+		if reg.Gauge("load.mih_build_ns").Value() <= 0 || reg.Gauge("load.plan_ns").Value() <= 0 {
+			t.Fatalf("%s: the plan landed untimed", load.name)
+		}
+		checkPins(t, s, o, q, load.name+", planned")
+		s.Close()
+	}
+}
+
+// heldFrozen returns Frozen(fz, opts) with its structMu held before the
+// background planner took it, so the segment stays unplanned until the
+// caller unlocks. The planner goroutine seldom runs before Frozen's caller
+// does; a shard it got to first is closed and the load tried again.
+func heldFrozen(t *testing.T, fz *core.FrozenIndex, opts Options) *Shard {
+	t.Helper()
+	for try := 0; try < 100; try++ {
+		s := Frozen(fz, opts)
+		if s.structMu.TryLock() {
+			if s.state.Load().segments[0].plan.Load() == nil {
+				return s
+			}
+			s.structMu.Unlock()
+		}
+		s.Close()
+	}
+	t.Fatal("the background planner took structMu first 100 times")
+	return nil
+}
+
+// TestFrozenShard: a read-only shard serves its index as one segment.
+// Planned over a mapped and an eager load of one snapshot, it counts the
+// same plan at every threshold, every pin answers the oracle, and the aux
+// gauge is MIH's key tables to the byte (no slab carries spare capacity) —
+// over the mapped arena all the heap the shard adds. It takes no mutation
+// and no Bootstrap.
+func TestFrozenShard(t *testing.T) {
+	codes, ids, o, idx, path := frozenFixture(t)
 	q := codes[17].Clone()
 	q.FlipBit(9)
 	var plans []planner.Plan
 	var ro *Shard
-	for _, load := range []struct {
-		name string
-		read func(string) (wire.SnapshotMeta, *core.FrozenIndex, error)
-	}{{"mapped", wire.MapSnapshotFile}, {"eager", wire.ReadSnapshotFile}} {
+	for _, load := range snapshotLoads {
 		_, fz, err := load.read(path)
 		if err != nil {
 			t.Fatal(err)
@@ -552,8 +633,9 @@ func TestFrozenShard(t *testing.T) {
 		s := Frozen(fz, Options{Obs: reg})
 		defer s.Close()
 		ro = s
-		if reg.Gauge("lsm.unplanned_segments").Value() != 0 || s.Len() != len(codes) {
-			t.Fatalf("%s: %d segments unplanned, Len %d", load.name, reg.Gauge("lsm.unplanned_segments").Value(), s.Len())
+		waitPlanned(t, s)
+		if s.Len() != len(codes) {
+			t.Fatalf("%s: Len %d", load.name, s.Len())
 		}
 		// The aux gauge is what MIH's tables hold, by capacity; it equals
 		// what they use, by length, only if no slab carries spare capacity.

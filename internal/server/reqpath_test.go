@@ -196,6 +196,7 @@ func TestAnswerSearchReplyAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	waitPlanned(t, s.Obs()) // the planned path, with no plan allocating beside it
 	payload := wire.SearchReq{H: 8, Queries: centres}.Append(nil)
 	var reply []byte
 	run := func() { _, reply = s.answerSearch(payload, nil) }

@@ -9,10 +9,10 @@
 // planned as it joins the shard's stack and searched by the engine its own
 // counted plan picks or the request's hint pins; HA answers only for a
 // segment whose plan is still being counted. New wraps a frozen index as a
-// read-only shard of one segment, planned at load; NewMutable serves a shard
-// the caller built and differs in one way only:
-// that shard is not read-only, so the server also answers the mutation
-// frames (insert/delete/seal). Mutations are applied synchronously, so an
+// read-only shard of one segment, planned in the background; NewMutable
+// serves a shard the caller built and differs in one way only: that shard
+// is not read-only, so the server also answers the mutation frames
+// (insert/delete/seal). Mutations are applied synchronously, so an
 // acknowledged write is visible to every subsequent search.
 package server
 
@@ -156,9 +156,9 @@ type searcherSet struct {
 const maxKeptIDs = 1 << 18
 
 // New builds a server over a frozen index — the arena a snapshot decodes or
-// maps to — wrapped as a read-only lsm.Shard of one segment, planned at load
-// (lsm.Frozen). MIH and the scan read the index's own leaf arena, so the
-// index must not be closed while the server runs.
+// maps to — wrapped as a read-only lsm.Shard of one segment, planned in the
+// background (lsm.Frozen). MIH and the scan read the index's own leaf arena,
+// so the index must not be closed while the server runs.
 func New(meta wire.SnapshotMeta, idx *core.FrozenIndex, opts Options) (*Server, error) {
 	if idx.Length() != meta.Length {
 		return nil, fmt.Errorf("server: index is %d-bit, snapshot header says %d", idx.Length(), meta.Length)
@@ -248,7 +248,8 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // LoadSnapshotFile is New over a snapshot file on disk: mmap'd zero-copy
 // when Options.Mmap is set, decoded onto the heap otherwise. A file either
-// reader refuses is an error — there is no second format to retry with.
+// reader refuses is an error — there is no second format to retry with. It
+// returns before the plan lands: load.total_ns is the load to serving.
 func LoadSnapshotFile(path string, opts Options) (*Server, error) {
 	t0 := time.Now()
 	opts, err := opts.withDefaults() // a bad option is refused before the load
@@ -270,7 +271,6 @@ func LoadSnapshotFile(path string, opts Options) (*Server, error) {
 		return nil, err
 	}
 	srv.owned = fz
-	// With the shard's load.mih_build_ns and load.plan_ns, the start-up budget.
 	srv.reg.Gauge("load.map_ns").Set(mapNs)
 	srv.reg.Gauge("load.total_ns").Set(time.Since(t0).Nanoseconds())
 	return srv, nil
@@ -334,7 +334,8 @@ func (s *Server) acceptLoop(ln net.Listener) {
 }
 
 // Close stops the listeners (serving and debug), closes all connections,
-// waits for handlers, and only then releases an owned mapping.
+// waits for handlers and the shard's background work, and only then
+// releases an owned mapping.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	first := !s.closed
@@ -351,7 +352,7 @@ func (s *Server) Close() error {
 		dln.Close()
 	}
 	s.wg.Wait()
-	s.shard.Close() // wait out background seals and compactions
+	s.shard.Close() // wait out background plans, seals and compactions
 	if !first {
 		return nil
 	}

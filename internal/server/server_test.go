@@ -109,6 +109,19 @@ func startTestServer(t *testing.T, meta wire.SnapshotMeta, idx *core.FrozenIndex
 	return s
 }
 
+// waitPlanned polls the lsm.unplanned_segments gauge on reg until every
+// segment of the shard it counts is planned — lsm.Frozen and Bootstrap plan
+// in the background — and fails past a deadline.
+func waitPlanned(t testing.TB, reg *obs.Registry) {
+	t.Helper()
+	g := reg.Gauge("lsm.unplanned_segments")
+	for deadline := time.Now().Add(30 * time.Second); g.Value() != 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("lsm.unplanned_segments = %d after 30s", g.Value())
+		}
+	}
+}
+
 func TestServerSearchMatchesLocalIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	meta, idx, codes := testShard(t, rng, 800, 32, 3, 1)
@@ -497,6 +510,7 @@ func TestServerEngineRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	meta, idx, codes := testShard(t, rng, 600, 32, 2, 0)
 	s := startTestServer(t, meta, idx, Options{Searchers: 3, Engine: "auto"})
+	waitPlanned(t, s.Obs())
 	c := dialTest(t, s)
 	c.hello()
 
@@ -556,12 +570,13 @@ func TestServerEngineRouting(t *testing.T) {
 }
 
 // TestServerAutoRoutingHoldsStill: a planned shard decides each
-// threshold once, at load, so 200 requests at one h from two connections
+// threshold once, when its plan lands, so 200 requests at one h from two connections
 // all take the same path — exactly one lsm.search_{ha,mih,scan} counter moves.
 func TestServerAutoRoutingHoldsStill(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	meta, idx, codes := testShard(t, rng, 600, 32, 2, 0)
 	s := startTestServer(t, meta, idx, Options{Searchers: 2, Engine: "auto"})
+	waitPlanned(t, s.Obs())
 	errs := make(chan error, 2)
 	for g := 0; g < 2; g++ {
 		c := dialTest(t, s)
@@ -684,11 +699,7 @@ func TestMutableSearchCountsSegmentSearches(t *testing.T) {
 	if err := sh.Bootstrap(idx); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(30 * time.Second); reg.Gauge("lsm.unplanned_segments").Value() != 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the bootstrapped segment is unplanned after 30s")
-		}
-	}
+	waitPlanned(t, reg)
 	sh.Insert(1000, codes[3]) // one row in the memtable, the rest in a segment
 	ms, err := NewMutable(meta, sh, Options{Searchers: 2, Obs: reg})
 	if err != nil {
@@ -755,6 +766,7 @@ func TestLoadSnapshotFileMmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitPlanned(t, s.Obs())
 	g := s.Obs().Snapshot().Gauges
 	fz := s.owned
 	if fz.MappedBytes() > 0 { // zero-copy path available on this platform

@@ -15,11 +15,13 @@
 # non-empty request-latency histogram, nonzero request/fault counters, and —
 # since haserve plans every segment — nonzero engine-routed segment
 # search counters (lsm.search_*) plus per-engine latency samples, a nonzero
-# shed counter from the repeat pass, an mmap-backed index whose only heap is
-# the auxiliary engines', and the load-phase gauges.
+# shed counter from the repeat pass, and, once the shard's background plan
+# has landed, an mmap-backed index whose only heap is the auxiliary
+# engines' and the load-phase gauges.
 #
 # With SMOKE_LSM=1 (make lsm-smoke), the snapshots are additionally served
-# by mutable (LSM) shards: searches pinned to MIH and to the scan must match
+# by mutable (LSM) shards, which must report their snapshot segment's plan
+# timings once it lands: searches pinned to MIH and to the scan must match
 # the oracle before any write, then insert -> seal -> compact -> upsert ->
 # delete are driven through haquery with searches verifying every step;
 # mutable shards' /debug/obs must then show the search after the seal run
@@ -53,6 +55,21 @@ fetch_obs() {
     else
         go run ./scripts/fetch "http://$1/debug/obs" > "$2"
     fi
+}
+
+# gauge NAME FILE prints the gauge NAME of the /debug/obs snapshot in FILE.
+gauge() { sed -n "s/^ *\"$1\": \([0-9]*\).*/\1/p" "$2" | head -n 1; }
+
+# wait_planned ADDR FILE fetches the /debug/obs snapshot served on ADDR into
+# FILE until lsm.unplanned_segments reads 0 (a shard plans its snapshot's
+# segment in the background), and fails after about 10 s.
+wait_planned() {
+    tries=0
+    while [ "$(fetch_obs "$1" "$2" >/dev/null && gauge lsm.unplanned_segments "$2")" != "0" ]; do
+        tries=$((tries + 1))
+        [ "$tries" -gt 100 ] && { echo "smoke: $1 still has unplanned segments" >&2; exit 1; }
+        sleep 0.1
+    done
 }
 
 SMOKE_DEBUG=${SMOKE_DEBUG:-0}
@@ -92,7 +109,7 @@ echo "smoke: same rows again: shard 0 sheds the search, then answers it after on
     -oracle "$WORK/shards"
 
 if [ "$SMOKE_DEBUG" = "1" ]; then
-    fetch_obs "$(cat "$WORK/s0.debug")" "$WORK/obs.json"
+    wait_planned "$(cat "$WORK/s0.debug")" "$WORK/obs.json"
     grep -q '"req.search_ns"' "$WORK/obs.json" || {
         echo "smoke: debug snapshot has no search-latency histogram" >&2; exit 1; }
     REQS=$(sed -n 's/^ *"requests": \([0-9]*\).*/\1/p' "$WORK/obs.json" | head -n 1)
@@ -118,15 +135,14 @@ if [ "$SMOKE_DEBUG" = "1" ]; then
         echo "smoke: debug snapshot reports no shed requests" >&2; exit 1; }
     # haidx shard writes v4 (mmap-native) snapshots and haserve defaults to
     # -mmap, so the served index must be page-cache-backed: the whole arena
-    # in index.mapped_bytes. The segment's plan adds MIH's key tables and
-    # nothing else, so every heap byte the index holds must be accounted
-    # to the auxiliary engines — the arena itself contributes none. (On a
-    # platform without the mmap fast path the eager fallback would put the
-    # arena in index.heap_bytes and fail the equality.)
-    gauge() { sed -n "s/^ *\"$1\": \([0-9]*\).*/\1/p" "$WORK/obs.json" | head -n 1; }
-    MAPPED=$(gauge index.mapped_bytes)
-    HEAP=$(gauge index.heap_bytes)
-    AUX=$(gauge index.aux_heap_bytes)
+    # in index.mapped_bytes. The segment's plan, landed by now, adds MIH's
+    # key tables and nothing else, so every heap byte the index holds must be
+    # accounted to the auxiliary engines — the arena itself contributes none.
+    # (On a platform without the mmap fast path the eager fallback would put
+    # the arena in index.heap_bytes and fail the equality.)
+    MAPPED=$(gauge index.mapped_bytes "$WORK/obs.json")
+    HEAP=$(gauge index.heap_bytes "$WORK/obs.json")
+    AUX=$(gauge index.aux_heap_bytes "$WORK/obs.json")
     [ -n "$MAPPED" ] && [ -n "$HEAP" ] && [ -n "$AUX" ] || {
         echo "smoke: debug snapshot is missing the index byte gauges" >&2; exit 1; }
     [ "$MAPPED" -gt 0 ] || {
@@ -135,18 +151,20 @@ if [ "$SMOKE_DEBUG" = "1" ]; then
         echo "smoke: planned shard reports no auxiliary-engine heap" >&2; exit 1; }
     [ "$HEAP" -eq "$AUX" ] || {
         echo "smoke: mmap-backed shard holds $HEAP heap bytes, only $AUX of them the auxiliary engines'" >&2; exit 1; }
-    # The load phases must be on the registry, and the planner's counted
-    # grid (load.plan_ns), once nearly all of start-up, must be a proper
-    # part of the total.
-    LOAD_MAP=$(gauge load.map_ns)
-    LOAD_MIH=$(gauge load.mih_build_ns)
-    LOAD_PLAN=$(gauge load.plan_ns)
-    LOAD_TOTAL=$(gauge load.total_ns)
+    # The load phases must be on the registry: the map inside the load to
+    # serving (load.total_ns), and both phases of the plan that landed after
+    # it timed.
+    LOAD_MAP=$(gauge load.map_ns "$WORK/obs.json")
+    LOAD_MIH=$(gauge load.mih_build_ns "$WORK/obs.json")
+    LOAD_PLAN=$(gauge load.plan_ns "$WORK/obs.json")
+    LOAD_TOTAL=$(gauge load.total_ns "$WORK/obs.json")
     [ -n "$LOAD_MAP" ] && [ -n "$LOAD_MIH" ] && [ -n "$LOAD_PLAN" ] && [ -n "$LOAD_TOTAL" ] || {
         echo "smoke: debug snapshot is missing the load.*_ns gauges" >&2; exit 1; }
-    [ "$LOAD_PLAN" -gt 0 ] && [ "$LOAD_PLAN" -lt "$LOAD_TOTAL" ] || {
-        echo "smoke: load.plan_ns=$LOAD_PLAN is not inside load.total_ns=$LOAD_TOTAL" >&2; exit 1; }
-    echo "smoke: debug endpoint OK ($REQS requests, $FAULTS faults, $ROUTED engine-routed segment searches, $ENGINE engine samples, $SHEDS sheds, $MAPPED mapped + $AUX aux heap bytes, loaded in $LOAD_TOTAL ns)"
+    [ "$LOAD_MAP" -gt 0 ] && [ "$LOAD_MAP" -le "$LOAD_TOTAL" ] || {
+        echo "smoke: load.map_ns=$LOAD_MAP is not inside load.total_ns=$LOAD_TOTAL" >&2; exit 1; }
+    [ "$LOAD_MIH" -gt 0 ] && [ "$LOAD_PLAN" -gt 0 ] || {
+        echo "smoke: the landed plan is untimed (load.mih_build_ns=$LOAD_MIH, load.plan_ns=$LOAD_PLAN)" >&2; exit 1; }
+    echo "smoke: debug endpoint OK ($REQS requests, $FAULTS faults, $ROUTED engine-routed segment searches, $ENGINE engine samples, $SHEDS sheds, $MAPPED mapped + $AUX aux heap bytes, serving after $LOAD_TOTAL ns, planned in $LOAD_MIH + $LOAD_PLAN ns)"
 fi
 
 SMOKE_LSM=${SMOKE_LSM:-0}
@@ -169,6 +187,16 @@ if [ "$SMOKE_LSM" = "1" ]; then
         done
     done
     MADDR="$(cat "$WORK/m0.addr"),$(cat "$WORK/m1.addr")"
+
+    # Each shard times its snapshot segment's background plan once it lands.
+    for m in m0 m1; do
+        wait_planned "$(cat "$WORK/$m.debug")" "$WORK/$m.obs.json"
+        MIH_NS=$(gauge load.mih_build_ns "$WORK/$m.obs.json")
+        PLAN_NS=$(gauge load.plan_ns "$WORK/$m.obs.json")
+        [ -n "$MIH_NS" ] && [ "$MIH_NS" -gt 0 ] && [ -n "$PLAN_NS" ] && [ "$PLAN_NS" -gt 0 ] || {
+            echo "smoke: mutable shard $m planned its segment untimed (load.mih_build_ns=$MIH_NS, load.plan_ns=$PLAN_NS)" >&2; exit 1; }
+        echo "smoke: mutable shard $m planned in $MIH_NS + $PLAN_NS ns"
+    done
 
     # A never-written shard serves every hint: its snapshot's segment is
     # planned as the shard starts, and HA answers for it only until then.
