@@ -115,7 +115,7 @@ func main() {
 // batchIndex is non-nil for the methods that support the batched Searcher
 // engine: dha, whose index it freezes so the batch walks a Gray block at a
 // time, and mih.
-func buildIndex(method, engine string, codes []bitvec.Code, h int, seed int64) (search func(bitvec.Code, int) []int, stats func() string, size func() int, batchIndex func() core.Index) {
+func buildIndex(method, engine string, codes []bitvec.Code, h int, seed int64) (search func(bitvec.Code, int) []int, stats func() string, size func() int, batchIndex func() core.Engine) {
 	noStats := func() string { return "" }
 	switch method {
 	case "dha":
@@ -124,7 +124,7 @@ func buildIndex(method, engine string, codes []bitvec.Code, h int, seed int64) (
 		return func(q bitvec.Code, h int) []int { return sr.SearchAppend(nil, q, h) }, func() string {
 			return fmt.Sprintf(" [%d distance computations, %d nodes visited]",
 				sr.Stats.DistanceComputations, sr.Stats.NodesVisited)
-		}, idx.SizeBytes, func() core.Index { return core.Freeze(idx) }
+		}, idx.SizeBytes, func() core.Engine { return core.Freeze(idx) }
 	case "sha":
 		idx := core.BuildStatic(codes, nil, 8)
 		sr := core.NewPointerSearcher(idx)
@@ -166,12 +166,11 @@ func buildIndex(method, engine string, codes []bitvec.Code, h int, seed int64) (
 		if err != nil {
 			fatalf("%v", err)
 		}
-		idx := core.AsIndex(m)
-		sr := core.NewSearcher(idx)
+		sr := core.NewSearcher(m)
 		return func(q bitvec.Code, h int) []int { return sr.SearchAppend(nil, q, h) }, func() string {
 			return fmt.Sprintf(" [%d probes, %d candidates verified]",
 				sr.Stats.NodesVisited, sr.Stats.DistanceComputations)
-		}, m.SizeBytes, func() core.Index { return idx }
+		}, m.SizeBytes, func() core.Engine { return m }
 	case "planner":
 		pl, err := planner.Auto(codes, nil, planner.Options{Seed: seed})
 		if err != nil {
@@ -199,7 +198,7 @@ func buildIndex(method, engine string, codes []bitvec.Code, h int, seed int64) (
 			eng := pl.Engines()
 			sz += eng.HA.SizeBytes()
 			if eng.MIH != nil {
-				if m, ok := eng.MIH.Engine().(*mih.Index); ok {
+				if m, ok := eng.MIH.(*mih.Index); ok {
 					sz += m.SizeBytes()
 				}
 			}

@@ -81,10 +81,10 @@ type (
 	// SearchStats reports per-query work (distance computations, nodes
 	// visited).
 	SearchStats = core.SearchStats
-	// SearchIndex is an index over one leaf arena that the reusable Searcher
-	// engine drives: a FrozenIndex (FreezeIndex compiles a DynamicIndex
-	// into one), or an MIH engine adapted by MIHSearchIndex.
-	SearchIndex = core.Index
+	// SearchIndex is an exact Hamming-select engine over one leaf arena that
+	// the reusable Searcher drives: a FrozenIndex (FreezeIndex compiles a
+	// DynamicIndex into one), or an MIHIndex.
+	SearchIndex = core.Engine
 	// Searcher is a reusable, allocation-free query engine over one
 	// SearchIndex. One Searcher per goroutine; the index may be shared.
 	Searcher = core.Searcher
@@ -470,8 +470,8 @@ func NewPlanner(codes []Code, ids []int, opts PlannerOptions) (*Planner, error) 
 
 // MIHIndex is the frozen multi-index-hashing engine: Norouzi et al.'s exact
 // pigeonhole search in flat-arena form, the co-equal alternative to the
-// HA-Index walk at loose thresholds. Adapt it with MIHSearchIndex to run it
-// under Searcher, SearchBatch, and TopK.
+// HA-Index walk at loose thresholds. It is a SearchIndex, so Searcher,
+// SearchBatch and SearchCodesBatch run over it.
 type MIHIndex = mih.Index
 
 // MIHOptions configures NewMIH; the zero value auto-sizes the blocks.
@@ -482,8 +482,8 @@ func NewMIH(codes []Code, ids []int, opts MIHOptions) (*MIHIndex, error) {
 	return mih.Build(codes, ids, opts)
 }
 
-// MIHSearchIndex adapts an MIH engine to the read-only index surface.
-func MIHSearchIndex(m *MIHIndex) SearchIndex { return core.AsIndex(m) }
+// MIHSearchIndex returns m as a SearchIndex.
+func MIHSearchIndex(m *MIHIndex) SearchIndex { return m }
 
 // ---- Distributed filesystem simulation ----
 

@@ -33,6 +33,12 @@ type deployment struct {
 	addrs   [][]string
 }
 
+// oracleTopK is the k nearest tuples to q by core.TopKByRadius over the
+// oracle's searches.
+func (d *deployment) oracleTopK(q bitvec.Code, k int) ([]int, []int) {
+	return core.TopKByRadius(q.Len(), k, func(h int) []int { return d.oracle.Search(q, h) })
+}
+
 // buildDeployment writes per-partition snapshots to disk, loads them back
 // (exercising the snapshot protocol end to end), and starts the servers.
 // replicaFaults[part] holds one fault plan per extra replica of that shard;
@@ -162,7 +168,7 @@ func TestRouterMatchesOracleAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range queries[:30] {
-		wantIDs, wantDists := d.oracle.TopK(q, 9)
+		wantIDs, wantDists := d.oracleTopK(q, 9)
 		if !equalInts(ids[i], wantIDs) || !equalInts(dists[i], wantDists) {
 			t.Fatalf("topk query %d: router (%v,%v), oracle (%v,%v)", i, ids[i], dists[i], wantIDs, wantDists)
 		}

@@ -110,7 +110,7 @@ func TestSearchBatchMatchesBruteOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, q := range queries {
-				wantIDs, wantDists := d.oracle.TopK(q, k)
+				wantIDs, wantDists := d.oracleTopK(q, k)
 				if !slices.Equal(ids[i], wantIDs) || !slices.Equal(dists[i], wantDists) {
 					t.Fatalf("top-%d query %d: router (%v, %v), oracle (%v, %v)", k, i, ids[i], dists[i], wantIDs, wantDists)
 				}

@@ -210,8 +210,8 @@ func TestStreamedEquivalence(t *testing.T) {
 			}
 			for _, k := range []int{1, 9, 50} {
 				for qi, q := range queries {
-					gi, gd := ssr.TopK(q, k)
-					wi, wd := msr.TopK(q, k)
+					gi, gd := topK(ssr, q, k)
+					wi, wd := topK(msr, q, k)
 					if !equalIDs(gi, wi) {
 						t.Fatalf("L=%d chunk=%d k=%d q#%d: streamed ids %v, want %v", bitsLen, chunkSize, k, qi, gi, wi)
 					}
@@ -227,7 +227,7 @@ func TestStreamedEquivalence(t *testing.T) {
 
 	// The forest arm: Forest over the chunks' own BuildFrozen arenas is the
 	// stream writer's image for those chunks byte for byte, decodes, and
-	// answers Search and TopK as a brute scan does.
+	// answers Search and a top-k as a brute scan does.
 	for _, bitsLen := range []int{8, 64, 100} {
 		rng := rand.New(rand.NewSource(int64(bitsLen)))
 		codes := clusteredCodes(rng, 120, bitsLen, 5, 2)
@@ -282,7 +282,7 @@ func TestStreamedEquivalence(t *testing.T) {
 				}
 				slices.SortFunc(byDist, func(a, b [2]int) int { return cmp.Or(a[0]-b[0], a[1]-b[1]) })
 				for _, k := range []int{1, 9, n} {
-					gi, gd := sr.TopK(q, k)
+					gi, gd := topK(sr, q, k)
 					if len(gi) != k {
 						t.Fatalf("L=%d chunk=%d k=%d q#%d: %d results", bitsLen, chunk, k, qi, len(gi))
 					}

@@ -250,8 +250,8 @@ func TestMapFrozenMatchesEager(t *testing.T) {
 			}
 			for _, k := range []int{1, 7, 33} {
 				for _, q := range queries {
-					gi, gd := msr.TopK(q, k)
-					wi, wd := esr.TopK(q, k)
+					gi, gd := topK(msr, q, k)
+					wi, wd := topK(esr, q, k)
 					if !equalIDs(gi, wi) {
 						done <- &searchMismatchError{len(gi), len(wi)}
 						return
@@ -479,7 +479,7 @@ func FuzzSectionTable(f *testing.F) {
 			for _, c := range got.Codes() {
 				sr.Search(c, 1)
 			}
-			sr.TopK(bitvec.New(got.Length()), 3)
+			topK(sr, bitvec.New(got.Length()), 3)
 		}
 	})
 }

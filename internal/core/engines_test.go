@@ -10,8 +10,13 @@ import (
 	"haindex/internal/mih"
 )
 
-// TestTopKAgainstBruteForce: TopK over every arena index form — the frozen
-// HA-Index, the adapted scan and multi-index hashing — returns exactly the
+// topK is the k nearest tuples to q by core.TopKByRadius over sr.Search.
+func topK(sr *core.Searcher, q bitvec.Code, k int) ([]int, []int) {
+	return core.TopKByRadius(q.Len(), k, func(h int) []int { return sr.Search(q, h) })
+}
+
+// TestTopKAgainstBruteForce: a top-k over every arena engine — the frozen
+// HA-Index, the scan and multi-index hashing — returns exactly the
 // first k (distance, id) pairs of a brute-force sort, ids and distances
 // alike, at 16 to 128 bits, for queries near stored codes and random ones,
 // with k from 0 past the index size.
@@ -31,18 +36,18 @@ func TestTopKAgainstBruteForce(t *testing.T) {
 		ks := []int{0, 1, 3, 17, 64, len(codes) + 5, 1 + rng.Intn(20)}
 		for qi, q := range queries {
 			allIDs, allDists := bruteOrder(codes, q)
-			for _, idx := range []core.Index{frozen, core.AsIndex(frozen.Groups()), core.AsIndex(m)} {
-				sr := core.NewSearcher(idx)
+			for _, eng := range []core.Engine{frozen, frozen.Groups(), m} {
+				sr := core.NewSearcher(eng)
 				for _, k := range ks {
 					var wantIDs, wantDists []int
 					if k > 0 {
 						n := min(k, len(codes))
 						wantIDs, wantDists = allIDs[:n], allDists[:n]
 					}
-					gotIDs, gotDists := sr.TopK(q, k)
+					gotIDs, gotDists := topK(sr, q, k)
 					if !slices.Equal(gotIDs, wantIDs) || !slices.Equal(gotDists, wantDists) {
 						t.Fatalf("L=%d %T k=%d q#%d: got %v at %v, want %v at %v",
-							bitsLen, idx, k, qi, gotIDs, gotDists, wantIDs, wantDists)
+							bitsLen, eng, k, qi, gotIDs, gotDists, wantIDs, wantDists)
 					}
 				}
 			}
@@ -50,8 +55,8 @@ func TestTopKAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// TestFrozenTopKEquivalence: the frozen HA-Index's TopK returns exactly the
-// (distance, id) pairs of TopK through each engine adapted onto the same
+// TestFrozenTopKEquivalence: the frozen HA-Index's top-k returns exactly the
+// (distance, id) pairs of the top-k through each other engine over the same
 // arena — the brute scan and multi-index hashing — for queries that are
 // stored codes themselves (ties at distance 0) and random ones.
 func TestFrozenTopKEquivalence(t *testing.T) {
@@ -68,11 +73,11 @@ func TestFrozenTopKEquivalence(t *testing.T) {
 		}
 		fsr := core.NewSearcher(frozen)
 		for _, eng := range []core.Engine{frozen.Groups(), m} {
-			esr := core.NewSearcher(core.AsIndex(eng))
+			esr := core.NewSearcher(eng)
 			for _, k := range []int{0, 1, 3, 17, 64, len(codes) + 5} {
 				for qi, q := range queries {
-					gotIDs, gotDists := fsr.TopK(q, k)
-					wantIDs, wantDists := esr.TopK(q, k)
+					gotIDs, gotDists := topK(fsr, q, k)
+					wantIDs, wantDists := topK(esr, q, k)
 					if !slices.Equal(gotIDs, wantIDs) || !slices.Equal(gotDists, wantDists) {
 						t.Fatalf("L=%d %T k=%d q#%d: frozen %v at %v, the engine's %v at %v",
 							bitsLen, eng, k, qi, gotIDs, gotDists, wantIDs, wantDists)

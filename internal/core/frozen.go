@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 
@@ -25,8 +24,8 @@ import (
 // codes from it, so no resident groups array is ever materialized.
 //
 // A FrozenIndex is immutable: it has no insert buffer and no Insert/Delete.
-// It implements Index, so Searcher, SearchBatch, SearchCodesBatch, and TopK
-// all run over it.
+// It is an Engine, so Searcher, SearchBatch and SearchCodesBatch run over
+// it; SearchBatch walks it a Gray-ordered block of queries at a time.
 type FrozenIndex struct {
 	length int // code length L in bits
 	n      int // number of tuples
@@ -229,15 +228,26 @@ func (f *FrozenIndex) Codes() []bitvec.Code {
 // Tuples invokes fn for every (id, code) pair in the index.
 func (f *FrozenIndex) Tuples(fn func(id int, code bitvec.Code)) { f.Groups().Tuples(fn) }
 
-// searchWith implements Index: the H-Search walk over the flat arrays on the
-// searcher's scratch, answering with the qualifying groups of the leaf
-// arena.
-func (f *FrozenIndex) searchWith(sr *Searcher, q bitvec.Code, h int) (GroupView, []int32) {
-	if q.Len() != f.length {
-		panic(fmt.Sprintf("core: %d-bit query against %d-bit frozen index", q.Len(), f.length))
-	}
-	f.walk(sr, q.Words(), h)
-	return f.Groups(), sr.groups
+// NewScratch implements Engine: a fresh H-Search scratch over f.
+func (f *FrozenIndex) NewScratch() EngineScratch { return &haScratch{f: f} }
+
+// haScratch is one searcher's state over a FrozenIndex: the walk's queue,
+// and the block walk's shared queue, the accumulated distances its entries
+// index, the block's query words, and each query's qualifying groups (see
+// FrozenIndex.walkBlock).
+type haScratch struct {
+	f      *FrozenIndex
+	queue  []fitem
+	bqueue []bitem
+	bdists []int32
+	bwords []uint64
+	bout   [][]int32
+}
+
+// Search implements EngineScratch: the H-Search walk over the flat arrays,
+// appending the qualifying groups of the leaf arena to out.
+func (s *haScratch) Search(q bitvec.Code, h int, stats *SearchStats, out []int32) []int32 {
+	return s.walk(q.Words(), h, stats, out)
 }
 
 // fitem is one frozen-walk queue entry: a node id and the Hamming distance
@@ -247,20 +257,20 @@ type fitem struct {
 	dist int32
 }
 
-// walk is the hot-path breadth-first H-Search over the arena, leaving every
-// qualifying leaf group's index in sr.groups in the order it is reached.
+// walk is the hot-path breadth-first H-Search over s.f's arena, appending
+// every qualifying leaf group's index to out in the order it is reached.
 // Residual distances are computed inline from the slabs (no memo, since a
 // single walk touches each node at most once), with the one-word case — the
 // common short-code configuration — specialized so the per-node work is a
 // bare XOR/AND/popcount.
-func (f *FrozenIndex) walk(sr *Searcher, qw []uint64, h int) {
-	st := &sr.Stats
+func (s *haScratch) walk(qw []uint64, h int, st *SearchStats, out []int32) []int32 {
+	f := s.f
 	nw := f.nw
 	hh := int32(h)
 	resSlab, maskSlab, codeSlab := f.resSlab, f.maskSlab, f.codeSlab
 	childStart, childList := f.childStart, f.childList
 	leafStart, leafList := f.leafStart, f.leafList
-	queue, out := sr.fqueue[:0], sr.groups[:0]
+	queue := s.queue[:0]
 	if nw == 1 {
 		qw0 := qw[0]
 		for _, nid := range f.rootIDs {
@@ -341,7 +351,8 @@ func (f *FrozenIndex) walk(sr *Searcher, qw []uint64, h int) {
 			}
 		}
 	}
-	sr.fqueue, sr.groups = queue[:0], out // keep the high-water capacity
+	s.queue = queue[:0] // keep the high-water capacity
+	return out
 }
 
 // blockSize is the most queries one shared walk carries, so that a node's
@@ -350,7 +361,7 @@ const blockSize = 64
 
 // bitem is one block-walk queue entry: a node id, the block's queries still
 // alive there (bit j for query j), and where their accumulated distances
-// start in the searcher's bdists, one per alive query in bit order.
+// start in the scratch's bdists, one per alive query in bit order.
 type bitem struct {
 	nid  int32
 	off  int32
@@ -361,30 +372,28 @@ type bitem struct {
 // breadth-first walk over the union of their walks, in which each child's
 // residual and each leaf group's code is loaded once per node visit and
 // tested against every query alive at the node. Query j's qualifying groups
-// land in sr.bout[j] in the order walk reaches them for that query alone,
+// land in s.bout[j] in the order walk reaches them for that query alone,
 // since the shared queue restricted to the nodes where j is alive is j's own
-// queue. The stats count what the block's walk calls would, summed.
-func (f *FrozenIndex) walkBlock(sr *Searcher, qs []bitvec.Code, h int) {
+// queue. st gains what the block's walk calls would count, summed.
+func (f *FrozenIndex) walkBlock(s *haScratch, qs []bitvec.Code, h int, st *SearchStats) {
 	nq, nw := len(qs), f.nw
 	hh := int32(h)
-	if sr.bout == nil {
-		sr.bout = make([][]int32, blockSize)
+	if s.bout == nil {
+		s.bout = make([][]int32, blockSize)
 	}
-	out := sr.bout[:nq]
+	out := s.bout[:nq]
 	for j := range out {
 		out[j] = out[j][:0]
 	}
 	// Query j's words sit at qw[j*nw:], padded to a full block so the
 	// one-word tests can index it as an array.
-	qw := slices.Grow(sr.bwords[:0], blockSize*nw)[:blockSize*nw]
+	qw := slices.Grow(s.bwords[:0], blockSize*nw)[:blockSize*nw]
 	for j, q := range qs {
 		copy(qw[j*nw:], q.Words())
 	}
-	queue, dists := sr.bqueue[:0], sr.bdists[:0]
-	sr.Stats = SearchStats{
-		DistanceComputations: nq * (len(f.rootIDs) + len(f.topLeaves)),
-		LeavesChecked:        nq * len(f.topLeaves),
-	}
+	queue, dists := s.bqueue[:0], s.bdists[:0]
+	st.DistanceComputations += nq * (len(f.rootIDs) + len(f.topLeaves))
+	st.LeavesChecked += nq * len(f.topLeaves)
 	// The roots and the top-level leaves are the children and leaves of a
 	// node every query reaches at distance 0 with no bits fixed.
 	var zero [blockSize]int32
@@ -393,12 +402,12 @@ func (f *FrozenIndex) walkBlock(sr *Searcher, qs []bitvec.Code, h int) {
 	f.emitLeaves(out, qw, all, zero[:nq], f.topLeaves, -1, hh)
 	for head := 0; head < len(queue); head++ {
 		it := queue[head]
-		pd := dists[it.off : int(it.off)+f.chargeVisit(&sr.Stats, it)]
+		pd := dists[it.off : int(it.off)+f.chargeVisit(st, it)]
 		queue, dists = f.pushChildren(queue, dists, qw, it.mask, pd, f.childList[f.childStart[it.nid]:f.childStart[it.nid+1]], hh)
 		f.emitLeaves(out, qw, it.mask, pd, f.leafList[f.leafStart[it.nid]:f.leafStart[it.nid+1]], it.nid, hh)
 	}
 	// Keep the high-water capacities.
-	sr.bwords, sr.bqueue, sr.bdists = qw[:0], queue[:0], dists[:0]
+	s.bwords, s.bqueue, s.bdists = qw[:0], queue[:0], dists[:0]
 }
 
 // pushChildren tests each child's residual against the queries alive in

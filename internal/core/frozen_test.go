@@ -86,7 +86,7 @@ func TestFrozenSearchConcurrent(t *testing.T) {
 					done <- &searchMismatchError{len(got), len(want)}
 					return
 				}
-				sr.TopK(q, 5)
+				topK(sr, q, 5)
 			}
 			done <- nil
 		}(w * 7)
@@ -145,6 +145,6 @@ func BenchmarkFrozenTopK(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sr.TopK(codes[i%len(codes)], 10)
+		topK(sr, codes[i%len(codes)], 10)
 	}
 }

@@ -39,20 +39,20 @@ type querier interface {
 }
 
 // newQuerier returns the searcher each form runs on: the arena Searcher for
-// an Index, the PointerSearcher for the Static and Dynamic forms.
+// an Engine, the PointerSearcher for the Static and Dynamic forms.
 func newQuerier(idx any) querier {
-	if x, ok := idx.(Index); ok {
+	if x, ok := idx.(Engine); ok {
 		return NewSearcher(x)
 	}
 	return NewPointerSearcher(idx.(pointerIndex))
 }
 
-// arenaIndexes returns the arena forms SearchBatch serves: the frozen walk
-// (a Gray block at a time) and an adapted engine, the brute scan over the
-// same arena (one query at a time).
-func arenaIndexes(codes []bitvec.Code) []Index {
+// arenaIndexes returns the arena engines SearchBatch serves: the frozen walk
+// (a Gray block at a time) and the brute scan over the same arena (one query
+// at a time).
+func arenaIndexes(codes []bitvec.Code) []Engine {
 	f := Freeze(BuildDynamic(codes, nil, Options{}))
-	return []Index{f, AsIndex(f.Groups())}
+	return []Engine{f, f.Groups()}
 }
 
 // TestSearcherMatchesOracle: a reused searcher answers every query exactly,
@@ -174,7 +174,7 @@ func TestSearcherZeroAllocLooseThreshold(t *testing.T) {
 
 // TestSearchBatchMatchesSerial: SearchBatch returns per-query results
 // identical to serial searches, for several worker counts, and aggregates
-// the same total work, over the frozen walk and an adapted engine.
+// the same total work, over the frozen walk and the scan.
 func TestSearchBatchMatchesSerial(t *testing.T) {
 	codes, queries, _ := searcherEnv(t, 41, 2000, 32, 0)
 	for _, idx := range arenaIndexes(codes) {
@@ -206,8 +206,7 @@ func TestScanEngineStats(t *testing.T) {
 	if ng == len(codes) {
 		t.Fatalf("%d groups for %d codes: the arena must hold duplicates", ng, len(codes))
 	}
-	scan := AsIndex(v)
-	sr := NewSearcher(scan)
+	sr := NewSearcher(v)
 	queries := codes[:9]
 	for h := 0; h <= 3; h++ {
 		for _, q := range queries {
@@ -217,7 +216,7 @@ func TestScanEngineStats(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 2} {
-			_, st := SearchBatch(scan, queries, h, workers)
+			_, st := SearchBatch(v, queries, h, workers)
 			if want := ng * len(queries); st.DistanceComputations != want || st.LeavesChecked != want || st.NodesVisited != 0 {
 				t.Fatalf("h=%d workers=%d: batch stats %+v, want %d groups checked", h, workers, st, want)
 			}

@@ -1,31 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"haindex/internal/bitvec"
-)
-
-// TopK returns the ids of the k tuples nearest to q in Hamming distance,
-// with their distances, ordered by (distance, id); ties at the kth place are
-// broken toward smaller ids, so the result is deterministic. Fewer than k
-// pairs come back when the index holds fewer tuples.
-//
-// The search expands the radius one step at a time — a tuple's distance is
-// the first radius at which it appears — and stops at the first radius whose
-// cumulative result reaches k, so selective queries never pay for a full
-// scan. Unlike Search, the returned slices are freshly allocated and do not
-// alias the searcher's scratch; Stats aggregates the whole expansion.
-func (sr *Searcher) TopK(q bitvec.Code, k int) ([]int, []int) {
-	var agg SearchStats
-	ids, dists := TopKByRadius(sr.idx.Length(), k, func(h int) []int {
-		ids := sr.Search(q, h)
-		agg.Add(sr.Stats)
-		return ids
-	})
-	sr.Stats = agg
-	return ids, dists
-}
+import "slices"
 
 // TopKByRadius is the radius escalation behind every top-k: search(h)
 // returns the ids within distance h of the query (it may reuse one buffer

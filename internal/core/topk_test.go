@@ -5,7 +5,14 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"haindex/internal/bitvec"
 )
+
+// topK is the k nearest tuples to q by TopKByRadius over sr.Search.
+func topK(sr *Searcher, q bitvec.Code, k int) ([]int, []int) {
+	return TopKByRadius(q.Len(), k, func(h int) []int { return sr.Search(q, h) })
+}
 
 // TestTopKByRadius drives the escalation with a scripted search: ids come
 // back unsorted within a radius and again at every later one, and the
@@ -73,16 +80,16 @@ func TestTopKEdgeCases(t *testing.T) {
 	codes := clusteredCodes(rng, 50, 32, 3, 2)
 	idx := Freeze(BuildDynamic(codes, nil, Options{}))
 	sr := NewSearcher(idx)
-	if ids, dists := sr.TopK(codes[0], 0); ids != nil || dists != nil {
+	if ids, dists := topK(sr, codes[0], 0); ids != nil || dists != nil {
 		t.Fatal("k=0 must return nothing")
 	}
 	// k larger than the index returns every tuple.
-	ids, _ := sr.TopK(codes[0], 10*len(codes))
+	ids, _ := topK(sr, codes[0], 10*len(codes))
 	if len(ids) != idx.Len() {
 		t.Fatalf("k>n returned %d of %d", len(ids), idx.Len())
 	}
 	// Exact-match query puts its own id first at distance 0.
-	ids, dists := sr.TopK(codes[7], 3)
+	ids, dists := topK(sr, codes[7], 3)
 	if dists[0] != 0 {
 		t.Fatalf("nearest distance %d, want 0", dists[0])
 	}

@@ -179,11 +179,11 @@ func (g *segment) searcher(st planner.Strategy) (*searchers, *core.Searcher) {
 		set = new(searchers)
 	}
 	if set[st] == nil {
-		var idx core.Index = g.idx
+		var e core.Engine = g.idx
 		if st != planner.UseHA {
-			idx = g.plan.Load().Index(st)
+			e = g.plan.Load().Index(st)
 		}
-		set[st] = core.NewSearcher(idx)
+		set[st] = core.NewSearcher(e)
 	}
 	return set, set[st]
 }
@@ -205,7 +205,7 @@ func planSegment(seg *segment) (mihNs, planNs int64) {
 		return 0, 0
 	}
 	t1 := time.Now()
-	pl, err := planner.New(planner.Engines{HA: seg.idx, MIH: core.AsIndex(m), Groups: view}, planner.Options{Seed: 1})
+	pl, err := planner.New(planner.Engines{HA: seg.idx, MIH: m}, planner.Options{Seed: 1})
 	if err != nil {
 		return 0, 0
 	}

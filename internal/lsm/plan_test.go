@@ -641,7 +641,7 @@ func TestFrozenShard(t *testing.T) {
 		// what they use, by length, only if no slab carries spare capacity.
 		// Over a mapped arena it is all the heap the shard adds.
 		pl := s.state.Load().segments[0].plan.Load()
-		m := pl.Engines().MIH.Engine().(*mih.Index)
+		m := pl.Engines().MIH.(*mih.Index)
 		used := int64(m.SizeBytes() - fz.Groups().SizeBytes())
 		aux, heap := reg.Gauge("index.aux_heap_bytes").Value(), reg.Gauge("index.heap_bytes").Value()
 		if aux != used || heap != int64(fz.HeapBytes())+used || (fz.MappedBytes() > 0 && heap != aux) {

@@ -28,8 +28,8 @@
 // enumerating. Search runs on a per-searcher Scratch (the per-table lookups
 // and radii, the variant enumeration state, and an epoch-marked visited
 // table), reports the qualifying groups as indexes into that slab, and is
-// allocation-free on the steady path; the engine plugs into core.Searcher,
-// SearchBatch, and TopK through core.AsIndex.
+// allocation-free on the steady path. The Index is a core.Engine, so
+// core.Searcher, SearchBatch and core.TopKByRadius run over it directly.
 package mih
 
 import (
@@ -502,10 +502,6 @@ func (m *Index) HeapBytes() int {
 // Tuples invokes fn for every (id, code) pair in the index.
 func (m *Index) Tuples(fn func(id int, code bitvec.Code)) { m.grp.Tuples(fn) }
 
-// Groups implements core.Engine: the distinct-code slab Search's group
-// indexes point into.
-func (m *Index) Groups() core.GroupView { return m.grp }
-
 // NewScratch implements core.Engine.
 func (m *Index) NewScratch() core.EngineScratch {
 	nt := len(m.bounds)
@@ -521,10 +517,10 @@ func (m *Index) NewScratch() core.EngineScratch {
 }
 
 // Search is a convenience for tools and tests: a fresh-searcher, allocating
-// select. Serving paths keep one core.NewSearcher(core.AsIndex(m)) per
-// goroutine instead, whose scratch makes the steady state allocation-free.
+// select. Serving paths keep one core.NewSearcher(m) per goroutine instead,
+// whose scratch makes the steady state allocation-free.
 func (m *Index) Search(q bitvec.Code, h int) []int {
-	return core.NewSearcher(core.AsIndex(m)).SearchAppend(nil, q, h)
+	return core.NewSearcher(m).SearchAppend(nil, q, h)
 }
 
 // Scratch is one searcher's mutable state: per table, the query's key, its
@@ -687,3 +683,7 @@ func distWithin(qw, cw []uint64, h int) bool {
 	}
 	return true
 }
+
+// Groups implements core.Engine: the distinct-code slab Search's group
+// indexes point into.
+func (m *Index) Groups() core.GroupView { return m.grp }

@@ -30,6 +30,11 @@ func clusteredCodes(rng *rand.Rand, n, bitsLen, clusters, flips int) []bitvec.Co
 	return out
 }
 
+// topK is the k nearest tuples to q by core.TopKByRadius over sr.Search.
+func topK(sr *core.Searcher, q bitvec.Code, k int) ([]int, []int) {
+	return core.TopKByRadius(q.Len(), k, func(h int) []int { return sr.Search(q, h) })
+}
+
 func uniformCodes(rng *rand.Rand, n, bitsLen int) []bitvec.Code {
 	out := make([]bitvec.Code, n)
 	for i := range out {
@@ -87,7 +92,7 @@ func TestSearchMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sr := core.NewSearcher(core.AsIndex(m))
+				sr := core.NewSearcher(m)
 				for qi := 0; qi < 15; qi++ {
 					q := codes[rng.Intn(len(codes))].Clone()
 					for f := 0; f < rng.Intn(5); f++ {
@@ -179,7 +184,7 @@ func TestSearchZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr := core.NewSearcher(core.AsIndex(m))
+	sr := core.NewSearcher(m)
 	q := codes[17]
 	var enumerated, walked bool
 	for _, h := range []int{2, 10, 24, 40, 64} {
@@ -252,7 +257,7 @@ func TestEveryThresholdMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range []*Index{owning, aliasing} {
-			sr := core.NewSearcher(core.AsIndex(m))
+			sr := core.NewSearcher(m)
 			nt := m.Blocks()
 			enumerated := make([]bool, nt)
 			walked := make([]bool, nt)
@@ -303,7 +308,7 @@ func TestWideThresholdCostsAboutAScan(t *testing.T) {
 	if m.Blocks() != 4 {
 		t.Fatalf("fixture is meant to sit in the 4-block regime, got %d blocks", m.Blocks())
 	}
-	sr := core.NewSearcher(core.AsIndex(m))
+	sr := core.NewSearcher(m)
 	q := codes[rng.Intn(len(codes))].Clone()
 	q.FlipBit(5)
 	q.FlipBit(40)
@@ -317,8 +322,9 @@ func TestWideThresholdCostsAboutAScan(t *testing.T) {
 	}
 }
 
-// TestTopKThroughAdapter: the generic radius-escalating TopK must work over
-// the adapted engine and agree with distances computed by hand.
+// TestTopKThroughAdapter: the generic radius-escalating top-k
+// (core.TopKByRadius) must work over the engine through core.Searcher and
+// agree with distances computed by hand.
 func TestTopKThroughAdapter(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	codes := uniformCodes(rng, 300, 64)
@@ -326,9 +332,9 @@ func TestTopKThroughAdapter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr := core.NewSearcher(core.AsIndex(m))
+	sr := core.NewSearcher(m)
 	q := bitvec.Rand(rng, 64)
-	ids, gotDists := sr.TopK(q, 10)
+	ids, gotDists := topK(sr, q, 10)
 	if len(ids) != 10 || len(gotDists) != 10 {
 		t.Fatalf("TopK returned %d ids, %d dists, want 10", len(ids), len(gotDists))
 	}
@@ -348,7 +354,7 @@ func TestTopKThroughAdapter(t *testing.T) {
 }
 
 // TestSearchBatchConcurrent: the engine must serve concurrent batch searches
-// through the adapter (exercised under -race by make test-race).
+// through core.SearchBatch (exercised under -race by make test-race).
 func TestSearchBatchConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	codes := clusteredCodes(rng, 600, 64, 8, 3)
@@ -360,7 +366,7 @@ func TestSearchBatchConcurrent(t *testing.T) {
 	for i := range queries {
 		queries[i] = codes[rng.Intn(len(codes))]
 	}
-	got, _ := core.SearchBatch(core.AsIndex(m), queries, 6, 4)
+	got, _ := core.SearchBatch(m, queries, 6, 4)
 	for i, q := range queries {
 		if want := oracle(codes, q, 6); !equalIDs(got[i], want) {
 			t.Fatalf("query %d: batch got %d ids, want %d", i, len(got[i]), len(want))
@@ -767,9 +773,9 @@ func bruteWork(m *Index, q bitvec.Code, h int) (probes, verified int) {
 	return probes, verified
 }
 
-// TestEnginePathMatchesOracle drives the adapted engine through every result
-// path core offers — Search, SearchAppend onto a non-empty dst, SearchCodes,
-// SearchBatch and TopK — at 8 to 130 bits and every third threshold, against
+// TestEnginePathMatchesOracle drives the engine through every result path
+// core offers — Search, SearchAppend onto a non-empty dst, SearchCodes,
+// SearchBatch and a top-k by TopKByRadius — at 8 to 130 bits and every third threshold, against
 // the brute oracle; the work each select reports is what bruteWork says it
 // must be, so a probe that misses or double-counts a key fails here too, and
 // its keys examined are the closed form Probes gives the planner — exactly
@@ -784,8 +790,7 @@ func TestEnginePathMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx := core.AsIndex(m)
-		sr := core.NewSearcher(idx)
+		sr := core.NewSearcher(m)
 		queries := make([]bitvec.Code, 12)
 		for i := range queries {
 			queries[i] = codes[rng.Intn(len(codes))].Clone()
@@ -794,7 +799,7 @@ func TestEnginePathMatchesOracle(t *testing.T) {
 			}
 		}
 		for h := 0; h <= bitsLen; h += 3 {
-			batch, batchStats := core.SearchBatch(idx, queries, h, 3)
+			batch, batchStats := core.SearchBatch(m, queries, h, 3)
 			var sum core.SearchStats
 			for qi, q := range queries {
 				what := fmt.Sprintf("%d-bit h=%d query %d", bitsLen, h, qi)
@@ -847,7 +852,7 @@ func TestEnginePathMatchesOracle(t *testing.T) {
 				all[i] = pair{q.Distance(c), ids[i]}
 			}
 			slices.SortFunc(all, func(a, b pair) int { return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.id, b.id)) })
-			gotIDs, gotDists := sr.TopK(q, 25)
+			gotIDs, gotDists := topK(sr, q, 25)
 			for i := range all[:25] {
 				if gotIDs[i] != all[i].id || gotDists[i] != all[i].d {
 					t.Fatalf("%d-bit TopK[%d] = (%d at %d), want (%d at %d)", bitsLen, i, gotIDs[i], gotDists[i], all[i].id, all[i].d)
@@ -934,7 +939,7 @@ func BenchmarkMIHSearch(b *testing.B) {
 	m, queries := wideShard()
 	for _, h := range []int{2, 3, 8, 10} {
 		b.Run(fmt.Sprintf("h=%d", h), func(b *testing.B) {
-			sr := core.NewSearcher(core.AsIndex(m))
+			sr := core.NewSearcher(m)
 			var ids []int
 			var work core.SearchStats
 			b.ReportAllocs()

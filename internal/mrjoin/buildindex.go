@@ -56,7 +56,7 @@ func (g *GlobalIndex) Plan() (*ReducerPlan, error) {
 			return
 		}
 		t1 := time.Now()
-		pl, err := planner.New(planner.Engines{HA: g.Index, MIH: core.AsIndex(m), Groups: view}, planner.Options{Seed: 1})
+		pl, err := planner.New(planner.Engines{HA: g.Index, MIH: m}, planner.Options{Seed: 1})
 		if err != nil {
 			g.planErr = fmt.Errorf("mrjoin: planning the global index: %w", err)
 			return
@@ -66,10 +66,10 @@ func (g *GlobalIndex) Plan() (*ReducerPlan, error) {
 	return g.plan, g.planErr
 }
 
-// searchIndex returns the index a reducer searches at threshold h under the
+// searchIndex returns the engine a reducer searches at threshold h under the
 // engine pin, and the strategy it serves. A pin to HA is the forest itself
 // and builds no plan; any other engine is the plan's.
-func (g *GlobalIndex) searchIndex(pin planner.Strategy, h int) (core.Index, planner.Strategy, error) {
+func (g *GlobalIndex) searchIndex(pin planner.Strategy, h int) (core.Engine, planner.Strategy, error) {
 	if pin == planner.UseHA {
 		return g.Index, pin, nil
 	}

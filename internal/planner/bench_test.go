@@ -38,7 +38,7 @@ func benchmarkShape(tb testing.TB) Engines {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return Engines{HA: ha, MIH: core.AsIndex(m), Groups: ha.Groups()}
+	return Engines{HA: ha, MIH: m, Groups: ha.Groups()}
 }
 
 // BenchmarkNew is what a default haserve pays for the planner at start-up:

@@ -81,8 +81,8 @@ func ParseStrategy(name string) (Strategy, error) {
 type Engines struct {
 	// HA is the frozen HA-Index.
 	HA *core.FrozenIndex
-	// MIH is the adapted multi-index-hashing engine, or nil.
-	MIH *core.EngineIndex
+	// MIH is the multi-index-hashing engine (a *mih.Index), or nil.
+	MIH core.Engine
 	// Groups is the slab the brute scan walks and sample probes are drawn
 	// from. Empty selects the frozen HA-Index's own leaf arena
 	// (FrozenIndex.Groups), so the scan costs no memory.
@@ -154,9 +154,9 @@ type Planner struct {
 
 	distHist []float64 // P(pairwise distance = d), sampled
 
-	// idx[s] serves strategy s — the frozen walk, the adapted MIH engine, the
-	// scan over Groups — and is nil when s is unavailable.
-	idx [numStrategies]core.Index
+	// idx[s] serves strategy s — the frozen walk, MIH, the scan over Groups —
+	// and is nil when s is unavailable.
+	idx [numStrategies]core.Engine
 	// plans[h] is the decision at threshold h, cost cells included, written
 	// only by New.
 	plans []Plan
@@ -176,8 +176,8 @@ func New(eng Engines, opts Options) (*Planner, error) {
 		return nil, fmt.Errorf("planner: HA engine is required")
 	}
 	bits := eng.HA.Length()
-	if eng.MIH != nil && eng.MIH.Length() != bits {
-		return nil, fmt.Errorf("planner: MIH engine is %d-bit, HA is %d-bit", eng.MIH.Length(), bits)
+	if eng.MIH != nil && eng.MIH.Groups().Length != bits {
+		return nil, fmt.Errorf("planner: MIH engine is %d-bit, HA is %d-bit", eng.MIH.Groups().Length, bits)
 	}
 	if eng.Groups.Count() == 0 {
 		if len(eng.Codes) == 0 {
@@ -191,10 +191,7 @@ func New(eng Engines, opts Options) (*Planner, error) {
 	}
 	eng.Codes, eng.IDs = nil, nil
 	p := &Planner{eng: eng, n: eng.HA.Len(), bits: bits, plans: make([]Plan, bits+1), retired: [numStrategies]int{-1, -1, -1}}
-	p.idx[UseHA], p.idx[UseScan] = eng.HA, core.AsIndex(eng.Groups)
-	if eng.MIH != nil {
-		p.idx[UseMIH] = eng.MIH
-	}
+	p.idx[UseHA], p.idx[UseMIH], p.idx[UseScan] = eng.HA, eng.MIH, eng.Groups
 	rng := rand.New(rand.NewSource(opts.Seed))
 	p.distHist = make([]float64, bits+1)
 	if eng.Groups.Count() > 0 {
@@ -284,7 +281,7 @@ func Auto(codes []bitvec.Code, ids []int, opts Options) (*Planner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return New(Engines{HA: ha, MIH: core.AsIndex(m), Groups: ha.Groups()}, opts)
+	return New(Engines{HA: ha, MIH: m}, opts)
 }
 
 // sampleDistanceHistogram estimates P(dist = d) from random tuple pairs.
@@ -363,7 +360,7 @@ func (p *Planner) count(rng *rand.Rand) {
 	var m *mih.Index
 	if p.eng.MIH != nil {
 		srMIH = core.NewSearcher(p.eng.MIH)
-		m, _ = p.eng.MIH.Engine().(*mih.Index)
+		m, _ = p.eng.MIH.(*mih.Index)
 	}
 	p.fill(p.grid(), scan, func(s Strategy, h int) float64 {
 		if s == UseHA {
@@ -448,10 +445,11 @@ func (p *Planner) Cost(s Strategy, h int) float64 {
 // Available reports whether strategy s can serve queries.
 func (p *Planner) Available(s Strategy) bool { return p.Index(s) != nil }
 
-// Index returns the index that serves strategy s — the frozen HA-Index, the
-// adapted MIH engine, or the scan adapted over the shared group slab — or nil
-// when s is unavailable. A server binds one core.Searcher to each.
-func (p *Planner) Index(s Strategy) core.Index {
+// Index returns the engine that serves strategy s — the frozen HA-Index, MIH,
+// or the scan over the shared group slab — or nil when s is unavailable.
+// SelectWith, a segment of an lsm.Shard and a join reducer each run their
+// own core.Searcher over it.
+func (p *Planner) Index(s Strategy) core.Engine {
 	if s < 0 || s >= numStrategies {
 		return nil
 	}

@@ -123,7 +123,7 @@ func TestClosedFormRetiresMIH(t *testing.T) {
 		codes[i] = bitvec.Rand(rng, 128)
 	}
 	p := autoPlanner(t, codes, Options{Seed: 4})
-	m, at := p.Engines().MIH.Engine().(*mih.Index), p.retired[UseMIH]
+	m, at := p.Engines().MIH.(*mih.Index), p.retired[UseMIH]
 	scan := float64(p.Engines().Groups.Count())
 	if c := mihOpCost * float64(m.Probes(at)); at < 0 || c <= scan || p.Cost(UseMIH, at) != c {
 		t.Fatalf("MIH retired at h=%d with cell %v, closed form %d probes over %v groups", at, p.Cost(UseMIH, at), m.Probes(at), scan)
@@ -135,8 +135,8 @@ func TestClosedFormRetiresMIH(t *testing.T) {
 // planner, decided, with the cells the fill asked for in the order it asked.
 func fillGrid(cost func(s Strategy, h int) float64) (*Planner, []string) {
 	p := &Planner{bits: 32, plans: make([]Plan, 33), retired: [numStrategies]int{-1, -1, -1}}
-	any := core.AsIndex(core.GroupView{Length: 32})
-	p.idx = [numStrategies]core.Index{any, any, any}
+	any := core.GroupView{Length: 32}
+	p.idx = [numStrategies]core.Engine{any, any, any}
 	var asked []string
 	p.fill(p.grid(), scan, func(s Strategy, h int) float64 {
 		asked = append(asked, fmt.Sprintf("%s@%d", s, h))
@@ -444,7 +444,7 @@ func TestBenchmarkShapePlansMIH(t *testing.T) {
 		t.Skip("builds 150k-code engines")
 	}
 	eng := benchmarkShape(t)
-	m := eng.MIH.Engine().(*mih.Index)
+	m := eng.MIH.(*mih.Index)
 	scan := float64(eng.Groups.Count())
 	for seed := int64(1); seed <= 10; seed++ {
 		p, err := New(eng, Options{Seed: seed})
@@ -574,6 +574,43 @@ func TestNewValidation(t *testing.T) {
 	idx := buildFrozen(codes, nil)
 	if _, err := New(Engines{HA: idx, Codes: codes, IDs: []int{1}}, Options{}); err == nil {
 		t.Error("mismatched id count accepted")
+	}
+}
+
+// TestWrongLengthQueryPanics: a query of another code length than the
+// engine's panics on every engine — HA, MIH and the scan — whether it comes
+// through a core.Searcher, core.SearchBatch or SelectWith, rather than being
+// answered from the words it happens to share with the codes.
+func TestWrongLengthQueryPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	codes := make([]bitvec.Code, 500)
+	for i := range codes {
+		codes[i] = bitvec.Rand(rng, 64)
+	}
+	p := autoPlanner(t, codes, Options{Seed: 1})
+	q := bitvec.Rand(rng, 32)
+	for s := Strategy(0); s < numStrategies; s++ {
+		eng := p.Index(s)
+		paths := []struct {
+			name string
+			run  func()
+		}{
+			{"core.NewSearcher", func() { core.NewSearcher(eng).Search(q, 20) }},
+			// One worker: the search runs on this goroutine, where the
+			// panic can be recovered.
+			{"core.SearchBatch", func() { core.SearchBatch(eng, []bitvec.Code{q}, 20, 1) }},
+			{"SelectWith", func() { p.SelectWith(s, q, 20) }},
+		}
+		for _, path := range paths {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s over %s: a 32-bit query against 64-bit codes did not panic", path.name, s)
+					}
+				}()
+				path.run()
+			}()
+		}
 	}
 }
 

@@ -411,7 +411,7 @@ func TestReadOnlyLoadWalksNoIDs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := planner.New(planner.Engines{HA: idx, MIH: core.AsIndex(m), Groups: view}, planner.Options{Seed: 1}); err != nil {
+			if _, err := planner.New(planner.Engines{HA: idx, MIH: m, Groups: view}, planner.Options{Seed: 1}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -174,7 +174,7 @@ func TestServerSearchMatchesLocalIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range queries[:10] {
-		ids, dists := sr.TopK(q, 7)
+		ids, dists := core.TopKByRadius(q.Len(), 7, func(h int) []int { return sr.Search(q, h) })
 		if len(tk.IDs[i]) != len(ids) {
 			t.Fatalf("topk query %d: %d vs %d results", i, len(tk.IDs[i]), len(ids))
 		}
