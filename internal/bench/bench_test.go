@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"haindex/internal/core"
 	"haindex/internal/dataset"
 )
 
@@ -54,13 +55,27 @@ func TestTable4Quick(t *testing.T) {
 		if len(tb.Rows) != 7 {
 			t.Fatalf("%s: %d rows want 7 systems", tb.Title, len(tb.Rows))
 		}
-		// Query time ordering at the extremes: DHA at least matches
-		// Nested-Loops even at this tiny quick scale (the gap widens with
-		// n; the full-scale ordering is asserted in EXPERIMENTS.md runs).
-		nl := cellMs(t, tb, "Nested-Loops", 1)
-		dha := cellMs(t, tb, "DHA-Index", 1)
-		if dha > nl*3/2+50*time.Microsecond {
-			t.Errorf("%s: DHA (%v) should not lose to Nested-Loops (%v)", tb.Title, dha, nl)
+		for _, row := range []string{"Nested-Loops", "DHA-Index"} {
+			cellMs(t, tb, row, 1) // the query times parse
+		}
+	}
+	// The ordering at the extremes, on counted work rather than on the
+	// clock, which at this scale is scheduling noise (under -race DHA once
+	// read 472µs against Nested-Loops' 153µs): over the same env and h, DHA
+	// computes fewer distances a query than Nested-Loops, which computes n.
+	for _, p := range dataset.Profiles() {
+		env, err := NewEnv(p, sc.SelectN, sc.Bits, sc.Queries, sc.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dha := core.NewPointerSearcher(core.BuildDynamic(env.Codes, nil, core.Options{}))
+		dist := 0
+		for _, q := range env.Queries {
+			dha.Search(q, sc.Threshold)
+			dist += dha.Stats.DistanceComputations
+		}
+		if per := dist / len(env.Queries); per >= len(env.Codes) {
+			t.Errorf("%s: DHA computes %d distances a query, Nested-Loops %d", p.Name, per, len(env.Codes))
 		}
 	}
 }

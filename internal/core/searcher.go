@@ -114,11 +114,23 @@ func SearchCodesBatch(e Engine, queries []bitvec.Code, h, workers int) ([][]bitv
 		func(dst []bitvec.Code, v GroupView, gi int32) []bitvec.Code { return append(dst, v.Code(int(gi))) })
 }
 
+// checkLengths panics unless every query has e's code length. A batch checks
+// before any worker starts: a panic in one would end the process.
+func checkLengths(e Engine, queries []bitvec.Code) {
+	length := e.Groups().Length
+	for _, q := range queries {
+		if q.Len() != length {
+			panic(fmt.Sprintf("core: %d-bit query against %d-bit index", q.Len(), length))
+		}
+	}
+}
+
 // searchBatch is SearchBatch for either result kind: search answers one
 // query on a Searcher, and put appends what search emits for leaf group gi
 // of the frozen index's arena v.
 func searchBatch[T any](e Engine, queries []bitvec.Code, h, workers int,
 	search func(*Searcher, bitvec.Code, int) []T, put func([]T, GroupView, int32) []T) ([][]T, SearchStats) {
+	checkLengths(e, queries)
 	results := make([][]T, len(queries))
 	f, ok := e.(*FrozenIndex)
 	if !ok {
@@ -132,11 +144,6 @@ func searchBatch[T any](e Engine, queries []bitvec.Code, h, workers int,
 				st.Add(sr.Stats)
 			}
 		})
-	}
-	for _, q := range queries {
-		if q.Len() != f.length {
-			panic(fmt.Sprintf("core: %d-bit query against %d-bit frozen index", q.Len(), f.length))
-		}
 	}
 	// Gray order puts queries that agree on their leading bits side by side,
 	// and so in one block; perm maps a sorted position back to the caller's.

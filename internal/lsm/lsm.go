@@ -8,9 +8,9 @@
 // every search scans linearly: at a few thousand rows the scan is the right
 // engine, and no write ever runs an H-Build. Writes are upserts keyed by
 // tuple id. An Insert appends a row, or overwrites the words of the row the
-// id already has; if the id is live in a frozen segment, a tombstone masks
+// id already has; if the id is live in a frozen segment, that segment masks
 // the old version. A Delete of a memtable id moves the last row into the
-// hole; a delete of a frozen id becomes a tombstone. When the memtable passes
+// hole; a delete of a frozen id is masked in its segment. When the memtable passes
 // a size threshold a background goroutine seals it: under the write lock
 // core.BuildFrozen bulk-loads the slab (the paper's H-Build, Algorithm 1)
 // straight into a segment of its own arenas, appended to the stack in one
@@ -32,27 +32,31 @@
 //
 // Frozen wraps an immutable index as a read-only shard of one segment: the
 // server answers every search through a Shard, and an immutable shard is
-// this one-segment case. It keeps no id sets and accepts no mutation.
+// this one-segment case. It keeps no id set and accepts no mutation.
 //
-// A compaction folds segments into one: one core.BuildFrozen over the
-// tuples in their leaf slabs that no tombstone masks, swapped in. The
-// compaction a background seal starts past CompactAt segments folds only the
-// segments above the base — the bottom segment, the bootstrapped snapshot
-// or the last full fold — and rewrites the base as well only once a quarter
-// of its rows are masked (baseMaskedDiv) or the segments above it hold half
-// as many rows as it does (baseUpperDiv). An explicit Compact, or Seal(true),
-// folds the whole stack into one segment. Either fold drops exactly the
-// tombstones no remaining segment needs.
+// Liveness belongs to the segment, as deletions do to an immutable segment of
+// a full-text engine: each mutable segment holds the set of its ids that no
+// later write has masked (live) and the ids masked in it, in order (dead).
+// A write masks an id in the one segment whose live set holds it — the stack
+// is a handful of segments, so that is a few map probes — and a search
+// filters a segment's answers through its own live set only once something
+// in it is dead. Because an insert masks any frozen occurrence of its id, at
+// most one live version of an id exists across the memtable and all
+// segments, so searches fan out and concatenate without a dedup pass.
 //
-// Versioning uses a single mutation sequence: every segment records the
-// sequence at seal time (maxSeq), every tombstone the sequence of the
-// mutation that created it, and a tombstone masks an id only in segments
-// sealed before it (tomb > maxSeq). Because an insert always tombstones any
-// frozen occurrence of its id, at most one live version of an id exists
-// across the memtable and all segments, so searches fan out and concatenate
-// without a dedup pass.
+// A compaction folds segments into one: one core.BuildFrozen over the live
+// tuples in their leaf slabs, swapped in. The compaction a background seal
+// starts past CompactAt segments folds only the segments above the base —
+// the bottom segment, the bootstrapped snapshot or the last full fold — and
+// rewrites the base as well only once a quarter of its rows are masked
+// (baseMaskedDiv) or the segments above it hold half as many rows as it does
+// (baseUpperDiv). An explicit Compact, or Seal(true), folds the whole stack
+// into one segment. The fold reads its inputs' live tuples, and how many ids
+// each has dead, under the read lock, and builds the output and its live set
+// off it; at the swap the ids masked in an input since then move from the
+// output's live set to its dead list. The inputs' sets die with them.
 //
-// Searches take a read lock (memtable and tombstones are mutable). The
+// Searches take a read lock (the memtable and the live sets are mutable). The
 // folds and the planning — the expensive work — run off-lock on immutable
 // structure. What readers still wait out is the seal, which builds a
 // memtable-sized index inside the write lock (lsm.seal_ns,
@@ -91,7 +95,8 @@ type Options struct {
 
 	// Obs, when set, is the registry the shard hangs its instruments on:
 	// lsm.memtable_size / lsm.segments / lsm.tombstones /
-	// lsm.unplanned_segments gauges, lsm.seal_ns / lsm.compact_ns wall
+	// lsm.unplanned_segments gauges (lsm.tombstones: segment rows masked
+	// by a later write), lsm.seal_ns / lsm.compact_ns wall
 	// histograms, and lsm.inserts / lsm.deletes / lsm.seals /
 	// lsm.compactions counters, with lsm.search_ha / lsm.search_mih /
 	// lsm.search_scan counting segment searches by the engine that ran them
@@ -131,13 +136,17 @@ const (
 type searchers [planner.UseScan + 1]*core.Searcher
 
 // segment is one immutable layer of the shard: the frozen serving index,
-// the seal-time sequence that orders it against tombstones, its counted
-// plan once attached, and the free list its searchers come from.
+// which of its ids are live, its counted plan once attached, and the free
+// list its searchers come from.
 type segment struct {
-	idx    *core.FrozenIndex
-	maxSeq uint64
-	plan   atomic.Pointer[planner.Planner] // nil until planned: HA answers
-	aux    int                             // the plan's MIH key tables, in heap bytes
+	idx *core.FrozenIndex
+	// live holds the ids of idx no later write has masked, dead those masked
+	// in it, in the order they were; both change under the shard's write
+	// lock. A Frozen segment has neither and is live whole.
+	live map[int]struct{}
+	dead []int
+	plan atomic.Pointer[planner.Planner] // nil until planned: HA answers
+	aux  int                             // the plan's MIH key tables, in heap bytes
 	// free holds every set a search has released, so it grows to the most
 	// searches the segment has had in flight at once, whatever the caller's
 	// concurrency, and dies with the segment. A sync.Pool stays registered
@@ -147,8 +156,27 @@ type segment struct {
 	free   []*searchers
 }
 
-func newSegment(idx *core.FrozenIndex, maxSeq uint64) *segment {
-	return &segment{idx: idx, maxSeq: maxSeq}
+// idSet returns the set of ids.
+func idSet(ids []int) map[int]struct{} {
+	set := make(map[int]struct{}, len(ids))
+	for _, id := range ids {
+		set[id] = struct{}{}
+	}
+	return set
+}
+
+// tuples invokes fn for every live (id, code) occurrence in the segment's
+// leaf slab; callers hold the shard's mu.
+func (g *segment) tuples(fn func(id int, code bitvec.Code)) {
+	if len(g.dead) == 0 {
+		g.idx.Tuples(fn)
+		return
+	}
+	g.idx.Tuples(func(id int, c bitvec.Code) {
+		if _, ok := g.live[id]; ok {
+			fn(id, c)
+		}
+	})
 }
 
 // strategy returns the engine that searches seg at h under pin: the pinned
@@ -221,19 +249,12 @@ type state struct {
 	epoch    uint64
 }
 
-// tombstone masks its id in every segment sealed before seq. base records
-// that the id has a row in the base segment, which a partial fold keeps.
-type tombstone struct {
-	seq  uint64
-	base bool
-}
-
 // Stats is a point-in-time summary of the shard's layering.
 type Stats struct {
 	Len          int    // live tuples (memtable + unmasked frozen)
 	MemtableSize int    // live memtable entries
 	Segments     int    // immutable segments
-	Tombstones   int    // ids masked in some segment
+	Tombstones   int    // segment rows masked by a later write
 	Epoch        uint64 // bumped on every seal/compaction swap
 	Seals        int64
 	Compactions  int64
@@ -245,17 +266,12 @@ type Shard struct {
 	opts   Options
 	length int
 
-	mu     sync.RWMutex
-	mem    core.GroupView // one row per live memtable entry; IDStart is the identity
-	memIDs map[int]int32  // live memtable id -> its row
-	// baseLive and upperLive hold the ids live (not masked) in the base
-	// segment and in the segments above it.
-	baseLive, upperLive map[int]struct{}
-	tomb                map[int]tombstone     // id -> the mutation masking it
-	seq                 uint64                // mutation sequence, monotone under mu
-	state               atomic.Pointer[state] // immutable segment stack
-	booted              bool
-	readOnly            bool // Frozen's: no id sets, no mutation
+	mu       sync.RWMutex
+	mem      core.GroupView        // one row per live memtable entry; IDStart is the identity
+	memIDs   map[int]int32         // live memtable id -> its row
+	state    atomic.Pointer[state] // immutable segment stack
+	booted   bool
+	readOnly bool // Frozen's: no id set, no mutation
 
 	// structMu serializes structural work (seal, compact, planning) so at
 	// most one freeze/rebuild is in flight.
@@ -279,13 +295,10 @@ func New(length int, opts Options) *Shard {
 	}
 	opts = opts.withDefaults()
 	s := &Shard{
-		opts:      opts,
-		length:    length,
-		mem:       core.GroupView{Length: length, IDStart: []int32{0}},
-		memIDs:    make(map[int]int32),
-		baseLive:  make(map[int]struct{}),
-		upperLive: make(map[int]struct{}),
-		tomb:      make(map[int]tombstone),
+		opts:   opts,
+		length: length,
+		mem:    core.GroupView{Length: length, IDStart: []int32{0}},
+		memIDs: make(map[int]int32),
 	}
 	s.state.Store(&state{})
 	reg := opts.Obs
@@ -317,15 +330,14 @@ func New(length int, opts Options) *Shard {
 func Frozen(idx *core.FrozenIndex, opts Options) *Shard {
 	s := New(idx.Length(), opts)
 	s.booted, s.readOnly = true, true
-	s.seed(idx)
+	s.seed(&segment{idx: idx})
 	return s
 }
 
-// seed makes idx the stack's one segment and plans it in the background
+// seed makes seg the stack's one segment and plans it in the background
 // under structMu, timed on load.mih_build_ns and load.plan_ns; HA serves it,
 // exactly, until then, and Close waits for it. Callers own the empty stack.
-func (s *Shard) seed(idx *core.FrozenIndex) {
-	seg := newSegment(idx, s.seq)
+func (s *Shard) seed(seg *segment) {
 	s.state.Store(&state{segments: []*segment{seg}, epoch: s.state.Load().epoch + 1})
 	s.publishGauges()
 	s.publishSegments()
@@ -366,22 +378,21 @@ func (s *Shard) Bootstrap(idx *core.FrozenIndex) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.booted || s.seq != 0 {
+	if s.booted {
 		return fmt.Errorf("lsm: Bootstrap must be the first operation")
 	}
 	s.booted = true
 	if idx.Len() == 0 {
 		return nil
 	}
+	live := make(map[int]struct{}, idx.Len())
 	idx.Tuples(func(id int, _ bitvec.Code) {
-		s.baseLive[id] = struct{}{}
+		live[id] = struct{}{}
 	})
-	if distinct := len(s.baseLive); distinct != idx.Len() {
-		s.baseLive = make(map[int]struct{})
-		return fmt.Errorf("lsm: bootstrap index holds %d tuples under %d distinct ids", idx.Len(), distinct)
+	if len(live) != idx.Len() {
+		return fmt.Errorf("lsm: bootstrap index holds %d tuples under %d distinct ids", idx.Len(), len(live))
 	}
-	s.seq++
-	s.seed(idx)
+	s.seed(&segment{idx: idx, live: live})
 	return nil
 }
 
@@ -395,13 +406,22 @@ func (s *Shard) Len() int {
 	return s.liveLen()
 }
 
-// liveLen counts the live tuples; callers hold mu. A read-only shard's one
-// segment is live whole.
+// liveLen counts the live tuples; callers hold mu.
 func (s *Shard) liveLen() int {
-	if s.readOnly {
-		return s.state.Load().segments[0].idx.Len()
+	n := len(s.mem.IDs) - s.masked()
+	for _, seg := range s.state.Load().segments {
+		n += seg.idx.Len()
 	}
-	return len(s.mem.IDs) + len(s.baseLive) + len(s.upperLive)
+	return n
+}
+
+// masked counts the segment rows a later write masked; callers hold mu.
+func (s *Shard) masked() int {
+	n := 0
+	for _, seg := range s.state.Load().segments {
+		n += len(seg.dead)
+	}
+	return n
 }
 
 // Epoch returns the current structural epoch: it bumps on every segment-stack
@@ -418,7 +438,7 @@ func (s *Shard) Stats() Stats {
 		Len:          s.liveLen(),
 		MemtableSize: len(s.mem.IDs),
 		Segments:     len(st.segments),
-		Tombstones:   len(s.tomb),
+		Tombstones:   s.masked(),
 		Epoch:        st.epoch,
 		Seals:        s.cSeals.Value(),
 		Compactions:  s.cComps.Value(),
@@ -429,24 +449,20 @@ func (s *Shard) Stats() Stats {
 func (s *Shard) publishGauges() {
 	s.gMem.Set(int64(len(s.mem.IDs)))
 	s.gSegs.Set(int64(len(s.state.Load().segments)))
-	s.gTomb.Set(int64(len(s.tomb)))
+	s.gTomb.Set(int64(s.masked()))
 }
 
-// mask tombstones a frozen id if one is live, and reports whether it was;
-// callers hold mu.
+// mask masks id in the segment where it is live, if one is, and reports
+// whether it was; callers hold mu.
 func (s *Shard) mask(id int) bool {
-	_, inBase := s.baseLive[id]
-	if inBase {
-		delete(s.baseLive, id)
-	} else if _, ok := s.upperLive[id]; ok {
-		delete(s.upperLive, id)
-	} else {
-		return false
+	for _, seg := range s.state.Load().segments {
+		if _, ok := seg.live[id]; ok {
+			delete(seg.live, id)
+			seg.dead = append(seg.dead, id)
+			return true
+		}
 	}
-	s.seq++
-	// An older tombstone of the id may be the one masking its base row.
-	s.tomb[id] = tombstone{seq: s.seq, base: inBase || s.tomb[id].base}
-	return true
+	return false
 }
 
 // Insert upserts the tuple: any older version of the id — in the memtable or
@@ -470,7 +486,7 @@ func (s *Shard) Insert(id int, c bitvec.Code) bool {
 		copy(s.mem.Codes[int(row)*nw:(int(row)+1)*nw], c.Words())
 		replaced = true
 	} else {
-		// A frozen copy is now stale: mask it in every current segment.
+		// A frozen copy is now stale: mask it in its segment.
 		replaced = s.mask(id)
 		rows := len(s.mem.IDs)
 		s.memIDs[id] = int32(rows)
@@ -478,7 +494,6 @@ func (s *Shard) Insert(id int, c bitvec.Code) bool {
 		s.mem.IDs = append(s.mem.IDs, id)
 		s.mem.IDStart = append(s.mem.IDStart, int32(rows+1))
 	}
-	s.seq++
 	s.cInserts.Inc()
 	sealNow := s.opts.MemtableMax > 0 && len(s.mem.IDs) >= s.opts.MemtableMax
 	s.publishGauges()
@@ -504,8 +519,8 @@ func (s *Shard) sealAndFold() {
 }
 
 // Delete removes the tuple with the given id, wherever its live version
-// sits: a memtable id gives up its row, a frozen id becomes a tombstone. It
-// reports whether the id was live.
+// sits: a memtable id gives up its row, a frozen id is masked in its
+// segment. It reports whether the id was live.
 func (s *Shard) Delete(id int) bool {
 	s.writable()
 	s.mu.Lock()
@@ -541,8 +556,9 @@ func (s *Shard) dropRow(id, row int) {
 // distance h of q — one linear scan of the memtable's rows, then every
 // segment through the engine pin names (HA on a segment whose plan is still
 // being counted), or under
-// planner.UsePlan the one its plan picks at h, with tombstone masking — and
-// returns the extended slice; stats aggregates the work of the whole fan-out.
+// planner.UsePlan the one its plan picks at h, keeping each segment's live
+// ids — and returns the extended slice; stats aggregates the work of the
+// whole fan-out.
 func (s *Shard) SearchInto(q bitvec.Code, h int, pin planner.Strategy, out []int, stats *core.SearchStats) []int {
 	if q.Len() != s.length {
 		panic(fmt.Sprintf("lsm: %d-bit query against %d-bit shard", q.Len(), s.length))
@@ -566,10 +582,10 @@ func (s *Shard) search(q bitvec.Code, h int, pin planner.Strategy, out []int, st
 	return out
 }
 
-// searchSegment appends the ids in seg within distance h of q that no
-// tombstone masks, found by strategy st, and counts and times the search on
-// st's instruments; callers hold mu for reading. The ids go straight onto
-// out, which is filtered in place only while some tombstone exists.
+// searchSegment appends the live ids in seg within distance h of q, found by
+// strategy st, and counts and times the search on st's instruments; callers
+// hold mu for reading. The ids go straight onto out, which is filtered in
+// place through seg's live set only once some id of seg is dead.
 func (s *Shard) searchSegment(seg *segment, st planner.Strategy, q bitvec.Code, h int, out []int, stats *core.SearchStats) []int {
 	t0 := time.Now()
 	set, sr := seg.searcher(st)
@@ -577,10 +593,10 @@ func (s *Shard) searchSegment(seg *segment, st planner.Strategy, q bitvec.Code, 
 	out = sr.SearchAppend(out, q, h)
 	stats.Add(sr.Stats)
 	seg.release(set)
-	if len(s.tomb) > 0 {
+	if len(seg.dead) > 0 {
 		kept := out[:start]
 		for _, id := range out[start:] {
-			if t, masked := s.tomb[id]; !masked || t.seq <= seg.maxSeq {
+			if _, ok := seg.live[id]; ok {
 				kept = append(kept, id)
 			}
 		}
@@ -622,26 +638,15 @@ func (s *Shard) TopK(q bitvec.Code, k int) ([]int, []int) {
 	return s.TopKInto(q, k, &stats)
 }
 
-// Tuples invokes fn for every live (id, code) pair: memtable rows plus
-// unmasked segment tuples. The codes alias the shard's slabs — a memtable
-// row's is overwritten by later mutations — so fn must Clone what it keeps.
+// Tuples invokes fn for every live (id, code) pair: memtable rows plus live
+// segment tuples. The codes alias the shard's slabs — a memtable row's is
+// overwritten by later mutations — so fn must Clone what it keeps.
 func (s *Shard) Tuples(fn func(id int, code bitvec.Code)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.mem.Tuples(fn)
-	s.segmentTuples(s.state.Load().segments, fn)
-}
-
-// segmentTuples invokes fn for every (id, code) occurrence in the segments'
-// leaf slabs that no tombstone masks; callers hold mu.
-func (s *Shard) segmentTuples(segs []*segment, fn func(id int, code bitvec.Code)) {
-	for _, seg := range segs {
-		seg.idx.Tuples(func(id int, c bitvec.Code) {
-			if t, masked := s.tomb[id]; masked && t.seq > seg.maxSeq {
-				return
-			}
-			fn(id, c)
-		})
+	for _, seg := range s.state.Load().segments {
+		seg.tuples(fn)
 	}
 }
 
@@ -662,16 +667,9 @@ func (s *Shard) Seal(compact bool) {
 	t0 := time.Now()
 	s.mu.Lock()
 	if len(s.mem.IDs) > 0 {
-		sealed := newSegment(core.BuildFrozen(s.length, s.mem.Codes, s.mem.IDs, core.Options{}), s.seq)
+		live := idSet(s.mem.IDs)
+		sealed := &segment{idx: core.BuildFrozen(s.length, s.mem.Codes, s.mem.IDs, core.Options{}), live: live}
 		st := s.state.Load()
-		// The first segment of an empty stack is the base.
-		live := s.upperLive
-		if len(st.segments) == 0 {
-			live = s.baseLive
-		}
-		for _, id := range s.mem.IDs {
-			live[id] = struct{}{}
-		}
 		s.mem.Codes, s.mem.IDs, s.mem.IDStart = s.mem.Codes[:0], s.mem.IDs[:0], s.mem.IDStart[:1]
 		clear(s.memIDs)
 		segs := append(append([]*segment(nil), st.segments...), sealed)
@@ -725,14 +723,13 @@ func (s *Shard) Compact() { s.compact(true) }
 // compact folds segments into one. With full set, or when the base is due
 // for a rewrite (baseMaskedDiv, baseUpperDiv), the fold takes the whole
 // stack; otherwise it takes the segments above the base and leaves the base
-// as it is. The (id, code) occurrences in the inputs' leaf slabs that no
-// tombstone masks are collected into one row slab and bulk-loaded by a
-// single core.BuildFrozen, which sorts them by Gray rank, off-lock while the
-// inputs keep serving; the output is swapped in and planned. One hierarchy
-// over all of them: the build allocates a few dozen arrays whatever the
-// survivor count (TestShardCompactAllocs), so there is no pointer form to
-// bound by building in chunks. Tombstones that no longer mask a row in a
-// remaining segment are garbage-collected.
+// as it is. The live (id, code) occurrences in the inputs' leaf slabs are
+// collected into one row slab and bulk-loaded by a single core.BuildFrozen,
+// which sorts them by Gray rank, off-lock while the inputs keep serving; the
+// output is swapped in and planned. One hierarchy over all of them: the build
+// allocates a few dozen arrays whatever the survivor count
+// (TestShardCompactAllocs), so there is no pointer form to bound by building
+// in chunks.
 func (s *Shard) compact(full bool) {
 	s.writable()
 	s.structMu.Lock()
@@ -742,13 +739,11 @@ func (s *Shard) compact(full bool) {
 	if len(stack) == 0 {
 		return
 	}
-	// Snapshot the masking decisions: which (segment, id) occurrences
-	// survive, and the sequence horizon the output represents. A tombstone
-	// created mid-compaction has a sequence above this snapshot — and so
-	// above the output's maxSeq — so the tuple it masks simply stays masked
-	// by the live check after the swap.
+	// Snapshot the inputs' live tuples, and how many ids each has dead: an
+	// id masked in an input after this was live in it here, so it is a row
+	// of the output, masked there at the swap.
 	s.mu.RLock()
-	full = full || len(stack) == 1 || s.baseDue(stack)
+	full = full || len(stack) == 1 || baseDue(stack)
 	inputs := stack
 	if !full {
 		inputs = stack[1:]
@@ -759,18 +754,22 @@ func (s *Shard) compact(full bool) {
 	}
 	rows := make([]uint64, 0, total*((s.length+63)/64))
 	ids := make([]int, 0, total)
-	snapSeq := s.seq
-	s.segmentTuples(inputs, func(id int, c bitvec.Code) {
-		ids = append(ids, id)
-		rows = append(rows, c.Words()...)
-	})
+	marks := make([]int, len(inputs))
+	for i, seg := range inputs {
+		marks[i] = len(seg.dead)
+		seg.tuples(func(id int, c bitvec.Code) {
+			ids = append(ids, id)
+			rows = append(rows, c.Words()...)
+		})
+	}
 	s.mu.RUnlock()
 	if len(inputs) == 1 && len(ids) == inputs[0].idx.Len() {
 		return // nothing to merge, nothing to fold away
 	}
 	var out *segment
 	if len(ids) > 0 {
-		out = newSegment(core.BuildFrozen(s.length, rows, ids, core.Options{}), snapSeq)
+		live := idSet(ids) // before the build sorts ids
+		out = &segment{idx: core.BuildFrozen(s.length, rows, ids, core.Options{}), live: live}
 	}
 
 	s.mu.Lock()
@@ -781,31 +780,13 @@ func (s *Shard) compact(full bool) {
 	if out != nil {
 		segs = append(segs, out)
 	}
+	for i, seg := range inputs {
+		for _, id := range seg.dead[marks[i]:] {
+			delete(out.live, id)
+			out.dead = append(out.dead, id)
+		}
+	}
 	s.state.Store(&state{segments: segs, epoch: s.state.Load().epoch + 1})
-	if full {
-		// The output is the new base. Every tombstone that survives below
-		// masks a row of it: its id was live in an input when it was made.
-		if len(s.upperLive) > len(s.baseLive) {
-			s.baseLive, s.upperLive = s.upperLive, s.baseLive
-		}
-		for id := range s.upperLive {
-			s.baseLive[id] = struct{}{}
-		}
-		clear(s.upperLive)
-	}
-	// GC tombstones that mask nothing anymore. A tombstone at or below
-	// snapSeq was applied by the fold, so it is needed only while the base
-	// it may mask remains; one above snapSeq masks a row of the output.
-	for id, t := range s.tomb {
-		switch {
-		case t.seq > snapSeq:
-			if full && !t.base {
-				s.tomb[id] = tombstone{seq: t.seq, base: true}
-			}
-		case full || !t.base:
-			delete(s.tomb, id)
-		}
-	}
 	s.publishGauges()
 	s.mu.Unlock()
 	s.planStack()
@@ -815,15 +796,14 @@ func (s *Shard) compact(full bool) {
 
 // baseDue reports whether the background policy should rewrite the base
 // segment: enough of its rows are masked, or the segments above it are
-// large enough against it. Callers hold mu.
-func (s *Shard) baseDue(stack []*segment) bool {
+// large enough against it. Callers hold the shard's mu.
+func baseDue(stack []*segment) bool {
 	base := stack[0].idx.Len()
 	upper := 0
 	for _, seg := range stack[1:] {
 		upper += seg.idx.Len()
 	}
-	masked := base - len(s.baseLive)
-	return masked*baseMaskedDiv >= base || upper*baseUpperDiv >= base
+	return len(stack[0].dead)*baseMaskedDiv >= base || upper*baseUpperDiv >= base
 }
 
 // Close waits for in-flight background plans, seals and compactions. The

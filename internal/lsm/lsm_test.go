@@ -209,9 +209,9 @@ func TestShardAutoSealCompact(t *testing.T) {
 
 // TestShardBootstrap starts shards from both builds of the frozen index —
 // the pointer build compiled by Freeze, and BuildFrozen — then mutates
-// through the frozen layer: deletes of bootstrapped ids must tombstone, an
+// through the frozen layer: deletes of bootstrapped ids must be masked, an
 // upsert must supersede the frozen copy, and compaction must fold the
-// tombstones away. A snapshot that repeats an id is refused.
+// masked rows away. A snapshot that repeats an id is refused.
 func TestShardBootstrap(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	codes := clustered(rng, 200, 32, 5, 3)

@@ -104,6 +104,9 @@ func (m *model) check() {
 			m.failf("row %d holds id %d, the map sends it to row %d (present %v), offset %d", row, id, got, ok, s.mem.IDStart[row])
 		}
 	}
+	if err := checkLiveSets(s); err != nil {
+		m.failf("%v", err)
+	}
 	if s.Len() != len(m.o) {
 		m.failf("Len = %d, oracle holds %d", s.Len(), len(m.o))
 	}
@@ -266,7 +269,7 @@ func TestShardModelRowMoves(t *testing.T) {
 			if rows := m.s.Stats().MemtableSize; rows != 3 {
 				m.failf("three ids upserted in place occupy %d rows", rows)
 			}
-			m.insert(101, codes[8]) // a segment id: tombstone plus a new row
+			m.insert(101, codes[8]) // a segment id: masked in its segment, plus a new row
 		})
 	}
 }
@@ -336,10 +339,12 @@ func TestShardCompactTombstoneBands(t *testing.T) {
 	var ids []int
 	var codes []bitvec.Code
 	s.mu.RLock()
-	s.segmentTuples(s.state.Load().segments, func(id int, c bitvec.Code) {
-		ids = append(ids, id)
-		codes = append(codes, c)
-	})
+	for _, seg := range s.state.Load().segments {
+		seg.tuples(func(id int, c bitvec.Code) {
+			ids = append(ids, id)
+			codes = append(codes, c)
+		})
+	}
 	s.mu.RUnlock()
 	gray.Sort(codes, ids)
 	order := make([]occ, len(ids))

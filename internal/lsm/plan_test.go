@@ -44,7 +44,7 @@ func checkSegmentEngines(t *testing.T, s *Shard, o oracle, rng *rand.Rand, stage
 		for _, q := range queries {
 			type row struct{ id, d int }
 			var rows []row
-			s.segmentTuples([]*segment{seg}, func(id int, c bitvec.Code) {
+			seg.tuples(func(id int, c bitvec.Code) {
 				rows = append(rows, row{id, q.Distance(c)})
 			})
 			for h := 0; h <= bitsLen; h++ {
@@ -230,32 +230,48 @@ func TestSegmentEnginesAgree(t *testing.T) {
 	}
 }
 
-// maskedRows counts the segment rows some tombstone masks, and returns the
-// ids of the tombstones that mask none; callers hold s.mu.
-func (s *Shard) maskedRows() (rows int, idle []int) {
-	hits := map[int]bool{}
-	for _, seg := range s.state.Load().segments {
-		seg.idx.Tuples(func(id int, _ bitvec.Code) {
-			if t, ok := s.tomb[id]; ok && t.seq > seg.maxSeq {
-				rows++
-				hits[id] = true
-			}
-		})
+// checkLiveSets checks every segment's id sets against its arena: the live
+// and dead ids of a segment are its ids, each once, with no dead id live;
+// and no id is live in two places, two segments or a segment and the
+// memtable.
+func checkLiveSets(s *Shard) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	where := map[int]string{}
+	for id := range s.memIDs {
+		where[id] = "the memtable"
 	}
-	for id := range s.tomb {
-		if !hits[id] {
-			idle = append(idle, id)
+	for si, seg := range s.state.Load().segments {
+		if len(seg.live)+len(seg.dead) != seg.idx.Len() {
+			return fmt.Errorf("segment %d: %d live and %d dead ids over %d rows", si, len(seg.live), len(seg.dead), seg.idx.Len())
+		}
+		rows := map[int]bool{}
+		seg.idx.Tuples(func(id int, _ bitvec.Code) { rows[id] = true })
+		for _, id := range seg.dead {
+			if _, live := seg.live[id]; live || !rows[id] {
+				return fmt.Errorf("segment %d: dead id %d is live (%v) or not a row (%v)", si, id, live, !rows[id])
+			}
+			delete(rows, id) // a second dead copy is no row
+		}
+		for id := range seg.live {
+			if !rows[id] {
+				return fmt.Errorf("segment %d: live id %d is not a row", si, id)
+			}
+			if w, dup := where[id]; dup {
+				return fmt.Errorf("id %d is live in segment %d and in %s", id, si, w)
+			}
+			where[id] = fmt.Sprintf("segment %d", si)
 		}
 	}
-	return rows, idle
+	return nil
 }
 
 // TestBackgroundFoldKeepsBase runs 40 memtables of insert/delete churn, with
 // a few base rows deleted and upserted in each, over a 20k-row base through
 // the background step (seal, then the policy's fold past CompactAt): the
-// base is never rewritten, and after every step each tombstone masks a row
-// in the stack, so their count is bounded by the masked rows. An explicit
-// Compact then folds everything into one segment with no tombstone left.
+// base is never rewritten, and after every step the segments' id sets hold
+// (checkLiveSets). An explicit Compact then folds everything into one segment
+// with no masked row left.
 func TestBackgroundFoldKeepsBase(t *testing.T) {
 	const baseRows, memRows, liveCap = 20000, 256, 1024
 	rng := rand.New(rand.NewSource(40))
@@ -301,12 +317,8 @@ func TestBackgroundFoldKeepsBase(t *testing.T) {
 		if got := s.state.Load().segments[0]; got != base {
 			t.Fatalf("memtable %d: the background fold rewrote the base", m)
 		}
-		s.mu.RLock()
-		rows, idle := s.maskedRows()
-		tombs := len(s.tomb)
-		s.mu.RUnlock()
-		if len(idle) > 0 || tombs > rows {
-			t.Fatalf("memtable %d: %d tombstones over %d masked rows, %d masking nothing (e.g. id %d)", m, tombs, rows, len(idle), idle[0])
+		if err := checkLiveSets(s); err != nil {
+			t.Fatalf("memtable %d: %v", m, err)
 		}
 	}
 	st := s.Stats()
@@ -317,6 +329,9 @@ func TestBackgroundFoldKeepsBase(t *testing.T) {
 	s.Compact()
 	if st := s.Stats(); st.Segments != 1 || st.Tombstones != 0 || st.Len != len(o) {
 		t.Fatalf("after Compact: %+v, oracle holds %d", st, len(o))
+	}
+	if err := checkLiveSets(s); err != nil {
+		t.Fatalf("after Compact: %v", err)
 	}
 	checkAgainstOracle(t, s, o, rng, 64, 10)
 }
@@ -375,6 +390,92 @@ func TestBaseRewriteThresholds(t *testing.T) {
 			t.Fatalf("an upper tier half the base did not fold it: %+v", st)
 		}
 	})
+}
+
+// TestMaskDuringFold: deletes and upserts of a fold's input ids that land
+// between its snapshot and its swap are masked in the output. A delete hit
+// that window when the epoch read right after it returned is still the
+// pre-swap one and its id is a row of the output, so it was live at the
+// snapshot; the fold is run again, over a fresh seal, until one has. After
+// every fold the shard answers the oracle and its id sets hold.
+func TestMaskDuringFold(t *testing.T) {
+	const baseRows, sealRows = 20000, 2000
+	rng := rand.New(rand.NewSource(44))
+	pool := clustered(rng, baseRows+sealRows, 64, 200, 6)
+	o := oracle{}
+	ids := make([]int, baseRows)
+	for i := range ids {
+		ids[i] = i
+		o[i] = pool[i]
+	}
+	s := New(64, Options{MemtableMax: -1, CompactAt: -1})
+	defer s.Close()
+	if err := s.Bootstrap(buildFrozen(pool[:baseRows], ids, core.Options{})); err != nil {
+		t.Fatal(err)
+	}
+	next := baseRows
+	hit := false
+	for try := 0; try < 100 && !hit; try++ {
+		for i := 0; i < sealRows; i++ {
+			c := pool[rng.Intn(len(pool))]
+			s.Insert(next, c)
+			o[next] = c
+			next++
+		}
+		s.Seal(false)
+		victims := make([]int, 0, len(o))
+		for id := range o {
+			victims = append(victims, id)
+		}
+		slices.Sort(victims)
+		rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
+
+		epoch := s.Epoch()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.Compact()
+		}()
+		var window []int // deleted before the swap, by the epoch
+	mutate:
+		for i, id := range victims {
+			select {
+			case <-done:
+				break mutate
+			default:
+			}
+			if i%2 == 0 {
+				s.Delete(id)
+				delete(o, id)
+				if s.Epoch() == epoch {
+					window = append(window, id)
+				}
+			} else {
+				c := pool[rng.Intn(len(pool))]
+				s.Insert(id, c)
+				o[id] = c
+			}
+			time.Sleep(20 * time.Microsecond) // spread the writes over the fold
+		}
+		<-done
+
+		segs := s.state.Load().segments
+		if len(segs) != 1 || s.Epoch() != epoch+1 {
+			t.Fatalf("fold %d: %d segments at epoch %d, from %d", try, len(segs), s.Epoch(), epoch)
+		}
+		rows := map[int]bool{}
+		segs[0].idx.Tuples(func(id int, _ bitvec.Code) { rows[id] = true })
+		for _, id := range window {
+			hit = hit || rows[id]
+		}
+		if err := checkLiveSets(s); err != nil {
+			t.Fatalf("fold %d: %v", try, err)
+		}
+		checkAgainstOracle(t, s, o, rng, 64, 10)
+	}
+	if !hit {
+		t.Fatal("no delete landed between a fold's snapshot and its swap in 100 folds")
+	}
 }
 
 // TestShardSearchAllocs pins the steady state of the planned read path: a

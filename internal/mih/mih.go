@@ -551,9 +551,6 @@ type Scratch struct {
 // LeavesChecked and DistanceComputations.
 func (s *Scratch) Search(q bitvec.Code, h int, stats *core.SearchStats, out []int32) []int32 {
 	m := s.m
-	if q.Len() != m.length {
-		panic(fmt.Sprintf("mih: %d-bit query against %d-bit index", q.Len(), m.length))
-	}
 	s.epoch++
 	if s.epoch == 0 {
 		for i := range s.visited {

@@ -599,6 +599,9 @@ func TestWrongLengthQueryPanics(t *testing.T) {
 			// One worker: the search runs on this goroutine, where the
 			// panic can be recovered.
 			{"core.SearchBatch", func() { core.SearchBatch(eng, []bitvec.Code{q}, 20, 1) }},
+			// Several workers and queries: the length is checked before a
+			// worker starts, so the panic is still this goroutine's.
+			{"core.SearchBatch, 4 workers", func() { core.SearchBatch(eng, append(codes[:32:32], q), 20, 4) }},
 			{"SelectWith", func() { p.SelectWith(s, q, 20) }},
 		}
 		for _, path := range paths {
