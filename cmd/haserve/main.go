@@ -82,8 +82,8 @@ func main() {
 		debugFile = flag.String("debug-port-file", "", "write the bound debug address to this file")
 		shedAfter = flag.Duration("shed-after", 0, "admission-wait budget before a request is shed with a polite overload frame (0 disables; clients back off once and ask the next replica)")
 		shedReqs  = flag.String("shed-requests", "", "comma-separated request numbers answered with a shed frame")
-		idleTO    = flag.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = 30s, negative disables)")
-		writeTO   = flag.Duration("write-timeout", 0, "per-response write deadline (0 = 30s, negative disables)")
+		idleTO    = flag.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = 30s; negative is refused)")
+		writeTO   = flag.Duration("write-timeout", 0, "per-response write deadline (0 = 30s; negative is refused)")
 		mmapIdx   = flag.Bool("mmap", true, "serve the snapshot zero-copy out of an mmap of the file; -mmap=false decodes it onto the heap")
 
 		mutable     = flag.Bool("mutable", false, "serve a writable LSM shard seeded from the snapshot (decoded onto the heap); accepts insert/delete/seal; the snapshot's segment is planned in the background at start, and each seal and compaction plans the segment it writes")

@@ -193,6 +193,53 @@ func TestRouterMatchesOracleAcrossShards(t *testing.T) {
 	}
 }
 
+// TestRouterShardStats: after a known batch of searches over a 2-shard
+// deployment, ShardStats returns one StatsResp per partition, in partition
+// order — each shard's Queries is what the Gray ranges route to that
+// partition — and their Queries add up to what the router routed.
+func TestRouterShardStats(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	const bits, parts, h = 32, 2, 1
+	d := buildDeployment(t, rng, 600, bits, parts, nil)
+	r, err := Dial(d.addrs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	queries := d.queries(rng, 80, bits, 6)
+	if _, err := r.SearchBatch(queries, h); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int64, parts)
+	ranges := histo.NewRanges(bits, d.pivots)
+	for _, q := range queries {
+		for _, m := range ranges.Route(nil, q, h) {
+			want[m]++
+		}
+	}
+	if want[0] == want[1] {
+		t.Fatalf("both partitions routed %d queries: the order is not under test", want[0])
+	}
+	stats, err := r.ShardStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != parts {
+		t.Fatalf("%d StatsResp for %d partitions", len(stats), parts)
+	}
+	var sum int64
+	for m, st := range stats {
+		if st.Queries != want[m] {
+			t.Fatalf("partition %d answered %d queries, its range was routed %d", m, st.Queries, want[m])
+		}
+		sum += st.Queries
+	}
+	if routed := r.Stats().QueriesRouted; sum != routed {
+		t.Fatalf("shards answered %d queries, the router routed %d", sum, routed)
+	}
+}
+
 // TestRouterSingleReplicaRetriesSameServer: with one replica per shard the
 // retry loop must come back to the same address and succeed once the fault
 // budget is spent.

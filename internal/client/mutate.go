@@ -59,7 +59,7 @@ func (r *Router) Insert(ids []int, codes []bitvec.Code) (int, error) {
 	}
 	for m, sh := range r.shards {
 		if len(ownIDs[m]) > 0 {
-			req := wire.InsertReq{Length: r.length, IDs: ownIDs[m], Codes: ownCodes[m]}
+			req := wire.InsertReq{IDs: ownIDs[m], Codes: ownCodes[m]}
 			ins = append(ins, leg{sh: sh, t: wire.MsgInsert, want: wire.MsgInsertOK, payload: req.Append(nil)})
 		}
 	}

@@ -38,7 +38,8 @@ import (
 // failures — a shed is the server working as designed, not a fault.
 var ErrShed = errors.New("client: request shed by overloaded shard")
 
-// Options configures a Router.
+// Options configures a Router. Its metrics are not an option: every router
+// owns its registry, reachable via Router.Obs.
 type Options struct {
 	// MaxAttempts bounds tries per shard request across replicas (0 = 3).
 	MaxAttempts int
@@ -60,13 +61,6 @@ type Options struct {
 	// picks; "ha", "mih", or "scan" forces that engine on every planned
 	// segment of every shard — the one way to pin an engine.
 	Engine string
-
-	// Obs, when set, is the registry the router hangs its counters and
-	// per-attempt latency histograms on; nil gives the router a private one
-	// (reachable via Router.Obs). One registry serves one router: Stats
-	// reads its counters, so two routers on one registry would count each
-	// other's requests.
-	Obs *obs.Registry
 }
 
 // traceCapacity sizes the ring of recent SearchBatch traces kept for haquery
@@ -190,27 +184,25 @@ func Dial(shardAddrs [][]string, opts Options) (*Router, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
+	reg := obs.NewRegistry()
 	r := &Router{
 		opts:       opts,
 		engine:     engine,
 		shards:     make([]*shard, len(shardAddrs)),
-		reg:        opts.Obs,
+		reg:        reg,
 		tracer:     obs.NewTracer(traceCapacity),
 		now:        time.Now,
 		sleep:      time.Sleep,
 		randInt63n: rand.Int63n,
 	}
-	if r.reg == nil {
-		r.reg = obs.NewRegistry()
-	}
-	r.histAttempt = r.reg.Histogram("attempt_ns")
+	r.histAttempt = reg.Histogram("attempt_ns")
 	r.histShard = make([]*obs.Histogram, len(shardAddrs))
 	for m := range r.histShard {
-		r.histShard[m] = r.reg.Histogram(fmt.Sprintf("shard%02d.attempt_ns", m))
+		r.histShard[m] = reg.Histogram(fmt.Sprintf("shard%02d.attempt_ns", m))
 	}
-	r.cntRequests = r.reg.Counter("shard_requests")
-	r.cntRetries = r.reg.Counter("retries")
-	r.cntSheds = r.reg.Counter("sheds")
+	r.cntRequests = reg.Counter("shard_requests")
+	r.cntRetries = reg.Counter("retries")
+	r.cntSheds = reg.Counter("sheds")
 	seen := make(map[int]string)
 	for i, addrs := range shardAddrs {
 		if len(addrs) == 0 {
@@ -298,8 +290,8 @@ func (r *Router) Snapshot() Snapshot {
 	return s
 }
 
-// Obs returns the router's metric registry (the one given in Options, or the
-// router's private one).
+// Obs returns the router's own metric registry: its counters and
+// per-attempt latency histograms.
 func (r *Router) Obs() *obs.Registry { return r.reg }
 
 // Tracer returns the ring of recent SearchBatch traces; Tracer().Slowest()

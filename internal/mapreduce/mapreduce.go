@@ -26,8 +26,6 @@ import (
 	"slices"
 	"sync"
 	"time"
-
-	"haindex/internal/obs"
 )
 
 // KV is one key-value record. Keys and values are raw bytes, as on the wire.
@@ -54,27 +52,23 @@ type Broadcast struct {
 	Size int64
 }
 
-// Config describes one MapReduce job.
+// Config describes one MapReduce job: one map and one reduce, with nothing
+// combining map output in between. What the job cost comes back in Metrics.
 type Config struct {
 	Name     string
 	Mappers  int // map tasks; 0 selects Nodes
 	Reducers int // reduce tasks; 0 selects Nodes
 	Nodes    int // concurrently executing workers (cluster size); 0 selects 4
 
-	Map MapFunc // required
-	// Combine, when set, runs on each map task's local output per key
-	// before the shuffle — Hadoop's combiner. It must be semantically
-	// idempotent with Reduce's aggregation; the runtime applies it once
-	// per (map task, key) group.
-	Combine   ReduceFunc
+	Map       MapFunc // required
 	Reduce    ReduceFunc
 	Partition PartitionFunc // nil selects FNV-1a hash partitioning
 	Broadcast []Broadcast
 
 	// Faults, when set, injects deterministic task failures and straggler
-	// delays (nil injects nothing). Map, Combine, and Reduce must be pure
-	// over their inputs — any task attempt may be re-executed or raced
-	// against a duplicate; external side effects must be idempotent (see
+	// delays (nil injects nothing). Map and Reduce must be pure over their
+	// inputs — any task attempt may be re-executed or raced against a
+	// duplicate; external side effects must be idempotent (see
 	// dfs.CreateIdempotent).
 	Faults *FaultPlan
 	// Retry bounds per-task re-execution; the zero value selects Hadoop's
@@ -84,13 +78,6 @@ type Config struct {
 	// running longer than a multiple of the median completed-task time and
 	// takes the first finisher.
 	Speculation Speculation
-
-	// Obs, when set, receives the job's timing distributions: per-task wall
-	// times land in the "mr.map_task_ns" / "mr.reduce_task_ns" histograms
-	// and the phase walls in "mr.{map,shuffle,reduce}_wall_ns", so a
-	// multi-job pipeline accumulates per-phase latency percentiles across
-	// jobs. Nil records nothing.
-	Obs *obs.Registry
 }
 
 // Metrics reports what one job cost.
@@ -166,31 +153,6 @@ func (m Metrics) Tasks() int {
 	return len(m.MapTaskTimes) + len(m.ReduceTaskTimes)
 }
 
-// observe publishes the job's timing distributions into reg (nil records
-// nothing): per-task times and per-phase walls as histograms, job and
-// attempt totals as counters.
-func (m Metrics) observe(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	mapTask := reg.Histogram("mr.map_task_ns")
-	for _, d := range m.MapTaskTimes {
-		mapTask.Record(int64(d))
-	}
-	redTask := reg.Histogram("mr.reduce_task_ns")
-	for _, d := range m.ReduceTaskTimes {
-		redTask.Record(int64(d))
-	}
-	reg.Histogram("mr.map_wall_ns").Record(int64(m.MapWall))
-	reg.Histogram("mr.shuffle_wall_ns").Record(int64(m.ShuffleWall))
-	reg.Histogram("mr.reduce_wall_ns").Record(int64(m.ReduceWall))
-	reg.Histogram("mr.job_wall_ns").Record(int64(m.Wall))
-	reg.Counter("mr.jobs").Inc()
-	reg.Counter("mr.attempts").Add(m.Attempts)
-	reg.Counter("mr.shuffle_bytes").Add(m.ShuffleBytes)
-	reg.Counter("mr.wasted_bytes").Add(m.WastedBytes)
-}
-
 // recordOverhead models per-record framing (key length + value length).
 const recordOverhead = 8
 
@@ -252,13 +214,13 @@ func Run(cfg Config, input []KV) ([]KV, Metrics, error) {
 		metrics.BroadcastBytes += b.Size * int64(cfg.Nodes)
 	}
 	start := time.Now()
-	defer func() { metrics.observe(cfg.Obs) }()
 	sem := make(chan struct{}, cfg.Nodes)
 
 	// ---- Map phase ----
 	splits := splitInput(input, cfg.Mappers)
 	mapPayloads, mapTooks, err := runPhase(MapTask, &cfg, sem, len(splits), &metrics,
 		func(mi int) (any, int64, error) {
+			var emitted int64
 			parts := make([][]KV, cfg.Reducers)
 			for p := range parts {
 				// Room for one record per input, spread evenly; a mapper
@@ -268,23 +230,14 @@ func Run(cfg Config, input []KV) ([]KV, Metrics, error) {
 			emit := func(kv KV) {
 				p := cfg.Partition(kv.Key, cfg.Reducers)
 				parts[p] = append(parts[p], kv)
+				emitted += kvBytes(kv)
 			}
 			for _, in := range splits[mi] {
 				if err := cfg.Map(in, emit); err != nil {
-					return nil, emittedBytes(parts), fmt.Errorf("mapreduce: job %q map task %d: %w", cfg.Name, mi, err)
+					return nil, emitted, fmt.Errorf("mapreduce: job %q map task %d: %w", cfg.Name, mi, err)
 				}
 			}
-			if cfg.Combine != nil {
-				for p := range parts {
-					combined, err := combine(cfg.Combine, parts[p])
-					if err != nil {
-						return nil, emittedBytes(parts), fmt.Errorf("mapreduce: job %q combiner (map task %d): %w", cfg.Name, mi, err)
-					}
-					parts[p] = combined
-				}
-			}
-			b := emittedBytes(parts)
-			return mapOutput{parts: parts, bytes: b}, b, nil
+			return mapOutput{parts: parts, bytes: emitted}, emitted, nil
 		})
 	if err != nil {
 		metrics.Wall = time.Since(start)
@@ -383,43 +336,6 @@ func Run(cfg Config, input []KV) ([]KV, Metrics, error) {
 	metrics.ReduceWall = time.Since(reduceStart)
 	metrics.Wall = time.Since(start)
 	return out, metrics, nil
-}
-
-// emittedBytes totals a map attempt's partitioned output volume.
-func emittedBytes(parts [][]KV) int64 {
-	var b int64
-	for _, kvs := range parts {
-		for _, kv := range kvs {
-			b += kvBytes(kv)
-		}
-	}
-	return b
-}
-
-// combine groups one map task's output for one partition by key and runs
-// the combiner over each group.
-func combine(fn ReduceFunc, kvs []KV) ([]KV, error) {
-	if len(kvs) == 0 {
-		return kvs, nil
-	}
-	sortKVs(kvs)
-	var out []KV
-	emit := func(kv KV) { out = append(out, kv) }
-	for i := 0; i < len(kvs); {
-		j := i
-		for j < len(kvs) && bytes.Equal(kvs[j].Key, kvs[i].Key) {
-			j++
-		}
-		vals := make([][]byte, 0, j-i)
-		for _, kv := range kvs[i:j] {
-			vals = append(vals, kv.Value)
-		}
-		if err := fn(kvs[i].Key, vals, emit); err != nil {
-			return nil, err
-		}
-		i = j
-	}
-	return out, nil
 }
 
 // splitInput divides the input into contiguous chunks, one per map task.

@@ -252,67 +252,3 @@ func TestManyTasksParallel(t *testing.T) {
 		t.Fatalf("counted %d", total)
 	}
 }
-
-func TestCombiner(t *testing.T) {
-	input := make([]KV, 1000)
-	for i := range input {
-		input[i] = kv(fmt.Sprintf("k%d", i%5), "1")
-	}
-	sum := func(key []byte, values [][]byte, emit func(KV)) error {
-		total := 0
-		for _, v := range values {
-			x, err := strconv.Atoi(string(v))
-			if err != nil {
-				return err
-			}
-			total += x
-		}
-		emit(KV{Key: key, Value: []byte(strconv.Itoa(total))})
-		return nil
-	}
-	base := Config{
-		Name:    "sum",
-		Mappers: 8,
-		Map:     func(in KV, emit func(KV)) error { emit(in); return nil },
-		Reduce:  sum,
-	}
-	outPlain, mPlain, err := Run(base, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withComb := base
-	withComb.Name = "sum-combined"
-	withComb.Combine = sum
-	outComb, mComb, err := Run(withComb, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same answers.
-	if len(outPlain) != len(outComb) {
-		t.Fatalf("outputs differ: %d vs %d", len(outPlain), len(outComb))
-	}
-	for i := range outPlain {
-		if string(outPlain[i].Key) != string(outComb[i].Key) ||
-			string(outPlain[i].Value) != string(outComb[i].Value) {
-			t.Fatalf("combiner changed results: %v vs %v", outPlain[i], outComb[i])
-		}
-	}
-	// Far less shuffle: 8 mappers × 5 keys instead of 1000 records.
-	if mComb.ShuffleRecords >= mPlain.ShuffleRecords/10 {
-		t.Fatalf("combiner shuffle %d not much below plain %d", mComb.ShuffleRecords, mPlain.ShuffleRecords)
-	}
-}
-
-func TestCombinerError(t *testing.T) {
-	_, _, err := Run(Config{
-		Name: "comb-err",
-		Map:  func(in KV, emit func(KV)) error { emit(in); return nil },
-		Combine: func(key []byte, values [][]byte, emit func(KV)) error {
-			return errors.New("combiner boom")
-		},
-		Reduce: func(key []byte, values [][]byte, emit func(KV)) error { return nil },
-	}, []KV{kv("a", "1")})
-	if err == nil || !strings.Contains(err.Error(), "combiner") {
-		t.Fatalf("err = %v", err)
-	}
-}

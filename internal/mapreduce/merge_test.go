@@ -50,10 +50,10 @@ func TestMergeRunsEqualsGlobalSort(t *testing.T) {
 // TestPerTaskSortMatchesGlobalSort drives whole jobs: random records with
 // repeating keys, reducers that emit several records per key group (some
 // byte-identical across reducers), more reducers than keys so that some stay
-// empty, with and without a combiner, failure-free and under a fault plan
-// that makes reduce attempts fail, straggle and race speculative backups. The
-// output must be the reference sort of what an in-test simulation of the job
-// emits, and the shuffle accounting must not depend on the failure model.
+// empty, failure-free and under a fault plan that makes reduce attempts fail,
+// straggle and race speculative backups. The output must be the reference
+// sort of what an in-test simulation of the job emits, and the shuffle
+// accounting must not depend on the failure model.
 func TestPerTaskSortMatchesGlobalSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(172))
 	for trial := 0; trial < 12; trial++ {
@@ -104,43 +104,37 @@ func TestPerTaskSortMatchesGlobalSort(t *testing.T) {
 		referenceSort(want)
 
 		var shuffle [2]Metrics
-		for _, combine := range []bool{false, true} {
-			cfg.Combine = nil
-			if combine {
-				cfg.Combine = sum
+		for fi, faults := range []bool{false, true} {
+			cfg.Faults, cfg.Speculation = nil, Speculation{}
+			if faults {
+				cfg.Faults = NewFaultPlan().
+					FailEvery(MapTask, 2).
+					FailEvery(ReduceTask, 3).
+					Fail(ReduceTask, 0, 1).
+					Delay(ReduceTask, 1, 0, 3*time.Millisecond)
+				cfg.Speculation = Speculation{Enabled: true, MinCompleted: 1, MinRuntime: 200 * time.Microsecond}
 			}
-			for fi, faults := range []bool{false, true} {
-				cfg.Faults, cfg.Speculation = nil, Speculation{}
-				if faults {
-					cfg.Faults = NewFaultPlan().
-						FailEvery(MapTask, 2).
-						FailEvery(ReduceTask, 3).
-						Fail(ReduceTask, 0, 1).
-						Delay(ReduceTask, 1, 0, 3*time.Millisecond)
-					cfg.Speculation = Speculation{Enabled: true, MinCompleted: 1, MinRuntime: 200 * time.Microsecond}
-				}
-				out, m, err := Run(cfg, input)
-				if err != nil {
-					t.Fatalf("trial %d combine=%v faults=%v: %v", trial, combine, faults, err)
-				}
-				runsEqual(t, want, out)
-				if m.OutputRecords != int64(len(want)) {
-					t.Fatalf("trial %d: OutputRecords %d for %d records", trial, m.OutputRecords, len(want))
-				}
-				shuffle[fi] = m
-				if faults && m.Attempts <= int64(m.Tasks()) {
-					t.Fatalf("trial %d: fault plan provoked no extra attempts", trial)
-				}
+			out, m, err := Run(cfg, input)
+			if err != nil {
+				t.Fatalf("trial %d faults=%v: %v", trial, faults, err)
 			}
-			if shuffle[0].ShuffleBytes != shuffle[1].ShuffleBytes || shuffle[0].ShuffleRecords != shuffle[1].ShuffleRecords ||
-				fmt.Sprint(shuffle[0].ReducerRecords) != fmt.Sprint(shuffle[1].ReducerRecords) {
-				t.Fatalf("trial %d combine=%v: shuffle accounting depends on the failure model: %d/%d %v vs %d/%d %v",
-					trial, combine, shuffle[0].ShuffleBytes, shuffle[0].ShuffleRecords, shuffle[0].ReducerRecords,
-					shuffle[1].ShuffleBytes, shuffle[1].ShuffleRecords, shuffle[1].ReducerRecords)
+			runsEqual(t, want, out)
+			if m.OutputRecords != int64(len(want)) {
+				t.Fatalf("trial %d: OutputRecords %d for %d records", trial, m.OutputRecords, len(want))
 			}
-			if !combine && shuffle[0].ShuffleRecords != int64(len(input)) {
-				t.Fatalf("trial %d: %d records shuffled of %d mapped", trial, shuffle[0].ShuffleRecords, len(input))
+			shuffle[fi] = m
+			if faults && m.Attempts <= int64(m.Tasks()) {
+				t.Fatalf("trial %d: fault plan provoked no extra attempts", trial)
 			}
+		}
+		if shuffle[0].ShuffleBytes != shuffle[1].ShuffleBytes || shuffle[0].ShuffleRecords != shuffle[1].ShuffleRecords ||
+			fmt.Sprint(shuffle[0].ReducerRecords) != fmt.Sprint(shuffle[1].ReducerRecords) {
+			t.Fatalf("trial %d: shuffle accounting depends on the failure model: %d/%d %v vs %d/%d %v",
+				trial, shuffle[0].ShuffleBytes, shuffle[0].ShuffleRecords, shuffle[0].ReducerRecords,
+				shuffle[1].ShuffleBytes, shuffle[1].ShuffleRecords, shuffle[1].ReducerRecords)
+		}
+		if shuffle[0].ShuffleRecords != int64(len(input)) {
+			t.Fatalf("trial %d: %d records shuffled of %d mapped", trial, shuffle[0].ShuffleRecords, len(input))
 		}
 	}
 }

@@ -4,19 +4,15 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"haindex/internal/obs"
 )
 
 // TestPhaseWallsAndObs: a job must split its wall time into the three
-// phases and, when given a registry, publish per-task and per-phase timing
-// distributions into it.
+// phases and report one time per task in its Metrics, which is where every
+// reader of the job's costs gets them.
 func TestPhaseWallsAndObs(t *testing.T) {
-	reg := obs.NewRegistry()
 	cfg := Config{
 		Name:    "obs",
 		Mappers: 3, Reducers: 2, Nodes: 2,
-		Obs: reg,
 		Map: func(in KV, emit func(KV)) error {
 			for _, w := range strings.Fields(string(in.Value)) {
 				emit(kv(w, "1"))
@@ -39,24 +35,11 @@ func TestPhaseWallsAndObs(t *testing.T) {
 	if sum := m.MapWall + m.ShuffleWall + m.ReduceWall; sum > m.Wall+m.Wall/2 {
 		t.Fatalf("phase walls %v far exceed job wall %v", sum, m.Wall)
 	}
-	snap := reg.Snapshot()
-	if got := snap.Histograms["mr.map_task_ns"].Count; got != int64(len(m.MapTaskTimes)) {
-		t.Fatalf("mr.map_task_ns holds %d samples, want %d", got, len(m.MapTaskTimes))
-	}
-	if got := snap.Histograms["mr.reduce_task_ns"].Count; got != int64(len(m.ReduceTaskTimes)) {
-		t.Fatalf("mr.reduce_task_ns holds %d samples, want %d", got, len(m.ReduceTaskTimes))
-	}
-	for _, name := range []string{"mr.map_wall_ns", "mr.shuffle_wall_ns", "mr.reduce_wall_ns", "mr.job_wall_ns"} {
-		if snap.Histograms[name].Count != 1 {
-			t.Fatalf("%s holds %d samples, want 1", name, snap.Histograms[name].Count)
-		}
-	}
-	if snap.Counters["mr.jobs"] != 1 || snap.Counters["mr.attempts"] != m.Attempts {
-		t.Fatalf("job counters wrong: %v (attempts=%d)", snap.Counters, m.Attempts)
+	if len(m.MapTaskTimes) != 3 || len(m.ReduceTaskTimes) != 2 || m.Attempts != int64(m.Tasks()) {
+		t.Fatalf("task times %d/%d, attempts %d", len(m.MapTaskTimes), len(m.ReduceTaskTimes), m.Attempts)
 	}
 
-	// A second job accumulates into the same registry, and Metrics.Add
-	// carries the phase walls along.
+	// Metrics.Add carries the phase walls and task times along.
 	var total Metrics
 	total.Add(m)
 	_, m2, err := Run(cfg, docs)
@@ -67,7 +50,7 @@ func TestPhaseWallsAndObs(t *testing.T) {
 	if total.MapWall != m.MapWall+m2.MapWall || total.ReduceWall != m.ReduceWall+m2.ReduceWall {
 		t.Fatalf("Metrics.Add dropped phase walls: %+v", total)
 	}
-	if got := reg.Snapshot().Counters["mr.jobs"]; got != 2 {
-		t.Fatalf("mr.jobs = %d after two jobs", got)
+	if len(total.MapTaskTimes) != 6 || total.Attempts != m.Attempts+m2.Attempts {
+		t.Fatalf("Metrics.Add dropped task times or attempts: %+v", total)
 	}
 }

@@ -135,7 +135,7 @@ func BuildGlobalIndex(r []vector.Vec, pre *Preprocessed, opt Options) (*GlobalIn
 				rows = append(rows, c.Words()...)
 			}
 			// The reducer-side H-Build over one partition.
-			local := core.BuildFrozen(opt.Bits, rows, ids, opt.IndexOpts)
+			local := core.BuildFrozen(opt.Bits, rows, ids, core.Options{})
 			if opt.FS != nil {
 				// Persist the local arena to the DFS, as the paper's reducers
 				// do; the merge phase reads it back. The write is idempotent so

@@ -23,18 +23,18 @@ import (
 	"time"
 
 	"haindex/internal/bitvec"
-	"haindex/internal/core"
 	"haindex/internal/dataset"
 	"haindex/internal/dfs"
 	"haindex/internal/hash"
 	"haindex/internal/histo"
 	"haindex/internal/mapreduce"
-	"haindex/internal/obs"
 	"haindex/internal/planner"
 	"haindex/internal/vector"
 )
 
-// Options configures the distributed join pipelines.
+// Options configures the distributed join pipelines. Every index a pipeline
+// builds takes core's default build options, and its jobs' costs come back
+// in the mapreduce.Metrics of the result it returns.
 type Options struct {
 	Bits       int     // binary code length L; 0 selects 32
 	Partitions int     // number of data partitions N; 0 selects Nodes
@@ -42,7 +42,6 @@ type Options struct {
 	SampleRate float64 // preprocessing sample fraction; 0 selects 0.1
 	Threshold  int     // Hamming-join threshold h; 0 selects 3 (the paper's default)
 	Seed       int64
-	IndexOpts  core.Options // HA-Index build options
 
 	// SearchWorkers is the per-reducer query-engine parallelism: each join
 	// or select reducer drains its query partition through a
@@ -66,11 +65,6 @@ type Options struct {
 	Retry       mapreduce.RetryPolicy
 	Speculation mapreduce.Speculation
 
-	// Obs, when set, is handed to every MapReduce job the pipeline runs, so
-	// per-phase wall times and per-task latency distributions accumulate
-	// across the pipeline's jobs; see mapreduce.Config.Obs.
-	Obs *obs.Registry
-
 	// Engine is the engine every join and select reducer searches the
 	// broadcast forest with: "" or "auto" runs the forest's counted plan at
 	// Threshold (GlobalIndex.Plan: HA, MIH over the forest's leaf arena, or
@@ -79,13 +73,11 @@ type Options struct {
 	Engine string
 }
 
-// applyRuntime threads the failure-model and observability knobs into one
-// job config.
+// applyRuntime threads the failure-model knobs into one job config.
 func (o Options) applyRuntime(cfg *mapreduce.Config) {
 	cfg.Faults = o.Faults
 	cfg.Retry = o.Retry
 	cfg.Speculation = o.Speculation
-	cfg.Obs = o.Obs
 }
 
 func (o Options) withDefaults() Options {

@@ -81,7 +81,7 @@ func BuildShardSnapshots(r []vector.Vec, pre *Preprocessed, opt Options, dir str
 			// chunk a range, and the builder's pass over an ordered chunk
 			// finds nothing to do.
 			gray.Sort(codes, ids)
-			if err := emitSnapshot(shardPath(pid), meta(pid), opt, chunkSize, ids, codes); err != nil {
+			if err := emitSnapshot(shardPath(pid), meta(pid), chunkSize, ids, codes); err != nil {
 				return err
 			}
 			mu.Lock()
@@ -101,7 +101,7 @@ func BuildShardSnapshots(r []vector.Vec, pre *Preprocessed, opt Options, dir str
 		path := shardPath(pid)
 		if _, err := os.Stat(path); os.IsNotExist(err) {
 			// Empty partition: no reducer key, so emit the snapshot here.
-			if err := emitSnapshot(path, meta(pid), opt, chunkSize, nil, nil); err != nil {
+			if err := emitSnapshot(path, meta(pid), chunkSize, nil, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -113,8 +113,8 @@ func BuildShardSnapshots(r []vector.Vec, pre *Preprocessed, opt Options, dir str
 // emitSnapshot streams one partition's tuples into path as a v4 snapshot,
 // writing through a same-directory temp file and an atomic rename so
 // concurrent attempts at the same partition never interleave.
-func emitSnapshot(path string, meta wire.SnapshotMeta, opt Options, chunkSize int, ids []int, codes []bitvec.Code) error {
-	sw, err := core.NewFrozenStreamWriter(meta.Length, chunkSize, opt.IndexOpts)
+func emitSnapshot(path string, meta wire.SnapshotMeta, chunkSize int, ids []int, codes []bitvec.Code) error {
+	sw, err := core.NewFrozenStreamWriter(meta.Length, chunkSize, core.Options{})
 	if err != nil {
 		return err
 	}
@@ -128,14 +128,13 @@ func emitSnapshot(path string, meta wire.SnapshotMeta, opt Options, chunkSize in
 		sw.Abort()
 		return err
 	}
-	if err := wire.WriteSnapshotStream(f, meta, sw); err != nil {
-		f.Close()
+	err = wire.WriteSnapshotStream(f, meta, sw)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(f.Name())
 		return fmt.Errorf("mrjoin: writing %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
 	}
 	return os.Rename(f.Name(), path)
 }

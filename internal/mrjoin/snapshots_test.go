@@ -41,7 +41,7 @@ func TestBuildShardSnapshots(t *testing.T) {
 	for _, c := range codes {
 		rows = append(rows, c.Words()...)
 	}
-	mono := core.NewSearcher(core.BuildFrozen(opt.Bits, rows, nil, opt.IndexOpts))
+	mono := core.NewSearcher(core.BuildFrozen(opt.Bits, rows, nil, core.Options{}))
 
 	searchers := make([]*core.Searcher, 0, len(snaps.Paths))
 	for i, path := range snaps.Paths {

@@ -8,7 +8,6 @@
 package obs
 
 import (
-	"fmt"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -200,14 +199,3 @@ func (s HistSnapshot) Mean() float64 {
 func (s HistSnapshot) P50() int64 { return s.Quantile(0.50) }
 func (s HistSnapshot) P95() int64 { return s.Quantile(0.95) }
 func (s HistSnapshot) P99() int64 { return s.Quantile(0.99) }
-
-// Summary formats the snapshot as durations — the human rendering used by
-// CLIs ("p50=1.2ms p95=3.4ms p99=8ms max=12ms n=1024").
-func (s HistSnapshot) Summary() string {
-	if s.Count == 0 {
-		return "empty"
-	}
-	d := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
-	return fmt.Sprintf("p50=%v p95=%v p99=%v max=%v n=%d",
-		d(s.P50()), d(s.P95()), d(s.P99()), d(s.Max), s.Count)
-}

@@ -61,8 +61,8 @@ func TestQuantileEdgeCases(t *testing.T) {
 			t.Fatalf("empty.Quantile(%v) = %d, want 0", q, got)
 		}
 	}
-	if empty.Mean() != 0 || empty.Summary() != "empty" {
-		t.Fatalf("empty snapshot: mean %v summary %q", empty.Mean(), empty.Summary())
+	if empty.Mean() != 0 || empty.Max != 0 {
+		t.Fatalf("empty snapshot: mean %v max %d", empty.Mean(), empty.Max)
 	}
 
 	one := NewHistogram()

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -168,23 +167,4 @@ func (s RegistrySnapshot) JSON() []byte {
 		return []byte("{}")
 	}
 	return append(b, '\n')
-}
-
-// Names lists every instrument name, sorted — handy for tests and debug
-// tooling.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -65,14 +65,8 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 	if round.Histograms["c"].Count != 1 || round.Histograms["c"].Max != 123456 {
 		t.Fatalf("round-tripped histogram: %+v", round.Histograms["c"])
 	}
-	want := []string{"a", "b", "c"}
-	got := r.Names()
-	if len(got) != len(want) {
-		t.Fatalf("names %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("names %v, want %v", got, want)
-		}
+	snap := r.Snapshot()
+	if len(snap.Counters) != 1 || len(snap.Gauges) != 1 || len(snap.Histograms) != 1 {
+		t.Fatalf("snapshot names: %+v", snap)
 	}
 }

@@ -76,20 +76,18 @@ func ParseStrategy(name string) (Strategy, error) {
 }
 
 // Engines is the set of access paths the planner chooses among. HA is
-// required, and the scan is always available; MIH is optional — a planner
-// without it never chooses it.
+// required, and the scan is always available: it walks the frozen HA-Index's
+// own leaf arena (FrozenIndex.Groups), so it costs no memory, unless Codes
+// are given. MIH is optional — a planner without it never chooses it.
 type Engines struct {
 	// HA is the frozen HA-Index.
 	HA *core.FrozenIndex
 	// MIH is the multi-index-hashing engine (a *mih.Index), or nil.
 	MIH core.Engine
-	// Groups is the slab the brute scan walks and sample probes are drawn
-	// from. Empty selects the frozen HA-Index's own leaf arena
-	// (FrozenIndex.Groups), so the scan costs no memory.
-	Groups core.GroupView
-	// Codes and IDs are the same thing as plain slices: New packs them into
-	// Groups once (one group per tuple) and drops them. IDs defaults to
-	// positions when nil. Ignored when Groups is set.
+	// Codes and IDs, when set, are the tuples the scan walks and sample
+	// probes are drawn from, as plain slices: New packs them into a group
+	// view once (one group per tuple) and drops them. IDs defaults to
+	// positions when nil.
 	Codes []bitvec.Code
 	IDs   []int
 }
@@ -149,12 +147,13 @@ func (pl Plan) Reason() string {
 // Planner owns the engine set and the counted cost model.
 type Planner struct {
 	eng  Engines
+	scan core.GroupView // the slab the scan walks and probes are drawn from
 	n    int
 	bits int
 
 	distHist []float64 // P(pairwise distance = d), sampled
 
-	// idx[s] serves strategy s — the frozen walk, MIH, the scan over Groups —
+	// idx[s] serves strategy s — the frozen walk, MIH, the scan —
 	// and is nil when s is unavailable.
 	idx [numStrategies]core.Engine
 	// plans[h] is the decision at threshold h, cost cells included, written
@@ -179,22 +178,19 @@ func New(eng Engines, opts Options) (*Planner, error) {
 	if eng.MIH != nil && eng.MIH.Groups().Length != bits {
 		return nil, fmt.Errorf("planner: MIH engine is %d-bit, HA is %d-bit", eng.MIH.Groups().Length, bits)
 	}
-	if eng.Groups.Count() == 0 {
-		if len(eng.Codes) == 0 {
-			eng.Groups = eng.HA.Groups()
-		} else {
-			var err error
-			if eng.Groups, err = packGroups(bits, eng.Codes, eng.IDs); err != nil {
-				return nil, err
-			}
+	scan := eng.HA.Groups()
+	if len(eng.Codes) > 0 {
+		var err error
+		if scan, err = packGroups(bits, eng.Codes, eng.IDs); err != nil {
+			return nil, err
 		}
 	}
 	eng.Codes, eng.IDs = nil, nil
-	p := &Planner{eng: eng, n: eng.HA.Len(), bits: bits, plans: make([]Plan, bits+1), retired: [numStrategies]int{-1, -1, -1}}
-	p.idx[UseHA], p.idx[UseMIH], p.idx[UseScan] = eng.HA, eng.MIH, eng.Groups
+	p := &Planner{eng: eng, scan: scan, n: eng.HA.Len(), bits: bits, plans: make([]Plan, bits+1), retired: [numStrategies]int{-1, -1, -1}}
+	p.idx[UseHA], p.idx[UseMIH], p.idx[UseScan] = eng.HA, eng.MIH, scan
 	rng := rand.New(rand.NewSource(opts.Seed))
 	p.distHist = make([]float64, bits+1)
-	if eng.Groups.Count() > 0 {
+	if scan.Count() > 0 {
 		p.sampleDistanceHistogram(rng)
 	}
 	p.count(rng)
@@ -256,7 +252,7 @@ func packGroups(bits int, codes []bitvec.Code, ids []int) (core.GroupView, error
 // sampleCode draws the code of a uniformly random tuple (not group: a code
 // held by many tuples is drawn as often as the data holds it).
 func (p *Planner) sampleCode(rng *rand.Rand) bitvec.Code {
-	v := p.eng.Groups
+	v := p.scan
 	t := int32(rng.Intn(len(v.IDs)))
 	// The first group that ends past tuple t holds it; the last group needs
 	// no test, it holds whatever no earlier one does.
@@ -334,7 +330,7 @@ const (
 // that count, without running a query.
 func (p *Planner) count(rng *rand.Rand) {
 	var queries []bitvec.Code
-	if p.eng.Groups.Count() > 0 {
+	if p.scan.Count() > 0 {
 		queries = make([]bitvec.Code, sampleProbes)
 		for i := range queries {
 			q := p.sampleCode(rng).Clone()
@@ -354,7 +350,7 @@ func (p *Planner) count(rng *rand.Rand) {
 		}
 		return float64(n) / float64(max(len(queries), 1))
 	}
-	scan := float64(p.eng.Groups.Count())
+	scan := float64(p.scan.Count())
 	srHA := core.NewSearcher(p.idx[UseHA])
 	var srMIH *core.Searcher
 	var m *mih.Index
@@ -528,5 +524,6 @@ func (p *Planner) Explain(h int) string {
 	return b.String()
 }
 
-// Engines exposes the engine set the planner was built over.
+// Engines exposes the engine set the planner was built over, Codes and IDs
+// dropped; the scan's view is Index(UseScan).Groups().
 func (p *Planner) Engines() Engines { return p.eng }

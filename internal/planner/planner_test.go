@@ -124,7 +124,7 @@ func TestClosedFormRetiresMIH(t *testing.T) {
 	}
 	p := autoPlanner(t, codes, Options{Seed: 4})
 	m, at := p.Engines().MIH.(*mih.Index), p.retired[UseMIH]
-	scan := float64(p.Engines().Groups.Count())
+	scan := float64(p.Index(UseScan).Groups().Count())
 	if c := mihOpCost * float64(m.Probes(at)); at < 0 || c <= scan || p.Cost(UseMIH, at) != c {
 		t.Fatalf("MIH retired at h=%d with cell %v, closed form %d probes over %v groups", at, p.Cost(UseMIH, at), m.Probes(at), scan)
 	}
@@ -375,9 +375,9 @@ func TestHAOnlyPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Available(UseMIH) || !p.Available(UseScan) || p.Engines().Groups.Count() != idx.Groups().Count() {
+	if p.Available(UseMIH) || !p.Available(UseScan) || p.Index(UseScan).Groups().Count() != idx.Groups().Count() {
 		t.Fatalf("MIH available %v, scan available %v over %d groups",
-			p.Available(UseMIH), p.Available(UseScan), p.Engines().Groups.Count())
+			p.Available(UseMIH), p.Available(UseScan), p.Index(UseScan).Groups().Count())
 	}
 	for h := 0; h <= 32; h++ {
 		if pl := p.Plan(h); pl.Strategy == UseMIH || pl.Cost[UseMIH] != 0 || pl.Cost[UseScan] != float64(idx.Groups().Count()) {
@@ -445,7 +445,7 @@ func TestBenchmarkShapePlansMIH(t *testing.T) {
 	}
 	eng := benchmarkShape(t)
 	m := eng.MIH.(*mih.Index)
-	scan := float64(eng.Groups.Count())
+	scan := float64(eng.HA.Groups().Count())
 	for seed := int64(1); seed <= 10; seed++ {
 		p, err := New(eng, Options{Seed: seed})
 		if err != nil {
@@ -477,12 +477,12 @@ func TestCodesPackedIntoGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byArena, err := New(Engines{HA: idx, Groups: idx.Groups()}, Options{Seed: 1})
+	byArena, err := New(Engines{HA: idx}, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng := bySlices.Engines(); eng.Codes != nil || eng.IDs != nil || eng.Groups.Count() != len(codes) {
-		t.Fatalf("slices not packed into the view: %d groups, %d codes kept", eng.Groups.Count(), len(eng.Codes))
+	if eng, n := bySlices.Engines(), bySlices.Index(UseScan).Groups().Count(); eng.Codes != nil || eng.IDs != nil || n != len(codes) {
+		t.Fatalf("slices not packed into the view: %d groups, %d codes kept", n, len(eng.Codes))
 	}
 	for _, h := range []int{0, 3, 20, 96} {
 		q := codes[rng.Intn(len(codes))].Clone()

@@ -66,10 +66,10 @@ type Options struct {
 	// IdleTimeout bounds how long a connection may sit between frames (and
 	// how long a half-written request may stall) before the server reaps it.
 	// A stalled or half-open client otherwise pins its handler goroutine
-	// forever. 0 selects 30s; negative disables the deadline.
+	// forever. 0 selects 30s; a negative value is refused.
 	IdleTimeout time.Duration
 	// WriteTimeout bounds writing one response frame to a client that has
-	// stopped reading. 0 selects 30s; negative disables the deadline.
+	// stopped reading. 0 selects 30s; a negative value is refused.
 	WriteTimeout time.Duration
 
 	// Obs, when set, is the registry the server hangs its counters and
@@ -189,10 +189,17 @@ func NewMutable(meta wire.SnapshotMeta, sh *lsm.Shard, opts Options) (*Server, e
 }
 
 // withDefaults fills in the zero fields, and refuses any Engine but "" and
-// "auto": an engine is pinned per request, by the hint, not per server.
+// "auto" (an engine is pinned per request, by the hint, not per server) and
+// a negative timeout (a connection's deadlines are always armed).
 func (opts Options) withDefaults() (Options, error) {
 	if opts.Engine != "" && opts.Engine != "auto" {
 		return opts, fmt.Errorf("server: unknown engine %q (want auto; a request's engine hint pins ha, mih or scan)", opts.Engine)
+	}
+	if opts.IdleTimeout < 0 {
+		return opts, fmt.Errorf("server: negative IdleTimeout %v (0 selects 30s)", opts.IdleTimeout)
+	}
+	if opts.WriteTimeout < 0 {
+		return opts, fmt.Errorf("server: negative WriteTimeout %v (0 selects 30s)", opts.WriteTimeout)
 	}
 	if opts.Searchers <= 0 {
 		opts.Searchers = runtime.GOMAXPROCS(0)
@@ -408,15 +415,11 @@ func (s *Server) handleConn(conn net.Conn) {
 	// response (bounding clients that stopped reading). Without them a
 	// half-open connection pins this goroutine forever.
 	readFrame := func() (wire.MsgType, []byte, error) {
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
+		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		return wire.ReadFrame(br)
 	}
 	writeMsg := func(t wire.MsgType, payload []byte) bool {
-		if s.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		}
+		conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 		// Straight onto the connection: one Write, one wake-up of the client.
 		return wire.WriteFrame(conn, t, payload) == nil
 	}
@@ -642,8 +645,8 @@ func (s *Server) answerInsert(payload []byte) (wire.MsgType, []byte) {
 		return wire.MsgError, wire.ErrorMsg{Msg: err.Error()}.Append(nil)
 	}
 	replaced := 0
-	for i, id := range req.IDs {
-		if s.shard.Insert(id, req.Codes[i]) {
+	for i, c := range req.Codes {
+		if s.shard.Insert(req.IDs[i], c) {
 			replaced++
 		}
 	}

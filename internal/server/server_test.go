@@ -618,6 +618,22 @@ func TestServerAutoRoutingHoldsStill(t *testing.T) {
 	}
 }
 
+// TestServerRefusesNegativeTimeout: a connection's deadlines are always
+// armed, so New, and LoadSnapshotFile before the load, refuse a negative
+// IdleTimeout or WriteTimeout.
+func TestServerRefusesNegativeTimeout(t *testing.T) {
+	meta, idx, _ := testShard(t, rand.New(rand.NewSource(32)), 50, 16, 1, 0)
+	for name, bad := range map[string]Options{"IdleTimeout": {IdleTimeout: -1}, "WriteTimeout": {WriteTimeout: -1}} {
+		if _, err := New(meta, idx, bad); err == nil || !strings.Contains(err.Error(), "negative "+name) {
+			t.Fatalf("New with %+v: %v", bad, err)
+		}
+		// Refused before the load: the file does not exist.
+		if _, err := LoadSnapshotFile(filepath.Join(t.TempDir(), "missing"), bad); err == nil || !strings.Contains(err.Error(), "negative "+name) {
+			t.Fatalf("LoadSnapshotFile with %+v: %v", bad, err)
+		}
+	}
+}
+
 // TestServerEngineValidation covers the construction rules — Options.Engine
 // is "" or "auto" and nothing else, "ha", "mih" and "scan" included, since
 // an engine is pinned per request, by the hint, not per server; NewMutable

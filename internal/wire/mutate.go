@@ -15,16 +15,16 @@ import (
 // InsertReq is a batch of upserts: each (id, code) pair replaces any live
 // tuple with the same id, wherever it sits in the LSM layering.
 type InsertReq struct {
-	Length int
-	IDs    []int
-	Codes  []bitvec.Code
+	IDs   []int
+	Codes []bitvec.Code
 }
 
 func (m InsertReq) Append(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(m.IDs)))
+	codes := m.Codes[:len(m.IDs)]
 	for i, id := range m.IDs {
 		dst = binary.AppendUvarint(dst, uint64(id))
-		dst = m.Codes[i].AppendBytes(dst)
+		dst = codes[i].AppendBytes(dst)
 	}
 	return dst
 }
@@ -32,7 +32,7 @@ func (m InsertReq) Append(dst []byte) []byte {
 // ParseInsertReq decodes a batch whose codes have the session's length.
 func ParseInsertReq(payload []byte, length int) (InsertReq, error) {
 	p := &buf{b: payload}
-	m := InsertReq{Length: length}
+	var m InsertReq
 	n := p.count(1 + bitvec.EncodedLen(length))
 	for i := 0; i < n && p.err == nil; i++ {
 		m.IDs = append(m.IDs, p.intv())

@@ -11,7 +11,7 @@ func TestMutateMessageRoundTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, bits := range []int{16, 64, 100} {
 		codes := randCodes(rng, 5, bits)
-		ins := InsertReq{Length: bits, IDs: []int{0, 7, 900000, 3, 12}, Codes: codes}
+		ins := InsertReq{IDs: []int{0, 7, 900000, 3, 12}, Codes: codes}
 		gotIns, err := ParseInsertReq(ins.Append(nil), bits)
 		if err != nil {
 			t.Fatal(err)
@@ -89,7 +89,7 @@ func TestMutateParseErrorPaths(t *testing.T) {
 // stability). make fuzz-wire runs this for a short smoke burst.
 func FuzzParseMutationFrames(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
-	ins := InsertReq{Length: 32, IDs: []int{1, 2}, Codes: randCodes(rng, 2, 32)}
+	ins := InsertReq{IDs: []int{1, 2}, Codes: randCodes(rng, 2, 32)}
 	f.Add(uint8(0), ins.Append(nil))
 	f.Add(uint8(1), InsertResp{Upserts: 2, Replaced: 1, MemtableSize: 7, Epoch: 3}.Append(nil))
 	f.Add(uint8(2), DeleteReq{IDs: []int{5, 6, 7}}.Append(nil))
