@@ -30,10 +30,9 @@ import (
 	"haindex/internal/bitvec"
 	"haindex/internal/core"
 	"haindex/internal/dataset"
-	"haindex/internal/gray"
 	"haindex/internal/hash"
 	"haindex/internal/histo"
-	"haindex/internal/wire"
+	"haindex/internal/mrjoin"
 )
 
 func main() {
@@ -194,45 +193,34 @@ func cmdShard(args []string) {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatalf("%v", err)
 	}
-	byPart := make([][]int, *parts)
+	rows := make([][]int, *parts)
+	partCodes := make([][]bitvec.Code, *parts)
 	for i, c := range codes {
 		m := histo.PartitionID(pivots, c)
-		byPart[m] = append(byPart[m], i)
+		rows[m] = append(rows[m], i)
+		partCodes[m] = append(partCodes[m], c)
 	}
 	t0 := time.Now()
-	for m := 0; m < *parts; m++ {
-		rows := byPart[m]
-		partCodes := make([]bitvec.Code, len(rows))
-		for j, i := range rows {
-			partCodes[j] = codes[i]
+	// Each partition streams into its snapshot a chunk at a time (the
+	// partition index is never resident at once); Complete writes the empty
+	// ones and leaves the directory holding this build and nothing else.
+	sd := mrjoin.ShardDir{Dir: *out, Parts: *parts, Bits: *bits, Pivots: pivots, Chunk: *chunk}
+	tuples := make([]int, *parts)
+	for m := range rows {
+		tuples[m] = len(rows[m])
+		if tuples[m] == 0 {
+			continue
 		}
-		meta := wire.SnapshotMeta{Part: m, Parts: *parts, Length: *bits, Pivots: pivots}
-		path := filepath.Join(*out, fmt.Sprintf("shard-%05d.hasn", m))
-		f, err := os.Create(path)
-		if err != nil {
+		if err := sd.Write(m, rows[m], partCodes[m]); err != nil {
 			fatalf("%v", err)
 		}
-		// Streaming build: Gray-sort the partition so chunks cover tight Gray
-		// ranges (the writer's builder sorts within a chunk only, and finds
-		// these in order), then build-and-spool chunk by chunk straight into
-		// the snapshot — the partition index is never resident at once.
-		gray.Sort(partCodes, rows)
-		sw, err := core.NewFrozenStreamWriter(*bits, *chunk, core.Options{})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		for j, c := range partCodes {
-			if err := sw.Add(rows[j], c); err != nil {
-				fatalf("streaming %s: %v", path, err)
-			}
-		}
-		if err := wire.WriteSnapshotStream(f, meta, sw); err != nil {
-			fatalf("writing %s: %v", path, err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("haidx: %s: %d tuples\n", path, len(rows))
+	}
+	paths, err := sd.Complete(tuples)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	for m, path := range paths {
+		fmt.Printf("haidx: %s: %d tuples\n", path, tuples[m])
 	}
 	cf, err := os.Create(filepath.Join(*out, "codes.txt"))
 	if err != nil {

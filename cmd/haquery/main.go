@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -275,7 +276,9 @@ func parseRange(s string) (lo, hi int, err error) {
 // diffOracle checks the distributed answers, id for id, against a linear
 // scan over every (id, code) tuple of the snapshots in dir: the ids within h
 // for a select, the first k of a (distance, id) sort for a top-k. The scan
-// shares no engine and no radius escalation with the shards it checks.
+// shares no engine and no radius escalation with the shards it checks. The
+// snapshots must be one build — one partitioning, every part exactly once —
+// or the oracle refuses the directory, naming the file that breaks it.
 func diffOracle(dir string, queries []bitvec.Code, h, topk int, got [][]int, tkIDs, tkDists [][]int) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.hasn"))
 	if err != nil || len(paths) == 0 {
@@ -284,20 +287,32 @@ func diffOracle(dir string, queries []bitvec.Code, h, topk int, got [][]int, tkI
 	sort.Strings(paths)
 	var ids []int
 	var codes []bitvec.Code
-	length := 0
+	var build wire.SnapshotMeta
+	parts := map[int]string{} // part id -> the snapshot holding it
 	for _, p := range paths {
-		_, idx, err := wire.ReadSnapshotFile(p)
+		meta, idx, err := wire.ReadSnapshotFile(p)
 		if err != nil {
 			fatalf("oracle: %v", err)
 		}
-		if length != 0 && idx.Length() != length {
-			fatalf("oracle: %s is %d-bit, the other snapshots %d-bit", p, idx.Length(), length)
+		if len(parts) == 0 {
+			build = meta
+		} else if !samePartitioning(meta, build) {
+			fatalf("oracle: %s (%d parts, %d-bit) is not from the build of %s (%d parts, %d-bit, and its pivots)",
+				p, meta.Parts, meta.Length, paths[0], build.Parts, build.Length)
 		}
-		length = idx.Length()
+		if other, dup := parts[meta.Part]; dup {
+			fatalf("oracle: %s and %s both hold part %d", other, p, meta.Part)
+		}
+		parts[meta.Part] = p
 		idx.Tuples(func(id int, code bitvec.Code) {
 			ids = append(ids, id)
 			codes = append(codes, code.Clone())
 		})
+	}
+	for part := 0; part < build.Parts; part++ {
+		if _, ok := parts[part]; !ok {
+			fatalf("oracle: %s holds no snapshot of part %d of %d", dir, part, build.Parts)
+		}
 	}
 	if len(ids) == 0 {
 		fatalf("oracle: snapshots in %s hold no tuples", dir)
@@ -353,6 +368,13 @@ func latSummary(h obs.HistSummary) string {
 	us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
 	return fmt.Sprintf("p50=%v p95=%v p99=%v max=%v (n=%d)",
 		us(h.P50), us(h.P95), us(h.P99), us(h.Max), h.Count)
+}
+
+// samePartitioning reports whether two snapshots' headers describe one
+// partitioning: the same part count, code length and pivots.
+func samePartitioning(a, b wire.SnapshotMeta) bool {
+	return a.Parts == b.Parts && a.Length == b.Length &&
+		slices.EqualFunc(a.Pivots, b.Pivots, bitvec.Code.Equal)
 }
 
 func equalInts(a, b []int) bool {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"haindex/internal/bitvec"
 	"haindex/internal/core"
 	"haindex/internal/mapreduce"
 	"haindex/internal/mih"
@@ -93,19 +94,38 @@ func hashFuncSize(pre *Preprocessed) int64 {
 	return int64(8*pre.Hash.Dim()*pre.Hash.Bits() + 24*pre.Hash.Bits())
 }
 
-// BuildGlobalIndex runs the first MapReduce job of Figure 5: every mapper
-// hashes its R tuples into binary codes and routes them to the partition
-// owning their Gray range (binary search over the broadcast pivots); every
-// reducer bulkloads its partition's HA-Index by H-Build straight into the
+// partitionJob runs the first MapReduce job of Figure 5 under name: every
+// mapper hashes its R tuples into binary codes and routes them to the
+// partition owning their Gray range (binary search over the broadcast
+// pivots), and every reducer decodes its partition's ids and codes and hands
+// them to build. build may run more than once for a partition (a retried or
+// speculative attempt), so what it does with them must be idempotent.
+func partitionJob(name string, r []vector.Vec, pre *Preprocessed, opt Options, build func(pid int, ids []int, codes []bitvec.Code) error) (mapreduce.Metrics, error) {
+	if err := checkBits(pre, opt); err != nil {
+		return mapreduce.Metrics{}, err
+	}
+	reduce := func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
+		ids, codes, err := decodeIDCodeBatch(values, opt.Bits)
+		if err != nil {
+			return err
+		}
+		return build(decodeID(key), ids, codes)
+	}
+	cfg := opt.job(name, routeMapper(pre, 0), reduce,
+		mapreduce.Broadcast{Name: "pivots", Size: pivotsSize(pre)},
+		mapreduce.Broadcast{Name: "hash", Size: hashFuncSize(pre)})
+	_, metrics, err := mapreduce.Run(cfg, VecInput(r))
+	return metrics, err
+}
+
+// BuildGlobalIndex runs the Figure-5 build job (partitionJob) with reducers
+// that bulkload their partition's HA-Index by H-Build straight into the
 // serving arena (core.BuildFrozen); the partition arenas are then laid one
 // after another into the global index for R (core.Forest). A partition is
 // one Gray range, so the forest's hierarchies are the ranges' own and its
 // roots have nothing to consolidate across partitions.
 func BuildGlobalIndex(r []vector.Vec, pre *Preprocessed, opt Options) (*GlobalIndex, error) {
 	opt = opt.withDefaults()
-	if err := checkBits(pre, opt); err != nil {
-		return nil, err
-	}
 	var mu sync.Mutex
 	locals := make([]*core.FrozenIndex, opt.Partitions)
 	var dfsPrefix string
@@ -115,48 +135,31 @@ func BuildGlobalIndex(r []vector.Vec, pre *Preprocessed, opt Options) (*GlobalIn
 		wBefore, rBefore = opt.FS.BytesWritten(), opt.FS.BytesRead()
 	}
 
-	cfg := mapreduce.Config{
-		Name:      "mrha-build-index",
-		Nodes:     opt.Nodes,
-		Reducers:  opt.Partitions,
-		Partition: partitionByKeyUint32,
-		Broadcast: []mapreduce.Broadcast{
-			{Name: "pivots", Size: pivotsSize(pre)},
-			{Name: "hash", Size: hashFuncSize(pre)},
-		},
-		Map: routeMapper(pre, 0),
-		Reduce: func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
-			ids, codes, err := decodeIDCodeBatch(values, opt.Bits)
-			if err != nil {
-				return err
+	metrics, err := partitionJob("mrha-build-index", r, pre, opt, func(pid int, ids []int, codes []bitvec.Code) error {
+		rows := make([]uint64, 0, len(codes)*((opt.Bits+63)/64))
+		for _, c := range codes {
+			rows = append(rows, c.Words()...)
+		}
+		// The reducer-side H-Build over one partition.
+		local := core.BuildFrozen(opt.Bits, rows, ids, core.Options{})
+		if opt.FS != nil {
+			// Persist the local arena to the DFS, as the paper's reducers
+			// do; the merge phase reads it back. The write is idempotent so
+			// a re-executed or speculative attempt can rewrite the same
+			// part file.
+			w := opt.FS.CreateIdempotent(fmt.Sprintf("%spart-%05d", dfsPrefix, pid))
+			if err := local.EncodeArena(w, true); err != nil {
+				return fmt.Errorf("encoding local index %d: %w", pid, err)
 			}
-			rows := make([]uint64, 0, len(codes)*((opt.Bits+63)/64))
-			for _, c := range codes {
-				rows = append(rows, c.Words()...)
-			}
-			// The reducer-side H-Build over one partition.
-			local := core.BuildFrozen(opt.Bits, rows, ids, core.Options{})
-			if opt.FS != nil {
-				// Persist the local arena to the DFS, as the paper's reducers
-				// do; the merge phase reads it back. The write is idempotent so
-				// a re-executed or speculative attempt can rewrite the same
-				// part file.
-				w := opt.FS.CreateIdempotent(fmt.Sprintf("%spart-%05d", dfsPrefix, decodeID(key)))
-				if err := local.EncodeArena(w, true); err != nil {
-					return fmt.Errorf("encoding local index: %w", err)
-				}
-				return w.Close()
-			}
-			// Keyed by partition so a re-executed or speculative attempt
-			// overwrites (with identical content) instead of duplicating.
-			mu.Lock()
-			locals[decodeID(key)] = local
-			mu.Unlock()
-			return nil
-		},
-	}
-	opt.applyRuntime(&cfg)
-	_, metrics, err := mapreduce.Run(cfg, VecInput(r))
+			return w.Close()
+		}
+		// Keyed by partition so a re-executed or speculative attempt
+		// overwrites (with identical content) instead of duplicating.
+		mu.Lock()
+		locals[pid] = local
+		mu.Unlock()
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("mrjoin: build-index job: %w", err)
 	}

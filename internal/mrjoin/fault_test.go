@@ -1,6 +1,7 @@
 package mrjoin
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -88,6 +89,88 @@ func TestJoinsExactUnderFaults(t *testing.T) {
 	if b.Metrics.Attempts <= int64(b.Metrics.Tasks()) {
 		t.Fatalf("Option B recorded no extra attempts: %d for %d tasks", b.Metrics.Attempts, b.Metrics.Tasks())
 	}
+}
+
+// TestSelectBLargePMHExactUnderFaults carries the failure-model check to the
+// jobs TestJoinsExactUnderFaults does not run: the select job, Option B's
+// large-R hash-join stage and the PMH join each re-run tasks under
+// faultedOptions and return the clean run's output over the clean run's
+// shuffle.
+func TestSelectBLargePMHExactUnderFaults(t *testing.T) {
+	r, s := testData(t, 260, 220)
+	clean := testOptions()
+	pre, err := Preprocess(r, s, clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := BuildGlobalIndex(r, pre, clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := faultedOptions()
+	extra := func(m mapreduce.Metrics) int64 { return m.Attempts - int64(m.Tasks()) }
+	check := func(job string, m, cleanM mapreduce.Metrics) {
+		t.Helper()
+		if m.ShuffleBytes != cleanM.ShuffleBytes {
+			t.Fatalf("%s shuffle changed under faults: %d vs %d", job, m.ShuffleBytes, cleanM.ShuffleBytes)
+		}
+		if extra(m) <= 0 {
+			t.Fatalf("%s recorded no extra attempts: %d for %d tasks", job, m.Attempts, m.Tasks())
+		}
+	}
+
+	selClean, err := HammingSelect(s, g, pre, clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := HammingSelect(s, g, pre, faulted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range sel.IDs {
+		got, want := slices.Clone(sel.IDs[i]), slices.Clone(selClean.IDs[i])
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("select query %d changed under faults: %v vs %v", i, got, want)
+		}
+	}
+	check("select", sel.Metrics, selClean.Metrics)
+
+	// BLarge's first stage is Option B's join job, so what BLarge attempts
+	// beyond Option B under the same faults is its hash-join stage's.
+	bLargeClean, err := HammingJoinBLarge(r, s, g, pre, clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bLarge, err := HammingJoinBLarge(r, s, g, pre, faulted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := HammingJoinB(s, g, pre, faulted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalPairs(bLarge.Pairs, bLargeClean.Pairs) {
+		t.Fatalf("Option B large-R pairs changed under faults: %d vs %d", len(bLarge.Pairs), len(bLargeClean.Pairs))
+	}
+	check("Option B large-R", bLarge.Metrics, bLargeClean.Metrics)
+	if extra(bLarge.Metrics) <= extra(b.Metrics) {
+		t.Fatalf("the hash-join stage recorded no extra attempts: %d beyond Option B's %d", extra(bLarge.Metrics), extra(b.Metrics))
+	}
+
+	pmhClean, err := PMHJoin(r, s, pre, 10, clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pmh, err := PMHJoin(r, s, pre, 10, faulted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalPairs(pmh.Pairs, pmhClean.Pairs) {
+		t.Fatalf("PMH pairs changed under faults: %d vs %d", len(pmh.Pairs), len(pmhClean.Pairs))
+	}
+	check("PMH", pmh.Metrics, pmhClean.Metrics)
 }
 
 // TestPGBJExactUnderFaults: the exact kNN-join baseline also re-executes

@@ -101,20 +101,10 @@ func HammingJoinA(s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt Options
 	if err != nil {
 		return nil, err
 	}
-	cfg := mapreduce.Config{
-		Name:      "mrha-join-a",
-		Nodes:     opt.Nodes,
-		Reducers:  opt.Partitions,
-		Partition: partitionByKeyUint32,
-		Broadcast: []mapreduce.Broadcast{
-			{Name: "global-ha-index", Size: int64(g.Index.EncodedSizeArena(true))},
-			{Name: "hash", Size: hashFuncSize(pre)},
-			{Name: "pivots", Size: pivotsSize(pre)},
-		},
-		Map:    routeMapper(pre, 0),
-		Reduce: matchReducer(g, pin, opt, false),
-	}
-	opt.applyRuntime(&cfg)
+	cfg := opt.job("mrha-join-a", routeMapper(pre, 0), matchReducer(g, pin, opt, false),
+		mapreduce.Broadcast{Name: "global-ha-index", Size: int64(g.Index.EncodedSizeArena(true))},
+		mapreduce.Broadcast{Name: "hash", Size: hashFuncSize(pre)},
+		mapreduce.Broadcast{Name: "pivots", Size: pivotsSize(pre)})
 	out, metrics, err := mapreduce.Run(cfg, VecInput(s))
 	if err != nil {
 		return nil, fmt.Errorf("mrjoin: join job (option A): %w", err)
@@ -128,38 +118,28 @@ func HammingJoinA(s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt Options
 // table to turn into pairs.
 func leaflessJoin(name string, s []vector.Vec, g *GlobalIndex, pre *Preprocessed, pin planner.Strategy, opt Options) ([]mapreduce.KV, mapreduce.Metrics, error) {
 	codeLen := bitvec.EncodedLen(opt.Bits)
-	cfg := mapreduce.Config{
-		Name:      name,
-		Nodes:     opt.Nodes,
-		Reducers:  opt.Partitions,
-		Partition: partitionByKeyUint32,
-		Broadcast: []mapreduce.Broadcast{
-			{Name: "global-ha-index-leafless", Size: int64(g.Index.EncodedSizeArena(false))},
-			{Name: "hash", Size: hashFuncSize(pre)},
-			{Name: "pivots", Size: pivotsSize(pre)},
-		},
-		Map: routeMapper(pre, 0),
-		Reduce: func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
-			idx, _, err := g.searchIndex(pin, opt.Threshold)
-			if err != nil {
-				return err
+	reduce := func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
+		idx, _, err := g.searchIndex(pin, opt.Threshold)
+		if err != nil {
+			return err
+		}
+		sids, queries, err := decodeIDCodeBatch(values, opt.Bits)
+		if err != nil {
+			return err
+		}
+		results, _ := core.SearchCodesBatch(idx, queries, opt.Threshold, opt.SearchWorkers)
+		var recs slab
+		for i, qcs := range results {
+			for _, qc := range qcs {
+				emit(mapreduce.KV{Key: qc.AppendBytes(recs.take(codeLen)[:0]), Value: recs.put32(sids[i])})
 			}
-			sids, queries, err := decodeIDCodeBatch(values, opt.Bits)
-			if err != nil {
-				return err
-			}
-			results, _ := core.SearchCodesBatch(idx, queries, opt.Threshold, opt.SearchWorkers)
-			var recs slab
-			for i, qcs := range results {
-				for _, qc := range qcs {
-					emit(mapreduce.KV{Key: qc.AppendBytes(recs.take(codeLen)[:0]), Value: recs.put32(sids[i])})
-				}
-			}
-			return nil
-		},
+		}
+		return nil
 	}
-	opt.applyRuntime(&cfg)
-	return mapreduce.Run(cfg, VecInput(s))
+	return mapreduce.Run(opt.job(name, routeMapper(pre, 0), reduce,
+		mapreduce.Broadcast{Name: "global-ha-index-leafless", Size: int64(g.Index.EncodedSizeArena(false))},
+		mapreduce.Broadcast{Name: "hash", Size: hashFuncSize(pre)},
+		mapreduce.Broadcast{Name: "pivots", Size: pivotsSize(pre)}), VecInput(s))
 }
 
 // HammingJoinB is Option B of Section 5.3: for large R the leaf id tables
@@ -218,40 +198,31 @@ func PMHJoin(r, s []vector.Vec, pre *Preprocessed, tables int, opt Options) (*Jo
 	}
 	// R's codes are computed once per node from the broadcast records.
 	rCodes := hash.HashAll(pre.Hash, r)
-	cfg := mapreduce.Config{
-		Name:      "pmh-join",
-		Nodes:     opt.Nodes,
-		Reducers:  opt.Partitions,
-		Partition: partitionByKeyUint32,
-		Broadcast: []mapreduce.Broadcast{
-			{Name: "table-r", Size: rBytes},
-			{Name: "hash", Size: hashFuncSize(pre)},
-		},
-		Map: routeMapper(pre, opt.Partitions),
-		Reduce: func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
-			var mh *baseline.MultiHash
-			var err error
-			if tables == 10 {
-				mh, err = baseline.NewMH10(rCodes, nil)
-			} else {
-				mh, err = baseline.NewMultiHash(rCodes, nil, tables, 1)
+	reduce := func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
+		var mh *baseline.MultiHash
+		var err error
+		if tables == 10 {
+			mh, err = baseline.NewMH10(rCodes, nil)
+		} else {
+			mh, err = baseline.NewMultiHash(rCodes, nil, tables, 1)
+		}
+		if err != nil {
+			return err
+		}
+		sids, codes, err := decodeIDCodeBatch(values, opt.Bits)
+		if err != nil {
+			return err
+		}
+		for i, code := range codes {
+			for _, rid := range mh.Search(code, opt.Threshold) {
+				emit(mapreduce.KV{Key: encodeUint32(uint32(rid)), Value: encodeUint32(uint32(sids[i]))})
 			}
-			if err != nil {
-				return err
-			}
-			sids, codes, err := decodeIDCodeBatch(values, opt.Bits)
-			if err != nil {
-				return err
-			}
-			for i, code := range codes {
-				for _, rid := range mh.Search(code, opt.Threshold) {
-					emit(mapreduce.KV{Key: encodeUint32(uint32(rid)), Value: encodeUint32(uint32(sids[i]))})
-				}
-			}
-			return nil
-		},
+		}
+		return nil
 	}
-	opt.applyRuntime(&cfg)
+	cfg := opt.job("pmh-join", routeMapper(pre, opt.Partitions), reduce,
+		mapreduce.Broadcast{Name: "table-r", Size: rBytes},
+		mapreduce.Broadcast{Name: "hash", Size: hashFuncSize(pre)})
 	out, metrics, err := mapreduce.Run(cfg, VecInput(s))
 	if err != nil {
 		return nil, fmt.Errorf("mrjoin: PMH join job: %w", err)

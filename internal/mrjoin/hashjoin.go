@@ -48,36 +48,32 @@ func HammingJoinBLarge(r, s []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt
 			Value: append([]byte{sideS}, kv.Value...),
 		})
 	}
-	joinCfg := mapreduce.Config{
-		Name:     "mrha-join-b-hashjoin",
-		Nodes:    opt.Nodes,
-		Reducers: opt.Partitions,
-		Map: func(in mapreduce.KV, emit func(mapreduce.KV)) error {
-			emit(in)
-			return nil
-		},
-		Reduce: func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
-			var rids, sids []uint32
-			for _, v := range values {
-				if len(v) != 5 {
-					return fmt.Errorf("mrjoin: malformed hash-join record (%d bytes)", len(v))
-				}
-				id := uint32(v[1])<<24 | uint32(v[2])<<16 | uint32(v[3])<<8 | uint32(v[4])
-				if v[0] == sideR {
-					rids = append(rids, id)
-				} else {
-					sids = append(sids, id)
-				}
-			}
-			for _, rid := range rids {
-				for _, sid := range sids {
-					emit(mapreduce.KV{Key: encodeUint32(rid), Value: encodeUint32(sid)})
-				}
-			}
-			return nil
-		},
+	identity := func(in mapreduce.KV, emit func(mapreduce.KV)) error {
+		emit(in)
+		return nil
 	}
-	opt.applyRuntime(&joinCfg)
+	crossSides := func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
+		var rids, sids []uint32
+		for _, v := range values {
+			if len(v) != 5 {
+				return fmt.Errorf("mrjoin: malformed hash-join record (%d bytes)", len(v))
+			}
+			id := uint32(v[1])<<24 | uint32(v[2])<<16 | uint32(v[3])<<8 | uint32(v[4])
+			if v[0] == sideR {
+				rids = append(rids, id)
+			} else {
+				sids = append(sids, id)
+			}
+		}
+		for _, rid := range rids {
+			for _, sid := range sids {
+				emit(mapreduce.KV{Key: encodeUint32(rid), Value: encodeUint32(sid)})
+			}
+		}
+		return nil
+	}
+	joinCfg := opt.job("mrha-join-b-hashjoin", identity, crossSides)
+	joinCfg.Partition = nil // keyed by code, not partition id: the runtime's hash partitioning
 	out, m2, err := mapreduce.Run(joinCfg, input)
 	if err != nil {
 		return nil, fmt.Errorf("mrjoin: option B hash-join job: %w", err)

@@ -73,11 +73,23 @@ type Options struct {
 	Engine string
 }
 
-// applyRuntime threads the failure-model knobs into one job config.
-func (o Options) applyRuntime(cfg *mapreduce.Config) {
-	cfg.Faults = o.Faults
-	cfg.Retry = o.Retry
-	cfg.Speculation = o.Speculation
+// job declares one of the pipeline's MapReduce jobs on o's cluster: one
+// reducer per partition, map output keyed by a 4-byte partition id that
+// routes by value (partitionByKeyUint32), and o's failure model. Every job
+// is declared here, so none can run without the failure model.
+func (o Options) job(name string, m mapreduce.MapFunc, r mapreduce.ReduceFunc, bcast ...mapreduce.Broadcast) mapreduce.Config {
+	return mapreduce.Config{
+		Name:        name,
+		Nodes:       o.Nodes,
+		Reducers:    o.Partitions,
+		Map:         m,
+		Reduce:      r,
+		Partition:   partitionByKeyUint32,
+		Broadcast:   bcast,
+		Faults:      o.Faults,
+		Retry:       o.Retry,
+		Speculation: o.Speculation,
+	}
 }
 
 func (o Options) withDefaults() Options {

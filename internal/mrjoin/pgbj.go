@@ -60,33 +60,26 @@ func PGBJ(r, s []vector.Vec, k int, opt Options) (*PGBJResult, error) {
 	// ---- Job A: per-cell statistics (radius, count) ----
 	stats := make([]cellStats, len(pivots))
 	var mu sync.Mutex
-	cfgA := mapreduce.Config{
-		Name:      "pgbj-cell-stats",
-		Nodes:     opt.Nodes,
-		Reducers:  opt.Partitions,
-		Partition: partitionByKeyUint32,
-		Map: func(in mapreduce.KV, emit func(mapreduce.KV)) error {
-			cell, _ := nearest(shipped(nil, in.Value))
-			emit(mapreduce.KV{Key: encodeUint32(uint32(cell)), Value: in.Value})
-			return nil
-		},
-		Reduce: func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
-			cell := decodeID(key)
-			cs := cellStats{count: len(values)}
-			p := pivots[cell]
-			for _, v := range values {
-				if d := shipped(nil, v).Dist(p); d > cs.radius {
-					cs.radius = d
-				}
-			}
-			mu.Lock()
-			stats[cell] = cs
-			mu.Unlock()
-			return nil
-		},
+	toCell := func(in mapreduce.KV, emit func(mapreduce.KV)) error {
+		cell, _ := nearest(shipped(nil, in.Value))
+		emit(mapreduce.KV{Key: encodeUint32(uint32(cell)), Value: in.Value})
+		return nil
 	}
-	opt.applyRuntime(&cfgA)
-	if _, m, err := mapreduce.Run(cfgA, VecInput(r)); err != nil {
+	cellRadius := func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
+		cell := decodeID(key)
+		cs := cellStats{count: len(values)}
+		p := pivots[cell]
+		for _, v := range values {
+			if d := shipped(nil, v).Dist(p); d > cs.radius {
+				cs.radius = d
+			}
+		}
+		mu.Lock()
+		stats[cell] = cs
+		mu.Unlock()
+		return nil
+	}
+	if _, m, err := mapreduce.Run(opt.job("pgbj-cell-stats", toCell, cellRadius), VecInput(r)); err != nil {
 		return nil, fmt.Errorf("mrjoin: PGBJ stats job: %w", err)
 	} else {
 		total.Add(m)
@@ -104,88 +97,80 @@ func PGBJ(r, s []vector.Vec, k int, opt Options) (*PGBJResult, error) {
 	for i, v := range s {
 		input = append(input, mapreduce.KV{Key: encodeUint32(uint32(i)), Value: appendVec([]byte{sideS}, v)})
 	}
-	cfgB := mapreduce.Config{
-		Name:      "pgbj-join",
-		Nodes:     opt.Nodes,
-		Reducers:  opt.Partitions,
-		Partition: partitionByKeyUint32,
-		Broadcast: []mapreduce.Broadcast{
-			{Name: "pivots+stats", Size: int64(len(pivots)*(4*len(r[0])+16) + 16)},
-		},
-		Map: func(in mapreduce.KV, emit func(mapreduce.KV)) error {
-			side := in.Value[0]
-			v := shipped(nil, in.Value[1:])
-			// The shuffled record is the input record behind its tuple id:
-			// (id, side, float32 components).
-			val := append(append([]byte(nil), in.Key...), in.Value...)
-			if side == sideR {
-				cell, _ := nearest(v)
-				emit(mapreduce.KV{Key: encodeUint32(uint32(cell)), Value: val})
-				return nil
-			}
-			// S side: find the distance bound covering >= k R tuples, then
-			// replicate to every cell that can intersect it.
-			type cand struct {
-				cell  int
-				upper float64 // dist(s, p) + radius: covers whole cell
-				lower float64 // dist(s, p) - radius: closest possible member
-			}
-			cands := make([]cand, 0, len(pivots))
-			for ci := range pivots {
-				if stats[ci].count == 0 {
-					continue
-				}
-				d := v.Dist(pivots[ci])
-				cands = append(cands, cand{cell: ci, upper: d + stats[ci].radius, lower: d - stats[ci].radius})
-			}
-			sort.Slice(cands, func(a, b int) bool { return cands[a].upper < cands[b].upper })
-			covered := 0
-			ub := math.Inf(1)
-			for _, c := range cands {
-				covered += stats[c.cell].count
-				if covered >= k {
-					ub = c.upper
-					break
-				}
-			}
-			for _, c := range cands {
-				if c.lower <= ub {
-					emit(mapreduce.KV{Key: encodeUint32(uint32(c.cell)), Value: val})
-				}
-			}
+	route := func(in mapreduce.KV, emit func(mapreduce.KV)) error {
+		side := in.Value[0]
+		v := shipped(nil, in.Value[1:])
+		// The shuffled record is the input record behind its tuple id:
+		// (id, side, float32 components).
+		val := append(append([]byte(nil), in.Key...), in.Value...)
+		if side == sideR {
+			cell, _ := nearest(v)
+			emit(mapreduce.KV{Key: encodeUint32(uint32(cell)), Value: val})
 			return nil
-		},
-		Reduce: func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
-			var rids []int
-			var rvecs []vector.Vec
-			type srec struct {
-				id  int
-				vec vector.Vec
+		}
+		// S side: find the distance bound covering >= k R tuples, then
+		// replicate to every cell that can intersect it.
+		type cand struct {
+			cell  int
+			upper float64 // dist(s, p) + radius: covers whole cell
+			lower float64 // dist(s, p) - radius: closest possible member
+		}
+		cands := make([]cand, 0, len(pivots))
+		for ci := range pivots {
+			if stats[ci].count == 0 {
+				continue
 			}
-			var ss []srec
-			for _, v := range values {
-				id := decodeID(v)
-				side := v[4]
-				vec := shipped(nil, v[5:])
-				if side == sideR {
-					rids = append(rids, id)
-					rvecs = append(rvecs, vec)
-				} else {
-					ss = append(ss, srec{id: id, vec: vec})
-				}
+			d := v.Dist(pivots[ci])
+			cands = append(cands, cand{cell: ci, upper: d + stats[ci].radius, lower: d - stats[ci].radius})
+		}
+		sort.Slice(cands, func(a, b int) bool { return cands[a].upper < cands[b].upper })
+		covered := 0
+		ub := math.Inf(1)
+		for _, c := range cands {
+			covered += stats[c.cell].count
+			if covered >= k {
+				ub = c.upper
+				break
 			}
-			for _, sr := range ss {
-				for _, n := range knn.Exact(rvecs, sr.vec, k) {
-					val := make([]byte, 12)
-					binary.BigEndian.PutUint32(val, uint32(rids[n.ID]))
-					binary.BigEndian.PutUint64(val[4:], math.Float64bits(n.Dist))
-					emit(mapreduce.KV{Key: encodeUint32(uint32(sr.id)), Value: val})
-				}
+		}
+		for _, c := range cands {
+			if c.lower <= ub {
+				emit(mapreduce.KV{Key: encodeUint32(uint32(c.cell)), Value: val})
 			}
-			return nil
-		},
+		}
+		return nil
 	}
-	opt.applyRuntime(&cfgB)
+	joinCell := func(key []byte, values [][]byte, emit func(mapreduce.KV)) error {
+		var rids []int
+		var rvecs []vector.Vec
+		type srec struct {
+			id  int
+			vec vector.Vec
+		}
+		var ss []srec
+		for _, v := range values {
+			id := decodeID(v)
+			side := v[4]
+			vec := shipped(nil, v[5:])
+			if side == sideR {
+				rids = append(rids, id)
+				rvecs = append(rvecs, vec)
+			} else {
+				ss = append(ss, srec{id: id, vec: vec})
+			}
+		}
+		for _, sr := range ss {
+			for _, n := range knn.Exact(rvecs, sr.vec, k) {
+				val := make([]byte, 12)
+				binary.BigEndian.PutUint32(val, uint32(rids[n.ID]))
+				binary.BigEndian.PutUint64(val[4:], math.Float64bits(n.Dist))
+				emit(mapreduce.KV{Key: encodeUint32(uint32(sr.id)), Value: val})
+			}
+		}
+		return nil
+	}
+	cfgB := opt.job("pgbj-join", route, joinCell,
+		mapreduce.Broadcast{Name: "pivots+stats", Size: int64(len(pivots)*(4*len(r[0])+16) + 16)})
 	out, m, err := mapreduce.Run(cfgB, input)
 	if err != nil {
 		return nil, fmt.Errorf("mrjoin: PGBJ join job: %w", err)

@@ -30,19 +30,9 @@ func HammingSelect(queries []vector.Vec, g *GlobalIndex, pre *Preprocessed, opt 
 	if err != nil {
 		return nil, err
 	}
-	cfg := mapreduce.Config{
-		Name:      "mrha-select",
-		Nodes:     opt.Nodes,
-		Reducers:  opt.Partitions,
-		Partition: partitionByKeyUint32,
-		Broadcast: []mapreduce.Broadcast{
-			{Name: "global-ha-index", Size: int64(g.Index.EncodedSizeArena(true))},
-			{Name: "hash", Size: hashFuncSize(pre)},
-		},
-		Map:    routeMapper(pre, opt.Partitions),
-		Reduce: matchReducer(g, pin, opt, true),
-	}
-	opt.applyRuntime(&cfg)
+	cfg := opt.job("mrha-select", routeMapper(pre, opt.Partitions), matchReducer(g, pin, opt, true),
+		mapreduce.Broadcast{Name: "global-ha-index", Size: int64(g.Index.EncodedSizeArena(true))},
+		mapreduce.Broadcast{Name: "hash", Size: hashFuncSize(pre)})
 	out, metrics, err := mapreduce.Run(cfg, VecInput(queries))
 	if err != nil {
 		return nil, fmt.Errorf("mrjoin: select job: %w", err)

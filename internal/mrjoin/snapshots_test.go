@@ -1,11 +1,14 @@
 package mrjoin
 
 import (
+	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
+	"haindex/internal/bitvec"
 	"haindex/internal/core"
-	"haindex/internal/mapreduce"
+	"haindex/internal/vector"
 	"haindex/internal/wire"
 )
 
@@ -25,18 +28,63 @@ func TestBuildShardSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps.Paths) != opt.Partitions {
-		t.Fatalf("%d snapshot files, want %d", len(snaps.Paths), opt.Partitions)
+	checkShardDir(t, dir, snaps, opt, hashCodes(pre, r))
+}
+
+// TestRebuildIntoUsedDir: a build replaces the whole directory. 600 tuples
+// into 4 partitions, then 1 tuple over the same pivots — three partitions
+// empty, their files an earlier build's — then 600 tuples into 2 partitions:
+// after each build every file holds what the job counted, no shard is
+// numbered at or above the partition count, and the shards answer as a
+// monolithic build over that build's tuples.
+func TestRebuildIntoUsedDir(t *testing.T) {
+	r, _ := testData32(t, 600, 0)
+	dir := t.TempDir()
+	opt := testOptions()
+	pre, err := Preprocess(r, nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range [][]vector.Vec{r, r[:1]} {
+		snaps, err := BuildShardSnapshots(data, pre, opt, dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkShardDir(t, dir, snaps, opt, hashCodes(pre, data))
+	}
+	opt.Partitions = 2
+	if pre, err = Preprocess(r, nil, opt); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := BuildShardSnapshots(r, pre, opt, dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShardDir(t, dir, snaps, opt, hashCodes(pre, r))
+}
+
+// checkShardDir holds a BuildShardSnapshots directory to the build of codes
+// that made it: the directory's shard-*.hasn are exactly snaps.Paths, one per
+// partition, each readable mapped and eagerly and holding the tuples the job
+// counted, and the union of the shards' answers at the threshold equals a
+// monolithic index's over codes.
+func checkShardDir(t *testing.T, dir string, snaps *ShardSnapshots, opt Options, codes []bitvec.Code) {
+	t.Helper()
+	found, err := filepath.Glob(filepath.Join(dir, "shard-*.hasn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps.Paths) != opt.Partitions || !slices.Equal(found, snaps.Paths) {
+		t.Fatalf("directory holds %v, the %d-partition build wrote %v", found, opt.Partitions, snaps.Paths)
 	}
 	total := 0
 	for _, n := range snaps.Tuples {
 		total += n
 	}
-	if total != len(r) {
-		t.Fatalf("shards hold %d tuples, dataset has %d", total, len(r))
+	if total != len(codes) {
+		t.Fatalf("shards hold %d tuples, dataset has %d", total, len(codes))
 	}
 
-	codes := hashCodes(pre, r)
 	var rows []uint64
 	for _, c := range codes {
 		rows = append(rows, c.Words()...)
@@ -49,7 +97,7 @@ func TestBuildShardSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mapping %s: %v", path, err)
 		}
-		defer mapped.Close()
+		t.Cleanup(func() { mapped.Close() })
 		if meta.Part != i || meta.Parts != opt.Partitions {
 			t.Fatalf("%s: meta %d/%d", path, meta.Part, meta.Parts)
 		}
@@ -65,8 +113,9 @@ func TestBuildShardSnapshots(t *testing.T) {
 		searchers = append(searchers, core.NewSearcher(mapped))
 	}
 
-	for qi := 0; qi < 40; qi++ {
-		q := codes[qi*len(codes)/40]
+	nq := min(40, len(codes))
+	for qi := 0; qi < nq; qi++ {
+		q := codes[qi*len(codes)/nq]
 		want := append([]int(nil), mono.Search(q, opt.Threshold)...)
 		var got []int
 		for _, sr := range searchers {
@@ -74,13 +123,8 @@ func TestBuildShardSnapshots(t *testing.T) {
 		}
 		sort.Ints(want)
 		sort.Ints(got)
-		if len(got) != len(want) {
-			t.Fatalf("query %d: sharded %d ids, monolithic %d", qi, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("query %d: id mismatch at %d", qi, i)
-			}
+		if !slices.Equal(got, want) {
+			t.Fatalf("query %d: sharded ids %v, monolithic %v", qi, got, want)
 		}
 	}
 }
@@ -115,32 +159,34 @@ func TestBuildShardSnapshotsEmptyPartition(t *testing.T) {
 	}
 }
 
-// TestBuildShardSnapshotsUnderFaults: reducer re-execution rewrites shard
-// files idempotently — the job still yields correct, loadable snapshots.
+// TestBuildShardSnapshotsUnderFaults: under faultedOptions the job re-runs
+// tasks, its reducers rewriting their partitions through temp-file and
+// rename, and still ships the clean run's shuffle and leaves the clean run's
+// directory: every file holding the tuples the job counted.
 func TestBuildShardSnapshotsUnderFaults(t *testing.T) {
 	r, _ := testData32(t, 300, 0)
 	opt := testOptions()
-	opt.Faults = mapreduce.NewFaultPlan().
-		FailEvery(mapreduce.MapTask, 3).
-		FailEvery(mapreduce.ReduceTask, 2)
-	opt.Retry = mapreduce.RetryPolicy{MaxAttempts: 5}
 	pre, err := Preprocess(r, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := BuildShardSnapshots(r, pre, opt, t.TempDir(), 64)
+	clean, err := BuildShardSnapshots(r, pre, opt, t.TempDir(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for i, path := range snaps.Paths {
-		_, idx, err := wire.ReadSnapshotFile(path)
-		if err != nil {
-			t.Fatalf("shard %d after faults: %v", i, err)
-		}
-		total += idx.Len()
+	dir := t.TempDir()
+	snaps, err := BuildShardSnapshots(r, pre, faultedOptions(), dir, 64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if total != len(r) {
-		t.Fatalf("shards hold %d tuples after faulty run, want %d", total, len(r))
+	if snaps.Metrics.Attempts <= int64(snaps.Metrics.Tasks()) {
+		t.Fatalf("snapshot job recorded no extra attempts: %d for %d tasks", snaps.Metrics.Attempts, snaps.Metrics.Tasks())
 	}
+	if snaps.Metrics.ShuffleBytes != clean.Metrics.ShuffleBytes {
+		t.Fatalf("snapshot shuffle changed under faults: %d vs %d", snaps.Metrics.ShuffleBytes, clean.Metrics.ShuffleBytes)
+	}
+	if !slices.Equal(snaps.Tuples, clean.Tuples) {
+		t.Fatalf("partition counts changed under faults: %v vs %v", snaps.Tuples, clean.Tuples)
+	}
+	checkShardDir(t, dir, snaps, opt, hashCodes(pre, r))
 }

@@ -74,10 +74,12 @@ func WriteSnapshot(w io.Writer, meta SnapshotMeta, f *core.FrozenIndex) error {
 // then the stream is finished directly onto w. The snapshot is assembled
 // without the index ever being resident — peak memory is the stream's chunk
 // size — which is how a reducer emits a serving-ready shard for a partition
-// far larger than RAM. The writer is consumed; it must not be used after.
+// far larger than RAM. The writer is consumed, on error too (its spool is
+// removed); it must not be used after.
 func WriteSnapshotStream(w io.Writer, meta SnapshotMeta, sw *core.FrozenStreamWriter) error {
 	if err := writeSnapshotHeader(w, meta, sw.Length()); err != nil {
-		return err
+		sw.Abort()
+		return fmt.Errorf("wire: snapshot header: %w", err)
 	}
 	return sw.Finish(w)
 }

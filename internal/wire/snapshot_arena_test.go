@@ -226,3 +226,22 @@ func TestReadSnapshotFileReadsOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteSnapshotStreamAbortsOnBadHeader: a header that cannot be written
+// still consumes the stream writer, so its spool directory does not outlive
+// the call.
+func TestWriteSnapshotStreamAbortsOnBadHeader(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	sw, err := core.NewFrozenStreamWriter(32, 16, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshotStream(&buf, SnapshotMeta{Part: 5, Parts: 2, Length: 32}, sw); err == nil {
+		t.Fatal("partition 5 of 2 was written")
+	}
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Fatalf("the stream writer's spool outlived the failed write: %v", left)
+	}
+}

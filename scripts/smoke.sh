@@ -41,9 +41,15 @@ trap cleanup EXIT INT TERM
 echo "smoke: building CLIs into $WORK/bin"
 go build -o "$WORK/bin/" ./cmd/hagen ./cmd/haidx ./cmd/haserve ./cmd/haquery
 
-echo "smoke: generating and sharding a tiny dataset"
+echo "smoke: generating and sharding a tiny dataset (3 parts, then 2 into the same directory)"
 "$WORK/bin/hagen" -profile NUS-WIDE -n 2000 -seed 7 -o "$WORK/data.csv"
+"$WORK/bin/haidx" shard -data "$WORK/data.csv" -bits 32 -parts 3 -o "$WORK/shards"
 "$WORK/bin/haidx" shard -data "$WORK/data.csv" -bits 32 -parts 2 -o "$WORK/shards"
+# A build replaces the directory: the 3-part build's shard-00002.hasn must be
+# gone, or the oracle below would scan it as part of the 2-part build.
+SHARDS=$(ls "$WORK/shards" | grep -c '^shard-.*\.hasn$' || true)
+[ "$SHARDS" -eq 2 ] || {
+    echo "smoke: $SHARDS shard-*.hasn files after the 2-part build, want 2" >&2; ls "$WORK/shards" >&2; exit 1; }
 
 # fetch_obs ADDR FILE saves the /debug/obs snapshot served on ADDR to FILE.
 fetch_obs() {
