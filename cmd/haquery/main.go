@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -296,7 +295,7 @@ func diffOracle(dir string, queries []bitvec.Code, h, topk int, got [][]int, tkI
 		}
 		if len(parts) == 0 {
 			build = meta
-		} else if !samePartitioning(meta, build) {
+		} else if !meta.SameBuild(build) {
 			fatalf("oracle: %s (%d parts, %d-bit) is not from the build of %s (%d parts, %d-bit, and its pivots)",
 				p, meta.Parts, meta.Length, paths[0], build.Parts, build.Length)
 		}
@@ -368,13 +367,6 @@ func latSummary(h obs.HistSummary) string {
 	us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
 	return fmt.Sprintf("p50=%v p95=%v p99=%v max=%v (n=%d)",
 		us(h.P50), us(h.P95), us(h.P99), us(h.Max), h.Count)
-}
-
-// samePartitioning reports whether two snapshots' headers describe one
-// partitioning: the same part count, code length and pivots.
-func samePartitioning(a, b wire.SnapshotMeta) bool {
-	return a.Parts == b.Parts && a.Length == b.Length &&
-		slices.EqualFunc(a.Pivots, b.Pivots, bitvec.Code.Equal)
 }
 
 func equalInts(a, b []int) bool {

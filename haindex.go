@@ -495,13 +495,6 @@ type DFS = dfs.FS
 // factor (0 selects 3, the HDFS default).
 func NewDFS(replication int) *DFS { return dfs.New(replication) }
 
-// BuildDynamicIndexParallel is BuildDynamicIndex with concurrent
-// construction over Gray-range partitions; results are query-equivalent.
-// workers <= 0 selects GOMAXPROCS.
-func BuildDynamicIndexParallel(codes []Code, ids []int, opts IndexOptions, workers int) *DynamicIndex {
-	return core.BuildDynamicParallel(codes, ids, opts, workers)
-}
-
 // LocalHammingJoin computes the centralized Hamming-join (the Section 5
 // intro's "build an HA-Index for R, run H-Search per S tuple"): all (rid,
 // sid) pairs whose codes are within h.

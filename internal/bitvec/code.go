@@ -214,15 +214,6 @@ func (c Code) OnesCount() int {
 	return sum
 }
 
-// Xor returns c XOR d as a new code.
-func (c Code) Xor(d Code) Code {
-	out := New(c.n)
-	for i, w := range c.words {
-		out.words[i] = w ^ d.words[i]
-	}
-	return out
-}
-
 // Segment extracts bits [from, from+width) as a new width-bit code.
 func (c Code) Segment(from, width int) Code {
 	if from < 0 || width <= 0 || from+width > c.n {
@@ -302,25 +293,13 @@ func CodeFromBytes(src []byte, n int) (Code, int, error) {
 // size accounting and the gray package.
 func (c Code) Words() []uint64 { return c.words }
 
-// FromWords wraps an existing word slice as an n-bit code WITHOUT copying:
-// the code aliases words, so the caller must not mutate them afterwards. It
-// is the arena constructor used by the frozen HA-Index, whose codes live
-// packed in one contiguous slab. Bits beyond n in the last word are cleared
-// in place. It panics when the slice is not exactly wordsFor(n) long.
-func FromWords(words []uint64, n int) Code {
-	if n <= 0 || len(words) != wordsFor(n) {
-		panic(fmt.Sprintf("bitvec: FromWords %d words for %d bits", len(words), n))
-	}
-	c := Code{words: words, n: n}
-	c.clearTail()
-	return c
-}
-
-// FromWordsShared is FromWords for word storage the caller may not write to
-// — a read-only mmap'd arena. The bits beyond n in the last word are assumed
-// already clear (true for any slab written from Code.Words()); they are NOT
-// cleared here, so a caller aliasing untrusted bytes gets whatever tail bits
-// the slab holds, consistently across every aliasing path.
+// FromWordsShared wraps an existing word slice as an n-bit code WITHOUT
+// copying: the code aliases words, which may be storage the caller must not
+// write to, such as a read-only mmap'd arena. The frozen HA-Index reads its
+// codes, packed in one slab, through it. The bits beyond n in the last word
+// are assumed already clear (true for any slab written from Code.Words());
+// they are NOT cleared here, so a caller aliasing untrusted bytes gets
+// whatever tail bits the slab holds, consistently across every aliasing path.
 func FromWordsShared(words []uint64, n int) Code {
 	if n <= 0 || len(words) != wordsFor(n) {
 		panic(fmt.Sprintf("bitvec: FromWordsShared %d words for %d bits", len(words), n))

@@ -96,7 +96,8 @@ func TestDistanceProperties(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(200)
 		a, b, c := randCode(rng, n), randCode(rng, n), randCode(rng, n)
-		// Symmetry, identity, triangle inequality, XOR equivalence.
+		// Symmetry, identity, triangle inequality, and the count of
+		// differing bit positions.
 		if a.Distance(b) != b.Distance(a) {
 			return false
 		}
@@ -106,7 +107,13 @@ func TestDistanceProperties(t *testing.T) {
 		if a.Distance(c) > a.Distance(b)+b.Distance(c) {
 			return false
 		}
-		return a.Xor(b).OnesCount() == a.Distance(b)
+		differ := 0
+		for i := 0; i < n; i++ {
+			if a.Bit(i) != b.Bit(i) {
+				differ++
+			}
+		}
+		return differ == a.Distance(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -31,20 +31,6 @@ func EmptyPattern(n int) Pattern {
 	return Pattern{mask: New(n), bits: New(n)}
 }
 
-// PatternFromMaskBits assembles a pattern from a fixed-position mask and a
-// value code. Value bits outside the mask are cleared. It panics on length
-// mismatch.
-func PatternFromMaskBits(mask, bits Code) Pattern {
-	if mask.Len() != bits.Len() {
-		panic(fmt.Sprintf("bitvec: pattern mask %d bits vs values %d bits", mask.Len(), bits.Len()))
-	}
-	b := New(mask.Len())
-	for i := range b.words {
-		b.words[i] = bits.words[i] & mask.words[i]
-	}
-	return Pattern{mask: mask.Clone(), bits: b}
-}
-
 // PatternFromString parses a paper-style pattern where '·', '.' and '*'
 // denote unfixed positions, e.g. "···0·010".
 func PatternFromString(s string) (Pattern, error) {
@@ -191,45 +177,6 @@ func (p Pattern) Contains(q Pattern) bool {
 	return true
 }
 
-// CompatibleWith reports whether p and q agree on every position fixed in
-// both, i.e. whether some full code satisfies both patterns.
-func (p Pattern) CompatibleWith(q Pattern) bool {
-	for i := range p.mask.words {
-		both := p.mask.words[i] & q.mask.words[i]
-		if (p.bits.words[i]^q.bits.words[i])&both != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Combine returns the union of two patterns (the combine step of H-Search,
-// Algorithm 3 line 15). On positions fixed in both, p's value wins; callers
-// combine only compatible patterns (parent and child on one index path).
-func (p Pattern) Combine(q Pattern) Pattern {
-	n := p.Len()
-	mask := New(n)
-	b := New(n)
-	for i := range mask.words {
-		mask.words[i] = p.mask.words[i] | q.mask.words[i]
-		b.words[i] = p.bits.words[i] | (q.bits.words[i] &^ p.mask.words[i])
-	}
-	return Pattern{mask: mask, bits: b}
-}
-
-// Minus returns p restricted to positions not fixed in the exclude mask: the
-// residual pattern a child contributes beyond its parent.
-func (p Pattern) Minus(exclude Code) Pattern {
-	n := p.Len()
-	mask := New(n)
-	b := New(n)
-	for i := range mask.words {
-		mask.words[i] = p.mask.words[i] &^ exclude.words[i]
-		b.words[i] = p.bits.words[i] & mask.words[i]
-	}
-	return Pattern{mask: mask, bits: b}
-}
-
 // Equal reports whether two patterns fix the same positions with the same
 // values.
 func (p Pattern) Equal(q Pattern) bool {
@@ -257,22 +204,3 @@ func (p Pattern) String() string {
 
 // SizeBytes returns the approximate in-memory footprint of the pattern.
 func (p Pattern) SizeBytes() int { return p.mask.SizeBytes() + p.bits.SizeBytes() }
-
-// IsFLSS reports whether the pattern's fixed positions are contiguous, i.e.
-// whether it is a fixed-length substring in the paper's Definition 3 sense.
-func (p Pattern) IsFLSS() bool {
-	first, last, count := -1, -1, 0
-	for i := 0; i < p.Len(); i++ {
-		if p.mask.Bit(i) {
-			if first < 0 {
-				first = i
-			}
-			last = i
-			count++
-		}
-	}
-	if count == 0 {
-		return true
-	}
-	return last-first+1 == count
-}

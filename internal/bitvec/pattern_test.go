@@ -31,9 +31,6 @@ func TestPaperFLSSExamples(t *testing.T) {
 	if !u.Matches(t0) {
 		t.Error("u should match t0")
 	}
-	if !u.IsFLSS() {
-		t.Error("u should be an FLSS (contiguous)")
-	}
 	// V = "101······" is not an FLSS of t0.
 	v := MustPatternFromString("101······")
 	if v.Matches(t0) {
@@ -50,9 +47,6 @@ func TestPaperFLSSExamples(t *testing.T) {
 	}
 	if !seq.Matches(t0b) {
 		t.Error("a code must match its own FLSSeq")
-	}
-	if seq.IsFLSS() {
-		t.Error("seq is non-contiguous, not an FLSS")
 	}
 	// A genuinely differing code: flip effective positions 5 and 7.
 	far := MustFromString("001000000")
@@ -152,24 +146,6 @@ func TestDistanceExcludingPattern(t *testing.T) {
 	}
 }
 
-func TestCombineAndMinus(t *testing.T) {
-	parent := MustPatternFromString("0·10·····")
-	child := MustPatternFromString("0010·1···")
-	combined := parent.Combine(child)
-	if !combined.Contains(parent) || !combined.Contains(child) {
-		t.Error("combine must contain both")
-	}
-	res := child.Minus(parent.Mask())
-	// Residual bits: position 1 ('0') and position 5 ('1').
-	if res.String() != "·0···1···" {
-		t.Errorf("residual = %q", res.String())
-	}
-	// Combining parent with residual yields the child.
-	if !parent.Combine(res).Equal(child) {
-		t.Error("parent + residual != child")
-	}
-}
-
 func TestCombineDistanceDecomposition(t *testing.T) {
 	// Distance(child, q) == Distance(parent, q) + DistanceExcluding(child,
 	// q, parent.mask) whenever parent ⊆ child — the invariant H-Search
@@ -190,18 +166,6 @@ func TestCombineDistanceDecomposition(t *testing.T) {
 		if full != split {
 			t.Fatalf("decomposition broken: %d != %d", full, split)
 		}
-	}
-}
-
-func TestCompatibleWith(t *testing.T) {
-	p := MustPatternFromString("01··")
-	q := MustPatternFromString("0·1·")
-	r := MustPatternFromString("10··")
-	if !p.CompatibleWith(q) {
-		t.Error("p,q compatible")
-	}
-	if p.CompatibleWith(r) {
-		t.Error("p,r incompatible")
 	}
 }
 
@@ -242,33 +206,6 @@ func TestEmptyAndFullPattern(t *testing.T) {
 	}
 }
 
-func TestPatternFromMaskBits(t *testing.T) {
-	mask := MustFromString("1100")
-	bits := MustFromString("1011") // bits outside the mask must be cleared
-	p := PatternFromMaskBits(mask, bits)
-	if p.String() != "10··" {
-		t.Fatalf("pattern = %q", p.String())
-	}
-	if !p.Fixed(0) || p.Fixed(2) {
-		t.Fatal("mask positions wrong")
-	}
-	if !p.Bit(0) || p.Bit(1) {
-		t.Fatal("value positions wrong")
-	}
-	// Inputs stay independent: mutating the mask afterwards must not change
-	// the pattern.
-	mask.FlipBit(3)
-	if p.Fixed(3) {
-		t.Fatal("pattern aliases its input mask")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch must panic")
-		}
-	}()
-	PatternFromMaskBits(MustFromString("10"), MustFromString("101"))
-}
-
 func TestPatternAccessorsAndZero(t *testing.T) {
 	var zero Pattern
 	if !zero.IsZero() {
@@ -280,6 +217,9 @@ func TestPatternAccessorsAndZero(t *testing.T) {
 	}
 	if p.Bits().String() != "100" {
 		t.Fatalf("bits = %q", p.Bits().String())
+	}
+	if !p.Fixed(0) || p.Fixed(1) || !p.Fixed(2) || !p.Bit(0) || p.Bit(2) {
+		t.Fatal("fixed or value positions wrong")
 	}
 	if p.SizeBytes() <= 0 {
 		t.Fatal("size must be positive")

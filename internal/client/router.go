@@ -162,6 +162,10 @@ type shard struct {
 type replica struct {
 	addr string
 	opts Options
+	// want is the snapshot header a handshake must show: the partition and
+	// build of the shard the replica is listed under. Dial sets it once it has
+	// learned them; until then (Parts 0) a handshake is not checked.
+	want wire.SnapshotMeta
 
 	mu    sync.Mutex
 	conn  net.Conn
@@ -174,7 +178,10 @@ type replica struct {
 // snapshot). The router handshakes one replica per shard, learns the pivot
 // list and partition layout from the shards themselves, and verifies the
 // deployment is consistent: every partition served exactly once, by shards
-// agreeing on code length and pivots.
+// of one build (wire.SnapshotMeta.SameBuild). From then on every handshake
+// of a replica, its first or a redial, must show the partition and build its
+// shard was learned as, or the attempt fails and the request moves on to the
+// next replica.
 func Dial(shardAddrs [][]string, opts Options) (*Router, error) {
 	opts = opts.withDefaults()
 	if len(shardAddrs) == 0 {
@@ -203,7 +210,8 @@ func Dial(shardAddrs [][]string, opts Options) (*Router, error) {
 	r.cntRequests = reg.Counter("shard_requests")
 	r.cntRetries = reg.Counter("retries")
 	r.cntSheds = reg.Counter("sheds")
-	seen := make(map[int]string)
+	seen := make(map[int]string) // part -> the replica that answered for it
+	var build wire.SnapshotMeta  // the first shard's, which every other must share
 	for i, addrs := range shardAddrs {
 		if len(addrs) == 0 {
 			return nil, fmt.Errorf("client: shard %d has no replicas", i)
@@ -213,9 +221,11 @@ func Dial(shardAddrs [][]string, opts Options) (*Router, error) {
 			sh.replicas = append(sh.replicas, &replica{addr: addr, opts: opts})
 		}
 		var hello wire.HelloOK
+		var from string
 		var err error
 		for _, rp := range sh.replicas {
 			if hello, err = rp.handshake(); err == nil {
+				from = rp.addr
 				break
 			}
 		}
@@ -227,26 +237,19 @@ func Dial(shardAddrs [][]string, opts Options) (*Router, error) {
 				i, hello.Parts, len(shardAddrs))
 		}
 		if prev, dup := seen[hello.Part]; dup {
-			return nil, fmt.Errorf("client: partition %d served by both %s and %s", hello.Part, prev, addrs[0])
+			return nil, fmt.Errorf("client: partition %d served by both %s and %s", hello.Part, prev, from)
 		}
-		seen[hello.Part] = addrs[0]
+		if i == 0 {
+			build = hello.SnapshotMeta
+		} else if !hello.SameBuild(build) {
+			return nil, fmt.Errorf("client: %s (%d parts, %d-bit) is not of the build %s serves (%d parts, %d-bit, and its pivots)",
+				from, hello.Parts, hello.Length, seen[build.Part], build.Parts, build.Length)
+		}
+		seen[hello.Part] = from
+		for _, rp := range sh.replicas {
+			rp.want = hello.SnapshotMeta
+		}
 		sh.part, sh.label = hello.Part, fmt.Sprintf("shard%02d", hello.Part)
-		if r.pivots == nil {
-			r.length = hello.Length
-			r.pivots = hello.Pivots
-		} else {
-			if hello.Length != r.length {
-				return nil, fmt.Errorf("client: shard %d serves %d-bit codes, others %d", i, hello.Length, r.length)
-			}
-			if len(hello.Pivots) != len(r.pivots) {
-				return nil, fmt.Errorf("client: shard %d has %d pivots, others %d", i, len(hello.Pivots), len(r.pivots))
-			}
-			for j := range hello.Pivots {
-				if !hello.Pivots[j].Equal(r.pivots[j]) {
-					return nil, fmt.Errorf("client: shard %d pivot %d disagrees with the rest of the deployment", i, j)
-				}
-			}
-		}
 		r.shards[hello.Part] = sh
 	}
 	for part, sh := range r.shards {
@@ -254,6 +257,7 @@ func Dial(shardAddrs [][]string, opts Options) (*Router, error) {
 			return nil, fmt.Errorf("client: partition %d not served by any shard", part)
 		}
 	}
+	r.length, r.pivots = build.Length, build.Pivots
 	r.ranges = histo.NewRanges(r.length, r.pivots)
 	return r, nil
 }
@@ -527,17 +531,19 @@ func (r *Router) TopK(queries []bitvec.Code, k int) ([][]int, [][]int, error) {
 // ShardStats asks every shard for its serving counters.
 func (r *Router) ShardStats() ([]wire.StatsResp, error) {
 	out := make([]wire.StatsResp, len(r.shards))
+	legs := make([]leg, len(r.shards))
 	for m, sh := range r.shards {
-		respType, payload, err := r.do(sh, routeRotate, wire.MsgStats, nil, nil, obs.NoSpan)
-		if err != nil {
-			return nil, err
+		legs[m] = leg{sh: sh, t: wire.MsgStats, want: wire.MsgStatsOK}
+	}
+	r.fanOut(legs, routeRotate, nil)
+	for m := range legs {
+		lg := &legs[m]
+		if lg.err == nil {
+			out[m], lg.err = wire.ParseStatsResp(lg.resp)
 		}
-		if respType != wire.MsgStatsOK {
-			return nil, fmt.Errorf("client: shard %d answered %s", m, respType)
-		}
-		if out[m], err = wire.ParseStatsResp(payload); err != nil {
-			return nil, err
-		}
+	}
+	if err := firstErr(legs); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -576,11 +582,10 @@ type leg struct {
 	err  error
 
 	// The request in progress: its span, the replica it starts on (the rest
-	// follow in list order, wrapping) and, while tried is set, a first
-	// attempt on rp (begun at t0) that retry has yet to judge.
+	// follow in list order, wrapping) and its first attempt, on rp (begun at
+	// t0), which retry judges when it did not answer with the OK frame.
 	span, attempt obs.SpanID
 	first         int
-	tried         bool
 	rp            *replica
 	t0            time.Time
 	respType      wire.MsgType
@@ -609,7 +614,7 @@ func (r *Router) fanOut(legs []leg, mode routeMode, tr *obs.Trace) {
 		lg := &legs[i]
 		r.begin(lg, mode)
 		lg.span = tr.Start(lg.label, 0)
-		lg.tried, lg.rp = true, lg.sh.replicas[lg.first]
+		lg.rp = lg.sh.replicas[lg.first]
 		lg.attempt = tr.Start("attempt 0 → "+lg.rp.addr, lg.span)
 		lg.t0 = time.Now()
 		lg.rp.mu.Lock()
@@ -658,20 +663,11 @@ func (r *Router) fanOut(legs []leg, mode routeMode, tr *obs.Trace) {
 	}
 }
 
-// do performs one shard request on its own (the stats poll has no siblings to
-// pipeline with) through the retry loop and returns the frame that answered.
-func (r *Router) do(sh *shard, mode routeMode, t wire.MsgType, payload []byte, tr *obs.Trace, parent obs.SpanID) (wire.MsgType, []byte, error) {
-	lg := leg{sh: sh, t: t, payload: payload, span: parent}
-	r.begin(&lg, mode)
-	r.retry(&lg, r.now(), tr)
-	return lg.respType, lg.resp, lg.err
-}
-
 // retry carries one leg to an answer (lg.respType and resp, or err) with
 // retry and backoff. Each try goes to the next replica in list order, wrapping,
-// from the leg's first: a single-replica shard retries in place. A first
-// attempt fanOut already made (lg.tried) is judged as attempt 0, not sent
-// again. A server-reported error frame counts as a failed attempt just like a
+// from the leg's first: a single-replica shard retries in place. The first
+// attempt, which fanOut made, is judged as attempt 0, not sent again. A
+// server-reported error frame counts as a failed attempt just like a
 // transport error. The whole loop — attempts plus backoff sleeps, from the
 // request's start — is bounded by Opts.Timeout of wall time, so a run of
 // failures cannot sleep far past the per-request budget.
@@ -685,7 +681,7 @@ func (r *Router) retry(lg *leg, start time.Time, tr *obs.Trace) {
 	deadline := start.Add(r.opts.Timeout)
 	backoff := r.opts.Backoff
 	next := lg.first // the replica the next try goes to, mod the set
-	shed := false
+	judged, shed := false, false
 	var lastErr error
 	for attempt := 0; attempt < r.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -705,8 +701,8 @@ func (r *Router) retry(lg *leg, start time.Time, tr *obs.Trace) {
 		for {
 			rp := sh.replicas[next%len(sh.replicas)]
 			next++
-			if lg.tried {
-				lg.tried = false
+			if !judged {
+				judged = true
 				respType, resp, err = lg.respType, lg.resp, lg.err
 			} else {
 				sp := tr.Start("attempt "+strconv.Itoa(attempt)+" → "+rp.addr, parent)
@@ -852,6 +848,10 @@ func (rp *replica) dialLocked() (err error) {
 	}
 	if hello.Version != wire.Version {
 		return fmt.Errorf("client: %s speaks protocol version %d, this client speaks %d", rp.addr, hello.Version, wire.Version)
+	}
+	if w := rp.want; w.Parts > 0 && (hello.Part != w.Part || !hello.SameBuild(w)) {
+		return fmt.Errorf("client: %s serves partition %d, not partition %d of this deployment's build (parts, code length, pivots)",
+			rp.addr, hello.Part, w.Part)
 	}
 	rp.conn, rp.br, rp.hello = conn, br, hello
 	return nil

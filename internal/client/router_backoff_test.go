@@ -64,6 +64,14 @@ func newBackoffRouter(t *testing.T, opts Options, clk *fakeClock, jitter func(in
 	return r
 }
 
+// statsOnce sends one stats request to shard 0 as a one-leg fan-out and
+// returns the leg, answered or failed.
+func statsOnce(r *Router, mode routeMode) leg {
+	legs := []leg{{sh: r.shards[0], t: wire.MsgStats, want: wire.MsgStatsOK}}
+	r.fanOut(legs, mode, nil)
+	return legs[0]
+}
+
 // TestBackoffCapAndDoubling: with jitter pinned to its maximum, the sleep
 // schedule must double from Backoff once per failed attempt and stop at the
 // MaxAttempts cap exactly.
@@ -77,8 +85,7 @@ func TestBackoffCapAndDoubling(t *testing.T) {
 		Timeout:     10 * time.Second,
 	}, clk, maxJitter)
 
-	_, _, err := r.do(r.shards[0], routeRotate, wire.MsgStats, nil, nil, obs.NoSpan)
-	if err == nil {
+	if err := statsOnce(r, routeRotate).err; err == nil {
 		t.Fatal("expected failure against a refusing address")
 	}
 	want := []time.Duration{
@@ -123,7 +130,7 @@ func TestBackoffJitterRange(t *testing.T) {
 		Timeout:     10 * time.Second,
 	}, clk, minJitter)
 
-	r.do(r.shards[0], routeRotate, wire.MsgStats, nil, nil, obs.NoSpan)
+	statsOnce(r, routeRotate)
 	want := []time.Duration{
 		2 * time.Millisecond, // b=4ms, zero jitter → b/2
 		4 * time.Millisecond, // b=8ms → 4ms
@@ -153,7 +160,7 @@ func TestBackoffBoundedByTimeout(t *testing.T) {
 	}, clk, maxJitter)
 
 	start := clk.now()
-	_, _, err := r.do(r.shards[0], routeRotate, wire.MsgStats, nil, nil, obs.NoSpan)
+	err := statsOnce(r, routeRotate).err
 	if err == nil || !strings.Contains(err.Error(), "retry budget exhausted") {
 		t.Fatalf("err = %v, want retry-budget error", err)
 	}

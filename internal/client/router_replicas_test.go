@@ -122,3 +122,43 @@ func TestRouterReplicatedMatchesOracle(t *testing.T) {
 		t.Fatalf("healthy deployment provoked %d retries", st.Retries)
 	}
 }
+
+// TestRouterRefusesMislistedReplica: a replica listed under a shard it does
+// not serve — another partition of the deployment's build, or the same
+// partition of another build — fails its handshake, so a request whose turn
+// lands on it retries on the next replica instead of taking its answer.
+// Every answer is the oracle's, and the refusals show as retries.
+func TestRouterRefusesMislistedReplica(t *testing.T) {
+	const bits, parts, h = 32, 2, 3
+	d := buildDeployment(t, rand.New(rand.NewSource(79)), 800, bits, parts, nil)
+	other := buildDeployment(t, rand.New(rand.NewSource(83)), 800, bits, parts, nil)
+	for name, stray := range map[string]string{
+		"another partition": d.addrs[1][0],
+		"another build":     other.addrs[0][0],
+	} {
+		t.Run(name, func(t *testing.T) {
+			r, err := Dial([][]string{{d.addrs[0][0], stray}, d.addrs[1]}, Options{Backoff: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			for i, q := range d.queries(rand.New(rand.NewSource(89)), 40, bits, h) {
+				got, err := r.Search(q, h)
+				if err != nil {
+					t.Fatalf("query %d: %v", i, err)
+				}
+				want := append([]int(nil), d.oracle.Search(q, h)...)
+				sort.Ints(want)
+				if len(want) == 0 {
+					want = nil
+				}
+				if !equalInts(got, want) {
+					t.Fatalf("query %d: router %v, oracle %v", i, got, want)
+				}
+			}
+			if r.Stats().Retries == 0 {
+				t.Fatal("no request's turn came to the mis-listed replica")
+			}
+		})
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"haindex/internal/obs"
 	"haindex/internal/wire"
 )
 
@@ -41,7 +40,7 @@ func startSheddingServer(t *testing.T, delay time.Duration) (string, *atomic.Int
 				if err != nil || typ != wire.MsgHello {
 					return
 				}
-				ok := wire.HelloOK{Version: wire.Version, Length: 32, Part: 0, Parts: 1}
+				ok := wire.HelloOK{Version: wire.Version, SnapshotMeta: wire.SnapshotMeta{Length: 32, Part: 0, Parts: 1}}
 				if err := wire.WriteFrame(conn, wire.MsgHelloOK, ok.Append(nil)); err != nil {
 					return
 				}
@@ -109,7 +108,7 @@ func startStatsServer(t *testing.T, hello wire.HelloOK) (string, *atomic.Int32) 
 
 // healthyHello is a one-partition deployment's handshake at this build's
 // protocol version.
-var healthyHello = wire.HelloOK{Version: wire.Version, Length: 32, Part: 0, Parts: 1}
+var healthyHello = wire.HelloOK{Version: wire.Version, SnapshotMeta: wire.SnapshotMeta{Length: 32, Part: 0, Parts: 1}}
 
 // TestDialNamesVersionMismatch: a shard answering the handshake at another
 // protocol version is refused with both numbers in the error.
@@ -177,7 +176,8 @@ func runShedCases(t *testing.T, cases []shedCase) {
 				r.shards[0].replicas = append(r.shards[0].replicas, &replica{addr: addr, opts: r.opts})
 			}
 
-			respType, _, err := r.do(r.shards[0], routePrimary, wire.MsgStats, nil, nil, obs.NoSpan)
+			lg := statsOnce(r, routePrimary)
+			respType, err := lg.respType, lg.err
 			if tc.wantShed != errors.Is(err, ErrShed) {
 				t.Fatalf("err = %v, want ErrShed %v", err, tc.wantShed)
 			}

@@ -14,15 +14,6 @@ func BenchmarkHBuildSequential(b *testing.B) {
 	}
 }
 
-func BenchmarkHBuildParallel4(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	codes := clusteredCodes(rng, 20000, 32, 16, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildDynamicParallel(codes, nil, Options{}, 4)
-	}
-}
-
 func BenchmarkHSearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	codes := clusteredCodes(rng, 20000, 32, 16, 3)

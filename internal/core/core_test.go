@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -170,23 +171,35 @@ func TestQuickDynamic(t *testing.T) {
 func TestSearchCodes(t *testing.T) {
 	codes := paperCodes()
 	codes = append(codes, codes[0]) // duplicate code, distinct tuple
-	dyn := BuildDynamic(codes, nil, Options{Window: 2})
 	q := bitvec.MustFromString("101100010")
-	got := dyn.SearchCodes(q, 3)
-	// Distinct qualifying codes: t0/t8 share one code, t3, t4, t6.
-	if len(got) != 4 {
-		t.Fatalf("got %d codes want 4", len(got))
-	}
-	for _, c := range got {
-		if q.Distance(c) > 3 {
-			t.Errorf("code %s beyond threshold", c.String())
+	for _, idx := range arenaIndexes(codes) {
+		got := NewSearcher(idx).SearchCodes(q, 3)
+		// Distinct qualifying codes: t0/t8 share one code, t3, t4, t6.
+		if len(got) != 4 {
+			t.Fatalf("%T: got %d codes want 4", idx, len(got))
+		}
+		for _, c := range got {
+			if q.Distance(c) > 3 {
+				t.Errorf("%T: code %s beyond threshold", idx, c.String())
+			}
 		}
 	}
-	st := BuildStatic(codes, nil, 3)
-	gotS := st.SearchCodes(q, 3)
-	if len(gotS) != 4 {
-		t.Fatalf("static got %d codes want 4", len(gotS))
-	}
+}
+
+// TestBuildRejectsZeroLengthCodes: the zero value of bitvec.Code is the only
+// way to get a 0-bit code, and H-Build refuses it by name.
+func TestBuildRejectsZeroLengthCodes(t *testing.T) {
+	codes := make([]bitvec.Code, 300) // all zero values: Len() == 0
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("BuildDynamic accepted zero-length codes")
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "zero-length") {
+			t.Fatalf("BuildDynamic panic message %v lacks zero-length diagnosis", r)
+		}
+	}()
+	BuildDynamic(codes, nil, Options{})
 }
 
 func TestDynamicInsert(t *testing.T) {

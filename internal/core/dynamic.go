@@ -368,12 +368,6 @@ func (x *DynamicIndex) SearchInto(q bitvec.Code, h int, stats *SearchStats) []in
 	return searchInto(x, q, h, stats)
 }
 
-// SearchCodes returns the distinct qualifying binary codes instead of tuple
-// ids — the leafless mode used by MapReduce Hamming-join Option B, where a
-// post-processing join recovers the ids. A PointerSearcher's SearchCodes
-// reports the work.
-func (x *DynamicIndex) SearchCodes(q bitvec.Code, h int) []bitvec.Code { return searchCodes(x, q, h) }
-
 // searchPointer implements pointerIndex: the breadth-first H-Search over the
 // hierarchy on the searcher's work queue, followed by a linear pass over the
 // unflushed insert buffer. At each node only the bits fixed beyond the

@@ -21,8 +21,8 @@ type pointerIndex interface {
 // PointerSearcher owns the per-worker scratch of H-Search over a pointer
 // index: the Dynamic walk's BFS queue, the Static walk's memoized per-level
 // distance tables, stack, path and key buffers, and the emission buffers.
-// Steady-state Search, SearchAppend and SearchCodes perform no heap
-// allocations; the scratch grows to the high-water mark of the queries seen.
+// Steady-state Search and SearchAppend perform no heap allocations; the
+// scratch grows to the high-water mark of the queries seen.
 //
 // Like Searcher, a PointerSearcher is not safe for concurrent use: give each
 // goroutine its own over the shared index, which no goroutine may mutate
@@ -30,7 +30,7 @@ type pointerIndex interface {
 type PointerSearcher struct {
 	idx pointerIndex
 
-	// Stats describes the most recent Search/SearchAppend/SearchCodes call.
+	// Stats describes the most recent Search/SearchAppend call.
 	Stats SearchStats
 
 	// The last walk's qualifying leaf groups, and its qualifying tuples from
@@ -54,9 +54,8 @@ type PointerSearcher struct {
 	asmWords []uint64
 	keyBuf   []byte
 
-	// Result buffers Search and SearchCodes reuse across calls.
-	ids   []int
-	codes []bitvec.Code
+	// The result buffer Search reuses across calls.
+	ids []int
 }
 
 // NewPointerSearcher returns a searcher bound to a *DynamicIndex or a
@@ -93,22 +92,8 @@ func (ps *PointerSearcher) SearchAppend(dst []int, q bitvec.Code, h int) []int {
 	return dst
 }
 
-// SearchCodes returns the distinct qualifying codes instead of ids, under
-// the same scratch-aliasing contract as Search.
-func (ps *PointerSearcher) SearchCodes(q bitvec.Code, h int) []bitvec.Code {
-	ps.run(q, h)
-	ps.codes = ps.codes[:0]
-	for _, g := range ps.found {
-		ps.codes = append(ps.codes, g.code)
-	}
-	for _, p := range ps.loose {
-		ps.codes = append(ps.codes, p.code)
-	}
-	return ps.codes
-}
-
-// pointerPool recycles the searchers the pointer indexes' own Search,
-// SearchInto and SearchCodes run on; those may run concurrently on one index.
+// pointerPool recycles the searchers the pointer indexes' own Search and
+// SearchInto run on; those may run concurrently on one index.
 var pointerPool = sync.Pool{New: func() any { return new(PointerSearcher) }}
 
 // searchInto is SearchInto for either pointer form: one search on a pooled
@@ -120,12 +105,4 @@ func searchInto(idx pointerIndex, q bitvec.Code, h int, stats *SearchStats) []in
 	out := ps.SearchAppend(nil, q, h)
 	stats.Add(ps.Stats)
 	return out
-}
-
-// searchCodes is SearchCodes for either pointer form, on a pooled searcher.
-func searchCodes(idx pointerIndex, q bitvec.Code, h int) []bitvec.Code {
-	ps := pointerPool.Get().(*PointerSearcher)
-	defer pointerPool.Put(ps)
-	ps.idx = idx
-	return append([]bitvec.Code(nil), ps.SearchCodes(q, h)...)
 }

@@ -35,7 +35,6 @@ func searcherEnv(t testing.TB, seed int64, n, bitsLen, h int) ([]bitvec.Code, []
 type querier interface {
 	Search(q bitvec.Code, h int) []int
 	SearchAppend(dst []int, q bitvec.Code, h int) []int
-	SearchCodes(q bitvec.Code, h int) []bitvec.Code
 }
 
 // newQuerier returns the searcher each form runs on: the arena Searcher for
@@ -74,11 +73,12 @@ func TestSearcherMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSearcherCodes: SearchCodes returns the distinct qualifying codes.
+// TestSearcherCodes: SearchCodes returns the distinct qualifying codes, on
+// every arena engine.
 func TestSearcherCodes(t *testing.T) {
-	codes, queries, indexes := searcherEnv(t, 77, 800, 48, 0)
-	for _, idx := range indexes {
-		sr := newQuerier(idx)
+	codes, queries, _ := searcherEnv(t, 77, 800, 48, 0)
+	for _, idx := range arenaIndexes(codes) {
+		sr := NewSearcher(idx)
 		for _, q := range queries {
 			distinct := map[string]bool{}
 			for _, i := range oracle(codes, q, 3) {

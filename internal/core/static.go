@@ -187,9 +187,6 @@ func (s *StaticIndex) Search(q bitvec.Code, h int) []int {
 	return searchInto(s, q, h, new(SearchStats))
 }
 
-// SearchCodes returns the distinct qualifying codes instead of ids.
-func (s *StaticIndex) SearchCodes(q bitvec.Code, h int) []bitvec.Code { return searchCodes(s, q, h) }
-
 // SearchInto is Search adding its work to stats; it does not mutate the
 // index and is safe for concurrent use on a read-only index.
 func (s *StaticIndex) SearchInto(q bitvec.Code, h int, stats *SearchStats) []int {

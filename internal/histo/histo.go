@@ -85,29 +85,3 @@ func PartitionID(pivots []bitvec.Code, c bitvec.Code) int {
 		return gray.Compare(pivots[i], c) > 0
 	})
 }
-
-// Counts tallies how many codes fall into each of len(pivots)+1 partitions —
-// the balance diagnostic behind Figure 10a.
-func Counts(codes []bitvec.Code, pivots []bitvec.Code) []int {
-	out := make([]int, len(pivots)+1)
-	for _, c := range codes {
-		out[PartitionID(pivots, c)]++
-	}
-	return out
-}
-
-// Imbalance returns max/mean of the partition counts (1.0 = perfectly
-// balanced, like mapreduce.Metrics.Skew).
-func Imbalance(counts []int) float64 {
-	max, sum := 0, 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-		sum += c
-	}
-	if sum == 0 {
-		return 0
-	}
-	return float64(max) / (float64(sum) / float64(len(counts)))
-}

@@ -22,6 +22,32 @@ func clustered(rng *rand.Rand, n, bits, clusters int) []bitvec.Code {
 	return out
 }
 
+// partitionCounts tallies how many codes fall into each of len(pivots)+1
+// partitions, the balance diagnostic behind Figure 10a.
+func partitionCounts(codes []bitvec.Code, pivots []bitvec.Code) []int {
+	out := make([]int, len(pivots)+1)
+	for _, c := range codes {
+		out[PartitionID(pivots, c)]++
+	}
+	return out
+}
+
+// imbalance returns max/mean of the partition counts (1.0 = perfectly
+// balanced, like mapreduce.Metrics.Skew).
+func imbalance(counts []int) float64 {
+	max, sum := 0, 0
+	for _, c := range counts {
+		if c > max {
+			max = c
+		}
+		sum += c
+	}
+	if sum == 0 {
+		return 0
+	}
+	return float64(max) / (float64(sum) / float64(len(counts)))
+}
+
 func TestPivotsBalance(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	// Heavily skewed codes: all in a few clusters.
@@ -36,16 +62,16 @@ func TestPivotsBalance(t *testing.T) {
 	if len(pivots) != 7 {
 		t.Fatalf("pivot count = %d", len(pivots))
 	}
-	counts := Counts(codes, pivots)
-	if got := Imbalance(counts); got > 2.5 {
+	counts := partitionCounts(codes, pivots)
+	if got := imbalance(counts); got > 2.5 {
 		t.Errorf("histogram pivots imbalance %.2f on skewed data", got)
 	}
 	// Uniform pivots on the same skewed data should be far worse.
 	uni := UniformPivots(32, 8)
-	uniCounts := Counts(codes, uni)
-	if Imbalance(uniCounts) <= Imbalance(counts) {
+	uniCounts := partitionCounts(codes, uni)
+	if imbalance(uniCounts) <= imbalance(counts) {
 		t.Errorf("uniform pivots (%.2f) should be worse than histogram pivots (%.2f) on skewed data",
-			Imbalance(uniCounts), Imbalance(counts))
+			imbalance(uniCounts), imbalance(counts))
 	}
 }
 
@@ -121,14 +147,15 @@ func TestPivotsEdgeCases(t *testing.T) {
 	}
 }
 
+// TestImbalance checks the balance measure the pivot tests judge by.
 func TestImbalance(t *testing.T) {
-	if got := Imbalance([]int{5, 5, 5, 5}); got != 1 {
+	if got := imbalance([]int{5, 5, 5, 5}); got != 1 {
 		t.Errorf("balanced = %v", got)
 	}
-	if got := Imbalance([]int{20, 0, 0, 0}); got != 4 {
+	if got := imbalance([]int{20, 0, 0, 0}); got != 4 {
 		t.Errorf("skewed = %v", got)
 	}
-	if got := Imbalance(nil); got != 0 {
+	if got := imbalance(nil); got != 0 {
 		t.Errorf("empty = %v", got)
 	}
 }
@@ -147,7 +174,7 @@ func TestQuickPartitionCover(t *testing.T) {
 			codes[i] = bitvec.Rand(rng, bits)
 		}
 		pivots := Pivots(codes[:1+rng.Intn(n)], parts)
-		counts := Counts(codes, pivots)
+		counts := partitionCounts(codes, pivots)
 		total := 0
 		for _, c := range counts {
 			total += c
@@ -174,8 +201,8 @@ func TestSampleBeatsPrefixOnClusteredData(t *testing.T) {
 	prefix := Pivots(codes[:k], parts)
 	strided := Pivots(Sample(codes, k), parts)
 
-	prefixImb := Imbalance(Counts(codes, prefix))
-	stridedImb := Imbalance(Counts(codes, strided))
+	prefixImb := imbalance(partitionCounts(codes, prefix))
+	stridedImb := imbalance(partitionCounts(codes, strided))
 	if stridedImb > 1.5 {
 		t.Errorf("strided-sample pivots imbalance %.2f on clustered data", stridedImb)
 	}

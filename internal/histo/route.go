@@ -23,8 +23,7 @@ import (
 // partition's rank interval, so routing a query costs one masked popcount
 // per partition. Build once per pivot set and share read-only.
 type Ranges struct {
-	length int
-	parts  int
+	parts int
 	// empty marks partitions whose rank interval is empty (duplicate or
 	// degenerate pivots); they can never contain a code.
 	empty []bool
@@ -44,7 +43,6 @@ func NewRanges(length int, pivots []bitvec.Code) *Ranges {
 		ranks[i] = gray.Rank(p)
 	}
 	r := &Ranges{
-		length:     length,
 		parts:      parts,
 		empty:      make([]bool, parts),
 		prefixLen:  make([]int, parts),
@@ -84,18 +82,6 @@ func NewRanges(length int, pivots []bitvec.Code) *Ranges {
 // Parts returns the number of partitions (len(pivots)+1).
 func (r *Ranges) Parts() int { return r.parts }
 
-// Empty reports whether partition m's Gray range is empty.
-func (r *Ranges) Empty(m int) bool { return r.empty[m] }
-
-// MinDistance returns the lower bound on the Hamming distance from q to any
-// code in partition m, or length+1 when the partition is empty.
-func (r *Ranges) MinDistance(m int, q bitvec.Code) int {
-	if r.empty[m] {
-		return r.length + 1
-	}
-	return prefixDistance(q, r.prefixGray[m], r.prefixLen[m])
-}
-
 // Route appends to dst the partitions that can contain a code within Hamming
 // distance h of q and returns the extended slice. The partition owning q is
 // always included; partitions whose lower bound exceeds h are pruned.
@@ -109,12 +95,6 @@ func (r *Ranges) Route(dst []int, q bitvec.Code, h int) []int {
 		}
 	}
 	return dst
-}
-
-// RouteParts is the convenience form of Ranges.Route for one-off use; a
-// serving router should build Ranges once instead.
-func RouteParts(pivots []bitvec.Code, q bitvec.Code, h int) []int {
-	return NewRanges(q.Len(), pivots).Route(nil, q, h)
 }
 
 // maxRank returns the all-ones length-bit rank (the last Gray rank).

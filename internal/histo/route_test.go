@@ -2,6 +2,7 @@ package histo
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -60,19 +61,21 @@ func TestRouteCoversAllMatches(t *testing.T) {
 	}
 }
 
-// TestRouteMinDistanceIsLowerBound checks the per-partition bound against
-// the true minimum over sampled members of the partition.
+// TestRouteMinDistanceIsLowerBound checks the per-partition Gray-range lower
+// bound through Route: a code's partition must be routed at any threshold
+// that reaches the code, so the bound never exceeds a member's distance.
 func TestRouteMinDistanceIsLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(402))
 	bits := 24
 	pivots := randPivots(rng, bits, 6, false)
 	ranges := NewRanges(bits, pivots)
+	var routed []int
 	for trial := 0; trial < 2000; trial++ {
 		c := bitvec.Rand(rng, bits)
 		q := bitvec.Rand(rng, bits)
-		m := PartitionID(pivots, c)
-		if lb := ranges.MinDistance(m, q); lb > q.Distance(c) {
-			t.Fatalf("partition %d: lower bound %d exceeds member distance %d", m, lb, q.Distance(c))
+		m, d := PartitionID(pivots, c), q.Distance(c)
+		if routed = ranges.Route(routed[:0], q, d); !slices.Contains(routed, m) {
+			t.Fatalf("partition %d holds a code at distance %d but is not routed at h=%d (routed %v)", m, d, d, routed)
 		}
 	}
 }
@@ -83,15 +86,12 @@ func TestRouteMinDistanceIsLowerBound(t *testing.T) {
 func TestRouteEmptyAndDuplicatePivots(t *testing.T) {
 	rng := rand.New(rand.NewSource(403))
 	q := bitvec.Rand(rng, 16)
-	if got := RouteParts(nil, q, 3); len(got) != 1 || got[0] != 0 {
+	if got := NewRanges(16, nil).Route(nil, q, 3); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("no pivots: routed %v, want [0]", got)
 	}
 	p := bitvec.Rand(rng, 16)
 	dup := []bitvec.Code{p, p.Clone(), p.Clone()}
 	ranges := NewRanges(16, dup)
-	if !ranges.Empty(1) || !ranges.Empty(2) {
-		t.Fatalf("duplicate pivots must make middle partitions empty: %v %v", ranges.Empty(1), ranges.Empty(2))
-	}
 	routed := ranges.Route(nil, q, 16)
 	for _, m := range routed {
 		if m == 1 || m == 2 {
@@ -143,9 +143,9 @@ func TestDecRank(t *testing.T) {
 	}
 }
 
-// Property tests (testing/quick): Counts always sums to len(codes), and
-// PartitionID stays within [0, len(pivots)], across random pivot/code sets
-// including empty and duplicate pivot lists.
+// Property tests (testing/quick): partitionCounts always sums to
+// len(codes), and PartitionID stays within [0, len(pivots)], across random
+// pivot/code sets including empty and duplicate pivot lists.
 func TestCountsAndPartitionIDProperties(t *testing.T) {
 	type tcase struct {
 		Bits   uint8
@@ -176,7 +176,7 @@ func TestCountsAndPartitionIDProperties(t *testing.T) {
 				return false
 			}
 		}
-		counts := Counts(codes, pivots)
+		counts := partitionCounts(codes, pivots)
 		if len(counts) != len(pivots)+1 {
 			return false
 		}

@@ -255,7 +255,7 @@ type Stats struct {
 	MemtableSize int    // live memtable entries
 	Segments     int    // immutable segments
 	Tombstones   int    // segment rows masked by a later write
-	Epoch        uint64 // bumped on every seal/compaction swap
+	Epoch        uint64 // bumped on every segment-stack swap (bootstrap, seal, compaction), never by a write
 	Seals        int64
 	Compactions  int64
 }
@@ -423,11 +423,6 @@ func (s *Shard) masked() int {
 	}
 	return n
 }
-
-// Epoch returns the current structural epoch: it bumps on every segment-stack
-// swap (bootstrap, seal, compaction) and never on an insert or delete, so it
-// names the layering a search walks, not the answers it returns.
-func (s *Shard) Epoch() uint64 { return s.state.Load().epoch }
 
 // Stats returns a point-in-time layering summary.
 func (s *Shard) Stats() Stats {

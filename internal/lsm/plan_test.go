@@ -430,7 +430,7 @@ func TestMaskDuringFold(t *testing.T) {
 		slices.Sort(victims)
 		rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
 
-		epoch := s.Epoch()
+		epoch := s.Stats().Epoch
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
@@ -447,7 +447,7 @@ func TestMaskDuringFold(t *testing.T) {
 			if i%2 == 0 {
 				s.Delete(id)
 				delete(o, id)
-				if s.Epoch() == epoch {
+				if s.Stats().Epoch == epoch {
 					window = append(window, id)
 				}
 			} else {
@@ -460,8 +460,8 @@ func TestMaskDuringFold(t *testing.T) {
 		<-done
 
 		segs := s.state.Load().segments
-		if len(segs) != 1 || s.Epoch() != epoch+1 {
-			t.Fatalf("fold %d: %d segments at epoch %d, from %d", try, len(segs), s.Epoch(), epoch)
+		if len(segs) != 1 || s.Stats().Epoch != epoch+1 {
+			t.Fatalf("fold %d: %d segments at epoch %d, from %d", try, len(segs), s.Stats().Epoch, epoch)
 		}
 		rows := map[int]bool{}
 		segs[0].idx.Tuples(func(id int, _ bitvec.Code) { rows[id] = true })
@@ -771,7 +771,7 @@ func TestFrozenShard(t *testing.T) {
 	if err := ro.Bootstrap(idx); err == nil {
 		t.Fatal("a read-only shard took a Bootstrap")
 	}
-	epoch := ro.Epoch()
+	epoch := ro.Stats().Epoch
 	for name, mutate := range map[string]func(){
 		"Insert": func() { ro.Insert(1, codes[0]) },
 		"Delete": func() { ro.Delete(ids[0]) },
@@ -786,7 +786,7 @@ func TestFrozenShard(t *testing.T) {
 			mutate()
 		}()
 	}
-	if ro.Epoch() != epoch || ro.Len() != len(codes) {
+	if ro.Stats().Epoch != epoch || ro.Len() != len(codes) {
 		t.Fatal("a refused mutation changed the read-only shard")
 	}
 }

@@ -429,15 +429,6 @@ func (p *Planner) fill(grid []int, scan float64, cell func(s Strategy, h int) fl
 	}
 }
 
-// Cost returns the counted per-query cost of strategy s at threshold h in
-// scanned groups (0 = unavailable, or retired below h).
-func (p *Planner) Cost(s Strategy, h int) float64 {
-	if s < 0 || s >= numStrategies {
-		return 0
-	}
-	return p.plans[p.clamp(h)].Cost[s]
-}
-
 // Available reports whether strategy s can serve queries.
 func (p *Planner) Available(s Strategy) bool { return p.Index(s) != nil }
 

@@ -102,7 +102,7 @@ func TestCalibrationFillsModel(t *testing.T) {
 		at := p.retired[s]
 		for h := 0; h <= 32; h++ {
 			counted := at < 0 || h <= at
-			if priced := p.Cost(s, h) > 0; priced != counted {
+			if priced := p.Plan(h).Cost[s] > 0; priced != counted {
 				t.Fatalf("%s (retired at h=%d): cell priced = %v at h=%d", s, at, priced, h)
 			}
 			if pl := p.Plan(h); (pl.Retired[s] >= 0) == counted || pl.Strategy == s && !counted {
@@ -125,8 +125,8 @@ func TestClosedFormRetiresMIH(t *testing.T) {
 	p := autoPlanner(t, codes, Options{Seed: 4})
 	m, at := p.Engines().MIH.(*mih.Index), p.retired[UseMIH]
 	scan := float64(p.Index(UseScan).Groups().Count())
-	if c := mihOpCost * float64(m.Probes(at)); at < 0 || c <= scan || p.Cost(UseMIH, at) != c {
-		t.Fatalf("MIH retired at h=%d with cell %v, closed form %d probes over %v groups", at, p.Cost(UseMIH, at), m.Probes(at), scan)
+	if c := mihOpCost * float64(m.Probes(at)); at < 0 || c <= scan || p.Plan(at).Cost[UseMIH] != c {
+		t.Fatalf("MIH retired at h=%d with cell %v, closed form %d probes over %v groups", at, p.Plan(at).Cost[UseMIH], m.Probes(at), scan)
 	}
 }
 
@@ -275,13 +275,13 @@ func TestRetirementIsDeterministic(t *testing.T) {
 			t.Fatalf("retired %v", p.retired)
 		}
 		// MIH dips to 0.75× at h=3 and is back at 1× past it, still counted.
-		if c := p.Cost(UseMIH, 3); c != 0.75*scan || p.Cost(UseMIH, 32) != scan {
+		if c := p.Plan(3).Cost[UseMIH]; c != 0.75*scan || p.Plan(32).Cost[UseMIH] != scan {
 			t.Fatalf("MIH at h=3: %v", c)
 		}
-		if c := p.Cost(UseHA, 1); c != 0.1*scan {
+		if c := p.Plan(1).Cost[UseHA]; c != 0.1*scan {
 			t.Fatalf("HA at h=1: %v", c)
 		}
-		if c := p.Cost(UseHA, 3); c != 0 {
+		if c := p.Plan(3).Cost[UseHA]; c != 0 {
 			t.Fatalf("HA priced at h=3 after retiring at h=2: %v", c)
 		}
 	})
@@ -297,12 +297,13 @@ func TestPlanIsATable(t *testing.T) {
 	want := make([]Plan, 33)
 	for h := range want {
 		best, second := Strategy(-1), Strategy(-1)
+		cost := p.Plan(h).Cost
 		for s := Strategy(0); s < numStrategies; s++ {
-			switch c := p.Cost(s, h); {
+			switch c := cost[s]; {
 			case !p.Available(s) || c == 0: // uncounted: retired below h
-			case best < 0 || c < p.Cost(best, h):
+			case best < 0 || c < cost[best]:
 				best, second = s, best
-			case second < 0 || c < p.Cost(second, h):
+			case second < 0 || c < cost[second]:
 				second = s
 			}
 		}
@@ -456,7 +457,7 @@ func TestBenchmarkShapePlansMIH(t *testing.T) {
 				t.Errorf("seed %d, h=%d: planned %s at costs %v", seed, h, pl.Strategy, pl.Cost)
 			}
 		}
-		if c := p.Cost(UseMIH, 12); p.retired[UseMIH] != 16 || c <= mihOpCost*float64(m.Probes(12)) || c >= scan {
+		if c := p.Plan(12).Cost[UseMIH]; p.retired[UseMIH] != 16 || c <= mihOpCost*float64(m.Probes(12)) || c >= scan {
 			t.Errorf("seed %d: MIH retired at h=%d, its h=12 cell %v, closed form %d probes, scan %v", seed, p.retired[UseMIH], c, m.Probes(12), scan)
 		}
 	}

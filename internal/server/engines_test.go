@@ -21,6 +21,9 @@ import (
 	"haindex/internal/wire"
 )
 
+// hintName names a wire engine hint by the strategy the server pins for it.
+func hintName(hint int) string { return planner.Strategy(hint - wire.EngineHA).String() }
+
 // clusteredArena writes a one-partition v4 (mmap-native) snapshot of n
 // clustered codes — hashed-data-like sharing, ids distinct from positions —
 // and returns its path with the codes and ids behind it.
@@ -174,10 +177,10 @@ func TestEnginesByteIdenticalEveryThreshold(t *testing.T) {
 				for h := 0; h <= bits; h++ {
 					rt, resp := c.roundTrip(wire.MsgSearch, wire.SearchReq{H: h, Engine: hint, Queries: queries}.Append(nil))
 					if rt != wire.MsgSearchOK {
-						t.Fatalf("%s hint %s mmap=%v h=%d answered %s", m.name, wire.EngineName(hint), mmap, h, rt)
+						t.Fatalf("%s hint %s mmap=%v h=%d answered %s", m.name, hintName(hint), mmap, h, rt)
 					}
 					if !bytes.Equal(resp, want[h]) {
-						t.Fatalf("%s hint %s mmap=%v h=%d: answer differs from the oracle's", m.name, wire.EngineName(hint), mmap, h)
+						t.Fatalf("%s hint %s mmap=%v h=%d: answer differs from the oracle's", m.name, hintName(hint), mmap, h)
 					}
 				}
 			}

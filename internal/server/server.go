@@ -448,14 +448,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		writeErr("protocol version %d not supported (server speaks %d)", hello.Version, wire.Version)
 		return
 	}
-	ok := wire.HelloOK{
-		Version: wire.Version,
-		Length:  s.meta.Length,
-		Part:    s.meta.Part,
-		Parts:   s.meta.Parts,
-		Tuples:  s.shard.Len(),
-		Pivots:  s.meta.Pivots,
-	}
+	ok := wire.HelloOK{Version: wire.Version, SnapshotMeta: s.meta, Tuples: s.shard.Len()}
 	if !writeMsg(wire.MsgHelloOK, ok.Append(nil)) {
 		return
 	}

@@ -531,7 +531,7 @@ func TestServerEngineRouting(t *testing.T) {
 		req := wire.SearchReq{H: 4, Engine: engine, Queries: queries}.Append(nil)
 		rt, resp := c.roundTrip(wire.MsgSearch, req)
 		if rt != wire.MsgSearchOK {
-			t.Fatalf("engine %s answered %s", wire.EngineName(engine), rt)
+			t.Fatalf("engine %s answered %s", hintName(engine), rt)
 		}
 		parsed, err := wire.ParseSearchResp(resp)
 		if err != nil {
@@ -540,11 +540,11 @@ func TestServerEngineRouting(t *testing.T) {
 		for i := range queries {
 			got := parsed.IDs[i]
 			if len(got) != len(want[i]) {
-				t.Fatalf("engine %s query %d: %d ids, want %d", wire.EngineName(engine), i, len(got), len(want[i]))
+				t.Fatalf("engine %s query %d: %d ids, want %d", hintName(engine), i, len(got), len(want[i]))
 			}
 			for j := range got {
 				if got[j] != want[i][j] {
-					t.Fatalf("engine %s query %d id %d: %d vs %d", wire.EngineName(engine), i, j, got[j], want[i][j])
+					t.Fatalf("engine %s query %d id %d: %d vs %d", hintName(engine), i, j, got[j], want[i][j])
 				}
 			}
 		}
@@ -684,7 +684,7 @@ func TestServerEngineValidation(t *testing.T) {
 			req := wire.SearchReq{H: 2, Engine: hint, Queries: codes[:8]}.Append(nil)
 			rt, resp := c.roundTrip(wire.MsgSearch, req)
 			if rt != wire.MsgSearchOK {
-				t.Fatalf("%s server: %s hint answered %s", name, wire.EngineName(hint), rt)
+				t.Fatalf("%s server: %s hint answered %s", name, hintName(hint), rt)
 			}
 			parsed, err := wire.ParseSearchResp(resp)
 			if err != nil {
@@ -694,7 +694,7 @@ func TestServerEngineValidation(t *testing.T) {
 				want := append([]int(nil), oracle.Search(q, 2)...)
 				sort.Ints(want)
 				if !slices.Equal(parsed.IDs[i], want) {
-					t.Fatalf("%s server: %s hint, query %d: %v, the oracle %v", name, wire.EngineName(hint), i, parsed.IDs[i], want)
+					t.Fatalf("%s server: %s hint, query %d: %v, the oracle %v", name, hintName(hint), i, parsed.IDs[i], want)
 				}
 			}
 		}

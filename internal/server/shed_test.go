@@ -84,7 +84,7 @@ func TestStatsWorkIsHistogramSums(t *testing.T) {
 	for i, hint := range []int{wire.EngineAuto, wire.EngineHA, wire.EngineMIH, wire.EngineScan} {
 		req := wire.SearchReq{H: 1 + i, Engine: hint, Queries: codes[4*i : 4*i+4]}.Append(nil)
 		if rt, _ := c.roundTrip(wire.MsgSearch, req); rt != wire.MsgSearchOK {
-			t.Fatalf("search with hint %s answered %s", wire.EngineName(hint), rt)
+			t.Fatalf("search with hint %s answered %s", hintName(hint), rt)
 		}
 		ran += 4
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"haindex/internal/bitvec"
 	"haindex/internal/core"
@@ -38,6 +39,15 @@ type SnapshotMeta struct {
 	Parts  int // total partitions in the deployment
 	Length int // code length in bits
 	Pivots []bitvec.Code
+}
+
+// SameBuild reports whether m and o are partitions of one build: the same
+// partition count, code length and pivots. Part is not compared. A router
+// holds every server it talks to, and an oracle every snapshot it reads, to
+// this rule, since shards of different builds answer wrongly without an error.
+func (m SnapshotMeta) SameBuild(o SnapshotMeta) bool {
+	return m.Parts == o.Parts && m.Length == o.Length &&
+		slices.EqualFunc(m.Pivots, o.Pivots, bitvec.Code.Equal)
 }
 
 func (m SnapshotMeta) validate() error {
@@ -174,17 +184,6 @@ func readSnapshotHeader(r io.Reader) (SnapshotMeta, int64, error) {
 		return meta, 0, fmt.Errorf("wire: snapshot arena at unaligned offset %d", off)
 	}
 	return meta, off, nil
-}
-
-// ReadSnapshot parses a snapshot onto the heap (use MapSnapshotFile for the
-// zero-copy load): the input is read to its end and the index aliases the
-// arena inside that buffer. Corrupt input returns an error, never panics.
-func ReadSnapshot(r io.Reader) (SnapshotMeta, *core.FrozenIndex, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return SnapshotMeta{}, nil, fmt.Errorf("wire: reading snapshot: %w", err)
-	}
-	return decodeSnapshot(data)
 }
 
 // ReadSnapshotFile loads a snapshot from disk onto the heap: the file is read

@@ -81,8 +81,8 @@ func TestSnapshotVersionRejected(t *testing.T) {
 	for _, v := range []byte{1, 2, 3, 5} {
 		data := append([]byte("HASN"), v)
 		want := fmt.Sprintf("unsupported snapshot version %d", v)
-		if _, _, err := ReadSnapshot(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("ReadSnapshot on version %d: %v", v, err)
+		if _, _, err := decodeSnapshot(data); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("decodeSnapshot on version %d: %v", v, err)
 		}
 		path := filepath.Join(dir, "old.hasn")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -122,7 +122,7 @@ func TestArenaSnapshotCorrupt(t *testing.T) {
 	spliced := append([]byte(nil), data[:arenaOff]...)
 	spliced = append(spliced, "HADX\x01\x40\x01\x01"...)
 	spliced = append(spliced, make([]byte, 64)...)
-	if _, _, err := ReadSnapshot(bytes.NewReader(spliced)); err == nil {
+	if _, _, err := decodeSnapshot(spliced); err == nil {
 		t.Error("snapshot header over a v1 pointer body accepted")
 	}
 
@@ -137,8 +137,8 @@ func TestArenaSnapshotCorrupt(t *testing.T) {
 		append(data[:len(data):len(data)], 1), // trailing garbage breaks tight layout
 	}
 	for i, c := range cases {
-		if _, _, err := ReadSnapshot(bytes.NewReader(c)); err == nil {
-			t.Errorf("corrupt case %d accepted by ReadSnapshot", i)
+		if _, _, err := decodeSnapshot(c); err == nil {
+			t.Errorf("corrupt case %d accepted by decodeSnapshot", i)
 		}
 		bad := filepath.Join(dir, "bad.hasn")
 		if err := os.WriteFile(bad, c, 0o644); err != nil {

@@ -61,21 +61,6 @@ func ParseEngine(name string) (int, error) {
 	return 0, fmt.Errorf("wire: unknown engine %q (want auto, ha, mih, or scan)", name)
 }
 
-// EngineName renders an engine hint for errors and logs.
-func EngineName(e int) string {
-	switch e {
-	case EngineAuto:
-		return "auto"
-	case EngineHA:
-		return "ha"
-	case EngineMIH:
-		return "mih"
-	case EngineScan:
-		return "scan"
-	}
-	return fmt.Sprintf("engine(%d)", e)
-}
-
 // MaxFrame bounds a frame's payload so a corrupt or hostile length prefix
 // cannot make a reader allocate unboundedly.
 const MaxFrame = 1 << 26
@@ -302,17 +287,15 @@ func ParseHello(payload []byte) (Hello, error) {
 	return m, p.done()
 }
 
-// HelloOK describes the shard behind the connection: protocol version, code
-// length, which Gray partition it owns out of how many, the pivot list the
-// partitioning was built from (so a router can learn the routing table from
-// the shards themselves), and the tuple count.
+// HelloOK describes the shard behind the connection: protocol version, the
+// header of the snapshot it serves (code length, which Gray partition it owns
+// out of how many, and the pivot list the partitioning was built from, so a
+// router can learn the routing table from the shards themselves), and the
+// tuple count.
 type HelloOK struct {
 	Version int
-	Length  int
-	Part    int
-	Parts   int
-	Tuples  int
-	Pivots  []bitvec.Code
+	SnapshotMeta
+	Tuples int
 }
 
 func (m HelloOK) Append(dst []byte) []byte {
@@ -330,13 +313,12 @@ func (m HelloOK) Append(dst []byte) []byte {
 
 func ParseHelloOK(payload []byte) (HelloOK, error) {
 	p := &buf{b: payload}
-	m := HelloOK{
-		Version: p.intv(),
-		Length:  p.intv(),
-		Part:    p.intv(),
-		Parts:   p.intv(),
-		Tuples:  p.intv(),
-	}
+	var m HelloOK
+	m.Version = p.intv()
+	m.Length = p.intv()
+	m.Part = p.intv()
+	m.Parts = p.intv()
+	m.Tuples = p.intv()
 	if p.err == nil && (m.Length <= 0 || m.Length > 1<<20) {
 		return m, fmt.Errorf("wire: implausible code length %d", m.Length)
 	}
@@ -349,7 +331,7 @@ func ParseHelloOK(payload []byte) (HelloOK, error) {
 	}
 	// The layout a router indexes its shard table and routes by: the same
 	// rules a snapshot header is held to.
-	return m, SnapshotMeta{Part: m.Part, Parts: m.Parts, Length: m.Length, Pivots: m.Pivots}.validate()
+	return m, m.validate()
 }
 
 // SearchReq is a batch of Hamming-select queries at threshold H. Engine is

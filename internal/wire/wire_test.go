@@ -64,7 +64,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, bits := range []int{16, 64, 100} {
 		pivots := randCodes(rng, 3, bits)
-		hello := HelloOK{Version: Version, Length: bits, Part: 2, Parts: 4, Tuples: 999, Pivots: pivots}
+		hello := HelloOK{Version: Version, SnapshotMeta: SnapshotMeta{Length: bits, Part: 2, Parts: 4, Pivots: pivots}, Tuples: 999}
 		got, err := ParseHelloOK(hello.Append(nil))
 		if err != nil {
 			t.Fatal(err)
@@ -138,11 +138,11 @@ func TestParseErrorPaths(t *testing.T) {
 			[]byte{1, 16, 0, 2, 0, 0xff, 0xff, 0xff, 0xff, 0x7f}},
 		// A router indexes its shard table by Part and routes by the pivots.
 		{"hello-ok part past parts", func(b []byte) error { _, err := ParseHelloOK(b); return err },
-			HelloOK{Version: Version, Length: 16, Part: 1, Parts: 1}.Append(nil)},
+			HelloOK{Version: Version, SnapshotMeta: SnapshotMeta{Length: 16, Part: 1, Parts: 1}}.Append(nil)},
 		{"hello-ok no partitions", func(b []byte) error { _, err := ParseHelloOK(b); return err },
-			HelloOK{Version: Version, Length: 16, Part: 0, Parts: 0}.Append(nil)},
+			HelloOK{Version: Version, SnapshotMeta: SnapshotMeta{Length: 16, Part: 0, Parts: 0}}.Append(nil)},
 		{"hello-ok too many pivots", func(b []byte) error { _, err := ParseHelloOK(b); return err },
-			HelloOK{Version: Version, Length: 16, Part: 0, Parts: 2, Pivots: randCodes(rand.New(rand.NewSource(4)), 2, 16)}.Append(nil)},
+			HelloOK{Version: Version, SnapshotMeta: SnapshotMeta{Length: 16, Part: 0, Parts: 2, Pivots: randCodes(rand.New(rand.NewSource(4)), 2, 16)}}.Append(nil)},
 		{"search-resp hostile count", func(b []byte) error { _, err := ParseSearchResp(b); return err },
 			[]byte{0xff, 0xff, 0xff, 0xff, 0x7f}},
 		{"search-resp ids past the payload", func(b []byte) error { _, err := ParseSearchResp(b); return err },
@@ -254,7 +254,7 @@ func buildFrozen(codes []bitvec.Code, ids []int) *core.FrozenIndex {
 func TestSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	meta, idx, data := buildSnapshot(t, rng, 32, 4)
-	gotMeta, gotIdx, err := ReadSnapshot(bytes.NewReader(data))
+	gotMeta, gotIdx, err := decodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestSnapshotErrors(t *testing.T) {
 		{"index magic corrupted", append(append([]byte{}, data[:len(data)-idxLen(t, data)]...), 'X')},
 	}
 	for _, tc := range cases {
-		if _, _, err := ReadSnapshot(bytes.NewReader(tc.data)); err == nil {
+		if _, _, err := decodeSnapshot(tc.data); err == nil {
 			t.Errorf("%s: corrupt snapshot accepted", tc.name)
 		}
 	}
@@ -328,10 +328,10 @@ func TestSearchReqEngineHint(t *testing.T) {
 		}
 		got, err := ParseSearchReq(payload, 64)
 		if err != nil {
-			t.Fatalf("engine %s: %v", EngineName(engine), err)
+			t.Fatalf("engine %d: %v", engine, err)
 		}
 		if got.Engine != engine || got.H != 4 || len(got.Queries) != 3 {
-			t.Fatalf("engine %s round trip: %+v", EngineName(engine), got)
+			t.Fatalf("engine %d round trip: %+v", engine, got)
 		}
 	}
 	// An out-of-range hint and garbage after the hint must both fail.
@@ -386,7 +386,7 @@ func TestGoldenBytes(t *testing.T) {
 		{"stats", "010203040506070809e807d00fb817a01f0e",
 			StatsResp{1, 2, 3, 4, 5, 6, 7, 8, 9, 1000, 2000, 3000, 4000, 14}.Append(nil)},
 		{"hello-ok", "07100103ac0202acf00000000000000f35000000000000",
-			HelloOK{Version: Version, Length: 16, Part: 1, Parts: 3, Tuples: 300, Pivots: q}.Append(nil)},
+			HelloOK{Version: Version, SnapshotMeta: SnapshotMeta{Length: 16, Part: 1, Parts: 3, Pivots: q}, Tuples: 300}.Append(nil)},
 		{"shed", "e0c65b", ShedResp{WaitNs: 1500000}.Append(nil)},
 		{"HASN header + pad, then the arena", hasnHeader + "4841445804000000", snap.Bytes()[:len(hasnHeader)/2+8]},
 	} {

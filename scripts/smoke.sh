@@ -8,7 +8,8 @@
 # Shard 0 fails its first request and sheds one deterministic request; the
 # query rows run twice, and the second pass rides out the shed with the
 # router's one polite backoff (the oracle diff proves the answers stay
-# byte-identical).
+# byte-identical). A third pass lists shard 1's server as a replica of shard
+# 0 too, which the router must refuse at its handshake.
 #
 # With SMOKE_DEBUG=1 (make debug-smoke), shard 0 also binds its HTTP debug
 # endpoint; after the queries run, /debug/obs is fetched and must report a
@@ -113,6 +114,17 @@ echo "smoke: same rows again: shard 0 sheds the search, then answers it after on
 "$WORK/bin/haquery" -shards "$ADDR0,$ADDR1" \
     -codes-file "$WORK/shards/codes.txt" -rows 0-49 -h 3 -topk 5 \
     -oracle "$WORK/shards"
+
+# Shard 1's server listed as shard 0's second replica: rotation sends the
+# top-k's shard-0 leg to it, its handshake shows partition 1, and the router
+# must refuse it and retry on shard 0's own server, not merge its answer.
+echo "smoke: shard 1's server mis-listed as a replica of shard 0; answers must still be the oracle's"
+"$WORK/bin/haquery" -shards "$ADDR0/$ADDR1,$ADDR1" \
+    -codes-file "$WORK/shards/codes.txt" -rows 0-49 -h 3 -topk 5 \
+    -oracle "$WORK/shards" > "$WORK/mislisted.out" || { cat "$WORK/mislisted.out"; exit 1; }
+cat "$WORK/mislisted.out"
+grep -q ' [1-9][0-9]* retries' "$WORK/mislisted.out" || {
+    echo "smoke: no request's turn came to the mis-listed replica" >&2; exit 1; }
 
 if [ "$SMOKE_DEBUG" = "1" ]; then
     wait_planned "$(cat "$WORK/s0.debug")" "$WORK/obs.json"
