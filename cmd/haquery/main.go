@@ -133,10 +133,10 @@ func main() {
 		st.QueriesRouted, st.QueriesPruned, st.Retries, st.Sheds, st.BackoffWait.Round(time.Microsecond))
 
 	if *trace {
-		snap := r.Snapshot()
-		fmt.Printf("haquery: attempt latency %s\n", latSummary(snap.Attempt))
-		for m, hs := range snap.PerShard {
-			if hs.Count > 0 {
+		hists := r.Obs().Snapshot().Histograms
+		fmt.Printf("haquery: attempt latency %s\n", latSummary(hists["attempt_ns"]))
+		for m := 0; m < r.Parts(); m++ {
+			if hs := hists[fmt.Sprintf("shard%02d.attempt_ns", m)]; hs.Count > 0 {
 				fmt.Printf("haquery:   shard %d %s\n", m, latSummary(hs))
 			}
 		}

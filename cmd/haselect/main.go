@@ -176,16 +176,13 @@ func buildIndex(method, engine string, codes []bitvec.Code, h int, seed int64) (
 		if err != nil {
 			fatalf("%v", err)
 		}
-		forced, haveForced := planner.Strategy(0), false
-		if engine != "auto" {
-			if forced, err = planner.ParseStrategy(engine); err != nil {
-				fatalf("%v", err)
-			}
-			haveForced = true
+		forced, err := planner.ParseStrategy(engine)
+		if err != nil {
+			fatalf("%v", err)
 		}
 		var last planner.Plan
 		search := func(q bitvec.Code, h int) []int {
-			if haveForced {
+			if forced != planner.UsePlan {
 				out, _ := pl.SelectWith(forced, q, h)
 				return out
 			}
@@ -205,7 +202,7 @@ func buildIndex(method, engine string, codes []bitvec.Code, h int, seed int64) (
 			return sz
 		}
 		return search, func() string {
-			if haveForced {
+			if forced != planner.UsePlan {
 				return fmt.Sprintf(" [path=%s: forced by -engine]", forced)
 			}
 			return fmt.Sprintf(" [path=%s]", last.Reason()) // the reason names the strategy first

@@ -50,8 +50,9 @@
 // segments — the segments above the snapshot's, until a quarter of its rows
 // are masked or they hold half as many rows as it does. Every seal and
 // compaction plans the segment it writes; HA answers for a segment only
-// while its plan is being counted (lsm.unplanned_segments). The lsm.* gauges
-// and counters are on /debug/obs.
+// while its plan is being counted (lsm.unplanned_segments). The metric
+// registry is the shard's, read-only or mutable, and the server counts on it:
+// /debug/obs shows the lsm.* instruments beside requests, queries and req.*.
 package main
 
 import (
@@ -65,7 +66,6 @@ import (
 	"time"
 
 	"haindex/internal/lsm"
-	"haindex/internal/obs"
 	"haindex/internal/server"
 	"haindex/internal/wire"
 )
@@ -127,15 +127,12 @@ func main() {
 	var shard *lsm.Shard
 	var err error
 	if *mutable {
-		// The decoded snapshot seeds the shard. One registry for the server
-		// and the shard, so /debug/obs shows the lsm.* instruments beside the
-		// request path's.
+		// The decoded snapshot seeds the shard.
 		meta, idx, rerr := wire.ReadSnapshotFile(*snapshot)
 		if rerr != nil {
 			fatalf("loading snapshot %s: %v", *snapshot, rerr)
 		}
-		opts.Obs = obs.NewRegistry()
-		shard = lsm.New(meta.Length, lsm.Options{MemtableMax: *memtableMax, CompactAt: *compactAt, Obs: opts.Obs})
+		shard = lsm.New(meta.Length, lsm.Options{MemtableMax: *memtableMax, CompactAt: *compactAt})
 		if err = shard.Bootstrap(idx); err == nil {
 			s, err = server.NewMutable(meta, shard, opts)
 		}
@@ -164,10 +161,10 @@ func main() {
 	meta := s.Meta()
 	fmt.Printf("haserve: shard %d/%d (%d-bit codes) on %s from %s\n",
 		meta.Part, meta.Parts, meta.Length, bound, *snapshot)
-	ns := func(name string) time.Duration { return time.Duration(s.Obs().Gauge(name).Value()) }
 	if !*mutable {
+		g := s.Obs().Snapshot().Gauges
 		fmt.Printf("haserve: serving after %s (map %s); planning in the background\n",
-			ns("load.total_ns"), ns("load.map_ns"))
+			time.Duration(g["load.total_ns"]), time.Duration(g["load.map_ns"]))
 	}
 	if *portFile != "" {
 		if err := os.WriteFile(*portFile, []byte(bound+"\n"), 0o644); err != nil {
@@ -182,8 +179,9 @@ func main() {
 	s.Close()
 	fmt.Printf("haserve: served %d requests (%d select + %d top-k queries, %d ids, %d errors, %d faults injected)\n",
 		st.Requests, st.Queries, st.TopKQueries, st.IDsReturned, st.Errors, st.FaultsInjected)
+	g := s.Obs().Snapshot().Gauges
 	fmt.Printf("haserve: snapshot's segment planned in the background (mih build %s, plan %s)\n",
-		ns("load.mih_build_ns"), ns("load.plan_ns"))
+		time.Duration(g["load.mih_build_ns"]), time.Duration(g["load.plan_ns"]))
 	if shard != nil {
 		lst := shard.Stats()
 		fmt.Printf("haserve: shard ended at %d tuples in %d segments + %d memtable entries (%d seals, %d compactions, epoch %d)\n",

@@ -47,7 +47,11 @@ import (
 // its constructor (the shim pattern below spells all three). The alias and the identity constructor
 // left in internal/core serve only the benchmark harness, so benchmark/ is
 // not scanned: ROADMAP item 2(a) rewrites it and deletes them together. This
-// file names the alias to ban it and is skipped.
+// file names the alias to ban it and is skipped. A metric registry is owned
+// by the component that counts, never passed in: in the non-test source
+// under internal/, no Options struct has an *obs.Registry field, and only
+// internal/lsm (the shard's) and internal/client (the router's) call
+// obs.NewRegistry.
 func TestServingImportFence(t *testing.T) {
 	internal := func(names ...string) map[string]bool {
 		m := map[string]bool{}
@@ -153,6 +157,48 @@ func TestServingImportFence(t *testing.T) {
 				t.Errorf("%s mentions %s", file, m)
 			}
 		}
+	}
+
+	owners := map[string]bool{"internal/lsm": true, "internal/client": true}
+	sources, err := filepath.Glob("internal/*/*.go")
+	if err != nil || len(sources) == 0 {
+		t.Fatalf("internal/: no Go files (%v)", err)
+	}
+	for _, file := range sources {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		isObs := func(e ast.Expr, name string) bool {
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				return false
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			return ok && pkg.Name == "obs" && sel.Sel.Name == name
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || n.Name.Name != "Options" {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					if star, ok := field.Type.(*ast.StarExpr); ok && isObs(star.X, "Registry") {
+						t.Errorf("%s: Options takes a registry; its component should own one", file)
+					}
+				}
+			case *ast.CallExpr:
+				if isObs(n.Fun, "NewRegistry") && !owners[filepath.Dir(file)] {
+					t.Errorf("%s calls obs.NewRegistry; only the shard (internal/lsm) and the router (internal/client) own one", file)
+				}
+			}
+			return true
+		})
 	}
 
 	record := regexp.MustCompile(`^BENCH_\w+\.json$`)

@@ -323,14 +323,15 @@ func TestObservabilityAcceptance(t *testing.T) {
 	// last sample may land after the client already holds its answer: read
 	// the endpoints again, for at most two seconds, until every answered
 	// search is in the histograms.
-	var serverRequests, serverFaults, serverSearchNs int64
+	var serverRequests, serverFaults, serverSearchNs, serverQueries int64
 	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-		serverRequests, serverFaults, serverSearchNs = 0, 0, 0
+		serverRequests, serverFaults, serverSearchNs, serverQueries = 0, 0, 0, 0
 		for _, a := range debugAddrs {
 			snap := fetchObs(t, a)
 			serverRequests += snap.Counters["requests"]
 			serverFaults += snap.Counters["faults_injected"]
 			serverSearchNs += snap.Histograms["req.search_ns"].Count
+			serverQueries += snap.Counters["queries"]
 		}
 		if serverSearchNs >= serverRequests-serverFaults || time.Now().After(deadline) {
 			break
@@ -353,27 +354,41 @@ func TestObservabilityAcceptance(t *testing.T) {
 	if serverRequests != attempts {
 		t.Fatalf("servers counted %d requests, client issued %d attempts: %+v", serverRequests, attempts, st)
 	}
-	snap := r.Snapshot()
-	if snap.Attempt.Count != attempts {
-		t.Fatalf("client attempt histogram has %d samples, want %d", snap.Attempt.Count, attempts)
-	}
-	if snap.Attempt.P50 <= 0 || snap.Attempt.P95 < snap.Attempt.P50 || snap.Attempt.Max < snap.Attempt.P95 {
-		t.Fatalf("attempt percentiles not monotone: %+v", snap.Attempt)
-	}
-	if len(snap.PerShard) != parts {
-		t.Fatalf("PerShard has %d entries, want %d", len(snap.PerShard), parts)
+	hists := r.Obs().Snapshot().Histograms
+	if at := hists["attempt_ns"]; at.Count != attempts {
+		t.Fatalf("client attempt histogram has %d samples, want %d", at.Count, attempts)
+	} else if at.P50 <= 0 || at.P95 < at.P50 || at.Max < at.P95 {
+		t.Fatalf("attempt percentiles not monotone: %+v", at)
 	}
 	var perShard int64
-	for _, hs := range snap.PerShard {
+	for m := 0; m < parts; m++ {
+		hs, ok := hists[fmt.Sprintf("shard%02d.attempt_ns", m)]
+		if !ok {
+			t.Fatalf("no attempt histogram for shard %d", m)
+		}
 		perShard += hs.Count
 	}
 	if perShard != attempts {
 		t.Fatalf("per-shard histograms hold %d samples, want %d", perShard, attempts)
 	}
-	// The client registry mirrors the Stats counters.
-	creg := r.Obs().Snapshot()
-	if creg.Counters["retries"] != st.Retries || creg.Counters["shard_requests"] != st.ShardRequests {
-		t.Fatalf("client registry %v disagrees with Stats %+v", creg.Counters, st)
+	// Every Stats field is a counter on the client registry.
+	creg := r.Obs().Snapshot().Counters
+	for name, stat := range map[string]int64{
+		"shard_requests": st.ShardRequests,
+		"queries_routed": st.QueriesRouted,
+		"queries_pruned": st.QueriesPruned,
+		"retries":        st.Retries,
+		"sheds":          st.Sheds,
+		"backoff_ns":     int64(st.BackoffWait),
+	} {
+		if creg[name] != stat {
+			t.Fatalf("client registry's %s = %d, Stats says %d: %+v", name, creg[name], stat, st)
+		}
+	}
+	// Every query×shard pair is routed or pruned, and every routed one was
+	// answered once: the servers' queries counters sum to QueriesRouted.
+	if st.QueriesRouted+st.QueriesPruned != int64(len(queries)*parts) || serverQueries != st.QueriesRouted {
+		t.Fatalf("%d queries × %d shards: routed %d, pruned %d, servers answered %d", len(queries), parts, st.QueriesRouted, st.QueriesPruned, serverQueries)
 	}
 	// Only successfully answered searches land in the servers' latency
 	// histograms; the fault-rejected attempts must not.

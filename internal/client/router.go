@@ -6,7 +6,8 @@
 // match within the threshold. Each shard may have several replicas. Searches,
 // top-k and stats rotate round-robin over them, and a failed attempt moves on
 // to the next replica in that order after an exponential, jittered backoff;
-// mutations take the replicas in list order. A replica that answers MsgShed
+// mutations take the replicas in list order, and both skip a replica refused
+// for serving another partition or build. A replica that answers MsgShed
 // is overloaded, not broken: the request backs off once and asks the next
 // replica, and a second shed ends it with ErrShed.
 package client
@@ -83,7 +84,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats counts the router's fan-out and failure handling since creation.
+// Stats counts the router's fan-out and failure handling since creation;
+// every field reads a counter on the router's registry (Router.Obs).
 type Stats struct {
 	// ShardRequests is how many shard round trips were issued (excluding
 	// retries).
@@ -104,17 +106,6 @@ type Stats struct {
 	BackoffWait time.Duration
 }
 
-// Snapshot extends Stats with the latency distributions the counters can't
-// show: per-attempt round-trip percentiles, overall and per shard.
-type Snapshot struct {
-	Stats
-	// Attempt summarizes every round-trip attempt the router issued
-	// (including retries).
-	Attempt obs.HistSummary
-	// PerShard holds one attempt-latency summary per partition id.
-	PerShard []obs.HistSummary
-}
-
 // Router fans queries across the shards of one deployment. Safe for
 // concurrent use.
 type Router struct {
@@ -125,20 +116,19 @@ type Router struct {
 	ranges *histo.Ranges
 	shards []*shard // indexed by partition id
 
-	queriesRouted atomic.Int64
-	queriesPruned atomic.Int64
-	backoffWait   atomic.Int64 // nanoseconds
-
 	// Observability: per-attempt latency histograms (overall and per
-	// shard), the shard-request, retry and shed counters Stats reads, and a
-	// ring of recent SearchBatch traces.
+	// shard), every counter Stats reads, and a ring of recent SearchBatch
+	// traces.
 	reg         *obs.Registry
 	tracer      *obs.Tracer
 	histAttempt *obs.Histogram
 	histShard   []*obs.Histogram // indexed by partition id
 	cntRequests *obs.Counter
+	cntRouted   *obs.Counter // queries_routed: query×shard pairs sent
+	cntPruned   *obs.Counter // queries_pruned: pairs the Gray-range bound skipped
 	cntRetries  *obs.Counter
 	cntSheds    *obs.Counter
+	cntBackoff  *obs.Counter // backoff_ns
 
 	// Test seams: the retry loop tells time and sleeps through these so a
 	// fake clock can pin down the backoff bounds deterministically.
@@ -171,18 +161,23 @@ type replica struct {
 	conn  net.Conn
 	br    *bufio.Reader
 	hello wire.HelloOK
+
+	// refused is set for good once a handshake shows another partition or
+	// build than want; refusal, that handshake's error, is written before it.
+	refused atomic.Bool
+	refusal error
 }
 
 // Dial connects to a deployment. shardAddrs lists, per shard, the addresses
 // of its replicas (all replicas of a shard serve the same partition
 // snapshot). The router handshakes one replica per shard, learns the pivot
 // list and partition layout from the shards themselves, and verifies the
-// deployment is consistent: every partition served exactly once, by shards
-// of one build (wire.SnapshotMeta.SameBuild). From then on every handshake
+// deployment is consistent: n shards name n distinct partitions of n, all of
+// one build (wire.SnapshotMeta.SameBuild). From then on every handshake
 // of a replica, its first or a redial, must show the partition and build its
 // shard was learned as, or the attempt fails and the request moves on to the
-// next replica.
-func Dial(shardAddrs [][]string, opts Options) (*Router, error) {
+// next replica. A Dial that fails closes every connection it made.
+func Dial(shardAddrs [][]string, opts Options) (_ *Router, err error) {
 	opts = opts.withDefaults()
 	if len(shardAddrs) == 0 {
 		return nil, fmt.Errorf("client: no shards")
@@ -191,27 +186,20 @@ func Dial(shardAddrs [][]string, opts Options) (*Router, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	reg := obs.NewRegistry()
-	r := &Router{
-		opts:       opts,
-		engine:     engine,
-		shards:     make([]*shard, len(shardAddrs)),
-		reg:        reg,
-		tracer:     obs.NewTracer(traceCapacity),
-		now:        time.Now,
-		sleep:      time.Sleep,
-		randInt63n: rand.Int63n,
-	}
-	r.histAttempt = reg.Histogram("attempt_ns")
-	r.histShard = make([]*obs.Histogram, len(shardAddrs))
-	for m := range r.histShard {
-		r.histShard[m] = reg.Histogram(fmt.Sprintf("shard%02d.attempt_ns", m))
-	}
-	r.cntRequests = reg.Counter("shard_requests")
-	r.cntRetries = reg.Counter("retries")
-	r.cntSheds = reg.Counter("sheds")
+	r := newRouter(opts, len(shardAddrs))
+	r.engine = engine
 	seen := make(map[int]string) // part -> the replica that answered for it
 	var build wire.SnapshotMeta  // the first shard's, which every other must share
+	var listed []*shard          // in list order, closed again if Dial fails
+	defer func() {
+		if err != nil {
+			for _, sh := range listed {
+				for _, rp := range sh.replicas {
+					rp.close()
+				}
+			}
+		}
+	}()
 	for i, addrs := range shardAddrs {
 		if len(addrs) == 0 {
 			return nil, fmt.Errorf("client: shard %d has no replicas", i)
@@ -220,9 +208,9 @@ func Dial(shardAddrs [][]string, opts Options) (*Router, error) {
 		for _, addr := range addrs {
 			sh.replicas = append(sh.replicas, &replica{addr: addr, opts: opts})
 		}
+		listed = append(listed, sh)
 		var hello wire.HelloOK
 		var from string
-		var err error
 		for _, rp := range sh.replicas {
 			if hello, err = rp.handshake(); err == nil {
 				from = rp.addr
@@ -252,14 +240,36 @@ func Dial(shardAddrs [][]string, opts Options) (*Router, error) {
 		sh.part, sh.label = hello.Part, fmt.Sprintf("shard%02d", hello.Part)
 		r.shards[hello.Part] = sh
 	}
-	for part, sh := range r.shards {
-		if sh == nil {
-			return nil, fmt.Errorf("client: partition %d not served by any shard", part)
-		}
-	}
 	r.length, r.pivots = build.Length, build.Pivots
 	r.ranges = histo.NewRanges(r.length, r.pivots)
 	return r, nil
+}
+
+// newRouter returns a router for parts partitions, with its registry, its
+// instruments and the real clock, but no shards yet.
+func newRouter(opts Options, parts int) *Router {
+	reg := obs.NewRegistry()
+	r := &Router{
+		opts:       opts,
+		shards:     make([]*shard, parts),
+		reg:        reg,
+		tracer:     obs.NewTracer(traceCapacity),
+		histShard:  make([]*obs.Histogram, parts),
+		now:        time.Now,
+		sleep:      time.Sleep,
+		randInt63n: rand.Int63n,
+	}
+	r.histAttempt = reg.Histogram("attempt_ns")
+	for m := range r.histShard {
+		r.histShard[m] = reg.Histogram(fmt.Sprintf("shard%02d.attempt_ns", m))
+	}
+	r.cntRequests = reg.Counter("shard_requests")
+	r.cntRouted = reg.Counter("queries_routed")
+	r.cntPruned = reg.Counter("queries_pruned")
+	r.cntRetries = reg.Counter("retries")
+	r.cntSheds = reg.Counter("sheds")
+	r.cntBackoff = reg.Counter("backoff_ns")
+	return r
 }
 
 // Length returns the deployment's code length in bits.
@@ -272,30 +282,16 @@ func (r *Router) Parts() int { return len(r.shards) }
 func (r *Router) Stats() Stats {
 	return Stats{
 		ShardRequests: r.cntRequests.Value(),
-		QueriesRouted: r.queriesRouted.Load(),
-		QueriesPruned: r.queriesPruned.Load(),
+		QueriesRouted: r.cntRouted.Value(),
+		QueriesPruned: r.cntPruned.Value(),
 		Retries:       r.cntRetries.Value(),
 		Sheds:         r.cntSheds.Value(),
-		BackoffWait:   time.Duration(r.backoffWait.Load()),
+		BackoffWait:   time.Duration(r.cntBackoff.Value()),
 	}
 }
 
-// Snapshot returns Stats plus the attempt-latency distributions, overall and
-// per shard.
-func (r *Router) Snapshot() Snapshot {
-	s := Snapshot{
-		Stats:    r.Stats(),
-		Attempt:  obs.Summarize(r.histAttempt.Snapshot()),
-		PerShard: make([]obs.HistSummary, len(r.histShard)),
-	}
-	for m, h := range r.histShard {
-		s.PerShard[m] = obs.Summarize(h.Snapshot())
-	}
-	return s
-}
-
-// Obs returns the router's own metric registry: its counters and
-// per-attempt latency histograms.
+// Obs returns the router's own metric registry: its counters and the attempt
+// latency histograms, attempt_ns and shardNN.attempt_ns per partition.
 func (r *Router) Obs() *obs.Registry { return r.reg }
 
 // Tracer returns the ring of recent SearchBatch traces; Tracer().Slowest()
@@ -343,8 +339,8 @@ func (r *Router) SearchBatch(queries []bitvec.Code, h int) ([][]int, error) {
 		for _, m := range parts {
 			perShard[m] = append(perShard[m], i)
 		}
-		r.queriesRouted.Add(int64(len(parts)))
-		r.queriesPruned.Add(int64(len(r.shards) - len(parts)))
+		r.cntRouted.Add(int64(len(parts)))
+		r.cntPruned.Add(int64(len(r.shards) - len(parts)))
 	}
 	tr.End(routeSpan)
 
@@ -475,7 +471,7 @@ func (r *Router) TopK(queries []bitvec.Code, k int) ([][]int, [][]int, error) {
 	payload := wire.TopKReq{K: k, Queries: queries}.Append(nil)
 	legs := make([]leg, len(r.shards))
 	for m, sh := range r.shards {
-		r.queriesRouted.Add(int64(len(queries)))
+		r.cntRouted.Add(int64(len(queries)))
 		legs[m] = leg{sh: sh, t: wire.MsgTopK, want: wire.MsgTopKOK, payload: payload}
 	}
 	r.fanOut(legs, routeRotate, nil)
@@ -613,6 +609,7 @@ func (r *Router) fanOut(legs []leg, mode routeMode, tr *obs.Trace) {
 	for i := range legs {
 		lg := &legs[i]
 		r.begin(lg, mode)
+		lg.first, _ = lg.sh.pick(lg.first) // every replica refused: attempt 0 fails undialled
 		lg.span = tr.Start(lg.label, 0)
 		lg.rp = lg.sh.replicas[lg.first]
 		lg.attempt = tr.Start("attempt 0 → "+lg.rp.addr, lg.span)
@@ -665,8 +662,9 @@ func (r *Router) fanOut(legs []leg, mode routeMode, tr *obs.Trace) {
 
 // retry carries one leg to an answer (lg.respType and resp, or err) with
 // retry and backoff. Each try goes to the next replica in list order, wrapping,
-// from the leg's first: a single-replica shard retries in place. The first
-// attempt, which fanOut made, is judged as attempt 0, not sent again. A
+// from the leg's first, past refused ones (all refused: it fails at once): a
+// single-replica shard retries in place. The first attempt, which fanOut
+// made, is judged as attempt 0, not sent again. A
 // server-reported error frame counts as a failed attempt just like a
 // transport error. The whole loop — attempts plus backoff sleeps, from the
 // request's start — is bounded by Opts.Timeout of wall time, so a run of
@@ -680,11 +678,15 @@ func (r *Router) retry(lg *leg, start time.Time, tr *obs.Trace) {
 	sh, parent := lg.sh, lg.span
 	deadline := start.Add(r.opts.Timeout)
 	backoff := r.opts.Backoff
-	next := lg.first // the replica the next try goes to, mod the set
+	next := lg.first + 1 // the replica the next try goes to, mod the set
 	judged, shed := false, false
 	var lastErr error
 	for attempt := 0; attempt < r.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
+			if _, err := sh.pick(next); err != nil {
+				lg.err = err
+				return
+			}
 			d := r.jitter(backoff)
 			if remain := deadline.Sub(r.now()); d > remain {
 				lg.err = fmt.Errorf("client: shard %d: retry budget exhausted after %d attempts (timeout %v): %w",
@@ -699,12 +701,13 @@ func (r *Router) retry(lg *leg, start time.Time, tr *obs.Trace) {
 		var resp []byte
 		var err error
 		for {
-			rp := sh.replicas[next%len(sh.replicas)]
-			next++
 			if !judged {
 				judged = true
 				respType, resp, err = lg.respType, lg.resp, lg.err
 			} else {
+				i, _ := sh.pick(next)
+				rp := sh.replicas[i]
+				next = i + 1
 				sp := tr.Start("attempt "+strconv.Itoa(attempt)+" → "+rp.addr, parent)
 				respType, resp, err = r.attempt(sh, rp, lg.t, lg.payload)
 				tr.End(sp)
@@ -738,6 +741,22 @@ func (r *Router) retry(lg *leg, start time.Time, tr *obs.Trace) {
 	lg.err = fmt.Errorf("client: shard %d failed after %d attempts: %w", sh.part, r.opts.MaxAttempts, lastErr)
 }
 
+// pick returns the index of the first replica from i on, in list order and
+// wrapping, not refused; if every one is, i mod the set and an error naming them.
+func (sh *shard) pick(i int) (int, error) {
+	n := len(sh.replicas)
+	for k := 0; k < n; k++ {
+		if j := (i + k) % n; !sh.replicas[j].refused.Load() {
+			return j, nil
+		}
+	}
+	addrs := ""
+	for _, rp := range sh.replicas {
+		addrs += " " + rp.addr
+	}
+	return i % n, fmt.Errorf("client: shard %d: every replica refused:%s", sh.part, addrs)
+}
+
 // jitter draws one backoff sleep for base b: uniform in [b/2, b] (equal
 // jitter), so synchronized clients spread out instead of re-stampeding a
 // recovering shard in lockstep.
@@ -750,7 +769,7 @@ func (r *Router) pause(d time.Duration, what string, parent obs.SpanID, tr *obs.
 	sp := tr.Start(what, parent)
 	r.sleep(d)
 	tr.End(sp)
-	r.backoffWait.Add(int64(d))
+	r.cntBackoff.Add(int64(d))
 }
 
 // attempt performs one round trip on rp, under its conversation lock, and
@@ -813,8 +832,12 @@ func (rp *replica) recvLocked() (wire.MsgType, []byte, error) {
 	return respType, resp, err
 }
 
-// dialLocked connects and handshakes; rp.mu must be held.
+// dialLocked connects and handshakes; rp.mu must be held. A refused replica
+// fails with its refusal, undialled.
 func (rp *replica) dialLocked() (err error) {
+	if rp.refused.Load() {
+		return rp.refusal
+	}
 	conn, err := net.DialTimeout("tcp", rp.addr, rp.opts.DialTimeout)
 	if err != nil {
 		return err
@@ -850,8 +873,10 @@ func (rp *replica) dialLocked() (err error) {
 		return fmt.Errorf("client: %s speaks protocol version %d, this client speaks %d", rp.addr, hello.Version, wire.Version)
 	}
 	if w := rp.want; w.Parts > 0 && (hello.Part != w.Part || !hello.SameBuild(w)) {
-		return fmt.Errorf("client: %s serves partition %d, not partition %d of this deployment's build (parts, code length, pivots)",
+		rp.refusal = fmt.Errorf("client: %s serves partition %d, not partition %d of this deployment's build (parts, code length, pivots)",
 			rp.addr, hello.Part, w.Part)
+		rp.refused.Store(true)
+		return rp.refusal
 	}
 	rp.conn, rp.br, rp.hello = conn, br, hello
 	return nil

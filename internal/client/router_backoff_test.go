@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"haindex/internal/obs"
 	"haindex/internal/wire"
 )
 
@@ -46,21 +45,9 @@ func newBackoffRouter(t *testing.T, opts Options, clk *fakeClock, jitter func(in
 	ln.Close()
 
 	opts = opts.withDefaults()
-	reg := obs.NewRegistry()
-	r := &Router{
-		opts:       opts,
-		shards:     []*shard{{part: 0, replicas: []*replica{{addr: addr, opts: opts}}}},
-		reg:        reg,
-		tracer:     obs.NewTracer(4),
-		now:        clk.now,
-		sleep:      clk.sleep,
-		randInt63n: jitter,
-	}
-	r.histAttempt = reg.Histogram("attempt_ns")
-	r.histShard = []*obs.Histogram{reg.Histogram("shard00.attempt_ns")}
-	r.cntRequests = reg.Counter("shard_requests")
-	r.cntRetries = reg.Counter("retries")
-	r.cntSheds = reg.Counter("sheds")
+	r := newRouter(opts, 1)
+	r.shards[0] = &shard{part: 0, replicas: []*replica{{addr: addr, opts: opts}}}
+	r.now, r.sleep, r.randInt63n = clk.now, clk.sleep, jitter
 	return r
 }
 
@@ -113,7 +100,7 @@ func TestBackoffCapAndDoubling(t *testing.T) {
 		t.Fatalf("Retries = %d, want %d", st.Retries, len(want))
 	}
 	// Every failed attempt must still land in the latency histograms.
-	if n := r.Snapshot().Attempt.Count; n != int64(len(want))+1 {
+	if n := r.Obs().Histogram("attempt_ns").Snapshot().Count; n != int64(len(want))+1 {
 		t.Fatalf("attempt histogram has %d samples, want %d", n, len(want)+1)
 	}
 }

@@ -1,12 +1,18 @@
 package client
 
 import (
+	"bufio"
 	"math/rand"
+	"net"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"haindex/internal/bitvec"
 	"haindex/internal/server"
+	"haindex/internal/wire"
 )
 
 // TestRouterSpreadsReplicas: a stream of queries must land on every replica
@@ -127,7 +133,9 @@ func TestRouterReplicatedMatchesOracle(t *testing.T) {
 // not serve — another partition of the deployment's build, or the same
 // partition of another build — fails its handshake, so a request whose turn
 // lands on it retries on the next replica instead of taking its answer.
-// Every answer is the oracle's, and the refusals show as retries.
+// Every answer is the oracle's. The refusal is found once, at the cost of
+// one retry; from then on the rotation skips the replica, so a second batch
+// of searches retries nothing.
 func TestRouterRefusesMislistedReplica(t *testing.T) {
 	const bits, parts, h = 32, 2, 3
 	d := buildDeployment(t, rand.New(rand.NewSource(79)), 800, bits, parts, nil)
@@ -142,23 +150,133 @@ func TestRouterRefusesMislistedReplica(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			for i, q := range d.queries(rand.New(rand.NewSource(89)), 40, bits, h) {
-				got, err := r.Search(q, h)
-				if err != nil {
-					t.Fatalf("query %d: %v", i, err)
+			queries := d.queries(rand.New(rand.NewSource(89)), 40, bits, h)
+			for batch := 0; batch < 2; batch++ {
+				for i, q := range queries {
+					got, err := r.Search(q, h)
+					if err != nil {
+						t.Fatalf("batch %d, query %d: %v", batch, i, err)
+					}
+					want := append([]int(nil), d.oracle.Search(q, h)...)
+					sort.Ints(want)
+					if len(want) == 0 {
+						want = nil
+					}
+					if !equalInts(got, want) {
+						t.Fatalf("batch %d, query %d: router %v, oracle %v", batch, i, got, want)
+					}
 				}
-				want := append([]int(nil), d.oracle.Search(q, h)...)
-				sort.Ints(want)
-				if len(want) == 0 {
-					want = nil
+				if n := r.Stats().Retries; n != 1 {
+					t.Fatalf("%d retries after batch %d, want the 1 that found the mis-listed replica", n, batch)
 				}
-				if !equalInts(got, want) {
-					t.Fatalf("query %d: router %v, oracle %v", i, got, want)
-				}
-			}
-			if r.Stats().Retries == 0 {
-				t.Fatal("no request's turn came to the mis-listed replica")
 			}
 		})
+	}
+}
+
+// TestRouterFailsAtOnceWhenEveryReplicaIsRefused: once every replica of a
+// shard has been refused at its handshake, a request to the shard fails at
+// once — no backoff, no retry, no dial — with an error naming each replica.
+func TestRouterFailsAtOnceWhenEveryReplicaIsRefused(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	r := newBackoffRouter(t, Options{MaxAttempts: 3, Backoff: 4 * time.Millisecond}, clk, func(n int64) int64 { return n - 1 })
+	want := healthyHello.SnapshotMeta
+	want.Length = 64 // the servers below hand out 32-bit codes: another build
+	r.shards[0].replicas = nil
+	var dials []*atomic.Int32
+	for i := 0; i < 2; i++ {
+		addr, n := startSheddingServer(t, 0)
+		dials = append(dials, n)
+		r.shards[0].replicas = append(r.shards[0].replicas, &replica{addr: addr, opts: r.opts, want: want})
+	}
+	named := func(err error) bool {
+		if err == nil || !strings.Contains(err.Error(), "every replica refused") {
+			return false
+		}
+		for _, rp := range r.shards[0].replicas {
+			if !strings.Contains(err.Error(), rp.addr) {
+				return false
+			}
+		}
+		return true
+	}
+	// The first request finds both refusals: one on its first attempt, one
+	// on its retry.
+	if lg := statsOnce(r, routeRotate); !named(lg.err) {
+		t.Fatalf("first request: %v, want both replicas refused by name", lg.err)
+	}
+	sleeps, retries := len(clk.sleeps), r.Stats().Retries
+	if lg := statsOnce(r, routeRotate); !named(lg.err) {
+		t.Fatalf("second request: %v, want both replicas refused by name", lg.err)
+	}
+	if len(clk.sleeps) != sleeps || r.Stats().Retries != retries {
+		t.Fatalf("the second request slept %v and retried %d times", clk.sleeps[sleeps:], r.Stats().Retries-retries)
+	}
+	for i, n := range dials {
+		if n.Load() != 1 {
+			t.Fatalf("replica %d dialled %d times, want once", i, n.Load())
+		}
+	}
+}
+
+// startHelloServer runs an in-test shard server that answers the handshake
+// with hello and then holds the connection until the client closes it. It
+// returns its address and the number of connections still open.
+func startHelloServer(t *testing.T, hello wire.HelloOK) (string, *atomic.Int32) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var open atomic.Int32
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			open.Add(1)
+			go func() {
+				defer open.Add(-1)
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				if _, _, err := wire.ReadFrame(br); err != nil {
+					return
+				}
+				if err := wire.WriteFrame(conn, wire.MsgHelloOK, hello.Append(nil)); err != nil {
+					return
+				}
+				for {
+					if _, _, err := wire.ReadFrame(br); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String(), &open
+}
+
+// TestDialClosesWhatItOpened: a Dial that fails — here two shards both claim
+// partition 0 — closes the connections it made before it returns, instead
+// of leaving each server's handler up until its idle timeout.
+func TestDialClosesWhatItOpened(t *testing.T) {
+	hello := healthyHello
+	hello.Parts, hello.Pivots = 2, []bitvec.Code{bitvec.New(32)}
+	a, openA := startHelloServer(t, hello)
+	b, openB := startHelloServer(t, hello)
+	r, err := Dial([][]string{{a}, {b}}, Options{})
+	if err == nil {
+		r.Close()
+		t.Fatal("Dial accepted two servers of partition 0")
+	}
+	if !strings.Contains(err.Error(), "partition 0 served by both") {
+		t.Fatalf("Dial error %v", err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); openA.Load()+openB.Load() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections still open 2s after Dial failed", openA.Load()+openB.Load())
+		}
 	}
 }

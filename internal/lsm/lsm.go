@@ -64,7 +64,8 @@
 // row append (lsm.insert_ns). Seals and compactions share structMu, so while
 // a compaction runs the armed seal waits and the memtable grows past
 // MemtableMax; nothing breaks, reads pay a linear ~1 ns a row for it until
-// the seal gets through.
+// the seal gets through. The shard owns its metric registry (Shard.Obs),
+// which a server over it counts its requests on too.
 package lsm
 
 import (
@@ -92,21 +93,6 @@ type Options struct {
 	// base is due (see the package comment). 0 selects 4; negative disables
 	// automatic compaction.
 	CompactAt int
-
-	// Obs, when set, is the registry the shard hangs its instruments on:
-	// lsm.memtable_size / lsm.segments / lsm.tombstones /
-	// lsm.unplanned_segments gauges (lsm.tombstones: segment rows masked
-	// by a later write), lsm.seal_ns / lsm.compact_ns wall
-	// histograms, and lsm.inserts / lsm.deletes / lsm.seals /
-	// lsm.compactions counters, with lsm.search_ha / lsm.search_mih /
-	// lsm.search_scan counting segment searches by the engine that ran them
-	// and lsm.search_ha_ns / _mih_ns / _scan_ns timing them. The
-	// index.mapped_bytes / index.heap_bytes gauges hold the segments' bytes,
-	// index.aux_heap_bytes the heap share of their MIH key tables, and
-	// load.mih_build_ns / load.plan_ns time the seeded segment's plan. One
-	// registry serves one shard — Stats reads lsm.seals and lsm.compactions
-	// from it — though a server may share it, its names being its own.
-	Obs *obs.Registry
 }
 
 func (o Options) withDefaults() Options {
@@ -115,9 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CompactAt == 0 {
 		o.CompactAt = 4
-	}
-	if o.Obs == nil {
-		o.Obs = obs.NewRegistry()
 	}
 	return o
 }
@@ -280,6 +263,7 @@ type Shard struct {
 	wg        sync.WaitGroup
 	closed    atomic.Bool
 
+	reg                                *obs.Registry
 	gMem, gSegs, gTomb, gUnplanned     *obs.Gauge
 	gMapped, gHeap, gAux               *obs.Gauge
 	cInserts, cDeletes, cSeals, cComps *obs.Counter
@@ -294,14 +278,15 @@ func New(length int, opts Options) *Shard {
 		panic("lsm: non-positive code length")
 	}
 	opts = opts.withDefaults()
+	reg := obs.NewRegistry()
 	s := &Shard{
 		opts:   opts,
 		length: length,
 		mem:    core.GroupView{Length: length, IDStart: []int32{0}},
 		memIDs: make(map[int]int32),
+		reg:    reg,
 	}
 	s.state.Store(&state{})
-	reg := opts.Obs
 	s.gMem = reg.Gauge("lsm.memtable_size")
 	s.gSegs = reg.Gauge("lsm.segments")
 	s.gTomb = reg.Gauge("lsm.tombstones")
@@ -322,6 +307,17 @@ func New(length int, opts Options) *Shard {
 	s.hCompact = reg.Histogram("lsm.compact_ns")
 	return s
 }
+
+// Obs returns the shard's registry, made by New: lsm.memtable_size /
+// lsm.segments / lsm.tombstones (segment rows masked by a later write) /
+// lsm.unplanned_segments gauges, lsm.seal_ns / lsm.compact_ns histograms,
+// lsm.inserts / lsm.deletes / lsm.seals / lsm.compactions counters (Stats
+// reads the last two), lsm.search_ha / _mih / _scan counting segment searches
+// by engine and lsm.search_*_ns timing them, index.mapped_bytes /
+// index.heap_bytes / index.aux_heap_bytes (the MIH key tables) gauges, and
+// load.mih_build_ns / load.plan_ns timing the seeded segment's plan. A server
+// over the shard adds its own instruments, under names of its own.
+func (s *Shard) Obs() *obs.Registry { return s.reg }
 
 // Frozen returns a read-only shard that serves idx as its one segment,
 // planned in the background (see seed). It walks no ids — a snapshot's are
@@ -351,8 +347,8 @@ func (s *Shard) seed(seg *segment) {
 			return
 		}
 		mihNs, planNs := planSegment(seg)
-		s.opts.Obs.Gauge("load.mih_build_ns").Set(mihNs)
-		s.opts.Obs.Gauge("load.plan_ns").Set(planNs)
+		s.reg.Gauge("load.mih_build_ns").Set(mihNs)
+		s.reg.Gauge("load.plan_ns").Set(planNs)
 		s.publishSegments()
 	}()
 }

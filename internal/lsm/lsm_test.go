@@ -11,7 +11,6 @@ import (
 
 	"haindex/internal/bitvec"
 	"haindex/internal/core"
-	"haindex/internal/obs"
 	"haindex/internal/planner"
 )
 
@@ -172,12 +171,11 @@ func TestShardVsOracleSequential(t *testing.T) {
 // inserts and deletes, then a quiesce and an exact oracle comparison.
 func TestShardAutoSealCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	reg := obs.NewRegistry()
 	s := New(32, Options{
 		MemtableMax: 48,
 		CompactAt:   2,
-		Obs:         reg,
 	})
+	reg := s.Obs()
 	o := oracle{}
 	codes := clustered(rng, 600, 32, 8, 3)
 	for i, c := range codes {
@@ -395,12 +393,11 @@ func TestShardTopKOneState(t *testing.T) {
 // -race (make test-race) for the data-race half of the guarantee.
 func TestShardConcurrentSearchUnderMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
-	reg := obs.NewRegistry()
 	s := New(64, Options{
 		MemtableMax: 64,
 		CompactAt:   2,
-		Obs:         reg,
 	})
+	reg := s.Obs()
 	o := oracle{}
 	var oMu sync.Mutex
 

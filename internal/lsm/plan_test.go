@@ -15,7 +15,6 @@ import (
 	"haindex/internal/bitvec"
 	"haindex/internal/core"
 	"haindex/internal/mih"
-	"haindex/internal/obs"
 	"haindex/internal/planner"
 	"haindex/internal/wire"
 )
@@ -76,7 +75,7 @@ func checkSegmentEngines(t *testing.T, s *Shard, o oracle, rng *rand.Rand, stage
 // fails past a deadline.
 func waitPlanned(t *testing.T, s *Shard) {
 	t.Helper()
-	g := s.opts.Obs.Gauge("lsm.unplanned_segments")
+	g := s.Obs().Gauge("lsm.unplanned_segments")
 	for deadline := time.Now().Add(30 * time.Second); g.Value() != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("lsm.unplanned_segments = %d after 30s", g.Value())
@@ -99,8 +98,8 @@ func TestBootstrapPlansBase(t *testing.T) {
 		ids[i] = 5*i + 2
 		o[ids[i]] = codes[i]
 	}
-	reg := obs.NewRegistry()
-	s := New(bitsLen, Options{MemtableMax: -1, CompactAt: -1, Obs: reg})
+	s := New(bitsLen, Options{MemtableMax: -1, CompactAt: -1})
+	reg := s.Obs()
 	defer s.Close()
 	if err := s.Bootstrap(buildFrozen(codes, ids, core.Options{})); err != nil {
 		t.Fatal(err)
@@ -126,7 +125,7 @@ func checkPins(t *testing.T, s *Shard, o oracle, q bitvec.Code, stage string) {
 	t.Helper()
 	counts := func() (c [planner.UseScan + 1]int64) {
 		for st := range c {
-			c[st] = s.opts.Obs.Counter("lsm.search_" + planner.Strategy(st).String()).Value()
+			c[st] = s.Obs().Counter("lsm.search_" + planner.Strategy(st).String()).Value()
 		}
 		return c
 	}
@@ -483,9 +482,9 @@ func TestMaskDuringFold(t *testing.T) {
 // nothing once each segment's free list holds a searcher set.
 func TestShardSearchAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	reg := obs.NewRegistry()
 	codes := clustered(rng, 6000, 64, 50, 6)
-	s := New(64, Options{MemtableMax: -1, CompactAt: -1, Obs: reg})
+	s := New(64, Options{MemtableMax: -1, CompactAt: -1})
+	reg := s.Obs()
 	defer s.Close()
 	ids := make([]int, 4000)
 	for i := range ids {
@@ -676,8 +675,8 @@ func TestFrozenServesBeforeThePlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer fz.Close()
-		reg := obs.NewRegistry()
-		s := heldFrozen(t, fz, Options{Obs: reg})
+		s := heldFrozen(t, fz, Options{})
+		reg := s.Obs()
 		if g := reg.Gauge("lsm.unplanned_segments").Value(); g != 1 {
 			t.Fatalf("%s: lsm.unplanned_segments = %d with the plan held off", load.name, g)
 		}
@@ -730,8 +729,8 @@ func TestFrozenShard(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer fz.Close()
-		reg := obs.NewRegistry()
-		s := Frozen(fz, Options{Obs: reg})
+		s := Frozen(fz, Options{})
+		reg := s.Obs()
 		defer s.Close()
 		ro = s
 		waitPlanned(t, s)

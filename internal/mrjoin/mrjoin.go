@@ -307,9 +307,6 @@ func decodeIDCodeBatch(values [][]byte, bits int) ([]int, []bitvec.Code, error) 
 
 // strategy is the engine pin Engine names, planner.UsePlan for none.
 func (o Options) strategy() (planner.Strategy, error) {
-	if o.Engine == "" || o.Engine == "auto" {
-		return planner.UsePlan, nil
-	}
 	s, err := planner.ParseStrategy(o.Engine)
 	if err != nil {
 		return 0, fmt.Errorf("mrjoin: %w", err)

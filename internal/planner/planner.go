@@ -62,9 +62,12 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("strategy(%d)", int(s))
 }
 
-// ParseStrategy maps the -engine flag spelling to a Strategy.
+// ParseStrategy maps the -engine flag spelling to a Strategy, the inverse
+// of String: "" and "auto" are UsePlan, which pins no engine.
 func ParseStrategy(name string) (Strategy, error) {
 	switch name {
+	case "", "auto":
+		return UsePlan, nil
 	case "ha", "ha-index":
 		return UseHA, nil
 	case "mih":
@@ -72,7 +75,7 @@ func ParseStrategy(name string) (Strategy, error) {
 	case "scan":
 		return UseScan, nil
 	}
-	return 0, fmt.Errorf("planner: unknown engine %q (want ha, mih, or scan)", name)
+	return 0, fmt.Errorf("planner: unknown engine %q (want auto, ha, mih, or scan)", name)
 }
 
 // Engines is the set of access paths the planner chooses among. HA is

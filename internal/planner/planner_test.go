@@ -540,10 +540,15 @@ func TestExplain(t *testing.T) {
 }
 
 func TestParseStrategy(t *testing.T) {
-	for name, want := range map[string]Strategy{"ha": UseHA, "ha-index": UseHA, "mih": UseMIH, "scan": UseScan} {
+	for name, want := range map[string]Strategy{"": UsePlan, "auto": UsePlan, "ha": UseHA, "ha-index": UseHA, "mih": UseMIH, "scan": UseScan} {
 		got, err := ParseStrategy(name)
 		if err != nil || got != want {
 			t.Errorf("ParseStrategy(%q) = %v, %v", name, got, err)
+		}
+	}
+	for s := UsePlan; s < numStrategies; s++ {
+		if got, err := ParseStrategy(s.String()); err != nil || got != s {
+			t.Errorf("ParseStrategy(%v.String()) = %v, %v", s, got, err)
 		}
 	}
 	if _, err := ParseStrategy("warp"); err == nil {

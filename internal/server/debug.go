@@ -45,7 +45,7 @@ func (s *Server) StartDebug(addr string) (net.Addr, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/obs", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(s.reg.Snapshot().JSON())
+		w.Write(s.Obs().Snapshot().JSON())
 	})
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

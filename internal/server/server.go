@@ -13,7 +13,8 @@
 // serves a shard the caller built and differs in one way only: that shard
 // is not read-only, so the server also answers the mutation frames
 // (insert/delete/seal). Mutations are applied synchronously, so an
-// acknowledged write is visible to every subsequent search.
+// acknowledged write is visible to every subsequent search. The server counts
+// on the shard's registry (lsm.Shard.Obs): Stats and /debug/obs read one.
 package server
 
 import (
@@ -71,13 +72,6 @@ type Options struct {
 	// WriteTimeout bounds writing one response frame to a client that has
 	// stopped reading. 0 selects 30s; a negative value is refused.
 	WriteTimeout time.Duration
-
-	// Obs, when set, is the registry the server hangs its counters and
-	// latency histograms on; nil gives the server a private one (reachable
-	// via Server.Obs). One registry serves one server: Stats reads its
-	// counters and histograms, so two servers on one registry would count
-	// each other's requests.
-	Obs *obs.Registry
 }
 
 // traceCapacity is the size of the per-server ring of request traces kept
@@ -110,18 +104,14 @@ type Server struct {
 	// coordinate system of the fault plan.
 	reqSeq atomic.Int64
 
-	queries     atomic.Int64
-	topkQueries atomic.Int64
-	idsReturned atomic.Int64
-
-	// Observability: the registry holds the request, error and fault
-	// counters and the per-query work histograms Stats reads, and the
-	// per-message-type latency histograms; the
-	// tracer rings recent request span trees. Hot-path instruments are
-	// resolved once here.
-	reg           *obs.Registry
+	// Observability: every instrument Stats reads, and the per-message-type
+	// latency histograms, are the shard registry's, resolved once here; the
+	// tracer rings recent request span trees.
 	tracer        *obs.Tracer
 	reqCount      *obs.Counter
+	cntQueries    *obs.Counter // queries: select queries asked
+	cntTopK       *obs.Counter // topk_queries
+	cntIDs        *obs.Counter // ids_returned, by selects and top-k
 	errCount      *obs.Counter
 	faultCount    *obs.Counter
 	histSearch    *obs.Histogram // req.search_ns
@@ -167,13 +157,14 @@ func New(meta wire.SnapshotMeta, idx *core.FrozenIndex, opts Options) (*Server, 
 	if err != nil {
 		return nil, err
 	}
-	return newServer(meta, lsm.Frozen(idx, lsm.Options{Obs: opts.Obs}), opts), nil
+	return newServer(meta, lsm.Frozen(idx, lsm.Options{}), opts), nil
 }
 
 // NewMutable builds a server over a mutable LSM shard, which plans each
 // segment as it joins its stack (lsm.Shard.Bootstrap, Seal, Compact). The
 // caller keeps ownership of the shard's lifecycle up to Close, which waits
-// out the shard's background seals, compactions and planning.
+// out the shard's background seals, compactions and planning. The server
+// counts on the shard's registry, so a shard serves one server.
 func NewMutable(meta wire.SnapshotMeta, sh *lsm.Shard, opts Options) (*Server, error) {
 	if sh.Length() != meta.Length {
 		return nil, fmt.Errorf("server: shard is %d-bit, snapshot header says %d", sh.Length(), meta.Length)
@@ -210,9 +201,6 @@ func (opts Options) withDefaults() (Options, error) {
 	if opts.WriteTimeout == 0 {
 		opts.WriteTimeout = 30 * time.Second
 	}
-	if opts.Obs == nil {
-		opts.Obs = obs.NewRegistry()
-	}
 	return opts, nil
 }
 
@@ -223,35 +211,35 @@ func newServer(meta wire.SnapshotMeta, sh *lsm.Shard, opts Options) *Server {
 		shard:  sh,
 		pool:   make(chan *searcherSet, opts.Searchers),
 		conns:  make(map[net.Conn]struct{}),
-		reg:    opts.Obs,
 		tracer: obs.NewTracer(traceCapacity),
 	}
-	s.reqCount = s.reg.Counter("requests")
-	s.errCount = s.reg.Counter("errors")
-	s.faultCount = s.reg.Counter("faults_injected")
-	s.histSearch = s.reg.Histogram("req.search_ns")
-	s.histTopK = s.reg.Histogram("req.topk_ns")
-	s.histStats = s.reg.Histogram("req.stats_ns")
-	s.histMutate = s.reg.Histogram("req.mutate_ns")
-	s.histAdmission = s.reg.Histogram("admission_wait_ns")
-	s.histDist = s.reg.Histogram("search.dist_comps")
-	s.histNodes = s.reg.Histogram("search.nodes_visited")
-	s.histLeaves = s.reg.Histogram("search.leaves_checked")
-	s.poolIdle = s.reg.Gauge("pool.idle")
+	reg := sh.Obs()
+	s.reqCount = reg.Counter("requests")
+	s.cntQueries = reg.Counter("queries")
+	s.cntTopK = reg.Counter("topk_queries")
+	s.cntIDs = reg.Counter("ids_returned")
+	s.errCount = reg.Counter("errors")
+	s.faultCount = reg.Counter("faults_injected")
+	s.histSearch = reg.Histogram("req.search_ns")
+	s.histTopK = reg.Histogram("req.topk_ns")
+	s.histStats = reg.Histogram("req.stats_ns")
+	s.histMutate = reg.Histogram("req.mutate_ns")
+	s.histAdmission = reg.Histogram("admission_wait_ns")
+	s.histDist = reg.Histogram("search.dist_comps")
+	s.histNodes = reg.Histogram("search.nodes_visited")
+	s.histLeaves = reg.Histogram("search.leaves_checked")
+	s.poolIdle = reg.Gauge("pool.idle")
 	s.poolIdle.Set(int64(opts.Searchers))
-	s.cntShed = s.reg.Counter("sheds")
+	s.cntShed = reg.Counter("sheds")
 	for i := 0; i < cap(s.pool); i++ {
 		s.pool <- new(searcherSet)
 	}
 	return s
 }
 
-// Obs returns the server's metric registry (counters, gauges, latency and
-// per-search cost histograms).
-func (s *Server) Obs() *obs.Registry { return s.reg }
-
-// Tracer returns the ring of recent request traces.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
+// Obs returns the shard's metric registry, which holds the server's counters,
+// gauges and histograms beside the shard's lsm.* instruments.
+func (s *Server) Obs() *obs.Registry { return s.shard.Obs() }
 
 // LoadSnapshotFile is New over a snapshot file on disk: mmap'd zero-copy
 // when Options.Mmap is set, decoded onto the heap otherwise. A file either
@@ -278,8 +266,8 @@ func LoadSnapshotFile(path string, opts Options) (*Server, error) {
 		return nil, err
 	}
 	srv.owned = fz
-	srv.reg.Gauge("load.map_ns").Set(mapNs)
-	srv.reg.Gauge("load.total_ns").Set(time.Since(t0).Nanoseconds())
+	srv.Obs().Gauge("load.map_ns").Set(mapNs)
+	srv.Obs().Gauge("load.total_ns").Set(time.Since(t0).Nanoseconds())
 	return srv, nil
 }
 
@@ -385,9 +373,9 @@ func (s *Server) Stats() Stats {
 	lat.Merge(s.histTopK.Snapshot())
 	return Stats{
 		Requests:             s.reqCount.Value(),
-		Queries:              s.queries.Load(),
-		TopKQueries:          s.topkQueries.Load(),
-		IDsReturned:          s.idsReturned.Load(),
+		Queries:              s.cntQueries.Value(),
+		TopKQueries:          s.cntTopK.Value(),
+		IDsReturned:          s.cntIDs.Value(),
 		Errors:               s.errCount.Value(),
 		FaultsInjected:       s.faultCount.Value(),
 		DistanceComputations: s.histDist.Sum(),
@@ -573,9 +561,8 @@ func (s *Server) answerSearch(payload []byte, tr *obs.Trace) (wire.MsgType, []by
 	// strategies shifted by one: none lets each segment's plan decide
 	// (planner.UsePlan), and ha, mih or scan runs on every planned segment.
 	pin := planner.Strategy(req.Engine - wire.EngineHA)
-	s.queries.Add(int64(len(req.Queries)))
+	s.cntQueries.Add(int64(len(req.Queries)))
 	resp := wire.SearchResp{IDs: make([][]int, len(req.Queries))}
-	returned := int64(0)
 	var held []*searcherSet
 	if len(req.Queries) > 0 {
 		set, shed, waited := s.admit(s.opts.ShedAfter, tr)
@@ -588,13 +575,12 @@ func (s *Server) answerSearch(payload []byte, tr *obs.Trace) (wire.MsgType, []by
 			start := len(set.ids)
 			set.ids = s.shard.SearchInto(req.Queries[i], req.H, pin, set.ids, &stats)
 			ids := set.ids[start:]
+			s.cntIDs.Add(int64(len(ids)))
 			set.scratch = sortIDs(ids, set.scratch)
 			resp.IDs[i] = ids
-			atomic.AddInt64(&returned, int64(len(ids)))
 			return stats
 		})
 	}
-	s.idsReturned.Add(atomic.LoadInt64(&returned))
 	out := resp.Append(nil) // while the slabs it reads are still this request's
 	s.release(held)
 	return wire.MsgSearchOK, out
@@ -608,9 +594,8 @@ func (s *Server) answerTopK(payload []byte, tr *obs.Trace) (wire.MsgType, []byte
 	if req.K < 0 || req.K > 1<<20 {
 		return wire.MsgError, wire.ErrorMsg{Msg: fmt.Sprintf("k %d out of range", req.K)}.Append(nil)
 	}
-	s.topkQueries.Add(int64(len(req.Queries)))
+	s.cntTopK.Add(int64(len(req.Queries)))
 	resp := wire.TopKResp{IDs: make([][]int, len(req.Queries)), Dists: make([][]int, len(req.Queries))}
-	returned := int64(0)
 	if len(req.Queries) > 0 {
 		// The same admission budget as a search: an overloaded shard sheds
 		// top-k too.
@@ -623,11 +608,10 @@ func (s *Server) answerTopK(payload []byte, tr *obs.Trace) (wire.MsgType, []byte
 			var stats core.SearchStats
 			ids, dists := s.shard.TopKInto(req.Queries[i], req.K, &stats)
 			resp.IDs[i], resp.Dists[i] = ids, dists
-			atomic.AddInt64(&returned, int64(len(ids)))
+			s.cntIDs.Add(int64(len(ids)))
 			return stats
 		}))
 	}
-	s.idsReturned.Add(atomic.LoadInt64(&returned))
 	return wire.MsgTopKOK, resp.Append(nil)
 }
 

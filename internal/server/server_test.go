@@ -710,14 +710,13 @@ func TestServerEngineValidation(t *testing.T) {
 func TestMutableSearchCountsSegmentSearches(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	meta, idx, codes := testShard(t, rng, 300, 16, 1, 0)
-	reg := obs.NewRegistry()
-	sh := lsm.New(16, lsm.Options{MemtableMax: -1, Obs: reg})
+	sh := lsm.New(16, lsm.Options{MemtableMax: -1})
 	if err := sh.Bootstrap(idx); err != nil {
 		t.Fatal(err)
 	}
-	waitPlanned(t, reg)
+	waitPlanned(t, sh.Obs())
 	sh.Insert(1000, codes[3]) // one row in the memtable, the rest in a segment
-	ms, err := NewMutable(meta, sh, Options{Searchers: 2, Obs: reg})
+	ms, err := NewMutable(meta, sh, Options{Searchers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -753,6 +752,91 @@ func TestMutableSearchCountsSegmentSearches(t *testing.T) {
 	}
 	if n := snap.Histograms["req.search_ns"].Count; n != k {
 		t.Fatalf("req.search_ns holds %d samples, want %d", n, k)
+	}
+}
+
+// TestStatsCountersLiveInTheRegistry: every count Stats reports is an
+// instrument on the shard's registry, so /debug/obs shows the same numbers —
+// after searches and a top-k, the queries, topk_queries and ids_returned
+// counters equal the matching Stats fields. A read-only server and a
+// mutable one over the same snapshot hang the same lsm.* and req.*
+// instruments on their shards' registries.
+func TestStatsCountersLiveInTheRegistry(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	meta, idx, codes := testShard(t, rng, 400, 32, 1, 0)
+	path := filepath.Join(t.TempDir(), "shard.hasn")
+	var buf bytes.Buffer
+	if err := wire.WriteSnapshot(&buf, meta, idx); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	readOnly, err := LoadSnapshotFile(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, eager, err := wire.ReadSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := lsm.New(meta.Length, lsm.Options{})
+	if err := sh.Bootstrap(eager); err != nil {
+		t.Fatal(err)
+	}
+	mutable, err := NewMutable(meta, sh, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const searches = 6
+	names := map[string][]string{}
+	for name, s := range map[string]*Server{"read-only": readOnly, "mutable": mutable} {
+		if err := s.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		c := dialTest(t, s)
+		c.hello()
+		for i := 0; i < searches; i++ {
+			req := wire.SearchReq{H: 3, Queries: codes[2*i : 2*i+2]}.Append(nil)
+			if rt, _ := c.roundTrip(wire.MsgSearch, req); rt != wire.MsgSearchOK {
+				t.Fatalf("%s: search %d answered %s", name, i, rt)
+			}
+		}
+		if rt, _ := c.roundTrip(wire.MsgTopK, wire.TopKReq{K: 4, Queries: codes[:3]}.Append(nil)); rt != wire.MsgTopKOK {
+			t.Fatalf("%s: top-k answered %s", name, rt)
+		}
+		st, snap := s.Stats(), s.Obs().Snapshot()
+		for _, w := range []struct {
+			counter string
+			stat    int64
+		}{
+			{"queries", st.Queries},
+			{"topk_queries", st.TopKQueries},
+			{"ids_returned", st.IDsReturned},
+		} {
+			if got := snap.Counters[w.counter]; got != w.stat {
+				t.Errorf("%s: counter %s = %d, Stats reports %d", name, w.counter, got, w.stat)
+			}
+		}
+		if st.Queries != 2*searches || st.TopKQueries != 3 || st.IDsReturned < 3*4 {
+			t.Errorf("%s: stats after %d queries and a 3-query top-4: %+v", name, 2*searches, st)
+		}
+		for _, kind := range []map[string]int64{snap.Counters, snap.Gauges} {
+			for n := range kind {
+				names[name] = append(names[name], n)
+			}
+		}
+		for n := range snap.Histograms {
+			names[name] = append(names[name], n)
+		}
+		names[name] = slices.DeleteFunc(names[name], func(n string) bool {
+			return !strings.HasPrefix(n, "lsm.") && !strings.HasPrefix(n, "req.")
+		})
+		sort.Strings(names[name])
+	}
+	if len(names["read-only"]) == 0 || !slices.Equal(names["read-only"], names["mutable"]) {
+		t.Fatalf("lsm.* and req.* instruments differ:\n read-only %v\n mutable   %v", names["read-only"], names["mutable"])
 	}
 }
 

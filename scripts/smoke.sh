@@ -9,11 +9,14 @@
 # query rows run twice, and the second pass rides out the shed with the
 # router's one polite backoff (the oracle diff proves the answers stay
 # byte-identical). A third pass lists shard 1's server as a replica of shard
-# 0 too, which the router must refuse at its handshake.
+# 0 too, which the router must refuse at its handshake: one retry finds the
+# refusal, and the rotation skips the replica after it.
 #
 # With SMOKE_DEBUG=1 (make debug-smoke), shard 0 also binds its HTTP debug
 # endpoint; after the queries run, /debug/obs is fetched and must report a
-# non-empty request-latency histogram, nonzero request/fault counters, and —
+# non-empty request-latency histogram, nonzero request/fault counters, the
+# queries and ids_returned counters Stats reports (on the shard's registry),
+# and —
 # since haserve plans every segment — nonzero engine-routed segment
 # search counters (lsm.search_*) plus per-engine latency samples, a nonzero
 # shed counter from the repeat pass, and, once the shard's background plan
@@ -123,8 +126,8 @@ echo "smoke: shard 1's server mis-listed as a replica of shard 0; answers must s
     -codes-file "$WORK/shards/codes.txt" -rows 0-49 -h 3 -topk 5 \
     -oracle "$WORK/shards" > "$WORK/mislisted.out" || { cat "$WORK/mislisted.out"; exit 1; }
 cat "$WORK/mislisted.out"
-grep -q ' [1-9][0-9]* retries' "$WORK/mislisted.out" || {
-    echo "smoke: no request's turn came to the mis-listed replica" >&2; exit 1; }
+grep -q ' 1 retries' "$WORK/mislisted.out" || {
+    echo "smoke: the mis-listed replica did not cost exactly the one retry that finds it" >&2; exit 1; }
 
 if [ "$SMOKE_DEBUG" = "1" ]; then
     wait_planned "$(cat "$WORK/s0.debug")" "$WORK/obs.json"
@@ -136,6 +139,12 @@ if [ "$SMOKE_DEBUG" = "1" ]; then
     FAULTS=$(sed -n 's/^ *"faults_injected": \([0-9]*\).*/\1/p' "$WORK/obs.json" | head -n 1)
     [ -n "$FAULTS" ] && [ "$FAULTS" -gt 0 ] || {
         echo "smoke: debug snapshot reports no injected faults" >&2; exit 1; }
+    # Stats' counts live on the registry /debug/obs serves, not beside it.
+    for c in queries ids_returned; do
+        n=$(sed -n "s/^ *\"$c\": \([0-9]*\).*/\1/p" "$WORK/obs.json" | head -n 1)
+        [ -n "$n" ] && [ "$n" -gt 0 ] || {
+            echo "smoke: debug snapshot's $c counter is ${n:-missing}" >&2; exit 1; }
+    done
     # haserve plans every segment, so every search must leave an
     # engine-routed segment search count and a per-engine latency histogram
     # behind.
@@ -182,7 +191,7 @@ if [ "$SMOKE_DEBUG" = "1" ]; then
         echo "smoke: load.map_ns=$LOAD_MAP is not inside load.total_ns=$LOAD_TOTAL" >&2; exit 1; }
     [ "$LOAD_MIH" -gt 0 ] && [ "$LOAD_PLAN" -gt 0 ] || {
         echo "smoke: the landed plan is untimed (load.mih_build_ns=$LOAD_MIH, load.plan_ns=$LOAD_PLAN)" >&2; exit 1; }
-    echo "smoke: debug endpoint OK ($REQS requests, $FAULTS faults, $ROUTED engine-routed segment searches, $ENGINE engine samples, $SHEDS sheds, $MAPPED mapped + $AUX aux heap bytes, serving after $LOAD_TOTAL ns, planned in $LOAD_MIH + $LOAD_PLAN ns)"
+    echo "smoke: debug endpoint OK ($REQS requests, $FAULTS faults, queries and ids_returned counted, $ROUTED engine-routed segment searches, $ENGINE engine samples, $SHEDS sheds, $MAPPED mapped + $AUX aux heap bytes, serving after $LOAD_TOTAL ns, planned in $LOAD_MIH + $LOAD_PLAN ns)"
 fi
 
 SMOKE_LSM=${SMOKE_LSM:-0}
