@@ -13,36 +13,61 @@ import (
 	"haindex/internal/wire"
 )
 
-// TestMergeRuns: any number of ascending runs, empty ones among them, merge to
-// what sorting their concatenation gives, appended after whatever dst held —
-// for the ids of a select and for top-k's packed (distance, id) keys alike.
+// TestMergeRuns: any number of strictly ascending runs, empty ones among
+// them, merge to the sorted set of their values, appended after whatever dst
+// held — for the ids of a select and for top-k's packed (distance, id) keys
+// alike. A value two runs hold (an id a cross-partition upsert had live on
+// two shards) is kept once, wherever in the runs it sits.
 func TestMergeRuns(t *testing.T) {
+	check := func(name string, runs [][]int) {
+		t.Helper()
+		var want []int
+		keys := make([][]int64, len(runs))
+		var wantKeys []int64
+		for m, run := range runs {
+			want = append(want, run...)
+			for _, v := range run {
+				keys[m] = append(keys[m], int64(v)<<32|int64(m))
+			}
+			wantKeys = append(wantKeys, keys[m]...)
+		}
+		slices.Sort(want)
+		want = slices.Compact(want)
+		slices.Sort(wantKeys)
+		got := mergeRuns([]int{-7, -9}, runs)
+		if !slices.Equal(got[:2], []int{-7, -9}) || !slices.Equal(got[2:], want) {
+			t.Fatalf("%s: runs %v merged to %v", name, runs, got)
+		}
+		if merged := mergeRuns(nil, keys); !slices.Equal(merged, wantKeys) {
+			t.Fatalf("%s: keys %v merged to %v", name, keys, merged)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		runs [][]int
+	}{
+		{"shared head", [][]int{{3, 8, 12}, {3, 5, 9}}},
+		{"shared middle", [][]int{{1, 6, 12}, {2, 6, 9}}},
+		{"shared tail", [][]int{{1, 6, 12}, {2, 7, 12}}},
+		{"shared head, middle and tail", [][]int{{1, 4, 6, 12}, {1, 5, 6, 7, 12}}},
+		{"one run inside another", [][]int{{2, 4, 6, 8}, {4, 6}}},
+		{"equal runs", [][]int{{5, 9}, {5, 9}}},
+		{"three runs, one value", [][]int{{7}, {7}, {7}}},
+		{"shared after an empty run", [][]int{{0, 3}, nil, {3, 4}, {4, 10}}},
+	} {
+		check(tc.name, tc.runs)
+	}
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 300; trial++ {
 		runs := make([][]int, rng.Intn(6))
-		keys := make([][]int64, len(runs))
-		var want []int
-		var wantKeys []int64
 		for m := range runs {
 			for j, n := 0, rng.Intn(4)*rng.Intn(40); j < n; j++ {
 				runs[m] = append(runs[m], rng.Intn(500))
 			}
 			slices.Sort(runs[m])
-			for _, v := range runs[m] {
-				keys[m] = append(keys[m], int64(v)<<32|int64(m))
-			}
-			want = append(want, runs[m]...)
-			wantKeys = append(wantKeys, keys[m]...)
+			runs[m] = slices.Compact(runs[m])
 		}
-		slices.Sort(want)
-		slices.Sort(wantKeys)
-		got := mergeRuns([]int{-7, -9}, runs)
-		if !slices.Equal(got[:2], []int{-7, -9}) || !slices.Equal(got[2:], want) {
-			t.Fatalf("trial %d: runs %v merged to %v", trial, runs, got)
-		}
-		if merged := mergeRuns(nil, keys); !slices.Equal(merged, wantKeys) {
-			t.Fatalf("trial %d: keys %v merged to %v", trial, keys, merged)
-		}
+		check(fmt.Sprintf("trial %d", trial), runs)
 	}
 }
 

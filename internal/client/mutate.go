@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"haindex/internal/bitvec"
-	"haindex/internal/histo"
 	"haindex/internal/wire"
 )
 
@@ -12,14 +11,15 @@ import (
 // mutable LSM tier (haserve -mutable). Against immutable shards the
 // server's error frame surfaces through the normal retry path.
 
-// Insert applies a batch of upserts across the deployment. Each (id, code)
-// pair is routed to the shard owning the code's Gray partition — the same
-// pivot routing the build used, so mutations land where a future search
-// will look. The ids are also broadcast as deletes to every other shard: an
-// upsert that moves an id across a partition boundary (its code changed
-// ranges) must retire the old copy wherever it lives, leaving exactly one
-// live version deployment-wide. It returns how many pairs superseded an
-// older live version.
+// Insert applies a batch of upserts across the deployment in one pipelined
+// round: every shard receives the whole batch. Each shard upserts the pairs
+// whose code falls in its own Gray partition — the same pivot routing the
+// build used, so mutations land where a future search will look — and
+// deletes the ids of the rest, so an upsert that moves an id across a
+// partition boundary retires the old copy wherever it lives, leaving exactly
+// one live version deployment-wide. Each shard's frame is its own unit: a
+// failed leg fails the call, and the other shards have applied theirs. It
+// returns how many pairs superseded an older live version.
 func (r *Router) Insert(ids []int, codes []bitvec.Code) (int, error) {
 	if len(ids) != len(codes) {
 		return 0, fmt.Errorf("client: %d ids but %d codes", len(ids), len(codes))
@@ -30,49 +30,17 @@ func (r *Router) Insert(ids []int, codes []bitvec.Code) (int, error) {
 	if len(ids) == 0 {
 		return 0, nil
 	}
-	// Two pipelined rounds: retire every id on the shards that do not own its
-	// new code, then land the upserts — except on a shard whose delete failed.
-	ownIDs := make([][]int, len(r.shards))
-	ownCodes := make([][]bitvec.Code, len(r.shards))
-	foreign := make([][]int, len(r.shards))
-	for i, c := range codes {
-		own := histo.PartitionID(r.pivots, c)
-		ownIDs[own] = append(ownIDs[own], ids[i])
-		ownCodes[own] = append(ownCodes[own], c)
-		for m := range r.shards {
-			if m != own {
-				foreign[m] = append(foreign[m], ids[i])
-			}
-		}
-	}
-	var dels, ins []leg
-	for m, sh := range r.shards {
-		if len(foreign[m]) > 0 {
-			dels = append(dels, deleteLeg(sh, foreign[m]))
-		}
-	}
-	replaced := r.runDeletes(dels)
-	for _, lg := range dels {
-		if lg.err != nil {
-			ownIDs[lg.sh.part] = nil
-		}
-	}
-	for m, sh := range r.shards {
-		if len(ownIDs[m]) > 0 {
-			req := wire.InsertReq{IDs: ownIDs[m], Codes: ownCodes[m]}
-			ins = append(ins, leg{sh: sh, t: wire.MsgInsert, want: wire.MsgInsertOK, payload: req.Append(nil)})
-		}
-	}
-	r.fanOut(ins, routePrimary, nil)
-	for i := range ins {
-		lg := &ins[i]
+	legs := r.broadcast(wire.MsgInsert, wire.MsgInsertOK, wire.InsertReq{IDs: ids, Codes: codes}.Append(nil))
+	replaced := 0
+	for i := range legs {
+		lg := &legs[i]
 		var resp wire.InsertResp
 		if lg.err == nil {
 			resp, lg.err = wire.ParseInsertResp(lg.resp)
 		}
 		replaced += resp.Replaced
 	}
-	if err := firstErr(dels, ins); err != nil {
+	if err := firstErr(legs); err != nil {
 		return 0, err
 	}
 	return replaced, nil
@@ -86,25 +54,8 @@ func (r *Router) Delete(ids []int) (int, error) {
 	if len(ids) == 0 {
 		return 0, nil
 	}
-	legs := make([]leg, len(r.shards))
-	for m, sh := range r.shards {
-		legs[m] = deleteLeg(sh, ids)
-	}
-	deleted := r.runDeletes(legs)
-	if err := firstErr(legs); err != nil {
-		return 0, err
-	}
-	return deleted, nil
-}
-
-func deleteLeg(sh *shard, ids []int) leg {
-	return leg{sh: sh, t: wire.MsgDelete, want: wire.MsgDeleteOK, payload: wire.DeleteReq{IDs: ids}.Append(nil)}
-}
-
-// runDeletes fans delete legs out and returns how many ids they found live;
-// a failed leg keeps its error.
-func (r *Router) runDeletes(legs []leg) (deleted int) {
-	r.fanOut(legs, routePrimary, nil)
+	legs := r.broadcast(wire.MsgDelete, wire.MsgDeleteOK, wire.DeleteReq{IDs: ids}.Append(nil))
+	deleted := 0
 	for i := range legs {
 		lg := &legs[i]
 		var resp wire.DeleteResp
@@ -113,16 +64,29 @@ func (r *Router) runDeletes(legs []leg) (deleted int) {
 		}
 		deleted += resp.Deleted
 	}
-	return deleted
+	if err := firstErr(legs); err != nil {
+		return 0, err
+	}
+	return deleted, nil
 }
 
-// firstErr returns the first failed leg's error, in the order given.
-func firstErr(rounds ...[]leg) error {
-	for _, legs := range rounds {
-		for i := range legs {
-			if legs[i].err != nil {
-				return legs[i].err
-			}
+// broadcast sends every shard's primary the same frame in one pipelined
+// round and returns the legs, indexed by partition id; a failed leg keeps
+// its error.
+func (r *Router) broadcast(t, want wire.MsgType, payload []byte) []leg {
+	legs := make([]leg, len(r.shards))
+	for m, sh := range r.shards {
+		legs[m] = leg{sh: sh, t: t, want: want, payload: payload}
+	}
+	r.fanOut(legs, routePrimary, nil)
+	return legs
+}
+
+// firstErr returns the first failed leg's error, in partition order.
+func firstErr(legs []leg) error {
+	for i := range legs {
+		if legs[i].err != nil {
+			return legs[i].err
 		}
 	}
 	return nil
@@ -135,12 +99,7 @@ func firstErr(rounds ...[]leg) error {
 // acknowledged mutation is in an immutable segment.
 func (r *Router) Seal(compact bool) ([]wire.SealOK, error) {
 	out := make([]wire.SealOK, len(r.shards))
-	payload := wire.SealReq{Compact: compact}.Append(nil)
-	legs := make([]leg, len(r.shards))
-	for m, sh := range r.shards {
-		legs[m] = leg{sh: sh, t: wire.MsgSeal, want: wire.MsgSealOK, payload: payload}
-	}
-	r.fanOut(legs, routePrimary, nil)
+	legs := r.broadcast(wire.MsgSeal, wire.MsgSealOK, wire.SealReq{Compact: compact}.Append(nil))
 	for m := range legs {
 		lg := &legs[m]
 		if lg.err == nil {

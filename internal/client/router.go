@@ -432,30 +432,41 @@ func nonEmpty(runs [][]int) [][]int {
 	return runs[:n]
 }
 
-// mergeRuns appends to dst the ascending merge of runs, each ascending. Every
-// run is merged from the back into what the ones before it left, in place: dst
-// grows by the run's length, and the write index stays ahead of the read index
-// until one side is used up. Two runs, a deployment's usual fan-out, cost one
+// mergeRuns appends to dst the ascending merge of runs, each ascending, with
+// one copy of a value two runs hold: an id that a cross-partition upsert had
+// live on two shards while a search's legs were in flight. Every run is
+// merged from the back into what the ones before it left, in place: dst grows
+// by the run's length, and the write index stays ahead of the read index
+// until one side is used up; a value both sides held leaves a gap, closed
+// once the run is in. Two runs, a deployment's usual fan-out, cost one
 // comparison an element.
 func mergeRuns[T cmp.Ordered](dst []T, runs [][]T) []T {
 	base := len(dst)
 	for _, run := range runs {
 		i, j := len(dst)-1, len(run)-1
 		dst = append(dst, run...) // for the room; the loop overwrites it
-		for w := len(dst) - 1; i >= base && j >= 0; w-- {
+		w := len(dst) - 1
+		for ; i >= base && j >= 0; w-- {
 			// Which side is next is a coin toss for ids hashed across shards:
-			// select the value and step the index without a branch on it.
-			a, b, fromDst := dst[i], run[j], 0
-			if a > b {
-				b, fromDst = a, 1
-			}
-			dst[w] = b
-			i -= fromDst
-			j -= 1 - fromDst
+			// select the value and step the indexes without a branch on it.
+			a, b := dst[i], run[j]
+			dst[w] = max(a, b)
+			i -= b2i(a >= b)
+			j -= b2i(b >= a)
 		}
 		copy(dst[base:], run[:j+1]) // what is left of run is under everything merged
+		end := i + j + 2            // where the leftovers end, under any gap
+		dst = dst[:end+copy(dst[end:], dst[w+1:])]
 	}
 	return dst
+}
+
+// b2i is 1 for true and 0 for false, as a conditional move.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TopK returns the k nearest ids (with Hamming distances) per query,
@@ -490,12 +501,14 @@ func (r *Router) TopK(queries []bitvec.Code, k int) ([][]int, [][]int, error) {
 	}
 	// Merge per query. A shard's list is (distance, id)-ordered and both fit
 	// in 31 bits (wire.ParseTopKResp), so packed as distance<<32|id each list
-	// is an ascending run of keys and the k nearest are the first k of the
-	// merge.
+	// is an ascending run of keys and the k nearest are the first k distinct
+	// ids of the merge: an id two shards returned, because a cross-partition
+	// upsert had it live on both, keeps its first, nearest key.
 	ids := make([][]int, len(queries))
 	dists := make([][]int, len(queries))
 	var keys, merged []int64
 	runs := make([][]int64, len(resps))
+	seen := make(map[int64]struct{})
 	for i := range queries {
 		total := 0
 		for _, resp := range resps {
@@ -510,9 +523,19 @@ func (r *Router) TopK(queries []bitvec.Code, k int) ([][]int, [][]int, error) {
 			runs[m] = keys[start:]
 		}
 		merged = mergeRuns(merged[:0], runs)
-		if len(merged) > k {
-			merged = merged[:k]
+		clear(seen)
+		n := 0
+		for _, key := range merged {
+			if n == k {
+				break
+			}
+			if _, dup := seen[key&math.MaxUint32]; !dup {
+				seen[key&math.MaxUint32] = struct{}{}
+				merged[n] = key
+				n++
+			}
 		}
+		merged = merged[:n]
 		if len(merged) == 0 {
 			continue
 		}

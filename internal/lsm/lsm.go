@@ -322,9 +322,10 @@ func (s *Shard) Obs() *obs.Registry { return s.reg }
 // Frozen returns a read-only shard that serves idx as its one segment,
 // planned in the background (see seed). It walks no ids — a snapshot's are
 // unique — and so takes no mutation: Insert, Delete, Seal and Compact panic,
-// and Bootstrap refuses.
-func Frozen(idx *core.FrozenIndex, opts Options) *Shard {
-	s := New(idx.Length(), opts)
+// and Bootstrap refuses. It takes no Options: both of them drive the seals
+// and compactions it refuses.
+func Frozen(idx *core.FrozenIndex) *Shard {
+	s := New(idx.Length(), Options{})
 	s.booted, s.readOnly = true, true
 	s.seed(&segment{idx: idx})
 	return s

@@ -544,7 +544,7 @@ func TestSegmentFreeListKeepsEverySearcher(t *testing.T) {
 	for i := range ids {
 		ids[i] = i
 	}
-	s := Frozen(buildFrozen(codes, ids, core.Options{}), Options{})
+	s := Frozen(buildFrozen(codes, ids, core.Options{}))
 	defer s.Close()
 	waitPlanned(t, s)
 	seg := s.state.Load().segments[0]
@@ -675,7 +675,7 @@ func TestFrozenServesBeforeThePlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer fz.Close()
-		s := heldFrozen(t, fz, Options{})
+		s := heldFrozen(t, fz)
 		reg := s.Obs()
 		if g := reg.Gauge("lsm.unplanned_segments").Value(); g != 1 {
 			t.Fatalf("%s: lsm.unplanned_segments = %d with the plan held off", load.name, g)
@@ -691,14 +691,14 @@ func TestFrozenServesBeforeThePlan(t *testing.T) {
 	}
 }
 
-// heldFrozen returns Frozen(fz, opts) with its structMu held before the
+// heldFrozen returns Frozen(fz) with its structMu held before the
 // background planner took it, so the segment stays unplanned until the
 // caller unlocks. The planner goroutine seldom runs before Frozen's caller
 // does; a shard it got to first is closed and the load tried again.
-func heldFrozen(t *testing.T, fz *core.FrozenIndex, opts Options) *Shard {
+func heldFrozen(t *testing.T, fz *core.FrozenIndex) *Shard {
 	t.Helper()
 	for try := 0; try < 100; try++ {
-		s := Frozen(fz, opts)
+		s := Frozen(fz)
 		if s.structMu.TryLock() {
 			if s.state.Load().segments[0].plan.Load() == nil {
 				return s
@@ -729,7 +729,7 @@ func TestFrozenShard(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer fz.Close()
-		s := Frozen(fz, Options{})
+		s := Frozen(fz)
 		reg := s.Obs()
 		defer s.Close()
 		ro = s

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"haindex/internal/core"
+	"haindex/internal/histo"
 	"haindex/internal/lsm"
 	"haindex/internal/obs"
 	"haindex/internal/planner"
@@ -150,14 +151,14 @@ const maxKeptIDs = 1 << 18
 // background (lsm.Frozen). MIH and the scan read the index's own leaf arena,
 // so the index must not be closed while the server runs.
 func New(meta wire.SnapshotMeta, idx *core.FrozenIndex, opts Options) (*Server, error) {
-	if idx.Length() != meta.Length {
-		return nil, fmt.Errorf("server: index is %d-bit, snapshot header says %d", idx.Length(), meta.Length)
-	}
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	return newServer(meta, lsm.Frozen(idx, lsm.Options{}), opts), nil
+	if idx.Length() != meta.Length {
+		return nil, fmt.Errorf("server: index is %d-bit, snapshot header says %d", idx.Length(), meta.Length)
+	}
+	return newServer(meta, lsm.Frozen(idx), opts), nil
 }
 
 // NewMutable builds a server over a mutable LSM shard, which plans each
@@ -615,7 +616,10 @@ func (s *Server) answerTopK(payload []byte, tr *obs.Trace) (wire.MsgType, []byte
 	return wire.MsgTopKOK, resp.Append(nil)
 }
 
-// answerInsert applies a batch of upserts to the mutable shard.
+// answerInsert applies the router's whole batch: it upserts each pair whose
+// code falls in this shard's Gray range and deletes the id of every other, so
+// an upsert that moved an id's code to another partition retires the old
+// copy here. Replaced counts both.
 func (s *Server) answerInsert(payload []byte) (wire.MsgType, []byte) {
 	req, err := wire.ParseInsertReq(payload, s.meta.Length)
 	if err != nil {
@@ -623,17 +627,18 @@ func (s *Server) answerInsert(payload []byte) (wire.MsgType, []byte) {
 	}
 	replaced := 0
 	for i, c := range req.Codes {
-		if s.shard.Insert(req.IDs[i], c) {
+		var live bool
+		if histo.PartitionID(s.meta.Pivots, c) == s.meta.Part {
+			live = s.shard.Insert(req.IDs[i], c)
+		} else {
+			live = s.shard.Delete(req.IDs[i])
+		}
+		if live {
 			replaced++
 		}
 	}
 	st := s.shard.Stats()
-	resp := wire.InsertResp{
-		Upserts:      len(req.IDs),
-		Replaced:     replaced,
-		MemtableSize: st.MemtableSize,
-		Epoch:        st.Epoch,
-	}
+	resp := wire.InsertResp{Replaced: replaced, MemtableSize: st.MemtableSize, Epoch: st.Epoch}
 	return wire.MsgInsertOK, resp.Append(nil)
 }
 

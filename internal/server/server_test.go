@@ -659,7 +659,7 @@ func TestServerEngineValidation(t *testing.T) {
 
 	// NewMutable refuses a read-only shard: the shard decides whether the
 	// mutation frames are served.
-	if _, err := NewMutable(meta, lsm.Frozen(idx, lsm.Options{}), Options{}); err == nil {
+	if _, err := NewMutable(meta, lsm.Frozen(idx), Options{}); err == nil {
 		t.Fatal("mutable server accepted a read-only shard")
 	}
 

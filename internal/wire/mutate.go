@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"haindex/internal/bitvec"
 )
@@ -12,16 +13,24 @@ import (
 // structural epoch so a client can observe when its writes caused a seal or
 // compaction swap.
 
-// InsertReq is a batch of upserts: each (id, code) pair replaces any live
-// tuple with the same id, wherever it sits in the LSM layering.
+// InsertReq is a batch of upserts, and the router sends every shard the
+// whole batch. A shard upserts each (id, code) pair whose code falls in its
+// own Gray range, replacing any live tuple with the same id wherever it sits
+// in the LSM layering, and deletes the id of every other pair, so an id whose
+// code moved to another partition leaves no copy behind.
 type InsertReq struct {
 	IDs   []int
 	Codes []bitvec.Code
 }
 
+// Append sizes dst for the whole batch first: the router encodes it once,
+// for every shard.
 func (m InsertReq) Append(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(m.IDs)))
 	codes := m.Codes[:len(m.IDs)]
+	if len(codes) > 0 {
+		dst = slices.Grow(dst, (1+len(codes))*binary.MaxVarintLen64+len(codes)*bitvec.EncodedLen(codes[0].Len()))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(m.IDs)))
 	for i, id := range m.IDs {
 		dst = binary.AppendUvarint(dst, uint64(id))
 		dst = codes[i].AppendBytes(dst)
@@ -29,28 +38,29 @@ func (m InsertReq) Append(dst []byte) []byte {
 	return dst
 }
 
-// ParseInsertReq decodes a batch whose codes have the session's length.
+// ParseInsertReq decodes a batch whose codes have the session's length. As in
+// ParseSearchReq, the batch's codes share one word slab, sized by the count.
 func ParseInsertReq(payload []byte, length int) (InsertReq, error) {
 	p := &buf{b: payload}
-	var m InsertReq
-	n := p.count(1 + bitvec.EncodedLen(length))
+	nw := bitvec.EncodedLen(length) / 8
+	n := p.count(1 + 8*nw)
+	words := make([]uint64, n*nw)
+	m := InsertReq{IDs: make([]int, 0, n), Codes: make([]bitvec.Code, 0, n)}
 	for i := 0; i < n && p.err == nil; i++ {
 		m.IDs = append(m.IDs, p.intv())
-		m.Codes = append(m.Codes, p.code(length))
+		m.Codes = append(m.Codes, p.codeInto(words[i*nw:(i+1)*nw], length))
 	}
 	return m, p.done()
 }
 
 // InsertResp acknowledges a batch of upserts.
 type InsertResp struct {
-	Upserts      int // pairs applied (the whole batch, inserts are total)
-	Replaced     int // pairs that superseded an older live version
+	Replaced     int // pairs whose id was live on this shard: upserted over or deleted
 	MemtableSize int
 	Epoch        uint64
 }
 
 func (m InsertResp) Append(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(m.Upserts))
 	dst = binary.AppendUvarint(dst, uint64(m.Replaced))
 	dst = binary.AppendUvarint(dst, uint64(m.MemtableSize))
 	return binary.AppendUvarint(dst, m.Epoch)
@@ -59,7 +69,6 @@ func (m InsertResp) Append(dst []byte) []byte {
 func ParseInsertResp(payload []byte) (InsertResp, error) {
 	p := &buf{b: payload}
 	m := InsertResp{
-		Upserts:      p.intv(),
 		Replaced:     p.intv(),
 		MemtableSize: p.intv(),
 		Epoch:        p.uvarint(),

@@ -26,7 +26,7 @@ func TestMutateMessageRoundTrips(t *testing.T) {
 		}
 	}
 
-	ir := InsertResp{Upserts: 5, Replaced: 2, MemtableSize: 41, Epoch: 9}
+	ir := InsertResp{Replaced: 2, MemtableSize: 41, Epoch: 9}
 	if got, err := ParseInsertResp(ir.Append(nil)); err != nil || got != ir {
 		t.Fatalf("insert resp: %+v err %v", got, err)
 	}
@@ -91,7 +91,7 @@ func FuzzParseMutationFrames(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	ins := InsertReq{IDs: []int{1, 2}, Codes: randCodes(rng, 2, 32)}
 	f.Add(uint8(0), ins.Append(nil))
-	f.Add(uint8(1), InsertResp{Upserts: 2, Replaced: 1, MemtableSize: 7, Epoch: 3}.Append(nil))
+	f.Add(uint8(1), InsertResp{Replaced: 1, MemtableSize: 7, Epoch: 3}.Append(nil))
 	f.Add(uint8(2), DeleteReq{IDs: []int{5, 6, 7}}.Append(nil))
 	f.Add(uint8(3), DeleteResp{Deleted: 1, Epoch: 4}.Append(nil))
 	f.Add(uint8(4), SealReq{Compact: true}.Append(nil))

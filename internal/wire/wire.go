@@ -34,8 +34,11 @@ import (
 )
 
 // Version is the one protocol version this build speaks; both ends of a
-// session must match it exactly. Bump on any frame layout change.
-const Version = 7
+// session must match it exactly. Bump on any frame layout change, or on a
+// change to what a frame means. v8: every shard receives an upsert's whole
+// batch and keeps the pairs its Gray range owns (a v7 server would land
+// every pair on every shard), and InsertResp carries no Upserts count.
+const Version = 8
 
 // Engine hints a SearchReq can carry. EngineAuto (the zero value) is never
 // put on the wire — Append omits the field.

@@ -368,7 +368,7 @@ func TestShedRespRoundTrip(t *testing.T) {
 // bytes captured at commit e5ed28f, before protocol v6 and HASN v4 became the
 // only versions; protocol v7 dropped the priority varint after the engine
 // hint and the stats frame's cache and pool fields, and the hello carries
-// the version number.
+// the version number; v8 dropped the insert acknowledgement's upsert count.
 func TestGoldenBytes(t *testing.T) {
 	q := []bitvec.Code{bitvec.MustFromString("1010110011110000"), bitvec.MustFromString("0000111100110101")}
 	frozen := buildFrozen(q, []int{7, 9})
@@ -385,9 +385,10 @@ func TestGoldenBytes(t *testing.T) {
 		{"search engine hint", "0302acf00000000000000f3500000000000002", SearchReq{H: 3, Engine: EngineMIH, Queries: q}.Append(nil)},
 		{"stats", "010203040506070809e807d00fb817a01f0e",
 			StatsResp{1, 2, 3, 4, 5, 6, 7, 8, 9, 1000, 2000, 3000, 4000, 14}.Append(nil)},
-		{"hello-ok", "07100103ac0202acf00000000000000f35000000000000",
+		{"hello-ok", "08100103ac0202acf00000000000000f35000000000000",
 			HelloOK{Version: Version, SnapshotMeta: SnapshotMeta{Length: 16, Part: 1, Parts: 3, Pivots: q}, Tuples: 300}.Append(nil)},
 		{"shed", "e0c65b", ShedResp{WaitNs: 1500000}.Append(nil)},
+		{"insert-ok", "010203", InsertResp{Replaced: 1, MemtableSize: 2, Epoch: 3}.Append(nil)},
 		{"HASN header + pad, then the arena", hasnHeader + "4841445804000000", snap.Bytes()[:len(hasnHeader)/2+8]},
 	} {
 		if got := hex.EncodeToString(tc.got); got != tc.want {

@@ -27,7 +27,9 @@
 # by mutable (LSM) shards, which must report their snapshot segment's plan
 # timings once it lands: searches pinned to MIH and to the scan must match
 # the oracle before any write, then insert -> seal -> compact -> upsert ->
-# delete are driven through haquery with searches verifying every step;
+# delete are driven through haquery with searches verifying every step (the
+# upsert moves the tuple to the other shard's partition and costs each shard
+# exactly one mutation frame);
 # mutable shards' /debug/obs must then show the search after the seal run
 # through MIH, and pinned searches must match the oracle again.
 set -eu
@@ -246,11 +248,20 @@ if [ "$SMOKE_LSM" = "1" ]; then
         echo "$total"
     }
 
-    # Two distinct codes from the dataset: the insert target and the upsert
-    # destination (which may live in a different Gray partition).
-    C0=$(sed -n '1p' "$WORK/shards/codes.txt")
-    C1=$(grep -v -x "$C0" "$WORK/shards/codes.txt" | sed -n '1p')
-    [ -n "$C1" ] || { echo "smoke: dataset has only one distinct code" >&2; exit 1; }
+    # The dataset's codes in Gray order (a code's Gray rank is the running
+    # XOR of its bits): the first lies in partition 0 and the last in
+    # partition 1, so an upsert from one to the other retires a copy on the
+    # other shard.
+    gray_sorted() {
+        awk '{r = ""; x = 0; for (i = 1; i <= length($0); i++) { x = (x + substr($0, i, 1)) % 2; r = r x }; print r, $0}' \
+            "$WORK/shards/codes.txt" | sort | awk '{print $2}'
+    }
+    C0=$(gray_sorted | head -n 1)
+    C1=$(gray_sorted | tail -n 1)
+    # delta NAME M prints how far counter NAME, or histogram NAME's count,
+    # moved on shard M between its before.json and after.json snapshots.
+    count() { awk -v n="\"$1\":" '$1 == n {if ($2 ~ /^[0-9]/) {print $2 + 0; exit} f = 1} f && /"count":/ {gsub(/[^0-9]/, ""); print; exit}' "$2"; }
+    delta() { echo $(($(count "$1" "$WORK/$2.after.json") - $(count "$1" "$WORK/$2.before.json"))); }
 
     echo "smoke: insert a fresh tuple, verify it is searchable"
     "$WORK/bin/haquery" -shards "$MADDR" -insert "90001:$C0"
@@ -271,10 +282,23 @@ if [ "$SMOKE_LSM" = "1" ]; then
         echo "smoke: no segment search ran through MIH after the seal" >&2; exit 1; }
     echo "smoke: lsm.search_mih $BEFORE -> $MIH across the search after the seal"
 
-    echo "smoke: upsert moves the tuple to a new code"
-    "$WORK/bin/haquery" -shards "$MADDR" -insert "90001:$C1"
-    "$WORK/bin/haquery" -shards "$MADDR" -codes "$C1" -h 0 -v | grep -q 90001 || {
+    echo "smoke: upsert moves the tuple from partition 0 to partition 1, one frame a shard"
+    for m in m0 m1; do fetch_obs "$(cat "$WORK/$m.debug")" "$WORK/$m.before.json"; done
+    # The top-k after the upsert reaches both shards on the upsert's
+    # connections, so each has counted the upsert's frame when it answers.
+    OUT=$("$WORK/bin/haquery" -shards "$MADDR" -insert "90001:$C1" -codes "$C1" -h 0 -topk 1 -v)
+    echo "$OUT" | grep -q '(1 replaced an older version)' || {
+        echo "smoke: the upsert of live tuple 90001 replaced nothing: $OUT" >&2; exit 1; }
+    echo "$OUT" | grep -q 'matches.*90001' || {
         echo "smoke: upserted tuple 90001 not at its new code" >&2; exit 1; }
+    for m in m0 m1; do fetch_obs "$(cat "$WORK/$m.debug")" "$WORK/$m.after.json"; done
+    FRAMES="$(delta req.mutate_ns m0) $(delta req.mutate_ns m1)"
+    MOVE="$(delta lsm.deletes m0) $(delta lsm.inserts m0) $(delta lsm.deletes m1) $(delta lsm.inserts m1)"
+    [ "$FRAMES" = "1 1" ] || {
+        echo "smoke: one upsert cost the shards $FRAMES mutation frames, want 1 each" >&2; exit 1; }
+    [ "$MOVE" = "1 0 0 1" ] || {
+        echo "smoke: the upsert's deletes and inserts on the shards are $MOVE, want shard 0 to delete and shard 1 to insert" >&2; exit 1; }
+    echo "smoke: the upsert cost each shard one frame: shard 0 retired the tuple, shard 1 took it"
     if "$WORK/bin/haquery" -shards "$MADDR" -codes "$C0" -h 0 -v | grep -q 90001; then
         echo "smoke: upsert left a stale copy of tuple 90001 at the old code" >&2; exit 1
     fi
