@@ -123,7 +123,9 @@ bench-startup:
 	$(GO) test -run=NONE -bench='BenchmarkNew$$' -benchmem ./internal/planner/
 	$(GO) test -run=NONE -bench='LoadSnapshotFile|TopK' -benchmem ./internal/server/
 
-# Offline-pipeline microbenchmarks: the spectral-hash kernel, one map task's
+# Offline-pipeline microbenchmarks: phase 1's hash learning (LearnSpectral on
+# 6,000 sampled 225-d vectors, 64 bits, the mrjoin Preprocess shape) and the
+# covariance it starts from, the spectral-hash kernel, one map task's
 # per-record work (decode, hash, route, emit), and a join reducer's search (30k
 # probes through a 30k-code forest of two parts, h=3): on spectral-hashed
 # NUS-WIDE-like codes, the HA block walk beside the planned search a job runs
@@ -131,7 +133,8 @@ bench-startup:
 # planned engine), and on clustered codes the block walk alone; with
 # allocation counts.
 bench-offline:
-	$(GO) test -run=NONE -bench='SpectralHash' -benchmem ./internal/hash/
+	$(GO) test -run=NONE -bench='Covariance' -benchmem ./internal/vector/
+	$(GO) test -run=NONE -bench='SpectralHash|LearnSpectral' -benchmem ./internal/hash/
 	$(GO) test -run=NONE -bench='RouteMapper|JoinReduce' -benchmem ./internal/mrjoin/
 	$(GO) test -run=NONE -bench='SearchBatchFrozen' -benchmem ./internal/core/
 

@@ -265,7 +265,9 @@ func LearnSpectralHash(sample []Vec, bits int) (*SpectralHash, error) {
 // NewSimHash returns a random-hyperplane hash over d-dimensional inputs.
 func NewSimHash(d, bits int, seed int64) *SimHash { return hash.NewSimHash(d, bits, seed) }
 
-// HashAll maps a batch of vectors through a hash function.
+// HashAll maps a batch of vectors through a hash function, split over
+// GOMAXPROCS workers; f.Hash must be safe for concurrent use, as the
+// spectral hash's and SimHash's are. The codes do not depend on the split.
 func HashAll(f HashFunc, vs []Vec) []Code { return hash.HashAll(f, vs) }
 
 // ---- Datasets ----

@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 
 	"haindex/internal/bitvec"
 	"haindex/internal/vector"
@@ -31,12 +33,32 @@ type Func interface {
 	Dim() int
 }
 
-// HashAll maps a batch of vectors through f.
+// HashAll maps a batch of vectors through f. The batch is split into one
+// contiguous range per GOMAXPROCS worker, so f.Hash must be safe for
+// concurrent use (Spectral's and SimHash's are). A code depends on its own
+// vector alone, so the result does not depend on the split. A vector whose
+// dimension is not f's panics here, before any worker starts.
 func HashAll(f Func, vs []vector.Vec) []bitvec.Code {
-	out := make([]bitvec.Code, len(vs))
-	for i, v := range vs {
-		out[i] = f.Hash(v)
+	d := f.Dim()
+	for _, v := range vs {
+		if len(v) != d {
+			panic(fmt.Sprintf("hash: %d-d vector in a batch for a %d-d function", len(v), d))
+		}
 	}
+	out := make([]bitvec.Code, len(vs))
+	workers := min(runtime.GOMAXPROCS(0), len(vs))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := w*len(vs)/workers, (w+1)*len(vs)/workers
+		wg.Add(1)
+		go func() {
+			for i := lo; i < hi; i++ {
+				out[i] = f.Hash(vs[i])
+			}
+			wg.Done()
+		}()
+	}
+	wg.Wait()
 	return out
 }
 
@@ -77,7 +99,8 @@ type kernelBit struct {
 
 // LearnSpectral learns a bits-bit spectral hash function from a sample of the
 // dataset. The number of principal components used is min(bits, d). It
-// returns an error when the sample is too small to estimate a covariance.
+// returns an error when the sample is too small to estimate a covariance or
+// when its rows differ in dimension.
 func LearnSpectral(sample []vector.Vec, bits int) (*Spectral, error) {
 	if len(sample) < 2 {
 		return nil, fmt.Errorf("hash: spectral learning needs >= 2 samples, got %d", len(sample))
@@ -86,31 +109,17 @@ func LearnSpectral(sample []vector.Vec, bits int) (*Spectral, error) {
 		return nil, fmt.Errorf("hash: invalid code length %d", bits)
 	}
 	d := len(sample[0])
+	for i, v := range sample {
+		if len(v) != d {
+			return nil, fmt.Errorf("hash: sample row %d is not %d-d like row 0", i, d)
+		}
+	}
 	npc := bits
 	if npc > d {
 		npc = d
 	}
 	mean, proj := vector.PCATopK(sample, npc, 100)
-
-	// Projected ranges per principal direction.
-	mn := make([]float64, npc)
-	mx := make([]float64, npc)
-	for i := range mn {
-		mn[i] = math.Inf(1)
-		mx[i] = math.Inf(-1)
-	}
-	for _, v := range sample {
-		c := v.Sub(mean)
-		for i := 0; i < npc; i++ {
-			p := vector.Vec(proj.Row(i)).Dot(c)
-			if p < mn[i] {
-				mn[i] = p
-			}
-			if p > mx[i] {
-				mx[i] = p
-			}
-		}
-	}
+	mn, mx := sampleRanges(sample, mean, proj)
 
 	// Candidate eigenfunctions (pc, mode k) with analytical eigenvalue
 	// proportional to (k/(mx-mn))²; keep the bits smallest.
@@ -153,6 +162,43 @@ func LearnSpectral(sample []vector.Vec, bits int) (*Spectral, error) {
 	s.compile()
 	return s, nil
 }
+
+// sampleRanges returns the least and the greatest projection of the
+// sample's centred rows on each principal direction (each row of proj).
+// Every row is centred into one reused vector and projected on four
+// directions per pass (vector.Mat.MulVecTo); each projection sums its
+// products in index order, so it is the direction's Dot with the centred
+// row to the bit.
+func sampleRanges(sample []vector.Vec, mean vector.Vec, proj *vector.Mat) (mn, mx []float64) {
+	mn = make([]float64, proj.Rows)
+	mx = make([]float64, proj.Rows)
+	for i := range mn {
+		mn[i] = math.Inf(1)
+		mx[i] = math.Inf(-1)
+	}
+	c := make(vector.Vec, len(mean))
+	ps := make(vector.Vec, proj.Rows)
+	for _, v := range sample {
+		for j, x := range v {
+			c[j] = x - mean[j]
+		}
+		for i, p := range proj.MulVecTo(ps, c) {
+			if p < mn[i] {
+				mn[i] = p
+			}
+			if p > mx[i] {
+				mx[i] = p
+			}
+		}
+	}
+	return mn, mx
+}
+
+// Bits returns the code length.
+func (s *Spectral) Bits() int { return len(s.bits) }
+
+// Dim returns the input dimensionality.
+func (s *Spectral) Dim() int { return s.dim }
 
 // compile lays the learned function out for Hash: the principal rows some
 // bit references, copied back to back in first-use order, each with the
@@ -241,12 +287,6 @@ func (s *Spectral) project(ps []float64, v []float64) {
 		ps[i] = a - s.off[i]
 	}
 }
-
-// Bits returns the code length.
-func (s *Spectral) Bits() int { return len(s.bits) }
-
-// Dim returns the input dimensionality.
-func (s *Spectral) Dim() int { return s.dim }
 
 // SimHash is Charikar's random-hyperplane hash: bit j is the sign of the
 // inner product with a fixed random Gaussian direction. It is

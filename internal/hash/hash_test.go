@@ -1,11 +1,17 @@
 package hash
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"haindex/internal/bitvec"
+	"haindex/internal/dataset"
 	"haindex/internal/vector"
 )
 
@@ -71,6 +77,14 @@ func TestLearnSpectralErrors(t *testing.T) {
 	}
 	if _, err := LearnSpectral(same, 8); err == nil {
 		t.Error("expected error on degenerate sample")
+	}
+	// A row longer or shorter than row 0 is named, not a panic.
+	for _, bad := range []vector.Vec{{1, 2, 3}, {1}} {
+		ragged := []vector.Vec{{1, 2}, {3, 5}, {2, 7}, bad, {4, 4}}
+		_, err := LearnSpectral(ragged, 2)
+		if err == nil || !strings.Contains(err.Error(), "row 3 is not 2-d") {
+			t.Errorf("%d-d row 3 among 2-d rows: err = %v, want it named", len(bad), err)
+		}
 	}
 }
 
@@ -153,15 +167,134 @@ func TestSimHashAngleMonotonicity(t *testing.T) {
 	}
 }
 
+// TestHashAll: however the batch is split over workers, every code is the
+// one Hash gives its vector alone, in the batch's order.
 func TestHashAll(t *testing.T) {
-	s := NewSimHash(4, 8, 3)
-	vs := []vector.Vec{{1, 2, 3, 4}, {-1, -2, -3, -4}}
-	codes := HashAll(s, vs)
-	if len(codes) != 2 {
-		t.Fatalf("len=%d", len(codes))
+	rng := rand.New(rand.NewSource(43))
+	vs := uniformVecs(rng, 9, 2001)
+	sp, err := LearnSpectral(vs[:200], 16)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !codes[0].Equal(s.Hash(vs[0])) {
-		t.Error("HashAll mismatch")
+	for _, f := range []Func{NewSimHash(9, 8, 3), sp} {
+		for _, procs := range []int{1, 2, 3} {
+			prev := runtime.GOMAXPROCS(procs)
+			for _, n := range []int{0, 1, 2, 5, len(vs)} {
+				codes := HashAll(f, vs[:n])
+				if len(codes) != n {
+					t.Fatalf("procs=%d: %d codes for %d vectors", procs, len(codes), n)
+				}
+				for i, c := range codes {
+					if !c.Equal(f.Hash(vs[i])) {
+						t.Fatalf("procs=%d n=%d: code %d is not Hash of vector %d", procs, n, i, i)
+					}
+				}
+			}
+			runtime.GOMAXPROCS(prev)
+		}
+	}
+}
+
+// textbookRanges is the range loop as first written: a fresh Sub per row
+// and one Dot per principal direction.
+func textbookRanges(sample []vector.Vec, mean vector.Vec, proj *vector.Mat) (mn, mx []float64) {
+	mn = make([]float64, proj.Rows)
+	mx = make([]float64, proj.Rows)
+	for i := range mn {
+		mn[i] = math.Inf(1)
+		mx[i] = math.Inf(-1)
+	}
+	for _, v := range sample {
+		c := v.Sub(mean)
+		for i := 0; i < proj.Rows; i++ {
+			p := vector.Vec(proj.Row(i)).Dot(c)
+			if p < mn[i] {
+				mn[i] = p
+			}
+			if p > mx[i] {
+				mx[i] = p
+			}
+		}
+	}
+	return mn, mx
+}
+
+// TestSampleRangesMatchTextbookLoop holds the blocked range projection to
+// the textbook loop bit for bit: row counts not multiples of 4, direction
+// counts with and without a tail, a coordinate that centres to exactly 0 on
+// every row and a constant one, at GOMAXPROCS 1 and 2.
+func TestSampleRangesMatchTextbookLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, d := range []int{7, 225} {
+		for _, n := range []int{2, 5, 6001} {
+			sample := uniformVecs(rng, d, n)
+			for _, v := range sample {
+				v[0], v[1] = 0, 0.3
+			}
+			// The directions need not have converged to test the ranges.
+			mean, all := vector.PCATopK(sample, min(d, 64), 5)
+			for _, npc := range []int{3, all.Rows} {
+				proj := &vector.Mat{Rows: npc, Cols: d, Data: all.Data[:npc*d]}
+				wantMn, wantMx := textbookRanges(sample, mean, proj)
+				for _, procs := range []int{1, 2} {
+					prev := runtime.GOMAXPROCS(procs)
+					mn, mx := sampleRanges(sample, mean, proj)
+					runtime.GOMAXPROCS(prev)
+					for i := range mn {
+						if math.Float64bits(mn[i]) != math.Float64bits(wantMn[i]) || math.Float64bits(mx[i]) != math.Float64bits(wantMx[i]) {
+							t.Fatalf("d=%d n=%d npc=%d procs=%d: direction %d ranges [%v, %v], textbook [%v, %v]",
+								d, n, npc, procs, i, mn[i], mx[i], wantMn[i], wantMx[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLearnSpectralGolden pins what the learned function is: a digest of
+// its parameters (mean, principal directions, each bit's direction, mode,
+// offset and width, as float64 bits) and of the codes it gives 2,000
+// NUS-WIDE-like vectors it did not see. Both digests were computed with the
+// textbook one-row loops; a kernel that reorders one sum moves them.
+func TestLearnSpectralGolden(t *testing.T) {
+	const (
+		wantParams = "42dc1768189e4efb72db2e20f7d06766fec06d9a108e9ce221ce515c3345a974"
+		wantCodes  = "0ca7a70d3b45b717796d9b48558fe0ef353d3a4df5a5667e38c4f341b14d25ac"
+	)
+	data := dataset.Generate(dataset.NUSWide, 3000, 50)
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		s, err := LearnSpectral(data[:1000], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes := HashAll(s, data[1000:])
+		runtime.GOMAXPROCS(prev)
+		p := sha256.New()
+		put := func(x float64) { p.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x))) }
+		for _, x := range s.mean {
+			put(x)
+		}
+		for _, x := range s.proj.Data {
+			put(x)
+		}
+		for _, b := range s.bits {
+			put(float64(b.pc))
+			put(float64(b.k))
+			put(b.mn)
+			put(b.width)
+		}
+		if got := hex.EncodeToString(p.Sum(nil)); got != wantParams {
+			t.Errorf("procs=%d: learned parameters digest %s, want %s", procs, got, wantParams)
+		}
+		c := sha256.New()
+		for _, code := range codes {
+			c.Write(code.AppendBytes(nil))
+		}
+		if got := hex.EncodeToString(c.Sum(nil)); got != wantCodes {
+			t.Errorf("procs=%d: codes digest %s, want %s", procs, got, wantCodes)
+		}
 	}
 }
 
@@ -338,6 +471,24 @@ func TestHashAllocatesOnlyTheCode(t *testing.T) {
 }
 
 var benchCode bitvec.Code
+
+var benchSpectral *Spectral
+
+// BenchmarkLearnSpectral is phase 1's hash learning at the offline
+// pipeline's shape (mrjoin.Preprocess in the benchmark): a 64-bit spectral
+// hash from 6,000 sampled NUS-WIDE-like 225-d vectors.
+func BenchmarkLearnSpectral(b *testing.B) {
+	sample := dataset.Generate(dataset.NUSWide, 6000, 80)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := LearnSpectral(sample, 64)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSpectral = s
+	}
+}
 
 // BenchmarkSpectralHash is the per-record cost of every map task of the
 // offline pipeline: one 225-d vector through a 64-bit spectral hash.

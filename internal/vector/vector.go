@@ -1,7 +1,7 @@
 // Package vector provides dense d-dimensional vectors and the small pieces
-// of numerical linear algebra (mean, covariance, symmetric eigen-
-// decomposition) that the learned similarity hash functions and the exact
-// kNN baselines are built on.
+// of numerical linear algebra (mean, covariance, the leading eigenvectors of
+// a symmetric matrix by power iteration) that the learned similarity hash
+// functions and the exact kNN baselines are built on.
 package vector
 
 import (
@@ -19,14 +19,15 @@ func (v Vec) Clone() Vec {
 	return out
 }
 
-// Dot returns the inner product of v and w. It panics on dimension mismatch.
+// Dot returns the inner product of v and w, its products added in index
+// order, each rounded before it is added. It panics on dimension mismatch.
 func (v Vec) Dot(w Vec) float64 {
 	if len(v) != len(w) {
 		panic(fmt.Sprintf("vector: dot of %d-d and %d-d vectors", len(v), len(w)))
 	}
 	s := 0.0
 	for i, x := range v {
-		s += x * w[i]
+		s += float64(x * w[i])
 	}
 	return s
 }
@@ -96,24 +97,57 @@ func Mean(rows []Vec) Vec {
 // Covariance returns the d×d sample covariance matrix of the rows around
 // their mean, as a dense row-major matrix.
 func Covariance(rows []Vec) *Mat {
-	n := len(rows)
-	if n < 2 {
+	if len(rows) < 2 {
 		panic("vector: covariance needs at least 2 rows")
 	}
-	d := len(rows[0])
-	mean := Mean(rows)
+	return covariance(rows, Mean(rows))
+}
+
+// covariance is Covariance around the rows' mean, which the caller has
+// computed. Rows go four at a time: they are centred into one reused
+// scratch, and each upper-triangle row of the matrix takes their four
+// outer-product terms in one pass, so it is loaded and stored once per four
+// data rows instead of once per row. Every entry still adds its products in
+// row order, each rounded before it is added (the float64 conversions forbid
+// fusing into an FMA), and a centred component that is exactly 0 is skipped,
+// as in the one-row loop (against an infinite coordinate its products would
+// be NaN): the matrix is the textbook loop's to the bit, whatever n is.
+func covariance(rows []Vec, mean Vec) *Mat {
+	n, d := len(rows), len(mean)
 	cov := NewMat(d, d)
-	for _, r := range rows {
-		c := r.Sub(mean)
+	scratch := make([]float64, 4*d)
+	c0, c1, c2, c3 := scratch[:d], scratch[d:2*d], scratch[2*d:3*d], scratch[3*d:]
+	r := 0
+	for ; r+4 <= n; r += 4 {
+		centre(c0, rows[r], mean)
+		centre(c1, rows[r+1], mean)
+		centre(c2, rows[r+2], mean)
+		centre(c3, rows[r+3], mean)
 		for i := 0; i < d; i++ {
-			ci := c[i]
-			if ci == 0 {
+			row := cov.Data[i*d+i : (i+1)*d]
+			a0, a1, a2, a3 := c0[i], c1[i], c2[i], c3[i]
+			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+				for q := 0; q < 4; q++ {
+					c := scratch[q*d : (q+1)*d]
+					addScaled(row, c[i], c[i:])
+				}
 				continue
 			}
-			row := cov.Row(i)
-			for j := i; j < d; j++ {
-				row[j] += ci * c[j]
+			x0, x1, x2, x3 := c0[i:][:len(row)], c1[i:][:len(row)], c2[i:][:len(row)], c3[i:][:len(row)]
+			for j := range row {
+				s := row[j]
+				s += float64(a0 * x0[j])
+				s += float64(a1 * x1[j])
+				s += float64(a2 * x2[j])
+				s += float64(a3 * x3[j])
+				row[j] = s
 			}
+		}
+	}
+	for ; r < n; r++ {
+		centre(c0, rows[r], mean)
+		for i := 0; i < d; i++ {
+			addScaled(cov.Data[i*d+i:(i+1)*d], c0[i], c0[i:])
 		}
 	}
 	inv := 1 / float64(n-1)
@@ -125,6 +159,29 @@ func Covariance(rows []Vec) *Mat {
 		}
 	}
 	return cov
+}
+
+// centre writes r − mean into dst. It panics when r's dimension is not the
+// mean's.
+func centre(dst, r, mean Vec) {
+	if len(r) != len(mean) {
+		panic(fmt.Sprintf("vector: covariance of a %d-d row around a %d-d mean", len(r), len(mean)))
+	}
+	for j, x := range r {
+		dst[j] = x - mean[j]
+	}
+}
+
+// addScaled adds a·x[j] to row[j] for every j of row; a 0 adds nothing and
+// is skipped.
+func addScaled(row []float64, a float64, x []float64) {
+	if a == 0 {
+		return
+	}
+	x = x[:len(row)]
+	for j := range row {
+		row[j] += float64(a * x[j])
+	}
 }
 
 // Mat is a dense row-major matrix.
@@ -147,137 +204,39 @@ func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a mutable slice aliasing the matrix storage.
 func (m *Mat) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Col returns column j as a fresh vector.
-func (m *Mat) Col(j int) Vec {
-	out := make(Vec, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
+// MulVecTo writes m·v into dst, which has m.Rows entries, and returns it.
+// Rows go four at a time, each with its own accumulator: the four dependency
+// chains overlap where a single row's chain would wait out every add's
+// latency, and each entry of v is loaded once per four rows. Every row still
+// sums its products in index order, each rounded before it is added, so an
+// entry is its row's Dot with v to the bit, whichever block the row fell in.
+func (m *Mat) MulVecTo(dst, v Vec) Vec {
+	if len(v) != m.Cols || len(dst) != m.Rows {
+		panic(fmt.Sprintf("vector: %dx%d matrix times %d-d vector, or into a result not %[1]d long", m.Rows, m.Cols, len(v)))
 	}
-	return out
-}
-
-// MulVec returns m·v.
-func (m *Mat) MulVec(v Vec) Vec {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("vector: %dx%d matrix times %d-d vector", m.Rows, m.Cols, len(v)))
-	}
-	out := make(Vec, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Vec(m.Row(i)).Dot(v)
-	}
-	return out
-}
-
-// EigenSym computes the eigen-decomposition of a symmetric matrix using the
-// cyclic Jacobi method. It returns eigenvalues in descending order and the
-// corresponding orthonormal eigenvectors as the columns of the returned
-// matrix. The input is not modified.
-func EigenSym(a *Mat, maxSweeps int) (vals Vec, vecs *Mat) {
-	n := a.Rows
-	if n != a.Cols {
-		panic("vector: EigenSym of non-square matrix")
-	}
-	if maxSweeps <= 0 {
-		maxSweeps = 64
-	}
-	// Work on a copy.
-	w := NewMat(n, n)
-	copy(w.Data, a.Data)
-	v := NewMat(n, n)
-	for i := 0; i < n; i++ {
-		v.Set(i, i, 1)
-	}
-	const eps = 1e-20
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := 0.0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += w.At(i, j) * w.At(i, j)
-			}
+	c := m.Cols
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		// Slicing each row to len(v) is what lets the compiler drop the
+		// bounds checks inside the loop.
+		r := m.Data[i*c : (i+4)*c]
+		r0, r1, r2, r3 := r[:len(v)], r[c:][:len(v)], r[2*c:][:len(v)], r[3*c:][:len(v)]
+		var a0, a1, a2, a3 float64
+		for j, x := range v {
+			a0 += float64(r0[j] * x)
+			a1 += float64(r1[j] * x)
+			a2 += float64(r2[j] * x)
+			a3 += float64(r3[j] * x)
 		}
-		if off < eps {
-			break
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = a0, a1, a2, a3
+	}
+	for ; i < m.Rows; i++ {
+		r := m.Data[i*c:][:len(v)]
+		var a float64
+		for j, x := range v {
+			a += float64(r[j] * x)
 		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
-				if math.Abs(apq) < eps {
-					continue
-				}
-				app, aqq := w.At(p, p), w.At(q, q)
-				theta := (aqq - app) / (2 * apq)
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-				rotate(w, v, p, q, c, s)
-			}
-		}
+		dst[i] = a
 	}
-	vals = make(Vec, n)
-	for i := 0; i < n; i++ {
-		vals[i] = w.At(i, i)
-	}
-	// Sort eigenpairs by descending eigenvalue.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	for i := 0; i < n; i++ {
-		best := i
-		for j := i + 1; j < n; j++ {
-			if vals[order[j]] > vals[order[best]] {
-				best = j
-			}
-		}
-		order[i], order[best] = order[best], order[i]
-	}
-	sortedVals := make(Vec, n)
-	sortedVecs := NewMat(n, n)
-	for k, idx := range order {
-		sortedVals[k] = vals[idx]
-		for i := 0; i < n; i++ {
-			sortedVecs.Set(i, k, v.At(i, idx))
-		}
-	}
-	return sortedVals, sortedVecs
-}
-
-// rotate applies a Jacobi rotation in the (p, q) plane to w and accumulates
-// it into the eigenvector matrix v.
-func rotate(w, v *Mat, p, q int, c, s float64) {
-	n := w.Rows
-	for i := 0; i < n; i++ {
-		wip, wiq := w.At(i, p), w.At(i, q)
-		w.Set(i, p, c*wip-s*wiq)
-		w.Set(i, q, s*wip+c*wiq)
-	}
-	for j := 0; j < n; j++ {
-		wpj, wqj := w.At(p, j), w.At(q, j)
-		w.Set(p, j, c*wpj-s*wqj)
-		w.Set(q, j, s*wpj+c*wqj)
-	}
-	for i := 0; i < n; i++ {
-		vip, viq := v.At(i, p), v.At(i, q)
-		v.Set(i, p, c*vip-s*viq)
-		v.Set(i, q, s*vip+c*viq)
-	}
-}
-
-// PCA computes the top-k principal directions of the rows. It returns the
-// data mean and a k×d projection matrix whose rows are the orthonormal
-// principal directions with largest variance.
-func PCA(rows []Vec, k int) (mean Vec, proj *Mat) {
-	d := len(rows[0])
-	if k > d {
-		k = d
-	}
-	cov := Covariance(rows)
-	_, vecs := EigenSym(cov, 0)
-	mean = Mean(rows)
-	proj = NewMat(k, d)
-	for r := 0; r < k; r++ {
-		col := vecs.Col(r)
-		copy(proj.Row(r), col)
-	}
-	return mean, proj
+	return dst
 }

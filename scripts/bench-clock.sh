@@ -12,12 +12,13 @@
 #   scripts/bench-clock.sh [residue | symbol=residue ...]
 #
 # A bare number overrides the clock's residue; symbol=residue overrides any
-# entry, e.g. 'haindex/internal/vector.Covariance=32'.
+# entry, e.g. 'haindex/internal/vector.covariance=32' (the covariance kernel
+# that Covariance and PCATopK call).
 set -eu
 cd "$(dirname "$0")/.."
 want=(
 	'main.(*oracle).search=32'
-	'haindex/internal/vector.Covariance=0'
+	'haindex/internal/vector.covariance=0'
 	'haindex/internal/wire.ReadFrame=0'
 	'haindex/internal/client.(*Router).fanOut=32'
 	'haindex/internal/hash.LearnSpectral=0'
