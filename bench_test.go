@@ -391,7 +391,7 @@ func BenchmarkFig10Sampling(b *testing.B) {
 	}
 }
 
-// ---- Ablations (DESIGN.md design choices) ----
+// ---- Ablations (DESIGN.md ("Ablation targets")) ----
 
 func BenchmarkAblationGrayOrder(b *testing.B) {
 	e := env(b, haindex.NUSWide, benchN)

@@ -15,9 +15,9 @@ func uniformPivots(bits, parts int) []bitvec.Code {
 	return histo.UniformPivots(bits, parts)
 }
 
-// Ablations runs the design-choice studies DESIGN.md calls out over one
-// dataset: Gray ordering vs lexicographic, residual distance accounting vs
-// full recomputation, and node consolidation on vs off.
+// Ablations runs the design-choice studies of DESIGN.md ("Ablation targets")
+// over one dataset: Gray ordering vs lexicographic, residual distance
+// accounting vs full recomputation, and node consolidation on vs off.
 func Ablations(sc Scale) ([]Table, error) {
 	env, err := NewEnv(dataset.NUSWide, sc.SelectN, sc.Bits, sc.Queries, sc.Seed)
 	if err != nil {

@@ -6,9 +6,9 @@ import "haindex/internal/bitvec"
 // full pattern distance from scratch at every node instead of charging only
 // the residual bits beyond the parent. Because a child's pattern contains
 // its parent's, the bound is identical and the result set is exactly
-// Search's — only the redundant work returns. This is the ablation for the
-// residual-distance accounting DESIGN.md calls out; it exists to be
-// benchmarked, not used. Like SearchInto it adds its work to stats.
+// Search's — only the redundant work returns. This is the ablation of
+// DESIGN.md ("Residual distance accounting"); it exists to be benchmarked,
+// not used. Like SearchInto it adds its work to stats.
 func (x *DynamicIndex) SearchRecomputeAll(q bitvec.Code, h int, stats *SearchStats) []int {
 	var out []int
 	type qitem struct {

@@ -2,16 +2,16 @@
 // paper's three real datasets, the paper's ×s scale-up technique, and
 // reservoir sampling.
 //
-// Substitution note (see DESIGN.md): the paper evaluates on NUS-WIDE
-// (269,648 images, 225-d block-wise color moments), 1M crawled Flickr images
-// (512-d GIST descriptors) and 1M DBPedia documents (250 LDA topics). Those
-// corpora are not redistributable here, so each profile generates vectors
-// with the same dimensionality and a clustered, skewed structure: a Gaussian
-// mixture with Zipf-distributed cluster sizes for the image-feature datasets
-// and Dirichlet topic mixtures on the simplex for the document dataset. The
-// downstream algorithms only see the learned binary codes, so cluster skew
-// and dimensionality — which the generators preserve — are what shape the
-// results.
+// Substitution note (DESIGN.md ("Synthetic datasets for NUS-WIDE, Flickr and
+// DBPedia")): the paper evaluates on NUS-WIDE (269,648 images, 225-d
+// block-wise color moments), 1M crawled Flickr images (512-d GIST
+// descriptors) and 1M DBPedia documents (250 LDA topics). Those corpora are
+// not redistributable here, so each profile generates vectors with the same
+// dimensionality and a clustered, skewed structure: a Gaussian mixture with
+// Zipf-distributed cluster sizes for the image-feature datasets and Dirichlet
+// topic mixtures on the simplex for the document dataset. The downstream
+// algorithms only see the learned binary codes, so cluster skew and
+// dimensionality — which the generators preserve — shape the results.
 package dataset
 
 import (

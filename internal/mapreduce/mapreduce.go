@@ -1,6 +1,6 @@
 // Package mapreduce is an in-process MapReduce runtime with exact cost
 // accounting, standing in for the paper's 16-node Hadoop 0.22 cluster
-// (see DESIGN.md, substitution 1).
+// (see DESIGN.md ("In-process MapReduce for Hadoop")).
 //
 // The runtime executes real map and reduce functions on a bounded pool of
 // workers that model cluster nodes. Every intermediate record crosses the

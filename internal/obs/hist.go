@@ -1,10 +1,10 @@
-// Package obs is the dependency-free observability layer shared by the
-// serving stack (internal/server, internal/client) and the MapReduce runtime:
-// lock-free log-spaced latency histograms, request-scoped trace spans, and a
-// registry that components hang counters, gauges, and histograms on. The
-// package deliberately depends only on the standard library so every layer of
-// the system — including internal/core consumers — can use it without import
-// cycles or new dependencies.
+// Package obs is the dependency-free observability layer of the serving
+// stack (internal/lsm, internal/server, internal/client): lock-free
+// log-spaced latency histograms, request-scoped trace spans, and a registry
+// that components hang counters, gauges, and histograms on. The MapReduce
+// runtime does not use it: the offline pipeline reports through
+// mapreduce.Metrics, and fence_test.go keeps this package out of
+// internal/mapreduce and internal/mrjoin. It depends only on the stdlib.
 package obs
 
 import (
