@@ -58,11 +58,13 @@ bench-frozen: bench-query
 # through the server's answerSearch and through the router's decode+merge —
 # with the results-belong-to-the-caller check that the slabs make necessary,
 # and the planner's decision as a load-time table read (no write, no
-# allocation, the same plan from every goroutine).
+# allocation, the same plan from every goroutine), and both write paths: one
+# write frame a shard for an Insert and for a Delete, and a read-only shard
+# refusing insert, delete and seal on a connection that survives.
 # A second write per frame, or an id copy per query, should fail here, not in
 # a benchmark.
 reqpath:
-	$(GO) test -race -count=3 -run 'OneWrite|ReadFrame|RunBatchStays|PipelinedFirstAttempt|ShedBackoffBoundedByDeadline|ShedSteersToLeastLoadedReplica|SharedRouterSlowShard|ReplyAllocs|BelongToTheCaller|PlanIsATable' ./internal/wire/ ./internal/server/ ./internal/client/ ./internal/planner/
+	$(GO) test -race -count=3 -run 'OneWrite|ReadFrame|RunBatchStays|PipelinedFirstAttempt|ShedBackoffBoundedByDeadline|ShedSteersToLeastLoadedReplica|SharedRouterSlowShard|ReplyAllocs|BelongToTheCaller|PlanIsATable|OneRoundPerShard|RefusesMutations' ./internal/wire/ ./internal/server/ ./internal/client/ ./internal/planner/
 
 # The LSM fold's race with the writes, three times over under the race
 # detector: deletes and upserts that land between a compaction's snapshot and

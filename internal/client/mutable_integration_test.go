@@ -329,6 +329,38 @@ func TestInsertIsOneRoundPerShard(t *testing.T) {
 				}
 				checkDeployment(t, d, o, rng, bits, 3, 10)
 			}
+			// A delete is the same round without codes: one live id from
+			// every partition, the first of them twice, and ids live nowhere.
+			var dels []int
+			owned := map[int]bool{}
+			for id := range 120 {
+				if p := histo.PartitionID(d.pivots, o[id]); !owned[p] {
+					owned[p] = true
+					dels = append(dels, id)
+				}
+			}
+			if len(owned) != parts {
+				t.Fatalf("live ids fall in %d partitions, want %d", len(owned), parts)
+			}
+			dels = append(dels, dels[0], 9000, 9001)
+			before := frames()
+			deleted, err := d.router.Delete(dels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := frames()
+			for m := range after {
+				if got := after[m] - before[m]; got != 1 {
+					t.Errorf("delete: shard %d answered %d mutation frames for one Delete, want 1", m, got)
+				}
+			}
+			if deleted != parts {
+				t.Errorf("delete: %d ids reported live, want %d", deleted, parts)
+			}
+			for _, id := range dels {
+				delete(o, id)
+			}
+			checkDeployment(t, d, o, rng, bits, 3, 10)
 			if total := deploymentLen(d); total != len(o) {
 				t.Fatalf("deployment holds %d tuples, oracle %d", total, len(o))
 			}
@@ -582,8 +614,8 @@ func checkStableTopK(ids, dists, dist []int, k int) error {
 }
 
 // TestMutableServerRefusesMutationsWhenImmutable pins the failure mode: an
-// immutable server must answer v3 mutation frames with an error, not
-// corrupt state or hang.
+// immutable server must answer the write and seal frames with an error, not
+// corrupt state or hang, and keep the connection.
 func TestMutableServerRefusesMutationsWhenImmutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	codes := make([]bitvec.Code, 50)
@@ -605,11 +637,25 @@ func TestMutableServerRefusesMutationsWhenImmutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := r.Insert([]int{1}, []bitvec.Code{codes[0]}); err == nil {
-		t.Fatal("insert against immutable shard succeeded")
-	}
-	// The connection must survive the refusal: searches still work.
-	if _, err := r.Search(codes[0], 0); err != nil {
-		t.Fatalf("search after refused mutation: %v", err)
+	for _, mut := range []struct {
+		name string
+		run  func() error
+	}{
+		{"insert", func() error { _, err := r.Insert([]int{1}, []bitvec.Code{codes[0]}); return err }},
+		{"delete", func() error { _, err := r.Delete([]int{1}); return err }},
+		{"seal", func() error { _, err := r.Seal(true); return err }},
+	} {
+		rp := r.shards[0].replicas[0]
+		conn := rp.conn
+		if err := mut.run(); err == nil {
+			t.Fatalf("%s against immutable shard succeeded", mut.name)
+		}
+		// The connection must survive the refusal: searches still work on it.
+		if _, err := r.Search(codes[0], 0); err != nil {
+			t.Fatalf("search after refused %s: %v", mut.name, err)
+		}
+		if rp.conn != conn {
+			t.Fatalf("refused %s cost the connection", mut.name)
+		}
 	}
 }

@@ -27,47 +27,37 @@ func (r *Router) Insert(ids []int, codes []bitvec.Code) (int, error) {
 	if err := r.checkQueries(codes); err != nil {
 		return 0, err
 	}
-	if len(ids) == 0 {
+	return r.write(wire.InsertReq{IDs: ids, Codes: codes})
+}
+
+// Delete removes the tuples with the given ids, wherever they live: it is
+// Insert's round with no codes, so every shard deletes every id, quietly
+// skipping those it does not hold. It returns how many ids were live
+// somewhere in the deployment.
+func (r *Router) Delete(ids []int) (int, error) {
+	return r.write(wire.InsertReq{IDs: ids})
+}
+
+// write sends every shard the write frame and sums the ids the shards
+// report live before it.
+func (r *Router) write(req wire.InsertReq) (int, error) {
+	if len(req.IDs) == 0 {
 		return 0, nil
 	}
-	legs := r.broadcast(wire.MsgInsert, wire.MsgInsertOK, wire.InsertReq{IDs: ids, Codes: codes}.Append(nil))
-	replaced := 0
+	legs := r.broadcast(wire.MsgInsert, wire.MsgInsertOK, req.Append(nil))
+	live := 0
 	for i := range legs {
 		lg := &legs[i]
 		var resp wire.InsertResp
 		if lg.err == nil {
 			resp, lg.err = wire.ParseInsertResp(lg.resp)
 		}
-		replaced += resp.Replaced
+		live += resp.Live
 	}
 	if err := firstErr(legs); err != nil {
 		return 0, err
 	}
-	return replaced, nil
-}
-
-// Delete removes the tuples with the given ids, wherever they live. Ids are
-// broadcast — only codes route, and a delete carries none — and each shard
-// quietly skips ids it does not hold. It returns how many ids were live
-// somewhere in the deployment.
-func (r *Router) Delete(ids []int) (int, error) {
-	if len(ids) == 0 {
-		return 0, nil
-	}
-	legs := r.broadcast(wire.MsgDelete, wire.MsgDeleteOK, wire.DeleteReq{IDs: ids}.Append(nil))
-	deleted := 0
-	for i := range legs {
-		lg := &legs[i]
-		var resp wire.DeleteResp
-		if lg.err == nil {
-			resp, lg.err = wire.ParseDeleteResp(lg.resp)
-		}
-		deleted += resp.Deleted
-	}
-	if err := firstErr(legs); err != nil {
-		return 0, err
-	}
-	return deleted, nil
+	return live, nil
 }
 
 // broadcast sends every shard's primary the same frame in one pipelined

@@ -30,6 +30,7 @@ import (
 	"haindex/internal/bitvec"
 	"haindex/internal/histo"
 	"haindex/internal/obs"
+	"haindex/internal/planner"
 	"haindex/internal/wire"
 )
 
@@ -110,7 +111,7 @@ type Stats struct {
 // concurrent use.
 type Router struct {
 	opts   Options
-	engine int // wire engine hint attached to every SearchReq
+	engine int // wire engine hint attached to every SearchReq: the pinned planner.Strategy + 1
 	length int
 	pivots []bitvec.Code
 	ranges *histo.Ranges
@@ -182,12 +183,12 @@ func Dial(shardAddrs [][]string, opts Options) (_ *Router, err error) {
 	if len(shardAddrs) == 0 {
 		return nil, fmt.Errorf("client: no shards")
 	}
-	engine, err := wire.ParseEngine(opts.Engine)
+	pin, err := planner.ParseStrategy(opts.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
 	r := newRouter(opts, len(shardAddrs))
-	r.engine = engine
+	r.engine = int(pin) + wire.EngineHA
 	seen := make(map[int]string) // part -> the replica that answered for it
 	var build wire.SnapshotMeta  // the first shard's, which every other must share
 	var listed []*shard          // in list order, closed again if Dial fails

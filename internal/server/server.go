@@ -509,7 +509,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			if !ok {
 				return
 			}
-		case wire.MsgInsert, wire.MsgDelete, wire.MsgSeal:
+		case wire.MsgInsert, wire.MsgSeal:
 			if s.shard.ReadOnly() {
 				if !writeErr("shard is immutable: %s refused", t) {
 					return
@@ -520,12 +520,9 @@ func (s *Server) handleConn(conn net.Conn) {
 			t0 := time.Now()
 			var respType wire.MsgType
 			var resp []byte
-			switch t {
-			case wire.MsgInsert:
+			if t == wire.MsgInsert {
 				respType, resp = s.answerInsert(payload)
-			case wire.MsgDelete:
-				respType, resp = s.answerDelete(payload)
-			default:
+			} else {
 				respType, resp = s.answerSeal(payload)
 			}
 			if respType == wire.MsgError {
@@ -616,47 +613,27 @@ func (s *Server) answerTopK(payload []byte, tr *obs.Trace) (wire.MsgType, []byte
 	return wire.MsgTopKOK, resp.Append(nil)
 }
 
-// answerInsert applies the router's whole batch: it upserts each pair whose
-// code falls in this shard's Gray range and deletes the id of every other, so
-// an upsert that moved an id's code to another partition retires the old
-// copy here. Replaced counts both.
+// answerInsert applies the router's whole write frame: it upserts each pair
+// whose code falls in this shard's Gray range and deletes every other id, so
+// an upsert that moved an id's code to another partition retires the old copy
+// here, and a frame without codes deletes all its ids. It answers how many of
+// the ids were live.
 func (s *Server) answerInsert(payload []byte) (wire.MsgType, []byte) {
 	req, err := wire.ParseInsertReq(payload, s.meta.Length)
 	if err != nil {
 		return wire.MsgError, wire.ErrorMsg{Msg: err.Error()}.Append(nil)
 	}
-	replaced := 0
-	for i, c := range req.Codes {
-		var live bool
-		if histo.PartitionID(s.meta.Pivots, c) == s.meta.Part {
-			live = s.shard.Insert(req.IDs[i], c)
-		} else {
-			live = s.shard.Delete(req.IDs[i])
-		}
-		if live {
-			replaced++
+	live := 0
+	for i, id := range req.IDs {
+		if len(req.Codes) == 0 || histo.PartitionID(s.meta.Pivots, req.Codes[i]) != s.meta.Part {
+			if s.shard.Delete(id) {
+				live++
+			}
+		} else if s.shard.Insert(id, req.Codes[i]) {
+			live++
 		}
 	}
-	st := s.shard.Stats()
-	resp := wire.InsertResp{Replaced: replaced, MemtableSize: st.MemtableSize, Epoch: st.Epoch}
-	return wire.MsgInsertOK, resp.Append(nil)
-}
-
-// answerDelete applies a batch of deletes; ids not live on this shard are
-// counted out, not errors — the router broadcasts deletes to every shard.
-func (s *Server) answerDelete(payload []byte) (wire.MsgType, []byte) {
-	req, err := wire.ParseDeleteReq(payload)
-	if err != nil {
-		return wire.MsgError, wire.ErrorMsg{Msg: err.Error()}.Append(nil)
-	}
-	deleted := 0
-	for _, id := range req.IDs {
-		if s.shard.Delete(id) {
-			deleted++
-		}
-	}
-	st := s.shard.Stats()
-	return wire.MsgDeleteOK, wire.DeleteResp{Deleted: deleted, Epoch: st.Epoch}.Append(nil)
+	return wire.MsgInsertOK, wire.InsertResp{Live: live}.Append(nil)
 }
 
 // answerSeal runs a synchronous seal (and optional compaction), so the OK

@@ -2,120 +2,85 @@ package wire
 
 import (
 	"encoding/binary"
+	"fmt"
 	"slices"
 
 	"haindex/internal/bitvec"
 )
 
-// The mutation frames. A mutable shard server (internal/lsm
-// behind internal/server) answers InsertReq/DeleteReq/SealReq; an immutable
-// server refuses them with MsgError. All three responses carry the shard's
-// structural epoch so a client can observe when its writes caused a seal or
-// compaction swap.
+// The mutation frames: one write frame and the seal. A mutable shard server
+// (internal/lsm behind internal/server) answers InsertReq and SealReq; an
+// immutable server refuses them with MsgError.
 
-// InsertReq is a batch of upserts, and the router sends every shard the
-// whole batch. A shard upserts each (id, code) pair whose code falls in its
-// own Gray range, replacing any live tuple with the same id wherever it sits
-// in the LSM layering, and deletes the id of every other pair, so an id whose
-// code moved to another partition leaves no copy behind.
+// InsertReq is the one write frame: a batch of ids and, optionally, one code
+// per id, and the router sends every shard the whole batch. A shard upserts
+// each (id, code) pair whose code falls in its own Gray range, replacing any
+// live tuple with the same id wherever it sits in the LSM layering, and
+// deletes every other id, so an id whose code moved to another partition
+// leaves no copy behind, and a frame without codes deletes its ids on every
+// shard.
 type InsertReq struct {
 	IDs   []int
-	Codes []bitvec.Code
+	Codes []bitvec.Code // none, or one per id
 }
 
-// Append sizes dst for the whole batch first: the router encodes it once,
-// for every shard.
+// Append encodes the ids, then the code count and the codes. It sizes dst
+// for the whole batch first: the router encodes it once, for every shard.
 func (m InsertReq) Append(dst []byte) []byte {
-	codes := m.Codes[:len(m.IDs)]
-	if len(codes) > 0 {
-		dst = slices.Grow(dst, (1+len(codes))*binary.MaxVarintLen64+len(codes)*bitvec.EncodedLen(codes[0].Len()))
+	size := (2 + len(m.IDs)) * binary.MaxVarintLen64
+	if len(m.Codes) > 0 {
+		size += len(m.Codes) * bitvec.EncodedLen(m.Codes[0].Len())
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(m.IDs)))
-	for i, id := range m.IDs {
-		dst = binary.AppendUvarint(dst, uint64(id))
-		dst = codes[i].AppendBytes(dst)
-	}
-	return dst
-}
-
-// ParseInsertReq decodes a batch whose codes have the session's length. As in
-// ParseSearchReq, the batch's codes share one word slab, sized by the count.
-func ParseInsertReq(payload []byte, length int) (InsertReq, error) {
-	p := &buf{b: payload}
-	nw := bitvec.EncodedLen(length) / 8
-	n := p.count(1 + 8*nw)
-	words := make([]uint64, n*nw)
-	m := InsertReq{IDs: make([]int, 0, n), Codes: make([]bitvec.Code, 0, n)}
-	for i := 0; i < n && p.err == nil; i++ {
-		m.IDs = append(m.IDs, p.intv())
-		m.Codes = append(m.Codes, p.codeInto(words[i*nw:(i+1)*nw], length))
-	}
-	return m, p.done()
-}
-
-// InsertResp acknowledges a batch of upserts.
-type InsertResp struct {
-	Replaced     int // pairs whose id was live on this shard: upserted over or deleted
-	MemtableSize int
-	Epoch        uint64
-}
-
-func (m InsertResp) Append(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(m.Replaced))
-	dst = binary.AppendUvarint(dst, uint64(m.MemtableSize))
-	return binary.AppendUvarint(dst, m.Epoch)
-}
-
-func ParseInsertResp(payload []byte) (InsertResp, error) {
-	p := &buf{b: payload}
-	m := InsertResp{
-		Replaced:     p.intv(),
-		MemtableSize: p.intv(),
-		Epoch:        p.uvarint(),
-	}
-	return m, p.done()
-}
-
-// DeleteReq is a batch of deletes by tuple id.
-type DeleteReq struct {
-	IDs []int
-}
-
-func (m DeleteReq) Append(dst []byte) []byte {
+	dst = slices.Grow(dst, size)
 	dst = binary.AppendUvarint(dst, uint64(len(m.IDs)))
 	for _, id := range m.IDs {
 		dst = binary.AppendUvarint(dst, uint64(id))
 	}
+	dst = binary.AppendUvarint(dst, uint64(len(m.Codes)))
+	for _, c := range m.Codes {
+		dst = c.AppendBytes(dst)
+	}
 	return dst
 }
 
-func ParseDeleteReq(payload []byte) (DeleteReq, error) {
+// ParseInsertReq decodes a batch whose codes, if it carries any, have the
+// session's length; a code count other than 0 or the id count is refused.
+// As in ParseSearchReq, the batch's codes share one word slab, sized by the
+// count.
+func ParseInsertReq(payload []byte, length int) (InsertReq, error) {
 	p := &buf{b: payload}
 	n := p.count(1)
-	m := DeleteReq{}
+	m := InsertReq{IDs: make([]int, 0, n)}
 	for i := 0; i < n && p.err == nil; i++ {
 		m.IDs = append(m.IDs, p.intv())
+	}
+	nw := bitvec.EncodedLen(length) / 8
+	switch k := p.count(8 * nw); {
+	case p.err != nil || k == 0:
+	case k != n:
+		p.err = fmt.Errorf("wire: %d codes for %d ids", k, n)
+	default:
+		words := make([]uint64, n*nw)
+		m.Codes = make([]bitvec.Code, 0, n)
+		for i := 0; i < n && p.err == nil; i++ {
+			m.Codes = append(m.Codes, p.codeInto(words[i*nw:(i+1)*nw], length))
+		}
 	}
 	return m, p.done()
 }
 
-// DeleteResp acknowledges a batch of deletes.
-type DeleteResp struct {
-	Deleted int // ids that were live on this shard
-	Epoch   uint64
+// InsertResp acknowledges a write frame.
+type InsertResp struct {
+	Live int // the frame's ids that were live on this shard: upserted over or deleted
 }
 
-func (m DeleteResp) Append(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(m.Deleted))
-	return binary.AppendUvarint(dst, m.Epoch)
+func (m InsertResp) Append(dst []byte) []byte {
+	return binary.AppendUvarint(dst, uint64(m.Live))
 }
 
-func ParseDeleteResp(payload []byte) (DeleteResp, error) {
+func ParseInsertResp(payload []byte) (InsertResp, error) {
 	p := &buf{b: payload}
-	m := DeleteResp{
-		Deleted: p.intv(),
-		Epoch:   p.uvarint(),
-	}
+	m := InsertResp{Live: p.intv()}
 	return m, p.done()
 }
 

@@ -26,20 +26,16 @@ func TestMutateMessageRoundTrips(t *testing.T) {
 		}
 	}
 
-	ir := InsertResp{Replaced: 2, MemtableSize: 41, Epoch: 9}
+	// A delete: ids without codes, one of them twice.
+	del := InsertReq{IDs: []int{3, 1, 4, 1, 900000}}
+	gotDel, err := ParseInsertReq(del.Append(nil), 64)
+	if err != nil || !reflect.DeepEqual(gotDel.IDs, del.IDs) || gotDel.Codes != nil {
+		t.Fatalf("codeless insert req: %+v err %v", gotDel, err)
+	}
+
+	ir := InsertResp{Live: 2}
 	if got, err := ParseInsertResp(ir.Append(nil)); err != nil || got != ir {
 		t.Fatalf("insert resp: %+v err %v", got, err)
-	}
-
-	dr := DeleteReq{IDs: []int{3, 1, 4, 1, 5}}
-	gotDr, err := ParseDeleteReq(dr.Append(nil))
-	if err != nil || len(gotDr.IDs) != 5 || gotDr.IDs[4] != 5 {
-		t.Fatalf("delete req: %+v err %v", gotDr, err)
-	}
-
-	dresp := DeleteResp{Deleted: 3, Epoch: 12}
-	if got, err := ParseDeleteResp(dresp.Append(nil)); err != nil || got != dresp {
-		t.Fatalf("delete resp: %+v err %v", got, err)
 	}
 
 	for _, compact := range []bool{false, true} {
@@ -63,15 +59,19 @@ func TestMutateParseErrorPaths(t *testing.T) {
 	}{
 		{"insert-req hostile count", func(b []byte) error { _, err := ParseInsertReq(b, 64); return err },
 			[]byte{0xff, 0xff, 0xff, 0xff, 0x7f}},
+		{"insert-req hostile code count", func(b []byte) error { _, err := ParseInsertReq(b, 64); return err },
+			[]byte{1, 7, 0xff, 0xff, 0xff, 0xff, 0x7f}},
+		{"insert-req more codes than ids", func(b []byte) error { _, err := ParseInsertReq(b, 8); return err },
+			[]byte{1, 7, 2, 0, 0, 0, 0, 0, 0, 0, 0xAA, 0, 0, 0, 0, 0, 0, 0, 0xBB}},
+		{"insert-req fewer codes than ids", func(b []byte) error { _, err := ParseInsertReq(b, 8); return err },
+			[]byte{2, 7, 8, 1, 0, 0, 0, 0, 0, 0, 0, 0xAA}},
 		{"insert-req short code", func(b []byte) error { _, err := ParseInsertReq(b, 64); return err },
-			[]byte{1, 7, 0xAA, 0xBB}},
-		{"insert-resp truncated", func(b []byte) error { _, err := ParseInsertResp(b); return err },
-			[]byte{5, 2}},
+			[]byte{1, 7, 1, 0xAA, 0xBB}},
+		{"insert-req no code count", func(b []byte) error { _, err := ParseInsertReq(b, 64); return err },
+			[]byte{2, 7, 8}},
+		{"insert-resp empty", func(b []byte) error { _, err := ParseInsertResp(b); return err }, nil},
 		{"insert-resp trailing", func(b []byte) error { _, err := ParseInsertResp(b); return err },
-			[]byte{5, 2, 1, 9, 77}},
-		{"delete-req hostile count", func(b []byte) error { _, err := ParseDeleteReq(b); return err },
-			[]byte{0xff, 0xff, 0xff, 0xff, 0x7f}},
-		{"delete-resp empty", func(b []byte) error { _, err := ParseDeleteResp(b); return err }, nil},
+			[]byte{5, 2}},
 		{"seal-req empty", func(b []byte) error { _, err := ParseSealReq(b); return err }, nil},
 		{"seal-req trailing", func(b []byte) error { _, err := ParseSealReq(b); return err }, []byte{1, 1}},
 		{"seal-ok truncated", func(b []byte) error { _, err := ParseSealOK(b); return err }, []byte{2, 0}},
@@ -91,25 +91,63 @@ func FuzzParseMutationFrames(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	ins := InsertReq{IDs: []int{1, 2}, Codes: randCodes(rng, 2, 32)}
 	f.Add(uint8(0), ins.Append(nil))
-	f.Add(uint8(1), InsertResp{Replaced: 1, MemtableSize: 7, Epoch: 3}.Append(nil))
-	f.Add(uint8(2), DeleteReq{IDs: []int{5, 6, 7}}.Append(nil))
-	f.Add(uint8(3), DeleteResp{Deleted: 1, Epoch: 4}.Append(nil))
-	f.Add(uint8(4), SealReq{Compact: true}.Append(nil))
-	f.Add(uint8(5), SealOK{Segments: 1, Tombstones: 2, Epoch: 5}.Append(nil))
+	f.Add(uint8(0), InsertReq{IDs: []int{5, 6, 7}}.Append(nil))
+	f.Add(uint8(0), InsertReq{IDs: []int{5, 6, 7}, Codes: ins.Codes}.Append(nil))
+	f.Add(uint8(1), InsertResp{Live: 1}.Append(nil))
+	f.Add(uint8(2), SealReq{Compact: true}.Append(nil))
+	f.Add(uint8(3), SealOK{Segments: 1, Tombstones: 2, Epoch: 5}.Append(nil))
 	// Framing itself: a well-formed frame, and a header that claims MaxFrame
 	// bytes and delivers none (see TestReadFrameAllocatesAsBytesArrive).
 	var framed bytes.Buffer
 	WriteFrame(&framed, MsgInsert, ins.Append(nil))
-	f.Add(uint8(6), framed.Bytes())
-	f.Add(uint8(6), hostileHeader)
+	f.Add(uint8(4), framed.Bytes())
+	f.Add(uint8(4), hostileHeader)
 	// The reply the router decodes into one slab: a well-formed one, and counts
 	// that claim more ids than the payload has bytes for.
-	f.Add(uint8(7), SearchResp{IDs: [][]int{{1, 5, 900000}, nil, {0}}}.Append(nil))
-	f.Add(uint8(7), []byte{1, 3, 5, 1})
-	f.Add(uint8(7), []byte{2, 1, 5, 0xff, 0xff, 0x03, 0x80, 0x80})
+	f.Add(uint8(5), SearchResp{IDs: [][]int{{1, 5, 900000}, nil, {0}}}.Append(nil))
+	f.Add(uint8(5), []byte{1, 3, 5, 1})
+	f.Add(uint8(5), []byte{2, 1, 5, 0xff, 0xff, 0x03, 0x80, 0x80})
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
-		switch kind % 8 {
-		case 7:
+		switch kind % 6 {
+		case 0:
+			// Ids and codes, or ids alone: a frame is accepted only with as
+			// many codes as ids, or none.
+			if m, err := ParseInsertReq(data, 32); err == nil {
+				if len(m.Codes) != 0 && len(m.Codes) != len(m.IDs) {
+					t.Fatalf("accepted %d codes for %d ids", len(m.Codes), len(m.IDs))
+				}
+				if got, err := ParseInsertReq(m.Append(nil), 32); err != nil || !reflect.DeepEqual(got, m) {
+					t.Fatalf("InsertReq not round-trip stable (%v)", err)
+				}
+			}
+		case 1:
+			if m, err := ParseInsertResp(data); err == nil {
+				if got, err := ParseInsertResp(m.Append(nil)); err != nil || got != m {
+					t.Fatalf("InsertResp not round-trip stable: %+v vs %+v (%v)", got, m, err)
+				}
+			}
+		case 2:
+			if m, err := ParseSealReq(data); err == nil {
+				if got, err := ParseSealReq(m.Append(nil)); err != nil || got != m {
+					t.Fatalf("SealReq not round-trip stable: %+v vs %+v (%v)", got, m, err)
+				}
+			}
+		case 3:
+			if m, err := ParseSealOK(data); err == nil {
+				if got, err := ParseSealOK(m.Append(nil)); err != nil || got != m {
+					t.Fatalf("SealOK not round-trip stable: %+v vs %+v (%v)", got, m, err)
+				}
+			}
+		case 4:
+			// Whatever the length prefix claims, a frame is accepted only when
+			// that many bytes follow, and re-frames to the bytes it came from.
+			if typ, payload, err := ReadFrame(bytes.NewReader(data)); err == nil {
+				var again bytes.Buffer
+				if err := WriteFrame(&again, typ, payload); err != nil || !bytes.Equal(again.Bytes(), data[:again.Len()]) {
+					t.Fatalf("frame not round-trip stable (%v)", err)
+				}
+			}
+		case 5:
 			if m, err := ParseSearchResp(data); err == nil {
 				total := 0
 				for _, ids := range m.IDs {
@@ -121,51 +159,6 @@ func FuzzParseMutationFrames(f *testing.F) {
 				again, err := ParseSearchResp(m.Append(nil))
 				if err != nil || !reflect.DeepEqual(again, m) {
 					t.Fatalf("SearchResp not round-trip stable (%v)", err)
-				}
-			}
-		case 0:
-			if m, err := ParseInsertReq(data, 32); err == nil {
-				if _, err := ParseInsertReq(m.Append(nil), 32); err != nil {
-					t.Fatalf("re-encoded InsertReq rejected: %v", err)
-				}
-			}
-		case 1:
-			if m, err := ParseInsertResp(data); err == nil {
-				if got, err := ParseInsertResp(m.Append(nil)); err != nil || got != m {
-					t.Fatalf("InsertResp not round-trip stable: %+v vs %+v (%v)", got, m, err)
-				}
-			}
-		case 2:
-			if m, err := ParseDeleteReq(data); err == nil {
-				if _, err := ParseDeleteReq(m.Append(nil)); err != nil {
-					t.Fatalf("re-encoded DeleteReq rejected: %v", err)
-				}
-			}
-		case 3:
-			if m, err := ParseDeleteResp(data); err == nil {
-				if got, err := ParseDeleteResp(m.Append(nil)); err != nil || got != m {
-					t.Fatalf("DeleteResp not round-trip stable: %+v vs %+v (%v)", got, m, err)
-				}
-			}
-		case 4:
-			if m, err := ParseSealReq(data); err == nil {
-				if got, err := ParseSealReq(m.Append(nil)); err != nil || got != m {
-					t.Fatalf("SealReq not round-trip stable: %+v vs %+v (%v)", got, m, err)
-				}
-			}
-		case 6:
-			// Whatever the length prefix claims, a frame is accepted only when
-			// that many bytes follow, and re-frames to the bytes it came from.
-			if typ, payload, err := ReadFrame(bytes.NewReader(data)); err == nil {
-				var again bytes.Buffer
-				if err := WriteFrame(&again, typ, payload); err != nil || !bytes.Equal(again.Bytes(), data[:again.Len()]) {
-					t.Fatalf("frame not round-trip stable (%v)", err)
-				}
-			}
-		case 5:
-			if m, err := ParseSealOK(data); err == nil {
-				if got, err := ParseSealOK(m.Append(nil)); err != nil || got != m {
-					t.Fatalf("SealOK not round-trip stable: %+v vs %+v (%v)", got, m, err)
 				}
 			}
 		}

@@ -5,14 +5,14 @@
 //	frame   := length uint32 BE (type + payload) | type byte | payload
 //	session := Hello -> HelloOK, then any number of
 //	           Search -> SearchOK | Shed | TopK -> TopKOK | Shed |
-//	           Stats -> StatsOK | Insert -> InsertOK | Delete -> DeleteOK |
-//	           Seal -> SealOK,
+//	           Stats -> StatsOK | Insert -> InsertOK | Seal -> SealOK,
 //	           any of which may instead answer Error.
 //
 // Shed is the polite overload answer to a search or top-k: the shard is
-// healthy but its admission queue outlasted the wait budget. The mutation
-// frames are answered by a mutable (LSM) shard; an immutable one answers
-// them Error.
+// healthy but its admission queue outlasted the wait budget. Insert is the
+// one write frame, an upsert of (id, code) pairs or, without codes, a delete
+// of ids. It and Seal are answered by a mutable (LSM) shard; an immutable
+// one answers them Error.
 //
 // The Hello exchange carries the protocol version, and there is exactly one:
 // a server refuses any Hello whose version is not Version, and a client any
@@ -28,6 +28,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strconv"
 	"sync"
 
 	"haindex/internal/bitvec"
@@ -35,10 +36,10 @@ import (
 
 // Version is the one protocol version this build speaks; both ends of a
 // session must match it exactly. Bump on any frame layout change, or on a
-// change to what a frame means. v8: every shard receives an upsert's whole
-// batch and keeps the pairs its Gray range owns (a v7 server would land
-// every pair on every shard), and InsertResp carries no Upserts count.
-const Version = 8
+// change to what a frame means. v9: a delete is an Insert frame without
+// codes (there is no Delete frame), and InsertResp carries only the count of
+// ids that were live.
+const Version = 9
 
 // Engine hints a SearchReq can carry. EngineAuto (the zero value) is never
 // put on the wire — Append omits the field.
@@ -48,21 +49,6 @@ const (
 	EngineMIH         // force multi-index hashing
 	EngineScan        // force the brute-force scan
 )
-
-// ParseEngine maps an -engine flag spelling to its wire hint.
-func ParseEngine(name string) (int, error) {
-	switch name {
-	case "", "auto":
-		return EngineAuto, nil
-	case "ha", "ha-index":
-		return EngineHA, nil
-	case "mih":
-		return EngineMIH, nil
-	case "scan":
-		return EngineScan, nil
-	}
-	return 0, fmt.Errorf("wire: unknown engine %q (want auto, ha, mih, or scan)", name)
-}
 
 // MaxFrame bounds a frame's payload so a corrupt or hostile length prefix
 // cannot make a reader allocate unboundedly.
@@ -85,8 +71,6 @@ const (
 	// Mutation frames for the LSM serving tier.
 	MsgInsert
 	MsgInsertOK
-	MsgDelete
-	MsgDeleteOK
 	MsgSeal
 	MsgSealOK
 
@@ -118,13 +102,9 @@ func (t MsgType) String() string {
 	case MsgError:
 		return "error"
 	case MsgInsert:
-		return "insert"
+		return "write"
 	case MsgInsertOK:
-		return "insert-ok"
-	case MsgDelete:
-		return "delete"
-	case MsgDeleteOK:
-		return "delete-ok"
+		return "write-ok"
 	case MsgSeal:
 		return "seal"
 	case MsgSealOK:
@@ -132,7 +112,7 @@ func (t MsgType) String() string {
 	case MsgShed:
 		return "shed"
 	}
-	return fmt.Sprintf("msg(%d)", uint8(t))
+	return "msg(" + strconv.Itoa(int(t)) + ")"
 }
 
 // framePool recycles the buffers WriteFrame assembles frames in.

@@ -28,8 +28,8 @@
 # timings once it lands: searches pinned to MIH and to the scan must match
 # the oracle before any write, then insert -> seal -> compact -> upsert ->
 # delete are driven through haquery with searches verifying every step (the
-# upsert moves the tuple to the other shard's partition and costs each shard
-# exactly one mutation frame);
+# upsert moves the tuple to the other shard's partition, and the upsert and
+# the delete each cost each shard exactly one mutation frame);
 # mutable shards' /debug/obs must then show the search after the seal run
 # through MIH, and pinned searches must match the oracle again.
 set -eu
@@ -303,8 +303,20 @@ if [ "$SMOKE_LSM" = "1" ]; then
         echo "smoke: upsert left a stale copy of tuple 90001 at the old code" >&2; exit 1
     fi
 
-    echo "smoke: delete the tuple, verify it is gone"
-    "$WORK/bin/haquery" -shards "$MADDR" -delete 90001
+    echo "smoke: delete the tuple, one frame a shard, verify it is gone"
+    for m in m0 m1; do fetch_obs "$(cat "$WORK/$m.debug")" "$WORK/$m.before.json"; done
+    # As after the upsert, the top-k is the barrier on the delete's connections.
+    OUT=$("$WORK/bin/haquery" -shards "$MADDR" -delete 90001 -codes "$C1" -h 0 -topk 1 -v)
+    echo "$OUT" | grep -q 'deleted 1 of 1 ids' || {
+        echo "smoke: the delete of live tuple 90001 found nothing: $OUT" >&2; exit 1; }
+    for m in m0 m1; do fetch_obs "$(cat "$WORK/$m.debug")" "$WORK/$m.after.json"; done
+    FRAMES="$(delta req.mutate_ns m0) $(delta req.mutate_ns m1)"
+    DELS="$(delta lsm.deletes m0) $(delta lsm.deletes m1)"
+    [ "$FRAMES" = "1 1" ] || {
+        echo "smoke: one delete cost the shards $FRAMES mutation frames, want 1 each" >&2; exit 1; }
+    [ "$DELS" = "0 1" ] || {
+        echo "smoke: the delete's deletes on the shards are $DELS, want shard 1, which held the tuple, alone" >&2; exit 1; }
+    echo "smoke: the delete cost each shard one frame: shard 1 retired the tuple"
     if "$WORK/bin/haquery" -shards "$MADDR" -codes "$C1" -h 0 -v | grep -q 90001; then
         echo "smoke: deleted tuple 90001 still searchable" >&2; exit 1
     fi
