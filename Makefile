@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test test-race bench bench-query bench-frozen vet fmt-check fuzz fuzz-wire fuzz-arena bench-smoke bench-clock bench-startup bench-offline bench-lsm reqpath lsm-race smoke debug-smoke lsm-smoke experiments examples clean
+.PHONY: all check build test test-race bench bench-frozen vet fmt-check fuzz fuzz-wire fuzz-arena bench-smoke bench-clock bench-startup bench-offline bench-lsm reqpath lsm-race smoke debug-smoke lsm-smoke experiments examples clean
 
 all: build vet test
 
@@ -26,32 +26,30 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Query-engine microbenchmarks (alloc counts must report 0 allocs/op for
-# steady-state Searcher use) plus the SearchBatch throughput experiment,
-# which writes BENCH_query.json.
-bench: bench-query
+# Every microbenchmark in the module, with allocation counts: steady-state
+# Searcher use must report 0 allocs/op. The query engine's timings are
+# BenchmarkSearcherSearch (pointer) beside BenchmarkSearcherSearchFrozen, and
+# BenchmarkSearchBatch at 1, 2, 4 and 8 workers, all over 20k clustered
+# 32-bit codes at h=3.
+bench:
 	$(GO) test -bench=. -benchmem ./...
-
-bench-query:
-	$(GO) test -run=NONE -bench='Searcher|SearchBatch' -benchmem ./internal/core/
-	$(GO) run ./cmd/habench -exp query
 
 # Frozen-index microbenchmarks: freeze (compile) time, the direct build
 # (BuildFrozen, beside the pointer build + freeze it replaces on the serving
 # paths, at a streamed chunk's size and at three words a code) with the Gray
-# sort under it, flat-walk search and top-k, and the v4 arena decode (the
-# copy a host that cannot alias makes, and the aliasing every load runs),
-# after bench-query's serial pointer-vs-frozen rows (serial_* and
-# frozen_serial_* in BENCH_query.json; every SearchBatch run there is over
-# the frozen index, the only batch path).
-bench-frozen: bench-query
-	$(GO) test -run=NONE -bench='Freeze|BuildFrozen|Frozen|DecodeArena' -benchmem ./internal/core/
+# sort under it, flat-walk search beside the pointer walk
+# (BenchmarkSearcherSearch) and top-k, the SearchBatch runs (every one over
+# the frozen index, the only batch path), and the v4 arena decode (the copy a
+# host that cannot alias makes, and the aliasing every load runs).
+bench-frozen:
+	$(GO) test -run=NONE -bench='Freeze|BuildFrozen|Frozen|DecodeArena|SearcherSearch$$|SearchBatch$$' -benchmem ./internal/core/
 	$(GO) test -run=NONE -bench='GraySort' -benchmem ./internal/gray/
 
 # The request path's invariants by name, three times over under the race
 # detector: one Write per frame from the router and from the server (a
 # counting net.Conn), a batch of one searched on the connection's goroutine,
-# the pipelined first attempt under every injected failure, the one-shed rule
+# the pipelined first attempt under every injected failure and under an error
+# frame, which is the shard's answer (one attempt, no retry), the one-shed rule
 # on a fake clock (one backoff, the next replica once, then ErrShed), and eight
 # goroutines on one Router against a slow shard (lock order = shard order),
 # and the reply path's allocation ceilings — one 16-query × 500-id request
@@ -60,7 +58,8 @@ bench-frozen: bench-query
 # and the planner's decision as a load-time table read (no write, no
 # allocation, the same plan from every goroutine), and both write paths: one
 # write frame a shard for an Insert and for a Delete, and a read-only shard
-# refusing insert, delete and seal on a connection that survives.
+# refusing insert, delete and seal once each (no retry, no backoff, one error
+# on the server's books) on a connection that survives.
 # A second write per frame, or an id copy per query, should fail here, not in
 # a benchmark.
 reqpath:
@@ -154,7 +153,8 @@ bench-lsm:
 
 # End-to-end smoke of the serving stack: build the CLIs, generate a tiny
 # dataset, shard it, start two haserve processes (one fault-injected), query
-# through haquery, and diff against the in-process oracle.
+# through haquery, and diff against the in-process oracle; a delete against
+# the read-only shards must fail once with their refusal.
 smoke:
 	./scripts/smoke.sh
 
@@ -172,7 +172,7 @@ lsm-smoke:
 	SMOKE_LSM=1 ./scripts/smoke.sh
 
 # Every paper-reproduction experiment at default scale, in-process: no
-# server is started, and only BENCH_query.json is written.
+# server is started, and no file is written.
 experiments:
 	$(GO) run ./cmd/habench -exp all
 

@@ -10,8 +10,8 @@
 //	habench -exp fig7 -quick
 //
 // The experiments are the rows of the runners table below (habench -h
-// prints them); only query writes a file, BENCH_query.json. Serving numbers
-// are not measured here: see benchmark/ and BENCHMARK.json.
+// prints them); none writes a file. Serving numbers are not measured here:
+// see benchmark/ and BENCHMARK.json.
 package main
 
 import (
@@ -39,7 +39,6 @@ var runners = []struct {
 	{"ablation", bench.Ablations},
 	{"scaling", bench.Scaling},
 	{"faults", bench.FaultSweep},
-	{"query", bench.QueryBench},
 }
 
 func main() {

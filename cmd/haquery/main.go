@@ -11,8 +11,10 @@
 //
 // Shards are comma-separated; replicas of one shard are joined with "/".
 // Searches and top-k rotate round-robin over a shard's replicas and fail over
-// to the next one on error; a shed request is asked again once, of the next
-// replica, after one backoff.
+// to the next one when a connection fails; a shed request is asked again
+// once, of the next replica, after one backoff. An error frame is the shard's
+// answer: haquery exits nonzero with the server's message, asking no replica
+// again.
 //
 // With -oracle DIR the same queries are also answered by a brute-force scan
 // over every tuple of the snapshots in DIR, the two result sets are diffed,
@@ -27,8 +29,11 @@
 //	haquery -shards ... -seal-compact                       # ...and compact
 //
 // Mutations run before the queries of the same invocation, so an inserted
-// tuple is immediately searchable. Inserts route by the code's Gray
-// partition; deletes and seals broadcast.
+// tuple is immediately searchable. Every shard receives every write frame:
+// each upserts the pairs in its own Gray partition and deletes the other ids
+// it holds, so an upsert that moves a tuple across partitions retires the old
+// copy. Seals go to every shard too. A write goes to each shard's first
+// replica only; a read-only shard refuses it with "write refused", once.
 package main
 
 import (

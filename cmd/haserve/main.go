@@ -9,12 +9,14 @@
 //	haserve -snapshot shards/shard-00001.hasn -addr 127.0.0.1:0 -port-file s1.addr
 //
 // With -addr ending in :0 the kernel picks a free port; -port-file writes
-// the bound address for scripts to pick up. The -fail-requests,
-// -drop-requests, and -shed-requests flags inject deterministic faults (by
-// server-wide request number) for smoke tests of client retry, failover,
-// and shed backoff. -debug-addr binds a loopback HTTP endpoint exposing the
-// shard's latency histograms (/debug/obs), recent request traces
-// (/debug/traces), and pprof.
+// the bound address for scripts to pick up. The -drop-requests and
+// -shed-requests flags inject deterministic faults (by server-wide request
+// number) for smoke tests of client retry, failover, and shed backoff: a
+// dropped connection is retried on the next replica, a shed is backed off
+// once. An error frame is not a fault to retry — it is the server's answer,
+// and every replica would give the same one. -debug-addr binds a loopback
+// HTTP endpoint exposing the shard's latency histograms (/debug/obs), recent
+// request traces (/debug/traces), and pprof.
 //
 // -shed-after DUR bounds how long a search or top-k may wait for admission
 // before the shard sheds it with a polite overload frame: the client backs
@@ -76,7 +78,6 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:0", "listen address (\":0\" picks a free port)")
 		searchers = flag.Int("searchers", 0, "searcher pool size (0 = GOMAXPROCS)")
 		portFile  = flag.String("port-file", "", "write the bound address to this file")
-		failReqs  = flag.String("fail-requests", "", "comma-separated request numbers answered with an error frame")
 		dropReqs  = flag.String("drop-requests", "", "comma-separated request numbers whose connection is dropped")
 		debugAddr = flag.String("debug-addr", "", "also serve /debug/obs, /debug/traces, /debug/pprof on this HTTP address (e.g. 127.0.0.1:7071; bind loopback only)")
 		debugFile = flag.String("debug-port-file", "", "write the bound debug address to this file")
@@ -111,7 +112,6 @@ func main() {
 			add(faults, req)
 		}
 	}
-	addFaults(*failReqs, func(p *server.FaultPlan, r int64) { p.FailRequest(r) })
 	addFaults(*dropReqs, func(p *server.FaultPlan, r int64) { p.DropRequest(r) })
 	addFaults(*shedReqs, func(p *server.FaultPlan, r int64) { p.ShedRequest(r) })
 

@@ -19,7 +19,7 @@ import (
 // (internal/bench, cmd/habench) import nothing of the serving stack, whose
 // numbers come from benchmark/ alone. The BENCH_*.json records at the repo
 // root are exactly the file names internal/bench's non-test source spells out
-// (today QueryBenchFile), so a record whose experiment was deleted cannot
+// (today there are none), so a record whose experiment was deleted cannot
 // linger as if it were still measured. The pointer index with its
 // H-Insert/H-Delete, insert buffer and pointer merge (core.Merge) belongs to
 // the library API (haindex.MergeIndexes) and the reproduction benches: the

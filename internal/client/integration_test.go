@@ -126,15 +126,15 @@ func (d *deployment) queries(rng *rand.Rand, nq, bits, flips int) []bitvec.Code 
 
 // TestRouterMatchesOracleAcrossShards is the subsystem's acceptance test:
 // results from a Router over multiple shard servers — one replica
-// fault-injected to fail its first request — must be identical to a single
+// fault-injected to drop its first request — must be identical to a single
 // in-process Searcher over all the data.
 func TestRouterMatchesOracleAcrossShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const bits, parts, h = 32, 3, 3
-	// Shard 0 has two replicas; the first fails its first search request
-	// and drops the connection on its second, so the router must retry on
-	// to the healthy replica.
-	faulty := server.NewFaultPlan().FailRequest(0).DropRequest(1)
+	// Shard 0 has two replicas; the first drops the connection on its first
+	// and second search requests, so the router must retry on to the healthy
+	// replica.
+	faulty := server.NewFaultPlan().DropRequest(0).DropRequest(1)
 	d := buildDeployment(t, rng, 1200, bits, parts, map[int][]*server.FaultPlan{
 		0: {faulty, nil},
 	})
@@ -247,8 +247,8 @@ func TestRouterSingleReplicaRetriesSameServer(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	const bits, parts, h = 16, 2, 2
 	d := buildDeployment(t, rng, 300, bits, parts, map[int][]*server.FaultPlan{
-		0: {server.NewFaultPlan().FailRequest(0)},
-		1: {server.NewFaultPlan().DropRequest(0)},
+		0: {server.NewFaultPlan().DropRequest(0)},
+		1: {server.NewFaultPlan().DropRequest(0).DropRequest(1)},
 	})
 	r, err := Dial(d.addrs, Options{MaxAttempts: 4, Backoff: time.Millisecond})
 	if err != nil {
@@ -295,10 +295,10 @@ func fetchObs(t *testing.T, addr net.Addr) obs.RegistrySnapshot {
 func TestObservabilityAcceptance(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	const bits, parts, h = 16, 2, 2
-	// Shard 0's only replica rejects its first two requests with injected
-	// failures, so the router must retry into the same server.
+	// Shard 0's only replica drops the connection on its first two
+	// requests, so the router must redial the same server and retry there.
 	d := buildDeployment(t, rng, 400, bits, parts, map[int][]*server.FaultPlan{
-		0: {server.NewFaultPlan().FailRequest(0).FailRequest(1)},
+		0: {server.NewFaultPlan().DropRequest(0).DropRequest(1)},
 	})
 	var debugAddrs []net.Addr
 	for _, s := range d.servers {
@@ -349,7 +349,7 @@ func TestObservabilityAcceptance(t *testing.T) {
 	}
 	// Consistency across the two registries: every client attempt (first
 	// tries plus retries) reached a server and was counted there,
-	// fault-rejected or not.
+	// dropped or not.
 	attempts := st.ShardRequests + st.Retries
 	if serverRequests != attempts {
 		t.Fatalf("servers counted %d requests, client issued %d attempts: %+v", serverRequests, attempts, st)
@@ -391,7 +391,7 @@ func TestObservabilityAcceptance(t *testing.T) {
 		t.Fatalf("%d queries × %d shards: routed %d, pruned %d, servers answered %d", len(queries), parts, st.QueriesRouted, st.QueriesPruned, serverQueries)
 	}
 	// Only successfully answered searches land in the servers' latency
-	// histograms; the fault-rejected attempts must not.
+	// histograms; the dropped attempts must not.
 	if want := serverRequests - serverFaults; serverSearchNs != want {
 		t.Fatalf("servers' search histograms hold %d samples, want %d", serverSearchNs, want)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -615,7 +616,9 @@ func checkStableTopK(ids, dists, dist []int, k int) error {
 
 // TestMutableServerRefusesMutationsWhenImmutable pins the failure mode: an
 // immutable server must answer the write and seal frames with an error, not
-// corrupt state or hang, and keep the connection.
+// corrupt state or hang, and keep the connection. The refusal is the shard's
+// answer under the router's default options: one frame, no retry, no
+// backoff, one error on the server's books.
 func TestMutableServerRefusesMutationsWhenImmutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	codes := make([]bitvec.Code, 50)
@@ -632,23 +635,31 @@ func TestMutableServerRefusesMutationsWhenImmutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	r, err := Dial([][]string{{s.Addr().String()}}, Options{MaxAttempts: 1})
+	r, err := Dial([][]string{{s.Addr().String()}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	for _, mut := range []struct {
-		name string
-		run  func() error
+		name, refusal string
+		run           func() error
 	}{
-		{"insert", func() error { _, err := r.Insert([]int{1}, []bitvec.Code{codes[0]}); return err }},
-		{"delete", func() error { _, err := r.Delete([]int{1}); return err }},
-		{"seal", func() error { _, err := r.Seal(true); return err }},
+		{"insert", "shard is immutable: write refused", func() error { _, err := r.Insert([]int{1}, []bitvec.Code{codes[0]}); return err }},
+		{"delete", "shard is immutable: write refused", func() error { _, err := r.Delete([]int{1}); return err }},
+		{"seal", "shard is immutable: seal refused", func() error { _, err := r.Seal(true); return err }},
 	} {
 		rp := r.shards[0].replicas[0]
 		conn := rp.conn
-		if err := mut.run(); err == nil {
-			t.Fatalf("%s against immutable shard succeeded", mut.name)
+		errors0 := s.Stats().Errors
+		err := mut.run()
+		if err == nil || !strings.Contains(err.Error(), mut.refusal) {
+			t.Fatalf("%s against immutable shard: %v, want it to say %q", mut.name, err, mut.refusal)
+		}
+		if st := r.Stats(); st.Retries != 0 || st.BackoffWait != 0 {
+			t.Fatalf("refused %s was retried: %+v", mut.name, st)
+		}
+		if n := s.Stats().Errors - errors0; n != 1 {
+			t.Fatalf("refused %s cost the server %d errors, want 1", mut.name, n)
 		}
 		// The connection must survive the refusal: searches still work on it.
 		if _, err := r.Search(codes[0], 0); err != nil {

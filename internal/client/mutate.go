@@ -8,8 +8,9 @@ import (
 )
 
 // The mutation side of the router, for deployments whose shards serve a
-// mutable LSM tier (haserve -mutable). Against immutable shards the
-// server's error frame surfaces through the normal retry path.
+// mutable LSM tier (haserve -mutable). An immutable shard refuses a write
+// with an error frame, which ends the call at once: the write is not sent
+// again, to that replica or another.
 
 // Insert applies a batch of upserts across the deployment in one pipelined
 // round: every shard receives the whole batch. Each shard upserts the pairs

@@ -13,6 +13,7 @@ import (
 
 	"haindex/internal/bitvec"
 	"haindex/internal/server"
+	"haindex/internal/wire"
 )
 
 // countingConn counts the Write calls — on a TCP connection, the write
@@ -122,28 +123,31 @@ func connNames(r *Router) []string {
 }
 
 // TestPipelinedFirstAttemptUnderFailure: the first attempt of every leg is
-// written and read on the calling goroutine; a leg whose first attempt fails
-// — dropped connection, error frame, shed — on leg 0, leg 1 or both must
-// still come back with the oracle's exact answer through the retry loop, with
-// the counters counting what they always counted, the poisoned connection
-// redialled and the healthy leg's connection left alone. A read timeout
-// spends the whole request budget (one Timeout bounds both), so that request
-// fails as it always has; the next one redials only the timed-out leg.
+// written and read on the calling goroutine; a leg whose first attempt is
+// dropped or shed — on leg 0, leg 1 or both — must still come back with the
+// oracle's exact answer through the retry loop, with the counters counting
+// what they always counted, the poisoned connection redialled and the healthy
+// leg's connection left alone. A read timeout spends the whole request budget
+// (one Timeout bounds both), so that request fails as it always has; the next
+// one redials only the timed-out leg. An error frame, from a scripted shard
+// that refuses every request, is that shard's answer: the request fails with
+// the server's message after one attempt, no retry, and no redial.
 func TestPipelinedFirstAttemptUnderFailure(t *testing.T) {
-	const bits, h = 32, 3
+	const bits, h, refusal = 32, 3, "scripted refusal"
 	type outcome struct {
-		retries, sheds int64 // per faulted leg
-		redial, fails  bool
+		retries, sheds int64  // per faulted leg
+		redial         bool   // the faulted legs' connections are redialled
+		err            string // what the first request's error says, if it fails
 	}
 	kinds := []struct {
 		name   string
-		inject func(*server.FaultPlan) *server.FaultPlan
+		inject func(*server.FaultPlan) *server.FaultPlan // nil: the faulted shards refuse
 		want   outcome
 	}{
 		{"drop", func(p *server.FaultPlan) *server.FaultPlan { return p.DropRequest(0) }, outcome{retries: 1, redial: true}},
-		{"error-frame", func(p *server.FaultPlan) *server.FaultPlan { return p.FailRequest(0) }, outcome{retries: 1}},
+		{"error-frame", nil, outcome{err: "server error: " + refusal}},
 		{"shed", func(p *server.FaultPlan) *server.FaultPlan { return p.ShedRequest(0) }, outcome{sheds: 1}},
-		{"read-timeout", func(p *server.FaultPlan) *server.FaultPlan { return p.DelayRequest(0, 600*time.Millisecond) }, outcome{redial: true, fails: true}},
+		{"read-timeout", func(p *server.FaultPlan) *server.FaultPlan { return p.DelayRequest(0, 600*time.Millisecond) }, outcome{redial: true, err: "retry budget exhausted"}},
 	}
 	for _, kind := range kinds {
 		for _, faulted := range [][]int{{0}, {1}, {0, 1}} {
@@ -152,9 +156,20 @@ func TestPipelinedFirstAttemptUnderFailure(t *testing.T) {
 				rng := rand.New(rand.NewSource(72))
 				plans := map[int][]*server.FaultPlan{}
 				for _, m := range faulted {
-					plans[m] = []*server.FaultPlan{kind.inject(server.NewFaultPlan())}
+					if kind.inject != nil {
+						plans[m] = []*server.FaultPlan{kind.inject(server.NewFaultPlan())}
+					}
 				}
 				d := buildDeployment(t, rng, 600, bits, 2, plans)
+				var answered []*atomic.Int32 // by each refusing shard
+				for _, m := range faulted {
+					if kind.inject == nil {
+						hello := wire.HelloOK{Version: wire.Version, SnapshotMeta: d.servers[m].Meta()}
+						addr, _, n := startScriptedServer(t, hello, wire.MsgError, wire.ErrorMsg{Msg: refusal}.Append(nil))
+						d.addrs[m] = []string{addr}
+						answered = append(answered, n)
+					}
+				}
 				r, err := Dial(d.addrs, Options{Backoff: time.Millisecond, Timeout: 200 * time.Millisecond})
 				if err != nil {
 					t.Fatal(err)
@@ -171,21 +186,29 @@ func TestPipelinedFirstAttemptUnderFailure(t *testing.T) {
 				if st.Retries != n*kind.want.retries || st.Sheds != n*kind.want.sheds {
 					t.Fatalf("retries %d sheds %d, want %d and %d", st.Retries, st.Sheds, n*kind.want.retries, n*kind.want.sheds)
 				}
-				if kind.want.fails {
-					if err == nil || !strings.Contains(err.Error(), "retry budget exhausted") {
-						t.Fatalf("err = %v, want the retry budget spent by the timed-out attempt", err)
-					}
-					if got, err = r.SearchBatch(queries, h); err != nil {
-						t.Fatalf("request after the timeout: %v", err)
-					}
-				} else if err != nil {
+				if kind.want.err == "" && err != nil {
 					t.Fatal(err)
 				}
-				for i, q := range queries {
-					want := append([]int(nil), d.oracle.Search(q, h)...)
-					sort.Ints(want)
-					if !equalInts(got[i], want) {
-						t.Fatalf("query %d: router %v, oracle %v", i, got[i], want)
+				if kind.want.err != "" && (err == nil || !strings.Contains(err.Error(), kind.want.err)) {
+					t.Fatalf("err = %v, want it to say %q", err, kind.want.err)
+				}
+				for _, n := range answered {
+					if n.Load() != 1 {
+						t.Fatalf("a refusing shard was asked %d times, want once", n.Load())
+					}
+				}
+				if kind.inject != nil {
+					if err != nil {
+						if got, err = r.SearchBatch(queries, h); err != nil {
+							t.Fatalf("request after the timeout: %v", err)
+						}
+					}
+					for i, q := range queries {
+						want := append([]int(nil), d.oracle.Search(q, h)...)
+						sort.Ints(want)
+						if !equalInts(got[i], want) {
+							t.Fatalf("query %d: router %v, oracle %v", i, got[i], want)
+						}
 					}
 				}
 				after := connNames(r)

@@ -4,12 +4,14 @@
 // shards were built from — learned from the shards' own handshakes — through
 // histo.Ranges, so a query only visits shards whose Gray range can contain a
 // match within the threshold. Each shard may have several replicas. Searches,
-// top-k and stats rotate round-robin over them, and a failed attempt moves on
-// to the next replica in that order after an exponential, jittered backoff;
-// mutations take the replicas in list order, and both skip a replica refused
-// for serving another partition or build. A replica that answers MsgShed
-// is overloaded, not broken: the request backs off once and asks the next
-// replica, and a second shed ends it with ErrShed.
+// top-k and stats rotate round-robin over them, and an attempt that fails in
+// transport moves on to the next replica in that order after an exponential,
+// jittered backoff; mutations take the replicas in list order, and both skip
+// a replica refused for serving another partition or build. An error frame is
+// the shard's answer and ends the request: every replica shares the build
+// that decided it. A replica that answers MsgShed is overloaded, not broken:
+// the request backs off once and asks the next replica, and a second shed
+// ends it with ErrShed.
 package client
 
 import (
@@ -625,9 +627,11 @@ func (r *Router) begin(lg *leg, mode routeMode) {
 // a request costs one write and one wake-up per leg each way and no goroutine
 // hand-off. A leg holds its replica's conversation lock from write to read;
 // taking the locks in shard order is what keeps concurrent requests on one
-// Router from deadlocking. Only a leg whose first attempt did not come back
-// as its OK frame (transport error, MsgError, MsgShed) enters the retry loop —
-// side by side when there are several.
+// Router from deadlocking. Only a leg whose first attempt failed in transport
+// or was shed enters the retry loop — side by side when there are several.
+// Any other frame is the shard's answer: an error frame is fixed by the
+// request and the build, which every replica of the shard shares, so another
+// attempt would only repeat it.
 func (r *Router) fanOut(legs []leg, mode routeMode, tr *obs.Trace) {
 	start := r.now()
 	for i := range legs {
@@ -657,30 +661,41 @@ func (r *Router) fanOut(legs []leg, mode routeMode, tr *obs.Trace) {
 		lg.rp.mu.Unlock()
 		r.observe(lg.sh, lg.t0)
 		tr.End(lg.attempt)
-		if lg.err == nil && lg.respType == lg.want {
+		if lg.err == nil && lg.respType != wire.MsgShed {
 			tr.End(lg.span)
 			continue
 		}
 		slow = append(slow, lg)
 	}
-	if len(slow) == 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	for _, lg := range slow[1:] {
-		wg.Add(1)
-		go func(lg *leg) {
-			defer wg.Done()
-			r.retry(lg, start, tr)
-		}(lg)
-	}
-	r.retry(slow[0], start, tr)
-	wg.Wait()
-	for _, lg := range slow {
-		tr.End(lg.span)
-		if lg.err == nil && lg.respType != lg.want {
-			lg.err = fmt.Errorf("client: shard %d answered %s", lg.sh.part, lg.respType)
+	if len(slow) > 0 {
+		var wg sync.WaitGroup
+		for _, lg := range slow[1:] {
+			wg.Add(1)
+			go func(lg *leg) {
+				defer wg.Done()
+				r.retry(lg, start, tr)
+			}(lg)
 		}
+		r.retry(slow[0], start, tr)
+		wg.Wait()
+		for _, lg := range slow {
+			tr.End(lg.span)
+		}
+	}
+	for i := range legs {
+		lg := &legs[i]
+		if lg.err != nil || lg.respType == lg.want {
+			continue
+		}
+		if lg.respType != wire.MsgError {
+			lg.err = fmt.Errorf("client: shard %d answered %s", lg.sh.part, lg.respType)
+			continue
+		}
+		em, err := wire.ParseErrorMsg(lg.resp)
+		if err == nil {
+			err = errors.New("server error: " + em.Msg)
+		}
+		lg.err = fmt.Errorf("client: shard %d: %w", lg.sh.part, err)
 	}
 }
 
@@ -688,11 +703,11 @@ func (r *Router) fanOut(legs []leg, mode routeMode, tr *obs.Trace) {
 // retry and backoff. Each try goes to the next replica in list order, wrapping,
 // from the leg's first, past refused ones (all refused: it fails at once): a
 // single-replica shard retries in place. The first attempt, which fanOut
-// made, is judged as attempt 0, not sent again. A
-// server-reported error frame counts as a failed attempt just like a
-// transport error. The whole loop — attempts plus backoff sleeps, from the
-// request's start — is bounded by Opts.Timeout of wall time, so a run of
-// failures cannot sleep far past the per-request budget.
+// made, is judged as attempt 0, not sent again. Only a transport error is a
+// failed attempt; any frame but MsgShed, an error frame too, is the answer.
+// The whole loop — attempts plus backoff sleeps, from the request's start —
+// is bounded by Opts.Timeout of wall time, so a run of failures cannot sleep
+// far past the per-request budget.
 //
 // A MsgShed answer is not a failure: the shard is healthy but saturated. The
 // request sleeps one jittered Backoff, if its deadline leaves room, and asks
@@ -747,14 +762,6 @@ func (r *Router) retry(lg *leg, start time.Time, tr *obs.Trace) {
 			}
 			shed = true
 			r.pause(d, "shed backoff", parent, tr)
-		}
-		if err == nil && respType == wire.MsgError {
-			em, perr := wire.ParseErrorMsg(resp)
-			if perr != nil {
-				err = perr
-			} else {
-				err = fmt.Errorf("client: shard %d: server error: %s", sh.part, em.Msg)
-			}
 		}
 		if err == nil {
 			lg.respType, lg.resp, lg.err = respType, resp, nil

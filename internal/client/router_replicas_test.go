@@ -185,7 +185,7 @@ func TestRouterFailsAtOnceWhenEveryReplicaIsRefused(t *testing.T) {
 	r.shards[0].replicas = nil
 	var dials []*atomic.Int32
 	for i := 0; i < 2; i++ {
-		addr, n := startSheddingServer(t, 0)
+		addr, n, _ := startScriptedServer(t, healthyHello, wire.MsgShed, shedFrame)
 		dials = append(dials, n)
 		r.shards[0].replicas = append(r.shards[0].replicas, &replica{addr: addr, opts: r.opts, want: want})
 	}

@@ -14,18 +14,20 @@ import (
 	"haindex/internal/wire"
 )
 
-// startSheddingServer runs a minimal in-test shard server that handshakes
-// and answers every subsequent request with MsgShed after delay —
-// a shard that is permanently saturated. It returns its address and a counter
-// of accepted connections.
-func startSheddingServer(t *testing.T, delay time.Duration) (string, *atomic.Int32) {
+// startScriptedServer runs a minimal in-test shard server that answers the
+// handshake with hello and every later request with the frame (rt, payload):
+// with MsgShed a shard that is permanently saturated, with MsgStatsOK a
+// healthy, unloaded one, with MsgError one that refuses every request. It
+// returns its address and counters of the connections it accepted and the
+// requests it answered.
+func startScriptedServer(t *testing.T, hello wire.HelloOK, rt wire.MsgType, payload []byte) (addr string, dials, served *atomic.Int32) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	var dials atomic.Int32
+	dials, served = new(atomic.Int32), new(atomic.Int32)
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -33,53 +35,6 @@ func startSheddingServer(t *testing.T, delay time.Duration) (string, *atomic.Int
 				return
 			}
 			dials.Add(1)
-			go func(conn net.Conn) {
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				typ, _, err := wire.ReadFrame(br)
-				if err != nil || typ != wire.MsgHello {
-					return
-				}
-				ok := wire.HelloOK{Version: wire.Version, SnapshotMeta: wire.SnapshotMeta{Length: 32, Part: 0, Parts: 1}}
-				if err := wire.WriteFrame(conn, wire.MsgHelloOK, ok.Append(nil)); err != nil {
-					return
-				}
-				for {
-					if _, _, err := wire.ReadFrame(br); err != nil {
-						return
-					}
-					if delay > 0 {
-						time.Sleep(delay)
-					}
-					shed := wire.ShedResp{WaitNs: int64(time.Millisecond)}
-					if err := wire.WriteFrame(conn, wire.MsgShed, shed.Append(nil)); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String(), &dials
-}
-
-// startStatsServer runs a minimal in-test shard server that answers the
-// handshake with hello and every subsequent request with MsgStatsOK — a
-// healthy, unloaded sibling. It returns its address and a counter of requests
-// served.
-func startStatsServer(t *testing.T, hello wire.HelloOK) (string, *atomic.Int32) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	var served atomic.Int32
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
 			go func(conn net.Conn) {
 				defer conn.Close()
 				br := bufio.NewReader(conn)
@@ -95,16 +50,21 @@ func startStatsServer(t *testing.T, hello wire.HelloOK) (string, *atomic.Int32) 
 						return
 					}
 					served.Add(1)
-					st := wire.StatsResp{Requests: int64(served.Load())}
-					if err := wire.WriteFrame(conn, wire.MsgStatsOK, st.Append(nil)); err != nil {
+					if err := wire.WriteFrame(conn, rt, payload); err != nil {
 						return
 					}
 				}
 			}(conn)
 		}
 	}()
-	return ln.Addr().String(), &served
+	return ln.Addr().String(), dials, served
 }
+
+// The payloads of the scripted shed and stats answers.
+var (
+	shedFrame  = wire.ShedResp{WaitNs: int64(time.Millisecond)}.Append(nil)
+	statsFrame = wire.StatsResp{}.Append(nil)
+)
 
 // healthyHello is a one-partition deployment's handshake at this build's
 // protocol version.
@@ -115,7 +75,7 @@ var healthyHello = wire.HelloOK{Version: wire.Version, SnapshotMeta: wire.Snapsh
 func TestDialNamesVersionMismatch(t *testing.T) {
 	hello := healthyHello
 	hello.Version--
-	addr, _ := startStatsServer(t, hello)
+	addr, _, _ := startScriptedServer(t, hello, wire.MsgStatsOK, statsFrame)
 	_, err := Dial([][]string{{addr}}, Options{})
 	want := fmt.Sprintf("speaks protocol version %d, this client speaks %d", wire.Version-1, wire.Version)
 	if err == nil || !strings.Contains(err.Error(), want) {
@@ -129,7 +89,7 @@ func TestDialNamesVersionMismatch(t *testing.T) {
 func TestDialRejectsPartitionPastParts(t *testing.T) {
 	hello := healthyHello
 	hello.Part = 1
-	addr, _ := startStatsServer(t, hello)
+	addr, _, _ := startScriptedServer(t, hello, wire.MsgStatsOK, statsFrame)
 	r, err := Dial([][]string{{addr}}, Options{MaxAttempts: 1})
 	if err == nil {
 		r.Close()
@@ -205,13 +165,13 @@ func runShedCases(t *testing.T, cases []shedCase) {
 func TestShedBackoffBoundedByDeadline(t *testing.T) {
 	runShedCases(t, []shedCase{
 		{"saturated pair", func(t *testing.T) []string {
-			a, _ := startSheddingServer(t, 0)
-			b, _ := startSheddingServer(t, 0)
+			a, _, _ := startScriptedServer(t, healthyHello, wire.MsgShed, shedFrame)
+			b, _, _ := startScriptedServer(t, healthyHello, wire.MsgShed, shedFrame)
 			return []string{a, b}
 		}, shedOpts.Timeout, []time.Duration{shedOpts.Backoff}, 2, true, false},
 		{"deadline shorter than the backoff", func(t *testing.T) []string {
-			a, _ := startSheddingServer(t, 0)
-			b, _ := startStatsServer(t, healthyHello)
+			a, _, _ := startScriptedServer(t, healthyHello, wire.MsgShed, shedFrame)
+			b, _, _ := startScriptedServer(t, healthyHello, wire.MsgStatsOK, statsFrame)
 			return []string{a, b}
 		}, shedOpts.Backoff / 2, nil, 1, true, false},
 	})
@@ -225,8 +185,8 @@ func TestShedSteersToLeastLoadedReplica(t *testing.T) {
 	var siblingServed *atomic.Int32
 	runShedCases(t, []shedCase{
 		{"shed replica, healthy sibling", func(t *testing.T) []string {
-			a, _ := startSheddingServer(t, 0)
-			b, served := startStatsServer(t, healthyHello)
+			a, _, _ := startScriptedServer(t, healthyHello, wire.MsgShed, shedFrame)
+			b, _, served := startScriptedServer(t, healthyHello, wire.MsgStatsOK, statsFrame)
 			siblingServed = served
 			return []string{a, b}
 		}, shedOpts.Timeout, []time.Duration{shedOpts.Backoff}, 1, false, true},

@@ -624,12 +624,6 @@ func (s *Shard) TopKInto(q bitvec.Code, k int, stats *core.SearchStats) ([]int, 
 	})
 }
 
-// TopK is TopKInto with throwaway statistics.
-func (s *Shard) TopK(q bitvec.Code, k int) ([]int, []int) {
-	var stats core.SearchStats
-	return s.TopKInto(q, k, &stats)
-}
-
 // Tuples invokes fn for every live (id, code) pair: memtable rows plus live
 // segment tuples. The codes alias the shard's slabs — a memtable row's is
 // overwritten by later mutations — so fn must Clone what it keeps.

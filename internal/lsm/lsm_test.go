@@ -325,17 +325,18 @@ func TestShardTopK(t *testing.T) {
 	}
 	s.Delete(5)
 	delete(o, 5)
+	var stats core.SearchStats
 	for trial := 0; trial < 20; trial++ {
 		q := bitvec.Rand(rng, 32)
 		k := 1 + rng.Intn(12)
 		wantIDs, wantDs := o.topK(q, k)
-		gotIDs, gotDs := s.TopK(q, k)
+		gotIDs, gotDs := s.TopKInto(q, k, &stats)
 		if len(gotIDs) != len(wantIDs) {
-			t.Fatalf("TopK k=%d: got %v want %v", k, gotIDs, wantIDs)
+			t.Fatalf("TopKInto k=%d: got %v want %v", k, gotIDs, wantIDs)
 		}
 		for i := range gotIDs {
 			if gotIDs[i] != wantIDs[i] || gotDs[i] != wantDs[i] {
-				t.Fatalf("TopK k=%d: got %v/%v want %v/%v", k, gotIDs, gotDs, wantIDs, wantDs)
+				t.Fatalf("TopKInto k=%d: got %v/%v want %v/%v", k, gotIDs, gotDs, wantIDs, wantDs)
 			}
 		}
 	}
@@ -343,7 +344,7 @@ func TestShardTopK(t *testing.T) {
 
 // TestShardTopKOneState: a top-k escalates over many radii, and an upsert
 // between two of them must not show. One goroutine moves id 1 back and forth
-// between q and a code 20 bits away; every TopK(q, 1) must report id 1 at
+// between q and a code 20 bits away; every TopKInto(q, 1) must report id 1 at
 // distance 0 or 20 — a distance that matches a version of the tuple — never
 // the radius at which a version moved in under the escalation.
 func TestShardTopKOneState(t *testing.T) {
@@ -375,10 +376,11 @@ func TestShardTopKOneState(t *testing.T) {
 	}()
 	defer wg.Wait()
 	defer close(stop)
+	var stats core.SearchStats
 	for i := 0; i < 20000; i++ {
-		ids, dists := s.TopK(q, 1)
+		ids, dists := s.TopKInto(q, 1, &stats)
 		if len(ids) != 1 || ids[0] != 1 || (dists[0] != 0 && dists[0] != 20) {
-			t.Fatalf("call %d: TopK(q, 1) = %v at %v; id 1 is only ever at distance 0 or 20", i, ids, dists)
+			t.Fatalf("call %d: TopKInto(q, 1) = %v at %v; id 1 is only ever at distance 0 or 20", i, ids, dists)
 		}
 	}
 }

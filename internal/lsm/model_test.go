@@ -135,7 +135,7 @@ func (m *model) check() {
 		m.failf("search %v h=%d: got %v, want %v", q, h, got, want)
 	}
 	k := 1 + m.rng.Intn(6)
-	gotIDs, gotDs := s.TopK(q, k)
+	gotIDs, gotDs := s.TopKInto(q, k, &stats)
 	wantIDs, wantDs := m.o.topK(q, k)
 	if fmt.Sprint(gotIDs, gotDs) != fmt.Sprint(wantIDs, wantDs) {
 		m.failf("top-%d of %v: got %v at %v, want %v at %v", k, q, gotIDs, gotDs, wantIDs, wantDs)

@@ -516,13 +516,6 @@ func (m *Index) NewScratch() core.EngineScratch {
 	}
 }
 
-// Search is a convenience for tools and tests: a fresh-searcher, allocating
-// select. Serving paths keep one core.NewSearcher(m) per goroutine instead,
-// whose scratch makes the steady state allocation-free.
-func (m *Index) Search(q bitvec.Code, h int) []int {
-	return core.NewSearcher(m).SearchAppend(nil, q, h)
-}
-
 // Scratch is one searcher's mutable state: per table, the query's key, its
 // exact-key lookup and bucket size, and its radius; the iterative
 // combination enumerator; the epoch-marked visited table that deduplicates

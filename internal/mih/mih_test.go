@@ -104,7 +104,7 @@ func TestSearchMatchesOracle(t *testing.T) {
 							t.Fatalf("bits=%d clustered=%v opts=%+v h=%d: got %d ids, want %d",
 								bitsLen, clustered, opts, h, len(got), len(want))
 						}
-						if got := sortedCopy(m.Search(q, h)); !equalIDs(got, want) {
+						if got := sortedCopy(core.NewSearcher(m).SearchAppend(nil, q, h)); !equalIDs(got, want) {
 							t.Fatalf("bits=%d direct search h=%d: got %d ids, want %d", bitsLen, h, len(got), len(want))
 						}
 					}
@@ -388,7 +388,7 @@ func TestDuplicateCodesShareGroup(t *testing.T) {
 	if m.GroupCount() > 3 {
 		t.Fatalf("GroupCount=%d, duplicates not collapsed", m.GroupCount())
 	}
-	if got := sortedCopy(m.Search(base, 0)); !equalIDs(got, []int{10, 20, 40}) {
+	if got := sortedCopy(core.NewSearcher(m).SearchAppend(nil, base, 0)); !equalIDs(got, []int{10, 20, 40}) {
 		t.Fatalf("exact search over duplicates returned %v", got)
 	}
 }
@@ -422,7 +422,7 @@ func TestFromGroups(t *testing.T) {
 			want = append(want, ids[i])
 		}
 	}
-	if got := sortedCopy(m.Search(q, 5)); !equalIDs(got, want) {
+	if got := sortedCopy(core.NewSearcher(m).SearchAppend(nil, q, 5)); !equalIDs(got, want) {
 		t.Fatalf("FromGroups search: got %v want %v", got, want)
 	}
 }

@@ -3,10 +3,9 @@ package server
 import "time"
 
 // Fault is what happens to one search/top-k request: an added latency (a
-// straggling shard), an error response, a dropped connection, or a shed. The
-// delay, if any, is served first.
+// straggling shard), a dropped connection, or a shed. The delay, if any, is
+// served first.
 type Fault struct {
-	Fail  bool
 	Drop  bool
 	Shed  bool
 	Delay time.Duration
@@ -32,11 +31,6 @@ func (p *FaultPlan) upsert(req int64, fn func(*Fault)) *FaultPlan {
 	fn(&f)
 	p.entries[req] = f
 	return p
-}
-
-// FailRequest schedules request req to be answered with an error frame.
-func (p *FaultPlan) FailRequest(req int64) *FaultPlan {
-	return p.upsert(req, func(f *Fault) { f.Fail = true })
 }
 
 // DropRequest schedules the connection serving request req to be closed

@@ -464,13 +464,6 @@ func (s *Server) handleConn(conn net.Conn) {
 				s.faultCount.Inc()
 				return
 			}
-			if f.Fail {
-				s.faultCount.Inc()
-				if !writeErr("injected failure of request %d", seq) {
-					return
-				}
-				continue
-			}
 			if f.Shed {
 				// A deterministic shed for smoke tests.
 				s.faultCount.Inc()

@@ -237,30 +237,32 @@ func TestServerRequiresHelloFirst(t *testing.T) {
 func TestServerFaultInjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	meta, idx, codes := testShard(t, rng, 200, 16, 2, 0)
-	faults := NewFaultPlan().FailRequest(0).DropRequest(1)
+	faults := NewFaultPlan().DropRequest(0).DropRequest(1)
 	s := startTestServer(t, meta, idx, Options{Faults: faults})
 
-	c := dialTest(t, s)
-	c.hello()
+	// Requests 0 and 1 each drop their connection mid-request.
 	req := wire.SearchReq{H: 2, Queries: codes[:3]}.Append(nil)
-	if rt, _ := c.roundTrip(wire.MsgSearch, req); rt != wire.MsgError {
-		t.Fatalf("request 0 not failed: %s", rt)
-	}
-	// Request 1 drops the connection mid-request.
-	if err := wire.WriteFrame(c.conn, wire.MsgSearch, req); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := wire.ReadFrame(c.br); err == nil {
-		t.Fatal("request 1 not dropped")
+	for seq := 0; seq < 2; seq++ {
+		c := dialTest(t, s)
+		c.hello()
+		if err := wire.WriteFrame(c.conn, wire.MsgSearch, req); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := wire.ReadFrame(c.br); err == nil {
+			t.Fatalf("request %d not dropped", seq)
+		}
 	}
 	// A fresh connection serves request 2 normally.
-	c2 := dialTest(t, s)
-	c2.hello()
-	if rt, _ := c2.roundTrip(wire.MsgSearch, req); rt != wire.MsgSearchOK {
+	c := dialTest(t, s)
+	c.hello()
+	if rt, _ := c.roundTrip(wire.MsgSearch, req); rt != wire.MsgSearchOK {
 		t.Fatalf("request 2 answered %s", rt)
 	}
 	if got := s.Stats().FaultsInjected; got != 2 {
 		t.Fatalf("FaultsInjected = %d, want 2", got)
+	}
+	if got := s.Stats().Errors; got != 0 {
+		t.Fatalf("Errors = %d: a dropped connection is no error frame", got)
 	}
 }
 

@@ -5,12 +5,14 @@
 # Exits nonzero if any step fails or the distributed answers differ from a
 # linear scan over the snapshots' tuples.
 #
-# Shard 0 fails its first request and sheds one deterministic request; the
-# query rows run twice, and the second pass rides out the shed with the
-# router's one polite backoff (the oracle diff proves the answers stay
-# byte-identical). A third pass lists shard 1's server as a replica of shard
-# 0 too, which the router must refuse at its handshake: one retry finds the
-# refusal, and the rotation skips the replica after it.
+# Shard 0 drops the connection of its first request and sheds one
+# deterministic request; the query rows run twice, the first pass redialling
+# past the drop and the second riding out the shed with the router's one
+# polite backoff (the oracle diff proves the answers stay byte-identical). A
+# third pass lists shard 1's server as a replica of shard 0 too, which the
+# router must refuse at its handshake: one retry finds the refusal, and the
+# rotation skips the replica after it. A delete against the read-only shards
+# must then fail at once with their refusal, not after retries.
 #
 # With SMOKE_DEBUG=1 (make debug-smoke), shard 0 also binds its HTTP debug
 # endpoint; after the queries run, /debug/obs is fetched and must report a
@@ -90,10 +92,10 @@ if [ "$SMOKE_DEBUG" = "1" ]; then
     DEBUG_FLAGS="-debug-addr 127.0.0.1:0 -debug-port-file $WORK/s0.debug"
 fi
 
-echo "smoke: starting two shard servers (shard 0 fails request 0, sheds request 3)"
+echo "smoke: starting two shard servers (shard 0 drops request 0, sheds request 3)"
 # shellcheck disable=SC2086 # DEBUG_FLAGS is intentionally word-split
 "$WORK/bin/haserve" -snapshot "$WORK/shards/shard-00000.hasn" -addr 127.0.0.1:0 \
-    -port-file "$WORK/s0.addr" -fail-requests 0 -shed-requests 3 $DEBUG_FLAGS &
+    -port-file "$WORK/s0.addr" -drop-requests 0 -shed-requests 3 $DEBUG_FLAGS &
 PIDS="$PIDS $!"
 "$WORK/bin/haserve" -snapshot "$WORK/shards/shard-00001.hasn" -addr 127.0.0.1:0 \
     -port-file "$WORK/s1.addr" &
@@ -130,6 +132,19 @@ echo "smoke: shard 1's server mis-listed as a replica of shard 0; answers must s
 cat "$WORK/mislisted.out"
 grep -q ' 1 retries' "$WORK/mislisted.out" || {
     echo "smoke: the mis-listed replica did not cost exactly the one retry that finds it" >&2; exit 1; }
+
+# A read-only shard refuses a write with an error frame: that is its answer,
+# so haquery must exit nonzero with the refusal and ask no replica again.
+echo "smoke: a delete against the read-only shards must fail at once with their refusal"
+if "$WORK/bin/haquery" -shards "$ADDR0,$ADDR1" -delete 5 > "$WORK/refused.out" 2>&1; then
+    cat "$WORK/refused.out"; echo "smoke: a delete against read-only shards succeeded" >&2; exit 1
+fi
+cat "$WORK/refused.out"
+grep -q 'write refused' "$WORK/refused.out" || {
+    echo "smoke: the failed delete does not name the refusal" >&2; exit 1; }
+if grep -q 'attempts' "$WORK/refused.out"; then
+    echo "smoke: the refused delete was retried" >&2; exit 1
+fi
 
 if [ "$SMOKE_DEBUG" = "1" ]; then
     wait_planned "$(cat "$WORK/s0.debug")" "$WORK/obs.json"
