@@ -1,19 +1,23 @@
-// Command haidx builds, inspects and queries persisted HA-Index files, all in
-// the one index format, the HADX v4 serving arena: the file a MapReduce
-// build's reducers write, a broadcast ships, and haserve maps.
+// Command haidx writes, inspects and queries HA-Index files, all in the one
+// index format: the HASN v4 snapshot, a shard header (partition p of P, the
+// build's pivots) over the HADX v4 serving arena. It is the file the MapReduce
+// build's snapshot job writes, haserve maps and haquery -oracle scans.
 //
 // Usage:
 //
 //	hagen -profile NUS-WIDE -n 20000 -o d.csv
-//	haidx build -data d.csv -bits 32 -o d.hadx
-//	haidx info -index d.hadx
-//	haidx search -index d.hadx -data d.csv -query-rows 0,42 -h 3
+//	haidx shard -data d.csv -bits 32 -parts 1 -o one/
+//	haidx info -index one/shard-00000.hasn
+//	haidx search -index one/shard-00000.hasn -query-rows 0,42 -h 3
 //	haidx shard -data d.csv -bits 32 -parts 4 -o shards/
 //
 // The shard subcommand splits the dataset into Gray-code partitions and
 // writes one self-describing snapshot per partition (shard-00000.hasn …),
-// ready to be served by haserve and queried through haquery. It also writes
-// codes.txt (one bit-string per row) so queries can be issued by code.
+// ready to be served by haserve and queried through haquery; -parts 1 writes
+// the whole dataset as one. It also writes codes.txt (one bit-string per row)
+// so queries can be issued by code: search reads its query rows from the
+// codes.txt beside the index, so it hashes nothing and cannot disagree with
+// the build, and refuses a snapshot with none.
 package main
 
 import (
@@ -22,7 +26,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -33,15 +36,14 @@ import (
 	"haindex/internal/hash"
 	"haindex/internal/histo"
 	"haindex/internal/mrjoin"
+	"haindex/internal/wire"
 )
 
 func main() {
 	if len(os.Args) < 2 {
-		fatalf("usage: haidx <build|info|search|shard> [flags]")
+		fatalf("usage: haidx <shard|info|search> [flags]")
 	}
 	switch os.Args[1] {
-	case "build":
-		cmdBuild(os.Args[2:])
 	case "info":
 		cmdInfo(os.Args[2:])
 	case "search":
@@ -49,70 +51,32 @@ func main() {
 	case "shard":
 		cmdShard(os.Args[2:])
 	default:
-		fatalf("unknown subcommand %q; want build|info|search|shard", os.Args[1])
+		fatalf("unknown subcommand %q; want shard|info|search", os.Args[1])
 	}
 }
 
-func cmdBuild(args []string) {
-	fs := flag.NewFlagSet("build", flag.ExitOnError)
-	data := fs.String("data", "", "CSV dataset (required)")
-	bits := fs.Int("bits", 32, "binary code length")
-	out := fs.String("o", "index.hadx", "output index file")
-	seed := fs.Int64("seed", 1, "hash-learning sample seed")
-	leafless := fs.Bool("leafless", false, "write the Option-B form without tuple-id tables")
-	fs.Parse(args)
-	if *data == "" {
-		fatalf("build: -data is required")
-	}
-	vecs, err := dataset.ReadCSV(*data)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	hf, err := hash.LearnSpectral(dataset.Reservoir(vecs, len(vecs)/10+100, *seed), *bits)
-	if err != nil {
-		fatalf("learning hash: %v", err)
-	}
-	codes := hash.HashAll(hf, vecs)
-	f, err := os.Create(*out)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer f.Close()
-	// H-Build over the packed rows, straight into the arena.
-	var rows []uint64
-	for _, c := range codes {
-		rows = append(rows, c.Words()...)
-	}
-	t0 := time.Now()
-	idx := core.BuildFrozen(*bits, rows, nil, core.Options{})
-	buildTime := time.Since(t0)
-	if err := idx.EncodeArena(f, !*leafless); err != nil {
-		fatalf("encoding: %v", err)
-	}
-	sz := idx.EncodedSizeArena(!*leafless)
-	fmt.Printf("haidx: indexed %d tuples (%d-bit codes) in %v; wrote %s (%.1f KB)\n",
-		len(codes), *bits, buildTime.Round(time.Millisecond), *out, float64(sz)/1e3)
-	fmt.Println("note: queries must be hashed with the same learned function; keep the dataset and seed")
-}
-
-func loadIndex(path string) *core.FrozenIndex {
-	idx, err := core.MapFrozen(path)
+// loadIndex maps a snapshot file; the caller closes the index.
+func loadIndex(path string) (wire.SnapshotMeta, *core.FrozenIndex) {
+	meta, idx, err := wire.MapSnapshotFile(path)
 	if err != nil {
 		fatalf("loading %s: %v", path, err)
 	}
-	return idx
+	return meta, idx
 }
 
 func cmdInfo(args []string) {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
-	index := fs.String("index", "", "index file (required)")
+	index := fs.String("index", "", "snapshot file (required)")
 	fs.Parse(args)
 	if *index == "" {
 		fatalf("info: -index is required")
 	}
-	idx := loadIndex(*index)
+	meta, idx := loadIndex(*index)
+	defer idx.Close()
 	fmt.Printf("HA-Index file: %s\n", *index)
-	fmt.Printf("  form:           arena (v4, mmap-native)\n")
+	fmt.Printf("  form:           HASN v4 snapshot, HADX v4 arena (mmap-native)\n")
+	fmt.Printf("  partition:      %d of %d\n", meta.Part, meta.Parts)
+	fmt.Printf("  pivots:         %d\n", len(meta.Pivots))
 	fmt.Printf("  code length:    %d bits\n", idx.Length())
 	fmt.Printf("  tuples:         %d\n", idx.Len())
 	fmt.Printf("  distinct codes: %d\n", idx.GroupCount())
@@ -121,39 +85,42 @@ func cmdInfo(args []string) {
 	fmt.Printf("  memory:         %.1f KB (flat arena)\n", float64(idx.SizeBytes())/1e3)
 }
 
+// cmdSearch queries a snapshot with the codes of dataset rows, read from the
+// codes.txt that haidx shard wrote beside it. Before searching, every tuple
+// of the snapshot must carry its row's code there, so a codes.txt of another
+// build is refused rather than queried.
 func cmdSearch(args []string) {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
-	index := fs.String("index", "", "index file (required)")
-	data := fs.String("data", "", "CSV dataset the index was built from (required)")
+	index := fs.String("index", "", "snapshot file (required; codes.txt must be beside it)")
 	rows := fs.String("query-rows", "0", "comma-separated dataset rows used as queries")
 	h := fs.Int("h", 3, "Hamming threshold")
-	seed := fs.Int64("seed", 1, "hash-learning sample seed used at build time")
 	fs.Parse(args)
-	if *index == "" || *data == "" {
-		fatalf("search: -index and -data are required")
+	if *index == "" {
+		fatalf("search: -index is required")
 	}
-	idx := loadIndex(*index)
-	vecs, err := dataset.ReadCSV(*data)
+	meta, idx := loadIndex(*index)
+	defer idx.Close()
+	codesPath := filepath.Join(filepath.Dir(*index), "codes.txt")
+	codes, err := dataset.ReadCodes(codesPath)
 	if err != nil {
-		fatalf("%v", err)
+		fatalf("search: the query codes of %s: %v", *index, err)
 	}
-	hf, err := hash.LearnSpectral(dataset.Reservoir(vecs, len(vecs)/10+100, *seed), idx.Length())
-	if err != nil {
-		fatalf("re-learning hash: %v", err)
-	}
+	idx.Tuples(func(id int, c bitvec.Code) {
+		if id >= len(codes) || !codes[id].Equal(c) {
+			fatalf("search: %s does not hold the codes of the build that wrote %s (tuple %d differs)", codesPath, *index, id)
+		}
+	})
+	fmt.Printf("haidx: %s: partition %d of %d, %d tuples\n", *index, meta.Part, meta.Parts, idx.Len())
 	sr := core.NewSearcher(idx)
 	for _, part := range strings.Split(*rows, ",") {
 		row, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || row < 0 || row >= len(vecs) {
-			fatalf("invalid query row %q (dataset has %d rows)", part, len(vecs))
+		if err != nil || row < 0 || row >= len(codes) {
+			fatalf("invalid query row %q (%s has %d rows)", part, codesPath, len(codes))
 		}
-		q := hf.Hash(vecs[row])
 		t0 := time.Now()
-		ids := append([]int(nil), sr.Search(q, *h)...)
-		took := time.Since(t0)
-		sort.Ints(ids)
+		n := len(sr.Search(codes[row], *h))
 		fmt.Printf("row %d: %d matches within h=%d in %v [%d distance computations]\n",
-			row, len(ids), *h, took, sr.Stats.DistanceComputations)
+			row, n, *h, time.Since(t0), sr.Stats.DistanceComputations)
 	}
 }
 

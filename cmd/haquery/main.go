@@ -37,11 +37,11 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,6 +49,7 @@ import (
 
 	"haindex/internal/bitvec"
 	"haindex/internal/client"
+	"haindex/internal/dataset"
 	"haindex/internal/obs"
 	"haindex/internal/wire"
 )
@@ -221,45 +222,32 @@ func runMutations(r *client.Router, insert, deleteIDs string, seal, sealCompact 
 // loadQueries parses -codes, or the selected -rows of -codes-file.
 func loadQueries(codesCSV, codesFile, rows string, length int) []bitvec.Code {
 	var out []bitvec.Code
-	parse := func(s string) bitvec.Code {
-		c, err := bitvec.FromString(strings.TrimSpace(s))
-		if err != nil {
-			fatalf("bad code %q: %v", s, err)
-		}
-		if c.Len() != length {
-			fatalf("code %q is %d bits; the deployment serves %d-bit codes", s, c.Len(), length)
-		}
-		return c
-	}
 	if codesCSV != "" {
 		for _, s := range strings.Split(codesCSV, ",") {
-			out = append(out, parse(s))
+			c, err := bitvec.FromString(strings.TrimSpace(s))
+			if err != nil {
+				fatalf("bad code %q: %v", s, err)
+			}
+			if c.Len() != length {
+				fatalf("code %q is %d bits; the deployment serves %d-bit codes", s, c.Len(), length)
+			}
+			out = append(out, c)
 		}
 	}
 	if codesFile != "" {
-		f, err := os.Open(codesFile)
+		codes, err := dataset.ReadCodes(codesFile)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		defer f.Close()
-		var lines []string
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			if s := strings.TrimSpace(sc.Text()); s != "" {
-				lines = append(lines, s)
-			}
-		}
-		if err := sc.Err(); err != nil {
-			fatalf("%v", err)
+		if codes[0].Len() != length {
+			fatalf("%s holds %d-bit codes; the deployment serves %d-bit codes", codesFile, codes[0].Len(), length)
 		}
 		for _, part := range strings.Split(rows, ",") {
 			lo, hi, err := parseRange(strings.TrimSpace(part))
-			if err != nil || lo < 0 || hi >= len(lines) || lo > hi {
-				fatalf("invalid row selection %q (file has %d rows)", part, len(lines))
+			if err != nil || lo < 0 || hi >= len(codes) || lo > hi {
+				fatalf("invalid row selection %q (file has %d rows)", part, len(codes))
 			}
-			for row := lo; row <= hi; row++ {
-				out = append(out, parse(lines[row]))
-			}
+			out = append(out, codes[lo:hi+1]...)
 		}
 	}
 	return out
@@ -333,7 +321,7 @@ func diffOracle(dir string, queries []bitvec.Code, h, topk int, got [][]int, tkI
 			}
 		}
 		sort.Ints(want)
-		if !equalInts(got[i], want) {
+		if !slices.Equal(got[i], want) {
 			mismatches++
 			fmt.Fprintf(os.Stderr, "haquery: MISMATCH query %d: shards %v, oracle %v\n", i, got[i], want)
 		}
@@ -350,7 +338,7 @@ func diffOracle(dir string, queries []bitvec.Code, h, topk int, got [][]int, tkI
 				wIDs = append(wIDs, ids[t])
 				wDists = append(wDists, dist[t])
 			}
-			if !equalInts(tkIDs[i], wIDs) || !equalInts(tkDists[i], wDists) {
+			if !slices.Equal(tkIDs[i], wIDs) || !slices.Equal(tkDists[i], wDists) {
 				mismatches++
 				fmt.Fprintf(os.Stderr, "haquery: MISMATCH top-%d query %d: shards (%v,%v), oracle (%v,%v)\n",
 					topk, i, tkIDs[i], tkDists[i], wIDs, wDists)
@@ -372,18 +360,6 @@ func latSummary(h obs.HistSummary) string {
 	us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
 	return fmt.Sprintf("p50=%v p95=%v p99=%v max=%v (n=%d)",
 		us(h.P50), us(h.P95), us(h.P99), us(h.Max), h.Count)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func fatalf(format string, args ...interface{}) {

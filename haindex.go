@@ -368,9 +368,10 @@ func PGBJ(r, s []Vec, k int, opt JoinOptions) (*PGBJResult, error) {
 // ---- Serialization ----
 
 // DecodeFrozenIndex reads a frozen index previously written with
-// (*FrozenIndex).EncodeArena — the one index file format, HADX v4 — onto the
-// heap, where the index aliases the bytes read. An image of any other version
-// is refused, naming it.
+// (*FrozenIndex).EncodeArena — a bare HADX v4 arena image, the form the
+// MapReduce build's DFS part files and broadcasts carry; the one index file
+// is a HASN v4 snapshot around it — onto the heap, where the index aliases
+// the bytes read. An image of any other version is refused, naming it.
 func DecodeFrozenIndex(r io.Reader) (*FrozenIndex, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

@@ -254,7 +254,7 @@ func (f *FrozenIndex) EncodedSizeArena(withIDs bool) int {
 
 // DecodeArenaBytes parses a complete v4 arena image. The returned index's
 // slabs alias data, so the caller must keep data immutable and alive for the
-// index's lifetime: MapFrozen hands it an mmap'd region, the eager loads a
+// index's lifetime: MapFrozenAt hands it an mmap'd region, the eager loads a
 // buffer they read the file into and keep no other reference to. Only a host
 // that cannot view the little-endian layout in place (canAliasArena), or an
 // image that does not start 8-aligned, so that its slabs would not sit at
@@ -409,7 +409,7 @@ func (f *FrozenIndex) validateStructure(c arenaCounts) error {
 	return nil
 }
 
-// mapFrozenEager is the portable MapFrozen fallback: read the whole file and
+// mapFrozenEager is the portable MapFrozenAt fallback: read the whole file and
 // decode it, aliasing the buffer read where the host can.
 func mapFrozenEager(path string, off int64) (*FrozenIndex, error) {
 	data, err := os.ReadFile(path)

@@ -214,7 +214,7 @@ func TestMapFrozenMatchesEager(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mapped, err := MapFrozen(path)
+	mapped, err := MapFrozenAt(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,14 +386,14 @@ func TestDecodeArenaCorruptInput(t *testing.T) {
 	if _, err := DecodeArenaBytes(valid); err != nil {
 		t.Fatalf("valid encoding rejected: %v", err)
 	}
-	// MapFrozen on a corrupt file must reject (and release the mapping).
+	// MapFrozenAt on a corrupt file must reject (and release the mapping).
 	badFile := corrupt(valid, func(b []byte) { putU64(b, secOff(secMaskSlab)+8, 1<<30) })
 	path := filepath.Join(t.TempDir(), "bad.hadx")
 	if err := os.WriteFile(path, badFile, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MapFrozen(path); err == nil {
-		t.Fatal("MapFrozen accepted a corrupt arena")
+	if _, err := MapFrozenAt(path, 0); err == nil {
+		t.Fatal("MapFrozenAt accepted a corrupt arena")
 	}
 }
 

@@ -8,22 +8,18 @@ import (
 	"syscall"
 )
 
-// MapFrozen opens a HADX v4 arena file and aliases the index straight into a
-// read-only mmap of it: load time is O(validation) — a few int32 scans — no
-// matter how many codes the file holds, and the slabs stay in the page cache
-// rather than the Go heap, shared across processes serving the same shard.
-// Close the returned index to release the mapping.
+// MapFrozenAt opens a file holding a HADX v4 arena at byte offset off (a
+// HASN snapshot, whose header wire.MapSnapshotFile parses first; 0 for a
+// bare arena) and aliases the index straight into a read-only mmap of it:
+// load time is O(validation) — a few int32 scans — no matter how many codes
+// the file holds, and the slabs stay in the page cache rather than the Go
+// heap, shared across processes serving the same shard. The offset must be
+// 8-aligned so the aliased slabs keep their natural alignment; the whole file
+// is mapped (pages are only faulted in as touched). Close the returned index
+// to release the mapping.
 //
 // Hosts that cannot alias the little-endian layout (big-endian or 32-bit
 // int) fall back to an eager copying decode with no mapping to close.
-func MapFrozen(path string) (*FrozenIndex, error) {
-	return MapFrozenAt(path, 0)
-}
-
-// MapFrozenAt is MapFrozen for an arena embedded at byte offset off inside a
-// larger file (a HASN snapshot). The offset must be 8-aligned so the aliased
-// slabs keep their natural alignment; the whole file is mapped (pages are
-// only faulted in as touched) and released by Close.
 func MapFrozenAt(path string, off int64) (*FrozenIndex, error) {
 	if !canAliasArena {
 		return mapFrozenEager(path, off)

@@ -2,15 +2,10 @@
 
 package core
 
-// MapFrozen loads a HADX v4 arena file. On platforms without the mmap fast
-// path it decodes eagerly onto the heap — same index, same results, no
-// mapping to close.
-func MapFrozen(path string) (*FrozenIndex, error) {
-	return mapFrozenEager(path, 0)
-}
-
-// MapFrozenAt is MapFrozen for an arena embedded at byte offset off inside a
-// larger file (a HASN snapshot).
+// MapFrozenAt loads a HADX v4 arena at byte offset off of a file (a HASN
+// snapshot; 0 for a bare arena). On platforms without the mmap fast path it
+// decodes eagerly onto the heap — same index, same results, no mapping to
+// close.
 func MapFrozenAt(path string, off int64) (*FrozenIndex, error) {
 	return mapFrozenEager(path, off)
 }

@@ -42,3 +42,32 @@ func TestReadCSVErrors(t *testing.T) {
 		t.Error("expected missing-file error")
 	}
 }
+
+func TestReadCodes(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "codes.txt")
+	if err := os.WriteFile(path, []byte("0101\n\n1100\n 0011 \n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	codes, err := ReadCodes(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(codes) != 3 || codes[1].String() != "1100" || codes[2].String() != "0011" {
+		t.Fatalf("codes = %v", codes)
+	}
+	for name, body := range map[string]string{
+		"bad.txt":    "0101\n01x1\n",
+		"ragged.txt": "0101\n010\n",
+		"empty.txt":  "\n\n",
+	} {
+		p := filepath.Join(dir, name)
+		os.WriteFile(p, []byte(body), 0o644)
+		if _, err := ReadCodes(p); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+	}
+	if _, err := ReadCodes(filepath.Join(dir, "missing.txt")); err == nil {
+		t.Error("expected missing-file error")
+	}
+}

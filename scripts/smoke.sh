@@ -1,7 +1,8 @@
 #!/bin/sh
 # End-to-end smoke test of the sharded serving stack:
 #   hagen -> haidx shard -> 2x haserve (one replica fault-injected) ->
-#   haquery with the brute-force oracle diff.
+#   haquery with the brute-force oracle diff; then a one-part build's single
+#   file through haidx info and search, one haserve and the oracle.
 # Exits nonzero if any step fails or the distributed answers differ from a
 # linear scan over the snapshots' tuples.
 #
@@ -86,6 +87,19 @@ wait_planned() {
     done
 }
 
+# wait_files NAME... waits for each file NAME under $WORK (a server's port
+# file) to be written, and fails after about 10 s.
+wait_files() {
+    for f in "$@"; do
+        tries=0
+        while [ ! -s "$WORK/$f" ]; do
+            tries=$((tries + 1))
+            [ "$tries" -gt 100 ] && { echo "smoke: $f never appeared" >&2; exit 1; }
+            sleep 0.1
+        done
+    done
+}
+
 SMOKE_DEBUG=${SMOKE_DEBUG:-0}
 DEBUG_FLAGS=""
 if [ "$SMOKE_DEBUG" = "1" ]; then
@@ -101,14 +115,7 @@ PIDS="$PIDS $!"
     -port-file "$WORK/s1.addr" &
 PIDS="$PIDS $!"
 
-for f in s0.addr s1.addr; do
-    tries=0
-    while [ ! -s "$WORK/$f" ]; do
-        tries=$((tries + 1))
-        [ "$tries" -gt 100 ] && { echo "smoke: $f never appeared" >&2; exit 1; }
-        sleep 0.1
-    done
-done
+wait_files s0.addr s1.addr
 ADDR0=$(cat "$WORK/s0.addr")
 ADDR1=$(cat "$WORK/s1.addr")
 
@@ -145,6 +152,28 @@ grep -q 'write refused' "$WORK/refused.out" || {
 if grep -q 'attempts' "$WORK/refused.out"; then
     echo "smoke: the refused delete was retried" >&2; exit 1
 fi
+
+# One index file: a one-part build is the whole dataset in one snapshot, and
+# every tool reads it, as it reads each part of a sharded build.
+echo "smoke: one-part build: haidx info, haidx search, haserve and the oracle all read its one file"
+"$WORK/bin/haidx" shard -data "$WORK/data.csv" -bits 32 -parts 1 -o "$WORK/one"
+"$WORK/bin/haidx" info -index "$WORK/one/shard-00000.hasn" > "$WORK/one.info"
+cat "$WORK/one.info"
+grep -q 'partition: *0 of 1$' "$WORK/one.info" || {
+    echo "smoke: haidx info does not report partition 0 of 1" >&2; exit 1; }
+"$WORK/bin/haidx" info -index "$WORK/shards/shard-00001.hasn"
+# At h=0 each queried row must at least find itself.
+"$WORK/bin/haidx" search -index "$WORK/one/shard-00000.hasn" -query-rows 0,7 -h 0 > "$WORK/one.search"
+cat "$WORK/one.search"
+[ "$(grep -c '^row [0-9]*: [1-9][0-9]* matches' "$WORK/one.search")" -eq 2 ] || {
+    echo "smoke: haidx search -h 0 left a queried row without a match" >&2; exit 1; }
+"$WORK/bin/haserve" -snapshot "$WORK/one/shard-00000.hasn" -addr 127.0.0.1:0 \
+    -port-file "$WORK/one.addr" &
+PIDS="$PIDS $!"
+wait_files one.addr
+"$WORK/bin/haquery" -shards "$(cat "$WORK/one.addr")" \
+    -codes-file "$WORK/one/codes.txt" -rows 0-49 -h 3 -topk 5 \
+    -oracle "$WORK/one"
 
 if [ "$SMOKE_DEBUG" = "1" ]; then
     wait_planned "$(cat "$WORK/s0.debug")" "$WORK/obs.json"
@@ -222,14 +251,7 @@ if [ "$SMOKE_LSM" = "1" ]; then
         -port-file "$WORK/m1.addr" -mutable -memtable-max 64 \
         -debug-addr 127.0.0.1:0 -debug-port-file "$WORK/m1.debug" &
     PIDS="$PIDS $!"
-    for f in m0.addr m1.addr m0.debug m1.debug; do
-        tries=0
-        while [ ! -s "$WORK/$f" ]; do
-            tries=$((tries + 1))
-            [ "$tries" -gt 100 ] && { echo "smoke: $f never appeared" >&2; exit 1; }
-            sleep 0.1
-        done
-    done
+    wait_files m0.addr m1.addr m0.debug m1.debug
     MADDR="$(cat "$WORK/m0.addr"),$(cat "$WORK/m1.addr")"
 
     # Each shard times its snapshot segment's background plan once it lands.
